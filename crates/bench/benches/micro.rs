@@ -1,10 +1,16 @@
 //! Criterion micro-benchmarks for the in-memory hot paths: cuckoo buffer,
-//! Bloom filters, bit-sliced filters, Rabin-Karp chunking and SHA-1.
+//! Bloom filters, bit-sliced filters, the flush kernel (drain, serialize,
+//! CRC, filter registration: the per-flush budget of DESIGN.md "Write-path
+//! host cost"), the latency recorder, Rabin-Karp chunking and SHA-1.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use bufferhash::{BitSlicedBloomSet, BloomFilter, CuckooBuffer};
+use bufferhash::{
+    crc32, BitSlicedBloomSet, BloomFilter, CuckooBuffer, Entry, IncarnationIdentity,
+    IncarnationLayout,
+};
+use flashsim::{LatencyRecorder, SimDuration};
 use wanopt::{chunk_boundaries, ChunkerConfig, Sha1};
 
 fn bench_cuckoo(c: &mut Criterion) {
@@ -59,6 +65,53 @@ fn bench_filters(c: &mut Criterion) {
     group.finish();
 }
 
+/// One flush at the benchmark's geometry, stage by stage: a 32 KiB buffer
+/// at 50 % (1 024 entries) becomes eight 4 KiB pages and one column of a
+/// 16-incarnation filter set with `m = 16384`, `h = 11`.
+fn bench_flush_kernel(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flush_kernel");
+    let entries: Vec<Entry> =
+        (0..1024u64).map(|i| Entry::new(bufferhash::hash_with_seed(i, 7), i)).collect();
+    let layout = IncarnationLayout::new(32 * 1024, 4096).expect("valid layout");
+    let identity = IncarnationIdentity { table: 3, seq: 41, epoch: 7 };
+    let image = layout.serialize_identified(&entries, identity).expect("entries fit");
+
+    let mut buffer = CuckooBuffer::with_byte_budget(32 * 1024, 16, 0.5);
+    group.bench_function("fill_and_drain_1024", |b| {
+        b.iter(|| {
+            for e in &entries {
+                buffer.insert(e.key, e.value);
+            }
+            black_box(buffer.drain().len())
+        })
+    });
+    group.bench_function("crc32_4k_page", |b| b.iter(|| black_box(crc32(&image[..4096]))));
+    group.bench_function("crc32_32k_image", |b| b.iter(|| black_box(crc32(&image))));
+    group.bench_function("serialize_identified_1024", |b| {
+        b.iter(|| black_box(layout.serialize_identified(&entries, identity).expect("fits").len()))
+    });
+    let mut sliced = BitSlicedBloomSet::new(16, 16_384, 11);
+    group.bench_function("push_incarnation_1024", |b| {
+        b.iter(|| {
+            if sliced.len() == sliced.capacity() {
+                sliced.evict_oldest();
+            }
+            sliced.push_incarnation(entries.iter().map(|e| e.key));
+            black_box(sliced.len())
+        })
+    });
+    let mut recorder = LatencyRecorder::new();
+    group.bench_function("latency_recorder_record", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            recorder.record(SimDuration::from_nanos(400 + (i & 0xFFFF) * 37));
+            black_box(recorder.len())
+        })
+    });
+    group.finish();
+}
+
 fn bench_content_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("content_pipeline");
     let data: Vec<u8> =
@@ -72,5 +125,5 @@ fn bench_content_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cuckoo, bench_filters, bench_content_pipeline);
+criterion_group!(benches, bench_cuckoo, bench_filters, bench_flush_kernel, bench_content_pipeline);
 criterion_main!(benches);

@@ -16,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::types::{hash_with_seed, Key};
+use crate::types::{hash_with_seed, Key, Modulus};
 
 /// Extra lanes appended to every slice (the `w` of §5.1.3); one machine word.
 const WINDOW_SLACK: usize = 64;
@@ -26,8 +26,8 @@ const WINDOW_SLACK: usize = 64;
 pub struct BitSlicedBloomSet {
     /// Maximum number of incarnations (k).
     num_slots: usize,
-    /// Bits per incarnation filter (m).
-    bits_per_filter: usize,
+    /// Bits per incarnation filter (m), ready to reduce hashes by.
+    bits_per_filter: Modulus,
     /// Hash functions per filter (h).
     num_hashes: u32,
     /// Total lanes per slice (k + w, rounded up to a whole word).
@@ -36,6 +36,11 @@ pub struct BitSlicedBloomSet {
     words_per_slice: usize,
     /// All slices, `bits_per_filter * words_per_slice` words.
     slices: Vec<u64>,
+    /// Scratch for [`push_incarnation`](Self::push_incarnation): the new
+    /// incarnation's plain filter, one bit per row (`m / 64` words, small
+    /// enough to stay in L1 while the keys are hashed). All zero between
+    /// calls.
+    column: Vec<u64>,
     /// Lane index of the oldest live incarnation.
     window_start: usize,
     /// Number of live incarnations (≤ `num_slots`).
@@ -52,11 +57,12 @@ impl BitSlicedBloomSet {
         let words_per_slice = lane_space / 64;
         BitSlicedBloomSet {
             num_slots,
-            bits_per_filter,
+            bits_per_filter: Modulus::new(bits_per_filter),
             num_hashes: num_hashes.clamp(1, 16),
             lane_space,
             words_per_slice,
             slices: vec![0u64; bits_per_filter * words_per_slice],
+            column: vec![0u64; bits_per_filter.div_ceil(64)],
             window_start: 0,
             count: 0,
         }
@@ -79,7 +85,7 @@ impl BitSlicedBloomSet {
 
     /// Bits per incarnation filter.
     pub fn bits_per_filter(&self) -> usize {
-        self.bits_per_filter
+        self.bits_per_filter.get()
     }
 
     /// Number of hash functions.
@@ -87,7 +93,8 @@ impl BitSlicedBloomSet {
         self.num_hashes
     }
 
-    /// Approximate memory footprint in bytes.
+    /// Approximate memory footprint in bytes (the slices; the `m`-bit
+    /// scratch column is not counted).
     pub fn memory_bytes(&self) -> usize {
         self.slices.len() * 8
     }
@@ -97,8 +104,8 @@ impl BitSlicedBloomSet {
     fn rows(&self, key: Key) -> impl Iterator<Item = usize> + '_ {
         let h1 = hash_with_seed(key, 0x5bd1_e995);
         let h2 = hash_with_seed(key, 0x27d4_eb2f) | 1;
-        let m = self.bits_per_filter as u64;
-        (0..self.num_hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % m) as usize)
+        let m = self.bits_per_filter;
+        (0..self.num_hashes as u64).map(move |i| m.reduce(h1.wrapping_add(i.wrapping_mul(h2))))
     }
 
     /// Lane index of the incarnation with the given `age`
@@ -108,20 +115,12 @@ impl BitSlicedBloomSet {
         (self.window_start + self.count - 1 - age) % self.lane_space
     }
 
-    fn set_bit(&mut self, row: usize, lane: usize) {
-        let word = row * self.words_per_slice + lane / 64;
-        self.slices[word] |= 1 << (lane % 64);
-    }
-
-    fn clear_lane(&mut self, lane: usize) {
-        let (word_off, bit) = (lane / 64, lane % 64);
-        let mask = !(1u64 << bit);
-        for row in 0..self.bits_per_filter {
-            self.slices[row * self.words_per_slice + word_off] &= mask;
-        }
-    }
-
     /// Registers a new (youngest) incarnation containing `keys`.
+    ///
+    /// The incarnation's filter is first built as a plain `m`-bit column
+    /// in scratch memory, then merged into its lane of every slice in one
+    /// sequential sweep: no allocation, no division, and the slices are
+    /// walked once instead of being hit at `h` random rows per key.
     ///
     /// The caller must ensure there is room (evict first if `len() ==
     /// capacity()`); pushing into a full set panics, as that indicates a
@@ -132,17 +131,25 @@ impl BitSlicedBloomSet {
             "push_incarnation on a full BitSlicedBloomSet; evict first"
         );
         let lane = (self.window_start + self.count) % self.lane_space;
-        // The lazy word-zeroing below guarantees this lane is already clear;
-        // clearing defensively keeps correctness independent of that
-        // invariant (it is a no-op in the common case).
-        self.clear_lane(lane);
         self.count += 1;
+        let mut column = std::mem::take(&mut self.column);
         for key in keys {
-            let rows: Vec<usize> = self.rows(key).collect();
-            for row in rows {
-                self.set_bit(row, lane);
+            for row in self.rows(key) {
+                column[row / 64] |= 1 << (row % 64);
             }
         }
+        // The sweep overwrites the lane's bit in every row rather than
+        // OR-ing into it, so correctness does not rest on the lazy word
+        // zeroing of `evict_oldest` having left the lane clear.
+        let (word_off, bit, stride) = (lane / 64, lane % 64, self.words_per_slice);
+        for (rows, &bits) in self.slices.chunks_mut(64 * stride).zip(&column) {
+            for (r, slice) in rows.chunks_exact_mut(stride).enumerate() {
+                let word = &mut slice[word_off];
+                *word = *word & !(1 << bit) | (bits >> r & 1) << bit;
+            }
+        }
+        column.fill(0);
+        self.column = column;
     }
 
     /// Evicts the oldest incarnation by sliding the window.
@@ -159,8 +166,8 @@ impl BitSlicedBloomSet {
             // The word we just finished leaving contains only dead lanes.
             let words = self.words_per_slice;
             let word_behind = (self.window_start / 64 + words - 1) % words;
-            for row in 0..self.bits_per_filter {
-                self.slices[row * self.words_per_slice + word_behind] = 0;
+            for word in self.slices.iter_mut().skip(word_behind).step_by(words) {
+                *word = 0;
             }
         }
     }
@@ -308,6 +315,95 @@ mod tests {
         // whole-set spurious rate should be well under 1%.
         let per_lookup = fp as f64 / trials as f64;
         assert!(per_lookup < 0.01, "spurious incarnation matches per lookup: {per_lookup}");
+    }
+
+    /// The per-key registration the column sweep replaced — defensive lane
+    /// clear, then one `Vec` of rows and `h` scattered bit sets per key,
+    /// rows by plain `%` — kept as the reference it must match.
+    fn push_incarnation_per_key(set: &mut BitSlicedBloomSet, keys: &[Key]) {
+        assert!(set.count < set.num_slots);
+        let lane = (set.window_start + set.count) % set.lane_space;
+        let (m, wps) = (set.bits_per_filter.get(), set.words_per_slice);
+        for row in 0..m {
+            set.slices[row * wps + lane / 64] &= !(1u64 << (lane % 64));
+        }
+        set.count += 1;
+        for &key in keys {
+            let h1 = hash_with_seed(key, 0x5bd1_e995);
+            let h2 = hash_with_seed(key, 0x27d4_eb2f) | 1;
+            let rows: Vec<usize> = (0..set.num_hashes as u64)
+                .map(|i| (h1.wrapping_add(i.wrapping_mul(h2)) % m as u64) as usize)
+                .collect();
+            for row in rows {
+                set.slices[row * wps + lane / 64] |= 1 << (lane % 64);
+            }
+        }
+    }
+
+    #[test]
+    fn column_sweep_matches_per_key_registration_across_window_wraps() {
+        // (slots, m, h): power-of-two and odd filter widths, one and two
+        // words per slice, the benchmark's own geometry last.
+        for (slots, m, h) in [(4, 1 << 10, 4), (5, 1000, 7), (70, 777, 3), (16, 16_384, 11)] {
+            let mut fast = BitSlicedBloomSet::new(slots, m, h);
+            let mut reference = BitSlicedBloomSet::new(slots, m, h);
+            // Several laps of the lane space, so lanes are reused after
+            // the lazy word zeroing and after a window wrap.
+            let rounds = 3 * fast.lane_space as u64 + 17;
+            for round in 0..rounds {
+                // Mostly push-when-room, evict-when-full, with pseudo-random
+                // extra evictions so the window start drifts off the
+                // word boundaries and the set runs at every fill level.
+                let extra_evictions = hash_with_seed(round, 0xe71c) % 3;
+                for _ in 0..extra_evictions.min(fast.len() as u64) {
+                    fast.evict_oldest();
+                    reference.evict_oldest();
+                }
+                if fast.len() == fast.capacity() {
+                    fast.evict_oldest();
+                    reference.evict_oldest();
+                }
+                // The defensive clear stays: on entry the lane must not
+                // need it, which is what lets the sweep overwrite.
+                let lane = (fast.window_start + fast.count) % fast.lane_space;
+                let stale = (0..m)
+                    .filter(|row| {
+                        fast.slices[row * fast.words_per_slice + lane / 64] >> (lane % 64) & 1 == 1
+                    })
+                    .count();
+                assert_eq!(stale, 0, "({slots},{m},{h}) round {round}: lane {lane} not clear");
+                let keys = keys_for(round, 1 + hash_with_seed(round, 5) % 40);
+                fast.push_incarnation(keys.iter().copied());
+                push_incarnation_per_key(&mut reference, &keys);
+                assert_eq!(fast.slices, reference.slices, "({slots},{m},{h}) round {round}");
+                assert!(fast.column.iter().all(|&w| w == 0), "scratch left dirty");
+                assert_eq!(fast, reference);
+                for probe in 0..20u64 {
+                    let key = if probe % 2 == 0 {
+                        keys_for(round.saturating_sub(probe / 2), 1)[0]
+                    } else {
+                        hash_with_seed(probe, round)
+                    };
+                    assert_eq!(fast.query(key), reference.query(key));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dirty_lane_is_overwritten_not_merged() {
+        // Should the lazy zeroing ever leave a lane dirty, registration
+        // must still produce exactly the new incarnation's filter.
+        let mut set = BitSlicedBloomSet::new(4, 1 << 10, 4);
+        set.slices.fill(u64::MAX);
+        set.push_incarnation(keys_for(1, 10));
+        let mut clean = BitSlicedBloomSet::new(4, 1 << 10, 4);
+        clean.push_incarnation(keys_for(1, 10));
+        for row in 0..1 << 10 {
+            let word = row * set.words_per_slice;
+            assert_eq!(set.slices[word] & 1, clean.slices[word] & 1, "row {row}");
+            assert_eq!(set.slices[word] | 1, u64::MAX, "other lanes untouched");
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::log::{LogAllocator, SlotOwner};
 use crate::recovery::RecoveryReport;
 use crate::stats::ClamStats;
 use crate::supertable::{IncarnationMeta, SuperTable};
-use crate::types::{hash_with_seed, Entry, Key, Value};
+use crate::types::{group_stable, hash_with_seed, Entry, Key, Value};
 
 /// Fixed in-memory overhead charged once per hash-table *call*: request
 /// dispatch, operation setup and stats bookkeeping on the host CPU. A
@@ -450,25 +450,79 @@ impl Drop for GateCompletion<'_> {
     }
 }
 
-/// Per-chunk accumulator of a parallel batch insert.
-struct ChunkOutcome {
-    latency: SimDuration,
-    flushed_ops: usize,
-    evictions: usize,
+/// What one chunk of a multi-chunk batch insert shares with the others: the
+/// flush gate, its own slot on it, and the barrier the chunks meet at. A
+/// batch that runs as a single chunk has none of it.
+#[derive(Clone, Copy)]
+struct ChunkSync<'a> {
+    gate: &'a FlushGate,
+    chunk: usize,
+    rendezvous: &'a std::sync::Barrier,
 }
 
-impl ChunkOutcome {
-    fn new() -> Self {
-        ChunkOutcome { latency: SimDuration::ZERO, flushed_ops: 0, evictions: 0 }
+/// The ops a chunk completed, in the order it ran them, and the error that
+/// stopped it early, if one did.
+type ChunkResult = (Vec<InsertOutcome>, Option<BufferHashError>);
+
+/// Inserts a spawned worker must carry before fanning an insert batch out
+/// over threads pays; below it [`fan_out`] keeps the batch on the caller's
+/// thread.
+///
+/// Measured on the 2-vCPU development host (DESIGN.md "Write-path host
+/// cost" has the table): an empty scoped thread costs 12 µs to spawn and
+/// join at the median and 40 µs at p99, and a batched insert 0.23 µs of
+/// host time with flushes amortized in, which alone would put break-even
+/// near 50 to 175 ops. In situ it is ten times that: loading 1.2M keys
+/// through two workers instead of one is twice as slow at 128 ops per
+/// worker, even at 512 to 1024, and a third faster from 2048 up, because a
+/// real worker wakes on another core with cold caches and the caller waits
+/// for the later of the two. The floor is twice the upper end of the
+/// measured crossover. A caller that batches less than this is after
+/// latency, which a spawn can only add to.
+pub(crate) const SPAWN_FLOOR_OPS: usize = 2048;
+
+/// Keys a spawned worker must carry before fanning a lookup batch out over
+/// threads pays. Lower than [`SPAWN_FLOOR_OPS`] because a lookup that
+/// probes flash costs 2 µs of host time, not 0.23: on the same host and
+/// store, `StripedClam::lookup_batch` over keys that live on flash breaks
+/// even around 256 keys per worker and is 1.6x faster split from
+/// 512 up (DESIGN.md has the table). A batch cannot know beforehand where
+/// its keys will resolve; one of this size that resolves entirely in the
+/// buffers pays 55 to 100 µs for a spawn it did not need, one that
+/// resolves in the filters breaks even.
+pub(crate) const SPAWN_FLOOR_KEYS: usize = 512;
+
+/// How many threads a batch of `ops` operations over `groups` independent
+/// groups (stripes, or super tables of one stripe) should run on: one per
+/// `floor` operations, never more than there are groups or cores. Decided
+/// from the batch size alone; the core count is looked up only once a
+/// batch is big enough to split, and only once per process.
+pub(crate) fn fan_out(ops: usize, floor: usize, groups: usize) -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let wanted = (ops / floor).min(groups);
+    if wanted <= 1 {
+        return 1;
     }
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
+    wanted.min(cores)
+}
+
+/// Folds one insert's outcome into the ledger: its latency sample, and
+/// the length of its eviction cascade if it flushed.
+fn record_insert(stats: &mut ClamStats, op: &InsertOutcome) {
+    if op.flushed {
+        stats.record_cascade(op.evictions.max(1));
+    }
+    stats.inserts.record(op.latency);
 }
 
 /// The shared, short-critical-section core of a [`Clam`]: everything that
 /// is *not* per-table state — the device and its completion ring, the log
 /// allocator (slot grants), the flush sequence counter and the
-/// [`ClamStats`] ledger. Fine-grained writers take this lock only around
-/// flush chains and ring drains; buffer-resident inserts, deletes and
-/// memory probes never touch it. Because a flush chain runs entirely under
+/// [`ClamStats`] ledger. Fine-grained writers take this lock around flush
+/// chains and ring drains, and once more to record their latency in the
+/// ledger: once per scalar insert or delete, once per batch. Memory probes
+/// never touch it. Because a flush chain runs entirely under
 /// one core lock, allocator grant order equals ring admission order, which
 /// is the invariant the PR-7 acknowledgment point rests on (admission
 /// order = data-effect order on the device).
@@ -480,6 +534,7 @@ struct ClamCore<D: Device> {
     epoch: u32,
     /// The (table-uniform) incarnation serialization layout.
     layout: IncarnationLayout,
+    /// Number of super tables.
     num_tables: usize,
     allocator: LogAllocator,
     seq: u64,
@@ -522,9 +577,9 @@ struct ClamCore<D: Device> {
 ///
 /// Since PR 10 the store is internally split for **per-super-table write
 /// concurrency**: each [`SuperTable`]'s mutable state lives behind its own
-/// lock (a [`TableSet`]), and the shared pieces — device, completion ring,
+/// lock (a `TableSet`), and the shared pieces — device, completion ring,
 /// log allocator, stats ledger — live in a small mutex-protected
-/// [`ClamCore`]. The classic `&mut self` API below is unchanged and takes
+/// `ClamCore`. The classic `&mut self` API below is unchanged and takes
 /// no locks (exclusive access reaches both halves directly); the `fine_*`
 /// methods ([`fine_insert`](Self::fine_insert),
 /// [`fine_insert_batch`](Self::fine_insert_batch),
@@ -544,9 +599,10 @@ pub struct Clam<D: Device> {
     /// its duration.
     batch_lock: Mutex<()>,
     /// Chunk-count override for [`fine_insert_batch`](Self::fine_insert_batch):
-    /// 0 means "use [`std::thread::available_parallelism`]". Tests force a
-    /// value > 1 to exercise the multi-chunk gate/rendezvous path even on
-    /// single-core hosts (the scoped threads still run, time-sliced).
+    /// 0 means "let the batch size decide" ([`fan_out`]). Tests force a
+    /// value > 1 to exercise the multi-chunk gate/rendezvous path on
+    /// batches of any size and on single-core hosts (the scoped threads
+    /// still run, time-sliced).
     batch_parallelism: AtomicUsize,
 }
 
@@ -774,7 +830,7 @@ impl<D: Device> Clam<D> {
     /// `k1` bits of the key; hashing achieves the same uniform split without
     /// requiring a power-of-two table count).
     fn table_of(&self, key: Key) -> usize {
-        (hash_with_seed(key, 0x7a_b1e5) % self.tables.len() as u64) as usize
+        table_of(key, self.tables.len())
     }
 
     /// Cost of touching `words` 64-bit words of DRAM.
@@ -817,10 +873,11 @@ impl<D: Device> Clam<D> {
     /// that land on contiguous log slots are coalesced into a single
     /// sequential device write.
     ///
-    /// This is the sequential (coarse) batch path; the parallel
-    /// fine-grained twin is [`fine_insert_batch`](Self::fine_insert_batch),
-    /// which dispatches per-table groups onto scoped threads and is
-    /// bit-identical to this path by construction (property-tested).
+    /// This is the sequential (coarse) batch path; the fine-grained twin
+    /// is [`fine_insert_batch`](Self::fine_insert_batch), which commits
+    /// per-table groups under per-table locks (on scoped threads when the
+    /// batch is large enough) and is bit-identical to this path by
+    /// construction (property-tested).
     ///
     /// ```
     /// use bufferhash::{Clam, ClamConfig};
@@ -1070,17 +1127,16 @@ impl<D: Device> Clam<D> {
     // ------------------------------------------------------------------
 
     /// Per-op insert through the fine-grained path: takes only `key`'s
-    /// table op lock plus (on flush or for the ack drain) the short core
-    /// lock, so concurrent inserts to *different* tables of this stripe
-    /// commit in parallel. Observationally identical to
+    /// table op lock plus the short core lock (for a flush and its ack
+    /// drain, and to record the op in the ledger), so concurrent inserts to
+    /// *different* tables of this stripe commit in parallel. Observationally identical to
     /// [`insert`](Self::insert) when ops are serialized (property-tested).
     pub fn fine_insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
         let t = self.table_of(key);
         let _guard = self.tables.lock_for_write(t);
-        let mut stats = ClamStats::new();
-        let outcome = self.fine_insert_locked(t, key, value, BASE_OP_OVERHEAD, None, &mut stats);
-        self.core.lock().stats.merge(&stats);
-        outcome
+        let outcome = self.fine_insert_locked(t, key, value, BASE_OP_OVERHEAD, None)?;
+        record_insert(&mut self.core.lock().stats, &outcome);
+        Ok(outcome)
     }
 
     /// Per-op delete through the fine-grained path (op lock + a brief core
@@ -1095,31 +1151,42 @@ impl<D: Device> Clam<D> {
     }
 
     /// Overrides how many chunks [`fine_insert_batch`](Self::fine_insert_batch)
-    /// splits a batch into. `None` (the default) uses
-    /// [`std::thread::available_parallelism`]. Tests pass `Some(n > 1)` to
-    /// exercise the multi-chunk gate/rendezvous path deterministically,
-    /// core count notwithstanding.
+    /// splits a batch into. `None` (the default) lets the batch size decide:
+    /// one chunk on the caller's thread unless every further chunk would
+    /// carry enough ops to pay for its thread. `Some(n)` forces `n` chunks
+    /// (as far as the batch has tables to fill them) whatever the size;
+    /// tests pass `Some(n > 1)` to exercise the multi-chunk gate/rendezvous
+    /// path deterministically, batch size and core count notwithstanding.
     pub fn set_batch_parallelism(&self, chunks: Option<usize>) {
         self.batch_parallelism.store(chunks.unwrap_or(0), Ordering::Relaxed);
     }
 
-    /// Parallel fine-grained twin of [`insert_batch`](Self::insert_batch):
-    /// partitions the batch into per-super-table groups, splits the groups
-    /// into up to `available_parallelism` chunks, and runs the chunks on
-    /// scoped threads — each chunk holding one table op lock at a time, so
-    /// buffer-resident inserts of different tables proceed concurrently.
+    /// Fine-grained twin of [`insert_batch`](Self::insert_batch): groups
+    /// the batch by super table and commits each table's ops under that
+    /// table's op lock, so other writers to *other* tables of the stripe
+    /// proceed meanwhile.
     ///
-    /// **Bit-identical to the coarse path by construction.** Two mechanisms
-    /// make that true: ops of one table keep input order under the table's
-    /// op lock, and a [`FlushGate`] orders flush chains across chunks —
-    /// chunk *j*'s first flush waits for chunks *< j* to complete, so
-    /// allocator grants, flush sequence numbers, forced evictions and the
-    /// device timeline replay exactly the sequential (table-ascending)
-    /// order. Stats recorded per chunk merge into the ledger at batch end
-    /// (recorder statistics are order-insensitive multisets). The chunks
+    /// A batch runs as **one chunk on the caller's thread** unless it is
+    /// large enough that every further chunk would carry enough ops to pay
+    /// for its thread's spawn (`fan_out`: one chunk per 2048 ops, never
+    /// more than tables or cores); then the tables are split into
+    /// contiguous chunks balanced by op count, one scoped thread each but
+    /// the first, which stays on the caller's. Either way each chunk holds
+    /// one table op lock at a time.
+    ///
+    /// **Bit-identical to the coarse path by construction.** Ops of one
+    /// table keep input order under the table's op lock and tables are
+    /// taken in ascending order, which on one chunk *is* the coarse order.
+    /// Across chunks a `FlushGate` orders the flush chains — chunk *j*'s
+    /// first flush waits for chunks *< j* to complete, so allocator grants,
+    /// flush sequence numbers, forced evictions and the device timeline
+    /// replay exactly the sequential (table-ascending) order. Per-op
+    /// outcomes are folded into the ledger at batch end (recorder
+    /// statistics are order-insensitive multisets). Multiple chunks
     /// rendezvous on a barrier after taking their first table op lock,
-    /// which is what makes the `table_lock_high_water` ledger deterministic
-    /// on multi-core hosts.
+    /// which makes the `table_lock_high_water` ledger deterministic; a
+    /// single chunk builds neither gate nor barrier and its high-water
+    /// mark is 1.
     pub fn fine_insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome>
     where
         D: Send,
@@ -1129,15 +1196,9 @@ impl<D: Device> Clam<D> {
             return Ok(outcome);
         }
         let _batch = self.batch_lock.lock();
-        // Partition into per-table groups; ops of one table keep input
-        // order, and tables are processed in ascending id order, exactly
-        // like the coarse path's stable sort.
-        let mut groups: Vec<Vec<(Key, Value)>> = vec![Vec::new(); self.tables.len()];
-        for &(key, value) in ops {
-            groups[self.table_of(key)].push((key, value));
-        }
-        let occupied: Vec<(usize, Vec<(Key, Value)>)> =
-            groups.into_iter().enumerate().filter(|(_, g)| !g.is_empty()).collect();
+        // One run per table, in ascending table order, input order kept
+        // within a run: exactly the coarse path's stable sort.
+        let (grouped, starts) = group_stable(ops, self.tables.len(), |op| self.table_of(op.0));
         let dispatch = batch_dispatch(ops.len());
         let coalesced_before = {
             let mut core = self.core.lock();
@@ -1145,47 +1206,45 @@ impl<D: Device> Clam<D> {
             core.coalesce_writes = true;
             core.stats.coalesced_flush_writes
         };
-        // Contiguous chunks of whole per-table groups, balanced by op
-        // count, one scoped thread each.
-        let parallelism = match self.batch_parallelism.load(Ordering::Relaxed) {
-            0 => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
-            n => n,
+        let chunks = match self.batch_parallelism.load(Ordering::Relaxed) {
+            0 => fan_out(ops.len(), SPAWN_FLOOR_OPS, self.tables.len()),
+            forced => forced,
         };
-        let chunks = split_balanced(occupied, parallelism);
-        let gate = FlushGate::new(chunks.len());
-        let rendezvous = std::sync::Barrier::new(chunks.len());
-        let results: Vec<(ClamStats, Result<ChunkOutcome>)> = if chunks.len() == 1 {
-            vec![self.run_batch_chunk(&chunks[0], dispatch, &gate, 0, &rendezvous)]
+        let results: Vec<ChunkResult> = if chunks <= 1 {
+            vec![self.run_batch_chunk(0..self.tables.len(), &grouped, &starts, dispatch, None)]
         } else {
+            let chunks = split_balanced(&starts, chunks);
+            let gate = FlushGate::new(chunks.len());
+            let rendezvous = std::sync::Barrier::new(chunks.len());
+            let run = |(chunk, tables): (usize, &std::ops::Range<usize>)| {
+                let sync = ChunkSync { gate: &gate, chunk, rendezvous: &rendezvous };
+                self.run_batch_chunk(tables.clone(), &grouped, &starts, dispatch, Some(sync))
+            };
             std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .enumerate()
-                    .map(|(i, chunk)| {
-                        let (gate, rendezvous) = (&gate, &rendezvous);
-                        scope.spawn(move || {
-                            self.run_batch_chunk(chunk, dispatch, gate, i, rendezvous)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("batch chunk panicked")).collect()
+                let run = &run;
+                let mut numbered = chunks.iter().enumerate();
+                let first = numbered.next().expect("at least one chunk");
+                let handles: Vec<_> =
+                    numbered.map(|chunk| scope.spawn(move || run(chunk))).collect();
+                let mut results = vec![run(first)];
+                results
+                    .extend(handles.into_iter().map(|h| h.join().expect("batch chunk panicked")));
+                results
             })
         };
-        // One core lock to merge chunk ledgers (in chunk order), close the
+        // One core lock to record every op (in chunk order), close the
         // coalescing window and drain the write ring, mirroring the coarse
         // batch-end drain.
         let mut failure = None;
         let mut core = self.core.lock();
-        for (stats, result) in results {
-            core.stats.merge(&stats);
-            match result {
-                Ok(chunk) => {
-                    outcome.latency += chunk.latency;
-                    outcome.flushed_ops += chunk.flushed_ops;
-                    outcome.evictions += chunk.evictions;
-                }
-                Err(e) => failure = failure.or(Some(e)),
+        for (done, error) in results {
+            for op in &done {
+                record_insert(&mut core.stats, op);
+                outcome.latency += op.latency;
+                outcome.flushed_ops += usize::from(op.flushed);
+                outcome.evictions += op.evictions;
             }
+            failure = failure.or(error);
         }
         core.coalesce_writes = false;
         let drained = core.drain_write_ring()?;
@@ -1199,46 +1258,40 @@ impl<D: Device> Clam<D> {
     }
 
     /// One chunk of a [`fine_insert_batch`](Self::fine_insert_batch): runs
-    /// its per-table groups in ascending table order, holding each table's
-    /// op lock across that table's ops. The first table's lock is taken
-    /// *before* the rendezvous barrier so every chunk demonstrably holds a
-    /// lock at the same instant (deterministic lock high-water).
+    /// the non-empty tables of `tables` in ascending order, holding each
+    /// table's op lock across that table's run of `grouped` (as `starts`
+    /// bounds it). With `sync`, the first table's lock is taken *before*
+    /// the rendezvous barrier so every chunk demonstrably holds a lock at
+    /// the same instant (deterministic lock high-water).
     fn run_batch_chunk(
         &self,
-        groups: &[(usize, Vec<(Key, Value)>)],
+        tables: std::ops::Range<usize>,
+        grouped: &[(Key, Value)],
+        starts: &[usize],
         dispatch: SimDuration,
-        gate: &FlushGate,
-        chunk: usize,
-        rendezvous: &std::sync::Barrier,
-    ) -> (ClamStats, Result<ChunkOutcome>) {
-        let mut stats = ClamStats::new();
-        let _completion = GateCompletion { gate, chunk };
-        let mut first_guard = Some(self.tables.lock_for_write(groups[0].0));
-        rendezvous.wait();
-        let mut outcome = ChunkOutcome::new();
-        for (t, ops) in groups {
-            let _guard = first_guard.take().unwrap_or_else(|| self.tables.lock_for_write(*t));
+        sync: Option<ChunkSync<'_>>,
+    ) -> ChunkResult {
+        let _completion = sync.map(|s| GateCompletion { gate: s.gate, chunk: s.chunk });
+        let gate = sync.map(|s| (s.gate, s.chunk));
+        let mut rendezvous = sync.map(|s| s.rendezvous);
+        let mut done = Vec::with_capacity(starts[tables.end] - starts[tables.start]);
+        for t in tables {
+            let ops = &grouped[starts[t]..starts[t + 1]];
+            if ops.is_empty() {
+                continue;
+            }
+            let _guard = self.tables.lock_for_write(t);
+            if let Some(barrier) = rendezvous.take() {
+                barrier.wait();
+            }
             for &(key, value) in ops {
-                match self.fine_insert_locked(
-                    *t,
-                    key,
-                    value,
-                    dispatch,
-                    Some((gate, chunk)),
-                    &mut stats,
-                ) {
-                    Ok(op) => {
-                        outcome.latency += op.latency;
-                        if op.flushed {
-                            outcome.flushed_ops += 1;
-                        }
-                        outcome.evictions += op.evictions;
-                    }
-                    Err(e) => return (stats, Err(e)),
+                match self.fine_insert_locked(t, key, value, dispatch, gate) {
+                    Ok(op) => done.push(op),
+                    Err(e) => return (done, Some(e)),
                 }
             }
         }
-        (stats, Ok(outcome))
+        (done, None)
     }
 
     /// Fine-grained insert body; the caller holds table `t`'s op lock.
@@ -1246,10 +1299,10 @@ impl<D: Device> Clam<D> {
     /// sequence exactly: try the buffer, and only on `Full` park on the
     /// flush gate (batch mode), take the core lock and run the
     /// flush-then-retry loop under it — so allocator grant order equals
-    /// ring admission order and the per-op ack point is untouched. Op
-    /// recorder samples land in `stats` (a scratch ledger merged into the
-    /// core ledger by the caller); flush-side counters are recorded by the
-    /// core itself.
+    /// ring admission order and the per-op ack point is untouched. The
+    /// caller records the returned outcome in the ledger
+    /// ([`record_insert`]); flush-side counters are recorded by the core
+    /// itself.
     fn fine_insert_locked(
         &self,
         t: usize,
@@ -1257,7 +1310,6 @@ impl<D: Device> Clam<D> {
         value: Value,
         dispatch: SimDuration,
         gate: Option<(&FlushGate, usize)>,
-        stats: &mut ClamStats,
     ) -> Result<InsertOutcome> {
         let mut latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
         let mut flushed = false;
@@ -1307,56 +1359,51 @@ impl<D: Device> Clam<D> {
                 );
             }
         }
-        if flushed {
-            stats.record_cascade(evictions.max(1));
-        }
-        stats.inserts.record(latency);
         Ok(InsertOutcome { latency, flushed, evictions })
     }
 }
 
-/// One super table's slice of a batch: the table id and its ops in input
-/// order.
-type TableGroup = (usize, Vec<(Key, Value)>);
+/// Super table responsible for `key` among `tables`.
+fn table_of(key: Key, tables: usize) -> usize {
+    (hash_with_seed(key, 0x7a_b1e5) % tables as u64) as usize
+}
 
-/// Splits per-table groups into at most `parallelism` contiguous chunks,
-/// balanced by op count (each chunk gets whole groups; a chunk closes once
-/// it reaches its fair share of the remaining ops).
-fn split_balanced(groups: Vec<TableGroup>, parallelism: usize) -> Vec<Vec<TableGroup>> {
-    let chunk_count = parallelism.min(groups.len()).max(1);
-    let total_ops: usize = groups.iter().map(|(_, g)| g.len()).sum();
-    let mut chunks: Vec<Vec<TableGroup>> = Vec::with_capacity(chunk_count);
-    let mut current: Vec<TableGroup> = Vec::new();
-    let mut current_ops = 0usize;
-    let mut placed_ops = 0usize;
-    let groups_len = groups.len();
-    for (idx, group) in groups.into_iter().enumerate() {
+/// Splits the tables of a grouped batch (`starts` as [`group_stable`]
+/// returns it) into at most `parallelism` contiguous ranges, balanced by
+/// op count: a range closes once it reaches its fair share of the
+/// remaining ops, and every range holds at least one non-empty table.
+fn split_balanced(starts: &[usize], parallelism: usize) -> Vec<std::ops::Range<usize>> {
+    let tables = starts.len() - 1;
+    let ops_of = |t: usize| starts[t + 1] - starts[t];
+    let occupied = (0..tables).filter(|&t| ops_of(t) > 0).count();
+    let chunk_count = parallelism.min(occupied).max(1);
+    let mut chunks = Vec::with_capacity(chunk_count);
+    let (mut begin, mut current_ops, mut occupied_left) = (0, 0, occupied);
+    for t in 0..tables {
+        if ops_of(t) == 0 {
+            continue;
+        }
         let remaining_chunks = chunk_count - chunks.len();
-        let remaining_groups = groups_len - idx;
-        let target = (total_ops - placed_ops).div_ceil(remaining_chunks);
-        current_ops += group.1.len();
-        current.push(group);
+        let target = (starts[tables] - starts[begin]).div_ceil(remaining_chunks);
+        current_ops += ops_of(t);
+        occupied_left -= 1;
         // Close the chunk at its fair share, but never strand later chunks
-        // without a group each.
-        if chunks.len() + 1 < chunk_count
-            && (current_ops >= target || remaining_groups - 1 < chunk_count - chunks.len())
-        {
-            placed_ops += current_ops;
-            chunks.push(std::mem::take(&mut current));
-            current_ops = 0;
+        // without a non-empty table each.
+        if remaining_chunks > 1 && (current_ops >= target || occupied_left < remaining_chunks) {
+            chunks.push(begin..t + 1);
+            (begin, current_ops) = (t + 1, 0);
         }
     }
-    if !current.is_empty() {
-        chunks.push(current);
+    if starts[tables] > starts[begin] {
+        chunks.push(begin..tables);
     }
     chunks
 }
 
 impl<D: Device> ClamCore<D> {
-    /// Super table responsible for `key`; must agree with
-    /// [`Clam::table_of`] (same seed, same table count).
+    /// Super table responsible for `key`.
     fn table_of(&self, key: Key) -> usize {
-        (hash_with_seed(key, 0x7a_b1e5) % self.num_tables as u64) as usize
+        table_of(key, self.num_tables)
     }
 
     /// Cost of touching `words` 64-bit words of DRAM.
@@ -1578,9 +1625,6 @@ impl<D: Device> ClamCore<D> {
                 },
             }
         }
-        if flushed {
-            self.stats.record_cascade(evictions.max(1));
-        }
         // A per-op call owns its ring: the flush chain's device time (its
         // makespan, overlap-accounted) is charged to this insert. Batched
         // calls leave the ring open; the batch-end drain charges it.
@@ -1594,8 +1638,9 @@ impl<D: Device> ClamCore<D> {
                 "insert acked with flush writes still in flight"
             );
         }
-        self.stats.inserts.record(latency);
-        Ok(InsertOutcome { latency, flushed, evictions })
+        let outcome = InsertOutcome { latency, flushed, evictions };
+        record_insert(&mut self.stats, &outcome);
+        Ok(outcome)
     }
 
     /// The sequential batch-insert body behind [`Clam::insert_batch`];
@@ -3251,6 +3296,61 @@ mod tests {
         // Recent keys must be readable.
         let recent = clam.lookup(key(79_999)).unwrap();
         assert_eq!(recent.value, Some(79_999));
+    }
+
+    #[test]
+    fn split_balanced_covers_every_table_and_strands_no_chunk() {
+        // Per-table op counts, empty tables included, as run boundaries.
+        let starts_of = |counts: &[usize]| -> Vec<usize> {
+            std::iter::once(0)
+                .chain(counts.iter().scan(0, |at, n| {
+                    *at += n;
+                    Some(*at)
+                }))
+                .collect()
+        };
+        let cases: [&[usize]; 6] = [
+            &[5, 5, 5, 5],
+            &[100, 1, 1, 1],
+            &[1, 1, 1, 100],
+            &[0, 7, 0, 0, 3, 0],
+            &[0, 0, 9],
+            &[4, 0, 4, 0, 4, 0, 4, 0],
+        ];
+        for counts in cases {
+            let starts = starts_of(counts);
+            let occupied = counts.iter().filter(|&&n| n > 0).count();
+            for parallelism in 1..=6 {
+                let chunks = split_balanced(&starts, parallelism);
+                assert_eq!(chunks.len(), parallelism.min(occupied), "{counts:?} / {parallelism}");
+                // Contiguous, in order, covering every table with ops.
+                assert_eq!(chunks[0].start, 0);
+                assert!(chunks.windows(2).all(|w| w[0].end == w[1].start));
+                assert!(starts[chunks.last().unwrap().end] == *starts.last().unwrap());
+                // Every chunk has work: nobody waits at the rendezvous for
+                // a chunk that never takes a lock.
+                for chunk in &chunks {
+                    assert!(starts[chunk.end] > starts[chunk.start], "{counts:?} / {parallelism}");
+                }
+            }
+        }
+        // Balanced by ops, not by tables.
+        assert_eq!(split_balanced(&starts_of(&[100, 1, 1, 1]), 2), vec![0..1, 1..4]);
+        assert_eq!(split_balanced(&starts_of(&[1, 1, 1, 100]), 2), vec![0..3, 3..4]);
+    }
+
+    #[test]
+    fn fan_out_needs_a_floor_of_ops_per_worker() {
+        for floor in [SPAWN_FLOOR_OPS, SPAWN_FLOOR_KEYS] {
+            assert_eq!(fan_out(0, floor, 16), 1);
+            assert_eq!(fan_out(64, floor, 16), 1);
+            assert_eq!(fan_out(2 * floor - 1, floor, 16), 1);
+            assert_eq!(fan_out(usize::MAX, floor, 1), 1, "one group never splits");
+            let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+            assert_eq!(fan_out(2 * floor, floor, 16), 2.min(cores));
+            assert_eq!(fan_out(usize::MAX, floor, 3), 3.min(cores));
+            assert!(fan_out(usize::MAX, floor, usize::MAX) <= cores);
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{BufferHashError, Result};
-use crate::types::{hash_with_seed, Entry, Key, Value, ENTRY_SIZE};
+use crate::types::{group_stable, hash_with_seed, Entry, Key, Value, ENTRY_SIZE};
 
 /// Magic number identifying an incarnation page ("BHIN").
 const PAGE_MAGIC: u32 = 0x4248_494e;
@@ -46,9 +46,13 @@ const FLAG_OVERFLOW: u16 = 1;
 /// On-flash format version written into every page header.
 pub const INCARNATION_VERSION: u16 = 1;
 
-/// CRC32 (IEEE, reflected polynomial `0xEDB88320`) lookup table.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE, reflected polynomial `0xEDB88320`) lookup tables for
+/// slicing-by-8: `CRC32_TABLES[0]` is the classic byte-at-a-time table, and
+/// `CRC32_TABLES[k][b]` is the CRC state byte `b` leaves behind after `k`
+/// further zero bytes, so eight table reads advance the state by eight
+/// input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -57,19 +61,60 @@ const CRC32_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// Advances a raw (pre-inverted) CRC32 state over `data`, eight bytes per
+/// step; [`crc32`] and the page checksum are built from this.
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+        let lo = word as u32 ^ crc;
+        let hi = (word >> 32) as u32;
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+    }
+    crc
+}
 
 /// Computes the CRC32 (IEEE) checksum of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    !crc
+    !crc32_update(0xFFFF_FFFF, data)
+}
+
+/// Byte range of the CRC field inside a page header.
+const CRC_FIELD: std::ops::Range<usize> = 28..32;
+
+/// The checksum a page carries: CRC32 over the whole page with the CRC
+/// field read as zero, whatever it currently holds.
+fn page_crc(page: &[u8]) -> u32 {
+    let crc = crc32_update(0xFFFF_FFFF, &page[..CRC_FIELD.start]);
+    let crc = crc32_update(crc, &[0; 4]);
+    !crc32_update(crc, &page[CRC_FIELD.end..])
 }
 
 /// Identity an incarnation is stamped with when serialized: which super
@@ -173,59 +218,73 @@ impl IncarnationLayout {
             )));
         }
         let per_page = self.entries_per_page();
-        // Bucket entries by home page.
-        let mut buckets: Vec<Vec<Entry>> = vec![Vec::new(); self.num_pages];
-        for &e in entries {
-            buckets[self.page_of_key(e.key)].push(e);
+        // `staged` holds every page's own entries as one contiguous run, in
+        // input order.
+        let (staged, starts) = group_stable(entries, self.num_pages, |e| self.page_of_key(e.key));
+        // One pass over the pages. A page keeps its first `per_page`
+        // entries — its own before anything spilled into it — and hands
+        // the rest to the next page as `carry` (own tail first), flagged
+        // as overflowed. At 50 % fill nothing ever spills and `carry`
+        // never allocates.
+        let mut out = vec![0u8; self.total_bytes()];
+        let mut carry: Vec<Entry> = Vec::new();
+        let mut kept: Vec<Entry> = Vec::with_capacity(per_page);
+        for (i, page) in out.chunks_exact_mut(self.page_size).enumerate() {
+            let own = &staged[starts[i]..starts[i + 1]];
+            let (own, own_tail) = own.split_at(own.len().min(per_page));
+            kept.clear();
+            kept.extend_from_slice(own);
+            kept.extend(carry.drain(..carry.len().min(per_page - own.len())));
+            carry.splice(0..0, own_tail.iter().copied());
+            self.emit_page(page, i, &mut kept, !carry.is_empty(), identity);
         }
-        // Spill overflow forward (with wraparound). Because the total volume
-        // fits, each sweep pushes any remaining excess at least one page
-        // further, so at most `num_pages` sweeps reach a fixed point.
-        let mut overflowed = vec![false; self.num_pages];
-        for _sweep in 0..self.num_pages {
-            let mut moved = false;
-            for i in 0..self.num_pages {
-                if buckets[i].len() > per_page {
-                    let excess = buckets[i].split_off(per_page);
-                    overflowed[i] = true;
-                    buckets[(i + 1) % self.num_pages].extend(excess);
-                    moved = true;
-                }
-            }
-            if !moved {
+        // Whatever spilled past the last page wraps into the first pages'
+        // free room. The volume fits, so one more lap absorbs it all.
+        for (i, page) in out.chunks_exact_mut(self.page_size).enumerate() {
+            if carry.is_empty() {
                 break;
             }
+            let (_, flags) = parse_header(page)?;
+            kept = parse_page_entries(page)?;
+            kept.extend(carry.drain(..carry.len().min(per_page - kept.len())));
+            let overflowed = flags & FLAG_OVERFLOW != 0 || !carry.is_empty();
+            self.emit_page(page, i, &mut kept, overflowed, identity);
         }
-        // Any bucket still overflowing would mean max_entries was exceeded.
-        if buckets.iter().any(|b| b.len() > per_page) {
+        if !carry.is_empty() {
             return Err(BufferHashError::InvalidConfig(
                 "incarnation overflow could not be resolved; too many entries".into(),
             ));
         }
-        // Emit pages.
-        let mut out = vec![0u8; self.total_bytes()];
-        for (i, bucket) in buckets.iter_mut().enumerate() {
-            bucket.sort_unstable_by_key(|e| e.key);
-            let page = &mut out[i * self.page_size..(i + 1) * self.page_size];
-            page[0..4].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
-            page[4..6].copy_from_slice(&(bucket.len() as u16).to_le_bytes());
-            let flags = if overflowed[i] { FLAG_OVERFLOW } else { 0 };
-            page[6..8].copy_from_slice(&flags.to_le_bytes());
-            page[8..10].copy_from_slice(&INCARNATION_VERSION.to_le_bytes());
-            page[10..12].copy_from_slice(&identity.table.to_le_bytes());
-            page[12..16].copy_from_slice(&(i as u32).to_le_bytes());
-            page[16..24].copy_from_slice(&identity.seq.to_le_bytes());
-            page[24..28].copy_from_slice(&identity.epoch.to_le_bytes());
-            for (j, e) in bucket.iter().enumerate() {
-                let at = PAGE_HEADER_SIZE + j * ENTRY_SIZE;
-                page[at..at + ENTRY_SIZE].copy_from_slice(&e.to_bytes());
-            }
-            // The CRC covers the whole page with the CRC field zeroed
-            // (bytes 28..32 are still zero at this point).
-            let crc = crc32(page);
-            page[28..32].copy_from_slice(&crc.to_le_bytes());
-        }
         Ok(out)
+    }
+
+    /// Writes page `page_idx` of an incarnation: header, `entries` sorted
+    /// by key, zero padding, and the CRC32 over all of it.
+    fn emit_page(
+        &self,
+        page: &mut [u8],
+        page_idx: usize,
+        entries: &mut [Entry],
+        overflowed: bool,
+        identity: IncarnationIdentity,
+    ) {
+        entries.sort_unstable_by_key(|e| e.key);
+        page[0..4].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
+        page[4..6].copy_from_slice(&(entries.len() as u16).to_le_bytes());
+        let flags = if overflowed { FLAG_OVERFLOW } else { 0 };
+        page[6..8].copy_from_slice(&flags.to_le_bytes());
+        page[8..10].copy_from_slice(&INCARNATION_VERSION.to_le_bytes());
+        page[10..12].copy_from_slice(&identity.table.to_le_bytes());
+        page[12..16].copy_from_slice(&(page_idx as u32).to_le_bytes());
+        page[16..24].copy_from_slice(&identity.seq.to_le_bytes());
+        page[24..28].copy_from_slice(&identity.epoch.to_le_bytes());
+        // A page is only ever re-emitted with more entries, so everything
+        // past them is still zero.
+        for (slot, e) in page[PAGE_HEADER_SIZE..].chunks_exact_mut(ENTRY_SIZE).zip(entries.iter()) {
+            slot.copy_from_slice(&e.to_bytes());
+        }
+        let crc = page_crc(page);
+        page[CRC_FIELD].copy_from_slice(&crc.to_le_bytes());
     }
 }
 
@@ -353,10 +412,8 @@ pub fn parse_page_header_checked(page: &[u8]) -> Result<PageHeader> {
             reason: format!("unsupported format version {version}"),
         });
     }
-    let stored_crc = u32::from_le_bytes(page[28..32].try_into().unwrap());
-    let mut shadow = page.to_vec();
-    shadow[28..32].fill(0);
-    let actual = crc32(&shadow);
+    let stored_crc = u32::from_le_bytes(page[CRC_FIELD].try_into().unwrap());
+    let actual = page_crc(page);
     if actual != stored_crc {
         return Err(BufferHashError::CorruptIncarnation {
             flash_offset: 0,
@@ -642,6 +699,168 @@ mod tests {
         // The standard IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC32 the sliced kernel replaced, kept as the
+    /// reference it must agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        !data.iter().fold(0xFFFF_FFFF, |crc, &byte| bytewise_step(crc, byte))
+    }
+
+    fn bytewise_step(crc: u32, byte: u8) -> u32 {
+        (crc >> 8) ^ CRC32_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize]
+    }
+
+    /// The bucket-of-`Vec` serializer the single-pass one replaced, kept as
+    /// the reference it must match byte for byte.
+    fn serialize_bucketed(
+        l: &IncarnationLayout,
+        entries: &[Entry],
+        identity: IncarnationIdentity,
+    ) -> Vec<u8> {
+        let per_page = l.entries_per_page();
+        let mut buckets: Vec<Vec<Entry>> = vec![Vec::new(); l.num_pages];
+        for &e in entries {
+            buckets[l.page_of_key(e.key)].push(e);
+        }
+        let mut overflowed = vec![false; l.num_pages];
+        for _sweep in 0..l.num_pages {
+            let mut moved = false;
+            for i in 0..l.num_pages {
+                if buckets[i].len() > per_page {
+                    let excess = buckets[i].split_off(per_page);
+                    overflowed[i] = true;
+                    buckets[(i + 1) % l.num_pages].extend(excess);
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+        let mut out = vec![0u8; l.total_bytes()];
+        for (i, bucket) in buckets.iter_mut().enumerate() {
+            bucket.sort_unstable_by_key(|e| e.key);
+            let page = &mut out[i * l.page_size..(i + 1) * l.page_size];
+            page[0..4].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
+            page[4..6].copy_from_slice(&(bucket.len() as u16).to_le_bytes());
+            let flags = if overflowed[i] { FLAG_OVERFLOW } else { 0 };
+            page[6..8].copy_from_slice(&flags.to_le_bytes());
+            page[8..10].copy_from_slice(&INCARNATION_VERSION.to_le_bytes());
+            page[10..12].copy_from_slice(&identity.table.to_le_bytes());
+            page[12..16].copy_from_slice(&(i as u32).to_le_bytes());
+            page[16..24].copy_from_slice(&identity.seq.to_le_bytes());
+            page[24..28].copy_from_slice(&identity.epoch.to_le_bytes());
+            for (j, e) in bucket.iter().enumerate() {
+                let at = PAGE_HEADER_SIZE + j * ENTRY_SIZE;
+                page[at..at + ENTRY_SIZE].copy_from_slice(&e.to_bytes());
+            }
+            let crc = crc32_bytewise(page);
+            page[28..32].copy_from_slice(&crc.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn sliced_crc_matches_the_bytewise_reference() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let pool: Vec<u8> = (0..4200 + 8).map(|i| (hash_with_seed(i, 0xc4c) >> 17) as u8).collect();
+        // Every length 0..=4200 at every misalignment of the 8-byte steps.
+        for skew in 0..8 {
+            let mut running = 0xFFFF_FFFFu32; // the reference, one byte per length
+            for len in 0..=4200usize {
+                assert_eq!(crc32(&pool[skew..skew + len]), !running, "len {len} skew {skew}");
+                running = bytewise_step(running, pool[skew + len]);
+            }
+        }
+        // The page checksum reads the CRC field as zero without a copy.
+        let mut page = pool[..4096].to_vec();
+        let mut zeroed = page.clone();
+        zeroed[CRC_FIELD].fill(0);
+        assert_eq!(page_crc(&page), crc32_bytewise(&zeroed));
+        page[CRC_FIELD].fill(0xA5);
+        assert_eq!(page_crc(&page), crc32_bytewise(&zeroed));
+    }
+
+    /// `n` entries with distinct pseudo-random keys, in pseudo-random order.
+    fn random_entries(n: usize, seed: u64) -> Vec<Entry> {
+        (0..n as u64)
+            .map(|i| Entry::new(hash_with_seed(i, seed), hash_with_seed(i, !seed)))
+            .collect()
+    }
+
+    /// `n` distinct keys that all call page `page` of `l` home.
+    fn entries_homed_on(l: &IncarnationLayout, page: usize, n: usize, seed: u64) -> Vec<Entry> {
+        (0u64..)
+            .map(|i| hash_with_seed(i, seed))
+            .filter(|&k| l.page_of_key(k) == page)
+            .take(n)
+            .map(|k| Entry::new(k, !k))
+            .collect()
+    }
+
+    #[test]
+    fn single_pass_serializer_matches_the_bucketed_reference() {
+        let layouts = [
+            layout(),
+            IncarnationLayout::new(32 * 1024, 4096).unwrap(), // the benchmark's: 8 pages
+            IncarnationLayout::new(1024, 256).unwrap(),       // 4 pages of 14
+            IncarnationLayout::new(768, 256).unwrap(),        // 3 pages: not a power of two
+            IncarnationLayout::new(256, 256).unwrap(),        // 1 page: spills onto itself
+        ];
+        for (n, l) in layouts.iter().enumerate() {
+            let max = l.max_entries();
+            // Empty, one, half full (the steady state), nearly full, full.
+            for count in [0, 1, max / 2, max - 1, max] {
+                for seed in 0..8u64 {
+                    let entries = random_entries(count, seed * 31 + n as u64);
+                    let id = IncarnationIdentity { table: n as u16, seq: seed, epoch: 9 };
+                    assert_eq!(
+                        l.serialize_identified(&entries, id).unwrap(),
+                        serialize_bucketed(l, &entries, id),
+                        "layout {n} count {count} seed {seed}"
+                    );
+                }
+            }
+            assert!(l.serialize(&random_entries(max + 1, 1)).is_err());
+        }
+    }
+
+    #[test]
+    fn forced_overflow_chains_match_the_reference_and_wrap() {
+        let l = IncarnationLayout::new(1024, 256).unwrap();
+        let per_page = l.entries_per_page();
+        let id = identity();
+        // Everything on the last page: the chain wraps past it and laps
+        // most of the way round; fill the rest from other pages both
+        // before and after the heavy run so spill order matters.
+        for heavy in 0..l.num_pages {
+            for extra in [0, 1, per_page - 1, per_page, 2 * per_page, 3 * per_page] {
+                for light in [0, 3, per_page - 1] {
+                    if per_page + extra + light > l.max_entries() {
+                        continue;
+                    }
+                    let mut entries = entries_homed_on(&l, heavy, per_page + extra, 7);
+                    let other = entries_homed_on(&l, (heavy + 1) % l.num_pages, light, 8);
+                    entries.splice(per_page / 2..per_page / 2, other);
+                    let image = l.serialize_identified(&entries, id).unwrap();
+                    assert_eq!(
+                        image,
+                        serialize_bucketed(&l, &entries, id),
+                        "{heavy}/{extra}/{light}"
+                    );
+                    // And the chain is followable: every entry is found.
+                    let mut found = parse_incarnation(&image, &l).unwrap();
+                    found.sort_unstable_by_key(|e| e.key);
+                    entries.sort_unstable_by_key(|e| e.key);
+                    assert_eq!(found, entries);
+                    if extra > 0 {
+                        let last = &image[heavy * l.page_size..(heavy + 1) * l.page_size];
+                        assert_eq!(parse_header(last).unwrap(), (per_page, FLAG_OVERFLOW));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

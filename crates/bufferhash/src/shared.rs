@@ -18,16 +18,20 @@
 //! [`Clam::insert_batch`] pipeline (amortized dispatch overhead plus
 //! coalesced flush writes).
 //!
-//! Stripe sub-batches are **dispatched concurrently**: each stripe models
+//! Stripe sub-batches are **accounted as concurrent**: each stripe models
 //! an independent device (one SSD per stripe, §5.2), so
-//! [`StripedClam::insert_batch`] runs the stripes on their own threads and
-//! reports the batch latency as the *maximum over stripes* rather than the
-//! sum — the same max-over-lanes accounting the
-//! [`flashsim` submission queues](flashsim::queue) use below it.
+//! [`StripedClam::insert_batch`] reports the batch latency as the *maximum
+//! over stripes* rather than the sum — the same max-over-lanes accounting
+//! the [`flashsim` submission queues](flashsim::queue) use below it. On
+//! the host they run on the caller's thread, one after another, unless the
+//! batch is large enough that every spawned worker would carry enough
+//! operations to pay for its spawn (2048; DESIGN.md "Write-path host
+//! cost"); then the stripes are dealt out over scoped threads, never more
+//! than cores.
 //! [`StripedClam::insert_batch_serial`] keeps the one-stripe-at-a-time
 //! reference path (summed latency) for comparison and debugging.
 //! [`StripedClam::lookup_batch`] composes both levels of overlap: stripes
-//! run concurrently, and within each stripe the queued probe pipeline
+//! are independent, and within each stripe the queued probe pipeline
 //! ([`Clam::lookup_batch`]) overlaps flash page reads on the device's
 //! submission-queue lanes.
 //!
@@ -72,14 +76,14 @@ use parking_lot::{Mutex, RwLock};
 use flashsim::{Device, SimDuration};
 
 use crate::clam::{
-    batch_dispatch, BatchInsertOutcome, BatchLookupOutcome, Clam, InsertOutcome, LookupOutcome,
-    MemoryProbe,
+    batch_dispatch, fan_out, BatchInsertOutcome, BatchLookupOutcome, Clam, InsertOutcome,
+    LookupOutcome, MemoryProbe, SPAWN_FLOOR_KEYS, SPAWN_FLOOR_OPS,
 };
 use crate::config::ClamConfig;
 use crate::error::Result;
 use crate::recovery::RecoveryReport;
 use crate::stats::ClamStats;
-use crate::types::{hash_with_seed, Key, Value};
+use crate::types::{group_stable, hash_with_seed, Key, Value};
 
 /// A cloneable, thread-safe handle to a single CLAM.
 pub struct SharedClam<D: Device> {
@@ -239,12 +243,13 @@ impl<D: Device> SharedClam<D> {
 
     /// Inserts a batch of key/value pairs using the batched CLAM
     /// pipeline. By default the batch runs through the **fine-grained**
-    /// parallel path ([`Clam::fine_insert_batch`]): the stripe lock is
-    /// held shared and the batch's per-super-table groups execute on
-    /// scoped threads, each serializing only on its table op locks, with
-    /// a flush gate replaying the coarse path's flush order so results,
-    /// flash traffic and ledgers are bit-identical to the exclusive
-    /// baseline ([`Clam::insert_batch`], used in coarse mode).
+    /// path ([`Clam::fine_insert_batch`]): the stripe lock is held shared
+    /// and the batch's per-super-table groups commit under their table op
+    /// locks only — on the caller's thread, or split over scoped threads
+    /// when the batch is large enough to pay for them, a flush gate then
+    /// replaying the coarse path's flush order — so results, flash
+    /// traffic and ledgers are bit-identical to the exclusive baseline
+    /// ([`Clam::insert_batch`], used in coarse mode).
     pub fn insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
         if self.inner.coarse.load(Ordering::SeqCst) {
             return self.with_write(|c| c.insert_batch(ops));
@@ -505,17 +510,20 @@ impl<D: Device> StripedClam<D> {
         self.stripe_of(key).delete(key)
     }
 
-    /// Inserts a batch of key/value pairs, partitioned by stripe and
-    /// **dispatched to the stripes concurrently**.
+    /// Inserts a batch of key/value pairs, partitioned by stripe, the
+    /// stripes **accounted as concurrent**.
     ///
     /// Each stripe's lock is acquired **once** for its whole sub-batch
-    /// (instead of once per op), the sub-batch runs through the underlying
-    /// [`Clam::insert_batch`] pipeline, and every non-empty stripe executes
-    /// on its own thread — stripes model independent devices (one SSD per
-    /// stripe), so their flash work genuinely overlaps. The reported
-    /// latency is therefore the **maximum over stripes** (the batch is done
-    /// when the slowest stripe is), while the event counters (`flushed_ops`,
-    /// `evictions`, `coalesced_writes`) sum across stripes. Results and
+    /// (instead of once per op) and the sub-batch runs through the
+    /// underlying [`Clam::insert_batch`] pipeline. Stripes model
+    /// independent devices (one SSD per stripe), so their flash work
+    /// overlaps: the reported latency is the **maximum over stripes** (the
+    /// batch is done when the slowest stripe is), while the event counters
+    /// (`flushed_ops`, `evictions`, `coalesced_writes`) sum across stripes.
+    /// On the host the stripes run one after another on the caller's
+    /// thread unless the batch is large enough that each spawned worker
+    /// carries at least 2048 operations; only then are they dealt out
+    /// over scoped threads (never more than cores or busy stripes). Results and
     /// per-stripe state are identical to the serial reference path
     /// ([`insert_batch_serial`](Self::insert_batch_serial)): stripes share
     /// no state, so dispatch order cannot change any outcome.
@@ -536,10 +544,10 @@ impl<D: Device> StripedClam<D> {
     /// assert_eq!(striped.lookup(12).unwrap().value, Some(1));
     /// ```
     pub fn insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        let groups = self.partition(ops);
-        let occupied: Vec<usize> = (0..groups.len()).filter(|&i| !groups[i].is_empty()).collect();
-        let results =
-            self.dispatch_stripes(&occupied, |idx| self.stripes[idx].insert_batch(&groups[idx]));
+        let (grouped, starts) = self.partition(ops);
+        let results = self.dispatch_stripes(&starts, SPAWN_FLOOR_OPS, |idx| {
+            self.stripes[idx].insert_batch(&grouped[starts[idx]..starts[idx + 1]])
+        });
         let mut total = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
         for result in results.into_iter().flatten() {
             let out = result?;
@@ -551,33 +559,58 @@ impl<D: Device> StripedClam<D> {
         Ok(total)
     }
 
-    /// Runs `job(stripe_index)` for every index in `indices` — on scoped
-    /// threads when more than one stripe participates, inline otherwise —
-    /// and returns one result slot per stripe (`None` for stripes that
-    /// were not dispatched). The shared fan-out engine behind
-    /// [`insert_batch`](Self::insert_batch),
-    /// [`lookup_batch`](Self::lookup_batch) and
-    /// [`flush_all`](Self::flush_all).
-    fn dispatch_stripes<R, F>(&self, indices: &[usize], job: F) -> Vec<Option<Result<R>>>
+    /// Runs `job(stripe)` for every stripe that has work in a batch
+    /// partitioned as `starts` describes (stripe `i` owns
+    /// `starts[i + 1] - starts[i]` operations), and returns one result
+    /// slot per stripe (`None` for stripes without work). The shared
+    /// fan-out engine behind [`insert_batch`](Self::insert_batch) and
+    /// [`lookup_batch`](Self::lookup_batch).
+    ///
+    /// The stripes run one after another on the caller's thread unless the
+    /// batch is large enough that every further worker would carry `floor`
+    /// operations, enough to pay for its spawn ([`fan_out`]); then they
+    /// are dealt out over that many workers — never more than cores or
+    /// busy stripes — of which the caller's thread is the first.
+    fn dispatch_stripes<R, F>(
+        &self,
+        starts: &[usize],
+        floor: usize,
+        job: F,
+    ) -> Vec<Option<Result<R>>>
     where
         R: Send,
         F: Fn(usize) -> Result<R> + Sync,
     {
         let mut results: Vec<Option<Result<R>>> = Vec::new();
         results.resize_with(self.stripes.len(), || None);
-        match indices {
-            [] => {}
-            // One stripe: no point paying a thread spawn.
-            [only] => results[*only] = Some(job(*only)),
-            _ => std::thread::scope(|scope| {
-                let job = &job;
-                let handles: Vec<_> =
-                    indices.iter().map(|&idx| (idx, scope.spawn(move || job(idx)))).collect();
-                for (idx, handle) in handles {
-                    results[idx] = Some(handle.join().expect("stripe worker panicked"));
-                }
-            }),
+        let busy = |idx: &usize| starts[idx + 1] > starts[*idx];
+        let workers = fan_out(starts[self.stripes.len()], floor, self.stripes.len());
+        if workers <= 1 {
+            for idx in (0..self.stripes.len()).filter(busy) {
+                results[idx] = Some(job(idx));
+            }
+            return results;
         }
+        let busy: Vec<usize> = (0..self.stripes.len()).filter(busy).collect();
+        let mut shares = busy.chunks(busy.len().div_ceil(workers).max(1));
+        let mine = shares.next().unwrap_or_default();
+        std::thread::scope(|scope| {
+            let job = &job;
+            let handles: Vec<_> = shares
+                .map(|share| {
+                    scope
+                        .spawn(move || share.iter().map(|&idx| (idx, job(idx))).collect::<Vec<_>>())
+                })
+                .collect();
+            for &idx in mine {
+                results[idx] = Some(job(idx));
+            }
+            for handle in handles {
+                for (idx, outcome) in handle.join().expect("stripe worker panicked") {
+                    results[idx] = Some(outcome);
+                }
+            }
+        });
         results
     }
 
@@ -587,13 +620,14 @@ impl<D: Device> StripedClam<D> {
     /// State and counters after this call are identical to the concurrent
     /// path's.
     pub fn insert_batch_serial(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        let groups = self.partition(ops);
+        let (grouped, starts) = self.partition(ops);
         let mut total = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
-        for (idx, group) in groups.iter().enumerate() {
+        for (idx, stripe) in self.stripes.iter().enumerate() {
+            let group = &grouped[starts[idx]..starts[idx + 1]];
             if group.is_empty() {
                 continue;
             }
-            let out = self.stripes[idx].insert_batch(group)?;
+            let out = stripe.insert_batch(group)?;
             total.latency += out.latency;
             total.flushed_ops += out.flushed_ops;
             total.evictions += out.evictions;
@@ -604,23 +638,22 @@ impl<D: Device> StripedClam<D> {
 
     /// Groups `ops` by owning stripe, preserving input order within each
     /// stripe (which is what makes batched execution observationally
-    /// equivalent to per-op calls).
-    fn partition(&self, ops: &[(Key, Value)]) -> Vec<Vec<(Key, Value)>> {
-        let mut groups: Vec<Vec<(Key, Value)>> = vec![Vec::new(); self.stripes.len()];
-        for &(key, value) in ops {
-            groups[self.stripe_index(key)].push((key, value));
-        }
-        groups
+    /// equivalent to per-op calls): stripe `i` owns
+    /// `grouped[starts[i]..starts[i + 1]]`.
+    fn partition(&self, ops: &[(Key, Value)]) -> (Vec<(Key, Value)>, Vec<usize>) {
+        group_stable(ops, self.stripes.len(), |op| self.stripe_index(op.0))
     }
 
-    /// Flushes every stripe's buffers (see [`Clam::flush_all`]), running
-    /// the stripes concurrently; returns the max-over-stripes latency.
+    /// Flushes every stripe's buffers (see [`Clam::flush_all`]), one
+    /// stripe after another on the caller's thread; returns the
+    /// max-over-stripes latency. Two threads were no faster than one at
+    /// any fill, empty buffers to full (DESIGN.md "Write-path host cost").
     pub fn flush_all(&self) -> Result<SimDuration> {
-        let all: Vec<usize> = (0..self.stripes.len()).collect();
-        let results = self.dispatch_stripes(&all, |idx| self.stripes[idx].flush_all());
+        // Every stripe is flushed even if an earlier one failed.
+        let results: Vec<_> = self.stripes.iter().map(|stripe| stripe.flush_all()).collect();
         let mut max = SimDuration::ZERO;
-        for r in results.into_iter().flatten() {
-            max = max.max(r?);
+        for latency in results {
+            max = max.max(latency?);
         }
         Ok(max)
     }
@@ -636,10 +669,12 @@ impl<D: Device> StripedClam<D> {
     }
 
     /// Looks up a batch of keys, partitioned by stripe, with one lock
-    /// acquisition per stripe-batch and the stripe sub-batches dispatched
-    /// concurrently (independent devices, like
-    /// [`insert_batch`](Self::insert_batch)). Each stripe resolves its
-    /// sub-batch through the queued probe pipeline
+    /// acquisition per stripe-batch and the stripe sub-batches accounted
+    /// as concurrent and dispatched like
+    /// [`insert_batch`](Self::insert_batch)'s (independent devices; host
+    /// threads only when each spawned worker carries at least 512 keys,
+    /// the measured floor for lookups that probe flash). Each stripe
+    /// resolves its sub-batch through the queued probe pipeline
     /// ([`Clam::lookup_batch`]), so the reported batch latency is the
     /// **maximum over stripes** of each stripe's wave-makespan time —
     /// stripes overlap on their own devices *and* each stripe's probes
@@ -648,16 +683,14 @@ impl<D: Device> StripedClam<D> {
     /// across stripes, while `waves` reports the deepest (slowest) stripe's
     /// wave count, consistent with the max-over-stripes latency.
     pub fn lookup_batch(&self, keys: &[Key]) -> Result<BatchLookupOutcome> {
-        let mut groups: Vec<(Vec<Key>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new()); self.stripes.len()];
-        for (pos, &key) in keys.iter().enumerate() {
-            let idx = self.stripe_index(key);
-            groups[idx].0.push(key);
-            groups[idx].1.push(pos);
-        }
-        let occupied: Vec<usize> = (0..groups.len()).filter(|&i| !groups[i].0.is_empty()).collect();
-        let results =
-            self.dispatch_stripes(&occupied, |idx| self.stripes[idx].lookup_batch(&groups[idx].0));
+        // Input positions grouped by stripe, and the keys in that order.
+        let positions: Vec<usize> = (0..keys.len()).collect();
+        let (positions, starts) =
+            group_stable(&positions, self.stripes.len(), |&pos| self.stripe_index(keys[pos]));
+        let grouped: Vec<Key> = positions.iter().map(|&pos| keys[pos]).collect();
+        let results = self.dispatch_stripes(&starts, SPAWN_FLOOR_KEYS, |idx| {
+            self.stripes[idx].lookup_batch(&grouped[starts[idx]..starts[idx + 1]])
+        });
         let mut out: Vec<Option<LookupOutcome>> = vec![None; keys.len()];
         let mut total = BatchLookupOutcome::default();
         for (idx, result) in results.into_iter().enumerate() {
@@ -670,7 +703,7 @@ impl<D: Device> StripedClam<D> {
             total.reaps += stripe_batch.reaps;
             total.ring_depth_high_water =
                 total.ring_depth_high_water.max(stripe_batch.ring_depth_high_water);
-            for (outcome, &pos) in stripe_batch.into_iter().zip(&groups[idx].1) {
+            for (outcome, &pos) in stripe_batch.into_iter().zip(&positions[starts[idx]..]) {
                 out[pos] = Some(outcome);
             }
         }
@@ -736,6 +769,7 @@ impl<D: Device> StripedClam<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clam::{SPAWN_FLOOR_KEYS, SPAWN_FLOOR_OPS};
     use crate::config::ClamConfig;
     use flashsim::Ssd;
     use std::thread;
@@ -982,42 +1016,180 @@ mod tests {
         assert!(ring.reaps > 0 && wave.reaps == 0, "only the ring pipeline reaps");
     }
 
+    /// A stripe small enough that a few hundred thousand inserts wrap its
+    /// log: 32 slots of 32 KiB over 2 super tables.
+    fn tiny_clam() -> Clam<Ssd> {
+        let cfg = ClamConfig::small_test(1 << 20, 256 << 10).unwrap();
+        Clam::new(Ssd::intel(1 << 20).unwrap(), cfg).unwrap()
+    }
+
+    /// Batch sizes on both sides of the spawn floor, cycled until `total`
+    /// ops are out.
+    fn batches_around_the_floor(total: usize) -> Vec<Vec<(u64, u64)>> {
+        let floor = SPAWN_FLOOR_OPS;
+        let sizes = [1, 2, 64, floor - 1, floor, 4 * floor];
+        let mut next = 0u64;
+        let mut batches = Vec::new();
+        for size in sizes.into_iter().cycle() {
+            if next as usize >= total {
+                break;
+            }
+            batches.push((next..next + size as u64).map(|i| (key(i), i * 3)).collect());
+            next += size as u64;
+        }
+        batches
+    }
+
+    fn io_stats(store: &StripedClam<Ssd>) -> Vec<flashsim::IoStats> {
+        (0..store.num_stripes())
+            .map(|i| store.stripe(i).unwrap().with(|c| c.device().stats()))
+            .collect()
+    }
+
     #[test]
     fn parallel_dispatch_matches_the_serial_path() {
-        let parallel = StripedClam::new(vec![clam(), clam(), clam()]);
-        let serial = StripedClam::new(vec![clam(), clam(), clam()]);
-        let ops: Vec<(u64, u64)> = (0..60_000u64).map(|i| (key(i), i * 3)).collect();
-        let mut max_total = flashsim::SimDuration::ZERO;
-        let mut sum_total = flashsim::SimDuration::ZERO;
-        for chunk in ops.chunks(512) {
-            let p = parallel.insert_batch(chunk).unwrap();
-            let s = serial.insert_batch_serial(chunk).unwrap();
-            // Same outcomes, event for event; only the latency accounting
-            // differs (max-over-stripes vs. sum-over-stripes).
-            assert_eq!(p.ops, s.ops);
-            assert_eq!(p.flushed_ops, s.flushed_ops);
-            assert_eq!(p.evictions, s.evictions);
-            assert_eq!(p.coalesced_writes, s.coalesced_writes);
-            assert!(p.latency <= s.latency);
+        let stripes = || vec![tiny_clam(), tiny_clam(), tiny_clam()];
+        let (parallel, serial, by_hand) =
+            (StripedClam::new(stripes()), StripedClam::new(stripes()), StripedClam::new(stripes()));
+        let batches = batches_around_the_floor(160_000);
+        let mut max_total = SimDuration::ZERO;
+        let mut sum_total = SimDuration::ZERO;
+        let mut evictions = 0;
+        for batch in &batches {
+            let p = parallel.insert_batch(batch).unwrap();
+            let s = serial.insert_batch_serial(batch).unwrap();
+            // What each stripe charges when handed its share directly:
+            // the batch latency is the maximum of these when the stripes
+            // overlap and the sum when they queue, whether the dispatch
+            // ran inline (below the floor) or fanned out (above it).
+            let per_stripe: Vec<SimDuration> = (0..by_hand.num_stripes())
+                .map(|idx| {
+                    let share: Vec<(u64, u64)> = batch
+                        .iter()
+                        .copied()
+                        .filter(|op| by_hand.stripe_index(op.0) == idx)
+                        .collect();
+                    by_hand.stripe(idx).unwrap().insert_batch(&share).unwrap().latency
+                })
+                .collect();
+            let n = batch.len();
+            assert_eq!(p.latency, per_stripe.iter().copied().max().unwrap(), "batch of {n}");
+            assert_eq!(s.latency, per_stripe.iter().copied().sum(), "batch of {n}");
+            // Same outcomes, event for event.
+            assert_eq!((p.ops, s.ops), (n, n));
+            assert_eq!(p.flushed_ops, s.flushed_ops, "batch of {n}");
+            assert_eq!(p.evictions, s.evictions, "batch of {n}");
+            assert_eq!(p.coalesced_writes, s.coalesced_writes, "batch of {n}");
             max_total += p.latency;
             sum_total += s.latency;
+            evictions += p.evictions;
         }
+        assert!(evictions > 0, "the workload must fill the incarnation tables");
         assert!(
             max_total < sum_total,
             "max-over-stripes ({max_total}) must undercut summed dispatch ({sum_total})"
         );
-        // Identical end state: same per-stripe counters, same lookups.
+        // Identical end state: same counters, same device traffic to the
+        // last byte and nanosecond, same lookups.
         let (ps, ss) = (parallel.stats(), serial.stats());
         assert_eq!(ps.flushes, ss.flushes);
-        assert_eq!(ps.inserts.len(), ss.inserts.len());
+        assert_eq!(ps.forced_evictions, ss.forced_evictions);
+        assert_eq!(ps.coalesced_flush_writes, ss.coalesced_flush_writes);
         assert_eq!(ps.batched_inserts, ss.batched_inserts);
-        for i in (0..60_000u64).step_by(271) {
+        assert_eq!(ps.inserts.len(), ss.inserts.len());
+        assert_eq!(ps.inserts.total(), ss.inserts.total());
+        assert_eq!(ps.deferred_flush_time, ss.deferred_flush_time);
+        assert_eq!(io_stats(&parallel), io_stats(&serial));
+        assert_eq!(io_stats(&parallel), io_stats(&by_hand));
+        let total = batches.iter().map(Vec::len).sum::<usize>() as u64;
+        for i in (0..total).step_by(271) {
             assert_eq!(
                 parallel.lookup(key(i)).unwrap().value,
                 serial.lookup(key(i)).unwrap().value,
                 "key {i}"
             );
         }
+    }
+
+    #[test]
+    fn lookup_dispatch_matches_per_stripe_lookups_on_both_sides_of_the_floor() {
+        // Twin stores with identical contents, most of it on flash.
+        let stripes = || vec![tiny_clam(), tiny_clam(), tiny_clam()];
+        let (dispatched, by_hand) = (StripedClam::new(stripes()), StripedClam::new(stripes()));
+        let ops: Vec<(u64, u64)> = (0..40_000u64).map(|i| (key(i), i * 3)).collect();
+        for chunk in ops.chunks(1024) {
+            dispatched.insert_batch(chunk).unwrap();
+            by_hand.insert_batch(chunk).unwrap();
+        }
+        let floor = SPAWN_FLOOR_KEYS;
+        let mut next = 0u64;
+        let mut flash_reads = 0;
+        for size in [1, 2, 64, 2 * floor - 1, 2 * floor, 8 * floor] {
+            // Live keys, evicted keys and keys never inserted.
+            let keys: Vec<u64> = (next..next + size as u64).map(|i| key(i * 7 % 60_000)).collect();
+            next += size as u64;
+            let batch = dispatched.lookup_batch(&keys).unwrap();
+            let mut slowest = SimDuration::ZERO;
+            let mut expected = vec![None; keys.len()];
+            for idx in 0..by_hand.num_stripes() {
+                let (at, share): (Vec<usize>, Vec<u64>) = keys
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|&(_, k)| by_hand.stripe_index(k) == idx)
+                    .unzip();
+                let out = by_hand.stripe(idx).unwrap().lookup_batch(&share).unwrap();
+                slowest = slowest.max(out.latency);
+                for (pos, outcome) in at.into_iter().zip(out) {
+                    expected[pos] = Some(outcome);
+                }
+            }
+            assert_eq!(batch.latency, slowest, "batch of {size}");
+            for (i, outcome) in batch.into_iter().enumerate() {
+                flash_reads += outcome.flash_reads;
+                assert_eq!(Some(outcome), expected[i], "batch of {size}, key {i}");
+            }
+        }
+        assert!(flash_reads > 0, "the batches must probe flash");
+        assert_eq!(io_stats(&dispatched), io_stats(&by_hand));
+    }
+
+    #[test]
+    fn fine_batches_match_coarse_ones_on_both_sides_of_the_floor() {
+        // One stripe, so every batch is a single `fine_insert_batch`: one
+        // chunk inline below two floors' worth, gated chunks above (where
+        // the host has the cores), bit-identical to the coarse path always.
+        let fine = SharedClam::new(clam());
+        let coarse = SharedClam::new(clam());
+        coarse.set_coarse_locks(true);
+        let mut evictions = 0;
+        for batch in batches_around_the_floor(200_000) {
+            let (f, c) = (fine.insert_batch(&batch).unwrap(), coarse.insert_batch(&batch).unwrap());
+            assert_eq!(f, c, "batch of {}", batch.len());
+            evictions += f.evictions;
+        }
+        assert!(evictions > 0, "the workload must fill the incarnation tables");
+        let (fs, cs) = (fine.stats(), coarse.stats());
+        assert_eq!(fs.flushes, cs.flushes);
+        assert_eq!(fs.forced_evictions, cs.forced_evictions);
+        assert_eq!(fs.coalesced_flush_writes, cs.coalesced_flush_writes);
+        assert_eq!(fs.inserts.total(), cs.inserts.total());
+        assert_eq!(fs.inserts.max(), cs.inserts.max());
+        assert_eq!(fs.cascade_histogram, cs.cascade_histogram);
+        assert_eq!(fs.deferred_flush_time, cs.deferred_flush_time);
+        let io = |s: &SharedClam<Ssd>| s.with(|c| c.device().stats());
+        assert_eq!(io(&fine), io(&coarse));
+        // Where there are cores to split over, the largest batches did
+        // split; batches too small to split never held two table locks
+        // at once.
+        if thread::available_parallelism().is_ok_and(|cores| cores.get() > 1) {
+            assert!(fs.table_lock_high_water > 1, "{fs}");
+        }
+        let small = SharedClam::new(clam());
+        for batch in batches_around_the_floor(SPAWN_FLOOR_OPS) {
+            small.insert_batch(&batch).unwrap();
+        }
+        assert_eq!(small.stats().table_lock_high_water, 1);
     }
 
     #[test]

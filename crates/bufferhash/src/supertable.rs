@@ -133,7 +133,8 @@ impl SuperTable {
     /// Inserts into the buffer. A new value for a deleted key revives it.
     pub fn buffer_insert(&mut self, key: Key, value: Value) -> BufferInsert {
         let res = self.buffer.insert(key, value);
-        if matches!(res, BufferInsert::Stored(_)) {
+        // The list is empty on insert-only streams: skip hashing into it.
+        if !self.delete_list.is_empty() && matches!(res, BufferInsert::Stored(_)) {
             self.delete_list.remove(&key);
         }
         res

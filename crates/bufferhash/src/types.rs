@@ -72,6 +72,87 @@ pub fn hash_with_seed(key: Key, seed: u64) -> u64 {
     mix64(key ^ mix64(seed.wrapping_add(0x9e37_79b9_7f4a_7c15)))
 }
 
+/// `x % n` for a fixed `n`, without a hardware division: a mask when `n`
+/// is a power of two, otherwise a multiply-high by a precomputed
+/// reciprocal (Granlund and Montgomery's round-up method, exact for every
+/// 64-bit `x`). Registering an incarnation reduces eleven hashes per key
+/// by the Bloom filter width, which never changes, and there the 64-bit
+/// `div` was 23 of 49 µs per flush; the table and stripe routing reduce
+/// one hash per key and keep a plain `%`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct Modulus {
+    n: u64,
+    /// `floor(2^64 * (2^l - n) / n) + 1` with `l = ceil(log2 n)`; unused
+    /// (zero) when `n` is a power of two.
+    magic: u64,
+    /// `l - 1`.
+    shift: u32,
+}
+
+impl Modulus {
+    /// Prepares reduction modulo `n` (at least 1).
+    pub(crate) fn new(n: usize) -> Self {
+        let n = n.max(1) as u64;
+        if n.is_power_of_two() {
+            return Modulus { n, magic: 0, shift: 0 };
+        }
+        let l = 64 - (n - 1).leading_zeros();
+        let magic = (((1u128 << l) - n as u128) << 64) / n as u128 + 1;
+        Modulus { n, magic: magic as u64, shift: l - 1 }
+    }
+
+    /// The modulus itself.
+    pub(crate) fn get(&self) -> usize {
+        self.n as usize
+    }
+
+    /// `x % n`.
+    #[inline]
+    pub(crate) fn reduce(&self, x: u64) -> usize {
+        if self.magic == 0 {
+            return (x & (self.n - 1)) as usize;
+        }
+        let high = ((self.magic as u128 * x as u128) >> 64) as u64;
+        let quotient = (high + ((x - high) >> 1)) >> self.shift;
+        (x - quotient * self.n) as usize
+    }
+}
+
+/// Stable counting sort of `items` into `groups` runs by `group_of`:
+/// returns the items with each group's members contiguous and in input
+/// order, and `groups + 1` boundaries (`out[starts[g]..starts[g + 1]]` is
+/// group `g`). `group_of` runs once per item, and there are three
+/// allocations whatever the group count, where a `Vec` per group costs one
+/// per group and a regrowth chain each.
+pub(crate) fn group_stable<T: Copy>(
+    items: &[T],
+    groups: usize,
+    group_of: impl Fn(&T) -> usize,
+) -> (Vec<T>, Vec<usize>) {
+    let Some(&filler) = items.first() else {
+        return (Vec::new(), vec![0; groups + 1]);
+    };
+    // After the prefix sum `next[g + 1]` is where group `g`'s run starts;
+    // placing the members walks it to where group `g + 1`'s starts, which
+    // leaves `next[..=groups]` holding the boundaries.
+    let ids: Vec<usize> = items.iter().map(group_of).collect();
+    let mut next = vec![0usize; groups + 2];
+    for &id in &ids {
+        next[id + 2] += 1;
+    }
+    for g in 2..groups + 2 {
+        next[g] += next[g - 1];
+    }
+    let mut out = vec![filler; items.len()];
+    for (item, &id) in items.iter().zip(&ids) {
+        let slot = &mut next[id + 1];
+        out[*slot] = *item;
+        *slot += 1;
+    }
+    next.pop();
+    (out, next)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,6 +189,44 @@ mod tests {
         assert_eq!(mix64(12345), mix64(12345));
         assert_ne!(mix64(12345), 12345);
         assert_ne!(mix64(1), mix64(2));
+    }
+
+    #[test]
+    fn modulus_agrees_with_the_remainder_operator() {
+        let interesting =
+            [0, 1, 2, 3, 63, 64, 65, u32::MAX as u64, 1 << 32, u64::MAX - 1, u64::MAX];
+        let moduli = (1..=130usize)
+            .chain([255, 256, 257, 1000, 16_384, 16_385, 1_000_003, (1 << 31) - 1, 1 << 31])
+            .chain([(1usize << 40) + 7, usize::MAX / 3, usize::MAX - 1, usize::MAX]);
+        for n in moduli {
+            let m = Modulus::new(n);
+            assert_eq!(m.get(), n);
+            let around =
+                [n as u64 - 1, n as u64, (n as u64).wrapping_add(1), (n as u64).wrapping_mul(7)];
+            let random = (0..200u64).map(|i| hash_with_seed(i, n as u64));
+            for x in interesting.into_iter().chain(around).chain(random) {
+                assert_eq!(m.reduce(x), (x % n as u64) as usize, "{x} % {n}");
+            }
+        }
+        assert_eq!(Modulus::new(0).get(), 1, "a zero modulus is clamped, never divides");
+    }
+
+    #[test]
+    fn group_stable_keeps_input_order_within_each_group() {
+        let items: Vec<(u64, u64)> = (0..500u64).map(|i| (hash_with_seed(i, 3) % 7, i)).collect();
+        let (grouped, starts) = group_stable(&items, 9, |item| item.0 as usize);
+        assert_eq!(starts.len(), 10);
+        assert_eq!((starts[0], starts[9]), (0, items.len()));
+        for g in 0..9 {
+            let run = &grouped[starts[g]..starts[g + 1]];
+            let expected: Vec<(u64, u64)> =
+                items.iter().copied().filter(|item| item.0 == g as u64).collect();
+            assert_eq!(run, expected, "group {g}");
+        }
+        // Groups 7 and 8 exist but are empty; so is everything of an
+        // empty input.
+        assert_eq!(starts[7], starts[9]);
+        assert_eq!(group_stable(&[] as &[u64], 3, |_| 0), (Vec::new(), vec![0; 4]));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! ([`BatcherConfig::shards`]), so concurrent arrivals — whether
 //! pipelined on one connection or spread across many — coalesce into
 //! per-shard group-commit gathers that commit independent stripes
-//! concurrently. `shards: 1` (the default) is the single-gather
-//! baseline.
+//! concurrently. `shards: 1` ([`BatcherConfig::default`]) is the
+//! single-gather baseline; the `clamd` binary defaults to one shard per
+//! stripe.
 //!
 //! A protocol violation ([`WireError`](crate::proto::WireError)) is
 //! connection-fatal: the server counts it, answers with one structured

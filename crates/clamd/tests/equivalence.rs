@@ -238,14 +238,33 @@ fn script(conn: u64) -> Vec<Op> {
         .collect()
 }
 
+/// Runs the three scripts concurrently, one connection each. A FLUSH
+/// writes out every connection's buffered keys, so the connections meet
+/// before and after theirs (the scripts flush at the same steps): what
+/// each incarnation holds, and so what the incarnation tables evict, is
+/// then a function of the scripts alone. Free-running, one run in twelve
+/// evicted a key on one server and not on the other.
 fn run_scripts<D: Device + 'static>(server: &ClamdServer<D>) -> Vec<Vec<RespBody>> {
     let addr = server.local_addr();
+    let flush_round = std::sync::Barrier::new(3);
     std::thread::scope(|scope| {
+        let flush_round = &flush_round;
         let handles: Vec<_> = (0..3u64)
             .map(|conn| {
                 scope.spawn(move || {
                     let mut client = ClamdClient::connect(addr).unwrap();
-                    script(conn).into_iter().map(|op| client.call(op).unwrap()).collect()
+                    let mut call = |op: Op| {
+                        let flush = matches!(op, Op::Flush);
+                        if flush {
+                            flush_round.wait();
+                        }
+                        let response = client.call(op).unwrap();
+                        if flush {
+                            flush_round.wait();
+                        }
+                        response
+                    };
+                    script(conn).into_iter().map(&mut call).collect()
                 })
             })
             .collect();
@@ -258,17 +277,19 @@ fn run_scripts<D: Device + 'static>(server: &ClamdServer<D>) -> Vec<Vec<RespBody
 /// coarse-locked baseline.
 #[test]
 fn sharded_server_matches_coarse_single_gather_baseline_over_tcp() {
+    // Flash small enough that the scripts' 18 flush rounds wrap the super
+    // tables' logs, so what eviction drops is compared too.
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         stripes: STRIPES,
-        flash_bytes: 16 << 20,
+        flash_bytes: 8 << 20,
         dram_bytes: 4 << 20,
         batcher: BatcherConfig { shards: 1, ..BatcherConfig::default() },
     };
     let baseline_store = boot_sim(&config).unwrap();
     baseline_store.set_coarse_locks(true);
     let baseline = ClamdServer::start(baseline_store, Vec::new(), config).unwrap();
-    let sharded = ephemeral_sim_server_sharded(STRIPES, STRIPES, 16 << 20, 4 << 20).unwrap();
+    let sharded = ephemeral_sim_server_sharded(STRIPES, STRIPES, 8 << 20, 4 << 20).unwrap();
     assert_eq!(sharded.num_shards(), STRIPES);
 
     let base_streams = run_scripts(&baseline);
@@ -287,6 +308,10 @@ fn sharded_server_matches_coarse_single_gather_baseline_over_tcp() {
     assert_eq!(bs.lookup_misses, ss.lookup_misses);
     assert_eq!(bs.deletes, ss.deletes);
     assert_eq!(bs.flushes, ss.flushes);
+    // Both evicted incarnations, the same number of them.
+    let (bc, sc) = (baseline.clam_stats(), sharded.clam_stats());
+    assert!(bc.forced_evictions > 0, "{bc}");
+    assert_eq!((bc.flushes, bc.forced_evictions), (sc.flushes, sc.forced_evictions));
     // Only the sharded server's store ever took the epoch-validated path.
     assert_eq!(baseline.clam_stats().fast_lookups, 0);
     assert!(sharded.clam_stats().fast_lookups > 0, "{:?}", sharded.stats());

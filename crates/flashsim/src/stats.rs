@@ -1,8 +1,9 @@
 //! I/O statistics and latency recording.
 //!
-//! [`IoStats`] counts device-level operations; [`LatencyRecorder`] collects
-//! per-operation latency samples and can report means, percentiles, CDFs and
-//! CCDFs — the building blocks for regenerating the paper's figures.
+//! [`IoStats`] counts device-level operations; [`LatencyRecorder`] folds
+//! per-operation latency samples into a bounded-memory histogram and can
+//! report means, percentiles, CDFs and CCDFs — the building blocks for
+//! regenerating the paper's figures.
 
 use std::fmt;
 
@@ -149,16 +150,52 @@ impl fmt::Display for IoStats {
     }
 }
 
+/// Linear sub-buckets per power of two, as a bit count: 128 sub-buckets,
+/// so a bucket is at most 1/128 of its lower bound wide and a bucket
+/// midpoint is within 0.4 % of every sample it holds.
+const SUB_BUCKET_BITS: u32 = 7;
+const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
+
+/// Histogram bucket of a sample: values below `2 * SUB_BUCKETS` get a
+/// bucket each (exact), larger ones share `SUB_BUCKETS` linear buckets per
+/// power of two.
+fn bucket_of(ns: u64) -> usize {
+    // Position of the top bit beyond the exact range; 0 inside it.
+    let shift = (63 - (ns | SUB_BUCKETS).leading_zeros()) - SUB_BUCKET_BITS;
+    ((u64::from(shift) << SUB_BUCKET_BITS) + (ns >> shift)) as usize
+}
+
+/// Smallest sample that lands in `bucket`, and how many distinct values
+/// the bucket spans.
+fn bucket_span(bucket: usize) -> (u64, u64) {
+    let bucket = bucket as u64;
+    if bucket < 2 * SUB_BUCKETS {
+        return (bucket, 1);
+    }
+    let shift = (bucket >> SUB_BUCKET_BITS) - 1;
+    ((SUB_BUCKETS + (bucket & (SUB_BUCKETS - 1))) << shift, 1 << shift)
+}
+
 /// Collects latency samples for one class of operation.
 ///
-/// Samples are stored exactly (nanoseconds), so percentiles and CDFs are
-/// exact rather than bucketed. The expected sample counts in this project
-/// (≤ a few million per experiment) make this affordable.
+/// Samples land in a log-linear histogram (nanoseconds, 128 linear
+/// buckets per power of two), so memory is bounded by the *range* of the
+/// samples — 58 KiB covers all of `u64` — not by how many were recorded.
+/// [`len`](Self::len), [`total`](Self::total), [`mean`](Self::mean),
+/// [`min`](Self::min) and [`max`](Self::max) are exact, and
+/// [`merge`](Self::merge) keeps them exact; quantiles and CDF points are
+/// bucketed to under 1 % relative error (exact below 256 ns and at the two
+/// extremes). The histogram grows lazily to the largest bucket seen, so an
+/// empty recorder owns no heap memory.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LatencyRecorder {
-    samples_ns: Vec<u64>,
+    /// Sample count per bucket; see [`bucket_of`].
+    buckets: Vec<u64>,
+    count: u64,
     total_ns: u64,
-    sorted: bool,
+    /// Exact extremes; zero while `count == 0`.
+    min_ns: u64,
+    max_ns: u64,
 }
 
 impl LatencyRecorder {
@@ -167,26 +204,47 @@ impl LatencyRecorder {
         Self::default()
     }
 
-    /// Creates an empty recorder with capacity for `n` samples.
-    pub fn with_capacity(n: usize) -> Self {
-        LatencyRecorder { samples_ns: Vec::with_capacity(n), total_ns: 0, sorted: true }
+    /// Creates an empty recorder. The histogram's size depends on the
+    /// range of the samples, not their number, so `n` reserves nothing.
+    pub fn with_capacity(_n: usize) -> Self {
+        Self::default()
+    }
+
+    /// Grows the histogram to at least `buckets` buckets, a whole power of
+    /// two of range at a time and without `Vec`'s doubling, so it never
+    /// holds more than the range of the samples calls for.
+    fn grow_to(&mut self, buckets: usize) {
+        let len = buckets.next_multiple_of(SUB_BUCKETS as usize);
+        self.buckets.reserve_exact(len - self.buckets.len());
+        self.buckets.resize(len, 0);
     }
 
     /// Records one sample.
     pub fn record(&mut self, d: SimDuration) {
-        self.samples_ns.push(d.as_nanos());
-        self.total_ns = self.total_ns.saturating_add(d.as_nanos());
-        self.sorted = false;
+        let ns = d.as_nanos();
+        let bucket = bucket_of(ns);
+        if bucket >= self.buckets.len() {
+            self.grow_to(bucket + 1);
+        }
+        self.buckets[bucket] += 1;
+        if self.count == 0 {
+            (self.min_ns, self.max_ns) = (ns, ns);
+        } else {
+            self.min_ns = self.min_ns.min(ns);
+            self.max_ns = self.max_ns.max(ns);
+        }
+        self.count += 1;
+        self.total_ns = self.total_ns.saturating_add(ns);
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples_ns.len()
+        self.count as usize
     }
 
     /// Returns `true` if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples_ns.is_empty()
+        self.count == 0
     }
 
     /// Sum of all samples.
@@ -196,40 +254,44 @@ impl LatencyRecorder {
 
     /// Arithmetic mean of the samples (zero if empty).
     pub fn mean(&self) -> SimDuration {
-        if self.samples_ns.is_empty() {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(self.total_ns / self.samples_ns.len() as u64)
-        }
+        SimDuration::from_nanos(self.total_ns.checked_div(self.count).unwrap_or(0))
     }
 
     /// Maximum sample (zero if empty).
     pub fn max(&self) -> SimDuration {
-        SimDuration::from_nanos(self.samples_ns.iter().copied().max().unwrap_or(0))
+        SimDuration::from_nanos(self.max_ns)
     }
 
     /// Minimum sample (zero if empty).
     pub fn min(&self) -> SimDuration {
-        SimDuration::from_nanos(self.samples_ns.iter().copied().min().unwrap_or(0))
+        SimDuration::from_nanos(self.min_ns)
     }
 
-    fn sorted_samples(&mut self) -> &[u64] {
-        if !self.sorted {
-            self.samples_ns.sort_unstable();
-            self.sorted = true;
-        }
-        &self.samples_ns
-    }
-
-    /// The `q`-th quantile (`q` in `[0, 1]`), using nearest-rank.
+    /// The `q`-th quantile (`q` in `[0, 1]`), using nearest-rank: exact at
+    /// `q = 0`, `q = 1` and for samples below 256 ns, otherwise the
+    /// midpoint of the bucket holding that rank (under 1 % off).
     pub fn quantile(&mut self, q: f64) -> SimDuration {
-        if self.samples_ns.is_empty() {
+        if self.count == 0 {
             return SimDuration::ZERO;
         }
         let q = q.clamp(0.0, 1.0);
-        let samples = self.sorted_samples();
-        let rank = ((samples.len() as f64 - 1.0) * q).round() as usize;
-        SimDuration::from_nanos(samples[rank])
+        let rank = ((self.count as f64 - 1.0) * q).round() as u64;
+        if rank == 0 {
+            return self.min();
+        }
+        if rank >= self.count - 1 {
+            return self.max();
+        }
+        let mut seen = 0u64;
+        for (bucket, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen > rank {
+                let (low, width) = bucket_span(bucket);
+                let mid = low + (width - 1) / 2;
+                return SimDuration::from_nanos(mid.clamp(self.min_ns, self.max_ns));
+            }
+        }
+        self.max()
     }
 
     /// Median latency.
@@ -237,30 +299,32 @@ impl LatencyRecorder {
         self.quantile(0.5)
     }
 
-    /// Fraction of samples that are `<= threshold`.
+    /// Samples counted as `<= threshold_ns`: every bucket up to and
+    /// including the threshold's, so the answer is exact for a threshold
+    /// under 1 % above the one asked about (and exact outright below the
+    /// minimum, from the maximum up, and in the exact range).
+    fn count_at_most(&self, threshold_ns: u64) -> u64 {
+        if self.count == 0 || threshold_ns < self.min_ns {
+            return 0;
+        }
+        if threshold_ns >= self.max_ns {
+            return self.count;
+        }
+        self.buckets.iter().take(bucket_of(threshold_ns) + 1).sum()
+    }
+
+    /// Fraction of samples that are `<= threshold` (to bucket resolution).
     pub fn fraction_at_most(&self, threshold: SimDuration) -> f64 {
-        if self.samples_ns.is_empty() {
+        if self.count == 0 {
             return 0.0;
         }
-        let n = self.samples_ns.iter().filter(|&&s| s <= threshold.as_nanos()).count();
-        n as f64 / self.samples_ns.len() as f64
+        self.count_at_most(threshold.as_nanos()) as f64 / self.count as f64
     }
 
     /// Empirical CDF evaluated at `points.len()` thresholds; returns
-    /// `(threshold, fraction <= threshold)` pairs.
+    /// `(threshold, fraction <= threshold)` pairs (to bucket resolution).
     pub fn cdf(&mut self, points: &[SimDuration]) -> Vec<(SimDuration, f64)> {
-        let n = self.samples_ns.len();
-        if n == 0 {
-            return points.iter().map(|&p| (p, 0.0)).collect();
-        }
-        let samples = self.sorted_samples();
-        points
-            .iter()
-            .map(|&p| {
-                let count = samples.partition_point(|&s| s <= p.as_nanos());
-                (p, count as f64 / n as f64)
-            })
-            .collect()
+        points.iter().map(|&p| (p, self.fraction_at_most(p))).collect()
     }
 
     /// Complementary CDF (fraction of samples strictly greater than each
@@ -287,16 +351,28 @@ impl LatencyRecorder {
 
     /// Merges another recorder's samples into this one.
     pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples_ns.extend_from_slice(&other.samples_ns);
+        if other.count == 0 {
+            return;
+        }
+        if self.buckets.len() < other.buckets.len() {
+            self.grow_to(other.buckets.len());
+        }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        if self.count == 0 {
+            (self.min_ns, self.max_ns) = (other.min_ns, other.max_ns);
+        } else {
+            self.min_ns = self.min_ns.min(other.min_ns);
+            self.max_ns = self.max_ns.max(other.max_ns);
+        }
+        self.count += other.count;
         self.total_ns = self.total_ns.saturating_add(other.total_ns);
-        self.sorted = false;
     }
 
-    /// Discards all samples.
+    /// Discards all samples (and the histogram's memory).
     pub fn clear(&mut self) {
-        self.samples_ns.clear();
-        self.total_ns = 0;
-        self.sorted = true;
+        *self = Self::default();
     }
 }
 
@@ -407,14 +483,135 @@ mod tests {
         for i in 1..=100u64 {
             r.record(SimDuration::from_micros(i));
         }
+        // 50 or 51 us by nearest rank, to the 256 ns bucket either sits in.
         let median = r.median();
         assert!(
-            median == SimDuration::from_micros(50) || median == SimDuration::from_micros(51),
+            within(median, SimDuration::from_micros(50), 0.01)
+                || within(median, SimDuration::from_micros(51), 0.01),
             "median of 1..=100us should be 50 or 51us, got {median}"
         );
         assert_eq!(r.quantile(0.0), SimDuration::from_micros(1));
         assert_eq!(r.quantile(1.0), SimDuration::from_micros(100));
-        assert_eq!(r.quantile(0.99), SimDuration::from_micros(99));
+        // 99 us shares a 512 ns bucket: reported to bucket resolution.
+        assert!(within(r.quantile(0.99), SimDuration::from_micros(99), 0.01));
+    }
+
+    /// `true` if `got` is within `tolerance` (relative) of `want`.
+    fn within(got: SimDuration, want: SimDuration, tolerance: f64) -> bool {
+        let (got, want) = (got.as_nanos() as f64, want.as_nanos() as f64);
+        (got - want).abs() <= want * tolerance
+    }
+
+    /// Deterministic samples spread log-uniformly over 100 ns ..= 1 s.
+    fn wide_samples(n: u64) -> Vec<u64> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let t = (state >> 11) as f64 / (1u64 << 53) as f64;
+                (100.0 * 1e7f64.powf(t)).round() as u64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn buckets_tile_the_whole_range_in_order() {
+        // Exact below 256 ns, then 128 buckets per power of two, each
+        // starting where the previous one ended.
+        for ns in 0..256u64 {
+            assert_eq!(bucket_of(ns), ns as usize);
+            assert_eq!(bucket_span(ns as usize), (ns, 1));
+        }
+        let mut next = 0u64;
+        for bucket in 0..=bucket_of(u64::MAX) {
+            let (low, width) = bucket_span(bucket);
+            assert_eq!(low, next, "bucket {bucket} leaves a gap or overlaps");
+            assert_eq!(bucket_of(low), bucket);
+            assert_eq!(bucket_of(low + (width - 1)), bucket);
+            assert!(width == 1 || width * 128 <= low, "bucket {bucket} wider than 1/128");
+            next = low.wrapping_add(width);
+        }
+        assert_eq!(next, 0, "the last bucket ends exactly at u64::MAX");
+        assert_eq!(bucket_of(u64::MAX), 7423);
+    }
+
+    #[test]
+    fn quantiles_and_cdf_stay_within_one_percent_of_an_exact_sort() {
+        let samples = wide_samples(50_000);
+        let mut r = LatencyRecorder::new();
+        for &ns in &samples {
+            r.record(SimDuration::from_nanos(ns));
+        }
+        let mut sorted = samples.clone();
+        sorted.sort_unstable();
+        for q in [0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 1.0] {
+            let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
+            let exact = SimDuration::from_nanos(sorted[rank]);
+            assert!(within(r.quantile(q), exact, 0.01), "q={q}: {} vs {exact}", r.quantile(q));
+        }
+        assert_eq!(r.quantile(0.0).as_nanos(), sorted[0]);
+        assert_eq!(r.quantile(1.0).as_nanos(), *sorted.last().unwrap());
+        // A CDF point is the exact fraction at a threshold under 1 % away.
+        let points = LatencyRecorder::log_spaced_points(
+            SimDuration::from_nanos(50),
+            SimDuration::from_secs(2),
+            64,
+        );
+        for (p, f) in r.cdf(&points) {
+            let at =
+                |ns: f64| sorted.partition_point(|&s| s as f64 <= ns) as f64 / sorted.len() as f64;
+            let (lo, hi) = (at(p.as_nanos() as f64), at(p.as_nanos() as f64 * 1.01));
+            assert!(lo <= f && f <= hi, "cdf({p}) = {f} outside [{lo}, {hi}]");
+            assert_eq!(f, r.fraction_at_most(p));
+        }
+        let ccdf = r.ccdf(&points);
+        assert!(ccdf.windows(2).all(|w| w[0].1 >= w[1].1));
+        assert_eq!((ccdf[0].1, ccdf.last().unwrap().1), (1.0, 0.0));
+    }
+
+    #[test]
+    fn len_total_min_max_stay_exact_under_merge() {
+        let samples = wide_samples(30_000);
+        let mut parts =
+            vec![LatencyRecorder::new(), LatencyRecorder::new(), LatencyRecorder::new()];
+        let mut whole = LatencyRecorder::new();
+        for (i, &ns) in samples.iter().enumerate() {
+            parts[i % 3].record(SimDuration::from_nanos(ns));
+            whole.record(SimDuration::from_nanos(ns));
+        }
+        let mut merged = LatencyRecorder::new();
+        merged.merge(&LatencyRecorder::new()); // merging nothing changes nothing
+        for part in &parts {
+            merged.merge(part);
+        }
+        assert_eq!(merged.len(), samples.len());
+        assert_eq!(merged.total().as_nanos(), samples.iter().sum::<u64>());
+        assert_eq!(merged.min().as_nanos(), *samples.iter().min().unwrap());
+        assert_eq!(merged.max().as_nanos(), *samples.iter().max().unwrap());
+        assert_eq!(merged.mean(), whole.mean());
+        // Same multiset, same histogram: every derived number agrees.
+        assert_eq!(merged.buckets, whole.buckets);
+        for q in [0.01, 0.5, 0.99] {
+            assert_eq!(merged.quantile(q), whole.quantile(q));
+        }
+    }
+
+    #[test]
+    fn memory_is_bounded_by_the_range_not_the_count() {
+        // An empty recorder owns nothing (`ClamStats::new()` stays free).
+        assert_eq!(LatencyRecorder::new().buckets.capacity(), 0);
+        assert_eq!(LatencyRecorder::with_capacity(1 << 20).buckets.capacity(), 0);
+        let mut r = LatencyRecorder::new();
+        let samples = wide_samples(10_000);
+        for i in 0..10_000_000usize {
+            r.record(SimDuration::from_nanos(samples[i % samples.len()]));
+        }
+        assert_eq!(r.len(), 10_000_000);
+        // 100 ns ..= 1 s ends in the 2^29 tier: 24 tiers of 128 words.
+        assert!(r.buckets.capacity() <= 24 * 128, "{} words", r.buckets.capacity());
+        // And no sample range can push it past one word per bucket.
+        r.record(SimDuration::from_nanos(u64::MAX));
+        assert_eq!(r.buckets.capacity(), 7424);
     }
 
     #[test]
