@@ -51,18 +51,44 @@ fn bench_filters(c: &mut Criterion) {
             black_box(bloom.contains(bufferhash::hash_with_seed(i, 3)))
         })
     });
-    let mut sliced = BitSlicedBloomSet::new(16, 1 << 16, 7);
-    for inc in 0..16u64 {
-        sliced.push_incarnation((0..4096u64).map(|i| bufferhash::hash_with_seed(i, inc + 10)));
+    // The benchmark's geometry, full: one set queried in a loop stays in
+    // cache; the store's 64 sets visited in turn are 2 MiB of slices.
+    let mut sets = vec![BitSlicedBloomSet::new(16, 16_384, 11); STORE_SETS];
+    for (t, set) in sets.iter_mut().enumerate() {
+        for inc in 0..16 {
+            set.push_incarnation(incarnation_keys(t as u64, inc));
+        }
     }
-    group.bench_function("bitsliced_query_16_incarnations", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            black_box(sliced.query(bufferhash::hash_with_seed(i, 99)).len())
-        })
-    });
+    for (name, hit) in [("hit", true), ("miss", false)] {
+        // Keys of the set's oldest incarnation, or keys no set was given.
+        let key = move |t: u64, i: u64| {
+            bufferhash::hash_with_seed(i % 1024, if hit { 16 * t + 1 } else { 9_999 })
+        };
+        group.bench_function(format!("bitsliced_query_{name}"), |b| {
+            let mut i = 0u64;
+            b.iter(|| {
+                i += 1;
+                black_box(sets[0].query(key(0, i)).next())
+            })
+        });
+        group.bench_function(format!("bitsliced_query_{name}_64_sets"), |b| {
+            let mut i = 0u64;
+            b.iter(|| {
+                i += 1;
+                let t = i % STORE_SETS as u64;
+                black_box(sets[t as usize].query(key(t, i / STORE_SETS as u64)).next())
+            })
+        });
+    }
     group.finish();
+}
+
+/// Super tables in the benchmark's store: 4 stripes of 16.
+const STORE_SETS: usize = 64;
+
+/// The 1 024 keys of incarnation `inc` of set `t`.
+fn incarnation_keys(t: u64, inc: u64) -> impl Iterator<Item = u64> {
+    (0..1024u64).map(move |i| bufferhash::hash_with_seed(i, 16 * t + inc + 1))
 }
 
 /// One flush at the benchmark's geometry, stage by stage: a 32 KiB buffer
@@ -98,6 +124,21 @@ fn bench_flush_kernel(c: &mut Criterion) {
             }
             sliced.push_incarnation(entries.iter().map(|e| e.key));
             black_box(sliced.len())
+        })
+    });
+    // As the store does it: consecutive flushes land on different tables,
+    // so each sweep walks slices the 63 flushes before it pushed out.
+    let mut sets = vec![BitSlicedBloomSet::new(16, 16_384, 11); STORE_SETS];
+    let mut turn = 0;
+    group.bench_function("push_incarnation_1024_cold_64_sets", |b| {
+        b.iter(|| {
+            turn = (turn + 1) % STORE_SETS;
+            let set = &mut sets[turn];
+            if set.len() == set.capacity() {
+                set.evict_oldest();
+            }
+            set.push_incarnation(entries.iter().map(|e| e.key));
+            black_box(set.len())
         })
     });
     let mut recorder = LatencyRecorder::new();

@@ -1,25 +1,26 @@
-//! Bit-sliced Bloom filters with a sliding window (§5.1.3).
+//! Bit-sliced Bloom filters on a ring of lanes (§5.1.3).
 //!
 //! A super table keeps one Bloom filter per incarnation. Instead of storing
 //! the `k` filters separately, all of them are stored as `m` bit-slices: the
-//! i-th slice concatenates bit `i` from every incarnation's filter. A lookup
-//! hashes the key to `h` bit positions, fetches those `h` slices, ANDs them,
-//! and the positions of 1-bits in the result identify the incarnations that
-//! may contain the key — `h` word-sized memory reads instead of `k·h`
-//! scattered bit probes.
+//! i-th slice (row) concatenates bit `i` from every incarnation's filter. A
+//! lookup hashes the key to `h` rows, ANDs them, and the 1-bits of the result
+//! name the incarnations that may contain the key — `h` word-sized memory
+//! reads instead of `k·h` scattered bit probes.
 //!
-//! Eviction uses the paper's sliding-window trick: each slice carries `w`
-//! (here 64) extra bits. Evicting the oldest incarnation just advances the
-//! window start; bits that fall out of the window are ignored and whole
-//! 64-bit words are zeroed only once the window has completely moved past
-//! them, giving a small amortized eviction cost.
+//! A row is one lane field, the smallest power of two that holds `k` lanes;
+//! rows narrower than a word share one, wider rows take whole words. The
+//! slices so come to `k·m/8` bytes at a power-of-two `k` and to under twice
+//! that otherwise: the Bloom budget of §6, not a multiple of it. The live
+//! incarnations are a window on the ring of lanes. The paper gives every
+//! slice `w` spare bits so that an evicted lane can wait to be zeroed a word
+//! at a time; there is no `w` here because nothing is zeroed. Registration
+//! writes its lane in every row, clear bits as well as set ones, so that
+//! sweep is the reset, and no query reads a lane outside the window.
 
 use serde::{Deserialize, Serialize};
 
+use crate::filters::AgeSet;
 use crate::types::{hash_with_seed, Key, Modulus};
-
-/// Extra lanes appended to every slice (the `w` of §5.1.3); one machine word.
-const WINDOW_SLACK: usize = 64;
 
 /// Bit-sliced Bloom filters for the incarnations of one super table.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -30,18 +31,18 @@ pub struct BitSlicedBloomSet {
     bits_per_filter: Modulus,
     /// Hash functions per filter (h).
     num_hashes: u32,
-    /// Total lanes per slice (k + w, rounded up to a whole word).
-    lane_space: usize,
-    /// 64-bit words per slice.
-    words_per_slice: usize,
-    /// All slices, `bits_per_filter * words_per_slice` words.
+    /// Lanes per row: `num_slots` rounded up to a power of two.
+    lanes: usize,
+    /// The rows, placed by [`locate`](Self::locate). Allocated by the first
+    /// registration, so a table that never flushed holds none.
     slices: Vec<u64>,
     /// Scratch for [`push_incarnation`](Self::push_incarnation): the new
     /// incarnation's plain filter, one bit per row (`m / 64` words, small
     /// enough to stay in L1 while the keys are hashed). All zero between
     /// calls.
     column: Vec<u64>,
-    /// Lane index of the oldest live incarnation.
+    /// Lane of the youngest live incarnation; the one aged `a` is `a` lanes
+    /// further round the ring.
     window_start: usize,
     /// Number of live incarnations (≤ `num_slots`).
     count: usize,
@@ -53,19 +54,22 @@ impl BitSlicedBloomSet {
     pub fn new(num_slots: usize, bits_per_filter: usize, num_hashes: u32) -> Self {
         let num_slots = num_slots.max(1);
         let bits_per_filter = bits_per_filter.max(64);
-        let lane_space = (num_slots + WINDOW_SLACK).div_ceil(64) * 64;
-        let words_per_slice = lane_space / 64;
         BitSlicedBloomSet {
             num_slots,
             bits_per_filter: Modulus::new(bits_per_filter),
             num_hashes: num_hashes.clamp(1, 16),
-            lane_space,
-            words_per_slice,
-            slices: vec![0u64; bits_per_filter * words_per_slice],
+            lanes: num_slots.next_power_of_two(),
+            slices: Vec::new(),
             column: vec![0u64; bits_per_filter.div_ceil(64)],
             window_start: 0,
             count: 0,
         }
+    }
+
+    /// Bytes of slices a set of this shape allocates: `bits_per_filter` rows
+    /// in whole blocks of 64, `num_slots` lanes rounded up to a power of two.
+    pub fn slice_bytes(num_slots: usize, bits_per_filter: usize) -> usize {
+        bits_per_filter.max(64).div_ceil(64) * num_slots.max(1).next_power_of_two() * 8
     }
 
     /// Maximum number of incarnations.
@@ -93,7 +97,7 @@ impl BitSlicedBloomSet {
         self.num_hashes
     }
 
-    /// Approximate memory footprint in bytes (the slices; the `m`-bit
+    /// Memory footprint in bytes: the slices, once allocated (the `m`-bit
     /// scratch column is not counted).
     pub fn memory_bytes(&self) -> usize {
         self.slices.len() * 8
@@ -108,19 +112,28 @@ impl BitSlicedBloomSet {
         (0..self.num_hashes as u64).map(move |i| m.reduce(h1.wrapping_add(i.wrapping_mul(h2))))
     }
 
-    /// Lane index of the incarnation with the given `age`
-    /// (age 0 = youngest, `count - 1` = oldest).
-    fn lane_of_age(&self, age: usize) -> usize {
-        debug_assert!(age < self.count);
-        (self.window_start + self.count - 1 - age) % self.lane_space
+    /// Where `row`'s lanes are: the index of its first word in `slices` and
+    /// the bit of it lane 0 sits at.
+    ///
+    /// Rows come in blocks of 64, one bit of a `column` word each, `lanes`
+    /// words to the block. A field of `f < 64` bits shares its word with
+    /// the rows `f`, `2f`, … further on in the block, not its neighbours,
+    /// so the registration sweep deposits a column word by shift and mask.
+    #[inline]
+    fn locate(&self, row: usize) -> (usize, usize) {
+        let field = self.lanes.min(64);
+        let (block, bit) = (row / 64, row % 64);
+        let word = bit & (field - 1);
+        ((block * field + word) * self.lanes.div_ceil(64), bit - word)
     }
 
     /// Registers a new (youngest) incarnation containing `keys`.
     ///
     /// The incarnation's filter is first built as a plain `m`-bit column
-    /// in scratch memory, then merged into its lane of every slice in one
-    /// sequential sweep: no allocation, no division, and the slices are
-    /// walked once instead of being hit at `h` random rows per key.
+    /// in scratch memory, then written over its lane of every row in one
+    /// sequential sweep: no allocation after the first call, no division,
+    /// and the slices are walked once instead of being hit at `h` random
+    /// rows per key.
     ///
     /// The caller must ensure there is room (evict first if `len() ==
     /// capacity()`); pushing into a full set panics, as that indicates a
@@ -130,7 +143,7 @@ impl BitSlicedBloomSet {
             self.count < self.num_slots,
             "push_incarnation on a full BitSlicedBloomSet; evict first"
         );
-        let lane = (self.window_start + self.count) % self.lane_space;
+        self.window_start = (self.window_start + self.lanes - 1) % self.lanes;
         self.count += 1;
         let mut column = std::mem::take(&mut self.column);
         for key in keys {
@@ -138,80 +151,67 @@ impl BitSlicedBloomSet {
                 column[row / 64] |= 1 << (row % 64);
             }
         }
-        // The sweep overwrites the lane's bit in every row rather than
-        // OR-ing into it, so correctness does not rest on the lazy word
-        // zeroing of `evict_oldest` having left the lane clear.
-        let (word_off, bit, stride) = (lane / 64, lane % 64, self.words_per_slice);
-        for (rows, &bits) in self.slices.chunks_mut(64 * stride).zip(&column) {
-            for (r, slice) in rows.chunks_exact_mut(stride).enumerate() {
-                let word = &mut slice[word_off];
-                *word = *word & !(1 << bit) | (bits >> r & 1) << bit;
+        self.slices.resize(column.len() * self.lanes, 0);
+        // Word `j` of a block holds its rows `j`, `j + field`, …: its share
+        // of the column word is every `field`-th bit from `j` on.
+        let field = self.lanes.min(64);
+        let unit = u64::MAX / (u64::MAX >> (64 - field));
+        let (word_off, bit) = (self.window_start / 64, self.window_start % 64);
+        for (block, &bits) in self.slices.chunks_exact_mut(self.lanes).zip(&column) {
+            for (j, row) in block.chunks_exact_mut(self.lanes / field).enumerate() {
+                let word = &mut row[word_off];
+                *word = *word & !(unit << bit) | (bits >> j & unit) << bit;
             }
         }
         column.fill(0);
         self.column = column;
     }
 
-    /// Evicts the oldest incarnation by sliding the window.
-    ///
-    /// Whole 64-bit words are zeroed only when the window has moved entirely
-    /// past them (the paper's amortized-reset optimisation).
+    /// Evicts the oldest incarnation by shortening the window; its lane
+    /// keeps its bits until a registration overwrites them.
     pub fn evict_oldest(&mut self) {
-        if self.count == 0 {
-            return;
-        }
-        self.window_start = (self.window_start + 1) % self.lane_space;
-        self.count -= 1;
-        if self.window_start.is_multiple_of(64) {
-            // The word we just finished leaving contains only dead lanes.
-            let words = self.words_per_slice;
-            let word_behind = (self.window_start / 64 + words - 1) % words;
-            for word in self.slices.iter_mut().skip(word_behind).step_by(words) {
-                *word = 0;
-            }
-        }
+        self.count = self.count.saturating_sub(1);
     }
 
     /// Returns the ages (0 = youngest) of the incarnations that may contain
-    /// `key`, ordered youngest to oldest.
-    pub fn query(&self, key: Key) -> Vec<usize> {
+    /// `key`. No allocation up to 64 lanes.
+    pub fn query(&self, key: Key) -> AgeSet {
         if self.count == 0 {
-            return Vec::new();
+            return AgeSet::default();
         }
-        // AND the h slices.
-        let mut acc = vec![u64::MAX; self.words_per_slice];
-        for row in self.rows(key) {
-            let base = row * self.words_per_slice;
-            for (word, slice_word) in acc.iter_mut().zip(&self.slices[base..]) {
-                *word &= slice_word;
-            }
-        }
-        // Collect window lanes whose AND bit is set, youngest first.
-        let mut out = Vec::new();
-        for age in 0..self.count {
-            let lane = self.lane_of_age(age);
-            if acc[lane / 64] >> (lane % 64) & 1 == 1 {
-                out.push(age);
-            }
-        }
-        out
+        let (field, stride) = (self.lanes.min(64), self.lanes.div_ceil(64));
+        // The `h` rows ANDed, 64 lanes of them from lane `64 j` of the ring.
+        let and_rows = |j: usize| {
+            self.rows(key).fold(u64::MAX >> (64 - field), |acc, row| {
+                let (base, shift) = self.locate(row);
+                acc & self.slices[base + (j & (stride - 1))] >> shift
+            })
+        };
+        // Turn the ring so that the youngest lane comes first: bit `a` of
+        // the result is then age `a`, and the window is its low `count`.
+        let (skip, bit) = (self.window_start / 64, self.window_start % 64);
+        AgeSet::from_words(self.count, |i| {
+            let low = and_rows(i + skip);
+            let high = if stride == 1 { low } else { and_rows(i + skip + 1) };
+            low >> bit | high << 1 << (field - 1 - bit)
+        })
     }
 
-    /// Returns `true` if the incarnation with `age` may contain `key`
-    /// (single-incarnation probe, used by the non-bit-sliced ablation path).
+    /// Returns `true` if the incarnation with `age` may contain `key`: the
+    /// single-lane probe [`query`](Self::query) is tested against.
     pub fn contains_in(&self, age: usize, key: Key) -> bool {
-        if age >= self.count {
-            return false;
-        }
-        let lane = self.lane_of_age(age);
-        self.rows(key)
-            .all(|row| self.slices[row * self.words_per_slice + lane / 64] >> (lane % 64) & 1 == 1)
+        let lane = (self.window_start + age) & (self.lanes - 1);
+        age < self.count
+            && self.rows(key).all(|row| {
+                let (base, shift) = self.locate(row);
+                self.slices[base + lane / 64] >> (shift + lane % 64) & 1 == 1
+            })
     }
 
-    /// Number of 64-bit words touched by one query (for latency accounting:
-    /// `h` slices of `words_per_slice` words each).
+    /// Number of 64-bit words touched by one query (for latency accounting):
+    /// `h` rows of one word each up to 64 lanes.
     pub fn words_per_query(&self) -> usize {
-        self.num_hashes as usize * self.words_per_slice
+        self.num_hashes as usize * self.lanes.div_ceil(64)
     }
 }
 
@@ -317,17 +317,39 @@ mod tests {
         assert!(per_lookup < 0.01, "spurious incarnation matches per lookup: {per_lookup}");
     }
 
-    /// The per-key registration the column sweep replaced — defensive lane
-    /// clear, then one `Vec` of rows and `h` scattered bit sets per key,
-    /// rows by plain `%` — kept as the reference it must match.
+    /// Lane widths under test: every packing (1 to 32 lanes to a word,
+    /// whole words from 64 up), powers of two and the sizes just past them.
+    const SLOT_COUNTS: [usize; 14] = [1, 2, 3, 5, 8, 9, 16, 17, 32, 33, 64, 65, 70, 128];
+
+    /// Word index and bit of (`row`, `lane`), worked out apart from
+    /// `locate` so the two check each other.
+    fn position(set: &BitSlicedBloomSet, row: usize, lane: usize) -> (usize, usize) {
+        let (field, stride) = (set.lanes.min(64), set.lanes.div_ceil(64));
+        let word = (row / 64 * field + row % field) * stride + lane / 64;
+        (word, row % 64 / field * field + lane % 64)
+    }
+
+    fn bit(set: &BitSlicedBloomSet, row: usize, lane: usize) -> bool {
+        let (word, bit) = position(set, row, lane);
+        set.slices[word] >> bit & 1 == 1
+    }
+
+    /// The per-key registration the column sweep replaced — clear the lane
+    /// row by row, then one `Vec` of rows and `h` scattered bit sets per
+    /// key, rows by plain `%` — kept as the reference it must match.
     fn push_incarnation_per_key(set: &mut BitSlicedBloomSet, keys: &[Key]) {
         assert!(set.count < set.num_slots);
-        let lane = (set.window_start + set.count) % set.lane_space;
-        let (m, wps) = (set.bits_per_filter.get(), set.words_per_slice);
-        for row in 0..m {
-            set.slices[row * wps + lane / 64] &= !(1u64 << (lane % 64));
+        let m = set.bits_per_filter.get();
+        if set.slices.is_empty() {
+            set.slices = vec![0; BitSlicedBloomSet::slice_bytes(set.num_slots, m) / 8];
         }
+        let lane = (set.window_start + set.lanes - 1) % set.lanes;
+        set.window_start = lane;
         set.count += 1;
+        for row in 0..m {
+            let (word, bit) = position(set, row, lane);
+            set.slices[word] &= !(1 << bit);
+        }
         for &key in keys {
             let h1 = hash_with_seed(key, 0x5bd1_e995);
             let h2 = hash_with_seed(key, 0x27d4_eb2f) | 1;
@@ -335,26 +357,38 @@ mod tests {
                 .map(|i| (h1.wrapping_add(i.wrapping_mul(h2)) % m as u64) as usize)
                 .collect();
             for row in rows {
-                set.slices[row * wps + lane / 64] |= 1 << (lane % 64);
+                let (word, bit) = position(set, row, lane);
+                set.slices[word] |= 1 << bit;
             }
         }
     }
 
+    /// What `query` returned when it built a `Vec`: one probe per live
+    /// age, youngest first.
+    fn query_per_age(set: &BitSlicedBloomSet, key: Key) -> Vec<usize> {
+        (0..set.len()).filter(|&age| set.contains_in(age, key)).collect()
+    }
+
     #[test]
-    fn column_sweep_matches_per_key_registration_across_window_wraps() {
-        // (slots, m, h): power-of-two and odd filter widths, one and two
-        // words per slice, the benchmark's own geometry last.
-        for (slots, m, h) in [(4, 1 << 10, 4), (5, 1000, 7), (70, 777, 3), (16, 16_384, 11)] {
+    fn column_sweep_matches_per_key_registration_around_the_ring() {
+        // Every lane width at a power-of-two and an odd filter width, then
+        // the benchmark's own geometry.
+        let shapes = SLOT_COUNTS
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &slots)| [(slots, 1 << 10, 3 + i as u32 % 9), (slots, 777, 4)])
+            .chain([(16, 16_384, 11)]);
+        for (slots, m, h) in shapes {
             let mut fast = BitSlicedBloomSet::new(slots, m, h);
             let mut reference = BitSlicedBloomSet::new(slots, m, h);
-            // Several laps of the lane space, so lanes are reused after
-            // the lazy word zeroing and after a window wrap.
-            let rounds = 3 * fast.lane_space as u64 + 17;
-            for round in 0..rounds {
+            assert_eq!(fast.memory_bytes(), 0, "slices allocated before a registration");
+            // At least three laps of the ring, so every lane is reused,
+            // dirty with an evicted incarnation's bits, several times.
+            for round in 0..3 * fast.lanes as u64 + 17 {
                 // Mostly push-when-room, evict-when-full, with pseudo-random
-                // extra evictions so the window start drifts off the
-                // word boundaries and the set runs at every fill level.
-                let extra_evictions = hash_with_seed(round, 0xe71c) % 3;
+                // runs of extra evictions (`force_evict_up_to` drops several
+                // at once) so the set runs at every fill level.
+                let extra_evictions = hash_with_seed(round, 0xe71c) % 4;
                 for _ in 0..extra_evictions.min(fast.len() as u64) {
                     fast.evict_oldest();
                     reference.evict_oldest();
@@ -363,28 +397,32 @@ mod tests {
                     fast.evict_oldest();
                     reference.evict_oldest();
                 }
-                // The defensive clear stays: on entry the lane must not
-                // need it, which is what lets the sweep overwrite.
-                let lane = (fast.window_start + fast.count) % fast.lane_space;
-                let stale = (0..m)
-                    .filter(|row| {
-                        fast.slices[row * fast.words_per_slice + lane / 64] >> (lane % 64) & 1 == 1
-                    })
-                    .count();
-                assert_eq!(stale, 0, "({slots},{m},{h}) round {round}: lane {lane} not clear");
                 let keys = keys_for(round, 1 + hash_with_seed(round, 5) % 40);
                 fast.push_incarnation(keys.iter().copied());
                 push_incarnation_per_key(&mut reference, &keys);
                 assert_eq!(fast.slices, reference.slices, "({slots},{m},{h}) round {round}");
+                assert_eq!(fast.memory_bytes(), BitSlicedBloomSet::slice_bytes(slots, m));
                 assert!(fast.column.iter().all(|&w| w == 0), "scratch left dirty");
                 assert_eq!(fast, reference);
+                for &key in &keys {
+                    assert!(fast.contains_in(0, key), "({slots},{m},{h}) round {round}");
+                }
                 for probe in 0..20u64 {
                     let key = if probe % 2 == 0 {
                         keys_for(round.saturating_sub(probe / 2), 1)[0]
                     } else {
                         hash_with_seed(probe, round)
                     };
-                    assert_eq!(fast.query(key), reference.query(key));
+                    let ages = fast.query(key);
+                    let expected = query_per_age(&reference, key);
+                    assert_eq!(ages.len(), expected.len());
+                    assert!(expected.iter().all(|age| ages.contains(age)));
+                    // Iterated youngest first, as the `Vec` was.
+                    assert_eq!(
+                        ages.collect::<Vec<_>>(),
+                        expected,
+                        "({slots},{m},{h}) round {round}"
+                    );
                 }
             }
         }
@@ -392,17 +430,36 @@ mod tests {
 
     #[test]
     fn a_dirty_lane_is_overwritten_not_merged() {
-        // Should the lazy zeroing ever leave a lane dirty, registration
-        // must still produce exactly the new incarnation's filter.
-        let mut set = BitSlicedBloomSet::new(4, 1 << 10, 4);
-        set.slices.fill(u64::MAX);
-        set.push_incarnation(keys_for(1, 10));
-        let mut clean = BitSlicedBloomSet::new(4, 1 << 10, 4);
-        clean.push_incarnation(keys_for(1, 10));
-        for row in 0..1 << 10 {
-            let word = row * set.words_per_slice;
-            assert_eq!(set.slices[word] & 1, clean.slices[word] & 1, "row {row}");
-            assert_eq!(set.slices[word] | 1, u64::MAX, "other lanes untouched");
+        // Nothing zeroes a lane between its eviction and its reuse, so
+        // registration must produce exactly the new incarnation's filter
+        // from whatever is there, and touch no other lane.
+        let m = 1 << 10;
+        for slots in SLOT_COUNTS {
+            let mut set = BitSlicedBloomSet::new(slots, m, 4);
+            let mut clean = BitSlicedBloomSet::new(slots, m, 4);
+            // Move the window off lane 0 before the registration checked.
+            for warm_up in 0..slots as u64 / 2 + 1 {
+                for s in [&mut set, &mut clean] {
+                    s.push_incarnation(keys_for(warm_up, 3));
+                    s.evict_oldest();
+                }
+            }
+            set.slices.fill(u64::MAX);
+            clean.slices.fill(0);
+            set.push_incarnation(keys_for(99, 10));
+            clean.push_incarnation(keys_for(99, 10));
+            let pushed = set.window_start;
+            for row in 0..m {
+                for lane in 0..set.lanes {
+                    if lane == pushed {
+                        assert_eq!(bit(&set, row, lane), bit(&clean, row, lane), "row {row}");
+                    } else {
+                        assert!(bit(&set, row, lane), "k {slots}: lane {lane} of row {row} hit");
+                        assert!(!bit(&clean, row, lane), "k {slots}: lane {lane} of row {row} hit");
+                    }
+                }
+            }
+            assert!(clean.slices.iter().any(|&w| w != 0));
         }
     }
 
@@ -432,9 +489,23 @@ mod tests {
 
     #[test]
     fn memory_and_query_cost_accounting() {
-        let set = BitSlicedBloomSet::new(16, 1 << 15, 7);
-        // 16 + 64 lanes -> 128 lanes -> 2 words per slice.
-        assert_eq!(set.words_per_query(), 7 * 2);
-        assert_eq!(set.memory_bytes(), (1 << 15) * 2 * 8);
+        // A query reads one word per hash up to 64 lanes, and the slices
+        // are k·m/8 bytes at a power-of-two k: the Bloom budget itself.
+        let mut set = BitSlicedBloomSet::new(16, 1 << 15, 7);
+        assert_eq!(set.words_per_query(), 7);
+        assert_eq!(set.memory_bytes(), 0);
+        set.push_incarnation([1]);
+        assert_eq!(set.memory_bytes(), 16 * (1 << 15) / 8);
+        for (slots, m) in [(1, 640), (4, 1 << 12), (32, 1 << 12), (64, 1 << 10), (128, 1 << 10)] {
+            assert_eq!(BitSlicedBloomSet::slice_bytes(slots, m), slots * m / 8);
+        }
+        // Any other k rounds up to the next power of two, and m to whole
+        // 64-row blocks: under twice the budget.
+        for (slots, m) in [(3, 4096), (17, 1000), (33, 777), (70, 65_536)] {
+            let bits = BitSlicedBloomSet::slice_bytes(slots, m) * 8;
+            assert!(bits >= slots * m && bits < 2 * slots * (m + 64), "({slots},{m}): {bits}");
+        }
+        assert_eq!(BitSlicedBloomSet::new(65, 1 << 10, 7).words_per_query(), 7 * 2);
+        assert_eq!(BitSlicedBloomSet::new(64, 1 << 10, 7).words_per_query(), 7);
     }
 }

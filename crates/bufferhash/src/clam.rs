@@ -46,6 +46,7 @@ use crate::config::ClamConfig;
 use crate::cuckoo::BufferInsert;
 use crate::error::{BufferHashError, Result};
 use crate::eviction::{EvictionPolicy, RetainDecision};
+use crate::filters::AgeSet;
 use crate::incarnation::{
     lookup_in_page, parse_incarnation, parse_page_header_checked, scan_incarnation,
     IncarnationIdentity, IncarnationLayout, PageLookup, SlotScan,
@@ -813,17 +814,18 @@ impl<D: Device> Clam<D> {
             .sum()
     }
 
-    /// Current DRAM footprint.
+    /// Current DRAM footprint: what the tables have allocated, which for
+    /// the filters is nothing until a table first flushes.
     pub fn memory_usage(&self) -> MemoryUsage {
-        let buffers = self.tables.len() * self.config.buffer_bytes_per_table as usize;
-        let (delete_lists, total) = (0..self.tables.len())
-            .map(|t| {
-                self.tables.with(t, |table| {
-                    (table.delete_list_len() * std::mem::size_of::<Key>(), table.memory_bytes())
-                })
-            })
-            .fold((0usize, 0usize), |(d, m), (dl, mb)| (d + dl, m + mb));
-        MemoryUsage { buffers, filters: total.saturating_sub(buffers + delete_lists), delete_lists }
+        let mut usage = MemoryUsage::default();
+        for t in 0..self.tables.len() {
+            self.tables.with(t, |table| {
+                usage.buffers += table.buffer_bytes();
+                usage.filters += table.filter_bytes();
+                usage.delete_lists += table.delete_list_len() * std::mem::size_of::<Key>();
+            });
+        }
+        usage
     }
 
     /// Super table responsible for `key` (the paper partitions on the first
@@ -1721,8 +1723,11 @@ impl<D: Device> ClamCore<D> {
                 let found = table.memory_lookup(key);
                 // Candidate incarnations, youngest first, guided by the
                 // Bloom filters (only needed when memory has no verdict).
-                let candidates =
-                    if found.is_none() { table.candidate_incarnations(key) } else { Vec::new() };
+                let candidates = if found.is_none() {
+                    table.candidate_incarnations(key)
+                } else {
+                    AgeSet::default()
+                };
                 (table.filter_words_per_query(), found, candidates)
             });
             let latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + filter_words);
@@ -1748,7 +1753,7 @@ impl<D: Device> ClamCore<D> {
                 table: t,
                 latency,
                 flash_reads: 0,
-                candidates: candidates.into_iter(),
+                candidates,
                 meta: None,
                 page_idx: 0,
                 hops_left: 0,
@@ -2740,7 +2745,7 @@ struct ProbeState {
     latency: SimDuration,
     flash_reads: usize,
     /// Remaining candidate incarnation ages, youngest first.
-    candidates: std::vec::IntoIter<usize>,
+    candidates: AgeSet,
     /// Candidate currently being probed (`Some` while pending).
     meta: Option<IncarnationMeta>,
     /// Page of the current candidate to read next.
@@ -2761,7 +2766,9 @@ fn annotate_offset(e: BufferHashError, offset: u64) -> BufferHashError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitslice::BitSlicedBloomSet;
     use crate::filters::FilterMode;
+    use crate::types::ENTRY_SIZE;
     use flashsim::{MagneticDisk, Ssd};
     use std::collections::HashMap;
 
@@ -3111,25 +3118,84 @@ mod tests {
         }
     }
 
+    /// `memory_usage` of a CLAM before any table flushed and after every
+    /// table did, each checked against what the tables allocate.
+    fn memory_before_and_after_first_flushes(mut clam: Clam<Ssd>) -> MemoryUsage {
+        let (tables, cfg) = (clam.num_super_tables(), clam.config().clone());
+        // Buffers report their allocation: a slot is an `Option<Entry>`,
+        // half as large again as the 16-byte entry the budget is quoted in.
+        let slots = cfg.buffer_bytes_per_table as usize / ENTRY_SIZE;
+        assert!(tables * slots * ENTRY_SIZE <= cfg.buffer_bytes_total as usize);
+        let fresh = clam.memory_usage();
+        assert_eq!(fresh.buffers, tables * slots * std::mem::size_of::<Option<Entry>>());
+        // A table that never flushed holds no slices.
+        assert_eq!((fresh.filters, fresh.delete_lists), (0, 0));
+        for i in 0..64 * tables as u64 {
+            clam.insert(key(i), i).unwrap();
+        }
+        clam.flush_all().unwrap();
+        let usage = clam.memory_usage();
+        assert_eq!(usage.buffers, fresh.buffers);
+        let (k, m) = (cfg.incarnations_per_table(), cfg.bloom_bits_per_incarnation());
+        assert_eq!(usage.filters, tables * BitSlicedBloomSet::slice_bytes(k, m));
+        // Further flushes and evictions allocate nothing more.
+        for i in 0..400_000u64 {
+            clam.insert(key(i), i).unwrap();
+        }
+        assert!(clam.stats().flushes as usize > tables * k, "the ring of lanes went round");
+        assert_eq!(clam.memory_usage().filters, usage.filters);
+        usage
+    }
+
     #[test]
     fn memory_usage_reports_buffers_and_filters() {
+        // k = 15 here: the slices round up to 16 lanes, past the Bloom
+        // budget by that sixteenth (and whole 64-row blocks), never by 2x.
         let clam = small_clam();
-        let usage = clam.memory_usage();
-        // Buffers use (at most) the configured budget: the number of super
-        // tables is the floor of budget / per-table size.
-        assert_eq!(
-            usage.buffers,
-            clam.num_super_tables() * clam.config().buffer_bytes_per_table as usize
+        let (tables, k) = (clam.num_super_tables(), clam.config().incarnations_per_table());
+        let budget = clam.config().bloom_bytes_total() as usize;
+        assert!(!k.is_power_of_two());
+        let usage = memory_before_and_after_first_flushes(clam);
+        assert!(usage.filters > budget && usage.filters < 2 * budget, "{usage:?} vs {budget}");
+        // Exactly: lanes / k of the budget, plus at most one 64-row block
+        // (8 bytes a lane) a table.
+        let lanes = k.next_power_of_two();
+        assert!(usage.filters <= budget / k * lanes + tables * lanes * 8);
+    }
+
+    #[test]
+    fn bit_slices_at_the_benchmark_geometry_are_the_bloom_budget() {
+        // One stripe of the repo benchmark: 16 tables of k = 16 incarnations
+        // with 16 384-bit filters, 512 KiB of Bloom budget, all of it used
+        // and no more.
+        let cfg = ClamConfig::small_test(8 << 20, 1 << 20).unwrap();
+        assert_eq!((cfg.num_super_tables(), cfg.incarnations_per_table()), (16, 16));
+        assert_eq!((cfg.bloom_bits_per_incarnation(), cfg.bloom_hashes()), (16_384, 11));
+        let budget = cfg.bloom_bytes_total() as usize;
+        let usage = memory_before_and_after_first_flushes(
+            Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap(),
         );
-        assert!(usage.buffers <= clam.config().buffer_bytes_total as usize);
-        assert!(usage.buffers <= clam.config().dram_bytes as usize);
-        // Bit-sliced filters carry the sliding-window slack (§5.1.3), so
-        // their resident size exceeds the nominal Bloom budget by a small
-        // factor when k is small; it must still be the same order of
-        // magnitude.
-        assert!(usage.filters > 0);
-        assert!(usage.filters <= clam.config().bloom_bytes_total() as usize * 12);
-        assert_eq!(usage.delete_lists, 0);
+        assert_eq!((usage.filters, budget), (512 << 10, 512 << 10));
+    }
+
+    #[test]
+    fn paper_scale_bit_slices_are_the_two_gigabyte_bloom_budget() {
+        // §7.1.1's 32 GB / 4 GB configuration, arithmetic only: 16 384
+        // super tables of 16 lanes by 65 536 rows.
+        let cfg = ClamConfig {
+            flash_capacity: 32 << 30,
+            dram_bytes: 4 << 30,
+            buffer_bytes_total: 2 << 30,
+            buffer_bytes_per_table: 128 * 1024,
+            ..ClamConfig::small_test(8 << 20, 1 << 20).unwrap()
+        };
+        cfg.validate().unwrap();
+        let per_table = BitSlicedBloomSet::slice_bytes(
+            cfg.incarnations_per_table(),
+            cfg.bloom_bits_per_incarnation(),
+        );
+        assert_eq!(cfg.num_super_tables() * per_table, 2 << 30);
+        assert_eq!(cfg.bloom_bytes_total(), 2 << 30);
     }
 
     #[test]

@@ -25,6 +25,67 @@ pub enum FilterMode {
     Disabled,
 }
 
+/// A set of incarnation ages (0 = youngest), iterated youngest first: what
+/// a filter query returns and a lookup walks.
+///
+/// Held by value. The ages below 64 are the bits of one word, so a query
+/// on a super table of up to 64 incarnations never touches the heap; `tail`
+/// carries 64 further ages a word and stays unallocated otherwise.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct AgeSet {
+    head: u64,
+    tail: Vec<u64>,
+}
+
+impl AgeSet {
+    /// The ages below `live` whose bit is set in `word(i)`, bit `b` of which
+    /// stands for age `64 i + b`.
+    pub(crate) fn from_words(live: usize, word: impl Fn(usize) -> u64) -> Self {
+        let masked = |i: usize| {
+            let ages = live.saturating_sub(64 * i).min(64) as u32;
+            word(i) & u64::MAX.checked_shr(64 - ages).unwrap_or(0)
+        };
+        AgeSet { head: masked(0), tail: (1..live.div_ceil(64)).map(masked).collect() }
+    }
+
+    /// Returns `true` if the set holds no age.
+    pub fn is_empty(&self) -> bool {
+        self.head == 0 && self.tail.iter().all(|&w| w == 0)
+    }
+
+    /// Number of ages in the set.
+    pub fn len(&self) -> usize {
+        (self.head.count_ones() + self.tail.iter().map(|w| w.count_ones()).sum::<u32>()) as usize
+    }
+
+    /// Returns `true` if `age` is in the set.
+    pub fn contains(&self, age: &usize) -> bool {
+        let word = if *age < 64 { Some(&self.head) } else { self.tail.get(age / 64 - 1) };
+        word.is_some_and(|w| w >> (age % 64) & 1 == 1)
+    }
+}
+
+impl Iterator for AgeSet {
+    type Item = usize;
+
+    /// Removes and returns the youngest age left.
+    fn next(&mut self) -> Option<usize> {
+        let (i, word) = std::iter::once(&mut self.head)
+            .chain(&mut self.tail)
+            .enumerate()
+            .find(|(_, word)| **word != 0)?;
+        let bit = word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        Some(64 * i + bit)
+    }
+}
+
+impl std::fmt::Debug for AgeSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.clone()).finish()
+    }
+}
+
 /// The bank of membership filters for one super table's incarnations.
 #[derive(Debug, Clone)]
 pub enum FilterBank {
@@ -125,25 +186,21 @@ impl FilterBank {
         }
     }
 
-    /// Ages (0 = youngest) of the incarnations that may contain `key`,
-    /// youngest first. With filters disabled every age is returned.
-    pub fn query(&self, key: Key) -> Vec<usize> {
+    /// Ages (0 = youngest) of the incarnations that may contain `key`.
+    /// With filters disabled every age is returned.
+    pub fn query(&self, key: Key) -> AgeSet {
         match self {
             FilterBank::BitSliced(s) => s.query(key),
-            FilterBank::Plain { filters, .. } => filters
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.contains(key))
-                .map(|(age, _)| age)
-                .collect(),
-            FilterBank::Disabled { count, .. } => (0..*count).collect(),
+            FilterBank::Plain { filters, .. } => AgeSet::from_words(filters.len(), |i| {
+                let ages = filters.iter().skip(64 * i).take(64).enumerate();
+                ages.fold(0, |word, (bit, f)| word | (f.contains(key) as u64) << bit)
+            }),
+            FilterBank::Disabled { count, .. } => AgeSet::from_words(*count, |_| u64::MAX),
         }
     }
 
-    /// Returns `true` if the incarnation at `age` may contain `key`.
-    ///
-    /// Used by the update-based eviction policy to decide whether an entry
-    /// of the evicted incarnation has been superseded by a younger one.
+    /// Returns `true` if the incarnation at `age` may contain `key`: one
+    /// filter probed alone, where [`query`](Self::query) answers for all.
     pub fn may_contain_in(&self, age: usize, key: Key) -> bool {
         match self {
             FilterBank::BitSliced(s) => s.contains_in(age, key),
@@ -168,8 +225,9 @@ impl FilterBank {
     }
 
     /// Number of 64-bit DRAM words touched by one membership query, used for
-    /// in-memory latency accounting. Bit-slicing touches `h` slices of a few
-    /// words; plain filters touch `h` scattered words per live incarnation.
+    /// in-memory latency accounting. Bit-slicing touches `h` rows, one word
+    /// each up to 64 incarnations; plain filters touch `h` scattered words
+    /// per live incarnation.
     pub fn words_per_query(&self) -> usize {
         match self {
             FilterBank::BitSliced(s) => s.words_per_query(),
@@ -227,11 +285,67 @@ mod tests {
         bank.push_newest(&keys(0, 10));
         bank.push_newest(&keys(1, 10));
         bank.push_newest(&keys(2, 10));
-        assert_eq!(bank.query(123_456), vec![0, 1, 2]);
+        assert_eq!(bank.query(123_456).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(bank.words_per_query(), 0);
         assert_eq!(bank.memory_bytes(), 0);
         bank.evict_oldest();
-        assert_eq!(bank.query(123_456), vec![0, 1]);
+        assert_eq!(bank.query(123_456).collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    #[test]
+    fn bitsliced_and_plain_banks_name_the_same_candidates() {
+        // Same two hash seeds, same bits per incarnation: the candidate
+        // sets must be equal, not merely supersets, at every lane width,
+        // fill level and window position.
+        for (capacity, m) in [(1, 640), (3, 777), (16, 1 << 10), (33, 1000), (64, 512), (70, 900)] {
+            let mut sliced = FilterBank::new(FilterMode::BitSliced, capacity, m, 5);
+            let mut plain = FilterBank::new(FilterMode::PerIncarnation, capacity, m, 5);
+            for step in 0..6 * capacity as u64 + 40 {
+                // Evict a few (several at once, as a log wrap does), push
+                // when there is room; the mix drifts between empty and full.
+                let evictions = hash_with_seed(step, 0xe71c) % 4;
+                for _ in 0..evictions.min(plain.len() as u64) {
+                    sliced.evict_oldest();
+                    plain.evict_oldest();
+                }
+                if plain.len() < capacity && !hash_with_seed(step, 0x9054).is_multiple_of(8) {
+                    // Few enough keys that misses are common, enough that
+                    // false positives (which must agree too) occur.
+                    let batch = keys(step, 20 + hash_with_seed(step, 7) % 60);
+                    sliced.push_newest(&batch);
+                    plain.push_newest(&batch);
+                }
+                assert_eq!(sliced.len(), plain.len());
+                for probe in 0..30u64 {
+                    let key = match probe % 3 {
+                        0 => keys(step.saturating_sub(probe / 3), 1)[0],
+                        _ => hash_with_seed(probe, step),
+                    };
+                    let per_age: Vec<usize> =
+                        (0..plain.len()).filter(|&age| plain.may_contain_in(age, key)).collect();
+                    let ages = sliced.query(key);
+                    assert_eq!(ages, plain.query(key), "k {capacity} m {m} step {step}");
+                    assert_eq!(ages.len(), per_age.len());
+                    assert_eq!(ages.is_empty(), per_age.is_empty());
+                    assert!(per_age.iter().all(|age| ages.contains(age)));
+                    assert!(!ages.contains(&plain.len()), "an age outside the window");
+                    for &age in &per_age {
+                        assert!(sliced.may_contain_in(age, key));
+                    }
+                    // Youngest first, as the `Vec` the query used to build.
+                    assert_eq!(ages.collect::<Vec<_>>(), per_age, "k {capacity} step {step}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn disabled_bank_names_every_age_past_one_word() {
+        let mut bank = FilterBank::new(FilterMode::Disabled, 130, 0, 0);
+        for inc in 0..130 {
+            bank.push_newest(&keys(inc, 1));
+        }
+        assert_eq!(bank.query(7).collect::<Vec<_>>(), (0..130).collect::<Vec<_>>());
     }
 
     #[test]

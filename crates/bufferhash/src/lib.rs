@@ -12,10 +12,10 @@
 //! * Each super table buffers inserts in a small in-DRAM cuckoo hash table
 //!   ([`CuckooBuffer`]); when the buffer fills it is written to flash
 //!   sequentially as an immutable *incarnation*.
-//! * One in-DRAM Bloom filter per incarnation (stored [bit-sliced with a
-//!   sliding window](BitSlicedBloomSet)) routes lookups to the few
-//!   incarnations that may hold the key, so most lookups cost at most one
-//!   flash page read.
+//! * One in-DRAM Bloom filter per incarnation (stored [bit-sliced, a lane
+//!   each, in exactly the Bloom budget](BitSlicedBloomSet)) routes lookups
+//!   to the few incarnations that may hold the key (an [`AgeSet`] held by
+//!   value), so most lookups cost at most one flash page read.
 //! * Updates and deletes are lazy; space is reclaimed when incarnations are
 //!   evicted, under FIFO, LRU, update-based or priority-based
 //!   [eviction policies](EvictionPolicy).
@@ -83,7 +83,7 @@ pub use config::{tuning, ClamConfig, FlashLayoutMode};
 pub use cuckoo::{BufferInsert, CuckooBuffer};
 pub use error::{BufferHashError, Result};
 pub use eviction::{EvictionPolicy, PriorityFn, RetainDecision};
-pub use filters::{FilterBank, FilterMode};
+pub use filters::{AgeSet, FilterBank, FilterMode};
 pub use incarnation::{
     crc32, lookup_in_page, parse_incarnation, parse_page_header_checked, scan_incarnation,
     IncarnationIdentity, IncarnationLayout, PageHeader, PageLookup, SlotScan, INCARNATION_VERSION,

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 use crate::cuckoo::{BufferInsert, CuckooBuffer};
 use crate::eviction::{EvictionPolicy, RetainDecision};
-use crate::filters::{FilterBank, FilterMode};
+use crate::filters::{AgeSet, FilterBank, FilterMode};
 use crate::incarnation::IncarnationLayout;
 use crate::types::{Entry, Key, Value, ENTRY_SIZE};
 
@@ -214,7 +214,7 @@ impl SuperTable {
 
     /// Ages (0 = youngest) of incarnations that may contain `key`, youngest
     /// first, according to the membership filters.
-    pub fn candidate_incarnations(&self, key: Key) -> Vec<usize> {
+    pub fn candidate_incarnations(&self, key: Key) -> AgeSet {
         self.filters.query(key)
     }
 
@@ -238,14 +238,13 @@ impl SuperTable {
                 if self.delete_list.contains(&entry.key) || self.buffer.get(entry.key).is_some() {
                     return RetainDecision::Discard;
                 }
-                // Ages 0..len-1 are younger than the oldest (len-1).
+                // One sliced query answers for every age; the youngest
+                // match is younger than the oldest (age len-1) or none is.
                 let oldest_age = self.num_incarnations().saturating_sub(1);
-                for age in 0..oldest_age {
-                    if self.filters.may_contain_in(age, entry.key) {
-                        return RetainDecision::Discard;
-                    }
+                match self.filters.query(entry.key).next() {
+                    Some(youngest) if youngest < oldest_age => RetainDecision::Discard,
+                    _ => RetainDecision::Retain,
                 }
-                RetainDecision::Retain
             }
             EvictionPolicy::PriorityBased { threshold, priority } => {
                 if self.delete_list.contains(&entry.key) {
@@ -269,16 +268,26 @@ impl SuperTable {
             self.delete_list.clear();
             return;
         }
+        // One AND of `h` rows says whether any live incarnation matches.
         let filters = &self.filters;
-        let live = self.incarnations.len();
-        self.delete_list.retain(|&k| (0..live).any(|age| filters.may_contain_in(age, k)));
+        self.delete_list.retain(|&k| !filters.query(k).is_empty());
+    }
+
+    /// DRAM the buffer's slots occupy, in bytes.
+    pub fn buffer_bytes(&self) -> usize {
+        self.buffer.memory_bytes()
+    }
+
+    /// DRAM the membership filters occupy, in bytes.
+    pub fn filter_bytes(&self) -> usize {
+        self.filters.memory_bytes()
     }
 
     /// Approximate DRAM footprint of this super table in bytes (buffer
     /// slots, filters and delete list).
     pub fn memory_bytes(&self) -> usize {
-        self.buffer.num_slots() * ENTRY_SIZE
-            + self.filters.memory_bytes()
+        self.buffer_bytes()
+            + self.filter_bytes()
             + self.delete_list.len() * std::mem::size_of::<Key>()
     }
 }
