@@ -18,11 +18,14 @@
 //! candidate incarnations, then chained page hops), and
 //! [`Clam::lookup_batch`] drives those machines through the device's
 //! **completion ring** ([`Device::submit_nowait`] /
-//! [`Device::reap`](flashsim::Device::reap)): every unresolved key's next
-//! page read is admitted without waiting, and the moment a read reaps, its
-//! key's *next* read is re-armed — so independent keys' probe rounds
-//! interleave and the queue stays full instead of draining at a per-round
-//! barrier. The batch's flash time is the ring **makespan**
+//! [`Device::reap`](flashsim::Device::reap)): page reads are admitted
+//! without waiting, a bounded window of keys at a time (a few requests
+//! per queue lane, so a large batch parks a bounded number of page
+//! buffers), and the moment a read reaps, its key's *next* read is
+//! re-armed or the next waiting key takes its place — so independent
+//! keys' probe rounds interleave and the queue stays full instead of
+//! draining at a per-round barrier. The batch's flash time is the ring
+//! **makespan**
 //! ([`flashsim::CompletionRing::makespan`]), which on variable-latency
 //! media undercuts the sum of per-wave maxima the barrier pipeline pays.
 //! A per-op [`Clam::lookup`] is a batch of one over the same pipeline;
@@ -189,7 +192,8 @@ pub struct BatchLookupOutcome {
     /// Completions delivered through [`Device::reap`](flashsim::Device::reap)
     /// (zero on the barrier wave pipeline).
     pub reaps: usize,
-    /// In-flight depth high-water mark of the completion ring (zero on the
+    /// In-flight depth high-water mark of the completion ring: at most the
+    /// probe window, however many keys the batch holds (zero on the
     /// barrier wave pipeline).
     pub ring_depth_high_water: usize,
 }
@@ -912,10 +916,13 @@ impl<D: Device> Clam<D> {
     /// in-memory state becomes a probe state machine whose page reads are
     /// driven through the device's completion ring
     /// ([`Device::submit_nowait`](flashsim::Device::submit_nowait) /
-    /// [`Device::reap`](flashsim::Device::reap)): all first reads are
-    /// admitted up front, and each key re-arms its next read the moment
-    /// its previous one reaps, so independent keys' probe rounds
-    /// interleave and the device queue stays full. The batch is charged
+    /// [`Device::reap`](flashsim::Device::reap)): first reads are
+    /// admitted through a window of a few requests per queue lane, each
+    /// key re-arms its next read the moment its previous one reaps, and a
+    /// key that resolves hands its place to the next waiting one, so
+    /// independent keys' probe rounds interleave, the device queue stays
+    /// full, and the ring never holds more page buffers than the window.
+    /// The batch is charged
     /// the ring **makespan** — on variable-latency media (the file
     /// backend) this undercuts the per-round barrier of
     /// [`lookup_batch_waves`](Self::lookup_batch_waves), which pays every
@@ -1850,36 +1857,50 @@ impl<D: Device> ClamCore<D> {
             self.ensure_ring();
             self.ring_read = true;
             let mut ring = self.ring.take().expect("ring just ensured");
+            // First probes enter through a bounded window, topped up as
+            // reads reap: every admitted read parks a page buffer until it
+            // is reaped, and a window of a few requests per lane already
+            // keeps every lane busy.
+            let window = probe_window(self.device.queue().ring_lanes());
+            let mut waiting = pending.into_iter();
             // Probe state of every in-flight read, keyed by ticket id.
-            let mut states: HashMap<u64, ProbeState> = HashMap::with_capacity(pending.len());
-            // 1. Admit every key's first read without waiting.
-            let mut requests = Vec::with_capacity(pending.len());
-            let mut admitted = Vec::with_capacity(pending.len());
-            for state in pending {
+            let mut states: HashMap<u64, ProbeState> =
+                HashMap::with_capacity(window.min(waiting.len()));
+            // 1. Fill the window without waiting.
+            let mut requests = Vec::with_capacity(window.min(waiting.len()));
+            let mut admitted = Vec::with_capacity(requests.capacity());
+            for state in waiting.by_ref().take(window) {
                 let offset = self.probe_offset(&state);
                 requests.push(RingRequest::new(IoRequest::read(offset, page_size)));
                 admitted.push(state);
-            }
-            batch.probe_reads += requests.len();
-            self.stats.lookup_probe_requests += requests.len() as u64;
-            let tickets = self.device.submit_nowait(requests, &mut ring)?;
-            for (ticket, state) in tickets.into_iter().zip(admitted) {
-                states.insert(ticket.id(), state);
             }
 
             // 2. Stream: the moment a read reaps, step its key's state
             //    machine and re-arm the key's next read (causally floored
             //    at the completion that produced it), so later rounds of
-            //    fast keys overlap earlier rounds of slow ones. On a
-            //    per-request failure, stop re-arming but keep reaping
-            //    until the ring is empty before propagating: abandoning a
-            //    ring with reads still in flight would leave their
-            //    completions parked in the device forever.
+            //    fast keys overlap earlier rounds of slow ones; a key that
+            //    resolved hands its place in the window to the next
+            //    waiting key, floored the same way. On a per-request
+            //    failure, stop admitting but keep reaping until the ring
+            //    is empty before propagating: abandoning a ring with reads
+            //    still in flight would leave their completions parked in
+            //    the device forever.
             let mut failure: Option<BufferHashError> = None;
-            while ring.in_flight() > 0 {
+            loop {
+                if failure.is_none() && !requests.is_empty() {
+                    batch.probe_reads += requests.len();
+                    self.stats.lookup_probe_requests += requests.len() as u64;
+                    let tickets = self.device.submit_nowait(requests, &mut ring)?;
+                    for (ticket, state) in tickets.into_iter().zip(admitted) {
+                        states.insert(ticket.id(), state);
+                    }
+                }
+                if ring.in_flight() == 0 {
+                    break;
+                }
                 let completions = self.device.reap(&mut ring, 1)?;
-                let mut requests = Vec::new();
-                let mut admitted = Vec::new();
+                requests = Vec::with_capacity(completions.len());
+                admitted = Vec::with_capacity(completions.len());
                 for completion in completions {
                     let mut state = states
                         .remove(&completion.ticket.id())
@@ -1899,24 +1920,30 @@ impl<D: Device> ClamCore<D> {
                         }
                     };
                     state.latency += completion.latency;
-                    match self.step_probe(tables, state, &page, offset, &mut out, &mut reinserts) {
-                        Ok(Some((state, next))) => {
-                            requests.push(RingRequest::after(
-                                IoRequest::read(next, page_size),
-                                completion.completed_at,
-                            ));
-                            admitted.push(state);
+                    let next = match self.step_probe(
+                        tables,
+                        state,
+                        &page,
+                        offset,
+                        &mut out,
+                        &mut reinserts,
+                    ) {
+                        Ok(Some(rearmed)) => Some(rearmed),
+                        Ok(None) => waiting.next().map(|state| {
+                            let first = self.probe_offset(&state);
+                            (state, first)
+                        }),
+                        Err(e) => {
+                            failure = Some(e);
+                            None
                         }
-                        Ok(None) => {}
-                        Err(e) => failure = Some(e),
-                    }
-                }
-                if failure.is_none() && !requests.is_empty() {
-                    batch.probe_reads += requests.len();
-                    self.stats.lookup_probe_requests += requests.len() as u64;
-                    let tickets = self.device.submit_nowait(requests, &mut ring)?;
-                    for (ticket, state) in tickets.into_iter().zip(admitted) {
-                        states.insert(ticket.id(), state);
+                    };
+                    if let Some((state, offset)) = next {
+                        requests.push(RingRequest::after(
+                            IoRequest::read(offset, page_size),
+                            completion.completed_at,
+                        ));
+                        admitted.push(state);
                     }
                 }
             }
@@ -2697,6 +2724,16 @@ impl<D: Device> ClamCore<D> {
     }
 }
 
+/// How many page reads one lookup batch keeps in flight on a ring of
+/// `lanes` lanes. Four requests a lane keep every lane fed between reaps
+/// (the floor of 16 does the same for the real backends' worker pools on
+/// short or serial queues); beyond that a deeper ring only parks more
+/// 4 KiB page buffers without finishing sooner, so this is a property of
+/// the queue's shape and not a tuning knob.
+pub(crate) fn probe_window(lanes: usize) -> usize {
+    (4 * lanes).max(16)
+}
+
 /// Per-op dispatch overhead inside a batch of `len` ops. A batch of one
 /// degrades to the per-op path (full `BASE_OP_OVERHEAD`, no residual),
 /// matching `FlashCostModel::insert_batch_amortized` at `b = 1`; larger
@@ -3122,12 +3159,12 @@ mod tests {
     /// table did, each checked against what the tables allocate.
     fn memory_before_and_after_first_flushes(mut clam: Clam<Ssd>) -> MemoryUsage {
         let (tables, cfg) = (clam.num_super_tables(), clam.config().clone());
-        // Buffers report their allocation: a slot is an `Option<Entry>`,
-        // half as large again as the 16-byte entry the budget is quoted in.
-        let slots = cfg.buffer_bytes_per_table as usize / ENTRY_SIZE;
-        assert!(tables * slots * ENTRY_SIZE <= cfg.buffer_bytes_total as usize);
+        // Buffers report their allocation: a slot is the 16-byte entry the
+        // budget is quoted in, so every table holds its configured bytes.
+        assert_eq!(std::mem::size_of::<Entry>(), ENTRY_SIZE);
         let fresh = clam.memory_usage();
-        assert_eq!(fresh.buffers, tables * slots * std::mem::size_of::<Option<Entry>>());
+        assert_eq!(fresh.buffers, tables * cfg.buffer_bytes_per_table as usize);
+        assert!(fresh.buffers <= cfg.buffer_bytes_total as usize);
         // A table that never flushed holds no slices.
         assert_eq!((fresh.filters, fresh.delete_lists), (0, 0));
         for i in 0..64 * tables as u64 {
@@ -3171,11 +3208,13 @@ mod tests {
         let cfg = ClamConfig::small_test(8 << 20, 1 << 20).unwrap();
         assert_eq!((cfg.num_super_tables(), cfg.incarnations_per_table()), (16, 16));
         assert_eq!((cfg.bloom_bits_per_incarnation(), cfg.bloom_hashes()), (16_384, 11));
-        let budget = cfg.bloom_bytes_total() as usize;
+        let (budget, buffers) = (cfg.bloom_bytes_total() as usize, cfg.buffer_bytes_total as usize);
         let usage = memory_before_and_after_first_flushes(
             Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap(),
         );
         assert_eq!((usage.filters, budget), (512 << 10, 512 << 10));
+        // The buffers are the other half of the DRAM, to the byte.
+        assert_eq!((usage.buffers, buffers), (512 << 10, 512 << 10));
     }
 
     #[test]
@@ -3431,10 +3470,9 @@ mod tests {
         assert!(counts.iter().all(|&c| c > expected / 3 && c < expected * 3));
     }
 
-    /// A single-super-table CLAM with `rounds` incarnations of a few
-    /// entries each (so probe chains never overflow), Bloom filters
-    /// disabled so every lookup probes every incarnation deterministically.
-    fn deterministic_probe_clam(device: Ssd, rounds: usize) -> Clam<Ssd> {
+    /// One super table, Bloom filters disabled so every lookup probes
+    /// every incarnation deterministically.
+    fn deterministic_probe_config() -> ClamConfig {
         let cfg = ClamConfig {
             flash_capacity: 8 << 20,
             dram_bytes: 1 << 20,
@@ -3448,6 +3486,13 @@ mod tests {
             enable_buffering: true,
         };
         cfg.validate().unwrap();
+        cfg
+    }
+
+    /// A single-super-table CLAM with `rounds` incarnations of a few
+    /// entries each (so probe chains never overflow).
+    fn deterministic_probe_clam(device: Ssd, rounds: usize) -> Clam<Ssd> {
+        let cfg = deterministic_probe_config();
         assert!(rounds <= cfg.incarnations_per_table());
         let mut clam = Clam::new(device, cfg).unwrap();
         for round in 0..rounds as u64 {
@@ -3520,7 +3565,7 @@ mod tests {
                 assert_eq!(ring.waves, ROUNDS);
                 assert_eq!(ring.probe_reads, ROUNDS * keys_n);
                 assert_eq!(ring.reaps, ROUNDS * keys_n);
-                assert_eq!(ring.ring_depth_high_water, keys_n);
+                assert_eq!(ring.ring_depth_high_water, keys_n.min(probe_window(depth)));
                 assert_eq!(
                     ring.probe_latency,
                     model.lookup_ring_makespan(keys_n, ROUNDS, depth),
@@ -3552,6 +3597,80 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `rounds` incarnations of one super table, Bloom filters disabled:
+    /// the oldest holds `keys_n` keys (returned), the younger ones a few
+    /// others, so each returned key is found after exactly `rounds` reads.
+    fn windowed_probe_clam<D: Device>(
+        device: D,
+        keys_n: u64,
+        rounds: usize,
+    ) -> (Clam<D>, Vec<Key>) {
+        let mut clam = Clam::new(device, deterministic_probe_config()).unwrap();
+        let keys: Vec<Key> = (0..keys_n).map(|i| hash_with_seed(i, 0x77ee)).collect();
+        for (i, &k) in keys.iter().enumerate() {
+            clam.insert(k, i as u64).unwrap();
+        }
+        clam.flush_all().unwrap();
+        for round in 1..rounds as u64 {
+            for i in 0..8u64 {
+                clam.insert(key(round * 100 + i), i).unwrap();
+            }
+            clam.flush_all().unwrap();
+        }
+        (clam, keys)
+    }
+
+    #[test]
+    fn lookup_batches_hold_at_most_a_window_of_reads_in_flight() {
+        use crate::analysis::FlashCostModel;
+        use flashsim::{DeviceProfile, FileDevice};
+        const ROUNDS: usize = 2;
+        let profile = DeviceProfile::intel_x18m();
+        let lanes = profile.queue.ring_lanes();
+        let window = probe_window(lanes);
+        let keys_n = 10 * window + 7;
+
+        // Simulated SSD: ten windows of flash-resident keys finish in the
+        // time the closed form gives for all of them admitted at once.
+        let ssd = Ssd::with_profile(8 << 20, profile.clone()).unwrap();
+        let (mut clam, keys) = windowed_probe_clam(ssd, keys_n as u64, ROUNDS);
+        let per_key: Vec<Option<Value>> =
+            keys.iter().map(|&k| clam.lookup(k).unwrap().value).collect();
+        clam.reset_stats();
+        let batch = clam.lookup_batch(&keys).unwrap();
+        assert_eq!(batch.values(), per_key);
+        assert_eq!(batch.hits(), keys_n);
+        assert_eq!(batch.probe_reads, ROUNDS * keys_n);
+        assert_eq!(batch.ring_depth_high_water, window);
+        assert_eq!(clam.stats().lookup_ring_depth_high_water, window as u64);
+        assert_eq!(
+            batch.probe_latency,
+            FlashCostModel::from_profile(&profile).lookup_ring_makespan(keys_n, ROUNDS, lanes)
+        );
+
+        // Real positioned I/O: latencies are measured, so only the depth
+        // and the outcomes are exact.
+        let path = std::env::temp_dir().join(format!("clam-window-{}.img", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let file = FileDevice::with_queue_depth(&path, 8 << 20, 4).unwrap();
+        let file_window = probe_window(file.queue().ring_lanes());
+        let keys_n = 10 * file_window + 7;
+        let (mut clam, keys) = windowed_probe_clam(file, keys_n as u64, ROUNDS);
+        let per_key: Vec<Option<Value>> =
+            keys.iter().map(|&k| clam.lookup(k).unwrap().value).collect();
+        let batch = clam.lookup_batch(&keys).unwrap();
+        assert_eq!(batch.values(), per_key);
+        assert_eq!(batch.hits(), keys_n);
+        assert_eq!(batch.probe_reads, ROUNDS * keys_n);
+        assert!(
+            (1..=file_window).contains(&batch.ring_depth_high_water),
+            "{} reads in flight, window {file_window}",
+            batch.ring_depth_high_water
+        );
+        drop(clam);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

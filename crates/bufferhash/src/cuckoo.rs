@@ -30,9 +30,17 @@ pub enum BufferInsert {
 /// A small stash absorbs the (rare) displacement cycles so that no entry is
 /// ever silently dropped; the admission limit (`capacity()`) is what forces
 /// the super table to flush.
+///
+/// A slot is a bare 16-byte [`Entry`], the size the buffer budget is quoted
+/// in; which slots hold one is kept in a bitmap beside them, so emptying
+/// the buffer clears the bitmap and leaves the slot array alone.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CuckooBuffer {
-    slots: Vec<Option<Entry>>,
+    /// Slot `i` holds an entry only while bit `i` of `occupied` is set;
+    /// otherwise its content is stale.
+    slots: Vec<Entry>,
+    /// One bit per slot, 64 slots to a word.
+    occupied: Vec<u64>,
     /// Overflow stash for entries left homeless by a displacement cycle.
     stash: Vec<Entry>,
     /// Maximum number of entries admitted (capacity × max utilisation).
@@ -47,7 +55,13 @@ impl CuckooBuffer {
         let num_slots = num_slots.max(2);
         let max_utilization = max_utilization.clamp(0.05, 1.0);
         let max_entries = ((num_slots as f64 * max_utilization).floor() as usize).max(1);
-        CuckooBuffer { slots: vec![None; num_slots], stash: Vec::new(), max_entries, len: 0 }
+        CuckooBuffer {
+            slots: vec![Entry::new(0, 0); num_slots],
+            occupied: vec![0; num_slots.div_ceil(64)],
+            stash: Vec::new(),
+            max_entries,
+            len: 0,
+        }
     }
 
     /// Creates a buffer sized for a byte budget: `buffer_bytes / entry_size`
@@ -86,9 +100,12 @@ impl CuckooBuffer {
         self.len as f64 / self.slots.len() as f64
     }
 
-    /// Approximate memory footprint in bytes.
+    /// Bytes of the slot array: with 16-byte entries, exactly the byte
+    /// budget the buffer was sized from. The occupancy bitmap is one bit
+    /// per slot on top (1/128 of this figure) and the stash is empty
+    /// unless a displacement cycle was hit.
     pub fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Option<Entry>>()
+        self.slots.len() * std::mem::size_of::<Entry>()
     }
 
     #[inline]
@@ -96,10 +113,27 @@ impl CuckooBuffer {
         (hash_with_seed(key, 0xc0ff_ee00 + which) % self.slots.len() as u64) as usize
     }
 
+    /// The entry in slot `idx`, if the slot is occupied.
+    #[inline]
+    fn slot(&self, idx: usize) -> Option<Entry> {
+        (self.occupied[idx / 64] >> (idx % 64) & 1 == 1).then(|| self.slots[idx])
+    }
+
+    #[inline]
+    fn fill_slot(&mut self, idx: usize, entry: Entry) {
+        self.slots[idx] = entry;
+        self.occupied[idx / 64] |= 1 << (idx % 64);
+    }
+
+    #[inline]
+    fn empty_slot(&mut self, idx: usize) {
+        self.occupied[idx / 64] &= !(1 << (idx % 64));
+    }
+
     /// Looks up `key`, returning its value if present.
     pub fn get(&self, key: Key) -> Option<Value> {
         for which in 0..2 {
-            if let Some(e) = self.slots[self.index(key, which)] {
+            if let Some(e) = self.slot(self.index(key, which)) {
                 if e.key == key {
                     return Some(e.value);
                 }
@@ -117,9 +151,9 @@ impl CuckooBuffer {
         // the buffer directly while the entry is still in memory).
         for which in 0..2 {
             let idx = self.index(key, which);
-            if let Some(e) = self.slots[idx] {
+            if let Some(e) = self.slot(idx) {
                 if e.key == key {
-                    self.slots[idx] = Some(Entry::new(key, value));
+                    self.slots[idx].value = value;
                     return BufferInsert::Stored(Some(e.value));
                 }
             }
@@ -137,14 +171,14 @@ impl CuckooBuffer {
         let mut which = 0u64;
         for _ in 0..MAX_KICKS {
             let idx = self.index(current.key, which);
-            match self.slots[idx] {
+            match self.slot(idx) {
                 None => {
-                    self.slots[idx] = Some(current);
+                    self.fill_slot(idx, current);
                     self.len += 1;
                     return BufferInsert::Stored(None);
                 }
                 Some(existing) => {
-                    self.slots[idx] = Some(current);
+                    self.slots[idx] = current;
                     current = existing;
                     // The displaced entry moves to its alternate location.
                     which = if self.index(current.key, 0) == idx { 1 } else { 0 };
@@ -163,9 +197,9 @@ impl CuckooBuffer {
     pub fn remove(&mut self, key: Key) -> Option<Value> {
         for which in 0..2 {
             let idx = self.index(key, which);
-            if let Some(e) = self.slots[idx] {
+            if let Some(e) = self.slot(idx) {
                 if e.key == key {
-                    self.slots[idx] = None;
+                    self.empty_slot(idx);
                     self.len -= 1;
                     return Some(e.value);
                 }
@@ -179,23 +213,22 @@ impl CuckooBuffer {
         None
     }
 
-    /// Iterates over all entries (in unspecified order).
+    /// Iterates over all entries: occupied slots in slot order, then the
+    /// stash.
     pub fn iter(&self) -> impl Iterator<Item = Entry> + '_ {
-        self.slots.iter().filter_map(|s| *s).chain(self.stash.iter().copied())
+        (0..self.slots.len()).filter_map(|idx| self.slot(idx)).chain(self.stash.iter().copied())
     }
 
     /// Drains all entries, leaving the buffer empty.
     pub fn drain(&mut self) -> Vec<Entry> {
         let out: Vec<Entry> = self.iter().collect();
-        self.slots.fill(None);
-        self.stash.clear();
-        self.len = 0;
+        self.clear();
         out
     }
 
     /// Removes all entries.
     pub fn clear(&mut self) {
-        self.slots.fill(None);
+        self.occupied.fill(0);
         self.stash.clear();
         self.len = 0;
     }
@@ -279,6 +312,37 @@ mod tests {
         let b = CuckooBuffer::with_byte_budget(128 * 1024, 16, 0.5);
         assert_eq!(b.num_slots(), 8192);
         assert_eq!(b.capacity(), 4096);
+    }
+
+    #[test]
+    fn slot_array_is_exactly_the_byte_budget() {
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+        let b = CuckooBuffer::with_byte_budget(128 * 1024, 16, 0.5);
+        assert_eq!(b.memory_bytes(), 128 * 1024);
+    }
+
+    #[test]
+    fn cleared_entries_stay_gone_and_order_is_slots_then_stash() {
+        let mut b = CuckooBuffer::new(256, 0.5);
+        for i in 0..100u64 {
+            b.insert(hash_with_seed(i, 1), i);
+        }
+        // Entries come out in slot order, which `get` can re-derive.
+        let order: Vec<usize> = b
+            .iter()
+            .map(|e| (0..2).map(|w| b.index(e.key, w)).find(|&i| b.slot(i) == Some(e)).unwrap())
+            .collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
+        b.clear();
+        assert!(b.is_empty() && b.iter().next().is_none());
+        for i in 0..100u64 {
+            assert_eq!(b.get(hash_with_seed(i, 1)), None, "stale slot {i} resurfaced");
+        }
+        // Slots whose stale content is still in memory take new entries.
+        for i in 100..200u64 {
+            assert_eq!(b.insert(hash_with_seed(i, 1), i), BufferInsert::Stored(None));
+        }
+        assert_eq!(b.drain().len(), 100);
     }
 
     #[test]

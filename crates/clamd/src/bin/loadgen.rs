@@ -21,9 +21,11 @@
 //! assertions against the server's ledger — once over the single-shard
 //! baseline, once over a four-shard batcher (whose per-shard ledgers
 //! must sum to the baseline's totals and whose read-heavy verify phase
-//! must take the batcher bypass) — and, when this host has at least 4
-//! cores, two saturation bars: the sharded server must sustain >= 1.2x
-//! the single-shard flood throughput, and a single-stripe store's
+//! must take the batcher bypass; in both, the mixed phase's gathers must
+//! reach the store as conflict-free segments of at most two batched
+//! calls each) — and, when this host has at least 4 cores, two
+//! saturation bars: the sharded server must sustain >= 1.2x the
+//! single-shard flood throughput, and a single-stripe store's
 //! per-super-table write locks must sustain >= 1.2x the
 //! `set_coarse_locks(true)` insert-heavy flood.
 //!
@@ -370,6 +372,24 @@ fn smoke_arm(shards: usize) -> Result<SmokeArm, BootError> {
     for tally in tallies {
         recorder.merge(&tally?);
     }
+
+    // The mixed phase interleaves lookups and inserts over disjoint keys,
+    // so its gathers hold no key conflict: each must have gone to the
+    // store as one segment of at most two batched calls, however the
+    // kinds alternated inside it. (A FLUSH or STATS would also close a
+    // segment, once per shard it crosses; none has been sent yet.)
+    let ledger = server.stats();
+    let parts = ledger.flushes * server.num_shards() as u64 + ledger.stats_calls;
+    assert!(ledger.segments > 0, "the mixed phase must have been gathered\n{ledger}");
+    assert!(
+        ledger.insert_admissions + ledger.lookup_admissions <= 2 * ledger.segments,
+        "a segment costs at most one insert_batch and one lookup_batch\n{ledger}"
+    );
+    assert!(
+        ledger.segments <= ledger.batches + ledger.segment_conflicts + parts,
+        "only a gather boundary, a key conflict, a FLUSH or a STATS opens a segment\n{ledger}"
+    );
+    assert_eq!(ledger.segment_conflicts, 0, "disjoint keys cannot conflict\n{ledger}");
 
     // Every acknowledged insert must now be served, with the right value,
     // over the wire — preloaded and smoke-phase keys alike.

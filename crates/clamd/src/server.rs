@@ -283,7 +283,8 @@ fn spawn_connection<D: Device + 'static>(
     threads.push(writer);
 }
 
-/// Decodes frames off one connection and submits them for group commit.
+/// Decodes frames off one connection and submits them for group commit,
+/// every frame one `read` returned in one hand-off.
 fn read_loop<D: Device + 'static>(
     mut stream: TcpStream,
     conn: u64,
@@ -296,7 +297,8 @@ fn read_loop<D: Device + 'static>(
     let mut buf: Vec<u8> = Vec::new();
     let mut start = 0usize;
     let mut chunk = [0u8; READ_CHUNK];
-    'conn: while !shutdown.load(Ordering::SeqCst) {
+    let mut requests = Vec::new();
+    while !shutdown.load(Ordering::SeqCst) {
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
@@ -305,25 +307,28 @@ fn read_loop<D: Device + 'static>(
             }
             Err(_) => break,
         }
-        loop {
+        let violation = loop {
             match proto::decode_request(&buf[start..]) {
                 Ok(Some((request, consumed))) => {
                     start += consumed;
-                    engine.submit(conn, request);
+                    requests.push(request);
                 }
-                Ok(None) => break,
-                Err(wire) => {
-                    engine.record_wire_error();
-                    engine.respond(
-                        conn,
-                        Response {
-                            id: proto::peek_request_id(&buf[start..]).unwrap_or(0),
-                            body: RespBody::Error { code: wire.code(), message: wire.to_string() },
-                        },
-                    );
-                    break 'conn;
-                }
+                Ok(None) => break None,
+                Err(wire) => break Some(wire),
             }
+        };
+        // The frames ahead of a violation were well-formed and still run.
+        engine.submit_chunk(conn, requests.drain(..));
+        if let Some(wire) = violation {
+            engine.record_wire_error();
+            engine.respond(
+                conn,
+                Response {
+                    id: proto::peek_request_id(&buf[start..]).unwrap_or(0),
+                    body: RespBody::Error { code: wire.code(), message: wire.to_string() },
+                },
+            );
+            break;
         }
         // Compact the buffer once the parsed prefix dominates it.
         if start > 0 && start >= buf.len() / 2 {

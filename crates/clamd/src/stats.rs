@@ -49,13 +49,21 @@ pub struct ServerStats {
     /// gathers that drained exactly `n` requests (the final bucket
     /// accumulates everything at or beyond its index).
     pub batch_histogram: Vec<u64>,
-    /// Coalesced `insert_batch` ring admissions (one per contiguous run of
-    /// insert requests in a gather).
+    /// Coalesced `insert_batch` ring admissions (one per segment that
+    /// holds inserts).
     pub insert_admissions: u64,
     /// Coalesced `lookup_batch` ring admissions.
     pub lookup_admissions: u64,
     /// Per-key delete admissions.
     pub delete_admissions: u64,
+    /// Conflict-free segments executed: runs of a gather in which no key
+    /// is both read and written, or both inserted and deleted, each
+    /// costing at most one `insert_batch` and one `lookup_batch`
+    /// admission plus its deletes.
+    pub segments: u64,
+    /// Segments closed early because a request touched a key the segment
+    /// already held under another kind of operation.
+    pub segment_conflicts: u64,
     /// Connections accepted.
     pub connections_opened: u64,
     /// Connections closed (cleanly or after an error).
@@ -137,6 +145,8 @@ impl ServerStats {
         self.insert_admissions += other.insert_admissions;
         self.lookup_admissions += other.lookup_admissions;
         self.delete_admissions += other.delete_admissions;
+        self.segments += other.segments;
+        self.segment_conflicts += other.segment_conflicts;
         self.connections_opened += other.connections_opened;
         self.connections_closed += other.connections_closed;
         self.bypass_hits += other.bypass_hits;
@@ -202,6 +212,13 @@ impl fmt::Display for ServerStats {
                 f,
                 " | admissions: {} insert, {} lookup, {} delete",
                 self.insert_admissions, self.lookup_admissions, self.delete_admissions
+            )?;
+        }
+        if self.segments > 0 {
+            write!(
+                f,
+                " | segments: {} ({} closed by a key conflict)",
+                self.segments, self.segment_conflicts
             )?;
         }
         if self.bypass_hits > 0 {
@@ -307,8 +324,12 @@ mod tests {
         shard.lookup_misses = 3;
         shard.bypass_hits = 2;
         shard.insert_admissions = 1;
+        shard.segments = 3;
+        shard.segment_conflicts = 2;
         shard.record_batch(8, false);
+        total.segments = 1;
         total.absorb(&shard);
+        assert_eq!((total.segments, total.segment_conflicts), (4, 2));
         assert_eq!(total.inserts, 15);
         assert_eq!(total.lookups, 7);
         assert_eq!(total.bypass_hits, 2);
@@ -369,7 +390,7 @@ mod tests {
     fn display_elides_untouched_segments() {
         let quiet = ServerStats::new().to_string();
         assert!(quiet.starts_with("served:"), "{quiet}");
-        for absent in ["group commit:", "admissions:", "conns:", "wire errors:"] {
+        for absent in ["group commit:", "admissions:", "segments:", "conns:", "wire errors:"] {
             assert!(!quiet.contains(absent), "unexpected {absent:?} in {quiet}");
         }
         let mut s = ServerStats::new();
@@ -377,6 +398,8 @@ mod tests {
         s.record_batch(25, true);
         s.record_batch(75, false);
         s.insert_admissions = 2;
+        s.segments = 3;
+        s.segment_conflicts = 1;
         s.connections_opened = 3;
         s.connections_closed = 3;
         s.wire_errors = 1;
@@ -385,6 +408,7 @@ mod tests {
             "served: 100 inserts",
             "group commit: 2 gathers, mean 50.0 reqs, hwm 75, 1 lingered",
             "admissions: 2 insert, 0 lookup, 0 delete",
+            "segments: 3 (1 closed by a key conflict)",
             "conns: 3 opened / 3 closed",
             "wire errors: 1",
         ] {

@@ -1,7 +1,7 @@
 //! Sharded group commit and the seqlock read fast path must be
 //! invisible except for speed: every outcome a client (or a store
 //! caller) observes has to be identical to the single-gather,
-//! coarse-locked baseline. Three angles:
+//! coarse-locked baseline. Four angles:
 //!
 //! * store level — the same op sequence through a fine-grained
 //!   [`StripedClam`] (per-table write locks + seqlock read fast path)
@@ -11,15 +11,18 @@
 //! * wire level — two real `clamd` servers (shards=1 + coarse locks vs
 //!   shards=4 + fast path) answering identical per-connection scripts
 //!   with identical response streams;
+//! * register model — seeded multi-connection request streams over a
+//!   few keys, gathered into large mixed segments, with every reply
+//!   compared against a sequential per-key register model;
 //! * starvation — one stripe hammered with inserts while lookups run on
 //!   the other stripes, with a bounded tail as the liveness check.
 
 use std::time::{Duration, Instant};
 
 use bufferhash::{hash_with_seed, Clam, ClamConfig, StripedClam};
-use clamd::batcher::BatcherConfig;
+use clamd::batcher::{BatcherConfig, Engine};
 use clamd::client::ClamdClient;
-use clamd::proto::{Op, RespBody};
+use clamd::proto::{Op, Request, RespBody};
 use clamd::server::{boot_sim, ephemeral_sim_server_sharded, ClamdServer, ServerConfig};
 use flashsim::{Device, DramDevice, FileDevice, FlashChip, MagneticDisk, SharedDevice, Ssd};
 use proptest::collection::vec;
@@ -189,6 +192,107 @@ proptest! {
         );
         let _ = std::fs::remove_file(&pf);
         let _ = std::fs::remove_file(&pc);
+    }
+}
+
+/// Streams of `ops` from three connections, all over the same sixteen
+/// keys, through an engine whose gathers are long (linger and
+/// `max_batch` far above what the streams need), so same-key inserts,
+/// lookups, deletes and batch slices meet inside one gather as a matter
+/// of course. One thread submits every chunk, so the order requests
+/// reach a key's shard is the order they were submitted in, and a
+/// sequential map applied in that order says what every reply must be —
+/// each key an atomic register, however the gather was cut into
+/// segments. Replies must also come back in each connection's request
+/// order.
+fn assert_replies_match_the_register_model(shards: usize, seed: u64, ops: &[(u8, u64)]) {
+    const CONNS: u64 = 3;
+    let (store, _device) = striped(Ssd::intel(FLASH).unwrap());
+    let config = BatcherConfig { max_batch: 4096, linger: Duration::from_millis(2), shards };
+    let engine = Engine::start(store, Vec::new(), config);
+    let inboxes: Vec<_> = (1..=CONNS).map(|conn| engine.register_conn(conn)).collect();
+    let key = |raw: u64| hash_with_seed(raw % 16, seed);
+    let found = |value: Option<&u64>| (value.is_some(), value.copied().unwrap_or(0));
+
+    let mut model: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    let mut expected: Vec<Vec<RespBody>> = vec![Vec::new(); CONNS as usize];
+    let mut flushes = 0;
+    let mut rest = ops;
+    while let Some(&(_, first)) = rest.first() {
+        // A chunk of one to six requests from one connection.
+        let conn = first % CONNS;
+        let (chunk, later) = rest.split_at((1 + first as usize / 3 % 6).min(rest.len()));
+        rest = later;
+        let mut requests = Vec::new();
+        for &(kind, raw) in chunk {
+            let (op, reply) = match kind % 10 {
+                0..=2 => {
+                    model.insert(key(raw), raw);
+                    (Op::Insert { key: key(raw), value: raw }, RespBody::Inserted)
+                }
+                3 => {
+                    model.remove(&key(raw));
+                    (Op::Delete { key: key(raw) }, RespBody::Deleted)
+                }
+                4 => {
+                    // Five pairs, the same key twice now and then.
+                    let pairs: Vec<(u64, u64)> =
+                        (0..5).map(|j| (key(raw.wrapping_add(j * j)), raw ^ j)).collect();
+                    model.extend(pairs.iter().copied());
+                    (Op::InsertBatch(pairs), RespBody::InsertedBatch { count: 5 })
+                }
+                5 => {
+                    let keys: Vec<u64> = (0..5).map(|j| key(raw.wrapping_add(j * 3))).collect();
+                    let values = keys.iter().map(|k| found(model.get(k))).collect();
+                    (Op::LookupBatch(keys), RespBody::Values(values))
+                }
+                6 if raw % 4 == 0 => {
+                    flushes += 1;
+                    (Op::Flush, RespBody::Flushed)
+                }
+                _ => {
+                    let (found, value) = found(model.get(&key(raw)));
+                    (Op::Lookup { key: key(raw) }, RespBody::Value { found, value })
+                }
+            };
+            let replies = &mut expected[conn as usize];
+            requests.push(Request { id: replies.len() as u64, op });
+            replies.push(reply);
+        }
+        engine.submit_chunk(conn + 1, requests);
+    }
+
+    for (conn, (inbox, expected)) in inboxes.iter().zip(&expected).enumerate() {
+        for (id, want) in expected.iter().enumerate() {
+            let got = inbox.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(got.id, id as u64, "conn {conn}: replies out of request order");
+            assert_eq!(&got.body, want, "conn {conn} request {id} ({shards} shards, seed {seed})");
+        }
+    }
+    engine.shutdown();
+    let stats = engine.stats();
+    assert_eq!(stats.flushes, flushes);
+    assert!(stats.batch_high_water > 1, "the streams never shared a gather: {stats}");
+    assert!(stats.insert_admissions + stats.lookup_admissions <= 2 * stats.segments, "{stats}");
+    assert!(
+        stats.segments
+            <= stats.batches + stats.segment_conflicts + flushes * engine.num_shards() as u64,
+        "{stats}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Whatever segments a gather is cut into, every key behaves as an
+    /// atomic register — with one gather thread and with one per stripe.
+    #[test]
+    fn every_reply_matches_a_sequential_per_key_register_model(
+        seed in any::<u64>(),
+        ops in vec((0u8..10, any::<u64>()), 300..600),
+    ) {
+        assert_replies_match_the_register_model(1, seed, &ops);
+        assert_replies_match_the_register_model(STRIPES, seed, &ops);
     }
 }
 

@@ -9,7 +9,9 @@ use clamd::batcher::BatcherConfig;
 use clamd::client::ClamdClient;
 use clamd::loadgen::{key_for, value_for};
 use clamd::proto::{ErrorCode, Op, RespBody};
-use clamd::server::{boot_file, ephemeral_sim_server, ClamdServer, ServerConfig};
+use clamd::server::{
+    boot_file, ephemeral_sim_server, ephemeral_sim_server_sharded, ClamdServer, ServerConfig,
+};
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -103,6 +105,72 @@ fn pipelined_requests_answer_in_order() {
     let stats = server.stats();
     assert!(stats.batches > 0);
     assert!(stats.insert_admissions < 400, "{stats}");
+}
+
+/// Mixed pipelined traffic from several connections: every request is
+/// answered right, and a gather without key conflicts costs at most two
+/// batched store calls — one `insert_batch`, one `lookup_batch` — however
+/// its kinds interleave.
+#[test]
+fn mixed_pipelined_gathers_cost_two_store_calls_per_segment() {
+    for shards in [1usize, 2] {
+        let server = ephemeral_sim_server_sharded(2, shards, 16 << 20, 4 << 20).unwrap();
+        let addr = server.local_addr();
+        std::thread::scope(|scope| {
+            for c in 0..4u64 {
+                scope.spawn(move || {
+                    let mut client = ClamdClient::connect(addr).unwrap();
+                    let old = |i: u64| 1 + c * 1_000_000 + i;
+                    let fresh = |i: u64| old(i) + 500_000;
+                    let preload = (0..300).map(|i| (key_for(old(i)), value_for(old(i))));
+                    assert_eq!(client.insert_batch(preload.collect()).unwrap(), 300);
+                    let mut expected = Vec::new();
+                    for i in 0..300u64 {
+                        // Insert a fresh key, read a preloaded one, miss a
+                        // key nobody wrote; now and then delete the fresh
+                        // key and read it back within the same burst.
+                        let (key, value) = (key_for(fresh(i)), value_for(fresh(i)));
+                        client.send(Op::Insert { key, value }).unwrap();
+                        expected.push(RespBody::Inserted);
+                        client.send(Op::Lookup { key: key_for(old(i)) }).unwrap();
+                        expected.push(RespBody::Value { found: true, value: value_for(old(i)) });
+                        client.send(Op::Lookup { key: key_for(1 << 40 | old(i)) }).unwrap();
+                        expected.push(RespBody::Value { found: false, value: 0 });
+                        if i % 16 == 15 {
+                            client.send(Op::Delete { key }).unwrap();
+                            expected.push(RespBody::Deleted);
+                            client.send(Op::Lookup { key }).unwrap();
+                            expected.push(RespBody::Value { found: false, value: 0 });
+                        }
+                        // Keep a few dozen requests in flight.
+                        if i % 10 == 9 {
+                            for (n, want) in expected.drain(..).enumerate() {
+                                assert_eq!(
+                                    client.recv().unwrap().body,
+                                    want,
+                                    "conn {c} step {i}.{n}"
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let stats = server.stats();
+        assert_eq!((stats.inserts, stats.wire_errors), (2_400, 0), "{stats}");
+        assert!(stats.batch_high_water > 1 && stats.segments > 0, "{stats}");
+        assert!(
+            stats.insert_admissions + stats.lookup_admissions <= 2 * stats.segments,
+            "a segment is at most one insert_batch and one lookup_batch: {stats}"
+        );
+        // No FLUSH or STATS was sent, so only a gather boundary or a key
+        // conflict opens a segment.
+        assert_eq!((stats.flushes, stats.stats_calls), (0, 0));
+        assert!(stats.segments <= stats.batches + stats.segment_conflicts, "{stats}");
+        // Deleting a key just inserted and reading it back are the only
+        // same-key conflicts a burst can hold, so most gathers stay whole.
+        assert!(stats.segment_conflicts <= 2 * stats.deletes, "{stats}");
+    }
 }
 
 #[test]
