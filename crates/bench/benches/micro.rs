@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks for the in-memory hot paths: cuckoo buffer,
 //! Bloom filters, bit-sliced filters, the flush kernel (drain, serialize,
 //! CRC, filter registration: the per-flush budget of DESIGN.md "Write-path
-//! host cost"), the latency recorder, Rabin-Karp chunking and SHA-1.
+//! host cost"), the latency recorder, Rabin-Karp chunking and SHA-1 — and
+//! one real-I/O path, a ring read of a page-cache-hot `FileDevice` image
+//! (DESIGN.md "Hand a read to the pool only when it pays").
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -10,7 +12,10 @@ use bufferhash::{
     crc32, BitSlicedBloomSet, BloomFilter, CuckooBuffer, Entry, IncarnationIdentity,
     IncarnationLayout,
 };
-use flashsim::{LatencyRecorder, SimDuration};
+use flashsim::{
+    CompletionRing, Device, FileDevice, IoRequest, LatencyRecorder, RingRequest, SimDuration,
+    DEFAULT_FILE_QUEUE_DEPTH,
+};
 use wanopt::{chunk_boundaries, ChunkerConfig, Sha1};
 
 fn bench_cuckoo(c: &mut Criterion) {
@@ -153,6 +158,37 @@ fn bench_flush_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 4 KiB ring read of an image the page cache holds, at the queue depth
+/// `clamd --flash-file` and the repo benchmark use: admission, the
+/// positioned read and the reap, as `Clam::lookup_batch` pays them per
+/// probe. (The slow-medium side of the routing rule sleeps by design and
+/// is a test in `file_backend.rs`, not a benchmark.)
+fn bench_file_read(c: &mut Criterion) {
+    const PAGE: usize = 4096;
+    const PAGES: u64 = 2048;
+    let mut group = c.benchmark_group("file_read");
+    let path = std::env::temp_dir().join(format!("clam-micro-file-read-{}", std::process::id()));
+    let mut dev =
+        FileDevice::with_queue_depth(&path, PAGES * PAGE as u64, DEFAULT_FILE_QUEUE_DEPTH)
+            .expect("file device");
+    for page in 0..PAGES {
+        dev.write_at(page * PAGE as u64, &[page as u8; PAGE]).expect("fill");
+    }
+    let mut ring = CompletionRing::for_queue(dev.queue());
+    group.bench_function("ring_read_4k_hot_depth8", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 7919) % PAGES;
+            let read = RingRequest::new(IoRequest::read(i * PAGE as u64, PAGE));
+            dev.submit_nowait(vec![read], &mut ring).expect("admit");
+            black_box(dev.reap(&mut ring, 1).expect("reap"))
+        })
+    });
+    group.finish();
+    drop(dev);
+    std::fs::remove_file(&path).ok();
+}
+
 fn bench_content_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("content_pipeline");
     let data: Vec<u8> =
@@ -166,5 +202,12 @@ fn bench_content_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cuckoo, bench_filters, bench_flush_kernel, bench_content_pipeline);
+criterion_group!(
+    benches,
+    bench_cuckoo,
+    bench_filters,
+    bench_flush_kernel,
+    bench_file_read,
+    bench_content_pipeline
+);
 criterion_main!(benches);

@@ -9,7 +9,8 @@
 //! I/O parallelism comes from a **persistent worker pool**: a fixed set of
 //! worker threads (at most one per host core, capped by the queue depth) is
 //! spawned once at construction, fed by a shared injector queue, and shut
-//! down when the device drops. Nothing on the hot path spawns threads.
+//! down when the device drops. Nothing on the hot path spawns threads, and
+//! a request crosses to a pool thread only when that pays (below).
 //!
 //! Two execution modes share that pool:
 //!
@@ -22,27 +23,42 @@
 //!   modelled elapsed time of the whole batch — the sum of the per-wave
 //!   makespans.
 //! * **Ring submissions** ([`Device::submit_nowait`] / [`Device::reap`])
-//!   skip the barrier entirely: independent requests go straight to the
-//!   pool, a request whose byte range conflicts with an in-flight request
-//!   is held back (and dispatched the moment its dependencies retire, so
-//!   admission order = data-effect order), and completions stream back
-//!   through the caller's [`CompletionRing`], whose lane free-at clocks
-//!   turn the measured per-request latencies into a single continuous
-//!   queue schedule — no per-wave straggler tax.
+//!   skip the barrier entirely: a request whose byte range conflicts with
+//!   an in-flight request is held back (and dispatched the moment its
+//!   dependencies retire, so admission order = data-effect order), an
+//!   independent one starts at once, and completions stream back through
+//!   the caller's [`CompletionRing`], whose lane free-at clocks turn the
+//!   measured per-request latencies into a single continuous queue
+//!   schedule — no per-wave straggler tax.
+//!
+//! **A read is handed to the pool only when it pays.** An independent ring
+//! read executes at admission, on the submitting thread, for as long as
+//! this device's own recent read latencies ([`ReadCost`]) stay below what a
+//! hand-off costs ([`HANDOFF_COST`]): a `pread` the page cache answers takes
+//! about a microsecond, a trip through the injector queue and two wake-ups
+//! several times that. Once reads turn slow (a real medium, a cold cache)
+//! they go to the pool, where they overlap, and they come back when the
+//! pool's measured times fall again. Writes always take the pool (running
+//! them on the caller's thread was measured and moved nothing), except on
+//! a single-worker pool, which can overlap nothing and runs every request
+//! on the caller's thread.
 //!
 //! Lanes model the **device queue**, exactly as the simulated backends do:
 //! on a host with fewer cores than the queue depth, physical overlap is
-//! smaller than the lane count, but the completion accounting still
-//! reflects what a device with that queue depth would retire — that is the
-//! metric the `io_queue_depth` harness sweeps (it reports host wall time
-//! alongside for transparency).
+//! smaller than the lane count — and a read that ran on the caller's
+//! thread overlapped nothing physically — but the completion accounting
+//! still reflects what a device with that queue depth would retire from
+//! the measured per-request latencies. That is the metric the
+//! `io_queue_depth` harness sweeps (it reports host wall time and the
+//! share of inline reads alongside for transparency).
 //!
 //! Mixing blocking submissions with in-flight ring requests is supported
 //! only for non-conflicting ranges: blocking waves bypass the ring's
 //! dependency tracking, so callers must drain the ring before submitting
-//! conflicting work (the CLAM pipelines do — reads stream through the
-//! ring, flush writes go through blocking submissions after the ring is
-//! empty).
+//! conflicting work. The CLAM pipelines never mix the two: probes and
+//! flush writes share one ring per call, and the barrier baselines
+//! (`lookup_batch_waves`, `set_barrier_writes`) submit only while nothing
+//! is in flight on a ring.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -69,6 +85,55 @@ use crate::time::SimDuration;
 /// Default worker-pool size (queue depth) for [`FileDevice::create`].
 pub const DEFAULT_FILE_QUEUE_DEPTH: usize = 8;
 
+/// What handing one read to the pool costs on this host, and so the read
+/// latency below which a ring read runs on the submitting thread instead.
+/// Measured on the 2-vCPU KVM guest the repo benchmark runs on (DESIGN.md
+/// "Hand a read to the pool only when it pays" has the table): a 4 KiB
+/// `pread` the page cache answers costs 0.6 to 0.8 µs on the calling
+/// thread and 32 KiB 2.2 to 3.2 µs; the same read through the injector
+/// queue and a `Condvar` wake-up each way costs 3.5 µs of wall when the
+/// worker's core happens to be awake and 44 to 53 µs when it is not, the
+/// usual case for a read submitted alone. 20 µs lies inside that range,
+/// several times above anything the page cache answers (8 µs is the most
+/// a cold pool core measured for 32 KiB) and five times below the nearest
+/// real medium (an SSD read starts near 100 µs), so nothing here is
+/// sensitive to its exact value. Like `SPAWN_FLOOR_OPS` in `bufferhash`
+/// it is a measured property of the host, not a tuning knob.
+const HANDOFF_COST: SimDuration = SimDuration::from_micros(20);
+
+/// Running mean of this device's read latencies: the one measurement the
+/// inline-or-pool decision is made from. It is fed by [`FileDevice::account`]
+/// with whatever the executing thread measured — the caller's thread while
+/// reads run inline, a pool worker otherwise — so the device finds its way
+/// in both directions without probing.
+#[derive(Debug, Default)]
+struct ReadCost {
+    mean_ns: u64,
+}
+
+impl ReadCost {
+    /// Reads the mean spans: short enough to follow a cache going cold
+    /// within a handful of reads, long enough that one outlier is an
+    /// eighth of the estimate.
+    const WINDOW: u64 = 8;
+    /// No sample counts for more than this. A read that was pre-empted for
+    /// milliseconds says nothing about the medium; clamped, it moves the
+    /// mean by at most half of [`HANDOFF_COST`], so it takes several slow
+    /// reads in a row to leave the caller's thread and a dozen fast ones to
+    /// return to it.
+    const SAMPLE_CAP_NS: u64 = 4 * HANDOFF_COST.as_nanos();
+
+    fn observe(&mut self, latency: SimDuration) {
+        let sample = latency.as_nanos().min(Self::SAMPLE_CAP_NS);
+        self.mean_ns = (self.mean_ns * (Self::WINDOW - 1) + sample) / Self::WINDOW;
+    }
+
+    /// `true` while a read is cheaper than handing it to the pool.
+    fn inline(&self) -> bool {
+        self.mean_ns < HANDOFF_COST.as_nanos()
+    }
+}
+
 /// One unit of work for the pool: a positioned read or write.
 #[derive(Debug)]
 struct PoolJob {
@@ -81,15 +146,22 @@ struct PoolJob {
     read_len: usize,
 }
 
-/// A finished pool job.
+/// Outcome of one positioned read or write, timed on the thread that
+/// executed it.
 #[derive(Debug)]
-struct DoneJob {
-    id: u64,
+struct TimedIo {
     latency: SimDuration,
     /// `(was_write, bytes_transferred)` for stats accounting (`None` when
     /// the I/O failed).
     write_bytes: Option<(bool, usize)>,
     result: Result<Vec<u8>>,
+}
+
+/// A finished pool job.
+#[derive(Debug)]
+struct DoneJob {
+    id: u64,
+    io: TimedIo,
 }
 
 /// State shared between the device and its worker threads.
@@ -101,26 +173,42 @@ struct PoolShared {
     done: Mutex<Vec<DoneJob>>,
     done_cv: Condvar,
     shutdown: AtomicBool,
+    /// Test-only stand-in for a slow medium: microseconds every read
+    /// sleeps inside its timed region.
+    #[cfg(test)]
+    read_delay_us: std::sync::atomic::AtomicU64,
 }
 
 impl PoolShared {
-    fn execute(&self, job: PoolJob) {
+    /// Executes and times one positioned read (`write` is `None`) or
+    /// write: the only place the ring and wave paths touch the file, on
+    /// whichever thread the caller is.
+    fn timed_io(&self, offset: u64, write: Option<&[u8]>, read_len: usize) -> TimedIo {
         let start = Instant::now();
-        let result = match &job.write {
-            Some(data) => self.file.write_all_at(data, job.offset).map(|()| Vec::new()),
+        let result = match write {
+            Some(data) => self.file.write_all_at(data, offset).map(|()| Vec::new()),
             None => {
-                let mut buf = vec![0u8; job.read_len];
-                self.file.read_exact_at(&mut buf, job.offset).map(|()| buf)
+                #[cfg(test)]
+                match self.read_delay_us.load(Ordering::Relaxed) {
+                    0 => {}
+                    us => std::thread::sleep(std::time::Duration::from_micros(us)),
+                }
+                let mut buf = vec![0u8; read_len];
+                self.file.read_exact_at(&mut buf, offset).map(|()| buf)
             }
         };
-        let bytes = job.write.as_deref().map_or(job.read_len, <[u8]>::len);
-        let done = DoneJob {
-            id: job.id,
+        TimedIo {
             latency: SimDuration::from_nanos(start.elapsed().as_nanos() as u64),
-            write_bytes: result.is_ok().then_some((job.write.is_some(), bytes)),
+            write_bytes: result
+                .is_ok()
+                .then_some((write.is_some(), write.map_or(read_len, <[u8]>::len))),
             result: result.map_err(DeviceError::from),
-        };
-        self.done.lock().expect("pool done lock").push(done);
+        }
+    }
+
+    fn execute(&self, job: PoolJob) {
+        let io = self.timed_io(job.offset, job.write.as_deref(), job.read_len);
+        self.done.lock().expect("pool done lock").push(DoneJob { id: job.id, io });
         self.done_cv.notify_all();
     }
 }
@@ -142,6 +230,8 @@ impl WorkerPool {
             done: Mutex::new(Vec::new()),
             done_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            #[cfg(test)]
+            read_delay_us: std::sync::atomic::AtomicU64::new(0),
         });
         let workers = (0..workers.max(1))
             .map(|_| {
@@ -219,6 +309,9 @@ pub struct FileDevice {
     file: Arc<File>,
     stats: IoStats,
     pool: WorkerPool,
+    /// What a read has cost lately: decides whether the next independent
+    /// ring read runs on the submitting thread or on the pool.
+    read_cost: ReadCost,
     /// Next id in the device-wide job namespace.
     next_job_id: u64,
     /// Ring requests currently executing on (or queued for) the pool.
@@ -259,13 +352,13 @@ impl PlannedOp {
 fn assign_wave_lanes(results: &mut [WorkerResult], lanes: usize) {
     let lanes = lanes.min(results.len()).max(1);
     let mut order: Vec<usize> = (0..results.len()).collect();
-    order.sort_by(|&a, &b| results[b].latency.cmp(&results[a].latency));
+    order.sort_by(|&a, &b| results[b].io.latency.cmp(&results[a].io.latency));
     let mut busy = vec![SimDuration::ZERO; lanes];
     let mut lane_of = vec![0usize; results.len()];
     for &i in &order {
         let lane = busy.iter().enumerate().min_by_key(|(_, b)| **b).map(|(l, _)| l).unwrap_or(0);
         lane_of[i] = lane;
-        busy[lane] += results[i].latency;
+        busy[lane] += results[i].io.latency;
     }
     let mut by_busy: Vec<usize> = (0..lanes).collect();
     by_busy.sort_by(|&a, &b| busy[b].cmp(&busy[a]));
@@ -282,10 +375,7 @@ fn assign_wave_lanes(results: &mut [WorkerResult], lanes: usize) {
 struct WorkerResult {
     index: usize,
     lane: usize,
-    latency: SimDuration,
-    /// `(was_write, bytes_transferred)` for stats accounting.
-    write_bytes: Option<(bool, usize)>,
-    result: Result<Vec<u8>>,
+    io: TimedIo,
 }
 
 impl FileDevice {
@@ -360,6 +450,7 @@ impl FileDevice {
             file,
             stats: IoStats::default(),
             pool,
+            read_cost: ReadCost::default(),
             next_job_id: 0,
             ring_dispatched: HashMap::new(),
             ring_blocked: Vec::new(),
@@ -387,25 +478,13 @@ impl FileDevice {
     /// keeps depth-1 measurements free of queueing noise.
     fn run_wave(&mut self, wave: Vec<PlannedOp>) -> Vec<WorkerResult> {
         if wave.len() == 1 || self.pool.len() == 1 {
+            let shared = &self.pool.shared;
             return wave
                 .into_iter()
-                .map(|op| {
-                    let start = Instant::now();
-                    let result = match &op.write {
-                        Some(data) => self.file.write_all_at(data, op.offset).map(|()| Vec::new()),
-                        None => {
-                            let mut buf = vec![0u8; op.read_len];
-                            self.file.read_exact_at(&mut buf, op.offset).map(|()| buf)
-                        }
-                    };
-                    let bytes = op.write.as_deref().map_or(op.read_len, <[u8]>::len);
-                    WorkerResult {
-                        index: op.index,
-                        lane: 0,
-                        latency: SimDuration::from_nanos(start.elapsed().as_nanos() as u64),
-                        write_bytes: result.is_ok().then_some((op.write.is_some(), bytes)),
-                        result: result.map_err(DeviceError::from),
-                    }
+                .map(|op| WorkerResult {
+                    index: op.index,
+                    lane: 0,
+                    io: shared.timed_io(op.offset, op.write.as_deref(), op.read_len),
                 })
                 .collect();
         }
@@ -436,9 +515,7 @@ impl FileDevice {
                     collected.push(WorkerResult {
                         index: indexes[(d.id - first_id) as usize],
                         lane: 0, // accounting lanes assigned per wave afterwards
-                        latency: d.latency,
-                        write_bytes: d.write_bytes,
-                        result: d.result,
+                        io: d.io,
                     });
                 } else {
                     i += 1;
@@ -451,7 +528,8 @@ impl FileDevice {
         collected
     }
 
-    /// Accounts one finished request in the device counters.
+    /// Accounts one finished request in the device counters. Every read's
+    /// latency also feeds the estimate the next ring read is routed by.
     fn account(&mut self, write_bytes: Option<(bool, usize)>, latency: SimDuration) {
         match write_bytes {
             Some((true, bytes)) => {
@@ -463,6 +541,7 @@ impl FileDevice {
                 self.stats.reads += 1;
                 self.stats.bytes_read += bytes as u64;
                 self.stats.read_time += latency;
+                self.read_cost.observe(latency);
             }
             None => {}
         }
@@ -472,18 +551,19 @@ impl FileDevice {
     /// releases its dependents, and delivers its completion — into `ring`
     /// if it belongs to it, parked for its own ring otherwise.
     fn process_done(&mut self, done: DoneJob, ring: &mut CompletionRing) {
+        let DoneJob { id: done_id, io } = done;
         let meta = self
             .ring_dispatched
-            .remove(&done.id)
+            .remove(&done_id)
             .expect("pool result for a request this device dispatched");
-        self.account(done.write_bytes, done.latency);
+        self.account(io.write_bytes, io.latency);
         // Release dependents and dispatch the newly unblocked ones in
         // admission order.
         let mut unblocked = Vec::new();
         let mut i = 0;
         while i < self.ring_blocked.len() {
             let blocked = &mut self.ring_blocked[i];
-            blocked.blockers.retain(|&b| b != done.id);
+            blocked.blockers.retain(|&b| b != done_id);
             if blocked.blockers.is_empty() {
                 unblocked.push(self.ring_blocked.remove(i));
             } else {
@@ -495,13 +575,9 @@ impl FileDevice {
             self.pool.push(blocked.job);
         }
         if meta.epoch == ring.epoch() {
-            ring.finish(meta.ticket, done.latency, done.result);
+            ring.finish(meta.ticket, io.latency, io.result);
         } else {
-            self.parked.entry(meta.epoch).or_default().push((
-                meta.ticket,
-                done.latency,
-                done.result,
-            ));
+            self.parked.entry(meta.epoch).or_default().push((meta.ticket, io.latency, io.result));
         }
     }
 }
@@ -520,9 +596,7 @@ impl Device for FileDevice {
         let start = Instant::now();
         self.file.read_exact_at(buf, offset)?;
         let lat = SimDuration::from_nanos(start.elapsed().as_nanos() as u64);
-        self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
-        self.stats.read_time += lat;
+        self.account(Some((false, buf.len())), lat);
         Ok(lat)
     }
 
@@ -531,9 +605,7 @@ impl Device for FileDevice {
         let start = Instant::now();
         self.file.write_all_at(data, offset)?;
         let lat = SimDuration::from_nanos(start.elapsed().as_nanos() as u64);
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        self.stats.write_time += lat;
+        self.account(Some((true, data.len())), lat);
         Ok(lat)
     }
 
@@ -651,29 +723,33 @@ impl Device for FileDevice {
             if r.lane != 0 {
                 self.stats.requests_overlapped += 1;
             }
-            self.account(r.write_bytes, r.latency);
+            self.account(r.io.write_bytes, r.io.latency);
             completions[r.index] = Some(IoCompletion {
                 index: r.index,
                 lane: r.lane,
-                latency: r.latency,
-                result: r.result,
+                latency: r.io.latency,
+                result: r.io.result,
             });
         }
         Ok(completions.into_iter().map(|c| c.expect("every request completed")).collect())
     }
 
-    /// Native ring submission: independent requests go straight to the
-    /// persistent pool; a request whose byte range conflicts with an
+    /// Native ring submission: a request whose byte range conflicts with an
     /// in-flight request (of any ring on this device) is held back and
     /// dispatched the moment its last blocker retires, so overlapping
-    /// ranges apply in admission order without a batch-wide barrier.
+    /// ranges apply in admission order without a batch-wide barrier; an
+    /// independent request starts at once.
     ///
-    /// On a single-worker pool (depth 1, or a one-core host) requests
-    /// execute inline on the calling thread instead: a lone worker cannot
-    /// overlap anything physically, and keeping the I/O on this thread
-    /// keeps the measured latencies free of cross-thread handoff noise —
-    /// the same carve-out the blocking wave path makes, so ring and
-    /// barrier measurements stay comparable.
+    /// Where it starts follows PR 13's rule that a thread is used only
+    /// when it pays. An independent *read* executes right here, on the
+    /// submitting thread, and is finished into `ring` before the next
+    /// request is looked at, while `ReadCost` says a read is cheaper
+    /// than a hand-off; slower reads, and writes, go to the pool and
+    /// overlap there. A single-worker pool (depth 1, or a one-core host)
+    /// can overlap nothing, so there every request runs on this thread.
+    /// The conflict check is what makes running at admission safe: a
+    /// request with no blocker has nothing admitted before it that it
+    /// could overtake.
     fn submit_nowait(
         &mut self,
         requests: Vec<RingRequest>,
@@ -681,69 +757,6 @@ impl Device for FileDevice {
     ) -> Result<Vec<IoTicket>> {
         self.stats.requests_submitted += requests.len() as u64;
         let stalls_before = ring.admission_stalls();
-        // Inline execution is only safe while nothing is in flight on the
-        // pool (results would otherwise race admission order on
-        // conflicting ranges).
-        let inline =
-            self.pool.len() == 1 && self.ring_dispatched.is_empty() && self.ring_blocked.is_empty();
-        if inline {
-            let mut tickets = Vec::with_capacity(requests.len());
-            for RingRequest { request, not_before } in requests {
-                let ticket = ring.admit(&request, not_before);
-                tickets.push(ticket);
-                let (latency, write_bytes, result) = match &request {
-                    IoRequest::Read { offset, len } => {
-                        match self.geometry.check_bounds(*offset, *len) {
-                            Err(e) => (SimDuration::ZERO, None, Err(e)),
-                            Ok(()) => {
-                                let start = Instant::now();
-                                let mut buf = vec![0u8; *len];
-                                let result =
-                                    self.file.read_exact_at(&mut buf, *offset).map(|()| buf);
-                                let lat =
-                                    SimDuration::from_nanos(start.elapsed().as_nanos() as u64);
-                                let ok = result.is_ok().then_some((false, *len));
-                                (lat, ok, result.map_err(DeviceError::from))
-                            }
-                        }
-                    }
-                    IoRequest::Write { offset, data } => {
-                        match self.geometry.check_bounds(*offset, data.len()) {
-                            Err(e) => (SimDuration::ZERO, None, Err(e)),
-                            Ok(()) => {
-                                let start = Instant::now();
-                                let result =
-                                    self.file.write_all_at(data, *offset).map(|()| Vec::new());
-                                let lat =
-                                    SimDuration::from_nanos(start.elapsed().as_nanos() as u64);
-                                let ok = result.is_ok().then_some((true, data.len()));
-                                (lat, ok, result.map_err(DeviceError::from))
-                            }
-                        }
-                    }
-                    IoRequest::Erase { .. } => (
-                        SimDuration::ZERO,
-                        None,
-                        Err(DeviceError::Unsupported("erase_block on a file-backed device")),
-                    ),
-                    IoRequest::Trim { offset, len } => {
-                        match self.geometry.check_bounds(*offset, *len as usize) {
-                            Err(e) => (SimDuration::ZERO, None, Err(e)),
-                            Ok(()) => {
-                                self.stats.trims += 1;
-                                (SimDuration::ZERO, None, Ok(Vec::new()))
-                            }
-                        }
-                    }
-                };
-                self.account(write_bytes, latency);
-                ring.finish(ticket, latency, result);
-            }
-            self.stats.ring_depth_high_water =
-                self.stats.ring_depth_high_water.max(ring.depth_high_water() as u64);
-            self.stats.ring_admission_stalls += ring.admission_stalls() - stalls_before;
-            return Ok(tickets);
-        }
         let mut tickets = Vec::with_capacity(requests.len());
         for RingRequest { request, not_before } in requests {
             let ticket = ring.admit(&request, not_before);
@@ -806,6 +819,14 @@ impl Device for FileDevice {
                     })
                     .map(|b| b.job.id),
             );
+            if blockers.is_empty() && (self.pool.len() == 1 || (is_read && self.read_cost.inline()))
+            {
+                let io = self.pool.shared.timed_io(offset, write.as_deref(), read_len);
+                self.stats.reads_inline += u64::from(is_read && io.result.is_ok());
+                self.account(io.write_bytes, io.latency);
+                ring.finish(ticket, io.latency, io.result);
+                continue;
+            }
             let id = self.next_job_id();
             let job = PoolJob { id, offset, write, read_len };
             let meta =
@@ -1149,6 +1170,219 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    impl FileDevice {
+        /// Stands in for a slow medium: every read from now on sleeps `us`
+        /// microseconds inside its timed region (0 lifts the delay).
+        fn set_read_delay_us(&self, us: u64) {
+            self.pool.shared.read_delay_us.store(us, Ordering::Relaxed);
+        }
+
+        /// One ring read of the page at `offset`, admitted and reaped on
+        /// its own; returns the bytes.
+        fn ring_read_page(&mut self, ring: &mut CompletionRing, offset: u64) -> Vec<u8> {
+            self.submit_nowait(vec![RingRequest::new(IoRequest::read(offset, 4096))], ring)
+                .unwrap();
+            let mut done = self.reap(ring, 1).unwrap();
+            assert_eq!(done.len(), 1);
+            done.pop().unwrap().result.unwrap()
+        }
+    }
+
+    #[test]
+    fn read_cost_follows_the_medium_and_shrugs_off_an_outlier() {
+        let us = SimDuration::from_micros;
+        let mut cost = ReadCost::default();
+        assert!(cost.inline(), "a new device starts on the caller's thread");
+        for _ in 0..64 {
+            cost.observe(us(1));
+        }
+        assert!(cost.inline());
+        // A read pre-empted for 10 ms counts as SAMPLE_CAP_NS and no more:
+        // the mean moves by at most half a hand-off and stays inline.
+        cost.observe(SimDuration::from_millis(10));
+        assert!(cost.mean_ns <= 1_000 + ReadCost::SAMPLE_CAP_NS / ReadCost::WINDOW);
+        assert!(cost.inline(), "one outlier must not send reads to the pool");
+        // A slow medium does, within a handful of reads, and keeps them there.
+        let mut slow = 0;
+        while cost.inline() {
+            cost.observe(us(100));
+            slow += 1;
+            assert!(slow <= ReadCost::WINDOW, "still inline after {slow} slow reads");
+        }
+        for _ in 0..64 {
+            cost.observe(SimDuration::from_millis(5));
+        }
+        assert!(!cost.inline());
+        assert!(cost.mean_ns <= ReadCost::SAMPLE_CAP_NS, "the clamp bounds the mean too");
+        // Once the pool measures fast reads again they come back, and no
+        // backlog of slow history can hold them off for long.
+        let mut fast = 0;
+        while !cost.inline() {
+            cost.observe(us(2));
+            fast += 1;
+            assert!(fast <= 4 * ReadCost::WINDOW, "still on the pool after {fast} fast reads");
+        }
+        assert!(fast > 1, "one fast read is not a trend");
+    }
+
+    #[test]
+    fn hot_ring_reads_run_on_the_submitting_thread() {
+        let path = temp_path("ring-inline-hot");
+        {
+            let mut dev = FileDevice::with_queue_depth(&path, 1 << 20, 4).unwrap();
+            for i in 0..16u64 {
+                dev.write_at(i * 4096, &[i as u8 + 1; 4096]).unwrap();
+            }
+            let mut ring_a = CompletionRing::for_queue(dev.queue());
+            let mut ring_b = CompletionRing::for_queue(dev.queue());
+            let pages = |from: u64| {
+                (from..from + 8)
+                    .map(|i| RingRequest::new(IoRequest::read(i * 4096, 4096)))
+                    .collect::<Vec<_>>()
+            };
+            let a = dev.submit_nowait(pages(0), &mut ring_a).unwrap();
+            let b = dev.submit_nowait(pages(8), &mut ring_b).unwrap();
+            // Finished at admission: both rings hold all their completions
+            // before anything is reaped, and the pool never saw a job.
+            assert_eq!((ring_a.ready_len(), ring_b.ready_len()), (8, 8));
+            assert!(dev.ring_dispatched.is_empty() && dev.ring_blocked.is_empty());
+            assert_eq!(dev.next_job_id, 0);
+            // Reaped in the other order, each ring gets exactly its own.
+            for (ring, tickets, first_page) in [(&mut ring_b, &b, 8u8), (&mut ring_a, &a, 0u8)] {
+                let done = dev.reap(ring, 8).unwrap();
+                assert_eq!(done.len(), 8);
+                for c in done {
+                    let page = tickets.iter().position(|t| *t == c.ticket).unwrap() as u8;
+                    assert_eq!(c.result.unwrap(), vec![first_page + page + 1; 4096]);
+                }
+            }
+            let s = dev.stats();
+            assert_eq!((s.reads, s.reads_inline, s.requests_reaped), (16, 16, 16));
+            assert!(s.to_string().contains("inline: 16 of 16 reads"), "{s}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn slow_reads_move_to_the_pool_overlap_there_and_come_back() {
+        let path = temp_path("ring-inline-slow");
+        {
+            let mut dev = FileDevice::with_queue_depth(&path, 1 << 20, 4).unwrap();
+            let workers = dev.pool_workers() as u64;
+            for i in 0..16u64 {
+                dev.write_at(i * 4096, &[i as u8 + 1; 4096]).unwrap();
+            }
+            let mut ring = CompletionRing::for_queue(dev.queue());
+            let inline_reads = |dev: &FileDevice| dev.stats().reads_inline;
+            for i in 0..16u64 {
+                assert_eq!(dev.ring_read_page(&mut ring, i * 4096)[0], i as u8 + 1);
+            }
+            assert_eq!(inline_reads(&dev), 16);
+
+            // The medium turns slow. The first few reads still pay for it on
+            // this thread (that is how the device finds out); the rest go
+            // to the pool.
+            dev.set_read_delay_us(2_000);
+            for i in 0..8u64 {
+                assert_eq!(dev.ring_read_page(&mut ring, i * 4096)[0], i as u8 + 1);
+            }
+            if workers == 1 {
+                // One worker overlaps nothing: the caller's thread, always.
+                assert_eq!(inline_reads(&dev), 24);
+                drop(dev);
+                std::fs::remove_file(&path).ok();
+                return;
+            }
+            let slow_inline = inline_reads(&dev) - 16;
+            assert!((1..=3).contains(&slow_inline), "{slow_inline} slow reads ran inline");
+            for i in 0..4u64 {
+                assert_eq!(dev.ring_read_page(&mut ring, i * 4096)[0], i as u8 + 1);
+            }
+            assert_eq!(inline_reads(&dev), 16 + slow_inline, "slow reads stay on the pool");
+
+            // ... where they overlap: two rounds of `workers` reads, not
+            // `2 * workers` reads one after another.
+            const DELAY_MS: u64 = 20;
+            dev.set_read_delay_us(DELAY_MS * 1_000);
+            let reads: Vec<RingRequest> = (0..2 * workers)
+                .map(|i| RingRequest::new(IoRequest::read(i * 4096, 4096)))
+                .collect();
+            let started = Instant::now();
+            let tickets = dev.submit_nowait(reads, &mut ring).unwrap();
+            assert_eq!(ring.ready_len(), 0, "none of them ran at admission");
+            let mut reaped = 0;
+            while ring.in_flight() > 0 {
+                for c in dev.reap(&mut ring, 1).unwrap() {
+                    let page = tickets.iter().position(|t| *t == c.ticket).unwrap();
+                    assert_eq!(c.result.unwrap()[0], page as u8 + 1);
+                    reaped += 1;
+                }
+            }
+            let elapsed = started.elapsed();
+            assert_eq!(reaped, 2 * workers);
+            let serial = std::time::Duration::from_millis(2 * workers * DELAY_MS);
+            assert!(elapsed < serial * 3 / 4, "{elapsed:?} for {serial:?} of serial reads");
+            assert_eq!(inline_reads(&dev), 16 + slow_inline);
+
+            // The delay lifts; the pool's own measurements say so, and
+            // reads return to this thread.
+            dev.set_read_delay_us(0);
+            let mut on_pool = 0;
+            while inline_reads(&dev) == 16 + slow_inline {
+                dev.ring_read_page(&mut ring, 0);
+                on_pool += 1;
+                assert!(on_pool <= 64, "reads never came back inline");
+            }
+            assert!(on_pool > 1, "it takes more than one fast read to come back");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_read_behind_an_in_flight_write_waits_while_a_disjoint_one_runs_inline() {
+        let path = temp_path("ring-inline-conflict");
+        {
+            let mut dev = FileDevice::with_queue_depth(&path, 1 << 20, 4).unwrap();
+            let pooled = dev.pool_workers() > 1;
+            dev.write_at(0, &[1u8; 4096]).unwrap();
+            dev.write_at(8192, &[9u8; 4096]).unwrap();
+            let mut ring = CompletionRing::for_queue(dev.queue());
+            // The write goes to the pool and, whatever the worker does, is
+            // in flight as far as the device knows until a reap sees it.
+            let write = dev
+                .submit_nowait(
+                    vec![RingRequest::new(IoRequest::write(0, vec![2u8; 4096]))],
+                    &mut ring,
+                )
+                .unwrap()[0];
+            let reads = dev
+                .submit_nowait(
+                    vec![
+                        RingRequest::new(IoRequest::read(0, 4096)),
+                        RingRequest::new(IoRequest::read(8192, 4096)),
+                    ],
+                    &mut ring,
+                )
+                .unwrap();
+            if pooled {
+                assert_eq!(dev.ring_blocked.len(), 1, "the overlapping read is held back");
+                assert_eq!(ring.ready_len(), 1, "only the disjoint read ran at admission");
+            }
+            assert_eq!(dev.stats().reads_inline, if pooled { 1 } else { 2 });
+            let mut done = Vec::new();
+            while ring.in_flight() > 0 {
+                done.extend(dev.reap(&mut ring, 1).unwrap());
+            }
+            let of = |ticket: IoTicket| done.iter().find(|c| c.ticket == ticket).unwrap();
+            assert_eq!(of(reads[0]).result.as_ref().unwrap(), &vec![2u8; 4096], "the new bytes");
+            assert_eq!(of(reads[1]).result.as_ref().unwrap(), &vec![9u8; 4096]);
+            assert!(of(reads[0]).started_at >= of(write).completed_at, "waits its turn");
+            let s = dev.stats();
+            assert_eq!((s.reads, s.reads_inline), (2, if pooled { 1 } else { 2 }));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn two_rings_share_the_device_without_crosstalk() {
         let path = temp_path("ring-epochs");
@@ -1169,6 +1403,22 @@ mod tests {
             let a = dev.reap(&mut ring_a, 1).unwrap();
             assert_eq!(a.len(), 1);
             assert_eq!(a[0].result.as_ref().unwrap()[0], 1);
+            // Writes always cross to the pool, so this round does park.
+            dev.submit_nowait(
+                vec![RingRequest::new(IoRequest::write(0, vec![3u8; 4096]))],
+                &mut ring_a,
+            )
+            .unwrap();
+            dev.submit_nowait(
+                vec![RingRequest::new(IoRequest::write(4096, vec![4u8; 4096]))],
+                &mut ring_b,
+            )
+            .unwrap();
+            assert_eq!(dev.reap(&mut ring_b, 1).unwrap().len(), 1);
+            assert_eq!(dev.reap(&mut ring_a, 1).unwrap().len(), 1);
+            let mut buf = [0u8; 8192];
+            dev.read_at(0, &mut buf).unwrap();
+            assert_eq!((buf[0], buf[4096]), (3, 4));
         }
         std::fs::remove_file(&path).ok();
     }

@@ -16,11 +16,15 @@
 //! statistics are shared by all handles — they describe the *device*, not
 //! any one partition.
 //!
-//! Calls lock the shared device for their duration. Blocking calls on the
-//! file backend ([`Device::reap`] waiting for pool results) hold the lock
-//! while they wait; concurrent stripes still make progress because the
-//! worker pool executes independently of the lock, but submission
-//! interleaving is at call granularity.
+//! Calls lock the shared device for their duration, so interleaving
+//! between handles is at call granularity. What a call does under the lock
+//! is the backend's business: the simulated devices only compute; the file
+//! backend runs a cheap read right inside `submit_nowait` (about a
+//! microsecond while the page cache answers) and otherwise waits only in a
+//! [`Device::reap`] that needs results its worker pool still owes (writes,
+//! and reads once they are slow enough to be worth a pool thread). Other
+//! stripes still make progress then, because the pool executes
+//! independently of the lock.
 
 use std::sync::{Arc, Mutex};
 

@@ -56,9 +56,20 @@ pub struct IoStats {
     /// floors; read-read overlap never stalls). Native ring
     /// implementations only, like the other ring counters.
     pub ring_admission_stalls: u64,
-    /// Simulated time spent in reads.
+    /// Ring reads that ran at admission, on the thread that submitted
+    /// them, instead of on a pool worker
+    /// ([`FileDevice`](crate::FileDevice) only, which does that while a
+    /// read costs less than a hand-off; the simulated devices have no
+    /// threads and leave it zero).
+    pub reads_inline: u64,
+    /// Time spent in reads: simulated on the simulated devices; on
+    /// [`FileDevice`](crate::FileDevice) the wall clock around each
+    /// positioned read, taken on whichever thread executed it (the
+    /// submitting thread for the `reads_inline` ones, a pool worker for
+    /// the rest).
     pub read_time: SimDuration,
-    /// Simulated time spent in writes (including any GC charged to them).
+    /// Time spent in writes, on the same clocks as `read_time` (simulated
+    /// time includes any GC charged to the write).
     pub write_time: SimDuration,
     /// Simulated time spent erasing blocks.
     pub erase_time: SimDuration,
@@ -101,6 +112,7 @@ impl IoStats {
         self.requests_reaped += other.requests_reaped;
         self.ring_depth_high_water = self.ring_depth_high_water.max(other.ring_depth_high_water);
         self.ring_admission_stalls += other.ring_admission_stalls;
+        self.reads_inline += other.reads_inline;
         self.read_time += other.read_time;
         self.write_time += other.write_time;
         self.erase_time += other.erase_time;
@@ -145,6 +157,9 @@ impl fmt::Display for IoStats {
                 " | ring: {} reaped, depth hwm {}, {} stalls",
                 self.requests_reaped, self.ring_depth_high_water, self.ring_admission_stalls
             )?;
+        }
+        if self.reads_inline > 0 {
+            write!(f, " | inline: {} of {} reads", self.reads_inline, self.reads)?;
         }
         Ok(())
     }
@@ -403,25 +418,35 @@ mod tests {
     #[test]
     fn ring_counters_merge_and_display() {
         let mut a = IoStats {
+            reads: 6,
             requests_reaped: 5,
             ring_depth_high_water: 12,
             ring_admission_stalls: 2,
+            reads_inline: 4,
             ..Default::default()
         };
         let b = IoStats {
+            reads: 3,
             requests_reaped: 3,
             ring_depth_high_water: 7,
             ring_admission_stalls: 1,
+            reads_inline: 3,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.requests_reaped, 8, "reaps sum");
         assert_eq!(a.ring_depth_high_water, 12, "high-water merges with max");
         assert_eq!(a.ring_admission_stalls, 3, "stalls sum");
+        assert_eq!(a.reads_inline, 7, "inline reads sum");
         let text = a.to_string();
         assert!(text.contains("ring: 8 reaped, depth hwm 12, 3 stalls"), "{text}");
-        // The ring segment is elided for devices that never served a ring.
-        assert!(!IoStats::default().to_string().contains("ring:"));
+        assert!(text.contains("inline: 7 of 9 reads"), "{text}");
+        // Both segments are elided for devices that never served a ring or
+        // ran a read on the caller's thread.
+        let quiet = IoStats { reads: 1, ..Default::default() }.to_string();
+        assert!(!quiet.contains("ring:") && !quiet.contains("inline:"), "{quiet}");
+        a.reset();
+        assert_eq!(a.reads_inline, 0);
     }
 
     #[test]
