@@ -391,7 +391,8 @@ impl FlashCostModel {
     // (`n mod L`) rounding. The structural win appears on variable
     // *measured* latencies (the file backend), where the barrier pays
     // every round's straggler while the ring amortizes stragglers across
-    // the whole stream; the `io_queue_depth` harness measures that gap.
+    // the whole stream (`io_queue_depth` measured that gap until PR 20
+    // retired the barrier pipeline; the per-round model stays as a model).
 
     /// Predicted elapsed (makespan) flash time of a **streaming ring**
     /// `lookup_batch` of `keys` keys that each probe `probes_per_key`
@@ -505,7 +506,7 @@ impl FlashCostModel {
     /// [`lookup_ring_makespan`](Self::lookup_ring_makespan) assumes);
     /// otherwise the read phase backfills the write phase's ragged tail
     /// and this expression is an upper bound. The CLAM test suite and
-    /// `io_queue_depth` part [6/6] cross-check the identity at every
+    /// `io_queue_depth` part [4/5] cross-check the identity at every
     /// swept depth.
     ///
     /// ```

@@ -23,24 +23,25 @@
 //! per queue lane, so a large batch parks a bounded number of page
 //! buffers), and the moment a read reaps, its key's *next* read is
 //! re-armed or the next waiting key takes its place — so independent
-//! keys' probe rounds interleave and the queue stays full instead of
-//! draining at a per-round barrier. The batch's flash time is the ring
-//! **makespan**
-//! ([`flashsim::CompletionRing::makespan`]), which on variable-latency
-//! media undercuts the sum of per-wave maxima the barrier pipeline pays.
-//! A per-op [`Clam::lookup`] is a batch of one over the same pipeline;
-//! [`Clam::lookup_batch_waves`] keeps the barrier wave pipeline as a
-//! reference path (identical outcomes, different timing), which the
-//! `io_queue_depth` harness sweeps ring-vs-barrier.
+//! keys' probe rounds interleave and the queue stays full. The batch's
+//! flash time is the ring **makespan**
+//! ([`flashsim::CompletionRing::makespan`]).
+//! A per-op [`Clam::lookup`] is a batch of one over the same pipeline.
+//!
+//! There is **one write path** too: every insert and delete — scalar or
+//! batched, through `&mut self` or through `&self` — runs the per-table
+//! bodies ([`Clam::fine_insert`], [`Clam::fine_insert_batch`],
+//! [`Clam::fine_delete`]), whose flushes, evictions and drains ride the
+//! same completion ring as the probes. The `&mut self` methods are thin
+//! veneers over them. DESIGN.md "Lock hierarchy" names every lock those
+//! bodies take and in what order.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
-use flashsim::queue::{
-    batch_latency, overlapped_requests, page_read_batch, IoCompletion, IoTicket, RingCompletion,
-};
+use flashsim::queue::{IoTicket, RingCompletion};
 use flashsim::{
     CompletionRing, Device, IoRequest, LinearCost, MediumKind, RingRequest, SimDuration,
 };
@@ -163,38 +164,32 @@ pub enum MemoryProbe {
 ///
 /// Carries one [`LookupOutcome`] per key (in input order) plus batch-level
 /// accounting. The batch's [`latency`](Self::latency) is
-/// **makespan-accounted**: probe waves submitted through
-/// [`Device::submit`](flashsim::Device::submit) cost the maximum over the
-/// device's queue lanes, not the summed per-read time, so a miss-heavy
-/// batch on an overlapped device finishes far sooner than its per-key
-/// latencies add up to. Each key's own [`LookupOutcome::latency`] still
-/// records what that lookup would have cost charged alone (dispatch +
-/// DRAM probes + its own page reads), which is what
-/// [`ClamStats::lookups`](crate::ClamStats) samples.
+/// **makespan-accounted**: probe reads stream through the device's
+/// completion ring and cost the ring's makespan over the queue lanes, not
+/// the summed per-read time, so a miss-heavy batch on an overlapped
+/// device finishes far sooner than its per-key latencies add up to. Each
+/// key's own [`LookupOutcome::latency`] still records what that lookup
+/// would have cost charged alone (dispatch + DRAM probes + its own page
+/// reads), which is what [`ClamStats::lookups`](crate::ClamStats) samples.
 #[derive(Debug, Clone, Default)]
 pub struct BatchLookupOutcome {
     /// One outcome per key, in input order.
     pub outcomes: Vec<LookupOutcome>,
     /// Elapsed simulated time of the whole batch: per-key host work plus
-    /// the makespan of every probe wave.
+    /// the probe ring's makespan.
     pub latency: SimDuration,
-    /// The flash share of [`latency`](Self::latency): the summed makespans
-    /// of the probe waves (zero when every key resolved in memory).
+    /// The flash share of [`latency`](Self::latency): the makespan of the
+    /// probe reads on the ring (zero when every key resolved in memory).
     pub probe_latency: SimDuration,
-    /// Probe rounds: the deepest key's chain of page reads. On the
-    /// barrier pipeline ([`Clam::lookup_batch_waves`]) this equals the
-    /// number of [`Device::submit`](flashsim::Device::submit) waves; on
-    /// the streaming ring pipeline rounds of different keys interleave,
-    /// but the depth is the same.
+    /// Probe rounds: the deepest key's chain of page reads. Rounds of
+    /// different keys interleave on the ring; this is the depth.
     pub waves: usize,
     /// Total flash page-read requests submitted across all rounds.
     pub probe_reads: usize,
-    /// Completions delivered through [`Device::reap`](flashsim::Device::reap)
-    /// (zero on the barrier wave pipeline).
+    /// Completions delivered through [`Device::reap`](flashsim::Device::reap).
     pub reaps: usize,
     /// In-flight depth high-water mark of the completion ring: at most the
-    /// probe window, however many keys the batch holds (zero on the
-    /// barrier wave pipeline).
+    /// probe window, however many keys the batch holds.
     pub ring_depth_high_water: usize,
 }
 
@@ -282,21 +277,26 @@ impl MemoryUsage {
 static CLAM_EPOCH: AtomicU32 = AtomicU32::new(0);
 
 /// One super table plus its per-table concurrency state (see DESIGN.md
-/// "Per-table write locks").
+/// "Lock hierarchy").
 ///
 /// * `op` — the **operation lock**: serializes whole logical mutations on
-///   this table. A fine-grained writer holds it across its entire op
-///   (insert including any flush chain), so per-table op order is well
-///   defined even though the data lock below is released between steps.
+///   this table. A writer holds it across its entire op (a scalar insert
+///   or delete, or a batch's whole run of inserts for this table, flush
+///   chains included), so per-table op order is well defined even though
+///   the state lock below is released between steps.
 /// * `state` — the **state lock**: protects the table's mutable data (the
 ///   cuckoo buffer, delete list, Bloom filters and incarnation queue). It
-///   is a *leaf* lock, held only for the duration of single `SuperTable`
-///   method calls — which is what lets a flush of one table force-evict
-///   incarnations of *another* table (cross-table log-slot reclamation)
-///   without any lock-ordering concerns.
-/// * `epoch` — a per-table seqlock epoch, odd while a fine-grained writer
-///   holds the op lock. Lock-free readers ([`Clam::try_probe_memory`])
-///   validate against it so they never build a verdict from a half-applied
+///   is a *leaf* lock: nothing else is acquired while it is held. It
+///   covers one `SuperTable` method call, or — on the batch insert path —
+///   one **run** of consecutive buffer inserts, ending at the first key
+///   that finds the buffer full; it is released before any flush chain,
+///   and `flush_table` takes it again call by call. That is what lets a
+///   flush of one table force-evict incarnations of *another* table
+///   (cross-table log-slot reclamation) without any lock-ordering
+///   concerns.
+/// * `epoch` — a per-table seqlock epoch, odd while a writer holds the op
+///   lock. Lock-free readers ([`Clam::try_probe_memory`]) validate
+///   against it so they never build a verdict from a half-applied
 ///   logical op (e.g. between a buffer drain and the matching incarnation
 ///   registration).
 struct TableSlot {
@@ -311,11 +311,11 @@ struct TableSlot {
 /// [`ClamStats`].
 struct TableSet {
     slots: Vec<TableSlot>,
-    /// Fine-path write-lock acquisitions.
+    /// Write-lock (op lock) acquisitions.
     acquisitions: AtomicU64,
     /// Acquisitions that found the op lock already held.
     contended: AtomicU64,
-    /// Number of tables currently write-locked (fine path).
+    /// Number of tables currently write-locked.
     locked: AtomicU64,
     /// High-water mark of `locked`: how many tables of this stripe were
     /// ever write-locked at the same instant.
@@ -350,15 +350,15 @@ impl TableSet {
         f(&mut self.slots[t].state.lock())
     }
 
-    /// Current seqlock epoch of table `t` (odd while a fine-grained
-    /// writer's logical op is in progress).
+    /// Current seqlock epoch of table `t` (odd while a writer's logical
+    /// op is in progress).
     fn epoch_of(&self, t: usize) -> u64 {
         self.slots[t].epoch.load(Ordering::SeqCst)
     }
 
-    /// Acquires table `t`'s operation lock for a fine-grained logical
-    /// write, recording the lock ledger and marking the table's epoch odd
-    /// until the guard drops.
+    /// Acquires table `t`'s operation lock for a logical write, recording
+    /// the lock ledger and marking the table's epoch odd until the guard
+    /// drops.
     fn lock_for_write(&self, t: usize) -> TableWriteGuard<'_> {
         let slot = &self.slots[t];
         let op = match slot.op.try_lock() {
@@ -391,7 +391,7 @@ impl TableSet {
     }
 }
 
-/// RAII guard of one table's operation lock (fine-grained write path).
+/// RAII guard of one table's operation lock.
 /// Dropping it marks the table's epoch even again and decrements the
 /// concurrently-locked count.
 struct TableWriteGuard<'a> {
@@ -407,71 +407,9 @@ impl Drop for TableWriteGuard<'_> {
     }
 }
 
-/// Orders the *flush* side-effects of a parallel batch insert: chunk `j`'s
-/// first flush waits until every chunk `< j` has fully completed, so
-/// allocator grants, flush sequence numbers and forced evictions happen in
-/// exactly the order the sequential (coarse) batch would produce them —
-/// that is what makes `set_coarse_locks(true)` a bit-identical baseline.
-/// Buffer inserts (the common case) never wait: only a full buffer parks
-/// on the gate, and it does so *before* taking the core lock, so a waiting
-/// chunk holds nothing another chunk needs (its own table op locks only).
-struct FlushGate {
-    done: Mutex<Vec<bool>>,
-    cv: Condvar,
-}
-
-impl FlushGate {
-    fn new(chunks: usize) -> Self {
-        FlushGate { done: Mutex::new(vec![false; chunks]), cv: Condvar::new() }
-    }
-
-    /// Blocks until every chunk before `chunk` has completed.
-    fn wait_turn(&self, chunk: usize) {
-        let mut done = self.done.lock();
-        while !done[..chunk].iter().all(|&d| d) {
-            done = self.cv.wait(done);
-        }
-    }
-
-    /// Marks `chunk` complete and wakes waiters.
-    fn complete(&self, chunk: usize) {
-        let mut done = self.done.lock();
-        done[chunk] = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Drop guard that completes a chunk's gate slot on every exit path —
-/// success, error return or panic — so one failing chunk can never
-/// deadlock the chunks gated behind it.
-struct GateCompletion<'a> {
-    gate: &'a FlushGate,
-    chunk: usize,
-}
-
-impl Drop for GateCompletion<'_> {
-    fn drop(&mut self) {
-        self.gate.complete(self.chunk);
-    }
-}
-
-/// What one chunk of a multi-chunk batch insert shares with the others: the
-/// flush gate, its own slot on it, and the barrier the chunks meet at. A
-/// batch that runs as a single chunk has none of it.
-#[derive(Clone, Copy)]
-struct ChunkSync<'a> {
-    gate: &'a FlushGate,
-    chunk: usize,
-    rendezvous: &'a std::sync::Barrier,
-}
-
-/// The ops a chunk completed, in the order it ran them, and the error that
-/// stopped it early, if one did.
-type ChunkResult = (Vec<InsertOutcome>, Option<BufferHashError>);
-
-/// Inserts a spawned worker must carry before fanning an insert batch out
-/// over threads pays; below it [`fan_out`] keeps the batch on the caller's
-/// thread.
+/// Inserts a spawned worker must carry before `StripedClam` fans an insert
+/// batch's stripes out over threads; below it [`fan_out`] keeps the batch
+/// on the caller's thread.
 ///
 /// Measured on the 2-vCPU development host (DESIGN.md "Write-path host
 /// cost" has the table): an empty scoped thread costs 12 µs to spawn and
@@ -486,8 +424,8 @@ type ChunkResult = (Vec<InsertOutcome>, Option<BufferHashError>);
 /// latency, which a spawn can only add to.
 pub(crate) const SPAWN_FLOOR_OPS: usize = 2048;
 
-/// Keys a spawned worker must carry before fanning a lookup batch out over
-/// threads pays. Lower than [`SPAWN_FLOOR_OPS`] because a lookup that
+/// Keys a spawned worker must carry before `StripedClam` fans a lookup
+/// batch's stripes out over threads. Lower than [`SPAWN_FLOOR_OPS`] because a lookup that
 /// probes flash costs 2 µs of host time, not 0.23: on the same host and
 /// store, `StripedClam::lookup_batch` over keys that live on flash breaks
 /// even around 256 keys per worker and is 1.6x faster split from
@@ -498,8 +436,8 @@ pub(crate) const SPAWN_FLOOR_OPS: usize = 2048;
 pub(crate) const SPAWN_FLOOR_KEYS: usize = 512;
 
 /// How many threads a batch of `ops` operations over `groups` independent
-/// groups (stripes, or super tables of one stripe) should run on: one per
-/// `floor` operations, never more than there are groups or cores. Decided
+/// stripes should run on: one per `floor` operations, never more than
+/// there are stripes or cores. Decided
 /// from the batch size alone; the core count is looked up only once a
 /// batch is big enough to split, and only once per process.
 pub(crate) fn fan_out(ops: usize, floor: usize, groups: usize) -> usize {
@@ -524,10 +462,10 @@ fn record_insert(stats: &mut ClamStats, op: &InsertOutcome) {
 /// The shared, short-critical-section core of a [`Clam`]: everything that
 /// is *not* per-table state — the device and its completion ring, the log
 /// allocator (slot grants), the flush sequence counter and the
-/// [`ClamStats`] ledger. Fine-grained writers take this lock around flush
-/// chains and ring drains, and once more to record their latency in the
-/// ledger: once per scalar insert or delete, once per batch. Memory probes
-/// never touch it. Because a flush chain runs entirely under
+/// [`ClamStats`] ledger. Writers take this lock around flush chains and
+/// ring drains, and once more to record their latency in the ledger: once
+/// per scalar insert or delete, once per batch. Memory probes never touch
+/// it. Because a flush chain runs entirely under
 /// one core lock, allocator grant order equals ring admission order, which
 /// is the invariant the PR-7 acknowledgment point rests on (admission
 /// order = data-effect order on the device).
@@ -546,20 +484,14 @@ struct ClamCore<D: Device> {
     stats: ClamStats,
     /// DRAM access cost model used for in-memory latency accounting.
     mem_cost: LinearCost,
-    /// Incarnation writes deferred for coalescing. On the ring-driven
-    /// write path this holds at most the *current* contiguous run (a
-    /// non-contiguous write admits the finished run to the ring first, so
-    /// flush traffic streams); on the barrier reference path it pools
-    /// every deferred write until the batch-end drain sorts and merges
-    /// them.
-    pending_writes: Vec<(u64, Vec<u8>)>,
+    /// The incarnation writes deferred for coalescing: the *current*
+    /// contiguous run, as its offset and bytes (a non-contiguous write
+    /// admits the finished run to the ring first, so flush traffic
+    /// streams).
+    pending_run: Option<(u64, Vec<u8>)>,
     /// True while a batched insert is collecting flush writes for
     /// coalescing.
     coalesce_writes: bool,
-    /// True routes flushes, evictions and drains through the blocking
-    /// barrier write path ([`ClamCore::flush_table_barrier`]) instead of
-    /// the shared completion ring.
-    barrier_writes: bool,
     /// The shared read/write completion ring of the current top-level call
     /// (`None` between calls): lookup probes, flush writes, eviction reads
     /// and trims all admit into it, so write traffic overlaps the tail of
@@ -580,16 +512,19 @@ struct ClamCore<D: Device> {
 
 /// A cheap and large CAM: BufferHash on DRAM plus a flash [`Device`].
 ///
-/// Since PR 10 the store is internally split for **per-super-table write
+/// The store is internally split for **per-super-table write
 /// concurrency**: each [`SuperTable`]'s mutable state lives behind its own
-/// lock (a `TableSet`), and the shared pieces — device, completion ring,
+/// locks (a `TableSet`), and the shared pieces — device, completion ring,
 /// log allocator, stats ledger — live in a small mutex-protected
-/// `ClamCore`. The classic `&mut self` API below is unchanged and takes
-/// no locks (exclusive access reaches both halves directly); the `fine_*`
-/// methods ([`fine_insert`](Self::fine_insert),
+/// `ClamCore`. Writes run through `&self`
+/// ([`fine_insert`](Self::fine_insert),
 /// [`fine_insert_batch`](Self::fine_insert_batch),
-/// [`fine_delete`](Self::fine_delete)) run through `&self` so writers to
-/// *different* tables of one stripe commit in parallel.
+/// [`fine_delete`](Self::fine_delete)), so writers to *different* tables
+/// of one stripe commit in parallel; [`insert`](Self::insert),
+/// [`insert_batch`](Self::insert_batch) and [`delete`](Self::delete) are
+/// the same calls for an exclusive owner. Lookups that may touch flash
+/// need `&mut self` (the probe pipeline owns the core); memory-only
+/// probes ([`probe_memory`](Self::probe_memory)) run through `&self`.
 pub struct Clam<D: Device> {
     tables: TableSet,
     core: Mutex<ClamCore<D>>,
@@ -603,12 +538,6 @@ pub struct Clam<D: Device> {
     /// calls: a batch owns the coalescing window (`coalesce_writes`) for
     /// its duration.
     batch_lock: Mutex<()>,
-    /// Chunk-count override for [`fine_insert_batch`](Self::fine_insert_batch):
-    /// 0 means "let the batch size decide" ([`fan_out`]). Tests force a
-    /// value > 1 to exercise the multi-chunk gate/rendezvous path on
-    /// batches of any size and on single-core hosts (the scoped threads
-    /// still run, time-sliced).
-    batch_parallelism: AtomicUsize,
 }
 
 impl<D: Device> Clam<D> {
@@ -671,9 +600,8 @@ impl<D: Device> Clam<D> {
             seq: 0,
             stats: ClamStats::new(),
             mem_cost,
-            pending_writes: Vec::new(),
+            pending_run: None,
             coalesce_writes: false,
-            barrier_writes: false,
             ring: None,
             ring_horizon: SimDuration::ZERO,
             ring_read_marks: (0, 0),
@@ -687,7 +615,6 @@ impl<D: Device> Clam<D> {
             epoch,
             mem_cost,
             batch_lock: Mutex::new(()),
-            batch_parallelism: AtomicUsize::new(0),
         })
     }
 
@@ -734,16 +661,6 @@ impl<D: Device> Clam<D> {
     /// The lifetime epoch this CLAM stamps into every page it flushes.
     pub fn epoch(&self) -> u32 {
         self.epoch
-    }
-
-    /// Routes every flush, eviction and coalesced drain through the
-    /// blocking **barrier** write path (`flush_table_barrier`) instead of the
-    /// shared completion ring. Off by default; kept (like
-    /// [`lookup_batch_waves`](Self::lookup_batch_waves) on the read side)
-    /// as the reference implementation for equivalence testing and the
-    /// ring-vs-barrier write sweep in the `io_queue_depth` harness.
-    pub fn set_barrier_writes(&mut self, barrier: bool) {
-        self.core.get_mut().barrier_writes = barrier;
     }
 
     /// The configuration this CLAM was built with.
@@ -845,16 +762,17 @@ impl<D: Device> Clam<D> {
     }
 
     // ------------------------------------------------------------------
-    // Public hash-table operations (exclusive `&mut self` path)
+    // Public hash-table operations for an exclusive owner (`&mut self`)
     // ------------------------------------------------------------------
 
     /// Inserts (or updates) `key` with `value`.
     ///
     /// Updates are lazy (§5.1.1): if an older value for the key is already
     /// on flash it is left there; lookups return the newest value because
-    /// incarnations are examined youngest-first.
+    /// incarnations are examined youngest-first. The same call as
+    /// [`fine_insert`](Self::fine_insert).
     pub fn insert(&mut self, key: Key, value: Value) -> Result<InsertOutcome> {
-        self.core.get_mut().insert_with_dispatch(&self.tables, key, value, BASE_OP_OVERHEAD)
+        self.fine_insert(key, value)
     }
 
     /// Alias for [`insert`](Self::insert); updates use the same lazy path.
@@ -865,7 +783,7 @@ impl<D: Device> Clam<D> {
     /// Inserts (or updates) a batch of key/value pairs in one call.
     ///
     /// Operations are applied in input order *per super table* (ops are
-    /// stably sorted by super table first), so as long as the flash log
+    /// stably grouped by super table first), so as long as the flash log
     /// has not wrapped, the resulting state is observationally equivalent
     /// to calling [`insert`](Self::insert) for each pair in order: the
     /// same lookups succeed, the same buffers fill at the same points and
@@ -875,15 +793,10 @@ impl<D: Device> Clam<D> {
     /// may differ from a sequential execution — both are valid FIFO
     /// behavior. What always changes is the cost: the per-call dispatch
     /// overhead is paid once for the whole batch, each super table's
-    /// filters and buffer are walked in one pass, and incarnation writes
-    /// that land on contiguous log slots are coalesced into a single
-    /// sequential device write.
-    ///
-    /// This is the sequential (coarse) batch path; the fine-grained twin
-    /// is [`fine_insert_batch`](Self::fine_insert_batch), which commits
-    /// per-table groups under per-table locks (on scoped threads when the
-    /// batch is large enough) and is bit-identical to this path by
-    /// construction (property-tested).
+    /// buffer is walked in one pass, and incarnation writes that land on
+    /// contiguous log slots are coalesced into a single sequential device
+    /// write. The same call as
+    /// [`fine_insert_batch`](Self::fine_insert_batch).
     ///
     /// ```
     /// use bufferhash::{Clam, ClamConfig};
@@ -900,10 +813,7 @@ impl<D: Device> Clam<D> {
     /// assert_eq!(clam.lookup(8).unwrap().value, Some(1));
     /// ```
     pub fn insert_batch(&mut self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        let mut order: Vec<usize> = (0..ops.len()).collect();
-        // Stable sort: ops for one super table keep their input order.
-        order.sort_by_key(|&i| self.table_of(ops[i].0));
-        self.core.get_mut().insert_batch_ordered(&self.tables, ops, &order)
+        self.fine_insert_batch(ops)
     }
 
     /// Looks up a batch of keys in one call through the **streaming ring
@@ -922,11 +832,8 @@ impl<D: Device> Clam<D> {
     /// key that resolves hands its place to the next waiting one, so
     /// independent keys' probe rounds interleave, the device queue stays
     /// full, and the ring never holds more page buffers than the window.
-    /// The batch is charged
-    /// the ring **makespan** — on variable-latency media (the file
-    /// backend) this undercuts the per-round barrier of
-    /// [`lookup_batch_waves`](Self::lookup_batch_waves), which pays every
-    /// round's straggler before starting the next.
+    /// The batch is charged the ring **makespan**, not the summed
+    /// per-read time.
     ///
     /// Under non-reinserting eviction policies (FIFO, update-based,
     /// priority — the default), lookups mutate nothing, so results
@@ -935,7 +842,7 @@ impl<D: Device> Clam<D> {
     /// the charged latency differs. This identity is property-tested on
     /// all five device backends. The caveat is LRU eviction:
     /// re-insertions of flash-hit keys are applied *after* the batch
-    /// resolves (in the order the keys resolved out of the wave loop), as
+    /// resolves (in the order the keys resolved out of the probe loop), as
     /// the paper's asynchronous re-insertion would, so intra-batch
     /// outcomes can diverge from the
     /// per-op interleaving — a key repeated within one LRU batch probes
@@ -984,25 +891,6 @@ impl<D: Device> Clam<D> {
         core.lookup_batch_ring(&self.tables, keys, dispatch)
     }
 
-    /// The **barrier wave** reference pipeline: each round collects the
-    /// next pending page read of every unresolved key into one
-    /// [`Device::submit`](flashsim::Device::submit) wave, charged at the
-    /// wave makespan — the PR-4 read path, kept (like
-    /// `StripedClam::insert_batch_serial`) for comparison, debugging and
-    /// the ring-vs-barrier sweep in the `io_queue_depth` harness.
-    ///
-    /// Outcomes (values, sources, flash-read counts, hit/miss stats) are
-    /// identical to [`lookup_batch`](Self::lookup_batch) — this is
-    /// property-tested on all five backends. Only the charged latency
-    /// differs: every round waits for the whole wave's straggler before
-    /// the next round starts, so `probe_latency` is the *sum of per-wave
-    /// maxima* instead of the ring makespan.
-    pub fn lookup_batch_waves(&mut self, keys: &[Key]) -> Result<BatchLookupOutcome> {
-        let core = self.core.get_mut();
-        core.stats.batched_lookups += keys.len() as u64;
-        core.lookup_batch_waves_with_dispatch(&self.tables, keys, batch_dispatch(keys.len()))
-    }
-
     /// Looks up `key`: a batch of one over the streaming ring pipeline, so
     /// the per-op and batched paths share a single implementation (a chain
     /// of one-request admissions, whose makespan is exactly the summed
@@ -1038,7 +926,7 @@ impl<D: Device> Clam<D> {
     }
 
     /// Seqlock-validated variant of [`probe_memory`](Self::probe_memory):
-    /// returns `None` instead of a verdict when a fine-grained writer's
+    /// returns `None` instead of a verdict when a writer's
     /// logical op on the key's table is in progress (the table epoch is
     /// odd) or completed while the probe ran (the epoch moved) — the
     /// caller must retry or fall back to a locked path. One state-lock
@@ -1056,7 +944,7 @@ impl<D: Device> Clam<D> {
         Some(probe)
     }
 
-    /// Returns `true` while a fine-grained writer's logical op on `key`'s
+    /// Returns `true` while a writer's logical op on `key`'s
     /// table is in progress (the table's seqlock epoch is odd). The
     /// `clamd` engine's idle-shard bypass consults this so a bypassed
     /// scalar LOOKUP never races a table-local writer's half-applied
@@ -1102,13 +990,10 @@ impl<D: Device> Clam<D> {
     }
 
     /// Deletes `key` (lazily: flash copies are shadowed by the delete list
-    /// and reclaimed at eviction time).
+    /// and reclaimed at eviction time). The same call as
+    /// [`fine_delete`](Self::fine_delete).
     pub fn delete(&mut self, key: Key) -> Result<SimDuration> {
-        let t = self.table_of(key);
-        let latency = BASE_OP_OVERHEAD + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
-        self.tables.with(t, |table| table.delete(key));
-        self.core.get_mut().stats.deletes.record(latency);
-        Ok(latency)
+        self.fine_delete(key)
     }
 
     /// Flushes every non-empty buffer to flash (e.g. before a bulk merge or
@@ -1118,9 +1003,7 @@ impl<D: Device> Clam<D> {
     /// stream into the device's completion ring as they form (contiguous
     /// log slots merge into sequential writes, independent runs overlap on
     /// the ring's lanes), so a whole-index flush costs the makespan of the
-    /// ring schedule rather than the sum of blocking per-table writes. On
-    /// the barrier reference path the runs pool and drain as one blocking
-    /// submission instead.
+    /// ring schedule rather than the sum of blocking per-table writes.
     pub fn flush_all(&mut self) -> Result<SimDuration> {
         self.core.get_mut().flush_all(&self.tables)
     }
@@ -1132,24 +1015,25 @@ impl<D: Device> Clam<D> {
     }
 
     // ------------------------------------------------------------------
-    // Fine-grained write path (`&self`: per-table op locks + core lock)
+    // The write path (`&self`: per-table op locks + core lock)
     // ------------------------------------------------------------------
 
-    /// Per-op insert through the fine-grained path: takes only `key`'s
-    /// table op lock plus the short core lock (for a flush and its ack
-    /// drain, and to record the op in the ledger), so concurrent inserts to
-    /// *different* tables of this stripe commit in parallel. Observationally identical to
-    /// [`insert`](Self::insert) when ops are serialized (property-tested).
+    /// Per-op insert: takes only `key`'s table op lock plus the short core
+    /// lock (for a flush and its ack drain, and to record the op in the
+    /// ledger), so concurrent inserts to *different* tables of this stripe
+    /// commit in parallel.
     pub fn fine_insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
         let t = self.table_of(key);
         let _guard = self.tables.lock_for_write(t);
-        let outcome = self.fine_insert_locked(t, key, value, BASE_OP_OVERHEAD, None)?;
+        let mut outcome = None;
+        self.insert_run(t, &[(key, value)], BASE_OP_OVERHEAD, |op| outcome = Some(op))?;
+        let outcome = outcome.expect("a run of one yields one outcome");
         record_insert(&mut self.core.lock().stats, &outcome);
         Ok(outcome)
     }
 
-    /// Per-op delete through the fine-grained path (op lock + a brief core
-    /// lock for the ledger only — deletes never touch flash).
+    /// Per-op delete (op lock + a brief core lock for the ledger only —
+    /// deletes never touch flash).
     pub fn fine_delete(&self, key: Key) -> Result<SimDuration> {
         let t = self.table_of(key);
         let _guard = self.tables.lock_for_write(t);
@@ -1159,54 +1043,21 @@ impl<D: Device> Clam<D> {
         Ok(latency)
     }
 
-    /// Overrides how many chunks [`fine_insert_batch`](Self::fine_insert_batch)
-    /// splits a batch into. `None` (the default) lets the batch size decide:
-    /// one chunk on the caller's thread unless every further chunk would
-    /// carry enough ops to pay for its thread. `Some(n)` forces `n` chunks
-    /// (as far as the batch has tables to fill them) whatever the size;
-    /// tests pass `Some(n > 1)` to exercise the multi-chunk gate/rendezvous
-    /// path deterministically, batch size and core count notwithstanding.
-    pub fn set_batch_parallelism(&self, chunks: Option<usize>) {
-        self.batch_parallelism.store(chunks.unwrap_or(0), Ordering::Relaxed);
-    }
-
-    /// Fine-grained twin of [`insert_batch`](Self::insert_batch): groups
-    /// the batch by super table and commits each table's ops under that
-    /// table's op lock, so other writers to *other* tables of the stripe
-    /// proceed meanwhile.
-    ///
-    /// A batch runs as **one chunk on the caller's thread** unless it is
-    /// large enough that every further chunk would carry enough ops to pay
-    /// for its thread's spawn (`fan_out`: one chunk per 2048 ops, never
-    /// more than tables or cores); then the tables are split into
-    /// contiguous chunks balanced by op count, one scoped thread each but
-    /// the first, which stays on the caller's. Either way each chunk holds
-    /// one table op lock at a time.
-    ///
-    /// **Bit-identical to the coarse path by construction.** Ops of one
-    /// table keep input order under the table's op lock and tables are
-    /// taken in ascending order, which on one chunk *is* the coarse order.
-    /// Across chunks a `FlushGate` orders the flush chains — chunk *j*'s
-    /// first flush waits for chunks *< j* to complete, so allocator grants,
-    /// flush sequence numbers, forced evictions and the device timeline
-    /// replay exactly the sequential (table-ascending) order. Per-op
-    /// outcomes are folded into the ledger at batch end (recorder
-    /// statistics are order-insensitive multisets). Multiple chunks
-    /// rendezvous on a barrier after taking their first table op lock,
-    /// which makes the `table_lock_high_water` ledger deterministic; a
-    /// single chunk builds neither gate nor barrier and its high-water
-    /// mark is 1.
-    pub fn fine_insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome>
-    where
-        D: Send,
-    {
+    /// Batched insert: groups the batch by super table and commits each
+    /// table's ops, in input order, under that table's op lock, tables in
+    /// ascending order, on the caller's thread — so other writers to
+    /// *other* tables of the stripe proceed meanwhile, and one table op
+    /// lock is held at a time. Flush writes coalesce over the whole batch
+    /// and are drained (and charged) once at its end; per-op outcomes are
+    /// folded into the ledger there too, under one core lock.
+    pub fn fine_insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
         let mut outcome = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
         if ops.is_empty() {
             return Ok(outcome);
         }
         let _batch = self.batch_lock.lock();
         // One run per table, in ascending table order, input order kept
-        // within a run: exactly the coarse path's stable sort.
+        // within a run.
         let (grouped, starts) = group_stable(ops, self.tables.len(), |op| self.table_of(op.0));
         let dispatch = batch_dispatch(ops.len());
         let coalesced_before = {
@@ -1215,45 +1066,35 @@ impl<D: Device> Clam<D> {
             core.coalesce_writes = true;
             core.stats.coalesced_flush_writes
         };
-        let chunks = match self.batch_parallelism.load(Ordering::Relaxed) {
-            0 => fan_out(ops.len(), SPAWN_FLOOR_OPS, self.tables.len()),
-            forced => forced,
-        };
-        let results: Vec<ChunkResult> = if chunks <= 1 {
-            vec![self.run_batch_chunk(0..self.tables.len(), &grouped, &starts, dispatch, None)]
-        } else {
-            let chunks = split_balanced(&starts, chunks);
-            let gate = FlushGate::new(chunks.len());
-            let rendezvous = std::sync::Barrier::new(chunks.len());
-            let run = |(chunk, tables): (usize, &std::ops::Range<usize>)| {
-                let sync = ChunkSync { gate: &gate, chunk, rendezvous: &rendezvous };
-                self.run_batch_chunk(tables.clone(), &grouped, &starts, dispatch, Some(sync))
-            };
-            std::thread::scope(|scope| {
-                let run = &run;
-                let mut numbered = chunks.iter().enumerate();
-                let first = numbered.next().expect("at least one chunk");
-                let handles: Vec<_> =
-                    numbered.map(|chunk| scope.spawn(move || run(chunk))).collect();
-                let mut results = vec![run(first)];
-                results
-                    .extend(handles.into_iter().map(|h| h.join().expect("batch chunk panicked")));
-                results
-            })
-        };
-        // One core lock to record every op (in chunk order), close the
-        // coalescing window and drain the write ring, mirroring the coarse
-        // batch-end drain.
+        let mut done = Vec::with_capacity(ops.len());
         let mut failure = None;
-        let mut core = self.core.lock();
-        for (done, error) in results {
-            for op in &done {
-                record_insert(&mut core.stats, op);
-                outcome.latency += op.latency;
-                outcome.flushed_ops += usize::from(op.flushed);
-                outcome.evictions += op.evictions;
+        for t in 0..self.tables.len() {
+            let run = &grouped[starts[t]..starts[t + 1]];
+            if run.is_empty() {
+                continue;
             }
-            failure = failure.or(error);
+            let _guard = self.tables.lock_for_write(t);
+            if let Err(e) = self.insert_run(t, run, dispatch, |op| done.push(op)) {
+                failure = Some(e);
+                break;
+            }
+        }
+        // One core lock to record every op, close the coalescing window
+        // and drain the write ring — even on failure, so the device stays
+        // consistent with the in-memory incarnation metadata. Finished
+        // coalesced runs were already *admitted* as they formed; this
+        // drain admits the final run and reaps the ring, and only its
+        // makespan is "deferred" time (charged to the batch, not to any
+        // triggering insert). The outcomes are consumed, and so freed,
+        // before the drain: kept alive across it they pin the top of the
+        // heap while the drain frees the flush images under them (0.6 MiB
+        // of arena growth over the benchmark's 1.2M-key preload).
+        let mut core = self.core.lock();
+        for op in done {
+            record_insert(&mut core.stats, &op);
+            outcome.latency += op.latency;
+            outcome.flushed_ops += usize::from(op.flushed);
+            outcome.evictions += op.evictions;
         }
         core.coalesce_writes = false;
         let drained = core.drain_write_ring()?;
@@ -1266,147 +1107,108 @@ impl<D: Device> Clam<D> {
         Ok(outcome)
     }
 
-    /// One chunk of a [`fine_insert_batch`](Self::fine_insert_batch): runs
-    /// the non-empty tables of `tables` in ascending order, holding each
-    /// table's op lock across that table's run of `grouped` (as `starts`
-    /// bounds it). With `sync`, the first table's lock is taken *before*
-    /// the rendezvous barrier so every chunk demonstrably holds a lock at
-    /// the same instant (deterministic lock high-water).
-    fn run_batch_chunk(
+    /// The insert body: applies `run` — ops of table `t`, in order — and
+    /// hands each op's outcome to `done`; the caller holds `t`'s op lock
+    /// and records the outcomes in the ledger ([`record_insert`]).
+    /// `dispatch` is the fixed overhead charged to each op (full for a
+    /// per-op call, amortized for a batched one).
+    ///
+    /// The state lock is taken once per run of buffer inserts, not once
+    /// per key: it is held until the first key that finds the buffer full
+    /// and released before that key's flush chain, which takes the core
+    /// lock (and the state locks it needs) itself. A full buffer rejects
+    /// a key before displacing anything, so retrying that key after the
+    /// flush is side-effect free.
+    fn insert_run(
         &self,
-        tables: std::ops::Range<usize>,
-        grouped: &[(Key, Value)],
-        starts: &[usize],
+        t: usize,
+        run: &[(Key, Value)],
         dispatch: SimDuration,
-        sync: Option<ChunkSync<'_>>,
-    ) -> ChunkResult {
-        let _completion = sync.map(|s| GateCompletion { gate: s.gate, chunk: s.chunk });
-        let gate = sync.map(|s| (s.gate, s.chunk));
-        let mut rendezvous = sync.map(|s| s.rendezvous);
-        let mut done = Vec::with_capacity(starts[tables.end] - starts[tables.start]);
-        for t in tables {
-            let ops = &grouped[starts[t]..starts[t + 1]];
-            if ops.is_empty() {
-                continue;
+        mut done: impl FnMut(InsertOutcome),
+    ) -> Result<()> {
+        let latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
+        let mut rest = run;
+        while !rest.is_empty() {
+            let stored = self.tables.with(t, |table| {
+                rest.iter()
+                    .take_while(|&&(key, value)| {
+                        matches!(table.buffer_insert(key, value), BufferInsert::Stored(_))
+                    })
+                    .count()
+            });
+            for _ in 0..stored {
+                done(InsertOutcome { latency, flushed: false, evictions: 0 });
             }
-            let _guard = self.tables.lock_for_write(t);
-            if let Some(barrier) = rendezvous.take() {
-                barrier.wait();
-            }
-            for &(key, value) in ops {
-                match self.fine_insert_locked(t, key, value, dispatch, gate) {
-                    Ok(op) => done.push(op),
-                    Err(e) => return (done, Some(e)),
-                }
+            rest = &rest[stored..];
+            if let Some((&(key, value), later)) = rest.split_first() {
+                done(self.insert_after_flush(t, key, value, latency)?);
+                rest = later;
             }
         }
-        (done, None)
+        Ok(())
     }
 
-    /// Fine-grained insert body; the caller holds table `t`'s op lock.
-    /// Replays the coarse [`insert_with_dispatch`](ClamCore::insert_with_dispatch)
-    /// sequence exactly: try the buffer, and only on `Full` park on the
-    /// flush gate (batch mode), take the core lock and run the
-    /// flush-then-retry loop under it — so allocator grant order equals
-    /// ring admission order and the per-op ack point is untouched. The
-    /// caller records the returned outcome in the ledger
-    /// ([`record_insert`]); flush-side counters are recorded by the core
-    /// itself.
-    fn fine_insert_locked(
+    /// Stores a key that found table `t`'s buffer full: takes the core
+    /// lock and runs the flush-then-retry loop under it — so allocator
+    /// grant order equals ring admission order — then, outside a batch's
+    /// coalescing window, drains the ring before the op is acknowledged.
+    /// `latency` is what the op has been charged so far. Flush-side
+    /// counters are recorded by the core itself.
+    fn insert_after_flush(
         &self,
         t: usize,
         key: Key,
         value: Value,
-        dispatch: SimDuration,
-        gate: Option<(&FlushGate, usize)>,
+        mut latency: SimDuration,
     ) -> Result<InsertOutcome> {
-        let mut latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
-        let mut flushed = false;
         let mut evictions = 0usize;
+        // `attempts` doubles as the cascade depth: when partial-discard
+        // eviction keeps retaining whole incarnations the policy degrades
+        // to full discard after `k` rounds (§7.4), guaranteeing
+        // termination.
         let mut attempts = 0usize;
-        let mut stored = matches!(
-            self.tables.with(t, |table| table.buffer_insert(key, value)),
-            BufferInsert::Stored(_)
-        );
-        if !stored {
-            // Never wait on the gate while holding the core lock: the gate
-            // orders this op's flush chain behind earlier chunks' chains.
-            if let Some((gate, chunk)) = gate {
-                gate.wait_turn(chunk);
-            }
-            let mut core = self.core.lock();
-            while !stored {
-                match core.flush_table(&self.tables, t, attempts) {
-                    Ok(flush) => {
-                        latency += flush.latency;
-                        evictions += flush.evictions;
-                        flushed = true;
-                        attempts += 1;
-                    }
-                    Err(e) => {
-                        // Close the op's ring even on failure so in-flight
-                        // writes are reaped and the device stays usable.
-                        if !core.coalesce_writes {
-                            core.drain_write_ring().ok();
-                        }
-                        return Err(e);
-                    }
+        let mut core = self.core.lock();
+        loop {
+            match core.flush_table(&self.tables, t, attempts) {
+                Ok(flush) => {
+                    latency += flush.latency;
+                    evictions += flush.evictions;
+                    attempts += 1;
                 }
-                stored = matches!(
-                    self.tables.with(t, |table| table.buffer_insert(key, value)),
-                    BufferInsert::Stored(_)
-                );
+                Err(e) => {
+                    // Close the op's ring even on failure so in-flight
+                    // writes are reaped and the device stays usable.
+                    if !core.coalesce_writes {
+                        core.drain_write_ring().ok();
+                    }
+                    return Err(e);
+                }
             }
-            if !core.coalesce_writes {
-                latency += core.drain_write_ring()?;
-                // The acknowledgment point (DESIGN.md "Crash consistency"):
-                // a per-op insert is acked only once nothing of its flush
-                // chain remains deferred or in flight on the ring.
-                debug_assert!(
-                    core.pending_writes.is_empty() && core.ring.is_none(),
-                    "insert acked with flush writes still in flight"
-                );
+            let stored = self.tables.with(t, |table| table.buffer_insert(key, value));
+            if matches!(stored, BufferInsert::Stored(_)) {
+                break;
             }
         }
-        Ok(InsertOutcome { latency, flushed, evictions })
+        // A per-op call owns its ring: the flush chain's device time (its
+        // makespan, overlap-accounted) is charged to this insert. Batched
+        // calls leave the ring open; the batch-end drain charges it.
+        if !core.coalesce_writes {
+            latency += core.drain_write_ring()?;
+            // The acknowledgment point (DESIGN.md "Crash consistency"): a
+            // per-op insert is acked only once nothing of its flush chain
+            // remains deferred or in flight on the ring.
+            debug_assert!(
+                core.pending_run.is_none() && core.ring.is_none(),
+                "insert acked with flush writes still in flight"
+            );
+        }
+        Ok(InsertOutcome { latency, flushed: true, evictions })
     }
 }
 
-/// Super table responsible for `key` among `tables`.
-fn table_of(key: Key, tables: usize) -> usize {
+/// Super table responsible for `key` in a CLAM of `tables` super tables.
+pub fn table_of(key: Key, tables: usize) -> usize {
     (hash_with_seed(key, 0x7a_b1e5) % tables as u64) as usize
-}
-
-/// Splits the tables of a grouped batch (`starts` as [`group_stable`]
-/// returns it) into at most `parallelism` contiguous ranges, balanced by
-/// op count: a range closes once it reaches its fair share of the
-/// remaining ops, and every range holds at least one non-empty table.
-fn split_balanced(starts: &[usize], parallelism: usize) -> Vec<std::ops::Range<usize>> {
-    let tables = starts.len() - 1;
-    let ops_of = |t: usize| starts[t + 1] - starts[t];
-    let occupied = (0..tables).filter(|&t| ops_of(t) > 0).count();
-    let chunk_count = parallelism.min(occupied).max(1);
-    let mut chunks = Vec::with_capacity(chunk_count);
-    let (mut begin, mut current_ops, mut occupied_left) = (0, 0, occupied);
-    for t in 0..tables {
-        if ops_of(t) == 0 {
-            continue;
-        }
-        let remaining_chunks = chunk_count - chunks.len();
-        let target = (starts[tables] - starts[begin]).div_ceil(remaining_chunks);
-        current_ops += ops_of(t);
-        occupied_left -= 1;
-        // Close the chunk at its fair share, but never strand later chunks
-        // without a non-empty table each.
-        if remaining_chunks > 1 && (current_ops >= target || occupied_left < remaining_chunks) {
-            chunks.push(begin..t + 1);
-            (begin, current_ops) = (t + 1, 0);
-        }
-    }
-    if starts[tables] > starts[begin] {
-        chunks.push(begin..tables);
-    }
-    chunks
 }
 
 impl<D: Device> ClamCore<D> {
@@ -1421,7 +1223,7 @@ impl<D: Device> ClamCore<D> {
     }
 
     /// The recovery scan behind [`Clam::recover`]; see its documentation.
-    fn recover_scan(&mut self, tables: &TableSet) -> Result<RecoveryReport> {
+    pub(super) fn recover_scan(&mut self, tables: &TableSet) -> Result<RecoveryReport> {
         let layout = self.layout;
         let slot_size = self.allocator.slot_size();
         let num_slots = self.allocator.num_slots();
@@ -1595,137 +1397,32 @@ impl<D: Device> ClamCore<D> {
         })
     }
 
-    /// Insert body shared by the per-op and batched paths; `dispatch` is the
-    /// fixed overhead charged to this op (full for per-op calls, amortized
-    /// for batched ones).
-    fn insert_with_dispatch(
-        &mut self,
-        tables: &TableSet,
-        key: Key,
-        value: Value,
-        dispatch: SimDuration,
-    ) -> Result<InsertOutcome> {
-        let t = self.table_of(key);
-        let mut latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
-        let mut flushed = false;
-        let mut evictions = 0usize;
-        // `attempts` doubles as the cascade depth: when partial-discard
-        // eviction keeps retaining whole incarnations the policy degrades to
-        // full discard after `k` rounds (§7.4), guaranteeing termination.
-        let mut attempts = 0usize;
-        loop {
-            match tables.with(t, |table| table.buffer_insert(key, value)) {
-                BufferInsert::Stored(_) => break,
-                BufferInsert::Full => match self.flush_table(tables, t, attempts) {
-                    Ok(flush) => {
-                        latency += flush.latency;
-                        evictions += flush.evictions;
-                        flushed = true;
-                        attempts += 1;
-                    }
-                    Err(e) => {
-                        // Close the op's ring even on failure so in-flight
-                        // writes are reaped and the device stays usable.
-                        if !self.coalesce_writes {
-                            self.drain_write_ring().ok();
-                        }
-                        return Err(e);
-                    }
-                },
-            }
-        }
-        // A per-op call owns its ring: the flush chain's device time (its
-        // makespan, overlap-accounted) is charged to this insert. Batched
-        // calls leave the ring open; the batch-end drain charges it.
-        if !self.coalesce_writes {
-            latency += self.drain_write_ring()?;
-            // The acknowledgment point (DESIGN.md "Crash consistency"): a
-            // per-op insert is acked only once nothing of its flush chain
-            // remains deferred or in flight on the ring.
-            debug_assert!(
-                self.pending_writes.is_empty() && self.ring.is_none(),
-                "insert acked with flush writes still in flight"
-            );
-        }
-        let outcome = InsertOutcome { latency, flushed, evictions };
-        record_insert(&mut self.stats, &outcome);
-        Ok(outcome)
-    }
-
-    /// The sequential batch-insert body behind [`Clam::insert_batch`];
-    /// `order` is the stable table-sorted index order.
-    fn insert_batch_ordered(
-        &mut self,
-        tables: &TableSet,
-        ops: &[(Key, Value)],
-        order: &[usize],
-    ) -> Result<BatchInsertOutcome> {
-        let mut outcome = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
-        if ops.is_empty() {
-            return Ok(outcome);
-        }
-        let dispatch = batch_dispatch(ops.len());
-        let coalesced_before = self.stats.coalesced_flush_writes;
-        self.stats.batched_inserts += ops.len() as u64;
-        self.coalesce_writes = true;
-        let mut failure = None;
-        for &i in order {
-            let (key, value) = ops[i];
-            match self.insert_with_dispatch(tables, key, value, dispatch) {
-                Ok(op) => {
-                    outcome.latency += op.latency;
-                    if op.flushed {
-                        outcome.flushed_ops += 1;
-                    }
-                    outcome.evictions += op.evictions;
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        // Close the write ring even on failure so the device stays
-        // consistent with the in-memory incarnation metadata. Finished
-        // coalesced runs were already *admitted* as they formed (so flush
-        // traffic streams out mid-batch and inserts keep flowing); this
-        // end-of-batch drain admits the final run and reaps the ring, and
-        // only its makespan is "deferred" time (charged to the batch, not
-        // to any triggering insert). Eviction reads mid-batch sync the
-        // ring and are charged to their op like a sequential flush.
-        self.coalesce_writes = false;
-        let drained = self.drain_write_ring()?;
-        self.stats.deferred_flush_time += drained;
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        outcome.latency += drained;
-        outcome.coalesced_writes = (self.stats.coalesced_flush_writes - coalesced_before) as usize;
-        Ok(outcome)
-    }
-
-    /// Buffer and delete-list checks plus probe planning, shared by the
-    /// ring and wave pipelines: resolves every key it can from memory
-    /// (recording its stats) and returns a probe state machine for each
-    /// key that must touch flash.
+    /// Buffer and delete-list checks plus probe planning: resolves every
+    /// key it can from memory (recording its stats) and returns a probe
+    /// state machine for each key that must touch flash.
     fn plan_lookups(
         &mut self,
         tables: &TableSet,
         keys: &[Key],
         dispatch: SimDuration,
     ) -> LookupPlan {
-        let mut order: Vec<usize> = (0..keys.len()).collect();
-        // Stable sort: keys for one super table keep their input order.
-        order.sort_by_key(|&i| self.table_of(keys[i]));
+        // Input positions grouped by super table, each table's keys in
+        // input order: one hash per key.
+        let positions: Vec<usize> = (0..keys.len()).collect();
+        let (order, starts) =
+            group_stable(&positions, self.num_tables, |&slot| self.table_of(keys[slot]));
         let mut plan = LookupPlan {
             out: vec![None; keys.len()],
             pending: Vec::new(),
             reinserts: Vec::new(),
             host_time: SimDuration::ZERO,
         };
-        for &slot in &order {
+        let mut t = 0;
+        for (at, &slot) in order.iter().enumerate() {
+            while at >= starts[t + 1] {
+                t += 1;
+            }
             let key = keys[slot];
-            let t = self.table_of(key);
             let (filter_words, found_in_memory, candidates) = tables.with(t, |table| {
                 let found = table.memory_lookup(key);
                 // Candidate incarnations, youngest first, guided by the
@@ -1835,7 +1532,7 @@ impl<D: Device> ClamCore<D> {
     /// The streaming ring pipeline behind [`Clam::lookup`] and
     /// [`Clam::lookup_batch`]; `dispatch` is the fixed overhead charged to
     /// each key (full for per-op calls, amortized for batched ones).
-    fn lookup_batch_ring(
+    pub(super) fn lookup_batch_ring(
         &mut self,
         tables: &TableSet,
         keys: &[Key],
@@ -1989,60 +1686,6 @@ impl<D: Device> ClamCore<D> {
         Ok(batch)
     }
 
-    /// The barrier wave pipeline behind [`Clam::lookup_batch_waves`].
-    fn lookup_batch_waves_with_dispatch(
-        &mut self,
-        tables: &TableSet,
-        keys: &[Key],
-        dispatch: SimDuration,
-    ) -> Result<BatchLookupOutcome> {
-        let mut batch = BatchLookupOutcome::default();
-        if keys.is_empty() {
-            return Ok(batch);
-        }
-        let page_size = self.layout.page_size;
-        let LookupPlan { mut out, mut pending, mut reinserts, host_time } =
-            self.plan_lookups(tables, keys, dispatch);
-
-        // Probe waves: submit the next pending page read of every
-        // unresolved key as one request batch, charge the wave makespan,
-        // and step each state machine on its completion.
-        while !pending.is_empty() {
-            let offsets: Vec<u64> = pending.iter().map(|s| self.probe_offset(s)).collect();
-            let mut requests = page_read_batch(&offsets, page_size);
-            let completions = self.device.submit(&mut requests)?;
-            batch.waves += 1;
-            batch.probe_reads += completions.len();
-            batch.probe_latency += batch_latency(&completions);
-            self.stats.lookup_probe_waves += 1;
-            self.stats.lookup_probe_requests += completions.len() as u64;
-            self.stats.lookup_probes_overlapped += overlapped_requests(&completions) as u64;
-
-            let mut unresolved = Vec::with_capacity(pending.len());
-            for (mut state, completion) in pending.into_iter().zip(completions) {
-                let offset = offsets[completion.index];
-                let page = completion.result?;
-                state.latency += completion.latency;
-                if let Some((state, _)) =
-                    self.step_probe(tables, state, &page, offset, &mut out, &mut reinserts)?
-                {
-                    unresolved.push(state);
-                }
-            }
-            pending = unresolved;
-        }
-        if batch.waves > 0 {
-            self.stats.lookup_batches_submitted += 1;
-        }
-
-        // LRU re-insertions, as in the ring pipeline.
-        self.apply_reinserts(tables, reinserts)?;
-
-        batch.latency = host_time + batch.probe_latency;
-        batch.outcomes = out.into_iter().map(|o| o.expect("every key resolved")).collect();
-        Ok(batch)
-    }
-
     /// Advances a probe to its next live candidate incarnation, resetting
     /// the page-chain cursor; returns `false` when the candidate list is
     /// exhausted (the key cannot be on flash).
@@ -2098,10 +1741,8 @@ impl<D: Device> ClamCore<D> {
     /// probe reads ran on, so the writes overlap the probe tail) instead
     /// of looping blocking per-table writes; the asynchronous re-insert
     /// cost recorded in `ClamStats::async_reinsert_time` is the ring's
-    /// makespan growth — makespan-accounted like every other flush. On
-    /// the barrier reference path the writes pool and drain as one
-    /// blocking [`Device::submit`](flashsim::Device::submit) batch.
-    fn apply_reinserts(
+    /// makespan growth — makespan-accounted like every other flush.
+    pub(super) fn apply_reinserts(
         &mut self,
         tables: &TableSet,
         reinserts: Vec<(usize, Key, Value)>,
@@ -2145,7 +1786,7 @@ impl<D: Device> ClamCore<D> {
     }
 
     /// The whole-index flush behind [`Clam::flush_all`].
-    fn flush_all(&mut self, tables: &TableSet) -> Result<SimDuration> {
+    pub(super) fn flush_all(&mut self, tables: &TableSet) -> Result<SimDuration> {
         let mut total = SimDuration::ZERO;
         let was_coalescing = self.coalesce_writes;
         self.coalesce_writes = true;
@@ -2180,20 +1821,15 @@ impl<D: Device> ClamCore<D> {
 
     /// One flush chain for table `t`: evict if the incarnation table is
     /// full, write the buffer out as a new incarnation, cascade on
-    /// retained re-inserts. Dispatches to the **ring-driven** write path
-    /// (the default: writes are admitted to the call's shared completion
-    /// ring without waiting, so they overlap each other and any probe
-    /// traffic on the same ring) or to the blocking **barrier** reference
-    /// path when [`Clam::set_barrier_writes`] is on.
+    /// retained re-inserts. Writes are admitted to the call's shared
+    /// completion ring without waiting, so they overlap each other and any
+    /// probe traffic on the same ring.
     ///
-    /// Runs entirely under one core lock on the fine-grained path, so the
-    /// allocator grant and the ring admission of the resulting write are
-    /// atomic — grant order *is* admission order, which devices apply as
-    /// data-effect order (the PR-7 ack invariant).
+    /// Runs entirely under one core lock, so the allocator grant and the
+    /// ring admission of the resulting write are atomic — grant order *is*
+    /// admission order, which devices apply as data-effect order (the ack
+    /// invariant of DESIGN.md "Crash consistency").
     fn flush_table(&mut self, tables: &TableSet, t: usize, depth: usize) -> Result<FlushOutcome> {
-        if self.barrier_writes {
-            return self.flush_table_barrier(tables, t, depth);
-        }
         let mut latency = SimDuration::ZERO;
         let mut evictions = 0usize;
 
@@ -2230,7 +1866,9 @@ impl<D: Device> ClamCore<D> {
             for owner in &alloc.displaced {
                 let dropped = tables.with(owner.table, |table| table.force_evict_up_to(owner.seq));
                 for meta in dropped {
-                    self.allocator.release(meta.flash_offset);
+                    // A no-op for the granted slot itself, which already
+                    // names its new owner.
+                    self.allocator.release(meta.flash_offset, meta.seq);
                     self.stats.forced_evictions += 1;
                 }
             }
@@ -2278,105 +1916,6 @@ impl<D: Device> ClamCore<D> {
                     BufferInsert::Stored(_) => break,
                     BufferInsert::Full => {
                         let inner = self.flush_table(tables, t, depth + 1)?;
-                        latency += inner.latency;
-                        evictions += inner.evictions;
-                    }
-                }
-            }
-        }
-
-        Ok(FlushOutcome { latency, evictions })
-    }
-
-    /// The blocking **barrier** reference implementation of
-    /// [`flush_table`](Self::flush_table): every incarnation write goes
-    /// through [`Device::submit`](flashsim::Device::submit) (or pools for a
-    /// blocking batch-end drain), paying each submission's full latency
-    /// before the next starts. Kept verbatim as the baseline the
-    /// ring-driven path is property-tested against (observationally
-    /// equivalent on stored state and device counters) and raced against
-    /// in the `io_queue_depth` harness.
-    fn flush_table_barrier(
-        &mut self,
-        tables: &TableSet,
-        t: usize,
-        depth: usize,
-    ) -> Result<FlushOutcome> {
-        let mut latency = SimDuration::ZERO;
-        let mut evictions = 0usize;
-
-        // Make room in the incarnation table if needed, applying the
-        // configured eviction policy. Beyond `k` cascades fall back to full
-        // discard to guarantee termination (§7.4).
-        let mut retained: Vec<Entry> = Vec::new();
-        let (num_incarnations, max_incarnations) =
-            tables.with(t, |table| (table.num_incarnations(), table.max_incarnations()));
-        if num_incarnations >= max_incarnations {
-            let policy =
-                if depth >= max_incarnations { EvictionPolicy::Fifo } else { self.config.eviction };
-            let (evict_lat, kept) = self.evict_oldest_barrier(tables, t, &policy)?;
-            latency += evict_lat;
-            retained = kept;
-            evictions += 1;
-        }
-
-        // Write the buffer out as a new incarnation.
-        let entries = tables.with(t, |table| table.drain_buffer());
-        if !entries.is_empty() {
-            let keys: Vec<Key> = entries.iter().map(|e| e.key).collect();
-            let layout = self.layout;
-            self.seq += 1;
-            let seq = self.seq;
-            let image = layout.serialize_identified(
-                &entries,
-                IncarnationIdentity { table: t as u16, seq, epoch: self.epoch },
-            )?;
-            let alloc = self.allocator.allocate(t, seq)?;
-            // Force-evict incarnations whose slots this write reclaims.
-            for owner in &alloc.displaced {
-                let dropped = tables.with(owner.table, |table| table.force_evict_up_to(owner.seq));
-                for meta in dropped {
-                    self.allocator.release(meta.flash_offset);
-                    self.stats.forced_evictions += 1;
-                }
-            }
-            if self.coalesce_writes && alloc.blocks_to_erase.is_empty() {
-                // Batched path (SSD global log): defer the write so runs of
-                // contiguous slots flushed by the same batch become one
-                // sequential device write. Drained before any flash read
-                // and at the end of the batch.
-                self.pending_writes.push((alloc.offset, image));
-            } else {
-                // Erases must not be reordered with already-deferred
-                // writes, so drain first. The erases and the incarnation
-                // write then go to the device as one in-order submission
-                // (devices apply request effects in submission order, so
-                // erase-before-program is preserved).
-                latency += self.drain_pending_writes_barrier()?;
-                let mut requests: Vec<IoRequest> =
-                    alloc.blocks_to_erase.iter().map(|&block| IoRequest::Erase { block }).collect();
-                requests.push(IoRequest::write(alloc.offset, image));
-                latency += self.submit_checked(&mut requests)?.0;
-            }
-            tables.with(t, |table| {
-                table.register_incarnation(
-                    IncarnationMeta { flash_offset: alloc.offset, entries: entries.len(), seq },
-                    &keys,
-                );
-                table.prune_delete_list();
-            });
-            self.stats.flushes += 1;
-        }
-
-        // Re-insert retained entries; this can refill the buffer and cascade
-        // into another flush (§7.4).
-        for e in retained {
-            self.stats.reinsertions += 1;
-            loop {
-                match tables.with(t, |table| table.buffer_insert(e.key, e.value)) {
-                    BufferInsert::Stored(_) => break,
-                    BufferInsert::Full => {
-                        let inner = self.flush_table_barrier(tables, t, depth + 1)?;
                         latency += inner.latency;
                         evictions += inner.evictions;
                     }
@@ -2459,174 +1998,47 @@ impl<D: Device> ClamCore<D> {
             table.drop_oldest_incarnation();
             table.prune_delete_list();
         });
-        self.allocator.release(oldest.flash_offset);
+        self.allocator.release(oldest.flash_offset, oldest.seq);
         Ok((latency, retained))
     }
 
-    /// The blocking barrier reference implementation of
-    /// [`evict_oldest`](Self::evict_oldest): drains deferred writes, then
-    /// scans and trims via blocking submissions. Used by
-    /// [`flush_table_barrier`](Self::flush_table_barrier).
-    fn evict_oldest_barrier(
-        &mut self,
-        tables: &TableSet,
-        t: usize,
-        policy: &EvictionPolicy,
-    ) -> Result<(SimDuration, Vec<Entry>)> {
-        let Some(oldest) = tables.with(t, |table| table.oldest_incarnation()) else {
-            return Ok((SimDuration::ZERO, Vec::new()));
-        };
-        let mut latency = SimDuration::ZERO;
-        let mut retained = Vec::new();
-
-        if policy.uses_partial_discard() {
-            // Scan the incarnation to decide which entries survive, and
-            // queue the reclaiming TRIM behind the read in the same
-            // submission (in-order, so the read sees the live bytes). The
-            // incarnation may still sit in the batch's deferred-write queue,
-            // so make the device current before submitting.
-            latency += self.drain_pending_writes_barrier()?;
-            let layout = self.layout;
-            let mut requests = vec![
-                IoRequest::read(oldest.flash_offset, layout.total_bytes()),
-                IoRequest::Trim { offset: oldest.flash_offset, len: layout.total_bytes() as u64 },
-            ];
-            let (submit_lat, completions) = self.submit_checked(&mut requests)?;
-            latency += submit_lat;
-            let image = completions
-                .into_iter()
-                .next()
-                .and_then(|c| c.result.ok())
-                .expect("read completion checked");
-            // Deciding staleness also probes the in-memory filters.
-            latency += self.mem_words_cost(oldest.entries * 2);
-            let entries = parse_incarnation(&image, &layout)
-                .map_err(|e| annotate_offset(e, oldest.flash_offset))?;
-            tables.with(t, |table| {
-                for e in entries {
-                    if table.retain_decision(&e, policy) == RetainDecision::Retain {
-                        retained.push(e);
-                    }
-                }
-            });
-        } else {
-            latency += self.device.trim(oldest.flash_offset, self.layout.total_bytes() as u64)?;
-        }
-
-        tables.with(t, |table| {
-            table.drop_oldest_incarnation();
-            table.prune_delete_list();
-        });
-        self.allocator.release(oldest.flash_offset);
-        Ok((latency, retained))
-    }
-
-    /// Queues one incarnation write for coalescing. On the ring path the
-    /// deferred set holds a single contiguous run: a write extending the
-    /// run merges into it (one device command for the whole run), while a
-    /// non-contiguous write **admits the finished run to the ring first**,
-    /// so deferred flush traffic streams out as it forms instead of
-    /// pooling until the batch ends. The barrier path pools everything and
-    /// lets [`drain_pending_writes_barrier`](Self::drain_pending_writes_barrier)
-    /// sort and merge at drain time; the two produce identical runs for
-    /// the global log, whose slots are handed out in flush order.
+    /// Queues one incarnation write for coalescing. The deferred set holds
+    /// a single contiguous run: a write extending the run merges into it
+    /// (one device command for the whole run), while a non-contiguous
+    /// write **admits the finished run to the ring first**, so deferred
+    /// flush traffic streams out as it forms instead of pooling until the
+    /// batch ends.
     fn push_coalesced_write(&mut self, offset: u64, image: Vec<u8>) -> Result<()> {
-        if self.barrier_writes {
-            self.pending_writes.push((offset, image));
-            return Ok(());
-        }
-        match self.pending_writes.last_mut() {
+        match &mut self.pending_run {
             Some((run_offset, run_image)) if offset == *run_offset + run_image.len() as u64 => {
                 run_image.extend_from_slice(&image);
                 self.stats.coalesced_flush_writes += 1;
             }
             _ => {
                 self.admit_pending_writes()?;
-                self.pending_writes.push((offset, image));
+                self.pending_run = Some((offset, image));
             }
         }
         Ok(())
     }
 
     /// Admits the deferred coalesced run (if any) to the call's shared
-    /// ring without waiting. Ring path only — the barrier path drains with
-    /// a blocking submission instead.
+    /// ring without waiting.
     fn admit_pending_writes(&mut self) -> Result<()> {
-        if self.pending_writes.is_empty() {
-            return Ok(());
+        if let Some((offset, image)) = self.pending_run.take() {
+            self.ring_admit(vec![RingRequest::new(IoRequest::write(offset, image))])?;
         }
-        let runs = std::mem::take(&mut self.pending_writes);
-        let requests: Vec<RingRequest> = runs
-            .into_iter()
-            .map(|(offset, image)| RingRequest::new(IoRequest::write(offset, image)))
-            .collect();
-        self.ring_admit(requests)?;
         Ok(())
     }
 
     /// Flushes the write side of the current call: admits any deferred run
     /// and closes the shared ring, returning the device time charged to
-    /// the caller (the ring's makespan growth since the last sync; on the
-    /// barrier path, the blocking drain's batch latency).
+    /// the caller (the ring's makespan growth since the last sync).
     fn drain_write_ring(&mut self) -> Result<SimDuration> {
-        if self.barrier_writes {
-            return self.drain_pending_writes_barrier();
-        }
         let admitted = self.admit_pending_writes();
         let finished = self.finish_ring();
         admitted?;
         finished
-    }
-
-    /// Barrier reference drain: writes out every deferred incarnation
-    /// image, merging runs of contiguous offsets into single sequential
-    /// device writes and handing the merged runs to the device as **one
-    /// blocking submission**, so a device with an overlapped queue (SSD
-    /// lanes, the file backend's worker pool) retires independent runs
-    /// concurrently. Returns the simulated latency of the drained writes —
-    /// the batch's elapsed (max-over-lanes) time, not the per-run sum.
-    fn drain_pending_writes_barrier(&mut self) -> Result<SimDuration> {
-        if self.pending_writes.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
-        let mut writes = std::mem::take(&mut self.pending_writes);
-        // Stable sort: if the log wrapped within one batch and a slot was
-        // written twice, the later image is written last and wins.
-        writes.sort_by_key(|(offset, _)| *offset);
-        let mut merged = 0u64;
-        let mut requests: Vec<IoRequest> = Vec::new();
-        let mut iter = writes.into_iter();
-        let (mut run_offset, mut run_image) = iter.next().expect("non-empty");
-        for (offset, image) in iter {
-            if offset == run_offset + run_image.len() as u64 {
-                run_image.extend_from_slice(&image);
-                merged += 1;
-            } else {
-                requests.push(IoRequest::write(run_offset, run_image));
-                run_offset = offset;
-                run_image = image;
-            }
-        }
-        requests.push(IoRequest::write(run_offset, run_image));
-        let (total, _) = self.submit_checked(&mut requests)?;
-        self.stats.coalesced_flush_writes += merged;
-        Ok(total)
-    }
-
-    /// Submits a request batch to the device, propagates the first
-    /// per-request failure, and returns the submission's elapsed latency
-    /// (max over queue lanes) together with the completions, for callers
-    /// that need read data back.
-    fn submit_checked(
-        &mut self,
-        requests: &mut [IoRequest],
-    ) -> Result<(SimDuration, Vec<IoCompletion>)> {
-        let completions = self.device.submit(requests)?;
-        let latency = batch_latency(&completions);
-        if let Some(err) = completions.iter().find_map(|c| c.result.as_ref().err()) {
-            return Err(err.clone().into());
-        }
-        Ok((latency, completions))
     }
 
     // ------------------------------------------------------------------
@@ -2636,7 +2048,7 @@ impl<D: Device> ClamCore<D> {
     /// Lazily opens the current top-level call's shared ring, sized to the
     /// device's queue (one lane on serial devices, `max_queue_depth` lanes
     /// on overlapped ones).
-    fn ensure_ring(&mut self) {
+    pub(super) fn ensure_ring(&mut self) {
         if self.ring.is_none() {
             self.ring = Some(CompletionRing::for_queue(self.device.queue()));
         }
@@ -2645,7 +2057,7 @@ impl<D: Device> ClamCore<D> {
     /// Admits write-path requests into the call's shared ring without
     /// waiting ([`Device::submit_nowait`](flashsim::Device::submit_nowait)),
     /// opening the ring if this is the call's first admission.
-    fn ring_admit(&mut self, requests: Vec<RingRequest>) -> Result<Vec<IoTicket>> {
+    pub(super) fn ring_admit(&mut self, requests: Vec<RingRequest>) -> Result<Vec<IoTicket>> {
         for r in &requests {
             if matches!(r.request, IoRequest::Read { .. }) {
                 self.ring_read = true;
@@ -2668,7 +2080,7 @@ impl<D: Device> ClamCore<D> {
     /// failure. The ring stays open: later admissions land on the same
     /// device timeline, which is what lets flush traffic overlap the tail
     /// of earlier probe or write traffic instead of restarting the clock.
-    fn sync_ring(&mut self) -> Result<(SimDuration, Vec<RingCompletion>)> {
+    pub(super) fn sync_ring(&mut self) -> Result<(SimDuration, Vec<RingCompletion>)> {
         let Some(mut ring) = self.ring.take() else {
             return Ok((SimDuration::ZERO, Vec::new()));
         };
@@ -2710,7 +2122,7 @@ impl<D: Device> ClamCore<D> {
     /// Closes the call's shared ring: syncs it, resets the per-call ring
     /// state, and returns the final makespan growth. A no-op returning
     /// zero when no ring was opened.
-    fn finish_ring(&mut self) -> Result<SimDuration> {
+    pub(super) fn finish_ring(&mut self) -> Result<SimDuration> {
         if self.ring.is_none() {
             return Ok(SimDuration::ZERO);
         }
@@ -2755,7 +2167,7 @@ struct FlushOutcome {
 
 /// In-memory phase of a lookup batch: keys resolved from buffers or
 /// delete lists, probe state machines for the rest, plus the host-side
-/// accounting, shared by the ring and wave pipelines.
+/// accounting.
 struct LookupPlan {
     /// One slot per key; `Some` once the key resolved.
     out: Vec<Option<LookupOutcome>>,
@@ -2770,7 +2182,7 @@ struct LookupPlan {
 /// Probe state machine for one key of a queued lookup batch: where the key
 /// sits in its Bloom-guided candidate walk (which incarnation, which page
 /// of the overflow chain) and the per-key accounting accumulated so far.
-/// One page read per wave advances it until a verdict is reached.
+/// Each page read that reaps advances it until a verdict is reached.
 struct ProbeState {
     /// Position of the key in the caller's batch.
     slot: usize,
@@ -2801,1008 +2213,4 @@ fn annotate_offset(e: BufferHashError, offset: u64) -> BufferHashError {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::bitslice::BitSlicedBloomSet;
-    use crate::filters::FilterMode;
-    use crate::types::ENTRY_SIZE;
-    use flashsim::{MagneticDisk, Ssd};
-    use std::collections::HashMap;
-
-    fn small_clam() -> Clam<Ssd> {
-        // 8 MiB flash, 2 MiB DRAM, 32 KiB buffers.
-        let cfg = ClamConfig::small_test(8 << 20, 2 << 20).unwrap();
-        let ssd = Ssd::intel(8 << 20).unwrap();
-        Clam::new(ssd, cfg).unwrap()
-    }
-
-    fn key(i: u64) -> Key {
-        hash_with_seed(i, 0x5eed)
-    }
-
-    #[test]
-    fn insert_then_lookup_round_trips() {
-        let mut clam = small_clam();
-        for i in 0..100u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        for i in 0..100u64 {
-            let out = clam.lookup(key(i)).unwrap();
-            assert_eq!(out.value, Some(i), "key {i}");
-        }
-        assert_eq!(clam.stats().lookup_hits, 100);
-    }
-
-    #[test]
-    fn recover_rebuilds_state_from_flash_alone() {
-        let mut clam = small_clam();
-        let n = 40_000u64;
-        for i in 0..n {
-            clam.insert(key(i), i).unwrap();
-        }
-        clam.flush_all().unwrap();
-        let flushes = clam.stats().flushes;
-        let old_epoch = clam.epoch();
-        let old_seq = clam.core.get_mut().seq;
-        let live = clam.core.get_mut().allocator.live_slots();
-        let config = clam.config().clone();
-
-        // Lose every byte of DRAM; recover from the flash image alone.
-        let device = clam.into_device();
-        let (mut recovered, report) = Clam::recover(device, config).unwrap();
-        assert_eq!(report.accepted, live, "every live incarnation accepted: {report}");
-        assert_eq!(report.torn, 0, "{report}");
-        assert_eq!(report.stale, 0, "{report}");
-        assert_eq!(report.slots_scanned, 256);
-        assert_eq!(report.bytes_scanned, 8 << 20);
-        assert!(report.scan_makespan > SimDuration::ZERO);
-        assert!(report.epoch > old_epoch, "recovered lifetime gets a younger epoch");
-        assert_eq!(report.seq_resumed, old_seq, "seq resumes past every flushed incarnation");
-        assert!(flushes as usize >= live);
-
-        for i in 0..n {
-            assert_eq!(recovered.lookup(key(i)).unwrap().value, Some(i), "key {i}");
-        }
-        assert_eq!(recovered.stats().recoveries, 1);
-        assert_eq!(recovered.stats().recovered_incarnations, live as u64);
-
-        // The restored allocator and seq let the recovered CLAM keep
-        // writing: new inserts flush into the slots a never-crashed
-        // lifetime would have used, without clobbering live data.
-        for i in n..(n + 40_000) {
-            recovered.insert(key(i), i).unwrap();
-        }
-        recovered.flush_all().unwrap();
-        for i in (0..n + 40_000).step_by(211) {
-            assert_eq!(recovered.lookup(key(i)).unwrap().value, Some(i), "key {i}");
-        }
-    }
-
-    #[test]
-    fn recover_on_a_pristine_device_starts_empty() {
-        let cfg = ClamConfig::small_test(8 << 20, 2 << 20).unwrap();
-        let ssd = Ssd::intel(8 << 20).unwrap();
-        let (mut clam, report) = Clam::recover(ssd, cfg).unwrap();
-        assert_eq!(report.accepted, 0);
-        assert_eq!(report.torn, 0);
-        assert_eq!(report.empty as u64, report.slots_scanned);
-        assert_eq!(report.entries_recovered, 0);
-        assert_eq!(clam.lookup(key(1)).unwrap().value, None);
-        clam.insert(key(1), 1).unwrap();
-        assert_eq!(clam.lookup(key(1)).unwrap().value, Some(1));
-    }
-
-    #[test]
-    fn lookups_after_flush_read_from_flash() {
-        let mut clam = small_clam();
-        // Enough inserts to flush several buffers.
-        let n = 40_000u64;
-        for i in 0..n {
-            clam.insert(key(i), i).unwrap();
-        }
-        assert!(clam.stats().flushes > 0, "expected at least one flush");
-        // Early keys should now live on flash; they must still be found.
-        let mut flash_hits = 0;
-        for i in 0..200u64 {
-            let out = clam.lookup(key(i)).unwrap();
-            assert_eq!(out.value, Some(i));
-            if out.source == LookupSource::Flash {
-                flash_hits += 1;
-                assert!(out.flash_reads >= 1);
-            }
-        }
-        assert!(flash_hits > 0, "expected some lookups to be served from flash");
-    }
-
-    #[test]
-    fn missing_keys_return_none_with_few_flash_reads() {
-        let mut clam = small_clam();
-        for i in 0..20_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        let mut total_reads = 0usize;
-        let misses = 2_000u64;
-        for i in 0..misses {
-            let out = clam.lookup(hash_with_seed(i, 0xdead_bead)).unwrap();
-            assert_eq!(out.value, None);
-            total_reads += out.flash_reads;
-        }
-        // With adequately sized Bloom filters, unsuccessful lookups should
-        // almost never touch flash.
-        let per_miss = total_reads as f64 / misses as f64;
-        assert!(per_miss < 0.2, "unsuccessful lookups read flash {per_miss} times on average");
-    }
-
-    #[test]
-    fn update_returns_the_newest_value() {
-        let mut clam = small_clam();
-        let k = key(7);
-        clam.insert(k, 1).unwrap();
-        // Push the old value to flash by filling the same super table's
-        // buffer indirectly: insert enough keys overall.
-        for i in 1000..30_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        clam.insert(k, 2).unwrap();
-        assert_eq!(clam.lookup(k).unwrap().value, Some(2));
-        // And again after more churn.
-        for i in 30_000..60_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        assert_eq!(clam.lookup(k).unwrap().value, Some(2));
-    }
-
-    #[test]
-    fn delete_hides_flash_copies() {
-        let mut clam = small_clam();
-        let k = key(3);
-        clam.insert(k, 33).unwrap();
-        for i in 10_000..40_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        // The key is on flash by now; delete must still hide it.
-        clam.delete(k).unwrap();
-        let out = clam.lookup(k).unwrap();
-        assert_eq!(out.value, None);
-        assert_eq!(out.source, LookupSource::Deleted);
-        // Re-inserting revives it.
-        clam.insert(k, 44).unwrap();
-        assert_eq!(clam.lookup(k).unwrap().value, Some(44));
-    }
-
-    #[test]
-    fn matches_reference_model_under_churn() {
-        let mut clam = small_clam();
-        let mut model: HashMap<Key, Value> = HashMap::new();
-        // Interleave inserts, updates and deletes, then verify every key
-        // that should still be live. Use few enough keys that FIFO eviction
-        // does not drop live entries.
-        for i in 0..30_000u64 {
-            let k = key(i % 10_000);
-            match i % 7 {
-                0..=4 => {
-                    clam.insert(k, i).unwrap();
-                    model.insert(k, i);
-                }
-                5 => {
-                    clam.delete(k).unwrap();
-                    model.remove(&k);
-                }
-                _ => {
-                    let expect = model.get(&k).copied();
-                    assert_eq!(clam.lookup(k).unwrap().value, expect, "iteration {i}");
-                }
-            }
-        }
-        for (k, v) in model {
-            assert_eq!(clam.lookup(k).unwrap().value, Some(v));
-        }
-    }
-
-    #[test]
-    fn old_keys_are_evicted_fifo_when_capacity_wraps() {
-        let cfg = ClamConfig::small_test(2 << 20, 1 << 20).unwrap();
-        let mut clam = Clam::new(Ssd::intel(2 << 20).unwrap(), cfg).unwrap();
-        let capacity_entries = clam.config().flash_capacity as usize / 32; // generous bound
-        let n = capacity_entries as u64 * 3;
-        for i in 0..n {
-            clam.insert(key(i), i).unwrap();
-        }
-        assert!(clam.stats().forced_evictions > 0 || clam.stats().flushes > 0);
-        // The oldest keys must be gone (FIFO), the newest still present.
-        let old = clam.lookup(key(0)).unwrap();
-        assert_eq!(old.value, None, "oldest key should have been evicted");
-        let new = clam.lookup(key(n - 1)).unwrap();
-        assert_eq!(new.value, Some(n - 1));
-    }
-
-    #[test]
-    fn insert_latency_is_microseconds_on_average() {
-        let mut clam = small_clam();
-        for i in 0..50_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        let mean = clam.stats().inserts.mean();
-        assert!(mean < SimDuration::from_micros(60), "average insert latency too high: {mean}");
-        let max = clam.stats().inserts.max();
-        assert!(max > mean * 10, "worst-case insert should be dominated by flushes");
-    }
-
-    #[test]
-    fn average_lookup_is_fast_at_moderate_hit_rates() {
-        let mut clam = small_clam();
-        for i in 0..50_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        clam.reset_stats();
-        // 40% of lookups hit existing keys, 60% miss.
-        for i in 0..10_000u64 {
-            let k = if i % 5 < 2 { key(20_000 + i) } else { hash_with_seed(i, 0xaaaa) };
-            clam.lookup(k).unwrap();
-        }
-        let mean = clam.stats().lookups.mean();
-        assert!(mean < SimDuration::from_micros(300), "average lookup latency too high: {mean}");
-    }
-
-    #[test]
-    fn lru_reinserts_used_items() {
-        let mut cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
-        cfg.eviction = EvictionPolicy::Lru;
-        let mut clam = Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap();
-        // Insert enough that the early keys are flushed out of the buffers.
-        for i in 0..40_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        assert!(clam.stats().flushes > 0);
-        let before = clam.stats().reinsertions;
-        // Touch keys that are on flash.
-        for i in 0..50u64 {
-            clam.lookup(key(i)).unwrap();
-        }
-        assert!(clam.stats().reinsertions > before, "LRU lookups should re-insert flash hits");
-    }
-
-    #[test]
-    fn update_based_eviction_retains_unmodified_entries() {
-        let mut cfg = ClamConfig::small_test(2 << 20, 1 << 20).unwrap();
-        cfg.eviction = EvictionPolicy::UpdateBased;
-        let mut clam = Clam::new(Ssd::intel(2 << 20).unwrap(), cfg).unwrap();
-        let mut cascades_seen = false;
-        for i in 0..80_000u64 {
-            // 40% of inserts update recent keys, the rest are new.
-            let k = if i % 5 < 2 { key(i / 3) } else { key(i) };
-            let out = clam.insert(k, i).unwrap();
-            if out.evictions > 1 {
-                cascades_seen = true;
-            }
-        }
-        assert!(clam.stats().reinsertions > 0, "partial discard should retain some entries");
-        // Cascades are possible but most evictions should be shallow.
-        let hist = clam.stats().cascade_histogram.clone();
-        let total: u64 = hist.iter().sum();
-        let deep: u64 = hist.iter().skip(4).sum();
-        assert!(total > 0);
-        assert!(deep * 10 <= total, "cascades deeper than 3 should be rare ({deep}/{total})");
-        let _ = cascades_seen;
-    }
-
-    #[test]
-    fn priority_eviction_drops_low_priority_entries() {
-        let mut cfg = ClamConfig::small_test(2 << 20, 1 << 20).unwrap();
-        cfg.eviction = EvictionPolicy::priority_threshold(u64::MAX);
-        // Threshold of MAX means nothing is retained: behaves like FIFO.
-        let mut clam = Clam::new(Ssd::intel(2 << 20).unwrap(), cfg).unwrap();
-        for i in 0..60_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        assert_eq!(clam.stats().reinsertions, 0);
-    }
-
-    #[test]
-    fn works_on_a_magnetic_disk_but_slower_lookups() {
-        let cfg = ClamConfig::small_test(8 << 20, 2 << 20).unwrap();
-        let mut on_disk = Clam::new(MagneticDisk::new(8 << 20).unwrap(), cfg).unwrap();
-        let cfg2 = ClamConfig::small_test(8 << 20, 2 << 20).unwrap();
-        let mut on_ssd = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg2).unwrap();
-        for i in 0..60_000u64 {
-            on_disk.insert(key(i), i).unwrap();
-            on_ssd.insert(key(i), i).unwrap();
-        }
-        on_disk.reset_stats();
-        on_ssd.reset_stats();
-        for i in 0..2_000u64 {
-            on_disk.lookup(key(i)).unwrap();
-            on_ssd.lookup(key(i)).unwrap();
-        }
-        let disk_mean = on_disk.stats().lookups.mean();
-        let ssd_mean = on_ssd.stats().lookups.mean();
-        assert!(
-            disk_mean > ssd_mean * 3,
-            "disk lookups ({disk_mean}) should be much slower than SSD lookups ({ssd_mean})"
-        );
-    }
-
-    #[test]
-    fn disabled_bloom_filters_cause_many_flash_reads() {
-        let mut cfg = ClamConfig::small_test(8 << 20, 2 << 20).unwrap();
-        cfg.filter_mode = FilterMode::Disabled;
-        let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap();
-        for i in 0..60_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        clam.reset_stats();
-        for i in 0..500u64 {
-            clam.lookup(hash_with_seed(i, 0xfeed)).unwrap(); // misses
-        }
-        let per_lookup = clam.stats().lookup_flash_reads as f64 / 500.0;
-        assert!(
-            per_lookup > 2.0,
-            "without Bloom filters, misses should probe many incarnations (got {per_lookup})"
-        );
-    }
-
-    #[test]
-    fn flush_all_writes_buffered_entries() {
-        let mut clam = small_clam();
-        for i in 0..100u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        let flushes_before = clam.stats().flushes;
-        clam.flush_all().unwrap();
-        assert!(clam.stats().flushes > flushes_before);
-        for i in 0..100u64 {
-            assert_eq!(clam.lookup(key(i)).unwrap().value, Some(i));
-        }
-    }
-
-    /// `memory_usage` of a CLAM before any table flushed and after every
-    /// table did, each checked against what the tables allocate.
-    fn memory_before_and_after_first_flushes(mut clam: Clam<Ssd>) -> MemoryUsage {
-        let (tables, cfg) = (clam.num_super_tables(), clam.config().clone());
-        // Buffers report their allocation: a slot is the 16-byte entry the
-        // budget is quoted in, so every table holds its configured bytes.
-        assert_eq!(std::mem::size_of::<Entry>(), ENTRY_SIZE);
-        let fresh = clam.memory_usage();
-        assert_eq!(fresh.buffers, tables * cfg.buffer_bytes_per_table as usize);
-        assert!(fresh.buffers <= cfg.buffer_bytes_total as usize);
-        // A table that never flushed holds no slices.
-        assert_eq!((fresh.filters, fresh.delete_lists), (0, 0));
-        for i in 0..64 * tables as u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        clam.flush_all().unwrap();
-        let usage = clam.memory_usage();
-        assert_eq!(usage.buffers, fresh.buffers);
-        let (k, m) = (cfg.incarnations_per_table(), cfg.bloom_bits_per_incarnation());
-        assert_eq!(usage.filters, tables * BitSlicedBloomSet::slice_bytes(k, m));
-        // Further flushes and evictions allocate nothing more.
-        for i in 0..400_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        assert!(clam.stats().flushes as usize > tables * k, "the ring of lanes went round");
-        assert_eq!(clam.memory_usage().filters, usage.filters);
-        usage
-    }
-
-    #[test]
-    fn memory_usage_reports_buffers_and_filters() {
-        // k = 15 here: the slices round up to 16 lanes, past the Bloom
-        // budget by that sixteenth (and whole 64-row blocks), never by 2x.
-        let clam = small_clam();
-        let (tables, k) = (clam.num_super_tables(), clam.config().incarnations_per_table());
-        let budget = clam.config().bloom_bytes_total() as usize;
-        assert!(!k.is_power_of_two());
-        let usage = memory_before_and_after_first_flushes(clam);
-        assert!(usage.filters > budget && usage.filters < 2 * budget, "{usage:?} vs {budget}");
-        // Exactly: lanes / k of the budget, plus at most one 64-row block
-        // (8 bytes a lane) a table.
-        let lanes = k.next_power_of_two();
-        assert!(usage.filters <= budget / k * lanes + tables * lanes * 8);
-    }
-
-    #[test]
-    fn bit_slices_at_the_benchmark_geometry_are_the_bloom_budget() {
-        // One stripe of the repo benchmark: 16 tables of k = 16 incarnations
-        // with 16 384-bit filters, 512 KiB of Bloom budget, all of it used
-        // and no more.
-        let cfg = ClamConfig::small_test(8 << 20, 1 << 20).unwrap();
-        assert_eq!((cfg.num_super_tables(), cfg.incarnations_per_table()), (16, 16));
-        assert_eq!((cfg.bloom_bits_per_incarnation(), cfg.bloom_hashes()), (16_384, 11));
-        let (budget, buffers) = (cfg.bloom_bytes_total() as usize, cfg.buffer_bytes_total as usize);
-        let usage = memory_before_and_after_first_flushes(
-            Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap(),
-        );
-        assert_eq!((usage.filters, budget), (512 << 10, 512 << 10));
-        // The buffers are the other half of the DRAM, to the byte.
-        assert_eq!((usage.buffers, buffers), (512 << 10, 512 << 10));
-    }
-
-    #[test]
-    fn paper_scale_bit_slices_are_the_two_gigabyte_bloom_budget() {
-        // §7.1.1's 32 GB / 4 GB configuration, arithmetic only: 16 384
-        // super tables of 16 lanes by 65 536 rows.
-        let cfg = ClamConfig {
-            flash_capacity: 32 << 30,
-            dram_bytes: 4 << 30,
-            buffer_bytes_total: 2 << 30,
-            buffer_bytes_per_table: 128 * 1024,
-            ..ClamConfig::small_test(8 << 20, 1 << 20).unwrap()
-        };
-        cfg.validate().unwrap();
-        let per_table = BitSlicedBloomSet::slice_bytes(
-            cfg.incarnations_per_table(),
-            cfg.bloom_bits_per_incarnation(),
-        );
-        assert_eq!(cfg.num_super_tables() * per_table, 2 << 30);
-        assert_eq!(cfg.bloom_bytes_total(), 2 << 30);
-    }
-
-    #[test]
-    fn rejects_device_smaller_than_configuration() {
-        let cfg = ClamConfig::small_test(16 << 20, 4 << 20).unwrap();
-        let ssd = Ssd::intel(4 << 20).unwrap();
-        assert!(Clam::new(ssd, cfg).is_err());
-    }
-
-    #[test]
-    fn insert_batch_matches_sequential_state() {
-        let mut seq = small_clam();
-        let mut bat = small_clam();
-        let ops: Vec<(Key, Value)> = (0..60_000u64).map(|i| (key(i), i)).collect();
-        for &(k, v) in &ops {
-            seq.insert(k, v).unwrap();
-        }
-        for chunk in ops.chunks(64) {
-            bat.insert_batch(chunk).unwrap();
-        }
-        // Same flush points, same incarnation counts, same entries.
-        assert_eq!(seq.stats().flushes, bat.stats().flushes);
-        assert!(bat.stats().flushes > 0, "workload must exercise flushing");
-        assert_eq!(seq.approximate_entries(), bat.approximate_entries());
-        for i in (0..60_000u64).step_by(61) {
-            let a = seq.lookup(key(i)).unwrap();
-            let b = bat.lookup(key(i)).unwrap();
-            assert_eq!(a.value, b.value, "key {i}");
-            assert_eq!(a.source, b.source, "key {i}");
-        }
-    }
-
-    #[test]
-    fn insert_batch_amortizes_latency() {
-        let mut seq = small_clam();
-        let mut bat = small_clam();
-        let ops: Vec<(Key, Value)> = (0..50_000u64).map(|i| (key(i), i)).collect();
-        let mut seq_total = SimDuration::ZERO;
-        for &(k, v) in &ops {
-            seq_total += seq.insert(k, v).unwrap().latency;
-        }
-        let mut bat_total = SimDuration::ZERO;
-        for chunk in ops.chunks(64) {
-            bat_total += bat.insert_batch(chunk).unwrap().latency;
-        }
-        assert!(
-            bat_total * 2 < seq_total,
-            "batched inserts ({bat_total}) should cost less than half of per-op ({seq_total})"
-        );
-        assert_eq!(bat.stats().batched_inserts, 50_000);
-    }
-
-    #[test]
-    fn insert_batch_coalesces_contiguous_flush_writes() {
-        let mut clam = small_clam();
-        // One giant batch triggers many flushes; with the global log they
-        // land on contiguous slots and coalesce.
-        let ops: Vec<(Key, Value)> = (0..120_000u64).map(|i| (key(i), i)).collect();
-        let out = clam.insert_batch(&ops).unwrap();
-        assert!(out.flushed_ops > 0);
-        assert!(
-            out.coalesced_writes > 0,
-            "contiguous incarnation writes should merge (flushed {} ops)",
-            out.flushed_ops
-        );
-        assert_eq!(clam.stats().coalesced_flush_writes, out.coalesced_writes as u64);
-        assert!(clam.stats().deferred_flush_time > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn lookup_batch_matches_sequential_lookups() {
-        let mut clam = small_clam();
-        let ops: Vec<(Key, Value)> = (0..40_000u64).map(|i| (key(i), i)).collect();
-        clam.insert_batch(&ops).unwrap();
-        let keys: Vec<Key> =
-            (0..500u64).map(|i| if i % 3 == 0 { key(i) } else { key(1_000_000 + i) }).collect();
-        let batched = clam.lookup_batch(&keys).unwrap();
-        for (i, k) in keys.iter().enumerate() {
-            let solo = clam.lookup(*k).unwrap();
-            assert_eq!(batched[i].value, solo.value, "key index {i}");
-            assert_eq!(batched[i].source, solo.source, "key index {i}");
-        }
-        assert_eq!(clam.stats().batched_lookups, 500);
-    }
-
-    #[test]
-    fn lookup_batch_amortizes_buffer_hit_latency() {
-        let mut clam = small_clam();
-        let ops: Vec<(Key, Value)> = (0..500u64).map(|i| (key(i), i)).collect();
-        clam.insert_batch(&ops).unwrap();
-        // All keys are still buffered: per-op cost is pure overhead.
-        let keys: Vec<Key> = (0..500u64).map(key).collect();
-        let mut solo_total = SimDuration::ZERO;
-        for &k in &keys {
-            solo_total += clam.lookup(k).unwrap().latency;
-        }
-        let batched = clam.lookup_batch(&keys).unwrap();
-        let bat_total = batched.latency;
-        assert!(
-            bat_total * 2 < solo_total,
-            "batched buffer-hit lookups ({bat_total}) should be well under half of per-op ({solo_total})"
-        );
-        // No flash probes were needed, so no waves were submitted and the
-        // batch is pure host time.
-        assert_eq!(batched.waves, 0);
-        assert_eq!(batched.probe_latency, SimDuration::ZERO);
-        assert_eq!(clam.stats().lookup_probe_requests, 0);
-    }
-
-    #[test]
-    fn single_op_batches_cost_the_same_as_per_op() {
-        let mut per_op = small_clam();
-        let mut batched = small_clam();
-        let solo = per_op.insert(key(1), 1).unwrap().latency;
-        let batch = batched.insert_batch(&[(key(1), 1)]).unwrap().latency;
-        assert_eq!(solo, batch, "a batch of one must not cost more than a per-op insert");
-        let solo = per_op.lookup(key(1)).unwrap().latency;
-        let batch = batched.lookup_batch(&[key(1)]).unwrap();
-        assert_eq!(
-            solo, batch[0].latency,
-            "a batch of one must not cost more than a per-op lookup"
-        );
-        assert_eq!(solo, batch.latency, "batch-of-one elapsed time equals the per-op charge");
-    }
-
-    #[test]
-    fn empty_batches_are_no_ops() {
-        let mut clam = small_clam();
-        let out = clam.insert_batch(&[]).unwrap();
-        assert_eq!(out.ops, 0);
-        assert_eq!(out.latency, SimDuration::ZERO);
-        assert!(clam.lookup_batch(&[]).unwrap().is_empty());
-        assert_eq!(clam.stats().total_ops(), 0);
-    }
-
-    #[test]
-    fn batched_and_perop_paths_interleave_safely() {
-        let mut clam = small_clam();
-        for round in 0..20u64 {
-            let ops: Vec<(Key, Value)> =
-                (0..2_000u64).map(|i| (key(round * 2_000 + i), i)).collect();
-            clam.insert_batch(&ops).unwrap();
-            // Per-op traffic between batches sees every batched write.
-            for i in 0..50u64 {
-                let k = key(round * 2_000 + i);
-                assert_eq!(clam.lookup(k).unwrap().value, Some(i));
-            }
-        }
-    }
-
-    #[test]
-    fn update_based_eviction_works_under_batching() {
-        let mut cfg = ClamConfig::small_test(2 << 20, 1 << 20).unwrap();
-        cfg.eviction = EvictionPolicy::UpdateBased;
-        let mut clam = Clam::new(Ssd::intel(2 << 20).unwrap(), cfg).unwrap();
-        // Enough churn that partial-discard evictions (which read flash
-        // mid-batch) interleave with deferred batch writes.
-        let ops: Vec<(Key, Value)> =
-            (0..80_000u64).map(|i| if i % 5 < 2 { (key(i / 3), i) } else { (key(i), i) }).collect();
-        for chunk in ops.chunks(256) {
-            clam.insert_batch(chunk).unwrap();
-        }
-        assert!(clam.stats().reinsertions > 0, "partial discard should retain entries");
-        // Recent keys must be readable.
-        let recent = clam.lookup(key(79_999)).unwrap();
-        assert_eq!(recent.value, Some(79_999));
-    }
-
-    #[test]
-    fn split_balanced_covers_every_table_and_strands_no_chunk() {
-        // Per-table op counts, empty tables included, as run boundaries.
-        let starts_of = |counts: &[usize]| -> Vec<usize> {
-            std::iter::once(0)
-                .chain(counts.iter().scan(0, |at, n| {
-                    *at += n;
-                    Some(*at)
-                }))
-                .collect()
-        };
-        let cases: [&[usize]; 6] = [
-            &[5, 5, 5, 5],
-            &[100, 1, 1, 1],
-            &[1, 1, 1, 100],
-            &[0, 7, 0, 0, 3, 0],
-            &[0, 0, 9],
-            &[4, 0, 4, 0, 4, 0, 4, 0],
-        ];
-        for counts in cases {
-            let starts = starts_of(counts);
-            let occupied = counts.iter().filter(|&&n| n > 0).count();
-            for parallelism in 1..=6 {
-                let chunks = split_balanced(&starts, parallelism);
-                assert_eq!(chunks.len(), parallelism.min(occupied), "{counts:?} / {parallelism}");
-                // Contiguous, in order, covering every table with ops.
-                assert_eq!(chunks[0].start, 0);
-                assert!(chunks.windows(2).all(|w| w[0].end == w[1].start));
-                assert!(starts[chunks.last().unwrap().end] == *starts.last().unwrap());
-                // Every chunk has work: nobody waits at the rendezvous for
-                // a chunk that never takes a lock.
-                for chunk in &chunks {
-                    assert!(starts[chunk.end] > starts[chunk.start], "{counts:?} / {parallelism}");
-                }
-            }
-        }
-        // Balanced by ops, not by tables.
-        assert_eq!(split_balanced(&starts_of(&[100, 1, 1, 1]), 2), vec![0..1, 1..4]);
-        assert_eq!(split_balanced(&starts_of(&[1, 1, 1, 100]), 2), vec![0..3, 3..4]);
-    }
-
-    #[test]
-    fn fan_out_needs_a_floor_of_ops_per_worker() {
-        for floor in [SPAWN_FLOOR_OPS, SPAWN_FLOOR_KEYS] {
-            assert_eq!(fan_out(0, floor, 16), 1);
-            assert_eq!(fan_out(64, floor, 16), 1);
-            assert_eq!(fan_out(2 * floor - 1, floor, 16), 1);
-            assert_eq!(fan_out(usize::MAX, floor, 1), 1, "one group never splits");
-            let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-            assert_eq!(fan_out(2 * floor, floor, 16), 2.min(cores));
-            assert_eq!(fan_out(usize::MAX, floor, 3), 3.min(cores));
-            assert!(fan_out(usize::MAX, floor, usize::MAX) <= cores);
-        }
-    }
-
-    #[test]
-    fn table_partitioning_spreads_keys() {
-        let clam = small_clam();
-        let tables = clam.num_super_tables();
-        let mut counts = vec![0usize; tables];
-        for i in 0..10_000u64 {
-            counts[clam.table_of(key(i))] += 1;
-        }
-        let expected = 10_000 / tables;
-        assert!(counts.iter().all(|&c| c > expected / 3 && c < expected * 3));
-    }
-
-    /// One super table, Bloom filters disabled so every lookup probes
-    /// every incarnation deterministically.
-    fn deterministic_probe_config() -> ClamConfig {
-        let cfg = ClamConfig {
-            flash_capacity: 8 << 20,
-            dram_bytes: 1 << 20,
-            buffer_bytes_total: 32 * 1024,
-            buffer_bytes_per_table: 32 * 1024,
-            entry_size: 16,
-            max_buffer_utilization: 0.5,
-            eviction: EvictionPolicy::Fifo,
-            filter_mode: FilterMode::Disabled,
-            layout: crate::config::FlashLayoutMode::GlobalLog,
-            enable_buffering: true,
-        };
-        cfg.validate().unwrap();
-        cfg
-    }
-
-    /// A single-super-table CLAM with `rounds` incarnations of a few
-    /// entries each (so probe chains never overflow).
-    fn deterministic_probe_clam(device: Ssd, rounds: usize) -> Clam<Ssd> {
-        let cfg = deterministic_probe_config();
-        assert!(rounds <= cfg.incarnations_per_table());
-        let mut clam = Clam::new(device, cfg).unwrap();
-        for round in 0..rounds as u64 {
-            for i in 0..8u64 {
-                clam.insert(key(round * 100 + i), i).unwrap();
-            }
-            clam.flush_all().unwrap();
-        }
-        clam
-    }
-
-    #[test]
-    fn queued_lookup_batch_overlaps_probes_on_the_device_queue() {
-        // Intel-class SSD: overlapped queue, depth 8. 64 absent keys with
-        // filters disabled probe 4 incarnations each — 4 waves of 64 reads.
-        let mut clam = deterministic_probe_clam(Ssd::intel(8 << 20).unwrap(), 4);
-        clam.reset_stats();
-        let keys: Vec<Key> = (0..64u64).map(|i| hash_with_seed(i, 0xab5e7)).collect();
-        let batch = clam.lookup_batch(&keys).unwrap();
-        assert_eq!(batch.ops(), 64);
-        assert_eq!(batch.hits(), 0);
-        assert_eq!(batch.waves, 4);
-        assert_eq!(batch.probe_reads, 4 * 64);
-        // Makespan accounting: the batch's flash time is far below the sum
-        // of the per-key read charges (8 lanes -> ~8x overlap).
-        let summed: SimDuration =
-            batch.outcomes.iter().map(|o| o.latency).fold(SimDuration::ZERO, |acc, l| acc + l);
-        assert!(
-            batch.latency * 4 < summed,
-            "queued batch ({}) should undercut summed per-key charges ({summed})",
-            batch.latency
-        );
-        // Stats ledger.
-        let stats = clam.stats();
-        assert_eq!(stats.lookup_batches_submitted, 1);
-        assert_eq!(stats.lookup_probe_waves, 4);
-        assert_eq!(stats.lookup_probe_requests, 4 * 64);
-        assert!(stats.lookup_probes_overlapped > 0, "SSD lanes must overlap probes");
-        let text = stats.to_string();
-        assert!(text.contains("queued lookups: 1 batches, 4 waves"), "{text}");
-    }
-
-    #[test]
-    fn queued_lookup_batch_matches_the_cost_model_exactly() {
-        use crate::analysis::FlashCostModel;
-        use flashsim::{DeviceProfile, QueueCapabilities};
-        const ROUNDS: usize = 4;
-        // 48 divides evenly into every swept lane count; 42 leaves a tail
-        // at depth 8 (the case where the ring model strictly beats the
-        // barrier model).
-        for keys_n in [48usize, 42] {
-            for depth in [1usize, 2, 8] {
-                let profile = DeviceProfile {
-                    queue: QueueCapabilities::overlapped(depth),
-                    ..DeviceProfile::intel_x18m()
-                };
-                let build = || {
-                    deterministic_probe_clam(
-                        Ssd::with_profile(8 << 20, profile.clone()).unwrap(),
-                        ROUNDS,
-                    )
-                };
-                let keys: Vec<Key> =
-                    (0..keys_n as u64).map(|i| hash_with_seed(i, 0x1017e)).collect();
-                let model = FlashCostModel::from_profile(&profile);
-
-                // Streaming ring pipeline == ring model, exactly.
-                let mut clam = build();
-                let ring = clam.lookup_batch(&keys).unwrap();
-                assert_eq!(ring.waves, ROUNDS);
-                assert_eq!(ring.probe_reads, ROUNDS * keys_n);
-                assert_eq!(ring.reaps, ROUNDS * keys_n);
-                assert_eq!(ring.ring_depth_high_water, keys_n.min(probe_window(depth)));
-                assert_eq!(
-                    ring.probe_latency,
-                    model.lookup_ring_makespan(keys_n, ROUNDS, depth),
-                    "ring pipeline and closed-form ring model must agree at \
-                     {keys_n} keys, depth {depth}"
-                );
-
-                // Barrier wave pipeline == wave model, exactly.
-                let mut clam = build();
-                let waves = clam.lookup_batch_waves(&keys).unwrap();
-                assert_eq!(waves.waves, ROUNDS);
-                assert_eq!(waves.reaps, 0);
-                assert_eq!(
-                    waves.probe_latency,
-                    model.lookup_batch_makespan(keys_n, ROUNDS, depth),
-                    "wave pipeline and closed-form wave model must agree at \
-                     {keys_n} keys, depth {depth}"
-                );
-
-                // The ring never loses to the barrier, and wins exactly
-                // the modelled tail when the lanes do not divide the keys.
-                assert!(ring.probe_latency <= waves.probe_latency);
-                let predicted = model.ring_over_waves_speedup(keys_n, ROUNDS, depth);
-                let measured = waves.probe_latency.as_nanos() as f64
-                    / ring.probe_latency.as_nanos().max(1) as f64;
-                assert!(
-                    (measured - predicted).abs() < 1e-9,
-                    "ring-over-waves speedup {measured} vs model {predicted}"
-                );
-            }
-        }
-    }
-
-    /// `rounds` incarnations of one super table, Bloom filters disabled:
-    /// the oldest holds `keys_n` keys (returned), the younger ones a few
-    /// others, so each returned key is found after exactly `rounds` reads.
-    fn windowed_probe_clam<D: Device>(
-        device: D,
-        keys_n: u64,
-        rounds: usize,
-    ) -> (Clam<D>, Vec<Key>) {
-        let mut clam = Clam::new(device, deterministic_probe_config()).unwrap();
-        let keys: Vec<Key> = (0..keys_n).map(|i| hash_with_seed(i, 0x77ee)).collect();
-        for (i, &k) in keys.iter().enumerate() {
-            clam.insert(k, i as u64).unwrap();
-        }
-        clam.flush_all().unwrap();
-        for round in 1..rounds as u64 {
-            for i in 0..8u64 {
-                clam.insert(key(round * 100 + i), i).unwrap();
-            }
-            clam.flush_all().unwrap();
-        }
-        (clam, keys)
-    }
-
-    #[test]
-    fn lookup_batches_hold_at_most_a_window_of_reads_in_flight() {
-        use crate::analysis::FlashCostModel;
-        use flashsim::{DeviceProfile, FileDevice};
-        const ROUNDS: usize = 2;
-        let profile = DeviceProfile::intel_x18m();
-        let lanes = profile.queue.ring_lanes();
-        let window = probe_window(lanes);
-        let keys_n = 10 * window + 7;
-
-        // Simulated SSD: ten windows of flash-resident keys finish in the
-        // time the closed form gives for all of them admitted at once.
-        let ssd = Ssd::with_profile(8 << 20, profile.clone()).unwrap();
-        let (mut clam, keys) = windowed_probe_clam(ssd, keys_n as u64, ROUNDS);
-        let per_key: Vec<Option<Value>> =
-            keys.iter().map(|&k| clam.lookup(k).unwrap().value).collect();
-        clam.reset_stats();
-        let batch = clam.lookup_batch(&keys).unwrap();
-        assert_eq!(batch.values(), per_key);
-        assert_eq!(batch.hits(), keys_n);
-        assert_eq!(batch.probe_reads, ROUNDS * keys_n);
-        assert_eq!(batch.ring_depth_high_water, window);
-        assert_eq!(clam.stats().lookup_ring_depth_high_water, window as u64);
-        assert_eq!(
-            batch.probe_latency,
-            FlashCostModel::from_profile(&profile).lookup_ring_makespan(keys_n, ROUNDS, lanes)
-        );
-
-        // Real positioned I/O: latencies are measured, so only the depth
-        // and the outcomes are exact.
-        let path = std::env::temp_dir().join(format!("clam-window-{}.img", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let file = FileDevice::with_queue_depth(&path, 8 << 20, 4).unwrap();
-        let file_window = probe_window(file.queue().ring_lanes());
-        let keys_n = 10 * file_window + 7;
-        let (mut clam, keys) = windowed_probe_clam(file, keys_n as u64, ROUNDS);
-        let per_key: Vec<Option<Value>> =
-            keys.iter().map(|&k| clam.lookup(k).unwrap().value).collect();
-        let batch = clam.lookup_batch(&keys).unwrap();
-        assert_eq!(batch.values(), per_key);
-        assert_eq!(batch.hits(), keys_n);
-        assert_eq!(batch.probe_reads, ROUNDS * keys_n);
-        assert!(
-            (1..=file_window).contains(&batch.ring_depth_high_water),
-            "{} reads in flight, window {file_window}",
-            batch.ring_depth_high_water
-        );
-        drop(clam);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn lru_reinserts_route_through_the_queued_flush_submission() {
-        let mut cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
-        cfg.eviction = EvictionPolicy::Lru;
-        let mut clam = Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap();
-        for i in 0..40_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        assert!(clam.stats().flushes > 0);
-        let flushes_before = clam.stats().flushes;
-        let reinserts_before = clam.stats().reinsertions;
-        let async_before = clam.stats().async_reinsert_time;
-        // Batched lookups of flash-resident keys: every hit re-inserts, and
-        // the buffers are already full, so re-insertion must flush — through
-        // the deferred/queued submission, not blocking per-table writes.
-        let keys: Vec<Key> = (0..2_000u64).map(key).collect();
-        for chunk in keys.chunks(256) {
-            let batch = clam.lookup_batch(chunk).unwrap();
-            assert_eq!(batch.hits(), chunk.len());
-        }
-        let stats = clam.stats();
-        assert!(stats.reinsertions > reinserts_before, "LRU lookups should re-insert flash hits");
-        assert!(stats.flushes > flushes_before, "re-insertion into full buffers must flush");
-        assert!(
-            stats.async_reinsert_time > async_before,
-            "re-insert flush cost must be accounted asynchronously"
-        );
-        // Re-insertion always lands the key in the buffer by the end of
-        // its lookup call (later re-inserts may flush it back out, so probe
-        // once to re-insert, then observe the buffered copy).
-        assert_eq!(clam.lookup(key(0)).unwrap().value, Some(0));
-        let again = clam.lookup(key(0)).unwrap();
-        assert_eq!(again.value, Some(0));
-        assert_eq!(again.source, LookupSource::Buffer);
-    }
-
-    #[test]
-    fn flush_writes_ride_the_ring_and_fill_the_write_ledger() {
-        let cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
-        let mut clam = Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap();
-        let ops: Vec<(u64, u64)> = (0..40_000u64).map(|i| (key(i), i)).collect();
-        for chunk in ops.chunks(512) {
-            clam.insert_batch(chunk).unwrap();
-        }
-        clam.flush_all().unwrap();
-        let stats = clam.stats();
-        assert!(stats.flushes > 0);
-        assert!(
-            stats.flush_ring_reaps > 0,
-            "ring-driven flushes must reap their writes off the ring: {stats}"
-        );
-        // Every ring reap of this write-only workload is on the flush
-        // ledger, and they all reached the device's submission queue.
-        let io = clam.device().stats();
-        assert_eq!(io.requests_reaped, stats.flush_ring_reaps + stats.lookup_ring_reaps);
-        assert!(io.ring_depth_high_water >= 1);
-        // The ledger renders in the Display summary.
-        assert!(stats.to_string().contains("write ring:"), "{stats}");
-        // No mixed traffic here: inserts never put a read on the ring
-        // (SSD evictions trim, they do not read back).
-        assert_eq!(stats.mixed_ring_depth_high_water, 0, "{stats}");
-    }
-
-    #[test]
-    fn lru_reinsert_flushes_share_the_lookup_ring() {
-        let mut cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
-        cfg.eviction = EvictionPolicy::Lru;
-        let mut clam = Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap();
-        for i in 0..40_000u64 {
-            clam.insert(key(i), i).unwrap();
-        }
-        let flushes_before = clam.stats().flushes;
-        // Flash-hit lookups re-insert, the full buffers flush, and those
-        // flush writes are admitted into the *same* ring the probe reads
-        // ran on — one mixed read/write stream per batch.
-        let keys: Vec<Key> = (0..2_000u64).map(key).collect();
-        for chunk in keys.chunks(256) {
-            clam.lookup_batch(chunk).unwrap();
-        }
-        let stats = clam.stats();
-        assert!(stats.flushes > flushes_before, "re-insertion must have flushed");
-        assert!(stats.lookup_ring_reaps > 0, "probes reaped on the ring: {stats}");
-        assert!(stats.flush_ring_reaps > 0, "re-insert flush writes reaped on the ring: {stats}");
-        assert!(
-            stats.mixed_ring_depth_high_water > 0,
-            "reads and writes shared a ring, so the mixed high-water must register: {stats}"
-        );
-    }
-
-    #[test]
-    fn barrier_write_path_stays_observationally_equivalent_per_op() {
-        // Same per-op workload (inserts with eviction churn, deletes,
-        // lookups) on the default ring path and the barrier reference:
-        // stored state and flash traffic must match exactly. The
-        // cross-backend batched version lives in the property suite.
-        let run = |barrier: bool| {
-            let mut cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
-            cfg.eviction = EvictionPolicy::UpdateBased;
-            let mut clam = Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap();
-            clam.set_barrier_writes(barrier);
-            for i in 0..30_000u64 {
-                clam.insert(key(i), i).unwrap();
-                if i % 7 == 0 {
-                    clam.delete(key(i / 2)).unwrap();
-                }
-                if i % 11 == 0 {
-                    clam.update(key(i / 3), i).unwrap();
-                }
-            }
-            clam.flush_all().unwrap();
-            let values: Vec<_> =
-                (0..30_000u64).step_by(97).map(|i| clam.lookup(key(i)).unwrap().value).collect();
-            let stats = clam.stats();
-            let io = clam.device().stats();
-            (
-                values,
-                stats.flushes,
-                stats.forced_evictions,
-                stats.reinsertions,
-                (io.writes, io.bytes_written, io.trims, io.erases),
-            )
-        };
-        let ring = run(false);
-        let barrier = run(true);
-        assert_eq!(ring.0, barrier.0, "looked-up values diverge");
-        assert_eq!(
-            (ring.1, ring.2, ring.3),
-            (barrier.1, barrier.2, barrier.3),
-            "flush/eviction stats diverge"
-        );
-        assert_eq!(ring.4, barrier.4, "device write/trim/erase traffic diverges");
-    }
-}
+mod tests;

@@ -87,6 +87,37 @@ impl EvictionPolicy {
     pub fn priority_threshold(threshold: u64) -> Self {
         EvictionPolicy::PriorityBased { threshold, priority: value_as_priority }
     }
+
+    /// Decides whether `entry` of the incarnation being evicted is retained
+    /// (§5.1.2), from facts the caller establishes: whether the entry's key
+    /// is on the delete list (`deleted`), in the buffer (`buffered`), or
+    /// possibly in a younger incarnation (`in_younger`).
+    ///
+    /// Full-discard policies retain nothing. The update-based policy
+    /// retains an entry that is still current: not deleted and not
+    /// superseded by the buffer or a younger incarnation. The
+    /// priority-based policy retains a non-deleted entry whose priority
+    /// reaches the threshold.
+    pub fn retain(
+        &self,
+        entry: &Entry,
+        deleted: bool,
+        buffered: bool,
+        in_younger: bool,
+    ) -> RetainDecision {
+        let retain = match self {
+            EvictionPolicy::Fifo | EvictionPolicy::Lru => false,
+            EvictionPolicy::UpdateBased => !(deleted || buffered || in_younger),
+            EvictionPolicy::PriorityBased { threshold, priority } => {
+                !deleted && priority(entry) >= *threshold
+            }
+        };
+        if retain {
+            RetainDecision::Retain
+        } else {
+            RetainDecision::Discard
+        }
+    }
 }
 
 /// Why an entry of an evicted incarnation was kept or dropped (returned by

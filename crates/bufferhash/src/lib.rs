@@ -30,11 +30,11 @@
 //!   discarding torn flushes by checksum and reporting what it found in a
 //!   [`RecoveryReport`] (see DESIGN.md "Crash consistency").
 //! * The read path is **queued** (see DESIGN.md "Queued lookups"): each
-//!   lookup key is a probe state machine, and every round of a batch
-//!   submits the next pending page read of all unresolved keys as one
-//!   wave through the device submission queue, so independent probes
-//!   overlap and a batch costs the wave makespans
-//!   ([`BatchLookupOutcome`]) instead of the summed per-read time.
+//!   lookup key is a probe state machine whose page reads stream through
+//!   the device's completion ring, a key re-armed the moment its previous
+//!   read retires, so independent probes overlap and a batch costs the
+//!   ring makespan ([`BatchLookupOutcome`]) instead of the summed
+//!   per-read time.
 //!
 //! ## Quick start
 //!
@@ -76,8 +76,8 @@ mod types;
 pub use bitslice::BitSlicedBloomSet;
 pub use bloom::BloomFilter;
 pub use clam::{
-    BatchInsertOutcome, BatchLookupOutcome, Clam, InsertOutcome, LookupOutcome, LookupSource,
-    MemoryProbe, MemoryUsage, BASE_OP_OVERHEAD, BATCHED_OP_OVERHEAD,
+    table_of, BatchInsertOutcome, BatchLookupOutcome, Clam, InsertOutcome, LookupOutcome,
+    LookupSource, MemoryProbe, MemoryUsage, BASE_OP_OVERHEAD, BATCHED_OP_OVERHEAD,
 };
 pub use config::{tuning, ClamConfig, FlashLayoutMode};
 pub use cuckoo::{BufferInsert, CuckooBuffer};

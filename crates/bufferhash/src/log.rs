@@ -127,12 +127,17 @@ impl LogAllocator {
         }
     }
 
-    /// Marks a slot's incarnation as no longer live (after its super table
-    /// evicted it). The space is reclaimed when the log wraps around.
-    pub fn release(&mut self, offset: u64) {
+    /// Marks the slot at `offset` free if it still holds the incarnation
+    /// with flush sequence `seq` (after its super table evicted it). The
+    /// space is reclaimed when the log wraps around. A slot that has been
+    /// granted again since belongs to its new owner and is left alone:
+    /// the incarnation a grant displaces is released after the grant.
+    pub fn release(&mut self, offset: u64, seq: u64) {
         let slot = offset / self.slot_size;
         if let Some(owner) = self.owners.get_mut(slot as usize) {
-            *owner = None;
+            if owner.is_some_and(|o| o.seq == seq) {
+                *owner = None;
+            }
         }
     }
 
@@ -307,11 +312,19 @@ mod tests {
         for seq in 1..4u64 {
             a.allocate(0, seq).unwrap();
         }
-        a.release(first.offset);
+        a.release(first.offset, 0);
         let wrapped = a.allocate(0, 4).unwrap();
         assert_eq!(wrapped.offset, first.offset);
         assert!(wrapped.displaced.is_empty());
         assert_eq!(a.live_slots(), 4);
+        // Releasing the incarnation a grant displaced leaves the slot with
+        // its new owner.
+        let again = a.allocate(0, 5).unwrap();
+        assert_eq!(again.displaced, vec![SlotOwner { table: 0, seq: 1 }]);
+        a.release(again.offset, 1);
+        assert_eq!(a.live_slots(), 4);
+        a.release(again.offset, 5);
+        assert_eq!(a.live_slots(), 3);
     }
 
     #[test]

@@ -2,20 +2,17 @@
 //!
 //! The systems the paper targets (WAN optimizers, dedup servers, content
 //! directories) serve many connections at once. [`SharedClam`] wraps a
-//! [`Clam`] in a [`parking_lot::Mutex`] behind an [`Arc`] so worker threads
-//! can share one index, and [`StripedClam`] stripes the key space across
-//! several independent CLAMs (each typically on its own SSD, as §5.2
-//! suggests) so operations on different stripes proceed in parallel.
+//! [`Clam`] in a [`parking_lot::RwLock`] behind an [`Arc`] so worker
+//! threads can share one index, and [`StripedClam`] stripes the key space
+//! across several independent CLAMs (each typically on its own SSD, as
+//! §5.2 suggests) so operations on different stripes proceed in parallel.
 //!
-//! Both wrappers expose two locking regimes. The per-op methods
-//! ([`StripedClam::insert`], [`StripedClam::lookup`], …) take the stripe
-//! lock once *per operation* — coarse, simple, and fine when each call does
-//! real flash work. High-throughput callers should prefer the batched path
-//! ([`SharedClam::insert_batch`], [`StripedClam::insert_batch`],
-//! [`StripedClam::lookup_batch`]): a batch is partitioned by stripe and
-//! each stripe's lock is taken **once per stripe-batch**, with the whole
-//! sub-batch applied under that single acquisition via the underlying
-//! [`Clam::insert_batch`] pipeline (amortized dispatch overhead plus
+//! The per-op methods ([`StripedClam::insert`], [`StripedClam::lookup`],
+//! …) pay one call per operation. High-throughput callers should prefer
+//! the batched path ([`SharedClam::insert_batch`],
+//! [`StripedClam::insert_batch`], [`StripedClam::lookup_batch`]): a batch
+//! is partitioned by stripe and each stripe's sub-batch runs as one call
+//! of the underlying [`Clam`] pipeline (amortized dispatch overhead plus
 //! coalesced flush writes).
 //!
 //! Stripe sub-batches are **accounted as concurrent**: each stripe models
@@ -28,47 +25,39 @@
 //! operations to pay for its spawn (2048; DESIGN.md "Write-path host
 //! cost"); then the stripes are dealt out over scoped threads, never more
 //! than cores.
-//! [`StripedClam::insert_batch_serial`] keeps the one-stripe-at-a-time
-//! reference path (summed latency) for comparison and debugging.
 //! [`StripedClam::lookup_batch`] composes both levels of overlap: stripes
 //! are independent, and within each stripe the queued probe pipeline
 //! ([`Clam::lookup_batch`]) overlaps flash page reads on the device's
 //! submission-queue lanes.
 //!
-//! ## Intra-stripe read concurrency
+//! ## Locks
 //!
-//! Since PR 9 the stripe lock is a [`parking_lot::RwLock`] guarded by a
-//! seqlock-style **write epoch**, and lookups take a lock-free-style fast
-//! path first: load the epoch (odd means a writer is pending — fall back),
-//! `try_read` the stripe (contended — fall back), probe DRAM state only
-//! ([`Clam::probe_memory`]: cuckoo buffer, delete list, Bloom filters),
-//! then re-validate the epoch (changed — discard and fall back). Keys
-//! whose verdict needs flash, and every fallback, go through the exclusive
-//! write-locked pipeline exactly as before, so outcomes are identical to
-//! the coarse path — only contention changes. Fast-path statistics land in
-//! a side ledger merged into [`SharedClam::stats`];
-//! [`SharedClam::set_coarse_locks`] restores the strict
-//! everything-exclusive baseline for A/B runs and equivalence tests.
+//! DESIGN.md "Lock hierarchy" has the whole order; this module owns its
+//! top. The stripe lock is a [`parking_lot::RwLock`] guarded by a
+//! seqlock-style **write epoch**.
 //!
-//! ## Intra-stripe write concurrency
-//!
-//! Since PR 10 writes use the same shared/exclusive split. Fine-grained
-//! inserts and deletes hold the stripe's **read** lock for the whole
-//! logical op and serialize per super table inside the [`Clam`]
-//! ([`Clam::fine_insert`], [`Clam::fine_insert_batch`]): two writers
-//! whose keys land on different tables of one stripe commit in parallel,
-//! coordinated only through the short core critical section that orders
-//! allocator grants and ring admissions. The global write epoch stays
-//! even while fine writers run — the read fast path instead validates
-//! against the **per-table** seqlock epochs via
-//! [`Clam::try_probe_memory`], so a fast read conflicts exactly with
-//! writers on *its* table, not with every writer on the stripe.
-//! Exclusive entry points ([`SharedClam::with`], `flush_all`, recovery)
-//! still take the write lock, which drains all fine writers first.
-//! Coarse mode routes writes through the exclusive path too, restoring
-//! the strict stripe-global baseline bit for bit.
+//! * **Writes** (inserts, deletes, insert batches) hold the stripe's
+//!   *read* lock for the whole logical op and serialize per super table
+//!   inside the [`Clam`] ([`Clam::fine_insert`],
+//!   [`Clam::fine_insert_batch`], [`Clam::fine_delete`]): two writers
+//!   whose keys land on different tables of one stripe commit in
+//!   parallel, coordinated only through the short core critical section
+//!   that orders allocator grants and ring admissions. The write epoch
+//!   stays even while they run.
+//! * **Lookups** take a lock-free-style fast path first: load the epoch
+//!   (odd means an exclusive section is pending — fall back), `try_read`
+//!   the stripe (contended — fall back), probe DRAM state only
+//!   ([`Clam::try_probe_memory`], validated against the key's *per-table*
+//!   seqlock epoch, so a fast read conflicts exactly with writers on its
+//!   own table), then re-validate the write epoch (changed — discard and
+//!   fall back). Fast-path statistics land in a side ledger merged into
+//!   [`SharedClam::stats`].
+//! * **Exclusive sections** — lookups whose verdict needs flash, every
+//!   fallback, [`SharedClam::with`], `flush_all` — bump the write epoch
+//!   odd, take the stripe's *write* lock (which drains all writers
+//!   first), and bump the epoch even again after.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -91,14 +80,13 @@ pub struct SharedClam<D: Device> {
 }
 
 /// Shared state behind one stripe: the CLAM under a reader-writer lock,
-/// the seqlock-style write epoch (odd while a writer is pending or
-/// active), the coarse-mode switch, and the side ledger where fast-path
-/// reads record their statistics (they cannot touch the CLAM's own
-/// ledger, which sits behind the write lock).
+/// the seqlock-style write epoch (odd while an exclusive section is
+/// pending or active), and the side ledger where fast-path reads record
+/// their statistics (they cannot touch the CLAM's own ledger, which sits
+/// behind the write lock).
 struct SharedInner<D: Device> {
     clam: RwLock<Clam<D>>,
     write_epoch: AtomicU64,
-    coarse: AtomicBool,
     fast_ledger: Mutex<ClamStats>,
 }
 
@@ -115,7 +103,6 @@ impl<D: Device> SharedClam<D> {
             inner: Arc::new(SharedInner {
                 clam: RwLock::new(clam),
                 write_epoch: AtomicU64::new(0),
-                coarse: AtomicBool::new(false),
                 fast_ledger: Mutex::new(ClamStats::new()),
             }),
         }
@@ -148,31 +135,11 @@ impl<D: Device> SharedClam<D> {
         self.inner.fast_ledger.lock().fast_read_conflicts += 1;
     }
 
-    /// Switches between the fine-grained default — epoch-validated read
-    /// fast path plus per-super-table write locks — and the coarse
-    /// everything-exclusive baseline, where every op takes the stripe's
-    /// write lock. Coarse mode is kept for A/B comparisons and the
-    /// equivalence property tests; outcomes are identical in both modes.
-    pub fn set_coarse_locks(&self, coarse: bool) {
-        self.inner.coarse.store(coarse, Ordering::SeqCst);
-    }
-
-    /// `true` when the coarse everything-exclusive baseline is active.
-    pub fn coarse_locks(&self) -> bool {
-        self.inner.coarse.load(Ordering::SeqCst)
-    }
-
-    /// Forwards [`Clam::set_batch_parallelism`]: overrides the chunk count
-    /// of fine-grained batch inserts (`None` = `available_parallelism`).
-    pub fn set_batch_parallelism(&self, chunks: Option<usize>) {
-        self.inner.clam.read().set_batch_parallelism(chunks);
-    }
-
     /// Attempts to resolve `key` on the read fast path: no write lock, no
     /// queue, memory state only. Returns `None` — with the locked pipeline
-    /// as the caller's fallback — when coarse mode is on, when the key
-    /// needs a flash probe, or when the epoch/`try_read` race is lost to a
-    /// writer (counted in [`ClamStats::fast_read_conflicts`]).
+    /// as the caller's fallback — when the key needs a flash probe, or
+    /// when the epoch/`try_read` race is lost to a writer (counted in
+    /// [`ClamStats::fast_read_conflicts`]).
     pub fn try_fast_lookup(&self, key: Key) -> Option<LookupOutcome> {
         let outcome = self.fast_probe(key, crate::clam::BASE_OP_OVERHEAD)?;
         let mut ledger = self.inner.fast_ledger.lock();
@@ -184,9 +151,6 @@ impl<D: Device> SharedClam<D> {
     /// fast paths. Returns the would-be outcome without recording any
     /// statistics.
     fn fast_probe(&self, key: Key, dispatch: SimDuration) -> Option<LookupOutcome> {
-        if self.inner.coarse.load(Ordering::SeqCst) {
-            return None;
-        }
         let before = self.inner.write_epoch.load(Ordering::SeqCst);
         if before % 2 == 1 {
             self.note_conflict();
@@ -197,9 +161,9 @@ impl<D: Device> SharedClam<D> {
                 self.note_conflict();
                 return None;
             };
-            // Per-table seqlock validation: a fine-grained writer on the
-            // key's table (which holds the *read* lock, so `try_read`
-            // cannot see it) makes the probe return `None`.
+            // Per-table seqlock validation: a writer on the key's table
+            // (which holds the *read* lock, so `try_read` cannot see it)
+            // makes the probe return `None`.
             let Some(probe) = guard.try_probe_memory(key, dispatch) else {
                 self.note_conflict();
                 return None;
@@ -217,16 +181,11 @@ impl<D: Device> SharedClam<D> {
         Some(outcome)
     }
 
-    /// Inserts (or updates) a key. By default this is a **fine-grained**
-    /// write: it holds the stripe's shared (read) lock and serializes only
-    /// on the key's super-table op lock ([`Clam::fine_insert`]), so
-    /// inserts landing on different tables of this stripe commit in
-    /// parallel. Coarse mode routes through the exclusive stripe lock
-    /// instead; outcomes are identical either way.
+    /// Inserts (or updates) a key: holds the stripe's shared (read) lock
+    /// and serializes only on the key's super-table op lock
+    /// ([`Clam::fine_insert`]), so inserts landing on different tables of
+    /// this stripe commit in parallel.
     pub fn insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
-        if self.inner.coarse.load(Ordering::SeqCst) {
-            return self.with_write(|c| c.insert(key, value));
-        }
         self.inner.clam.read().fine_insert(key, value)
     }
 
@@ -241,19 +200,11 @@ impl<D: Device> SharedClam<D> {
         self.with_write(|c| c.lookup(key))
     }
 
-    /// Inserts a batch of key/value pairs using the batched CLAM
-    /// pipeline. By default the batch runs through the **fine-grained**
-    /// path ([`Clam::fine_insert_batch`]): the stripe lock is held shared
-    /// and the batch's per-super-table groups commit under their table op
-    /// locks only — on the caller's thread, or split over scoped threads
-    /// when the batch is large enough to pay for them, a flush gate then
-    /// replaying the coarse path's flush order — so results, flash
-    /// traffic and ledgers are bit-identical to the exclusive baseline
-    /// ([`Clam::insert_batch`], used in coarse mode).
+    /// Inserts a batch of key/value pairs using the batched CLAM pipeline
+    /// ([`Clam::fine_insert_batch`]): the stripe lock is held shared and
+    /// the batch's per-super-table groups commit under their table op
+    /// locks, one after another on the caller's thread.
     pub fn insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        if self.inner.coarse.load(Ordering::SeqCst) {
-            return self.with_write(|c| c.insert_batch(ops));
-        }
         self.inner.clam.read().fine_insert_batch(ops)
     }
 
@@ -261,17 +212,14 @@ impl<D: Device> SharedClam<D> {
     /// returning one outcome per key in input order plus the batch's
     /// makespan-accounted latency (see [`Clam::lookup_batch`]).
     ///
-    /// With the fast path enabled, memory-resolved keys are answered under
-    /// one shared (`try_read`) acquisition and only the flash-bound
-    /// remainder takes the write lock; every key is still charged the full
-    /// batch's amortized dispatch, so outcomes and per-op accounting match
-    /// the coarse path exactly (the batch latency adds the fast keys' host
-    /// time to the locked remainder's makespan, just as the all-locked
-    /// plan would).
+    /// Memory-resolved keys are answered under one shared (`try_read`)
+    /// acquisition and only the flash-bound remainder takes the write
+    /// lock; every key is still charged the full batch's amortized
+    /// dispatch, so outcomes and per-op accounting match an all-locked
+    /// call exactly (the batch latency adds the fast keys' host time to
+    /// the locked remainder's makespan, just as the all-locked plan
+    /// would).
     pub fn lookup_batch(&self, keys: &[Key]) -> Result<BatchLookupOutcome> {
-        if self.inner.coarse.load(Ordering::SeqCst) {
-            return self.with_write(|c| c.lookup_batch(keys));
-        }
         let dispatch = batch_dispatch(keys.len());
         let mut resolved: Vec<Option<LookupOutcome>> = vec![None; keys.len()];
         let fast_pass_valid = {
@@ -280,8 +228,8 @@ impl<D: Device> SharedClam<D> {
                 false
             } else if let Some(guard) = self.inner.clam.try_read() {
                 for (slot, &key) in keys.iter().enumerate() {
-                    // `None` (a fine-grained writer is active on the key's
-                    // table) leaves the key unresolved; it joins the
+                    // `None` (a writer is active on the key's table)
+                    // leaves the key unresolved; it joins the
                     // flash-bound remainder and resolves under the write
                     // lock, which drains that writer first.
                     if let Some(MemoryProbe::Resolved(outcome)) =
@@ -298,7 +246,7 @@ impl<D: Device> SharedClam<D> {
         };
         if !fast_pass_valid {
             // One counted conflict for the whole batch; the entire batch
-            // re-runs on the locked reference path.
+            // re-runs under the write lock.
             self.note_conflict();
             return self.with_write(|c| c.lookup_batch(keys));
         }
@@ -334,23 +282,10 @@ impl<D: Device> SharedClam<D> {
         Ok(batch)
     }
 
-    /// The barrier wave reference path for
-    /// [`lookup_batch`](Self::lookup_batch) (see
-    /// [`Clam::lookup_batch_waves`]): identical outcomes, per-round
-    /// barrier timing. Always runs under the exclusive lock.
-    pub fn lookup_batch_waves(&self, keys: &[Key]) -> Result<BatchLookupOutcome> {
-        self.with_write(|c| c.lookup_batch_waves(keys))
-    }
-
-    /// Deletes a key. Fine-grained by default (shared stripe lock +
-    /// the key's table op lock, [`Clam::fine_delete`]); exclusive in
-    /// coarse mode.
+    /// Deletes a key: shared stripe lock plus the key's table op lock
+    /// ([`Clam::fine_delete`]).
     pub fn delete(&self, key: Key) -> Result<()> {
-        if self.inner.coarse.load(Ordering::SeqCst) {
-            self.with_write(|c| c.delete(key))?;
-        } else {
-            self.inner.clam.read().fine_delete(key)?;
-        }
+        self.inner.clam.read().fine_delete(key)?;
         Ok(())
     }
 
@@ -389,8 +324,8 @@ impl<D: Device> SharedClam<D> {
 
     /// Returns `true` while a write may be in flight for `key`'s super
     /// table: the stripe-global epoch is odd (an exclusive writer is
-    /// pending or active), the stripe is write-locked, or a fine-grained
-    /// writer's logical op on that table is in progress (its seqlock
+    /// pending or active), the stripe is write-locked, or a writer's
+    /// logical op on that table is in progress (its seqlock
     /// epoch is odd; see [`Clam::table_writer_active`]). The `clamd`
     /// engine's idle-shard bypass consults this so a bypassed scalar
     /// LOOKUP never races a half-applied mutation.
@@ -402,12 +337,6 @@ impl<D: Device> SharedClam<D> {
             return true;
         };
         guard.table_writer_active(key)
-    }
-
-    /// Switches the write path between the ring-driven default and the
-    /// blocking barrier reference (see [`Clam::set_barrier_writes`]).
-    pub fn set_barrier_writes(&self, barrier: bool) {
-        self.with_write(|c| c.set_barrier_writes(barrier));
     }
 
     /// Runs `f` with exclusive access to the underlying CLAM (e.g. for
@@ -523,10 +452,9 @@ impl<D: Device> StripedClam<D> {
     /// On the host the stripes run one after another on the caller's
     /// thread unless the batch is large enough that each spawned worker
     /// carries at least 2048 operations; only then are they dealt out
-    /// over scoped threads (never more than cores or busy stripes). Results and
-    /// per-stripe state are identical to the serial reference path
-    /// ([`insert_batch_serial`](Self::insert_batch_serial)): stripes share
-    /// no state, so dispatch order cannot change any outcome.
+    /// over scoped threads (never more than cores or busy stripes).
+    /// Stripes share no state, so dispatch order cannot change any
+    /// outcome.
     ///
     /// ```
     /// use bufferhash::{Clam, ClamConfig, StripedClam};
@@ -614,28 +542,6 @@ impl<D: Device> StripedClam<D> {
         results
     }
 
-    /// The serial reference path for [`insert_batch`](Self::insert_batch):
-    /// stripes execute one after another and the reported latency is the
-    /// **sum over stripes**, as a single-device deployment would observe.
-    /// State and counters after this call are identical to the concurrent
-    /// path's.
-    pub fn insert_batch_serial(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        let (grouped, starts) = self.partition(ops);
-        let mut total = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
-        for (idx, stripe) in self.stripes.iter().enumerate() {
-            let group = &grouped[starts[idx]..starts[idx + 1]];
-            if group.is_empty() {
-                continue;
-            }
-            let out = stripe.insert_batch(group)?;
-            total.latency += out.latency;
-            total.flushed_ops += out.flushed_ops;
-            total.evictions += out.evictions;
-            total.coalesced_writes += out.coalesced_writes;
-        }
-        Ok(total)
-    }
-
     /// Groups `ops` by owning stripe, preserving input order within each
     /// stripe (which is what makes batched execution observationally
     /// equivalent to per-op calls): stripe `i` owns
@@ -676,12 +582,12 @@ impl<D: Device> StripedClam<D> {
     /// the measured floor for lookups that probe flash). Each stripe
     /// resolves its sub-batch through the queued probe pipeline
     /// ([`Clam::lookup_batch`]), so the reported batch latency is the
-    /// **maximum over stripes** of each stripe's wave-makespan time —
+    /// **maximum over stripes** of each stripe's ring-makespan time —
     /// stripes overlap on their own devices *and* each stripe's probes
     /// overlap on its device's queue lanes. Outcomes are returned in input
     /// order and are identical to per-op lookups; probe-read counts sum
     /// across stripes, while `waves` reports the deepest (slowest) stripe's
-    /// wave count, consistent with the max-over-stripes latency.
+    /// probe depth, consistent with the max-over-stripes latency.
     pub fn lookup_batch(&self, keys: &[Key]) -> Result<BatchLookupOutcome> {
         // Input positions grouped by stripe, and the keys in that order.
         let positions: Vec<usize> = (0..keys.len()).collect();
@@ -726,32 +632,6 @@ impl<D: Device> StripedClam<D> {
         self.stripes.get(i).cloned()
     }
 
-    /// Switches every stripe's write path between the ring-driven default
-    /// and the blocking barrier reference (see
-    /// [`Clam::set_barrier_writes`]).
-    pub fn set_barrier_writes(&self, barrier: bool) {
-        for stripe in &self.stripes {
-            stripe.set_barrier_writes(barrier);
-        }
-    }
-
-    /// Switches every stripe between the epoch-validated read fast path
-    /// (default) and the coarse everything-exclusive baseline (see
-    /// [`SharedClam::set_coarse_locks`]).
-    pub fn set_coarse_locks(&self, coarse: bool) {
-        for stripe in &self.stripes {
-            stripe.set_coarse_locks(coarse);
-        }
-    }
-
-    /// Overrides the fine-batch chunk count on every stripe (see
-    /// [`SharedClam::set_batch_parallelism`]).
-    pub fn set_batch_parallelism(&self, chunks: Option<usize>) {
-        for stripe in &self.stripes {
-            stripe.set_batch_parallelism(chunks);
-        }
-    }
-
     /// Attempts to resolve `key` on its stripe's read fast path (see
     /// [`SharedClam::try_fast_lookup`]); `None` means the caller must use
     /// the locked path.
@@ -769,7 +649,6 @@ impl<D: Device> StripedClam<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clam::{SPAWN_FLOOR_KEYS, SPAWN_FLOOR_OPS};
     use crate::config::ClamConfig;
     use flashsim::Ssd;
     use std::thread;
@@ -802,6 +681,8 @@ mod tests {
         }
         assert_eq!(shared.stats().inserts.len(), 20_000);
         assert!(shared.stats().lookup_hits >= 20_000);
+        // Every scalar insert went through its table's op lock.
+        assert_eq!(shared.stats().table_write_acquisitions, 20_000);
     }
 
     #[test]
@@ -872,6 +753,10 @@ mod tests {
         }
         assert_eq!(shared.stats().batched_inserts, 5_000);
         assert_eq!(shared.stats().batched_lookups, 5_000);
+        // A batch takes each table's op lock once, one table at a time.
+        let tables = shared.with(|c| c.num_super_tables()) as u64;
+        assert_eq!(shared.stats().table_write_acquisitions, tables);
+        assert_eq!(shared.stats().table_lock_high_water, 1);
     }
 
     #[test]
@@ -995,27 +880,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ring_and_wave_lookup_batches_agree_on_shared_clams() {
-        let shared = SharedClam::new(clam());
-        let ops: Vec<(u64, u64)> = (0..30_000u64).map(|i| (key(i), i)).collect();
-        for chunk in ops.chunks(512) {
-            shared.insert_batch(chunk).unwrap();
-        }
-        let keys: Vec<u64> =
-            (0..800u64).map(|i| if i % 2 == 0 { key(i) } else { key(600_000 + i) }).collect();
-        let ring = shared.lookup_batch(&keys).unwrap();
-        let wave = shared.lookup_batch_waves(&keys).unwrap();
-        assert_eq!(ring.ops(), wave.ops());
-        for i in 0..keys.len() {
-            assert_eq!(ring[i].value, wave[i].value, "key index {i}");
-            assert_eq!(ring[i].source, wave[i].source, "key index {i}");
-            assert_eq!(ring[i].flash_reads, wave[i].flash_reads, "key index {i}");
-        }
-        assert_eq!(ring.waves, wave.waves, "ring rounds match the wave count");
-        assert!(ring.reaps > 0 && wave.reaps == 0, "only the ring pipeline reaps");
-    }
-
     /// A stripe small enough that a few hundred thousand inserts wrap its
     /// log: 32 slots of 32 KiB over 2 super tables.
     fn tiny_clam() -> Clam<Ssd> {
@@ -1048,40 +912,38 @@ mod tests {
 
     #[test]
     fn parallel_dispatch_matches_the_serial_path() {
+        // The serial path: each stripe handed its share directly, one
+        // after another, on a twin store.
         let stripes = || vec![tiny_clam(), tiny_clam(), tiny_clam()];
-        let (parallel, serial, by_hand) =
-            (StripedClam::new(stripes()), StripedClam::new(stripes()), StripedClam::new(stripes()));
+        let (parallel, by_hand) = (StripedClam::new(stripes()), StripedClam::new(stripes()));
         let batches = batches_around_the_floor(160_000);
         let mut max_total = SimDuration::ZERO;
         let mut sum_total = SimDuration::ZERO;
         let mut evictions = 0;
         for batch in &batches {
             let p = parallel.insert_batch(batch).unwrap();
-            let s = serial.insert_batch_serial(batch).unwrap();
-            // What each stripe charges when handed its share directly:
-            // the batch latency is the maximum of these when the stripes
-            // overlap and the sum when they queue, whether the dispatch
-            // ran inline (below the floor) or fanned out (above it).
-            let per_stripe: Vec<SimDuration> = (0..by_hand.num_stripes())
+            let per_stripe: Vec<BatchInsertOutcome> = (0..by_hand.num_stripes())
                 .map(|idx| {
                     let share: Vec<(u64, u64)> = batch
                         .iter()
                         .copied()
                         .filter(|op| by_hand.stripe_index(op.0) == idx)
                         .collect();
-                    by_hand.stripe(idx).unwrap().insert_batch(&share).unwrap().latency
+                    by_hand.stripe(idx).unwrap().insert_batch(&share).unwrap()
                 })
                 .collect();
+            // The batch latency is the maximum over the stripes, whether
+            // the dispatch ran inline (below the floor) or fanned out
+            // (above it); the events sum.
             let n = batch.len();
-            assert_eq!(p.latency, per_stripe.iter().copied().max().unwrap(), "batch of {n}");
-            assert_eq!(s.latency, per_stripe.iter().copied().sum(), "batch of {n}");
-            // Same outcomes, event for event.
-            assert_eq!((p.ops, s.ops), (n, n));
-            assert_eq!(p.flushed_ops, s.flushed_ops, "batch of {n}");
-            assert_eq!(p.evictions, s.evictions, "batch of {n}");
-            assert_eq!(p.coalesced_writes, s.coalesced_writes, "batch of {n}");
+            let sum = |f: fn(&BatchInsertOutcome) -> usize| per_stripe.iter().map(f).sum::<usize>();
+            assert_eq!(p.ops, n);
+            assert_eq!(p.latency, per_stripe.iter().map(|s| s.latency).max().unwrap(), "of {n}");
+            assert_eq!(p.flushed_ops, sum(|s| s.flushed_ops), "batch of {n}");
+            assert_eq!(p.evictions, sum(|s| s.evictions), "batch of {n}");
+            assert_eq!(p.coalesced_writes, sum(|s| s.coalesced_writes), "batch of {n}");
             max_total += p.latency;
-            sum_total += s.latency;
+            sum_total += per_stripe.iter().map(|s| s.latency).sum();
             evictions += p.evictions;
         }
         assert!(evictions > 0, "the workload must fill the incarnation tables");
@@ -1091,21 +953,20 @@ mod tests {
         );
         // Identical end state: same counters, same device traffic to the
         // last byte and nanosecond, same lookups.
-        let (ps, ss) = (parallel.stats(), serial.stats());
-        assert_eq!(ps.flushes, ss.flushes);
-        assert_eq!(ps.forced_evictions, ss.forced_evictions);
-        assert_eq!(ps.coalesced_flush_writes, ss.coalesced_flush_writes);
-        assert_eq!(ps.batched_inserts, ss.batched_inserts);
-        assert_eq!(ps.inserts.len(), ss.inserts.len());
-        assert_eq!(ps.inserts.total(), ss.inserts.total());
-        assert_eq!(ps.deferred_flush_time, ss.deferred_flush_time);
-        assert_eq!(io_stats(&parallel), io_stats(&serial));
+        let (ps, hs) = (parallel.stats(), by_hand.stats());
+        assert_eq!(ps.flushes, hs.flushes);
+        assert_eq!(ps.forced_evictions, hs.forced_evictions);
+        assert_eq!(ps.coalesced_flush_writes, hs.coalesced_flush_writes);
+        assert_eq!(ps.batched_inserts, hs.batched_inserts);
+        assert_eq!(ps.inserts.len(), hs.inserts.len());
+        assert_eq!(ps.inserts.total(), hs.inserts.total());
+        assert_eq!(ps.deferred_flush_time, hs.deferred_flush_time);
         assert_eq!(io_stats(&parallel), io_stats(&by_hand));
         let total = batches.iter().map(Vec::len).sum::<usize>() as u64;
         for i in (0..total).step_by(271) {
             assert_eq!(
                 parallel.lookup(key(i)).unwrap().value,
-                serial.lookup(key(i)).unwrap().value,
+                by_hand.lookup(key(i)).unwrap().value,
                 "key {i}"
             );
         }
@@ -1152,44 +1013,6 @@ mod tests {
         }
         assert!(flash_reads > 0, "the batches must probe flash");
         assert_eq!(io_stats(&dispatched), io_stats(&by_hand));
-    }
-
-    #[test]
-    fn fine_batches_match_coarse_ones_on_both_sides_of_the_floor() {
-        // One stripe, so every batch is a single `fine_insert_batch`: one
-        // chunk inline below two floors' worth, gated chunks above (where
-        // the host has the cores), bit-identical to the coarse path always.
-        let fine = SharedClam::new(clam());
-        let coarse = SharedClam::new(clam());
-        coarse.set_coarse_locks(true);
-        let mut evictions = 0;
-        for batch in batches_around_the_floor(200_000) {
-            let (f, c) = (fine.insert_batch(&batch).unwrap(), coarse.insert_batch(&batch).unwrap());
-            assert_eq!(f, c, "batch of {}", batch.len());
-            evictions += f.evictions;
-        }
-        assert!(evictions > 0, "the workload must fill the incarnation tables");
-        let (fs, cs) = (fine.stats(), coarse.stats());
-        assert_eq!(fs.flushes, cs.flushes);
-        assert_eq!(fs.forced_evictions, cs.forced_evictions);
-        assert_eq!(fs.coalesced_flush_writes, cs.coalesced_flush_writes);
-        assert_eq!(fs.inserts.total(), cs.inserts.total());
-        assert_eq!(fs.inserts.max(), cs.inserts.max());
-        assert_eq!(fs.cascade_histogram, cs.cascade_histogram);
-        assert_eq!(fs.deferred_flush_time, cs.deferred_flush_time);
-        let io = |s: &SharedClam<Ssd>| s.with(|c| c.device().stats());
-        assert_eq!(io(&fine), io(&coarse));
-        // Where there are cores to split over, the largest batches did
-        // split; batches too small to split never held two table locks
-        // at once.
-        if thread::available_parallelism().is_ok_and(|cores| cores.get() > 1) {
-            assert!(fs.table_lock_high_water > 1, "{fs}");
-        }
-        let small = SharedClam::new(clam());
-        for batch in batches_around_the_floor(SPAWN_FLOOR_OPS) {
-            small.insert_batch(&batch).unwrap();
-        }
-        assert_eq!(small.stats().table_lock_high_water, 1);
     }
 
     #[test]
@@ -1266,11 +1089,6 @@ mod tests {
         assert_eq!(stats.lookup_misses, 1);
         // The per-lookup invariants hold across the merged ledgers.
         assert_eq!(stats.flash_reads_histogram.iter().sum::<u64>(), stats.lookups.len() as u64);
-        // Coarse mode disables the fast path entirely.
-        shared.set_coarse_locks(true);
-        assert!(shared.coarse_locks());
-        assert!(shared.try_fast_lookup(key(1)).is_none());
-        assert_eq!(shared.lookup(key(1)).unwrap().value, Some(10), "locked path still serves");
     }
 
     #[test]
@@ -1294,11 +1112,12 @@ mod tests {
 
     #[test]
     fn fast_and_coarse_lookups_agree_after_flushes() {
-        // Same op sequence against a fast-path CLAM and a coarse baseline:
+        // Same op sequence against twin stores; one is then read through
+        // `lookup_batch` (fast path, locked remainder), the other through
+        // the coarse route, every key under the stripe's exclusive lock:
         // identical values, sources and flash-read counts, per key.
         let fast = SharedClam::new(clam());
         let coarse = SharedClam::new(clam());
-        coarse.set_coarse_locks(true);
         let ops: Vec<(u64, u64)> = (0..20_000u64).map(|i| (key(i), i)).collect();
         for chunk in ops.chunks(512) {
             fast.insert_batch(chunk).unwrap();
@@ -1311,52 +1130,18 @@ mod tests {
         let keys: Vec<u64> =
             (0..3_000u64).map(|i| if i % 3 == 0 { key(i) } else { key(800_000 + i) }).collect();
         let f = fast.lookup_batch(&keys).unwrap();
-        let c = coarse.lookup_batch(&keys).unwrap();
-        for i in 0..keys.len() {
-            assert_eq!(f[i].value, c[i].value, "key index {i}");
-            assert_eq!(f[i].source, c[i].source, "key index {i}");
-            assert_eq!(f[i].flash_reads, c[i].flash_reads, "key index {i}");
-        }
+        let c = coarse.with(|clam| clam.lookup_batch(&keys)).unwrap();
+        assert_eq!(f.outcomes, c.outcomes);
+        assert_eq!((f.latency, f.probe_latency), (c.latency, c.probe_latency));
         // Both ledgers saw every lookup, whichever path served it.
         let (fs, cs) = (fast.stats(), coarse.stats());
         assert_eq!(fs.lookups.len(), cs.lookups.len());
+        assert_eq!(fs.lookups.total(), cs.lookups.total());
         assert_eq!(fs.lookup_hits, cs.lookup_hits);
         assert_eq!(fs.lookup_misses, cs.lookup_misses);
         assert_eq!(fs.batched_lookups, cs.batched_lookups);
         assert!(fs.fast_lookups > 0, "the fast path must have served the memory-resolved keys");
-        assert_eq!(cs.fast_lookups, 0, "coarse mode never uses the fast path");
-    }
-
-    #[test]
-    fn fine_and_coarse_writes_agree_and_fill_the_lock_ledger() {
-        let fine = SharedClam::new(clam());
-        let coarse = SharedClam::new(clam());
-        coarse.set_coarse_locks(true);
-        for i in 0..8_000u64 {
-            fine.insert(key(i), i).unwrap();
-            coarse.insert(key(i), i).unwrap();
-        }
-        for i in (0..8_000u64).step_by(97) {
-            fine.delete(key(i)).unwrap();
-            coarse.delete(key(i)).unwrap();
-        }
-        for i in (0..8_000u64).step_by(53) {
-            assert_eq!(
-                fine.lookup(key(i)).unwrap().value,
-                coarse.lookup(key(i)).unwrap().value,
-                "key {i}"
-            );
-        }
-        let (fs, cs) = (fine.stats(), coarse.stats());
-        assert_eq!(fs.flushes, cs.flushes);
-        assert_eq!(fs.inserts.len(), cs.inserts.len());
-        assert_eq!(fs.deletes.len(), cs.deletes.len());
-        assert_eq!(fs.forced_evictions, cs.forced_evictions);
-        assert_eq!(fs.coalesced_flush_writes, cs.coalesced_flush_writes);
-        // Every fine-grained op went through a table op lock; the coarse
-        // baseline never touches them.
-        assert!(fs.table_write_acquisitions >= 8_000, "{fs}");
-        assert_eq!(cs.table_write_acquisitions, 0, "{cs}");
+        assert_eq!(cs.fast_lookups, 0, "an exclusive section never uses the fast path");
     }
 
     #[test]

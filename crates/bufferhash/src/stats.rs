@@ -59,22 +59,22 @@ pub struct ClamStats {
     /// that needed them, like a sequential flush, and are not counted here.
     pub deferred_flush_time: SimDuration,
     /// Lookup calls (batched or per-op) whose flash probes reached the
-    /// device through the queued read pipeline (at least one probe wave
-    /// submitted via `Device::submit`).
+    /// device through the queued read pipeline (at least one probe read
+    /// admitted to the completion ring).
     pub lookup_batches_submitted: u64,
-    /// Probe waves submitted by the queued lookup pipeline. Each wave
-    /// carries the next pending page read of every key still unresolved in
-    /// its batch.
+    /// Probe rounds of the queued lookup pipeline: per call, the deepest
+    /// key's chain of page reads (rounds of different keys interleave on
+    /// the ring).
     pub lookup_probe_waves: u64,
     /// Flash page-read requests submitted by the queued lookup pipeline
-    /// (one per key per wave).
+    /// (one per key per round).
     pub lookup_probe_requests: u64,
-    /// Probe requests that overlapped another request of their wave on the
+    /// Probe requests that overlapped another request of their call on the
     /// device queue (completed on a lane other than 0) — the lookup-side
     /// view of `IoStats::requests_overlapped`. Always zero on serial media.
     pub lookup_probes_overlapped: u64,
     /// Completions the streaming ring pipeline collected through
-    /// `Device::reap` (zero when only the barrier wave pipeline ran).
+    /// `Device::reap`.
     pub lookup_ring_reaps: u64,
     /// In-flight depth high-water mark over every completion ring the
     /// lookup pipeline drove. Merged with `max`, not summed: it is a
@@ -87,7 +87,7 @@ pub struct ClamStats {
     pub lookup_ring_admission_stalls: u64,
     /// Completions the ring-driven write path (flush, eviction, drain)
     /// collected through `Device::reap` — the flush-side counterpart of
-    /// `lookup_ring_reaps`. Zero when only the barrier write path ran.
+    /// `lookup_ring_reaps`.
     pub flush_ring_reaps: u64,
     /// Write-side ring admissions whose start was delayed by a
     /// write-write or read-after-write conflict floor beyond lane
@@ -112,13 +112,11 @@ pub struct ClamStats {
     pub recovered_incarnations: u64,
     /// Slots a recovery scan rejected as torn (checksum/identity failures).
     pub recovery_torn_slots: u64,
-    /// Per-table write-lock acquisitions on the fine-grained write path
-    /// (`Clam::fine_insert` / `fine_delete` / `fine_insert_batch`). Zero
-    /// while `set_coarse_locks(true)` routes everything through the
-    /// stripe-global lock.
+    /// Per-table write-lock (op lock) acquisitions: one per scalar insert
+    /// or delete, one per table an insert batch touches.
     pub table_write_acquisitions: u64,
     /// Table write-lock acquisitions that found the op lock already held
-    /// (another fine-grained writer was mid-op on the same table).
+    /// (another writer was mid-op on the same table).
     pub table_write_contended: u64,
     /// High-water mark of tables of one stripe write-locked at the same
     /// instant — direct evidence of intra-stripe write concurrency.
@@ -227,7 +225,7 @@ impl ClamStats {
     }
 
     /// Fraction of queued lookup probes that overlapped another probe of
-    /// their wave on the device queue.
+    /// their call on the device queue.
     pub fn probe_overlap_fraction(&self) -> f64 {
         if self.lookup_probe_requests == 0 {
             return 0.0;

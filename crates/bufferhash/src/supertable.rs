@@ -224,39 +224,22 @@ impl SuperTable {
     }
 
     /// Decides whether `entry` from the evicted (oldest) incarnation should
-    /// be retained under `policy` (§5.1.2).
-    ///
-    /// For the update-based policy an entry is dead if its key was deleted,
-    /// is present in the buffer, or may appear in a *younger* incarnation
-    /// (checked through the Bloom filters, so false positives can
-    /// occasionally drop a live entry). For the priority-based policy an
-    /// entry is dead when its priority is below the threshold.
+    /// be retained under `policy`: establishes the facts
+    /// [`EvictionPolicy::retain`] decides from. "In a younger incarnation"
+    /// is checked through the Bloom filters, so a false positive can
+    /// occasionally drop a live entry (§5.1.2, footnote 2).
     pub fn retain_decision(&self, entry: &Entry, policy: &EvictionPolicy) -> RetainDecision {
-        match policy {
-            EvictionPolicy::Fifo | EvictionPolicy::Lru => RetainDecision::Discard,
-            EvictionPolicy::UpdateBased => {
-                if self.delete_list.contains(&entry.key) || self.buffer.get(entry.key).is_some() {
-                    return RetainDecision::Discard;
-                }
-                // One sliced query answers for every age; the youngest
-                // match is younger than the oldest (age len-1) or none is.
-                let oldest_age = self.num_incarnations().saturating_sub(1);
-                match self.filters.query(entry.key).next() {
-                    Some(youngest) if youngest < oldest_age => RetainDecision::Discard,
-                    _ => RetainDecision::Retain,
-                }
-            }
-            EvictionPolicy::PriorityBased { threshold, priority } => {
-                if self.delete_list.contains(&entry.key) {
-                    return RetainDecision::Discard;
-                }
-                if priority(entry) >= *threshold {
-                    RetainDecision::Retain
-                } else {
-                    RetainDecision::Discard
-                }
-            }
-        }
+        // One sliced query answers for every age; the youngest match is
+        // younger than the oldest (age len-1) or none is.
+        let oldest_age = self.num_incarnations().saturating_sub(1);
+        let in_younger =
+            self.filters.query(entry.key).next().is_some_and(|youngest| youngest < oldest_age);
+        policy.retain(
+            entry,
+            self.delete_list.contains(&entry.key),
+            self.buffer.get(entry.key).is_some(),
+            in_younger,
+        )
     }
 
     /// Removes delete-list entries whose on-flash copies have all been

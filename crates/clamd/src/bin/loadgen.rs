@@ -23,11 +23,9 @@
 //! must sum to the baseline's totals and whose read-heavy verify phase
 //! must take the batcher bypass; in both, the mixed phase's gathers must
 //! reach the store as conflict-free segments of at most two batched
-//! calls each) — and, when this host has at least 4 cores, two
-//! saturation bars: the sharded server must sustain >= 1.2x the
-//! single-shard flood throughput, and a single-stripe store's
-//! per-super-table write locks must sustain >= 1.2x the
-//! `set_coarse_locks(true)` insert-heavy flood.
+//! calls each) — and, when this host has at least 4 cores, a
+//! saturation bar: the sharded server must sustain >= 1.2x the
+//! single-shard flood throughput.
 //!
 //! ```text
 //! clamd-loadgen [--connect HOST:PORT] [--connections 4] [--ops 20000]
@@ -41,7 +39,6 @@
 use std::net::SocketAddr;
 
 use bench::{ms, print_cdf, print_header, print_row, TailSummary};
-use bufferhash::{hash_with_seed, Clam, ClamConfig, StripedClam};
 use clamd::batcher::BatcherConfig;
 use clamd::client::ClamdClient;
 use clamd::loadgen::{self, key_for, value_for, LoadgenConfig};
@@ -296,8 +293,7 @@ fn smoke() -> Result<(), BootError> {
         sharded.fields
     );
 
-    saturation_bar()?;
-    write_concurrency_bar()
+    saturation_bar()
 }
 
 /// What one smoke arm observed.
@@ -503,97 +499,6 @@ fn saturation_bar() -> Result<(), BootError> {
     } else {
         Err(format!(
             "FAIL: 4-shard flood only {speedup:.2}x the single-shard flood (target >= 1.2x)"
-        )
-        .into())
-    }
-}
-
-/// Key space of the write-concurrency flood: ~750 keys per super table
-/// of the single stripe, comfortably under the per-table flush
-/// threshold, so the measured passes are buffer-resident. That isolates
-/// exactly the work the per-table locks parallelize (cuckoo + Bloom
-/// commits) — flushes deliberately replay coarse order through the
-/// batch gate, and flush-churn identity is what `tests/equivalence.rs`
-/// covers.
-const WRITE_BAR_KEYS: u64 = 100_000;
-/// Measured update passes over the key space, per arm.
-const WRITE_BAR_PASSES: u64 = 3;
-/// Insert-batch size of the write flood: big enough that the per-table
-/// scoped-thread dispatch amortizes its spawn cost.
-const WRITE_BAR_CHUNK: usize = 20_000;
-
-/// Floods one single-stripe store with an insert-heavy batch workload
-/// (a scalar delete sprinkled in every 512th op, re-inserted by the
-/// next pass) and returns the sustained write throughput. `coarse`
-/// selects the stripe-global baseline via
-/// [`StripedClam::set_coarse_locks`]; otherwise batches commit through
-/// the per-super-table write locks.
-fn write_flood(coarse: bool) -> f64 {
-    let cfg = ClamConfig::small_test(64 << 20, 16 << 20).expect("write-bar config");
-    let device = Ssd::intel(64 << 20).expect("write-bar ssd");
-    let store = StripedClam::new(vec![Clam::new(device, cfg).expect("write-bar clam")]);
-    store.set_coarse_locks(coarse);
-    let ops: Vec<(u64, u64)> =
-        (0..WRITE_BAR_KEYS).map(|i| (hash_with_seed(i, 0x10ad), i)).collect();
-    // Warm-up pass populates the buffers and absorbs thread spin-up and
-    // first-touch costs; the measured passes update the same keys in
-    // place.
-    for chunk in ops.chunks(WRITE_BAR_CHUNK) {
-        store.insert_batch(chunk).expect("write-bar warmup");
-    }
-    let mut deletes = 0u64;
-    let start = std::time::Instant::now();
-    for _ in 0..WRITE_BAR_PASSES {
-        for chunk in ops.chunks(WRITE_BAR_CHUNK) {
-            store.insert_batch(chunk).expect("write-bar insert");
-            for (key, _) in chunk.iter().step_by(512) {
-                store.delete(*key).expect("write-bar delete");
-                deletes += 1;
-            }
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let stats = store.stats();
-    if coarse {
-        assert_eq!(stats.table_write_acquisitions, 0, "coarse arm must not take table locks");
-    } else {
-        assert!(stats.table_write_acquisitions > 0, "fine arm must take table locks");
-        assert!(stats.table_lock_high_water >= 2, "fine arm commits must overlap: {stats}");
-    }
-    (WRITE_BAR_KEYS * WRITE_BAR_PASSES + deletes) as f64 / elapsed
-}
-
-/// The fine-vs-coarse write-concurrency bar: on hosts with at least 4
-/// cores (so the per-table batch chunks can actually run concurrently),
-/// the per-super-table write locks must sustain >= 1.2x the
-/// `set_coarse_locks(true)` insert-heavy throughput over one stripe.
-/// Fewer cores cannot express the concurrency, so the bar is skipped
-/// there rather than asserting a number the host cannot hit.
-fn write_concurrency_bar() -> Result<(), BootError> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores < 4 {
-        println!(
-            "write-concurrency bar: skipped ({cores} core(s); needs >= 4 to overlap table commits)"
-        );
-        return Ok(());
-    }
-    let coarse = write_flood(true);
-    let fine = write_flood(false);
-    let speedup = fine / coarse.max(1e-9);
-    println!(
-        "write concurrency: coarse locks {coarse:.0} ops/s, per-table locks {fine:.0} ops/s \
-         ({speedup:.2}x)"
-    );
-    if speedup >= 1.2 {
-        println!(
-            "PASS: per-table write locks sustain {speedup:.2}x the coarse-lock insert flood \
-             (target >= 1.2x)"
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "FAIL: per-table write locks only {speedup:.2}x the coarse-lock insert flood \
-             (target >= 1.2x)"
         )
         .into())
     }

@@ -1,16 +1,19 @@
-//! Sharded group commit and the seqlock read fast path must be
-//! invisible except for speed: every outcome a client (or a store
-//! caller) observes has to be identical to the single-gather,
-//! coarse-locked baseline. Four angles:
+//! Sharded group commit, the seqlock read fast path and the per-table
+//! write locks must be invisible except for speed: every outcome a client
+//! (or a store caller) observes has to be the one a small sequential
+//! model of CLAM semantics (`tests/support/clam_model.rs`) gives. Four
+//! angles:
 //!
-//! * store level — the same op sequence through a fine-grained
-//!   [`StripedClam`] (per-table write locks + seqlock read fast path)
-//!   and a coarse one over **all five** flashsim backends, comparing
-//!   per-key values, sources, flash reads, the stores' flush/eviction
-//!   ledgers and the devices' raw write/trim/erase traffic;
-//! * wire level — two real `clamd` servers (shards=1 + coarse locks vs
-//!   shards=4 + fast path) answering identical per-connection scripts
-//!   with identical response streams;
+//! * store level — the same op sequence through a [`StripedClam`]'s public
+//!   entry points (per-table write locks, seqlock read fast path) and,
+//!   on a twin, with every call under its stripe's exclusive lock, over
+//!   **all five** flashsim backends: every insert outcome and every
+//!   lookup's value and source against the model, per-key flash reads,
+//!   ledgers and raw device traffic between the twins, then the state
+//!   recovered from flash against the model's;
+//! * wire level — a four-shard `clamd` driven by connections that own
+//!   disjoint key sets, every reply and the post-`FLUSH` recovered state
+//!   against the model;
 //! * register model — seeded multi-connection request streams over a
 //!   few keys, gathered into large mixed segments, with every reply
 //!   compared against a sequential per-key register model;
@@ -19,14 +22,20 @@
 
 use std::time::{Duration, Instant};
 
-use bufferhash::{hash_with_seed, Clam, ClamConfig, StripedClam};
+use bufferhash::{
+    hash_with_seed, Clam, ClamConfig, FlashLayoutMode, Key, LookupSource, StripedClam, Value,
+};
 use clamd::batcher::{BatcherConfig, Engine};
 use clamd::client::ClamdClient;
 use clamd::proto::{Op, Request, RespBody};
-use clamd::server::{boot_sim, ephemeral_sim_server_sharded, ClamdServer, ServerConfig};
+use clamd::server::{ephemeral_sim_server_sharded, ClamdServer, ServerConfig};
 use flashsim::{Device, DramDevice, FileDevice, FlashChip, MagneticDisk, SharedDevice, Ssd};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+#[path = "../../../tests/support/clam_model.rs"]
+mod clam_model;
+use clam_model::{ClamModel, Inserted};
 
 const STRIPES: usize = 4;
 const FLASH: u64 = 8 << 20;
@@ -35,18 +44,29 @@ const DRAM: u64 = 2 << 20;
 /// test uses it to aim keys at specific stripes.
 const STRIPE_SEED: u64 = 0x57_e19e;
 
-/// Stripes `device` exactly the way the server boot path does, keeping a
-/// handle on the underlying device so tests can audit its I/O ledger.
-fn striped<D: Device>(device: D) -> (StripedClam<SharedDevice<D>>, SharedDevice<D>) {
-    let cfg = ClamConfig::small_test(FLASH / STRIPES as u64, DRAM / STRIPES as u64).unwrap();
-    let shared = SharedDevice::new(device);
-    let stripes = shared
+/// A striped store, a handle on the device under it (to audit its I/O
+/// ledger and to recover from), and the per-stripe configuration.
+struct Striped<D: Device> {
+    store: StripedClam<SharedDevice<D>>,
+    device: SharedDevice<D>,
+    config: ClamConfig,
+}
+
+/// Stripes `device` exactly the way the server boot path does.
+fn striped_with<D: Device>(device: D, config: ClamConfig) -> Striped<D> {
+    let device = SharedDevice::new(device);
+    let stripes = device
         .split(STRIPES)
         .unwrap()
         .into_iter()
-        .map(|partition| Clam::new(partition, cfg.clone()).unwrap())
+        .map(|partition| Clam::new(partition, config.clone()).unwrap())
         .collect();
-    (StripedClam::new(stripes), shared)
+    Striped { store: StripedClam::new(stripes), device, config }
+}
+
+fn striped<D: Device>(device: D) -> Striped<D> {
+    let config = ClamConfig::small_test(FLASH / STRIPES as u64, DRAM / STRIPES as u64).unwrap();
+    striped_with(device, config)
 }
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -55,139 +75,226 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     p
 }
 
-/// Drives the sampled op sequence through both stores and asserts every
-/// observable outcome matches, then audits the whole keyspace, the two
-/// stores' ledgers, and the raw flash traffic on the backing devices.
-fn assert_stores_agree<A: Device, B: Device>(
-    (fast, fast_dev): &(StripedClam<SharedDevice<A>>, SharedDevice<A>),
-    (coarse, coarse_dev): &(StripedClam<SharedDevice<B>>, SharedDevice<B>),
+/// One [`ClamModel`] per stripe, routed like the store routes.
+struct StripedModel(Vec<ClamModel>);
+
+impl StripedModel {
+    fn new(config: &ClamConfig) -> Self {
+        StripedModel((0..STRIPES).map(|_| ClamModel::new(config)).collect())
+    }
+
+    fn stripe_of(key: Key) -> usize {
+        (hash_with_seed(key, STRIPE_SEED) % STRIPES as u64) as usize
+    }
+
+    fn insert(&mut self, key: Key, value: Value) -> Inserted {
+        self.0[Self::stripe_of(key)].insert(key, value)
+    }
+
+    /// Each stripe's share of a batch, input order kept.
+    fn shares(ops: &[(Key, Value)]) -> Vec<Vec<(Key, Value)>> {
+        (0..STRIPES)
+            .map(|idx| ops.iter().copied().filter(|op| Self::stripe_of(op.0) == idx).collect())
+            .collect()
+    }
+
+    fn insert_batch(&mut self, ops: &[(Key, Value)]) -> Inserted {
+        let mut total = Inserted::default();
+        for (model, share) in self.0.iter_mut().zip(Self::shares(ops)) {
+            let out = model.insert_batch(&share);
+            total.flushed += out.flushed;
+            total.evictions += out.evictions;
+        }
+        total
+    }
+
+    fn delete(&mut self, key: Key) {
+        self.0[Self::stripe_of(key)].delete(key)
+    }
+
+    fn lookup(&self, key: Key) -> (Option<Value>, LookupSource) {
+        self.0[Self::stripe_of(key)].lookup(key)
+    }
+
+    fn flush_all(&mut self) {
+        self.0.iter_mut().for_each(ClamModel::flush_all);
+    }
+
+    fn recover(&mut self) {
+        self.0.iter_mut().for_each(ClamModel::recover);
+    }
+
+    /// Flushes, evictions on the tables' own account, forced evictions.
+    fn ledger(&self) -> (u64, u64, u64) {
+        self.0.iter().fold((0, 0, 0), |sum, m| {
+            (sum.0 + m.flushes, sum.1 + m.evictions, sum.2 + m.forced_evictions)
+        })
+    }
+}
+
+/// Drives the sampled op sequence through both stores — `fast` by its
+/// public entry points, `locked` with every call under the owning
+/// stripe's exclusive lock — and asserts every outcome matches the model,
+/// then audits the whole keyspace, the two stores' ledgers, the raw flash
+/// traffic on the backing devices, and what a recovery from flash reads.
+fn assert_stores_match_the_model<D: Device>(
+    fast: Striped<D>,
+    locked: Striped<D>,
     ops: &[(u8, u64)],
     seed: u64,
     label: &str,
 ) {
-    coarse.set_coarse_locks(true);
-    // Force the fine store's batches through the multi-chunk scoped-thread
-    // dispatch (gate + rendezvous) even on single-core hosts, so the
-    // identity claim is tested against the genuinely concurrent path.
-    fast.set_batch_parallelism(Some(3));
+    let mut model = StripedModel::new(&fast.config);
+    let stripe_of = |key: Key| locked.store.stripe(locked.store.stripe_index(key)).unwrap();
     let key = |raw: u64| hash_with_seed(raw % 192, seed);
+    // One batched lookup on each store: both against the model, and
+    // against each other where the model has no say (flash reads).
+    let audit = |model: &StripedModel, keys: &[Key], what: &str| {
+        let f = fast.store.lookup_batch(keys).unwrap();
+        for (j, (fo, &k)) in f.outcomes.iter().zip(keys).enumerate() {
+            let lo = stripe_of(k).with(|c| c.lookup(k)).unwrap();
+            assert_eq!((fo.value, fo.source), model.lookup(k), "{label}: {what} slot {j}, fast");
+            assert_eq!((lo.value, lo.source), model.lookup(k), "{label}: {what} slot {j}, locked");
+            assert_eq!(fo.flash_reads, lo.flash_reads, "{label}: {what} slot {j}");
+        }
+    };
     for (i, &(kind, raw)) in ops.iter().enumerate() {
         match kind % 10 {
             0..=2 => {
-                fast.insert(key(raw), raw).unwrap();
-                coarse.insert(key(raw), raw).unwrap();
+                let want = model.insert(key(raw), raw);
+                let f = fast.store.insert(key(raw), raw).unwrap();
+                let l = stripe_of(key(raw)).with(|c| c.insert(key(raw), raw)).unwrap();
+                assert_eq!((usize::from(f.flushed), f.evictions), (want.flushed, want.evictions));
+                assert_eq!(f, l, "{label}: op {i}");
             }
             3 => {
-                fast.delete(key(raw)).unwrap();
-                coarse.delete(key(raw)).unwrap();
+                model.delete(key(raw));
+                fast.store.delete(key(raw)).unwrap();
+                stripe_of(key(raw)).with(|c| c.delete(key(raw))).unwrap();
             }
             4 => {
                 let pairs: Vec<(u64, u64)> =
                     (0..32).map(|j| (key(raw.wrapping_add(j)), raw ^ j)).collect();
-                fast.insert_batch(&pairs).unwrap();
-                coarse.insert_batch(&pairs).unwrap();
+                let want = model.insert_batch(&pairs);
+                let f = fast.store.insert_batch(&pairs).unwrap();
+                assert_eq!((f.flushed_ops, f.evictions), (want.flushed, want.evictions));
+                let mut flushed = 0;
+                for (idx, share) in StripedModel::shares(&pairs).iter().enumerate() {
+                    let stripe = locked.store.stripe(idx).unwrap();
+                    flushed += stripe.with(|c| c.insert_batch(share)).unwrap().flushed_ops;
+                }
+                assert_eq!(flushed, want.flushed, "{label}: op {i}");
             }
             5 => {
                 let keys: Vec<u64> = (0..24).map(|j| key(raw.wrapping_add(j * 3))).collect();
-                let f = fast.lookup_batch(&keys).unwrap();
-                let c = coarse.lookup_batch(&keys).unwrap();
-                for (j, (fo, co)) in f.outcomes.iter().zip(c.outcomes.iter()).enumerate() {
-                    assert_eq!(fo.value, co.value, "{label}: op {i} batch slot {j}");
-                    assert_eq!(fo.source, co.source, "{label}: op {i} batch slot {j}");
-                    assert_eq!(fo.flash_reads, co.flash_reads, "{label}: op {i} batch slot {j}");
-                }
+                audit(&model, &keys, &format!("op {i} batch"));
             }
             6 => {
-                fast.flush_all().unwrap();
-                coarse.flush_all().unwrap();
+                model.flush_all();
+                fast.store.flush_all().unwrap();
+                for idx in 0..STRIPES {
+                    locked.store.stripe(idx).unwrap().with(|c| c.flush_all()).unwrap();
+                }
             }
             _ => {
-                let f = fast.lookup(key(raw)).unwrap();
-                let c = coarse.lookup(key(raw)).unwrap();
-                assert_eq!(f.value, c.value, "{label}: op {i}");
-                assert_eq!(f.source, c.source, "{label}: op {i}");
-                assert_eq!(f.flash_reads, c.flash_reads, "{label}: op {i}");
+                let f = fast.store.lookup(key(raw)).unwrap();
+                let l = stripe_of(key(raw)).with(|c| c.lookup(key(raw))).unwrap();
+                assert_eq!((f.value, f.source), model.lookup(key(raw)), "{label}: op {i}");
+                assert_eq!((f.value, f.source, f.flash_reads), (l.value, l.source, l.flash_reads));
             }
         }
     }
-    // Full-keyspace audit: both stores hold exactly the same map.
+    // Full-keyspace audit: both stores hold exactly the model's map.
     let keys: Vec<u64> = (0..192).map(key).collect();
-    let f = fast.lookup_batch(&keys).unwrap();
-    let c = coarse.lookup_batch(&keys).unwrap();
-    for (j, (fo, co)) in f.outcomes.iter().zip(c.outcomes.iter()).enumerate() {
-        assert_eq!(fo.value, co.value, "{label}: audit slot {j}");
-        assert_eq!(fo.source, co.source, "{label}: audit slot {j}");
-    }
-    // Both ledgers counted every lookup; only the fast store used the
+    audit(&model, &keys, "audit");
+    // The ledgers are the model's; only the fast store used the
     // epoch-validated path, and only when writes left it room to.
-    let (fs, cs) = (fast.stats(), coarse.stats());
-    assert_eq!(fs.lookup_hits, cs.lookup_hits, "{label}");
-    assert_eq!(fs.lookup_misses, cs.lookup_misses, "{label}");
-    assert_eq!(cs.fast_lookups, 0, "{label}: coarse mode must never take the fast path");
-    // Write-side identity: the fine-grained per-table write path must
-    // replay the coarse baseline's flush/eviction history exactly —
-    // same flush count and sequence effects, same forced evictions,
-    // same coalesced write runs, same cuckoo cascade shape, and the
-    // same per-op latency totals (simulated time is deterministic).
-    assert_eq!(fs.flushes, cs.flushes, "{label}: flush count");
-    assert_eq!(fs.forced_evictions, cs.forced_evictions, "{label}: forced evictions");
-    assert_eq!(fs.coalesced_flush_writes, cs.coalesced_flush_writes, "{label}: coalesced runs");
-    assert_eq!(fs.cascade_histogram, cs.cascade_histogram, "{label}: cascade shape");
-    assert_eq!(fs.inserts.len(), cs.inserts.len(), "{label}: insert count");
-    assert_eq!(fs.inserts.total(), cs.inserts.total(), "{label}: summed insert latency");
-    assert_eq!(fs.deletes.len(), cs.deletes.len(), "{label}: delete count");
-    assert_eq!(fs.deletes.total(), cs.deletes.total(), "{label}: summed delete latency");
-    // Only the fine store exercises the table-lock ledger.
-    assert!(fs.table_write_acquisitions > 0, "{label}: fine writes must take table locks");
-    assert_eq!(cs.table_write_acquisitions, 0, "{label}: coarse mode takes no table locks");
-    // Device-level identity: byte-for-byte the same flash write, trim
-    // and erase traffic (reads too — lookup outcomes already matched).
-    let (fio, cio) = (fast_dev.with(|d| d.stats()), coarse_dev.with(|d| d.stats()));
-    assert_eq!(fio.writes, cio.writes, "{label}: flash writes");
-    assert_eq!(fio.bytes_written, cio.bytes_written, "{label}: flash bytes written");
-    assert_eq!(fio.trims, cio.trims, "{label}: trims");
-    assert_eq!(fio.erases, cio.erases, "{label}: erases");
-    assert_eq!(fio.reads, cio.reads, "{label}: flash reads");
-    assert_eq!(fio.bytes_read, cio.bytes_read, "{label}: flash bytes read");
+    let (fs, ls) = (fast.store.stats(), locked.store.stats());
+    let (fio, lio) = (fast.device.with(|d| d.stats()), locked.device.with(|d| d.stats()));
+    let (flushes, evictions, forced) = model.ledger();
+    assert_eq!((fs.flushes, fio.trims, fs.forced_evictions), (flushes, evictions, forced));
+    assert_eq!((ls.flushes, lio.trims, ls.forced_evictions), (flushes, evictions, forced));
+    assert_eq!(ls.fast_lookups, 0, "{label}: an exclusive section never takes the fast path");
+    // Write-side identity between the twins: same coalesced write runs,
+    // same cuckoo cascade shape, the same per-op latency totals
+    // (simulated time is deterministic), and byte for byte the same
+    // flash traffic.
+    assert_eq!(fs.coalesced_flush_writes, ls.coalesced_flush_writes, "{label}: coalesced runs");
+    assert_eq!(fs.cascade_histogram, ls.cascade_histogram, "{label}: cascade shape");
+    assert_eq!(fs.inserts.len(), ls.inserts.len(), "{label}: insert count");
+    assert_eq!(fs.inserts.total(), ls.inserts.total(), "{label}: summed insert latency");
+    assert_eq!(fs.deletes.total(), ls.deletes.total(), "{label}: summed delete latency");
+    assert_eq!(fs.table_write_acquisitions, ls.table_write_acquisitions, "{label}: op locks");
+    assert_eq!(fio.writes, lio.writes, "{label}: flash writes");
+    assert_eq!(fio.bytes_written, lio.bytes_written, "{label}: flash bytes written");
+    assert_eq!(fio.erases, lio.erases, "{label}: erases");
+    assert_eq!(fio.reads, lio.reads, "{label}: flash reads");
+    assert_eq!(fio.bytes_read, lio.bytes_read, "{label}: flash bytes read");
+    // What survives a restart: flush, drop every byte of DRAM, recover
+    // each stripe from its partition, and read the whole keyspace back.
+    fast.store.flush_all().unwrap();
+    model.flush_all();
+    model.recover();
+    let Striped { store, device, config } = fast;
+    drop(store);
+    let partitions = device.split(STRIPES).unwrap();
+    let (recovered, reports) =
+        StripedClam::recover(partitions.into_iter().map(|p| (p, config.clone())).collect())
+            .unwrap();
+    assert!(reports.iter().all(|r| r.torn == 0), "{label}: {reports:?}");
+    let found = recovered.lookup_batch(&keys).unwrap();
+    for (j, (outcome, &k)) in found.outcomes.iter().zip(&keys).enumerate() {
+        assert_eq!((outcome.value, outcome.source), model.lookup(k), "{label}: recovered {j}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The fast-path store and the coarse-locked baseline are
-    /// indistinguishable — per value, per source, per flash read — on
+    /// The store behind its fast path and per-table locks, and the same
+    /// store driven the coarse way, every call under a stripe's exclusive
+    /// lock, are both the model's store — per outcome, per value, per
+    /// source — and indistinguishable from each other per flash read, on
     /// every one of the five flashsim backends.
     #[test]
     fn fast_and_coarse_stores_agree_on_every_backend(
         seed in any::<u64>(),
         ops in vec((0u8..10, any::<u64>()), 150..300),
     ) {
-        assert_stores_agree(
-            &striped(Ssd::intel(FLASH).unwrap()),
-            &striped(Ssd::intel(FLASH).unwrap()),
+        assert_stores_match_the_model(
+            striped(Ssd::intel(FLASH).unwrap()),
+            striped(Ssd::intel(FLASH).unwrap()),
             &ops, seed, "ssd",
         );
-        assert_stores_agree(
-            &striped(DramDevice::new(FLASH).unwrap()),
-            &striped(DramDevice::new(FLASH).unwrap()),
+        assert_stores_match_the_model(
+            striped(DramDevice::new(FLASH).unwrap()),
+            striped(DramDevice::new(FLASH).unwrap()),
             &ops, seed, "dram",
         );
-        assert_stores_agree(
-            &striped(FlashChip::new(FLASH).unwrap()),
-            &striped(FlashChip::new(FLASH).unwrap()),
+        // A raw chip cannot overwrite in place: it gets the layout made
+        // for it, a partition per table with each slot one erase block.
+        let chip = ClamConfig {
+            buffer_bytes_total: 256 << 10,
+            buffer_bytes_per_table: 128 << 10,
+            layout: FlashLayoutMode::PartitionPerTable,
+            ..ClamConfig::small_test(FLASH / STRIPES as u64, DRAM / STRIPES as u64).unwrap()
+        };
+        assert_stores_match_the_model(
+            striped_with(FlashChip::new(FLASH).unwrap(), chip.clone()),
+            striped_with(FlashChip::new(FLASH).unwrap(), chip),
             &ops, seed, "flash-chip",
         );
-        assert_stores_agree(
-            &striped(MagneticDisk::new(FLASH).unwrap()),
-            &striped(MagneticDisk::new(FLASH).unwrap()),
+        assert_stores_match_the_model(
+            striped(MagneticDisk::new(FLASH).unwrap()),
+            striped(MagneticDisk::new(FLASH).unwrap()),
             &ops, seed, "disk",
         );
         let (pf, pc) = (temp_path(&format!("f-{seed:x}")), temp_path(&format!("c-{seed:x}")));
         let _ = std::fs::remove_file(&pf);
         let _ = std::fs::remove_file(&pc);
-        assert_stores_agree(
-            &striped(FileDevice::with_queue_depth(&pf, FLASH, 4).unwrap()),
-            &striped(FileDevice::with_queue_depth(&pc, FLASH, 4).unwrap()),
+        assert_stores_match_the_model(
+            striped(FileDevice::with_queue_depth(&pf, FLASH, 4).unwrap()),
+            striped(FileDevice::with_queue_depth(&pc, FLASH, 4).unwrap()),
             &ops, seed, "file",
         );
         let _ = std::fs::remove_file(&pf);
@@ -207,7 +314,7 @@ proptest! {
 /// order.
 fn assert_replies_match_the_register_model(shards: usize, seed: u64, ops: &[(u8, u64)]) {
     const CONNS: u64 = 3;
-    let (store, _device) = striped(Ssd::intel(FLASH).unwrap());
+    let store = striped(Ssd::intel(FLASH).unwrap()).store;
     let config = BatcherConfig { max_batch: 4096, linger: Duration::from_millis(2), shards };
     let engine = Engine::start(store, Vec::new(), config);
     let inboxes: Vec<_> = (1..=CONNS).map(|conn| engine.register_conn(conn)).collect();
@@ -296,36 +403,12 @@ proptest! {
     }
 }
 
-/// Two tables of **one stripe** must hold their write locks at the same
-/// time during a fine-grained batch: the per-stripe concurrency
-/// high-water ledger proves the commits overlapped instead of
-/// serializing behind a stripe-global lock. The forced chunk count makes
-/// this deterministic on any host — the chunks rendezvous on a barrier
-/// with their first table lock held, so all of them demonstrably hold a
-/// lock at one instant even when the OS time-slices them on one core.
-#[test]
-fn fine_batch_write_locks_overlap_within_one_stripe() {
-    let cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
-    let store = StripedClam::new(vec![Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap()]);
-    store.set_batch_parallelism(Some(4));
-    // Enough keys to populate several super tables of the single stripe.
-    let ops: Vec<(u64, u64)> = (0..4_000u64).map(|i| (hash_with_seed(i, 0x5eed), i)).collect();
-    store.insert_batch(&ops).unwrap();
-    let stats = store.stats();
-    assert!(
-        stats.table_lock_high_water >= 2,
-        "a fine batch over one stripe must write-lock >= 2 tables concurrently: {stats}"
-    );
-    assert!(stats.table_write_acquisitions > 0, "{stats}");
-    // The batch's effects are intact despite the concurrent commits.
-    for (k, v) in ops.iter().rev().take(500) {
-        assert_eq!(store.lookup(*k).unwrap().value, Some(*v), "key {k:#x}");
-    }
-}
+/// Connections the wire-level test runs, each over its own keys.
+const CONNS: u64 = 3;
 
 /// A deterministic per-connection op script over a keyspace disjoint
-/// from every other connection's, so the response stream is a pure
-/// function of the script — whatever the server's shard count.
+/// from every other connection's (the benchmark's discipline), so each
+/// key's history is one connection's program order.
 fn script(conn: u64) -> Vec<Op> {
     let key = |r: u64| hash_with_seed(conn * 10_000 + r % 90, 7);
     (0..180u64)
@@ -342,18 +425,18 @@ fn script(conn: u64) -> Vec<Op> {
         .collect()
 }
 
-/// Runs the three scripts concurrently, one connection each. A FLUSH
-/// writes out every connection's buffered keys, so the connections meet
-/// before and after theirs (the scripts flush at the same steps): what
-/// each incarnation holds, and so what the incarnation tables evict, is
-/// then a function of the scripts alone. Free-running, one run in twelve
-/// evicted a key on one server and not on the other.
+/// Runs the scripts concurrently, one connection each. A FLUSH writes out
+/// every connection's buffered keys, so the connections meet before and
+/// after theirs (the scripts flush at the same steps): what each
+/// incarnation holds, and so what the incarnation tables evict, is then a
+/// function of the scripts alone, whatever order the requests between two
+/// flushes arrive in.
 fn run_scripts<D: Device + 'static>(server: &ClamdServer<D>) -> Vec<Vec<RespBody>> {
     let addr = server.local_addr();
-    let flush_round = std::sync::Barrier::new(3);
+    let flush_round = std::sync::Barrier::new(CONNS as usize);
     std::thread::scope(|scope| {
         let flush_round = &flush_round;
-        let handles: Vec<_> = (0..3u64)
+        let handles: Vec<_> = (0..CONNS)
             .map(|conn| {
                 scope.spawn(move || {
                     let mut client = ClamdClient::connect(addr).unwrap();
@@ -376,11 +459,62 @@ fn run_scripts<D: Device + 'static>(server: &ClamdServer<D>) -> Vec<Vec<RespBody
     })
 }
 
-/// The sharded fast-path server answers every connection with exactly
-/// the byte-identical response stream of the single-gather,
-/// coarse-locked baseline.
+/// What the model says each connection's replies must be. The scripts
+/// flush at the same steps and the connections meet there, so the model
+/// takes the scripts a flush round at a time: every connection's
+/// requests up to its next FLUSH (in any order between connections —
+/// their keys are disjoint and no buffer fills between two flushes),
+/// then one flush of everything (the round's other two find nothing
+/// buffered).
+fn model_replies(model: &mut StripedModel) -> Vec<Vec<RespBody>> {
+    let found = |(value, _): (Option<Value>, LookupSource)| (value.is_some(), value.unwrap_or(0));
+    let scripts: Vec<Vec<Op>> = (0..CONNS).map(script).collect();
+    let mut replies = vec![Vec::new(); scripts.len()];
+    let mut at = vec![0; scripts.len()];
+    while at[0] < scripts[0].len() {
+        for (conn, script) in scripts.iter().enumerate() {
+            while let Some(op) = script.get(at[conn]) {
+                at[conn] += 1;
+                replies[conn].push(match op {
+                    Op::Insert { key, value } => {
+                        model.insert(*key, *value);
+                        RespBody::Inserted
+                    }
+                    Op::Delete { key } => {
+                        model.delete(*key);
+                        RespBody::Deleted
+                    }
+                    Op::InsertBatch(pairs) => {
+                        model.insert_batch(pairs);
+                        RespBody::InsertedBatch { count: pairs.len() as u32 }
+                    }
+                    Op::LookupBatch(keys) => {
+                        RespBody::Values(keys.iter().map(|&k| found(model.lookup(k))).collect())
+                    }
+                    Op::Lookup { key } => {
+                        let (found, value) = found(model.lookup(*key));
+                        RespBody::Value { found, value }
+                    }
+                    Op::Flush => break,
+                    other => panic!("not in the scripts: {other:?}"),
+                });
+            }
+        }
+        model.flush_all();
+        replies.iter_mut().for_each(|r| r.push(RespBody::Flushed));
+    }
+    // Nothing follows the scripts' last flush but lookups.
+    replies.iter_mut().for_each(|r| assert_eq!(r.pop(), Some(RespBody::Flushed)));
+    replies
+}
+
+/// A four-shard server over the fast path and the per-table locks answers
+/// every connection with exactly the model's replies — INSERT, LOOKUP,
+/// DELETE, batch frames and FLUSH, through evictions and slot reclaim —
+/// and what a reboot recovers from its flash is what the model says is
+/// durable.
 #[test]
-fn sharded_server_matches_coarse_single_gather_baseline_over_tcp() {
+fn sharded_server_matches_the_model_over_tcp() {
     // Flash small enough that the scripts' 18 flush rounds wrap the super
     // tables' logs, so what eviction drops is compared too.
     let config = ServerConfig {
@@ -388,37 +522,47 @@ fn sharded_server_matches_coarse_single_gather_baseline_over_tcp() {
         stripes: STRIPES,
         flash_bytes: 8 << 20,
         dram_bytes: 4 << 20,
-        batcher: BatcherConfig { shards: 1, ..BatcherConfig::default() },
+        batcher: BatcherConfig { shards: STRIPES, ..BatcherConfig::default() },
     };
-    let baseline_store = boot_sim(&config).unwrap();
-    baseline_store.set_coarse_locks(true);
-    let baseline = ClamdServer::start(baseline_store, Vec::new(), config).unwrap();
-    let sharded = ephemeral_sim_server_sharded(STRIPES, STRIPES, 8 << 20, 4 << 20).unwrap();
-    assert_eq!(sharded.num_shards(), STRIPES);
+    let stripe = ClamConfig::small_test(2 << 20, 1 << 20).unwrap();
+    let Striped { store, device, config: stripe } =
+        striped_with(Ssd::intel(config.flash_bytes).unwrap(), stripe);
+    let mut model = StripedModel::new(&stripe);
+    let server = ClamdServer::start(store, Vec::new(), config).unwrap();
+    assert_eq!(server.num_shards(), STRIPES);
 
-    let base_streams = run_scripts(&baseline);
-    let shard_streams = run_scripts(&sharded);
-    for (conn, (b, s)) in base_streams.iter().zip(shard_streams.iter()).enumerate() {
-        assert_eq!(b.len(), s.len(), "conn {conn}");
-        for (i, (bb, ss)) in b.iter().zip(s.iter()).enumerate() {
-            assert_eq!(bb, ss, "conn {conn} response {i}");
+    let streams = run_scripts(&server);
+    let expected = model_replies(&mut model);
+    for (conn, (got, want)) in streams.iter().zip(&expected).enumerate() {
+        assert_eq!(got.len(), want.len(), "conn {conn}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g, w, "conn {conn} response {i}");
         }
     }
-    // Same work, counted identically, whichever engine did it.
-    let (bs, ss) = (baseline.stats(), sharded.stats());
-    assert_eq!(bs.inserts, ss.inserts);
-    assert_eq!(bs.lookups, ss.lookups);
-    assert_eq!(bs.lookup_hits, ss.lookup_hits);
-    assert_eq!(bs.lookup_misses, ss.lookup_misses);
-    assert_eq!(bs.deletes, ss.deletes);
-    assert_eq!(bs.flushes, ss.flushes);
-    // Both evicted incarnations, the same number of them.
-    let (bc, sc) = (baseline.clam_stats(), sharded.clam_stats());
-    assert!(bc.forced_evictions > 0, "{bc}");
-    assert_eq!((bc.flushes, bc.forced_evictions), (sc.flushes, sc.forced_evictions));
-    // Only the sharded server's store ever took the epoch-validated path.
-    assert_eq!(baseline.clam_stats().fast_lookups, 0);
-    assert!(sharded.clam_stats().fast_lookups > 0, "{:?}", sharded.stats());
+    // The store evicted what the model evicted, on the tables' own
+    // account and by slot reclaim, and its lookups took the fast path.
+    let stats = server.clam_stats();
+    let (flushes, evictions, forced) = model.ledger();
+    assert!(evictions > 0 && forced > 0, "the scripts must wrap the logs: {stats}");
+    assert_eq!((stats.flushes, stats.forced_evictions), (flushes, forced), "{stats}");
+    assert_eq!(device.with(|d| d.stats()).trims, evictions);
+    assert!(stats.fast_lookups > 0, "{stats}");
+
+    // Reboot: everything was flushed, so the model's durable set is what
+    // the incarnations hold — tombstones lost, as DESIGN.md says.
+    drop(server);
+    model.recover();
+    let partitions = device.split(STRIPES).unwrap();
+    let (recovered, _) =
+        StripedClam::recover(partitions.into_iter().map(|p| (p, stripe.clone())).collect())
+            .unwrap();
+    for conn in 0..CONNS {
+        for r in 0..90 {
+            let key = hash_with_seed(conn * 10_000 + r, 7);
+            let got = recovered.lookup(key).unwrap();
+            assert_eq!((got.value, got.source), model.lookup(key), "conn {conn} key {r}");
+        }
+    }
 }
 
 /// Hammering one stripe with inserts must not starve lookups on the

@@ -56,9 +56,8 @@
 //! only for non-conflicting ranges: blocking waves bypass the ring's
 //! dependency tracking, so callers must drain the ring before submitting
 //! conflicting work. The CLAM pipelines never mix the two: probes and
-//! flush writes share one ring per call, and the barrier baselines
-//! (`lookup_batch_waves`, `set_barrier_writes`) submit only while nothing
-//! is in flight on a ring.
+//! flush writes share one ring per call, and nothing in `bufferhash`
+//! submits a blocking wave.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
