@@ -1013,197 +1013,6 @@ impl<D: Device> Clam<D> {
     pub fn idle(&mut self, idle: SimDuration) {
         self.core.get_mut().device.on_idle(idle);
     }
-
-    // ------------------------------------------------------------------
-    // The write path (`&self`: per-table op locks + core lock)
-    // ------------------------------------------------------------------
-
-    /// Per-op insert: takes only `key`'s table op lock plus the short core
-    /// lock (for a flush and its ack drain, and to record the op in the
-    /// ledger), so concurrent inserts to *different* tables of this stripe
-    /// commit in parallel.
-    pub fn fine_insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
-        let t = self.table_of(key);
-        let _guard = self.tables.lock_for_write(t);
-        let mut outcome = None;
-        self.insert_run(t, &[(key, value)], BASE_OP_OVERHEAD, |op| outcome = Some(op))?;
-        let outcome = outcome.expect("a run of one yields one outcome");
-        record_insert(&mut self.core.lock().stats, &outcome);
-        Ok(outcome)
-    }
-
-    /// Per-op delete (op lock + a brief core lock for the ledger only —
-    /// deletes never touch flash).
-    pub fn fine_delete(&self, key: Key) -> Result<SimDuration> {
-        let t = self.table_of(key);
-        let _guard = self.tables.lock_for_write(t);
-        let latency = BASE_OP_OVERHEAD + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
-        self.tables.with(t, |table| table.delete(key));
-        self.core.lock().stats.deletes.record(latency);
-        Ok(latency)
-    }
-
-    /// Batched insert: groups the batch by super table and commits each
-    /// table's ops, in input order, under that table's op lock, tables in
-    /// ascending order, on the caller's thread — so other writers to
-    /// *other* tables of the stripe proceed meanwhile, and one table op
-    /// lock is held at a time. Flush writes coalesce over the whole batch
-    /// and are drained (and charged) once at its end; per-op outcomes are
-    /// folded into the ledger there too, under one core lock.
-    pub fn fine_insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        let mut outcome = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
-        if ops.is_empty() {
-            return Ok(outcome);
-        }
-        let _batch = self.batch_lock.lock();
-        // One run per table, in ascending table order, input order kept
-        // within a run.
-        let (grouped, starts) = group_stable(ops, self.tables.len(), |op| self.table_of(op.0));
-        let dispatch = batch_dispatch(ops.len());
-        let coalesced_before = {
-            let mut core = self.core.lock();
-            core.stats.batched_inserts += ops.len() as u64;
-            core.coalesce_writes = true;
-            core.stats.coalesced_flush_writes
-        };
-        let mut done = Vec::with_capacity(ops.len());
-        let mut failure = None;
-        for t in 0..self.tables.len() {
-            let run = &grouped[starts[t]..starts[t + 1]];
-            if run.is_empty() {
-                continue;
-            }
-            let _guard = self.tables.lock_for_write(t);
-            if let Err(e) = self.insert_run(t, run, dispatch, |op| done.push(op)) {
-                failure = Some(e);
-                break;
-            }
-        }
-        // One core lock to record every op, close the coalescing window
-        // and drain the write ring — even on failure, so the device stays
-        // consistent with the in-memory incarnation metadata. Finished
-        // coalesced runs were already *admitted* as they formed; this
-        // drain admits the final run and reaps the ring, and only its
-        // makespan is "deferred" time (charged to the batch, not to any
-        // triggering insert). The outcomes are consumed, and so freed,
-        // before the drain: kept alive across it they pin the top of the
-        // heap while the drain frees the flush images under them (0.6 MiB
-        // of arena growth over the benchmark's 1.2M-key preload).
-        let mut core = self.core.lock();
-        for op in done {
-            record_insert(&mut core.stats, &op);
-            outcome.latency += op.latency;
-            outcome.flushed_ops += usize::from(op.flushed);
-            outcome.evictions += op.evictions;
-        }
-        core.coalesce_writes = false;
-        let drained = core.drain_write_ring()?;
-        core.stats.deferred_flush_time += drained;
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        outcome.latency += drained;
-        outcome.coalesced_writes = (core.stats.coalesced_flush_writes - coalesced_before) as usize;
-        Ok(outcome)
-    }
-
-    /// The insert body: applies `run` — ops of table `t`, in order — and
-    /// hands each op's outcome to `done`; the caller holds `t`'s op lock
-    /// and records the outcomes in the ledger ([`record_insert`]).
-    /// `dispatch` is the fixed overhead charged to each op (full for a
-    /// per-op call, amortized for a batched one).
-    ///
-    /// The state lock is taken once per run of buffer inserts, not once
-    /// per key: it is held until the first key that finds the buffer full
-    /// and released before that key's flush chain, which takes the core
-    /// lock (and the state locks it needs) itself. A full buffer rejects
-    /// a key before displacing anything, so retrying that key after the
-    /// flush is side-effect free.
-    fn insert_run(
-        &self,
-        t: usize,
-        run: &[(Key, Value)],
-        dispatch: SimDuration,
-        mut done: impl FnMut(InsertOutcome),
-    ) -> Result<()> {
-        let latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
-        let mut rest = run;
-        while !rest.is_empty() {
-            let stored = self.tables.with(t, |table| {
-                rest.iter()
-                    .take_while(|&&(key, value)| {
-                        matches!(table.buffer_insert(key, value), BufferInsert::Stored(_))
-                    })
-                    .count()
-            });
-            for _ in 0..stored {
-                done(InsertOutcome { latency, flushed: false, evictions: 0 });
-            }
-            rest = &rest[stored..];
-            if let Some((&(key, value), later)) = rest.split_first() {
-                done(self.insert_after_flush(t, key, value, latency)?);
-                rest = later;
-            }
-        }
-        Ok(())
-    }
-
-    /// Stores a key that found table `t`'s buffer full: takes the core
-    /// lock and runs the flush-then-retry loop under it — so allocator
-    /// grant order equals ring admission order — then, outside a batch's
-    /// coalescing window, drains the ring before the op is acknowledged.
-    /// `latency` is what the op has been charged so far. Flush-side
-    /// counters are recorded by the core itself.
-    fn insert_after_flush(
-        &self,
-        t: usize,
-        key: Key,
-        value: Value,
-        mut latency: SimDuration,
-    ) -> Result<InsertOutcome> {
-        let mut evictions = 0usize;
-        // `attempts` doubles as the cascade depth: when partial-discard
-        // eviction keeps retaining whole incarnations the policy degrades
-        // to full discard after `k` rounds (§7.4), guaranteeing
-        // termination.
-        let mut attempts = 0usize;
-        let mut core = self.core.lock();
-        loop {
-            match core.flush_table(&self.tables, t, attempts) {
-                Ok(flush) => {
-                    latency += flush.latency;
-                    evictions += flush.evictions;
-                    attempts += 1;
-                }
-                Err(e) => {
-                    // Close the op's ring even on failure so in-flight
-                    // writes are reaped and the device stays usable.
-                    if !core.coalesce_writes {
-                        core.drain_write_ring().ok();
-                    }
-                    return Err(e);
-                }
-            }
-            let stored = self.tables.with(t, |table| table.buffer_insert(key, value));
-            if matches!(stored, BufferInsert::Stored(_)) {
-                break;
-            }
-        }
-        // A per-op call owns its ring: the flush chain's device time (its
-        // makespan, overlap-accounted) is charged to this insert. Batched
-        // calls leave the ring open; the batch-end drain charges it.
-        if !core.coalesce_writes {
-            latency += core.drain_write_ring()?;
-            // The acknowledgment point (DESIGN.md "Crash consistency"): a
-            // per-op insert is acked only once nothing of its flush chain
-            // remains deferred or in flight on the ring.
-            debug_assert!(
-                core.pending_run.is_none() && core.ring.is_none(),
-                "insert acked with flush writes still in flight"
-            );
-        }
-        Ok(InsertOutcome { latency, flushed: true, evictions })
-    }
 }
 
 /// Super table responsible for `key` in a CLAM of `tables` super tables.
@@ -1221,921 +1030,7 @@ impl<D: Device> ClamCore<D> {
     fn mem_words_cost(&self, words: usize) -> SimDuration {
         WORD_COST * words as u64 + self.mem_cost.cost(words * 8)
     }
-
-    /// The recovery scan behind [`Clam::recover`]; see its documentation.
-    pub(super) fn recover_scan(&mut self, tables: &TableSet) -> Result<RecoveryReport> {
-        let layout = self.layout;
-        let slot_size = self.allocator.slot_size();
-        let num_slots = self.allocator.num_slots();
-
-        // Ring-driven scan: every slot read admitted without waiting and
-        // reaped as it retires, so the scan costs the overlapped ring
-        // makespan, not the summed per-read time.
-        let mut ring = CompletionRing::for_queue(self.device.queue());
-        let requests: Vec<RingRequest> = (0..num_slots)
-            .map(|slot| RingRequest::new(IoRequest::read(slot * slot_size, slot_size as usize)))
-            .collect();
-        let tickets = self.device.submit_nowait(requests, &mut ring)?;
-        let mut completions = Vec::with_capacity(tickets.len());
-        while ring.in_flight() > 0 {
-            completions.extend(self.device.reap(&mut ring, 1)?);
-        }
-        let scan_makespan = ring.makespan();
-        let slot_of: HashMap<u64, usize> =
-            tickets.iter().enumerate().map(|(i, t)| (t.id(), i)).collect();
-        let mut images: Vec<Option<Vec<u8>>> = vec![None; num_slots as usize];
-        for completion in completions {
-            if let Some(&slot) = slot_of.get(&completion.ticket.id()) {
-                images[slot] = Some(completion.result?);
-            }
-        }
-
-        let mut torn = 0usize;
-        let mut torn_slots: Vec<u64> = Vec::new();
-        let mut empty = 0usize;
-        let mut valid: Vec<(u64, IncarnationIdentity, Vec<Entry>)> = Vec::new();
-        let mut max_seq_seen = 0u64;
-        let mut max_epoch_seen = 0u32;
-        for (slot, image) in images.iter().enumerate() {
-            let bytes = image.as_ref().ok_or_else(|| {
-                BufferHashError::InvalidConfig("recovery scan lost a slot read".into())
-            })?;
-            // Harvest identity watermarks from every CRC-valid page, torn
-            // slots included: a re-issued (epoch, seq) must never shadow
-            // data that survived elsewhere.
-            for page in bytes.chunks_exact(layout.page_size) {
-                if let Ok(header) = parse_page_header_checked(page) {
-                    max_seq_seen = max_seq_seen.max(header.identity.seq);
-                    max_epoch_seen = max_epoch_seen.max(header.identity.epoch);
-                }
-            }
-            match scan_incarnation(bytes, &layout) {
-                SlotScan::Empty => empty += 1,
-                SlotScan::Torn { .. } => {
-                    torn += 1;
-                    torn_slots.push(slot as u64);
-                }
-                SlotScan::Valid { identity, entries } => {
-                    if (identity.table as usize) < self.num_tables {
-                        valid.push((slot as u64, identity, entries));
-                    } else {
-                        // An identity naming a table this configuration
-                        // does not have is foreign data, not recoverable.
-                        torn += 1;
-                        torn_slots.push(slot as u64);
-                    }
-                }
-            }
-        }
-
-        // Youngest-first by (epoch, seq): a higher-epoch copy of the same
-        // flush sequence shadows the lower one (a later lifetime re-wrote
-        // the slot), and each table keeps only its youngest `k`.
-        valid.sort_by_key(|v| std::cmp::Reverse((v.1.epoch, v.1.seq)));
-        let mut stale = 0usize;
-        let mut kept: Vec<Vec<(u64, IncarnationIdentity, Vec<Entry>)>> =
-            (0..self.num_tables).map(|_| Vec::new()).collect();
-        let mut seen_seqs: Vec<HashSet<u64>> =
-            (0..self.num_tables).map(|_| HashSet::new()).collect();
-        for (slot, identity, entries) in valid {
-            let t = identity.table as usize;
-            if !seen_seqs[t].insert(identity.seq) {
-                stale += 1;
-                continue;
-            }
-            if kept[t].len() >= tables.with(t, |table| table.max_incarnations()) {
-                stale += 1;
-                continue;
-            }
-            kept[t].push((slot, identity, entries));
-        }
-
-        let mut accepted = 0usize;
-        let mut entries_recovered = 0usize;
-        let mut owners: Vec<(u64, SlotOwner)> = Vec::new();
-        for (t, list) in kept.iter().enumerate() {
-            // Register oldest first so the filter bank's sliding window
-            // and the incarnation queue come out youngest-first, exactly
-            // as steady-state flushes build them.
-            for (slot, identity, entries) in list.iter().rev() {
-                let keys: Vec<Key> = entries.iter().map(|e| e.key).collect();
-                tables.with(t, |table| {
-                    table.register_incarnation(
-                        IncarnationMeta {
-                            flash_offset: slot * slot_size,
-                            entries: entries.len(),
-                            seq: identity.seq,
-                        },
-                        &keys,
-                    )
-                });
-                owners.push((*slot, SlotOwner { table: t, seq: identity.seq }));
-                accepted += 1;
-                entries_recovered += entries.len();
-            }
-        }
-        self.allocator.restore(&owners);
-
-        // Scrub torn slots on raw flash: a power-cut write leaves pages
-        // programmed, and a mid-block slot in a partitioned layout is only
-        // erased when the write pointer next crosses its block boundary —
-        // so an un-scrubbed torn slot would fail its next program with
-        // dirty pages. Erase every fully-managed block that overlaps a
-        // torn slot and no accepted one (FTL and seek media reject or
-        // ignore the hint; dirty pages are their problem, not the log's).
-        if !torn_slots.is_empty() {
-            let block_size = self.device.geometry().block_size as u64;
-            let managed_end = num_slots * slot_size;
-            let blocks_of = |slot: u64| {
-                (slot * slot_size) / block_size..=(slot * slot_size + slot_size - 1) / block_size
-            };
-            let live: HashSet<u64> = owners.iter().flat_map(|(s, _)| blocks_of(*s)).collect();
-            let mut scrubbed: HashSet<u64> = HashSet::new();
-            for &slot in &torn_slots {
-                for block in blocks_of(slot) {
-                    let fully_managed = (block + 1) * block_size <= managed_end;
-                    if fully_managed && !live.contains(&block) && scrubbed.insert(block) {
-                        let _ = self.device.erase_block(block);
-                    }
-                }
-            }
-            // A torn slot whose block shares accepted data cannot be
-            // scrubbed; on raw flash its half-programmed pages also cannot
-            // be programmed again. Step the write pointer past such slots
-            // so resumed flushes land on clean pages — the circular log
-            // reclaims them when it next erases their block. FTL and seek
-            // media overwrite in place, so their pointers stay put (and
-            // resume exactly where a never-crashed lifetime would).
-            if self.device.profile().kind == MediumKind::FlashChip {
-                let dirty: Vec<u64> = torn_slots
-                    .iter()
-                    .copied()
-                    .filter(|&slot| blocks_of(slot).any(|b| !scrubbed.contains(&b)))
-                    .collect();
-                self.allocator.skip_dirty(&dirty);
-            }
-        }
-
-        self.seq = self.seq.max(max_seq_seen);
-        self.epoch = self.epoch.max(max_epoch_seen.saturating_add(1));
-        CLAM_EPOCH.fetch_max(self.epoch, Ordering::Relaxed);
-        self.stats.recoveries += 1;
-        self.stats.recovered_incarnations += accepted as u64;
-        self.stats.recovery_torn_slots += torn as u64;
-
-        Ok(RecoveryReport {
-            slots_scanned: num_slots,
-            bytes_scanned: num_slots * slot_size,
-            accepted,
-            torn,
-            stale,
-            empty,
-            entries_recovered,
-            epoch: self.epoch,
-            seq_resumed: self.seq,
-            scan_makespan,
-        })
-    }
-
-    /// Buffer and delete-list checks plus probe planning: resolves every
-    /// key it can from memory (recording its stats) and returns a probe
-    /// state machine for each key that must touch flash.
-    fn plan_lookups(
-        &mut self,
-        tables: &TableSet,
-        keys: &[Key],
-        dispatch: SimDuration,
-    ) -> LookupPlan {
-        // Input positions grouped by super table, each table's keys in
-        // input order: one hash per key.
-        let positions: Vec<usize> = (0..keys.len()).collect();
-        let (order, starts) =
-            group_stable(&positions, self.num_tables, |&slot| self.table_of(keys[slot]));
-        let mut plan = LookupPlan {
-            out: vec![None; keys.len()],
-            pending: Vec::new(),
-            reinserts: Vec::new(),
-            host_time: SimDuration::ZERO,
-        };
-        let mut t = 0;
-        for (at, &slot) in order.iter().enumerate() {
-            while at >= starts[t + 1] {
-                t += 1;
-            }
-            let key = keys[slot];
-            let (filter_words, found_in_memory, candidates) = tables.with(t, |table| {
-                let found = table.memory_lookup(key);
-                // Candidate incarnations, youngest first, guided by the
-                // Bloom filters (only needed when memory has no verdict).
-                let candidates = if found.is_none() {
-                    table.candidate_incarnations(key)
-                } else {
-                    AgeSet::default()
-                };
-                (table.filter_words_per_query(), found, candidates)
-            });
-            let latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + filter_words);
-            plan.host_time += latency;
-            if let Some(found) = found_in_memory {
-                let source =
-                    if found.is_some() { LookupSource::Buffer } else { LookupSource::Deleted };
-                if found.is_some() {
-                    self.stats.lookup_hits += 1;
-                } else {
-                    self.stats.lookup_misses += 1;
-                }
-                self.stats.lookups.record(latency);
-                self.stats.record_lookup_reads(0);
-                plan.out[slot] =
-                    Some(LookupOutcome { value: found, latency, flash_reads: 0, source });
-                continue;
-            }
-            // Keys with no live candidate are misses without I/O.
-            let mut state = ProbeState {
-                slot,
-                key,
-                table: t,
-                latency,
-                flash_reads: 0,
-                candidates,
-                meta: None,
-                page_idx: 0,
-                hops_left: 0,
-            };
-            if self.advance_probe(tables, &mut state) {
-                plan.pending.push(state);
-            } else {
-                plan.out[slot] = Some(self.resolve_probe(state, None, &mut plan.reinserts));
-            }
-        }
-        plan
-    }
-
-    /// Flash offset of the page a probe state reads next.
-    fn probe_offset(&self, state: &ProbeState) -> u64 {
-        let meta = state.meta.expect("pending probes hold a candidate");
-        self.layout.page_offset(meta.flash_offset, state.page_idx)
-    }
-
-    /// Steps one probe state machine on the page it just read (at
-    /// `offset`). Returns the state and its next read offset while the key
-    /// is unresolved; resolves it into `out` (recording stats and LRU
-    /// re-insertions) otherwise.
-    fn step_probe(
-        &mut self,
-        tables: &TableSet,
-        mut state: ProbeState,
-        page: &[u8],
-        offset: u64,
-        out: &mut [Option<LookupOutcome>],
-        reinserts: &mut Vec<(usize, Key, Value)>,
-    ) -> Result<Option<(ProbeState, u64)>> {
-        state.flash_reads += 1;
-        let slot = state.slot;
-        let layout = self.layout;
-        match lookup_in_page(page, state.key).map_err(|e| annotate_offset(e, offset))? {
-            PageLookup::Found(v) => {
-                out[slot] = Some(self.resolve_probe(state, Some(v), reinserts));
-                Ok(None)
-            }
-            PageLookup::Absent => {
-                self.stats.spurious_flash_reads += 1;
-                if self.advance_probe(tables, &mut state) {
-                    let next = self.probe_offset(&state);
-                    Ok(Some((state, next)))
-                } else {
-                    out[slot] = Some(self.resolve_probe(state, None, reinserts));
-                    Ok(None)
-                }
-            }
-            PageLookup::Continue => {
-                state.page_idx = layout.next_page(state.page_idx);
-                state.hops_left -= 1;
-                if state.hops_left > 0 {
-                    let next = self.probe_offset(&state);
-                    Ok(Some((state, next)))
-                } else {
-                    // Exhausted the overflow chain without a verdict.
-                    self.stats.spurious_flash_reads += 1;
-                    if self.advance_probe(tables, &mut state) {
-                        let next = self.probe_offset(&state);
-                        Ok(Some((state, next)))
-                    } else {
-                        out[slot] = Some(self.resolve_probe(state, None, reinserts));
-                        Ok(None)
-                    }
-                }
-            }
-        }
-    }
-
-    /// The streaming ring pipeline behind [`Clam::lookup`] and
-    /// [`Clam::lookup_batch`]; `dispatch` is the fixed overhead charged to
-    /// each key (full for per-op calls, amortized for batched ones).
-    pub(super) fn lookup_batch_ring(
-        &mut self,
-        tables: &TableSet,
-        keys: &[Key],
-        dispatch: SimDuration,
-    ) -> Result<BatchLookupOutcome> {
-        let mut batch = BatchLookupOutcome::default();
-        if keys.is_empty() {
-            return Ok(batch);
-        }
-        let page_size = self.layout.page_size;
-        let LookupPlan { mut out, pending, mut reinserts, host_time } =
-            self.plan_lookups(tables, keys, dispatch);
-
-        if !pending.is_empty() {
-            // The probes run on the call's *shared* ring: LRU re-insertion
-            // flushes (step 3) admit into the same ring, so their writes
-            // overlap the tail of the probe traffic on the device timeline
-            // instead of restarting the clock.
-            self.ensure_ring();
-            self.ring_read = true;
-            let mut ring = self.ring.take().expect("ring just ensured");
-            // First probes enter through a bounded window, topped up as
-            // reads reap: every admitted read parks a page buffer until it
-            // is reaped, and a window of a few requests per lane already
-            // keeps every lane busy.
-            let window = probe_window(self.device.queue().ring_lanes());
-            let mut waiting = pending.into_iter();
-            // Probe state of every in-flight read, keyed by ticket id.
-            let mut states: HashMap<u64, ProbeState> =
-                HashMap::with_capacity(window.min(waiting.len()));
-            // 1. Fill the window without waiting.
-            let mut requests = Vec::with_capacity(window.min(waiting.len()));
-            let mut admitted = Vec::with_capacity(requests.capacity());
-            for state in waiting.by_ref().take(window) {
-                let offset = self.probe_offset(&state);
-                requests.push(RingRequest::new(IoRequest::read(offset, page_size)));
-                admitted.push(state);
-            }
-
-            // 2. Stream: the moment a read reaps, step its key's state
-            //    machine and re-arm the key's next read (causally floored
-            //    at the completion that produced it), so later rounds of
-            //    fast keys overlap earlier rounds of slow ones; a key that
-            //    resolved hands its place in the window to the next
-            //    waiting key, floored the same way. On a per-request
-            //    failure, stop admitting but keep reaping until the ring
-            //    is empty before propagating: abandoning a ring with reads
-            //    still in flight would leave their completions parked in
-            //    the device forever.
-            let mut failure: Option<BufferHashError> = None;
-            loop {
-                if failure.is_none() && !requests.is_empty() {
-                    batch.probe_reads += requests.len();
-                    self.stats.lookup_probe_requests += requests.len() as u64;
-                    let tickets = self.device.submit_nowait(requests, &mut ring)?;
-                    for (ticket, state) in tickets.into_iter().zip(admitted) {
-                        states.insert(ticket.id(), state);
-                    }
-                }
-                if ring.in_flight() == 0 {
-                    break;
-                }
-                let completions = self.device.reap(&mut ring, 1)?;
-                requests = Vec::with_capacity(completions.len());
-                admitted = Vec::with_capacity(completions.len());
-                for completion in completions {
-                    let mut state = states
-                        .remove(&completion.ticket.id())
-                        .expect("one probe state per in-flight ticket");
-                    if failure.is_some() {
-                        continue; // draining: discard late completions
-                    }
-                    if completion.lane != 0 {
-                        self.stats.lookup_probes_overlapped += 1;
-                    }
-                    let offset = self.probe_offset(&state);
-                    let page = match completion.result {
-                        Ok(page) => page,
-                        Err(e) => {
-                            failure = Some(e.into());
-                            continue;
-                        }
-                    };
-                    state.latency += completion.latency;
-                    let next = match self.step_probe(
-                        tables,
-                        state,
-                        &page,
-                        offset,
-                        &mut out,
-                        &mut reinserts,
-                    ) {
-                        Ok(Some(rearmed)) => Some(rearmed),
-                        Ok(None) => waiting.next().map(|state| {
-                            let first = self.probe_offset(&state);
-                            (state, first)
-                        }),
-                        Err(e) => {
-                            failure = Some(e);
-                            None
-                        }
-                    };
-                    if let Some((state, offset)) = next {
-                        requests.push(RingRequest::after(
-                            IoRequest::read(offset, page_size),
-                            completion.completed_at,
-                        ));
-                        admitted.push(state);
-                    }
-                }
-            }
-            if let Some(e) = failure {
-                // The reaps so far belong to the lookup ledger (recorded
-                // below on success, skipped here): mark them so closing
-                // the ring does not misattribute them to the flush side.
-                self.ring_read_marks = (ring.reaps(), ring.admission_stalls());
-                self.ring_horizon = ring.makespan();
-                self.ring = Some(ring);
-                self.finish_ring().ok();
-                return Err(e);
-            }
-            batch.probe_latency = ring.makespan();
-            batch.reaps = ring.reaps() as usize;
-            batch.ring_depth_high_water = ring.depth_high_water();
-            self.stats.lookup_batches_submitted += 1;
-            self.stats.lookup_ring_reaps += ring.reaps();
-            self.stats.lookup_ring_depth_high_water =
-                self.stats.lookup_ring_depth_high_water.max(ring.depth_high_water() as u64);
-            self.stats.lookup_ring_admission_stalls += ring.admission_stalls();
-            // Everything reaped so far is on the lookup ledger, and the
-            // probe makespan is charged to this batch: mark both so the
-            // write side only ever accounts its own growth.
-            self.ring_read_marks = (ring.reaps(), ring.admission_stalls());
-            self.ring_horizon = ring.makespan();
-            self.ring = Some(ring);
-        }
-
-        // 3. LRU: re-insert items used from flash so they survive FIFO
-        //    eviction of old incarnations. The paper performs this
-        //    asynchronously, so its cost is not charged to the batch. The
-        //    re-insertion flushes admit into the same ring as the probes
-        //    (see above); `apply_reinserts` closes the ring when it has
-        //    work, and a reinsert-free call closes it right after.
-        self.apply_reinserts(tables, reinserts)?;
-        self.finish_ring()?;
-
-        batch.latency = host_time + batch.probe_latency;
-        batch.outcomes = out.into_iter().map(|o| o.expect("every key resolved")).collect();
-        batch.waves = batch.outcomes.iter().map(|o| o.flash_reads).max().unwrap_or(0);
-        self.stats.lookup_probe_waves += batch.waves as u64;
-        Ok(batch)
-    }
-
-    /// Advances a probe to its next live candidate incarnation, resetting
-    /// the page-chain cursor; returns `false` when the candidate list is
-    /// exhausted (the key cannot be on flash).
-    fn advance_probe(&self, tables: &TableSet, state: &mut ProbeState) -> bool {
-        let layout = self.layout;
-        for age in state.candidates.by_ref() {
-            if let Some(meta) = tables.with(state.table, |table| table.incarnation_at(age)) {
-                state.meta = Some(meta);
-                state.page_idx = layout.page_of_key(state.key);
-                state.hops_left = layout.num_pages;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Finishes one probe state machine: records the lookup statistics,
-    /// queues the LRU re-insertion for keys served from flash, and builds
-    /// the outcome.
-    fn resolve_probe(
-        &mut self,
-        state: ProbeState,
-        found: Option<Value>,
-        reinserts: &mut Vec<(usize, Key, Value)>,
-    ) -> LookupOutcome {
-        let source = match found {
-            Some(_) => LookupSource::Flash,
-            None => LookupSource::Miss,
-        };
-        if found.is_some() {
-            self.stats.lookup_hits += 1;
-        } else {
-            self.stats.lookup_misses += 1;
-        }
-        self.stats.lookups.record(state.latency);
-        self.stats.record_lookup_reads(state.flash_reads);
-        if let Some(v) = found {
-            if self.config.eviction.reinserts_on_use() {
-                reinserts.push((state.table, state.key, v));
-            }
-        }
-        LookupOutcome {
-            value: found,
-            latency: state.latency,
-            flash_reads: state.flash_reads,
-            source,
-        }
-    }
-
-    /// Applies the LRU re-insertions collected by a lookup call. Flush
-    /// chains triggered here coalesce their incarnation writes and admit
-    /// them into the call's shared completion ring (the same ring the
-    /// probe reads ran on, so the writes overlap the probe tail) instead
-    /// of looping blocking per-table writes; the asynchronous re-insert
-    /// cost recorded in `ClamStats::async_reinsert_time` is the ring's
-    /// makespan growth — makespan-accounted like every other flush.
-    pub(super) fn apply_reinserts(
-        &mut self,
-        tables: &TableSet,
-        reinserts: Vec<(usize, Key, Value)>,
-    ) -> Result<()> {
-        if reinserts.is_empty() {
-            return Ok(());
-        }
-        let was_coalescing = self.coalesce_writes;
-        self.coalesce_writes = true;
-        let mut cost = SimDuration::ZERO;
-        let mut failure = None;
-        'reinserts: for (t, key, value) in reinserts {
-            let mut attempts = 0usize;
-            loop {
-                match tables.with(t, |table| table.buffer_insert(key, value)) {
-                    BufferInsert::Stored(_) => break,
-                    BufferInsert::Full => match self.flush_table(tables, t, attempts) {
-                        Ok(flush) => {
-                            cost += flush.latency;
-                            attempts += 1;
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break 'reinserts;
-                        }
-                    },
-                }
-            }
-            self.stats.reinsertions += 1;
-        }
-        // Drain even on failure so the device matches the incarnation
-        // metadata registered so far.
-        self.coalesce_writes = was_coalescing;
-        let drained = self.drain_write_ring();
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        cost += drained?;
-        self.stats.async_reinsert_time += cost;
-        Ok(())
-    }
-
-    /// The whole-index flush behind [`Clam::flush_all`].
-    pub(super) fn flush_all(&mut self, tables: &TableSet) -> Result<SimDuration> {
-        let mut total = SimDuration::ZERO;
-        let was_coalescing = self.coalesce_writes;
-        self.coalesce_writes = true;
-        let mut failure = None;
-        for t in 0..tables.len() {
-            if tables.with(t, |table| table.buffer_len()) > 0 {
-                match self.flush_table(tables, t, 0) {
-                    Ok(flush) => total += flush.latency,
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        // Drain even on failure so the device matches the in-memory
-        // incarnation metadata registered so far.
-        self.coalesce_writes = was_coalescing;
-        let drained = self.drain_write_ring();
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        total += drained?;
-        Ok(total)
-    }
 }
-
-impl<D: Device> ClamCore<D> {
-    // ------------------------------------------------------------------
-    // Flush and eviction orchestration
-    // ------------------------------------------------------------------
-
-    /// One flush chain for table `t`: evict if the incarnation table is
-    /// full, write the buffer out as a new incarnation, cascade on
-    /// retained re-inserts. Writes are admitted to the call's shared
-    /// completion ring without waiting, so they overlap each other and any
-    /// probe traffic on the same ring.
-    ///
-    /// Runs entirely under one core lock, so the allocator grant and the
-    /// ring admission of the resulting write are atomic — grant order *is*
-    /// admission order, which devices apply as data-effect order (the ack
-    /// invariant of DESIGN.md "Crash consistency").
-    fn flush_table(&mut self, tables: &TableSet, t: usize, depth: usize) -> Result<FlushOutcome> {
-        let mut latency = SimDuration::ZERO;
-        let mut evictions = 0usize;
-
-        // Make room in the incarnation table if needed, applying the
-        // configured eviction policy. Beyond `k` cascades fall back to full
-        // discard to guarantee termination (§7.4).
-        let mut retained: Vec<Entry> = Vec::new();
-        let (num_incarnations, max_incarnations) =
-            tables.with(t, |table| (table.num_incarnations(), table.max_incarnations()));
-        if num_incarnations >= max_incarnations {
-            let policy =
-                if depth >= max_incarnations { EvictionPolicy::Fifo } else { self.config.eviction };
-            let (evict_lat, kept) = self.evict_oldest(tables, t, &policy)?;
-            latency += evict_lat;
-            retained = kept;
-            evictions += 1;
-        }
-
-        // Write the buffer out as a new incarnation.
-        let entries = tables.with(t, |table| table.drain_buffer());
-        if !entries.is_empty() {
-            let keys: Vec<Key> = entries.iter().map(|e| e.key).collect();
-            let layout = self.layout;
-            self.seq += 1;
-            let seq = self.seq;
-            let image = layout.serialize_identified(
-                &entries,
-                IncarnationIdentity { table: t as u16, seq, epoch: self.epoch },
-            )?;
-            let alloc = self.allocator.allocate(t, seq)?;
-            // Force-evict incarnations whose slots this write reclaims.
-            // The victim table's state lock is a leaf, so reclaiming
-            // across tables never orders against another table's op.
-            for owner in &alloc.displaced {
-                let dropped = tables.with(owner.table, |table| table.force_evict_up_to(owner.seq));
-                for meta in dropped {
-                    // A no-op for the granted slot itself, which already
-                    // names its new owner.
-                    self.allocator.release(meta.flash_offset, meta.seq);
-                    self.stats.forced_evictions += 1;
-                }
-            }
-            if self.coalesce_writes && alloc.blocks_to_erase.is_empty() {
-                // Batched path (SSD global log): coalesce into the current
-                // contiguous run. A non-contiguous slot admits the finished
-                // run to the ring first (see `push_coalesced_write`), so
-                // flush traffic streams out mid-batch instead of pooling
-                // behind the whole batch.
-                self.push_coalesced_write(alloc.offset, image)?;
-            } else {
-                // Erase-before-program and write-after-write ordering both
-                // rest on admission order: devices apply data effects in
-                // admission order, and the ring's write-write conflict
-                // floors keep the reported timing consistent with it. So
-                // the deferred run, the erases and the incarnation write
-                // are admitted back to back without waiting; their device
-                // time is charged when the ring syncs (per-op end,
-                // eviction read, or batch-end drain).
-                self.admit_pending_writes()?;
-                let mut requests: Vec<RingRequest> = alloc
-                    .blocks_to_erase
-                    .iter()
-                    .map(|&block| RingRequest::new(IoRequest::Erase { block }))
-                    .collect();
-                requests.push(RingRequest::new(IoRequest::write(alloc.offset, image)));
-                self.ring_admit(requests)?;
-            }
-            tables.with(t, |table| {
-                table.register_incarnation(
-                    IncarnationMeta { flash_offset: alloc.offset, entries: entries.len(), seq },
-                    &keys,
-                );
-                table.prune_delete_list();
-            });
-            self.stats.flushes += 1;
-        }
-
-        // Re-insert retained entries; this can refill the buffer and cascade
-        // into another flush (§7.4).
-        for e in retained {
-            self.stats.reinsertions += 1;
-            loop {
-                match tables.with(t, |table| table.buffer_insert(e.key, e.value)) {
-                    BufferInsert::Stored(_) => break,
-                    BufferInsert::Full => {
-                        let inner = self.flush_table(tables, t, depth + 1)?;
-                        latency += inner.latency;
-                        evictions += inner.evictions;
-                    }
-                }
-            }
-        }
-
-        Ok(FlushOutcome { latency, evictions })
-    }
-
-    /// Evicts the oldest incarnation of table `t` under `policy` through
-    /// the call's shared completion ring, returning the latency charged to
-    /// the eviction and any entries to retain (re-insert).
-    fn evict_oldest(
-        &mut self,
-        tables: &TableSet,
-        t: usize,
-        policy: &EvictionPolicy,
-    ) -> Result<(SimDuration, Vec<Entry>)> {
-        let Some(oldest) = tables.with(t, |table| table.oldest_incarnation()) else {
-            return Ok((SimDuration::ZERO, Vec::new()));
-        };
-        let mut latency = SimDuration::ZERO;
-        let mut retained = Vec::new();
-
-        if policy.uses_partial_discard() {
-            // The incarnation image may still sit in the deferred run or in
-            // flight on the ring, so admit the run first: the scan read is
-            // admitted *after* it, and admission order is data-effect
-            // order, so the read observes the written bytes while the
-            // read-after-write conflict floor keeps its start time honest.
-            // The reclaiming TRIM is admitted behind the read for the same
-            // reason (write-write floor against the read's range).
-            self.admit_pending_writes()?;
-            let layout = self.layout;
-            let tickets = self.ring_admit(vec![
-                RingRequest::new(IoRequest::read(oldest.flash_offset, layout.total_bytes())),
-                RingRequest::new(IoRequest::Trim {
-                    offset: oldest.flash_offset,
-                    len: layout.total_bytes() as u64,
-                }),
-            ])?;
-            let read_ticket = tickets[0];
-            // The retain scan needs the page bytes back, so this is a sync
-            // point: everything in flight — including unrelated flush
-            // writes, which overlap the read on the ring's lanes — is
-            // reaped, and the ring's makespan growth is charged to the
-            // eviction.
-            let (sync_lat, completions) = self.sync_ring()?;
-            latency += sync_lat;
-            let image = completions
-                .into_iter()
-                .find(|c| c.ticket == read_ticket)
-                .and_then(|c| c.result.ok())
-                .expect("read completion checked");
-            // Deciding staleness also probes the in-memory filters.
-            latency += self.mem_words_cost(oldest.entries * 2);
-            let entries = parse_incarnation(&image, &layout)
-                .map_err(|e| annotate_offset(e, oldest.flash_offset))?;
-            tables.with(t, |table| {
-                for e in entries {
-                    if table.retain_decision(&e, policy) == RetainDecision::Retain {
-                        retained.push(e);
-                    }
-                }
-            });
-        } else {
-            // Full discard reclaims the slot with a TRIM admitted to the
-            // ring; it is floored behind any in-flight write of the same
-            // range, and its (zero or small) device time lands in the next
-            // sync's makespan delta.
-            let total = self.layout.total_bytes() as u64;
-            self.ring_admit(vec![RingRequest::new(IoRequest::Trim {
-                offset: oldest.flash_offset,
-                len: total,
-            })])?;
-        }
-
-        tables.with(t, |table| {
-            table.drop_oldest_incarnation();
-            table.prune_delete_list();
-        });
-        self.allocator.release(oldest.flash_offset, oldest.seq);
-        Ok((latency, retained))
-    }
-
-    /// Queues one incarnation write for coalescing. The deferred set holds
-    /// a single contiguous run: a write extending the run merges into it
-    /// (one device command for the whole run), while a non-contiguous
-    /// write **admits the finished run to the ring first**, so deferred
-    /// flush traffic streams out as it forms instead of pooling until the
-    /// batch ends.
-    fn push_coalesced_write(&mut self, offset: u64, image: Vec<u8>) -> Result<()> {
-        match &mut self.pending_run {
-            Some((run_offset, run_image)) if offset == *run_offset + run_image.len() as u64 => {
-                run_image.extend_from_slice(&image);
-                self.stats.coalesced_flush_writes += 1;
-            }
-            _ => {
-                self.admit_pending_writes()?;
-                self.pending_run = Some((offset, image));
-            }
-        }
-        Ok(())
-    }
-
-    /// Admits the deferred coalesced run (if any) to the call's shared
-    /// ring without waiting.
-    fn admit_pending_writes(&mut self) -> Result<()> {
-        if let Some((offset, image)) = self.pending_run.take() {
-            self.ring_admit(vec![RingRequest::new(IoRequest::write(offset, image))])?;
-        }
-        Ok(())
-    }
-
-    /// Flushes the write side of the current call: admits any deferred run
-    /// and closes the shared ring, returning the device time charged to
-    /// the caller (the ring's makespan growth since the last sync).
-    fn drain_write_ring(&mut self) -> Result<SimDuration> {
-        let admitted = self.admit_pending_writes();
-        let finished = self.finish_ring();
-        admitted?;
-        finished
-    }
-
-    // ------------------------------------------------------------------
-    // The call's shared completion ring
-    // ------------------------------------------------------------------
-
-    /// Lazily opens the current top-level call's shared ring, sized to the
-    /// device's queue (one lane on serial devices, `max_queue_depth` lanes
-    /// on overlapped ones).
-    pub(super) fn ensure_ring(&mut self) {
-        if self.ring.is_none() {
-            self.ring = Some(CompletionRing::for_queue(self.device.queue()));
-        }
-    }
-
-    /// Admits write-path requests into the call's shared ring without
-    /// waiting ([`Device::submit_nowait`](flashsim::Device::submit_nowait)),
-    /// opening the ring if this is the call's first admission.
-    pub(super) fn ring_admit(&mut self, requests: Vec<RingRequest>) -> Result<Vec<IoTicket>> {
-        for r in &requests {
-            if matches!(r.request, IoRequest::Read { .. }) {
-                self.ring_read = true;
-            } else {
-                self.ring_wrote = true;
-            }
-        }
-        self.ensure_ring();
-        let mut ring = self.ring.take().expect("ring just ensured");
-        let tickets = self.device.submit_nowait(requests, &mut ring);
-        self.ring = Some(ring);
-        Ok(tickets?)
-    }
-
-    /// Reaps every in-flight request of the shared ring, records the
-    /// write-ring ledger (reaps and stalls beyond the lookup pipeline's
-    /// marks belong to the flush/eviction side), and returns the
-    /// completions in ticket order together with the ring's **makespan
-    /// growth** since the last charge, propagating the first per-request
-    /// failure. The ring stays open: later admissions land on the same
-    /// device timeline, which is what lets flush traffic overlap the tail
-    /// of earlier probe or write traffic instead of restarting the clock.
-    pub(super) fn sync_ring(&mut self) -> Result<(SimDuration, Vec<RingCompletion>)> {
-        let Some(mut ring) = self.ring.take() else {
-            return Ok((SimDuration::ZERO, Vec::new()));
-        };
-        let mut completions: Vec<RingCompletion> = Vec::new();
-        let mut failure: Option<BufferHashError> = None;
-        while ring.in_flight() > 0 {
-            match self.device.reap(&mut ring, 1) {
-                Ok(reaped) => completions.extend(reaped),
-                Err(e) => {
-                    failure = Some(e.into());
-                    break;
-                }
-            }
-        }
-        let (reaps_seen, stalls_seen) = self.ring_read_marks;
-        self.stats.flush_ring_reaps += ring.reaps() - reaps_seen;
-        self.stats.write_ring_admission_stalls += ring.admission_stalls() - stalls_seen;
-        self.ring_read_marks = (ring.reaps(), ring.admission_stalls());
-        if self.ring_wrote && self.ring_read {
-            // The ring carried reads *and* writes this call: record how
-            // deep the mixed stream stacked the lanes.
-            self.stats.mixed_ring_depth_high_water =
-                self.stats.mixed_ring_depth_high_water.max(ring.depth_high_water() as u64);
-        }
-        let makespan = ring.makespan();
-        let charged = makespan - self.ring_horizon;
-        self.ring_horizon = makespan;
-        self.ring = Some(ring);
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        completions.sort_by_key(|c| c.ticket);
-        if let Some(err) = completions.iter().find_map(|c| c.result.as_ref().err()) {
-            return Err(err.clone().into());
-        }
-        Ok((charged, completions))
-    }
-
-    /// Closes the call's shared ring: syncs it, resets the per-call ring
-    /// state, and returns the final makespan growth. A no-op returning
-    /// zero when no ring was opened.
-    pub(super) fn finish_ring(&mut self) -> Result<SimDuration> {
-        if self.ring.is_none() {
-            return Ok(SimDuration::ZERO);
-        }
-        let synced = self.sync_ring();
-        self.ring = None;
-        self.ring_horizon = SimDuration::ZERO;
-        self.ring_read_marks = (0, 0);
-        self.ring_wrote = false;
-        self.ring_read = false;
-        synced.map(|(charged, _)| charged)
-    }
-}
-
 /// How many page reads one lookup batch keeps in flight on a ring of
 /// `lanes` lanes. Four requests a lane keep every lane fed between reaps
 /// (the floor of 16 does the same for the real backends' worker pools on
@@ -2165,44 +1060,6 @@ struct FlushOutcome {
     evictions: usize,
 }
 
-/// In-memory phase of a lookup batch: keys resolved from buffers or
-/// delete lists, probe state machines for the rest, plus the host-side
-/// accounting.
-struct LookupPlan {
-    /// One slot per key; `Some` once the key resolved.
-    out: Vec<Option<LookupOutcome>>,
-    /// State machines for keys that must probe flash.
-    pending: Vec<ProbeState>,
-    /// LRU re-insertions queued by keys that already resolved.
-    reinserts: Vec<(usize, Key, Value)>,
-    /// Dispatch plus DRAM probe time of the whole batch.
-    host_time: SimDuration,
-}
-
-/// Probe state machine for one key of a queued lookup batch: where the key
-/// sits in its Bloom-guided candidate walk (which incarnation, which page
-/// of the overflow chain) and the per-key accounting accumulated so far.
-/// Each page read that reaps advances it until a verdict is reached.
-struct ProbeState {
-    /// Position of the key in the caller's batch.
-    slot: usize,
-    key: Key,
-    /// Super table owning the key.
-    table: usize,
-    /// Per-key charge accumulated so far (dispatch + DRAM probes + own
-    /// page reads).
-    latency: SimDuration,
-    flash_reads: usize,
-    /// Remaining candidate incarnation ages, youngest first.
-    candidates: AgeSet,
-    /// Candidate currently being probed (`Some` while pending).
-    meta: Option<IncarnationMeta>,
-    /// Page of the current candidate to read next.
-    page_idx: usize,
-    /// Overflow-chain hops left before the candidate is abandoned.
-    hops_left: usize,
-}
-
 fn annotate_offset(e: BufferHashError, offset: u64) -> BufferHashError {
     match e {
         BufferHashError::CorruptIncarnation { reason, .. } => {
@@ -2211,6 +1068,11 @@ fn annotate_offset(e: BufferHashError, offset: u64) -> BufferHashError {
         other => other,
     }
 }
+
+mod read;
+mod recover;
+mod ring;
+mod write;
 
 #[cfg(test)]
 mod tests;

@@ -1,0 +1,382 @@
+//! The read pipeline: probe state machines streamed through the
+//! completion ring.
+
+use super::*;
+
+impl<D: Device> ClamCore<D> {
+    /// Buffer and delete-list checks plus probe planning: resolves every
+    /// key it can from memory (recording its stats) and returns a probe
+    /// state machine for each key that must touch flash.
+    fn plan_lookups(
+        &mut self,
+        tables: &TableSet,
+        keys: &[Key],
+        dispatch: SimDuration,
+    ) -> LookupPlan {
+        // Input positions grouped by super table, each table's keys in
+        // input order: one hash per key.
+        let positions: Vec<usize> = (0..keys.len()).collect();
+        let (order, starts) =
+            group_stable(&positions, self.num_tables, |&slot| self.table_of(keys[slot]));
+        let mut plan = LookupPlan {
+            out: vec![None; keys.len()],
+            pending: Vec::new(),
+            reinserts: Vec::new(),
+            host_time: SimDuration::ZERO,
+        };
+        let mut t = 0;
+        for (at, &slot) in order.iter().enumerate() {
+            while at >= starts[t + 1] {
+                t += 1;
+            }
+            let key = keys[slot];
+            let (filter_words, found_in_memory, candidates) = tables.with(t, |table| {
+                let found = table.memory_lookup(key);
+                // Candidate incarnations, youngest first, guided by the
+                // Bloom filters (only needed when memory has no verdict).
+                let candidates = if found.is_none() {
+                    table.candidate_incarnations(key)
+                } else {
+                    AgeSet::default()
+                };
+                (table.filter_words_per_query(), found, candidates)
+            });
+            let latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + filter_words);
+            plan.host_time += latency;
+            if let Some(found) = found_in_memory {
+                let source =
+                    if found.is_some() { LookupSource::Buffer } else { LookupSource::Deleted };
+                if found.is_some() {
+                    self.stats.lookup_hits += 1;
+                } else {
+                    self.stats.lookup_misses += 1;
+                }
+                self.stats.lookups.record(latency);
+                self.stats.record_lookup_reads(0);
+                plan.out[slot] =
+                    Some(LookupOutcome { value: found, latency, flash_reads: 0, source });
+                continue;
+            }
+            // Keys with no live candidate are misses without I/O.
+            let mut state = ProbeState {
+                slot,
+                key,
+                table: t,
+                latency,
+                flash_reads: 0,
+                candidates,
+                meta: None,
+                page_idx: 0,
+                hops_left: 0,
+            };
+            if self.advance_probe(tables, &mut state) {
+                plan.pending.push(state);
+            } else {
+                plan.out[slot] = Some(self.resolve_probe(state, None, &mut plan.reinserts));
+            }
+        }
+        plan
+    }
+
+    /// Flash offset of the page a probe state reads next.
+    fn probe_offset(&self, state: &ProbeState) -> u64 {
+        let meta = state.meta.expect("pending probes hold a candidate");
+        self.layout.page_offset(meta.flash_offset, state.page_idx)
+    }
+
+    /// Steps one probe state machine on the page it just read (at
+    /// `offset`). Returns the state and its next read offset while the key
+    /// is unresolved; resolves it into `out` (recording stats and LRU
+    /// re-insertions) otherwise.
+    fn step_probe(
+        &mut self,
+        tables: &TableSet,
+        mut state: ProbeState,
+        page: &[u8],
+        offset: u64,
+        out: &mut [Option<LookupOutcome>],
+        reinserts: &mut Vec<(usize, Key, Value)>,
+    ) -> Result<Option<(ProbeState, u64)>> {
+        state.flash_reads += 1;
+        let slot = state.slot;
+        let layout = self.layout;
+        match lookup_in_page(page, state.key).map_err(|e| annotate_offset(e, offset))? {
+            PageLookup::Found(v) => {
+                out[slot] = Some(self.resolve_probe(state, Some(v), reinserts));
+                Ok(None)
+            }
+            PageLookup::Absent => {
+                self.stats.spurious_flash_reads += 1;
+                if self.advance_probe(tables, &mut state) {
+                    let next = self.probe_offset(&state);
+                    Ok(Some((state, next)))
+                } else {
+                    out[slot] = Some(self.resolve_probe(state, None, reinserts));
+                    Ok(None)
+                }
+            }
+            PageLookup::Continue => {
+                state.page_idx = layout.next_page(state.page_idx);
+                state.hops_left -= 1;
+                if state.hops_left > 0 {
+                    let next = self.probe_offset(&state);
+                    Ok(Some((state, next)))
+                } else {
+                    // Exhausted the overflow chain without a verdict.
+                    self.stats.spurious_flash_reads += 1;
+                    if self.advance_probe(tables, &mut state) {
+                        let next = self.probe_offset(&state);
+                        Ok(Some((state, next)))
+                    } else {
+                        out[slot] = Some(self.resolve_probe(state, None, reinserts));
+                        Ok(None)
+                    }
+                }
+            }
+        }
+    }
+
+    /// The streaming ring pipeline behind [`Clam::lookup`] and
+    /// [`Clam::lookup_batch`]; `dispatch` is the fixed overhead charged to
+    /// each key (full for per-op calls, amortized for batched ones).
+    pub(super) fn lookup_batch_ring(
+        &mut self,
+        tables: &TableSet,
+        keys: &[Key],
+        dispatch: SimDuration,
+    ) -> Result<BatchLookupOutcome> {
+        let mut batch = BatchLookupOutcome::default();
+        if keys.is_empty() {
+            return Ok(batch);
+        }
+        let page_size = self.layout.page_size;
+        let LookupPlan { mut out, pending, mut reinserts, host_time } =
+            self.plan_lookups(tables, keys, dispatch);
+
+        if !pending.is_empty() {
+            // The probes run on the call's *shared* ring: LRU re-insertion
+            // flushes (step 3) admit into the same ring, so their writes
+            // overlap the tail of the probe traffic on the device timeline
+            // instead of restarting the clock.
+            self.ensure_ring();
+            self.ring_read = true;
+            let mut ring = self.ring.take().expect("ring just ensured");
+            // First probes enter through a bounded window, topped up as
+            // reads reap: every admitted read parks a page buffer until it
+            // is reaped, and a window of a few requests per lane already
+            // keeps every lane busy.
+            let window = probe_window(self.device.queue().ring_lanes());
+            let mut waiting = pending.into_iter();
+            // Probe state of every in-flight read, keyed by ticket id.
+            let mut states: HashMap<u64, ProbeState> =
+                HashMap::with_capacity(window.min(waiting.len()));
+            // 1. Fill the window without waiting.
+            let mut requests = Vec::with_capacity(window.min(waiting.len()));
+            let mut admitted = Vec::with_capacity(requests.capacity());
+            for state in waiting.by_ref().take(window) {
+                let offset = self.probe_offset(&state);
+                requests.push(RingRequest::new(IoRequest::read(offset, page_size)));
+                admitted.push(state);
+            }
+
+            // 2. Stream: the moment a read reaps, step its key's state
+            //    machine and re-arm the key's next read (causally floored
+            //    at the completion that produced it), so later rounds of
+            //    fast keys overlap earlier rounds of slow ones; a key that
+            //    resolved hands its place in the window to the next
+            //    waiting key, floored the same way. On a per-request
+            //    failure, stop admitting but keep reaping until the ring
+            //    is empty before propagating: abandoning a ring with reads
+            //    still in flight would leave their completions parked in
+            //    the device forever.
+            let mut failure: Option<BufferHashError> = None;
+            loop {
+                if failure.is_none() && !requests.is_empty() {
+                    batch.probe_reads += requests.len();
+                    self.stats.lookup_probe_requests += requests.len() as u64;
+                    let tickets = self.device.submit_nowait(requests, &mut ring)?;
+                    for (ticket, state) in tickets.into_iter().zip(admitted) {
+                        states.insert(ticket.id(), state);
+                    }
+                }
+                if ring.in_flight() == 0 {
+                    break;
+                }
+                let completions = self.device.reap(&mut ring, 1)?;
+                requests = Vec::with_capacity(completions.len());
+                admitted = Vec::with_capacity(completions.len());
+                for completion in completions {
+                    let mut state = states
+                        .remove(&completion.ticket.id())
+                        .expect("one probe state per in-flight ticket");
+                    if failure.is_some() {
+                        continue; // draining: discard late completions
+                    }
+                    if completion.lane != 0 {
+                        self.stats.lookup_probes_overlapped += 1;
+                    }
+                    let offset = self.probe_offset(&state);
+                    let page = match completion.result {
+                        Ok(page) => page,
+                        Err(e) => {
+                            failure = Some(e.into());
+                            continue;
+                        }
+                    };
+                    state.latency += completion.latency;
+                    let next = match self.step_probe(
+                        tables,
+                        state,
+                        &page,
+                        offset,
+                        &mut out,
+                        &mut reinserts,
+                    ) {
+                        Ok(Some(rearmed)) => Some(rearmed),
+                        Ok(None) => waiting.next().map(|state| {
+                            let first = self.probe_offset(&state);
+                            (state, first)
+                        }),
+                        Err(e) => {
+                            failure = Some(e);
+                            None
+                        }
+                    };
+                    if let Some((state, offset)) = next {
+                        requests.push(RingRequest::after(
+                            IoRequest::read(offset, page_size),
+                            completion.completed_at,
+                        ));
+                        admitted.push(state);
+                    }
+                }
+            }
+            if let Some(e) = failure {
+                // The reaps so far belong to the lookup ledger (recorded
+                // below on success, skipped here): mark them so closing
+                // the ring does not misattribute them to the flush side.
+                self.ring_read_marks = (ring.reaps(), ring.admission_stalls());
+                self.ring_horizon = ring.makespan();
+                self.ring = Some(ring);
+                self.finish_ring().ok();
+                return Err(e);
+            }
+            batch.probe_latency = ring.makespan();
+            batch.reaps = ring.reaps() as usize;
+            batch.ring_depth_high_water = ring.depth_high_water();
+            self.stats.lookup_batches_submitted += 1;
+            self.stats.lookup_ring_reaps += ring.reaps();
+            self.stats.lookup_ring_depth_high_water =
+                self.stats.lookup_ring_depth_high_water.max(ring.depth_high_water() as u64);
+            self.stats.lookup_ring_admission_stalls += ring.admission_stalls();
+            // Everything reaped so far is on the lookup ledger, and the
+            // probe makespan is charged to this batch: mark both so the
+            // write side only ever accounts its own growth.
+            self.ring_read_marks = (ring.reaps(), ring.admission_stalls());
+            self.ring_horizon = ring.makespan();
+            self.ring = Some(ring);
+        }
+
+        // 3. LRU: re-insert items used from flash so they survive FIFO
+        //    eviction of old incarnations. The paper performs this
+        //    asynchronously, so its cost is not charged to the batch. The
+        //    re-insertion flushes admit into the same ring as the probes
+        //    (see above); `apply_reinserts` closes the ring when it has
+        //    work, and a reinsert-free call closes it right after.
+        self.apply_reinserts(tables, reinserts)?;
+        self.finish_ring()?;
+
+        batch.latency = host_time + batch.probe_latency;
+        batch.outcomes = out.into_iter().map(|o| o.expect("every key resolved")).collect();
+        batch.waves = batch.outcomes.iter().map(|o| o.flash_reads).max().unwrap_or(0);
+        self.stats.lookup_probe_waves += batch.waves as u64;
+        Ok(batch)
+    }
+
+    /// Advances a probe to its next live candidate incarnation, resetting
+    /// the page-chain cursor; returns `false` when the candidate list is
+    /// exhausted (the key cannot be on flash).
+    fn advance_probe(&self, tables: &TableSet, state: &mut ProbeState) -> bool {
+        let layout = self.layout;
+        for age in state.candidates.by_ref() {
+            if let Some(meta) = tables.with(state.table, |table| table.incarnation_at(age)) {
+                state.meta = Some(meta);
+                state.page_idx = layout.page_of_key(state.key);
+                state.hops_left = layout.num_pages;
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Finishes one probe state machine: records the lookup statistics,
+    /// queues the LRU re-insertion for keys served from flash, and builds
+    /// the outcome.
+    fn resolve_probe(
+        &mut self,
+        state: ProbeState,
+        found: Option<Value>,
+        reinserts: &mut Vec<(usize, Key, Value)>,
+    ) -> LookupOutcome {
+        let source = match found {
+            Some(_) => LookupSource::Flash,
+            None => LookupSource::Miss,
+        };
+        if found.is_some() {
+            self.stats.lookup_hits += 1;
+        } else {
+            self.stats.lookup_misses += 1;
+        }
+        self.stats.lookups.record(state.latency);
+        self.stats.record_lookup_reads(state.flash_reads);
+        if let Some(v) = found {
+            if self.config.eviction.reinserts_on_use() {
+                reinserts.push((state.table, state.key, v));
+            }
+        }
+        LookupOutcome {
+            value: found,
+            latency: state.latency,
+            flash_reads: state.flash_reads,
+            source,
+        }
+    }
+}
+
+/// In-memory phase of a lookup batch: keys resolved from buffers or
+/// delete lists, probe state machines for the rest, plus the host-side
+/// accounting.
+struct LookupPlan {
+    /// One slot per key; `Some` once the key resolved.
+    out: Vec<Option<LookupOutcome>>,
+    /// State machines for keys that must probe flash.
+    pending: Vec<ProbeState>,
+    /// LRU re-insertions queued by keys that already resolved.
+    reinserts: Vec<(usize, Key, Value)>,
+    /// Dispatch plus DRAM probe time of the whole batch.
+    host_time: SimDuration,
+}
+
+/// Probe state machine for one key of a queued lookup batch: where the key
+/// sits in its Bloom-guided candidate walk (which incarnation, which page
+/// of the overflow chain) and the per-key accounting accumulated so far.
+/// Each page read that reaps advances it until a verdict is reached.
+struct ProbeState {
+    /// Position of the key in the caller's batch.
+    slot: usize,
+    key: Key,
+    /// Super table owning the key.
+    table: usize,
+    /// Per-key charge accumulated so far (dispatch + DRAM probes + own
+    /// page reads).
+    latency: SimDuration,
+    flash_reads: usize,
+    /// Remaining candidate incarnation ages, youngest first.
+    candidates: AgeSet,
+    /// Candidate currently being probed (`Some` while pending).
+    meta: Option<IncarnationMeta>,
+    /// Page of the current candidate to read next.
+    page_idx: usize,
+    /// Overflow-chain hops left before the candidate is abandoned.
+    hops_left: usize,
+}
