@@ -137,9 +137,8 @@ impl AnyClam {
         }
     }
 
-    /// Snapshot of the CLAM statistics (owned; the per-table lock ledger
-    /// is merged in at snapshot time).
-    pub fn stats(&self) -> bufferhash::ClamStats {
+    /// The CLAM statistics.
+    pub fn stats(&self) -> &bufferhash::ClamStats {
         match self {
             AnyClam::Intel(c) | AnyClam::Transcend(c) => c.stats(),
             AnyClam::Disk(c) => c.stats(),

@@ -29,17 +29,18 @@
 //! A per-op [`Clam::lookup`] is a batch of one over the same pipeline.
 //!
 //! There is **one write path** too: every insert and delete — scalar or
-//! batched, through `&mut self` or through `&self` — runs the per-table
-//! bodies ([`Clam::fine_insert`], [`Clam::fine_insert_batch`],
-//! [`Clam::fine_delete`]), whose flushes, evictions and drains ride the
-//! same completion ring as the probes. The `&mut self` methods are thin
-//! veneers over them. DESIGN.md "Lock hierarchy" names every lock those
-//! bodies take and in what order.
+//! batched — runs one per-table insert body whose flushes, evictions and
+//! drains ride the same completion ring as the probes.
+//!
+//! A `Clam` takes **no locks**: its super tables, device, log allocator,
+//! ring state and statistics are plain fields, mutation needs
+//! `&mut self`, and the only `&self` operation that answers a request is
+//! the memory probe ([`Clam::probe_memory`]). Sharing one between threads
+//! is [`SharedClam`](crate::SharedClam)'s job (one reader-writer lock per
+//! stripe; DESIGN.md "Locks").
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use flashsim::queue::{IoTicket, RingCompletion};
 use flashsim::{
@@ -149,11 +150,11 @@ pub enum LookupSource {
 
 /// Verdict of a memory-only probe ([`Clam::probe_memory`]): either the key
 /// resolved entirely from DRAM state (buffer, delete list, or Bloom filters
-/// proving no live flash candidate), or the locked flash pipeline must run.
+/// proving no live flash candidate), or the `&mut self` flash pipeline must run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryProbe {
     /// The key resolved without touching flash; the outcome is exactly what
-    /// the locked lookup pipeline would have produced (`flash_reads == 0`).
+    /// [`Clam::lookup`] would have produced (`flash_reads == 0`).
     Resolved(LookupOutcome),
     /// At least one live flash incarnation may hold the key; only the
     /// exclusive probe pipeline can decide.
@@ -276,137 +277,6 @@ impl MemoryUsage {
 /// epoch found on flash, covering images written by earlier processes.
 static CLAM_EPOCH: AtomicU32 = AtomicU32::new(0);
 
-/// One super table plus its per-table concurrency state (see DESIGN.md
-/// "Lock hierarchy").
-///
-/// * `op` — the **operation lock**: serializes whole logical mutations on
-///   this table. A writer holds it across its entire op (a scalar insert
-///   or delete, or a batch's whole run of inserts for this table, flush
-///   chains included), so per-table op order is well defined even though
-///   the state lock below is released between steps.
-/// * `state` — the **state lock**: protects the table's mutable data (the
-///   cuckoo buffer, delete list, Bloom filters and incarnation queue). It
-///   is a *leaf* lock: nothing else is acquired while it is held. It
-///   covers one `SuperTable` method call, or — on the batch insert path —
-///   one **run** of consecutive buffer inserts, ending at the first key
-///   that finds the buffer full; it is released before any flush chain,
-///   and `flush_table` takes it again call by call. That is what lets a
-///   flush of one table force-evict incarnations of *another* table
-///   (cross-table log-slot reclamation) without any lock-ordering
-///   concerns.
-/// * `epoch` — a per-table seqlock epoch, odd while a writer holds the op
-///   lock. Lock-free readers ([`Clam::try_probe_memory`]) validate
-///   against it so they never build a verdict from a half-applied
-///   logical op (e.g. between a buffer drain and the matching incarnation
-///   registration).
-struct TableSlot {
-    state: Mutex<SuperTable>,
-    op: Mutex<()>,
-    epoch: AtomicU64,
-}
-
-/// The stripe's super tables behind per-table locks, plus the table-lock
-/// ledger (acquisitions, contended acquisitions, and the high-water mark
-/// of concurrently write-locked tables) that [`Clam::stats`] folds into
-/// [`ClamStats`].
-struct TableSet {
-    slots: Vec<TableSlot>,
-    /// Write-lock (op lock) acquisitions.
-    acquisitions: AtomicU64,
-    /// Acquisitions that found the op lock already held.
-    contended: AtomicU64,
-    /// Number of tables currently write-locked.
-    locked: AtomicU64,
-    /// High-water mark of `locked`: how many tables of this stripe were
-    /// ever write-locked at the same instant.
-    high_water: AtomicU64,
-}
-
-impl TableSet {
-    fn new(tables: Vec<SuperTable>) -> Self {
-        TableSet {
-            slots: tables
-                .into_iter()
-                .map(|t| TableSlot {
-                    state: Mutex::new(t),
-                    op: Mutex::new(()),
-                    epoch: AtomicU64::new(0),
-                })
-                .collect(),
-            acquisitions: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-            locked: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Runs `f` with table `t`'s state lock held. The lock is a leaf:
-    /// `f` must not acquire any other lock.
-    fn with<R>(&self, t: usize, f: impl FnOnce(&mut SuperTable) -> R) -> R {
-        f(&mut self.slots[t].state.lock())
-    }
-
-    /// Current seqlock epoch of table `t` (odd while a writer's logical
-    /// op is in progress).
-    fn epoch_of(&self, t: usize) -> u64 {
-        self.slots[t].epoch.load(Ordering::SeqCst)
-    }
-
-    /// Acquires table `t`'s operation lock for a logical write, recording
-    /// the lock ledger and marking the table's epoch odd until the guard
-    /// drops.
-    fn lock_for_write(&self, t: usize) -> TableWriteGuard<'_> {
-        let slot = &self.slots[t];
-        let op = match slot.op.try_lock() {
-            Some(guard) => guard,
-            None => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                slot.op.lock()
-            }
-        };
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let now_locked = self.locked.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water.fetch_max(now_locked, Ordering::Relaxed);
-        slot.epoch.fetch_add(1, Ordering::SeqCst);
-        TableWriteGuard { set: self, slot, _op: op }
-    }
-
-    /// Folds the table-lock ledger into `stats`.
-    fn merge_lock_ledger(&self, stats: &mut ClamStats) {
-        stats.table_write_acquisitions += self.acquisitions.load(Ordering::Relaxed);
-        stats.table_write_contended += self.contended.load(Ordering::Relaxed);
-        stats.table_lock_high_water =
-            stats.table_lock_high_water.max(self.high_water.load(Ordering::Relaxed));
-    }
-
-    /// Clears the table-lock ledger (for [`Clam::reset_stats`]).
-    fn reset_lock_ledger(&self) {
-        self.acquisitions.store(0, Ordering::Relaxed);
-        self.contended.store(0, Ordering::Relaxed);
-        self.high_water.store(self.locked.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-}
-
-/// RAII guard of one table's operation lock.
-/// Dropping it marks the table's epoch even again and decrements the
-/// concurrently-locked count.
-struct TableWriteGuard<'a> {
-    set: &'a TableSet,
-    slot: &'a TableSlot,
-    _op: MutexGuard<'a, ()>,
-}
-
-impl Drop for TableWriteGuard<'_> {
-    fn drop(&mut self) {
-        self.slot.epoch.fetch_add(1, Ordering::SeqCst);
-        self.set.locked.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// Inserts a spawned worker must carry before `StripedClam` fans an insert
 /// batch's stripes out over threads; below it [`fan_out`] keeps the batch
 /// on the caller's thread.
@@ -450,26 +320,19 @@ pub(crate) fn fan_out(ops: usize, floor: usize, groups: usize) -> usize {
     wanted.min(cores)
 }
 
-/// Folds one insert's outcome into the ledger: its latency sample, and
-/// the length of its eviction cascade if it flushed.
-fn record_insert(stats: &mut ClamStats, op: &InsertOutcome) {
-    if op.flushed {
-        stats.record_cascade(op.evictions.max(1));
-    }
-    stats.inserts.record(op.latency);
-}
-
-/// The shared, short-critical-section core of a [`Clam`]: everything that
-/// is *not* per-table state — the device and its completion ring, the log
-/// allocator (slot grants), the flush sequence counter and the
-/// [`ClamStats`] ledger. Writers take this lock around flush chains and
-/// ring drains, and once more to record their latency in the ledger: once
-/// per scalar insert or delete, once per batch. Memory probes never touch
-/// it. Because a flush chain runs entirely under
-/// one core lock, allocator grant order equals ring admission order, which
-/// is the invariant the PR-7 acknowledgment point rests on (admission
-/// order = data-effect order on the device).
-struct ClamCore<D: Device> {
+/// A cheap and large CAM: BufferHash on DRAM plus a flash [`Device`].
+///
+/// Everything is a plain field: the super tables, the device and its
+/// completion ring, the log allocator, the flush sequence counter and the
+/// [`ClamStats`] ledger. Inserts, deletes and lookups that may touch
+/// flash need `&mut self`; a memory-only probe
+/// ([`probe_memory`](Self::probe_memory)) runs through `&self`. Because a
+/// flush chain runs on one `&mut self`, allocator grant order equals ring
+/// admission order, which is the invariant the acknowledgment point rests
+/// on (admission order = data-effect order on the device; DESIGN.md
+/// "Crash consistency").
+pub struct Clam<D: Device> {
+    tables: Vec<SuperTable>,
     device: D,
     config: ClamConfig,
     /// The lifetime epoch stamped into every page this CLAM flushes; see
@@ -477,8 +340,6 @@ struct ClamCore<D: Device> {
     epoch: u32,
     /// The (table-uniform) incarnation serialization layout.
     layout: IncarnationLayout,
-    /// Number of super tables.
-    num_tables: usize,
     allocator: LogAllocator,
     seq: u64,
     stats: ClamStats,
@@ -508,36 +369,6 @@ struct ClamCore<D: Device> {
     ring_wrote: bool,
     /// See [`ring_wrote`](Self::ring_wrote).
     ring_read: bool,
-}
-
-/// A cheap and large CAM: BufferHash on DRAM plus a flash [`Device`].
-///
-/// The store is internally split for **per-super-table write
-/// concurrency**: each [`SuperTable`]'s mutable state lives behind its own
-/// locks (a `TableSet`), and the shared pieces — device, completion ring,
-/// log allocator, stats ledger — live in a small mutex-protected
-/// `ClamCore`. Writes run through `&self`
-/// ([`fine_insert`](Self::fine_insert),
-/// [`fine_insert_batch`](Self::fine_insert_batch),
-/// [`fine_delete`](Self::fine_delete)), so writers to *different* tables
-/// of one stripe commit in parallel; [`insert`](Self::insert),
-/// [`insert_batch`](Self::insert_batch) and [`delete`](Self::delete) are
-/// the same calls for an exclusive owner. Lookups that may touch flash
-/// need `&mut self` (the probe pipeline owns the core); memory-only
-/// probes ([`probe_memory`](Self::probe_memory)) run through `&self`.
-pub struct Clam<D: Device> {
-    tables: TableSet,
-    core: Mutex<ClamCore<D>>,
-    /// Copy of the core's configuration, readable without locking.
-    config: ClamConfig,
-    /// Copy of the core's lifetime epoch, readable without locking.
-    epoch: u32,
-    /// Copy of the core's DRAM cost model, usable without locking.
-    mem_cost: LinearCost,
-    /// Serializes concurrent [`fine_insert_batch`](Self::fine_insert_batch)
-    /// calls: a batch owns the coalescing window (`coalesce_writes`) for
-    /// its duration.
-    batch_lock: Mutex<()>,
 }
 
 impl<D: Device> Clam<D> {
@@ -588,18 +419,16 @@ impl<D: Device> Clam<D> {
             geometry.block_size as u64,
             num_tables,
         )?;
-        let epoch = CLAM_EPOCH.fetch_add(1, Ordering::Relaxed) + 1;
-        let mem_cost = LinearCost::new(0, 0.5);
-        let core = ClamCore {
+        Ok(Clam {
+            tables,
             device,
-            config: config.clone(),
-            epoch,
+            config,
+            epoch: CLAM_EPOCH.fetch_add(1, Ordering::Relaxed) + 1,
             layout,
-            num_tables,
             allocator,
             seq: 0,
             stats: ClamStats::new(),
-            mem_cost,
+            mem_cost: LinearCost::new(0, 0.5),
             pending_run: None,
             coalesce_writes: false,
             ring: None,
@@ -607,14 +436,6 @@ impl<D: Device> Clam<D> {
             ring_read_marks: (0, 0),
             ring_wrote: false,
             ring_read: false,
-        };
-        Ok(Clam {
-            tables: TableSet::new(tables),
-            core: Mutex::new(core),
-            config,
-            epoch,
-            mem_cost,
-            batch_lock: Mutex::new(()),
         })
     }
 
@@ -650,11 +471,7 @@ impl<D: Device> Clam<D> {
     /// DESIGN.md "Crash consistency" for the durability contract.
     pub fn recover(device: D, config: ClamConfig) -> Result<(Self, RecoveryReport)> {
         let mut clam = Clam::new(device, config)?;
-        let report = {
-            let tables = &clam.tables;
-            clam.core.get_mut().recover_scan(tables)?
-        };
-        clam.epoch = clam.core.get_mut().epoch;
+        let report = clam.recover_scan()?;
         Ok((clam, report))
     }
 
@@ -668,50 +485,36 @@ impl<D: Device> Clam<D> {
         &self.config
     }
 
-    /// Operation statistics collected so far, with the table-lock ledger
-    /// folded in. Returned by value (the stats live inside the core lock).
-    pub fn stats(&self) -> ClamStats {
-        let mut stats = self.core.lock().stats.clone();
-        self.tables.merge_lock_ledger(&mut stats);
-        stats
+    /// Operation statistics collected so far.
+    pub fn stats(&self) -> &ClamStats {
+        &self.stats
     }
 
     /// Mutable access to the statistics (e.g. to compute quantiles, which
     /// require sorting the recorded samples).
     pub fn stats_mut(&mut self) -> &mut ClamStats {
-        &mut self.core.get_mut().stats
+        &mut self.stats
     }
 
-    /// Clears the operation statistics, the table-lock ledger and the
-    /// device counters.
+    /// Clears the operation statistics and the device counters.
     pub fn reset_stats(&mut self) {
-        let core = self.core.get_mut();
-        core.stats.reset();
-        core.device.reset_stats();
-        self.tables.reset_lock_ledger();
+        self.stats.reset();
+        self.device.reset_stats();
     }
 
-    /// Immutable access to the underlying device. Takes `&mut self`
-    /// because the device lives inside the core lock; lock-free callers
-    /// use [`with_device`](Self::with_device).
-    pub fn device(&mut self) -> &D {
-        &self.core.get_mut().device
+    /// Immutable access to the underlying device.
+    pub fn device(&self) -> &D {
+        &self.device
     }
 
     /// Mutable access to the underlying device (e.g. to declare idle time).
     pub fn device_mut(&mut self) -> &mut D {
-        &mut self.core.get_mut().device
-    }
-
-    /// Runs `f` with a shared reference to the device (locks the core for
-    /// the duration of `f`).
-    pub fn with_device<R>(&self, f: impl FnOnce(&D) -> R) -> R {
-        f(&self.core.lock().device)
+        &mut self.device
     }
 
     /// Consumes the CLAM and returns the device.
     pub fn into_device(self) -> D {
-        self.core.into_inner().device
+        self.device
     }
 
     /// Number of super tables.
@@ -722,15 +525,14 @@ impl<D: Device> Clam<D> {
     /// Approximate number of live entries (buffered plus on flash; lazily
     /// superseded duplicates are counted once per copy).
     pub fn approximate_entries(&self) -> usize {
-        (0..self.tables.len())
-            .map(|t| {
-                self.tables.with(t, |table| {
-                    table.buffer_len()
-                        + (0..table.num_incarnations())
-                            .filter_map(|age| table.incarnation_at(age))
-                            .map(|m| m.entries)
-                            .sum::<usize>()
-                })
+        self.tables
+            .iter()
+            .map(|table| {
+                table.buffer_len()
+                    + (0..table.num_incarnations())
+                        .filter_map(|age| table.incarnation_at(age))
+                        .map(|m| m.entries)
+                        .sum::<usize>()
             })
             .sum()
     }
@@ -739,12 +541,10 @@ impl<D: Device> Clam<D> {
     /// the filters is nothing until a table first flushes.
     pub fn memory_usage(&self) -> MemoryUsage {
         let mut usage = MemoryUsage::default();
-        for t in 0..self.tables.len() {
-            self.tables.with(t, |table| {
-                usage.buffers += table.buffer_bytes();
-                usage.filters += table.filter_bytes();
-                usage.delete_lists += table.delete_list_len() * std::mem::size_of::<Key>();
-            });
+        for table in &self.tables {
+            usage.buffers += table.buffer_bytes();
+            usage.filters += table.filter_bytes();
+            usage.delete_lists += table.delete_list_len() * std::mem::size_of::<Key>();
         }
         usage
     }
@@ -762,17 +562,19 @@ impl<D: Device> Clam<D> {
     }
 
     // ------------------------------------------------------------------
-    // Public hash-table operations for an exclusive owner (`&mut self`)
+    // Public hash-table operations
     // ------------------------------------------------------------------
 
     /// Inserts (or updates) `key` with `value`.
     ///
     /// Updates are lazy (§5.1.1): if an older value for the key is already
     /// on flash it is left there; lookups return the newest value because
-    /// incarnations are examined youngest-first. The same call as
-    /// [`fine_insert`](Self::fine_insert).
+    /// incarnations are examined youngest-first.
     pub fn insert(&mut self, key: Key, value: Value) -> Result<InsertOutcome> {
-        self.fine_insert(key, value)
+        let t = self.table_of(key);
+        let mut outcome = None;
+        self.insert_run(t, &[(key, value)], BASE_OP_OVERHEAD, |op| outcome = Some(op))?;
+        Ok(outcome.expect("a run of one yields one outcome"))
     }
 
     /// Alias for [`insert`](Self::insert); updates use the same lazy path.
@@ -795,8 +597,8 @@ impl<D: Device> Clam<D> {
     /// overhead is paid once for the whole batch, each super table's
     /// buffer is walked in one pass, and incarnation writes that land on
     /// contiguous log slots are coalesced into a single sequential device
-    /// write. The same call as
-    /// [`fine_insert_batch`](Self::fine_insert_batch).
+    /// write: flush writes coalesce over the whole batch and are drained
+    /// (and charged) once at its end.
     ///
     /// ```
     /// use bufferhash::{Clam, ClamConfig};
@@ -813,7 +615,45 @@ impl<D: Device> Clam<D> {
     /// assert_eq!(clam.lookup(8).unwrap().value, Some(1));
     /// ```
     pub fn insert_batch(&mut self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        self.fine_insert_batch(ops)
+        let mut outcome = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
+        if ops.is_empty() {
+            return Ok(outcome);
+        }
+        // One run per table, in ascending table order, input order kept
+        // within a run.
+        let (grouped, starts) = group_stable(ops, self.tables.len(), |op| self.table_of(op.0));
+        let dispatch = batch_dispatch(ops.len());
+        self.stats.batched_inserts += ops.len() as u64;
+        let coalesced_before = self.stats.coalesced_flush_writes;
+        self.coalesce_writes = true;
+        let mut failure = None;
+        for t in 0..self.tables.len() {
+            let run = &grouped[starts[t]..starts[t + 1]];
+            let inserted = self.insert_run(t, run, dispatch, |op| {
+                outcome.latency += op.latency;
+                outcome.flushed_ops += usize::from(op.flushed);
+                outcome.evictions += op.evictions;
+            });
+            if let Err(e) = inserted {
+                failure = Some(e);
+                break;
+            }
+        }
+        // Close the coalescing window and drain the write ring — even on
+        // failure, so the device stays consistent with the in-memory
+        // incarnation metadata. Finished coalesced runs were already
+        // *admitted* as they formed; this drain admits the final run and
+        // reaps the ring, and only its makespan is "deferred" time
+        // (charged to the batch, not to any triggering insert).
+        self.coalesce_writes = false;
+        let drained = self.drain_write_ring()?;
+        self.stats.deferred_flush_time += drained;
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        outcome.latency += drained;
+        outcome.coalesced_writes = (self.stats.coalesced_flush_writes - coalesced_before) as usize;
+        Ok(outcome)
     }
 
     /// Looks up a batch of keys in one call through the **streaming ring
@@ -871,24 +711,21 @@ impl<D: Device> Clam<D> {
     /// assert_eq!(found.hits(), 2);
     /// ```
     pub fn lookup_batch(&mut self, keys: &[Key]) -> Result<BatchLookupOutcome> {
-        let core = self.core.get_mut();
-        core.stats.batched_lookups += keys.len() as u64;
-        core.lookup_batch_ring(&self.tables, keys, batch_dispatch(keys.len()))
+        self.lookup_batch_amortized(keys, batch_dispatch(keys.len()))
     }
 
     /// Batched-lookup entry point for callers that amortize dispatch over a
-    /// *larger* batch than `keys` — the `SharedClam` fast/locked split runs
-    /// memory-resolved keys outside the lock and sends only the flash-bound
-    /// remainder here, charging every key the full batch's amortized
-    /// dispatch so the accounting matches the all-locked reference path.
+    /// *larger* batch than `keys` — the `SharedClam` fast/exclusive split
+    /// answers memory-resolved keys under the shared lock and sends only
+    /// the flash-bound remainder here, charging every key the full batch's
+    /// amortized dispatch so the accounting matches an all-exclusive call.
     pub(crate) fn lookup_batch_amortized(
         &mut self,
         keys: &[Key],
         dispatch: SimDuration,
     ) -> Result<BatchLookupOutcome> {
-        let core = self.core.get_mut();
-        core.stats.batched_lookups += keys.len() as u64;
-        core.lookup_batch_ring(&self.tables, keys, dispatch)
+        self.stats.batched_lookups += keys.len() as u64;
+        self.lookup_batch_ring(keys, dispatch)
     }
 
     /// Looks up `key`: a batch of one over the streaming ring pipeline, so
@@ -896,18 +733,12 @@ impl<D: Device> Clam<D> {
     /// of one-request admissions, whose makespan is exactly the summed
     /// read latency).
     pub fn lookup(&mut self, key: Key) -> Result<LookupOutcome> {
-        let mut batch = self.core.get_mut().lookup_batch_ring(
-            &self.tables,
-            std::slice::from_ref(&key),
-            BASE_OP_OVERHEAD,
-        )?;
+        let mut batch = self.lookup_batch_ring(std::slice::from_ref(&key), BASE_OP_OVERHEAD)?;
         Ok(batch.outcomes.pop().expect("one outcome per key"))
     }
 
     /// Probes `key` against DRAM state only — buffer, delete list and Bloom
-    /// filters — through `&self`, without mutating anything. Blocks on the
-    /// table's state lock if a writer holds it; the lock-free variant is
-    /// [`try_probe_memory`](Self::try_probe_memory).
+    /// filters — through `&self`, without mutating anything.
     ///
     /// Returns [`MemoryProbe::Resolved`] when the verdict is decidable from
     /// memory alone (buffer hit, delete shadow, or no live candidate
@@ -921,42 +752,7 @@ impl<D: Device> Clam<D> {
     /// trigger LRU re-insertion never resolve here because re-insertion
     /// only follows a flash hit.
     pub fn probe_memory(&self, key: Key, dispatch: SimDuration) -> MemoryProbe {
-        let t = self.table_of(key);
-        self.tables.with(t, |table| self.probe_memory_in(table, key, dispatch))
-    }
-
-    /// Seqlock-validated variant of [`probe_memory`](Self::probe_memory):
-    /// returns `None` instead of a verdict when a writer's
-    /// logical op on the key's table is in progress (the table epoch is
-    /// odd) or completed while the probe ran (the epoch moved) — the
-    /// caller must retry or fall back to a locked path. One state-lock
-    /// critical section; never blocks on a whole-op lock.
-    pub fn try_probe_memory(&self, key: Key, dispatch: SimDuration) -> Option<MemoryProbe> {
-        let t = self.table_of(key);
-        let before = self.tables.epoch_of(t);
-        if before & 1 == 1 {
-            return None;
-        }
-        let probe = self.tables.with(t, |table| self.probe_memory_in(table, key, dispatch));
-        if self.tables.epoch_of(t) != before {
-            return None;
-        }
-        Some(probe)
-    }
-
-    /// Returns `true` while a writer's logical op on `key`'s
-    /// table is in progress (the table's seqlock epoch is odd). The
-    /// `clamd` engine's idle-shard bypass consults this so a bypassed
-    /// scalar LOOKUP never races a table-local writer's half-applied
-    /// mutation.
-    pub fn table_writer_active(&self, key: Key) -> bool {
-        self.tables.epoch_of(self.table_of(key)) & 1 == 1
-    }
-
-    /// The memory-probe verdict for `key` against one table's state;
-    /// shared by [`probe_memory`](Self::probe_memory) and
-    /// [`try_probe_memory`](Self::try_probe_memory).
-    fn probe_memory_in(&self, table: &SuperTable, key: Key, dispatch: SimDuration) -> MemoryProbe {
+        let table = &self.tables[self.table_of(key)];
         let filter_words = table.filter_words_per_query();
         let latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + filter_words);
         if let Some(found) = table.memory_lookup(key) {
@@ -990,10 +786,13 @@ impl<D: Device> Clam<D> {
     }
 
     /// Deletes `key` (lazily: flash copies are shadowed by the delete list
-    /// and reclaimed at eviction time). The same call as
-    /// [`fine_delete`](Self::fine_delete).
+    /// and reclaimed at eviction time). Deletes never touch flash.
     pub fn delete(&mut self, key: Key) -> Result<SimDuration> {
-        self.fine_delete(key)
+        let t = self.table_of(key);
+        let latency = BASE_OP_OVERHEAD + self.mem_words_cost(BUFFER_PROBE_WORDS + 2);
+        self.tables[t].delete(key);
+        self.stats.deletes.record(latency);
+        Ok(latency)
     }
 
     /// Flushes every non-empty buffer to flash (e.g. before a bulk merge or
@@ -1005,13 +804,36 @@ impl<D: Device> Clam<D> {
     /// the ring's lanes), so a whole-index flush costs the makespan of the
     /// ring schedule rather than the sum of blocking per-table writes.
     pub fn flush_all(&mut self) -> Result<SimDuration> {
-        self.core.get_mut().flush_all(&self.tables)
+        let mut total = SimDuration::ZERO;
+        let was_coalescing = self.coalesce_writes;
+        self.coalesce_writes = true;
+        let mut failure = None;
+        for t in 0..self.tables.len() {
+            if self.tables[t].buffer_len() > 0 {
+                match self.flush_table(t, 0) {
+                    Ok(flush) => total += flush.latency,
+                    Err(e) => {
+                        failure = Some(e);
+                        break;
+                    }
+                }
+            }
+        }
+        // Drain even on failure so the device matches the in-memory
+        // incarnation metadata registered so far.
+        self.coalesce_writes = was_coalescing;
+        let drained = self.drain_write_ring();
+        if let Some(e) = failure {
+            return Err(e);
+        }
+        total += drained?;
+        Ok(total)
     }
 
     /// Declares `idle` simulated time during which the device may perform
     /// background work (SSD garbage collection).
     pub fn idle(&mut self, idle: SimDuration) {
-        self.core.get_mut().device.on_idle(idle);
+        self.device.on_idle(idle);
     }
 }
 
@@ -1020,17 +842,6 @@ pub fn table_of(key: Key, tables: usize) -> usize {
     (hash_with_seed(key, 0x7a_b1e5) % tables as u64) as usize
 }
 
-impl<D: Device> ClamCore<D> {
-    /// Super table responsible for `key`.
-    fn table_of(&self, key: Key) -> usize {
-        table_of(key, self.num_tables)
-    }
-
-    /// Cost of touching `words` 64-bit words of DRAM.
-    fn mem_words_cost(&self, words: usize) -> SimDuration {
-        WORD_COST * words as u64 + self.mem_cost.cost(words * 8)
-    }
-}
 /// How many page reads one lookup batch keeps in flight on a ring of
 /// `lanes` lanes. Four requests a lane keep every lane fed between reaps
 /// (the floor of 16 does the same for the real backends' worker pools on

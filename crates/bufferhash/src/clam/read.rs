@@ -3,21 +3,16 @@
 
 use super::*;
 
-impl<D: Device> ClamCore<D> {
+impl<D: Device> Clam<D> {
     /// Buffer and delete-list checks plus probe planning: resolves every
     /// key it can from memory (recording its stats) and returns a probe
     /// state machine for each key that must touch flash.
-    fn plan_lookups(
-        &mut self,
-        tables: &TableSet,
-        keys: &[Key],
-        dispatch: SimDuration,
-    ) -> LookupPlan {
+    fn plan_lookups(&mut self, keys: &[Key], dispatch: SimDuration) -> LookupPlan {
         // Input positions grouped by super table, each table's keys in
         // input order: one hash per key.
         let positions: Vec<usize> = (0..keys.len()).collect();
         let (order, starts) =
-            group_stable(&positions, self.num_tables, |&slot| self.table_of(keys[slot]));
+            group_stable(&positions, self.tables.len(), |&slot| self.table_of(keys[slot]));
         let mut plan = LookupPlan {
             out: vec![None; keys.len()],
             pending: Vec::new(),
@@ -30,18 +25,17 @@ impl<D: Device> ClamCore<D> {
                 t += 1;
             }
             let key = keys[slot];
-            let (filter_words, found_in_memory, candidates) = tables.with(t, |table| {
-                let found = table.memory_lookup(key);
-                // Candidate incarnations, youngest first, guided by the
-                // Bloom filters (only needed when memory has no verdict).
-                let candidates = if found.is_none() {
-                    table.candidate_incarnations(key)
-                } else {
-                    AgeSet::default()
-                };
-                (table.filter_words_per_query(), found, candidates)
-            });
-            let latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + filter_words);
+            let table = &self.tables[t];
+            let found_in_memory = table.memory_lookup(key);
+            // Candidate incarnations, youngest first, guided by the Bloom
+            // filters (only needed when memory has no verdict).
+            let candidates = if found_in_memory.is_none() {
+                table.candidate_incarnations(key)
+            } else {
+                AgeSet::default()
+            };
+            let latency =
+                dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + table.filter_words_per_query());
             plan.host_time += latency;
             if let Some(found) = found_in_memory {
                 let source =
@@ -69,7 +63,7 @@ impl<D: Device> ClamCore<D> {
                 page_idx: 0,
                 hops_left: 0,
             };
-            if self.advance_probe(tables, &mut state) {
+            if self.advance_probe(&mut state) {
                 plan.pending.push(state);
             } else {
                 plan.out[slot] = Some(self.resolve_probe(state, None, &mut plan.reinserts));
@@ -90,7 +84,6 @@ impl<D: Device> ClamCore<D> {
     /// re-insertions) otherwise.
     fn step_probe(
         &mut self,
-        tables: &TableSet,
         mut state: ProbeState,
         page: &[u8],
         offset: u64,
@@ -107,7 +100,7 @@ impl<D: Device> ClamCore<D> {
             }
             PageLookup::Absent => {
                 self.stats.spurious_flash_reads += 1;
-                if self.advance_probe(tables, &mut state) {
+                if self.advance_probe(&mut state) {
                     let next = self.probe_offset(&state);
                     Ok(Some((state, next)))
                 } else {
@@ -124,7 +117,7 @@ impl<D: Device> ClamCore<D> {
                 } else {
                     // Exhausted the overflow chain without a verdict.
                     self.stats.spurious_flash_reads += 1;
-                    if self.advance_probe(tables, &mut state) {
+                    if self.advance_probe(&mut state) {
                         let next = self.probe_offset(&state);
                         Ok(Some((state, next)))
                     } else {
@@ -141,7 +134,6 @@ impl<D: Device> ClamCore<D> {
     /// each key (full for per-op calls, amortized for batched ones).
     pub(super) fn lookup_batch_ring(
         &mut self,
-        tables: &TableSet,
         keys: &[Key],
         dispatch: SimDuration,
     ) -> Result<BatchLookupOutcome> {
@@ -151,7 +143,7 @@ impl<D: Device> ClamCore<D> {
         }
         let page_size = self.layout.page_size;
         let LookupPlan { mut out, pending, mut reinserts, host_time } =
-            self.plan_lookups(tables, keys, dispatch);
+            self.plan_lookups(keys, dispatch);
 
         if !pending.is_empty() {
             // The probes run on the call's *shared* ring: LRU re-insertion
@@ -224,14 +216,8 @@ impl<D: Device> ClamCore<D> {
                         }
                     };
                     state.latency += completion.latency;
-                    let next = match self.step_probe(
-                        tables,
-                        state,
-                        &page,
-                        offset,
-                        &mut out,
-                        &mut reinserts,
-                    ) {
+                    let next = match self.step_probe(state, &page, offset, &mut out, &mut reinserts)
+                    {
                         Ok(Some(rearmed)) => Some(rearmed),
                         Ok(None) => waiting.next().map(|state| {
                             let first = self.probe_offset(&state);
@@ -283,7 +269,7 @@ impl<D: Device> ClamCore<D> {
         //    re-insertion flushes admit into the same ring as the probes
         //    (see above); `apply_reinserts` closes the ring when it has
         //    work, and a reinsert-free call closes it right after.
-        self.apply_reinserts(tables, reinserts)?;
+        self.apply_reinserts(reinserts)?;
         self.finish_ring()?;
 
         batch.latency = host_time + batch.probe_latency;
@@ -296,10 +282,10 @@ impl<D: Device> ClamCore<D> {
     /// Advances a probe to its next live candidate incarnation, resetting
     /// the page-chain cursor; returns `false` when the candidate list is
     /// exhausted (the key cannot be on flash).
-    fn advance_probe(&self, tables: &TableSet, state: &mut ProbeState) -> bool {
+    fn advance_probe(&self, state: &mut ProbeState) -> bool {
         let layout = self.layout;
         for age in state.candidates.by_ref() {
-            if let Some(meta) = tables.with(state.table, |table| table.incarnation_at(age)) {
+            if let Some(meta) = self.tables[state.table].incarnation_at(age) {
                 state.meta = Some(meta);
                 state.page_idx = layout.page_of_key(state.key);
                 state.hops_left = layout.num_pages;

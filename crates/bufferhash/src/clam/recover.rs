@@ -2,9 +2,9 @@
 
 use super::*;
 
-impl<D: Device> ClamCore<D> {
+impl<D: Device> Clam<D> {
     /// The recovery scan behind [`Clam::recover`]; see its documentation.
-    pub(super) fn recover_scan(&mut self, tables: &TableSet) -> Result<RecoveryReport> {
+    pub(super) fn recover_scan(&mut self) -> Result<RecoveryReport> {
         let layout = self.layout;
         let slot_size = self.allocator.slot_size();
         let num_slots = self.allocator.num_slots();
@@ -57,7 +57,7 @@ impl<D: Device> ClamCore<D> {
                     torn_slots.push(slot as u64);
                 }
                 SlotScan::Valid { identity, entries } => {
-                    if (identity.table as usize) < self.num_tables {
+                    if (identity.table as usize) < self.tables.len() {
                         valid.push((slot as u64, identity, entries));
                     } else {
                         // An identity naming a table this configuration
@@ -75,16 +75,16 @@ impl<D: Device> ClamCore<D> {
         valid.sort_by_key(|v| std::cmp::Reverse((v.1.epoch, v.1.seq)));
         let mut stale = 0usize;
         let mut kept: Vec<Vec<(u64, IncarnationIdentity, Vec<Entry>)>> =
-            (0..self.num_tables).map(|_| Vec::new()).collect();
+            (0..self.tables.len()).map(|_| Vec::new()).collect();
         let mut seen_seqs: Vec<HashSet<u64>> =
-            (0..self.num_tables).map(|_| HashSet::new()).collect();
+            (0..self.tables.len()).map(|_| HashSet::new()).collect();
         for (slot, identity, entries) in valid {
             let t = identity.table as usize;
             if !seen_seqs[t].insert(identity.seq) {
                 stale += 1;
                 continue;
             }
-            if kept[t].len() >= tables.with(t, |table| table.max_incarnations()) {
+            if kept[t].len() >= self.tables[t].max_incarnations() {
                 stale += 1;
                 continue;
             }
@@ -100,16 +100,14 @@ impl<D: Device> ClamCore<D> {
             // as steady-state flushes build them.
             for (slot, identity, entries) in list.iter().rev() {
                 let keys: Vec<Key> = entries.iter().map(|e| e.key).collect();
-                tables.with(t, |table| {
-                    table.register_incarnation(
-                        IncarnationMeta {
-                            flash_offset: slot * slot_size,
-                            entries: entries.len(),
-                            seq: identity.seq,
-                        },
-                        &keys,
-                    )
-                });
+                self.tables[t].register_incarnation(
+                    IncarnationMeta {
+                        flash_offset: slot * slot_size,
+                        entries: entries.len(),
+                        seq: identity.seq,
+                    },
+                    &keys,
+                );
                 owners.push((*slot, SlotOwner { table: t, seq: identity.seq }));
                 accepted += 1;
                 entries_recovered += entries.len();

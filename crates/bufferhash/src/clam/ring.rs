@@ -3,7 +3,7 @@
 
 use super::*;
 
-impl<D: Device> ClamCore<D> {
+impl<D: Device> Clam<D> {
     // ------------------------------------------------------------------
     // The call's shared completion ring
     // ------------------------------------------------------------------

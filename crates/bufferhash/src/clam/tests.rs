@@ -41,8 +41,8 @@ fn recover_rebuilds_state_from_flash_alone() {
     clam.flush_all().unwrap();
     let flushes = clam.stats().flushes;
     let old_epoch = clam.epoch();
-    let old_seq = clam.core.get_mut().seq;
-    let live = clam.core.get_mut().allocator.live_slots();
+    let old_seq = clam.seq;
+    let live = clam.allocator.live_slots();
     let config = clam.config().clone();
 
     // Lose every byte of DRAM; recover from the flash image alone.

@@ -15,10 +15,10 @@
 //! allocator reports those owners so the CLAM can do so before the write.
 //!
 //! The allocator is shared by every super table of a stripe and does not
-//! synchronize itself: it lives inside `Clam`'s core mutex, and each flush
-//! chain holds that mutex from slot grant through ring admission — grant
-//! order *is* admission order, the invariant the fine-grained per-table
-//! write path relies on (see DESIGN.md "Per-table write locks").
+//! synchronize itself: it is a plain field of `Clam`, and a flush chain
+//! runs on one `&mut Clam` from slot grant through ring admission — grant
+//! order *is* admission order, the invariant the acknowledgment point
+//! relies on (see DESIGN.md "Crash consistency").
 
 use serde::{Deserialize, Serialize};
 

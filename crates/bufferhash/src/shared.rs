@@ -32,32 +32,25 @@
 //!
 //! ## Locks
 //!
-//! DESIGN.md "Lock hierarchy" has the whole order; this module owns its
-//! top. The stripe lock is a [`parking_lot::RwLock`] guarded by a
-//! seqlock-style **write epoch**.
+//! One [`parking_lot::RwLock`] per stripe, and nothing under it: a
+//! [`Clam`] takes no locks of its own (DESIGN.md "Locks" has the
+//! measurement that settled this).
 //!
-//! * **Writes** (inserts, deletes, insert batches) hold the stripe's
-//!   *read* lock for the whole logical op and serialize per super table
-//!   inside the [`Clam`] ([`Clam::fine_insert`],
-//!   [`Clam::fine_insert_batch`], [`Clam::fine_delete`]): two writers
-//!   whose keys land on different tables of one stripe commit in
-//!   parallel, coordinated only through the short core critical section
-//!   that orders allocator grants and ring admissions. The write epoch
-//!   stays even while they run.
-//! * **Lookups** take a lock-free-style fast path first: load the epoch
-//!   (odd means an exclusive section is pending — fall back), `try_read`
-//!   the stripe (contended — fall back), probe DRAM state only
-//!   ([`Clam::try_probe_memory`], validated against the key's *per-table*
-//!   seqlock epoch, so a fast read conflicts exactly with writers on its
-//!   own table), then re-validate the write epoch (changed — discard and
-//!   fall back). Fast-path statistics land in a side ledger merged into
-//!   [`SharedClam::stats`].
-//! * **Exclusive sections** — lookups whose verdict needs flash, every
-//!   fallback, [`SharedClam::with`], `flush_all` — bump the write epoch
-//!   odd, take the stripe's *write* lock (which drains all writers
-//!   first), and bump the epoch even again after.
+//! * **Exclusive** — every mutation (inserts, deletes, insert batches,
+//!   `flush_all`, [`SharedClam::with`]) and every lookup whose verdict
+//!   needs flash takes the stripe's *write* lock for the whole call.
+//! * **Shared** — a memory probe ([`SharedClam::try_fast_lookup`], the
+//!   fast pass of [`SharedClam::lookup_batch`]) is `try_read` →
+//!   [`Clam::probe_memory`] → done. The guard is held across the whole
+//!   probe, so a reader can never observe a half-applied write; `try_read`
+//!   failing means a writer holds or awaits the stripe, and the reader
+//!   falls back to the exclusive path, counting one
+//!   [`ClamStats::fast_read_conflicts`].
+//!
+//! Fast-path reads record their statistics in a side ledger (a leaf
+//! mutex, taken with no other lock held) merged into
+//! [`SharedClam::stats`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -79,14 +72,11 @@ pub struct SharedClam<D: Device> {
     inner: Arc<SharedInner<D>>,
 }
 
-/// Shared state behind one stripe: the CLAM under a reader-writer lock,
-/// the seqlock-style write epoch (odd while an exclusive section is
-/// pending or active), and the side ledger where fast-path reads record
-/// their statistics (they cannot touch the CLAM's own ledger, which sits
-/// behind the write lock).
+/// Shared state behind one stripe: the CLAM under its reader-writer lock,
+/// and the side ledger where fast-path reads record their statistics
+/// (they hold the lock shared, so they cannot touch the CLAM's own ledger).
 struct SharedInner<D: Device> {
     clam: RwLock<Clam<D>>,
-    write_epoch: AtomicU64,
     fast_ledger: Mutex<ClamStats>,
 }
 
@@ -102,7 +92,6 @@ impl<D: Device> SharedClam<D> {
         SharedClam {
             inner: Arc::new(SharedInner {
                 clam: RwLock::new(clam),
-                write_epoch: AtomicU64::new(0),
                 fast_ledger: Mutex::new(ClamStats::new()),
             }),
         }
@@ -116,96 +105,58 @@ impl<D: Device> SharedClam<D> {
         Ok((SharedClam::new(clam), report))
     }
 
-    /// Runs `f` under the exclusive write lock, bracketing it with the
-    /// seqlock protocol: the epoch goes odd before the lock is requested
-    /// (so fast readers yield immediately instead of racing `try_read`
-    /// against a blocked writer) and even again after the guard drops.
-    fn with_write<R>(&self, f: impl FnOnce(&mut Clam<D>) -> R) -> R {
-        self.inner.write_epoch.fetch_add(1, Ordering::SeqCst);
-        let result = {
-            let mut guard = self.inner.clam.write();
-            f(&mut guard)
-        };
-        self.inner.write_epoch.fetch_add(1, Ordering::SeqCst);
-        result
+    /// Runs `f` with exclusive access to the underlying CLAM: the stripe's
+    /// write lock, held for the whole of `f`. Every mutation and every
+    /// flash-probing lookup of this handle goes through here.
+    pub fn with<R>(&self, f: impl FnOnce(&mut Clam<D>) -> R) -> R {
+        f(&mut self.inner.clam.write())
     }
 
-    /// Counts one lost fast-path race in the side ledger.
+    /// Counts one fast read that found a writer on the stripe.
     fn note_conflict(&self) {
         self.inner.fast_ledger.lock().fast_read_conflicts += 1;
     }
 
-    /// Attempts to resolve `key` on the read fast path: no write lock, no
-    /// queue, memory state only. Returns `None` — with the locked pipeline
-    /// as the caller's fallback — when the key needs a flash probe, or
-    /// when the epoch/`try_read` race is lost to a writer (counted in
-    /// [`ClamStats::fast_read_conflicts`]).
+    /// Attempts to resolve `key` on the read fast path: the stripe lock
+    /// shared and never waited for, memory state only. Returns `None` — with
+    /// the exclusive pipeline as the caller's fallback — when the key
+    /// needs a flash probe, or when a writer holds or awaits the stripe
+    /// (counted in [`ClamStats::fast_read_conflicts`]).
     pub fn try_fast_lookup(&self, key: Key) -> Option<LookupOutcome> {
-        let outcome = self.fast_probe(key, crate::clam::BASE_OP_OVERHEAD)?;
-        let mut ledger = self.inner.fast_ledger.lock();
-        record_fast_outcome(&mut ledger, &outcome, false);
+        let probe = match self.inner.clam.try_read() {
+            Some(clam) => clam.probe_memory(key, crate::clam::BASE_OP_OVERHEAD),
+            None => {
+                self.note_conflict();
+                return None;
+            }
+        };
+        let MemoryProbe::Resolved(outcome) = probe else {
+            return None;
+        };
+        record_fast_outcome(&mut self.inner.fast_ledger.lock(), &outcome, false);
         Some(outcome)
     }
 
-    /// The epoch-validated memory probe shared by the scalar and batched
-    /// fast paths. Returns the would-be outcome without recording any
-    /// statistics.
-    fn fast_probe(&self, key: Key, dispatch: SimDuration) -> Option<LookupOutcome> {
-        let before = self.inner.write_epoch.load(Ordering::SeqCst);
-        if before % 2 == 1 {
-            self.note_conflict();
-            return None;
-        }
-        let probe = {
-            let Some(guard) = self.inner.clam.try_read() else {
-                self.note_conflict();
-                return None;
-            };
-            // Per-table seqlock validation: a writer on the key's table
-            // (which holds the *read* lock, so `try_read` cannot see it)
-            // makes the probe return `None`.
-            let Some(probe) = guard.try_probe_memory(key, dispatch) else {
-                self.note_conflict();
-                return None;
-            };
-            probe
-        };
-        let outcome = match probe {
-            MemoryProbe::Resolved(outcome) => outcome,
-            MemoryProbe::NeedsFlash => return None,
-        };
-        if self.inner.write_epoch.load(Ordering::SeqCst) != before {
-            self.note_conflict();
-            return None;
-        }
-        Some(outcome)
-    }
-
-    /// Inserts (or updates) a key: holds the stripe's shared (read) lock
-    /// and serializes only on the key's super-table op lock
-    /// ([`Clam::fine_insert`]), so inserts landing on different tables of
-    /// this stripe commit in parallel.
+    /// Inserts (or updates) a key under the stripe's exclusive lock.
     pub fn insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
-        self.inner.clam.read().fine_insert(key, value)
+        self.with(|c| c.insert(key, value))
     }
 
-    /// Looks up a key: the epoch-validated fast path first (see
+    /// Looks up a key: the fast path first (see
     /// [`try_fast_lookup`](Self::try_fast_lookup)), the exclusive pipeline
-    /// when the key needs flash or the race is lost. Outcomes are
+    /// when the key needs flash or a writer is on the stripe. Outcomes are
     /// identical either way.
     pub fn lookup(&self, key: Key) -> Result<LookupOutcome> {
         if let Some(outcome) = self.try_fast_lookup(key) {
             return Ok(outcome);
         }
-        self.with_write(|c| c.lookup(key))
+        self.with(|c| c.lookup(key))
     }
 
-    /// Inserts a batch of key/value pairs using the batched CLAM pipeline
-    /// ([`Clam::fine_insert_batch`]): the stripe lock is held shared and
-    /// the batch's per-super-table groups commit under their table op
-    /// locks, one after another on the caller's thread.
+    /// Inserts a batch of key/value pairs through the batched CLAM
+    /// pipeline ([`Clam::insert_batch`]) under one exclusive acquisition.
     pub fn insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        self.inner.clam.read().fine_insert_batch(ops)
+        self.with(|c| c.insert_batch(ops))
     }
 
     /// Looks up a batch of keys through the streaming ring pipeline,
@@ -221,35 +172,20 @@ impl<D: Device> SharedClam<D> {
     /// would).
     pub fn lookup_batch(&self, keys: &[Key]) -> Result<BatchLookupOutcome> {
         let dispatch = batch_dispatch(keys.len());
-        let mut resolved: Vec<Option<LookupOutcome>> = vec![None; keys.len()];
-        let fast_pass_valid = {
-            let before = self.inner.write_epoch.load(Ordering::SeqCst);
-            if before % 2 == 1 {
-                false
-            } else if let Some(guard) = self.inner.clam.try_read() {
-                for (slot, &key) in keys.iter().enumerate() {
-                    // `None` (a writer is active on the key's table)
-                    // leaves the key unresolved; it joins the
-                    // flash-bound remainder and resolves under the write
-                    // lock, which drains that writer first.
-                    if let Some(MemoryProbe::Resolved(outcome)) =
-                        guard.try_probe_memory(key, dispatch)
-                    {
-                        resolved[slot] = Some(outcome);
-                    }
-                }
-                drop(guard);
-                self.inner.write_epoch.load(Ordering::SeqCst) == before
-            } else {
-                false
-            }
-        };
-        if !fast_pass_valid {
-            // One counted conflict for the whole batch; the entire batch
-            // re-runs under the write lock.
+        let Some(clam) = self.inner.clam.try_read() else {
+            // One counted conflict for the whole batch, which runs under
+            // the write lock.
             self.note_conflict();
-            return self.with_write(|c| c.lookup_batch(keys));
-        }
+            return self.with(|c| c.lookup_batch(keys));
+        };
+        let mut resolved: Vec<Option<LookupOutcome>> = keys
+            .iter()
+            .map(|&key| match clam.probe_memory(key, dispatch) {
+                MemoryProbe::Resolved(outcome) => Some(outcome),
+                MemoryProbe::NeedsFlash => None,
+            })
+            .collect();
+        drop(clam);
         let mut rem_keys = Vec::new();
         let mut rem_pos = Vec::new();
         let mut fast_host_time = SimDuration::ZERO;
@@ -271,7 +207,7 @@ impl<D: Device> SharedClam<D> {
         let mut batch = if rem_keys.is_empty() {
             BatchLookupOutcome::default()
         } else {
-            self.with_write(|c| c.lookup_batch_amortized(&rem_keys, dispatch))?
+            self.with(|c| c.lookup_batch_amortized(&rem_keys, dispatch))?
         };
         let locked_outcomes = std::mem::take(&mut batch.outcomes);
         for (outcome, &pos) in locked_outcomes.into_iter().zip(&rem_pos) {
@@ -282,10 +218,9 @@ impl<D: Device> SharedClam<D> {
         Ok(batch)
     }
 
-    /// Deletes a key: shared stripe lock plus the key's table op lock
-    /// ([`Clam::fine_delete`]).
+    /// Deletes a key under the stripe's exclusive lock.
     pub fn delete(&self, key: Key) -> Result<()> {
-        self.inner.clam.read().fine_delete(key)?;
+        self.with(|c| c.delete(key))?;
         Ok(())
     }
 
@@ -303,13 +238,13 @@ impl<D: Device> SharedClam<D> {
     /// Flushes every non-empty buffer to flash under one lock acquisition
     /// (see [`Clam::flush_all`]). Returns the total simulated latency.
     pub fn flush_all(&self) -> Result<SimDuration> {
-        self.with_write(|c| c.flush_all())
+        self.with(|c| c.flush_all())
     }
 
     /// Declares `idle` simulated time to the underlying device (see
     /// [`Clam::idle`]).
     pub fn idle(&self, idle: SimDuration) {
-        self.with_write(|c| c.idle(idle))
+        self.with(|c| c.idle(idle))
     }
 
     /// Snapshot of the operation statistics: the CLAM's own ledger merged
@@ -317,33 +252,9 @@ impl<D: Device> SharedClam<D> {
     /// latency sample and one read-histogram entry per lookup — hold
     /// regardless of which path served it).
     pub fn stats(&self) -> ClamStats {
-        let mut total = self.inner.clam.read().stats();
+        let mut total = self.inner.clam.read().stats().clone();
         total.merge(&self.inner.fast_ledger.lock());
         total
-    }
-
-    /// Returns `true` while a write may be in flight for `key`'s super
-    /// table: the stripe-global epoch is odd (an exclusive writer is
-    /// pending or active), the stripe is write-locked, or a writer's
-    /// logical op on that table is in progress (its seqlock
-    /// epoch is odd; see [`Clam::table_writer_active`]). The `clamd`
-    /// engine's idle-shard bypass consults this so a bypassed scalar
-    /// LOOKUP never races a half-applied mutation.
-    pub fn table_writer_active(&self, key: Key) -> bool {
-        if self.inner.write_epoch.load(Ordering::SeqCst) % 2 == 1 {
-            return true;
-        }
-        let Some(guard) = self.inner.clam.try_read() else {
-            return true;
-        };
-        guard.table_writer_active(key)
-    }
-
-    /// Runs `f` with exclusive access to the underlying CLAM (e.g. for
-    /// `flush_all` or configuration inspection). Bracketed by the write
-    /// epoch like every other exclusive entry point.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Clam<D>) -> R) -> R {
-        self.with_write(f)
     }
 
     /// Unwraps the sole handle back into the CLAM (for crash-simulation
@@ -638,12 +549,6 @@ impl<D: Device> StripedClam<D> {
     pub fn try_fast_lookup(&self, key: Key) -> Option<LookupOutcome> {
         self.stripe_of(key).try_fast_lookup(key)
     }
-
-    /// Returns `true` while a write may be in flight for `key`'s super
-    /// table on its stripe (see [`SharedClam::table_writer_active`]).
-    pub fn table_writer_active(&self, key: Key) -> bool {
-        self.stripe_of(key).table_writer_active(key)
-    }
 }
 
 #[cfg(test)]
@@ -681,8 +586,6 @@ mod tests {
         }
         assert_eq!(shared.stats().inserts.len(), 20_000);
         assert!(shared.stats().lookup_hits >= 20_000);
-        // Every scalar insert went through its table's op lock.
-        assert_eq!(shared.stats().table_write_acquisitions, 20_000);
     }
 
     #[test]
@@ -753,10 +656,6 @@ mod tests {
         }
         assert_eq!(shared.stats().batched_inserts, 5_000);
         assert_eq!(shared.stats().batched_lookups, 5_000);
-        // A batch takes each table's op lock once, one table at a time.
-        let tables = shared.with(|c| c.num_super_tables()) as u64;
-        assert_eq!(shared.stats().table_write_acquisitions, tables);
-        assert_eq!(shared.stats().table_lock_high_water, 1);
     }
 
     #[test]
@@ -1096,7 +995,7 @@ mod tests {
         let shared = SharedClam::new(clam());
         shared.insert(key(1), 1).unwrap();
         let reader = shared.clone();
-        // While `with` holds the write lock the epoch is odd, so a
+        // While `with` holds the write lock `try_read` fails, so a
         // concurrent fast read must fall back (and count the conflict).
         shared.with(|_| {
             std::thread::scope(|scope| {
@@ -1144,22 +1043,139 @@ mod tests {
         assert_eq!(cs.fast_lookups, 0, "an exclusive section never uses the fast path");
     }
 
+    /// The only concurrency a stripe has left: one writer against readers
+    /// on the shared-lock fast path and the exclusive fallback. Every key
+    /// must behave as an atomic register through buffer drains, incarnation
+    /// registrations, evictions and log wrap-around.
+    ///
+    /// Round `v` writes value `v` to three kinds of key: *registers*,
+    /// rewritten every round (versions must never go backwards); *fresh*
+    /// keys, written once, so their only copy moves from the buffer to an
+    /// incarnation (a reader between the drain and the registration would
+    /// see a miss); and a *tombstone* key, inserted and then deleted (a
+    /// deleted version must never come back). `intent` is stored before
+    /// the round's first call and `done` after its last returns, so a read
+    /// that starts at `done == d` and ends at `intent == i` must observe a
+    /// version in `d..=i`.
     #[test]
-    fn table_writer_active_tracks_exclusive_and_fine_writers() {
-        let shared = SharedClam::new(clam());
-        shared.insert(key(1), 1).unwrap();
-        assert!(!shared.table_writer_active(key(1)), "idle stripe has no writer");
-        // An exclusive section makes every table's writer flag trip
-        // (stripe-global epoch is odd while `with` runs).
-        let probe = shared.clone();
-        shared.with(|_| {
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    assert!(probe.table_writer_active(key(1)));
-                });
-            });
+    fn readers_see_each_key_as_a_register_while_one_writer_flushes_and_wraps() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+        const REGISTERS: u64 = 256;
+        // With the registers, more than two buffers hold: every round
+        // drains each table's buffer at least once on its own.
+        const FRESH: u64 = 2800;
+        // Acknowledged rounds whose fresh keys are read back; four rounds
+        // of keys are a third of what the tables retain.
+        const RECENT: u64 = 3;
+        const TOMBS: u64 = 16;
+        const MIN_ROUNDS: u64 = 40;
+        const MAX_ROUNDS: u64 = 20_000;
+        let fresh = |round: u64, i: u64| key((round << 20) + 1_000 + i);
+        let tomb = |j: u64| key(500 + j);
+
+        let shared = SharedClam::new(tiny_clam());
+        let (intent, done) = (AtomicU64::new(0), AtomicU64::new(0));
+        let stop = AtomicBool::new(false);
+        let progress = [AtomicU64::new(0), AtomicU64::new(0)];
+
+        let reader = |id: usize| {
+            let (shared, intent, done, stop) = (shared.clone(), &intent, &done, &stop);
+            let progress = &progress[id];
+            move || {
+                let mut last = vec![0u64; REGISTERS as usize];
+                // Per tombstone key: newest version seen, and whether it
+                // has since been seen deleted.
+                let mut last_tomb = vec![(0u64, false); TOMBS as usize];
+                let (mut fast, mut exclusive) = (0u64, 0u64);
+                let mut n = id as u64;
+                while !stop.load(SeqCst) {
+                    n += 1;
+                    let pick = n.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20;
+                    let floor = done.load(SeqCst);
+                    // Half the reads go to fresh keys of an acknowledged
+                    // round, the rest to registers and tombstones.
+                    let fresh_round = floor.saturating_sub(pick / 2 % RECENT);
+                    let on_fresh = pick.is_multiple_of(2) && fresh_round > 0;
+                    let i = pick % (REGISTERS + TOMBS);
+                    let k = match (on_fresh, i < REGISTERS) {
+                        (true, _) => fresh(fresh_round, pick % FRESH),
+                        (false, true) => key(i),
+                        (false, false) => tomb(i - REGISTERS),
+                    };
+                    let got = if n.is_multiple_of(2) {
+                        let Some(outcome) = shared.try_fast_lookup(k) else { continue };
+                        fast += 1;
+                        outcome
+                    } else {
+                        exclusive += 1;
+                        shared.lookup(k).unwrap()
+                    };
+                    let ceiling = intent.load(SeqCst);
+                    progress.fetch_add(1, SeqCst);
+                    if on_fresh {
+                        assert_eq!(got.value, Some(fresh_round), "fresh key at {floor}: {got:?}");
+                    } else if i < REGISTERS {
+                        let Some(v) = got.value else {
+                            assert_eq!(floor, 0, "register {i} missing at {floor}: {got:?}");
+                            continue;
+                        };
+                        let seen = &mut last[i as usize];
+                        assert!(v >= *seen, "register {i} went backwards: {v} after {seen}");
+                        assert!(v >= floor, "register {i} reads {v}, {floor} was acknowledged");
+                        assert!(v <= ceiling, "register {i} reads {v}, writer is at {ceiling}");
+                        *seen = v;
+                    } else {
+                        let (seen, deleted) = &mut last_tomb[(i - REGISTERS) as usize];
+                        match got.value {
+                            Some(v) => {
+                                assert!(v <= ceiling, "tombstone {i} reads {v} of {ceiling}");
+                                assert!(v >= *seen, "tombstone {i} went backwards: {v} < {seen}");
+                                assert!(!*deleted || v > *seen, "deleted version {v} came back");
+                                (*seen, *deleted) = (v, false);
+                            }
+                            None => *deleted = *seen > 0,
+                        }
+                    }
+                }
+                (fast, exclusive)
+            }
+        };
+
+        let counts = thread::scope(|scope| {
+            let readers = [scope.spawn(reader(0)), scope.spawn(reader(1))];
+            let mut round = 0u64;
+            while round < MAX_ROUNDS {
+                round += 1;
+                intent.store(round, SeqCst);
+                let ops: Vec<(u64, u64)> = (0..REGISTERS)
+                    .map(key)
+                    .chain((0..FRESH).map(|i| fresh(round, i)))
+                    .map(|k| (k, round))
+                    .collect();
+                let t = tomb(round % TOMBS);
+                shared.insert(t, round).unwrap();
+                for chunk in ops.chunks(64) {
+                    shared.insert_batch(chunk).unwrap();
+                }
+                shared.delete(t).unwrap();
+                if round.is_multiple_of(3) {
+                    shared.flush_all().unwrap();
+                }
+                done.store(round, SeqCst);
+                let read_enough = progress.iter().all(|p| p.load(SeqCst) >= 2_000);
+                if round >= MIN_ROUNDS && read_enough {
+                    break;
+                }
+            }
+            stop.store(true, SeqCst);
+            readers.map(|r| r.join().expect("a reader's register check failed"))
         });
-        assert!(!shared.table_writer_active(key(1)));
+
+        let (stats, trims) = (shared.stats(), shared.with(|c| c.device().stats().trims));
+        assert!(stats.flushes > 64 && trims > 0, "the log must wrap and evict: {stats}");
+        for (fast, exclusive) in counts {
+            assert!(fast > 0 && exclusive > 0, "both read paths must have run: {counts:?}");
+        }
     }
 
     #[test]

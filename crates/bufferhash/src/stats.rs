@@ -99,12 +99,13 @@ pub struct ClamStats {
     /// writes). Merged with `max`; zero when reads and writes never shared
     /// a ring.
     pub mixed_ring_depth_high_water: u64,
-    /// Lookups resolved on the epoch-validated read fast path
-    /// (`SharedClam::try_fast_lookup`) without taking the stripe's write
-    /// lock.
+    /// Lookups resolved on the read fast path
+    /// (`SharedClam::try_fast_lookup`): a memory probe under the stripe
+    /// lock held shared, without taking it exclusive.
     pub fast_lookups: u64,
-    /// Fast-path attempts that lost the epoch/try-read race to a
-    /// concurrent writer and fell back to the locked pipeline.
+    /// Fast-path attempts that found a writer holding or awaiting the
+    /// stripe lock (`try_read` failed) and fell back to the exclusive
+    /// pipeline.
     pub fast_read_conflicts: u64,
     /// Recovery scans performed (`Clam::recover` constructions).
     pub recoveries: u64,
@@ -112,15 +113,13 @@ pub struct ClamStats {
     pub recovered_incarnations: u64,
     /// Slots a recovery scan rejected as torn (checksum/identity failures).
     pub recovery_torn_slots: u64,
-    /// Per-table write-lock (op lock) acquisitions: one per scalar insert
-    /// or delete, one per table an insert batch touches.
+    /// Always zero: the per-table write locks this counted are gone. Kept
+    /// declared, with the two fields below, because
+    /// `benchmark/src/run.rs:492-498` reads all three by name.
     pub table_write_acquisitions: u64,
-    /// Table write-lock acquisitions that found the op lock already held
-    /// (another writer was mid-op on the same table).
+    /// Always zero; see [`table_write_acquisitions`](Self::table_write_acquisitions).
     pub table_write_contended: u64,
-    /// High-water mark of tables of one stripe write-locked at the same
-    /// instant — direct evidence of intra-stripe write concurrency.
-    /// Merged with `max` across stripes.
+    /// Always zero; see [`table_write_acquisitions`](Self::table_write_acquisitions).
     pub table_lock_high_water: u64,
 }
 
@@ -219,9 +218,6 @@ impl ClamStats {
         self.recoveries += other.recoveries;
         self.recovered_incarnations += other.recovered_incarnations;
         self.recovery_torn_slots += other.recovery_torn_slots;
-        self.table_write_acquisitions += other.table_write_acquisitions;
-        self.table_write_contended += other.table_write_contended;
-        self.table_lock_high_water = self.table_lock_high_water.max(other.table_lock_high_water);
     }
 
     /// Fraction of queued lookup probes that overlapped another probe of
@@ -309,15 +305,6 @@ impl fmt::Display for ClamStats {
                 self.recoveries, self.recovered_incarnations, self.recovery_torn_slots
             )?;
         }
-        if self.table_write_acquisitions > 0 {
-            write!(
-                f,
-                " | table locks: {} acquisitions, {} contended, concurrency hwm {}",
-                self.table_write_acquisitions,
-                self.table_write_contended,
-                self.table_lock_high_water
-            )?;
-        }
         Ok(())
     }
 }
@@ -359,27 +346,6 @@ mod tests {
         s.record_cascade(3);
         assert_eq!(s.cascade_histogram[1], 1);
         assert_eq!(s.cascade_histogram[3], 2);
-    }
-
-    #[test]
-    fn table_lock_ledger_merges_and_displays() {
-        let mut a = ClamStats::new();
-        a.table_write_acquisitions = 10;
-        a.table_write_contended = 2;
-        a.table_lock_high_water = 3;
-        let mut b = ClamStats::new();
-        b.table_write_acquisitions = 5;
-        b.table_write_contended = 1;
-        b.table_lock_high_water = 7;
-        a.merge(&b);
-        assert_eq!(a.table_write_acquisitions, 15);
-        assert_eq!(a.table_write_contended, 3);
-        // High-water is a max across stripes, not a sum.
-        assert_eq!(a.table_lock_high_water, 7);
-        let line = a.to_string();
-        assert!(line.contains("table locks: 15 acquisitions, 3 contended, concurrency hwm 7"));
-        // The segment is elided while the fine path has never run.
-        assert!(!ClamStats::new().to_string().contains("table locks"));
     }
 
     #[test]

@@ -6,11 +6,8 @@
 //! I/O is orchestrated by [`crate::clam::Clam`], which keeps this type
 //! purely in-memory and easy to test.
 //!
-//! Nothing here synchronizes: a `SuperTable` assumes its caller serializes
-//! mutations *per table*. `Clam` provides exactly that — each table sits in
-//! a `TableSlot` behind its own op lock and state lock, so writers to
-//! different tables of one stripe run concurrently while this type stays
-//! single-writer (see DESIGN.md "Per-table write locks").
+//! Nothing here synchronizes: a `SuperTable` is a plain field of its
+//! `Clam`, mutated through `&mut` (see DESIGN.md "Locks").
 
 use std::collections::HashSet;
 use std::collections::VecDeque;

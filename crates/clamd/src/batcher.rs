@@ -69,7 +69,7 @@
 //! **Batcher bypass.** A scalar `LOOKUP` whose shard is completely idle
 //! (empty queue, nothing in flight) and has nothing staged from the same
 //! chunk skips the queue entirely and is answered on the store's
-//! epoch-validated read fast path ([`StripedClam::try_fast_lookup`]) —
+//! read fast path ([`StripedClam::try_fast_lookup`]) —
 //! no gather, no ring admission, no linger latency. The idle check is
 //! what makes this safe: any earlier same-key write is in the same
 //! shard, so an idle shard with nothing staged means the write already
@@ -666,18 +666,16 @@ impl<D: Device + 'static> Shared<D> {
     }
 
     /// Answers a scalar lookup on the read fast path iff its shard is
-    /// completely idle **and** no writer is active on the key's super
-    /// table. An idle shard means every earlier write of this key
-    /// (necessarily in this shard) has committed, so skipping the queue
-    /// cannot reorder same-key operations; cross-connection races remain
-    /// as concurrent as they were. The table-writer check closes the
-    /// gap the queue depth alone cannot see since per-super-table write
-    /// locks landed: a writer outside this shard's queue accounting — a
-    /// direct store user embedding the engine, or an exclusive stripe
-    /// section — may hold the key's table op lock mid-mutation, and a
-    /// bypassed probe must not race that half-applied op. Returns
-    /// `None` when the shard is busy, a table writer is active, or the
-    /// store needs the locked/flash path.
+    /// completely idle. An idle shard means every earlier write of this
+    /// key (necessarily in this shard) has committed, so skipping the
+    /// queue cannot reorder same-key operations; cross-connection races
+    /// remain as concurrent as they were. A writer outside this shard's
+    /// queue accounting — a direct store user embedding the engine —
+    /// holds the key's stripe lock exclusive for its whole mutation, so
+    /// the store's `try_read` fails and the lookup takes the queue path:
+    /// one lock per stripe is the whole argument. Returns `None` when the
+    /// shard is busy, a writer holds or awaits the stripe, or the key
+    /// needs flash.
     fn try_bypass(&self, shard_idx: usize, key: Key) -> Option<RespBody> {
         let shard = &self.shards[shard_idx];
         {
@@ -685,9 +683,6 @@ impl<D: Device + 'static> Shared<D> {
             if !queue.is_empty() || shard.inflight.load(Ordering::SeqCst) != 0 {
                 return None;
             }
-        }
-        if self.store.table_writer_active(key) {
-            return None;
         }
         let outcome = self.store.try_fast_lookup(key)?;
         let found = outcome.value.is_some();
@@ -801,9 +796,7 @@ impl<D: Device + 'static> Shared<D> {
 
     /// The merged ledger a STATS request reports: process-wide counters
     /// plus every shard's gather ledger, with a live per-shard depth
-    /// snapshot unless shutdown already captured one. The store's
-    /// table-write-lock ledger is copied in at snapshot time (shard
-    /// ledgers never carry it — the store counts those itself).
+    /// snapshot unless shutdown already captured one.
     fn merged_stats(&self) -> ServerStats {
         let mut merged = self.stats.lock().expect("stats lock").clone();
         for shard in &self.shards {
@@ -812,10 +805,6 @@ impl<D: Device + 'static> Shared<D> {
         if merged.shard_depths.is_empty() {
             merged.shard_depths = self.shards.iter().map(Shard::depth).collect();
         }
-        let store = self.store.stats();
-        merged.table_write_acquisitions = store.table_write_acquisitions;
-        merged.table_write_contended = store.table_write_contended;
-        merged.table_lock_high_water = store.table_lock_high_water;
         merged
     }
 }

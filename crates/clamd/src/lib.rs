@@ -12,7 +12,7 @@
 //!   ring admissions (inserts coalesce into one `insert_batch` flush
 //!   admission per shard, lookups stream through `lookup_batch`),
 //!   independent stripes commit concurrently, idle-shard scalar lookups
-//!   bypass the queue onto the store's epoch-validated read fast path,
+//!   bypass the queue onto the store's read fast path,
 //!   and a response is acknowledged only after its admission's
 //!   completion ring has been reaped;
 //! * [`server`] — the TCP front: per-connection reader/writer threads

@@ -259,7 +259,7 @@ pub struct StatsFields {
     pub delete_admissions: u64,
     /// Connections rejected or dropped on protocol violations.
     pub wire_errors: u64,
-    /// Lookups answered on the lock-free fast path, bypassing the
+    /// Lookups answered on the store's read fast path, bypassing the
     /// batcher queue entirely (v2 field).
     pub bypass_hits: u64,
     /// Number of batcher shards serving the store (v2 field; a gauge,
@@ -268,23 +268,17 @@ pub struct StatsFields {
     /// Requests admitted to shard gathers but not yet completed, summed
     /// across shards (v2 field; a gauge, not a counter).
     pub shard_inflight: u64,
-    /// Per-super-table write-lock acquisitions across the store's
-    /// stripes (v3 field).
-    pub table_write_acquisitions: u64,
-    /// Table write acquisitions that had to wait for another fine-grained
-    /// writer on the same table (v3 field).
-    pub table_write_contended: u64,
-    /// High-water mark of concurrently write-locked super tables within
-    /// any single stripe (v3 field; a gauge, not a counter).
-    pub table_lock_high_water: u64,
 }
 
 impl StatsFields {
-    /// Number of `u64` fields on the wire (protocol minor version 3).
+    /// Number of `u64` words on the wire (protocol minor version 3). The
+    /// frame is positional: words 18–20 carried a per-table write-lock
+    /// ledger that no longer exists and are **reserved** — written as
+    /// zero, ignored on decode — until the frame is next revised.
     pub const COUNT: usize = 21;
 
-    /// Field count written by minor-version-2 servers (before the
-    /// table-write-lock ledger). The count word in the STATS payload
+    /// Word count written by minor-version-2 servers (before the three
+    /// words that are now reserved). The count word in the STATS payload
     /// doubles as the field-vector version: decoders accept
     /// [`Self::V1_COUNT`], [`Self::V2_COUNT`] (zero-filling the newer
     /// fields) or [`Self::COUNT`].
@@ -313,9 +307,10 @@ impl StatsFields {
             self.bypass_hits,
             self.shards,
             self.shard_inflight,
-            self.table_write_acquisitions,
-            self.table_write_contended,
-            self.table_lock_high_water,
+            // Reserved (v3 words 18–20).
+            0,
+            0,
+            0,
         ]
     }
 
@@ -342,9 +337,6 @@ impl StatsFields {
             bypass_hits: at(15),
             shards: at(16),
             shard_inflight: at(17),
-            table_write_acquisitions: at(18),
-            table_write_contended: at(19),
-            table_lock_high_water: at(20),
         }
     }
 
@@ -363,7 +355,6 @@ impl StatsFields {
         fields.batch_high_water = self.batch_high_water;
         fields.shards = self.shards;
         fields.shard_inflight = self.shard_inflight;
-        fields.table_lock_high_water = self.table_lock_high_water;
         fields
     }
 
@@ -799,9 +790,6 @@ mod tests {
                     bypass_hits: 7,
                     shards: 4,
                     shard_inflight: 2,
-                    table_write_acquisitions: 11,
-                    table_write_contended: 1,
-                    table_lock_high_water: 3,
                     ..Default::default()
                 },
                 text: "served: …".to_string(),
@@ -891,9 +879,6 @@ mod tests {
             bypass_hits: 25,
             shards: 4,
             shard_inflight: 3,
-            table_write_acquisitions: 60,
-            table_write_contended: 5,
-            table_lock_high_water: 6,
             ..Default::default()
         };
         let d = late.delta(&early);
@@ -904,9 +889,6 @@ mod tests {
         assert_eq!(d.bypass_hits, 25, "bypass hits diff like any counter");
         assert_eq!(d.shards, 4, "shard count is a gauge: keep the later value");
         assert_eq!(d.shard_inflight, 3, "in-flight depth is a gauge: keep the later value");
-        assert_eq!(d.table_write_acquisitions, 60, "lock acquisitions diff like counters");
-        assert_eq!(d.table_write_contended, 5);
-        assert_eq!(d.table_lock_high_water, 6, "lock hwm is a gauge: keep the later value");
         assert!((d.mean_batch() - 10.0).abs() < 1e-9);
         assert_eq!(StatsFields::default().mean_batch(), 0.0);
     }
@@ -942,8 +924,8 @@ mod tests {
 
     #[test]
     fn stats_decoder_accepts_the_v2_field_count() {
-        // A v2 server writes 18 words; the 3 v3 table-lock fields
-        // zero-fill on decode.
+        // A v2 server writes 18 words; the three reserved v3 words are
+        // simply absent.
         let fields = StatsFields {
             inserts: 4,
             bypass_hits: 6,
@@ -969,8 +951,6 @@ mod tests {
         };
         assert_eq!(got, fields);
         assert_eq!(got_text, text);
-        assert_eq!(got.table_write_acquisitions, 0, "v3 fields zero-fill");
-        assert_eq!(got.table_lock_high_water, 0);
     }
 
     #[test]

@@ -69,22 +69,13 @@ pub struct ServerStats {
     /// Connections closed (cleanly or after an error).
     pub connections_closed: u64,
     /// Scalar lookups answered on the batcher bypass: the shard's linger
-    /// queue was empty and the store's epoch-validated read fast path
+    /// queue was empty and the store's read fast path
     /// resolved the key without a gather or a ring admission.
     pub bypass_hits: u64,
     /// Most recent per-shard in-flight depth snapshot (queued plus
     /// executing requests), refreshed by STATS requests and captured at
     /// shutdown entry. Empty until the first snapshot.
     pub shard_depths: Vec<u64>,
-    /// Per-super-table write-lock acquisitions across the store, from the
-    /// store's table-lock ledger (refreshed by each STATS snapshot).
-    pub table_write_acquisitions: u64,
-    /// Table write acquisitions that found the op lock already held and
-    /// had to wait (fine-grained writer collisions on one table).
-    pub table_write_contended: u64,
-    /// High-water mark of concurrently write-locked super tables within
-    /// any single stripe — ≥ 2 proves intra-stripe write overlap.
-    pub table_lock_high_water: u64,
 }
 
 impl ServerStats {
@@ -153,9 +144,6 @@ impl ServerStats {
         if self.shard_depths.is_empty() {
             self.shard_depths = other.shard_depths.clone();
         }
-        self.table_write_acquisitions += other.table_write_acquisitions;
-        self.table_write_contended += other.table_write_contended;
-        self.table_lock_high_water = self.table_lock_high_water.max(other.table_lock_high_water);
     }
 
     /// The numeric field vector a STATS response carries.
@@ -179,9 +167,6 @@ impl ServerStats {
             bypass_hits: self.bypass_hits,
             shards: self.shard_depths.len() as u64,
             shard_inflight: self.shard_depths.iter().sum(),
-            table_write_acquisitions: self.table_write_acquisitions,
-            table_write_contended: self.table_write_contended,
-            table_lock_high_water: self.table_lock_high_water,
         }
     }
 }
@@ -226,15 +211,6 @@ impl fmt::Display for ServerStats {
         }
         if !self.shard_depths.is_empty() {
             write!(f, " | shard depths: {:?}", self.shard_depths)?;
-        }
-        if self.table_write_acquisitions > 0 {
-            write!(
-                f,
-                " | table locks: {} acquisitions, {} contended, concurrency hwm {}",
-                self.table_write_acquisitions,
-                self.table_write_contended,
-                self.table_lock_high_water
-            )?;
         }
         if self.connections_opened > 0 {
             write!(
@@ -357,33 +333,6 @@ mod tests {
         assert!(text.contains("shard depths: [0, 3]"), "{text}");
         let quiet = ServerStats::new().to_string();
         assert!(!quiet.contains("bypass:") && !quiet.contains("shard depths:"), "{quiet}");
-    }
-
-    #[test]
-    fn table_lock_ledger_absorbs_and_displays() {
-        let mut total = ServerStats::new();
-        total.table_write_acquisitions = 10;
-        total.table_write_contended = 2;
-        total.table_lock_high_water = 3;
-        let mut other = ServerStats::new();
-        other.table_write_acquisitions = 5;
-        other.table_write_contended = 1;
-        other.table_lock_high_water = 7;
-        total.absorb(&other);
-        assert_eq!(total.table_write_acquisitions, 15);
-        assert_eq!(total.table_write_contended, 3);
-        assert_eq!(total.table_lock_high_water, 7, "high water takes the max");
-        let f = total.to_fields();
-        assert_eq!(f.table_write_acquisitions, 15);
-        assert_eq!(f.table_write_contended, 3);
-        assert_eq!(f.table_lock_high_water, 7);
-        let text = total.to_string();
-        assert!(
-            text.contains("table locks: 15 acquisitions, 3 contended, concurrency hwm 7"),
-            "{text}"
-        );
-        let quiet = ServerStats::new().to_string();
-        assert!(!quiet.contains("table locks:"), "{quiet}");
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Sharded group commit, the seqlock read fast path and the per-table
-//! write locks must be invisible except for speed: every outcome a client
+//! Sharded group commit and the read fast path under the one stripe
+//! lock must be invisible except for speed: every outcome a client
 //! (or a store caller) observes has to be the one a small sequential
 //! model of CLAM semantics (`tests/support/clam_model.rs`) gives. Four
 //! angles:
 //!
 //! * store level — the same op sequence through a [`StripedClam`]'s public
-//!   entry points (per-table write locks, seqlock read fast path) and,
+//!   entry points (shared-lock memory probes ahead of the exclusive path) and,
 //!   on a twin, with every call under its stripe's exclusive lock, over
 //!   **all five** flashsim backends: every insert outcome and every
 //!   lookup's value and source against the model, per-key flash reads,
@@ -208,7 +208,7 @@ fn assert_stores_match_the_model<D: Device>(
     let keys: Vec<u64> = (0..192).map(key).collect();
     audit(&model, &keys, "audit");
     // The ledgers are the model's; only the fast store used the
-    // epoch-validated path, and only when writes left it room to.
+    // shared-lock fast path.
     let (fs, ls) = (fast.store.stats(), locked.store.stats());
     let (fio, lio) = (fast.device.with(|d| d.stats()), locked.device.with(|d| d.stats()));
     let (flushes, evictions, forced) = model.ledger();
@@ -224,7 +224,6 @@ fn assert_stores_match_the_model<D: Device>(
     assert_eq!(fs.inserts.len(), ls.inserts.len(), "{label}: insert count");
     assert_eq!(fs.inserts.total(), ls.inserts.total(), "{label}: summed insert latency");
     assert_eq!(fs.deletes.total(), ls.deletes.total(), "{label}: summed delete latency");
-    assert_eq!(fs.table_write_acquisitions, ls.table_write_acquisitions, "{label}: op locks");
     assert_eq!(fio.writes, lio.writes, "{label}: flash writes");
     assert_eq!(fio.bytes_written, lio.bytes_written, "{label}: flash bytes written");
     assert_eq!(fio.erases, lio.erases, "{label}: erases");
@@ -251,7 +250,7 @@ fn assert_stores_match_the_model<D: Device>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The store behind its fast path and per-table locks, and the same
+    /// The store behind its read fast path, and the same
     /// store driven the coarse way, every call under a stripe's exclusive
     /// lock, are both the model's store — per outcome, per value, per
     /// source — and indistinguishable from each other per flash read, on
@@ -508,7 +507,7 @@ fn model_replies(model: &mut StripedModel) -> Vec<Vec<RespBody>> {
     replies
 }
 
-/// A four-shard server over the fast path and the per-table locks answers
+/// A four-shard server over the read fast path answers
 /// every connection with exactly the model's replies — INSERT, LOOKUP,
 /// DELETE, batch frames and FLUSH, through evictions and slot reclaim —
 /// and what a reboot recovers from its flash is what the model says is

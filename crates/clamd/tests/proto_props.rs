@@ -47,9 +47,6 @@ fn build_body(
                 bypass_hits: value.rotate_left(13),
                 shards: u64::from(count % 17),
                 shard_inflight: value.rotate_left(29),
-                table_write_acquisitions: value.rotate_left(37),
-                table_write_contended: value.rotate_left(41),
-                table_lock_high_water: u64::from(count % 31),
                 ..Default::default()
             },
             text,

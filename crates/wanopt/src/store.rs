@@ -102,7 +102,7 @@ impl<D: Device> FingerprintStore for ClamStore<D> {
     }
 
     fn name(&self) -> String {
-        format!("BufferHash CLAM on {}", self.clam.with_device(|d| d.name()))
+        format!("BufferHash CLAM on {}", self.clam.device().name())
     }
 }
 

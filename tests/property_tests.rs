@@ -465,7 +465,7 @@ fn check_against_model<D: Device>(
     let ledger = |stats: &clam::bufferhash::ClamStats| {
         (stats.flushes, stats.forced_evictions, stats.reinsertions)
     };
-    let first = ledger(&clam.stats());
+    let first = ledger(clam.stats());
     let want = (model.flushes, model.forced_evictions, model.reinsertions);
     prop_assert!(first == want, "ledger on {name}: {first:?}, model {want:?}");
     let trims = clam.device().stats().trims;
@@ -479,7 +479,7 @@ fn check_against_model<D: Device>(
     audit(&mut recovered, &model, universe)?;
     // The recovered lifetime's ledger starts from zero; its device's does
     // not.
-    let second = ledger(&recovered.stats());
+    let second = ledger(recovered.stats());
     let got = (first.0 + second.0, first.1 + second.1, first.2 + second.2);
     let want = (model.flushes, model.forced_evictions, model.reinsertions);
     prop_assert!(got == want, "ledger after recovery on {name}: {got:?}, model {want:?}");
