@@ -1,18 +1,19 @@
-//! Queue-depth sweep over the `Device` submission queues.
+//! Queue-depth sweep over the device ring.
 //!
 //! Companion to ROADMAP's "async / io_uring-style device backend", "drive
 //! lookups through the submission queue", "completion ring", "ring-driven
-//! write path" and "crash consistency" items, in five parts:
+//! write path" and "crash consistency" items, in five parts, every one of
+//! them on `Device::submit_nowait` / `reap` — the only way to queue I/O:
 //!
-//! 1. **Real overlapped I/O** — flush-sized writes are submitted to a
-//!    [`flashsim::FileDevice`] at several queue depths. The device spreads
-//!    each batch over its worker pool (positioned I/O on the shared file)
-//!    and the batch completes in max-over-lanes time; the acceptance bar is
-//!    throughput improving monotonically with depth and **>= 2x at depth 8
-//!    vs depth 1**.
+//! 1. **Real overlapped I/O** — flush-sized writes are admitted to a
+//!    [`flashsim::FileDevice`] ring at several queue depths. The device
+//!    spreads them over its worker pool (positioned I/O on the shared
+//!    file) and the ring books the measured per-write times on `depth`
+//!    lanes; the acceptance bar is throughput improving monotonically with
+//!    depth and **>= 2x at depth 8 vs depth 1**.
 //! 2. **Simulated SSD cross-check** — the same sweep against `Ssd` models
 //!    with varying queue depth, compared with the closed-form
-//!    `FlashCostModel::submit_makespan` term.
+//!    `FlashCostModel::submit_makespan` term (exact).
 //! 3. **Queued lookups** — the read path: a miss-heavy `Clam::lookup_batch`
 //!    sweep on the real file backend (the measured per-read latencies
 //!    scheduled on the queue's lanes; acceptance bar **>= 2x lookup
@@ -21,7 +22,7 @@
 //!    pool — all of them while the page cache answers, so the speedup is
 //!    what a device with that queue depth would retire, not host threads
 //!    overlapping), plus an exact cross-check of the simulated SSD against
-//!    `FlashCostModel::lookup_batch_makespan`.
+//!    `FlashCostModel::lookup_ring_makespan`.
 //! 4. **Mixed flush + lookup traffic** — the write path rides the same
 //!    completion ring as the read path: an exact cross-check of the
 //!    simulated SSD against `FlashCostModel::mixed_ring_makespan`
@@ -33,24 +34,22 @@
 //!    depth, and scan throughput must scale with depth (>= 2x at the
 //!    deepest queue vs depth 1).
 //!
-//! The parts that raced this path against its predecessors (stripe
-//! dispatch against a serial loop, the ring against barrier waves and
-//! blocking writes, per-table locks against a stripe-global lock) went
-//! with those predecessors; their last numbers are in git history and
-//! the trajectory since in `BENCH_pr13/14/18/19.json`.
+//! The parts that raced this path against its predecessors went with them
+//! (PR 20), blocking `Device::submit` itself with PR 23; their last numbers
+//! are in git history and `BENCH_pr13/14/18/19.json`.
 //!
 //! `--smoke` runs a reduced sweep for CI.
 
 use bench::{ms, print_header, print_row, workload_key};
 use bufferhash::analysis::FlashCostModel;
 use bufferhash::{Clam, ClamConfig, EvictionPolicy, FilterMode, FlashLayoutMode};
-use flashsim::queue::batch_latency;
 use flashsim::{
-    Device, DeviceProfile, FileDevice, IoRequest, IoStats, QueueCapabilities, SimDuration, Ssd,
+    CompletionRing, Device, DeviceProfile, FileDevice, IoRequest, IoStats, QueueCapabilities,
+    RingRequest, SimDuration, Ssd,
 };
 
 struct Scale {
-    /// Write requests per submission (one per coalesced flush run).
+    /// Write requests per admission (one per coalesced flush run).
     requests: usize,
     /// Bytes per write request (one incarnation-sized flush run).
     request_bytes: usize,
@@ -94,6 +93,43 @@ fn flush_batch(scale: &Scale) -> Vec<IoRequest> {
         .collect()
 }
 
+/// Admits `requests` to a fresh ring on `device` in one call, drains it
+/// (every request must succeed) and returns the ring's makespan: the
+/// elapsed time of the stream on the device's queue lanes.
+fn ring_makespan<D: Device>(device: &mut D, requests: Vec<IoRequest>) -> SimDuration {
+    let mut ring = CompletionRing::for_queue(device.queue());
+    let requests = requests.into_iter().map(RingRequest::new).collect();
+    device.submit_nowait(requests, &mut ring).expect("submit_nowait");
+    while ring.in_flight() > 0 {
+        for completion in device.reap(&mut ring, 1).expect("reap") {
+            completion.result.expect("queued I/O failed");
+        }
+    }
+    ring.makespan()
+}
+
+/// The table of an exact simulator-vs-model cross-check: one row per depth,
+/// speedups against the first row.
+struct ModelTable {
+    base: Option<SimDuration>,
+}
+
+impl ModelTable {
+    const WIDTHS: [usize; 4] = [8, 16, 16, 10];
+
+    fn new() -> Self {
+        print_header(&["depth", "measured (ms)", "model (ms)", "speedup"], &Self::WIDTHS);
+        ModelTable { base: None }
+    }
+
+    fn row(&mut self, depth: usize, measured: SimDuration, model: SimDuration) {
+        let base = *self.base.get_or_insert(measured);
+        let speedup = base.as_nanos() as f64 / measured.as_nanos().max(1) as f64;
+        let cells = [format!("{depth}"), ms(measured), ms(model), format!("{speedup:.2}x")];
+        print_row(&cells, &Self::WIDTHS);
+    }
+}
+
 fn mb_per_sec(bytes: usize, elapsed: SimDuration) -> f64 {
     bytes as f64 / (1 << 20) as f64 / elapsed.as_secs_f64().max(1e-12)
 }
@@ -115,7 +151,7 @@ fn file_device_sweep(scale: &Scale) -> bool {
     let capacity = (scale.requests * scale.request_bytes) as u64;
     let path = std::env::temp_dir().join(format!("clam-io-queue-depth-{}", std::process::id()));
     println!(
-        "[1/5] FileDevice: {} flush writes x {} KiB per submission, best of {} trials",
+        "[1/5] FileDevice: {} flush writes x {} KiB per ring admission, best of {} trials",
         scale.requests,
         scale.request_bytes >> 10,
         scale.trials
@@ -126,12 +162,12 @@ fn file_device_sweep(scale: &Scale) -> bool {
         &widths,
     );
 
-    // "elapsed" is the queue's completion latency (max over lanes of
-    // measured per-request times — the issue-prescribed accounting, which
-    // the PASS bar gates on); "wall" is the host wall clock around the
-    // whole submission, shown for transparency (on hosts with fewer cores
-    // than the queue depth the pool is capped and wall time cannot shrink
-    // with depth, which is exactly why the queue model exists).
+    // "elapsed" is the ring's makespan (the measured per-request times
+    // booked on `depth` queue lanes — the accounting the PASS bar gates
+    // on); "wall" is the host wall clock from admission to the last reap,
+    // shown for transparency (on hosts with fewer cores than the queue
+    // depth the pool is capped and wall time cannot shrink with depth,
+    // which is exactly why the queue model exists).
     let mut throughputs: Vec<f64> = Vec::new();
     let mut base = 0.0f64;
     for &depth in scale.depths {
@@ -140,12 +176,11 @@ fn file_device_sweep(scale: &Scale) -> bool {
         let mut last_stats = String::new();
         for _ in 0..scale.trials {
             let mut dev = FileDevice::with_queue_depth(&path, capacity, depth).expect("file dev");
-            let mut requests = flush_batch(scale);
+            let requests = flush_batch(scale);
             let wall_start = std::time::Instant::now();
-            let completions = dev.submit(&mut requests).expect("submit");
+            let elapsed = ring_makespan(&mut dev, requests);
             let wall = wall_start.elapsed().as_secs_f64() * 1e3;
-            assert!(completions.iter().all(|c| c.result.is_ok()), "file I/O failed");
-            best = best.min(batch_latency(&completions));
+            best = best.min(elapsed);
             best_wall = best_wall.min(wall);
             let s = dev.stats();
             last_stats = format!("{}/{}", s.requests_overlapped, s.requests_submitted);
@@ -197,20 +232,17 @@ fn file_device_sweep(scale: &Scale) -> bool {
 /// Part 2: simulated SSD sweep against the closed-form queue model.
 fn simulated_sweep(scale: &Scale) {
     const PAGES: usize = 64;
-    println!("[2/5] Simulated Intel-class SSD: {PAGES} page writes per submission vs model");
-    let widths = [8, 16, 16, 10];
-    print_header(&["depth", "measured (ms)", "model (ms)", "speedup"], &widths);
-    let mut base = SimDuration::ZERO;
+    println!("[2/5] Simulated Intel-class SSD: {PAGES} page writes per ring admission vs model");
+    let mut table = ModelTable::new();
     for &depth in scale.depths {
         let profile = DeviceProfile {
             queue: QueueCapabilities::overlapped(depth),
             ..DeviceProfile::intel_x18m()
         };
         let mut ssd = Ssd::with_profile(16 << 20, profile.clone()).expect("ssd");
-        let mut requests: Vec<IoRequest> =
+        let requests =
             (0..PAGES).map(|i| IoRequest::write((i * 4096) as u64, vec![7u8; 4096])).collect();
-        let completions = ssd.submit(&mut requests).expect("submit");
-        let measured = batch_latency(&completions);
+        let measured = ring_makespan(&mut ssd, requests);
         let model = FlashCostModel::from_profile(&profile).submit_makespan(
             PAGES,
             profile.write_cost.cost(4096),
@@ -220,26 +252,15 @@ fn simulated_sweep(scale: &Scale) {
             measured, model,
             "simulator and closed-form queue model must agree at depth {depth}"
         );
-        if depth == scale.depths[0] {
-            base = measured;
-        }
-        print_row(
-            &[
-                format!("{depth}"),
-                ms(measured),
-                ms(model),
-                format!("{:.2}x", base.as_nanos() as f64 / measured.as_nanos().max(1) as f64),
-            ],
-            &widths,
-        );
+        table.row(depth, measured, model);
     }
     println!("simulator == closed-form model at every depth\n");
 }
 
 /// A single-super-table CLAM with `rounds` incarnations of a few entries
 /// each and Bloom filters disabled: every miss probes every incarnation,
-/// one page per wave, with no overflow chains — a deterministic probe
-/// pattern for the exact model cross-check.
+/// one page each, with no overflow chains — a deterministic probe pattern
+/// for the exact model cross-check.
 fn deterministic_probe_clam<D: Device>(device: D, rounds: usize) -> Clam<D> {
     let cfg = ClamConfig {
         flash_capacity: 8 << 20,
@@ -274,9 +295,7 @@ fn queued_lookup_sweep(scale: &Scale) -> bool {
     println!(
         "[3/5] Queued lookups: {KEYS} misses x {ROUNDS} probes each on the simulated SSD vs model"
     );
-    let widths = [8, 16, 16, 10];
-    print_header(&["depth", "measured (ms)", "model (ms)", "speedup"], &widths);
-    let mut base = SimDuration::ZERO;
+    let mut table = ModelTable::new();
     for &depth in scale.depths {
         let profile = DeviceProfile {
             queue: QueueCapabilities::overlapped(depth),
@@ -290,27 +309,16 @@ fn queued_lookup_sweep(scale: &Scale) -> bool {
         let batch = clam.lookup_batch(&keys).expect("lookup_batch");
         assert_eq!(batch.waves, ROUNDS, "every miss probes every incarnation");
         assert_eq!(batch.probe_reads, ROUNDS * KEYS);
+        // The lanes (1/2/4/8) divide the 64 keys, so the level-schedule
+        // bound is the `ROUNDS * KEYS / lanes` page reads asserted here
+        // since this part was written.
         let model = FlashCostModel::from_profile(&profile);
-        let predicted = model.lookup_batch_makespan(KEYS, ROUNDS, depth);
+        let predicted = model.lookup_ring_makespan(KEYS, ROUNDS, depth);
         assert_eq!(
             batch.probe_latency, predicted,
             "simulator and closed-form queued-lookup model must agree at depth {depth}"
         );
-        if depth == scale.depths[0] {
-            base = batch.probe_latency;
-        }
-        print_row(
-            &[
-                format!("{depth}"),
-                ms(batch.probe_latency),
-                ms(predicted),
-                format!(
-                    "{:.2}x",
-                    base.as_nanos() as f64 / batch.probe_latency.as_nanos().max(1) as f64
-                ),
-            ],
-            &widths,
-        );
+        table.row(depth, batch.probe_latency, predicted);
     }
     println!("simulator == closed-form queued-lookup model at every depth\n");
 
@@ -407,7 +415,6 @@ fn queued_lookup_sweep(scale: &Scale) -> bool {
 /// Part 4: mixed flush + lookup traffic through the one shared ring, the
 /// simulated SSD against the closed-form mixed-ring model (exact).
 fn mixed_ring_sweep(scale: &Scale) {
-    use flashsim::{CompletionRing, RingRequest};
     use std::collections::HashMap;
 
     const BUFFER: usize = 32 << 10;
@@ -418,9 +425,7 @@ fn mixed_ring_sweep(scale: &Scale) {
         "[4/5] Mixed ring: {FLUSHES} flush writes then {KEYS} misses x {PROBES} probes \
          through one ring on the simulated SSD vs model"
     );
-    let widths = [8, 16, 16, 10];
-    print_header(&["depth", "measured (ms)", "model (ms)", "speedup"], &widths);
-    let mut base = SimDuration::ZERO;
+    let mut table = ModelTable::new();
     for &depth in scale.depths {
         let profile = DeviceProfile {
             queue: QueueCapabilities::overlapped(depth),
@@ -461,18 +466,7 @@ fn mixed_ring_sweep(scale: &Scale) {
             measured, predicted,
             "simulator and closed-form mixed-ring model must agree at depth {depth}"
         );
-        if depth == scale.depths[0] {
-            base = measured;
-        }
-        print_row(
-            &[
-                format!("{depth}"),
-                ms(measured),
-                ms(predicted),
-                format!("{:.2}x", base.as_nanos() as f64 / measured.as_nanos().max(1) as f64),
-            ],
-            &widths,
-        );
+        table.row(depth, measured, predicted);
     }
     println!("simulator == closed-form mixed-ring model at every depth\n");
 }

@@ -220,28 +220,30 @@ impl FlashCostModel {
     }
 
     // ------------------------------------------------------------------
-    // Queue-depth-aware cost model
+    // Device-ring cost model
     // ------------------------------------------------------------------
     //
-    // Submission queues (`Device::submit`) add a second, orthogonal
-    // amortization axis: independent requests of one submission overlap on
-    // up to `L` queue lanes (`L = min(depth, max_queue_depth)`, 1 for
-    // serial media), so a batch of `n` equal-cost requests completes in
+    // The completion ring (`Device::submit_nowait` / `reap`) adds a second,
+    // orthogonal amortization axis: independent requests of one stream
+    // overlap on up to `L` queue lanes (`L = min(depth, max_queue_depth)`,
+    // 1 for serial media), so `n` equal-cost requests complete in
     //
     //   M(n, d) = c · ⌈n / L⌉
     //
-    // instead of `n·c` — the greedy earliest-free-lane schedule the
-    // simulated backends implement. The `io_queue_depth` binary
-    // cross-checks these expressions against the simulator and against
-    // the real-file worker pool.
+    // instead of `n·c` — the greedy earliest-free-lane schedule the ring
+    // implements. A lookup batch is `n` *chains* of `w` page reads (a key's
+    // next probe enters the queue the moment its previous one retires), so
+    // its makespan is the classic level-schedule bound
+    //
+    //   M_ring(n, w, d) = c_r · max(w, ⌈n·w / L⌉)
+    //
+    // — total work spread over the lanes, floored by the longest chain.
+    // The `io_queue_depth` binary and the CLAM test suite cross-check
+    // these expressions against the simulator, exactly.
 
-    /// Number of queue lanes a submission issued at `queue_depth` actually
+    /// Number of queue lanes a ring stream issued at `queue_depth` actually
     /// gets: 1 on serial media, otherwise `queue_depth` capped by the
     /// device's maximum depth.
-    ///
-    /// Deliberately *not* named like
-    /// [`QueueCapabilities::effective_lanes`], whose argument is a batch
-    /// size; this one takes the *requested queue depth* of a sweep.
     pub fn lanes_at_depth(&self, queue_depth: usize) -> usize {
         match self.queue.overlap {
             OverlapModel::Serial => 1,
@@ -251,9 +253,9 @@ impl FlashCostModel {
         }
     }
 
-    /// Predicted elapsed (makespan) time of a submission of `requests`
-    /// equal-cost requests, each costing `unit_cost`, issued at
-    /// `queue_depth`.
+    /// Predicted elapsed (makespan) time of `requests` independent
+    /// equal-cost requests, each costing `unit_cost`, admitted to the ring
+    /// at `queue_depth`.
     pub fn submit_makespan(
         &self,
         requests: usize,
@@ -264,71 +266,12 @@ impl FlashCostModel {
         unit_cost * requests.div_ceil(lanes) as u64
     }
 
-    /// Predicted elapsed time of `flushes` buffer flushes (each `C1+C2+C3`
-    /// for a buffer of `buffer_bytes`) submitted as one batch at
-    /// `queue_depth` — the queue-depth-aware cost of draining a coalesced
-    /// flush queue.
-    pub fn flush_queue_makespan(
-        &self,
-        flushes: usize,
-        buffer_bytes: usize,
-        queue_depth: usize,
-    ) -> SimDuration {
-        self.submit_makespan(flushes, self.insert_worst_case(buffer_bytes), queue_depth)
-    }
-
-    /// Predicted throughput gain of issuing `requests` equal-cost requests
-    /// at `queue_depth` over depth 1: `n·c / M(n, d)`. Saturates at the
-    /// device's maximum queue depth and is exactly 1.0 on serial media.
-    pub fn queue_depth_speedup(&self, requests: usize, queue_depth: usize) -> f64 {
-        if requests == 0 {
-            return 1.0;
-        }
-        let lanes = self.lanes_at_depth(queue_depth);
-        requests as f64 / requests.div_ceil(lanes) as f64
-    }
-
-    // ------------------------------------------------------------------
-    // Queued-lookup cost model
-    // ------------------------------------------------------------------
-    //
-    // The queued read pipeline (`Clam::lookup_batch`) resolves a batch in
-    // probe *waves*: each wave submits the next pending page read of every
-    // unresolved key as one submission. A batch of `n` keys that each
-    // probe `w` pages therefore runs `w` waves of `n` equal-cost reads,
-    // and its flash time is
-    //
-    //   M_lookup(n, w, d) = w · c_r · ⌈n / L⌉
-    //
-    // with `L = min(d, max_queue_depth)` lanes (1 on serial media) — `w`
-    // copies of the `submit_makespan` term. The expected per-key wave
-    // count on a miss-heavy workload comes from the Bloom filters: each of
-    // the `k` incarnations false-positives with rate `p`, and each probed
-    // candidate occasionally chains an extra overflow-page hop.
-
-    /// Expected flash probes (page reads, and hence probe waves) per
-    /// *unsuccessful* lookup: `k·p·(1 + h)` where `k` is the number of
-    /// incarnations per super table, `p` the per-incarnation Bloom
-    /// false-positive rate, and `h` the expected extra overflow-chain hops
-    /// per probed candidate (0 at the paper's 50% page fill, where
-    /// overflow is essentially non-existent; `k·1·(1+h)` with disabled
-    /// filters).
-    pub fn expected_probes_per_miss(
-        &self,
-        incarnations: usize,
-        false_positive_rate: f64,
-        chain_hop_rate: f64,
-    ) -> f64 {
-        incarnations as f64 * false_positive_rate.clamp(0.0, 1.0) * (1.0 + chain_hop_rate.max(0.0))
-    }
-
-    /// Predicted elapsed (makespan) flash time of a queued `lookup_batch`
-    /// of `keys` keys that each probe `probes_per_key` flash pages, issued
-    /// at `queue_depth`: `probes_per_key` waves of `⌈keys / L⌉` page-read
-    /// slots. Matches the simulator **exactly** on uniform probe chains
-    /// (equal per-key probe counts, page-aligned reads) — the
-    /// `io_queue_depth` binary and the CLAM test suite cross-check the
-    /// identity.
+    /// Predicted elapsed (makespan) flash time of a `lookup_batch` of
+    /// `keys` keys that each probe `probes_per_key` flash pages, issued at
+    /// `queue_depth`: the total page-read work spread over the lanes,
+    /// floored by the per-key chain length. Matches the simulator
+    /// **exactly** on uniform probe chains — the CLAM test suite and the
+    /// `io_queue_depth` binary cross-check the identity.
     ///
     /// ```
     /// use bufferhash::analysis::FlashCostModel;
@@ -336,86 +279,12 @@ impl FlashCostModel {
     ///
     /// // Intel-class SSD: overlapped queue, depth 8.
     /// let model = FlashCostModel::from_profile(&DeviceProfile::intel_x18m());
-    /// // 64 miss-heavy lookups, Bloom filters disabled so each key probes
-    /// // all 8 of its incarnations:
-    /// let serial = model.lookup_batch_makespan(64, 8, 1);
-    /// let queued = model.lookup_batch_makespan(64, 8, 8);
-    /// assert_eq!(serial, queued * 8, "8 lanes retire the waves 8x faster");
-    /// assert!((model.lookup_batch_speedup(64, 8) - 8.0).abs() < 1e-9);
-    /// ```
-    pub fn lookup_batch_makespan(
-        &self,
-        keys: usize,
-        probes_per_key: usize,
-        queue_depth: usize,
-    ) -> SimDuration {
-        self.submit_makespan(keys, self.page_read_cost(), queue_depth) * probes_per_key as u64
-    }
-
-    /// [`lookup_batch_makespan`](Self::lookup_batch_makespan) for a
-    /// fractional expected wave count (e.g. straight from
-    /// [`expected_probes_per_miss`](Self::expected_probes_per_miss)).
-    pub fn expected_lookup_batch_makespan(
-        &self,
-        keys: usize,
-        probes_per_key: f64,
-        queue_depth: usize,
-    ) -> SimDuration {
-        let wave = self.submit_makespan(keys, self.page_read_cost(), queue_depth);
-        SimDuration::from_millis_f64(wave.as_millis_f64() * probes_per_key.max(0.0))
-    }
-
-    /// Predicted throughput gain of the queued lookup pipeline at
-    /// `queue_depth` over depth 1 for a batch of `keys` keys. The wave
-    /// count cancels, so this is exactly the queue-depth speedup of one
-    /// wave: saturates at the device's maximum depth, 1.0 on serial media.
-    pub fn lookup_batch_speedup(&self, keys: usize, queue_depth: usize) -> f64 {
-        self.queue_depth_speedup(keys, queue_depth)
-    }
-
-    // ------------------------------------------------------------------
-    // Completion-ring cost model
-    // ------------------------------------------------------------------
-    //
-    // The streaming ring pipeline removes the per-round barrier: the
-    // moment one key's page read retires, its next read enters the queue,
-    // so the schedule is a single list schedule of `n` chains of `w`
-    // equal-cost reads on `L` lanes instead of `w` barrier-separated waves
-    // of `n` reads. Its makespan is the classic level-schedule bound
-    //
-    //   M_ring(n, w, d) = c_r · max(w, ⌈n·w / L⌉)
-    //
-    // — total work spread over the lanes, floored by the longest chain.
-    // For `L | n` this equals the barrier pipeline's `w·⌈n/L⌉` term: on
-    // uniform simulated latencies the ring's win is only the tail
-    // (`n mod L`) rounding. The structural win appears on variable
-    // *measured* latencies (the file backend), where the barrier pays
-    // every round's straggler while the ring amortizes stragglers across
-    // the whole stream (`io_queue_depth` measured that gap until PR 20
-    // retired the barrier pipeline; the per-round model stays as a model).
-
-    /// Predicted elapsed (makespan) flash time of a **streaming ring**
-    /// `lookup_batch` of `keys` keys that each probe `probes_per_key`
-    /// flash pages, issued at `queue_depth`: the total page-read work
-    /// spread over the lanes, floored by the per-key chain length.
-    /// Matches the simulator **exactly** on uniform probe chains — the
-    /// CLAM test suite and the `io_queue_depth` binary cross-check the
-    /// identity.
-    ///
-    /// ```
-    /// use bufferhash::analysis::FlashCostModel;
-    /// use flashsim::DeviceProfile;
-    ///
-    /// // Intel-class SSD: overlapped queue, depth 8.
-    /// let model = FlashCostModel::from_profile(&DeviceProfile::intel_x18m());
-    /// // 60 miss-heavy lookups probing 4 incarnations each: the barrier
-    /// // pipeline pays 4 waves of ceil(60/8) = 8 slots; the ring packs
-    /// // the same 240 reads into ceil(240/8) = 30 slots.
-    /// let waves = model.lookup_batch_makespan(60, 4, 8);
-    /// let ring = model.lookup_ring_makespan(60, 4, 8);
-    /// assert_eq!(waves, model.page_read_cost() * 32);
-    /// assert_eq!(ring, model.page_read_cost() * 30);
-    /// assert!(model.ring_over_waves_speedup(60, 4, 8) > 1.0);
+    /// // 60 miss-heavy lookups probing 4 incarnations each: 240 page
+    /// // reads packed into ceil(240/8) = 30 slots, 240 at depth 1.
+    /// assert_eq!(model.lookup_ring_makespan(60, 4, 8), model.page_read_cost() * 30);
+    /// assert_eq!(model.lookup_ring_makespan(60, 4, 1), model.page_read_cost() * 240);
+    /// // Two keys cannot go faster than one key's chain of 4.
+    /// assert_eq!(model.lookup_ring_makespan(2, 4, 8), model.page_read_cost() * 4);
     /// ```
     pub fn lookup_ring_makespan(
         &self,
@@ -431,26 +300,6 @@ impl FlashCostModel {
         self.page_read_cost() * slots as u64
     }
 
-    /// Predicted gain of the streaming ring pipeline over the barrier wave
-    /// pipeline for the same workload: `M_waves / M_ring`. Exactly 1.0
-    /// when the lane count divides the key count (uniform simulated
-    /// latencies leave only tail rounding) and on serial media; the
-    /// measured gap on real storage is larger, because the barrier also
-    /// pays every wave's straggler.
-    pub fn ring_over_waves_speedup(
-        &self,
-        keys: usize,
-        probes_per_key: usize,
-        queue_depth: usize,
-    ) -> f64 {
-        let ring = self.lookup_ring_makespan(keys, probes_per_key, queue_depth);
-        if ring.is_zero() {
-            return 1.0;
-        }
-        let waves = self.lookup_batch_makespan(keys, probes_per_key, queue_depth);
-        waves.as_nanos() as f64 / ring.as_nanos() as f64
-    }
-
     /// Predicted elapsed (makespan) flash time of `flushes` ring-admitted
     /// buffer flushes (each a single incarnation write costing
     /// `C1+C2+C3` for a buffer of `buffer_bytes`) at `queue_depth`:
@@ -458,12 +307,10 @@ impl FlashCostModel {
     ///   `M_flush(f, d) = c_w · ⌈f / L⌉`
     ///
     /// Flush chains are single-write chains (chain length 1), so the
-    /// level-schedule bound `max(1, ⌈f·1 / L⌉)` collapses to the barrier
-    /// drain's [`flush_queue_makespan`](Self::flush_queue_makespan): on
-    /// **uniform simulated latencies** ring and barrier write phases cost
-    /// the same, and the ring's win comes from overlapping the write phase
-    /// with probe traffic ([`mixed_ring_makespan`](Self::mixed_ring_makespan))
-    /// and, on real storage, from streaming past stragglers. The
+    /// level-schedule bound `max(1, ⌈f·1 / L⌉)` is just
+    /// [`submit_makespan`](Self::submit_makespan) over the flush cost. What
+    /// the ring buys the write path is overlap with probe traffic
+    /// ([`mixed_ring_makespan`](Self::mixed_ring_makespan)). The
     /// `io_queue_depth` binary cross-checks the identity against the
     /// simulator.
     ///
@@ -475,8 +322,6 @@ impl FlashCostModel {
     /// // 16 flushes of 32 KiB buffers over 8 lanes: two write slots.
     /// let ring = model.flush_ring_makespan(16, 32 << 10, 8);
     /// assert_eq!(ring, model.insert_worst_case(32 << 10) * 2);
-    /// // Single-write chains: identical to the barrier drain's makespan.
-    /// assert_eq!(ring, model.flush_queue_makespan(16, 32 << 10, 8));
     /// ```
     pub fn flush_ring_makespan(
         &self,
@@ -484,11 +329,7 @@ impl FlashCostModel {
         buffer_bytes: usize,
         queue_depth: usize,
     ) -> SimDuration {
-        if flushes == 0 {
-            return SimDuration::ZERO;
-        }
-        let lanes = self.lanes_at_depth(queue_depth);
-        self.insert_worst_case(buffer_bytes) * flushes.div_ceil(lanes) as u64
+        self.submit_makespan(flushes, self.insert_worst_case(buffer_bytes), queue_depth)
     }
 
     /// Predicted elapsed (makespan) flash time of a **mixed** ring stream:
@@ -687,13 +528,12 @@ mod tests {
         assert_eq!(m.lanes_at_depth(64), 8, "saturates at the device depth");
         assert_eq!(m.submit_makespan(16, c, 1), c * 16);
         assert_eq!(m.submit_makespan(16, c, 8), c * 2);
-        assert!((m.queue_depth_speedup(16, 8) - 8.0).abs() < 1e-9);
-        assert!((m.queue_depth_speedup(16, 64) - 8.0).abs() < 1e-9);
-        assert!((m.queue_depth_speedup(0, 8) - 1.0).abs() < 1e-9);
+        assert_eq!(m.submit_makespan(16, c, 64), c * 2);
+        assert_eq!(m.submit_makespan(0, c, 8), SimDuration::ZERO);
 
         let serial = chip();
         assert_eq!(serial.lanes_at_depth(8), 1);
-        assert!((serial.queue_depth_speedup(16, 8) - 1.0).abs() < 1e-9);
+        assert_eq!(serial.submit_makespan(16, c, 8), c * 16);
 
         // A degenerate zero-depth profile degrades to serial, not a panic.
         let degenerate = FlashCostModel::from_profile(&DeviceProfile {
@@ -704,66 +544,35 @@ mod tests {
     }
 
     #[test]
-    fn queue_depth_speedup_is_monotone_up_to_saturation() {
-        let m = ssd();
-        let mut last = 0.0;
-        for depth in [1usize, 2, 4, 8, 16] {
-            let s = m.queue_depth_speedup(64, depth);
-            assert!(s >= last, "speedup must not regress at depth {depth}");
-            last = s;
-        }
-        // Flush makespan shrinks with depth accordingly.
-        let d1 = m.flush_queue_makespan(8, 32 * 1024, 1);
-        let d8 = m.flush_queue_makespan(8, 32 * 1024, 8);
-        assert_eq!(d8 * 8, d1);
-    }
-
-    #[test]
     fn queued_lookup_model_scales_with_depth_and_probe_count() {
         let m = ssd(); // overlapped, depth 8
         let c = m.page_read_cost();
-        // 64 keys x 4 probes each: 4 waves of ceil(64/L) read slots.
-        assert_eq!(m.lookup_batch_makespan(64, 4, 1), c * 256);
-        assert_eq!(m.lookup_batch_makespan(64, 4, 8), c * 32);
-        assert_eq!(m.lookup_batch_makespan(64, 0, 8), SimDuration::ZERO);
-        assert!((m.lookup_batch_speedup(64, 8) - 8.0).abs() < 1e-9);
-        assert!((m.lookup_batch_speedup(64, 64) - 8.0).abs() < 1e-9, "saturates at device depth");
-
-        // Serial media get no overlap: the chip retires waves one read at
-        // a time regardless of the requested depth.
+        // 64 keys x 4 probes each: 256 page reads over the lanes.
+        assert_eq!(m.lookup_ring_makespan(64, 4, 1), c * 256);
+        assert_eq!(m.lookup_ring_makespan(64, 4, 8), c * 32);
+        assert_eq!(m.lookup_ring_makespan(64, 4, 64), c * 32, "saturates at device depth");
+        assert_eq!(m.lookup_ring_makespan(64, 8, 8), c * 64, "linear in the probe count");
+        // Serial media get no overlap: the chip retires one read at a time
+        // regardless of the requested depth.
         let serial = chip();
-        assert_eq!(serial.lookup_batch_makespan(16, 2, 8), serial.page_read_cost() * 32);
-        assert!((serial.lookup_batch_speedup(16, 8) - 1.0).abs() < 1e-9);
-
-        // The fractional form agrees with the integral one and scales
-        // linearly in the expected probe count.
-        let exact = m.lookup_batch_makespan(64, 4, 8);
-        let expected = m.expected_lookup_batch_makespan(64, 4.0, 8);
-        let diff = exact.as_nanos().abs_diff(expected.as_nanos());
-        assert!(diff <= 1, "fractional form must agree: {exact} vs {expected}");
-        assert!(m.expected_lookup_batch_makespan(64, 0.5, 8) < m.lookup_batch_makespan(64, 1, 8));
+        assert_eq!(serial.lookup_ring_makespan(16, 2, 8), serial.page_read_cost() * 32);
+        assert_eq!(serial.lookup_ring_makespan(16, 2, 1), serial.lookup_ring_makespan(16, 2, 8));
     }
 
     #[test]
     fn ring_makespan_is_work_over_lanes_floored_by_the_chain() {
         let m = ssd(); // overlapped, depth 8
         let c = m.page_read_cost();
-        // Divisible case: ring == barrier waves.
         assert_eq!(m.lookup_ring_makespan(64, 4, 8), c * 32);
-        assert_eq!(m.lookup_ring_makespan(64, 4, 8), m.lookup_batch_makespan(64, 4, 8));
-        assert!((m.ring_over_waves_speedup(64, 4, 8) - 1.0).abs() < 1e-9);
-        // Non-divisible: the ring packs the tail the barrier wastes.
+        // Lanes need not divide the keys: the chains pack the tail.
         assert_eq!(m.lookup_ring_makespan(60, 4, 8), c * 30);
-        assert!(m.ring_over_waves_speedup(60, 4, 8) > 1.06);
         // Chain floor: fewer keys than lanes are bound by their own chain.
         assert_eq!(m.lookup_ring_makespan(2, 4, 8), c * 4);
         // Serial media and empty batches degrade gracefully.
         let serial = chip();
         assert_eq!(serial.lookup_ring_makespan(16, 2, 8), serial.page_read_cost() * 32);
-        assert!((serial.ring_over_waves_speedup(16, 2, 8) - 1.0).abs() < 1e-9);
         assert_eq!(m.lookup_ring_makespan(0, 4, 8), SimDuration::ZERO);
         assert_eq!(m.lookup_ring_makespan(64, 0, 8), SimDuration::ZERO);
-        assert!((m.ring_over_waves_speedup(0, 0, 8) - 1.0).abs() < 1e-9);
         // A degenerate zero-depth profile degrades to serial, no panic.
         let degenerate = FlashCostModel::from_profile(&DeviceProfile {
             queue: flashsim::QueueCapabilities::overlapped(0),
@@ -776,9 +585,12 @@ mod tests {
     fn flush_and_mixed_ring_makespans_compose_the_phase_bounds() {
         let m = ssd(); // overlapped, depth 8
         let w = m.insert_worst_case(32 << 10);
-        // Single-write chains: ring == barrier drain on uniform latencies.
+        // Single-write chains: flushes over lanes, rounded up.
         assert_eq!(m.flush_ring_makespan(16, 32 << 10, 8), w * 2);
-        assert_eq!(m.flush_ring_makespan(16, 32 << 10, 8), m.flush_queue_makespan(16, 32 << 10, 8));
+        assert_eq!(
+            m.flush_ring_makespan(8, 32 << 10, 1),
+            m.flush_ring_makespan(8, 32 << 10, 8) * 8
+        );
         assert_eq!(m.flush_ring_makespan(0, 32 << 10, 8), SimDuration::ZERO);
         // Serial media pay the full sum.
         let serial = chip();
@@ -891,21 +703,6 @@ mod tests {
             m.recovery_scan_makespan(32, 32 << 10, 1),
             "chip recovery scan drifts from the model: {report}"
         );
-    }
-
-    #[test]
-    fn expected_probes_per_miss_follows_bloom_and_chain_terms() {
-        let m = ssd();
-        // 8 incarnations at a 1% false-positive rate: ~0.08 probes/miss.
-        let light = m.expected_probes_per_miss(8, 0.01, 0.0);
-        assert!((light - 0.08).abs() < 1e-12);
-        // Disabled filters degrade to one probe per incarnation...
-        assert!((m.expected_probes_per_miss(8, 1.0, 0.0) - 8.0).abs() < 1e-12);
-        // ...plus the overflow-chain hops.
-        assert!((m.expected_probes_per_miss(8, 1.0, 0.25) - 10.0).abs() < 1e-12);
-        // Rates are clamped to sane ranges.
-        assert_eq!(m.expected_probes_per_miss(8, -1.0, 0.0), 0.0);
-        assert!((m.expected_probes_per_miss(8, 2.0, -3.0) - 8.0).abs() < 1e-12);
     }
 
     #[test]

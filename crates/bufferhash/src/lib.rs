@@ -29,7 +29,7 @@
 //!   map, eviction queues) from flash contents alone after a crash,
 //!   discarding torn flushes by checksum and reporting what it found in a
 //!   [`RecoveryReport`] (see DESIGN.md "Crash consistency").
-//! * The read path is **queued** (see DESIGN.md "Queued lookups"): each
+//! * The read path is **queued** (DESIGN.md "Lookups on the ring"): each
 //!   lookup key is a probe state machine whose page reads stream through
 //!   the device's completion ring, a key re-armed the moment its previous
 //!   read retires, so independent probes overlap and a batch costs the

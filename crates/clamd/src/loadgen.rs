@@ -115,18 +115,18 @@ pub struct LoadReport {
 }
 
 /// One operation of a precomputed run schedule.
-struct PlannedOp {
+struct DueOp {
     op: Op,
     /// Nanoseconds after run start this op is due.
     due_ns: u64,
 }
 
 /// Builds the deterministic per-connection schedules for a run.
-fn plan(config: &LoadgenConfig) -> Vec<Vec<PlannedOp>> {
+fn plan(config: &LoadgenConfig) -> Vec<Vec<DueOp>> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let zipf = (config.zipf_s > 0.0 && config.key_space > 0)
         .then(|| Zipf::new(config.key_space, config.zipf_s));
-    let mut plans: Vec<Vec<PlannedOp>> = (0..config.connections).map(|_| Vec::new()).collect();
+    let mut plans: Vec<Vec<DueOp>> = (0..config.connections).map(|_| Vec::new()).collect();
     let interval_ns = if config.rate.is_finite() { 1e9 / config.rate } else { 0.0 };
     let mut miss_seq = 0u64;
     for i in 0..config.ops {
@@ -146,7 +146,7 @@ fn plan(config: &LoadgenConfig) -> Vec<Vec<PlannedOp>> {
             let id = INSERT_ID_BASE + config.seed.wrapping_mul(1 << 22) + i as u64;
             Op::Insert { key: key_for(id), value: value_for(id) }
         };
-        plans[i % config.connections].push(PlannedOp { op, due_ns });
+        plans[i % config.connections].push(DueOp { op, due_ns });
     }
     plans
 }
@@ -217,7 +217,7 @@ fn drain_responses(
 /// Runs one open-loop connection: a sender thread paces the schedule
 /// while this thread drains responses (in submission order) and charges
 /// each completion against its *scheduled* arrival time.
-fn run_open_loop_conn(addr: SocketAddr, ops: Vec<PlannedOp>, start: Instant) -> Result<ConnTally> {
+fn run_open_loop_conn(addr: SocketAddr, ops: Vec<DueOp>, start: Instant) -> Result<ConnTally> {
     let mut read_half = TcpStream::connect(addr)?;
     read_half.set_nodelay(true)?;
     let mut write_half = read_half.try_clone()?;
@@ -253,7 +253,7 @@ fn run_open_loop_conn(addr: SocketAddr, ops: Vec<PlannedOp>, start: Instant) -> 
 /// Runs one closed-loop flood connection: keep [`FLOOD_WINDOW`] requests
 /// in flight, send the next on each completion. Latency is measured from
 /// each request's send time.
-fn run_flood_conn(addr: SocketAddr, ops: Vec<PlannedOp>) -> Result<ConnTally> {
+fn run_flood_conn(addr: SocketAddr, ops: Vec<DueOp>) -> Result<ConnTally> {
     let mut client = ClamdClient::connect(addr)?;
     let mut tally = ConnTally::default();
     let mut send_times: std::collections::VecDeque<Instant> = std::collections::VecDeque::new();

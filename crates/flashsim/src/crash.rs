@@ -1,18 +1,20 @@
 //! Crash injection: a [`Device`] wrapper that simulates a power cut.
 //!
 //! [`CrashDevice`] wraps any inner backend and counts *data-effect
-//! operations* — the per-op reads, writes, erases and trims that every
-//! submission path (blocking [`Device::submit`], the completion ring's
-//! [`Device::submit_nowait`] / [`Device::reap`]) funnels through in
-//! admission order. When an armed budget runs out the device "loses
-//! power": the fatal operation fails, optionally after applying a **torn
-//! prefix** of a fatal write (a page program interrupted mid-flight), and
-//! every subsequent operation fails too. Because the wrapper deliberately
-//! does **not** override the ring entry points, the trait-default engines
-//! drive its per-op methods in admission order — so a budget of `N` cuts
-//! the schedule exactly after the `N`-th applied request, wherever that
-//! lands inside a ring admission, mirroring how a real power cut slices an
-//! NVMe submission stream.
+//! operations* — the per-op reads, writes, erases and trims that the
+//! completion ring ([`Device::submit_nowait`] / [`Device::reap`]) funnels
+//! through in admission order. When an armed budget runs out the device
+//! "loses power": the fatal operation fails, optionally after applying a
+//! **torn prefix** of a fatal write (a page program interrupted
+//! mid-flight), and every subsequent operation fails too. Because the
+//! wrapper deliberately does **not** override the ring entry points, the
+//! provided engine drives its per-op methods in admission order — so a
+//! budget of `N` cuts the schedule exactly after the `N`-th applied
+//! request, wherever that lands inside a ring admission, mirroring how a
+//! real power cut slices an NVMe submission stream. The queue ledger
+//! still lands in the inner device's counters
+//! ([`Device::update_stats`] forwards), so an unarmed wrapper is
+//! transparent in [`Device::stats`] too.
 //!
 //! After the cut, [`CrashDevice::into_inner`] surrenders the inner device —
 //! the flash image as the next boot would find it — for a recovery scan.
@@ -202,10 +204,10 @@ impl<D: Device> Device for CrashDevice<D> {
         self.inner.trim(offset, len)
     }
 
-    // `submit`, `submit_nowait` and `reap` are deliberately left at their
-    // trait defaults: the shared engines drive the per-op methods above in
-    // admission order, so the budget slices the ring schedule exactly at
-    // the N-th applied request.
+    // `submit_nowait` and `reap` are deliberately left at the provided
+    // engine: it drives the per-op methods above in admission order, so
+    // the budget slices the ring schedule exactly at the N-th applied
+    // request.
 
     fn on_idle(&mut self, idle: SimDuration) {
         if !self.dead {
@@ -217,8 +219,8 @@ impl<D: Device> Device for CrashDevice<D> {
         self.inner.stats()
     }
 
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats()
+    fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats)) {
+        self.inner.update_stats(update)
     }
 
     fn name(&self) -> &'static str {
@@ -231,6 +233,7 @@ mod tests {
     use super::*;
     use crate::dram::DramDevice;
     use crate::queue::{CompletionRing, IoRequest, RingRequest};
+    use crate::ssd::Ssd;
 
     fn dram() -> DramDevice {
         DramDevice::new(1 << 16).unwrap()
@@ -247,6 +250,31 @@ mod tests {
         assert_eq!(dev.crash_stats().ops_applied, 2);
         assert_eq!(dev.stats().writes, 1);
         assert_eq!(dev.name(), "DRAM");
+
+        // The same ring script on a bare and a wrapped SSD: conflicting
+        // and overlapping requests, a trim, an unsupported erase, reaped
+        // in two rounds. Every counter agrees, the queue ledger included.
+        fn script<D: Device>(mut dev: D) -> IoStats {
+            let mut ring = CompletionRing::for_queue(dev.queue());
+            let first = (0..12u64)
+                .map(|i| RingRequest::new(IoRequest::write(i % 8 * 4096, vec![i as u8; 4096])))
+                .chain([RingRequest::new(IoRequest::Erase { block: 0 })])
+                .collect();
+            dev.submit_nowait(first, &mut ring).unwrap();
+            assert_eq!(dev.reap(&mut ring, 1).unwrap().len(), 13);
+            let second = (0..8u64)
+                .map(|i| RingRequest::new(IoRequest::read(i * 4096, 4096)))
+                .chain([RingRequest::new(IoRequest::Trim { offset: 0, len: 8192 })])
+                .collect();
+            dev.submit_nowait(second, &mut ring).unwrap();
+            assert_eq!(dev.reap(&mut ring, 1).unwrap().len(), 9);
+            dev.stats()
+        }
+        let bare = script(Ssd::intel(1 << 20).unwrap());
+        assert_eq!((bare.requests_submitted, bare.requests_reaped), (22, 22));
+        assert!(bare.requests_overlapped > 0 && bare.ring_admission_stalls > 0, "{bare}");
+        assert_eq!(bare.ring_depth_high_water, 13);
+        assert_eq!(script(CrashDevice::new(Ssd::intel(1 << 20).unwrap())), bare);
     }
 
     #[test]

@@ -6,22 +6,21 @@
 //! charge it to the triggering hash-table operation, or overlap it with
 //! other work).
 //!
-//! The primary entry point for I/O is the submission queue:
-//! [`Device::submit`] takes a batch of [`IoRequest`]s and returns one
-//! [`IoCompletion`] per request, letting the device overlap or reorder
-//! independent requests according to its [`QueueCapabilities`]. The per-op
-//! methods ([`read_at`](Device::read_at), [`write_at`](Device::write_at),
-//! [`erase_block`](Device::erase_block), [`trim`](Device::trim)) are the
-//! depth-1 view of the same machinery — semantically one-element
-//! submissions — kept because single blocking commands remain the natural
-//! unit for point lookups.
+//! Queued I/O has one entry point, the completion ring of [`crate::queue`]:
+//! [`Device::submit_nowait`] admits [`RingRequest`]s into a caller-owned
+//! [`CompletionRing`], [`Device::reap`] collects their
+//! [`RingCompletion`]s, and the ring's lane clocks say how much of the
+//! stream the device's [`QueueCapabilities`] would have kept in flight at
+//! once. The per-op methods ([`read_at`](Device::read_at),
+//! [`write_at`](Device::write_at), [`erase_block`](Device::erase_block),
+//! [`trim`](Device::trim)) are what a backend implements and what the ring
+//! drives; callers use them directly for single blocking commands.
 
 use crate::error::Result;
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
 use crate::queue::{
-    CompletionRing, IoCompletion, IoRequest, IoTicket, LaneScheduler, QueueCapabilities,
-    RingCompletion, RingRequest,
+    CompletionRing, IoRequest, IoTicket, QueueCapabilities, RingCompletion, RingRequest,
 };
 use crate::stats::IoStats;
 use crate::time::SimDuration;
@@ -32,11 +31,14 @@ use crate::time::SimDuration;
 /// sequential-vs-random asymmetry, erase-before-write for raw flash, FTL
 /// garbage collection for SSDs, and seek/rotation for disks.
 ///
-/// Implementors must provide the per-op methods; [`submit`](Device::submit)
-/// has a sequential provided fallback (every request on lane 0, in order),
-/// so the trait stays implementable with per-op logic alone. All built-in
-/// backends override `submit` natively to model queue overlap (SSD/DRAM
-/// lanes), seek-order scheduling (disk) or real overlapped file I/O.
+/// A backend is a cost function over a byte store: it implements the four
+/// per-op methods and hands out its [`IoStats`]
+/// ([`stats`](Device::stats) / [`update_stats`](Device::update_stats)).
+/// The ring entry points are provided: they drive the per-op methods in
+/// admission order and let the [`CompletionRing`] model the queue, so no
+/// simulated backend carries ring code of its own. Only a backend with
+/// real asynchrony ([`FileDevice`](crate::FileDevice)'s worker pool) or a
+/// forwarding wrapper overrides them.
 ///
 /// `Send + Sync` is required so higher layers can share devices across
 /// threads behind reader-writer locks (the `bufferhash` read fast path
@@ -57,17 +59,14 @@ pub trait Device: Send + Sync {
     /// Reads `buf.len()` bytes starting at byte `offset`.
     ///
     /// Returns the simulated time the read took. Reads smaller than a page
-    /// are charged a full page (paper design principle P2). Semantically a
-    /// one-element [`submit`](Device::submit) of an
-    /// [`IoRequest::Read`] that borrows the caller's buffer.
+    /// are charged a full page (paper design principle P2).
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration>;
 
     /// Writes `data` starting at byte `offset`.
     ///
     /// Returns the simulated time the write took, including any FTL
     /// garbage-collection work it triggered (SSDs) or erase-block management
-    /// the model charges to the writer. Semantically a one-element
-    /// [`submit`](Device::submit) of an [`IoRequest::Write`].
+    /// the model charges to the writer.
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration>;
 
     /// Erases the erase block with index `block` (raw flash chips).
@@ -84,67 +83,57 @@ pub trait Device: Send + Sync {
         Ok(SimDuration::ZERO)
     }
 
-    /// Submits a batch of requests to the device's queue and waits for all
-    /// of them to complete.
-    ///
-    /// Returns one [`IoCompletion`] per request, in submission order. The
-    /// *data effects* of the batch are applied in submission order on every
-    /// backend, so a submission is observationally equivalent (final bytes,
-    /// per-request results) to issuing the same operations sequentially;
-    /// devices only overlap or reorder the **timing** of independent
-    /// requests, which shows up in the completions' lane assignments.
-    /// Per-request failures (out-of-bounds, dirty-page programs, unsupported
-    /// erases) are reported in [`IoCompletion::result`] and do not abort the
-    /// rest of the batch; `Err` from `submit` itself means the device could
-    /// not process the submission at all.
-    ///
-    /// Submitted requests are **consumed**: implementations may move
-    /// write payloads out of the slice (the file backend hands them to
-    /// its worker pool), so callers must not reuse `requests` after the
-    /// call — rebuild the batch to retry. The simulated backends happen
-    /// to leave payloads intact, but that is not part of the contract.
-    ///
-    /// Use [`queue::batch_latency`](crate::queue::batch_latency) for the
-    /// elapsed time of the batch under the device's overlap model, and
-    /// [`queue::total_busy_time`](crate::queue::total_busy_time) for the
-    /// device-busy sum.
-    ///
-    /// The provided fallback executes the batch strictly sequentially via
-    /// the per-op methods (every completion on lane 0) and records no
-    /// queue-level statistics.
-    fn submit(&mut self, requests: &mut [IoRequest]) -> Result<Vec<IoCompletion>> {
-        let mut lanes = LaneScheduler::new(1);
-        Ok(execute_requests(self, requests, &mut lanes))
-    }
-
     /// Submits requests to the device queue **without waiting** for them,
     /// admitting them into the caller-owned `ring` and returning one
     /// [`IoTicket`] per request (in submission order). Completions are
     /// collected later with [`reap`](Device::reap).
     ///
-    /// The ordering invariant is the same as [`submit`](Device::submit):
-    /// **admission order is data-effect order**. Overlapping ranges apply
+    /// **Admission order is data-effect order**: overlapping ranges apply
     /// in the order they were admitted on every backend, and the ring's
     /// conflict-aware admission reflects that in the reported timing, so a
-    /// submit-without-wait stream is observationally equivalent to issuing
-    /// the same operations sequentially. Each request additionally carries
-    /// a causal floor ([`RingRequest::not_before`]) so chained work (a
-    /// probe read issued from an earlier read's data) never overlaps its
-    /// own cause.
+    /// ring stream is observationally equivalent (final bytes, per-ticket
+    /// results) to issuing the same operations sequentially. Per-request
+    /// failures (out-of-bounds, dirty-page programs, unsupported erases)
+    /// come back in [`RingCompletion::result`] and do not disturb the
+    /// other requests; `Err` from this call means the device could not
+    /// take the submission at all. Each request additionally carries a
+    /// causal floor ([`RingRequest::not_before`]) so chained work (a probe
+    /// read issued from an earlier read's data) never overlaps its own
+    /// cause.
     ///
-    /// The provided default degenerates to blocking execution: each
-    /// request runs synchronously through the per-op methods and its
-    /// completion — timestamped by the ring's lane free-at clocks — merely
-    /// waits in the ring to be reaped. Backends with real asynchrony (the
-    /// file backend's persistent worker pool) override this to genuinely
-    /// overlap execution; the simulated backends override it to record
-    /// queue statistics.
+    /// The provided engine runs each request synchronously through the
+    /// per-op methods and finishes it into the ring with the latency they
+    /// returned; the ring's lane free-at clocks and conflict floors model
+    /// how much of the stream a device with that queue depth would have
+    /// kept in flight — exact for the simulated backends, whose
+    /// "asynchrony" is entirely in that timing model. It then writes the
+    /// queue ledger ([`CompletionRing::record_admission`]) through
+    /// [`update_stats`](Device::update_stats).
     fn submit_nowait(
         &mut self,
         requests: Vec<RingRequest>,
         ring: &mut CompletionRing,
     ) -> Result<Vec<IoTicket>> {
-        ring_execute(self, requests, ring)
+        let mut tickets = Vec::with_capacity(requests.len());
+        for RingRequest { request, not_before } in requests {
+            let ticket = ring.admit(&request, not_before);
+            let done = match &request {
+                IoRequest::Read { offset, len } => {
+                    let mut buf = vec![0u8; *len];
+                    self.read_at(*offset, &mut buf).map(|latency| (latency, buf))
+                }
+                IoRequest::Write { offset, data } => self.write_at(*offset, data).map(quiet),
+                IoRequest::Erase { block } => self.erase_block(*block).map(quiet),
+                IoRequest::Trim { offset, len } => self.trim(*offset, *len).map(quiet),
+            };
+            match done {
+                Ok((latency, data)) => ring.finish(ticket, latency, Ok(data)),
+                Err(e) => ring.finish(ticket, SimDuration::ZERO, Err(e)),
+            }
+            tickets.push(ticket);
+        }
+        self.update_stats(&mut |stats| ring.record_admission(stats, tickets.len()));
+        Ok(tickets)
     }
 
     /// Waits until at least `min` completions of `ring` are ready (fewer
@@ -152,12 +141,15 @@ pub trait Device: Send + Sync {
     /// in completion-time order. `min` is clamped to at least 1; calling
     /// with nothing in flight returns an empty vector.
     ///
-    /// The provided default pairs with the blocking
-    /// [`submit_nowait`](Device::submit_nowait) default, where every
-    /// admitted request has already finished: it simply drains the ring.
+    /// The provided engine pairs with the provided
+    /// [`submit_nowait`](Device::submit_nowait), where every admitted
+    /// request has already finished: it drains the ring and writes the
+    /// queue ledger ([`CompletionRing::reap_recorded`]).
     fn reap(&mut self, ring: &mut CompletionRing, min: usize) -> Result<Vec<RingCompletion>> {
         let _ = min;
-        Ok(ring.reap(usize::MAX))
+        let mut out = Vec::new();
+        self.update_stats(&mut |stats| out = ring.reap_recorded(stats));
+        Ok(out)
     }
 
     /// Informs the device that the workload was idle for `idle` simulated
@@ -169,8 +161,17 @@ pub trait Device: Send + Sync {
     /// Snapshot of the I/O counters.
     fn stats(&self) -> IoStats;
 
+    /// Runs `update` on the device's own counters. This is how the queue
+    /// ledger, written once in [`CompletionRing`], reaches the
+    /// [`IoStats`] of the backend that executed the requests through any
+    /// stack of wrappers: a backend passes its counters, a wrapper
+    /// forwards the call.
+    fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats));
+
     /// Resets the I/O counters.
-    fn reset_stats(&mut self);
+    fn reset_stats(&mut self) {
+        self.update_stats(&mut IoStats::reset);
+    }
 
     /// Human-readable device name.
     fn name(&self) -> &'static str {
@@ -178,123 +179,9 @@ pub trait Device: Send + Sync {
     }
 }
 
-/// Executes `requests` in submission order through `device`'s per-op
-/// methods, assigning each completion a lane from `lanes`.
-///
-/// This is the shared engine behind [`Device::submit`]: the provided
-/// fallback runs it with a single lane, and the simulated backends run it
-/// with as many lanes as their [`QueueCapabilities`] allow (their per-op
-/// state updates — FTL mappings, GC, program/erase bitmaps — still happen
-/// in submission order, which is what keeps submissions observationally
-/// equivalent to sequential execution). Only *independent* requests
-/// overlap: a request whose byte range conflicts with an earlier request
-/// of the same batch is queued on that request's lane, behind it.
-pub fn execute_requests<D: Device + ?Sized>(
-    device: &mut D,
-    requests: &mut [IoRequest],
-    lanes: &mut LaneScheduler,
-) -> Vec<IoCompletion> {
-    let mut completions = Vec::with_capacity(requests.len());
-    // Byte ranges already scheduled, with their lane and whether they were
-    // reads, for dependency detection.
-    let mut ranges: Vec<(u64, u64, usize, bool)> = Vec::new();
-    for (index, request) in requests.iter_mut().enumerate() {
-        let range = request.byte_range();
-        let is_read = matches!(request, IoRequest::Read { .. });
-        let (latency, result) = match request {
-            IoRequest::Read { offset, len } => {
-                let mut buf = vec![0u8; *len];
-                match device.read_at(*offset, &mut buf) {
-                    Ok(lat) => (lat, Ok(buf)),
-                    Err(e) => (SimDuration::ZERO, Err(e)),
-                }
-            }
-            IoRequest::Write { offset, data } => match device.write_at(*offset, data) {
-                Ok(lat) => (lat, Ok(Vec::new())),
-                Err(e) => (SimDuration::ZERO, Err(e)),
-            },
-            IoRequest::Erase { block } => match device.erase_block(*block) {
-                Ok(lat) => (lat, Ok(Vec::new())),
-                Err(e) => (SimDuration::ZERO, Err(e)),
-            },
-            IoRequest::Trim { offset, len } => match device.trim(*offset, *len) {
-                Ok(lat) => (lat, Ok(Vec::new())),
-                Err(e) => (SimDuration::ZERO, Err(e)),
-            },
-        };
-        let lane = match range {
-            Some((start, end)) if end > start => {
-                // Conflicting = overlapping ranges where at least one side
-                // mutates state (read-read overlap is harmless and may
-                // overlap in time). Queue a dependent request behind the
-                // *busiest* conflicting lane: every conflicting request
-                // ends at or before its lane's accumulated busy time, so
-                // this serializes after all of them.
-                let dependency = ranges
-                    .iter()
-                    .filter(|&&(s, e, _, prior_read)| {
-                        crate::queue::ranges_conflict((start, end, is_read), (s, e, prior_read))
-                    })
-                    .map(|&(_, _, lane, _)| lane)
-                    .max_by_key(|&lane| lanes.lane_busy(lane));
-                let lane = match dependency {
-                    Some(dependency) => lanes.assign_to(dependency, latency),
-                    None => lanes.assign(latency),
-                };
-                ranges.push((start, end, lane, is_read));
-                lane
-            }
-            _ => lanes.assign(latency),
-        };
-        completions.push(IoCompletion { index, lane, latency, result });
-    }
-    completions
-}
-
-/// Executes `requests` synchronously through `device`'s per-op methods,
-/// admitting each into `ring` with its causal floor and finishing it with
-/// the measured (simulated) latency.
-///
-/// This is the shared engine behind [`Device::submit_nowait`]: data
-/// effects apply in admission order (each request runs to completion
-/// before the next is admitted), while the ring's lane free-at clocks and
-/// conflict floors model how much of the stream a device with that queue
-/// depth would have kept in flight concurrently. The simulated backends
-/// run on this engine directly — their "asynchrony" is entirely in the
-/// ring's timing model, which is exact for them.
-pub fn ring_execute<D: Device + ?Sized>(
-    device: &mut D,
-    requests: Vec<RingRequest>,
-    ring: &mut CompletionRing,
-) -> Result<Vec<IoTicket>> {
-    let mut tickets = Vec::with_capacity(requests.len());
-    for RingRequest { request, not_before } in requests {
-        let ticket = ring.admit(&request, not_before);
-        let (latency, result) = match &request {
-            IoRequest::Read { offset, len } => {
-                let mut buf = vec![0u8; *len];
-                match device.read_at(*offset, &mut buf) {
-                    Ok(lat) => (lat, Ok(buf)),
-                    Err(e) => (SimDuration::ZERO, Err(e)),
-                }
-            }
-            IoRequest::Write { offset, data } => match device.write_at(*offset, data) {
-                Ok(lat) => (lat, Ok(Vec::new())),
-                Err(e) => (SimDuration::ZERO, Err(e)),
-            },
-            IoRequest::Erase { block } => match device.erase_block(*block) {
-                Ok(lat) => (lat, Ok(Vec::new())),
-                Err(e) => (SimDuration::ZERO, Err(e)),
-            },
-            IoRequest::Trim { offset, len } => match device.trim(*offset, *len) {
-                Ok(lat) => (lat, Ok(Vec::new())),
-                Err(e) => (SimDuration::ZERO, Err(e)),
-            },
-        };
-        ring.finish(ticket, latency, result);
-        tickets.push(ticket);
-    }
-    Ok(tickets)
+/// A non-read's completion payload: its latency and no bytes.
+fn quiet(latency: SimDuration) -> (SimDuration, Vec<u8>) {
+    (latency, Vec::new())
 }
 
 /// Blanket implementation so `Box<dyn Device>` is itself a `Device`, which
@@ -322,9 +209,6 @@ impl<D: Device + ?Sized> Device for Box<D> {
     fn trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
         (**self).trim(offset, len)
     }
-    fn submit(&mut self, requests: &mut [IoRequest]) -> Result<Vec<IoCompletion>> {
-        (**self).submit(requests)
-    }
     fn submit_nowait(
         &mut self,
         requests: Vec<RingRequest>,
@@ -341,8 +225,8 @@ impl<D: Device + ?Sized> Device for Box<D> {
     fn stats(&self) -> IoStats {
         (**self).stats()
     }
-    fn reset_stats(&mut self) {
-        (**self).reset_stats()
+    fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats)) {
+        (**self).update_stats(update)
     }
     fn name(&self) -> &'static str {
         (**self).name()
@@ -350,11 +234,27 @@ impl<D: Device + ?Sized> Device for Box<D> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dram::DramDevice;
     use crate::error::DeviceError;
-    use crate::queue::batch_latency;
+
+    /// Admits `requests` into a fresh ring on `device` in one call, drains
+    /// it, and returns the ring with its completions in ticket order.
+    pub(crate) fn run_on_ring<D: Device + ?Sized>(
+        device: &mut D,
+        requests: Vec<IoRequest>,
+    ) -> (CompletionRing, Vec<RingCompletion>) {
+        let mut ring = CompletionRing::for_queue(device.queue());
+        let requests = requests.into_iter().map(RingRequest::new).collect();
+        device.submit_nowait(requests, &mut ring).unwrap();
+        let mut done = Vec::new();
+        while ring.in_flight() > 0 {
+            done.extend(device.reap(&mut ring, 1).unwrap());
+        }
+        done.sort_by_key(|c| c.ticket);
+        (ring, done)
+    }
 
     #[test]
     fn boxed_device_dispatches() {
@@ -373,41 +273,41 @@ mod tests {
     #[test]
     fn boxed_device_forwards_submit() {
         let mut dev: Box<dyn Device> = Box::new(DramDevice::new(1 << 20).unwrap());
-        let mut reqs =
+        let reqs =
             vec![IoRequest::write(0, vec![7u8; 64]), IoRequest::read(0, 64), IoRequest::read(0, 0)];
-        let completions = dev.submit(&mut reqs).unwrap();
-        assert_eq!(completions.len(), 3);
-        assert_eq!(completions[1].result.as_ref().unwrap(), &vec![7u8; 64]);
-        // Native DRAM submit records queue stats through the Box.
-        assert_eq!(dev.stats().batches_submitted, 1);
+        let (_, done) = run_on_ring(&mut *dev, reqs);
+        assert_eq!(done.len(), 3);
+        assert_eq!(done[1].result.as_ref().unwrap(), &vec![7u8; 64]);
+        // The queue ledger reaches the DRAM counters through the Box.
         assert_eq!(dev.stats().requests_submitted, 3);
+        assert_eq!(dev.stats().requests_reaped, 3);
     }
 
     #[test]
     fn dependent_requests_serialize_and_read_read_overlaps() {
-        use crate::queue::total_busy_time;
         let mut dev = DramDevice::new(1 << 20).unwrap();
-        // W1 is large (busiest lane), W2 small and disjoint, R3 spans both:
-        // R3 must queue behind W1 (fan-in picks the busiest conflict).
-        let mut reqs = vec![
+        // W1 is large, W2 small and disjoint, R3 spans both: R3 must start
+        // behind W1 (the conflict floor is the latest conflicting range).
+        let reqs = vec![
             IoRequest::write(0, vec![1u8; 8192]),
             IoRequest::write(16_384, vec![2u8; 64]),
             IoRequest::read(0, 32_768),
         ];
-        let completions = dev.submit(&mut reqs).unwrap();
-        assert_eq!(completions[2].lane, completions[0].lane, "fan-in serializes behind W1");
-        let elapsed = batch_latency(&completions);
-        assert!(elapsed >= completions[0].latency + completions[2].latency);
+        let (ring, done) = run_on_ring(&mut dev, reqs);
+        assert!(done[0].completed_at > done[1].completed_at);
+        assert_eq!(done[2].started_at, done[0].completed_at, "fan-in serializes behind W1");
+        assert_eq!(ring.makespan(), done[0].latency + done[2].latency);
+        assert_eq!(dev.stats().ring_admission_stalls, 1);
 
         // Read-read overlap is harmless: two reads of one range overlap.
-        let mut reqs = vec![IoRequest::read(0, 4096), IoRequest::read(0, 4096)];
-        let completions = dev.submit(&mut reqs).unwrap();
-        assert_ne!(completions[0].lane, completions[1].lane);
-        assert!(batch_latency(&completions) < total_busy_time(&completions));
+        let (ring, done) =
+            run_on_ring(&mut dev, vec![IoRequest::read(0, 4096), IoRequest::read(0, 4096)]);
+        assert_ne!(done[0].lane, done[1].lane);
+        assert!(ring.makespan() < done[0].latency + done[1].latency);
     }
 
-    /// A minimal third-party device that only implements the per-op
-    /// methods; `submit` must work through the provided fallback.
+    /// A minimal third-party device: the per-op methods and its counters
+    /// are all it implements; the ring works through the provided engine.
     struct PerOpOnly {
         inner: DramDevice,
     }
@@ -431,8 +331,8 @@ mod tests {
         fn stats(&self) -> IoStats {
             self.inner.stats()
         }
-        fn reset_stats(&mut self) {
-            self.inner.reset_stats()
+        fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats)) {
+            self.inner.update_stats(update)
         }
     }
 
@@ -462,19 +362,23 @@ mod tests {
 
     #[test]
     fn default_submit_is_a_sequential_fallback() {
+        // The provided engine is all a per-op-only device has: requests
+        // run in order through the per-op methods, each reports its own
+        // outcome, and the ledger lands in the counters it handed out.
         let mut dev = PerOpOnly { inner: DramDevice::new(1 << 16).unwrap() };
-        let mut reqs = vec![
+        let reqs = vec![
             IoRequest::write(0, vec![1u8; 32]),
             IoRequest::read(0, 32),
             IoRequest::Erase { block: 0 },
             IoRequest::read(1 << 16, 1), // out of bounds
         ];
-        let completions = dev.submit(&mut reqs).unwrap();
-        assert!(completions.iter().all(|c| c.lane == 0), "fallback is serial");
-        assert_eq!(completions[1].result.as_ref().unwrap(), &vec![1u8; 32]);
-        assert!(matches!(completions[2].result, Err(DeviceError::Unsupported(_))));
-        assert!(matches!(completions[3].result, Err(DeviceError::OutOfBounds { .. })));
-        // Serial fallback: elapsed equals the busy sum.
-        assert_eq!(batch_latency(&completions), crate::queue::total_busy_time(&completions));
+        let (_, done) = run_on_ring(&mut dev, reqs);
+        assert_eq!(done[1].result.as_ref().unwrap(), &vec![1u8; 32]);
+        assert!(matches!(done[2].result, Err(DeviceError::Unsupported(_))));
+        assert!(matches!(done[3].result, Err(DeviceError::OutOfBounds { .. })));
+        assert_eq!(done[2].latency, SimDuration::ZERO, "a refused request costs nothing");
+        let s = dev.stats();
+        assert_eq!((s.writes, s.reads), (1, 1));
+        assert_eq!((s.requests_submitted, s.requests_reaped, s.ring_depth_high_water), (4, 4, 4));
     }
 }

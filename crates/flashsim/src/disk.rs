@@ -6,14 +6,14 @@
 //! access ended) skip both and run at the media transfer rate. This is the
 //! behaviour that makes on-disk hash indexes (Berkeley-DB) slow for random
 //! key workloads and BufferHash-on-disk competitive only for inserts.
+//!
+//! The disk has one head, so its queue is serial: a ring stream is serviced
+//! in admission order, every request paying its own seek.
 
-use crate::device::{ring_execute, Device};
+use crate::device::Device;
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
-use crate::queue::{
-    CompletionRing, IoCompletion, IoRequest, IoTicket, RingCompletion, RingRequest,
-};
 use crate::stats::IoStats;
 use crate::store::SparseStore;
 use crate::time::SimDuration;
@@ -122,121 +122,12 @@ impl Device for MagneticDisk {
         Ok(SimDuration::ZERO)
     }
 
-    /// Native submission with NCQ-style elevator scheduling: data effects
-    /// and per-request results are produced in submission order (so a batch
-    /// is observationally equivalent to sequential issue), but the head
-    /// services the queued transfers within each reorder window in
-    /// ascending seek position, which collapses most of the positioning
-    /// cost of a scattered batch.
-    fn submit(&mut self, requests: &mut [IoRequest]) -> Result<Vec<IoCompletion>> {
-        self.stats.batches_submitted += 1;
-        self.stats.requests_submitted += requests.len() as u64;
-
-        // Phase 1 (submission order): bounds checks and data effects.
-        let mut completions = Vec::with_capacity(requests.len());
-        // Transfers awaiting latency assignment: (completion idx, offset, len).
-        let mut transfers: Vec<(usize, u64, usize, bool)> = Vec::new();
-        for (index, request) in requests.iter_mut().enumerate() {
-            let (latency, result) = match request {
-                IoRequest::Read { offset, len } => {
-                    match self.geometry.check_bounds(*offset, *len) {
-                        Err(e) => (SimDuration::ZERO, Err(e)),
-                        Ok(()) => {
-                            let mut buf = vec![0u8; *len];
-                            self.store.read(*offset, &mut buf);
-                            if *len > 0 {
-                                transfers.push((index, *offset, *len, true));
-                            }
-                            (SimDuration::ZERO, Ok(buf))
-                        }
-                    }
-                }
-                IoRequest::Write { offset, data } => {
-                    match self.geometry.check_bounds(*offset, data.len()) {
-                        Err(e) => (SimDuration::ZERO, Err(e)),
-                        Ok(()) => {
-                            self.store.write(*offset, data);
-                            if !data.is_empty() {
-                                transfers.push((index, *offset, data.len(), false));
-                            }
-                            (SimDuration::ZERO, Ok(Vec::new()))
-                        }
-                    }
-                }
-                IoRequest::Erase { .. } => (
-                    SimDuration::ZERO,
-                    Err(DeviceError::Unsupported("erase_block on a magnetic disk")),
-                ),
-                IoRequest::Trim { offset, len } => match self.trim(*offset, *len) {
-                    Ok(lat) => (lat, Ok(Vec::new())),
-                    Err(e) => (SimDuration::ZERO, Err(e)),
-                },
-            };
-            completions.push(IoCompletion { index, lane: 0, latency, result });
-        }
-
-        // Phase 2: service the transfers window by window, each window
-        // sorted by seek position.
-        let window = self.profile.queue.max_queue_depth.max(1);
-        for chunk in transfers.chunks_mut(window) {
-            chunk.sort_by_key(|&(_, offset, _, _)| offset);
-            for &(index, offset, len, is_read) in chunk.iter() {
-                let pages = self.geometry.pages_spanned(offset, len);
-                let bytes = pages as usize * self.profile.page_size as usize;
-                let transfer_cost = if is_read {
-                    self.profile.read_cost.cost(bytes)
-                } else {
-                    self.profile.write_cost.cost(bytes)
-                };
-                let lat = self.positioning_cost(offset) + transfer_cost;
-                self.head = Some(offset + len as u64);
-                if is_read {
-                    self.stats.reads += 1;
-                    self.stats.bytes_read += len as u64;
-                    self.stats.read_time += lat;
-                } else {
-                    self.stats.writes += 1;
-                    self.stats.bytes_written += len as u64;
-                    self.stats.write_time += lat;
-                }
-                completions[index].latency = lat;
-            }
-        }
-        Ok(completions)
-    }
-
-    /// Ring admission through the per-op path: the elevator only reorders
-    /// within a blocking submission window, so a ring stream is serviced in
-    /// admission order; the override exists to keep the device's ring
-    /// ledger (submissions, reaps, depth high-water, admission stalls)
-    /// recorded like on every other backend.
-    fn submit_nowait(
-        &mut self,
-        requests: Vec<RingRequest>,
-        ring: &mut CompletionRing,
-    ) -> Result<Vec<IoTicket>> {
-        self.stats.requests_submitted += requests.len() as u64;
-        let stalls_before = ring.admission_stalls();
-        let tickets = ring_execute(self, requests, ring)?;
-        self.stats.ring_depth_high_water =
-            self.stats.ring_depth_high_water.max(ring.depth_high_water() as u64);
-        self.stats.ring_admission_stalls += ring.admission_stalls() - stalls_before;
-        Ok(tickets)
-    }
-
-    fn reap(&mut self, ring: &mut CompletionRing, _min: usize) -> Result<Vec<RingCompletion>> {
-        let out = ring.reap(usize::MAX);
-        self.stats.requests_reaped += out.len() as u64;
-        self.stats.requests_overlapped += out.iter().filter(|c| c.lane != 0).count() as u64;
-        Ok(out)
-    }
-
     fn stats(&self) -> IoStats {
         self.stats.clone()
     }
 
-    fn reset_stats(&mut self) {
-        self.stats.reset();
+    fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats)) {
+        update(&mut self.stats)
     }
 }
 
@@ -299,41 +190,23 @@ mod tests {
     }
 
     #[test]
-    fn submit_services_a_scattered_batch_in_seek_order() {
-        use crate::queue::batch_latency;
-        // The same scattered read pattern, issued per-op vs. as one batch.
-        let offsets = [48u64 << 20, 2 << 20, 32 << 20, 10 << 20, 60 << 20, 1 << 20, 20 << 20];
-        let mut per_op = disk();
-        let mut seq_total = SimDuration::ZERO;
-        for &o in &offsets {
-            seq_total += per_op.read_at(o, &mut [0u8; 4096]).unwrap();
-        }
-        let mut queued = disk();
-        let mut reqs: Vec<IoRequest> = offsets.iter().map(|&o| IoRequest::read(o, 4096)).collect();
-        let completions = queued.submit(&mut reqs).unwrap();
-        assert!(completions.iter().all(|c| c.result.is_ok() && c.lane == 0));
-        let batched = batch_latency(&completions);
-        // Rotation and the fixed settle component put a floor under every
-        // random access, so the elevator win is bounded; require > 10%.
-        assert!(
-            batched * 10 < seq_total * 9,
-            "elevator scheduling ({batched}) should beat random-order seeks ({seq_total})"
-        );
-        assert_eq!(queued.stats().reads, offsets.len() as u64);
-    }
-
-    #[test]
     fn submit_applies_conflicting_writes_in_submission_order() {
+        use crate::device::tests::run_on_ring;
+        use crate::queue::IoRequest;
         let mut d = disk();
-        let mut reqs = vec![
+        let reqs = vec![
             IoRequest::write(8 << 20, vec![1u8; 512]),
             IoRequest::write(8 << 20, vec![2u8; 512]),
             IoRequest::read(8 << 20, 512),
             IoRequest::Erase { block: 0 },
         ];
-        let completions = d.submit(&mut reqs).unwrap();
-        assert_eq!(completions[2].result.as_ref().unwrap()[0], 2, "later write wins");
-        assert!(matches!(completions[3].result, Err(DeviceError::Unsupported(_))));
+        let (ring, done) = run_on_ring(&mut d, reqs);
+        assert_eq!(done[2].result.as_ref().unwrap()[0], 2, "later write wins");
+        assert!(matches!(done[3].result, Err(DeviceError::Unsupported(_))));
+        // One head: the stream is serviced in admission order, one request
+        // at a time.
+        assert!(done.iter().all(|c| c.lane == 0));
+        assert_eq!(ring.makespan(), done.iter().map(|c| c.latency).sum());
     }
 
     #[test]

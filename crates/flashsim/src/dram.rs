@@ -4,14 +4,10 @@
 //! The model exists so that in-memory work (buffers, Bloom filters) can be
 //! charged consistently with flash/disk work in end-to-end latency accounts.
 
-use crate::cost::LinearCost;
-use crate::device::{execute_requests, ring_execute, Device};
+use crate::device::Device;
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
-use crate::queue::{
-    CompletionRing, IoCompletion, IoRequest, IoTicket, LaneScheduler, RingCompletion, RingRequest,
-};
 use crate::stats::IoStats;
 use crate::store::SparseStore;
 use crate::time::SimDuration;
@@ -48,10 +44,6 @@ impl DramDevice {
             profile,
         })
     }
-
-    fn access_cost(&self, cost: &LinearCost, bytes: usize) -> SimDuration {
-        cost.cost(bytes)
-    }
 }
 
 impl Device for DramDevice {
@@ -66,7 +58,7 @@ impl Device for DramDevice {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         self.geometry.check_bounds(offset, buf.len())?;
         self.store.read(offset, buf);
-        let lat = self.access_cost(&self.profile.read_cost.clone(), buf.len());
+        let lat = self.profile.read_cost.cost(buf.len());
         self.stats.reads += 1;
         self.stats.bytes_read += buf.len() as u64;
         self.stats.read_time += lat;
@@ -76,7 +68,7 @@ impl Device for DramDevice {
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
         self.geometry.check_bounds(offset, data.len())?;
         self.store.write(offset, data);
-        let lat = self.access_cost(&self.profile.write_cost.clone(), data.len());
+        let lat = self.profile.write_cost.cost(data.len());
         self.stats.writes += 1;
         self.stats.bytes_written += data.len() as u64;
         self.stats.write_time += lat;
@@ -94,47 +86,12 @@ impl Device for DramDevice {
         Ok(SimDuration::ZERO)
     }
 
-    /// Native submission: requests execute in order (so state and results
-    /// match sequential issue exactly) but are spread over the profile's
-    /// queue lanes, modelling channel/bank parallelism.
-    fn submit(&mut self, requests: &mut [IoRequest]) -> Result<Vec<IoCompletion>> {
-        self.stats.batches_submitted += 1;
-        self.stats.requests_submitted += requests.len() as u64;
-        let mut lanes = LaneScheduler::new(self.profile.queue.effective_lanes(requests.len()));
-        let completions = execute_requests(self, requests, &mut lanes);
-        self.stats.requests_overlapped += completions.iter().filter(|c| c.lane != 0).count() as u64;
-        Ok(completions)
-    }
-
-    /// Ring admission over the channel lanes (simulated time, like
-    /// [`submit`](Self::submit), but submit-without-wait).
-    fn submit_nowait(
-        &mut self,
-        requests: Vec<RingRequest>,
-        ring: &mut CompletionRing,
-    ) -> Result<Vec<IoTicket>> {
-        self.stats.requests_submitted += requests.len() as u64;
-        let stalls_before = ring.admission_stalls();
-        let tickets = ring_execute(self, requests, ring)?;
-        self.stats.ring_depth_high_water =
-            self.stats.ring_depth_high_water.max(ring.depth_high_water() as u64);
-        self.stats.ring_admission_stalls += ring.admission_stalls() - stalls_before;
-        Ok(tickets)
-    }
-
-    fn reap(&mut self, ring: &mut CompletionRing, _min: usize) -> Result<Vec<RingCompletion>> {
-        let out = ring.reap(usize::MAX);
-        self.stats.requests_reaped += out.len() as u64;
-        self.stats.requests_overlapped += out.iter().filter(|c| c.lane != 0).count() as u64;
-        Ok(out)
-    }
-
     fn stats(&self) -> IoStats {
         self.stats.clone()
     }
 
-    fn reset_stats(&mut self) {
-        self.stats.reset();
+    fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats)) {
+        update(&mut self.stats)
     }
 }
 
@@ -180,21 +137,20 @@ mod tests {
 
     #[test]
     fn submit_overlaps_requests_on_dram_lanes() {
-        use crate::queue::{batch_latency, total_busy_time};
+        use crate::device::tests::run_on_ring;
+        use crate::queue::IoRequest;
         let mut d = DramDevice::new(1 << 20).unwrap();
-        let mut reqs: Vec<IoRequest> =
-            (0..8).map(|i| IoRequest::write(i * 4096, vec![i as u8; 4096])).collect();
-        let completions = d.submit(&mut reqs).unwrap();
-        assert_eq!(completions.len(), 8);
-        assert!(completions.iter().all(|c| c.result.is_ok()));
-        // DRAM overlaps on 4 lanes: elapsed is ~1/4 of the busy sum.
-        let elapsed = batch_latency(&completions);
-        let busy = total_busy_time(&completions);
-        assert_eq!(elapsed, busy / 4);
+        let reqs = (0..8).map(|i| IoRequest::write(i * 4096, vec![i as u8; 4096])).collect();
+        let (ring, done) = run_on_ring(&mut d, reqs);
+        assert_eq!(done.len(), 8);
+        assert!(done.iter().all(|c| c.result.is_ok()));
+        // DRAM overlaps on 4 lanes: elapsed is 1/4 of the busy sum.
+        let busy: SimDuration = done.iter().map(|c| c.latency).sum();
+        assert_eq!(ring.makespan(), busy / 4);
         let s = d.stats();
-        assert_eq!(s.batches_submitted, 1);
-        assert_eq!(s.requests_submitted, 8);
+        assert_eq!((s.requests_submitted, s.requests_reaped), (8, 8));
         assert_eq!(s.requests_overlapped, 6, "two requests per lane, lanes 1-3 overlap");
+        assert_eq!(s.ring_depth_high_water, 8);
         assert_eq!(s.writes, 8, "per-command counters still advance");
     }
 

@@ -12,24 +12,14 @@
 //! down when the device drops. Nothing on the hot path spawns threads, and
 //! a request crosses to a pool thread only when that pays (below).
 //!
-//! Two execution modes share that pool:
-//!
-//! * **Blocking submissions** ([`Device::submit`]) are executed in
-//!   conflict-free *waves*: a request that conflicts with an earlier
-//!   request of the same batch starts a new wave, and waves run one after
-//!   another. Accounting lanes are assigned per wave from the *measured*
-//!   latencies (LPT schedule, busiest lane relabelled to lane 0), which
-//!   makes [`queue::batch_latency`](crate::queue::batch_latency) equal the
-//!   modelled elapsed time of the whole batch — the sum of the per-wave
-//!   makespans.
-//! * **Ring submissions** ([`Device::submit_nowait`] / [`Device::reap`])
-//!   skip the barrier entirely: a request whose byte range conflicts with
-//!   an in-flight request is held back (and dispatched the moment its
-//!   dependencies retire, so admission order = data-effect order), an
-//!   independent one starts at once, and completions stream back through
-//!   the caller's [`CompletionRing`], whose lane free-at clocks turn the
-//!   measured per-request latencies into a single continuous queue
-//!   schedule — no per-wave straggler tax.
+//! Requests arrive through the completion ring
+//! ([`Device::submit_nowait`] / [`Device::reap`]): a request whose byte
+//! range conflicts with an in-flight request is held back (and dispatched
+//! the moment its dependencies retire, so admission order = data-effect
+//! order), an independent one starts at once, and completions stream back
+//! through the caller's [`CompletionRing`], whose lane free-at clocks turn
+//! the measured per-request latencies into a single continuous queue
+//! schedule.
 //!
 //! **A read is handed to the pool only when it pays.** An independent ring
 //! read executes at admission, on the submitting thread, for as long as
@@ -51,13 +41,6 @@
 //! the measured per-request latencies. That is the metric the
 //! `io_queue_depth` harness sweeps (it reports host wall time and the
 //! share of inline reads alongside for transparency).
-//!
-//! Mixing blocking submissions with in-flight ring requests is supported
-//! only for non-conflicting ranges: blocking waves bypass the ring's
-//! dependency tracking, so callers must drain the ring before submitting
-//! conflicting work. The CLAM pipelines never mix the two: probes and
-//! flush writes share one ring per call, and nothing in `bufferhash`
-//! submits a blocking wave.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -75,8 +58,8 @@ use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::{DeviceProfile, MediumKind};
 use crate::queue::{
-    ranges_conflict, CompletionRing, IoCompletion, IoRequest, IoTicket, QueueCapabilities,
-    RingCompletion, RingRequest,
+    ranges_conflict, CompletionRing, IoRequest, IoTicket, QueueCapabilities, RingCompletion,
+    RingRequest,
 };
 use crate::stats::IoStats;
 use crate::time::SimDuration;
@@ -136,7 +119,7 @@ impl ReadCost {
 /// One unit of work for the pool: a positioned read or write.
 #[derive(Debug)]
 struct PoolJob {
-    /// Device-wide job id (shared namespace for waves and ring requests).
+    /// Device-wide job id.
     id: u64,
     offset: u64,
     /// `Some(data)` for writes, `None` for reads.
@@ -180,8 +163,8 @@ struct PoolShared {
 
 impl PoolShared {
     /// Executes and times one positioned read (`write` is `None`) or
-    /// write: the only place the ring and wave paths touch the file, on
-    /// whichever thread the caller is.
+    /// write: the only place the ring touches the file, on whichever
+    /// thread the caller is.
     fn timed_io(&self, offset: u64, write: Option<&[u8]>, read_len: usize) -> TimedIo {
         let start = Instant::now();
         let result = match write {
@@ -322,61 +305,6 @@ pub struct FileDevice {
     parked: HashMap<u64, Vec<ParkedCompletion>>,
 }
 
-/// One executable request of a blocking submission, planned for the pool.
-#[derive(Debug)]
-struct PlannedOp {
-    /// Index in the submitted batch.
-    index: usize,
-    offset: u64,
-    /// `Some(data)` for writes (taken out of the request), `None` for
-    /// reads.
-    write: Option<Vec<u8>>,
-    /// Read length (0 for writes).
-    read_len: usize,
-}
-
-impl PlannedOp {
-    fn range(&self) -> (u64, u64, bool) {
-        let end = self.offset + self.write.as_deref().map_or(self.read_len, <[u8]>::len) as u64;
-        (self.offset, end, self.write.is_none())
-    }
-}
-
-/// Assigns accounting lanes to one executed wave from its *measured*
-/// latencies: requests are LPT-scheduled onto the queue's lanes and lane
-/// ids are relabelled busiest-first. Mapping every wave's busiest lane to
-/// lane 0 makes the global per-lane sums honest: lane 0 accumulates
-/// exactly the sum of the per-wave makespans (the elapsed time of the
-/// sequentially executed waves) and no other lane can exceed it.
-fn assign_wave_lanes(results: &mut [WorkerResult], lanes: usize) {
-    let lanes = lanes.min(results.len()).max(1);
-    let mut order: Vec<usize> = (0..results.len()).collect();
-    order.sort_by(|&a, &b| results[b].io.latency.cmp(&results[a].io.latency));
-    let mut busy = vec![SimDuration::ZERO; lanes];
-    let mut lane_of = vec![0usize; results.len()];
-    for &i in &order {
-        let lane = busy.iter().enumerate().min_by_key(|(_, b)| **b).map(|(l, _)| l).unwrap_or(0);
-        lane_of[i] = lane;
-        busy[lane] += results[i].io.latency;
-    }
-    let mut by_busy: Vec<usize> = (0..lanes).collect();
-    by_busy.sort_by(|&a, &b| busy[b].cmp(&busy[a]));
-    let mut rank = vec![0usize; lanes];
-    for (r, &l) in by_busy.iter().enumerate() {
-        rank[l] = r;
-    }
-    for (i, result) in results.iter_mut().enumerate() {
-        result.lane = rank[lane_of[i]];
-    }
-}
-
-/// Per-request outcome of one wave request.
-struct WorkerResult {
-    index: usize,
-    lane: usize,
-    io: TimedIo,
-}
-
 impl FileDevice {
     /// Creates (or truncates) a backing file of `capacity` bytes with the
     /// default queue depth of [`DEFAULT_FILE_QUEUE_DEPTH`].
@@ -467,64 +395,6 @@ impl FileDevice {
         let id = self.next_job_id;
         self.next_job_id += 1;
         id
-    }
-
-    /// Runs one conflict-free wave of planned operations on the worker
-    /// pool and waits for all of them.
-    ///
-    /// A one-request wave executes inline — a single positioned I/O gains
-    /// nothing from a pool handoff, and keeping it on the calling thread
-    /// keeps depth-1 measurements free of queueing noise.
-    fn run_wave(&mut self, wave: Vec<PlannedOp>) -> Vec<WorkerResult> {
-        if wave.len() == 1 || self.pool.len() == 1 {
-            let shared = &self.pool.shared;
-            return wave
-                .into_iter()
-                .map(|op| WorkerResult {
-                    index: op.index,
-                    lane: 0,
-                    io: shared.timed_io(op.offset, op.write.as_deref(), op.read_len),
-                })
-                .collect();
-        }
-        let first_id = self.next_job_id;
-        let mut indexes = Vec::with_capacity(wave.len());
-        for op in wave {
-            let id = self.next_job_id();
-            indexes.push(op.index);
-            self.pool.push(PoolJob {
-                id,
-                offset: op.offset,
-                write: op.write,
-                read_len: op.read_len,
-            });
-        }
-        let count = indexes.len();
-        let shared = &self.pool.shared;
-        let mut collected: Vec<WorkerResult> = Vec::with_capacity(count);
-        let mut done = shared.done.lock().expect("pool done lock");
-        while collected.len() < count {
-            // Pull this wave's results; anything else in the queue (ring
-            // completions) stays for its own reap.
-            let mut i = 0;
-            while i < done.len() {
-                let id = done[i].id;
-                if id >= first_id && id < first_id + count as u64 {
-                    let d = done.swap_remove(i);
-                    collected.push(WorkerResult {
-                        index: indexes[(d.id - first_id) as usize],
-                        lane: 0, // accounting lanes assigned per wave afterwards
-                        io: d.io,
-                    });
-                } else {
-                    i += 1;
-                }
-            }
-            if collected.len() < count {
-                done = shared.done_cv.wait(done).expect("pool done lock");
-            }
-        }
-        collected
     }
 
     /// Accounts one finished request in the device counters. Every read's
@@ -619,120 +489,6 @@ impl Device for FileDevice {
         Ok(SimDuration::ZERO)
     }
 
-    /// Native blocking submission over the persistent worker pool.
-    ///
-    /// Requests are validated in submission order; reads and writes whose
-    /// ranges are independent run concurrently on the pool (positioned I/O
-    /// on the shared file), while conflicting requests are separated into
-    /// ordered waves, preserving sequential semantics. Completion lanes
-    /// are assigned per wave from the measured latencies, so
-    /// [`queue::batch_latency`](crate::queue::batch_latency) yields the
-    /// sum of the per-wave makespans.
-    ///
-    /// Write payloads are *moved* to the worker pool (the caller's
-    /// `IoRequest::Write` data is left empty) — requests are treated as
-    /// consumed by submission.
-    fn submit(&mut self, requests: &mut [IoRequest]) -> Result<Vec<IoCompletion>> {
-        self.stats.batches_submitted += 1;
-        self.stats.requests_submitted += requests.len() as u64;
-        let lanes = self.profile.queue.effective_lanes(requests.len());
-
-        // Phase 1 (submission order): validate, resolve trims/erases, and
-        // plan the real I/O.
-        let mut completions: Vec<Option<IoCompletion>> = Vec::with_capacity(requests.len());
-        let mut planned: Vec<PlannedOp> = Vec::new();
-        let mut trims = 0u64;
-        for (index, request) in requests.iter_mut().enumerate() {
-            let done = |latency, result| Some(IoCompletion { index, lane: 0, latency, result });
-            let planned_op = match request {
-                IoRequest::Read { offset, len } => {
-                    match self.geometry.check_bounds(*offset, *len) {
-                        Err(e) => {
-                            completions.push(done(SimDuration::ZERO, Err(e)));
-                            continue;
-                        }
-                        Ok(()) => PlannedOp { index, offset: *offset, write: None, read_len: *len },
-                    }
-                }
-                IoRequest::Write { offset, data } => {
-                    match self.geometry.check_bounds(*offset, data.len()) {
-                        Err(e) => {
-                            completions.push(done(SimDuration::ZERO, Err(e)));
-                            continue;
-                        }
-                        Ok(()) => PlannedOp {
-                            index,
-                            offset: *offset,
-                            write: Some(std::mem::take(data)),
-                            read_len: 0,
-                        },
-                    }
-                }
-                IoRequest::Erase { .. } => {
-                    completions.push(done(
-                        SimDuration::ZERO,
-                        Err(DeviceError::Unsupported("erase_block on a file-backed device")),
-                    ));
-                    continue;
-                }
-                IoRequest::Trim { offset, len } => {
-                    match self.geometry.check_bounds(*offset, *len as usize) {
-                        Err(e) => completions.push(done(SimDuration::ZERO, Err(e))),
-                        Ok(()) => {
-                            trims += 1;
-                            completions.push(done(SimDuration::ZERO, Ok(Vec::new())));
-                        }
-                    }
-                    continue;
-                }
-            };
-            completions.push(None);
-            planned.push(planned_op);
-        }
-        self.stats.trims += trims;
-
-        // Phase 2: split the plan into conflict-free waves and run each
-        // wave on the pool, assigning accounting lanes per wave from the
-        // measured latencies.
-        let mut results: Vec<WorkerResult> = Vec::with_capacity(planned.len());
-        let mut wave: Vec<PlannedOp> = Vec::new();
-        let mut wave_ranges: Vec<(u64, u64, bool)> = Vec::new();
-        let flush =
-            |device: &mut Self, wave: &mut Vec<PlannedOp>, results: &mut Vec<WorkerResult>| {
-                if wave.is_empty() {
-                    return;
-                }
-                let mut executed = device.run_wave(std::mem::take(wave));
-                assign_wave_lanes(&mut executed, lanes);
-                results.extend(executed);
-            };
-        for op in planned {
-            let range = op.range();
-            if wave_ranges.iter().any(|&prior| ranges_conflict(range, prior)) {
-                flush(self, &mut wave, &mut results);
-                wave_ranges.clear();
-            }
-            wave_ranges.push(range);
-            wave.push(op);
-        }
-        flush(self, &mut wave, &mut results);
-
-        // Phase 3: account and scatter the results back to batch order.
-        for r in results {
-            if r.lane != 0 {
-                self.stats.requests_overlapped += 1;
-            }
-            self.account(r.io.write_bytes, r.io.latency);
-            completions[r.index] = Some(IoCompletion {
-                index: r.index,
-                lane: r.lane,
-                latency: r.io.latency,
-                result: r.io.result,
-            });
-        }
-        Ok(completions.into_iter().map(|c| c.expect("every request completed")).collect())
-    }
-
     /// Native ring submission: a request whose byte range conflicts with an
     /// in-flight request (of any ring on this device) is held back and
     /// dispatched the moment its last blocker retires, so overlapping
@@ -754,8 +510,6 @@ impl Device for FileDevice {
         requests: Vec<RingRequest>,
         ring: &mut CompletionRing,
     ) -> Result<Vec<IoTicket>> {
-        self.stats.requests_submitted += requests.len() as u64;
-        let stalls_before = ring.admission_stalls();
         let mut tickets = Vec::with_capacity(requests.len());
         for RingRequest { request, not_before } in requests {
             let ticket = ring.admit(&request, not_before);
@@ -784,13 +538,8 @@ impl Device for FileDevice {
                     continue;
                 }
                 IoRequest::Trim { offset, len } => {
-                    match self.geometry.check_bounds(offset, len as usize) {
-                        Err(e) => ring.finish(ticket, SimDuration::ZERO, Err(e)),
-                        Ok(()) => {
-                            self.stats.trims += 1;
-                            ring.finish(ticket, SimDuration::ZERO, Ok(Vec::new()));
-                        }
-                    }
+                    let done = self.trim(offset, len).map(|_| Vec::new());
+                    ring.finish(ticket, SimDuration::ZERO, done);
                     continue;
                 }
             };
@@ -837,9 +586,7 @@ impl Device for FileDevice {
                 self.ring_blocked.push(BlockedRingJob { job, meta, blockers });
             }
         }
-        self.stats.ring_depth_high_water =
-            self.stats.ring_depth_high_water.max(ring.depth_high_water() as u64);
-        self.stats.ring_admission_stalls += ring.admission_stalls() - stalls_before;
+        ring.record_admission(&mut self.stats, tickets.len());
         Ok(tickets)
     }
 
@@ -849,7 +596,6 @@ impl Device for FileDevice {
     /// parked for their own reap — as they arrive.
     fn reap(&mut self, ring: &mut CompletionRing, min: usize) -> Result<Vec<RingCompletion>> {
         let min = min.max(1);
-        let stalls_before = ring.admission_stalls();
         loop {
             // Results of this ring processed during another ring's reap.
             if let Some(parked) = self.parked.remove(&ring.epoch()) {
@@ -857,14 +603,8 @@ impl Device for FileDevice {
                     ring.finish(ticket, latency, result);
                 }
             }
-            let arrived: Vec<DoneJob> = {
-                let mut done = self.pool.shared.done.lock().expect("pool done lock");
-                let ring_ids: Vec<usize> = (0..done.len())
-                    .rev()
-                    .filter(|&i| self.ring_dispatched.contains_key(&done[i].id))
-                    .collect();
-                ring_ids.into_iter().map(|i| done.swap_remove(i)).collect()
-            };
+            let arrived =
+                std::mem::take(&mut *self.pool.shared.done.lock().expect("pool done lock"));
             for done in arrived {
                 self.process_done(done, ring);
             }
@@ -874,35 +614,26 @@ impl Device for FileDevice {
             // Nothing ready yet: wait for the pool to finish something.
             let shared = &self.pool.shared;
             let done = shared.done.lock().expect("pool done lock");
-            if done.iter().any(|d| self.ring_dispatched.contains_key(&d.id)) {
-                continue;
+            if done.is_empty() {
+                drop(shared.done_cv.wait(done).expect("pool done lock"));
             }
-            drop(shared.done_cv.wait(done).expect("pool done lock"));
         }
-        let out = ring.reap(usize::MAX);
-        self.stats.requests_reaped += out.len() as u64;
-        self.stats.requests_overlapped += out.iter().filter(|c| c.lane != 0).count() as u64;
-        // Stalls surface at finish time, which for pooled execution happens
-        // here (and in `process_done` during another ring's reap, whose
-        // results are parked and finished above), so the delta is taken
-        // across the whole reap.
-        self.stats.ring_admission_stalls += ring.admission_stalls() - stalls_before;
-        Ok(out)
+        Ok(ring.reap_recorded(&mut self.stats))
     }
 
     fn stats(&self) -> IoStats {
         self.stats.clone()
     }
 
-    fn reset_stats(&mut self) {
-        self.stats.reset();
+    fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats)) {
+        update(&mut self.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::batch_latency;
+    use crate::device::tests::run_on_ring;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -984,22 +715,17 @@ mod tests {
         let path = temp_path("submit-pool");
         {
             let mut dev = FileDevice::with_queue_depth(&path, 1 << 20, 4).unwrap();
-            let mut reqs: Vec<IoRequest> =
+            let reqs =
                 (0..16u64).map(|i| IoRequest::write(i * 4096, vec![i as u8; 4096])).collect();
-            let completions = dev.submit(&mut reqs).unwrap();
-            assert!(completions.iter().all(|c| c.result.is_ok()));
-            assert!(completions.iter().any(|c| c.lane != 0), "pool must be used");
-            assert!(batch_latency(&completions) > SimDuration::ZERO);
-            // Every slot really landed.
-            for i in 0..16u64 {
-                let mut buf = [0u8; 4096];
-                dev.read_at(i * 4096, &mut buf).unwrap();
-                assert!(buf.iter().all(|&b| b == i as u8), "slot {i}");
-            }
+            let (ring, done) = run_on_ring(&mut dev, reqs);
+            assert!(done.iter().all(|c| c.result.is_ok()));
+            assert!(done.iter().any(|c| c.lane != 0), "the queue's lanes must be used");
+            assert!(ring.makespan() < done.iter().map(|c| c.latency).sum());
+            // The ledger is the ring's, written into this device's counters.
             let s = dev.stats();
-            assert_eq!(s.batches_submitted, 1);
-            assert_eq!(s.requests_submitted, 16);
-            assert!(s.requests_overlapped > 0);
+            assert_eq!((s.requests_submitted, s.requests_reaped), (16, 16));
+            assert_eq!(s.requests_overlapped, done.iter().filter(|c| c.lane != 0).count() as u64);
+            assert_eq!(s.ring_depth_high_water, 16);
             assert_eq!(s.writes, 16);
         }
         std::fs::remove_file(&path).ok();
@@ -1014,61 +740,18 @@ mod tests {
             let mut reqs: Vec<IoRequest> =
                 (0..32u64).map(|i| IoRequest::write(0, vec![i as u8; 4096])).collect();
             reqs.push(IoRequest::read(0, 4096));
-            let completions = dev.submit(&mut reqs).unwrap();
-            assert!(completions.iter().all(|c| c.result.is_ok()));
-            assert_eq!(completions[32].result.as_ref().unwrap()[0], 31);
-            // A fully conflicting batch degenerates to one-request waves:
-            // everything on lane 0, elapsed time = the serial sum.
-            assert!(completions.iter().all(|c| c.lane == 0));
-            assert_eq!(batch_latency(&completions), crate::queue::total_busy_time(&completions));
-            assert_eq!(dev.stats().requests_overlapped, 0);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn multi_wave_batches_sum_their_wave_makespans() {
-        let path = temp_path("submit-waves");
-        {
-            let mut dev = FileDevice::with_queue_depth(&path, 1 << 20, 2).unwrap();
-            // Two waves of two disjoint writes each (requests 2 and 3
-            // conflict with 0 and 1 respectively).
-            let mut reqs = vec![
-                IoRequest::write(0, vec![1u8; 64 * 1024]),
-                IoRequest::write(128 * 1024, vec![2u8; 4096]),
-                IoRequest::write(0, vec![3u8; 4096]),
-                IoRequest::write(128 * 1024, vec![4u8; 64 * 1024]),
-            ];
-            let completions = dev.submit(&mut reqs).unwrap();
-            assert!(completions.iter().all(|c| c.result.is_ok()));
-            // Elapsed must be the sum of the per-wave makespans — never
-            // less (lane sums must not interleave across waves).
-            let expected = completions[0].latency.max(completions[1].latency)
-                + completions[2].latency.max(completions[3].latency);
-            assert_eq!(batch_latency(&completions), expected);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn submit_reports_per_request_errors() {
-        let path = temp_path("submit-errors");
-        {
-            let mut dev = FileDevice::with_queue_depth(&path, 8192, 2).unwrap();
-            let mut reqs = vec![
-                IoRequest::write(0, vec![5u8; 100]),
-                IoRequest::Erase { block: 0 },
-                IoRequest::read(8192, 1),
-                IoRequest::Trim { offset: 0, len: 100 },
-                IoRequest::read(0, 100),
-            ];
-            let completions = dev.submit(&mut reqs).unwrap();
-            assert!(completions[0].result.is_ok());
-            assert!(matches!(completions[1].result, Err(DeviceError::Unsupported(_))));
-            assert!(matches!(completions[2].result, Err(DeviceError::OutOfBounds { .. })));
-            assert!(completions[3].result.is_ok());
-            assert_eq!(completions[4].result.as_ref().unwrap(), &vec![5u8; 100]);
-            assert_eq!(dev.stats().trims, 1);
+            let (ring, done) = run_on_ring(&mut dev, reqs);
+            assert!(done.iter().all(|c| c.result.is_ok()));
+            assert_eq!(done[32].result.as_ref().unwrap()[0], 31);
+            // A fully conflicting stream is a chain: each request starts
+            // when its predecessor retires, elapsed time = the serial sum.
+            assert!(done.windows(2).all(|w| w[1].started_at == w[0].completed_at));
+            assert_eq!(ring.makespan(), done.iter().map(|c| c.latency).sum());
+            // Pooled requests finish inside `reap`: the stalls they
+            // surface there reach the device's counters too, each once.
+            let s = dev.stats();
+            assert_eq!(s.ring_admission_stalls, ring.admission_stalls());
+            assert!(s.ring_admission_stalls > 0);
         }
         std::fs::remove_file(&path).ok();
     }

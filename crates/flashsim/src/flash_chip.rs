@@ -9,13 +9,10 @@
 //! BufferHash's "one partition per super table, written circularly" layout
 //! (§5.2) is designed directly against this interface.
 
-use crate::device::{execute_requests, ring_execute, Device};
+use crate::device::Device;
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
-use crate::queue::{
-    CompletionRing, IoCompletion, IoRequest, IoTicket, LaneScheduler, RingCompletion, RingRequest,
-};
 use crate::stats::IoStats;
 use crate::store::SparseStore;
 use crate::time::SimDuration;
@@ -152,48 +149,12 @@ impl Device for FlashChip {
         Ok(SimDuration::ZERO)
     }
 
-    /// Native submission: a single chip has one plane in this model, so the
-    /// batch executes strictly in order on one lane — which is exactly what
-    /// preserves the erase-before-program protocol inside a batch (an erase
-    /// queued ahead of a program to the same block lands first).
-    fn submit(&mut self, requests: &mut [IoRequest]) -> Result<Vec<IoCompletion>> {
-        self.stats.batches_submitted += 1;
-        self.stats.requests_submitted += requests.len() as u64;
-        let mut lanes = LaneScheduler::new(self.profile.queue.effective_lanes(requests.len()));
-        Ok(execute_requests(self, requests, &mut lanes))
-    }
-
-    /// Ring admission on the single plane: a serial chip gives the ring one
-    /// lane, so admissions never overlap in time and erase-before-program
-    /// is preserved by admission order; the override keeps the chip's ring
-    /// ledger recorded like on every other backend.
-    fn submit_nowait(
-        &mut self,
-        requests: Vec<RingRequest>,
-        ring: &mut CompletionRing,
-    ) -> Result<Vec<IoTicket>> {
-        self.stats.requests_submitted += requests.len() as u64;
-        let stalls_before = ring.admission_stalls();
-        let tickets = ring_execute(self, requests, ring)?;
-        self.stats.ring_depth_high_water =
-            self.stats.ring_depth_high_water.max(ring.depth_high_water() as u64);
-        self.stats.ring_admission_stalls += ring.admission_stalls() - stalls_before;
-        Ok(tickets)
-    }
-
-    fn reap(&mut self, ring: &mut CompletionRing, _min: usize) -> Result<Vec<RingCompletion>> {
-        let out = ring.reap(usize::MAX);
-        self.stats.requests_reaped += out.len() as u64;
-        self.stats.requests_overlapped += out.iter().filter(|c| c.lane != 0).count() as u64;
-        Ok(out)
-    }
-
     fn stats(&self) -> IoStats {
         self.stats.clone()
     }
 
-    fn reset_stats(&mut self) {
-        self.stats.reset();
+    fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats)) {
+        update(&mut self.stats)
     }
 }
 
@@ -300,24 +261,28 @@ mod tests {
 
     #[test]
     fn submit_preserves_the_erase_before_program_protocol() {
+        use crate::device::tests::run_on_ring;
+        use crate::queue::IoRequest;
         let mut c = chip();
         c.write_at(0, &[1u8; 2048]).unwrap();
-        // One batch: erase block 0, rewrite its first page, read it back,
-        // and a dirty-page program that must fail without killing the batch.
-        let mut reqs = vec![
+        // One admission: erase block 0, rewrite its first page, read it
+        // back, and a dirty-page program that must fail on its own. A chip
+        // has one plane, so the ring gives it one lane and the erase lands
+        // before the program behind it.
+        let reqs = vec![
             IoRequest::Erase { block: 0 },
             IoRequest::write(0, vec![9u8; 2048]),
             IoRequest::read(0, 2048),
             IoRequest::write(0, vec![3u8; 2048]),
         ];
-        let completions = c.submit(&mut reqs).unwrap();
-        assert!(completions[0].result.is_ok());
-        assert!(completions[1].result.is_ok());
-        assert_eq!(completions[2].result.as_ref().unwrap()[0], 9);
-        assert!(matches!(completions[3].result, Err(DeviceError::WriteToDirtyPage { .. })));
-        assert!(completions.iter().all(|c| c.lane == 0), "a raw chip is serial");
+        let (ring, done) = run_on_ring(&mut c, reqs);
+        assert!(done[0].result.is_ok());
+        assert!(done[1].result.is_ok());
+        assert_eq!(done[2].result.as_ref().unwrap()[0], 9);
+        assert!(matches!(done[3].result, Err(DeviceError::WriteToDirtyPage { .. })));
+        assert!(done.iter().all(|c| c.lane == 0), "a raw chip is serial");
+        assert_eq!(ring.makespan(), done.iter().map(|c| c.latency).sum());
         let s = c.stats();
-        assert_eq!(s.batches_submitted, 1);
         assert_eq!(s.requests_submitted, 4);
         assert_eq!(s.requests_overlapped, 0);
         assert_eq!(s.erases, 1);

@@ -17,20 +17,19 @@
 //! [`SimDuration`] latencies, so higher layers are *sans-I/O*: the same
 //! BufferHash code runs on any medium, and experiments are deterministic.
 //!
-//! I/O is organised around an io_uring-style submission queue
-//! ([`Device::submit`] over [`IoRequest`] batches, see [`queue`]): each
-//! backend executes a batch natively — overlapping independent requests on
-//! queue lanes (SSD, DRAM), servicing it in seek order (disk) or spreading
-//! it over a real worker pool ([`FileDevice`]) — while the per-op methods
-//! remain available as the depth-1 view of the same machinery. On top of
-//! the blocking batches sits the **completion ring**
+//! Queued I/O has one engine, the **completion ring**
 //! ([`Device::submit_nowait`] / [`Device::reap`] over a caller-owned
-//! [`CompletionRing`]): requests are admitted without waiting, tracked in
-//! flight with per-request completion timestamps, and reaped as they
-//! retire, so pipelines can keep the queue full instead of draining it at
-//! every barrier. [`SharedDevice`] lets several owners (e.g. index
-//! stripes) drive partitions of one device — and thus one ring timeline —
-//! concurrently.
+//! [`CompletionRing`], see [`queue`]): requests are admitted without
+//! waiting, tracked in flight with per-request completion timestamps, and
+//! reaped as they retire, so pipelines keep the queue full instead of
+//! draining it at every barrier. A backend is a cost function over a byte
+//! store — the four per-op methods, which also serve single blocking
+//! commands — plus its [`IoStats`]; the ring models the queue (lanes on
+//! SSD and DRAM, one at a time on the chip and the disk) and writes the
+//! queue counters, and only [`FileDevice`], with a real worker pool behind
+//! it, brings ring code of its own. [`SharedDevice`] lets several owners
+//! (e.g. index stripes) drive partitions of one device — and thus one ring
+//! timeline — concurrently.
 //!
 //! ## Example
 //!
@@ -68,7 +67,7 @@ mod time;
 
 pub use cost::LinearCost;
 pub use crash::{CrashDevice, CrashStats};
-pub use device::{execute_requests, ring_execute, Device};
+pub use device::Device;
 pub use disk::MagneticDisk;
 pub use dram::DramDevice;
 pub use error::{DeviceError, Result};
@@ -77,8 +76,8 @@ pub use flash_chip::FlashChip;
 pub use geometry::Geometry;
 pub use profiles::{DeviceProfile, MediumKind};
 pub use queue::{
-    CompletionRing, IoCompletion, IoRequest, IoTicket, LaneScheduler, OverlapModel,
-    QueueCapabilities, RingCompletion, RingRequest,
+    CompletionRing, IoRequest, IoTicket, OverlapModel, QueueCapabilities, RingCompletion,
+    RingRequest,
 };
 pub use shared::SharedDevice;
 pub use ssd::Ssd;

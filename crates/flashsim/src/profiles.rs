@@ -51,7 +51,7 @@ pub struct DeviceProfile {
     pub over_provisioning: f64,
     /// Submission-queue shape: how many requests the device keeps in
     /// flight and whether they overlap in time (see
-    /// [`Device::submit`](crate::Device::submit)).
+    /// [`Device::submit_nowait`](crate::Device::submit_nowait)).
     pub queue: QueueCapabilities,
     /// Purchase cost of the device in US dollars (for ops/sec/$ analyses).
     pub dollar_cost: f64,
@@ -139,8 +139,8 @@ impl DeviceProfile {
             seek_ns: 8_000_000,
             rotation_ns: 4_170_000,
             over_provisioning: 0.0,
-            // One actuator, but NCQ lets the drive reorder within a window.
-            queue: QueueCapabilities::serial_reordering(8),
+            // One actuator: one request at a time.
+            queue: QueueCapabilities::serial(),
             dollar_cost: 70.0,
             power_watts: 8.0,
         }
@@ -248,10 +248,8 @@ mod tests {
         assert_eq!(DeviceProfile::intel_x18m().queue.overlap, OverlapModel::Overlapped);
         assert_eq!(DeviceProfile::transcend_ts32g().queue.max_queue_depth, 1);
         assert_eq!(DeviceProfile::flash_chip().queue.overlap, OverlapModel::Serial);
-        // The disk queues for reordering but never overlaps transfers.
-        let disk = DeviceProfile::hitachi_7k80().queue;
-        assert_eq!(disk.overlap, OverlapModel::Serial);
-        assert!(disk.max_queue_depth > 1);
+        // One head: the disk never overlaps transfers.
+        assert_eq!(DeviceProfile::hitachi_7k80().queue, QueueCapabilities::serial());
         assert_eq!(DeviceProfile::dram().queue.overlap, OverlapModel::Overlapped);
     }
 

@@ -1,49 +1,50 @@
-//! io_uring-style submission/completion queues for the [`Device`](crate::Device) boundary.
+//! The device ring: io_uring-style queued I/O for the [`Device`](crate::Device) boundary.
 //!
 //! The paper's media reward batched, sequential, page-granular I/O, and real
 //! deployments drive them through explicit device queues (NCQ on SATA,
 //! submission rings on NVMe/io_uring) rather than one blocking call at a
-//! time. This module defines the request/completion vocabulary for that
-//! style of access:
+//! time. This module is the one engine for that style of access:
 //!
 //! * [`IoRequest`] — one read/write/erase/trim command;
-//! * [`IoCompletion`] — per-request latency, execution *lane* and result;
 //! * [`QueueCapabilities`] / [`OverlapModel`] — how many requests a device
 //!   keeps in flight and whether they overlap in time;
-//! * [`LaneScheduler`] — the greedy earliest-free-lane model shared by the
-//!   simulated backends;
-//! * [`batch_latency`] / [`total_busy_time`] — turn a completion set into
-//!   the elapsed (makespan) or device-busy view of a submission;
 //! * [`CompletionRing`] / [`IoTicket`] / [`RingRequest`] /
-//!   [`RingCompletion`] — the submit-without-wait side of the queue:
-//!   requests are admitted to a ring, tracked in flight with per-request
-//!   completion timestamps, and reaped as they retire
+//!   [`RingCompletion`] — requests are admitted to a caller-owned ring
+//!   without waiting, tracked in flight with per-request completion
+//!   timestamps, and reaped as they retire
 //!   ([`Device::submit_nowait`](crate::Device::submit_nowait) /
 //!   [`Device::reap`](crate::Device::reap)).
 //!
 //! ## Ordering and overlap guarantees
 //!
-//! Every [`Device::submit`](crate::Device::submit) implementation applies
-//! the *data effects* of a batch in submission order, so a submission is
-//! observationally equivalent (final device bytes, per-request results) to
-//! issuing the same operations sequentially through the per-op methods.
-//! What devices are free to do is overlap or reorder the *timing*: an SSD
-//! runs independent requests on parallel lanes, a disk services the batch
-//! in seek order, a file backend spreads requests over a worker pool. The
-//! per-request [`IoCompletion::latency`] values are unchanged by
-//! overlapping; the batch-level win shows up in [`batch_latency`], which is
-//! the maximum over lanes instead of the sum over requests.
+//! **Admission order is data-effect order.** Every backend applies the
+//! data effects of a ring stream in the order the requests were admitted,
+//! so the stream is observationally equivalent (final device bytes,
+//! per-ticket results) to issuing the same operations one at a time
+//! through the per-op methods. What the ring models is the *timing*: an
+//! overlapped queue runs independent requests on parallel lanes, a serial
+//! one retires them back to back, the file backend spreads them over a
+//! worker pool. Per-request [`RingCompletion::latency`] values are
+//! unchanged by overlapping; the win shows up in
+//! [`CompletionRing::makespan`], the latest completion timestamp instead
+//! of the sum over requests.
+//!
+//! The ring also writes the queue ledger of [`IoStats`] — the only place
+//! that does ([`CompletionRing::record_admission`],
+//! [`CompletionRing::reap_recorded`]); a backend contributes its per-op
+//! methods and its counters, nothing ring-shaped.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::Result;
+use crate::stats::IoStats;
 use crate::time::SimDuration;
 
-/// One command in a submission batch.
+/// One queued command.
 ///
 /// Requests are self-contained (reads carry a length, not a caller buffer)
-/// so a batch can be queued, reordered and completed out of band; read data
-/// comes back in the matching [`IoCompletion`].
+/// so they can be queued and completed out of band; read data comes back in
+/// the matching [`RingCompletion`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IoRequest {
     /// Read `len` bytes starting at byte `offset`.
@@ -98,33 +99,15 @@ impl IoRequest {
     }
 }
 
-/// Completion record for one submitted [`IoRequest`].
-#[derive(Debug, Clone)]
-pub struct IoCompletion {
-    /// Index of the request within the submitted slice.
-    pub index: usize,
-    /// Queue lane the request executed on. Requests on different lanes
-    /// overlapped in time; lane 0 is the only lane on serial devices.
-    pub lane: usize,
-    /// Simulated (or measured, for [`FileDevice`](crate::FileDevice))
-    /// device-busy latency of this request alone.
-    pub latency: SimDuration,
-    /// Outcome: the bytes read (empty for non-reads), or the per-request
-    /// error. A failed request never affects the other requests of the
-    /// batch.
-    pub result: Result<Vec<u8>>,
-}
-
-/// How concurrent requests in a submission share the device.
+/// How concurrent requests in a queue share the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OverlapModel {
-    /// One request at a time. Queueing can still help by letting the device
-    /// *reorder* within its window (e.g. disk elevator scheduling), but the
-    /// batch latency is the sum of the per-request latencies.
+    /// One request at a time: elapsed time is the sum of the per-request
+    /// latencies.
     Serial,
     /// Up to [`QueueCapabilities::max_queue_depth`] requests proceed
-    /// concurrently on independent lanes; the batch latency is the makespan
-    /// of the lane schedule.
+    /// concurrently on independent lanes; elapsed time is the makespan of
+    /// the lane schedule.
     Overlapped,
 }
 
@@ -132,9 +115,8 @@ pub enum OverlapModel {
 /// queued requests overlap in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueCapabilities {
-    /// Queue depth: how many requests the device considers at once (lanes
-    /// for [`OverlapModel::Overlapped`], reorder window for
-    /// [`OverlapModel::Serial`]).
+    /// Queue depth: how many requests the device keeps in flight at once
+    /// (the lane count for [`OverlapModel::Overlapped`]).
     pub max_queue_depth: usize,
     /// Whether queued requests overlap in time.
     pub overlap: OverlapModel,
@@ -146,25 +128,9 @@ impl QueueCapabilities {
         QueueCapabilities { max_queue_depth: 1, overlap: OverlapModel::Serial }
     }
 
-    /// A serial device that reorders requests within a window of `depth`
-    /// (e.g. NCQ elevator scheduling on a disk).
-    pub const fn serial_reordering(depth: usize) -> Self {
-        QueueCapabilities { max_queue_depth: depth, overlap: OverlapModel::Serial }
-    }
-
     /// A device that overlaps up to `depth` requests.
     pub const fn overlapped(depth: usize) -> Self {
         QueueCapabilities { max_queue_depth: depth, overlap: OverlapModel::Overlapped }
-    }
-
-    /// Number of concurrent lanes a batch of `requests` requests runs on:
-    /// 1 for serial devices, otherwise the queue depth capped by the batch
-    /// size (and never zero).
-    pub fn effective_lanes(&self, requests: usize) -> usize {
-        match self.overlap {
-            OverlapModel::Serial => 1,
-            OverlapModel::Overlapped => self.max_queue_depth.min(requests.max(1)).max(1),
-        }
     }
 
     /// Number of lanes a [`CompletionRing`] on this queue accounts overlap
@@ -176,53 +142,6 @@ impl QueueCapabilities {
             OverlapModel::Serial => 1,
             OverlapModel::Overlapped => self.max_queue_depth.max(1),
         }
-    }
-}
-
-/// Greedy earliest-free-lane scheduler used by the simulated backends to
-/// assign completions to queue lanes.
-///
-/// Each request goes to the lane with the least accumulated busy time, which
-/// for equal-cost requests degenerates to round-robin and in general is the
-/// classic LPT-style list schedule (within a factor of the optimum makespan).
-#[derive(Debug, Clone)]
-pub struct LaneScheduler {
-    busy: Vec<SimDuration>,
-}
-
-impl LaneScheduler {
-    /// Creates a scheduler with `lanes` lanes (at least one).
-    pub fn new(lanes: usize) -> Self {
-        LaneScheduler { busy: vec![SimDuration::ZERO; lanes.max(1)] }
-    }
-
-    /// Assigns a request of the given latency to the least-busy lane and
-    /// returns that lane's index.
-    pub fn assign(&mut self, latency: SimDuration) -> usize {
-        let lane =
-            self.busy.iter().enumerate().min_by_key(|(_, b)| **b).map(|(i, _)| i).unwrap_or(0);
-        self.busy[lane] += latency;
-        lane
-    }
-
-    /// Forces a request onto a specific lane (clamped to the lane count)
-    /// and returns the lane used. Backends use this to serialize requests
-    /// whose byte ranges conflict: queuing a dependent request behind the
-    /// request it depends on keeps the makespan honest.
-    pub fn assign_to(&mut self, lane: usize, latency: SimDuration) -> usize {
-        let lane = lane.min(self.busy.len() - 1);
-        self.busy[lane] += latency;
-        lane
-    }
-
-    /// Accumulated busy time of one lane (zero for out-of-range lanes).
-    pub fn lane_busy(&self, lane: usize) -> SimDuration {
-        self.busy.get(lane).copied().unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Elapsed time of the schedule so far: the busiest lane's total.
-    pub fn makespan(&self) -> SimDuration {
-        self.busy.iter().copied().fold(SimDuration::ZERO, SimDuration::max)
     }
 }
 
@@ -314,9 +233,14 @@ type PendingAdmission = (IoTicket, Option<(u64, u64)>, bool, SimDuration);
 /// data-effect order* holds on every backend; the conflict floor makes the
 /// reported timing honest about it.
 ///
-/// The ring also keeps the ledger the stats layers surface: in-flight
+/// The ring also keeps the ledger the stats layers surface — in-flight
 /// depth high-water mark, reap count, and admission stalls (requests whose
-/// start was delayed by a conflict floor beyond lane availability).
+/// start was delayed by a conflict floor beyond lane availability) — and
+/// is the one writer of a device's queue counters:
+/// [`record_admission`](Self::record_admission) after a
+/// [`Device::submit_nowait`](crate::Device::submit_nowait),
+/// [`reap_recorded`](Self::reap_recorded) inside a
+/// [`Device::reap`](crate::Device::reap).
 #[derive(Debug)]
 pub struct CompletionRing {
     /// Free-at clock per queue lane.
@@ -333,6 +257,8 @@ pub struct CompletionRing {
     in_flight: usize,
     depth_high_water: usize,
     admission_stalls: u64,
+    /// How many of `admission_stalls` a device's [`IoStats`] already holds.
+    stalls_recorded: u64,
     makespan: SimDuration,
     epoch: u64,
 }
@@ -352,6 +278,7 @@ impl CompletionRing {
             in_flight: 0,
             depth_high_water: 0,
             admission_stalls: 0,
+            stalls_recorded: 0,
             makespan: SimDuration::ZERO,
             epoch: RING_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
@@ -475,10 +402,38 @@ impl CompletionRing {
     }
 
     /// Elapsed device-clock time of everything finished so far: the latest
-    /// completion timestamp. This is the ring-aware makespan that replaces
-    /// the sum of per-wave maxima in barrier pipelines.
+    /// completion timestamp.
     pub fn makespan(&self) -> SimDuration {
         self.makespan
+    }
+
+    /// Ledger, admission half: records in `stats` that `admitted` requests
+    /// just entered this ring. Called once per
+    /// [`Device::submit_nowait`](crate::Device::submit_nowait), after the
+    /// admissions, by whichever device executed them.
+    pub fn record_admission(&mut self, stats: &mut IoStats, admitted: usize) {
+        stats.requests_submitted += admitted as u64;
+        stats.ring_depth_high_water = stats.ring_depth_high_water.max(self.depth_high_water as u64);
+        self.record_stalls(stats);
+    }
+
+    /// Ledger, reap half: pops every ready completion (completion-time
+    /// order) and records the delivery in `stats`. A completion on a lane
+    /// other than 0 shared its time with lane-0 work: it *overlapped*.
+    pub fn reap_recorded(&mut self, stats: &mut IoStats) -> Vec<RingCompletion> {
+        let out = self.reap(usize::MAX);
+        stats.requests_reaped += out.len() as u64;
+        stats.requests_overlapped += out.iter().filter(|c| c.lane != 0).count() as u64;
+        // A stall surfaces when a request finishes: at admission on the
+        // simulated backends, here when a worker pool finished it.
+        self.record_stalls(stats);
+        out
+    }
+
+    /// Moves the stalls `stats` has not seen yet into it.
+    fn record_stalls(&mut self, stats: &mut IoStats) {
+        stats.ring_admission_stalls += self.admission_stalls - self.stalls_recorded;
+        self.stalls_recorded = self.admission_stalls;
     }
 }
 
@@ -492,54 +447,9 @@ pub fn ranges_conflict(a: (u64, u64, bool), b: (u64, u64, bool)) -> bool {
     a_start < b_end && b_start < a_end && !(a_read && b_read)
 }
 
-/// Builds one fixed-size read request per offset — the shape of one *probe
-/// wave* in a queued lookup pipeline, where every unresolved key
-/// contributes the next page hop of its probe chain. Offsets may repeat
-/// (two keys probing the same page): read-read overlap is harmless, so
-/// duplicate reads still run on independent lanes.
-pub fn page_read_batch(offsets: &[u64], page_size: usize) -> Vec<IoRequest> {
-    offsets.iter().map(|&offset| IoRequest::read(offset, page_size)).collect()
-}
-
-/// Number of completions that shared their submission's elapsed time with
-/// lane-0 work (i.e. executed on a lane other than 0) — the same
-/// definition the backends use for `IoStats::requests_overlapped`. Always
-/// zero for submissions executed serially.
-pub fn overlapped_requests(completions: &[IoCompletion]) -> usize {
-    completions.iter().filter(|c| c.lane != 0).count()
-}
-
-/// Elapsed (wall-clock) latency of a completed submission: the maximum over
-/// lanes of each lane's summed per-request latency. Equals
-/// [`total_busy_time`] on serial devices, and shrinks toward
-/// `total / lanes` when the device overlaps requests.
-pub fn batch_latency(completions: &[IoCompletion]) -> SimDuration {
-    let lanes = completions.iter().map(|c| c.lane + 1).max().unwrap_or(1);
-    let mut busy = vec![SimDuration::ZERO; lanes];
-    for c in completions {
-        busy[c.lane] += c.latency;
-    }
-    busy.into_iter().fold(SimDuration::ZERO, SimDuration::max)
-}
-
-/// Total device-busy time of a completed submission: the sum of every
-/// per-request latency, regardless of overlap.
-pub fn total_busy_time(completions: &[IoCompletion]) -> SimDuration {
-    completions.iter().map(|c| c.latency).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn comp(lane: usize, us: u64) -> IoCompletion {
-        IoCompletion {
-            index: 0,
-            lane,
-            latency: SimDuration::from_micros(us),
-            result: Ok(Vec::new()),
-        }
-    }
 
     #[test]
     fn range_conflicts_respect_the_read_read_exemption() {
@@ -557,67 +467,73 @@ mod tests {
         assert_eq!(IoRequest::Erase { block: 0 }.byte_range(), None);
     }
 
-    #[test]
-    fn effective_lanes_respect_overlap_model() {
-        let serial = QueueCapabilities::serial_reordering(8);
-        assert_eq!(serial.effective_lanes(32), 1);
-        let q = QueueCapabilities::overlapped(8);
-        assert_eq!(q.effective_lanes(32), 8);
-        assert_eq!(q.effective_lanes(3), 3);
-        assert_eq!(q.effective_lanes(0), 1);
+    /// Admits and finishes one disjoint read per latency (µs), in order.
+    fn ring_of(lanes: usize, micros: &[u64]) -> CompletionRing {
+        let mut ring = CompletionRing::new(lanes);
+        for (i, &us) in micros.iter().enumerate() {
+            let t = ring.admit(&IoRequest::read(i as u64 * 4096, 4096), SimDuration::ZERO);
+            ring.finish(t, SimDuration::from_micros(us), Ok(Vec::new()));
+        }
+        ring
+    }
+
+    fn lanes_of(done: &[RingCompletion]) -> Vec<usize> {
+        let mut by_ticket: Vec<_> = done.iter().map(|c| (c.ticket, c.lane)).collect();
+        by_ticket.sort_unstable();
+        by_ticket.into_iter().map(|(_, lane)| lane).collect()
     }
 
     #[test]
     fn scheduler_balances_equal_costs_round_robin() {
-        let mut lanes = LaneScheduler::new(4);
-        let assigned: Vec<usize> =
-            (0..8).map(|_| lanes.assign(SimDuration::from_micros(10))).collect();
-        assert_eq!(assigned, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-        assert_eq!(lanes.makespan(), SimDuration::from_micros(20));
+        let mut ring = ring_of(4, &[10; 8]);
+        assert_eq!(lanes_of(&ring.reap(8)), vec![0, 1, 2, 3, 0, 1, 2, 3]);
+        assert_eq!(ring.makespan(), SimDuration::from_micros(20));
     }
 
     #[test]
     fn scheduler_prefers_the_least_busy_lane() {
-        let mut lanes = LaneScheduler::new(2);
-        lanes.assign(SimDuration::from_micros(100)); // lane 0
-        assert_eq!(lanes.assign(SimDuration::from_micros(10)), 1);
-        assert_eq!(lanes.assign(SimDuration::from_micros(10)), 1);
-        assert_eq!(lanes.makespan(), SimDuration::from_micros(100));
-    }
-
-    #[test]
-    fn batch_latency_is_max_over_lanes() {
-        let comps = vec![comp(0, 10), comp(1, 30), comp(0, 15), comp(2, 5)];
-        assert_eq!(batch_latency(&comps), SimDuration::from_micros(30));
-        assert_eq!(total_busy_time(&comps), SimDuration::from_micros(60));
-        assert_eq!(batch_latency(&[]), SimDuration::ZERO);
+        let mut ring = ring_of(2, &[100, 10, 10]);
+        assert_eq!(lanes_of(&ring.reap(3)), vec![0, 1, 1]);
+        assert_eq!(ring.makespan(), SimDuration::from_micros(100));
     }
 
     #[test]
     fn serial_batches_sum() {
-        let comps = vec![comp(0, 10), comp(0, 20)];
-        assert_eq!(batch_latency(&comps), total_busy_time(&comps));
+        assert_eq!(ring_of(1, &[10, 20]).makespan(), SimDuration::from_micros(30));
     }
 
     #[test]
-    fn page_read_batches_are_one_read_per_offset() {
-        let reqs = page_read_batch(&[0, 8192, 8192], 4096);
+    fn overlapped_requests_counts_non_zero_lanes() {
+        // The ledger, written here and nowhere else: lanes 0, 1, 0, 1 at
+        // two lanes, so two of four completions overlapped lane-0 work.
+        let mut stats = IoStats::default();
+        let mut ring = ring_of(2, &[10, 30, 25, 5]);
+        ring.record_admission(&mut stats, 4);
+        assert_eq!(ring.reap_recorded(&mut stats).len(), 4);
+        assert_eq!((stats.requests_submitted, stats.requests_reaped), (4, 4));
+        assert_eq!(stats.requests_overlapped, 2);
+        assert_eq!(stats.ring_depth_high_water, 4);
+        // A stall is recorded once, by whichever half sees it first.
+        for request in [IoRequest::write(0, vec![0; 8]), IoRequest::read(0, 8)] {
+            let t = ring.admit(&request, SimDuration::ZERO);
+            ring.finish(t, SimDuration::from_micros(1), Ok(Vec::new()));
+        }
+        ring.record_admission(&mut stats, 2);
+        ring.reap_recorded(&mut stats);
+        assert_eq!((stats.ring_admission_stalls, ring.admission_stalls()), (1, 1));
+        assert_eq!(ring_of(1, &[10]).reap_recorded(&mut stats)[0].lane, 0);
         assert_eq!(
-            reqs,
-            vec![
-                IoRequest::read(0, 4096),
-                IoRequest::read(8192, 4096),
-                IoRequest::read(8192, 4096)
-            ]
+            stats.requests_overlapped, 3,
+            "the stalled read sat on lane 1; one lane overlaps nothing"
         );
-        assert!(page_read_batch(&[], 4096).is_empty());
     }
 
     #[test]
     fn ring_lanes_degrade_to_serial_without_panicking() {
         assert_eq!(QueueCapabilities::overlapped(8).ring_lanes(), 8);
         assert_eq!(QueueCapabilities::overlapped(0).ring_lanes(), 1);
-        assert_eq!(QueueCapabilities::serial_reordering(8).ring_lanes(), 1);
+        let deep_serial = QueueCapabilities { max_queue_depth: 8, overlap: OverlapModel::Serial };
+        assert_eq!(deep_serial.ring_lanes(), 1);
         // A zero-lane ring also degrades instead of panicking.
         let mut ring = CompletionRing::new(0);
         let t = ring.admit(&IoRequest::read(0, 16), SimDuration::ZERO);
@@ -683,13 +599,5 @@ mod tests {
     #[test]
     fn ring_epochs_are_unique() {
         assert_ne!(CompletionRing::new(1).epoch(), CompletionRing::new(1).epoch());
-    }
-
-    #[test]
-    fn overlapped_requests_counts_non_zero_lanes() {
-        let comps = vec![comp(0, 10), comp(1, 30), comp(0, 15), comp(2, 5)];
-        assert_eq!(overlapped_requests(&comps), 2);
-        assert_eq!(overlapped_requests(&[comp(0, 10)]), 0);
-        assert_eq!(overlapped_requests(&[]), 0);
     }
 }

@@ -5,7 +5,7 @@
 //! It exists so higher layers that own one device per index — e.g.
 //! `StripedClam`, which gives every stripe its own `Clam<D>` — can instead
 //! stripe over **one** physical device: each stripe gets a partition, and
-//! all of their traffic funnels through the same submission queue and
+//! all of their traffic funnels through the same device queue and
 //! completion-ring timeline (the file backend's single worker pool, one
 //! SSD controller's lanes), so cross-batch requests genuinely contend and
 //! overlap on shared hardware.
@@ -33,8 +33,7 @@ use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
 use crate::queue::{
-    CompletionRing, IoCompletion, IoRequest, IoTicket, QueueCapabilities, RingCompletion,
-    RingRequest,
+    CompletionRing, IoRequest, IoTicket, QueueCapabilities, RingCompletion, RingRequest,
 };
 use crate::stats::IoStats;
 use crate::time::SimDuration;
@@ -197,50 +196,16 @@ impl<D: Device> Device for SharedDevice<D> {
         self.lock().trim(base + offset, len)
     }
 
-    fn submit(&mut self, requests: &mut [IoRequest]) -> Result<Vec<IoCompletion>> {
-        // Window violations surface as per-request errors (matching how
-        // every backend reports out-of-bounds requests within a batch),
-        // translated requests go to the device as one submission. Write
-        // payloads are moved, not cloned — `submit` consumes its requests
-        // (see the trait docs), so the caller's slice is left with empty
-        // payloads either way.
-        let mut failed: Vec<(usize, DeviceError)> = Vec::new();
-        let mut forward: Vec<IoRequest> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
-        for (index, request) in requests.iter_mut().enumerate() {
-            match self.translate(request) {
-                Ok(()) => {
-                    forward.push(match request {
-                        IoRequest::Write { offset, data } => {
-                            IoRequest::Write { offset: *offset, data: std::mem::take(data) }
-                        }
-                        other => other.clone(), // payload-free variants
-                    });
-                    slots.push(index);
-                }
-                Err(e) => failed.push((index, e)),
-            }
-        }
-        let inner = self.lock().submit(&mut forward)?;
-        let mut out: Vec<Option<IoCompletion>> = (0..requests.len()).map(|_| None).collect();
-        for (completion, &index) in inner.into_iter().zip(&slots) {
-            out[index] = Some(IoCompletion { index, ..completion });
-        }
-        for (index, e) in failed {
-            out[index] =
-                Some(IoCompletion { index, lane: 0, latency: SimDuration::ZERO, result: Err(e) });
-        }
-        Ok(out.into_iter().map(|c| c.expect("every request completed")).collect())
-    }
-
     fn submit_nowait(
         &mut self,
         requests: Vec<RingRequest>,
         ring: &mut CompletionRing,
     ) -> Result<Vec<IoTicket>> {
-        // One slot per request: `Err(ticket)` for window violations
-        // (completed through the ring immediately), `Ok(())` markers for
-        // requests *moved* into `forward` — payloads are never cloned.
+        // Window violations surface as per-request errors, like every
+        // backend reports an out-of-bounds request. One slot per request:
+        // `Err(ticket)` for a violation (completed through the ring
+        // immediately), `Ok(())` for a request *moved* into `forward` —
+        // payloads are never cloned.
         let mut translated: Vec<std::result::Result<(), IoTicket>> =
             Vec::with_capacity(requests.len());
         let mut forward: Vec<RingRequest> = Vec::new();
@@ -276,8 +241,8 @@ impl<D: Device> Device for SharedDevice<D> {
         self.lock().stats()
     }
 
-    fn reset_stats(&mut self) {
-        self.lock().reset_stats()
+    fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats)) {
+        self.lock().update_stats(update)
     }
 
     fn name(&self) -> &'static str {
@@ -336,33 +301,39 @@ mod tests {
     fn partitioned_submissions_share_one_queue() {
         let shared = SharedDevice::new(Ssd::intel(8 << 20).unwrap());
         let mut a = shared.partition(0, 4 << 20).unwrap();
-        let mut reqs = vec![
-            IoRequest::write(0, vec![1u8; 4096]),
-            IoRequest::read(0, 4096),
-            IoRequest::read(4 << 20, 4096), // outside the window
-        ];
-        let done = a.submit(&mut reqs).unwrap();
-        assert_eq!(done[1].result.as_ref().unwrap(), &vec![1u8; 4096]);
-        assert!(matches!(done[2].result, Err(DeviceError::OutOfBounds { .. })));
-        assert_eq!(a.stats().batches_submitted, 1);
-        // Ring traffic from a partition flows through the same device.
+        let mut b = shared.partition(4 << 20, 4 << 20).unwrap();
+        // Both partitions admit into one ring: one device, one timeline.
         let mut ring = CompletionRing::for_queue(a.queue());
         let tickets = a
             .submit_nowait(
                 vec![
+                    RingRequest::new(IoRequest::write(0, vec![1u8; 4096])),
                     RingRequest::new(IoRequest::read(0, 4096)),
-                    RingRequest::new(IoRequest::read(4 << 20, 4096)),
+                    RingRequest::new(IoRequest::read(4 << 20, 4096)), // outside the window
                 ],
                 &mut ring,
             )
             .unwrap();
-        assert_eq!(tickets.len(), 2);
-        let done = a.reap(&mut ring, 1).unwrap();
-        assert_eq!(done.len(), 2);
-        let ok = done.iter().find(|c| c.ticket == tickets[0]).unwrap();
-        assert_eq!(ok.result.as_ref().unwrap(), &vec![1u8; 4096]);
-        let bad = done.iter().find(|c| c.ticket == tickets[1]).unwrap();
-        assert!(matches!(bad.result, Err(DeviceError::OutOfBounds { .. })));
-        assert_eq!(a.stats().requests_reaped, 2);
+        let theirs = b
+            .submit_nowait(vec![RingRequest::new(IoRequest::write(0, vec![2u8; 4096]))], &mut ring)
+            .unwrap();
+        assert_eq!(theirs[0].id(), 3, "tickets continue across partitions");
+        let done = b.reap(&mut ring, 1).unwrap();
+        assert_eq!(done.len(), 4);
+        let of = |t: IoTicket| done.iter().find(|c| c.ticket == t).unwrap();
+        assert_eq!(of(tickets[1]).result.as_ref().unwrap(), &vec![1u8; 4096]);
+        assert!(matches!(of(tickets[2]).result, Err(DeviceError::OutOfBounds { .. })));
+        // `b`'s offset 0 is the device's 4 MiB: disjoint from `a`'s write,
+        // so the two overlapped on the controller's lanes.
+        assert_ne!(of(theirs[0]).lane, of(tickets[0]).lane);
+        assert_eq!(of(theirs[0]).started_at, SimDuration::ZERO);
+        // One ledger, on the one device, whichever handle is asked. The
+        // window violation never reached the device.
+        let s = a.stats();
+        assert_eq!((s.requests_submitted, s.requests_reaped), (3, 4));
+        assert_eq!(s, b.stats());
+        let mut buf = [0u8; 1];
+        shared.with(|d| d.read_at(4 << 20, &mut buf).unwrap());
+        assert_eq!(buf[0], 2);
     }
 }

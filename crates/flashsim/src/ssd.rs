@@ -17,13 +17,10 @@
 
 use std::collections::VecDeque;
 
-use crate::device::{execute_requests, ring_execute, Device};
+use crate::device::Device;
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
-use crate::queue::{
-    CompletionRing, IoCompletion, IoRequest, IoTicket, LaneScheduler, RingCompletion, RingRequest,
-};
 use crate::stats::IoStats;
 use crate::store::SparseStore;
 use crate::time::SimDuration;
@@ -346,43 +343,6 @@ impl Device for Ssd {
         Ok(lat)
     }
 
-    /// Native submission: FTL state (mappings, GC, the pending-busy debt)
-    /// advances in submission order, so results match sequential issue, but
-    /// completions are spread over the controller's queue lanes — batched
-    /// flush writes overlap the way NCQ overlaps them on real drives.
-    fn submit(&mut self, requests: &mut [IoRequest]) -> Result<Vec<IoCompletion>> {
-        self.stats.batches_submitted += 1;
-        self.stats.requests_submitted += requests.len() as u64;
-        let mut lanes = LaneScheduler::new(self.profile.queue.effective_lanes(requests.len()));
-        let completions = execute_requests(self, requests, &mut lanes);
-        self.stats.requests_overlapped += completions.iter().filter(|c| c.lane != 0).count() as u64;
-        Ok(completions)
-    }
-
-    /// Ring admission: FTL state still advances in admission order (the
-    /// shared engine executes synchronously), while the ring's lane clocks
-    /// model the controller keeping up to its queue depth in flight.
-    fn submit_nowait(
-        &mut self,
-        requests: Vec<RingRequest>,
-        ring: &mut CompletionRing,
-    ) -> Result<Vec<IoTicket>> {
-        self.stats.requests_submitted += requests.len() as u64;
-        let stalls_before = ring.admission_stalls();
-        let tickets = ring_execute(self, requests, ring)?;
-        self.stats.ring_depth_high_water =
-            self.stats.ring_depth_high_water.max(ring.depth_high_water() as u64);
-        self.stats.ring_admission_stalls += ring.admission_stalls() - stalls_before;
-        Ok(tickets)
-    }
-
-    fn reap(&mut self, ring: &mut CompletionRing, _min: usize) -> Result<Vec<RingCompletion>> {
-        let out = ring.reap(usize::MAX);
-        self.stats.requests_reaped += out.len() as u64;
-        self.stats.requests_overlapped += out.iter().filter(|c| c.lane != 0).count() as u64;
-        Ok(out)
-    }
-
     fn on_idle(&mut self, idle: SimDuration) {
         // Idle time first absorbs any pending busy work...
         let absorbed = self.pending_busy.min(idle);
@@ -409,14 +369,16 @@ impl Device for Ssd {
         self.stats.clone()
     }
 
-    fn reset_stats(&mut self) {
-        self.stats.reset();
+    fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats)) {
+        update(&mut self.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::tests::run_on_ring;
+    use crate::queue::{IoRequest, RingCompletion};
 
     fn small_ssd() -> Ssd {
         // 8 MiB logical, 4 KiB pages, 256 KiB blocks -> 32 logical blocks.
@@ -546,40 +508,39 @@ mod tests {
 
     #[test]
     fn submit_overlaps_on_intel_but_not_on_transcend() {
-        use crate::queue::{batch_latency, total_busy_time};
         let build = || -> Vec<IoRequest> {
             (0..16u64).map(|i| IoRequest::write(i * 128 * 1024, vec![1u8; 128 * 1024])).collect()
         };
+        let busy = |done: &[RingCompletion]| done.iter().map(|c| c.latency).sum::<SimDuration>();
         let mut intel = Ssd::intel(8 << 20).unwrap();
-        let done = intel.submit(&mut build()).unwrap();
+        let (ring, done) = run_on_ring(&mut intel, build());
         assert!(done.iter().all(|c| c.result.is_ok()));
-        let elapsed = batch_latency(&done);
-        let busy = total_busy_time(&done);
-        assert_eq!(elapsed, busy / 8, "16 equal writes over 8 lanes take 2 slots");
+        assert_eq!(ring.makespan(), busy(&done) / 8, "16 equal writes over 8 lanes take 2 slots");
         assert_eq!(intel.stats().requests_overlapped, 14);
 
         let mut transcend = Ssd::transcend(8 << 20).unwrap();
-        let done = transcend.submit(&mut build()).unwrap();
-        assert_eq!(batch_latency(&done), total_busy_time(&done), "serial controller");
+        let (ring, done) = run_on_ring(&mut transcend, build());
+        assert_eq!(ring.makespan(), busy(&done), "serial controller");
         assert_eq!(transcend.stats().requests_overlapped, 0);
     }
 
     #[test]
     fn submit_mutates_ftl_state_in_submission_order() {
-        use crate::queue::{batch_latency, total_busy_time};
         let mut ssd = small_ssd();
-        let mut reqs = vec![
+        let reqs = vec![
             IoRequest::write(0, vec![1u8; 4096]),
             IoRequest::write(0, vec![2u8; 4096]),
             IoRequest::read(0, 4096),
         ];
-        let completions = ssd.submit(&mut reqs).unwrap();
-        assert_eq!(completions[2].result.as_ref().unwrap()[0], 2, "later write wins");
+        let (ring, done) = run_on_ring(&mut ssd, reqs);
+        assert_eq!(done[2].result.as_ref().unwrap()[0], 2, "later write wins");
         // All three requests touch the same page: they are dependent, so
-        // the queue must serialize them (one lane, elapsed == busy sum).
-        assert!(completions.iter().all(|c| c.lane == completions[0].lane));
-        assert_eq!(batch_latency(&completions), total_busy_time(&completions));
-        assert_eq!(ssd.stats().requests_overlapped, 0);
+        // the ring must serialize them (elapsed == busy sum) whatever lanes
+        // it books them on.
+        assert_eq!(done[1].started_at, done[0].completed_at);
+        assert_eq!(done[2].started_at, done[1].completed_at);
+        assert_eq!(ring.makespan(), done.iter().map(|c| c.latency).sum());
+        assert_eq!(ssd.stats().ring_admission_stalls, 2);
     }
 
     #[test]

@@ -30,22 +30,20 @@ pub struct IoStats {
     pub gc_runs: u64,
     /// Valid pages relocated by garbage collection (SSD only).
     pub gc_pages_copied: u64,
-    /// Submission batches handed to [`Device::submit`](crate::Device::submit)
-    /// (native implementations only; the sequential trait fallback does not
-    /// track queue statistics).
-    pub batches_submitted: u64,
-    /// Requests received through the submission queue.
+    /// Requests admitted through
+    /// [`Device::submit_nowait`](crate::Device::submit_nowait). This and
+    /// the four queue counters below are written in one place, by the
+    /// [`CompletionRing`](crate::CompletionRing) the requests went through.
     pub requests_submitted: u64,
-    /// Submitted requests that shared their submission's overlapped time
-    /// on the device queue (assigned to a lane other than lane 0). This
+    /// Reaped requests that shared their time on the device queue with
+    /// lane-0 work (booked on a lane other than lane 0). This
     /// counts *modeled* queue overlap — for
     /// [`FileDevice`](crate::FileDevice) the physical worker pool is
     /// additionally capped by host parallelism, like the simulated SSD's
     /// lanes exist regardless of host cores. Always zero on serial
     /// devices.
     pub requests_overlapped: u64,
-    /// Completions delivered through [`Device::reap`](crate::Device::reap)
-    /// (native ring implementations only, like the queue counters above).
+    /// Completions delivered through [`Device::reap`](crate::Device::reap).
     pub requests_reaped: u64,
     /// Highest in-flight depth (admitted minus reaped) any completion ring
     /// registered with this device has reached. Merged with `max`, not
@@ -53,8 +51,7 @@ pub struct IoStats {
     pub ring_depth_high_water: u64,
     /// Ring admissions whose start was delayed by a conflicting in-flight
     /// range beyond lane availability (write-write and read-after-write
-    /// floors; read-read overlap never stalls). Native ring
-    /// implementations only, like the other ring counters.
+    /// floors; read-read overlap never stalls).
     pub ring_admission_stalls: u64,
     /// Ring reads that ran at admission, on the thread that submitted
     /// them, instead of on a pool worker
@@ -106,7 +103,6 @@ impl IoStats {
         self.bytes_written += other.bytes_written;
         self.gc_runs += other.gc_runs;
         self.gc_pages_copied += other.gc_pages_copied;
-        self.batches_submitted += other.batches_submitted;
         self.requests_submitted += other.requests_submitted;
         self.requests_overlapped += other.requests_overlapped;
         self.requests_reaped += other.requests_reaped;
@@ -144,11 +140,11 @@ impl fmt::Display for IoStats {
         if self.gc_runs > 0 || self.gc_pages_copied > 0 {
             write!(f, " | gc: {} runs, {} pages copied", self.gc_runs, self.gc_pages_copied)?;
         }
-        if self.batches_submitted > 0 {
+        if self.requests_submitted > 0 {
             write!(
                 f,
-                " | queue: {} batches, {} reqs ({} overlapped)",
-                self.batches_submitted, self.requests_submitted, self.requests_overlapped
+                " | queue: {} reqs ({} overlapped)",
+                self.requests_submitted, self.requests_overlapped
             )?;
         }
         if self.requests_reaped > 0 || self.ring_depth_high_water > 0 {
@@ -400,7 +396,6 @@ mod tests {
         let mut s = IoStats {
             trims: 2,
             trim_time: SimDuration::from_micros(10),
-            batches_submitted: 3,
             requests_submitted: 12,
             requests_overlapped: 8,
             ..Default::default()
@@ -457,13 +452,12 @@ mod tests {
             erases: 3,
             trims: 4,
             gc_runs: 5,
-            batches_submitted: 6,
             requests_submitted: 7,
             requests_overlapped: 2,
             ..Default::default()
         };
         let text = s.to_string();
-        for needle in ["reads: 1", "writes: 2", "erases: 3", "trims: 4", "gc: 5", "queue: 6"] {
+        for needle in ["reads: 1", "writes: 2", "erases: 3", "trims: 4", "gc: 5", "queue: 7"] {
             assert!(text.contains(needle), "missing {needle:?} in {text:?}");
         }
         // GC and queue segments are elided when untouched.
