@@ -149,6 +149,64 @@ impl FlashCostModel {
         overhead + self.page_read_cost() * lookup_success_rate.clamp(0.0, 1.0)
     }
 
+    // ------------------------------------------------------------------
+    // The retired generation
+    // ------------------------------------------------------------------
+    //
+    // §6.2 counts one page read for every lookup whose key is on flash.
+    // The buffer a table just flushed still holds that incarnation in its
+    // slots, and a lookup for one of its keys is answered from there until
+    // the slot is written again (DESIGN.md "The retired generation"). Every
+    // insert of a new key writes exactly one slot that was empty — its own
+    // or, at the end of a displacement chain, a displaced entry's; the
+    // moves along the chain land on occupied slots, which hold nothing
+    // retired — and cuckoo placement spreads those writes evenly, so after
+    // `j` inserts into `S` slots a retired entry has survived with
+    // probability
+    //
+    //   p(j) = 1 − j/S
+    //
+    // and, averaged over the fill cycle `j = 0..u·S` that follows a flush,
+    // `1 − u/2`: three quarters at the paper's 50 % utilisation. The CLAM
+    // test suite cross-checks both against a measured run.
+
+    /// Probability that an entry of a buffer's retired generation is still
+    /// readable after `inserts` new keys went into the buffer's
+    /// `slots` slots: `1 − j/S`.
+    pub fn retired_survival(inserts: usize, slots: usize) -> f64 {
+        1.0 - (inserts as f64 / slots.max(1) as f64).min(1.0)
+    }
+
+    /// [`retired_survival`](Self::retired_survival) averaged over the fill
+    /// cycle between two flushes of a buffer admitting `max_utilization`
+    /// of its slots: `1 − u/2`.
+    pub fn mean_retired_survival(max_utilization: f64) -> f64 {
+        1.0 - max_utilization.clamp(0.0, 1.0) / 2.0
+    }
+
+    /// Expected flash page reads per lookup: `on_flash` of the lookups find
+    /// their key in an incarnation and in no live buffer — §6.2's one read
+    /// each — except the `in_youngest` of all lookups whose incarnation is
+    /// its table's youngest and whose buffer slot still holds the entry;
+    /// every lookup pays `false_positive_reads` on top.
+    ///
+    /// ```
+    /// use bufferhash::analysis::FlashCostModel;
+    ///
+    /// // The repo benchmark's `engine-direct`: 73.6 % of lookups hit flash,
+    /// // 13.1 % their table's youngest incarnation, buffers fill to 50 %.
+    /// let reads = FlashCostModel::lookup_expected_reads(0.736, 0.131, 0.5, 0.0024);
+    /// assert!((reads - 0.640).abs() < 0.001);
+    /// ```
+    pub fn lookup_expected_reads(
+        on_flash: f64,
+        in_youngest: f64,
+        max_utilization: f64,
+        false_positive_reads: f64,
+    ) -> f64 {
+        on_flash - in_youngest * Self::mean_retired_survival(max_utilization) + false_positive_reads
+    }
+
     /// The `α` ratio of §6.3: cost of sequentially writing one buffer
     /// relative to the cost of one random page write.
     pub fn alpha(&self, buffer_bytes: usize) -> f64 {
@@ -703,6 +761,60 @@ mod tests {
             m.recovery_scan_makespan(32, 32 << 10, 1),
             "chip recovery scan drifts from the model: {report}"
         );
+    }
+
+    /// One super table, distinct keys: through one fill cycle, every key
+    /// of the youngest incarnation is looked up and the share answered
+    /// from the retired generation compared with `1 − j/S`; over the whole
+    /// cycle, with `1 − u/2`.
+    #[test]
+    fn retired_survival_matches_a_measured_fill_cycle() {
+        use crate::clam::{Clam, LookupSource};
+        use crate::config::ClamConfig;
+        use crate::types::hash_with_seed;
+        use flashsim::Ssd;
+
+        let cfg = ClamConfig {
+            buffer_bytes_total: 32 << 10,
+            ..ClamConfig::small_test(8 << 20, 1 << 20).unwrap()
+        };
+        cfg.validate().unwrap();
+        assert_eq!(cfg.num_super_tables(), 1);
+        let (slots, capacity) = (2 * cfg.entries_per_incarnation(), cfg.entries_per_incarnation());
+        let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg.clone()).unwrap();
+        let key = |i: usize| hash_with_seed(i as u64, 0x5e71);
+        // Two generations, so the measured cycle refills slots that hold
+        // stale entries of an older one as well.
+        for i in 0..2 * capacity + 1 {
+            clam.insert(key(i), i as u64).unwrap();
+        }
+        assert_eq!(clam.stats().flushes, 2);
+        let youngest = capacity..2 * capacity;
+        let (mut hits, mut lookups) = (0usize, 0usize);
+        // That last insert is the cycle's first; sample every sixteenth.
+        for j in 1..=capacity {
+            if j % 16 == 0 {
+                let retired = youngest
+                    .clone()
+                    .filter(|&i| clam.lookup(key(i)).unwrap().source == LookupSource::Retired)
+                    .count();
+                let (measured, model) =
+                    (retired as f64 / capacity as f64, FlashCostModel::retired_survival(j, slots));
+                assert!((measured - model).abs() < 0.05, "after {j}: {measured} vs {model}");
+                hits += retired;
+                lookups += capacity;
+            }
+            if j < capacity {
+                clam.insert(key(2 * capacity + j), 0).unwrap();
+            }
+        }
+        assert_eq!(clam.stats().flushes, 2, "one fill cycle, no flush inside it");
+        let (measured, model) = (
+            hits as f64 / lookups as f64,
+            FlashCostModel::mean_retired_survival(cfg.max_buffer_utilization),
+        );
+        assert!((measured / model - 1.0).abs() < 0.05, "cycle mean {measured} vs {model}");
+        assert_eq!(clam.stats().retired_hits, hits as u64);
     }
 
     #[test]

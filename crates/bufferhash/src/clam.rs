@@ -14,8 +14,8 @@
 //! contiguous log slots into single sequential device writes.
 //!
 //! The read path is **queued and streaming**: every lookup key runs a
-//! probe state machine (buffer/delete-list check, then Bloom-guided
-//! candidate incarnations, then chained page hops), and
+//! probe state machine (delete list, live buffer and retired generation,
+//! then Bloom-guided candidate incarnations, then chained page hops), and
 //! [`Clam::lookup_batch`] drives those machines through the device's
 //! **completion ring** ([`Device::submit_nowait`] /
 //! [`Device::reap`](flashsim::Device::reap)): page reads are admitted
@@ -59,7 +59,7 @@ use crate::incarnation::{
 use crate::log::{LogAllocator, SlotOwner};
 use crate::recovery::RecoveryReport;
 use crate::stats::ClamStats;
-use crate::supertable::{IncarnationMeta, SuperTable};
+use crate::supertable::{IncarnationMeta, MemoryHit, SuperTable};
 use crate::types::{group_stable, hash_with_seed, Entry, Key, Value};
 
 /// Fixed in-memory overhead charged once per hash-table *call*: request
@@ -76,6 +76,10 @@ pub const BATCHED_OP_OVERHEAD: SimDuration = SimDuration::from_nanos(400);
 const WORD_COST: SimDuration = SimDuration::from_nanos(4);
 /// DRAM words touched by a buffer probe (two cuckoo locations).
 const BUFFER_PROBE_WORDS: usize = 4;
+/// DRAM words a lookup that falls through the live buffer touches on top:
+/// the retired bitmap's word for each of the same two locations (the
+/// slots themselves are the ones the buffer probe already read).
+const RETIRED_PROBE_WORDS: usize = 2;
 
 /// Outcome of an insert operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,6 +144,10 @@ pub struct LookupOutcome {
 pub enum LookupSource {
     /// Found in the in-memory buffer.
     Buffer,
+    /// Found in the retired generation: the key is in its table's youngest
+    /// incarnation, and the buffer slot it was flushed from has not been
+    /// reused, so no flash read was needed.
+    Retired,
     /// Found in an on-flash incarnation.
     Flash,
     /// The key was deleted (delete-list hit).
@@ -149,15 +157,16 @@ pub enum LookupSource {
 }
 
 /// Verdict of a memory-only probe ([`Clam::probe_memory`]): either the key
-/// resolved entirely from DRAM state (buffer, delete list, or Bloom filters
-/// proving no live flash candidate), or the `&mut self` flash pipeline must run.
+/// resolved entirely from DRAM state (delete list, buffer, retired
+/// generation, or Bloom filters proving no live flash candidate), or the
+/// `&mut self` flash pipeline must run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryProbe {
     /// The key resolved without touching flash; the outcome is exactly what
     /// [`Clam::lookup`] would have produced (`flash_reads == 0`).
     Resolved(LookupOutcome),
-    /// At least one live flash incarnation may hold the key; only the
-    /// exclusive probe pipeline can decide.
+    /// At least one live flash incarnation may hold the key, or the hit
+    /// owes an LRU re-insertion; only the exclusive pipeline can finish.
     NeedsFlash,
 }
 
@@ -255,7 +264,8 @@ impl<'a> IntoIterator for &'a BatchLookupOutcome {
 /// Memory usage summary of a CLAM (all figures in bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryUsage {
-    /// DRAM used by buffers.
+    /// DRAM used by the buffers' slot arrays. Each buffer's occupancy and
+    /// retired bitmaps, a bit per slot each, are 2/128 of this on top.
     pub buffers: usize,
     /// DRAM used by Bloom filters.
     pub filters: usize,
@@ -549,6 +559,37 @@ impl<D: Device> Clam<D> {
         usage
     }
 
+    /// Test support: panics unless every table's retired generation is a
+    /// subset of its youngest incarnation as the device returns it (same
+    /// keys, same values), a table without incarnations having nothing
+    /// retired. Call between top-level operations (the ring must be
+    /// closed).
+    #[doc(hidden)]
+    pub fn assert_retired_matches_youngest(&mut self) {
+        let layout = self.layout;
+        let mut image = vec![0u8; layout.total_bytes()];
+        for (t, table) in self.tables.iter().enumerate() {
+            let mut retired = table.retired_entries().peekable();
+            let Some(first) = retired.peek() else { continue };
+            let meta = table
+                .incarnation_at(0)
+                .unwrap_or_else(|| panic!("table {t} has no incarnation but retires {first:?}"));
+            self.device.read_at(meta.flash_offset, &mut image).expect("incarnation read");
+            let on_flash: HashMap<Key, Value> = parse_incarnation(&image, &layout)
+                .expect("valid incarnation")
+                .into_iter()
+                .map(|e| (e.key, e.value))
+                .collect();
+            for entry in retired {
+                assert_eq!(
+                    on_flash.get(&entry.key),
+                    Some(&entry.value),
+                    "table {t} retires {entry:?}, incarnation {meta:?} disagrees"
+                );
+            }
+        }
+    }
+
     /// Super table responsible for `key` (the paper partitions on the first
     /// `k1` bits of the key; hashing achieves the same uniform split without
     /// requiring a power-of-two table count).
@@ -737,47 +778,53 @@ impl<D: Device> Clam<D> {
         Ok(batch.outcomes.pop().expect("one outcome per key"))
     }
 
-    /// Probes `key` against DRAM state only — buffer, delete list and Bloom
-    /// filters — through `&self`, without mutating anything.
+    /// Probes `key` against DRAM state only — delete list, buffer, retired
+    /// generation and Bloom filters — through `&self`, without mutating
+    /// anything.
     ///
     /// Returns [`MemoryProbe::Resolved`] when the verdict is decidable from
-    /// memory alone (buffer hit, delete shadow, or no live candidate
-    /// incarnation): the outcome carries the same value, source,
+    /// memory alone (delete shadow, buffer hit, retired hit, or no live
+    /// candidate incarnation): the outcome carries the same value, source,
     /// `flash_reads == 0` and per-op latency charge (`dispatch` + DRAM probe
     /// words) that [`lookup`](Self::lookup) would report. Returns
     /// [`MemoryProbe::NeedsFlash`] when a live incarnation may hold the key,
     /// in which case the caller must fall back to the exclusive pipeline.
     /// The caller is responsible for recording statistics for resolved
-    /// probes (this method cannot: it holds no `&mut`); keys that would
-    /// trigger LRU re-insertion never resolve here because re-insertion
-    /// only follows a flash hit.
+    /// probes (this method cannot: it holds no `&mut`). Keys that owe an
+    /// LRU re-insertion never resolve here: a flash hit cannot, and a
+    /// retired hit under a re-inserting policy is declined the same way.
     pub fn probe_memory(&self, key: Key, dispatch: SimDuration) -> MemoryProbe {
         let table = &self.tables[self.table_of(key)];
-        let filter_words = table.filter_words_per_query();
-        let latency = dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + filter_words);
-        if let Some(found) = table.memory_lookup(key) {
-            let source = if found.is_some() { LookupSource::Buffer } else { LookupSource::Deleted };
-            return MemoryProbe::Resolved(LookupOutcome {
-                value: found,
-                latency,
-                flash_reads: 0,
-                source,
-            });
+        let hit = table.memory_lookup(key);
+        if matches!(hit, Some(MemoryHit::Retired(_))) && self.config.eviction.reinserts_on_use() {
+            return MemoryProbe::NeedsFlash;
         }
-        let live_candidate = table
-            .candidate_incarnations(key)
-            .into_iter()
-            .any(|age| table.incarnation_at(age).is_some());
-        if live_candidate {
-            MemoryProbe::NeedsFlash
-        } else {
-            MemoryProbe::Resolved(LookupOutcome {
-                value: None,
-                latency,
-                flash_reads: 0,
-                source: LookupSource::Miss,
-            })
-        }
+        let (value, source) = match hit {
+            Some(hit) => memory_verdict(hit),
+            None => {
+                let live_candidate = table
+                    .candidate_incarnations(key)
+                    .into_iter()
+                    .any(|age| table.incarnation_at(age).is_some());
+                if live_candidate {
+                    return MemoryProbe::NeedsFlash;
+                }
+                (None, LookupSource::Miss)
+            }
+        };
+        let latency = dispatch + self.memory_probe_cost(table, hit);
+        MemoryProbe::Resolved(LookupOutcome { value, latency, flash_reads: 0, source })
+    }
+
+    /// DRAM time of one key's memory phase: the buffer probe and the
+    /// filter query, as every lookup is charged, plus the retired bitmap
+    /// words for a key the delete list and the live buffer did not settle.
+    fn memory_probe_cost(&self, table: &SuperTable, hit: Option<MemoryHit>) -> SimDuration {
+        let retired_words = match hit {
+            Some(MemoryHit::Deleted | MemoryHit::Buffer(_)) => 0,
+            Some(MemoryHit::Retired(_)) | None => RETIRED_PROBE_WORDS,
+        };
+        self.mem_words_cost(BUFFER_PROBE_WORDS + table.filter_words_per_query() + retired_words)
     }
 
     /// Returns `true` if `key` currently maps to a value.
@@ -834,6 +881,15 @@ impl<D: Device> Clam<D> {
     /// background work (SSD garbage collection).
     pub fn idle(&mut self, idle: SimDuration) {
         self.device.on_idle(idle);
+    }
+}
+
+/// The reply a memory hit stands for.
+fn memory_verdict(hit: MemoryHit) -> (Option<Value>, LookupSource) {
+    match hit {
+        MemoryHit::Deleted => (None, LookupSource::Deleted),
+        MemoryHit::Buffer(value) => (Some(value), LookupSource::Buffer),
+        MemoryHit::Retired(value) => (Some(value), LookupSource::Retired),
     }
 }
 

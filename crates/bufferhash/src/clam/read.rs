@@ -4,9 +4,10 @@
 use super::*;
 
 impl<D: Device> Clam<D> {
-    /// Buffer and delete-list checks plus probe planning: resolves every
-    /// key it can from memory (recording its stats) and returns a probe
-    /// state machine for each key that must touch flash.
+    /// Delete-list, buffer and retired-generation checks plus probe
+    /// planning: resolves every key it can from memory (recording its
+    /// stats) and returns a probe state machine for each key that must
+    /// touch flash.
     fn plan_lookups(&mut self, keys: &[Key], dispatch: SimDuration) -> LookupPlan {
         // Input positions grouped by super table, each table's keys in
         // input order: one hash per key.
@@ -26,29 +27,26 @@ impl<D: Device> Clam<D> {
             }
             let key = keys[slot];
             let table = &self.tables[t];
-            let found_in_memory = table.memory_lookup(key);
+            let hit = table.memory_lookup(key);
             // Candidate incarnations, youngest first, guided by the Bloom
             // filters (only needed when memory has no verdict).
-            let candidates = if found_in_memory.is_none() {
-                table.candidate_incarnations(key)
-            } else {
-                AgeSet::default()
-            };
-            let latency =
-                dispatch + self.mem_words_cost(BUFFER_PROBE_WORDS + table.filter_words_per_query());
+            let candidates =
+                if hit.is_none() { table.candidate_incarnations(key) } else { AgeSet::default() };
+            let latency = dispatch + self.memory_probe_cost(table, hit);
             plan.host_time += latency;
-            if let Some(found) = found_in_memory {
-                let source =
-                    if found.is_some() { LookupSource::Buffer } else { LookupSource::Deleted };
-                if found.is_some() {
-                    self.stats.lookup_hits += 1;
-                } else {
-                    self.stats.lookup_misses += 1;
+            if let Some(hit) = hit {
+                let (value, source) = memory_verdict(hit);
+                let outcome = LookupOutcome { value, latency, flash_reads: 0, source };
+                self.stats.record_lookup(&outcome);
+                // A retired hit stands in for a hit in the youngest
+                // incarnation, and owes what that one would: under LRU,
+                // the re-insertion.
+                if let MemoryHit::Retired(value) = hit {
+                    if self.config.eviction.reinserts_on_use() {
+                        plan.reinserts.push((t, key, value));
+                    }
                 }
-                self.stats.lookups.record(latency);
-                self.stats.record_lookup_reads(0);
-                plan.out[slot] =
-                    Some(LookupOutcome { value: found, latency, flash_reads: 0, source });
+                plan.out[slot] = Some(outcome);
                 continue;
             }
             // Keys with no live candidate are misses without I/O.
@@ -308,30 +306,25 @@ impl<D: Device> Clam<D> {
             Some(_) => LookupSource::Flash,
             None => LookupSource::Miss,
         };
-        if found.is_some() {
-            self.stats.lookup_hits += 1;
-        } else {
-            self.stats.lookup_misses += 1;
-        }
-        self.stats.lookups.record(state.latency);
-        self.stats.record_lookup_reads(state.flash_reads);
+        let outcome = LookupOutcome {
+            value: found,
+            latency: state.latency,
+            flash_reads: state.flash_reads,
+            source,
+        };
+        self.stats.record_lookup(&outcome);
         if let Some(v) = found {
             if self.config.eviction.reinserts_on_use() {
                 reinserts.push((state.table, state.key, v));
             }
         }
-        LookupOutcome {
-            value: found,
-            latency: state.latency,
-            flash_reads: state.flash_reads,
-            source,
-        }
+        outcome
     }
 }
 
-/// In-memory phase of a lookup batch: keys resolved from buffers or
-/// delete lists, probe state machines for the rest, plus the host-side
-/// accounting.
+/// In-memory phase of a lookup batch: keys resolved from delete lists,
+/// buffers or retired generations, probe state machines for the rest, plus
+/// the host-side accounting.
 struct LookupPlan {
     /// One slot per key; `Some` once the key resolved.
     out: Vec<Option<LookupOutcome>>,

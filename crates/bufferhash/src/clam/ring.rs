@@ -72,12 +72,16 @@ impl<D: Device> Clam<D> {
         let charged = makespan - self.ring_horizon;
         self.ring_horizon = makespan;
         self.ring = Some(ring);
-        if let Some(e) = failure {
-            return Err(e);
-        }
         completions.sort_by_key(|c| c.ticket);
-        if let Some(err) = completions.iter().find_map(|c| c.result.as_ref().err()) {
-            return Err(err.clone().into());
+        let failure = failure.or_else(|| {
+            completions.iter().find_map(|c| c.result.as_ref().err()).map(|e| e.clone().into())
+        });
+        if let Some(e) = failure {
+            // The request that failed may be the write of an incarnation
+            // already registered: no retired generation may go on vouching
+            // for bytes the device might not hold.
+            self.tables.iter_mut().for_each(SuperTable::forget_retired);
+            return Err(e);
         }
         Ok((charged, completions))
     }

@@ -883,3 +883,78 @@ fn lru_reinsert_flushes_share_the_lookup_ring() {
         "reads and writes shared a ring, so the mixed high-water must register: {stats}"
     );
 }
+
+#[test]
+fn tombstones_and_live_values_win_over_the_retired_generation() {
+    let mut clam = small_clam();
+    let k = key(1);
+    clam.insert(k, 10).unwrap();
+    clam.flush_all().unwrap();
+    // The key's only copies: the youngest incarnation, and the buffer slot
+    // it was flushed from.
+    let out = clam.lookup(k).unwrap();
+    assert_eq!((out.value, out.source, out.flash_reads), (Some(10), LookupSource::Retired, 0));
+    assert_eq!((clam.stats().retired_hits, clam.device().stats().reads), (1, 0));
+    assert!(out.latency < BASE_OP_OVERHEAD + SimDuration::from_micros(1), "DRAM only: {out:?}");
+    clam.assert_retired_matches_youngest();
+
+    clam.delete(k).unwrap();
+    let out = clam.lookup(k).unwrap();
+    assert_eq!((out.value, out.source), (None, LookupSource::Deleted));
+    clam.insert(k, 11).unwrap();
+    let out = clam.lookup(k).unwrap();
+    assert_eq!((out.value, out.source), (Some(11), LookupSource::Buffer));
+    clam.flush_all().unwrap();
+    let out = clam.lookup(k).unwrap();
+    assert_eq!((out.value, out.source), (Some(11), LookupSource::Retired));
+    clam.assert_retired_matches_youngest();
+    assert_eq!(clam.stats().retired_hits, 2);
+}
+
+#[test]
+fn the_retired_generation_is_one_flush_deep_and_ends_with_its_incarnation() {
+    // One super table of k = 1: a flush evicts the only incarnation
+    // before writing the next.
+    let cfg = ClamConfig { flash_capacity: 32 * 1024, ..deterministic_probe_config() };
+    cfg.validate().unwrap();
+    assert_eq!((cfg.num_super_tables(), cfg.incarnations_per_table()), (1, 1));
+    let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap();
+    clam.insert(key(1), 1).unwrap();
+    clam.flush_all().unwrap();
+    assert_eq!(clam.lookup(key(1)).unwrap().source, LookupSource::Retired);
+    clam.insert(key(2), 2).unwrap();
+    clam.flush_all().unwrap();
+    clam.assert_retired_matches_youngest();
+    // Key 1's slot was never written again, and its incarnation is gone.
+    let out = clam.lookup(key(1)).unwrap();
+    assert_eq!((out.value, out.source), (None, LookupSource::Miss));
+    assert_eq!(clam.lookup(key(2)).unwrap().source, LookupSource::Retired);
+}
+
+#[test]
+fn a_retired_hit_under_lru_reinserts_and_the_fast_path_declines_it() {
+    let clam_with = |eviction| {
+        let mut cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
+        cfg.eviction = eviction;
+        let mut clam = Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap();
+        clam.insert(key(1), 10).unwrap();
+        clam.flush_all().unwrap();
+        clam
+    };
+    // FIFO mutates nothing on a hit: the shared-lock probe answers it.
+    let fifo = clam_with(EvictionPolicy::Fifo);
+    let MemoryProbe::Resolved(out) = fifo.probe_memory(key(1), BASE_OP_OVERHEAD) else {
+        panic!("a retired hit resolves from memory under FIFO");
+    };
+    assert_eq!((out.value, out.source, out.flash_reads), (Some(10), LookupSource::Retired, 0));
+
+    // LRU owes the key a re-insertion, which needs `&mut`: the probe
+    // declines, exactly as for a key it would have to read from flash.
+    let mut lru = clam_with(EvictionPolicy::Lru);
+    assert_eq!(lru.probe_memory(key(1), BASE_OP_OVERHEAD), MemoryProbe::NeedsFlash);
+    let out = lru.lookup(key(1)).unwrap();
+    assert_eq!((out.value, out.source, out.flash_reads), (Some(10), LookupSource::Retired, 0));
+    assert_eq!(lru.stats().reinsertions, 1, "the re-insertion a flash hit would have queued");
+    assert_eq!(lru.lookup(key(1)).unwrap().source, LookupSource::Buffer);
+    assert_eq!(lru.device().stats().reads, 0);
+}

@@ -4,10 +4,17 @@
 //! flushed to flash as an incarnation (§5.1). The paper's prototype uses
 //! cuckoo hashing with two hash functions, which keeps space utilisation
 //! high without chaining; we follow that choice.
+//!
+//! Draining the buffer for a flush does not touch the slot array, so the
+//! generation just written to flash is still in DRAM, entry for entry,
+//! until new inserts land on its slots. A second bitmap, `retired`, says
+//! which slots still hold it, and [`CuckooBuffer::get_retired`] reads them:
+//! a victim cache that costs one bit per slot and no knob (DESIGN.md "The
+//! retired generation").
 
 use serde::{Deserialize, Serialize};
 
-use crate::types::{hash_with_seed, Entry, Key, Value};
+use crate::types::{hash_with_seed, Entry, Key, Modulus, Value};
 
 /// Maximum displacement chain length before an insert is declared failed.
 /// Failures at 50% utilisation are vanishingly rare; the super table reacts
@@ -33,14 +40,25 @@ pub enum BufferInsert {
 ///
 /// A slot is a bare 16-byte [`Entry`], the size the buffer budget is quoted
 /// in; which slots hold one is kept in a bitmap beside them, so emptying
-/// the buffer clears the bitmap and leaves the slot array alone.
+/// the buffer moves the bitmap aside and leaves the slot array alone.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CuckooBuffer {
-    /// Slot `i` holds an entry only while bit `i` of `occupied` is set;
-    /// otherwise its content is stale.
+    /// Slot `i` holds a live entry only while bit `i` of `occupied` is
+    /// set, an entry of the retired generation while bit `i` of `retired`
+    /// is; otherwise its content is stale. No slot has both bits.
     slots: Vec<Entry>,
+    /// Reduces a hash to a slot index (`slots.len()`, division-free).
+    modulus: Modulus,
     /// One bit per slot, 64 slots to a word.
     occupied: Vec<u64>,
+    /// `occupied` as the last [`drain`](Self::drain) found it, minus every
+    /// slot written since.
+    retired: Vec<u64>,
+    /// Whether `retired` answers reads: set by
+    /// [`publish_retired`](Self::publish_retired) once the drained
+    /// generation is a registered incarnation, cleared by the next drain
+    /// and by [`forget_retired`](Self::forget_retired).
+    retired_live: bool,
     /// Overflow stash for entries left homeless by a displacement cycle.
     stash: Vec<Entry>,
     /// Maximum number of entries admitted (capacity × max utilisation).
@@ -57,7 +75,10 @@ impl CuckooBuffer {
         let max_entries = ((num_slots as f64 * max_utilization).floor() as usize).max(1);
         CuckooBuffer {
             slots: vec![Entry::new(0, 0); num_slots],
+            modulus: Modulus::new(num_slots),
             occupied: vec![0; num_slots.div_ceil(64)],
+            retired: vec![0; num_slots.div_ceil(64)],
+            retired_live: false,
             stash: Vec::new(),
             max_entries,
             len: 0,
@@ -101,16 +122,16 @@ impl CuckooBuffer {
     }
 
     /// Bytes of the slot array: with 16-byte entries, exactly the byte
-    /// budget the buffer was sized from. The occupancy bitmap is one bit
-    /// per slot on top (1/128 of this figure) and the stash is empty
-    /// unless a displacement cycle was hit.
+    /// budget the buffer was sized from. The occupancy and retired bitmaps
+    /// are one bit per slot each on top (2/128 of this figure) and the
+    /// stash is empty unless a displacement cycle was hit.
     pub fn memory_bytes(&self) -> usize {
         self.slots.len() * std::mem::size_of::<Entry>()
     }
 
     #[inline]
     fn index(&self, key: Key, which: u64) -> usize {
-        (hash_with_seed(key, 0xc0ff_ee00 + which) % self.slots.len() as u64) as usize
+        self.modulus.reduce(hash_with_seed(key, 0xc0ff_ee00 + which))
     }
 
     /// The entry in slot `idx`, if the slot is occupied.
@@ -119,10 +140,20 @@ impl CuckooBuffer {
         (self.occupied[idx / 64] >> (idx % 64) & 1 == 1).then(|| self.slots[idx])
     }
 
+    /// The entry in slot `idx`, if the slot still holds the retired
+    /// generation's.
+    #[inline]
+    fn retired_slot(&self, idx: usize) -> Option<Entry> {
+        (self.retired[idx / 64] >> (idx % 64) & 1 == 1).then(|| self.slots[idx])
+    }
+
+    /// The only write into an unoccupied slot, so the only place a retired
+    /// entry can be overwritten.
     #[inline]
     fn fill_slot(&mut self, idx: usize, entry: Entry) {
         self.slots[idx] = entry;
         self.occupied[idx / 64] |= 1 << (idx % 64);
+        self.retired[idx / 64] &= !(1 << (idx % 64));
     }
 
     #[inline]
@@ -140,6 +171,40 @@ impl CuckooBuffer {
             }
         }
         self.stash.iter().find(|e| e.key == key).map(|e| e.value)
+    }
+
+    /// Looks up `key` in the retired generation: the entries the last
+    /// [`drain`](Self::drain) returned (its stash excepted) whose slots
+    /// nothing has been written to since. Answers only between
+    /// [`publish_retired`](Self::publish_retired) and the next drain or
+    /// [`forget_retired`](Self::forget_retired). Never sees a live entry.
+    pub fn get_retired(&self, key: Key) -> Option<Value> {
+        if !self.retired_live {
+            return None;
+        }
+        (0..2)
+            .filter_map(|which| self.retired_slot(self.index(key, which)))
+            .find(|e| e.key == key)
+            .map(|e| e.value)
+    }
+
+    /// Makes the generation the last [`drain`](Self::drain) retired
+    /// readable. The caller vouches that those entries are durable
+    /// elsewhere under the same keys and values.
+    pub fn publish_retired(&mut self) {
+        self.retired_live = true;
+    }
+
+    /// Stops answering from the retired generation.
+    pub fn forget_retired(&mut self) {
+        self.retired_live = false;
+    }
+
+    /// The retired generation's surviving entries, in slot order (empty
+    /// unless published).
+    pub fn iter_retired(&self) -> impl Iterator<Item = Entry> + '_ {
+        let slots = if self.retired_live { self.slots.len() } else { 0 };
+        (0..slots).filter_map(|idx| self.retired_slot(idx))
     }
 
     /// Inserts or updates `key` with `value`.
@@ -219,16 +284,25 @@ impl CuckooBuffer {
         (0..self.slots.len()).filter_map(|idx| self.slot(idx)).chain(self.stash.iter().copied())
     }
 
-    /// Drains all entries, leaving the buffer empty.
+    /// Drains all entries, leaving the buffer empty. The slots they sat in
+    /// become the retired generation, replacing the previous one
+    /// wholesale; it stays unreadable until
+    /// [`publish_retired`](Self::publish_retired).
     pub fn drain(&mut self) -> Vec<Entry> {
         let out: Vec<Entry> = self.iter().collect();
-        self.clear();
+        std::mem::swap(&mut self.occupied, &mut self.retired);
+        self.retired_live = false;
+        self.occupied.fill(0);
+        self.stash.clear();
+        self.len = 0;
         out
     }
 
-    /// Removes all entries.
+    /// Removes all entries and forgets the retired generation.
     pub fn clear(&mut self) {
         self.occupied.fill(0);
+        self.retired.fill(0);
+        self.retired_live = false;
         self.stash.clear();
         self.len = 0;
     }
@@ -343,6 +417,129 @@ mod tests {
             assert_eq!(b.insert(hash_with_seed(i, 1), i), BufferInsert::Stored(None));
         }
         assert_eq!(b.drain().len(), 100);
+    }
+
+    /// `n` distinct entries tagged `tag`.
+    fn generation(tag: u64, n: u64) -> Vec<Entry> {
+        (0..n).map(|i| Entry::new(hash_with_seed(i, tag), tag * 1_000 + i)).collect()
+    }
+
+    /// Fills `b` with `entries`, drains it and publishes what it retired.
+    fn flush(b: &mut CuckooBuffer, entries: &[Entry]) {
+        for e in entries {
+            assert_eq!(b.insert(e.key, e.value), BufferInsert::Stored(None));
+        }
+        assert_eq!(b.drain().len(), entries.len());
+        b.publish_retired();
+    }
+
+    /// The slot holding `key` in the live buffer or the retired generation.
+    fn slot_of(b: &CuckooBuffer, key: Key) -> Option<usize> {
+        (0..2)
+            .map(|w| b.index(key, w))
+            .find(|&i| b.slot(i).or(b.retired_slot(i)).is_some_and(|e| e.key == key))
+    }
+
+    #[test]
+    fn a_drained_generation_reads_back_until_its_slots_are_reused() {
+        let mut b = CuckooBuffer::new(512, 0.5);
+        let old = generation(1, 256);
+        for e in &old {
+            b.insert(e.key, e.value);
+        }
+        assert!(old.iter().all(|e| b.get_retired(e.key).is_none()), "live entries are not retired");
+        b.drain();
+        assert!(
+            old.iter().all(|e| b.get_retired(e.key).is_none()),
+            "a drain alone publishes nothing"
+        );
+        b.publish_retired();
+        for e in &old {
+            assert_eq!((b.get(e.key), b.get_retired(e.key)), (None, Some(e.value)));
+        }
+        assert_eq!(b.iter_retired().count(), old.len());
+        assert!(b.is_empty() && b.iter().next().is_none());
+        let homes: Vec<usize> = old.iter().map(|e| slot_of(&b, e.key).unwrap()).collect();
+
+        // The next generation takes slots one at a time, directly and at
+        // the end of displacement chains: an old entry answers exactly
+        // until something is written where it sits, and never wrongly.
+        let (mut reused_directly, mut reused_by_displacement) = (0, 0);
+        for new in generation(2, 256) {
+            let was_retired: Vec<bool> =
+                homes.iter().map(|&i| b.retired_slot(i).is_some()).collect();
+            b.insert(new.key, new.value);
+            assert_eq!(b.get_retired(new.key), None);
+            for ((e, &home), was) in old.iter().zip(&homes).zip(was_retired) {
+                match b.slot(home) {
+                    None => assert_eq!(b.get_retired(e.key), Some(e.value), "untouched {e:?}"),
+                    Some(now) => {
+                        assert_eq!(b.get_retired(e.key), None, "{e:?} under {now:?}");
+                        if was {
+                            let direct = now.key == new.key;
+                            reused_directly += usize::from(direct);
+                            reused_by_displacement += usize::from(!direct);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(reused_directly > 20 && reused_by_displacement > 5, "both kinds of write ran");
+        let survivors = b.iter_retired().count();
+        assert!((40..200).contains(&survivors), "{survivors} of 256 survive a full refill");
+    }
+
+    #[test]
+    fn a_second_drain_replaces_the_retired_generation_wholesale() {
+        let mut b = CuckooBuffer::new(512, 0.5);
+        let (first, second) = (generation(1, 256), generation(2, 32));
+        flush(&mut b, &first);
+        flush(&mut b, &second);
+        // Most of the first generation's slots were never written again,
+        // and still none of it answers.
+        for e in &first {
+            assert_eq!(b.get_retired(e.key), None, "{e:?} is two drains old");
+        }
+        for e in &second {
+            assert_eq!(b.get_retired(e.key), Some(e.value));
+        }
+        assert_eq!(b.iter_retired().count(), second.len());
+    }
+
+    #[test]
+    fn forgetting_and_clearing_end_the_retired_generation() {
+        let mut b = CuckooBuffer::new(512, 0.5);
+        let entries = generation(1, 100);
+        flush(&mut b, &entries);
+        b.forget_retired();
+        assert!(entries.iter().all(|e| b.get_retired(e.key).is_none()));
+        assert_eq!(b.iter_retired().count(), 0);
+
+        flush(&mut b, &entries);
+        b.clear();
+        // Not even a stray publish brings a cleared generation back.
+        b.publish_retired();
+        assert!(entries.iter().all(|e| b.get_retired(e.key).is_none()));
+    }
+
+    #[test]
+    fn the_stash_is_drained_but_not_retired() {
+        // Two slots, and two keys whose four home slots are all slot 0:
+        // the second insert kicks the first round in a circle and into
+        // the stash.
+        let mut b = CuckooBuffer::new(2, 1.0);
+        let keys: Vec<Key> =
+            (0..).filter(|&k| b.index(k, 0) == 0 && b.index(k, 1) == 0).take(2).collect();
+        for &k in &keys {
+            assert_eq!(b.insert(k, k + 7), BufferInsert::Stored(None));
+        }
+        assert_eq!((b.len(), b.stash.len()), (2, 1));
+        let stashed = b.stash[0].key;
+        let slotted = keys[usize::from(keys[0] == stashed)];
+        assert_eq!(b.drain().len(), 2);
+        b.publish_retired();
+        assert_eq!(b.get_retired(slotted), Some(slotted + 7));
+        assert_eq!(b.get_retired(stashed), None, "a stashed entry has no slot to be read from");
     }
 
     #[test]

@@ -9,6 +9,8 @@ use std::fmt;
 
 use flashsim::{LatencyRecorder, SimDuration};
 
+use crate::clam::{LookupOutcome, LookupSource};
+
 /// Counters and latency recorders for one CLAM instance.
 #[derive(Debug, Clone, Default)]
 pub struct ClamStats {
@@ -22,6 +24,11 @@ pub struct ClamStats {
     pub lookup_hits: u64,
     /// Lookups that found nothing (or a deleted key).
     pub lookup_misses: u64,
+    /// Lookup hits answered from a retired generation
+    /// ([`LookupSource::Retired`]): keys of a table's youngest incarnation
+    /// read from the buffer slots they were flushed from, each one a flash
+    /// page read that did not happen.
+    pub retired_hits: u64,
     /// Buffer flushes (incarnations written to flash).
     pub flushes: u64,
     /// Incarnations force-evicted because the flash log wrapped onto them.
@@ -133,6 +140,19 @@ impl ClamStats {
         Self::default()
     }
 
+    /// Records one resolved lookup, whichever path served it: hit or miss,
+    /// its latency sample, its flash reads and where a hit came from.
+    pub fn record_lookup(&mut self, outcome: &LookupOutcome) {
+        if outcome.value.is_some() {
+            self.lookup_hits += 1;
+        } else {
+            self.lookup_misses += 1;
+        }
+        self.retired_hits += u64::from(outcome.source == LookupSource::Retired);
+        self.lookups.record(outcome.latency);
+        self.record_lookup_reads(outcome.flash_reads);
+    }
+
     /// Records the number of flash reads a lookup performed.
     pub fn record_lookup_reads(&mut self, reads: usize) {
         self.lookup_flash_reads += reads as u64;
@@ -189,6 +209,7 @@ impl ClamStats {
         self.deletes.merge(&other.deletes);
         self.lookup_hits += other.lookup_hits;
         self.lookup_misses += other.lookup_misses;
+        self.retired_hits += other.retired_hits;
         self.flushes += other.flushes;
         self.forced_evictions += other.forced_evictions;
         self.reinsertions += other.reinsertions;
@@ -256,6 +277,9 @@ impl fmt::Display for ClamStats {
             " | lookup flash reads: {} ({} spurious)",
             self.lookup_flash_reads, self.spurious_flash_reads
         )?;
+        if self.retired_hits > 0 {
+            write!(f, " | retired hits: {}", self.retired_hits)?;
+        }
         if self.batched_inserts > 0 || self.batched_lookups > 0 {
             write!(
                 f,

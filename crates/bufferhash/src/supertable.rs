@@ -6,6 +6,14 @@
 //! I/O is orchestrated by [`crate::clam::Clam`], which keeps this type
 //! purely in-memory and easy to test.
 //!
+//! The buffer's slots outlive a flush: until new inserts reuse them they
+//! still hold the table's **youngest incarnation**, and
+//! [`SuperTable::memory_lookup`] answers from them after the delete list
+//! and the live buffer have had their say. That retired generation is
+//! published by [`SuperTable::register_incarnation`] and forgotten when
+//! the incarnation it mirrors is dropped (DESIGN.md "The retired
+//! generation").
+//!
 //! Nothing here synchronizes: a `SuperTable` is a plain field of its
 //! `Clam`, mutated through `&mut` (see DESIGN.md "Locks").
 
@@ -27,6 +35,18 @@ pub struct IncarnationMeta {
     pub entries: usize,
     /// Global flush sequence number (unique across the whole CLAM).
     pub seq: u64,
+}
+
+/// A verdict [`SuperTable::memory_lookup`] reaches without the filters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoryHit {
+    /// The key is in the delete list.
+    Deleted,
+    /// The live buffer holds the key.
+    Buffer(Value),
+    /// The youngest incarnation holds the key, and so does the buffer slot
+    /// it was flushed from.
+    Retired(Value),
 }
 
 /// The DRAM-resident state of one key-space partition.
@@ -115,16 +135,29 @@ impl SuperTable {
         self.incarnations.back().copied()
     }
 
-    /// Looks up `key` in the in-memory state only.
-    ///
-    /// Returns `Some(Some(value))` if the buffer holds the key,
-    /// `Some(None)` if the key is known to be deleted, and `None` when the
-    /// caller must consult flash.
-    pub fn memory_lookup(&self, key: Key) -> Option<Option<Value>> {
+    /// Looks up `key` in the in-memory state only: the delete list, then
+    /// the live buffer, then the retired generation, so a tombstone or a
+    /// newer value always wins over the flushed one. `None` when the
+    /// caller must consult the filters and flash.
+    pub fn memory_lookup(&self, key: Key) -> Option<MemoryHit> {
         if self.delete_list.contains(&key) {
-            return Some(None);
+            return Some(MemoryHit::Deleted);
         }
-        self.buffer.get(key).map(Some)
+        if let Some(value) = self.buffer.get(key) {
+            return Some(MemoryHit::Buffer(value));
+        }
+        self.buffer.get_retired(key).map(MemoryHit::Retired)
+    }
+
+    /// Stops answering from the retired generation: the incarnation it
+    /// mirrors is gone, or may never have reached the device.
+    pub fn forget_retired(&mut self) {
+        self.buffer.forget_retired();
+    }
+
+    /// The retired generation's surviving entries (test support).
+    pub fn retired_entries(&self) -> impl Iterator<Item = Entry> + '_ {
+        self.buffer.iter_retired()
     }
 
     /// Inserts into the buffer. A new value for a deleted key revives it.
@@ -164,12 +197,18 @@ impl SuperTable {
         self.delete_list.len()
     }
 
-    /// Drains the buffer for a flush, returning all entries.
+    /// Drains the buffer for a flush, returning all entries. Nothing is
+    /// readable from the slots they leave behind unless the entries are
+    /// then registered as an incarnation.
     pub fn drain_buffer(&mut self) -> Vec<Entry> {
         self.buffer.drain()
     }
 
-    /// Registers a freshly written incarnation as the youngest.
+    /// Registers a freshly written incarnation as the youngest, and in the
+    /// same step publishes what the preceding
+    /// [`drain_buffer`](Self::drain_buffer) left in the buffer's slots as
+    /// its retired generation (nothing, for an incarnation recovery found
+    /// on flash: its buffer never held it).
     ///
     /// The caller must have made room first (`num_incarnations() <
     /// max_incarnations()`).
@@ -180,13 +219,19 @@ impl SuperTable {
         );
         self.filters.push_newest(keys);
         self.incarnations.push_front(meta);
+        self.buffer.publish_retired();
     }
 
-    /// Drops the oldest incarnation, returning its metadata.
+    /// Drops the oldest incarnation, returning its metadata. The retired
+    /// generation mirrors the youngest, which goes only when the queue
+    /// empties.
     pub fn drop_oldest_incarnation(&mut self) -> Option<IncarnationMeta> {
         let meta = self.incarnations.pop_back();
         if meta.is_some() {
             self.filters.evict_oldest();
+        }
+        if self.incarnations.is_empty() {
+            self.forget_retired();
         }
         meta
     }
@@ -253,7 +298,8 @@ impl SuperTable {
         self.delete_list.retain(|&k| !filters.query(k).is_empty());
     }
 
-    /// DRAM the buffer's slots occupy, in bytes.
+    /// DRAM the buffer's slots occupy, in bytes (its two bitmaps are 2/128
+    /// of this on top).
     pub fn buffer_bytes(&self) -> usize {
         self.buffer.memory_bytes()
     }
@@ -298,7 +344,7 @@ mod tests {
     fn buffer_insert_and_memory_lookup() {
         let mut t = table();
         assert!(matches!(t.buffer_insert(1, 10), BufferInsert::Stored(None)));
-        assert_eq!(t.memory_lookup(1), Some(Some(10)));
+        assert_eq!(t.memory_lookup(1), Some(MemoryHit::Buffer(10)));
         assert_eq!(t.memory_lookup(2), None);
         assert_eq!(t.buffer_len(), 1);
     }
@@ -315,11 +361,11 @@ mod tests {
         // flash lookups.
         assert!(!t.delete(2));
         assert!(t.is_deleted(2));
-        assert_eq!(t.memory_lookup(2), Some(None));
+        assert_eq!(t.memory_lookup(2), Some(MemoryHit::Deleted));
         // Re-inserting revives the key.
         t.buffer_insert(2, 20);
         assert!(!t.is_deleted(2));
-        assert_eq!(t.memory_lookup(2), Some(Some(20)));
+        assert_eq!(t.memory_lookup(2), Some(MemoryHit::Buffer(20)));
     }
 
     #[test]
@@ -330,7 +376,7 @@ mod tests {
         assert!(t.delete(7));
         // The flash copy must remain shadowed.
         assert!(t.is_deleted(7));
-        assert_eq!(t.memory_lookup(7), Some(None));
+        assert_eq!(t.memory_lookup(7), Some(MemoryHit::Deleted));
     }
 
     #[test]

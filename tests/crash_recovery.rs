@@ -19,7 +19,8 @@ use proptest::prelude::*;
 
 use clam::bufferhash::{
     hash_with_seed, scan_incarnation, Clam, ClamConfig, Entry, EvictionPolicy, FilterMode,
-    FlashLayoutMode, IncarnationIdentity, IncarnationLayout, SlotScan,
+    FlashLayoutMode, IncarnationIdentity, IncarnationLayout, LookupSource, MemoryProbe, SlotScan,
+    BASE_OP_OVERHEAD,
 };
 use clam::flashsim::{CrashDevice, Device, DramDevice, FileDevice, FlashChip, MagneticDisk, Ssd};
 
@@ -174,6 +175,8 @@ fn check_crash_then_recover<D: Device>(
     let queried: HashSet<u64> = ops.iter().map(|&(k, _, _)| k).collect();
     for &k in &queried {
         let found = recovered.lookup(k).unwrap();
+        // The buffers restarted empty and nothing has flushed since.
+        prop_assert!(found.source != LookupSource::Retired, "{found:?} on {}", name);
         match expected.get(&k) {
             Some(&v) => {
                 prop_assert!(
@@ -675,4 +678,57 @@ fn chip_recovers_past_a_mid_block_torn_write() {
     assert!(recovered.stats().flushes >= 8, "both partitions wrapped");
     let probe = hash_with_seed(19_999, 0xc41c);
     assert!(recovered.lookup(probe).unwrap().value.is_some());
+}
+
+/// The retired generation vouches for bytes on the device, so it must not
+/// outlive doubt about them: a flush whose write the device refuses
+/// leaves nothing retired (the incarnation it registered may not exist),
+/// and a recovered CLAM reads nothing from buffer slots it never filled
+/// until its own first flush retires some.
+#[test]
+fn nothing_is_retired_after_a_refused_flush_or_a_recovery_until_the_next_flush() {
+    const CAP: u64 = 1 << 20;
+    let config = crash_config(FlashLayoutMode::GlobalLog, 0.5, 1);
+    let keys = |round: u64| (0..100u64).map(move |i| hash_with_seed(i, 0x4e71 + round));
+    let retired = |clam: &mut Clam<CrashDevice<Ssd>>, round: u64| {
+        keys(round).filter(|&k| clam.lookup(k).unwrap().source == LookupSource::Retired).count()
+    };
+
+    let mut clam = Clam::new(CrashDevice::new(Ssd::intel(CAP).unwrap()), config.clone()).unwrap();
+    for k in keys(0) {
+        clam.insert(k, k).unwrap();
+    }
+    clam.flush_all().unwrap();
+    assert_eq!(retired(&mut clam, 0), 100, "a flushed generation reads back from its slots");
+
+    // The power goes as the next flush's first write is applied.
+    for k in keys(1) {
+        clam.insert(k, k).unwrap();
+    }
+    clam.device_mut().arm(0);
+    assert!(clam.flush_all().is_err());
+    for k in keys(0).chain(keys(1)) {
+        // The device is dead, so ask the DRAM alone.
+        if let MemoryProbe::Resolved(found) = clam.probe_memory(k, BASE_OP_OVERHEAD) {
+            assert_ne!(found.source, LookupSource::Retired, "key {k:#x}: {found:?}");
+        }
+    }
+
+    // Reboot: round 0 is durable, round 1 is lost, and every hit is a
+    // flash read until a flush of this lifetime retires a generation.
+    let image = CrashDevice::new(clam.into_device().into_inner());
+    let (mut recovered, report) = Clam::recover(image, config).unwrap();
+    assert_eq!(report.entries_recovered, 100, "{report}");
+    for k in keys(0) {
+        let found = recovered.lookup(k).unwrap();
+        assert_eq!((found.value, found.source), (Some(k), LookupSource::Flash));
+    }
+    for k in keys(2) {
+        recovered.insert(k, k).unwrap();
+    }
+    assert_eq!(retired(&mut recovered, 0) + retired(&mut recovered, 2), 0, "nothing flushed yet");
+    recovered.flush_all().unwrap();
+    assert_eq!(retired(&mut recovered, 2), 100);
+    assert_eq!(retired(&mut recovered, 0), 0, "round 0 is one generation too old");
+    recovered.assert_retired_matches_youngest();
 }

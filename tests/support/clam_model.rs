@@ -5,10 +5,10 @@
 //! clock. It shares with the product only pure functions — [`table_of`],
 //! the configuration's geometry and [`EvictionPolicy::retain`] — and
 //! decides, for any sequence of operations on one [`bufferhash::Clam`]:
-//! every lookup's reply and where it was found, which inserts flush and
-//! how many incarnations each flush chain evicts, the flush, eviction,
-//! forced-eviction and re-insertion counts, and what is readable after
-//! `flush_all` and a recovery from flash alone.
+//! every lookup's reply and where it may be found ([`Expected::admits`]),
+//! which inserts flush and how many incarnations each flush chain evicts,
+//! the flush, eviction, forced-eviction and re-insertion counts, and what
+//! is readable after `flush_all` and a recovery from flash alone.
 //!
 //! The semantics, from the paper (§5.1) and DESIGN.md:
 //!
@@ -27,7 +27,13 @@
 //! * lookups answer from the delete list, then the buffer, then the
 //!   incarnations youngest first; deletes are lazy tombstones in DRAM,
 //!   pruned once no incarnation of the table holds the key;
-//! * recovery keeps the incarnations and loses the buffers and tombstones.
+//! * a hit in a table's **youngest** incarnation may be answered from the
+//!   DRAM that incarnation was flushed from (`LookupSource::Retired`, no
+//!   flash read) instead of from flash. The model has no slots, so it
+//!   cannot say which of those keys still have theirs: either source is
+//!   right there, and `Retired` is wrong everywhere else;
+//! * recovery keeps the incarnations and loses the buffers, the tombstones
+//!   and the retired generation.
 //!
 //! Not modelled: LRU (its re-insertion order keeps its direct tests),
 //! Bloom false positives (exact membership here; the test geometries keep
@@ -36,9 +42,30 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use bufferhash::{
-    table_of, ClamConfig, Entry, EvictionPolicy, FlashLayoutMode, Key, LookupSource,
+    table_of, ClamConfig, Entry, EvictionPolicy, FlashLayoutMode, Key, LookupOutcome, LookupSource,
     RetainDecision, Value, ENTRY_SIZE,
 };
+
+/// What a lookup must answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Expected {
+    pub value: Option<Value>,
+    /// `Flash` for any incarnation, the youngest included.
+    pub source: LookupSource,
+    /// The hit is in the table's youngest incarnation, and that one was
+    /// flushed in this lifetime, not recovered.
+    pub youngest: bool,
+}
+
+impl Expected {
+    /// Whether `got` is a reply the specification allows: the value, from
+    /// the source — or, for a key of the youngest incarnation only, from
+    /// its retired generation without a flash read.
+    pub fn admits(&self, got: &LookupOutcome) -> bool {
+        let retired = got.source == LookupSource::Retired && self.youngest && got.flash_reads == 0;
+        got.value == self.value && (got.source == self.source || retired)
+    }
+}
 
 /// What an insert call did: how many of its operations ran a flush chain
 /// (`InsertOutcome::flushed`, `BatchInsertOutcome::flushed_ops`) and how
@@ -61,6 +88,8 @@ struct Table {
     deleted: HashSet<Key>,
     /// Youngest first.
     incarnations: VecDeque<Incarnation>,
+    /// The youngest incarnation was flushed since the last recovery.
+    flushed: bool,
 }
 
 pub struct ClamModel {
@@ -148,17 +177,23 @@ impl ClamModel {
         }
     }
 
-    pub fn lookup(&self, key: Key) -> (Option<Value>, LookupSource) {
+    pub fn lookup(&self, key: Key) -> Expected {
         let table = &self.tables[table_of(key, self.tables.len())];
+        let expected = |value, source| Expected { value, source, youngest: false };
         if table.deleted.contains(&key) {
-            return (None, LookupSource::Deleted);
+            return expected(None, LookupSource::Deleted);
         }
         if let Some(&value) = table.buffer.get(&key) {
-            return (Some(value), LookupSource::Buffer);
+            return expected(Some(value), LookupSource::Buffer);
         }
-        match table.incarnations.iter().find_map(|inc| inc.entries.get(&key)) {
-            Some(&value) => (Some(value), LookupSource::Flash),
-            None => (None, LookupSource::Miss),
+        let holder = table.incarnations.iter().position(|inc| inc.entries.contains_key(&key));
+        match holder {
+            Some(age) => Expected {
+                value: table.incarnations[age].entries.get(&key).copied(),
+                source: LookupSource::Flash,
+                youngest: age == 0 && table.flushed,
+            },
+            None => expected(None, LookupSource::Miss),
         }
     }
 
@@ -178,6 +213,7 @@ impl ClamModel {
         for table in &mut self.tables {
             table.buffer.clear();
             table.deleted.clear();
+            table.flushed = false;
         }
     }
 
@@ -222,6 +258,7 @@ impl ClamModel {
                 }
             }
             self.tables[t].incarnations.push_front(Incarnation { seq: self.seq, slot, entries });
+            self.tables[t].flushed = true;
             self.prune_tombstones(t);
             self.flushes += 1;
         }
