@@ -1007,9 +1007,8 @@ fn execute_flush<D: Device + 'static>(shared: &Shared<D>, shard_idx: usize, asse
 fn execute_stats<D: Device + 'static>(shared: &Shared<D>, shard_idx: usize, ticket: &Ticket) {
     shared.shards[shard_idx].retire(1);
     shared.stats.lock().expect("stats lock").stats_calls += 1;
-    let merged = shared.merged_stats();
-    let fields = merged.to_fields();
-    let mut text = format!("{merged}\nstore: {}", shared.store.stats());
+    let fields = Box::new(shared.merged_stats());
+    let mut text = format!("{fields}\nstore: {}", shared.store.stats());
     for (i, report) in shared.recovery.iter().enumerate() {
         text.push_str(&format!("\nstripe {i} recovery: {report}"));
     }

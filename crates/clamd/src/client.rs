@@ -17,8 +17,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 use bufferhash::{Key, Value};
 
 use crate::proto::{
-    self, decode_response, encode_request, ErrorCode, Op, Request, RespBody, Response, WireError,
+    decode_response, encode_request, ErrorCode, Op, Request, RespBody, Response, WireError,
 };
+use crate::stats::ServerStats;
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -83,7 +84,13 @@ impl ClamdClient {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(ClamdClient { stream, buf: Vec::new(), start: 0, next_id: 1 })
+        Ok(Self::from_stream(stream))
+    }
+
+    /// Wraps an already-connected stream — e.g. the read half of a
+    /// socket whose clone another thread writes frames to.
+    pub fn from_stream(stream: TcpStream) -> Self {
+        ClamdClient { stream, buf: Vec::new(), start: 0, next_id: 1 }
     }
 
     /// Sends `op` without waiting and returns the request id it was
@@ -169,10 +176,10 @@ impl ClamdClient {
         }
     }
 
-    /// Fetches both statistics ledgers (numeric fields + rendered text).
-    pub fn stats(&mut self) -> Result<(proto::StatsFields, String)> {
+    /// Fetches the server ledger and the rendered text of both ledgers.
+    pub fn stats(&mut self) -> Result<(ServerStats, String)> {
         match self.call(Op::Stats)? {
-            RespBody::Stats { fields, text } => Ok((fields, text)),
+            RespBody::Stats { fields, text } => Ok((*fields, text)),
             _ => Err(ClientError::Protocol("expected STATS")),
         }
     }

@@ -41,6 +41,6 @@ pub mod stats;
 pub use batcher::{BatcherConfig, Engine};
 pub use client::{ClamdClient, ClientError};
 pub use loadgen::{LoadReport, LoadgenConfig, SweepLevel};
-pub use proto::{ErrorCode, Op, Request, RespBody, Response, StatsFields, WireError};
+pub use proto::{ErrorCode, Op, Request, RespBody, Response, WireError};
 pub use server::{boot_file, boot_sim, ClamdServer, ServerConfig};
 pub use stats::ServerStats;

@@ -21,7 +21,7 @@
 //! level, the sustained throughput, the client-observed latency tail and
 //! the server's group-commit shape over exactly that window.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -31,8 +31,9 @@ use flashsim::{LatencyRecorder, SimDuration};
 use rand::distributions::Zipf;
 use rand::{Rng, SeedableRng, StdRng};
 
-use crate::client::{ClamdClient, ClientError, Result};
-use crate::proto::{self, Op, Request, RespBody, StatsFields};
+use crate::client::{ClamdClient, Result};
+use crate::proto::{self, Op, Request, RespBody};
+use crate::stats::ServerStats;
 
 /// First key id of the never-inserted range (guaranteed misses).
 const MISS_ID_BASE: u64 = 1 << 40;
@@ -173,56 +174,16 @@ impl ConnTally {
     }
 }
 
-/// Reads responses off `stream` until `expected` frames have arrived,
-/// calling `on_response(index, response)` for each.
-fn drain_responses(
-    stream: &mut TcpStream,
-    expected: usize,
-    mut on_response: impl FnMut(usize, proto::Response),
-) -> Result<()> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut start = 0usize;
-    let mut chunk = [0u8; 64 * 1024];
-    let mut seen = 0usize;
-    while seen < expected {
-        while seen < expected {
-            match proto::decode_response(&buf[start..])? {
-                Some((response, consumed)) => {
-                    start += consumed;
-                    on_response(seen, response);
-                    seen += 1;
-                }
-                None => break,
-            }
-        }
-        if seen >= expected {
-            break;
-        }
-        if start >= buf.len() / 2 {
-            buf.drain(..start);
-            start = 0;
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed mid-run",
-            )));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    Ok(())
-}
-
 /// Runs one open-loop connection: a sender thread paces the schedule
-/// while this thread drains responses (in submission order) and charges
-/// each completion against its *scheduled* arrival time.
+/// while this thread reads responses (in submission order) through a
+/// [`ClamdClient`] on the socket's read half and charges each completion
+/// against its *scheduled* arrival time.
 fn run_open_loop_conn(addr: SocketAddr, ops: Vec<DueOp>, start: Instant) -> Result<ConnTally> {
-    let mut read_half = TcpStream::connect(addr)?;
-    read_half.set_nodelay(true)?;
-    let mut write_half = read_half.try_clone()?;
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    let mut write_half = stream.try_clone()?;
+    let mut reader = ClamdClient::from_stream(stream);
     let due: Vec<u64> = ops.iter().map(|p| p.due_ns).collect();
-    let expected = ops.len();
     let sender = std::thread::spawn(move || -> Result<()> {
         let mut frame = Vec::new();
         for (seq, planned) in ops.into_iter().enumerate() {
@@ -238,11 +199,12 @@ fn run_open_loop_conn(addr: SocketAddr, ops: Vec<DueOp>, start: Instant) -> Resu
         Ok(())
     });
     let mut tally = ConnTally::default();
-    let drained = drain_responses(&mut read_half, expected, |seq, response| {
-        let elapsed_ns = start.elapsed().as_nanos() as u64;
-        let waited = elapsed_ns.saturating_sub(due[seq]);
+    let drained = due.iter().try_for_each(|&due_ns| -> Result<()> {
+        let response = reader.recv()?;
+        let waited = (start.elapsed().as_nanos() as u64).saturating_sub(due_ns);
         tally.latencies.record(SimDuration::from_nanos(waited));
         tally.absorb(&response.body);
+        Ok(())
     });
     let sent = sender.join().expect("sender thread panicked");
     drained?;
@@ -340,8 +302,8 @@ pub struct SweepLevel {
     /// What the clients measured at this level.
     pub report: LoadReport,
     /// Server-ledger delta over exactly this level's window (group-commit
-    /// shape, admissions, served counts).
-    pub server: StatsFields,
+    /// shape, admissions, served counts; [`ServerStats::delta`]).
+    pub server: ServerStats,
 }
 
 /// Calibrates the saturation throughput with a closed-loop flood, then

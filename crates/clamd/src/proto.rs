@@ -29,10 +29,26 @@
 //! let one client-side frame carry many operations (server-side group
 //! commit batches *across* frames and connections either way — see
 //! [`crate::batcher`]).
+//!
+//! A STATS response carries the whole [`ServerStats`] ledger by name,
+//! then the rendered text:
+//!
+//! ```text
+//!  u32 entry count, then per entry:
+//!      u8 name length | name (UTF-8) | u32 value count | value count × u64
+//!  ledger text (UTF-8, the rest of the payload)
+//! ```
+//!
+//! A scalar counter carries one value, a list (`batch_histogram`,
+//! `shard_depths`) its elements. The entries are written from
+//! [`ServerStats`]' counter list; a decoder fills the names it knows and
+//! skips the rest, so a new counter needs no version.
 
 use std::fmt;
 
 use bufferhash::{Key, Value};
+
+use crate::stats::{ServerStats, Slot};
 
 /// Frame magic: `"CLMD"` in ASCII.
 pub const MAGIC: u32 = 0x444D_4C43; // b"CLMD" read little-endian
@@ -223,151 +239,6 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// The numeric half of a STATS response: a fixed field vector the load
-/// generator can diff across snapshots (the human-readable ledger text
-/// follows it in the same payload). Field meanings are defined by the
-/// [`ServerStats`](crate::ServerStats) ledger they are copied from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsFields {
-    /// Inserts served (acknowledged after their group-commit flush).
-    pub inserts: u64,
-    /// Lookups served.
-    pub lookups: u64,
-    /// Deletes served.
-    pub deletes: u64,
-    /// FLUSH barriers served.
-    pub flushes: u64,
-    /// STATS requests served (including the one reporting this).
-    pub stats_calls: u64,
-    /// Lookups that found a value.
-    pub lookup_hits: u64,
-    /// Lookups that found nothing.
-    pub lookup_misses: u64,
-    /// Group-commit gathers executed by the batcher.
-    pub batches: u64,
-    /// Requests drained across all gathers.
-    pub batched_requests: u64,
-    /// Gathers that lingered waiting for concurrent arrivals.
-    pub group_commit_waits: u64,
-    /// Largest gather (in requests) observed.
-    pub batch_high_water: u64,
-    /// Coalesced `insert_batch` ring admissions.
-    pub insert_admissions: u64,
-    /// Coalesced `lookup_batch` ring admissions.
-    pub lookup_admissions: u64,
-    /// Per-key delete admissions.
-    pub delete_admissions: u64,
-    /// Connections rejected or dropped on protocol violations.
-    pub wire_errors: u64,
-    /// Lookups answered on the store's read fast path, bypassing the
-    /// batcher queue entirely (v2 field).
-    pub bypass_hits: u64,
-    /// Number of batcher shards serving the store (v2 field; a gauge,
-    /// not a counter).
-    pub shards: u64,
-    /// Requests admitted to shard gathers but not yet completed, summed
-    /// across shards (v2 field; a gauge, not a counter).
-    pub shard_inflight: u64,
-}
-
-impl StatsFields {
-    /// Number of `u64` words on the wire (protocol minor version 3). The
-    /// frame is positional: words 18–20 carried a per-table write-lock
-    /// ledger that no longer exists and are **reserved** — written as
-    /// zero, ignored on decode — until the frame is next revised.
-    pub const COUNT: usize = 21;
-
-    /// Word count written by minor-version-2 servers (before the three
-    /// words that are now reserved). The count word in the STATS payload
-    /// doubles as the field-vector version: decoders accept
-    /// [`Self::V1_COUNT`], [`Self::V2_COUNT`] (zero-filling the newer
-    /// fields) or [`Self::COUNT`].
-    pub const V2_COUNT: usize = 18;
-
-    /// Field count written by minor-version-1 servers.
-    pub const V1_COUNT: usize = 15;
-
-    fn to_words(self) -> [u64; Self::COUNT] {
-        [
-            self.inserts,
-            self.lookups,
-            self.deletes,
-            self.flushes,
-            self.stats_calls,
-            self.lookup_hits,
-            self.lookup_misses,
-            self.batches,
-            self.batched_requests,
-            self.group_commit_waits,
-            self.batch_high_water,
-            self.insert_admissions,
-            self.lookup_admissions,
-            self.delete_admissions,
-            self.wire_errors,
-            self.bypass_hits,
-            self.shards,
-            self.shard_inflight,
-            // Reserved (v3 words 18–20).
-            0,
-            0,
-            0,
-        ]
-    }
-
-    /// `w` must hold at least [`Self::V1_COUNT`] words; fields beyond the
-    /// slice's length (a v1 snapshot) are zero-filled.
-    fn from_words(w: &[u64]) -> Self {
-        let at = |i: usize| w.get(i).copied().unwrap_or(0);
-        StatsFields {
-            inserts: w[0],
-            lookups: w[1],
-            deletes: w[2],
-            flushes: w[3],
-            stats_calls: w[4],
-            lookup_hits: w[5],
-            lookup_misses: w[6],
-            batches: w[7],
-            batched_requests: w[8],
-            group_commit_waits: w[9],
-            batch_high_water: w[10],
-            insert_admissions: w[11],
-            lookup_admissions: w[12],
-            delete_admissions: w[13],
-            wire_errors: w[14],
-            bypass_hits: at(15),
-            shards: at(16),
-            shard_inflight: at(17),
-        }
-    }
-
-    /// Field-wise difference (`self - earlier`, saturating), for
-    /// per-load-level deltas between two snapshots.
-    pub fn delta(&self, earlier: &StatsFields) -> StatsFields {
-        let a = self.to_words();
-        let b = earlier.to_words();
-        let mut out = [0u64; Self::COUNT];
-        for i in 0..Self::COUNT {
-            out[i] = a[i].saturating_sub(b[i]);
-        }
-        // High-water marks and gauges are not differences; keep the
-        // later value.
-        let mut fields = StatsFields::from_words(&out);
-        fields.batch_high_water = self.batch_high_water;
-        fields.shards = self.shards;
-        fields.shard_inflight = self.shard_inflight;
-        fields
-    }
-
-    /// Mean requests per group-commit gather.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_requests as f64 / self.batches as f64
-        }
-    }
-}
-
 /// A server response body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RespBody {
@@ -386,10 +257,11 @@ pub enum RespBody {
     Deleted,
     /// Every buffer was flushed to flash.
     Flushed,
-    /// Statistics ledgers: the numeric fields plus the rendered text.
+    /// Statistics ledgers: the server's counters plus the rendered text.
     Stats {
-        /// Machine-readable counters.
-        fields: StatsFields,
+        /// The merged server ledger, every counter by name (boxed: the
+        /// ledger is several times the size of every other body).
+        fields: Box<ServerStats>,
         /// Human-readable ledger (server + store + recovery).
         text: String,
     },
@@ -488,15 +360,9 @@ pub fn encode_request(request: &Request, buf: &mut Vec<u8>) {
 
 /// Appends the encoded frame for `response` to `buf`.
 pub fn encode_response(response: &Response, buf: &mut Vec<u8>) {
-    let payload_len = match &response.body {
-        RespBody::Inserted | RespBody::Deleted | RespBody::Flushed => 0,
-        RespBody::Value { .. } => 9,
-        RespBody::Stats { text, .. } => 4 + 8 * StatsFields::COUNT + text.len(),
-        RespBody::InsertedBatch { .. } => 4,
-        RespBody::Values(v) => 4 + 9 * v.len(),
-        RespBody::Error { message, .. } => 2 + message.len(),
-    };
-    put_header(buf, response.body.opcode(), response.id, payload_len);
+    let start = buf.len();
+    // The payload length is patched in once the payload is written.
+    put_header(buf, response.body.opcode(), response.id, 0);
     match &response.body {
         RespBody::Inserted | RespBody::Deleted | RespBody::Flushed => {}
         RespBody::Value { found, value } => {
@@ -504,9 +370,16 @@ pub fn encode_response(response: &Response, buf: &mut Vec<u8>) {
             buf.extend_from_slice(&value.to_le_bytes());
         }
         RespBody::Stats { fields, text } => {
-            buf.extend_from_slice(&(StatsFields::COUNT as u32).to_le_bytes());
-            for word in fields.to_words() {
-                buf.extend_from_slice(&word.to_le_bytes());
+            let mut fields = ServerStats::clone(fields);
+            let counters = fields.counters();
+            buf.extend_from_slice(&(counters.len() as u32).to_le_bytes());
+            for (name, _, slot) in &counters {
+                buf.push(name.len() as u8);
+                buf.extend_from_slice(name.as_bytes());
+                buf.extend_from_slice(&(slot.values().len() as u32).to_le_bytes());
+                for value in slot.values() {
+                    buf.extend_from_slice(&value.to_le_bytes());
+                }
             }
             buf.extend_from_slice(text.as_bytes());
         }
@@ -523,6 +396,8 @@ pub fn encode_response(response: &Response, buf: &mut Vec<u8>) {
             buf.extend_from_slice(message.as_bytes());
         }
     }
+    let payload_len = (buf.len() - start - HEADER_LEN) as u32;
+    buf[start + 16..start + HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
 }
 
 /// A parsed header: opcode, request id, payload length.
@@ -573,19 +448,63 @@ fn u64_at(p: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(p[at..at + 8].try_into().expect("8 bytes"))
 }
 
-/// Reads a batch count and checks it against the remaining payload.
-fn batch_count(p: &[u8], elem_size: usize) -> Result<usize, WireError> {
-    if p.len() < 4 {
-        return Err(WireError::Corrupt("batch frame shorter than its count field"));
+fn u32_of(bytes: &[u8]) -> usize {
+    u32::from_le_bytes(bytes.try_into().expect("4 bytes")) as usize
+}
+
+/// Checks that a fixed-size payload has exactly its size.
+fn exact(p: &[u8], want: usize, what: &'static str) -> Result<(), WireError> {
+    if p.len() == want {
+        Ok(())
+    } else {
+        Err(WireError::Corrupt(what))
     }
-    let count = u32::from_le_bytes(p[0..4].try_into().expect("4 bytes")) as usize;
+}
+
+/// Splits `n` bytes off the front of `rest`, or fails with `what`.
+fn take<'a>(rest: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
+    if rest.len() < n {
+        return Err(WireError::Corrupt(what));
+    }
+    let (head, tail) = rest.split_at(n);
+    *rest = tail;
+    Ok(head)
+}
+
+/// Reads a batch count and checks it against the remaining payload.
+fn batch_count(mut p: &[u8], elem_size: usize) -> Result<usize, WireError> {
+    let count = u32_of(take(&mut p, 4, "batch frame shorter than its count field")?);
     if count > MAX_BATCH_OPS {
         return Err(WireError::TooManyOps(count));
     }
-    if p.len() != 4 + count * elem_size {
-        return Err(WireError::Corrupt("batch payload length disagrees with its count"));
-    }
+    exact(p, count * elem_size, "batch payload length disagrees with its count")?;
     Ok(count)
+}
+
+/// Reads a STATS payload's entries into a ledger, skipping names this
+/// build does not know; returns it with the text bytes that follow.
+fn decode_stats_entries(mut rest: &[u8]) -> Result<(ServerStats, &[u8]), WireError> {
+    let mut fields = ServerStats::new();
+    let mut counters = fields.counters();
+    let entries = u32_of(take(&mut rest, 4, "STATS frame shorter than its entry count")?);
+    for _ in 0..entries {
+        let name_len = take(&mut rest, 1, "STATS entry truncates its name length")?[0];
+        let name = take(&mut rest, name_len.into(), "STATS entry name overruns the payload")?;
+        let name = std::str::from_utf8(name)
+            .map_err(|_| WireError::Corrupt("STATS entry name is not UTF-8"))?;
+        let count = u32_of(take(&mut rest, 4, "STATS entry truncates its value count")?);
+        let values =
+            take(&mut rest, count.saturating_mul(8), "STATS entry values overrun the payload")?;
+        if let Some((_, _, slot)) = counters.iter_mut().find(|(known, _, _)| *known == name) {
+            if matches!(slot, Slot::One(_)) && count != 1 {
+                return Err(WireError::Corrupt("STATS scalar entry must carry exactly one value"));
+            }
+            let values: Vec<u64> = values.chunks_exact(8).map(|v| u64_at(v, 0)).collect();
+            slot.combine(&values, |_, v| v);
+        }
+    }
+    drop(counters);
+    Ok((fields, rest))
 }
 
 /// Decodes one request frame from the front of `buf`.
@@ -600,32 +519,25 @@ pub fn decode_request(buf: &[u8]) -> Result<Option<(Request, usize)>, WireError>
         return Ok(None);
     }
     let p = &buf[HEADER_LEN..HEADER_LEN + header.payload_len];
-    let exact = |want: usize, what: &'static str| -> Result<(), WireError> {
-        if p.len() == want {
-            Ok(())
-        } else {
-            Err(WireError::Corrupt(what))
-        }
-    };
     let op = match header.opcode {
         opcode::INSERT => {
-            exact(16, "INSERT payload must be exactly 16 bytes")?;
+            exact(p, 16, "INSERT payload must be exactly 16 bytes")?;
             Op::Insert { key: u64_at(p, 0), value: u64_at(p, 8) }
         }
         opcode::LOOKUP => {
-            exact(8, "LOOKUP payload must be exactly 8 bytes")?;
+            exact(p, 8, "LOOKUP payload must be exactly 8 bytes")?;
             Op::Lookup { key: u64_at(p, 0) }
         }
         opcode::DELETE => {
-            exact(8, "DELETE payload must be exactly 8 bytes")?;
+            exact(p, 8, "DELETE payload must be exactly 8 bytes")?;
             Op::Delete { key: u64_at(p, 0) }
         }
         opcode::FLUSH => {
-            exact(0, "FLUSH carries no payload")?;
+            exact(p, 0, "FLUSH carries no payload")?;
             Op::Flush
         }
         opcode::STATS => {
-            exact(0, "STATS carries no payload")?;
+            exact(p, 0, "STATS carries no payload")?;
             Op::Stats
         }
         opcode::INSERT_BATCH => {
@@ -651,74 +563,41 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, WireErro
         return Ok(None);
     }
     let p = &buf[HEADER_LEN..HEADER_LEN + header.payload_len];
-    let exact = |want: usize, what: &'static str| -> Result<(), WireError> {
-        if p.len() == want {
-            Ok(())
-        } else {
-            Err(WireError::Corrupt(what))
-        }
-    };
     let body = match header.opcode {
         opcode::R_INSERTED => {
-            exact(0, "INSERTED carries no payload")?;
+            exact(p, 0, "INSERTED carries no payload")?;
             RespBody::Inserted
         }
         opcode::R_DELETED => {
-            exact(0, "DELETED carries no payload")?;
+            exact(p, 0, "DELETED carries no payload")?;
             RespBody::Deleted
         }
         opcode::R_FLUSHED => {
-            exact(0, "FLUSHED carries no payload")?;
+            exact(p, 0, "FLUSHED carries no payload")?;
             RespBody::Flushed
         }
         opcode::R_VALUE => {
-            exact(9, "VALUE payload must be exactly 9 bytes")?;
+            exact(p, 9, "VALUE payload must be exactly 9 bytes")?;
             if p[0] > 1 {
                 return Err(WireError::Corrupt("VALUE found flag must be 0 or 1"));
             }
             RespBody::Value { found: p[0] == 1, value: u64_at(p, 1) }
         }
         opcode::R_STATS => {
-            if p.len() < 4 {
-                return Err(WireError::Corrupt("STATS frame shorter than its field count"));
-            }
-            let count = u32::from_le_bytes(p[0..4].try_into().expect("4 bytes")) as usize;
-            // The count word is the field-vector minor version: accept
-            // the current layout plus the 18-field v2 and 15-field v1
-            // layouts (older servers), zero-filling the missing fields.
-            if count != StatsFields::COUNT
-                && count != StatsFields::V2_COUNT
-                && count != StatsFields::V1_COUNT
-            {
-                return Err(WireError::Corrupt("STATS field count mismatch for this version"));
-            }
-            let words_end = 4 + 8 * count;
-            if p.len() < words_end {
-                return Err(WireError::Corrupt("STATS frame truncates its field vector"));
-            }
-            let words: Vec<u64> = (0..count).map(|i| u64_at(p, 4 + 8 * i)).collect();
-            let text = std::str::from_utf8(&p[words_end..])
+            let (fields, text) = decode_stats_entries(p)?;
+            let text = std::str::from_utf8(text)
                 .map_err(|_| WireError::Corrupt("STATS ledger text is not UTF-8"))?
                 .to_string();
-            RespBody::Stats { fields: StatsFields::from_words(&words), text }
+            RespBody::Stats { fields: Box::new(fields), text }
         }
         opcode::R_INSERTED_BATCH => {
-            exact(4, "INSERTED_BATCH payload must be exactly 4 bytes")?;
+            exact(p, 4, "INSERTED_BATCH payload must be exactly 4 bytes")?;
             RespBody::InsertedBatch {
                 count: u32::from_le_bytes(p[0..4].try_into().expect("4 bytes")),
             }
         }
         opcode::R_VALUES => {
-            if p.len() < 4 {
-                return Err(WireError::Corrupt("VALUES frame shorter than its count field"));
-            }
-            let count = u32::from_le_bytes(p[0..4].try_into().expect("4 bytes")) as usize;
-            if count > MAX_BATCH_OPS {
-                return Err(WireError::TooManyOps(count));
-            }
-            if p.len() != 4 + 9 * count {
-                return Err(WireError::Corrupt("VALUES payload length disagrees with its count"));
-            }
+            let count = batch_count(p, 9)?;
             let mut values = Vec::with_capacity(count);
             for i in 0..count {
                 let at = 4 + 9 * i;
@@ -784,14 +663,14 @@ mod tests {
             RespBody::Deleted,
             RespBody::Flushed,
             RespBody::Stats {
-                fields: StatsFields {
+                fields: Box::new(ServerStats {
                     inserts: 5,
                     lookup_hits: 3,
                     bypass_hits: 7,
-                    shards: 4,
-                    shard_inflight: 2,
+                    batch_histogram: vec![0, 2, 1],
+                    shard_depths: vec![4, 0, 2],
                     ..Default::default()
-                },
+                }),
                 text: "served: …".to_string(),
             },
             RespBody::InsertedBatch { count: 1000 },
@@ -865,92 +744,6 @@ mod tests {
         absurd[HEADER_LEN..HEADER_LEN + 4]
             .copy_from_slice(&((MAX_BATCH_OPS + 1) as u32).to_le_bytes());
         assert!(matches!(decode_request(&absurd), Err(WireError::TooManyOps(_))));
-    }
-
-    #[test]
-    fn stats_fields_delta_and_mean() {
-        let early =
-            StatsFields { lookups: 10, batches: 2, batched_requests: 10, ..Default::default() };
-        let late = StatsFields {
-            lookups: 110,
-            batches: 12,
-            batched_requests: 110,
-            batch_high_water: 40,
-            bypass_hits: 25,
-            shards: 4,
-            shard_inflight: 3,
-            ..Default::default()
-        };
-        let d = late.delta(&early);
-        assert_eq!(d.lookups, 100);
-        assert_eq!(d.batches, 10);
-        assert_eq!(d.batched_requests, 100);
-        assert_eq!(d.batch_high_water, 40, "high-water keeps the later value");
-        assert_eq!(d.bypass_hits, 25, "bypass hits diff like any counter");
-        assert_eq!(d.shards, 4, "shard count is a gauge: keep the later value");
-        assert_eq!(d.shard_inflight, 3, "in-flight depth is a gauge: keep the later value");
-        assert!((d.mean_batch() - 10.0).abs() < 1e-9);
-        assert_eq!(StatsFields::default().mean_batch(), 0.0);
-    }
-
-    #[test]
-    fn stats_decoder_accepts_the_v1_field_count() {
-        // A v1 server writes 15 words; the 3 v2 fields zero-fill.
-        let fields = StatsFields { inserts: 9, wire_errors: 2, ..Default::default() };
-        let words = fields.to_words();
-        let text = "legacy ledger";
-        let payload_len = 4 + 8 * StatsFields::V1_COUNT + text.len();
-        let mut buf = Vec::new();
-        put_header(&mut buf, opcode::R_STATS, 3, payload_len);
-        buf.extend_from_slice(&(StatsFields::V1_COUNT as u32).to_le_bytes());
-        for word in &words[..StatsFields::V1_COUNT] {
-            buf.extend_from_slice(&word.to_le_bytes());
-        }
-        buf.extend_from_slice(text.as_bytes());
-
-        let (decoded, consumed) = decode_response(&buf).unwrap().unwrap();
-        assert_eq!(consumed, buf.len());
-        let RespBody::Stats { fields: got, text: got_text } = decoded.body else {
-            panic!("expected a STATS body");
-        };
-        assert_eq!(got, fields);
-        assert_eq!(got_text, text);
-
-        // Any other count is still a structured corruption error.
-        let mut bad = buf;
-        bad[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&16u32.to_le_bytes());
-        assert!(matches!(decode_response(&bad), Err(WireError::Corrupt(_))));
-    }
-
-    #[test]
-    fn stats_decoder_accepts_the_v2_field_count() {
-        // A v2 server writes 18 words; the three reserved v3 words are
-        // simply absent.
-        let fields = StatsFields {
-            inserts: 4,
-            bypass_hits: 6,
-            shards: 2,
-            shard_inflight: 1,
-            ..Default::default()
-        };
-        let words = fields.to_words();
-        let text = "v2 ledger";
-        let payload_len = 4 + 8 * StatsFields::V2_COUNT + text.len();
-        let mut buf = Vec::new();
-        put_header(&mut buf, opcode::R_STATS, 3, payload_len);
-        buf.extend_from_slice(&(StatsFields::V2_COUNT as u32).to_le_bytes());
-        for word in &words[..StatsFields::V2_COUNT] {
-            buf.extend_from_slice(&word.to_le_bytes());
-        }
-        buf.extend_from_slice(text.as_bytes());
-
-        let (decoded, consumed) = decode_response(&buf).unwrap().unwrap();
-        assert_eq!(consumed, buf.len());
-        let RespBody::Stats { fields: got, text: got_text } = decoded.body else {
-            panic!("expected a STATS body");
-        };
-        assert_eq!(got, fields);
-        assert_eq!(got_text, text);
     }
 
     #[test]

@@ -345,24 +345,22 @@ fn read_loop<D: Device + 'static>(
     }
 }
 
-/// Drains one connection's response channel onto the socket.
-fn write_loop(stream: TcpStream, responses: &mpsc::Receiver<Response>) {
-    let mut out = std::io::BufWriter::new(stream);
+/// Drains one connection's response channel onto the socket: every
+/// response ready at once is encoded into one buffer and written with
+/// one `write_all`. Returns when the channel disconnects (connection
+/// unregistered) or the socket dies.
+fn write_loop(mut stream: TcpStream, responses: &mpsc::Receiver<Response>) {
     let mut buf = Vec::new();
     while let Ok(response) = responses.recv() {
         buf.clear();
         proto::encode_response(&response, &mut buf);
-        // Batch further ready responses into the same flush.
         while let Ok(next) = responses.try_recv() {
             proto::encode_response(&next, &mut buf);
         }
-        if out.write_all(&buf).is_err() || out.flush().is_err() {
+        if stream.write_all(&buf).is_err() {
             break;
         }
     }
-    // The channel disconnected (connection unregistered) or the socket
-    // died; either way the responses that mattered were flushed.
-    let _ = out.flush();
 }
 
 /// Convenience constructor used by tests and the smoke harness: a fresh

@@ -3,22 +3,74 @@
 //! [`ServerStats`] counts what the *service* did — requests served,
 //! group-commit gathers, ring admissions, wire errors — as opposed to
 //! [`ClamStats`](bufferhash::ClamStats), which counts what the *store*
-//! did underneath. A STATS request returns both ledgers (numeric fields
-//! plus rendered text), and the `Display` impl mirrors the pipe-separated
-//! ledger style used across the workspace, eliding segments that never
-//! fired.
+//! did underneath. A STATS request returns the whole ledger plus the
+//! rendered text of both, and the `Display` impl mirrors the
+//! pipe-separated ledger style used across the workspace, eliding
+//! segments that never fired.
+//!
+//! Every field is declared once more, in the counter list
+//! (`ServerStats::counters`): its wire name and whether it is a sum, a
+//! high-water mark or a gauge. [`ServerStats::absorb`],
+//! [`ServerStats::delta`] and the STATS codec in [`crate::proto`] walk
+//! that list, so a new counter is a field, a list entry and its
+//! increment — never a wire version.
 
 use std::fmt;
-
-use crate::proto::StatsFields;
 
 /// Maximum batch-size histogram index tracked explicitly; larger gathers
 /// accumulate in the final bucket (same cap policy as the CLAM's
 /// histograms).
 const HISTOGRAM_CAP: usize = 64;
 
+/// How a counter combines across ledgers ([`ServerStats::absorb`]) and
+/// across time ([`ServerStats::delta`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// Counts events: ledgers add, a window subtracts (element by
+    /// element for a histogram).
+    Sum,
+    /// A maximum: ledgers take the larger, a window keeps the later.
+    HighWater,
+    /// A snapshot: ledgers keep whichever side has one (an empty list
+    /// has none), a window keeps the later.
+    Gauge,
+}
+
+/// One counter's storage in the list: a scalar, or a list of elements.
+pub(crate) enum Slot<'a> {
+    One(&'a mut u64),
+    Many(&'a mut Vec<u64>),
+}
+
+impl Slot<'_> {
+    /// The counter's values: one for a scalar, the elements of a list.
+    pub(crate) fn values(&self) -> &[u64] {
+        match self {
+            Slot::One(v) => std::slice::from_ref(&**v),
+            Slot::Many(v) => v,
+        }
+    }
+
+    /// Folds `other` in element by element as `f(mine, theirs)`, growing
+    /// a list to fit (`|_, v| v` copies).
+    pub(crate) fn combine(&mut self, other: &[u64], f: impl Fn(u64, u64) -> u64) {
+        let mine = match self {
+            Slot::One(v) => std::slice::from_mut(&mut **v),
+            Slot::Many(v) => {
+                if v.len() < other.len() {
+                    v.resize(other.len(), 0);
+                }
+                v.as_mut_slice()
+            }
+        };
+        for (d, s) in mine.iter_mut().zip(other) {
+            *d = f(*d, *s);
+        }
+    }
+}
+
 /// Counters for one `clamd` server instance.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Insert operations acknowledged (batch frames count each op).
     pub inserts: u64,
@@ -109,65 +161,95 @@ impl ServerStats {
         }
     }
 
+    /// The counter list: every field with its wire name and [`Kind`].
+    /// The pattern names every field without `..`, so a field added
+    /// without an entry here does not compile.
+    pub(crate) fn counters(&mut self) -> Vec<(&'static str, Kind, Slot<'_>)> {
+        use Kind::{Gauge, HighWater, Sum};
+        use Slot::{Many, One};
+        let ServerStats {
+            inserts,
+            lookups,
+            deletes,
+            flushes,
+            stats_calls,
+            lookup_hits,
+            lookup_misses,
+            wire_errors,
+            batches,
+            batched_requests,
+            group_commit_waits,
+            batch_high_water,
+            batch_histogram,
+            insert_admissions,
+            lookup_admissions,
+            delete_admissions,
+            segments,
+            segment_conflicts,
+            connections_opened,
+            connections_closed,
+            bypass_hits,
+            shard_depths,
+        } = self;
+        vec![
+            ("inserts", Sum, One(inserts)),
+            ("lookups", Sum, One(lookups)),
+            ("deletes", Sum, One(deletes)),
+            ("flushes", Sum, One(flushes)),
+            ("stats_calls", Sum, One(stats_calls)),
+            ("lookup_hits", Sum, One(lookup_hits)),
+            ("lookup_misses", Sum, One(lookup_misses)),
+            ("wire_errors", Sum, One(wire_errors)),
+            ("batches", Sum, One(batches)),
+            ("batched_requests", Sum, One(batched_requests)),
+            ("group_commit_waits", Sum, One(group_commit_waits)),
+            ("batch_high_water", HighWater, One(batch_high_water)),
+            ("batch_histogram", Sum, Many(batch_histogram)),
+            ("insert_admissions", Sum, One(insert_admissions)),
+            ("lookup_admissions", Sum, One(lookup_admissions)),
+            ("delete_admissions", Sum, One(delete_admissions)),
+            ("segments", Sum, One(segments)),
+            ("segment_conflicts", Sum, One(segment_conflicts)),
+            ("connections_opened", Sum, One(connections_opened)),
+            ("connections_closed", Sum, One(connections_closed)),
+            ("bypass_hits", Sum, One(bypass_hits)),
+            ("shard_depths", Gauge, Many(shard_depths)),
+        ]
+    }
+
     /// Folds another ledger into this one — used to merge the per-shard
-    /// gather ledgers into the STATS view. Counters sum, the batch-size
-    /// histogram merges bucket-wise, the high-water mark takes the max,
+    /// gather ledgers into the STATS view. Counters sum (the batch-size
+    /// histogram bucket by bucket), the high-water mark takes the max,
     /// and the `shard_depths` gauge keeps whichever side has a snapshot
     /// (shard ledgers never carry one).
     pub fn absorb(&mut self, other: &ServerStats) {
-        self.inserts += other.inserts;
-        self.lookups += other.lookups;
-        self.deletes += other.deletes;
-        self.flushes += other.flushes;
-        self.stats_calls += other.stats_calls;
-        self.lookup_hits += other.lookup_hits;
-        self.lookup_misses += other.lookup_misses;
-        self.wire_errors += other.wire_errors;
-        self.batches += other.batches;
-        self.batched_requests += other.batched_requests;
-        self.group_commit_waits += other.group_commit_waits;
-        self.batch_high_water = self.batch_high_water.max(other.batch_high_water);
-        if self.batch_histogram.len() < other.batch_histogram.len() {
-            self.batch_histogram.resize(other.batch_histogram.len(), 0);
-        }
-        for (d, s) in self.batch_histogram.iter_mut().zip(&other.batch_histogram) {
-            *d += s;
-        }
-        self.insert_admissions += other.insert_admissions;
-        self.lookup_admissions += other.lookup_admissions;
-        self.delete_admissions += other.delete_admissions;
-        self.segments += other.segments;
-        self.segment_conflicts += other.segment_conflicts;
-        self.connections_opened += other.connections_opened;
-        self.connections_closed += other.connections_closed;
-        self.bypass_hits += other.bypass_hits;
-        if self.shard_depths.is_empty() {
-            self.shard_depths = other.shard_depths.clone();
+        let mut other = other.clone();
+        for ((_, kind, mut mine), (_, _, theirs)) in
+            self.counters().into_iter().zip(other.counters())
+        {
+            match kind {
+                Kind::Sum => mine.combine(theirs.values(), |a, b| a + b),
+                Kind::HighWater => mine.combine(theirs.values(), u64::max),
+                Kind::Gauge if mine.values().is_empty() => mine.combine(theirs.values(), |_, v| v),
+                Kind::Gauge => {}
+            }
         }
     }
 
-    /// The numeric field vector a STATS response carries.
-    pub fn to_fields(&self) -> StatsFields {
-        StatsFields {
-            inserts: self.inserts,
-            lookups: self.lookups,
-            deletes: self.deletes,
-            flushes: self.flushes,
-            stats_calls: self.stats_calls,
-            lookup_hits: self.lookup_hits,
-            lookup_misses: self.lookup_misses,
-            batches: self.batches,
-            batched_requests: self.batched_requests,
-            group_commit_waits: self.group_commit_waits,
-            batch_high_water: self.batch_high_water,
-            insert_admissions: self.insert_admissions,
-            lookup_admissions: self.lookup_admissions,
-            delete_admissions: self.delete_admissions,
-            wire_errors: self.wire_errors,
-            bypass_hits: self.bypass_hits,
-            shards: self.shard_depths.len() as u64,
-            shard_inflight: self.shard_depths.iter().sum(),
+    /// The ledger of the window between `earlier` and this later
+    /// snapshot: counters subtract (saturating; the histogram bucket by
+    /// bucket), high-water marks and gauges keep the later value.
+    pub fn delta(&self, earlier: &ServerStats) -> ServerStats {
+        let mut window = self.clone();
+        let mut earlier = earlier.clone();
+        for ((_, kind, mut later), (_, _, before)) in
+            window.counters().into_iter().zip(earlier.counters())
+        {
+            if kind == Kind::Sum {
+                later.combine(before.values(), u64::saturating_sub);
+            }
         }
+        window
     }
 }
 
@@ -249,41 +331,38 @@ mod tests {
     }
 
     #[test]
-    fn to_fields_copies_every_counter() {
+    fn counter_names_are_unique_and_fit_their_length_byte() {
         let mut s = ServerStats::new();
-        s.inserts = 1;
-        s.lookups = 2;
-        s.deletes = 3;
-        s.flushes = 4;
-        s.stats_calls = 5;
-        s.lookup_hits = 6;
-        s.lookup_misses = 7;
-        s.record_batch(10, true);
-        s.insert_admissions = 8;
-        s.lookup_admissions = 9;
-        s.delete_admissions = 10;
-        s.wire_errors = 11;
-        s.bypass_hits = 12;
-        s.shard_depths = vec![3, 0, 4];
-        let f = s.to_fields();
-        assert_eq!(f.inserts, 1);
-        assert_eq!(f.lookups, 2);
-        assert_eq!(f.deletes, 3);
-        assert_eq!(f.flushes, 4);
-        assert_eq!(f.stats_calls, 5);
-        assert_eq!(f.lookup_hits, 6);
-        assert_eq!(f.lookup_misses, 7);
-        assert_eq!(f.batches, 1);
-        assert_eq!(f.batched_requests, 10);
-        assert_eq!(f.group_commit_waits, 1);
-        assert_eq!(f.batch_high_water, 10);
-        assert_eq!(f.insert_admissions, 8);
-        assert_eq!(f.lookup_admissions, 9);
-        assert_eq!(f.delete_admissions, 10);
-        assert_eq!(f.wire_errors, 11);
-        assert_eq!(f.bypass_hits, 12);
-        assert_eq!(f.shards, 3);
-        assert_eq!(f.shard_inflight, 7);
+        let names: Vec<&str> = s.counters().iter().map(|(name, _, _)| *name).collect();
+        let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "the decoder finds a counter by its name");
+        assert!(names.iter().all(|name| name.len() <= usize::from(u8::MAX)), "{names:?}");
+    }
+
+    #[test]
+    fn delta_subtracts_counters_and_keeps_the_later_gauges() {
+        let mut early = ServerStats::new();
+        early.lookups = 10;
+        early.record_batch(4, false);
+        early.record_batch(2, false);
+        early.shard_depths = vec![9, 9];
+        let mut late = early.clone();
+        late.lookups = 110;
+        late.segments = 3;
+        late.record_batch(4, true);
+        late.record_batch(40, false);
+        late.shard_depths = vec![0, 3];
+        let d = late.delta(&early);
+        assert_eq!((d.lookups, d.segments), (100, 3), "counters subtract");
+        assert_eq!((d.batches, d.batched_requests, d.group_commit_waits), (2, 44, 1));
+        let mut histogram = vec![0; 41];
+        histogram[4] = 1;
+        histogram[40] = 1;
+        assert_eq!(d.batch_histogram, histogram, "the histogram subtracts bucket by bucket");
+        assert_eq!(d.batch_high_water, 40, "high-water keeps the later value");
+        assert_eq!(d.shard_depths, vec![0, 3], "depths are a gauge: keep the later value");
+        assert!((d.mean_batch() - 22.0).abs() < 1e-9);
+        assert_eq!(late.delta(&late).batch_histogram, vec![0; 41]);
     }
 
     #[test]

@@ -173,6 +173,58 @@ fn mixed_pipelined_gathers_cost_two_store_calls_per_segment() {
     }
 }
 
+/// STATS carries the whole server ledger: after a mixed pipelined
+/// workload has gone quiescent, what a client decodes off the wire
+/// equals `ClamdServer::stats()` field for field — including the
+/// counters the old positional frame never carried.
+#[test]
+fn stats_over_tcp_carries_every_server_counter() {
+    let server = ephemeral_sim_server_sharded(2, 2, 16 << 20, 4 << 20).unwrap();
+    let addr = server.local_addr();
+    std::thread::scope(|scope| {
+        for c in 0..3u64 {
+            scope.spawn(move || {
+                let mut client = ClamdClient::connect(addr).unwrap();
+                let id = |i: u64| 1 + c * 1_000_000 + i;
+                let pairs = (0..200).map(|i| (key_for(id(i)), value_for(id(i))));
+                assert_eq!(client.insert_batch(pairs.collect()).unwrap(), 200);
+                for i in 0..200u64 {
+                    let key = key_for(id(i));
+                    client.send(Op::Insert { key, value: i }).unwrap();
+                    client.send(Op::Lookup { key }).unwrap();
+                    if i % 8 == 7 {
+                        client.send(Op::Delete { key }).unwrap();
+                    }
+                }
+                for _ in 0..200 * 2 + 25 {
+                    let response = client.recv().unwrap();
+                    assert!(!matches!(response.body, RespBody::Error { .. }), "{response:?}");
+                }
+            });
+        }
+    });
+    // Quiescent: every workload connection has been seen closing.
+    let mut deadline = 500;
+    while server.stats().connections_closed < 3 && deadline > 0 {
+        std::thread::sleep(Duration::from_millis(10));
+        deadline -= 1;
+    }
+    // The control connection stays open until both snapshots are taken.
+    let mut control = ClamdClient::connect(addr).unwrap();
+    let (mut wire, _) = control.stats().unwrap();
+    let local = server.stats();
+    assert_eq!(wire.shard_depths.len(), 2, "one depth per shard");
+    // Excepted: the STATS request counts itself, so which snapshot sees
+    // it depends on which was taken first; and the depths are a live
+    // gauge read at each snapshot's own instant.
+    wire.stats_calls = local.stats_calls;
+    wire.shard_depths = local.shard_depths.clone();
+    assert_eq!(wire, local);
+    assert_eq!((local.connections_opened, local.connections_closed), (4, 3), "{local}");
+    assert!(local.segments > 0 && local.batches > 0, "{local}");
+    assert_eq!(local.batch_histogram.iter().sum::<u64>(), local.batches, "{local}");
+}
+
 #[test]
 fn concurrent_connections_group_commit_together() {
     let server = ephemeral_sim_server(2, 16 << 20, 4 << 20).unwrap();

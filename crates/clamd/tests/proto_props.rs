@@ -7,8 +7,9 @@ use proptest::prelude::*;
 
 use clamd::proto::{
     decode_request, decode_response, encode_request, encode_response, ErrorCode, Op, Request,
-    RespBody, Response, StatsFields, WireError, HEADER_LEN, MAX_BATCH_OPS, MAX_PAYLOAD,
+    RespBody, Response, WireError, HEADER_LEN, MAX_BATCH_OPS, MAX_PAYLOAD,
 };
+use clamd::ServerStats;
 
 /// Builds one of the seven request ops from sampled raw material.
 fn build_op(kind: u8, key: u64, value: u64, pairs: &[(u64, u64)], keys: &[u64]) -> Op {
@@ -23,6 +24,74 @@ fn build_op(kind: u8, key: u64, value: u64, pairs: &[(u64, u64)], keys: &[u64]) 
     }
 }
 
+/// Printable ASCII keeps sampled text valid UTF-8.
+fn text_of(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| char::from(b'a' + b % 26)).collect()
+}
+
+/// A whole ledger from sampled raw material: every scalar from `words`
+/// (20 of them), plus a histogram and shard depths.
+fn build_stats(words: &[u64], histogram: &[u64], depths: &[u64]) -> ServerStats {
+    let mut s = ServerStats::new();
+    s.inserts = words[0];
+    s.lookups = words[1];
+    s.deletes = words[2];
+    s.flushes = words[3];
+    s.stats_calls = words[4];
+    s.lookup_hits = words[5];
+    s.lookup_misses = words[6];
+    s.wire_errors = words[7];
+    s.batches = words[8];
+    s.batched_requests = words[9];
+    s.group_commit_waits = words[10];
+    s.batch_high_water = words[11];
+    s.insert_admissions = words[12];
+    s.lookup_admissions = words[13];
+    s.delete_admissions = words[14];
+    s.segments = words[15];
+    s.segment_conflicts = words[16];
+    s.connections_opened = words[17];
+    s.connections_closed = words[18];
+    s.bypass_hits = words[19];
+    s.batch_histogram = histogram.to_vec();
+    s.shard_depths = depths.to_vec();
+    s
+}
+
+/// One STATS entry as the wire carries it.
+fn entry(name: &[u8], values: &[u64]) -> Vec<u8> {
+    let mut out = vec![name.len() as u8];
+    out.extend_from_slice(name);
+    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+/// Bytes of the entries in a STATS payload (everything between the
+/// entry count and the text).
+fn entries_len(payload: &[u8]) -> usize {
+    let count = u32::from_le_bytes(payload[0..4].try_into().unwrap());
+    let mut at = 4;
+    for _ in 0..count {
+        at += 1 + usize::from(payload[at]);
+        at += 4 + 8 * u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+    }
+    at - 4
+}
+
+/// A STATS response frame around a hand-built payload.
+fn stats_frame(payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let empty = RespBody::Stats { fields: Box::default(), text: String::new() };
+    encode_response(&Response { id: 1, body: empty }, &mut buf);
+    buf.truncate(HEADER_LEN);
+    buf[16..20].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(payload);
+    buf
+}
+
 /// Builds one of the eight response bodies from sampled raw material.
 fn build_body(
     kind: u8,
@@ -31,26 +100,15 @@ fn build_body(
     count: u32,
     values: &[(bool, u64)],
     text_bytes: &[u8],
+    stats: ServerStats,
 ) -> RespBody {
-    // Printable ASCII keeps the sampled text valid UTF-8.
-    let text: String = text_bytes.iter().map(|b| char::from(b'a' + b % 26)).collect();
+    let text = text_of(text_bytes);
     match kind % 8 {
         0 => RespBody::Inserted,
         1 => RespBody::Value { found, value: if found { value } else { 0 } },
         2 => RespBody::Deleted,
         3 => RespBody::Flushed,
-        4 => RespBody::Stats {
-            fields: StatsFields {
-                inserts: value,
-                lookups: value.rotate_left(7),
-                batches: u64::from(count),
-                bypass_hits: value.rotate_left(13),
-                shards: u64::from(count % 17),
-                shard_inflight: value.rotate_left(29),
-                ..Default::default()
-            },
-            text,
-        },
+        4 => RespBody::Stats { fields: Box::new(stats), text },
         5 => RespBody::InsertedBatch { count },
         6 => RespBody::Values(values.to_vec()),
         _ => RespBody::Error {
@@ -101,9 +159,11 @@ proptest! {
         count in 0u32..100_000,
         values in vec((any::<bool>(), any::<u64>()), 0..40),
         text_bytes in vec(any::<u8>(), 0..60),
+        ledger in (vec(any::<u64>(), 20), vec(any::<u64>(), 0..66), vec(any::<u64>(), 0..9)),
     ) {
-        let response =
-            Response { id, body: build_body(kind, value, found, count, &values, &text_bytes) };
+        let stats = build_stats(&ledger.0, &ledger.1, &ledger.2);
+        let body = build_body(kind, value, found, count, &values, &text_bytes, stats);
+        let response = Response { id, body };
         let mut buf = Vec::new();
         encode_response(&response, &mut buf);
         let (decoded, consumed) = decode_response(&buf).unwrap().unwrap();
@@ -192,66 +252,60 @@ proptest! {
         prop_assert!(matches!(decode_request(&overcounted), Err(WireError::TooManyOps(_))));
     }
 
-    /// A minor-version-1 STATS frame (15-word field vector) still
-    /// decodes, zero-filling the v2 and v3 fields — the count word
-    /// doubles as the field-vector version.
+    /// A STATS frame carrying an entry this build does not know — a
+    /// counter added by a newer server — decodes to the known fields.
     #[test]
-    fn legacy_v1_stats_frames_decode(
-        id in any::<u64>(),
-        inserts in any::<u64>(),
-        wire_errors in any::<u64>(),
+    fn stats_frames_skip_unknown_entries(
+        ledger in (vec(any::<u64>(), 20), vec(any::<u64>(), 0..66), vec(any::<u64>(), 0..9)),
+        name_bytes in vec(any::<u8>(), 0..30),
+        values in vec(any::<u64>(), 0..10),
+        at_end in any::<bool>(),
         text_bytes in vec(any::<u8>(), 0..40),
     ) {
-        let text: String = text_bytes.iter().map(|b| char::from(b'a' + b % 26)).collect();
-        let fields = StatsFields { inserts, wire_errors, ..Default::default() };
+        let fields = build_stats(&ledger.0, &ledger.1, &ledger.2);
+        let body = RespBody::Stats { fields: Box::new(fields), text: text_of(&text_bytes) };
         let mut buf = Vec::new();
-        let body = RespBody::Stats { fields, text: text.clone() };
-        encode_response(&Response { id, body }, &mut buf);
-        // Surgically rewrite the current frame into its v1 form: drop
-        // the trailing (zero) field words, rewrite the count word and
-        // the header's payload length.
-        let words_start = HEADER_LEN + 4;
-        let v1 = StatsFields::V1_COUNT;
-        buf.drain(words_start + 8 * v1..words_start + 8 * StatsFields::COUNT);
-        buf[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&(v1 as u32).to_le_bytes());
+        encode_response(&Response { id: 3, body: body.clone() }, &mut buf);
+        // Splice one unknown entry in first or last, then fix the entry
+        // count and the header's payload length.
+        let mut name = text_of(&name_bytes);
+        name.insert_str(0, "future_");
+        let at = if at_end { HEADER_LEN + 4 + entries_len(&buf[HEADER_LEN..]) } else { HEADER_LEN + 4 };
+        buf.splice(at..at, entry(name.as_bytes(), &values));
+        let count = u32::from_le_bytes(buf[HEADER_LEN..HEADER_LEN + 4].try_into().unwrap());
+        buf[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&(count + 1).to_le_bytes());
         let payload_len = (buf.len() - HEADER_LEN) as u32;
         buf[16..20].copy_from_slice(&payload_len.to_le_bytes());
         let (decoded, consumed) = decode_response(&buf).unwrap().unwrap();
         prop_assert_eq!(consumed, buf.len());
-        prop_assert_eq!(decoded, Response { id, body: RespBody::Stats { fields, text } });
+        prop_assert_eq!(decoded.body, body);
     }
 
-    /// A minor-version-2 STATS frame (18-word field vector, no
-    /// table-write-lock ledger) still decodes, zero-filling the three v3
-    /// fields, with every v2 field — including the v2 additions
-    /// (`bypass_hits`, `shards`, `shard_inflight`) — intact.
+    /// An entry whose name or values overrun the payload, a name that
+    /// is not UTF-8, or a scalar carrying other than one value is a
+    /// structured `Corrupt` error, never a panic.
     #[test]
-    fn legacy_v2_stats_frames_decode(
-        id in any::<u64>(),
-        inserts in any::<u64>(),
-        bypass_hits in any::<u64>(),
-        shards in any::<u64>(),
-        shard_inflight in any::<u64>(),
-        text_bytes in vec(any::<u8>(), 0..40),
+    fn malformed_stats_entries_are_corrupt(
+        over in 1usize..1_000,
+        bad_len in 0usize..4,
+        value in any::<u64>(),
     ) {
-        let text: String = text_bytes.iter().map(|b| char::from(b'a' + b % 26)).collect();
-        let fields =
-            StatsFields { inserts, bypass_hits, shards, shard_inflight, ..Default::default() };
-        let mut buf = Vec::new();
-        let body = RespBody::Stats { fields, text: text.clone() };
-        encode_response(&Response { id, body }, &mut buf);
-        // Rewrite the current frame into its v2 form: drop the three
-        // (zero) table-lock words, rewrite the count word and the
-        // header's payload length.
-        let words_start = HEADER_LEN + 4;
-        let v2 = StatsFields::V2_COUNT;
-        buf.drain(words_start + 8 * v2..words_start + 8 * StatsFields::COUNT);
-        buf[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&(v2 as u32).to_le_bytes());
-        let payload_len = (buf.len() - HEADER_LEN) as u32;
-        buf[16..20].copy_from_slice(&payload_len.to_le_bytes());
-        let (decoded, consumed) = decode_response(&buf).unwrap().unwrap();
-        prop_assert_eq!(consumed, buf.len());
-        prop_assert_eq!(decoded, Response { id, body: RespBody::Stats { fields, text } });
+        let name_overrun = [&[200u8][..], &b"inserts"[..]].concat();
+        let mut values_overrun = entry(b"batch_histogram", &[value]);
+        values_overrun[1 + 15..1 + 15 + 4].copy_from_slice(&((1 + over) as u32).to_le_bytes());
+        let scalars = [vec![], vec![value, value], vec![value; 2 + bad_len]];
+        let mut payloads = vec![
+            vec![1, 0, 0],
+            [&1u32.to_le_bytes()[..], &name_overrun].concat(),
+            [&1u32.to_le_bytes()[..], &values_overrun].concat(),
+            [&1u32.to_le_bytes()[..], &entry(&[0xff, 0xfe, b'x'], &[value])].concat(),
+            [&(2 + over as u32).to_le_bytes()[..], &entry(b"inserts", &[value])].concat(),
+        ];
+        payloads.push([&1u32.to_le_bytes()[..], &entry(b"lookups", &scalars[bad_len % 3])].concat());
+        for payload in payloads {
+            let result = decode_response(&stats_frame(&payload));
+            prop_assert!(matches!(result, Err(WireError::Corrupt(_))), "{:?}", result);
+        }
     }
 
     /// A batch whose count field disagrees with its payload length is
