@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks for the in-memory hot paths: cuckoo buffer,
 //! Bloom filters, bit-sliced filters, the flush kernel (drain, serialize,
 //! CRC, filter registration: the per-flush budget of DESIGN.md "Write-path
-//! host cost"), the latency recorder, Rabin-Karp chunking and SHA-1 — and
-//! one real-I/O path, a ring read of a page-cache-hot `FileDevice` image
-//! (DESIGN.md "Hand a read to the pool only when it pays").
+//! host cost"), the latency recorder, the simulated flash's byte store
+//! (DESIGN.md "The simulated medium's memory"), Rabin-Karp chunking and
+//! SHA-1 — and one real-I/O path, a ring read of a page-cache-hot
+//! `FileDevice` image (DESIGN.md "Hand a read to the pool only when it
+//! pays").
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -14,7 +16,7 @@ use bufferhash::{
 };
 use flashsim::{
     CompletionRing, Device, FileDevice, IoRequest, LatencyRecorder, RingRequest, SimDuration,
-    DEFAULT_FILE_QUEUE_DEPTH,
+    SparseStore, DEFAULT_FILE_QUEUE_DEPTH,
 };
 use wanopt::{chunk_boundaries, ChunkerConfig, Sha1};
 
@@ -45,8 +47,9 @@ fn bench_cuckoo(c: &mut Criterion) {
     // drained every 1 024, so it pays the drain's share too; the three
     // `get_*` cases probe a buffer half refilled (512 live keys of
     // generation 2 over the 1 024 retired of generation 1): a live hit,
-    // and the two ways a lookup falls through the live buffer — onto a
-    // retired entry, or past both to the filters.
+    // and, through the super table's one-hash `probe`, the two ways a
+    // lookup falls through the live buffer — onto a retired entry, or
+    // past both to the filters.
     let key = |generation: u64, i: u64| bufferhash::hash_with_seed(i, 100 + generation);
     let mut small = CuckooBuffer::with_byte_budget(32 * 1024, 16, 0.5);
     group.bench_function("insert", |b| {
@@ -75,19 +78,18 @@ fn bench_cuckoo(c: &mut Criterion) {
             black_box(small.get(key(2, i)))
         })
     });
-    let fall_through = |k: u64| small.get(k).or_else(|| small.get_retired(k));
     group.bench_function("get_retired", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 1) % 1024;
-            black_box(fall_through(key(1, i)))
+            black_box(small.probe(key(1, i)))
         })
     });
     group.bench_function("get_miss", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(fall_through(key(3, i)))
+            black_box(small.probe(key(3, i)))
         })
     });
     group.finish();
@@ -208,6 +210,51 @@ fn bench_flush_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// The simulated SSD's byte store at the benchmark's geometry: a flush
+/// rewrites eight 4 KiB pages of the log with a 32 KiB incarnation image
+/// (each page about half entries, half zero padding), and a lookup reads
+/// one page back. The log holds 256 images; consecutive writes alternate a
+/// full and a 15/16 full image, so pages change size as they do when
+/// incarnations of different fill replace each other.
+fn bench_sparse_store(c: &mut Criterion) {
+    const PAGE: usize = 4096;
+    const IMAGES: u64 = 256;
+    let mut group = c.benchmark_group("sparse_store");
+    let layout = IncarnationLayout::new(32 * 1024, PAGE).expect("valid layout");
+    let images: Vec<Vec<u8>> = [1024u64, 960]
+        .iter()
+        .map(|&n| {
+            let entries: Vec<Entry> =
+                (0..n).map(|i| Entry::new(bufferhash::hash_with_seed(i, n), i)).collect();
+            let identity = IncarnationIdentity { table: 3, seq: n, epoch: 7 };
+            layout.serialize_identified(&entries, identity).expect("entries fit")
+        })
+        .collect();
+    let image_bytes = images[0].len() as u64;
+    let mut store = SparseStore::new(PAGE);
+    for i in 0..IMAGES {
+        store.write(i * image_bytes, &images[0]);
+    }
+    group.bench_function("write_32k_image", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            store.write((i % IMAGES) * image_bytes, &images[(i / IMAGES % 2) as usize]);
+            black_box(store.resident_pages())
+        })
+    });
+    let mut page = vec![0u8; PAGE];
+    group.bench_function("read_4k_page", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 7919) % (IMAGES * image_bytes / PAGE as u64);
+            store.read(i * PAGE as u64, &mut page);
+            black_box(page[0])
+        })
+    });
+    group.finish();
+}
+
 /// One 4 KiB ring read of an image the page cache holds, at the queue depth
 /// `clamd --flash-file` and the repo benchmark use: admission, the
 /// positioned read and the reap, as `Clam::lookup_batch` pays them per
@@ -257,6 +304,7 @@ criterion_group!(
     bench_cuckoo,
     bench_filters,
     bench_flush_kernel,
+    bench_sparse_store,
     bench_file_read,
     bench_content_pipeline
 );

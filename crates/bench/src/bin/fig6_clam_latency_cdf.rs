@@ -13,7 +13,7 @@ fn main() {
         // Warm: fill a good part of the table first (batched load).
         bulk_load(&mut clam, 0, 1_600_000);
         clam.reset_stats();
-        let mut result = run_mixed_workload_continuing(&mut clam, 40_000, 0.5, 0.4, 12, 1_600_000);
+        let result = run_mixed_workload_continuing(&mut clam, 40_000, 0.5, 0.4, 12, 1_600_000);
         println!("== BufferHash + {} ==", medium.label());
         println!(
             "  mean lookup {} ms   (p99 {} ms, max {} ms)",
@@ -27,10 +27,10 @@ fn main() {
             ms(result.inserts.quantile(0.99)),
             ms(result.inserts.max())
         );
-        println!("  lookup tail: {}", TailSummary::from_recorder(&mut result.lookups));
-        println!("  insert tail: {}", TailSummary::from_recorder(&mut result.inserts));
-        print_cdf(&format!("lookup latency, BH+{}", medium.label()), &mut result.lookups, 20);
-        print_cdf(&format!("insert latency, BH+{}", medium.label()), &mut result.inserts, 20);
+        println!("  lookup tail: {}", TailSummary::from_recorder(&result.lookups));
+        println!("  insert tail: {}", TailSummary::from_recorder(&result.inserts));
+        print_cdf(&format!("lookup latency, BH+{}", medium.label()), &result.lookups, 20);
+        print_cdf(&format!("insert latency, BH+{}", medium.label()), &result.inserts, 20);
         println!();
     }
     println!(

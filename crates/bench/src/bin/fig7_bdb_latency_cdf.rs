@@ -12,7 +12,7 @@ fn main() {
     for medium in [Medium::IntelSsd, Medium::Disk] {
         let mut bdb = build_bdb(medium, bench::FLASH_BYTES);
         run_mixed_workload(&mut bdb, 60_000, 0.0, 0.0, 21);
-        let mut result = run_mixed_workload_continuing(&mut bdb, 20_000, 0.5, 0.4, 22, 60_000);
+        let result = run_mixed_workload_continuing(&mut bdb, 20_000, 0.5, 0.4, 22, 60_000);
         println!("== BerkeleyDB hash index + {} ==", medium.label());
         println!(
             "  mean lookup {} ms   (p99 {} ms)",
@@ -24,10 +24,10 @@ fn main() {
             ms(result.inserts.mean()),
             ms(result.inserts.quantile(0.99))
         );
-        println!("  lookup tail: {}", TailSummary::from_recorder(&mut result.lookups));
-        println!("  insert tail: {}", TailSummary::from_recorder(&mut result.inserts));
-        print_cdf(&format!("lookup latency, DB+{}", medium.label()), &mut result.lookups, 20);
-        print_cdf(&format!("insert latency, DB+{}", medium.label()), &mut result.inserts, 20);
+        println!("  lookup tail: {}", TailSummary::from_recorder(&result.lookups));
+        println!("  insert tail: {}", TailSummary::from_recorder(&result.inserts));
+        print_cdf(&format!("lookup latency, DB+{}", medium.label()), &result.lookups, 20);
+        print_cdf(&format!("insert latency, DB+{}", medium.label()), &result.inserts, 20);
         println!();
     }
     println!(

@@ -42,7 +42,7 @@ fn main() {
 
     // (a) CCDF of insert latencies with the update-based policy.
     for medium in [Medium::IntelSsd, Medium::TranscendSsd] {
-        let (_clam, mut inserts) = drive(medium, EvictionPolicy::UpdateBased, 150_000);
+        let (_clam, inserts) = drive(medium, EvictionPolicy::UpdateBased, 150_000);
         println!(
             "Update-based eviction on {}: mean insert {} ms, p99 {} ms, max {} ms",
             medium.label(),

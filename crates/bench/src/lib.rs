@@ -473,7 +473,7 @@ pub struct TailSummary {
 
 impl TailSummary {
     /// Summarizes a recorder (all zeros when it is empty).
-    pub fn from_recorder(recorder: &mut LatencyRecorder) -> Self {
+    pub fn from_recorder(recorder: &LatencyRecorder) -> Self {
         if recorder.is_empty() {
             return TailSummary {
                 samples: 0,
@@ -513,7 +513,7 @@ impl std::fmt::Display for TailSummary {
 }
 
 /// Prints a CDF as `latency_ms fraction` pairs at log-spaced points.
-pub fn print_cdf(label: &str, recorder: &mut LatencyRecorder, points: usize) {
+pub fn print_cdf(label: &str, recorder: &LatencyRecorder, points: usize) {
     println!("# CDF: {label} ({} samples)", recorder.len());
     if recorder.is_empty() {
         return;
@@ -560,7 +560,7 @@ mod tests {
         for i in 1..=1000u64 {
             rec.record(SimDuration::from_micros(i));
         }
-        let tail = TailSummary::from_recorder(&mut rec);
+        let tail = TailSummary::from_recorder(&rec);
         assert_eq!(tail.samples, 1000);
         assert!(tail.p50 <= tail.p90 && tail.p90 <= tail.p99);
         assert!(tail.p99 <= tail.p999 && tail.p999 <= tail.max);
@@ -569,10 +569,10 @@ mod tests {
         let text = tail.to_string();
         assert!(text.contains("p999") && text.contains("1000 samples"), "{text}");
         // Empty and all-zero recorders are degenerate, not panics.
-        assert!(!TailSummary::from_recorder(&mut LatencyRecorder::new()).is_nondegenerate());
+        assert!(!TailSummary::from_recorder(&LatencyRecorder::new()).is_nondegenerate());
         let mut zeros = LatencyRecorder::new();
         zeros.record(SimDuration::ZERO);
-        assert!(!TailSummary::from_recorder(&mut zeros).is_nondegenerate());
+        assert!(!TailSummary::from_recorder(&zeros).is_nondegenerate());
     }
 
     #[test]

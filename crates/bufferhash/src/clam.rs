@@ -500,12 +500,6 @@ impl<D: Device> Clam<D> {
         &self.stats
     }
 
-    /// Mutable access to the statistics (e.g. to compute quantiles, which
-    /// require sorting the recorded samples).
-    pub fn stats_mut(&mut self) -> &mut ClamStats {
-        &mut self.stats
-    }
-
     /// Clears the operation statistics and the device counters.
     pub fn reset_stats(&mut self) {
         self.stats.reset();

@@ -14,6 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::supertable::MemoryHit;
 use crate::types::{hash_with_seed, Entry, Key, Modulus, Value};
 
 /// Maximum displacement chain length before an insert is declared failed.
@@ -163,14 +164,7 @@ impl CuckooBuffer {
 
     /// Looks up `key`, returning its value if present.
     pub fn get(&self, key: Key) -> Option<Value> {
-        for which in 0..2 {
-            if let Some(e) = self.slot(self.index(key, which)) {
-                if e.key == key {
-                    return Some(e.value);
-                }
-            }
-        }
-        self.stash.iter().find(|e| e.key == key).map(|e| e.value)
+        self.live_at(key, self.homes(key))
     }
 
     /// Looks up `key` in the retired generation: the entries the last
@@ -179,13 +173,32 @@ impl CuckooBuffer {
     /// [`publish_retired`](Self::publish_retired) and the next drain or
     /// [`forget_retired`](Self::forget_retired). Never sees a live entry.
     pub fn get_retired(&self, key: Key) -> Option<Value> {
-        if !self.retired_live {
-            return None;
-        }
-        (0..2)
-            .filter_map(|which| self.retired_slot(self.index(key, which)))
-            .find(|e| e.key == key)
-            .map(|e| e.value)
+        self.retired_at(key, self.homes(key))
+    }
+
+    /// [`get`](Self::get), then [`get_retired`](Self::get_retired), with
+    /// `key` hashed to its two slots once for both. Never
+    /// [`MemoryHit::Deleted`]: the delete list is the super table's.
+    pub fn probe(&self, key: Key) -> Option<MemoryHit> {
+        let homes = self.homes(key);
+        let live = self.live_at(key, homes).map(MemoryHit::Buffer);
+        live.or_else(|| self.retired_at(key, homes).map(MemoryHit::Retired))
+    }
+
+    /// The two slots `key` may occupy.
+    #[inline]
+    fn homes(&self, key: Key) -> [usize; 2] {
+        [self.index(key, 0), self.index(key, 1)]
+    }
+
+    fn live_at(&self, key: Key, homes: [usize; 2]) -> Option<Value> {
+        let slotted = homes.iter().filter_map(|&idx| self.slot(idx));
+        slotted.chain(self.stash.iter().copied()).find(|e| e.key == key).map(|e| e.value)
+    }
+
+    fn retired_at(&self, key: Key, homes: [usize; 2]) -> Option<Value> {
+        let mut slotted = homes.iter().filter_map(|&idx| self.retired_slot(idx));
+        slotted.find(|e| self.retired_live && e.key == key).map(|e| e.value)
     }
 
     /// Makes the generation the last [`drain`](Self::drain) retired
@@ -520,6 +533,31 @@ mod tests {
         // Not even a stray publish brings a cleared generation back.
         b.publish_retired();
         assert!(entries.iter().all(|e| b.get_retired(e.key).is_none()));
+    }
+
+    #[test]
+    fn probe_answers_live_then_retired() {
+        let mut b = CuckooBuffer::new(512, 0.5);
+        let old = generation(1, 256);
+        flush(&mut b, &old);
+        // Half the old keys get a newer live value, then fresh keys land.
+        for e in &old[..128] {
+            b.insert(e.key, e.value + 1);
+        }
+        for e in generation(2, 100) {
+            b.insert(e.key, e.value);
+        }
+        for key in
+            [&old[..], &generation(2, 100), &generation(3, 50)].concat().iter().map(|e| e.key)
+        {
+            let expected = b
+                .get(key)
+                .map(MemoryHit::Buffer)
+                .or_else(|| b.get_retired(key).map(MemoryHit::Retired));
+            assert_eq!(b.probe(key), expected, "{key:#x}");
+        }
+        assert!(old[..128].iter().all(|e| b.probe(e.key) == Some(MemoryHit::Buffer(e.value + 1))));
+        assert!(old[128..].iter().any(|e| b.probe(e.key) == Some(MemoryHit::Retired(e.value))));
     }
 
     #[test]

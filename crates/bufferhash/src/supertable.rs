@@ -143,10 +143,7 @@ impl SuperTable {
         if self.delete_list.contains(&key) {
             return Some(MemoryHit::Deleted);
         }
-        if let Some(value) = self.buffer.get(key) {
-            return Some(MemoryHit::Buffer(value));
-        }
-        self.buffer.get_retired(key).map(MemoryHit::Retired)
+        self.buffer.probe(key)
     }
 
     /// Stops answering from the retired generation: the incarnation it

@@ -213,10 +213,9 @@ fn sweep_main(args: &[String]) -> Result<(), BootError> {
         );
     }
     println!();
-    for level in &mut levels.into_iter() {
+    for level in &levels {
         let label = format!("client-observed latency @ {:.0} ops/s offered", level.report.offered);
-        let mut latencies = level.report.latencies;
-        print_cdf(&label, &mut latencies, 16);
+        print_cdf(&label, &level.report.latencies, 16);
         println!(
             "  tail: {}   (hits {} / misses {} / inserts {} / errors {})",
             level.report.tail,
@@ -418,7 +417,7 @@ fn smoke_arm(shards: usize) -> Result<SmokeArm, BootError> {
     );
 
     // Non-degenerate latency tail from the pipelined phase.
-    let tail = TailSummary::from_recorder(&mut recorder);
+    let tail = TailSummary::from_recorder(&recorder);
     assert!(tail.is_nondegenerate(), "degenerate latency tail: {tail}");
     assert_eq!(tail.samples as u64, CONNS * PER_CONN * 3, "every pipelined op measured");
 

@@ -267,7 +267,7 @@ pub fn run(addr: SocketAddr, config: &LoadgenConfig) -> Result<LoadReport> {
         merged.latencies.merge(&tally.latencies);
     }
     let completed = merged.latencies.len();
-    let tail = TailSummary::from_recorder(&mut merged.latencies);
+    let tail = TailSummary::from_recorder(&merged.latencies);
     Ok(LoadReport {
         offered: config.rate,
         achieved: completed as f64 / wall.as_secs_f64().max(1e-9),

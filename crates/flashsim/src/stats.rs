@@ -215,12 +215,6 @@ impl LatencyRecorder {
         Self::default()
     }
 
-    /// Creates an empty recorder. The histogram's size depends on the
-    /// range of the samples, not their number, so `n` reserves nothing.
-    pub fn with_capacity(_n: usize) -> Self {
-        Self::default()
-    }
-
     /// Grows the histogram to at least `buckets` buckets, a whole power of
     /// two of range at a time and without `Vec`'s doubling, so it never
     /// holds more than the range of the samples calls for.
@@ -281,7 +275,7 @@ impl LatencyRecorder {
     /// The `q`-th quantile (`q` in `[0, 1]`), using nearest-rank: exact at
     /// `q = 0`, `q = 1` and for samples below 256 ns, otherwise the
     /// midpoint of the bucket holding that rank (under 1 % off).
-    pub fn quantile(&mut self, q: f64) -> SimDuration {
+    pub fn quantile(&self, q: f64) -> SimDuration {
         if self.count == 0 {
             return SimDuration::ZERO;
         }
@@ -306,7 +300,7 @@ impl LatencyRecorder {
     }
 
     /// Median latency.
-    pub fn median(&mut self) -> SimDuration {
+    pub fn median(&self) -> SimDuration {
         self.quantile(0.5)
     }
 
@@ -334,13 +328,13 @@ impl LatencyRecorder {
 
     /// Empirical CDF evaluated at `points.len()` thresholds; returns
     /// `(threshold, fraction <= threshold)` pairs (to bucket resolution).
-    pub fn cdf(&mut self, points: &[SimDuration]) -> Vec<(SimDuration, f64)> {
+    pub fn cdf(&self, points: &[SimDuration]) -> Vec<(SimDuration, f64)> {
         points.iter().map(|&p| (p, self.fraction_at_most(p))).collect()
     }
 
     /// Complementary CDF (fraction of samples strictly greater than each
     /// threshold), used for Figure 8(a).
-    pub fn ccdf(&mut self, points: &[SimDuration]) -> Vec<(SimDuration, f64)> {
+    pub fn ccdf(&self, points: &[SimDuration]) -> Vec<(SimDuration, f64)> {
         self.cdf(points).into_iter().map(|(p, f)| (p, 1.0 - f)).collect()
     }
 
@@ -619,7 +613,6 @@ mod tests {
     fn memory_is_bounded_by_the_range_not_the_count() {
         // An empty recorder owns nothing (`ClamStats::new()` stays free).
         assert_eq!(LatencyRecorder::new().buckets.capacity(), 0);
-        assert_eq!(LatencyRecorder::with_capacity(1 << 20).buckets.capacity(), 0);
         let mut r = LatencyRecorder::new();
         let samples = wide_samples(10_000);
         for i in 0..10_000_000usize {
@@ -651,7 +644,7 @@ mod tests {
 
     #[test]
     fn recorder_empty_behaviour() {
-        let mut r = LatencyRecorder::new();
+        let r = LatencyRecorder::new();
         assert!(r.is_empty());
         assert_eq!(r.mean(), SimDuration::ZERO);
         assert_eq!(r.median(), SimDuration::ZERO);

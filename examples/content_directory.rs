@@ -44,7 +44,7 @@ fn main() {
         }
     }
 
-    let stats = directory.stats_mut();
+    let stats = directory.stats();
     println!("Content directory on a simulated Intel SSD:");
     println!("  published {} names, resolved {resolved} of 200k queries", names);
     println!(

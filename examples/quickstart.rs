@@ -52,7 +52,7 @@ fn main() {
         }
     }
 
-    let stats = clam.stats_mut();
+    let stats = clam.stats();
     println!("\nAfter {n} batched inserts and 100k batched lookups ({hits} hits):");
     println!(
         "  insert latency: mean {:.4} ms, p99 {:.4} ms, max {:.3} ms",

@@ -39,6 +39,63 @@ proptest! {
         prop_assert_eq!(buf, model);
     }
 
+    /// The sparse store against a flat byte array, at the backing page
+    /// sizes of the flash chip, the SSD and the DRAM and disk models. Half
+    /// the ops are whole-page writes whose written prefixes shrink and grow
+    /// within a 256-byte size class and across classes; the rest are
+    /// writes anywhere (straddling pages), all-zero writes and erases,
+    /// which release pages. After every op the whole store and the op's
+    /// own range read back as the array does, and exactly the pages that
+    /// hold a non-zero byte are resident.
+    #[test]
+    fn sparse_store_matches_a_flat_oracle_at_every_backend_page_size(
+        page_pick in 0usize..3,
+        ops in vec((0u8..8, any::<u64>(), 0usize..4, 0usize..256, any::<usize>()), 1..60)
+    ) {
+        const PAGES: usize = 3;
+        let page = [2_048, 4_096, 65_536][page_pick];
+        let mut store = SparseStore::new(page);
+        let mut oracle = vec![0u8; PAGES * page];
+        for (kind, pos, grains, extra, len) in ops {
+            let (offset, len) = if kind < 4 {
+                ((pos as usize % PAGES) * page, page)
+            } else {
+                let offset = pos as usize % oracle.len();
+                (offset, (1 + len % (2 * page)).min(oracle.len() - offset))
+            };
+            let range = offset..offset + len;
+            // Non-zero bytes (and some zeros inside) up to the prefix.
+            let prefix = if grains == 3 { len } else { (grains * 256 + extra).min(len) };
+            let mut data: Vec<u8> =
+                (0..len).map(|i| if i < prefix { ((i + extra) % 13) as u8 } else { 0 }).collect();
+            if prefix > 0 {
+                data[prefix - 1] = 0xFF;
+            }
+            match kind {
+                7 => {
+                    store.erase(offset as u64, len as u64);
+                    oracle[range.clone()].fill(0);
+                }
+                6 => {
+                    store.write(offset as u64, &vec![0; len]);
+                    oracle[range.clone()].fill(0);
+                }
+                _ => {
+                    store.write(offset as u64, &data);
+                    oracle[range.clone()].copy_from_slice(&data);
+                }
+            }
+            let mut whole = vec![0xEE; oracle.len()];
+            store.read(0, &mut whole);
+            prop_assert!(whole == oracle, "store differs from the oracle after op {:?}", (kind, &range));
+            let mut window = vec![0xEE; len];
+            store.read(offset as u64, &mut window);
+            prop_assert!(window[..] == oracle[range]);
+            let written = oracle.chunks(page).filter(|p| p.iter().any(|&b| b != 0)).count();
+            prop_assert_eq!(store.resident_pages(), written);
+        }
+    }
+
     /// Bloom filters never produce false negatives.
     #[test]
     fn bloom_has_no_false_negatives(keys in vec(any::<u64>(), 1..500), bits in 512usize..8192) {
