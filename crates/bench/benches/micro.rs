@@ -11,8 +11,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use bufferhash::{
-    crc32, BitSlicedBloomSet, BloomFilter, CuckooBuffer, Entry, IncarnationIdentity,
-    IncarnationLayout,
+    crc32, page_crc, BitSlicedBloomSet, BloomFilter, CuckooBuffer, Entry, IncarnationIdentity,
+    IncarnationLayout, ENTRY_SIZE, PAGE_HEADER_SIZE,
 };
 use flashsim::{
     CompletionRing, Device, FileDevice, IoRequest, LatencyRecorder, RingRequest, SimDuration,
@@ -170,6 +170,14 @@ fn bench_flush_kernel(c: &mut Criterion) {
     });
     group.bench_function("crc32_4k_page", |b| b.iter(|| black_box(crc32(&image[..4096]))));
     group.bench_function("crc32_32k_image", |b| b.iter(|| black_box(crc32(&image))));
+    // What the flush pays per page: 128 entries checksummed, the zero tail
+    // folded in without being read.
+    let written = PAGE_HEADER_SIZE + 128 * ENTRY_SIZE;
+    let mut half_full = vec![0u8; 4096];
+    half_full[..written].copy_from_slice(&image[..written]);
+    group.bench_function("page_crc_half_full", |b| {
+        b.iter(|| black_box(page_crc(black_box(&half_full), written)))
+    });
     group.bench_function("serialize_identified_1024", |b| {
         b.iter(|| black_box(layout.serialize_identified(&entries, identity).expect("fits").len()))
     });
@@ -204,6 +212,15 @@ fn bench_flush_kernel(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             recorder.record(SimDuration::from_nanos(400 + (i & 0xFFFF) * 37));
+            black_box(recorder.len())
+        })
+    });
+    // One run of a 64-key frame's plain inserts, as the insert body books it.
+    group.bench_function("latency_recorder_record_n", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            recorder.record_n(SimDuration::from_nanos(400 + (i & 0xFFFF) * 37), 64);
             black_box(recorder.len())
         })
     });

@@ -60,7 +60,7 @@ use crate::log::{LogAllocator, SlotOwner};
 use crate::recovery::RecoveryReport;
 use crate::stats::ClamStats;
 use crate::supertable::{IncarnationMeta, MemoryHit, SuperTable};
-use crate::types::{group_stable, hash_with_seed, Entry, Key, Value};
+use crate::types::{group_stable, hash_with_seed, Entry, Key, Modulus, Value};
 
 /// Fixed in-memory overhead charged once per hash-table *call*: request
 /// dispatch, operation setup and stats bookkeeping on the host CPU. A
@@ -343,6 +343,8 @@ pub(crate) fn fan_out(ops: usize, floor: usize, groups: usize) -> usize {
 /// "Crash consistency").
 pub struct Clam<D: Device> {
     tables: Vec<SuperTable>,
+    /// `tables.len()`, to route keys without dividing.
+    table_modulus: Modulus,
     device: D,
     config: ClamConfig,
     /// The lifetime epoch stamped into every page this CLAM flushes; see
@@ -431,6 +433,7 @@ impl<D: Device> Clam<D> {
         )?;
         Ok(Clam {
             tables,
+            table_modulus: Modulus::new(num_tables),
             device,
             config,
             epoch: CLAM_EPOCH.fetch_add(1, Ordering::Relaxed) + 1,
@@ -588,7 +591,7 @@ impl<D: Device> Clam<D> {
     /// `k1` bits of the key; hashing achieves the same uniform split without
     /// requiring a power-of-two table count).
     fn table_of(&self, key: Key) -> usize {
-        table_of(key, self.tables.len())
+        self.table_modulus.reduce(hash_with_seed(key, TABLE_SEED))
     }
 
     /// Cost of touching `words` 64-bit words of DRAM.
@@ -889,8 +892,11 @@ fn memory_verdict(hit: MemoryHit) -> (Option<Value>, LookupSource) {
 
 /// Super table responsible for `key` in a CLAM of `tables` super tables.
 pub fn table_of(key: Key, tables: usize) -> usize {
-    (hash_with_seed(key, 0x7a_b1e5) % tables as u64) as usize
+    (hash_with_seed(key, TABLE_SEED) % tables as u64) as usize
 }
+
+/// Seed of the hash that routes a key to its super table.
+const TABLE_SEED: u64 = 0x7a_b1e5;
 
 /// How many page reads one lookup batch keeps in flight on a ring of
 /// `lanes` lanes. Four requests a lane keep every lane fed between reaps

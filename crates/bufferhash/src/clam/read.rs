@@ -286,7 +286,7 @@ impl<D: Device> Clam<D> {
             if let Some(meta) = self.tables[state.table].incarnation_at(age) {
                 state.meta = Some(meta);
                 state.page_idx = layout.page_of_key(state.key);
-                state.hops_left = layout.num_pages;
+                state.hops_left = layout.num_pages();
                 return true;
             }
         }

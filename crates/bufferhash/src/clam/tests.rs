@@ -215,6 +215,42 @@ fn old_keys_are_evicted_fifo_when_capacity_wraps() {
 }
 
 #[test]
+fn lookups_by_source_split_every_lookup_after_the_log_wraps() {
+    let cfg = ClamConfig::small_test(2 << 20, 1 << 20).unwrap();
+    let mut clam = Clam::new(Ssd::intel(2 << 20).unwrap(), cfg).unwrap();
+    let n = clam.config().flash_capacity / 32 * 3;
+    let ops: Vec<(Key, Value)> = (0..n).map(|i| (key(i), i)).collect();
+    for chunk in ops.chunks(64) {
+        clam.insert_batch(chunk).unwrap();
+    }
+    let slots = clam.config().flash_capacity / clam.config().buffer_bytes_per_table;
+    assert!(clam.stats().flushes > 2 * slots, "the log wrapped twice");
+    for i in (n - 3_000..n).step_by(7) {
+        clam.delete(key(i)).unwrap();
+    }
+    clam.reset_stats();
+    // Evicted, on flash, retired, buffered, deleted and never-inserted
+    // keys, through the scalar and the batched path.
+    let keys: Vec<Key> = (0..200).chain(n - 20_000..n + 200).map(key).collect();
+    for &k in &keys[..2_000] {
+        clam.lookup(k).unwrap();
+    }
+    for chunk in keys[2_000..].chunks(64) {
+        clam.lookup_batch(chunk).unwrap();
+    }
+    let stats = clam.stats();
+    let by_source = stats.lookups_by_source;
+    assert!(by_source.iter().all(|&n| n > 0), "every source seen: {by_source:?}");
+    assert_eq!(by_source.iter().sum::<u64>(), stats.lookups.len() as u64);
+    assert_eq!(by_source[LookupSource::Retired as usize], stats.retired_hits);
+    // A miss at zero reads is one the filters turned away: the zero-read
+    // bucket holds it and every memory hit.
+    let memory = [LookupSource::Buffer, LookupSource::Retired, LookupSource::Deleted]
+        .map(|source| by_source[source as usize]);
+    assert!(stats.flash_reads_histogram[0] > memory.iter().sum::<u64>(), "{stats}");
+}
+
+#[test]
 fn insert_latency_is_microseconds_on_average() {
     let mut clam = small_clam();
     for i in 0..50_000u64 {

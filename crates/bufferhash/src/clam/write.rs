@@ -32,10 +32,8 @@ impl<D: Device> Clam<D> {
                 })
                 .count();
             let plain = InsertOutcome { latency, flushed: false, evictions: 0 };
-            for _ in 0..stored {
-                self.stats.inserts.record(latency);
-                done(plain);
-            }
+            self.stats.inserts.record_n(latency, stored as u64);
+            (0..stored).for_each(|_| done(plain));
             rest = &rest[stored..];
             if let Some((&(key, value), later)) = rest.split_first() {
                 let op = self.insert_after_flush(t, key, value, latency)?;

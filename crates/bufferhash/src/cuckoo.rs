@@ -227,13 +227,11 @@ impl CuckooBuffer {
     pub fn insert(&mut self, key: Key, value: Value) -> BufferInsert {
         // Update in place if the key is already present (§5.1.1: updates hit
         // the buffer directly while the entry is still in memory).
-        for which in 0..2 {
-            let idx = self.index(key, which);
-            if let Some(e) = self.slot(idx) {
-                if e.key == key {
-                    self.slots[idx].value = value;
-                    return BufferInsert::Stored(Some(e.value));
-                }
+        let homes = self.homes(key);
+        for idx in homes {
+            if let Some(e) = self.slot(idx).filter(|e| e.key == key) {
+                self.slots[idx].value = value;
+                return BufferInsert::Stored(Some(e.value));
             }
         }
         if let Some(e) = self.stash.iter_mut().find(|e| e.key == key) {
@@ -244,11 +242,10 @@ impl CuckooBuffer {
         if self.is_full() {
             return BufferInsert::Full;
         }
-        // Standard cuckoo displacement.
+        // Standard cuckoo displacement, starting at the first home.
         let mut current = Entry::new(key, value);
-        let mut which = 0u64;
+        let mut idx = homes[0];
         for _ in 0..MAX_KICKS {
-            let idx = self.index(current.key, which);
             match self.slot(idx) {
                 None => {
                     self.fill_slot(idx, current);
@@ -259,7 +256,8 @@ impl CuckooBuffer {
                     self.slots[idx] = current;
                     current = existing;
                     // The displaced entry moves to its alternate location.
-                    which = if self.index(current.key, 0) == idx { 1 } else { 0 };
+                    let first = self.index(current.key, 0);
+                    idx = if first == idx { self.index(current.key, 1) } else { first };
                 }
             }
         }
@@ -302,7 +300,15 @@ impl CuckooBuffer {
     /// wholesale; it stays unreadable until
     /// [`publish_retired`](Self::publish_retired).
     pub fn drain(&mut self) -> Vec<Entry> {
-        let out: Vec<Entry> = self.iter().collect();
+        // `iter`'s order, a set bit at a time.
+        let mut out = Vec::with_capacity(self.len);
+        for (word, mut bits) in self.occupied.iter().copied().enumerate() {
+            while bits != 0 {
+                out.push(self.slots[word * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+        out.extend_from_slice(&self.stash);
         std::mem::swap(&mut self.occupied, &mut self.retired);
         self.retired_live = false;
         self.occupied.fill(0);
@@ -578,6 +584,83 @@ mod tests {
         b.publish_retired();
         assert_eq!(b.get_retired(slotted), Some(slotted + 7));
         assert_eq!(b.get_retired(stashed), None, "a stashed entry has no slot to be read from");
+    }
+
+    /// `insert` as it was before it hashed a key's two homes once per
+    /// call: the reference its slot placement must match.
+    fn insert_two_pass(b: &mut CuckooBuffer, key: Key, value: Value) -> BufferInsert {
+        for which in 0..2 {
+            let idx = b.index(key, which);
+            if let Some(e) = b.slot(idx) {
+                if e.key == key {
+                    b.slots[idx].value = value;
+                    return BufferInsert::Stored(Some(e.value));
+                }
+            }
+        }
+        if let Some(e) = b.stash.iter_mut().find(|e| e.key == key) {
+            let prev = e.value;
+            e.value = value;
+            return BufferInsert::Stored(Some(prev));
+        }
+        if b.is_full() {
+            return BufferInsert::Full;
+        }
+        let mut current = Entry::new(key, value);
+        let mut which = 0u64;
+        for _ in 0..MAX_KICKS {
+            let idx = b.index(current.key, which);
+            match b.slot(idx) {
+                None => {
+                    b.fill_slot(idx, current);
+                    b.len += 1;
+                    return BufferInsert::Stored(None);
+                }
+                Some(existing) => {
+                    b.slots[idx] = current;
+                    current = existing;
+                    which = if b.index(current.key, 0) == idx { 1 } else { 0 };
+                }
+            }
+        }
+        b.stash.push(current);
+        b.len += 1;
+        BufferInsert::Stored(None)
+    }
+
+    #[test]
+    fn placement_matches_the_two_pass_insert() {
+        // Full buffers (displacement chains, cycles into the stash) and the
+        // paper's 50 %; keys drawn from a pool twice the slot count, so
+        // updates and removals find their keys. Every slot, both bitmaps
+        // and the stash must agree after every step, stale slots included.
+        for (slots, utilization) in [(64, 1.0), (256, 0.9), (2048, 0.5)] {
+            let mut new = CuckooBuffer::new(slots, utilization);
+            let mut old = new.clone();
+            let (mut kicked_to_stash, mut drains) = (false, 0);
+            for step in 0..30_000u64 {
+                let r = hash_with_seed(step, slots as u64);
+                let key = hash_with_seed(r % (2 * slots as u64), 0xfee);
+                if r >> 61 == 0 {
+                    assert_eq!(new.remove(key), old.remove(key), "step {step}");
+                } else if new.is_full() {
+                    assert_eq!(new.drain(), old.drain(), "step {step}");
+                    new.publish_retired();
+                    old.publish_retired();
+                    drains += 1;
+                } else {
+                    let got = new.insert(key, step);
+                    assert_eq!(got, insert_two_pass(&mut old, key, step), "step {step}");
+                }
+                kicked_to_stash |= !new.stash.is_empty();
+                let state = |b: &CuckooBuffer| {
+                    (b.slots.clone(), b.occupied.clone(), b.retired.clone(), b.stash.clone(), b.len)
+                };
+                assert_eq!(state(&new), state(&old), "{slots} slots, step {step}");
+            }
+            assert!(drains > 10, "{slots} slots: {drains} drains");
+            assert!(kicked_to_stash || utilization < 1.0, "{slots} slots never stashed");
+        }
     }
 
     #[test]

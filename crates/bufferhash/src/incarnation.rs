@@ -35,7 +35,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{BufferHashError, Result};
-use crate::types::{group_stable, hash_with_seed, Entry, Key, Value, ENTRY_SIZE};
+use crate::types::{group_stable, hash_with_seed, Entry, Key, Modulus, Value, ENTRY_SIZE};
 
 /// Magic number identifying an incarnation page ("BHIN").
 const PAGE_MAGIC: u32 = 0x4248_494e;
@@ -47,12 +47,12 @@ const FLAG_OVERFLOW: u16 = 1;
 pub const INCARNATION_VERSION: u16 = 1;
 
 /// CRC32 (IEEE, reflected polynomial `0xEDB88320`) lookup tables for
-/// slicing-by-8: `CRC32_TABLES[0]` is the classic byte-at-a-time table, and
-/// `CRC32_TABLES[k][b]` is the CRC state byte `b` leaves behind after `k`
-/// further zero bytes, so eight table reads advance the state by eight
-/// input bytes at once.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// slicing-by-16 (16 KiB): `CRC32_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC32_TABLES[k][b]` is the CRC state byte `b` leaves behind
+/// after `k` further zero bytes, so sixteen table reads advance the state
+/// by sixteen input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -65,7 +65,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -77,28 +77,35 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// Advances a raw (pre-inverted) CRC32 state over `data`, eight bytes per
-/// step; [`crc32`] and the page checksum are built from this.
-fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+/// The table reads for four bytes of a 16-byte block, `word` holding them
+/// and `after + 3` bytes of the block following the first.
+#[inline(always)]
+fn slice4(after: usize, word: u32) -> u32 {
     let t = &CRC32_TABLES;
-    let mut words = data.chunks_exact(8);
-    for word in &mut words {
-        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
-        let lo = word as u32 ^ crc;
-        let hi = (word >> 32) as u32;
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][(lo >> 8 & 0xFF) as usize]
-            ^ t[5][(lo >> 16 & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][(hi >> 8 & 0xFF) as usize]
-            ^ t[1][(hi >> 16 & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    t[after + 3][(word & 0xFF) as usize]
+        ^ t[after + 2][(word >> 8 & 0xFF) as usize]
+        ^ t[after + 1][(word >> 16 & 0xFF) as usize]
+        ^ t[after][(word >> 24) as usize]
+}
+
+/// Advances a raw (pre-inverted) CRC32 state by one byte.
+fn crc32_byte(crc: u32, byte: u8) -> u32 {
+    (crc >> 8) ^ CRC32_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize]
+}
+
+/// Advances a raw (pre-inverted) CRC32 state over `data`, sixteen bytes
+/// per step; [`crc32`] and the page checksums are built from this.
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        let lo = u64::from_le_bytes(block[..8].try_into().expect("16-byte block"));
+        let hi = u64::from_le_bytes(block[8..].try_into().expect("16-byte block"));
+        crc = slice4(12, lo as u32 ^ crc)
+            ^ slice4(8, (lo >> 32) as u32)
+            ^ slice4(4, hi as u32)
+            ^ slice4(0, (hi >> 32) as u32);
     }
-    for &byte in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    crc
+    blocks.remainder().iter().fold(crc, |crc, &byte| crc32_byte(crc, byte))
 }
 
 /// Computes the CRC32 (IEEE) checksum of `data`.
@@ -106,15 +113,22 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc32_update(0xFFFF_FFFF, data)
 }
 
-/// Byte range of the CRC field inside a page header.
-const CRC_FIELD: std::ops::Range<usize> = 28..32;
+/// Byte range of the CRC field: the header's last four bytes.
+const CRC_FIELD: std::ops::Range<usize> = 28..PAGE_HEADER_SIZE;
 
-/// The checksum a page carries: CRC32 over the whole page with the CRC
-/// field read as zero, whatever it currently holds.
-fn page_crc(page: &[u8]) -> u32 {
-    let crc = crc32_update(0xFFFF_FFFF, &page[..CRC_FIELD.start]);
-    let crc = crc32_update(crc, &[0; 4]);
-    !crc32_update(crc, &page[CRC_FIELD.end..])
+/// The checksum a page carries: CRC32 over the page, the CRC field and
+/// every byte from `zero_from` on taken as zero. The write path passes the
+/// end of its entries (a zero 16-byte block costs four table reads, not
+/// sixteen); verification passes `page.len()`, reading every byte. Panics
+/// unless `PAGE_HEADER_SIZE <= zero_from <= page.len()`.
+pub fn page_crc(page: &[u8], zero_from: usize) -> u32 {
+    let mut header = [0u8; PAGE_HEADER_SIZE];
+    header[..CRC_FIELD.start].copy_from_slice(&page[..CRC_FIELD.start]);
+    let crc = crc32_update(0xFFFF_FFFF, &header);
+    let crc = crc32_update(crc, &page[PAGE_HEADER_SIZE..zero_from]);
+    let zeros = page.len() - zero_from;
+    let crc = (0..zeros / 16).fold(crc, |crc, _| slice4(12, crc));
+    !(0..zeros % 16).fold(crc, |crc, _| crc32_byte(crc, 0))
 }
 
 /// Identity an incarnation is stamped with when serialized: which super
@@ -140,8 +154,8 @@ pub struct IncarnationIdentity {
 pub struct IncarnationLayout {
     /// Flash page (or SSD sector) size in bytes.
     pub page_size: usize,
-    /// Number of pages per incarnation.
-    pub num_pages: usize,
+    /// The page count, to reduce hashes to pages without dividing.
+    pages: Modulus,
 }
 
 impl IncarnationLayout {
@@ -154,12 +168,17 @@ impl IncarnationLayout {
             )));
         }
         let num_pages = (incarnation_bytes / page_size).max(1);
-        Ok(IncarnationLayout { page_size, num_pages })
+        Ok(IncarnationLayout { page_size, pages: Modulus::new(num_pages) })
+    }
+
+    /// Number of pages per incarnation.
+    pub fn num_pages(&self) -> usize {
+        self.pages.get()
     }
 
     /// Total size of a serialized incarnation in bytes.
     pub fn total_bytes(&self) -> usize {
-        self.page_size * self.num_pages
+        self.page_size * self.num_pages()
     }
 
     /// Number of entries one page can hold.
@@ -169,24 +188,24 @@ impl IncarnationLayout {
 
     /// Maximum number of entries the incarnation can hold.
     pub fn max_entries(&self) -> usize {
-        self.entries_per_page() * self.num_pages
+        self.entries_per_page() * self.num_pages()
     }
 
     /// The page a key hashes to.
     pub fn page_of_key(&self, key: Key) -> usize {
-        (hash_with_seed(key, 0x9a6e_5c01) % self.num_pages as u64) as usize
+        self.pages.reduce(hash_with_seed(key, 0x9a6e_5c01))
     }
 
     /// Flash byte offset of page `page_idx` of an incarnation whose image
     /// starts at `flash_offset` — the address a probe of that page reads.
     pub fn page_offset(&self, flash_offset: u64, page_idx: usize) -> u64 {
-        flash_offset + (page_idx % self.num_pages.max(1) * self.page_size) as u64
+        flash_offset + (self.pages.reduce(page_idx as u64) * self.page_size) as u64
     }
 
     /// The page an overflow chain continues on after `page_idx` (wrapping
     /// spill, matching [`serialize`](Self::serialize)'s forward spill).
     pub fn next_page(&self, page_idx: usize) -> usize {
-        (page_idx + 1) % self.num_pages.max(1)
+        (page_idx + 1) % self.num_pages()
     }
 
     /// Serializes `entries` into an incarnation image of `total_bytes()`
@@ -220,7 +239,7 @@ impl IncarnationLayout {
         let per_page = self.entries_per_page();
         // `staged` holds every page's own entries as one contiguous run, in
         // input order.
-        let (staged, starts) = group_stable(entries, self.num_pages, |e| self.page_of_key(e.key));
+        let (staged, starts) = group_stable(entries, self.num_pages(), |e| self.page_of_key(e.key));
         // One pass over the pages. A page keeps its first `per_page`
         // entries — its own before anything spilled into it — and hands
         // the rest to the next page as `carry` (own tail first), flagged
@@ -229,6 +248,7 @@ impl IncarnationLayout {
         let mut out = vec![0u8; self.total_bytes()];
         let mut carry: Vec<Entry> = Vec::new();
         let mut kept: Vec<Entry> = Vec::with_capacity(per_page);
+        let mut sorted: Vec<Entry> = Vec::with_capacity(per_page);
         for (i, page) in out.chunks_exact_mut(self.page_size).enumerate() {
             let own = &staged[starts[i]..starts[i + 1]];
             let (own, own_tail) = own.split_at(own.len().min(per_page));
@@ -236,7 +256,7 @@ impl IncarnationLayout {
             kept.extend_from_slice(own);
             kept.extend(carry.drain(..carry.len().min(per_page - own.len())));
             carry.splice(0..0, own_tail.iter().copied());
-            self.emit_page(page, i, &mut kept, !carry.is_empty(), identity);
+            self.emit_page(page, i, &kept, &mut sorted, !carry.is_empty(), identity);
         }
         // Whatever spilled past the last page wraps into the first pages'
         // free room. The volume fits, so one more lap absorbs it all.
@@ -248,7 +268,7 @@ impl IncarnationLayout {
             kept = parse_page_entries(page)?;
             kept.extend(carry.drain(..carry.len().min(per_page - kept.len())));
             let overflowed = flags & FLAG_OVERFLOW != 0 || !carry.is_empty();
-            self.emit_page(page, i, &mut kept, overflowed, identity);
+            self.emit_page(page, i, &kept, &mut sorted, overflowed, identity);
         }
         if !carry.is_empty() {
             return Err(BufferHashError::InvalidConfig(
@@ -259,16 +279,19 @@ impl IncarnationLayout {
     }
 
     /// Writes page `page_idx` of an incarnation: header, `entries` sorted
-    /// by key, zero padding, and the CRC32 over all of it.
+    /// by key (into `sorted`, a scratch buffer), zero padding, and the
+    /// CRC32 over all of it.
     fn emit_page(
         &self,
         page: &mut [u8],
         page_idx: usize,
-        entries: &mut [Entry],
+        entries: &[Entry],
+        sorted: &mut Vec<Entry>,
         overflowed: bool,
         identity: IncarnationIdentity,
     ) {
-        entries.sort_unstable_by_key(|e| e.key);
+        sort_by_key_into(entries, sorted);
+        let entries = &sorted[..];
         page[0..4].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
         page[4..6].copy_from_slice(&(entries.len() as u16).to_le_bytes());
         let flags = if overflowed { FLAG_OVERFLOW } else { 0 };
@@ -283,8 +306,51 @@ impl IncarnationLayout {
         for (slot, e) in page[PAGE_HEADER_SIZE..].chunks_exact_mut(ENTRY_SIZE).zip(entries.iter()) {
             slot.copy_from_slice(&e.to_bytes());
         }
-        let crc = page_crc(page);
+        let crc = page_crc(page, PAGE_HEADER_SIZE + entries.len() * ENTRY_SIZE);
         page[CRC_FIELD].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// The furthest [`sort_by_key_into`]'s insertion pass moves an entry.
+const SORT_BUCKET_MAX: usize = 8;
+
+/// Writes `entries`, whose keys are unique, to `sorted` in key order: a
+/// counting pass into 256 buckets by the top 8 bits of `key - min`, then an
+/// insertion pass. A bucket of more than [`SORT_BUCKET_MAX`] entries
+/// (clustered keys) sends the page to `sort_unstable_by_key` instead.
+fn sort_by_key_into(entries: &[Entry], sorted: &mut Vec<Entry>) {
+    sorted.clear();
+    sorted.extend_from_slice(entries);
+    let Some(min) = entries.iter().map(|e| e.key).min() else { return };
+    let span = entries.iter().map(|e| e.key - min).max().unwrap_or(0);
+    let shift = (u64::BITS - span.leading_zeros()).saturating_sub(8);
+    let bucket = |e: &Entry| ((e.key - min) >> shift) as usize;
+    // Bucket sizes in `next[1..]`, then, summed, where each bucket starts.
+    let mut next = [0u32; 257];
+    for e in entries {
+        let size = &mut next[bucket(e) + 1];
+        *size += 1;
+        if *size as usize > SORT_BUCKET_MAX {
+            sorted.sort_unstable_by_key(|e| e.key);
+            return;
+        }
+    }
+    for b in 1..next.len() {
+        next[b] += next[b - 1];
+    }
+    for e in entries {
+        let at = &mut next[bucket(e)];
+        sorted[*at as usize] = *e;
+        *at += 1;
+    }
+    for i in 1..sorted.len() {
+        let e = sorted[i];
+        let mut j = i;
+        while j > 0 && i - j < SORT_BUCKET_MAX && sorted[j - 1].key > e.key {
+            sorted[j] = sorted[j - 1];
+            j -= 1;
+        }
+        sorted[j] = e;
     }
 }
 
@@ -350,7 +416,7 @@ pub fn parse_page_entries(page: &[u8]) -> Result<Vec<Entry>> {
 /// Parses every entry of a whole serialized incarnation.
 pub fn parse_incarnation(bytes: &[u8], layout: &IncarnationLayout) -> Result<Vec<Entry>> {
     let mut out = Vec::new();
-    for i in 0..layout.num_pages {
+    for i in 0..layout.num_pages() {
         let page = &bytes[i * layout.page_size..(i + 1) * layout.page_size];
         out.extend(parse_page_entries(page)?);
     }
@@ -413,7 +479,7 @@ pub fn parse_page_header_checked(page: &[u8]) -> Result<PageHeader> {
         });
     }
     let stored_crc = u32::from_le_bytes(page[CRC_FIELD].try_into().unwrap());
-    let actual = page_crc(page);
+    let actual = page_crc(page, page.len());
     if actual != stored_crc {
         return Err(BufferHashError::CorruptIncarnation {
             flash_offset: 0,
@@ -472,7 +538,7 @@ pub fn scan_incarnation(bytes: &[u8], layout: &IncarnationLayout) -> SlotScan {
     let mut identity: Option<IncarnationIdentity> = None;
     let mut any_magic = false;
     let mut entries = Vec::new();
-    for i in 0..layout.num_pages {
+    for i in 0..layout.num_pages() {
         let page = &bytes[i * layout.page_size..(i + 1) * layout.page_size];
         let magic = u32::from_le_bytes(page[0..4].try_into().unwrap());
         if magic == PAGE_MAGIC {
@@ -484,7 +550,7 @@ pub fn scan_incarnation(bytes: &[u8], layout: &IncarnationLayout) -> SlotScan {
                 // A slot is empty only when *no* page carries the magic;
                 // scan the remaining pages' magics to tell an empty slot
                 // from a torn prefix.
-                let rest_empty = ((i + 1)..layout.num_pages).all(|j| {
+                let rest_empty = ((i + 1)..layout.num_pages()).all(|j| {
                     let p = &bytes[j * layout.page_size..(j + 1) * layout.page_size];
                     u32::from_le_bytes(p[0..4].try_into().unwrap()) != PAGE_MAGIC
                 });
@@ -538,7 +604,7 @@ mod tests {
     #[test]
     fn layout_capacities() {
         let l = layout();
-        assert_eq!(l.num_pages, 64);
+        assert_eq!(l.num_pages(), 64);
         assert_eq!(l.entries_per_page(), 126);
         assert_eq!(l.total_bytes(), 128 * 1024);
         assert!(l.max_entries() >= 4096);
@@ -550,9 +616,9 @@ mod tests {
         assert_eq!(l.page_offset(1 << 20, 0), 1 << 20);
         assert_eq!(l.page_offset(1 << 20, 3), (1 << 20) + 3 * 2048);
         // Probing past the last page wraps, like the overflow spill does.
-        assert_eq!(l.page_offset(0, l.num_pages), 0);
+        assert_eq!(l.page_offset(0, l.num_pages()), 0);
         assert_eq!(l.next_page(0), 1);
-        assert_eq!(l.next_page(l.num_pages - 1), 0);
+        assert_eq!(l.next_page(l.num_pages() - 1), 0);
     }
 
     #[test]
@@ -571,9 +637,9 @@ mod tests {
                         break;
                     }
                     PageLookup::Continue => {
-                        page_idx = (page_idx + 1) % l.num_pages;
+                        page_idx = (page_idx + 1) % l.num_pages();
                         hops += 1;
-                        assert!(hops < l.num_pages, "unbounded overflow chain");
+                        assert!(hops < l.num_pages(), "unbounded overflow chain");
                     }
                     PageLookup::Absent => panic!("entry {e:?} not found"),
                 }
@@ -631,14 +697,14 @@ mod tests {
         // wherever they like — some pages will overflow with high
         // probability when we use many entries relative to capacity.
         let l = IncarnationLayout::new(1024, 256).unwrap();
-        assert_eq!(l.num_pages, 4);
+        assert_eq!(l.num_pages(), 4);
         let entries = sample_entries(55);
         let image = l.serialize(&entries).unwrap();
         // Every entry must still be findable.
         for e in &entries {
             let mut page_idx = l.page_of_key(e.key);
             let mut found = false;
-            for _ in 0..l.num_pages {
+            for _ in 0..l.num_pages() {
                 let page = &image[page_idx * l.page_size..(page_idx + 1) * l.page_size];
                 match lookup_in_page(page, e.key).unwrap() {
                     PageLookup::Found(v) => {
@@ -646,7 +712,7 @@ mod tests {
                         found = true;
                         break;
                     }
-                    PageLookup::Continue => page_idx = (page_idx + 1) % l.num_pages,
+                    PageLookup::Continue => page_idx = (page_idx + 1) % l.num_pages(),
                     PageLookup::Absent => break,
                 }
             }
@@ -719,18 +785,18 @@ mod tests {
         identity: IncarnationIdentity,
     ) -> Vec<u8> {
         let per_page = l.entries_per_page();
-        let mut buckets: Vec<Vec<Entry>> = vec![Vec::new(); l.num_pages];
+        let mut buckets: Vec<Vec<Entry>> = vec![Vec::new(); l.num_pages()];
         for &e in entries {
             buckets[l.page_of_key(e.key)].push(e);
         }
-        let mut overflowed = vec![false; l.num_pages];
-        for _sweep in 0..l.num_pages {
+        let mut overflowed = vec![false; l.num_pages()];
+        for _sweep in 0..l.num_pages() {
             let mut moved = false;
-            for i in 0..l.num_pages {
+            for i in 0..l.num_pages() {
                 if buckets[i].len() > per_page {
                     let excess = buckets[i].split_off(per_page);
                     overflowed[i] = true;
-                    buckets[(i + 1) % l.num_pages].extend(excess);
+                    buckets[(i + 1) % l.num_pages()].extend(excess);
                     moved = true;
                 }
             }
@@ -777,9 +843,86 @@ mod tests {
         let mut page = pool[..4096].to_vec();
         let mut zeroed = page.clone();
         zeroed[CRC_FIELD].fill(0);
-        assert_eq!(page_crc(&page), crc32_bytewise(&zeroed));
+        assert_eq!(page_crc(&page, page.len()), crc32_bytewise(&zeroed));
         page[CRC_FIELD].fill(0xA5);
-        assert_eq!(page_crc(&page), crc32_bytewise(&zeroed));
+        assert_eq!(page_crc(&page, page.len()), crc32_bytewise(&zeroed));
+    }
+
+    #[test]
+    fn the_zero_tail_fold_equals_the_full_checksum_at_every_fill() {
+        // The benchmark's pages, the paper's flash-chip pages, and a size
+        // whose zero tail is not whole 16-byte blocks.
+        for page_size in [4096, 2048, 1000] {
+            let per_page = (page_size - PAGE_HEADER_SIZE) / ENTRY_SIZE;
+            for count in 0..=per_page {
+                let written = PAGE_HEADER_SIZE + count * ENTRY_SIZE;
+                let mut page = vec![0u8; page_size];
+                for (i, byte) in page[..written].iter_mut().enumerate() {
+                    *byte = (hash_with_seed(i as u64, count as u64) >> 29) as u8;
+                }
+                let mut zeroed = page.clone();
+                zeroed[CRC_FIELD].fill(0);
+                let full = crc32_bytewise(&zeroed);
+                for zero_from in [written, page_size] {
+                    let crc = page_crc(&page, zero_from);
+                    assert_eq!(crc, full, "{page_size}-byte page, {count} entries, {zero_from}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn garbage_past_the_entries_fails_the_checked_header() {
+        let l = IncarnationLayout::new(32 * 1024, 4096).unwrap();
+        let image = l.serialize_identified(&sample_entries(1000), identity()).unwrap();
+        for (i, page) in image.chunks_exact(l.page_size).enumerate() {
+            let written =
+                PAGE_HEADER_SIZE + parse_page_header_checked(page).unwrap().count * ENTRY_SIZE;
+            for at in [written, written + 15, page.len() - 1] {
+                let mut bad = page.to_vec();
+                bad[at] = 0x01;
+                let err = parse_page_header_checked(&bad).unwrap_err();
+                assert!(err.to_string().contains("CRC mismatch"), "page {i} byte {at}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn bucketed_sort_matches_sort_unstable_for_unique_keys() {
+        let shuffled = |keys: Vec<Key>, seed: u64| {
+            let mut keys = keys;
+            keys.sort_unstable_by_key(|&k| hash_with_seed(k, seed));
+            keys
+        };
+        for n in 0..=254u64 {
+            for seed in 0..3 {
+                let key_sets = [
+                    // Uniform, as fingerprints are.
+                    (0..n).map(|i| hash_with_seed(i, seed)).collect(),
+                    // Small integers: the span, not the key width, sets
+                    // the buckets.
+                    shuffled((0..n).map(|i| 3 * i + seed).collect(), seed),
+                    // A tight cluster plus an outlier: every key but one
+                    // in the lowest bucket, which sends the page to the
+                    // fallback from nine clustered keys on.
+                    shuffled(
+                        (1..n).map(|i| (seed << 20) + i).chain([u64::MAX - seed]).collect(),
+                        seed,
+                    ),
+                    // Eight to a bucket at 254 keys, the most the
+                    // insertion pass sorts.
+                    shuffled((0..n).map(|i| (i % 32) << 58 | i << 3 | seed).collect(), seed),
+                ];
+                for (set, keys) in key_sets.into_iter().enumerate() {
+                    let entries: Vec<Entry> = keys.iter().map(|&k| Entry::new(k, !k)).collect();
+                    let mut expected = entries.clone();
+                    expected.sort_unstable_by_key(|e| e.key);
+                    let mut sorted = vec![Entry::new(1, 1); 3];
+                    sort_by_key_into(&entries, &mut sorted);
+                    assert_eq!(sorted, expected, "set {set}, {n} keys, seed {seed}");
+                }
+            }
+        }
     }
 
     /// `n` entries with distinct pseudo-random keys, in pseudo-random order.
@@ -834,14 +977,14 @@ mod tests {
         // Everything on the last page: the chain wraps past it and laps
         // most of the way round; fill the rest from other pages both
         // before and after the heavy run so spill order matters.
-        for heavy in 0..l.num_pages {
+        for heavy in 0..l.num_pages() {
             for extra in [0, 1, per_page - 1, per_page, 2 * per_page, 3 * per_page] {
                 for light in [0, 3, per_page - 1] {
                     if per_page + extra + light > l.max_entries() {
                         continue;
                     }
                     let mut entries = entries_homed_on(&l, heavy, per_page + extra, 7);
-                    let other = entries_homed_on(&l, (heavy + 1) % l.num_pages, light, 8);
+                    let other = entries_homed_on(&l, (heavy + 1) % l.num_pages(), light, 8);
                     entries.splice(per_page / 2..per_page / 2, other);
                     let image = l.serialize_identified(&entries, id).unwrap();
                     assert_eq!(
@@ -867,7 +1010,7 @@ mod tests {
     fn identity_round_trips_through_page_headers() {
         let l = layout();
         let image = l.serialize_identified(&sample_entries(500), identity()).unwrap();
-        for i in 0..l.num_pages {
+        for i in 0..l.num_pages() {
             let page = &image[i * l.page_size..(i + 1) * l.page_size];
             let header = parse_page_header_checked(page).unwrap();
             assert_eq!(header.identity, identity());

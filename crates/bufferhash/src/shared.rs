@@ -67,7 +67,7 @@ use crate::config::ClamConfig;
 use crate::error::Result;
 use crate::recovery::RecoveryReport;
 use crate::stats::ClamStats;
-use crate::types::{group_stable, hash_with_seed, Key, Value};
+use crate::types::{group_stable, hash_with_seed, Key, Modulus, Value};
 
 /// A cloneable, thread-safe handle to a single CLAM.
 pub struct SharedClam<D: Device> {
@@ -285,6 +285,8 @@ fn record_fast_outcome(ledger: &mut ClamStats, outcome: &LookupOutcome, batched:
 /// locks (and, conceptually, different SSDs).
 pub struct StripedClam<D: Device> {
     stripes: Vec<SharedClam<D>>,
+    /// `stripes.len()`, to route keys without dividing.
+    stripe_modulus: Modulus,
 }
 
 impl<D: Device> StripedClam<D> {
@@ -294,7 +296,8 @@ impl<D: Device> StripedClam<D> {
     /// by panicking early because it is a static misconfiguration.
     pub fn new(stripes: Vec<Clam<D>>) -> Self {
         assert!(!stripes.is_empty(), "StripedClam needs at least one stripe");
-        StripedClam { stripes: stripes.into_iter().map(SharedClam::new).collect() }
+        let stripe_modulus = Modulus::new(stripes.len());
+        StripedClam { stripes: stripes.into_iter().map(SharedClam::new).collect(), stripe_modulus }
     }
 
     /// Recovers every stripe from its device's flash contents (see
@@ -323,7 +326,7 @@ impl<D: Device> StripedClam<D> {
     /// layers (the `clamd` sharded batcher) can key their own partitioning
     /// off the same function — same key, same stripe, same shard.
     pub fn stripe_index(&self, key: Key) -> usize {
-        (hash_with_seed(key, 0x57_e19e) % self.stripes.len() as u64) as usize
+        self.stripe_modulus.reduce(hash_with_seed(key, 0x57_e19e))
     }
 
     fn stripe_of(&self, key: Key) -> &SharedClam<D> {

@@ -29,6 +29,9 @@ pub struct ClamStats {
     /// read from the buffer slots they were flushed from, each one a flash
     /// page read that did not happen.
     pub retired_hits: u64,
+    /// Lookups by [`LookupSource`] (as `usize`): buffer, retired, flash,
+    /// deleted, miss. A miss with no flash read was filtered out.
+    pub lookups_by_source: [u64; 5],
     /// Buffer flushes (incarnations written to flash).
     pub flushes: u64,
     /// Incarnations force-evicted because the flash log wrapped onto them.
@@ -149,6 +152,7 @@ impl ClamStats {
             self.lookup_misses += 1;
         }
         self.retired_hits += u64::from(outcome.source == LookupSource::Retired);
+        self.lookups_by_source[outcome.source as usize] += 1;
         self.lookups.record(outcome.latency);
         self.record_lookup_reads(outcome.flash_reads);
     }
@@ -210,6 +214,9 @@ impl ClamStats {
         self.lookup_hits += other.lookup_hits;
         self.lookup_misses += other.lookup_misses;
         self.retired_hits += other.retired_hits;
+        for (mine, theirs) in self.lookups_by_source.iter_mut().zip(other.lookups_by_source) {
+            *mine += theirs;
+        }
         self.flushes += other.flushes;
         self.forced_evictions += other.forced_evictions;
         self.reinsertions += other.reinsertions;
@@ -277,8 +284,13 @@ impl fmt::Display for ClamStats {
             " | lookup flash reads: {} ({} spurious)",
             self.lookup_flash_reads, self.spurious_flash_reads
         )?;
-        if self.retired_hits > 0 {
-            write!(f, " | retired hits: {}", self.retired_hits)?;
+        if !self.lookups.is_empty() {
+            let [buffer, retired, flash, deleted, miss] = self.lookups_by_source;
+            write!(
+                f,
+                " | by source: {buffer} buffer, {retired} retired, {flash} flash, \
+                 {deleted} deleted, {miss} miss"
+            )?;
         }
         if self.batched_inserts > 0 || self.batched_lookups > 0 {
             write!(
@@ -383,6 +395,7 @@ mod tests {
         a.deferred_flush_time = SimDuration::from_micros(5);
         a.lookup_batches_submitted = 2;
         a.lookup_probe_requests = 6;
+        a.lookups_by_source = [1, 2, 3, 4, 5];
         let mut b = ClamStats::new();
         b.record_lookup_reads(0);
         b.record_lookup_reads(2);
@@ -393,7 +406,9 @@ mod tests {
         b.lookup_probe_waves = 3;
         b.lookup_probe_requests = 9;
         b.lookup_probes_overlapped = 5;
+        b.lookups_by_source = [10, 0, 30, 0, 50];
         a.merge(&b);
+        assert_eq!(a.lookups_by_source, [11, 2, 33, 4, 55]);
         assert_eq!(a.flash_reads_histogram[0], 2);
         assert_eq!(a.flash_reads_histogram[2], 1);
         assert_eq!(a.cascade_histogram[1], 1);
@@ -422,14 +437,20 @@ mod tests {
         assert!(quiet.contains("inserts: 1"));
         assert!(quiet.contains("flushes: 2"));
         assert!(!quiet.contains("batched:") && !quiet.contains("queued lookups:"));
+        assert!(!quiet.contains("by source:"), "no lookups, no split: {quiet}");
 
         s.batched_lookups = 4;
         s.lookup_batches_submitted = 2;
         s.lookup_probe_waves = 3;
         s.lookup_probe_requests = 8;
         s.lookup_probes_overlapped = 6;
+        for source in [LookupSource::Flash, LookupSource::Miss, LookupSource::Miss] {
+            let latency = SimDuration::from_micros(2);
+            s.record_lookup(&LookupOutcome { value: None, latency, flash_reads: 1, source });
+        }
         let text = s.to_string();
         for needle in [
+            "by source: 0 buffer, 0 retired, 1 flash, 0 deleted, 2 miss",
             "batched: 0 inserts, 4 lookups",
             "queued lookups: 2 batches, 3 waves",
             "8 probes (6 overlapped)",
@@ -534,9 +555,11 @@ mod tests {
         s.lookup_misses = 60;
         assert!((s.lookup_success_rate() - 0.4).abs() < 1e-9);
         s.inserts.record(SimDuration::from_micros(5));
+        s.lookups_by_source[LookupSource::Deleted as usize] = 3;
         assert_eq!(s.total_ops(), 1);
         s.reset();
         assert_eq!(s.total_ops(), 0);
         assert_eq!(s.lookup_hits, 0);
+        assert_eq!(s.lookups_by_source, [0; 5]);
     }
 }

@@ -75,10 +75,9 @@ pub fn hash_with_seed(key: Key, seed: u64) -> u64 {
 /// `x % n` for a fixed `n`, without a hardware division: a mask when `n`
 /// is a power of two, otherwise a multiply-high by a precomputed
 /// reciprocal (Granlund and Montgomery's round-up method, exact for every
-/// 64-bit `x`). Registering an incarnation reduces eleven hashes per key
-/// by the Bloom filter width, which never changes, and there the 64-bit
-/// `div` was 23 of 49 µs per flush; the table and stripe routing reduce
-/// one hash per key and keep a plain `%`.
+/// 64-bit `x`). Built once beside each fixed count: the Bloom filter
+/// width (the 64-bit `div` was 23 of 49 µs per flush there), and a key's
+/// stripe, super table, buffer slots and incarnation page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct Modulus {
     n: u64,

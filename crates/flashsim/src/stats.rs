@@ -226,20 +226,29 @@ impl LatencyRecorder {
 
     /// Records one sample.
     pub fn record(&mut self, d: SimDuration) {
+        self.record_n(d, 1);
+    }
+
+    /// Records `n` samples of `d`: the ledger `n` calls of
+    /// [`record`](Self::record) leave, in one step.
+    pub fn record_n(&mut self, d: SimDuration, n: u64) {
+        if n == 0 {
+            return;
+        }
         let ns = d.as_nanos();
         let bucket = bucket_of(ns);
         if bucket >= self.buckets.len() {
             self.grow_to(bucket + 1);
         }
-        self.buckets[bucket] += 1;
+        self.buckets[bucket] += n;
         if self.count == 0 {
             (self.min_ns, self.max_ns) = (ns, ns);
         } else {
             self.min_ns = self.min_ns.min(ns);
             self.max_ns = self.max_ns.max(ns);
         }
-        self.count += 1;
-        self.total_ns = self.total_ns.saturating_add(ns);
+        self.count += n;
+        self.total_ns = self.total_ns.saturating_add(ns.saturating_mul(n));
     }
 
     /// Number of samples recorded.
@@ -607,6 +616,31 @@ mod tests {
         for q in [0.01, 0.5, 0.99] {
             assert_eq!(merged.quantile(q), whole.quantile(q));
         }
+    }
+
+    #[test]
+    fn record_n_is_n_calls_of_record() {
+        let samples = wide_samples(400);
+        let (mut batched, mut single) = (LatencyRecorder::new(), LatencyRecorder::new());
+        for (i, &ns) in samples.iter().enumerate() {
+            // Runs of 0 to 6 equal samples, the empty run included.
+            let (d, n) = (SimDuration::from_nanos(ns), i as u64 % 7);
+            batched.record_n(d, n);
+            (0..n).for_each(|_| single.record(d));
+            assert_eq!(batched.buckets, single.buckets, "after sample {i}");
+            let ledger = |r: &LatencyRecorder| (r.len(), r.total(), r.min(), r.max());
+            assert_eq!(ledger(&batched), ledger(&single), "after sample {i}");
+        }
+        let huge = SimDuration::from_nanos(u64::MAX / 3);
+        batched.record_n(huge, 4);
+        (0..4).for_each(|_| single.record(huge));
+        assert_eq!(batched.total(), single.total(), "saturates like four adds");
+        for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0] {
+            assert_eq!(batched.quantile(q), single.quantile(q), "q={q}");
+        }
+        let mut untouched = LatencyRecorder::new();
+        untouched.record_n(SimDuration::from_micros(3), 0);
+        assert!(untouched.is_empty() && untouched.buckets.capacity() == 0);
     }
 
     #[test]

@@ -152,11 +152,11 @@ proptest! {
         for e in &entries {
             let mut page_idx = layout.page_of_key(e.key);
             let mut found = false;
-            for _ in 0..layout.num_pages {
+            for _ in 0..layout.num_pages() {
                 let page = &image[page_idx * layout.page_size..(page_idx + 1) * layout.page_size];
                 match lookup_in_page(page, e.key).unwrap() {
                     PageLookup::Found(v) => { prop_assert_eq!(v, e.value); found = true; break; }
-                    PageLookup::Continue => page_idx = (page_idx + 1) % layout.num_pages,
+                    PageLookup::Continue => page_idx = (page_idx + 1) % layout.num_pages(),
                     PageLookup::Absent => break,
                 }
             }
