@@ -7,14 +7,10 @@
 //! * [`proto`] — a versioned, length-prefixed binary wire protocol
 //!   (INSERT / LOOKUP / DELETE / FLUSH / STATS, plus batch frames) with
 //!   structured error codes and strict, panic-free decoding;
-//! * [`batcher`] — the sharded group-commit engine: concurrent arrivals
-//!   from all connections gather into per-stripe-shard [`StripedClam`]
-//!   ring admissions (inserts coalesce into one `insert_batch` flush
-//!   admission per shard, lookups stream through `lookup_batch`),
-//!   independent stripes commit concurrently, idle-shard scalar lookups
-//!   bypass the queue onto the store's read fast path,
-//!   and a response is acknowledged only after its admission's
-//!   completion ring has been reaped;
+//! * [`batcher`] — the sharded group-commit engine: arrivals from all
+//!   connections gather into per-stripe-shard [`StripedClam`] ring
+//!   admissions, acknowledged once their completion ring is reaped; each
+//!   shard's decisions are made by a core that takes no lock or clock;
 //! * [`server`] — the TCP front: per-connection reader/writer threads
 //!   feeding the shared batcher queue, plus boot paths for a fresh
 //!   simulated SSD ([`boot_sim`]) and a file-backed image that is
