@@ -11,8 +11,6 @@ pub enum BaselineError {
     InvalidConfig(String),
     /// The index ran out of space.
     Full,
-    /// A page read back from the device failed validation.
-    Corrupt(String),
     /// An error bubbled up from the storage device.
     Device(DeviceError),
 }
@@ -22,7 +20,6 @@ impl fmt::Display for BaselineError {
         match self {
             BaselineError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             BaselineError::Full => write!(f, "index is full"),
-            BaselineError::Corrupt(msg) => write!(f, "corrupt index page: {msg}"),
             BaselineError::Device(e) => write!(f, "device error: {e}"),
         }
     }

@@ -17,7 +17,7 @@ fn bench_batch_ops(c: &mut Criterion) {
         b.iter(|| {
             let ops: Vec<(u64, u64)> = (0..256).map(|j| (workload_key(i + j), i + j)).collect();
             i += 256;
-            black_box(clam.insert_batch(&ops))
+            black_box(clam.insert_batch(&ops).unwrap())
         })
     });
 
@@ -25,13 +25,13 @@ fn bench_batch_ops(c: &mut Criterion) {
         let mut clam = build_clam(Medium::IntelSsd, 16 << 20, 4 << 20);
         let load: Vec<(u64, u64)> = (0..100_000u64).map(|i| (workload_key(i), i)).collect();
         for chunk in load.chunks(1024) {
-            clam.insert_batch(chunk);
+            clam.insert_batch(chunk).unwrap();
         }
         let mut i = 0u64;
         b.iter(|| {
             let keys: Vec<u64> = (0..256).map(|j| workload_key((i + j) % 100_000)).collect();
             i += 256;
-            black_box(clam.lookup_batch(&keys).0.len())
+            black_box(clam.lookup_batch(&keys).unwrap().values().len())
         })
     });
 

@@ -16,19 +16,19 @@ fn bench_clam_ops(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(clam.insert(workload_key(i), i))
+            black_box(clam.insert(workload_key(i), i).unwrap())
         })
     });
 
     group.bench_function("lookup_hit_intel_ssd", |b| {
         let mut clam = build_clam(Medium::IntelSsd, 16 << 20, 4 << 20);
         for i in 0..100_000u64 {
-            clam.insert(workload_key(i), i);
+            clam.insert(workload_key(i), i).unwrap();
         }
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 1) % 100_000;
-            black_box(clam.lookup(workload_key(i)).0)
+            black_box(clam.lookup(workload_key(i)).unwrap().value)
         })
     });
 

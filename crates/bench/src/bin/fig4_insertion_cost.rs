@@ -39,7 +39,7 @@ fn main() {
     let cfg = standard_config(bench::FLASH_BYTES, bench::DRAM_BYTES);
     let mut clam = build_clam_with(Medium::IntelSsd, cfg);
     for i in 0..480_000u64 {
-        clam.insert(workload_key(i), i);
+        clam.insert(workload_key(i), i).expect("insert");
     }
     let stats = clam.stats();
     println!("\nSimulated cross-check (Intel SSD, standard scaled config):");

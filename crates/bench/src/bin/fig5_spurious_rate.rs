@@ -37,7 +37,7 @@ fn main() {
         clam.reset_stats();
         let misses = 20_000u64;
         for i in 0..misses {
-            clam.lookup(bufferhash::hash_with_seed(i, 0xab5e47));
+            clam.lookup(bufferhash::hash_with_seed(i, 0xab5e47)).expect("lookup");
         }
         let stats = clam.stats();
         let spurious_rate = stats.spurious_flash_reads as f64 / misses as f64;

@@ -6,12 +6,12 @@
 //! plus the LRU and priority-based policies' average insert cost.
 
 use bench::{build_clam_with, ms, print_header, print_row, standard_config, Medium};
-use bufferhash::EvictionPolicy;
+use bufferhash::{ClamStats, EvictionPolicy};
 use flashsim::LatencyRecorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn drive(medium: Medium, policy: EvictionPolicy, ops: u64) -> (bench::AnyClam, LatencyRecorder) {
+fn drive(medium: Medium, policy: EvictionPolicy, ops: u64) -> (ClamStats, LatencyRecorder) {
     // Eviction churn wants a small log so policies actually evict: stay at
     // the pre-batching 16 MiB / 2 MiB size (1/32 of the 1/64-scale
     // default) rather than scaling up with the rest of the harness.
@@ -29,12 +29,12 @@ fn drive(medium: Medium, policy: EvictionPolicy, ops: u64) -> (bench::AnyClam, L
             bench::workload_key(i)
         };
         if rng.gen_bool(0.5) {
-            inserts.record(clam.insert(key, i));
+            inserts.record(clam.insert(key, i).expect("insert").latency);
         } else {
-            clam.lookup(key);
+            clam.lookup(key).expect("lookup");
         }
     }
-    (clam, inserts)
+    (clam.stats().clone(), inserts)
 }
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
 
     // (a) CCDF of insert latencies with the update-based policy.
     for medium in [Medium::IntelSsd, Medium::TranscendSsd] {
-        let (_clam, inserts) = drive(medium, EvictionPolicy::UpdateBased, 150_000);
+        let (_, inserts) = drive(medium, EvictionPolicy::UpdateBased, 150_000);
         println!(
             "Update-based eviction on {}: mean insert {} ms, p99 {} ms, max {} ms",
             medium.label(),
@@ -60,8 +60,8 @@ fn main() {
     }
 
     // (b) CDF of incarnations tried per eviction cascade (Transcend).
-    let (clam, _) = drive(Medium::TranscendSsd, EvictionPolicy::UpdateBased, 150_000);
-    let hist = &clam.stats().cascade_histogram;
+    let (stats, _) = drive(Medium::TranscendSsd, EvictionPolicy::UpdateBased, 150_000);
+    let hist = &stats.cascade_histogram;
     let total: u64 = hist.iter().sum();
     println!("# CDF: incarnations tried per buffer flush (update-based, Transcend)");
     let mut cum = 0u64;
@@ -83,7 +83,7 @@ fn main() {
         ("update-based", EvictionPolicy::UpdateBased),
         ("priority-based", EvictionPolicy::priority_threshold(u64::MAX / 2)),
     ] {
-        let (_clam, inserts) = drive(Medium::TranscendSsd, policy, 100_000);
+        let (_, inserts) = drive(Medium::TranscendSsd, policy, 100_000);
         print_row(&[name.to_string(), ms(inserts.mean())], &widths);
     }
     println!(

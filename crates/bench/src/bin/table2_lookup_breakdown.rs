@@ -5,6 +5,7 @@ use bench::{
     build_clam, bulk_load, print_header, print_row, run_mixed_workload_continuing, Medium,
 };
 use bufferhash::analysis::FlashCostModel;
+use bufferhash::LookupSource;
 use flashsim::DeviceProfile;
 
 /// `P(n flash reads)` for `n = 0..4`, and the share of lookups the retired
@@ -16,7 +17,8 @@ fn distribution(lsr: f64) -> (Vec<f64>, f64) {
     clam.reset_stats();
     run_mixed_workload_continuing(&mut clam, 40_000, 0.5, lsr, 8, 1_600_000);
     let stats = clam.stats();
-    let retired = stats.retired_hits as f64 / stats.lookups.len().max(1) as f64;
+    let retired = stats.lookups_by_source[LookupSource::Retired as usize] as f64
+        / stats.lookups.len().max(1) as f64;
     ((0..4).map(|n| stats.lookup_read_fraction(n)).collect(), retired)
 }
 

@@ -5,9 +5,9 @@
 //! root); this library provides what they share:
 //!
 //! * **Standard constructions** — [`standard_config`], [`build_clam`] /
-//!   [`build_clam_with`] (returning the medium-erasing [`AnyClam`]),
-//!   [`build_bdb`] with FTL preconditioning, and the [`Ablation`]
-//!   variants of §7.3.1.
+//!   [`build_clam_with`] and [`build_bdb`] (with FTL preconditioning),
+//!   each store over a boxed `dyn Device` of the chosen [`Medium`], and
+//!   the [`Ablation`] variants of §7.3.1.
 //! * **Workload drivers** — [`run_mixed_workload`] /
 //!   [`run_mixed_workload_continuing`] over the [`KvBench`] trait, with a
 //!   controllable lookup fraction and lookup-success rate, and
@@ -31,7 +31,7 @@
 
 use baseline::{BdbConfig, BdbHashIndex};
 use bufferhash::{hash_with_seed, Clam, ClamConfig, FilterMode};
-use flashsim::{LatencyRecorder, MagneticDisk, SimDuration, Ssd};
+use flashsim::{Device, LatencyRecorder, MagneticDisk, SimDuration, Ssd};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,86 +71,19 @@ impl Medium {
             Medium::Disk => "Disk",
         }
     }
-}
 
-/// A CLAM on any of the three media, unified behind one type so the
-/// experiment drivers can iterate over media.
-pub enum AnyClam {
-    /// CLAM on an Intel-class SSD.
-    Intel(Clam<Ssd>),
-    /// CLAM on a Transcend-class SSD.
-    Transcend(Clam<Ssd>),
-    /// CLAM on a magnetic disk.
-    Disk(Clam<MagneticDisk>),
-}
-
-impl AnyClam {
-    /// Inserts a key, returning the simulated latency.
-    pub fn insert(&mut self, key: u64, value: u64) -> SimDuration {
-        match self {
-            AnyClam::Intel(c) | AnyClam::Transcend(c) => {
-                c.insert(key, value).expect("insert").latency
-            }
-            AnyClam::Disk(c) => c.insert(key, value).expect("insert").latency,
+    /// A fresh device of this medium holding `capacity` bytes; an SSD is
+    /// preconditioned first when `precondition` is set (see [`build_bdb`]).
+    fn device(self, capacity: u64, precondition: bool) -> Box<dyn Device> {
+        let mut ssd = match self {
+            Medium::IntelSsd => Ssd::intel(capacity).expect("ssd"),
+            Medium::TranscendSsd => Ssd::transcend(capacity).expect("ssd"),
+            Medium::Disk => return Box::new(MagneticDisk::new(capacity).expect("disk")),
+        };
+        if precondition {
+            ssd.precondition(1.0);
         }
-    }
-
-    /// Inserts a batch of key/value pairs through the batched CLAM
-    /// pipeline, returning the total simulated latency.
-    pub fn insert_batch(&mut self, ops: &[(u64, u64)]) -> SimDuration {
-        match self {
-            AnyClam::Intel(c) | AnyClam::Transcend(c) => {
-                c.insert_batch(ops).expect("insert_batch").latency
-            }
-            AnyClam::Disk(c) => c.insert_batch(ops).expect("insert_batch").latency,
-        }
-    }
-
-    /// Looks up a batch of keys through the queued CLAM read pipeline,
-    /// returning the values in input order and the batch's
-    /// makespan-accounted simulated latency (probe waves overlap on the
-    /// device's queue lanes).
-    pub fn lookup_batch(&mut self, keys: &[u64]) -> (Vec<Option<u64>>, SimDuration) {
-        fn collect(batch: bufferhash::BatchLookupOutcome) -> (Vec<Option<u64>>, SimDuration) {
-            let latency = batch.latency;
-            (batch.values(), latency)
-        }
-        match self {
-            AnyClam::Intel(c) | AnyClam::Transcend(c) => {
-                collect(c.lookup_batch(keys).expect("lookup_batch"))
-            }
-            AnyClam::Disk(c) => collect(c.lookup_batch(keys).expect("lookup_batch")),
-        }
-    }
-
-    /// Looks up a key, returning the value and the simulated latency.
-    pub fn lookup(&mut self, key: u64) -> (Option<u64>, SimDuration) {
-        match self {
-            AnyClam::Intel(c) | AnyClam::Transcend(c) => {
-                let out = c.lookup(key).expect("lookup");
-                (out.value, out.latency)
-            }
-            AnyClam::Disk(c) => {
-                let out = c.lookup(key).expect("lookup");
-                (out.value, out.latency)
-            }
-        }
-    }
-
-    /// The CLAM statistics.
-    pub fn stats(&self) -> &bufferhash::ClamStats {
-        match self {
-            AnyClam::Intel(c) | AnyClam::Transcend(c) => c.stats(),
-            AnyClam::Disk(c) => c.stats(),
-        }
-    }
-
-    /// Clears statistics.
-    pub fn reset_stats(&mut self) {
-        match self {
-            AnyClam::Intel(c) | AnyClam::Transcend(c) => c.reset_stats(),
-            AnyClam::Disk(c) => c.reset_stats(),
-        }
+        Box::new(ssd)
     }
 }
 
@@ -161,24 +94,13 @@ pub fn standard_config(flash: u64, dram: u64) -> ClamConfig {
 }
 
 /// Builds a CLAM on the given medium with the standard configuration.
-pub fn build_clam(medium: Medium, flash: u64, dram: u64) -> AnyClam {
+pub fn build_clam(medium: Medium, flash: u64, dram: u64) -> Clam<Box<dyn Device>> {
     build_clam_with(medium, standard_config(flash, dram))
 }
 
 /// Builds a CLAM on the given medium with an explicit configuration.
-pub fn build_clam_with(medium: Medium, config: ClamConfig) -> AnyClam {
-    let flash = config.flash_capacity;
-    match medium {
-        Medium::IntelSsd => {
-            AnyClam::Intel(Clam::new(Ssd::intel(flash).expect("ssd"), config).expect("clam"))
-        }
-        Medium::TranscendSsd => AnyClam::Transcend(
-            Clam::new(Ssd::transcend(flash).expect("ssd"), config).expect("clam"),
-        ),
-        Medium::Disk => {
-            AnyClam::Disk(Clam::new(MagneticDisk::new(flash).expect("disk"), config).expect("clam"))
-        }
-    }
+pub fn build_clam_with(medium: Medium, config: ClamConfig) -> Clam<Box<dyn Device>> {
+    Clam::new(medium.device(config.flash_capacity, false), config).expect("clam")
 }
 
 /// A configuration variant for the §7.3.1 ablations.
@@ -217,55 +139,15 @@ impl Ablation {
     }
 }
 
-/// A BDB-style index on the given medium, unified for the drivers.
-pub enum AnyBdb {
-    /// Index on an SSD.
-    Ssd(BdbHashIndex<Ssd>),
-    /// Index on a magnetic disk.
-    Disk(BdbHashIndex<MagneticDisk>),
-}
-
-impl AnyBdb {
-    /// Inserts a key, returning the simulated latency.
-    pub fn insert(&mut self, key: u64, value: u64) -> SimDuration {
-        match self {
-            AnyBdb::Ssd(i) => i.insert(key, value).expect("insert"),
-            AnyBdb::Disk(i) => i.insert(key, value).expect("insert"),
-        }
-    }
-
-    /// Looks up a key, returning the value and the simulated latency.
-    pub fn lookup(&mut self, key: u64) -> (Option<u64>, SimDuration) {
-        match self {
-            AnyBdb::Ssd(i) => i.lookup(key).expect("lookup"),
-            AnyBdb::Disk(i) => i.lookup(key).expect("lookup"),
-        }
-    }
-}
-
 /// Builds a BDB-style index on the given medium. The cache is sized like the
 /// paper's BDB configuration: large enough to be useful, far smaller than
 /// the index. SSDs are preconditioned (every logical page written once, in
 /// random order) so the FTL starts from the steady state a long-lived index
 /// would be in — this is what exposes the garbage-collection penalty the
 /// paper observes for BDB on SSDs (§7.2.2).
-pub fn build_bdb(medium: Medium, capacity: u64) -> AnyBdb {
+pub fn build_bdb(medium: Medium, capacity: u64) -> BdbHashIndex<Box<dyn Device>> {
     let config = BdbConfig { primary_fraction: 0.8, cache_bytes: (capacity / 32) as usize };
-    match medium {
-        Medium::IntelSsd => {
-            let mut ssd = Ssd::intel(capacity).expect("ssd");
-            ssd.precondition(1.0);
-            AnyBdb::Ssd(BdbHashIndex::new(ssd, config).expect("bdb"))
-        }
-        Medium::TranscendSsd => {
-            let mut ssd = Ssd::transcend(capacity).expect("ssd");
-            ssd.precondition(1.0);
-            AnyBdb::Ssd(BdbHashIndex::new(ssd, config).expect("bdb"))
-        }
-        Medium::Disk => AnyBdb::Disk(
-            BdbHashIndex::new(MagneticDisk::new(capacity).expect("disk"), config).expect("bdb"),
-        ),
-    }
+    BdbHashIndex::new(medium.device(capacity, true), config).expect("bdb")
 }
 
 /// Latency recorders produced by a mixed workload run.
@@ -317,23 +199,23 @@ pub trait KvBench {
     fn bench_lookup(&mut self, key: u64) -> (bool, SimDuration);
 }
 
-impl KvBench for AnyClam {
+impl<D: Device> KvBench for Clam<D> {
     fn bench_insert(&mut self, key: u64, value: u64) -> SimDuration {
-        self.insert(key, value)
+        self.insert(key, value).expect("insert").latency
     }
     fn bench_lookup(&mut self, key: u64) -> (bool, SimDuration) {
-        let (v, l) = self.lookup(key);
-        (v.is_some(), l)
+        let out = self.lookup(key).expect("lookup");
+        (out.value.is_some(), out.latency)
     }
 }
 
-impl KvBench for AnyBdb {
+impl<D: Device> KvBench for BdbHashIndex<D> {
     fn bench_insert(&mut self, key: u64, value: u64) -> SimDuration {
-        self.insert(key, value)
+        self.insert(key, value).expect("insert")
     }
     fn bench_lookup(&mut self, key: u64) -> (bool, SimDuration) {
-        let (v, l) = self.lookup(key);
-        (v.is_some(), l)
+        let (value, latency) = self.lookup(key).expect("lookup");
+        (value.is_some(), latency)
     }
 }
 
@@ -349,18 +231,18 @@ pub const BULK_LOAD_BATCH: usize = 1024;
 /// figure warm-ups stay fast at 1/64 scale. Follow up with
 /// [`run_mixed_workload_continuing`] (passing `start + n` as
 /// `already_inserted`) for the measured phase.
-pub fn bulk_load(clam: &mut AnyClam, start: u64, n: u64) -> SimDuration {
+pub fn bulk_load<D: Device>(clam: &mut Clam<D>, start: u64, n: u64) -> SimDuration {
     let mut total = SimDuration::ZERO;
     let mut batch: Vec<(u64, u64)> = Vec::with_capacity(BULK_LOAD_BATCH);
     for i in start..start + n {
         batch.push((workload_key(i), i));
         if batch.len() == BULK_LOAD_BATCH {
-            total += clam.insert_batch(&batch);
+            total += clam.insert_batch(&batch).expect("insert_batch").latency;
             batch.clear();
         }
     }
     if !batch.is_empty() {
-        total += clam.insert_batch(&batch);
+        total += clam.insert_batch(&batch).expect("insert_batch").latency;
     }
     total
 }
@@ -547,8 +429,8 @@ mod tests {
         run_mixed_workload(&mut per_op, 30_000, 0.0, 0.0, 1);
         bulk_load(&mut batched, 0, 30_000);
         for i in (0..30_000u64).step_by(997) {
-            assert_eq!(per_op.lookup(workload_key(i)).0, Some(i), "key {i}");
-            assert_eq!(batched.lookup(workload_key(i)).0, Some(i), "key {i}");
+            assert_eq!(per_op.lookup(workload_key(i)).unwrap().value, Some(i), "key {i}");
+            assert_eq!(batched.lookup(workload_key(i)).unwrap().value, Some(i), "key {i}");
         }
         assert_eq!(per_op.stats().flushes, batched.stats().flushes);
         assert_eq!(batched.stats().batched_inserts, 30_000);
@@ -591,11 +473,11 @@ mod tests {
     fn builders_produce_working_stores_on_every_medium() {
         for medium in [Medium::IntelSsd, Medium::TranscendSsd, Medium::Disk] {
             let mut clam = build_clam(medium, 8 << 20, 2 << 20);
-            clam.insert(1, 2);
-            assert_eq!(clam.lookup(1).0, Some(2));
+            clam.insert(1, 2).unwrap();
+            assert_eq!(clam.lookup(1).unwrap().value, Some(2));
             let mut bdb = build_bdb(medium, 8 << 20);
-            bdb.insert(3, 4);
-            assert_eq!(bdb.lookup(3).0, Some(4));
+            bdb.insert(3, 4).unwrap();
+            assert_eq!(bdb.lookup(3).unwrap().0, Some(4));
         }
     }
 

@@ -814,7 +814,7 @@ mod tests {
             FlashCostModel::mean_retired_survival(cfg.max_buffer_utilization),
         );
         assert!((measured / model - 1.0).abs() < 0.05, "cycle mean {measured} vs {model}");
-        assert_eq!(clam.stats().retired_hits, hits as u64);
+        assert_eq!(clam.stats().lookups_by_source[LookupSource::Retired as usize], hits as u64);
     }
 
     #[test]

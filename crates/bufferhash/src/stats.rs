@@ -9,7 +9,7 @@ use std::fmt;
 
 use flashsim::{LatencyRecorder, SimDuration};
 
-use crate::clam::{LookupOutcome, LookupSource};
+use crate::clam::LookupOutcome;
 
 /// Counters and latency recorders for one CLAM instance.
 #[derive(Debug, Clone, Default)]
@@ -24,13 +24,11 @@ pub struct ClamStats {
     pub lookup_hits: u64,
     /// Lookups that found nothing (or a deleted key).
     pub lookup_misses: u64,
-    /// Lookup hits answered from a retired generation
-    /// ([`LookupSource::Retired`]): keys of a table's youngest incarnation
-    /// read from the buffer slots they were flushed from, each one a flash
-    /// page read that did not happen.
-    pub retired_hits: u64,
-    /// Lookups by [`LookupSource`] (as `usize`): buffer, retired, flash,
-    /// deleted, miss. A miss with no flash read was filtered out.
+    /// Lookups by [`LookupSource`](crate::LookupSource) (as `usize`):
+    /// buffer, retired, flash, deleted, miss. A miss with no flash read was
+    /// filtered out. A [`Retired`](crate::LookupSource::Retired) hit is a
+    /// key of a table's youngest incarnation read from the buffer slot it
+    /// was flushed from, a flash page read that did not happen.
     pub lookups_by_source: [u64; 5],
     /// Buffer flushes (incarnations written to flash).
     pub flushes: u64,
@@ -151,7 +149,6 @@ impl ClamStats {
         } else {
             self.lookup_misses += 1;
         }
-        self.retired_hits += u64::from(outcome.source == LookupSource::Retired);
         self.lookups_by_source[outcome.source as usize] += 1;
         self.lookups.record(outcome.latency);
         self.record_lookup_reads(outcome.flash_reads);
@@ -213,7 +210,6 @@ impl ClamStats {
         self.deletes.merge(&other.deletes);
         self.lookup_hits += other.lookup_hits;
         self.lookup_misses += other.lookup_misses;
-        self.retired_hits += other.retired_hits;
         for (mine, theirs) in self.lookups_by_source.iter_mut().zip(other.lookups_by_source) {
             *mine += theirs;
         }
@@ -358,6 +354,7 @@ fn merge_histogram(dst: &mut Vec<u64>, src: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clam::LookupSource;
 
     #[test]
     fn histograms_accumulate_and_cap() {

@@ -279,6 +279,13 @@ fn spawn_connection<D: Device + 'static>(
         .expect("spawn writer thread");
 
     let mut threads = conn_threads.lock().expect("conn threads lock");
+    // Join the threads of connections that have closed, so the list holds
+    // the live connections' threads and not every one since start.
+    let (done, live): (Vec<_>, Vec<_>) = threads.drain(..).partition(|h| h.is_finished());
+    *threads = live;
+    for handle in done {
+        handle.join().expect("connection thread panicked");
+    }
     threads.push(reader);
     threads.push(writer);
 }
@@ -437,5 +444,30 @@ mod tests {
         let RespBody::Error { code, .. } = response.body else { panic!("expected error") };
         assert_eq!(code, ErrorCode::BadMagic);
         assert_eq!(server.stats().wire_errors, 1);
+    }
+
+    #[test]
+    fn closed_connections_leave_no_thread_handles_behind() {
+        let server = ephemeral_sim_server(1, 16 << 20, 4 << 20).unwrap();
+        let handles = || server.conn_threads.lock().unwrap().len();
+        let running =
+            || server.conn_threads.lock().unwrap().iter().filter(|h| !h.is_finished()).count();
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        let wait = |what: &str| {
+            assert!(std::time::Instant::now() < deadline, "{what}: {} handles", handles());
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        for _ in 0..200 {
+            drop(TcpStream::connect(server.local_addr()).unwrap());
+        }
+        while server.stats().connections_closed < 200 || running() > 0 {
+            wait("200 closed connections");
+        }
+        // The next accept must forget the 200 finished pairs.
+        let _open = TcpStream::connect(server.local_addr()).unwrap();
+        while running() < 2 {
+            wait("the open connection's reader and writer");
+        }
+        assert_eq!(handles(), 2, "only the open connection's two threads are held");
     }
 }
