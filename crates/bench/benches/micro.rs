@@ -3,7 +3,8 @@
 //! CRC, filter registration: the per-flush budget of DESIGN.md "Write-path
 //! host cost"), the latency recorder, the simulated flash's byte store
 //! (DESIGN.md "The simulated medium's memory"), Rabin-Karp chunking and
-//! SHA-1 — and one real-I/O path, a ring read of a page-cache-hot
+//! SHA-1, the stripe's shared-lock read fast path one key and eight keys
+//! at a time — and one real-I/O path, a ring read of a page-cache-hot
 //! `FileDevice` image (DESIGN.md "Hand a read to the pool only when it
 //! pays").
 
@@ -11,12 +12,12 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use bufferhash::{
-    crc32, page_crc, BitSlicedBloomSet, BloomFilter, CuckooBuffer, Entry, IncarnationIdentity,
-    IncarnationLayout, ENTRY_SIZE, PAGE_HEADER_SIZE,
+    crc32, page_crc, BitSlicedBloomSet, BloomFilter, Clam, ClamConfig, CuckooBuffer, Entry,
+    IncarnationIdentity, IncarnationLayout, StripedClam, ENTRY_SIZE, PAGE_HEADER_SIZE,
 };
 use flashsim::{
     CompletionRing, Device, FileDevice, IoRequest, LatencyRecorder, RingRequest, SimDuration,
-    SparseStore, DEFAULT_FILE_QUEUE_DEPTH,
+    SparseStore, Ssd, DEFAULT_FILE_QUEUE_DEPTH,
 };
 use wanopt::{chunk_boundaries, ChunkerConfig, Sha1};
 
@@ -303,6 +304,43 @@ fn bench_file_read(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
+/// The read fast path `clamd`'s idle-shard bypass takes, on a stripe whose
+/// keys all sit in its buffers: eight scalar calls (eight `try_read`s and
+/// eight side-ledger locks) against one run of eight (one of each), as a
+/// socket read of eight lookups to one shard makes (DESIGN.md
+/// "Intra-stripe read concurrency").
+fn bench_fast_path(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fast_path");
+    let config = ClamConfig::small_test(4 << 20, 1 << 20).expect("config");
+    let clam = Clam::new(Ssd::intel(4 << 20).expect("ssd"), config).expect("clam");
+    let store = StripedClam::new(vec![clam]);
+    let keys: Vec<u64> = (0..1024u64).map(|i| bufferhash::hash_with_seed(i, 3)).collect();
+    for &key in &keys {
+        store.insert(key, key).expect("insert");
+    }
+    assert!(keys.iter().all(|&key| store.try_fast_lookup(key).is_some()), "buffer-resident");
+    let runs = keys.chunks(8).cycle();
+    group.bench_function("try_fast_lookup_x8", |b| {
+        let mut runs = runs.clone();
+        b.iter(|| {
+            let mut out = [None; 8];
+            for (slot, &key) in out.iter_mut().zip(runs.next().expect("cycled")) {
+                *slot = store.try_fast_lookup(key);
+            }
+            black_box(out)
+        })
+    });
+    group.bench_function("try_fast_lookup_batch_8", |b| {
+        let mut runs = runs.clone();
+        b.iter(|| {
+            let mut out = [None; 8];
+            store.try_fast_lookup_batch(runs.next().expect("cycled"), &mut out);
+            black_box(out)
+        })
+    });
+    group.finish();
+}
+
 fn bench_content_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("content_pipeline");
     let data: Vec<u8> =
@@ -323,6 +361,7 @@ criterion_group!(
     bench_flush_kernel,
     bench_sparse_store,
     bench_file_read,
+    bench_fast_path,
     bench_content_pipeline
 );
 criterion_main!(benches);

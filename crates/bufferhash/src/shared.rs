@@ -39,15 +39,17 @@
 //! * **Exclusive** — every mutation (inserts, deletes, insert batches,
 //!   `flush_all`, [`SharedClam::with`]) and every lookup whose verdict
 //!   needs flash takes the stripe's *write* lock for the whole call.
-//! * **Shared** — a memory probe ([`SharedClam::try_fast_lookup`], the
-//!   fast pass of [`SharedClam::lookup_batch`]) is `try_read` →
-//!   [`Clam::probe_memory`] → done (delete list, buffer, retired
+//! * **Shared** — a memory probe of a run of keys
+//!   ([`SharedClam::try_fast_lookup`], a stripe's share of
+//!   [`StripedClam::try_fast_lookup_batch`], the fast pass of
+//!   [`SharedClam::lookup_batch`]; one implementation) is one `try_read`
+//!   → [`Clam::probe_memory`] per key → done (delete list, buffer, retired
 //!   generation, filters: the one memory probe the exclusive path
-//!   runs). The guard is held across the whole probe, so a reader can
+//!   runs). The guard is held across the whole run, so a reader can
 //!   never observe a half-applied write; `try_read` failing means a
 //!   writer holds or awaits the stripe, and the reader
 //!   falls back to the exclusive path, counting one
-//!   [`ClamStats::fast_read_conflicts`].
+//!   [`ClamStats::fast_read_conflicts`] for the run.
 //!
 //! Fast-path reads record their statistics in a side ledger (a leaf
 //! mutex, taken with no other lock held) merged into
@@ -119,24 +121,51 @@ impl<D: Device> SharedClam<D> {
         self.inner.fast_ledger.lock().fast_read_conflicts += 1;
     }
 
-    /// Attempts to resolve `key` on the read fast path: the stripe lock
-    /// shared and never waited for, memory state only. Returns `None` — with
-    /// the exclusive pipeline as the caller's fallback — when the key
-    /// needs a flash probe, or when a writer holds or awaits the stripe
-    /// (counted in [`ClamStats::fast_read_conflicts`]).
-    pub fn try_fast_lookup(&self, key: Key) -> Option<LookupOutcome> {
-        let probe = match self.inner.clam.try_read() {
-            Some(clam) => clam.probe_memory(key, crate::clam::BASE_OP_OVERHEAD),
-            None => {
-                self.note_conflict();
-                return None;
+    /// The read fast path for a run of keys, `keys[pos]` for each `pos` of
+    /// `run`: one `try_read` of the stripe lock, never waited for, under
+    /// which every key is probed in memory and charged the run's amortized
+    /// dispatch (`batch_dispatch(n)`, the full per-op charge for a run of
+    /// one); then one side-ledger lock records every resolved outcome,
+    /// counted as batched iff `batched`. A key that resolves fills
+    /// `out[pos]` (`None` on entry); one that needs flash leaves it `None`.
+    /// A writer holding or awaiting the stripe declines the whole run:
+    /// `false`, with `out` untouched, counted as one
+    /// [`ClamStats::fast_read_conflicts`].
+    fn fast_probe(
+        &self,
+        keys: &[Key],
+        run: impl ExactSizeIterator<Item = usize> + Clone,
+        batched: bool,
+        out: &mut [Option<LookupOutcome>],
+    ) -> bool {
+        let dispatch = batch_dispatch(run.len());
+        let Some(clam) = self.inner.clam.try_read() else {
+            self.note_conflict();
+            return false;
+        };
+        for pos in run.clone() {
+            if let MemoryProbe::Resolved(outcome) = clam.probe_memory(keys[pos], dispatch) {
+                out[pos] = Some(outcome);
             }
-        };
-        let MemoryProbe::Resolved(outcome) = probe else {
-            return None;
-        };
-        record_fast_outcome(&mut self.inner.fast_ledger.lock(), &outcome, false);
-        Some(outcome)
+        }
+        drop(clam);
+        let mut ledger = self.inner.fast_ledger.lock();
+        for outcome in run.filter_map(|pos| out[pos].as_ref()) {
+            record_fast_outcome(&mut ledger, outcome, batched);
+        }
+        true
+    }
+
+    /// Attempts to resolve `key` on the read fast path: the stripe lock
+    /// shared and never waited for, memory state only, charged one
+    /// per-op dispatch. Returns `None` — with the exclusive pipeline as the
+    /// caller's fallback — when the key needs a flash probe, or when a
+    /// writer holds or awaits the stripe (counted in
+    /// [`ClamStats::fast_read_conflicts`]).
+    pub fn try_fast_lookup(&self, key: Key) -> Option<LookupOutcome> {
+        let mut out = [None];
+        self.fast_probe(&[key], 0..1, false, &mut out);
+        out[0]
     }
 
     /// Inserts (or updates) a key under the stripe's exclusive lock.
@@ -173,43 +202,21 @@ impl<D: Device> SharedClam<D> {
     /// the locked remainder's makespan, just as the all-locked plan
     /// would).
     pub fn lookup_batch(&self, keys: &[Key]) -> Result<BatchLookupOutcome> {
-        let dispatch = batch_dispatch(keys.len());
-        let Some(clam) = self.inner.clam.try_read() else {
-            // One counted conflict for the whole batch, which runs under
-            // the write lock.
-            self.note_conflict();
+        let mut resolved = vec![None; keys.len()];
+        if !self.fast_probe(keys, 0..keys.len(), true, &mut resolved) {
+            // The conflict is counted once; the whole batch runs under the
+            // write lock.
             return self.with(|c| c.lookup_batch(keys));
-        };
-        let mut resolved: Vec<Option<LookupOutcome>> = keys
-            .iter()
-            .map(|&key| match clam.probe_memory(key, dispatch) {
-                MemoryProbe::Resolved(outcome) => Some(outcome),
-                MemoryProbe::NeedsFlash => None,
-            })
-            .collect();
-        drop(clam);
-        let mut rem_keys = Vec::new();
-        let mut rem_pos = Vec::new();
-        let mut fast_host_time = SimDuration::ZERO;
-        {
-            let mut ledger = self.inner.fast_ledger.lock();
-            for (slot, entry) in resolved.iter().enumerate() {
-                match entry {
-                    Some(outcome) => {
-                        record_fast_outcome(&mut ledger, outcome, true);
-                        fast_host_time += outcome.latency;
-                    }
-                    None => {
-                        rem_keys.push(keys[slot]);
-                        rem_pos.push(slot);
-                    }
-                }
-            }
         }
+        let fast_host_time: SimDuration = resolved.iter().flatten().map(|o| o.latency).sum();
+        let (rem_pos, rem_keys): (Vec<usize>, Vec<Key>) = (0..keys.len())
+            .filter(|&pos| resolved[pos].is_none())
+            .map(|pos| (pos, keys[pos]))
+            .unzip();
         let mut batch = if rem_keys.is_empty() {
             BatchLookupOutcome::default()
         } else {
-            self.with(|c| c.lookup_batch_amortized(&rem_keys, dispatch))?
+            self.with(|c| c.lookup_batch_amortized(&rem_keys, batch_dispatch(keys.len())))?
         };
         let locked_outcomes = std::mem::take(&mut batch.outcomes);
         for (outcome, &pos) in locked_outcomes.into_iter().zip(&rem_pos) {
@@ -546,6 +553,30 @@ impl<D: Device> StripedClam<D> {
     /// the locked path.
     pub fn try_fast_lookup(&self, key: Key) -> Option<LookupOutcome> {
         self.stripe_of(key).try_fast_lookup(key)
+    }
+
+    /// Attempts to resolve a run of keys on the read fast path, grouped
+    /// by stripe: one shared `try_read` and one side-ledger lock per
+    /// stripe, each key charged its stripe's share of one amortized
+    /// dispatch, as [`lookup_batch`](Self::lookup_batch) charges a
+    /// memory-resolved key (and counted as batched, as it is there).
+    /// Fills `out` (one slot per key, all `None` on entry) in input order;
+    /// a slot left `None` means the caller must use the locked path for
+    /// that key — it needs flash, or a writer was on its stripe, which
+    /// declines that stripe's whole share and counts one
+    /// [`ClamStats::fast_read_conflicts`].
+    pub fn try_fast_lookup_batch(&self, keys: &[Key], out: &mut [Option<LookupOutcome>]) {
+        assert_eq!(keys.len(), out.len(), "one outcome slot per key");
+        // Positions by stripe, in input order within each: a run is a few
+        // keys, for which one sort costs less than `group_stable`'s
+        // counting pass and its three buffers.
+        let mut order: Vec<(usize, usize)> =
+            keys.iter().enumerate().map(|(pos, &key)| (self.stripe_index(key), pos)).collect();
+        order.sort_unstable();
+        for share in order.chunk_by(|a, b| a.0 == b.0) {
+            let run = share.iter().map(|&(_, pos)| pos);
+            self.stripes[share[0].0].fast_probe(keys, run, true, out);
+        }
     }
 }
 
@@ -1005,6 +1036,92 @@ mod tests {
         let stats = shared.stats();
         assert!(stats.fast_read_conflicts >= 1, "{stats}");
         assert_eq!(shared.lookup(key(1)).unwrap().value, Some(1));
+    }
+
+    /// DRAM time of `key`'s memory probe alone, with no dispatch charged;
+    /// `None` when the key needs flash.
+    fn probe_cost(store: &StripedClam<Ssd>, key: Key) -> Option<SimDuration> {
+        let stripe = store.stripe(store.stripe_index(key)).unwrap();
+        match stripe.with(|c| c.probe_memory(key, SimDuration::ZERO)) {
+            MemoryProbe::Resolved(outcome) => Some(outcome.latency),
+            MemoryProbe::NeedsFlash => None,
+        }
+    }
+
+    #[test]
+    fn a_fast_run_answers_each_key_as_the_scalar_fast_path_does_at_the_run_charge() {
+        let striped = StripedClam::new(vec![clam(), clam()]);
+        let ops: Vec<(u64, u64)> = (0..20_000u64).map(|i| (key(i), i)).collect();
+        for chunk in ops.chunks(512) {
+            striped.insert_batch(chunk).unwrap();
+        }
+        striped.delete(key(19_999)).unwrap();
+        // Buffered, deleted, flushed (most need flash) and never-inserted
+        // keys, on both stripes.
+        let keys: Vec<Key> = [19_998, 19_999, 0, 1, 2, 3, 900_001, 900_002, 19_997, 900_003]
+            .into_iter()
+            .map(key)
+            .collect();
+        let mut run = vec![None; keys.len()];
+        striped.try_fast_lookup_batch(&keys, &mut run);
+        let share = |k: Key| {
+            keys.iter().filter(|&&o| striped.stripe_index(o) == striped.stripe_index(k)).count()
+        };
+        let (mut resolved, mut declined) = (0, 0);
+        for (&k, got) in keys.iter().zip(&run) {
+            let scalar = striped.try_fast_lookup(k);
+            assert_eq!(got.is_some(), scalar.is_some(), "key {k:#x}");
+            let (Some(got), Some(scalar)) = (got, scalar) else {
+                declined += 1;
+                assert_eq!(probe_cost(&striped, k), None, "only a flash-bound key is declined");
+                continue;
+            };
+            resolved += 1;
+            assert_eq!((got.value, got.source, got.flash_reads), (scalar.value, scalar.source, 0));
+            let probe = probe_cost(&striped, k).unwrap();
+            assert_eq!(got.latency, batch_dispatch(share(k)) + probe, "key {k:#x}");
+            // The scalar path still charges one per-op dispatch, so the
+            // callers that time it one key at a time measure what they did.
+            assert_eq!(scalar.latency, crate::clam::BASE_OP_OVERHEAD + probe, "key {k:#x}");
+        }
+        assert!(resolved >= 5 && declined > 0, "resolved {resolved}, declined {declined}");
+        let stats = striped.stats();
+        assert_eq!(stats.fast_lookups, 2 * resolved);
+        assert_eq!(stats.fast_read_conflicts, 0);
+    }
+
+    #[test]
+    fn a_writer_on_the_stripe_declines_the_whole_run_and_counts_once() {
+        for stripes in [1, 2] {
+            let striped = StripedClam::new((0..stripes).map(|_| clam()).collect());
+            let keys: Vec<Key> = (0..8).map(key).collect();
+            for &k in &keys {
+                striped.insert(k, 1).unwrap();
+            }
+            let on_0 = |k: &Key| striped.stripe_index(*k) == 0;
+            assert!(keys.iter().any(on_0) && (stripes == 1 || !keys.iter().all(on_0)));
+            // A writer on stripe 0: its share of the run is declined, any
+            // other stripe's resolves.
+            striped.stripe(0).unwrap().with(|_| {
+                thread::scope(|scope| {
+                    scope.spawn(|| {
+                        let mut run = vec![None; keys.len()];
+                        striped.try_fast_lookup_batch(&keys, &mut run);
+                        for (k, outcome) in keys.iter().zip(&run) {
+                            assert_eq!(outcome.is_none(), on_0(k), "{run:?}");
+                        }
+                    });
+                });
+            });
+            let stats = striped.stats();
+            let elsewhere = keys.iter().filter(|k| !on_0(k)).count() as u64;
+            assert_eq!((stats.fast_read_conflicts, stats.fast_lookups), (1, elsewhere), "{stats}");
+            // Unopposed, the same run resolves in full.
+            let mut run = vec![None; keys.len()];
+            striped.try_fast_lookup_batch(&keys, &mut run);
+            assert!(run.iter().all(|outcome| outcome.unwrap().value == Some(1)));
+            assert_eq!(striped.stats().fast_lookups, elsewhere + keys.len() as u64);
+        }
     }
 
     #[test]

@@ -22,28 +22,32 @@
 //! effect in the order they arrived at its shard, whichever connections
 //! sent them; across keys the order is unspecified. Each connection gets
 //! its responses in request order, and a batch frame or FLUSH one
-//! response once its last shard part lands. A scalar `LOOKUP` whose shard
-//! is idle, with nothing staged for that shard ahead of it in its chunk,
-//! is answered on the store's read fast path
-//! ([`StripedClam::try_fast_lookup`]); an earlier write of its key would
-//! have kept the shard busy. A response goes out only after its store
-//! call returned, and [`Clam::insert_batch`] returns only once the write
-//! ring is reaped. DESIGN.md ("Group-commit batcher") has the reasoning.
+//! response once its last shard part lands. The scalar `LOOKUP`s of one
+//! chunk with nothing staged for their shard ahead of them form that
+//! shard's bypass run; if the shard is idle, the run is answered on the
+//! store's read fast path in one call
+//! ([`StripedClam::try_fast_lookup_batch`]), and an earlier write of any
+//! of its keys would have kept the shard busy. The keys it declines queue
+//! ahead of the shard's other submissions from the chunk. A response goes
+//! out only after its store call returned, and [`Clam::insert_batch`]
+//! returns only once the write ring is reaped. DESIGN.md ("Group-commit
+//! batcher") has the reasoning.
 //!
 //! [`StripedClam::insert_batch`]: bufferhash::StripedClam::insert_batch
 //! [`StripedClam::lookup_batch`]: bufferhash::StripedClam::lookup_batch
-//! [`StripedClam::try_fast_lookup`]: bufferhash::StripedClam::try_fast_lookup
+//! [`StripedClam::try_fast_lookup_batch`]: bufferhash::StripedClam::try_fast_lookup_batch
 //! [`Clam::insert_batch`]: bufferhash::Clam::insert_batch
 
 mod core;
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bufferhash::{Key, RecoveryReport, StripedClam, Value};
+use bufferhash::{Key, LookupOutcome, RecoveryReport, StripedClam, Value};
 use flashsim::Device;
 
 use self::core::{DeletePart, InsertPart, LookupPart, Poll, Segment, ShardCore, Step, Submission};
@@ -143,17 +147,20 @@ impl Ticket {
 
 /// Delivers a segment's responses, taking each connection's sequencer
 /// lock once for all of that connection's responses, in sequence order
-/// so that none parks behind another of the same segment.
-fn deliver(mut outbox: Vec<(&Ticket, RespBody)>) {
+/// so that none parks behind another of the same segment (or bypass).
+fn deliver<T: Borrow<Ticket>>(mut outbox: Vec<(T, RespBody)>) {
     let conn_of = |ticket: &Ticket| ticket.conn.as_ref().map(Arc::as_ptr);
-    outbox.sort_unstable_by_key(|(ticket, _)| (conn_of(ticket), ticket.seq));
+    outbox.sort_unstable_by_key(|(ticket, _)| (conn_of(ticket.borrow()), ticket.borrow().seq));
     let mut outbox = outbox.into_iter().peekable();
     while let Some((ticket, body)) = outbox.next() {
+        let ticket = ticket.borrow();
         let Some(conn) = &ticket.conn else { continue };
         let mut seq = conn.lock();
         seq.deliver(ticket.seq, Response { id: ticket.id, body });
-        while let Some((next, body)) = outbox.next_if(|(next, _)| conn_of(next) == conn_of(ticket))
+        while let Some((next, body)) =
+            outbox.next_if(|(next, _)| conn_of(next.borrow()) == conn_of(ticket))
         {
+            let next = next.borrow();
             seq.deliver(next.seq, Response { id: next.id, body });
         }
     }
@@ -228,15 +235,17 @@ impl Pending {
 
 /// Splits one connection's chunk of requests into each shard's
 /// submissions, in request order, numbered from the connection's next
-/// sequence number. A scalar lookup is offered to `bypass` first unless
-/// something earlier in the chunk is staged for its shard — a write its
-/// shard cannot see yet — and is staged if `bypass` declines.
+/// sequence number. A scalar lookup with nothing earlier in the chunk
+/// staged for its shard — no write its shard cannot see yet — joins the
+/// shard's bypass run instead, which is offered to `bypass` as one call
+/// that fills one outcome slot per key; what it leaves `None` is staged
+/// ahead of the shard's other submissions.
 fn stage(
     conn: Option<Arc<ConnEntry>>,
     requests: impl ExactSizeIterator<Item = Request>,
     shards: usize,
     shard_of: impl Fn(Key) -> usize,
-    mut bypass: impl FnMut(usize, Key) -> Option<RespBody>,
+    mut bypass: impl FnMut(usize, &[Key], &mut [Option<LookupOutcome>]),
 ) -> Vec<Vec<Submission>> {
     // Unregistered connections have no delivery order to keep.
     let first_seq = conn.as_ref().map_or(0, |conn| {
@@ -246,6 +255,8 @@ fn stage(
         first
     });
     let mut staged: Vec<Vec<Submission>> = (0..shards).map(|_| Vec::new()).collect();
+    // Each shard's bypass run: its tickets and its keys, in chunk order.
+    let mut runs: Vec<(Vec<Ticket>, Vec<Key>)> = (0..shards).map(|_| Default::default()).collect();
     for (seq, Request { id, op }) in (first_seq..).zip(requests) {
         let ticket = Ticket { conn: conn.clone(), seq, id };
         match op {
@@ -255,13 +266,12 @@ fn stage(
             }
             Op::Lookup { key } => {
                 let shard = shard_of(key);
-                let bypassed = if staged[shard].is_empty() { bypass(shard, key) } else { None };
-                match bypassed {
-                    Some(body) => ticket.complete(body),
-                    None => {
-                        let part = LookupPart::Scalar { ticket, key };
-                        staged[shard].push(Submission::Lookup(part));
-                    }
+                if staged[shard].is_empty() {
+                    runs[shard].0.push(ticket);
+                    runs[shard].1.push(key);
+                } else {
+                    let part = LookupPart::Scalar { ticket, key };
+                    staged[shard].push(Submission::Lookup(part));
                 }
             }
             Op::Delete { key } => {
@@ -317,6 +327,30 @@ fn stage(
             }
         }
     }
+    // Each shard's run is offered once; what it declines goes ahead of
+    // the shard's other submissions, all of which arrived after the run.
+    let mut outcomes = Vec::new();
+    let mut answered = Vec::new();
+    for (shard, (queue, (tickets, keys))) in staged.iter_mut().zip(runs).enumerate() {
+        if keys.is_empty() {
+            continue;
+        }
+        outcomes.clear();
+        outcomes.resize(keys.len(), None);
+        bypass(shard, &keys, &mut outcomes);
+        let mut declined = Vec::new();
+        for ((ticket, key), outcome) in tickets.into_iter().zip(keys).zip(&outcomes) {
+            match outcome {
+                Some(LookupOutcome { value, .. }) => {
+                    let (found, value) = (value.is_some(), value.unwrap_or(0));
+                    answered.push((ticket, RespBody::Value { found, value }));
+                }
+                None => declined.push(Submission::Lookup(LookupPart::Scalar { ticket, key })),
+            }
+        }
+        queue.splice(..0, declined);
+    }
+    deliver(answered);
     staged
 }
 
@@ -545,7 +579,8 @@ impl<D: Device + 'static> Engine<D> {
     /// sequence numbers, and each touched shard's core is locked and its
     /// gather thread notified once. Requests keep their order within
     /// each shard. A scalar lookup takes the bypass only if its shard is
-    /// idle *and* nothing earlier in the chunk is staged for that shard.
+    /// idle *and* nothing earlier in the chunk is staged for that shard;
+    /// such lookups are offered to the store as one run per shard.
     pub fn submit_chunk<I>(&self, conn: u64, requests: I)
     where
         I: IntoIterator<Item = Request>,
@@ -559,7 +594,7 @@ impl<D: Device + 'static> Engine<D> {
         let conn = shared.conns().get(&conn).cloned();
         // Same key, same stripe, same shard.
         let shard_of = |key| shared.store.stripe_index(key) % shared.shards.len();
-        let bypass = |shard, key| shared.try_bypass(shard, key);
+        let bypass = |shard, keys: &[Key], out: &mut [_]| shared.try_bypass(shard, keys, out);
         let staged = stage(conn, requests, shared.shards.len(), shard_of, bypass);
         for (shard, staged) in shared.shards.iter().zip(staged) {
             if !staged.is_empty() {
@@ -636,24 +671,29 @@ impl<D: Device + 'static> Shared<D> {
         self.stats.lock().expect("stats lock")
     }
 
-    /// Answers a scalar lookup on the read fast path iff its shard is
-    /// idle, when every earlier write of the key has committed. A writer
-    /// outside the shard's accounting — a direct store user — holds the
-    /// stripe lock exclusive for its whole mutation, so `try_read` fails
-    /// and the lookup queues, as it does when the key needs flash.
-    fn try_bypass(&self, shard: usize, key: Key) -> Option<RespBody> {
+    /// Answers a shard's bypass run on the read fast path in one store
+    /// call iff the shard is idle, when every earlier write of its keys has
+    /// committed, filling `out` (one slot per key, left `None` where it
+    /// declines). A writer outside the shard's accounting — a direct store
+    /// user — holds the stripe exclusive for its whole mutation, so
+    /// `try_read` fails and the run's keys on that stripe queue, as a key
+    /// that needs flash does.
+    fn try_bypass(&self, shard: usize, keys: &[Key], out: &mut [Option<LookupOutcome>]) {
         let shard = &self.shards[shard];
         if !shard.lock().idle() {
-            return None;
+            return;
         }
-        let value = self.store.try_fast_lookup(key)?.value;
-        // The hottest path counts in place: `absorb` walks the whole ledger.
-        let stats = &mut shard.lock().stats;
-        stats.lookups += 1;
-        stats.lookup_hits += u64::from(value.is_some());
-        stats.lookup_misses += u64::from(value.is_none());
-        stats.bypass_hits += 1;
-        Some(RespBody::Value { found: value.is_some(), value: value.unwrap_or(0) })
+        self.store.try_fast_lookup_batch(keys, out);
+        let answered = out.iter().flatten().count() as u64;
+        if answered > 0 {
+            let hits = out.iter().flatten().filter(|o| o.value.is_some()).count() as u64;
+            // Counted in place: `absorb` walks the whole ledger.
+            let stats = &mut shard.lock().stats;
+            stats.lookups += answered;
+            stats.lookup_hits += hits;
+            stats.lookup_misses += answered - hits;
+            stats.bypass_hits += answered;
+        }
     }
 
     /// The merged ledger a STATS request reports: process-wide counters

@@ -4,7 +4,7 @@
 
 use super::core::Planner;
 use super::*;
-use bufferhash::{Clam, ClamConfig};
+use bufferhash::{Clam, ClamConfig, LookupSource};
 use flashsim::Ssd;
 
 fn engine_with(stripes: usize, shards: usize, linger: Duration) -> Engine<Ssd> {
@@ -291,6 +291,14 @@ pub(super) fn del(key: Key) -> Submission {
     Submission::Delete(DeletePart { ticket: ticket(), key })
 }
 
+/// A fast-path answer carrying `value`, for a test's bypass to fill in;
+/// the batcher reads only the value.
+pub(super) fn answer(value: Option<Value>) -> Option<LookupOutcome> {
+    let latency = flashsim::SimDuration::ZERO;
+    let source = if value.is_some() { LookupSource::Buffer } else { LookupSource::Miss };
+    Some(LookupOutcome { value, latency, flash_reads: 0, source })
+}
+
 fn ins_slice(keys: &[Key]) -> Submission {
     let assembly = Pending::new(ticket(), 1, AssemblyKind::Insert { count: keys.len() as u32 });
     let pairs = keys.iter().map(|&key| (key, 0)).collect();
@@ -495,17 +503,32 @@ fn a_conflict_free_mixed_gather_costs_two_batched_store_calls() {
     engine.shutdown();
 }
 
+/// A shard's staged queue as (kind, key, request id) per submission.
+fn queued(queue: &[Submission]) -> Vec<(char, Key, u64)> {
+    queue
+        .iter()
+        .map(|submission| match submission {
+            Submission::Insert(InsertPart::Scalar { ticket, pair }) => ('I', pair.0, ticket.id),
+            Submission::Lookup(LookupPart::Scalar { ticket, key }) => ('L', *key, ticket.id),
+            Submission::Delete(DeletePart { ticket, key }) => ('D', *key, ticket.id),
+            _ => ('?', 0, 0),
+        })
+        .collect()
+}
+
 #[test]
 fn a_lookup_behind_a_staged_write_never_takes_the_bypass() {
-    // Both shards idle: the bypass answers every lookup it is offered.
+    // Both shards idle: the bypass answers every run it is offered.
     // Key k lives on shard k % 2.
     let ops = vec![
+        // Nothing staged for shard 1: the start of its run.
+        Op::Lookup { key: 1 },
         Op::Insert { key: 0, value: 5 },
         // Behind the insert of its key, which the shard cannot see yet:
         // on the bypass it would miss.
         Op::Lookup { key: 0 },
-        // Nothing staged for shard 1 yet.
-        Op::Lookup { key: 1 },
+        // Still nothing staged for shard 1: the same run.
+        Op::Lookup { key: 3 },
         Op::Delete { key: 3 },
         // Behind a write to another key of its shard: still never offered.
         Op::Lookup { key: 1 },
@@ -516,24 +539,72 @@ fn a_lookup_behind_a_staged_write_never_takes_the_bypass() {
         chunk(ops).into_iter(),
         2,
         |key| key as usize % 2,
-        |shard, key| {
-            offered.push((shard, key));
-            Some(RespBody::Value { found: false, value: 0 })
+        |shard, keys, out| {
+            offered.push((shard, keys.to_vec()));
+            out.fill(answer(None));
         },
     );
-    assert_eq!(offered, [(1, 1)]);
-    let kinds = |queue: &[Submission]| -> String {
-        queue
-            .iter()
-            .map(|submission| match submission {
-                Submission::Insert(_) => 'I',
-                Submission::Lookup(_) => 'L',
-                Submission::Delete(_) => 'D',
-                Submission::Flush(_) | Submission::Stats(_) => '?',
-            })
-            .collect()
-    };
-    assert_eq!((kinds(&staged[0]), kinds(&staged[1])), ("IL".into(), "DL".into()));
+    assert_eq!(offered, [(1, vec![1, 3])], "one offer per shard run");
+    assert_eq!(queued(&staged[0]), [('I', 0, 1), ('L', 0, 2)]);
+    assert_eq!(queued(&staged[1]), [('D', 3, 4), ('L', 1, 5)]);
+}
+
+#[test]
+fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
+    // Key k lives on shard k % 2. Shard 0's run is declined, as on a
+    // busy shard; shard 1's is answered.
+    let ops = vec![
+        Op::Lookup { key: 0 },
+        Op::Lookup { key: 1 },
+        Op::Insert { key: 0, value: 5 },
+        Op::Lookup { key: 2 },
+        Op::Lookup { key: 3 },
+        Op::Insert { key: 1, value: 6 },
+    ];
+    let staged = stage(
+        None,
+        chunk(ops).into_iter(),
+        2,
+        |key| key as usize % 2,
+        |shard, _, out| {
+            if shard == 1 {
+                out.fill(answer(None));
+            }
+        },
+    );
+    // The declined lookup of key 0 reads what was there before the
+    // chunk's insert of it, so it queues ahead of that insert.
+    assert_eq!(queued(&staged[0]), [('L', 0, 0), ('I', 0, 2), ('L', 2, 3)]);
+    assert_eq!(queued(&staged[1]), [('I', 1, 5)]);
+}
+
+#[test]
+fn a_chunk_of_idle_shard_lookups_is_one_fast_path_run() {
+    use bufferhash::{BASE_OP_OVERHEAD, BATCHED_OP_OVERHEAD};
+    const N: u64 = 12;
+    let engine = engine_with(1, 1, Duration::from_micros(50));
+    let rx = engine.register_conn(1);
+    let pairs: Vec<(Key, Value)> = (1..=N).map(|key| (key, key * 10)).collect();
+    engine.submit(1, Request { id: 0, op: Op::InsertBatch(pairs.clone()) });
+    assert_eq!(bodies(&rx, 1), [RespBody::InsertedBatch { count: N as u32 }]);
+    // Each key's memory probe alone: its scalar fast-path charge less the
+    // per-op dispatch.
+    let store = &engine.shared.store;
+    let probes: Vec<flashsim::SimDuration> =
+        pairs.iter().map(|&(key, _)| store.try_fast_lookup(key).unwrap().latency).collect();
+    let probes = probes.into_iter().map(|charge| charge - BASE_OP_OVERHEAD);
+    let before = engine.clam_stats().lookups.total();
+
+    engine.submit_chunk(1, chunk(pairs.iter().map(|&(key, _)| Op::Lookup { key }).collect()));
+    let found = pairs.iter().map(|&(_, value)| RespBody::Value { found: true, value });
+    assert_eq!(bodies(&rx, N as usize), found.collect::<Vec<_>>());
+    let stats = engine.stats();
+    assert_eq!((stats.bypass_hits, stats.lookups, stats.lookup_admissions), (N, N, 0), "{stats}");
+    // One store call: every key pays the run's amortized dispatch.
+    let dispatch = BASE_OP_OVERHEAD / N + BATCHED_OP_OVERHEAD;
+    let charged = engine.clam_stats().lookups.total() - before;
+    assert_eq!(charged, probes.map(|probe| dispatch + probe).sum());
+    engine.shutdown();
 }
 
 #[test]
