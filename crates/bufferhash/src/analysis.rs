@@ -2,9 +2,10 @@
 //!
 //! The paper derives analytical expressions for the amortized and worst-case
 //! insert cost and the expected lookup cost of BufferHash on flash. These
-//! functions reproduce those expressions; they drive the analytical curves
-//! of Figure 3 and Figure 4 and are cross-checked against the simulator in
-//! the benchmark harness.
+//! functions reproduce those expressions; they drive the analytical
+//! columns of Figure 3, Figure 4 and Table 2 and `parameter_tuning`, and
+//! the unit tests here and in `clam` check the queue-depth terms against
+//! the simulator, exactly.
 
 use flashsim::{DeviceProfile, MediumKind, OverlapModel, QueueCapabilities, SimDuration};
 
@@ -129,26 +130,6 @@ impl FlashCostModel {
         SimDuration::from_millis_f64(ms)
     }
 
-    /// Expected lookup cost including true hits: a fraction `lsr` of lookups
-    /// must read one page (their key is on flash), and every lookup pays the
-    /// false-positive overhead.
-    pub fn lookup_expected_cost(
-        &self,
-        flash_capacity: u64,
-        total_buffer_bytes: u64,
-        bloom_bytes: u64,
-        effective_entry_size: usize,
-        lookup_success_rate: f64,
-    ) -> SimDuration {
-        let overhead = self.lookup_expected_overhead(
-            flash_capacity,
-            total_buffer_bytes,
-            bloom_bytes,
-            effective_entry_size,
-        );
-        overhead + self.page_read_cost() * lookup_success_rate.clamp(0.0, 1.0)
-    }
-
     // ------------------------------------------------------------------
     // The retired generation
     // ------------------------------------------------------------------
@@ -184,37 +165,6 @@ impl FlashCostModel {
         1.0 - max_utilization.clamp(0.0, 1.0) / 2.0
     }
 
-    /// Expected flash page reads per lookup: `on_flash` of the lookups find
-    /// their key in an incarnation and in no live buffer — §6.2's one read
-    /// each — except the `in_youngest` of all lookups whose incarnation is
-    /// its table's youngest and whose buffer slot still holds the entry;
-    /// every lookup pays `false_positive_reads` on top.
-    ///
-    /// ```
-    /// use bufferhash::analysis::FlashCostModel;
-    ///
-    /// // The repo benchmark's `engine-direct`: 73.6 % of lookups hit flash,
-    /// // 13.1 % their table's youngest incarnation, buffers fill to 50 %.
-    /// let reads = FlashCostModel::lookup_expected_reads(0.736, 0.131, 0.5, 0.0024);
-    /// assert!((reads - 0.640).abs() < 0.001);
-    /// ```
-    pub fn lookup_expected_reads(
-        on_flash: f64,
-        in_youngest: f64,
-        max_utilization: f64,
-        false_positive_reads: f64,
-    ) -> f64 {
-        on_flash - in_youngest * Self::mean_retired_survival(max_utilization) + false_positive_reads
-    }
-
-    /// The `α` ratio of §6.3: cost of sequentially writing one buffer
-    /// relative to the cost of one random page write.
-    pub fn alpha(&self, buffer_bytes: usize) -> f64 {
-        let buffered = self.flush_write_cost(buffer_bytes).as_nanos() as f64;
-        let single = self.write.cost(self.page_size).as_nanos().max(1) as f64;
-        buffered / single
-    }
-
     // ------------------------------------------------------------------
     // Batched-operation cost model
     // ------------------------------------------------------------------
@@ -234,31 +184,22 @@ impl FlashCostModel {
     // shaves the fixed command cost of contiguous incarnation writes on
     // top of this; the model omits it, so it is conservative.
 
-    /// End-to-end amortized per-insert cost at batch size 1 (the per-op
-    /// pipeline): dispatch overhead plus the §6.1 amortized flash cost.
-    pub fn insert_end_to_end(
-        &self,
-        buffer_bytes: usize,
-        effective_entry_size: usize,
-    ) -> SimDuration {
-        crate::clam::BASE_OP_OVERHEAD + self.insert_amortized(buffer_bytes, effective_entry_size)
-    }
-
     /// End-to-end amortized per-insert cost when inserts arrive in batches
     /// of `batch_size`: the dispatch overhead is paid once per batch and a
-    /// residual per-op overhead remains.
+    /// residual per-op overhead remains. At batch size 1 (the per-op
+    /// pipeline) there is no residual: `D` plus the §6.1 amortized flash
+    /// cost.
     pub fn insert_batch_amortized(
         &self,
         buffer_bytes: usize,
         effective_entry_size: usize,
         batch_size: usize,
     ) -> SimDuration {
-        if batch_size <= 1 {
-            return self.insert_end_to_end(buffer_bytes, effective_entry_size);
-        }
-        crate::clam::BASE_OP_OVERHEAD / batch_size as u64
-            + crate::clam::BATCHED_OP_OVERHEAD
-            + self.insert_amortized(buffer_bytes, effective_entry_size)
+        let dispatch = match batch_size {
+            0 | 1 => crate::clam::BASE_OP_OVERHEAD,
+            b => crate::clam::BASE_OP_OVERHEAD / b as u64 + crate::clam::BATCHED_OP_OVERHEAD,
+        };
+        dispatch + self.insert_amortized(buffer_bytes, effective_entry_size)
     }
 
     /// Predicted insert-throughput speedup of batch size `batch_size` over
@@ -269,7 +210,8 @@ impl FlashCostModel {
         effective_entry_size: usize,
         batch_size: usize,
     ) -> f64 {
-        let per_op = self.insert_end_to_end(buffer_bytes, effective_entry_size).as_nanos() as f64;
+        let per_op =
+            self.insert_batch_amortized(buffer_bytes, effective_entry_size, 1).as_nanos() as f64;
         let batched = self
             .insert_batch_amortized(buffer_bytes, effective_entry_size, batch_size)
             .as_nanos()
@@ -296,8 +238,8 @@ impl FlashCostModel {
     //   M_ring(n, w, d) = c_r · max(w, ⌈n·w / L⌉)
     //
     // — total work spread over the lanes, floored by the longest chain.
-    // The `io_queue_depth` binary and the CLAM test suite cross-check
-    // these expressions against the simulator, exactly.
+    // The unit tests here and in `clam` check these expressions against
+    // the simulator, exactly.
 
     /// Number of queue lanes a ring stream issued at `queue_depth` actually
     /// gets: 1 on serial media, otherwise `queue_depth` capped by the
@@ -328,8 +270,8 @@ impl FlashCostModel {
     /// `keys` keys that each probe `probes_per_key` flash pages, issued at
     /// `queue_depth`: the total page-read work spread over the lanes,
     /// floored by the per-key chain length. Matches the simulator
-    /// **exactly** on uniform probe chains — the CLAM test suite and the
-    /// `io_queue_depth` binary cross-check the identity.
+    /// **exactly** on uniform probe chains — the CLAM test suite checks
+    /// the identity.
     ///
     /// ```
     /// use bufferhash::analysis::FlashCostModel;
@@ -368,9 +310,8 @@ impl FlashCostModel {
     /// level-schedule bound `max(1, ⌈f·1 / L⌉)` is just
     /// [`submit_makespan`](Self::submit_makespan) over the flush cost. What
     /// the ring buys the write path is overlap with probe traffic
-    /// ([`mixed_ring_makespan`](Self::mixed_ring_makespan)). The
-    /// `io_queue_depth` binary cross-checks the identity against the
-    /// simulator.
+    /// ([`mixed_ring_makespan`](Self::mixed_ring_makespan)), whose test
+    /// checks this write phase against the simulator.
     ///
     /// ```
     /// use bufferhash::analysis::FlashCostModel;
@@ -404,9 +345,8 @@ impl FlashCostModel {
     /// busy, so the read phase starts from a flat frontier exactly as
     /// [`lookup_ring_makespan`](Self::lookup_ring_makespan) assumes);
     /// otherwise the read phase backfills the write phase's ragged tail
-    /// and this expression is an upper bound. The CLAM test suite and
-    /// `io_queue_depth` part [4/5] cross-check the identity at every
-    /// swept depth.
+    /// and this expression is an upper bound. A unit test checks the
+    /// identity at depths 1, 2 and 8.
     ///
     /// ```
     /// use bufferhash::analysis::FlashCostModel;
@@ -441,8 +381,9 @@ impl FlashCostModel {
     ///
     /// with `L = min(d, max_queue_depth)` lanes (1 on serial media).
     /// Matches the simulator **exactly** on idle devices (slot reads are
-    /// equal-cost and page-aligned); the CLAM test suite and the
-    /// `io_queue_depth` `recovery` part cross-check the identity.
+    /// equal-cost and page-aligned); a unit test checks the identity at
+    /// depths 1, 2 and 8, and `tests/kick_the_tires.rs` on power-cut
+    /// images with torn writes.
     ///
     /// ```
     /// use bufferhash::analysis::FlashCostModel;
@@ -537,21 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_cost_scales_with_success_rate() {
-        let m = ssd();
-        let f = 32u64 << 30;
-        let b = 2u64 << 30;
-        let at_0 = m.lookup_expected_cost(f, b, 1 << 30, 32, 0.0);
-        let at_40 = m.lookup_expected_cost(f, b, 1 << 30, 32, 0.4);
-        let at_100 = m.lookup_expected_cost(f, b, 1 << 30, 32, 1.0);
-        assert!(at_0 < at_40 && at_40 < at_100);
-        // 40% LSR on the Intel profile should land in the ~0.05–0.15 ms
-        // range the paper reports.
-        let ms = at_40.as_millis_f64();
-        assert!((0.02..0.3).contains(&ms), "40% LSR expected cost {ms} ms");
-    }
-
-    #[test]
     fn batch_cost_shrinks_with_batch_size_and_saturates() {
         let m = ssd();
         let (buf, s_eff) = (32 * 1024, 32);
@@ -559,7 +485,7 @@ mod tests {
         let b8 = m.insert_batch_amortized(buf, s_eff, 8);
         let b64 = m.insert_batch_amortized(buf, s_eff, 64);
         let b4096 = m.insert_batch_amortized(buf, s_eff, 4096);
-        assert_eq!(b1, m.insert_end_to_end(buf, s_eff));
+        assert_eq!(b1, crate::clam::BASE_OP_OVERHEAD + m.insert_amortized(buf, s_eff));
         assert!(b8 < b1 && b64 < b8 && b4096 <= b64);
         // The residual per-op overhead and the flash term bound the win.
         let floor = m.insert_amortized(buf, s_eff) + crate::clam::BATCHED_OP_OVERHEAD;
@@ -725,30 +651,35 @@ mod tests {
 
     /// Runs real recovery scans ([`Clam::recover`]) and checks the
     /// reported ring makespan against `recovery_scan_makespan` — exact on
-    /// an overlapped SSD (after a full workload) and on a serial raw chip.
+    /// an overlapped SSD at queue depths 1, 2 and 8 (after a full
+    /// workload) and on a serial raw chip.
     #[test]
     fn recovery_scan_makespan_matches_the_simulator_exactly() {
         use crate::clam::Clam;
         use crate::config::ClamConfig;
         use crate::types::hash_with_seed;
-        use flashsim::{Device, FlashChip, Ssd};
+        use flashsim::{Device, FlashChip, QueueCapabilities, Ssd};
 
-        // SSD: 8 MiB flash in 256 slots of 32 KiB, ring depth 8.
+        // SSD: 8 MiB flash in 256 slots of 32 KiB.
         let cfg = ClamConfig::small_test(8 << 20, 2 << 20).unwrap();
-        let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg.clone()).unwrap();
-        for i in 0..40_000u64 {
-            clam.insert(hash_with_seed(i, 1), i).unwrap();
+        for depth in [1usize, 2, 8] {
+            let profile = DeviceProfile {
+                queue: QueueCapabilities::overlapped(depth),
+                ..DeviceProfile::intel_x18m()
+            };
+            let ssd = Ssd::with_profile(8 << 20, profile.clone()).unwrap();
+            let mut clam = Clam::new(ssd, cfg.clone()).unwrap();
+            for i in 0..40_000u64 {
+                clam.insert(hash_with_seed(i, 1), i).unwrap();
+            }
+            clam.flush_all().unwrap();
+            let (_, report) = Clam::recover(clam.into_device(), cfg.clone()).unwrap();
+            assert_eq!(
+                report.scan_makespan,
+                FlashCostModel::from_profile(&profile).recovery_scan_makespan(256, 32 << 10, depth),
+                "SSD recovery scan drifts from the model at depth {depth}: {report}"
+            );
         }
-        clam.flush_all().unwrap();
-        let device = clam.into_device();
-        let m = FlashCostModel::from_profile(device.profile());
-        let depth = device.profile().queue.max_queue_depth;
-        let (_, report) = Clam::recover(device, cfg).unwrap();
-        assert_eq!(
-            report.scan_makespan,
-            m.recovery_scan_makespan(256, 32 << 10, depth),
-            "SSD recovery scan drifts from the model: {report}"
-        );
 
         // Raw chip: serial queue, so the scan is the summed slot reads.
         let chip = FlashChip::new(1 << 20).unwrap();
@@ -815,18 +746,5 @@ mod tests {
         );
         assert!((measured / model - 1.0).abs() < 0.05, "cycle mean {measured} vs {model}");
         assert_eq!(clam.stats().lookups_by_source[LookupSource::Retired as usize], hits as u64);
-    }
-
-    #[test]
-    fn alpha_is_much_smaller_than_the_page_count_of_the_buffer() {
-        // §6.3: sequentially writing a 256 KiB buffer (64 pages) is far
-        // cheaper than 64 individual random page writes — batching pays the
-        // command cost once. The paper reports α < 10 for several drives and
-        // α below the page count for all of them.
-        for model in [ssd(), FlashCostModel::from_profile(&DeviceProfile::transcend_ts32g())] {
-            let pages = 256 * 1024 / model.page_size;
-            let alpha = model.alpha(256 * 1024);
-            assert!(alpha < pages as f64 / 1.5, "alpha = {alpha} vs {pages} pages");
-        }
     }
 }

@@ -304,25 +304,14 @@ static CLAM_EPOCH: AtomicU32 = AtomicU32::new(0);
 /// latency, which a spawn can only add to.
 pub(crate) const SPAWN_FLOOR_OPS: usize = 2048;
 
-/// Keys a spawned worker must carry before `StripedClam` fans a lookup
-/// batch's stripes out over threads. Lower than [`SPAWN_FLOOR_OPS`] because a lookup that
-/// probes flash costs 2 µs of host time, not 0.23: on the same host and
-/// store, `StripedClam::lookup_batch` over keys that live on flash breaks
-/// even around 256 keys per worker and is 1.6x faster split from
-/// 512 up (DESIGN.md has the table). A batch cannot know beforehand where
-/// its keys will resolve; one of this size that resolves entirely in the
-/// buffers pays 55 to 100 µs for a spawn it did not need, one that
-/// resolves in the filters breaks even.
-pub(crate) const SPAWN_FLOOR_KEYS: usize = 512;
-
-/// How many threads a batch of `ops` operations over `groups` independent
-/// stripes should run on: one per `floor` operations, never more than
-/// there are stripes or cores. Decided
-/// from the batch size alone; the core count is looked up only once a
-/// batch is big enough to split, and only once per process.
-pub(crate) fn fan_out(ops: usize, floor: usize, groups: usize) -> usize {
+/// How many threads a batch of `ops` inserts over `groups` independent
+/// stripes should run on: one per [`SPAWN_FLOOR_OPS`] inserts, never more
+/// than there are stripes or cores. Decided from the batch size alone;
+/// the core count is looked up only once a batch is big enough to split,
+/// and only once per process.
+pub(crate) fn fan_out(ops: usize, groups: usize) -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let wanted = (ops / floor).min(groups);
+    let wanted = (ops / SPAWN_FLOOR_OPS).min(groups);
     if wanted <= 1 {
         return 1;
     }

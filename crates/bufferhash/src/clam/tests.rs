@@ -634,16 +634,15 @@ fn update_based_eviction_works_under_batching() {
 
 #[test]
 fn fan_out_needs_a_floor_of_ops_per_worker() {
-    for floor in [SPAWN_FLOOR_OPS, SPAWN_FLOOR_KEYS] {
-        assert_eq!(fan_out(0, floor, 16), 1);
-        assert_eq!(fan_out(64, floor, 16), 1);
-        assert_eq!(fan_out(2 * floor - 1, floor, 16), 1);
-        assert_eq!(fan_out(usize::MAX, floor, 1), 1, "one group never splits");
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        assert_eq!(fan_out(2 * floor, floor, 16), 2.min(cores));
-        assert_eq!(fan_out(usize::MAX, floor, 3), 3.min(cores));
-        assert!(fan_out(usize::MAX, floor, usize::MAX) <= cores);
-    }
+    let floor = SPAWN_FLOOR_OPS;
+    assert_eq!(fan_out(0, 16), 1);
+    assert_eq!(fan_out(64, 16), 1);
+    assert_eq!(fan_out(2 * floor - 1, 16), 1);
+    assert_eq!(fan_out(usize::MAX, 1), 1, "one group never splits");
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    assert_eq!(fan_out(2 * floor, 16), 2.min(cores));
+    assert_eq!(fan_out(usize::MAX, 3), 3.min(cores));
+    assert!(fan_out(usize::MAX, usize::MAX) <= cores);
 }
 
 #[test]

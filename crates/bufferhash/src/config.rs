@@ -247,12 +247,6 @@ pub mod tuning {
         let bits = (flash_capacity as f64 / (s * ln2_sq)) * inner.ln();
         (bits / 8.0) as u64
     }
-
-    /// Number of super tables for a given total buffer memory and per-table
-    /// buffer size (`B / B'`).
-    pub fn num_super_tables(total_buffer_bytes: u64, per_table_buffer_bytes: u64) -> usize {
-        (total_buffer_bytes / per_table_buffer_bytes.max(1)).max(1) as usize
-    }
 }
 
 #[cfg(test)]
@@ -356,11 +350,5 @@ mod tests {
         let mut cfg = ClamConfig::small_test(16 << 20, 4 << 20).unwrap();
         cfg.max_buffer_utilization = 0.0;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn num_super_tables_helper() {
-        assert_eq!(tuning::num_super_tables(2 << 30, 128 * 1024), 16_384);
-        assert_eq!(tuning::num_super_tables(1024, 0), 1024);
     }
 }

@@ -117,11 +117,6 @@ impl CuckooBuffer {
         self.len >= self.max_entries
     }
 
-    /// Current utilisation (entries / slots).
-    pub fn utilization(&self) -> f64 {
-        self.len as f64 / self.slots.len() as f64
-    }
-
     /// Bytes of the slot array: with 16-byte entries, exactly the byte
     /// budget the buffer was sized from. The occupancy and retired bitmaps
     /// are one bit per slot each on top (2/128 of this figure) and the

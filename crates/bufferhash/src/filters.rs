@@ -199,18 +199,6 @@ impl FilterBank {
         }
     }
 
-    /// Returns `true` if the incarnation at `age` may contain `key`: one
-    /// filter probed alone, where [`query`](Self::query) answers for all.
-    pub fn may_contain_in(&self, age: usize, key: Key) -> bool {
-        match self {
-            FilterBank::BitSliced(s) => s.contains_in(age, key),
-            FilterBank::Plain { filters, .. } => {
-                filters.get(age).map(|f| f.contains(key)).unwrap_or(false)
-            }
-            FilterBank::Disabled { count, .. } => age < *count,
-        }
-    }
-
     /// Approximate DRAM footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         match self {
@@ -255,7 +243,6 @@ mod tests {
         // Keys of the youngest incarnation must be reported at age 0.
         for k in keys(3, 80) {
             assert!(bank.query(k).contains(&0));
-            assert!(bank.may_contain_in(0, k));
         }
         // Keys of the oldest incarnation must be reported at age 3.
         for k in keys(0, 80) {
@@ -321,17 +308,15 @@ mod tests {
                         0 => keys(step.saturating_sub(probe / 3), 1)[0],
                         _ => hash_with_seed(probe, step),
                     };
+                    let FilterBank::Plain { filters, .. } = &plain else { unreachable!() };
                     let per_age: Vec<usize> =
-                        (0..plain.len()).filter(|&age| plain.may_contain_in(age, key)).collect();
+                        (0..plain.len()).filter(|&age| filters[age].contains(key)).collect();
                     let ages = sliced.query(key);
                     assert_eq!(ages, plain.query(key), "k {capacity} m {m} step {step}");
                     assert_eq!(ages.len(), per_age.len());
                     assert_eq!(ages.is_empty(), per_age.is_empty());
                     assert!(per_age.iter().all(|age| ages.contains(age)));
                     assert!(!ages.contains(&plain.len()), "an age outside the window");
-                    for &age in &per_age {
-                        assert!(sliced.may_contain_in(age, key));
-                    }
                     // Youngest first, as the `Vec` the query used to build.
                     assert_eq!(ages.collect::<Vec<_>>(), per_age, "k {capacity} step {step}");
                 }

@@ -203,18 +203,10 @@ impl IncarnationLayout {
     }
 
     /// The page an overflow chain continues on after `page_idx` (wrapping
-    /// spill, matching [`serialize`](Self::serialize)'s forward spill).
+    /// spill, matching [`serialize_identified`](Self::serialize_identified)'s
+    /// forward spill).
     pub fn next_page(&self, page_idx: usize) -> usize {
         (page_idx + 1) % self.num_pages()
-    }
-
-    /// Serializes `entries` into an incarnation image of `total_bytes()`
-    /// bytes with a default (all-zero) [`IncarnationIdentity`]. Convenience
-    /// for tests and tooling; the CLAM flush path uses
-    /// [`serialize_identified`](Self::serialize_identified) so recovery can
-    /// tell incarnations apart from flash contents alone.
-    pub fn serialize(&self, entries: &[Entry]) -> Result<Vec<u8>> {
-        self.serialize_identified(entries, IncarnationIdentity::default())
     }
 
     /// Serializes `entries` into an incarnation image of
@@ -395,9 +387,9 @@ pub fn lookup_in_page(page: &[u8], key: Key) -> Result<PageLookup> {
     }
 }
 
-/// Parses all entries from a serialized page (used by partial-discard
-/// eviction scans).
-pub fn parse_page_entries(page: &[u8]) -> Result<Vec<Entry>> {
+/// Parses all entries from a serialized page: the wrap lap of
+/// [`IncarnationLayout::serialize_identified`] and [`parse_incarnation`].
+fn parse_page_entries(page: &[u8]) -> Result<Vec<Entry>> {
     let (count, _) = parse_header(page)?;
     let mut out = Vec::with_capacity(count);
     for j in 0..count {
@@ -625,7 +617,7 @@ mod tests {
     fn every_entry_is_findable_via_single_page_probe_chain() {
         let l = layout();
         let entries = sample_entries(4096);
-        let image = l.serialize(&entries).unwrap();
+        let image = l.serialize_identified(&entries, IncarnationIdentity::default()).unwrap();
         for e in &entries {
             let mut page_idx = l.page_of_key(e.key);
             let mut hops = 0;
@@ -651,7 +643,7 @@ mod tests {
     fn most_lookups_touch_exactly_one_page() {
         let l = layout();
         let entries = sample_entries(4096);
-        let image = l.serialize(&entries).unwrap();
+        let image = l.serialize_identified(&entries, IncarnationIdentity::default()).unwrap();
         let multi_hop = entries
             .iter()
             .filter(|e| {
@@ -668,7 +660,7 @@ mod tests {
     fn absent_keys_report_absent() {
         let l = layout();
         let entries = sample_entries(1000);
-        let image = l.serialize(&entries).unwrap();
+        let image = l.serialize_identified(&entries, IncarnationIdentity::default()).unwrap();
         let absent_key = hash_with_seed(999_999, 777);
         let page_idx = l.page_of_key(absent_key);
         let page = &image[page_idx * l.page_size..(page_idx + 1) * l.page_size];
@@ -682,7 +674,7 @@ mod tests {
     fn parse_incarnation_recovers_all_entries() {
         let l = layout();
         let entries = sample_entries(3000);
-        let image = l.serialize(&entries).unwrap();
+        let image = l.serialize_identified(&entries, IncarnationIdentity::default()).unwrap();
         let mut recovered = parse_incarnation(&image, &l).unwrap();
         let mut expected = entries.clone();
         recovered.sort_unstable_by_key(|e| e.key);
@@ -699,7 +691,7 @@ mod tests {
         let l = IncarnationLayout::new(1024, 256).unwrap();
         assert_eq!(l.num_pages(), 4);
         let entries = sample_entries(55);
-        let image = l.serialize(&entries).unwrap();
+        let image = l.serialize_identified(&entries, IncarnationIdentity::default()).unwrap();
         // Every entry must still be findable.
         for e in &entries {
             let mut page_idx = l.page_of_key(e.key);
@@ -724,13 +716,14 @@ mod tests {
     fn serialize_rejects_too_many_entries() {
         let l = IncarnationLayout::new(1024, 256).unwrap();
         let entries = sample_entries(l.max_entries() as u64 + 1);
-        assert!(l.serialize(&entries).is_err());
+        assert!(l.serialize_identified(&entries, IncarnationIdentity::default()).is_err());
     }
 
     #[test]
     fn corrupt_pages_are_detected() {
         let l = layout();
-        let image = l.serialize(&sample_entries(10)).unwrap();
+        let image =
+            l.serialize_identified(&sample_entries(10), IncarnationIdentity::default()).unwrap();
         let mut bad = image.clone();
         bad[0] ^= 0xff; // clobber the magic
         assert!(matches!(
@@ -752,7 +745,7 @@ mod tests {
     #[test]
     fn empty_incarnation_serializes_and_parses() {
         let l = layout();
-        let image = l.serialize(&[]).unwrap();
+        let image = l.serialize_identified(&[], IncarnationIdentity::default()).unwrap();
         assert_eq!(parse_incarnation(&image, &l).unwrap(), Vec::new());
     }
 
@@ -965,7 +958,9 @@ mod tests {
                     );
                 }
             }
-            assert!(l.serialize(&random_entries(max + 1, 1)).is_err());
+            assert!(l
+                .serialize_identified(&random_entries(max + 1, 1), IncarnationIdentity::default())
+                .is_err());
         }
     }
 

@@ -20,15 +20,15 @@
 //! [`StripedClam::insert_batch`] reports the batch latency as the *maximum
 //! over stripes* rather than the sum — the same max-over-lanes accounting
 //! the [`flashsim` submission queues](flashsim::queue) use below it. On
-//! the host they run on the caller's thread, one after another, unless the
-//! batch is large enough that every spawned worker would carry enough
-//! operations to pay for its spawn (2048; DESIGN.md "Write-path host
+//! the host they run on the caller's thread, one after another, unless an
+//! insert batch is large enough that every spawned worker would carry
+//! enough inserts to pay for its spawn (2048; DESIGN.md "Write-path host
 //! cost"); then the stripes are dealt out over scoped threads, never more
-//! than cores.
-//! [`StripedClam::lookup_batch`] composes both levels of overlap: stripes
-//! are independent, and within each stripe the queued probe pipeline
-//! ([`Clam::lookup_batch`]) overlaps flash page reads on the device's
-//! submission-queue lanes.
+//! than cores. Lookup batches and `flush_all` never split.
+//! [`StripedClam::lookup_batch`] composes both levels of overlap on the
+//! simulated clock: stripes are independent, and within each stripe the
+//! queued probe pipeline ([`Clam::lookup_batch`]) overlaps flash page
+//! reads on the device's submission-queue lanes.
 //!
 //! ## Locks
 //!
@@ -63,7 +63,7 @@ use flashsim::{Device, SimDuration};
 
 use crate::clam::{
     batch_dispatch, fan_out, BatchInsertOutcome, BatchLookupOutcome, Clam, InsertOutcome,
-    LookupOutcome, MemoryProbe, SPAWN_FLOOR_KEYS, SPAWN_FLOOR_OPS,
+    LookupOutcome, MemoryProbe,
 };
 use crate::config::ClamConfig;
 use crate::error::Result;
@@ -389,11 +389,13 @@ impl<D: Device> StripedClam<D> {
     /// ```
     pub fn insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
         let (grouped, starts) = self.partition(ops);
-        let results = self.dispatch_stripes(&starts, SPAWN_FLOOR_OPS, |idx| {
+        let busy: Vec<usize> =
+            (0..self.stripes.len()).filter(|&idx| starts[idx + 1] > starts[idx]).collect();
+        let results = self.dispatch_stripes(&busy, ops.len(), |idx| {
             self.stripes[idx].insert_batch(&grouped[starts[idx]..starts[idx + 1]])
         });
         let mut total = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
-        for result in results.into_iter().flatten() {
+        for result in results {
             let out = result?;
             total.latency = total.latency.max(out.latency);
             total.flushed_ops += out.flushed_ops;
@@ -403,59 +405,40 @@ impl<D: Device> StripedClam<D> {
         Ok(total)
     }
 
-    /// Runs `job(stripe)` for every stripe that has work in a batch
-    /// partitioned as `starts` describes (stripe `i` owns
-    /// `starts[i + 1] - starts[i]` operations), and returns one result
-    /// slot per stripe (`None` for stripes without work). The shared
-    /// fan-out engine behind [`insert_batch`](Self::insert_batch) and
-    /// [`lookup_batch`](Self::lookup_batch).
-    ///
-    /// The stripes run one after another on the caller's thread unless the
-    /// batch is large enough that every further worker would carry `floor`
-    /// operations, enough to pay for its spawn ([`fan_out`]); then they
-    /// are dealt out over that many workers — never more than cores or
-    /// busy stripes — of which the caller's thread is the first.
-    fn dispatch_stripes<R, F>(
+    /// Runs `job(stripe)` for every stripe in `busy` (ascending) and
+    /// returns the results in that order: one after another on the
+    /// caller's thread unless a batch of `ops` inserts is large enough that
+    /// every further worker would carry enough of them to pay for its spawn
+    /// ([`fan_out`]); then the stripes are dealt out over that many
+    /// workers, of which the caller's thread is the first.
+    fn dispatch_stripes<F>(
         &self,
-        starts: &[usize],
-        floor: usize,
+        busy: &[usize],
+        ops: usize,
         job: F,
-    ) -> Vec<Option<Result<R>>>
+    ) -> Vec<Result<BatchInsertOutcome>>
     where
-        R: Send,
-        F: Fn(usize) -> Result<R> + Sync,
+        F: Fn(usize) -> Result<BatchInsertOutcome> + Sync,
     {
-        let mut results: Vec<Option<Result<R>>> = Vec::new();
-        results.resize_with(self.stripes.len(), || None);
-        let busy = |idx: &usize| starts[idx + 1] > starts[*idx];
-        let workers = fan_out(starts[self.stripes.len()], floor, self.stripes.len());
+        let workers = fan_out(ops, self.stripes.len());
         if workers <= 1 {
-            for idx in (0..self.stripes.len()).filter(busy) {
-                results[idx] = Some(job(idx));
-            }
-            return results;
+            return busy.iter().map(|&idx| job(idx)).collect();
         }
-        let busy: Vec<usize> = (0..self.stripes.len()).filter(busy).collect();
         let mut shares = busy.chunks(busy.len().div_ceil(workers).max(1));
         let mine = shares.next().unwrap_or_default();
         std::thread::scope(|scope| {
             let job = &job;
             let handles: Vec<_> = shares
                 .map(|share| {
-                    scope
-                        .spawn(move || share.iter().map(|&idx| (idx, job(idx))).collect::<Vec<_>>())
+                    scope.spawn(move || share.iter().map(|&idx| job(idx)).collect::<Vec<_>>())
                 })
                 .collect();
-            for &idx in mine {
-                results[idx] = Some(job(idx));
-            }
+            let mut results: Vec<_> = mine.iter().map(|&idx| job(idx)).collect();
             for handle in handles {
-                for (idx, outcome) in handle.join().expect("stripe worker panicked") {
-                    results[idx] = Some(outcome);
-                }
+                results.extend(handle.join().expect("stripe worker panicked"));
             }
-        });
-        results
+            results
+        })
     }
 
     /// Groups `ops` by owning stripe, preserving input order within each
@@ -491,12 +474,10 @@ impl<D: Device> StripedClam<D> {
     }
 
     /// Looks up a batch of keys, partitioned by stripe, with one lock
-    /// acquisition per stripe-batch and the stripe sub-batches accounted
-    /// as concurrent and dispatched like
-    /// [`insert_batch`](Self::insert_batch)'s (independent devices; host
-    /// threads only when each spawned worker carries at least 512 keys,
-    /// the measured floor for lookups that probe flash). Each stripe
-    /// resolves its sub-batch through the queued probe pipeline
+    /// acquisition per stripe-batch. The stripes run one after another on
+    /// the caller's thread, as [`flush_all`](Self::flush_all)'s do, and are
+    /// accounted as concurrent (independent devices). Each stripe resolves
+    /// its sub-batch through the queued probe pipeline
     /// ([`Clam::lookup_batch`]), so the reported batch latency is the
     /// **maximum over stripes** of each stripe's ring-makespan time —
     /// stripes overlap on their own devices *and* each stripe's probes
@@ -510,14 +491,14 @@ impl<D: Device> StripedClam<D> {
         let (positions, starts) =
             group_stable(&positions, self.stripes.len(), |&pos| self.stripe_index(keys[pos]));
         let grouped: Vec<Key> = positions.iter().map(|&pos| keys[pos]).collect();
-        let results = self.dispatch_stripes(&starts, SPAWN_FLOOR_KEYS, |idx| {
-            self.stripes[idx].lookup_batch(&grouped[starts[idx]..starts[idx + 1]])
-        });
         let mut out: Vec<Option<LookupOutcome>> = vec![None; keys.len()];
         let mut total = BatchLookupOutcome::default();
-        for (idx, result) in results.into_iter().enumerate() {
-            let Some(result) = result else { continue };
-            let stripe_batch = result?;
+        for (idx, stripe) in self.stripes.iter().enumerate() {
+            let share = &grouped[starts[idx]..starts[idx + 1]];
+            if share.is_empty() {
+                continue;
+            }
+            let stripe_batch = stripe.lookup_batch(share)?;
             total.latency = total.latency.max(stripe_batch.latency);
             total.probe_latency = total.probe_latency.max(stripe_batch.probe_latency);
             total.waves = total.waves.max(stripe_batch.waves);
@@ -583,6 +564,7 @@ impl<D: Device> StripedClam<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clam::SPAWN_FLOOR_OPS;
     use crate::config::ClamConfig;
     use flashsim::Ssd;
     use std::thread;
@@ -901,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_dispatch_matches_per_stripe_lookups_on_both_sides_of_the_floor() {
+    fn lookup_batch_matches_per_stripe_lookups() {
         // Twin stores with identical contents, most of it on flash.
         let stripes = || vec![tiny_clam(), tiny_clam(), tiny_clam()];
         let (dispatched, by_hand) = (StripedClam::new(stripes()), StripedClam::new(stripes()));
@@ -910,10 +892,9 @@ mod tests {
             dispatched.insert_batch(chunk).unwrap();
             by_hand.insert_batch(chunk).unwrap();
         }
-        let floor = SPAWN_FLOOR_KEYS;
         let mut next = 0u64;
         let mut flash_reads = 0;
-        for size in [1, 2, 64, 2 * floor - 1, 2 * floor, 8 * floor] {
+        for size in [1, 2, 64, 1023, 1024, 4096] {
             // Live keys, evicted keys and keys never inserted.
             let keys: Vec<u64> = (next..next + size as u64).map(|i| key(i * 7 % 60_000)).collect();
             next += size as u64;

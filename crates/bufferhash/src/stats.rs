@@ -243,15 +243,6 @@ impl ClamStats {
         self.recovered_incarnations += other.recovered_incarnations;
         self.recovery_torn_slots += other.recovery_torn_slots;
     }
-
-    /// Fraction of queued lookup probes that overlapped another probe of
-    /// their call on the device queue.
-    pub fn probe_overlap_fraction(&self) -> f64 {
-        if self.lookup_probe_requests == 0 {
-            return 0.0;
-        }
-        self.lookup_probes_overlapped as f64 / self.lookup_probe_requests as f64
-    }
 }
 
 impl fmt::Display for ClamStats {
@@ -421,7 +412,6 @@ mod tests {
         assert_eq!(a.lookup_probe_waves, 3);
         assert_eq!(a.lookup_probe_requests, 15);
         assert_eq!(a.lookup_probes_overlapped, 5);
-        assert!((a.probe_overlap_fraction() - 5.0 / 15.0).abs() < 1e-9);
     }
 
     #[test]
@@ -454,7 +444,6 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in {text:?}");
         }
-        assert_eq!(ClamStats::new().probe_overlap_fraction(), 0.0);
     }
 
     #[test]

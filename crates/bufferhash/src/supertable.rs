@@ -120,11 +120,6 @@ impl SuperTable {
         self.buffer.len()
     }
 
-    /// Returns `true` when the buffer has reached its admission capacity.
-    pub fn buffer_full(&self) -> bool {
-        self.buffer.is_full()
-    }
-
     /// Metadata of the incarnation at `age` (0 = youngest).
     pub fn incarnation_at(&self, age: usize) -> Option<IncarnationMeta> {
         self.incarnations.get(age).copied()
@@ -182,11 +177,6 @@ impl SuperTable {
             self.delete_list.insert(key);
             false
         }
-    }
-
-    /// Returns `true` if `key` is in the delete list.
-    pub fn is_deleted(&self, key: Key) -> bool {
-        self.delete_list.contains(&key)
     }
 
     /// Number of keys in the delete list.
@@ -357,11 +347,11 @@ mod tests {
         // Deleting an unbuffered key goes to the delete list and shadows
         // flash lookups.
         assert!(!t.delete(2));
-        assert!(t.is_deleted(2));
+        assert!(t.delete_list.contains(&2));
         assert_eq!(t.memory_lookup(2), Some(MemoryHit::Deleted));
         // Re-inserting revives the key.
         t.buffer_insert(2, 20);
-        assert!(!t.is_deleted(2));
+        assert!(!t.delete_list.contains(&2));
         assert_eq!(t.memory_lookup(2), Some(MemoryHit::Buffer(20)));
     }
 
@@ -372,7 +362,7 @@ mod tests {
         t.buffer_insert(7, 70);
         assert!(t.delete(7));
         // The flash copy must remain shadowed.
-        assert!(t.is_deleted(7));
+        assert!(t.delete_list.contains(&7));
         assert_eq!(t.memory_lookup(7), Some(MemoryHit::Deleted));
     }
 
@@ -477,7 +467,7 @@ mod tests {
         t.prune_delete_list();
         // 42 still matches the live incarnation's filter; 43 matches nothing
         // (up to Bloom false positives, absent at this filter size).
-        assert!(t.is_deleted(42));
+        assert!(t.delete_list.contains(&42));
         assert!(t.delete_list_len() <= 2);
         t.drop_oldest_incarnation();
         t.prune_delete_list();

@@ -42,18 +42,6 @@ impl LinearCost {
         let variable = (self.per_byte_ns * bytes as f64).round() as u64;
         SimDuration::from_nanos(self.fixed_ns.saturating_add(variable))
     }
-
-    /// Cost of an operation touching `bytes` bytes, paying the fixed cost
-    /// only once for `ops` back-to-back operations (models command batching,
-    /// design principle P3 in the paper).
-    pub fn batched_cost(&self, bytes: usize, ops: usize) -> SimDuration {
-        if ops == 0 {
-            return SimDuration::ZERO;
-        }
-        let variable = (self.per_byte_ns * bytes as f64).round() as u64;
-        SimDuration::from_nanos(self.fixed_ns.saturating_add(variable))
-            .max(SimDuration::from_nanos(self.fixed_ns))
-    }
 }
 
 impl Default for LinearCost {
@@ -96,16 +84,12 @@ mod tests {
 
     #[test]
     fn batched_cost_pays_fixed_once() {
+        // Eight requests coalesced into one command (design principle P3)
+        // pay the fixed cost once.
         let c = LinearCost::new(10_000, 1.0);
         let unbatched: SimDuration = (0..8).map(|_| c.cost(2048)).sum();
-        let batched = c.batched_cost(8 * 2048, 8);
+        let batched = c.cost(8 * 2048);
         assert!(batched < unbatched);
         assert_eq!(batched, SimDuration::from_nanos(10_000 + 8 * 2048));
-    }
-
-    #[test]
-    fn batched_cost_of_zero_ops_is_zero() {
-        let c = LinearCost::new(10_000, 1.0);
-        assert_eq!(c.batched_cost(0, 0), SimDuration::ZERO);
     }
 }

@@ -59,11 +59,6 @@ impl Geometry {
         offset / self.page_size as u64
     }
 
-    /// Erase-block index containing byte `offset`.
-    pub fn block_of(&self, offset: u64) -> u64 {
-        offset / self.block_size as u64
-    }
-
     /// Byte offset of the start of `page`.
     pub fn page_offset(&self, page: u64) -> u64 {
         page * self.page_size as u64
@@ -132,7 +127,6 @@ mod tests {
         assert_eq!(g.page_of(0), 0);
         assert_eq!(g.page_of(2047), 0);
         assert_eq!(g.page_of(2048), 1);
-        assert_eq!(g.block_of(128 * 1024), 1);
         assert_eq!(g.page_offset(3), 6144);
         assert_eq!(g.block_offset(2), 256 * 1024);
     }

@@ -85,55 +85,25 @@ pub use stats::{IoStats, LatencyRecorder};
 pub use store::SparseStore;
 pub use time::{SimClock, SimDuration};
 
-/// Convenience constructors for the media evaluated in the paper.
-pub mod media {
-    use super::*;
-
-    /// Intel X18-M class SSD of `capacity` bytes.
-    pub fn intel_ssd(capacity: u64) -> Ssd {
-        Ssd::intel(capacity).expect("valid capacity")
-    }
-
-    /// Transcend TS32GSSD25 class SSD of `capacity` bytes.
-    pub fn transcend_ssd(capacity: u64) -> Ssd {
-        Ssd::transcend(capacity).expect("valid capacity")
-    }
-
-    /// Raw NAND flash chip of `capacity` bytes.
-    pub fn flash_chip(capacity: u64) -> FlashChip {
-        FlashChip::new(capacity).expect("valid capacity")
-    }
-
-    /// Hitachi 7K80 class magnetic disk of `capacity` bytes.
-    pub fn disk(capacity: u64) -> MagneticDisk {
-        MagneticDisk::new(capacity).expect("valid capacity")
-    }
-
-    /// DRAM region of `capacity` bytes.
-    pub fn dram(capacity: u64) -> DramDevice {
-        DramDevice::new(capacity).expect("valid capacity")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn media_constructors_produce_expected_kinds() {
-        assert_eq!(media::intel_ssd(1 << 20).profile().kind, MediumKind::Ssd);
-        assert_eq!(media::transcend_ssd(1 << 20).profile().kind, MediumKind::Ssd);
-        assert_eq!(media::flash_chip(1 << 20).profile().kind, MediumKind::FlashChip);
-        assert_eq!(media::disk(1 << 20).profile().kind, MediumKind::Disk);
-        assert_eq!(media::dram(1 << 20).profile().kind, MediumKind::Dram);
+        assert_eq!(Ssd::intel(1 << 20).unwrap().profile().kind, MediumKind::Ssd);
+        assert_eq!(Ssd::transcend(1 << 20).unwrap().profile().kind, MediumKind::Ssd);
+        assert_eq!(FlashChip::new(1 << 20).unwrap().profile().kind, MediumKind::FlashChip);
+        assert_eq!(MagneticDisk::new(1 << 20).unwrap().profile().kind, MediumKind::Disk);
+        assert_eq!(DramDevice::new(1 << 20).unwrap().profile().kind, MediumKind::Dram);
     }
 
     #[test]
     fn relative_speed_ordering_matches_the_paper() {
         // Random 4 KiB reads: DRAM << SSD << disk.
-        let mut dram = media::dram(8 << 20);
-        let mut ssd = media::intel_ssd(8 << 20);
-        let mut disk = media::disk(8 << 20);
+        let mut dram = DramDevice::new(8 << 20).unwrap();
+        let mut ssd = Ssd::intel(8 << 20).unwrap();
+        let mut disk = MagneticDisk::new(8 << 20).unwrap();
         dram.write_at(4 << 20, &[1u8; 4096]).unwrap();
         ssd.write_at(4 << 20, &[1u8; 4096]).unwrap();
         disk.write_at(4 << 20, &[1u8; 4096]).unwrap();

@@ -85,14 +85,6 @@ impl IoStats {
         self.reads + self.writes + self.erases + self.trims
     }
 
-    /// Fraction of submitted requests that overlapped another request.
-    pub fn overlap_fraction(&self) -> f64 {
-        if self.requests_submitted == 0 {
-            return 0.0;
-        }
-        self.requests_overlapped as f64 / self.requests_submitted as f64
-    }
-
     /// Merges counters from another stats block into this one.
     pub fn merge(&mut self, other: &IoStats) {
         self.reads += other.reads;
@@ -405,12 +397,11 @@ mod tests {
         };
         assert_eq!(s.total_ops(), 2);
         assert_eq!(s.busy_time(), SimDuration::from_micros(10));
-        assert!((s.overlap_fraction() - 8.0 / 12.0).abs() < 1e-9);
         let other = IoStats { trims: 1, requests_submitted: 4, ..Default::default() };
         s.merge(&other);
         assert_eq!(s.trims, 3);
         assert_eq!(s.requests_submitted, 16);
-        assert_eq!(IoStats::default().overlap_fraction(), 0.0);
+        assert_eq!(s.requests_overlapped, 8);
     }
 
     #[test]

@@ -57,14 +57,6 @@ impl SimDuration {
         SimDuration((ms * 1e6).round() as u64)
     }
 
-    /// Creates a duration from a floating point number of microseconds.
-    pub fn from_micros_f64(us: f64) -> Self {
-        if !us.is_finite() || us <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration((us * 1e3).round() as u64)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -248,7 +240,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_millis_f64(0.5).as_nanos(), 500_000);
-        assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
     }
 
     #[test]
@@ -263,7 +254,7 @@ mod tests {
     fn negative_or_nan_float_inputs_saturate_to_zero() {
         assert_eq!(SimDuration::from_millis_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_millis_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_micros_f64(f64::NEG_INFINITY), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_millis_f64(f64::NEG_INFINITY), SimDuration::ZERO);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use clam::bufferhash::{
     lookup_in_page, parse_incarnation, table_of, BloomFilter, Clam, ClamConfig, CuckooBuffer,
-    Entry, EvictionPolicy, FilterMode, FlashLayoutMode, IncarnationLayout, LookupOutcome,
-    PageLookup,
+    Entry, EvictionPolicy, FilterMode, FlashLayoutMode, IncarnationIdentity, IncarnationLayout,
+    LookupOutcome, PageLookup,
 };
 use clam::flashsim::{
     CompletionRing, Device, DeviceError, DramDevice, FileDevice, FlashChip, IoRequest,
@@ -141,7 +141,7 @@ proptest! {
         let entries: Vec<Entry> = map.iter().map(|(k, v)| Entry::new(*k, *v)).collect();
         let layout = IncarnationLayout::new(32 * 1024, 2048).unwrap();
         prop_assume!(entries.len() <= layout.max_entries());
-        let image = layout.serialize(&entries).unwrap();
+        let image = layout.serialize_identified(&entries, IncarnationIdentity::default()).unwrap();
         // Full parse returns the same multiset.
         let mut parsed = parse_incarnation(&image, &layout).unwrap();
         let mut expect = entries.clone();
