@@ -33,15 +33,23 @@
 //! returns only once the write ring is reaped. DESIGN.md ("Group-commit
 //! batcher") has the reasoning.
 //!
+//! **Delivery.** A connection's sequencer (`conn`) puts its responses
+//! back in request order and writes them to its socket on the thread that
+//! completes the next one in order, one write per delivery; an in-process
+//! caller ([`Engine::register_conn`]) gets them on a channel instead.
+//!
 //! [`StripedClam::insert_batch`]: bufferhash::StripedClam::insert_batch
 //! [`StripedClam::lookup_batch`]: bufferhash::StripedClam::lookup_batch
 //! [`StripedClam::try_fast_lookup_batch`]: bufferhash::StripedClam::try_fast_lookup_batch
 //! [`Clam::insert_batch`]: bufferhash::Clam::insert_batch
 
+mod conn;
 mod core;
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::io;
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -50,8 +58,10 @@ use std::time::{Duration, Instant};
 use bufferhash::{Key, LookupOutcome, RecoveryReport, StripedClam, Value};
 use flashsim::Device;
 
+pub(crate) use self::conn::STALL_LIMIT;
+use self::conn::{ConnEntry, Sink};
 use self::core::{DeletePart, InsertPart, LookupPart, Poll, Segment, ShardCore, Step, Submission};
-use crate::proto::{ErrorCode, Op, Request, RespBody, Response};
+use crate::proto::{ErrorCode, Op, Request, RespBody, Response, WireError};
 use crate::stats::ServerStats;
 
 /// Tuning knobs for the group-commit batcher.
@@ -73,60 +83,6 @@ impl Default for BatcherConfig {
     }
 }
 
-/// Per-connection response sequencer state.
-#[derive(Default)]
-struct ConnSeq {
-    /// The connection's writer; `None` once the connection is
-    /// unregistered, after which completions are dropped.
-    tx: Option<mpsc::Sender<Response>>,
-    /// Next sequence number to hand out at submit time.
-    next_submit: u64,
-    /// Next sequence number the writer may be sent.
-    next_deliver: u64,
-    /// Completions that arrived ahead of their turn.
-    parked: BTreeMap<u64, Response>,
-}
-
-impl ConnSeq {
-    /// Delivers `response` as completion `seq`: sent immediately if it is
-    /// the connection's next expected response, together with whatever
-    /// parked behind it; parked until its turn otherwise.
-    fn deliver(&mut self, seq: u64, response: Response) {
-        let Some(tx) = &self.tx else { return };
-        if seq != self.next_deliver {
-            self.parked.insert(seq, response);
-            return;
-        }
-        // A disconnected writer just means the connection died first.
-        let _ = tx.send(response);
-        self.next_deliver += 1;
-        while let Some(next) = self.parked.remove(&self.next_deliver) {
-            let _ = tx.send(next);
-            self.next_deliver += 1;
-        }
-    }
-}
-
-/// One registered connection. Requests in flight hold it directly, so
-/// nothing on the request path looks a connection up by id.
-struct ConnEntry {
-    seq: Mutex<ConnSeq>,
-}
-
-impl ConnEntry {
-    fn lock(&self) -> MutexGuard<'_, ConnSeq> {
-        self.seq.lock().expect("conn seq lock")
-    }
-
-    /// Disconnects the writer and drops whatever was parked for it;
-    /// requests still in flight complete into nothing.
-    fn close(&self) {
-        let mut seq = self.lock();
-        seq.tx = None;
-        seq.parked.clear();
-    }
-}
-
 /// Where one response goes: the connection as resolved when its chunk
 /// was submitted (`None`: not registered then, the response is dropped),
 /// its place in that connection's delivery order, and the request id to
@@ -137,17 +93,10 @@ struct Ticket {
     id: u64,
 }
 
-impl Ticket {
-    fn complete(&self, body: RespBody) {
-        if let Some(conn) = &self.conn {
-            conn.lock().deliver(self.seq, Response { id: self.id, body });
-        }
-    }
-}
-
-/// Delivers a segment's responses, taking each connection's sequencer
-/// lock once for all of that connection's responses, in sequence order
-/// so that none parks behind another of the same segment (or bypass).
+/// Delivers responses — a segment's, a bypass run's or one — taking each
+/// connection's sequencer lock once for all of that connection's
+/// responses, in sequence order so that none parks behind another of the
+/// same call, and writing them to its socket in one write.
 fn deliver<T: Borrow<Ticket>>(mut outbox: Vec<(T, RespBody)>) {
     let conn_of = |ticket: &Ticket| ticket.conn.as_ref().map(Arc::as_ptr);
     outbox.sort_unstable_by_key(|(ticket, _)| (conn_of(ticket.borrow()), ticket.borrow().seq));
@@ -163,6 +112,7 @@ fn deliver<T: Borrow<Ticket>>(mut outbox: Vec<(T, RespBody)>) {
             let next = next.borrow();
             seq.deliver(next.seq, Response { id: next.id, body });
         }
+        seq.flush();
     }
 }
 
@@ -286,7 +236,7 @@ fn stage(
             }
             Op::Stats => staged[0].push(Submission::Stats(ticket)),
             Op::InsertBatch(pairs) if pairs.is_empty() => {
-                ticket.complete(RespBody::InsertedBatch { count: 0 });
+                deliver(vec![(ticket, RespBody::InsertedBatch { count: 0 })]);
             }
             Op::InsertBatch(pairs) => {
                 let count = pairs.len() as u32;
@@ -304,7 +254,7 @@ fn stage(
                 }
             }
             Op::LookupBatch(keys) if keys.is_empty() => {
-                ticket.complete(RespBody::Values(Vec::new()));
+                deliver(vec![(ticket, RespBody::Values(Vec::new()))]);
             }
             Op::LookupBatch(keys) => {
                 let mut groups: Vec<(Vec<Key>, Vec<usize>)> =
@@ -534,36 +484,49 @@ impl<D: Device + 'static> Engine<D> {
         self.shared.shards.len()
     }
 
-    /// Registers a connection and returns the receiver its writer thread
-    /// drains. Responses for requests submitted under `conn` arrive on it
-    /// in per-connection request order, whichever shard finishes first.
+    /// Registers an in-process connection and returns the receiver its
+    /// responses arrive on, in per-connection request order, whichever
+    /// shard finishes first.
     pub fn register_conn(&self, conn: u64) -> mpsc::Receiver<Response> {
         let (tx, rx) = mpsc::channel();
-        let seq = Mutex::new(ConnSeq { tx: Some(tx), ..ConnSeq::default() });
-        self.shared.conns().insert(conn, Arc::new(ConnEntry { seq }));
-        self.shared.ledger().connections_opened += 1;
+        self.register(conn, Sink::Channel(tx));
         rx
     }
 
-    /// Unregisters a connection: its writer's receiver disconnects once
-    /// it has drained what was already delivered, and the responses of
-    /// requests still in flight are dropped when they complete.
+    /// Registers a served connection: the thread that completes its next
+    /// response in order writes it to `stream`, and a delivery that cannot
+    /// finish within [`STALL_LIMIT`] closes the connection.
+    pub(crate) fn register_socket(&self, conn: u64, stream: TcpStream) -> io::Result<()> {
+        stream.set_write_timeout(Some(STALL_LIMIT))?;
+        self.register(conn, Sink::Socket { stream, out: Vec::new() });
+        Ok(())
+    }
+
+    fn register(&self, conn: u64, sink: Sink) {
+        self.shared.conns().insert(conn, ConnEntry::new(sink));
+        self.shared.ledger().connections_opened += 1;
+    }
+
+    /// Unregisters a connection and closes it — a socket is shut down,
+    /// a channel disconnects once its receiver has drained what was
+    /// already delivered — and the responses of requests still in flight
+    /// are dropped when they complete.
     pub fn unregister_conn(&self, conn: u64) {
         let entry = self.shared.conns().remove(&conn);
         if let Some(entry) = entry {
-            entry.close();
-            self.shared.ledger().connections_closed += 1;
+            let stalled = entry.close();
+            let mut ledger = self.shared.ledger();
+            ledger.connections_closed += 1;
+            ledger.connections_stalled += u64::from(stalled);
         }
     }
 
-    /// Unregisters every connection (server teardown): their writers'
-    /// receivers disconnect once buffered responses are drained.
+    /// Unregisters every connection (server teardown).
     pub fn unregister_all(&self) {
-        let conns = std::mem::take(&mut *self.shared.conns());
-        for entry in conns.values() {
-            entry.close();
+        let conns: Vec<u64> = self.shared.conns().keys().copied().collect();
+        for conn in conns {
+            self.unregister_conn(conn);
         }
-        self.shared.ledger().connections_closed += conns.len() as u64;
     }
 
     /// Routes one decoded request to its shard(s) for group commit — or
@@ -604,20 +567,17 @@ impl<D: Device + 'static> Engine<D> {
         }
     }
 
-    /// Sends a response directly to a connection's writer, bypassing the
-    /// queues and the sequencer (used for protocol-error frames before
-    /// closing).
-    pub fn respond(&self, conn: u64, response: Response) {
-        let entry = self.shared.conns().get(&conn).cloned();
-        if let Some(tx) = entry.as_ref().and_then(|entry| entry.lock().tx.clone()) {
-            // A disconnected writer just means the connection died first.
-            let _ = tx.send(response);
-        }
-    }
-
-    /// Counts one protocol violation.
-    pub fn record_wire_error(&self) {
+    /// Answers a protocol violation on `conn`: counts it, and sends the
+    /// ERROR frame for `wire`, under request id `id`, as the connection's
+    /// next response, after the responses of the frames ahead of the
+    /// violation. Once it has gone out the connection closes.
+    pub fn reject(&self, conn: u64, id: u64, wire: &WireError) {
         self.shared.ledger().wire_errors += 1;
+        let entry = self.shared.conns().get(&conn).cloned();
+        if let Some(entry) = entry {
+            let body = RespBody::Error { code: wire.code(), message: wire.to_string() };
+            entry.lock().finish(Response { id, body });
+        }
     }
 
     /// Snapshot of the server ledger: the process-wide counters with
@@ -741,7 +701,7 @@ impl<D: Device + 'static> Shared<D> {
                     if matches!(body, RespBody::Flushed) {
                         self.ledger().flushes += 1;
                     }
-                    assembly.ticket.complete(body);
+                    deliver(vec![(&assembly.ticket, body)]);
                 }
             }
             Step::Stats(ticket) => {
@@ -753,7 +713,7 @@ impl<D: Device + 'static> Shared<D> {
                 for (i, report) in self.recovery.iter().enumerate() {
                     text.push_str(&format!("\nstripe {i} recovery: {report}"));
                 }
-                ticket.complete(RespBody::Stats { fields, text });
+                deliver(vec![(ticket, RespBody::Stats { fields, text })]);
             }
         }
     }

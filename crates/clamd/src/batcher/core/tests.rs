@@ -5,11 +5,11 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use super::super::tests::{answer, del, ins, look};
-use super::super::{deliver, run_segment, stage, ConnEntry, ConnSeq, SegmentStore};
+use super::super::{deliver, run_segment, stage, ConnEntry, SegmentStore, Sink};
 use super::*;
 use crate::proto::{Op, Request, RespBody, Response};
 
@@ -230,8 +230,7 @@ impl SegmentStore for MapStore {
 
 fn connection() -> (Arc<ConnEntry>, mpsc::Receiver<Response>) {
     let (tx, rx) = mpsc::channel();
-    let seq = Mutex::new(ConnSeq { tx: Some(tx), ..ConnSeq::default() });
-    (Arc::new(ConnEntry { seq }), rx)
+    (ConnEntry::new(Sink::Channel(tx)), rx)
 }
 
 fn value_body(value: Option<Value>) -> RespBody {
@@ -398,7 +397,7 @@ impl World {
             Step::Flush(assembly) => {
                 self.cores[shard].done(retired, &ServerStats::new());
                 if let Some(body) = assembly.land(std::iter::empty(), None) {
-                    assembly.ticket.complete(body);
+                    deliver(vec![(&assembly.ticket, body)]);
                 }
             }
             Step::Stats(_) => unreachable!("scripts send no STATS"),

@@ -12,24 +12,14 @@
 //!       [--linger-us 100] [--max-batch 512]
 //! ```
 
+mod cli;
+
 use std::time::Duration;
 
 use clamd::batcher::BatcherConfig;
-use clamd::server::{boot_file, ClamdServer, ServerConfig};
+use clamd::server::{ClamdServer, ServerConfig};
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    match flag_value(args, name) {
-        Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("clamd: invalid value {raw:?} for {name}");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
-}
+use cli::{flag_value, parse};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,20 +56,11 @@ fn main() {
     match flag_value(&args, "--flash-file") {
         Some(path) => {
             let path = std::path::PathBuf::from(path);
-            let existed = path.exists();
-            let queue_depth = parse(&args, "--queue-depth", flashsim::DEFAULT_FILE_QUEUE_DEPTH);
-            let (store, reports) = boot_file(&path, &config, queue_depth).unwrap_or_else(|e| {
-                eprintln!("clamd: cannot boot from {}: {e}", path.display());
-                std::process::exit(1);
-            });
-            if existed {
-                println!("clamd: recovered {} stripes from {}", reports.len(), path.display());
-                for (i, report) in reports.iter().enumerate() {
-                    println!("  stripe {i}: {report}");
-                }
-            } else {
-                println!("clamd: created fresh store at {}", path.display());
-            }
+            let (store, reports) = cli::boot_flash_file(&args, &path, &config, "clamd: ")
+                .unwrap_or_else(|e| {
+                    eprintln!("clamd: cannot boot from {}: {e}", path.display());
+                    std::process::exit(1);
+                });
             serve(ClamdServer::start(store, reports, config));
         }
         None => serve(ClamdServer::start_sim(config)),

@@ -1,0 +1,48 @@
+//! What the `clamd` and `clamd-loadgen` binaries share: flag parsing,
+//! and booting the file-backed store `--flash-file` names.
+
+use std::path::Path;
+
+use bufferhash::{RecoveryReport, StripedClam};
+use clamd::server::{boot_file, BootError, ServerConfig};
+use flashsim::{FileDevice, SharedDevice};
+
+/// The word after flag `name`, if it was given.
+pub fn flag_value(args: &[String], name: &str) -> Option<String> {
+    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+}
+
+/// Flag `name` parsed, or `default` without it; a value that does not
+/// parse exits with status 2.
+pub fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    match flag_value(args, name) {
+        Some(raw) => raw.parse().unwrap_or_else(|_| {
+            eprintln!("{}: invalid value {raw:?} for {name}", env!("CARGO_BIN_NAME"));
+            std::process::exit(2);
+        }),
+        None => default,
+    }
+}
+
+/// Boots the store at `path` with `--queue-depth` ([`boot_file`]: an
+/// existing image is recovered in place) and prints, after `prefix`,
+/// each stripe's recovery report or that the store is fresh.
+pub fn boot_flash_file(
+    args: &[String],
+    path: &Path,
+    config: &ServerConfig,
+    prefix: &str,
+) -> Result<(StripedClam<SharedDevice<FileDevice>>, Vec<RecoveryReport>), BootError> {
+    let queue_depth = parse(args, "--queue-depth", flashsim::DEFAULT_FILE_QUEUE_DEPTH);
+    let (store, reports) = boot_file(path, config, queue_depth)?;
+    // A recovered image has one report per stripe, a fresh one none.
+    if reports.is_empty() {
+        println!("{prefix}created fresh store at {}", path.display());
+    } else {
+        println!("{prefix}recovered {} stripes from {}", reports.len(), path.display());
+        for (i, report) in reports.iter().enumerate() {
+            println!("  stripe {i}: {report}");
+        }
+    }
+    Ok((store, reports))
+}

@@ -34,6 +34,8 @@
 //!               [--multiples 0.5,0.9,1.5] [--seed N] [--smoke]
 //! ```
 
+mod cli;
+
 use std::net::SocketAddr;
 
 use bench::{ms, print_cdf, print_header, print_row, TailSummary};
@@ -41,47 +43,11 @@ use clamd::batcher::BatcherConfig;
 use clamd::client::ClamdClient;
 use clamd::loadgen::{self, key_for, value_for, LoadgenConfig};
 use clamd::proto::{Op, RespBody};
-use clamd::server::{
-    boot_file, ephemeral_sim_server_sharded, BootError, ClamdServer, ServerConfig,
-};
+use clamd::server::{ephemeral_sim_server_sharded, BootError, ClamdServer, ServerConfig};
 use clamd::stats::ServerStats;
-use flashsim::{FileDevice, LatencyRecorder, SharedDevice, SimDuration, Ssd};
+use flashsim::{Device, LatencyRecorder, SimDuration};
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    match flag_value(args, name) {
-        Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("clamd-loadgen: invalid value {raw:?} for {name}");
-            std::process::exit(2);
-        }),
-        None => default,
-    }
-}
-
-/// An in-process server of either backing, kept alive for the run.
-enum SpawnedServer {
-    Sim(ClamdServer<SharedDevice<Ssd>>),
-    File(ClamdServer<SharedDevice<FileDevice>>),
-}
-
-impl SpawnedServer {
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            SpawnedServer::Sim(s) => s.local_addr(),
-            SpawnedServer::File(s) => s.local_addr(),
-        }
-    }
-
-    fn num_shards(&self) -> usize {
-        match self {
-            SpawnedServer::Sim(s) => s.num_shards(),
-            SpawnedServer::File(s) => s.num_shards(),
-        }
-    }
-}
+use cli::{flag_value, parse};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -122,49 +88,46 @@ fn sweep_main(args: &[String]) -> Result<(), BootError> {
     // Either aim at a running server (multi-process client mode) or
     // spawn one in-process — sim-backed by default, file-backed (with
     // in-place recovery of an existing image) under --flash-file.
-    let connect = flag_value(args, "--connect").or_else(|| flag_value(args, "--addr"));
-    let (addr, server): (SocketAddr, Option<SpawnedServer>) = match connect {
-        Some(addr) => (addr.parse()?, None),
-        None => {
-            let stripes = parse(args, "--stripes", 4);
-            let server_config = ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                stripes,
-                flash_bytes: parse(args, "--flash-bytes", 64u64 << 20),
-                dram_bytes: parse(args, "--dram-bytes", 8u64 << 20),
-                batcher: BatcherConfig {
-                    shards: parse(args, "--shards", stripes),
-                    ..BatcherConfig::default()
-                },
-            };
-            let server = match flag_value(args, "--flash-file") {
-                Some(path) => {
-                    let path = std::path::PathBuf::from(path);
-                    let existed = path.exists();
-                    let queue_depth =
-                        parse(args, "--queue-depth", flashsim::DEFAULT_FILE_QUEUE_DEPTH);
-                    let (store, reports) = boot_file(&path, &server_config, queue_depth)?;
-                    if existed {
-                        println!("recovered {} stripes from {}", reports.len(), path.display());
-                        for (i, report) in reports.iter().enumerate() {
-                            println!("  stripe {i}: {report}");
-                        }
-                    } else {
-                        println!("created fresh store at {}", path.display());
-                    }
-                    SpawnedServer::File(ClamdServer::start(store, reports, server_config)?)
-                }
-                None => SpawnedServer::Sim(ClamdServer::start_sim(server_config)?),
-            };
-            println!(
-                "spawned in-process clamd on {} ({} batcher shards)",
-                server.local_addr(),
-                server.num_shards()
-            );
-            (server.local_addr(), Some(server))
-        }
+    if let Some(addr) = flag_value(args, "--connect").or_else(|| flag_value(args, "--addr")) {
+        return sweep(addr.parse()?, &config, &multiples);
+    }
+    let stripes = parse(args, "--stripes", 4);
+    let server_config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        stripes,
+        flash_bytes: parse(args, "--flash-bytes", 64u64 << 20),
+        dram_bytes: parse(args, "--dram-bytes", 8u64 << 20),
+        batcher: BatcherConfig {
+            shards: parse(args, "--shards", stripes),
+            ..BatcherConfig::default()
+        },
     };
+    match flag_value(args, "--flash-file") {
+        Some(path) => {
+            let path = std::path::PathBuf::from(path);
+            let (store, reports) = cli::boot_flash_file(args, &path, &server_config, "")?;
+            let server = ClamdServer::start(store, reports, server_config)?;
+            sweep_spawned(&server, &config, &multiples)
+        }
+        None => sweep_spawned(&ClamdServer::start_sim(server_config)?, &config, &multiples),
+    }
+}
 
+/// Runs the sweep against an in-process server.
+fn sweep_spawned<D: Device + 'static>(
+    server: &ClamdServer<D>,
+    config: &LoadgenConfig,
+    multiples: &[f64],
+) -> Result<(), BootError> {
+    println!(
+        "spawned in-process clamd on {} ({} batcher shards)",
+        server.local_addr(),
+        server.num_shards()
+    );
+    sweep(server.local_addr(), config, multiples)
+}
+
+fn sweep(addr: SocketAddr, config: &LoadgenConfig, multiples: &[f64]) -> Result<(), BootError> {
     println!(
         "preloading {} keys ({} connections, zipf s={}, {:.0}% lookups / {:.0}% hits)…",
         config.key_space,
@@ -176,7 +139,7 @@ fn sweep_main(args: &[String]) -> Result<(), BootError> {
     let preloaded = loadgen::preload(addr, config.key_space)?;
     assert_eq!(preloaded, config.key_space, "every preload insert must be acknowledged");
 
-    let (flood, levels) = loadgen::sweep(addr, &config, &multiples)?;
+    let (flood, levels) = loadgen::sweep(addr, config, multiples)?;
     println!(
         "\ncalibration (closed-loop flood): {:.0} ops/s sustained over {} ops\n",
         flood.achieved, flood.completed
@@ -239,7 +202,6 @@ fn sweep_main(args: &[String]) -> Result<(), BootError> {
          mean group-commit gather grows with load, coalescing more requests per ring\n\
          admission exactly when admissions are the scarce resource."
     );
-    drop(server);
     Ok(())
 }
 

@@ -11,8 +11,9 @@
 //!   connections gather into per-stripe-shard [`StripedClam`] ring
 //!   admissions, acknowledged once their completion ring is reaped; each
 //!   shard's decisions are made by a core that takes no lock or clock;
-//! * [`server`] — the TCP front: per-connection reader/writer threads
-//!   feeding the shared batcher queue, plus boot paths for a fresh
+//! * [`server`] — the TCP front: one reader thread per connection
+//!   feeding the shared batcher queue, its responses written by the
+//!   thread that completes them, plus boot paths for a fresh
 //!   simulated SSD ([`boot_sim`]) and a file-backed image that is
 //!   **recovered in place** with per-stripe [`RecoveryReport`]s
 //!   ([`boot_file`]);

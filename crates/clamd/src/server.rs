@@ -1,40 +1,44 @@
 //! The `clamd` TCP server: connection handling over the group-commit
 //! [`Engine`].
 //!
-//! Each accepted connection gets a **reader** thread (decode frames,
-//! submit to the batcher) and a **writer** thread (drain that
-//! connection's response channel, encode, flush). Requests from all
-//! connections funnel into the batcher's per-stripe shard queues
-//! ([`BatcherConfig::shards`]), so concurrent arrivals — whether
-//! pipelined on one connection or spread across many — coalesce into
-//! per-shard group-commit gathers that commit independent stripes
-//! concurrently. `shards: 1` ([`BatcherConfig::default`]) is the
-//! single-gather baseline; the `clamd` binary defaults to one shard per
-//! stripe.
+//! Each accepted connection gets one thread, its **reader**: it blocks in
+//! `read`, decodes frames and submits every frame one read returned in
+//! one hand-off. Its responses are written by the thread that completes
+//! the next one in order — a shard's gather thread, or the reader for its
+//! own bypass run. Requests from all connections funnel into the
+//! batcher's per-stripe shard queues ([`BatcherConfig::shards`]), so
+//! concurrent arrivals — whether pipelined on one connection or spread
+//! across many — coalesce into per-shard group-commit gathers that commit
+//! independent stripes concurrently. `shards: 1`
+//! ([`BatcherConfig::default`]) is the single-gather baseline; the `clamd`
+//! binary defaults to one shard per stripe.
+//!
+//! Nothing polls: shutting a connection's socket down is what ends its
+//! reader, and [`ClamdServer::shutdown`] wakes the acceptor with one
+//! connection to its own address. A client that stops reading is closed
+//! once a delivery to it misses the stall limit
+//! ([`ServerStats::connections_stalled`]).
 //!
 //! A protocol violation ([`WireError`](crate::proto::WireError)) is
 //! connection-fatal: the server counts it, answers with one structured
-//! `ERROR` frame — echoing the offending request id when the header's
-//! magic and version checked out, id 0 otherwise — and closes that
-//! connection. Other connections are unaffected.
+//! `ERROR` frame after the responses of the frames ahead of it — echoing
+//! the offending request id when the header's magic and version checked
+//! out, id 0 otherwise — and closes that connection. Other connections are
+//! unaffected.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use bufferhash::{Clam, ClamConfig, ClamStats, RecoveryReport, StripedClam};
 use flashsim::{Device, FileDevice, SharedDevice, Ssd};
 
 use crate::batcher::{BatcherConfig, Engine};
-use crate::proto::{self, RespBody, Response};
+use crate::proto;
 use crate::stats::ServerStats;
 
-/// How often blocked reader/accept loops re-check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Read chunk size for connection readers.
 const READ_CHUNK: usize = 64 * 1024;
 
@@ -83,13 +87,7 @@ pub type BootError = Box<dyn std::error::Error + Send + Sync>;
 /// partitioned into `config.stripes` stripes sharing the device's
 /// completion ring.
 pub fn boot_sim(config: &ServerConfig) -> Result<StripedClam<SharedDevice<Ssd>>, BootError> {
-    let device = SharedDevice::new(Ssd::intel(config.flash_bytes)?);
-    let stripe_config = config.stripe_config()?;
-    let mut stripes = Vec::with_capacity(config.stripes);
-    for partition in device.split(config.stripes)? {
-        stripes.push(Clam::new(partition, stripe_config.clone())?);
-    }
-    Ok(StripedClam::new(stripes))
+    boot_fresh(SharedDevice::new(Ssd::intel(config.flash_bytes)?), config)
 }
 
 /// Builds (or recovers) a file-backed store at `path`.
@@ -98,31 +96,37 @@ pub fn boot_sim(config: &ServerConfig) -> Result<StripedClam<SharedDevice<Ssd>>,
 /// into stripes, and every stripe is **recovered** from its flash
 /// contents ([`StripedClam::recover`]); the per-stripe
 /// [`RecoveryReport`]s come back alongside the store. A missing file is
-/// created at `config.flash_bytes` and booted empty.
+/// created at `config.flash_bytes` and booted empty, with no reports.
 pub fn boot_file(
     path: &std::path::Path,
     config: &ServerConfig,
     queue_depth: usize,
 ) -> Result<(StripedClam<SharedDevice<FileDevice>>, Vec<RecoveryReport>), BootError> {
-    let stripe_config = config.stripe_config()?;
-    if path.exists() {
-        let device = SharedDevice::new(FileDevice::open_existing(path, queue_depth)?);
-        let pairs = device
-            .split(config.stripes)?
-            .into_iter()
-            .map(|partition| (partition, stripe_config.clone()))
-            .collect();
-        let (store, reports) = StripedClam::recover(pairs)?;
-        Ok((store, reports))
-    } else {
-        let device =
-            SharedDevice::new(FileDevice::with_queue_depth(path, config.flash_bytes, queue_depth)?);
-        let mut stripes = Vec::with_capacity(config.stripes);
-        for partition in device.split(config.stripes)? {
-            stripes.push(Clam::new(partition, stripe_config.clone())?);
-        }
-        Ok((StripedClam::new(stripes), Vec::new()))
+    if !path.exists() {
+        let file = FileDevice::with_queue_depth(path, config.flash_bytes, queue_depth)?;
+        return Ok((boot_fresh(SharedDevice::new(file), config)?, Vec::new()));
     }
+    let device = SharedDevice::new(FileDevice::open_existing(path, queue_depth)?);
+    let stripe_config = config.stripe_config()?;
+    let pairs = device
+        .split(config.stripes)?
+        .into_iter()
+        .map(|partition| (partition, stripe_config.clone()))
+        .collect();
+    Ok(StripedClam::recover(pairs)?)
+}
+
+/// An empty store over `device`, split into `config.stripes` stripes.
+fn boot_fresh<D: Device>(
+    device: SharedDevice<D>,
+    config: &ServerConfig,
+) -> Result<StripedClam<SharedDevice<D>>, BootError> {
+    let stripe_config = config.stripe_config()?;
+    let stripes = device
+        .split(config.stripes)?
+        .into_iter()
+        .map(|partition| Clam::new(partition, stripe_config.clone()));
+    Ok(StripedClam::new(stripes.collect::<bufferhash::Result<_>>()?))
 }
 
 /// A running `clamd` server.
@@ -152,7 +156,6 @@ impl<D: Device + 'static> ClamdServer<D> {
     ) -> Result<Self, BootError> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let engine = Engine::start(store, recovery, config.batcher.clone());
         let shutdown = Arc::new(AtomicBool::new(false));
         let conn_threads = Arc::new(Mutex::new(Vec::new()));
@@ -163,24 +166,14 @@ impl<D: Device + 'static> ClamdServer<D> {
         let accept_thread = std::thread::Builder::new()
             .name("clamd-accept".to_string())
             .spawn(move || {
-                let next_conn = AtomicU64::new(1);
-                while !accept_shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let conn = next_conn.fetch_add(1, Ordering::SeqCst);
-                            spawn_connection(
-                                stream,
-                                conn,
-                                &accept_engine,
-                                &accept_shutdown,
-                                &accept_conns,
-                            );
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => break,
+                for (conn, stream) in (1..).zip(listener.incoming()) {
+                    // The connection that wakes the acceptor for shutdown
+                    // is not served.
+                    if accept_shutdown.load(Ordering::SeqCst) {
+                        break;
                     }
+                    let Ok(stream) = stream else { break };
+                    spawn_connection(stream, conn, &accept_engine, &accept_conns);
                 }
             })
             .expect("spawn accept thread");
@@ -231,11 +224,15 @@ impl<D: Device + 'static> ClamdServer<D> {
             return;
         }
         if let Some(handle) = self.accept_thread.take() {
+            // The acceptor blocks in `accept`; a connection to its own
+            // address wakes it to see the flag. If it has already exited,
+            // nothing listens and the connect fails harmlessly.
+            drop(TcpStream::connect(self.local_addr));
             handle.join().expect("accept thread panicked");
         }
-        // Drain the batcher first so in-flight requests reach their
-        // connection channels, then drop the senders so writers flush the
-        // buffered responses and exit.
+        // Drain the batcher first so in-flight requests are written to
+        // their sockets, then close every connection, which ends its
+        // reader.
         self.engine.shutdown();
         self.engine.unregister_all();
         let handles = std::mem::take(&mut *self.conn_threads.lock().expect("conn threads lock"));
@@ -251,32 +248,27 @@ impl<D: Device + 'static> Drop for ClamdServer<D> {
     }
 }
 
-/// Spawns the reader/writer thread pair for one accepted connection.
+/// Registers an accepted connection's socket with the engine and spawns
+/// the connection's reader, which unregisters it when its reading ends.
 fn spawn_connection<D: Device + 'static>(
     stream: TcpStream,
     conn: u64,
     engine: &Engine<D>,
-    shutdown: &Arc<AtomicBool>,
-    conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conn_threads: &Mutex<Vec<JoinHandle<()>>>,
 ) {
     let _ = stream.set_nodelay(true);
-    let responses = engine.register_conn(conn);
-    let Ok(write_half) = stream.try_clone() else {
-        engine.unregister_conn(conn);
+    let registered = stream.try_clone().and_then(|sink| engine.register_socket(conn, sink));
+    if registered.is_err() {
         return;
-    };
-
-    let reader_engine = engine.clone();
-    let reader_shutdown = Arc::clone(shutdown);
+    }
+    let engine = engine.clone();
     let reader = std::thread::Builder::new()
-        .name(format!("clamd-read-{conn}"))
-        .spawn(move || read_loop(stream, conn, &reader_engine, &reader_shutdown))
-        .expect("spawn reader thread");
-
-    let writer = std::thread::Builder::new()
-        .name(format!("clamd-write-{conn}"))
-        .spawn(move || write_loop(write_half, &responses))
-        .expect("spawn writer thread");
+        .name(format!("clamd-conn-{conn}"))
+        .spawn(move || {
+            read_loop(stream, conn, &engine);
+            engine.unregister_conn(conn);
+        })
+        .expect("spawn connection thread");
 
     let mut threads = conn_threads.lock().expect("conn threads lock");
     // Join the threads of connections that have closed, so the list holds
@@ -287,32 +279,22 @@ fn spawn_connection<D: Device + 'static>(
         handle.join().expect("connection thread panicked");
     }
     threads.push(reader);
-    threads.push(writer);
 }
 
 /// Decodes frames off one connection and submits them for group commit,
-/// every frame one `read` returned in one hand-off.
-fn read_loop<D: Device + 'static>(
-    mut stream: TcpStream,
-    conn: u64,
-    engine: &Engine<D>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    // A finite read timeout keeps the reader responsive to shutdown even
-    // on an idle connection.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+/// every frame one `read` returned in one hand-off, until the client
+/// leaves or the engine shuts the socket down.
+fn read_loop<D: Device + 'static>(mut stream: TcpStream, conn: u64, engine: &Engine<D>) {
     let mut buf: Vec<u8> = Vec::new();
     let mut start = 0usize;
     let mut chunk = [0u8; READ_CHUNK];
     let mut requests = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
+    loop {
         match stream.read(&mut chunk) {
-            Ok(0) => break,
+            Ok(0) => return,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                continue;
-            }
-            Err(_) => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
         }
         let violation = loop {
             match proto::decode_request(&buf[start..]) {
@@ -327,45 +309,17 @@ fn read_loop<D: Device + 'static>(
         // The frames ahead of a violation were well-formed and still run.
         engine.submit_chunk(conn, requests.drain(..));
         if let Some(wire) = violation {
-            engine.record_wire_error();
-            engine.respond(
-                conn,
-                Response {
-                    id: proto::peek_request_id(&buf[start..]).unwrap_or(0),
-                    body: RespBody::Error { code: wire.code(), message: wire.to_string() },
-                },
-            );
-            break;
+            let id = proto::peek_request_id(&buf[start..]).unwrap_or(0);
+            engine.reject(conn, id, &wire);
+            // The ERROR frame goes out after the responses ahead of it,
+            // and then the socket is shut down, which ends this read.
+            while matches!(stream.read(&mut chunk), Ok(n) if n > 0) {}
+            return;
         }
         // Compact the buffer once the parsed prefix dominates it.
         if start > 0 && start >= buf.len() / 2 {
             buf.drain(..start);
             start = 0;
-        }
-    }
-    // Give the writer a moment to flush any error frame, then detach. On
-    // server-wide shutdown the engine drains first and unregisters
-    // centrally, so this per-connection unregister only fires for
-    // client-initiated closes and protocol errors.
-    if !shutdown.load(Ordering::SeqCst) {
-        engine.unregister_conn(conn);
-    }
-}
-
-/// Drains one connection's response channel onto the socket: every
-/// response ready at once is encoded into one buffer and written with
-/// one `write_all`. Returns when the channel disconnects (connection
-/// unregistered) or the socket dies.
-fn write_loop(mut stream: TcpStream, responses: &mpsc::Receiver<Response>) {
-    let mut buf = Vec::new();
-    while let Ok(response) = responses.recv() {
-        buf.clear();
-        proto::encode_response(&response, &mut buf);
-        while let Ok(next) = responses.try_recv() {
-            proto::encode_response(&next, &mut buf);
-        }
-        if stream.write_all(&buf).is_err() {
-            break;
         }
     }
 }
@@ -399,8 +353,13 @@ pub fn ephemeral_sim_server_sharded(
 
 #[cfg(test)]
 mod tests {
+    use std::io::Write;
+    use std::time::{Duration, Instant};
+
     use super::*;
-    use crate::proto::ErrorCode;
+    use crate::batcher::STALL_LIMIT;
+    use crate::client::ClamdClient;
+    use crate::proto::{ErrorCode, Op, Request, RespBody};
 
     #[test]
     fn server_binds_ephemeral_port_and_shuts_down() {
@@ -452,9 +411,9 @@ mod tests {
         let handles = || server.conn_threads.lock().unwrap().len();
         let running =
             || server.conn_threads.lock().unwrap().iter().filter(|h| !h.is_finished()).count();
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        let deadline = Instant::now() + Duration::from_secs(20);
         let wait = |what: &str| {
-            assert!(std::time::Instant::now() < deadline, "{what}: {} handles", handles());
+            assert!(Instant::now() < deadline, "{what}: {} handles", handles());
             std::thread::sleep(Duration::from_millis(5));
         };
         for _ in 0..200 {
@@ -463,11 +422,103 @@ mod tests {
         while server.stats().connections_closed < 200 || running() > 0 {
             wait("200 closed connections");
         }
-        // The next accept must forget the 200 finished pairs.
+        // The next accept must forget the 200 finished threads.
         let _open = TcpStream::connect(server.local_addr()).unwrap();
-        while running() < 2 {
-            wait("the open connection's reader and writer");
+        while running() < 1 {
+            wait("the open connection's thread");
         }
-        assert_eq!(handles(), 2, "only the open connection's two threads are held");
+        assert_eq!(handles(), 1, "only the open connection's one thread is held");
+    }
+
+    /// A client that sends 64 Ki-key lookup batches and never reads fills
+    /// its socket buffers with their answers; the delivery that finds
+    /// them full is cut at the stall limit and closes the connection,
+    /// while another connection on the same shard keeps being answered.
+    #[test]
+    fn a_client_that_never_reads_is_closed_without_stalling_the_others() {
+        let server = ephemeral_sim_server(1, 16 << 20, 4 << 20).unwrap();
+        let addr = server.local_addr();
+        let batch = proto::MAX_BATCH_OPS as u64;
+        let mut frame = Vec::new();
+        let misses = (0..batch).collect();
+        proto::encode_request(&Request { id: 1, op: Op::LookupBatch(misses) }, &mut frame);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let wait_for = |what: &str, done: &dyn Fn(&ServerStats) -> bool| loop {
+            let stats = server.stats();
+            if done(&stats) {
+                return;
+            }
+            assert!(Instant::now() < deadline, "{what}: {stats}");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let hogging = AtomicBool::new(true);
+        let worst = std::thread::scope(|scope| {
+            // The other connection reads a key it wrote: a hit, so the
+            // misses count only the hog's lookups.
+            let other = scope.spawn(|| {
+                let mut client = ClamdClient::connect(addr).unwrap();
+                client.insert(1 << 40, 7).unwrap();
+                let mut worst = Duration::ZERO;
+                // The deadline ends the loop if the hog's side fails.
+                while hogging.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    let asked = Instant::now();
+                    assert_eq!(client.lookup(1 << 40).unwrap(), Some(7));
+                    worst = worst.max(asked.elapsed());
+                }
+                worst
+            });
+            // One frame at a time, each sent once the last was answered,
+            // so the shard never queues more than one.
+            let mut hog = TcpStream::connect(addr).unwrap();
+            for sent in 1..=128 {
+                if hog.write_all(&frame).is_err() {
+                    break;
+                }
+                wait_for("the hog's frame answered or its connection closed", &|stats| {
+                    stats.lookup_misses >= sent * batch || stats.connections_closed > 0
+                });
+                if server.stats().connections_closed > 0 {
+                    break;
+                }
+            }
+            wait_for("the hog's connection closed", &|stats| stats.connections_closed > 0);
+            hogging.store(false, Ordering::SeqCst);
+            // What was written before the close is still readable; then
+            // the connection ends.
+            let mut sink = [0u8; 64 * 1024];
+            let ended = loop {
+                match hog.read(&mut sink) {
+                    Ok(0) => break true,
+                    Ok(_) => {}
+                    Err(e) => break e.kind() == ErrorKind::ConnectionReset,
+                }
+            };
+            assert!(ended, "the server closed the connection");
+            other.join().unwrap()
+        });
+        // Besides the stall, the other connection may wait for the hog's
+        // frame it queued behind: about 8 ms to serve in an optimized
+        // build, and ten times that in a debug one.
+        let slack = Duration::from_millis(if cfg!(debug_assertions) { 400 } else { 100 });
+        assert!(worst < STALL_LIMIT + slack, "worst lookup {worst:?}");
+        let (wire, _) = ClamdClient::connect(addr).unwrap().stats().unwrap();
+        assert_eq!(wire.connections_stalled, 1, "{wire}");
+    }
+
+    /// A new connection is served as soon as it is accepted: the acceptor
+    /// blocks in `accept` rather than sleeping between polls.
+    #[test]
+    fn a_fresh_connection_is_answered_at_once() {
+        let server = ephemeral_sim_server(1, 16 << 20, 4 << 20).unwrap();
+        let mut firsts: Vec<Duration> = (0..20)
+            .map(|_| {
+                let opened = Instant::now();
+                let mut client = ClamdClient::connect(server.local_addr()).unwrap();
+                assert_eq!(client.lookup(1).unwrap(), None);
+                opened.elapsed()
+            })
+            .collect();
+        firsts.sort();
+        assert!(firsts[10] < Duration::from_millis(5), "first replies {firsts:?}");
     }
 }

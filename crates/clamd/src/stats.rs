@@ -120,6 +120,9 @@ pub struct ServerStats {
     pub connections_opened: u64,
     /// Connections closed (cleanly or after an error).
     pub connections_closed: u64,
+    /// Connections closed because a delivery to them could not finish
+    /// within the stall limit: the client had stopped reading.
+    pub connections_stalled: u64,
     /// Scalar lookups answered on the batcher bypass: the shard's linger
     /// queue was empty and the store's read fast path
     /// resolved the key without a gather or a ring admission.
@@ -188,6 +191,7 @@ impl ServerStats {
             segment_conflicts,
             connections_opened,
             connections_closed,
+            connections_stalled,
             bypass_hits,
             shard_depths,
         } = self;
@@ -212,6 +216,7 @@ impl ServerStats {
             ("segment_conflicts", Sum, One(segment_conflicts)),
             ("connections_opened", Sum, One(connections_opened)),
             ("connections_closed", Sum, One(connections_closed)),
+            ("connections_stalled", Sum, One(connections_stalled)),
             ("bypass_hits", Sum, One(bypass_hits)),
             ("shard_depths", Gauge, Many(shard_depths)),
         ]
@@ -300,6 +305,9 @@ impl fmt::Display for ServerStats {
                 " | conns: {} opened / {} closed",
                 self.connections_opened, self.connections_closed
             )?;
+            if self.connections_stalled > 0 {
+                write!(f, " ({} stalled)", self.connections_stalled)?;
+            }
         }
         if self.wire_errors > 0 {
             write!(f, " | wire errors: {}", self.wire_errors)?;

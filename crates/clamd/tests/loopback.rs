@@ -8,7 +8,7 @@ use std::time::Duration;
 use clamd::batcher::BatcherConfig;
 use clamd::client::ClamdClient;
 use clamd::loadgen::{key_for, value_for};
-use clamd::proto::{ErrorCode, Op, RespBody};
+use clamd::proto::{self, ErrorCode, Op, Request, RespBody};
 use clamd::server::{
     boot_file, ephemeral_sim_server, ephemeral_sim_server_sharded, ClamdServer, ServerConfig,
 };
@@ -270,6 +270,43 @@ fn protocol_violation_closes_only_the_offending_connection() {
     }
     assert_eq!(server.stats().wire_errors, 1);
     assert_eq!(good.lookup(7).unwrap(), Some(70));
+}
+
+/// A protocol violation is answered in its place: the frames ahead of it
+/// in the same read run and are answered first, then comes the ERROR
+/// frame, then the end of the connection.
+#[test]
+fn an_error_frame_follows_the_answers_of_the_frames_ahead_of_it() {
+    use std::io::{Read, Write};
+    let server = ephemeral_sim_server(2, 16 << 20, 4 << 20).unwrap();
+    let mut bytes = Vec::new();
+    for id in 1..=4u64 {
+        let op = Op::Insert { key: key_for(id), value: value_for(id) };
+        proto::encode_request(&Request { id, op }, &mut bytes);
+    }
+    bytes.extend_from_slice(&[0xde; 32]);
+    let mut bad = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    bad.write_all(&bytes).unwrap();
+    bad.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut received = Vec::new();
+    bad.read_to_end(&mut received).expect("the server ends the connection");
+    let mut replies = Vec::new();
+    let mut at = 0;
+    while let Some((response, used)) = proto::decode_response(&received[at..]).unwrap() {
+        replies.push((response.id, response.body));
+        at += used;
+    }
+    assert_eq!(at, received.len(), "nothing follows the ERROR frame");
+    let inserted: Vec<_> = (1..=4).map(|id| (id, RespBody::Inserted)).collect();
+    assert_eq!(replies[..replies.len().min(4)], inserted[..], "{replies:?}");
+    assert!(
+        matches!(replies[4..], [(0, RespBody::Error { code: ErrorCode::BadMagic, .. })]),
+        "{replies:?}"
+    );
+    let mut good = ClamdClient::connect(server.local_addr()).unwrap();
+    for id in 1..=4 {
+        assert_eq!(good.lookup(key_for(id)).unwrap(), Some(value_for(id)), "id {id}");
+    }
 }
 
 #[test]

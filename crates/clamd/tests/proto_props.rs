@@ -30,7 +30,7 @@ fn text_of(bytes: &[u8]) -> String {
 }
 
 /// A whole ledger from sampled raw material: every scalar from `words`
-/// (20 of them), plus a histogram and shard depths.
+/// (21 of them), plus a histogram and shard depths.
 fn build_stats(words: &[u64], histogram: &[u64], depths: &[u64]) -> ServerStats {
     let mut s = ServerStats::new();
     s.inserts = words[0];
@@ -53,6 +53,7 @@ fn build_stats(words: &[u64], histogram: &[u64], depths: &[u64]) -> ServerStats 
     s.connections_opened = words[17];
     s.connections_closed = words[18];
     s.bypass_hits = words[19];
+    s.connections_stalled = words[20];
     s.batch_histogram = histogram.to_vec();
     s.shard_depths = depths.to_vec();
     s
@@ -159,7 +160,7 @@ proptest! {
         count in 0u32..100_000,
         values in vec((any::<bool>(), any::<u64>()), 0..40),
         text_bytes in vec(any::<u8>(), 0..60),
-        ledger in (vec(any::<u64>(), 20), vec(any::<u64>(), 0..66), vec(any::<u64>(), 0..9)),
+        ledger in (vec(any::<u64>(), 21), vec(any::<u64>(), 0..66), vec(any::<u64>(), 0..9)),
     ) {
         let stats = build_stats(&ledger.0, &ledger.1, &ledger.2);
         let body = build_body(kind, value, found, count, &values, &text_bytes, stats);
@@ -256,7 +257,7 @@ proptest! {
     /// counter added by a newer server — decodes to the known fields.
     #[test]
     fn stats_frames_skip_unknown_entries(
-        ledger in (vec(any::<u64>(), 20), vec(any::<u64>(), 0..66), vec(any::<u64>(), 0..9)),
+        ledger in (vec(any::<u64>(), 21), vec(any::<u64>(), 0..66), vec(any::<u64>(), 0..9)),
         name_bytes in vec(any::<u8>(), 0..30),
         values in vec(any::<u64>(), 0..10),
         at_end in any::<bool>(),
