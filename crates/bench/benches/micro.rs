@@ -5,8 +5,8 @@
 //! (DESIGN.md "The simulated medium's memory"), Rabin-Karp chunking and
 //! SHA-1, the stripe's shared-lock read fast path one key and eight keys
 //! at a time — and one real-I/O path, a ring read of a page-cache-hot
-//! `FileDevice` image (DESIGN.md "Hand a read to the pool only when it
-//! pays").
+//! `FileDevice` image (DESIGN.md "`FileDevice` runs where it is
+//! submitted").
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -276,8 +276,7 @@ fn bench_sparse_store(c: &mut Criterion) {
 /// One 4 KiB ring read of an image the page cache holds, at the queue depth
 /// `clamd --flash-file` and the repo benchmark use: admission, the
 /// positioned read and the reap, as `Clam::lookup_batch` pays them per
-/// probe. (The slow-medium side of the routing rule sleeps by design and
-/// is a test in `file_backend.rs`, not a benchmark.)
+/// probe, all on the calling thread.
 fn bench_file_read(c: &mut Criterion) {
     const PAGE: usize = 4096;
     const PAGES: u64 = 2048;

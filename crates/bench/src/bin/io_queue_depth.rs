@@ -7,18 +7,18 @@
 //! only way to queue I/O:
 //!
 //! 1. **Flush writes** — flush-sized writes are admitted to a
-//!    `FileDevice` ring at several queue depths. The device spreads them
-//!    over its worker pool (positioned I/O on the shared file) and the
+//!    `FileDevice` ring at several queue depths. Each runs at admission
+//!    on the submitting thread (a positioned write to the file) and the
 //!    ring books the measured per-write times on `depth` lanes; the
 //!    acceptance bar is throughput improving monotonically with depth and
 //!    **>= 2x at the deepest queue vs depth 1**.
 //! 2. **Miss-heavy lookups** — the read path: a `Clam::lookup_batch` sweep
 //!    over absent keys with Bloom filters disabled (the measured per-read
-//!    latencies scheduled on the queue's lanes; the same bar). The
-//!    `inline` column says how many of those reads ran on the submitting
-//!    thread instead of the worker pool — all of them while the page cache
-//!    answers, so the speedup is what a device with that queue depth would
-//!    retire, not host threads overlapping.
+//!    latencies scheduled on the queue's lanes; the same bar).
+//!
+//! In both parts every request runs on the submitting thread, so the
+//! speedup is what a device with that queue depth would retire, not host
+//! threads overlapping.
 //!
 //! The exact simulator-vs-closed-form checks of the ring (`submit_makespan`,
 //! `lookup_ring_makespan`, `mixed_ring_makespan`, `recovery_scan_makespan`)
@@ -30,7 +30,7 @@ use std::path::PathBuf;
 
 use bench::{ms, print_header, print_row, workload_key};
 use bufferhash::{Clam, ClamConfig, FilterMode};
-use flashsim::{CompletionRing, Device, FileDevice, IoRequest, IoStats, RingRequest, SimDuration};
+use flashsim::{CompletionRing, Device, FileDevice, IoRequest, RingRequest, SimDuration};
 
 struct Scale {
     /// Write requests per admission (one per coalesced flush run).
@@ -112,18 +112,6 @@ fn mb_per_sec(bytes: usize, elapsed: SimDuration) -> f64 {
     bytes as f64 / (1 << 20) as f64 / elapsed.as_secs_f64().max(1e-12)
 }
 
-/// Share of the reads between two snapshots of a [`FileDevice`]'s counters
-/// that ran on the submitting thread instead of the worker pool.
-fn inline_cell(before: &IoStats, after: &IoStats) -> String {
-    match after.reads - before.reads {
-        0 => "n/a".into(),
-        reads => {
-            let inline = after.reads_inline - before.reads_inline;
-            format!("{:.0}%", 100.0 * inline as f64 / reads as f64)
-        }
-    }
-}
-
 /// The bar both sweeps gate on: `throughputs` (one per depth, shallowest
 /// first) improve monotonically and reach 2x at the deepest queue. The 3%
 /// tolerance absorbs wall-clock noise in the measured per-request times
@@ -147,7 +135,7 @@ fn verdict(what: &str, throughputs: &[f64], depths: &[usize]) -> bool {
     pass
 }
 
-/// Part 1: flush writes through the file's worker pool. Returns PASS/FAIL.
+/// Part 1: flush writes admitted to the file's ring. Returns PASS/FAIL.
 fn file_device_sweep(scale: &Scale) -> bool {
     let capacity = (scale.requests * scale.request_bytes) as u64;
     let image = TempImage::new("clam-io-queue-depth");
@@ -166,9 +154,9 @@ fn file_device_sweep(scale: &Scale) -> bool {
     // "elapsed" is the ring's makespan (the measured per-request times
     // booked on `depth` queue lanes — the accounting the PASS bar gates
     // on); "wall" is the host wall clock from admission to the last reap,
-    // shown for transparency (on hosts with fewer cores than the queue
-    // depth the pool is capped and wall time cannot shrink with depth,
-    // which is exactly why the queue model exists).
+    // shown for transparency (the writes run one after another on this
+    // thread, so wall time cannot shrink with depth, which is exactly why
+    // the queue model exists).
     let mut throughputs: Vec<f64> = Vec::new();
     for &depth in scale.depths {
         let mut best = SimDuration::from_secs(3600);
@@ -202,8 +190,7 @@ fn file_device_sweep(scale: &Scale) -> bool {
     }
     println!(
         "(\"elapsed\" = device-queue completion accounting, the swept metric; \"wall\" = host\n\
-         wall clock, bounded by this machine's {} core(s) regardless of queue depth)",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+         wall clock, every write on the submitting thread regardless of queue depth)"
     );
     verdict("write throughput", &throughputs, scale.depths)
 }
@@ -217,11 +204,8 @@ fn queued_lookup_sweep(scale: &Scale) -> bool {
          (Bloom filters disabled), best of {} trials",
         scale.lookup_batches, scale.lookup_batch, scale.trials
     );
-    let widths = [8, 14, 14, 12, 8, 10];
-    print_header(
-        &["depth", "elapsed (ms)", "klookups/s", "probe reads", "inline", "speedup"],
-        &widths,
-    );
+    let widths = [8, 14, 14, 12, 10];
+    print_header(&["depth", "elapsed (ms)", "klookups/s", "probe reads", "speedup"], &widths);
     let mut throughputs: Vec<f64> = Vec::new();
     for &depth in scale.depths {
         // Build and load once per depth: the sweep keys all miss and the
@@ -237,7 +221,6 @@ fn queued_lookup_sweep(scale: &Scale) -> bool {
         }
         let mut best = SimDuration::from_secs(3600);
         let mut probe_reads = 0usize;
-        let before = clam.device().stats();
         for _ in 0..scale.trials {
             let mut elapsed = SimDuration::ZERO;
             probe_reads = 0;
@@ -261,16 +244,12 @@ fn queued_lookup_sweep(scale: &Scale) -> bool {
                 ms(best),
                 format!("{thr:.1}"),
                 format!("{probe_reads}"),
-                inline_cell(&before, &clam.device().stats()),
                 format!("{:.2}x", thr / throughputs[0].max(1e-12)),
             ],
             &widths,
         );
     }
-    println!(
-        "(elapsed = the measured per-read latencies scheduled on `depth` queue lanes; inline =\n\
-         share of the reads that ran on the submitting thread, not the worker pool)"
-    );
+    println!("(elapsed = the measured per-read latencies scheduled on `depth` queue lanes)");
     verdict("miss-heavy lookup throughput", &throughputs, scale.depths)
 }
 

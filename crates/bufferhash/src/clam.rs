@@ -889,10 +889,10 @@ const TABLE_SEED: u64 = 0x7a_b1e5;
 
 /// How many page reads one lookup batch keeps in flight on a ring of
 /// `lanes` lanes. Four requests a lane keep every lane fed between reaps
-/// (the floor of 16 does the same for the real backends' worker pools on
-/// short or serial queues); beyond that a deeper ring only parks more
-/// 4 KiB page buffers without finishing sooner, so this is a property of
-/// the queue's shape and not a tuning knob.
+/// (the floor of 16 keeps a short or serial queue's rounds that wide, and
+/// simulated results depend on it); beyond that a deeper ring only parks
+/// more 4 KiB page buffers without finishing sooner, so this is a
+/// property of the queue's shape and not a tuning knob.
 pub(crate) fn probe_window(lanes: usize) -> usize {
     (4 * lanes).max(16)
 }

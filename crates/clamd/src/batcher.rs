@@ -521,6 +521,17 @@ impl<D: Device + 'static> Engine<D> {
         }
     }
 
+    /// Ends a served connection's requests — its client half-closed, or
+    /// its reader stopped — and blocks until the responses already
+    /// submitted have been written and the connection has closed, or it
+    /// closed sooner: a failed or stalled write, or teardown.
+    pub(crate) fn await_last_response(&self, conn: u64) {
+        let entry = self.shared.conns().get(&conn).cloned();
+        if let Some(entry) = entry {
+            entry.await_last_response();
+        }
+    }
+
     /// Unregisters every connection (server teardown).
     pub fn unregister_all(&self) {
         let conns: Vec<u64> = self.shared.conns().keys().copied().collect();

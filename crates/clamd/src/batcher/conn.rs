@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::io::{self, ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::proto::{self, Response};
@@ -38,11 +38,14 @@ pub(super) struct ConnSeq {
     next_deliver: u64,
     /// Completions that arrived ahead of their turn.
     parked: BTreeMap<u64, Response>,
-    /// The sequence number of the connection's last response, its ERROR
-    /// frame: the connection closes once that is written.
+    /// The sequence number of the connection's last response — its ERROR
+    /// frame, or the answer to the request its client sent before
+    /// half-closing: the connection closes once that is written.
     last: Option<u64>,
     /// A delivery missed [`STALL_LIMIT`] and closed the connection.
     stalled: bool,
+    /// Notified when the connection closes.
+    closed: Arc<Condvar>,
 }
 
 impl ConnSeq {
@@ -110,6 +113,7 @@ impl ConnSeq {
         }
         self.sink = None;
         self.parked.clear();
+        self.closed.notify_all();
     }
 }
 
@@ -156,6 +160,24 @@ impl ConnEntry {
     /// no other lock is taken under it.
     pub(super) fn lock(&self) -> MutexGuard<'_, ConnSeq> {
         self.seq.lock().expect("conn seq lock")
+    }
+
+    /// The connection's requests have ended: the one submitted last
+    /// becomes its last response. Blocks until the connection closes —
+    /// once that response has been written, at once if it has been
+    /// already, or sooner if a write fails or stalls or the connection is
+    /// closed.
+    pub(super) fn await_last_response(&self) {
+        let mut seq = self.lock();
+        if seq.next_deliver == seq.next_submit {
+            seq.close();
+        } else {
+            seq.last = Some(seq.next_submit - 1);
+        }
+        let closed = Arc::clone(&seq.closed);
+        let open = closed.wait_while(seq, |seq| seq.sink.is_some());
+        // Nothing is read through a poisoned guard: it is only released.
+        drop(open.unwrap_or_else(PoisonError::into_inner));
     }
 
     /// Closes the connection; returns whether a stalled delivery had

@@ -17,7 +17,9 @@
 //! reader, and [`ClamdServer::shutdown`] wakes the acceptor with one
 //! connection to its own address. A client that stops reading is closed
 //! once a delivery to it misses the stall limit
-//! ([`ServerStats::connections_stalled`]).
+//! ([`ServerStats::connections_stalled`]). A client that half-closes
+//! after its last request still gets every response: its reader waits
+//! for them to be written before the connection is unregistered.
 //!
 //! A protocol violation ([`WireError`](crate::proto::WireError)) is
 //! connection-fatal: the server counts it, answers with one structured
@@ -249,7 +251,9 @@ impl<D: Device + 'static> Drop for ClamdServer<D> {
 }
 
 /// Registers an accepted connection's socket with the engine and spawns
-/// the connection's reader, which unregisters it when its reading ends.
+/// the connection's reader. When its reading ends — the client
+/// half-closed or left, or the connection was closed — the reader waits
+/// for the responses still in flight to be written, then unregisters it.
 fn spawn_connection<D: Device + 'static>(
     stream: TcpStream,
     conn: u64,
@@ -266,6 +270,7 @@ fn spawn_connection<D: Device + 'static>(
         .name(format!("clamd-conn-{conn}"))
         .spawn(move || {
             read_loop(stream, conn, &engine);
+            engine.await_last_response(conn);
             engine.unregister_conn(conn);
         })
         .expect("spawn connection thread");

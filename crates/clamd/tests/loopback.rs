@@ -371,3 +371,54 @@ fn flush_shutdown_recover_cycle_preserves_acknowledged_inserts() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// Sends `bytes` in one write, half-closes, and reads until the server
+/// ends the connection; returns every reply, in arrival order.
+fn replies_after_half_close(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<(u64, RespBody)> {
+    use std::io::{Read, Write};
+    let mut sock = std::net::TcpStream::connect(addr).unwrap();
+    sock.write_all(bytes).unwrap();
+    sock.shutdown(std::net::Shutdown::Write).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut received = Vec::new();
+    sock.read_to_end(&mut received).expect("the server ends the connection");
+    let mut replies = Vec::new();
+    let mut at = 0;
+    while let Some((response, used)) = proto::decode_response(&received[at..]).unwrap() {
+        replies.push((response.id, response.body));
+        at += used;
+    }
+    assert_eq!(at, received.len(), "no torn frame at the end");
+    replies
+}
+
+/// A client that half-closes right after its last request keeps the
+/// responses still in flight: batch frames take long enough to serve that
+/// the reader sees EOF before they are answered, and every answer still
+/// arrives, in order — an ERROR frame behind them too.
+#[test]
+fn a_client_that_half_closes_gets_every_response_in_order() {
+    let server = ephemeral_sim_server(2, 16 << 20, 4 << 20).unwrap();
+    let mut bytes = Vec::new();
+    let mut expected = Vec::new();
+    for id in 1..=8u64 {
+        let pairs: Vec<(u64, u64)> =
+            (0..4_000).map(|i| (key_for(id << 20 | i), value_for(i))).collect();
+        proto::encode_request(&Request { id, op: Op::InsertBatch(pairs) }, &mut bytes);
+        expected.push((id, RespBody::InsertedBatch { count: 4_000 }));
+    }
+    for id in 9..=64u64 {
+        let op = Op::Insert { key: key_for(id), value: value_for(id) };
+        proto::encode_request(&Request { id, op }, &mut bytes);
+        expected.push((id, RespBody::Inserted));
+    }
+    assert_eq!(replies_after_half_close(server.local_addr(), &bytes), expected);
+
+    bytes.extend_from_slice(&[0xde; 32]);
+    let replies = replies_after_half_close(server.local_addr(), &bytes);
+    assert_eq!(replies[..replies.len().min(64)], expected[..], "{replies:?}");
+    assert!(
+        matches!(replies[64..], [(0, RespBody::Error { code: ErrorCode::BadMagic, .. })]),
+        "{replies:?}"
+    );
+}

@@ -36,9 +36,9 @@ use crate::time::SimDuration;
 /// ([`stats`](Device::stats) / [`update_stats`](Device::update_stats)).
 /// The ring entry points are provided: they drive the per-op methods in
 /// admission order and let the [`CompletionRing`] model the queue, so no
-/// simulated backend carries ring code of its own. Only a backend with
-/// real asynchrony ([`FileDevice`](crate::FileDevice)'s worker pool) or a
-/// forwarding wrapper overrides them.
+/// backend carries ring code of its own, [`FileDevice`](crate::FileDevice)
+/// included: its per-op methods time real I/O and the ring books those
+/// times on its lanes. Only a forwarding wrapper overrides them.
 ///
 /// `Send + Sync` is required so higher layers can share devices across
 /// threads behind reader-writer locks (the `bufferhash` read fast path
@@ -106,7 +106,8 @@ pub trait Device: Send + Sync {
     /// returned; the ring's lane free-at clocks and conflict floors model
     /// how much of the stream a device with that queue depth would have
     /// kept in flight — exact for the simulated backends, whose
-    /// "asynchrony" is entirely in that timing model. It then writes the
+    /// "asynchrony" is entirely in that timing model, and the same model
+    /// over measured latencies for the file backend. It then writes the
     /// queue ledger ([`CompletionRing::record_admission`]) through
     /// [`update_stats`](Device::update_stats).
     fn submit_nowait(

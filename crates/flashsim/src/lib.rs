@@ -25,11 +25,10 @@
 //! draining it at every barrier. A backend is a cost function over a byte
 //! store — the four per-op methods, which also serve single blocking
 //! commands — plus its [`IoStats`]; the ring models the queue (lanes on
-//! SSD and DRAM, one at a time on the chip and the disk) and writes the
-//! queue counters, and only [`FileDevice`], with a real worker pool behind
-//! it, brings ring code of its own. [`SharedDevice`] lets several owners
-//! (e.g. index stripes) drive partitions of one device — and thus one ring
-//! timeline — concurrently.
+//! SSD and DRAM and on the file, one at a time on the chip and the disk)
+//! and writes the queue counters; no backend brings ring code of its own.
+//! [`SharedDevice`] lets several owners (e.g. index stripes) drive
+//! partitions of one device — and thus one ring timeline — concurrently.
 //!
 //! ## Example
 //!

@@ -23,11 +23,11 @@
 //! per-ticket results) to issuing the same operations one at a time
 //! through the per-op methods. What the ring models is the *timing*: an
 //! overlapped queue runs independent requests on parallel lanes, a serial
-//! one retires them back to back, the file backend spreads them over a
-//! worker pool. Per-request [`RingCompletion::latency`] values are
-//! unchanged by overlapping; the win shows up in
-//! [`CompletionRing::makespan`], the latest completion timestamp instead
-//! of the sum over requests.
+//! one retires them back to back, on every backend from the latency each
+//! request reported (measured, on the file backend). Per-request
+//! [`RingCompletion::latency`] values are unchanged by overlapping; the
+//! win shows up in [`CompletionRing::makespan`], the latest completion
+//! timestamp instead of the sum over requests.
 //!
 //! The ring also writes the queue ledger of [`IoStats`] — the only place
 //! that does ([`CompletionRing::record_admission`],
@@ -207,11 +207,6 @@ pub struct RingCompletion {
     pub result: Result<Vec<u8>>,
 }
 
-/// Monotone source of ring epochs, so devices that track in-flight work
-/// across calls (the file backend's worker pool) can tell concurrent or
-/// successive rings apart.
-static RING_EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
 /// One admitted-but-unfinished ring request: `(ticket, byte range,
 /// is_read, causal floor)`.
 type PendingAdmission = (IoTicket, Option<(u64, u64)>, bool, SimDuration);
@@ -260,7 +255,6 @@ pub struct CompletionRing {
     /// How many of `admission_stalls` a device's [`IoStats`] already holds.
     stalls_recorded: u64,
     makespan: SimDuration,
-    epoch: u64,
 }
 
 impl CompletionRing {
@@ -280,7 +274,6 @@ impl CompletionRing {
             admission_stalls: 0,
             stalls_recorded: 0,
             makespan: SimDuration::ZERO,
-            epoch: RING_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
 
@@ -288,13 +281,6 @@ impl CompletionRing {
     /// ([`QueueCapabilities::ring_lanes`]).
     pub fn for_queue(queue: QueueCapabilities) -> Self {
         CompletionRing::new(queue.ring_lanes())
-    }
-
-    /// Process-unique identity of this ring, letting devices that hold
-    /// in-flight work across calls (the file backend) attribute results to
-    /// the right ring.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Admits one request, registering its byte range and causal floor.
@@ -410,11 +396,14 @@ impl CompletionRing {
     /// Ledger, admission half: records in `stats` that `admitted` requests
     /// just entered this ring. Called once per
     /// [`Device::submit_nowait`](crate::Device::submit_nowait), after the
-    /// admissions, by whichever device executed them.
+    /// admissions, by whichever device executed them. Every backend has
+    /// finished its requests by then, so their stalls are known and move
+    /// into `stats` here, each once.
     pub fn record_admission(&mut self, stats: &mut IoStats, admitted: usize) {
         stats.requests_submitted += admitted as u64;
         stats.ring_depth_high_water = stats.ring_depth_high_water.max(self.depth_high_water as u64);
-        self.record_stalls(stats);
+        stats.ring_admission_stalls += self.admission_stalls - self.stalls_recorded;
+        self.stalls_recorded = self.admission_stalls;
     }
 
     /// Ledger, reap half: pops every ready completion (completion-time
@@ -424,16 +413,7 @@ impl CompletionRing {
         let out = self.reap(usize::MAX);
         stats.requests_reaped += out.len() as u64;
         stats.requests_overlapped += out.iter().filter(|c| c.lane != 0).count() as u64;
-        // A stall surfaces when a request finishes: at admission on the
-        // simulated backends, here when a worker pool finished it.
-        self.record_stalls(stats);
         out
-    }
-
-    /// Moves the stalls `stats` has not seen yet into it.
-    fn record_stalls(&mut self, stats: &mut IoStats) {
-        stats.ring_admission_stalls += self.admission_stalls - self.stalls_recorded;
-        self.stalls_recorded = self.admission_stalls;
     }
 }
 
@@ -513,7 +493,7 @@ mod tests {
         assert_eq!((stats.requests_submitted, stats.requests_reaped), (4, 4));
         assert_eq!(stats.requests_overlapped, 2);
         assert_eq!(stats.ring_depth_high_water, 4);
-        // A stall is recorded once, by whichever half sees it first.
+        // A stall is recorded once, by the admission half.
         for request in [IoRequest::write(0, vec![0; 8]), IoRequest::read(0, 8)] {
             let t = ring.admit(&request, SimDuration::ZERO);
             ring.finish(t, SimDuration::from_micros(1), Ok(Vec::new()));
@@ -594,10 +574,5 @@ mod tests {
         assert_eq!(done[1].started_at, done[0].completed_at);
         assert_eq!(ring.makespan(), c * 2);
         assert_eq!(ring.admission_stalls(), 1);
-    }
-
-    #[test]
-    fn ring_epochs_are_unique() {
-        assert_ne!(CompletionRing::new(1).epoch(), CompletionRing::new(1).epoch());
     }
 }

@@ -6,9 +6,8 @@
 //! `StripedClam`, which gives every stripe its own `Clam<D>` — can instead
 //! stripe over **one** physical device: each stripe gets a partition, and
 //! all of their traffic funnels through the same device queue and
-//! completion-ring timeline (the file backend's single worker pool, one
-//! SSD controller's lanes), so cross-batch requests genuinely contend and
-//! overlap on shared hardware.
+//! completion-ring timeline (one SSD controller's lanes, one file's), so
+//! cross-batch requests genuinely contend and overlap on shared hardware.
 //!
 //! Partitions translate offsets (and erase-block indices) into the parent
 //! window; bounds are enforced by each partition's own [`Geometry`], so a
@@ -17,14 +16,12 @@
 //! any one partition.
 //!
 //! Calls lock the shared device for their duration, so interleaving
-//! between handles is at call granularity. What a call does under the lock
-//! is the backend's business: the simulated devices only compute; the file
-//! backend runs a cheap read right inside `submit_nowait` (about a
-//! microsecond while the page cache answers) and otherwise waits only in a
-//! [`Device::reap`] that needs results its worker pool still owes (writes,
-//! and reads once they are slow enough to be worth a pool thread). Other
-//! stripes still make progress then, because the pool executes
-//! independently of the lock.
+//! between handles is at call granularity, and the lock covers every
+//! backend's I/O: a simulated device only computes under it, the file
+//! backend issues its positioned `pread` / `pwrite` under it (about a
+//! microsecond for a 4 KiB read the page cache answers, about ten for a
+//! 32 KiB write). A ring request finishes inside `submit_nowait`, so no
+//! handle ever waits in [`Device::reap`] for another's work.
 
 use std::sync::{Arc, Mutex};
 

@@ -37,11 +37,10 @@ pub struct IoStats {
     pub requests_submitted: u64,
     /// Reaped requests that shared their time on the device queue with
     /// lane-0 work (booked on a lane other than lane 0). This
-    /// counts *modeled* queue overlap — for
-    /// [`FileDevice`](crate::FileDevice) the physical worker pool is
-    /// additionally capped by host parallelism, like the simulated SSD's
-    /// lanes exist regardless of host cores. Always zero on serial
-    /// devices.
+    /// counts *modeled* queue overlap: [`FileDevice`](crate::FileDevice)
+    /// runs every request on the submitting thread and books its measured
+    /// time on the lanes, as the simulated devices book theirs. Always
+    /// zero on serial devices.
     pub requests_overlapped: u64,
     /// Completions delivered through [`Device::reap`](crate::Device::reap).
     pub requests_reaped: u64,
@@ -53,17 +52,9 @@ pub struct IoStats {
     /// range beyond lane availability (write-write and read-after-write
     /// floors; read-read overlap never stalls).
     pub ring_admission_stalls: u64,
-    /// Ring reads that ran at admission, on the thread that submitted
-    /// them, instead of on a pool worker
-    /// ([`FileDevice`](crate::FileDevice) only, which does that while a
-    /// read costs less than a hand-off; the simulated devices have no
-    /// threads and leave it zero).
-    pub reads_inline: u64,
     /// Time spent in reads: simulated on the simulated devices; on
     /// [`FileDevice`](crate::FileDevice) the wall clock around each
-    /// positioned read, taken on whichever thread executed it (the
-    /// submitting thread for the `reads_inline` ones, a pool worker for
-    /// the rest).
+    /// positioned read, taken on the thread that issued it.
     pub read_time: SimDuration,
     /// Time spent in writes, on the same clocks as `read_time` (simulated
     /// time includes any GC charged to the write).
@@ -100,7 +91,6 @@ impl IoStats {
         self.requests_reaped += other.requests_reaped;
         self.ring_depth_high_water = self.ring_depth_high_water.max(other.ring_depth_high_water);
         self.ring_admission_stalls += other.ring_admission_stalls;
-        self.reads_inline += other.reads_inline;
         self.read_time += other.read_time;
         self.write_time += other.write_time;
         self.erase_time += other.erase_time;
@@ -145,9 +135,6 @@ impl fmt::Display for IoStats {
                 " | ring: {} reaped, depth hwm {}, {} stalls",
                 self.requests_reaped, self.ring_depth_high_water, self.ring_admission_stalls
             )?;
-        }
-        if self.reads_inline > 0 {
-            write!(f, " | inline: {} of {} reads", self.reads_inline, self.reads)?;
         }
         Ok(())
     }
@@ -411,7 +398,6 @@ mod tests {
             requests_reaped: 5,
             ring_depth_high_water: 12,
             ring_admission_stalls: 2,
-            reads_inline: 4,
             ..Default::default()
         };
         let b = IoStats {
@@ -419,23 +405,19 @@ mod tests {
             requests_reaped: 3,
             ring_depth_high_water: 7,
             ring_admission_stalls: 1,
-            reads_inline: 3,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.requests_reaped, 8, "reaps sum");
         assert_eq!(a.ring_depth_high_water, 12, "high-water merges with max");
         assert_eq!(a.ring_admission_stalls, 3, "stalls sum");
-        assert_eq!(a.reads_inline, 7, "inline reads sum");
         let text = a.to_string();
         assert!(text.contains("ring: 8 reaped, depth hwm 12, 3 stalls"), "{text}");
-        assert!(text.contains("inline: 7 of 9 reads"), "{text}");
-        // Both segments are elided for devices that never served a ring or
-        // ran a read on the caller's thread.
+        // The segment is elided for devices that never served a ring.
         let quiet = IoStats { reads: 1, ..Default::default() }.to_string();
-        assert!(!quiet.contains("ring:") && !quiet.contains("inline:"), "{quiet}");
+        assert!(!quiet.contains("ring:"), "{quiet}");
         a.reset();
-        assert_eq!(a.reads_inline, 0);
+        assert_eq!(a, IoStats::default());
     }
 
     #[test]

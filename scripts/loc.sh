@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Non-test lines of Rust per crate, the way ROADMAP counts them (item 2
+# Non-test lines of Rust per crate, the way ROADMAP counts them (item 10
 # holds the bufferhash + flashsim line target):
 # for every file under crates/<crate>/src, the lines above its first
 # `#[cfg(test)]` at the start of a line (the file's `mod tests`; a file
