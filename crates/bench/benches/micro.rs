@@ -45,12 +45,13 @@ fn bench_cuckoo(c: &mut Criterion) {
     });
     // The benchmark's geometry: a 32 KiB buffer (2 048 slots, L1-resident)
     // at the paper's 50 %. `insert` is one key into a buffer that is
-    // drained every 1 024, so it pays the drain's share too; the three
-    // `get_*` cases probe a buffer half refilled (512 live keys of
-    // generation 2 over the 1 024 retired of generation 1): a live hit,
-    // and, through the super table's one-hash `probe`, the two ways a
-    // lookup falls through the live buffer — onto a retired entry, or
-    // past both to the filters.
+    // drained every 1 024, so it pays the drain's share too; the `get_*`
+    // cases probe a buffer half refilled (512 live keys of generation 3
+    // over the 1 024 drained of generation 2 and what survives of
+    // generation 1's): a live hit, and a lookup that falls through the
+    // live buffer onto a candidate incarnation's slot copy — the
+    // youngest's (age 0) holding the key, an older one's holding it or
+    // not, and the youngest's not holding it (`get_miss`).
     let key = |generation: u64, i: u64| bufferhash::hash_with_seed(i, 100 + generation);
     let mut small = CuckooBuffer::with_byte_budget(32 * 1024, 16, 0.5);
     group.bench_function("insert", |b| {
@@ -64,33 +65,58 @@ fn bench_cuckoo(c: &mut Criterion) {
         })
     });
     small.clear();
-    for i in 0..1024 {
-        small.insert(key(1, i), i);
+    let mut drained = [0u8; 3];
+    for generation in 1..=2 {
+        for i in 0..1024 {
+            small.insert(key(generation, i), i);
+        }
+        drained[generation as usize] = small.generation();
+        small.drain();
     }
-    small.drain();
-    small.publish_retired();
     for i in 0..512 {
-        small.insert(key(2, i), i);
+        small.insert(key(3, i), i);
     }
     group.bench_function("get_live", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 1) % 512;
-            black_box(small.get(key(2, i)))
+            black_box(small.get(key(3, i)))
         })
     });
     group.bench_function("get_retired", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 1) % 1024;
-            black_box(small.probe(key(1, i)))
+            let k = key(2, i);
+            black_box(small.get(k).or_else(|| small.get_stamped(k, drained[2])))
+        })
+    });
+    let older: Vec<u64> = (0..1024)
+        .map(|i| key(1, i))
+        .filter(|&k| small.get_stamped(k, drained[1]).is_some())
+        .collect();
+    group.bench_function("get_older_hit", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % older.len();
+            let k = older[i];
+            black_box(small.get(k).or_else(|| small.get_stamped(k, drained[1])))
+        })
+    });
+    group.bench_function("get_older_miss", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let k = key(4, i);
+            black_box(small.get(k).or_else(|| small.get_stamped(k, drained[1])))
         })
     });
     group.bench_function("get_miss", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(small.probe(key(3, i)))
+            let k = key(4, i);
+            black_box(small.get(k).or_else(|| small.get_stamped(k, drained[2])))
         })
     });
     group.finish();

@@ -131,28 +131,37 @@ impl FlashCostModel {
     }
 
     // ------------------------------------------------------------------
-    // The retired generation
+    // The retired generations
     // ------------------------------------------------------------------
     //
     // §6.2 counts one page read for every lookup whose key is on flash.
-    // The buffer a table just flushed still holds that incarnation in its
+    // The buffer a table flushed still holds that incarnation in its
     // slots, and a lookup for one of its keys is answered from there until
-    // the slot is written again (DESIGN.md "The retired generation"). Every
-    // insert of a new key writes exactly one slot that was empty — its own
-    // or, at the end of a displacement chain, a displaced entry's; the
-    // moves along the chain land on occupied slots, which hold nothing
-    // retired — and cuckoo placement spreads those writes evenly, so after
-    // `j` inserts into `S` slots a retired entry has survived with
-    // probability
+    // the slot is written again (DESIGN.md "The retired generations").
+    // Every insert of a new key writes exactly one slot that was empty —
+    // its own or, at the end of a displacement chain, a displaced entry's;
+    // the moves along the chain land on occupied slots, which hold nothing
+    // drained — and cuckoo placement spreads those writes evenly, so after
+    // `j` inserts into `S` slots the youngest incarnation's entry has
+    // survived with probability
     //
     //   p(j) = 1 − j/S
     //
     // and, averaged over the fill cycle `j = 0..u·S` that follows a flush,
-    // `1 − u/2`: three quarters at the paper's 50 % utilisation. The CLAM
-    // test suite cross-checks both against a measured run.
+    // `1 − u/2`: three quarters at the paper's 50 % utilisation. An entry
+    // `n` flushes older has also lived through `n` whole fills, each of
+    // which wrote a fresh `u` of the slots, so it survives with
+    // `(1 − u)^n · p(j)`. Summed over every age, the slots hold
+    //
+    //   (1 − j/S)/u,   on average over the cycle (1 − u/2)/u
+    //
+    // incarnations' worth of entries: one and a half at 50 %, twice the
+    // youngest's share. The sum converges on its own (the `k`-th term is
+    // `(1 − u)^k`), so no cap on the ages read is needed. The CLAM test
+    // suite cross-checks these against measured runs.
 
-    /// Probability that an entry of a buffer's retired generation is still
-    /// readable after `inserts` new keys went into the buffer's
+    /// Probability that an entry of a buffer's youngest retired generation
+    /// is still readable after `inserts` new keys went into the buffer's
     /// `slots` slots: `1 − j/S`.
     pub fn retired_survival(inserts: usize, slots: usize) -> f64 {
         1.0 - (inserts as f64 / slots.max(1) as f64).min(1.0)
@@ -163,6 +172,15 @@ impl FlashCostModel {
     /// of its slots: `1 − u/2`.
     pub fn mean_retired_survival(max_utilization: f64) -> f64 {
         1.0 - max_utilization.clamp(0.0, 1.0) / 2.0
+    }
+
+    /// Incarnations' worth of entries a buffer's slots hold, summed over
+    /// every retired generation and averaged over the fill cycle:
+    /// `(1 − u/2)/u`, [`mean_retired_survival`](Self::mean_retired_survival)
+    /// over `u`.
+    pub fn slot_resident_generations(max_utilization: f64) -> f64 {
+        let u = max_utilization.clamp(0.05, 1.0);
+        Self::mean_retired_survival(u) / u
     }
 
     // ------------------------------------------------------------------
@@ -692,6 +710,65 @@ mod tests {
             m.recovery_scan_makespan(32, 32 << 10, 1),
             "chip recovery scan drifts from the model: {report}"
         );
+    }
+
+    /// One super table, distinct keys, twelve incarnations: through one
+    /// more fill cycle, every flushed key is looked up and the ones
+    /// answered from slot copies, in incarnations' worth, compared with
+    /// `(1 − j/S)/u` at each sample and with `(1 − u/2)/u` over the cycle.
+    #[test]
+    fn slot_resident_generations_match_a_measured_fill_cycle() {
+        use crate::clam::{Clam, LookupSource};
+        use crate::config::ClamConfig;
+        use crate::types::{hash_with_seed, Key};
+        use flashsim::Ssd;
+
+        const GENERATIONS: usize = 12;
+        let cfg = ClamConfig {
+            buffer_bytes_total: 32 << 10,
+            ..ClamConfig::small_test(8 << 20, 1 << 20).unwrap()
+        };
+        cfg.validate().unwrap();
+        assert_eq!(cfg.num_super_tables(), 1);
+        assert!(cfg.incarnations_per_table() > GENERATIONS);
+        let (slots, capacity) = (2 * cfg.entries_per_incarnation(), cfg.entries_per_incarnation());
+        let u = cfg.max_buffer_utilization;
+        let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg.clone()).unwrap();
+        let key = |i: usize| hash_with_seed(i as u64, 0x5e72);
+        for i in 0..GENERATIONS * capacity + 1 {
+            clam.insert(key(i), i as u64).unwrap();
+        }
+        assert_eq!(clam.stats().flushes, GENERATIONS as u64);
+        let flushed: Vec<Key> = (0..GENERATIONS * capacity).map(key).collect();
+        let (mut resident, mut samples) = (0.0, 0);
+        for j in 1..=capacity {
+            if j % 128 == 0 {
+                let hits: usize = flushed
+                    .chunks(1024)
+                    .map(|chunk| {
+                        let batch = clam.lookup_batch(chunk).unwrap();
+                        batch.outcomes.iter().filter(|o| o.source == LookupSource::Retired).count()
+                    })
+                    .sum();
+                let measured = hits as f64 / capacity as f64;
+                let model = FlashCostModel::retired_survival(j, slots) / u;
+                assert!((measured / model - 1.0).abs() < 0.05, "after {j}: {measured} vs {model}");
+                resident += measured;
+                samples += 1;
+            }
+            if j < capacity {
+                clam.insert(key(GENERATIONS * capacity + j), 0).unwrap();
+            }
+        }
+        assert_eq!(clam.stats().flushes, GENERATIONS as u64, "no flush inside the cycle");
+        // The samples sit at j = 128, 256, …, the cycle's second half
+        // weighted as its first; the model's mean at the same points.
+        let points = (1..=samples).map(|s| FlashCostModel::retired_survival(128 * s, slots) / u);
+        let model_mean = points.sum::<f64>() / samples as f64;
+        let measured_mean = resident / samples as f64;
+        assert!((measured_mean / model_mean - 1.0).abs() < 0.05, "{measured_mean} vs {model_mean}");
+        let closed = FlashCostModel::slot_resident_generations(u);
+        assert!((closed - 1.5).abs() < 1e-12 && (model_mean / closed - 1.0).abs() < 0.05);
     }
 
     /// One super table, distinct keys: through one fill cycle, every key

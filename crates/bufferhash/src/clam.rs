@@ -14,10 +14,11 @@
 //! contiguous log slots into single sequential device writes.
 //!
 //! The read path is **queued and streaming**: every lookup key runs a
-//! probe state machine (delete list, live buffer and retired generation,
-//! then Bloom-guided candidate incarnations, then chained page hops), and
-//! [`Clam::lookup_batch`] drives those machines through the device's
-//! **completion ring** ([`Device::submit_nowait`] /
+//! probe state machine (delete list and live buffer, then Bloom-guided
+//! candidate incarnations, each answered from the buffer slot it was
+//! flushed from while that slot still holds it, else by chained page
+//! hops), and [`Clam::lookup_batch`] drives those machines through the
+//! device's **completion ring** ([`Device::submit_nowait`] /
 //! [`Device::reap`](flashsim::Device::reap)): page reads are admitted
 //! without waiting, a bounded window of keys at a time (a few requests
 //! per queue lane, so a large batch parks a bounded number of page
@@ -77,9 +78,10 @@ const WORD_COST: SimDuration = SimDuration::from_nanos(4);
 /// DRAM words touched by a buffer probe (two cuckoo locations).
 const BUFFER_PROBE_WORDS: usize = 4;
 /// DRAM words a lookup that falls through the live buffer touches on top:
-/// the retired bitmap's word for each of the same two locations (the
-/// slots themselves are the ones the buffer probe already read).
-const RETIRED_PROBE_WORDS: usize = 2;
+/// the generation stamps of the same two slots, a word each (the slots
+/// themselves are the ones the buffer probe already read), compared with
+/// each candidate incarnation's generation.
+const STAMP_PROBE_WORDS: usize = 2;
 
 /// Outcome of an insert operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,9 +146,10 @@ pub struct LookupOutcome {
 pub enum LookupSource {
     /// Found in the in-memory buffer.
     Buffer,
-    /// Found in the retired generation: the key is in its table's youngest
-    /// incarnation, and the buffer slot it was flushed from has not been
-    /// reused, so no flash read was needed.
+    /// Found in a retired generation: the key is in one of its table's
+    /// incarnations, the youngest that holds it, and the buffer slot it
+    /// was flushed from has not been reused, so that incarnation needed no
+    /// flash read (`flash_reads` counts the younger ones' spurious reads).
     Retired,
     /// Found in an on-flash incarnation.
     Flash,
@@ -157,9 +160,9 @@ pub enum LookupSource {
 }
 
 /// Verdict of a memory-only probe ([`Clam::probe_memory`]): either the key
-/// resolved entirely from DRAM state (delete list, buffer, retired
-/// generation, or Bloom filters proving no live flash candidate), or the
-/// `&mut self` flash pipeline must run.
+/// resolved entirely from DRAM state (delete list, buffer, the slot copy of
+/// the first live candidate incarnation, or Bloom filters proving no live
+/// flash candidate), or the `&mut self` flash pipeline must run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryProbe {
     /// The key resolved without touching flash; the outcome is exactly what
@@ -264,8 +267,9 @@ impl<'a> IntoIterator for &'a BatchLookupOutcome {
 /// Memory usage summary of a CLAM (all figures in bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryUsage {
-    /// DRAM used by the buffers' slot arrays. Each buffer's occupancy and
-    /// retired bitmaps, a bit per slot each, are 2/128 of this on top.
+    /// DRAM used by the buffers' slot arrays and their generation stamps,
+    /// 16 + 1 bytes a slot. Each buffer's occupancy bitmap, a bit per
+    /// slot, is 1/136 of this on top.
     pub buffers: usize,
     /// DRAM used by Bloom filters.
     pub filters: usize,
@@ -545,32 +549,29 @@ impl<D: Device> Clam<D> {
         usage
     }
 
-    /// Test support: panics unless every table's retired generation is a
-    /// subset of its youngest incarnation as the device returns it (same
-    /// keys, same values), a table without incarnations having nothing
-    /// retired. Call between top-level operations (the ring must be
+    /// Test support: panics unless every slot copy (a drained entry still
+    /// in its buffer slot) names an incarnation its table has registered
+    /// and equals that incarnation's entry as the device returns it. Call
+    /// between top-level operations that succeeded (the ring must be
     /// closed).
     #[doc(hidden)]
-    pub fn assert_retired_matches_youngest(&mut self) {
+    pub fn assert_slot_copies_match_flash(&mut self) {
         let layout = self.layout;
         let mut image = vec![0u8; layout.total_bytes()];
         for (t, table) in self.tables.iter().enumerate() {
-            let mut retired = table.retired_entries().peekable();
-            let Some(first) = retired.peek() else { continue };
-            let meta = table
-                .incarnation_at(0)
-                .unwrap_or_else(|| panic!("table {t} has no incarnation but retires {first:?}"));
-            self.device.read_at(meta.flash_offset, &mut image).expect("incarnation read");
-            let on_flash: HashMap<Key, Value> = parse_incarnation(&image, &layout)
-                .expect("valid incarnation")
-                .into_iter()
-                .map(|e| (e.key, e.value))
-                .collect();
-            for entry in retired {
+            let mut on_flash: HashMap<u64, HashMap<Key, Value>> = HashMap::new();
+            for (meta, entry) in table.slot_copies() {
+                let meta =
+                    meta.unwrap_or_else(|| panic!("table {t}: {entry:?} names no incarnation"));
+                let entries = on_flash.entry(meta.seq).or_insert_with(|| {
+                    self.device.read_at(meta.flash_offset, &mut image).expect("incarnation read");
+                    let parsed = parse_incarnation(&image, &layout).expect("valid incarnation");
+                    parsed.into_iter().map(|e| (e.key, e.value)).collect()
+                });
                 assert_eq!(
-                    on_flash.get(&entry.key),
+                    entries.get(&entry.key),
                     Some(&entry.value),
-                    "table {t} retires {entry:?}, incarnation {meta:?} disagrees"
+                    "table {t} holds {entry:?} for incarnation {meta:?}, the device disagrees"
                 );
             }
         }
@@ -764,38 +765,38 @@ impl<D: Device> Clam<D> {
         Ok(batch.outcomes.pop().expect("one outcome per key"))
     }
 
-    /// Probes `key` against DRAM state only — delete list, buffer, retired
-    /// generation and Bloom filters — through `&self`, without mutating
-    /// anything.
+    /// Probes `key` against DRAM state only — delete list, buffer, Bloom
+    /// filters and the slot copy of the first live candidate incarnation —
+    /// through `&self`, without mutating anything.
     ///
     /// Returns [`MemoryProbe::Resolved`] when the verdict is decidable from
-    /// memory alone (delete shadow, buffer hit, retired hit, or no live
+    /// memory alone (delete shadow, buffer hit, slot copy, or no live
     /// candidate incarnation): the outcome carries the same value, source,
     /// `flash_reads == 0` and per-op latency charge (`dispatch` + DRAM probe
     /// words) that [`lookup`](Self::lookup) would report. Returns
-    /// [`MemoryProbe::NeedsFlash`] when a live incarnation may hold the key,
-    /// in which case the caller must fall back to the exclusive pipeline.
-    /// The caller is responsible for recording statistics for resolved
-    /// probes (this method cannot: it holds no `&mut`). Keys that owe an
-    /// LRU re-insertion never resolve here: a flash hit cannot, and a
-    /// retired hit under a re-inserting policy is declined the same way.
+    /// [`MemoryProbe::NeedsFlash`] when the first live candidate must be
+    /// read from flash, in which case the caller must fall back to the
+    /// exclusive pipeline. The caller is responsible for recording
+    /// statistics for resolved probes (this method cannot: it holds no
+    /// `&mut`). Keys that owe an LRU re-insertion never resolve here: a
+    /// flash hit cannot, and a slot copy under a re-inserting policy is
+    /// declined the same way.
     pub fn probe_memory(&self, key: Key, dispatch: SimDuration) -> MemoryProbe {
         let table = &self.tables[self.table_of(key)];
         let hit = table.memory_lookup(key);
-        if matches!(hit, Some(MemoryHit::Retired(_))) && self.config.eviction.reinserts_on_use() {
-            return MemoryProbe::NeedsFlash;
-        }
         let (value, source) = match hit {
             Some(hit) => memory_verdict(hit),
             None => {
-                let live_candidate = table
-                    .candidate_incarnations(key)
-                    .into_iter()
-                    .any(|age| table.incarnation_at(age).is_some());
-                if live_candidate {
-                    return MemoryProbe::NeedsFlash;
+                // The pipeline's walk up to its first page read.
+                let mut ages = table.candidate_incarnations(key);
+                let first = ages.find(|&age| table.incarnation_at(age).is_some());
+                match first.map(|age| table.slot_copy(key, age)) {
+                    None => (None, LookupSource::Miss),
+                    Some(Some(value)) if !self.config.eviction.reinserts_on_use() => {
+                        (Some(value), LookupSource::Retired)
+                    }
+                    Some(_) => return MemoryProbe::NeedsFlash,
                 }
-                (None, LookupSource::Miss)
             }
         };
         let latency = dispatch + self.memory_probe_cost(table, hit);
@@ -803,14 +804,11 @@ impl<D: Device> Clam<D> {
     }
 
     /// DRAM time of one key's memory phase: the buffer probe and the
-    /// filter query, as every lookup is charged, plus the retired bitmap
-    /// words for a key the delete list and the live buffer did not settle.
+    /// filter query, as every lookup is charged, plus the stamp words for
+    /// a key the delete list and the live buffer did not settle.
     fn memory_probe_cost(&self, table: &SuperTable, hit: Option<MemoryHit>) -> SimDuration {
-        let retired_words = match hit {
-            Some(MemoryHit::Deleted | MemoryHit::Buffer(_)) => 0,
-            Some(MemoryHit::Retired(_)) | None => RETIRED_PROBE_WORDS,
-        };
-        self.mem_words_cost(BUFFER_PROBE_WORDS + table.filter_words_per_query() + retired_words)
+        let stamp_words = if hit.is_some() { 0 } else { STAMP_PROBE_WORDS };
+        self.mem_words_cost(BUFFER_PROBE_WORDS + table.filter_words_per_query() + stamp_words)
     }
 
     /// Returns `true` if `key` currently maps to a value.
@@ -875,7 +873,6 @@ fn memory_verdict(hit: MemoryHit) -> (Option<Value>, LookupSource) {
     match hit {
         MemoryHit::Deleted => (None, LookupSource::Deleted),
         MemoryHit::Buffer(value) => (Some(value), LookupSource::Buffer),
-        MemoryHit::Retired(value) => (Some(value), LookupSource::Retired),
     }
 }
 

@@ -4,10 +4,9 @@
 use super::*;
 
 impl<D: Device> Clam<D> {
-    /// Delete-list, buffer and retired-generation checks plus probe
-    /// planning: resolves every key it can from memory (recording its
-    /// stats) and returns a probe state machine for each key that must
-    /// touch flash.
+    /// Delete-list and buffer checks plus probe planning: resolves every
+    /// key it can without a page read (recording its stats) and returns a
+    /// probe state machine for each key that must touch flash.
     fn plan_lookups(&mut self, keys: &[Key], dispatch: SimDuration) -> LookupPlan {
         // Input positions grouped by super table, each table's keys in
         // input order: one hash per key.
@@ -38,19 +37,10 @@ impl<D: Device> Clam<D> {
                 let (value, source) = memory_verdict(hit);
                 let outcome = LookupOutcome { value, latency, flash_reads: 0, source };
                 self.stats.record_lookup(&outcome);
-                // A retired hit stands in for a hit in the youngest
-                // incarnation, and owes what that one would: under LRU,
-                // the re-insertion.
-                if let MemoryHit::Retired(value) = hit {
-                    if self.config.eviction.reinserts_on_use() {
-                        plan.reinserts.push((t, key, value));
-                    }
-                }
                 plan.out[slot] = Some(outcome);
                 continue;
             }
-            // Keys with no live candidate are misses without I/O.
-            let mut state = ProbeState {
+            let state = ProbeState {
                 slot,
                 key,
                 table: t,
@@ -61,10 +51,8 @@ impl<D: Device> Clam<D> {
                 page_idx: 0,
                 hops_left: 0,
             };
-            if self.advance_probe(&mut state) {
+            if let Some(state) = self.walk(state, &mut plan.out, &mut plan.reinserts) {
                 plan.pending.push(state);
-            } else {
-                plan.out[slot] = Some(self.resolve_probe(state, None, &mut plan.reinserts));
             }
         }
         plan
@@ -91,40 +79,28 @@ impl<D: Device> Clam<D> {
         state.flash_reads += 1;
         let slot = state.slot;
         let layout = self.layout;
-        match lookup_in_page(page, state.key).map_err(|e| annotate_offset(e, offset))? {
-            PageLookup::Found(v) => {
-                out[slot] = Some(self.resolve_probe(state, Some(v), reinserts));
-                Ok(None)
-            }
-            PageLookup::Absent => {
-                self.stats.spurious_flash_reads += 1;
-                if self.advance_probe(&mut state) {
-                    let next = self.probe_offset(&state);
-                    Ok(Some((state, next)))
-                } else {
-                    out[slot] = Some(self.resolve_probe(state, None, reinserts));
-                    Ok(None)
+        let pending =
+            match lookup_in_page(page, state.key).map_err(|e| annotate_offset(e, offset))? {
+                PageLookup::Found(v) => {
+                    out[slot] =
+                        Some(self.resolve_probe(state, Some((v, LookupSource::Flash)), reinserts));
+                    None
                 }
-            }
-            PageLookup::Continue => {
-                state.page_idx = layout.next_page(state.page_idx);
-                state.hops_left -= 1;
-                if state.hops_left > 0 {
-                    let next = self.probe_offset(&state);
-                    Ok(Some((state, next)))
-                } else {
-                    // Exhausted the overflow chain without a verdict.
+                PageLookup::Continue if state.hops_left > 1 => {
+                    state.page_idx = layout.next_page(state.page_idx);
+                    state.hops_left -= 1;
+                    Some(state)
+                }
+                // Absent, or the overflow chain exhausted without a verdict.
+                PageLookup::Absent | PageLookup::Continue => {
                     self.stats.spurious_flash_reads += 1;
-                    if self.advance_probe(&mut state) {
-                        let next = self.probe_offset(&state);
-                        Ok(Some((state, next)))
-                    } else {
-                        out[slot] = Some(self.resolve_probe(state, None, reinserts));
-                        Ok(None)
-                    }
+                    self.walk(state, out, reinserts)
                 }
-            }
-        }
+            };
+        Ok(pending.map(|state| {
+            let next = self.probe_offset(&state);
+            (state, next)
+        }))
     }
 
     /// The streaming ring pipeline behind [`Clam::lookup`] and
@@ -277,45 +253,56 @@ impl<D: Device> Clam<D> {
         Ok(batch)
     }
 
-    /// Advances a probe to its next live candidate incarnation, resetting
-    /// the page-chain cursor; returns `false` when the candidate list is
-    /// exhausted (the key cannot be on flash).
-    fn advance_probe(&self, state: &mut ProbeState) -> bool {
-        let layout = self.layout;
+    /// Walks a probe on to its next live candidate incarnation, resetting
+    /// the page-chain cursor, and returns it when that candidate must be
+    /// read from flash. Resolves the key into `out` instead if a home slot
+    /// of the key still holds the candidate's entry, which is the value
+    /// the read would find (candidates go youngest first and the filters
+    /// have no false negatives), or if no candidate is left (the key is
+    /// not on flash).
+    fn walk(
+        &mut self,
+        mut state: ProbeState,
+        out: &mut [Option<LookupOutcome>],
+        reinserts: &mut Vec<(usize, Key, Value)>,
+    ) -> Option<ProbeState> {
+        let table = &self.tables[state.table];
+        let mut found = None;
         for age in state.candidates.by_ref() {
-            if let Some(meta) = self.tables[state.table].incarnation_at(age) {
-                state.meta = Some(meta);
-                state.page_idx = layout.page_of_key(state.key);
-                state.hops_left = layout.num_pages();
-                return true;
+            let Some(meta) = table.incarnation_at(age) else { continue };
+            if let Some(value) = table.slot_copy(state.key, age) {
+                found = Some((value, LookupSource::Retired));
+                break;
             }
+            state.meta = Some(meta);
+            state.page_idx = self.layout.page_of_key(state.key);
+            state.hops_left = self.layout.num_pages();
+            return Some(state);
         }
-        false
+        let slot = state.slot;
+        out[slot] = Some(self.resolve_probe(state, found, reinserts));
+        None
     }
 
     /// Finishes one probe state machine: records the lookup statistics,
-    /// queues the LRU re-insertion for keys served from flash, and builds
-    /// the outcome.
+    /// queues the LRU re-insertion for a key an incarnation answered (from
+    /// flash or from its slot copy), and builds the outcome.
     fn resolve_probe(
         &mut self,
         state: ProbeState,
-        found: Option<Value>,
+        found: Option<(Value, LookupSource)>,
         reinserts: &mut Vec<(usize, Key, Value)>,
     ) -> LookupOutcome {
-        let source = match found {
-            Some(_) => LookupSource::Flash,
-            None => LookupSource::Miss,
-        };
         let outcome = LookupOutcome {
-            value: found,
+            value: found.map(|(value, _)| value),
             latency: state.latency,
             flash_reads: state.flash_reads,
-            source,
+            source: found.map_or(LookupSource::Miss, |(_, source)| source),
         };
         self.stats.record_lookup(&outcome);
-        if let Some(v) = found {
+        if let Some(value) = outcome.value {
             if self.config.eviction.reinserts_on_use() {
-                reinserts.push((state.table, state.key, v));
+                reinserts.push((state.table, state.key, value));
             }
         }
         outcome
@@ -323,7 +310,7 @@ impl<D: Device> Clam<D> {
 }
 
 /// In-memory phase of a lookup batch: keys resolved from delete lists,
-/// buffers or retired generations, probe state machines for the rest, plus
+/// buffers or slot copies, probe state machines for the rest, plus
 /// the host-side accounting.
 struct LookupPlan {
     /// One slot per key; `Some` once the key resolved.

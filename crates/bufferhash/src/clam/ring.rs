@@ -78,9 +78,9 @@ impl<D: Device> Clam<D> {
         });
         if let Some(e) = failure {
             // The request that failed may be the write of an incarnation
-            // already registered: no retired generation may go on vouching
-            // for bytes the device might not hold.
-            self.tables.iter_mut().for_each(SuperTable::forget_retired);
+            // already registered: no slot copy may go on vouching for
+            // bytes the device might not hold.
+            self.tables.iter_mut().for_each(SuperTable::forget_slot_copies);
             return Err(e);
         }
         Ok((charged, completions))

@@ -393,11 +393,13 @@ fn flush_all_writes_buffered_entries() {
 fn memory_before_and_after_first_flushes(mut clam: Clam<Ssd>) -> MemoryUsage {
     let (tables, cfg) = (clam.num_super_tables(), clam.config().clone());
     // Buffers report their allocation: a slot is the 16-byte entry the
-    // budget is quoted in, so every table holds its configured bytes.
+    // budget is quoted in, so every table holds its configured bytes, plus
+    // the slot's one-byte generation stamp.
     assert_eq!(std::mem::size_of::<Entry>(), ENTRY_SIZE);
     let fresh = clam.memory_usage();
-    assert_eq!(fresh.buffers, tables * cfg.buffer_bytes_per_table as usize);
-    assert!(fresh.buffers <= cfg.buffer_bytes_total as usize);
+    let slot_bytes = tables * cfg.buffer_bytes_per_table as usize;
+    assert_eq!(fresh.buffers, slot_bytes + slot_bytes / ENTRY_SIZE);
+    assert!(slot_bytes <= cfg.buffer_bytes_total as usize);
     // A table that never flushed holds no slices.
     assert_eq!((fresh.filters, fresh.delete_lists), (0, 0));
     for i in 0..64 * tables as u64 {
@@ -446,8 +448,9 @@ fn bit_slices_at_the_benchmark_geometry_are_the_bloom_budget() {
         Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap(),
     );
     assert_eq!((usage.filters, budget), (512 << 10, 512 << 10));
-    // The buffers are the other half of the DRAM, to the byte.
-    assert_eq!((usage.buffers, buffers), (512 << 10, 512 << 10));
+    // The buffers' slots are the other half of the DRAM, to the byte;
+    // their generation stamps, a byte a slot, are 1/16 of it on top.
+    assert_eq!((usage.buffers, buffers), ((512 << 10) + (32 << 10), 512 << 10));
 }
 
 #[test]
@@ -765,7 +768,8 @@ fn queued_lookup_batch_matches_the_cost_model_exactly() {
 /// the oldest holds `keys_n` keys (returned), the younger ones a few
 /// others, so each returned key is found after exactly `rounds` reads.
 fn windowed_probe_clam<D: Device>(device: D, keys_n: u64, rounds: usize) -> (Clam<D>, Vec<Key>) {
-    let mut clam = Clam::new(device, deterministic_probe_config()).unwrap();
+    let config = deterministic_probe_config();
+    let mut clam = Clam::new(device, config.clone()).unwrap();
     let keys: Vec<Key> = (0..keys_n).map(|i| hash_with_seed(i, 0x77ee)).collect();
     for (i, &k) in keys.iter().enumerate() {
         clam.insert(k, i as u64).unwrap();
@@ -777,6 +781,9 @@ fn windowed_probe_clam<D: Device>(device: D, keys_n: u64, rounds: usize) -> (Cla
         }
         clam.flush_all().unwrap();
     }
+    // A recovered CLAM starts with no slot copies, so every key lives on
+    // flash only.
+    let (clam, _) = Clam::recover(clam.into_device(), config).unwrap();
     (clam, keys)
 }
 
@@ -932,7 +939,7 @@ fn tombstones_and_live_values_win_over_the_retired_generation() {
         |clam: &Clam<Ssd>| clam.stats().lookups_by_source[LookupSource::Retired as usize];
     assert_eq!((retired_count(&clam), clam.device().stats().reads), (1, 0));
     assert!(out.latency < BASE_OP_OVERHEAD + SimDuration::from_micros(1), "DRAM only: {out:?}");
-    clam.assert_retired_matches_youngest();
+    clam.assert_slot_copies_match_flash();
 
     clam.delete(k).unwrap();
     let out = clam.lookup(k).unwrap();
@@ -943,12 +950,46 @@ fn tombstones_and_live_values_win_over_the_retired_generation() {
     clam.flush_all().unwrap();
     let out = clam.lookup(k).unwrap();
     assert_eq!((out.value, out.source), (Some(11), LookupSource::Retired));
-    clam.assert_retired_matches_youngest();
+    clam.assert_slot_copies_match_flash();
     assert_eq!(retired_count(&clam), 2);
 }
 
 #[test]
-fn the_retired_generation_is_one_flush_deep_and_ends_with_its_incarnation() {
+fn every_incarnation_answers_from_its_slots_youngest_first() {
+    use LookupSource::Retired;
+    // One super table of k = 4, no filters: a lookup walks every
+    // incarnation youngest first, reading each younger one from flash,
+    // until one answers from its slot copy.
+    let cfg = ClamConfig { flash_capacity: 128 * 1024, ..deterministic_probe_config() };
+    assert_eq!((cfg.num_super_tables(), cfg.incarnations_per_table()), (1, 4));
+    let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap();
+    for round in 0..4u64 {
+        clam.insert(key(round), round).unwrap();
+        clam.insert(key(10), 100 + round).unwrap();
+        clam.flush_all().unwrap();
+    }
+    clam.assert_slot_copies_match_flash();
+    let checked = clam.device().stats().reads;
+    for round in 0..4u64 {
+        let out = clam.lookup(key(round)).unwrap();
+        let younger = 3 - round as usize;
+        assert_eq!((out.value, out.source, out.flash_reads), (Some(round), Retired, younger));
+    }
+    assert_eq!(clam.device().stats().reads - checked, 3 + 2 + 1);
+    // The youngest copy of an updated key wins, without a read.
+    let out = clam.lookup(key(10)).unwrap();
+    assert_eq!((out.value, out.source, out.flash_reads), (Some(103), Retired, 0));
+    // A fifth flush evicts round 0's incarnation: its slot copy goes too.
+    clam.insert(key(4), 4).unwrap();
+    clam.flush_all().unwrap();
+    clam.assert_slot_copies_match_flash();
+    let out = clam.lookup(key(0)).unwrap();
+    assert_eq!((out.value, out.source, out.flash_reads), (None, LookupSource::Miss, 4));
+    assert_eq!(clam.lookup(key(1)).unwrap().source, Retired);
+}
+
+#[test]
+fn a_slot_copy_ends_with_its_incarnation() {
     // One super table of k = 1: a flush evicts the only incarnation
     // before writing the next.
     let cfg = ClamConfig { flash_capacity: 32 * 1024, ..deterministic_probe_config() };
@@ -960,7 +1001,7 @@ fn the_retired_generation_is_one_flush_deep_and_ends_with_its_incarnation() {
     assert_eq!(clam.lookup(key(1)).unwrap().source, LookupSource::Retired);
     clam.insert(key(2), 2).unwrap();
     clam.flush_all().unwrap();
-    clam.assert_retired_matches_youngest();
+    clam.assert_slot_copies_match_flash();
     // Key 1's slot was never written again, and its incarnation is gone.
     let out = clam.lookup(key(1)).unwrap();
     assert_eq!((out.value, out.source), (None, LookupSource::Miss));

@@ -5,16 +5,16 @@
 //! cuckoo hashing with two hash functions, which keeps space utilisation
 //! high without chaining; we follow that choice.
 //!
-//! Draining the buffer for a flush does not touch the slot array, so the
-//! generation just written to flash is still in DRAM, entry for entry,
-//! until new inserts land on its slots. A second bitmap, `retired`, says
-//! which slots still hold it, and [`CuckooBuffer::get_retired`] reads them:
-//! a victim cache that costs one bit per slot and no knob (DESIGN.md "The
-//! retired generation").
+//! Draining the buffer for a flush does not touch the slot array, so every
+//! generation written to flash stays in DRAM, entry for entry, until new
+//! inserts land on its slots. Each slot carries a one-byte stamp naming the
+//! generation its entry belongs to, and [`CuckooBuffer::get_stamped`] reads
+//! a key's entry of a named generation back: a victim cache over every
+//! drained generation at once, for one byte per slot and no knob (DESIGN.md
+//! "The retired generations").
 
 use serde::{Deserialize, Serialize};
 
-use crate::supertable::MemoryHit;
 use crate::types::{hash_with_seed, Entry, Key, Modulus, Value};
 
 /// Maximum displacement chain length before an insert is declared failed.
@@ -41,25 +41,24 @@ pub enum BufferInsert {
 ///
 /// A slot is a bare 16-byte [`Entry`], the size the buffer budget is quoted
 /// in; which slots hold one is kept in a bitmap beside them, so emptying
-/// the buffer moves the bitmap aside and leaves the slot array alone.
+/// the buffer clears the bitmap and leaves the slot array alone.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CuckooBuffer {
-    /// Slot `i` holds a live entry only while bit `i` of `occupied` is
-    /// set, an entry of the retired generation while bit `i` of `retired`
-    /// is; otherwise its content is stale. No slot has both bits.
+    /// Slot `i` holds a live entry while bit `i` of `occupied` is set.
+    /// Otherwise it holds an entry of the drained generation `stamps[i]`
+    /// names, or stale content if that stamp is 0.
     slots: Vec<Entry>,
     /// Reduces a hash to a slot index (`slots.len()`, division-free).
     modulus: Modulus,
     /// One bit per slot, 64 slots to a word.
     occupied: Vec<u64>,
-    /// `occupied` as the last [`drain`](Self::drain) found it, minus every
-    /// slot written since.
-    retired: Vec<u64>,
-    /// Whether `retired` answers reads: set by
-    /// [`publish_retired`](Self::publish_retired) once the drained
-    /// generation is a registered incarnation, cleared by the next drain
-    /// and by [`forget_retired`](Self::forget_retired).
-    retired_live: bool,
+    /// One byte per slot: the generation of the entry last written there,
+    /// or 0 once it was removed or unstamped. A live slot always carries
+    /// `generation`, and no other slot does.
+    stamps: Vec<u8>,
+    /// The generation live entries belong to, 1 to 255: the one the next
+    /// [`drain`](Self::drain) retires.
+    generation: u8,
     /// Overflow stash for entries left homeless by a displacement cycle.
     stash: Vec<Entry>,
     /// Maximum number of entries admitted (capacity × max utilisation).
@@ -78,8 +77,8 @@ impl CuckooBuffer {
             slots: vec![Entry::new(0, 0); num_slots],
             modulus: Modulus::new(num_slots),
             occupied: vec![0; num_slots.div_ceil(64)],
-            retired: vec![0; num_slots.div_ceil(64)],
-            retired_live: false,
+            stamps: vec![0; num_slots],
+            generation: 1,
             stash: Vec::new(),
             max_entries,
             len: 0,
@@ -117,12 +116,12 @@ impl CuckooBuffer {
         self.len >= self.max_entries
     }
 
-    /// Bytes of the slot array: with 16-byte entries, exactly the byte
-    /// budget the buffer was sized from. The occupancy and retired bitmaps
-    /// are one bit per slot each on top (2/128 of this figure) and the
-    /// stash is empty unless a displacement cycle was hit.
+    /// Bytes of the slot array and its generation stamps: with 16-byte
+    /// entries, the byte budget the buffer was sized from plus one byte per
+    /// slot (1/16 of it). The occupancy bitmap is one bit per slot on top
+    /// (1/128), and the stash is empty unless a displacement cycle was hit.
     pub fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Entry>()
+        self.slots.len() * (std::mem::size_of::<Entry>() + 1)
     }
 
     #[inline]
@@ -136,48 +135,42 @@ impl CuckooBuffer {
         (self.occupied[idx / 64] >> (idx % 64) & 1 == 1).then(|| self.slots[idx])
     }
 
-    /// The entry in slot `idx`, if the slot still holds the retired
-    /// generation's.
-    #[inline]
-    fn retired_slot(&self, idx: usize) -> Option<Entry> {
-        (self.retired[idx / 64] >> (idx % 64) & 1 == 1).then(|| self.slots[idx])
-    }
-
-    /// The only write into an unoccupied slot, so the only place a retired
-    /// entry can be overwritten.
+    /// The only write into an unoccupied slot, so the only place a drained
+    /// entry can be overwritten. Displacement moves write occupied slots,
+    /// which already carry the live generation's stamp.
     #[inline]
     fn fill_slot(&mut self, idx: usize, entry: Entry) {
         self.slots[idx] = entry;
         self.occupied[idx / 64] |= 1 << (idx % 64);
-        self.retired[idx / 64] &= !(1 << (idx % 64));
+        self.stamps[idx] = self.generation;
     }
 
+    /// Empties a live slot: a removed entry was never drained, so it must
+    /// never answer as one.
     #[inline]
     fn empty_slot(&mut self, idx: usize) {
         self.occupied[idx / 64] &= !(1 << (idx % 64));
+        self.stamps[idx] = 0;
     }
 
     /// Looks up `key`, returning its value if present.
     pub fn get(&self, key: Key) -> Option<Value> {
-        self.live_at(key, self.homes(key))
+        let slotted = self.homes(key).into_iter().filter_map(|idx| self.slot(idx));
+        slotted.chain(self.stash.iter().copied()).find(|e| e.key == key).map(|e| e.value)
     }
 
-    /// Looks up `key` in the retired generation: the entries the last
-    /// [`drain`](Self::drain) returned (its stash excepted) whose slots
-    /// nothing has been written to since. Answers only between
-    /// [`publish_retired`](Self::publish_retired) and the next drain or
-    /// [`forget_retired`](Self::forget_retired). Never sees a live entry.
-    pub fn get_retired(&self, key: Key) -> Option<Value> {
-        self.retired_at(key, self.homes(key))
-    }
-
-    /// [`get`](Self::get), then [`get_retired`](Self::get_retired), with
-    /// `key` hashed to its two slots once for both. Never
-    /// [`MemoryHit::Deleted`]: the delete list is the super table's.
-    pub fn probe(&self, key: Key) -> Option<MemoryHit> {
-        let homes = self.homes(key);
-        let live = self.live_at(key, homes).map(MemoryHit::Buffer);
-        live.or_else(|| self.retired_at(key, homes).map(MemoryHit::Retired))
+    /// Looks up `key` in drained generation `generation`: the value it
+    /// had when a [`drain`](Self::drain) returned it, if the slot it was
+    /// drained from has not been written since. Never sees a live entry,
+    /// a removed one or a stashed one, and nothing for generation 0. The
+    /// caller decides which generations may answer.
+    pub fn get_stamped(&self, key: Key, generation: u8) -> Option<Value> {
+        if generation == 0 || generation == self.generation {
+            return None;
+        }
+        let mut homes = self.homes(key).into_iter();
+        let idx = homes.find(|&idx| self.stamps[idx] == generation && self.slots[idx].key == key);
+        idx.map(|idx| self.slots[idx].value)
     }
 
     /// The two slots `key` may occupy.
@@ -186,33 +179,35 @@ impl CuckooBuffer {
         [self.index(key, 0), self.index(key, 1)]
     }
 
-    fn live_at(&self, key: Key, homes: [usize; 2]) -> Option<Value> {
-        let slotted = homes.iter().filter_map(|&idx| self.slot(idx));
-        slotted.chain(self.stash.iter().copied()).find(|e| e.key == key).map(|e| e.value)
+    /// The generation live entries are stamped with, which the next
+    /// [`drain`](Self::drain) retires.
+    pub fn generation(&self) -> u8 {
+        self.generation
     }
 
-    fn retired_at(&self, key: Key, homes: [usize; 2]) -> Option<Value> {
-        let mut slotted = homes.iter().filter_map(|&idx| self.retired_slot(idx));
-        slotted.find(|e| self.retired_live && e.key == key).map(|e| e.value)
+    /// Clears the stamps naming drained generation `generation`: none of
+    /// its entries answers any more.
+    pub fn unstamp(&mut self, generation: u8) {
+        for stamp in &mut self.stamps {
+            *stamp = if *stamp == generation { 0 } else { *stamp };
+        }
     }
 
-    /// Makes the generation the last [`drain`](Self::drain) retired
-    /// readable. The caller vouches that those entries are durable
-    /// elsewhere under the same keys and values.
-    pub fn publish_retired(&mut self) {
-        self.retired_live = true;
+    /// Clears the stamps of every drained generation; live entries keep
+    /// theirs.
+    pub fn unstamp_drained(&mut self) {
+        let live = self.generation;
+        for stamp in &mut self.stamps {
+            *stamp = if *stamp == live { live } else { 0 };
+        }
     }
 
-    /// Stops answering from the retired generation.
-    pub fn forget_retired(&mut self) {
-        self.retired_live = false;
-    }
-
-    /// The retired generation's surviving entries, in slot order (empty
-    /// unless published).
-    pub fn iter_retired(&self) -> impl Iterator<Item = Entry> + '_ {
-        let slots = if self.retired_live { self.slots.len() } else { 0 };
-        (0..slots).filter_map(|idx| self.retired_slot(idx))
+    /// The drained entries still in their slots, with the generation each
+    /// is stamped with, in slot order.
+    pub fn iter_stamped(&self) -> impl Iterator<Item = (u8, Entry)> + '_ {
+        let live = self.generation;
+        let stamped = self.stamps.iter().zip(&self.slots);
+        stamped.filter(move |(&g, _)| g != 0 && g != live).map(|(&g, &e)| (g, e))
     }
 
     /// Inserts or updates `key` with `value`.
@@ -290,10 +285,11 @@ impl CuckooBuffer {
         (0..self.slots.len()).filter_map(|idx| self.slot(idx)).chain(self.stash.iter().copied())
     }
 
-    /// Drains all entries, leaving the buffer empty. The slots they sat in
-    /// become the retired generation, replacing the previous one
-    /// wholesale; it stays unreadable until
-    /// [`publish_retired`](Self::publish_retired).
+    /// Drains all entries, leaving the buffer empty. The slotted ones stay
+    /// where they are, stamped with the generation they were drained as
+    /// (the [`generation`](Self::generation) before the call). Live entries
+    /// then take the next generation, cycling through 1 to 255, whose
+    /// stamps from 255 drains ago are cleared first.
     pub fn drain(&mut self) -> Vec<Entry> {
         // `iter`'s order, a set bit at a time.
         let mut out = Vec::with_capacity(self.len);
@@ -304,19 +300,18 @@ impl CuckooBuffer {
             }
         }
         out.extend_from_slice(&self.stash);
-        std::mem::swap(&mut self.occupied, &mut self.retired);
-        self.retired_live = false;
         self.occupied.fill(0);
+        self.generation = self.generation % 255 + 1;
+        self.unstamp(self.generation);
         self.stash.clear();
         self.len = 0;
         out
     }
 
-    /// Removes all entries and forgets the retired generation.
+    /// Removes all entries and forgets every drained generation.
     pub fn clear(&mut self) {
         self.occupied.fill(0);
-        self.retired.fill(0);
-        self.retired_live = false;
+        self.stamps.fill(0);
         self.stash.clear();
         self.len = 0;
     }
@@ -406,7 +401,9 @@ mod tests {
     fn slot_array_is_exactly_the_byte_budget() {
         assert_eq!(std::mem::size_of::<Entry>(), 16);
         let b = CuckooBuffer::with_byte_budget(128 * 1024, 16, 0.5);
-        assert_eq!(b.memory_bytes(), 128 * 1024);
+        assert_eq!(b.slots.len() * std::mem::size_of::<Entry>(), 128 * 1024);
+        // The generation stamps, a byte a slot, are counted on top.
+        assert_eq!(b.memory_bytes(), 128 * 1024 + b.num_slots());
     }
 
     #[test]
@@ -438,57 +435,56 @@ mod tests {
         (0..n).map(|i| Entry::new(hash_with_seed(i, tag), tag * 1_000 + i)).collect()
     }
 
-    /// Fills `b` with `entries`, drains it and publishes what it retired.
-    fn flush(b: &mut CuckooBuffer, entries: &[Entry]) {
+    /// Fills `b` with `entries` and drains it; returns the generation the
+    /// entries were drained as.
+    fn flush(b: &mut CuckooBuffer, entries: &[Entry]) -> u8 {
         for e in entries {
             assert_eq!(b.insert(e.key, e.value), BufferInsert::Stored(None));
         }
+        let drained = b.generation();
         assert_eq!(b.drain().len(), entries.len());
-        b.publish_retired();
+        drained
     }
 
-    /// The slot holding `key` in the live buffer or the retired generation.
-    fn slot_of(b: &CuckooBuffer, key: Key) -> Option<usize> {
-        (0..2)
-            .map(|w| b.index(key, w))
-            .find(|&i| b.slot(i).or(b.retired_slot(i)).is_some_and(|e| e.key == key))
+    /// The slot holding `key` live or stamped with `generation`.
+    fn slot_of(b: &CuckooBuffer, key: Key, generation: u8) -> Option<usize> {
+        (0..2).map(|w| b.index(key, w)).find(|&i| {
+            let held = b.slot(i).is_some() || b.stamps[i] == generation;
+            held && b.slots[i].key == key
+        })
     }
 
     #[test]
     fn a_drained_generation_reads_back_until_its_slots_are_reused() {
         let mut b = CuckooBuffer::new(512, 0.5);
         let old = generation(1, 256);
+        let g = b.generation();
         for e in &old {
             b.insert(e.key, e.value);
         }
-        assert!(old.iter().all(|e| b.get_retired(e.key).is_none()), "live entries are not retired");
+        assert!(old.iter().all(|e| b.get_stamped(e.key, g).is_none()), "live entries never");
         b.drain();
-        assert!(
-            old.iter().all(|e| b.get_retired(e.key).is_none()),
-            "a drain alone publishes nothing"
-        );
-        b.publish_retired();
+        assert_ne!(b.generation(), g, "live entries take the next generation");
         for e in &old {
-            assert_eq!((b.get(e.key), b.get_retired(e.key)), (None, Some(e.value)));
+            assert_eq!((b.get(e.key), b.get_stamped(e.key, g)), (None, Some(e.value)));
         }
-        assert_eq!(b.iter_retired().count(), old.len());
+        assert_eq!(b.iter_stamped().count(), old.len());
         assert!(b.is_empty() && b.iter().next().is_none());
-        let homes: Vec<usize> = old.iter().map(|e| slot_of(&b, e.key).unwrap()).collect();
+        let homes: Vec<usize> = old.iter().map(|e| slot_of(&b, e.key, g).unwrap()).collect();
 
         // The next generation takes slots one at a time, directly and at
         // the end of displacement chains: an old entry answers exactly
         // until something is written where it sits, and never wrongly.
         let (mut reused_directly, mut reused_by_displacement) = (0, 0);
         for new in generation(2, 256) {
-            let was_retired: Vec<bool> =
-                homes.iter().map(|&i| b.retired_slot(i).is_some()).collect();
+            let was_stamped: Vec<bool> = homes.iter().map(|&i| b.stamps[i] == g).collect();
             b.insert(new.key, new.value);
-            assert_eq!(b.get_retired(new.key), None);
-            for ((e, &home), was) in old.iter().zip(&homes).zip(was_retired) {
+            assert_eq!(b.get_stamped(new.key, g), None);
+            for ((e, &home), was) in old.iter().zip(&homes).zip(was_stamped) {
                 match b.slot(home) {
-                    None => assert_eq!(b.get_retired(e.key), Some(e.value), "untouched {e:?}"),
+                    None => assert_eq!(b.get_stamped(e.key, g), Some(e.value), "untouched {e:?}"),
                     Some(now) => {
-                        assert_eq!(b.get_retired(e.key), None, "{e:?} under {now:?}");
+                        assert_eq!(b.get_stamped(e.key, g), None, "{e:?} under {now:?}");
                         if was {
                             let direct = now.key == new.key;
                             reused_directly += usize::from(direct);
@@ -499,66 +495,95 @@ mod tests {
             }
         }
         assert!(reused_directly > 20 && reused_by_displacement > 5, "both kinds of write ran");
-        let survivors = b.iter_retired().count();
+        let survivors = b.iter_stamped().count();
         assert!((40..200).contains(&survivors), "{survivors} of 256 survive a full refill");
     }
 
     #[test]
-    fn a_second_drain_replaces_the_retired_generation_wholesale() {
+    fn a_generation_answers_after_two_further_drains_until_its_slots_are_rewritten() {
         let mut b = CuckooBuffer::new(512, 0.5);
-        let (first, second) = (generation(1, 256), generation(2, 32));
-        flush(&mut b, &first);
-        flush(&mut b, &second);
-        // Most of the first generation's slots were never written again,
-        // and still none of it answers.
-        for e in &first {
-            assert_eq!(b.get_retired(e.key), None, "{e:?} is two drains old");
+        let gens = [generation(1, 256), generation(2, 32), generation(3, 32)];
+        let ids: Vec<u8> = gens.iter().map(|entries| flush(&mut b, entries)).collect();
+        assert!(ids[0] != ids[1] && ids[1] != ids[2] && ids[0] != ids[2], "{ids:?}");
+        // Every entry answers for its own generation exactly while its
+        // slot holds it, and for no other.
+        let mut oldest_answering = 0;
+        for (entries, &id) in gens.iter().zip(&ids) {
+            for e in entries {
+                let intact = slot_of(&b, e.key, id).is_some();
+                assert_eq!(b.get_stamped(e.key, id), intact.then_some(e.value), "{e:?}");
+                for &other in ids.iter().filter(|&&other| other != id) {
+                    assert_eq!(b.get_stamped(e.key, other), None, "{e:?} under {other}");
+                }
+                oldest_answering += usize::from(intact && id == ids[0]);
+            }
         }
-        for e in &second {
-            assert_eq!(b.get_retired(e.key), Some(e.value));
+        assert!(oldest_answering > 180, "{oldest_answering} of 256 two drains old answer");
+        assert_eq!(b.iter_stamped().filter(|&(g, _)| g == ids[2]).count(), 32);
+    }
+
+    #[test]
+    fn a_removed_live_entry_never_answers_after_the_flush() {
+        let mut b = CuckooBuffer::new(512, 0.5);
+        let entries = generation(1, 200);
+        for e in &entries {
+            b.insert(e.key, e.value);
         }
-        assert_eq!(b.iter_retired().count(), second.len());
+        for e in &entries[..100] {
+            assert_eq!(b.remove(e.key), Some(e.value));
+        }
+        let g = b.generation();
+        assert_eq!(b.drain().len(), 100);
+        // The removed entries' bytes are still in their slots.
+        assert!(entries[..100].iter().all(|e| b.get_stamped(e.key, g).is_none()));
+        assert!(entries[100..].iter().all(|e| b.get_stamped(e.key, g) == Some(e.value)));
     }
 
     #[test]
     fn forgetting_and_clearing_end_the_retired_generation() {
         let mut b = CuckooBuffer::new(512, 0.5);
-        let entries = generation(1, 100);
-        flush(&mut b, &entries);
-        b.forget_retired();
-        assert!(entries.iter().all(|e| b.get_retired(e.key).is_none()));
-        assert_eq!(b.iter_retired().count(), 0);
-
-        flush(&mut b, &entries);
+        let (first, second) = (generation(1, 200), generation(2, 50));
+        let (g1, g2) = (flush(&mut b, &first), flush(&mut b, &second));
+        b.unstamp(g1);
+        assert!(first.iter().all(|e| b.get_stamped(e.key, g1).is_none()));
+        assert!(second.iter().all(|e| b.get_stamped(e.key, g2) == Some(e.value)));
+        // Dropping every drained generation leaves the live one alone.
+        let live = generation(3, 20);
+        for e in &live {
+            b.insert(e.key, e.value);
+        }
+        b.unstamp_drained();
+        assert_eq!(b.iter_stamped().count(), 0);
+        assert!(live.iter().all(|e| b.get(e.key) == Some(e.value)));
+        let g3 = b.generation();
+        assert_eq!(b.drain().len(), live.len());
+        assert!(live.iter().all(|e| b.get_stamped(e.key, g3) == Some(e.value)));
+        // And a cleared buffer keeps nothing at all.
         b.clear();
-        // Not even a stray publish brings a cleared generation back.
-        b.publish_retired();
-        assert!(entries.iter().all(|e| b.get_retired(e.key).is_none()));
+        assert!(live.iter().all(|e| b.get_stamped(e.key, g3).is_none()));
     }
 
     #[test]
-    fn probe_answers_live_then_retired() {
+    fn a_generation_id_comes_back_only_after_its_stamps_are_cleared() {
         let mut b = CuckooBuffer::new(512, 0.5);
-        let old = generation(1, 256);
-        flush(&mut b, &old);
-        // Half the old keys get a newer live value, then fresh keys land.
-        for e in &old[..128] {
-            b.insert(e.key, e.value + 1);
+        let first = generation(1, 100);
+        let g = flush(&mut b, &first);
+        // 253 empty drains hand out every other id; the next hands out
+        // `g` again, and nothing of the first generation may answer as
+        // the new one.
+        for _ in 0..253 {
+            assert_ne!(flush(&mut b, &[]), g);
         }
-        for e in generation(2, 100) {
-            b.insert(e.key, e.value);
-        }
-        for key in
-            [&old[..], &generation(2, 100), &generation(3, 50)].concat().iter().map(|e| e.key)
-        {
-            let expected = b
-                .get(key)
-                .map(MemoryHit::Buffer)
-                .or_else(|| b.get_retired(key).map(MemoryHit::Retired));
-            assert_eq!(b.probe(key), expected, "{key:#x}");
-        }
-        assert!(old[..128].iter().all(|e| b.probe(e.key) == Some(MemoryHit::Buffer(e.value + 1))));
-        assert!(old[128..].iter().any(|e| b.probe(e.key) == Some(MemoryHit::Retired(e.value))));
+        assert!(first.iter().all(|e| b.get_stamped(e.key, g) == Some(e.value)));
+        b.drain();
+        assert_eq!(b.generation(), g);
+        assert_eq!(b.iter_stamped().count(), 0);
+        // Drained as `g` once more, the slots hold only the new entries.
+        let second = generation(2, 10);
+        assert_eq!(flush(&mut b, &second), g);
+        assert!(first.iter().all(|e| b.get_stamped(e.key, g).is_none()));
+        assert!(second.iter().all(|e| b.get_stamped(e.key, g) == Some(e.value)));
+        assert_eq!(b.iter_stamped().count(), second.len());
     }
 
     #[test]
@@ -575,10 +600,10 @@ mod tests {
         assert_eq!((b.len(), b.stash.len()), (2, 1));
         let stashed = b.stash[0].key;
         let slotted = keys[usize::from(keys[0] == stashed)];
+        let g = b.generation();
         assert_eq!(b.drain().len(), 2);
-        b.publish_retired();
-        assert_eq!(b.get_retired(slotted), Some(slotted + 7));
-        assert_eq!(b.get_retired(stashed), None, "a stashed entry has no slot to be read from");
+        assert_eq!(b.get_stamped(slotted, g), Some(slotted + 7));
+        assert_eq!(b.get_stamped(stashed, g), None, "a stashed entry has no slot to be read from");
     }
 
     /// `insert` as it was before it hashed a key's two homes once per
@@ -627,8 +652,9 @@ mod tests {
     fn placement_matches_the_two_pass_insert() {
         // Full buffers (displacement chains, cycles into the stash) and the
         // paper's 50 %; keys drawn from a pool twice the slot count, so
-        // updates and removals find their keys. Every slot, both bitmaps
-        // and the stash must agree after every step, stale slots included.
+        // updates and removals find their keys. Every slot, the bitmap, the
+        // stamps and the stash must agree after every step, stale slots
+        // included.
         for (slots, utilization) in [(64, 1.0), (256, 0.9), (2048, 0.5)] {
             let mut new = CuckooBuffer::new(slots, utilization);
             let mut old = new.clone();
@@ -640,8 +666,6 @@ mod tests {
                     assert_eq!(new.remove(key), old.remove(key), "step {step}");
                 } else if new.is_full() {
                     assert_eq!(new.drain(), old.drain(), "step {step}");
-                    new.publish_retired();
-                    old.publish_retired();
                     drains += 1;
                 } else {
                     let got = new.insert(key, step);
@@ -649,7 +673,7 @@ mod tests {
                 }
                 kicked_to_stash |= !new.stash.is_empty();
                 let state = |b: &CuckooBuffer| {
-                    (b.slots.clone(), b.occupied.clone(), b.retired.clone(), b.stash.clone(), b.len)
+                    (b.slots.clone(), b.occupied.clone(), b.stamps.clone(), b.stash.clone(), b.len)
                 };
                 assert_eq!(state(&new), state(&old), "{slots} slots, step {step}");
             }

@@ -12,10 +12,11 @@
 //! * Each super table buffers inserts in a small in-DRAM cuckoo hash table
 //!   ([`CuckooBuffer`]); when the buffer fills it is written to flash
 //!   sequentially as an immutable *incarnation*. The slots it was flushed
-//!   from keep answering lookups as that incarnation's **retired
-//!   generation** until new inserts reuse them: no extra memory, no knob,
-//!   about one flash read in eight saved (DESIGN.md "The retired
-//!   generation").
+//!   from keep answering lookups for that incarnation, as its **retired
+//!   generation**, until new inserts reuse them — for every incarnation
+//!   still registered, not only the youngest: a one-byte generation stamp
+//!   a slot, no knob, about one flash read in four saved on the repo
+//!   benchmark (DESIGN.md "The retired generations").
 //! * One in-DRAM Bloom filter per incarnation (stored [bit-sliced, a lane
 //!   each, in exactly the Bloom budget](BitSlicedBloomSet)) routes lookups
 //!   to the few incarnations that may hold the key (an [`AgeSet`] held by

@@ -43,9 +43,9 @@
 //!   ([`SharedClam::try_fast_lookup`], a stripe's share of
 //!   [`StripedClam::try_fast_lookup_batch`], the fast pass of
 //!   [`SharedClam::lookup_batch`]; one implementation) is one `try_read`
-//!   → [`Clam::probe_memory`] per key → done (delete list, buffer, retired
-//!   generation, filters: the one memory probe the exclusive path
-//!   runs). The guard is held across the whole run, so a reader can
+//!   → [`Clam::probe_memory`] per key → done (delete list, buffer,
+//!   filters and the first candidate's slot copy: the exclusive path's
+//!   walk up to its first page read). The guard is held across the whole run, so a reader can
 //!   never observe a half-applied write; `try_read` failing means a
 //!   writer holds or awaits the stripe, and the reader
 //!   falls back to the exclusive path, counting one

@@ -27,7 +27,7 @@ pub struct ClamStats {
     /// Lookups by [`LookupSource`](crate::LookupSource) (as `usize`):
     /// buffer, retired, flash, deleted, miss. A miss with no flash read was
     /// filtered out. A [`Retired`](crate::LookupSource::Retired) hit is a
-    /// key of a table's youngest incarnation read from the buffer slot it
+    /// key of one of a table's incarnations read from the buffer slot it
     /// was flushed from, a flash page read that did not happen.
     pub lookups_by_source: [u64; 5],
     /// Buffer flushes (incarnations written to flash).

@@ -7,12 +7,12 @@
 //! purely in-memory and easy to test.
 //!
 //! The buffer's slots outlive a flush: until new inserts reuse them they
-//! still hold the table's **youngest incarnation**, and
-//! [`SuperTable::memory_lookup`] answers from them after the delete list
-//! and the live buffer have had their say. That retired generation is
-//! published by [`SuperTable::register_incarnation`] and forgotten when
-//! the incarnation it mirrors is dropped (DESIGN.md "The retired
-//! generation").
+//! still hold the entries of the incarnations flushed from them, each
+//! stamped with its generation. The incarnation queue says which
+//! generation each incarnation was drained as, and only a generation in
+//! the queue answers ([`SuperTable::slot_copy`]): registering an
+//! incarnation publishes its generation, dropping it ends it (DESIGN.md
+//! "The retired generations").
 //!
 //! Nothing here synchronizes: a `SuperTable` is a plain field of its
 //! `Clam`, mutated through `&mut` (see DESIGN.md "Locks").
@@ -44,9 +44,14 @@ pub enum MemoryHit {
     Deleted,
     /// The live buffer holds the key.
     Buffer(Value),
-    /// The youngest incarnation holds the key, and so does the buffer slot
-    /// it was flushed from.
-    Retired(Value),
+}
+
+/// One registered incarnation: where it lives, and the buffer generation
+/// it was drained as (0 for one recovery found: no slot ever held it).
+#[derive(Debug, Clone, Copy)]
+struct Incarnation {
+    meta: IncarnationMeta,
+    generation: u8,
 }
 
 /// The DRAM-resident state of one key-space partition.
@@ -56,9 +61,12 @@ pub struct SuperTable {
     id: usize,
     buffer: CuckooBuffer,
     filters: FilterBank,
-    /// Incarnation metadata, youngest first (index = age, matching the
-    /// filter bank's convention).
-    incarnations: VecDeque<IncarnationMeta>,
+    /// Incarnations, youngest first (index = age, matching the filter
+    /// bank's convention).
+    incarnations: VecDeque<Incarnation>,
+    /// The generation the last drain retired, until an incarnation is
+    /// registered for it (0 once it is, or if none was drained).
+    drained: u8,
     /// Keys deleted while their entries were already on flash (§5.1.1).
     delete_list: HashSet<Key>,
     /// Layout used to serialize/parse this table's incarnations.
@@ -90,6 +98,7 @@ impl SuperTable {
             ),
             incarnations: VecDeque::with_capacity(max_incarnations),
             delete_list: HashSet::new(),
+            drained: 0,
             layout,
             max_incarnations: max_incarnations.max(1),
         }
@@ -122,34 +131,46 @@ impl SuperTable {
 
     /// Metadata of the incarnation at `age` (0 = youngest).
     pub fn incarnation_at(&self, age: usize) -> Option<IncarnationMeta> {
-        self.incarnations.get(age).copied()
+        self.incarnations.get(age).map(|inc| inc.meta)
     }
 
     /// Metadata of the oldest incarnation.
     pub fn oldest_incarnation(&self) -> Option<IncarnationMeta> {
-        self.incarnations.back().copied()
+        self.incarnations.back().map(|inc| inc.meta)
     }
 
-    /// Looks up `key` in the in-memory state only: the delete list, then
-    /// the live buffer, then the retired generation, so a tombstone or a
-    /// newer value always wins over the flushed one. `None` when the
-    /// caller must consult the filters and flash.
+    /// Looks up `key` in the in-memory state that outranks every
+    /// incarnation: the delete list, then the live buffer. `None` when the
+    /// caller must walk the candidate incarnations.
     pub fn memory_lookup(&self, key: Key) -> Option<MemoryHit> {
         if self.delete_list.contains(&key) {
             return Some(MemoryHit::Deleted);
         }
-        self.buffer.probe(key)
+        self.buffer.get(key).map(MemoryHit::Buffer)
     }
 
-    /// Stops answering from the retired generation: the incarnation it
-    /// mirrors is gone, or may never have reached the device.
-    pub fn forget_retired(&mut self) {
-        self.buffer.forget_retired();
+    /// The value the incarnation at `age` holds for `key`, if the buffer
+    /// slot it was flushed from still holds it: what reading that
+    /// incarnation from flash would find, without the read. `None` says
+    /// nothing about flash.
+    pub fn slot_copy(&self, key: Key, age: usize) -> Option<Value> {
+        self.buffer.get_stamped(key, self.incarnations.get(age)?.generation)
     }
 
-    /// The retired generation's surviving entries (test support).
-    pub fn retired_entries(&self) -> impl Iterator<Item = Entry> + '_ {
-        self.buffer.iter_retired()
+    /// Stops answering from the buffer's slots for every incarnation: one
+    /// of them may never have reached the device.
+    pub fn forget_slot_copies(&mut self) {
+        self.buffer.unstamp_drained();
+    }
+
+    /// Every drained entry still in a buffer slot, with the incarnation
+    /// its stamp names (`None`: a generation no incarnation was registered
+    /// for). Test support.
+    pub fn slot_copies(&self) -> impl Iterator<Item = (Option<IncarnationMeta>, Entry)> + '_ {
+        self.buffer.iter_stamped().map(|(generation, entry)| {
+            let inc = self.incarnations.iter().find(|inc| inc.generation == generation);
+            (inc.map(|inc| inc.meta), entry)
+        })
     }
 
     /// Inserts into the buffer. A new value for a deleted key revives it.
@@ -188,14 +209,23 @@ impl SuperTable {
     /// readable from the slots they leave behind unless the entries are
     /// then registered as an incarnation.
     pub fn drain_buffer(&mut self) -> Vec<Entry> {
-        self.buffer.drain()
+        self.drained = self.buffer.generation();
+        let entries = self.buffer.drain();
+        // The generation the buffer fills next has no stamps left; only a
+        // table of 255 or more incarnations can still hold one drained as
+        // it, whose slot copies are gone.
+        let next = self.buffer.generation();
+        self.incarnations.iter_mut().filter(|inc| inc.generation == next).for_each(|inc| {
+            inc.generation = 0;
+        });
+        entries
     }
 
     /// Registers a freshly written incarnation as the youngest, and in the
     /// same step publishes what the preceding
     /// [`drain_buffer`](Self::drain_buffer) left in the buffer's slots as
-    /// its retired generation (nothing, for an incarnation recovery found
-    /// on flash: its buffer never held it).
+    /// its slot copies (nothing, for an incarnation recovery found on
+    /// flash: its buffer never held it).
     ///
     /// The caller must have made room first (`num_incarnations() <
     /// max_incarnations()`).
@@ -205,22 +235,17 @@ impl SuperTable {
             "register_incarnation on a full incarnation table"
         );
         self.filters.push_newest(keys);
-        self.incarnations.push_front(meta);
-        self.buffer.publish_retired();
+        let generation = std::mem::take(&mut self.drained);
+        self.incarnations.push_front(Incarnation { meta, generation });
     }
 
-    /// Drops the oldest incarnation, returning its metadata. The retired
-    /// generation mirrors the youngest, which goes only when the queue
-    /// empties.
+    /// Drops the oldest incarnation, returning its metadata. Its slot
+    /// copies go with it.
     pub fn drop_oldest_incarnation(&mut self) -> Option<IncarnationMeta> {
-        let meta = self.incarnations.pop_back();
-        if meta.is_some() {
-            self.filters.evict_oldest();
-        }
-        if self.incarnations.is_empty() {
-            self.forget_retired();
-        }
-        meta
+        let inc = self.incarnations.pop_back()?;
+        self.filters.evict_oldest();
+        self.buffer.unstamp(inc.generation);
+        Some(inc.meta)
     }
 
     /// Force-drops the incarnation with sequence number `seq` (used when the
@@ -231,7 +256,7 @@ impl SuperTable {
     /// Returns the metadata of every incarnation dropped.
     pub fn force_evict_up_to(&mut self, seq: u64) -> Vec<IncarnationMeta> {
         let mut dropped = Vec::new();
-        while let Some(oldest) = self.incarnations.back().copied() {
+        while let Some(oldest) = self.oldest_incarnation() {
             if oldest.seq > seq {
                 break;
             }
@@ -285,8 +310,8 @@ impl SuperTable {
         self.delete_list.retain(|&k| !filters.query(k).is_empty());
     }
 
-    /// DRAM the buffer's slots occupy, in bytes (its two bitmaps are 2/128
-    /// of this on top).
+    /// DRAM the buffer's slots and their generation stamps occupy, in
+    /// bytes (its occupancy bitmap is 1/136 of this on top).
     pub fn buffer_bytes(&self) -> usize {
         self.buffer.memory_bytes()
     }
@@ -409,6 +434,61 @@ mod tests {
         assert_eq!(t.oldest_incarnation().unwrap().seq, 2);
         // Evicting a seq that is not present does nothing.
         assert!(t.force_evict_up_to(1).is_empty());
+    }
+
+    #[test]
+    fn slot_copies_answer_for_registered_incarnations_only() {
+        let mut t = table();
+        let keys = |seq: u64| (0..10).map(move |i| hash_with_seed(i, 100 + seq));
+        for seq in 0..3u64 {
+            keys(seq).for_each(|k| assert!(t.buffer_insert(k, k ^ seq) != BufferInsert::Full));
+            let drained: Vec<Key> = t.drain_buffer().iter().map(|e| e.key).collect();
+            let ages = 0..=t.num_incarnations();
+            assert!(keys(seq).all(|k| ages.clone().all(|age| t.slot_copy(k, age).is_none())));
+            t.register_incarnation(meta(seq), &drained);
+        }
+        // Ages 0, 1, 2 hold seqs 2, 1, 0: a key answers at its own age.
+        for seq in 0..3u64 {
+            for k in keys(seq) {
+                for age in 0..3 {
+                    let own = age as u64 == 2 - seq;
+                    assert_eq!(t.slot_copy(k, age), own.then_some(k ^ seq), "{seq} at {age}");
+                }
+            }
+        }
+        t.drop_oldest_incarnation();
+        assert!(keys(0).all(|k| (0..3).all(|age| t.slot_copy(k, age).is_none())));
+        t.force_evict_up_to(1);
+        assert!(keys(1).all(|k| (0..3).all(|age| t.slot_copy(k, age).is_none())));
+        assert!(keys(2).all(|k| t.slot_copy(k, 0) == Some(k ^ 2)));
+        assert!(t.slot_copies().all(|(inc, _)| inc == t.incarnation_at(0)));
+        t.forget_slot_copies();
+        assert!(keys(2).all(|k| t.slot_copy(k, 0).is_none()));
+        assert_eq!(t.slot_copies().count(), 0);
+    }
+
+    #[test]
+    fn a_generation_id_handed_out_again_ends_the_incarnation_drained_as_it() {
+        let mut t = SuperTable::new(
+            0,
+            1024,
+            0.5,
+            300,
+            FilterMode::BitSliced,
+            256,
+            2,
+            IncarnationLayout::new(1024, 256).unwrap(),
+        );
+        // 256 flushes of one key each: the 256th drain hands out the
+        // generation of the first again.
+        for seq in 0..256u64 {
+            t.buffer_insert(seq, seq);
+            let drained: Vec<Key> = t.drain_buffer().iter().map(|e| e.key).collect();
+            t.register_incarnation(meta(seq), &drained);
+        }
+        assert_eq!(t.slot_copy(255, 0), Some(255));
+        assert_eq!(t.slot_copy(0, 255), None, "its stamps were cleared for reuse");
+        assert!(t.slot_copies().all(|(inc, e)| inc.is_some_and(|inc| inc.seq == e.key)));
     }
 
     #[test]

@@ -106,15 +106,17 @@ fn filter_queries_and_memory_probes_do_not_allocate_up_to_64_incarnations() {
     assert_eq!(allocated, 0, "SuperTable::candidate_incarnations");
 
     // The memory probe of a loaded CLAM at the benchmark's geometry
-    // (k = 16): keys on flash, in a buffer, and absent.
+    // (k = 16): keys on flash, in a buffer slot (live or a slot copy), and
+    // absent. Half the key range is inserted; the buffers' 32 768 slots
+    // answer for at most as many keys, so most others are on flash only.
     let cfg = ClamConfig::small_test(8 << 20, 1 << 20).unwrap();
     let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap();
-    for i in 0..100_000u64 {
+    for i in 0..150_000u64 {
         clam.insert(hash_with_seed(i, 0x5eed), i).unwrap();
     }
     let (mut resolved, mut needs_flash) = (0, 0);
     let allocated = allocations_in(|| {
-        for i in (0..200_000u64).step_by(7) {
+        for i in (0..300_000u64).step_by(7) {
             match clam.probe_memory(hash_with_seed(i, 0x5eed), BASE_OP_OVERHEAD) {
                 MemoryProbe::Resolved(_) => resolved += 1,
                 MemoryProbe::NeedsFlash => needs_flash += 1,

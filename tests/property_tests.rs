@@ -476,8 +476,8 @@ fn run_against_model<D: Device>(
             }
         }
         // Whatever the step did, what a table still reads from its drained
-        // buffer slots is what its youngest incarnation holds on the device.
-        clam.assert_retired_matches_youngest();
+        // buffer slots is what their incarnations hold on the device.
+        clam.assert_slot_copies_match_flash();
     }
     Ok(())
 }
@@ -520,7 +520,7 @@ fn check_against_model<D: Device>(
     audit(&mut clam, &model, universe)?;
     clam.flush_all().unwrap();
     model.flush_all();
-    clam.assert_retired_matches_youngest();
+    clam.assert_slot_copies_match_flash();
     // The ledgers: flushes, forced evictions, re-insertions, and the
     // tables' own evictions as the device's TRIM count.
     let ledger = |stats: &clam::bufferhash::ClamStats| {

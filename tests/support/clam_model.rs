@@ -27,13 +27,13 @@
 //! * lookups answer from the delete list, then the buffer, then the
 //!   incarnations youngest first; deletes are lazy tombstones in DRAM,
 //!   pruned once no incarnation of the table holds the key;
-//! * a hit in a table's **youngest** incarnation may be answered from the
-//!   DRAM that incarnation was flushed from (`LookupSource::Retired`, no
-//!   flash read) instead of from flash. The model has no slots, so it
-//!   cannot say which of those keys still have theirs: either source is
-//!   right there, and `Retired` is wrong everywhere else;
+//! * a hit in an incarnation flushed in this lifetime may be answered from
+//!   the buffer slot it was flushed from (`LookupSource::Retired`, no flash
+//!   read) instead of from flash. The model has no slots, so it cannot say
+//!   which of those keys still have theirs: either source is right there,
+//!   and `Retired` is wrong everywhere else;
 //! * recovery keeps the incarnations and loses the buffers, the tombstones
-//!   and the retired generation.
+//!   and the slot copies.
 //!
 //! Not modelled: LRU (its re-insertion order keeps its direct tests),
 //! Bloom false positives (exact membership here; the test geometries keep
@@ -52,17 +52,17 @@ pub struct Expected {
     pub value: Option<Value>,
     /// `Flash` for any incarnation, the youngest included.
     pub source: LookupSource,
-    /// The hit is in the table's youngest incarnation, and that one was
-    /// flushed in this lifetime, not recovered.
-    pub youngest: bool,
+    /// The hit is in an incarnation flushed in this lifetime, not
+    /// recovered.
+    pub flushed: bool,
 }
 
 impl Expected {
     /// Whether `got` is a reply the specification allows: the value, from
-    /// the source — or, for a key of the youngest incarnation only, from
-    /// its retired generation without a flash read.
+    /// the source — or, for a key of an incarnation flushed in this
+    /// lifetime, from its slot copy without a flash read.
     pub fn admits(&self, got: &LookupOutcome) -> bool {
-        let retired = got.source == LookupSource::Retired && self.youngest && got.flash_reads == 0;
+        let retired = got.source == LookupSource::Retired && self.flushed && got.flash_reads == 0;
         got.value == self.value && (got.source == self.source || retired)
     }
 }
@@ -80,6 +80,8 @@ struct Incarnation {
     seq: u64,
     slot: usize,
     entries: HashMap<Key, Value>,
+    /// Flushed since the last recovery.
+    flushed: bool,
 }
 
 #[derive(Default)]
@@ -88,8 +90,6 @@ struct Table {
     deleted: HashSet<Key>,
     /// Youngest first.
     incarnations: VecDeque<Incarnation>,
-    /// The youngest incarnation was flushed since the last recovery.
-    flushed: bool,
 }
 
 pub struct ClamModel {
@@ -179,19 +179,19 @@ impl ClamModel {
 
     pub fn lookup(&self, key: Key) -> Expected {
         let table = &self.tables[table_of(key, self.tables.len())];
-        let expected = |value, source| Expected { value, source, youngest: false };
+        let expected = |value, source| Expected { value, source, flushed: false };
         if table.deleted.contains(&key) {
             return expected(None, LookupSource::Deleted);
         }
         if let Some(&value) = table.buffer.get(&key) {
             return expected(Some(value), LookupSource::Buffer);
         }
-        let holder = table.incarnations.iter().position(|inc| inc.entries.contains_key(&key));
+        let holder = table.incarnations.iter().find(|inc| inc.entries.contains_key(&key));
         match holder {
-            Some(age) => Expected {
-                value: table.incarnations[age].entries.get(&key).copied(),
+            Some(inc) => Expected {
+                value: inc.entries.get(&key).copied(),
                 source: LookupSource::Flash,
-                youngest: age == 0 && table.flushed,
+                flushed: inc.flushed,
             },
             None => expected(None, LookupSource::Miss),
         }
@@ -213,7 +213,7 @@ impl ClamModel {
         for table in &mut self.tables {
             table.buffer.clear();
             table.deleted.clear();
-            table.flushed = false;
+            table.incarnations.iter_mut().for_each(|inc| inc.flushed = false);
         }
     }
 
@@ -257,8 +257,8 @@ impl ClamModel {
                     self.forced_evictions += 1;
                 }
             }
-            self.tables[t].incarnations.push_front(Incarnation { seq: self.seq, slot, entries });
-            self.tables[t].flushed = true;
+            let flushed = Incarnation { seq: self.seq, slot, entries, flushed: true };
+            self.tables[t].incarnations.push_front(flushed);
             self.prune_tombstones(t);
             self.flushes += 1;
         }
