@@ -417,11 +417,15 @@ impl<D: Device> Clam<D> {
                 )
             })
             .collect();
+        // The one place the medium's erase rule is decided: a raw chip
+        // must erase a block before programming it again; every other
+        // medium overwrites in place.
+        let erase_block =
+            (device.profile().kind == MediumKind::FlashChip).then_some(geometry.block_size as u64);
         let allocator = LogAllocator::new(
-            config.layout,
             config.flash_capacity,
             config.buffer_bytes_per_table,
-            geometry.block_size as u64,
+            erase_block,
             num_tables,
         )?;
         Ok(Clam {
@@ -463,9 +467,10 @@ impl<D: Device> Clam<D> {
     ///   super table's Bloom filters and incarnation queue, and restores
     ///   the log allocator's owner map and write position;
     /// * scrubs torn slots on raw flash: erase blocks overlapping a torn
-    ///   slot but no accepted one are erased, so resumed writes never
-    ///   program over a power cut's half-written pages (FTL and seek
-    ///   media ignore the hint);
+    ///   slot but no accepted one are erased, and the write pointer steps
+    ///   past a torn slot that shares its block with accepted data, so
+    ///   resumed writes never program over a power cut's half-written
+    ///   pages (media that overwrite in place need neither);
     /// * resumes the flush sequence past the largest `seq` on any
     ///   CRC-valid page (pages inside torn slots included) and adopts an
     ///   epoch strictly greater than every epoch seen, so the recovered

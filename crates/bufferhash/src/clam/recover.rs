@@ -115,15 +115,14 @@ impl<D: Device> Clam<D> {
         }
         self.allocator.restore(&owners);
 
-        // Scrub torn slots on raw flash: a power-cut write leaves pages
-        // programmed, and a mid-block slot in a partitioned layout is only
-        // erased when the write pointer next crosses its block boundary —
-        // so an un-scrubbed torn slot would fail its next program with
-        // dirty pages. Erase every fully-managed block that overlaps a
-        // torn slot and no accepted one (FTL and seek media reject or
-        // ignore the hint; dirty pages are their problem, not the log's).
-        if !torn_slots.is_empty() {
-            let block_size = self.device.geometry().block_size as u64;
+        // Scrub torn slots on a medium that erases before it programs: a
+        // power-cut write leaves pages programmed, and a slot that does not
+        // start its erase block is only erased when the log next writes the
+        // block's first slot — so an un-scrubbed torn slot would fail its
+        // next program with dirty pages. Erase every fully-managed block
+        // that overlaps a torn slot and no accepted one. Media that
+        // overwrite in place need no scrub.
+        if let Some(block_size) = self.allocator.erase_block() {
             let managed_end = num_slots * slot_size;
             let blocks_of = |slot: u64| {
                 (slot * slot_size) / block_size..=(slot * slot_size + slot_size - 1) / block_size
@@ -139,20 +138,16 @@ impl<D: Device> Clam<D> {
                 }
             }
             // A torn slot whose block shares accepted data cannot be
-            // scrubbed; on raw flash its half-programmed pages also cannot
-            // be programmed again. Step the write pointer past such slots
-            // so resumed flushes land on clean pages — the circular log
-            // reclaims them when it next erases their block. FTL and seek
-            // media overwrite in place, so their pointers stay put (and
-            // resume exactly where a never-crashed lifetime would).
-            if self.device.profile().kind == MediumKind::FlashChip {
-                let dirty: Vec<u64> = torn_slots
-                    .iter()
-                    .copied()
-                    .filter(|&slot| blocks_of(slot).any(|b| !scrubbed.contains(&b)))
-                    .collect();
-                self.allocator.skip_dirty(&dirty);
-            }
+            // scrubbed, and its half-programmed pages cannot be programmed
+            // again. Step the write pointer past such slots so resumed
+            // flushes land on clean pages — the log reclaims them when it
+            // next erases their block.
+            let dirty: Vec<u64> = torn_slots
+                .iter()
+                .copied()
+                .filter(|&slot| blocks_of(slot).any(|b| !scrubbed.contains(&b)))
+                .collect();
+            self.allocator.skip_dirty(&dirty);
         }
 
         self.seq = self.seq.max(max_seq_seen);

@@ -672,7 +672,6 @@ fn deterministic_probe_config() -> ClamConfig {
         max_buffer_utilization: 0.5,
         eviction: EvictionPolicy::Fifo,
         filter_mode: FilterMode::Disabled,
-        layout: crate::config::FlashLayoutMode::GlobalLog,
         enable_buffering: true,
     };
     cfg.validate().unwrap();

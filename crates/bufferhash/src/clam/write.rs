@@ -143,7 +143,7 @@ impl<D: Device> Clam<D> {
                 &entries,
                 IncarnationIdentity { table: t as u16, seq, epoch: self.epoch },
             )?;
-            let alloc = self.allocator.allocate(t, seq)?;
+            let alloc = self.allocator.allocate(t, seq);
             // Force-evict incarnations whose slots this write reclaims
             // (possibly another table's).
             for owner in &alloc.displaced {
@@ -155,11 +155,11 @@ impl<D: Device> Clam<D> {
                 }
             }
             if self.coalesce_writes && alloc.blocks_to_erase.is_empty() {
-                // Batched path (SSD global log): coalesce into the current
-                // contiguous run. A non-contiguous slot admits the finished
-                // run to the ring first (see `push_coalesced_write`), so
-                // flush traffic streams out mid-batch instead of pooling
-                // behind the whole batch.
+                // Batched path (a write that erases nothing): coalesce
+                // into the current contiguous run. A non-contiguous slot
+                // admits the finished run to the ring first (see
+                // `push_coalesced_write`), so flush traffic streams out
+                // mid-batch instead of pooling behind the whole batch.
                 self.push_coalesced_write(alloc.offset, image)?;
             } else {
                 // Erase-before-program and write-after-write ordering both

@@ -14,20 +14,6 @@ use crate::eviction::EvictionPolicy;
 use crate::filters::FilterMode;
 use crate::types::ENTRY_SIZE;
 
-/// How incarnations are placed on flash (§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlashLayoutMode {
-    /// The whole device is one circular log; incarnations from all super
-    /// tables are appended in flush order. This is the right layout for
-    /// FTL-managed SSDs, where interleaved writes to static partitions would
-    /// defeat the drive's sequential-write optimisation.
-    GlobalLog,
-    /// The device is statically partitioned, one region per super table,
-    /// each written circularly with explicit block erasure. This is the
-    /// right layout for raw flash chips.
-    PartitionPerTable,
-}
-
 /// Complete configuration of a CLAM.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClamConfig {
@@ -38,7 +24,11 @@ pub struct ClamConfig {
     /// DRAM dedicated to buffers across all super tables, in bytes (`B`).
     pub buffer_bytes_total: u64,
     /// Per-super-table buffer size in bytes (`B'`); with
-    /// `buffer_bytes_total` this fixes the number of super tables.
+    /// `buffer_bytes_total` this fixes the number of super tables. It is
+    /// also the size of an incarnation's slot in the flash log, so on a
+    /// medium that erases before it programs (a raw flash chip) it must be
+    /// a whole number of erase blocks or divide one exactly:
+    /// [`Clam::new`](crate::Clam::new) refuses any other size there.
     pub buffer_bytes_per_table: u64,
     /// Size of a hash entry in bytes (`s`); 16 in the paper.
     pub entry_size: usize,
@@ -49,8 +39,6 @@ pub struct ClamConfig {
     pub eviction: EvictionPolicy,
     /// Organisation of the incarnation membership filters.
     pub filter_mode: FilterMode,
-    /// Flash layout.
-    pub layout: FlashLayoutMode,
     /// Ablation switch: when `false`, inserts bypass buffering and every
     /// insert is flushed to flash immediately (§7.3.1).
     pub enable_buffering: bool,
@@ -63,8 +51,9 @@ impl ClamConfig {
     /// * total buffer memory `B` is set to the optimum `F / (s·ln²2)`,
     ///   capped at half the DRAM budget so Bloom filters always get space;
     /// * the per-table buffer is the flash erase-block size (the paper's
-    ///   recommendation for flash chips, and its measured sweet spot of
-    ///   128 KiB for SSDs);
+    ///   recommendation for flash chips, where each flush then erases
+    ///   exactly its own block, and its measured sweet spot of 128 KiB for
+    ///   SSDs);
     /// * the remaining DRAM is given to Bloom filters.
     pub fn recommended(flash_capacity: u64, dram_bytes: u64, geometry: Geometry) -> Result<Self> {
         let b_opt = tuning::optimal_total_buffer_bytes(flash_capacity, ENTRY_SIZE * 2);
@@ -79,7 +68,6 @@ impl ClamConfig {
             max_buffer_utilization: 0.5,
             eviction: EvictionPolicy::Fifo,
             filter_mode: FilterMode::BitSliced,
-            layout: FlashLayoutMode::GlobalLog,
             enable_buffering: true,
         };
         cfg.validate()?;
@@ -102,7 +90,6 @@ impl ClamConfig {
             max_buffer_utilization: 0.5,
             eviction: EvictionPolicy::Fifo,
             filter_mode: FilterMode::BitSliced,
-            layout: FlashLayoutMode::GlobalLog,
             enable_buffering: true,
         };
         cfg.validate()?;
@@ -269,7 +256,6 @@ mod tests {
             max_buffer_utilization: 0.5,
             eviction: EvictionPolicy::Fifo,
             filter_mode: FilterMode::BitSliced,
-            layout: FlashLayoutMode::GlobalLog,
             enable_buffering: true,
         };
         cfg.validate().unwrap();

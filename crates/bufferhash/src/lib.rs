@@ -84,7 +84,7 @@ pub use clam::{
     table_of, BatchInsertOutcome, BatchLookupOutcome, Clam, InsertOutcome, LookupOutcome,
     LookupSource, MemoryProbe, MemoryUsage, BASE_OP_OVERHEAD, BATCHED_OP_OVERHEAD,
 };
-pub use config::{tuning, ClamConfig, FlashLayoutMode};
+pub use config::{tuning, ClamConfig};
 pub use cuckoo::{BufferInsert, CuckooBuffer};
 pub use error::{BufferHashError, Result};
 pub use eviction::{EvictionPolicy, PriorityFn, RetainDecision};

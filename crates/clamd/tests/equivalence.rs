@@ -22,9 +22,7 @@
 
 use std::time::{Duration, Instant};
 
-use bufferhash::{
-    hash_with_seed, Clam, ClamConfig, FlashLayoutMode, Key, LookupSource, StripedClam, Value,
-};
+use bufferhash::{hash_with_seed, Clam, ClamConfig, Key, LookupSource, StripedClam, Value};
 use clamd::batcher::{BatcherConfig, Engine};
 use clamd::client::ClamdClient;
 use clamd::proto::{Op, Request, RespBody};
@@ -278,12 +276,12 @@ proptest! {
             striped(DramDevice::new(FLASH).unwrap()),
             &ops, seed, "dram",
         );
-        // A raw chip cannot overwrite in place: it gets the layout made
-        // for it, a partition per table with each slot one erase block.
+        // A raw chip cannot overwrite in place: it runs the same log,
+        // erasing each block before it is programmed, each slot one erase
+        // block.
         let chip = ClamConfig {
             buffer_bytes_total: 256 << 10,
             buffer_bytes_per_table: 128 << 10,
-            layout: FlashLayoutMode::PartitionPerTable,
             ..ClamConfig::small_test(FLASH / STRIPES as u64, DRAM / STRIPES as u64).unwrap()
         };
         assert_stores_match_the_model(

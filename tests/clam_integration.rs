@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: the CLAM driven through realistic
 //! application flows on every simulated medium.
 
-use clam::bufferhash::{hash_with_seed, Clam, ClamConfig, EvictionPolicy, LookupSource};
+use clam::bufferhash::{
+    hash_with_seed, BufferHashError, Clam, ClamConfig, EvictionPolicy, LookupSource,
+};
 use clam::flashsim::{Device, FlashChip, MagneticDisk, SimDuration, Ssd};
 
 fn key(i: u64) -> u64 {
@@ -33,24 +35,46 @@ fn clam_on_every_medium_round_trips_and_orders_latencies() {
     assert!(transcend < disk, "SSD {transcend} should be faster than disk {disk}");
 }
 
+/// The recommended configuration, unchanged, on a raw chip: its 128 KiB
+/// slots are the chip's erase blocks, and the one log erases each before
+/// programming it again, through several wraps.
 #[test]
-fn clam_runs_on_a_raw_flash_chip_with_partitioned_layout() {
-    let mut cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
-    cfg.layout = clam::bufferhash::FlashLayoutMode::PartitionPerTable;
-    // Align the per-table buffer with the chip's erase block (the §6.4
-    // recommendation for raw chips).
-    cfg.buffer_bytes_per_table = 128 * 1024;
-    cfg.buffer_bytes_total = cfg.buffer_bytes_total.max(cfg.buffer_bytes_per_table * 2);
+fn clam_runs_on_a_raw_flash_chip_with_the_recommended_config() {
     let chip = FlashChip::new(4 << 20).unwrap();
+    let cfg = ClamConfig::recommended(4 << 20, 1 << 20, chip.geometry()).unwrap();
+    let slots = cfg.total_flash_slots();
     let mut clam = Clam::new(chip, cfg).unwrap();
-    for i in 0..80_000u64 {
-        clam.insert(key(i), i).unwrap();
+    let mut n = 0u64;
+    while clam.stats().flushes < 3 * slots {
+        clam.insert(key(n), n).unwrap();
+        n += 1;
     }
-    // Recent keys are found; the chip saw erases (circular partitions).
-    for i in (70_000..80_000u64).step_by(487) {
-        assert_eq!(clam.lookup(key(i)).unwrap().value, Some(i));
+    // Every key of the last quarter of the log is still there.
+    for i in n - n / 12..n {
+        assert_eq!(clam.lookup(key(i)).unwrap().value, Some(i), "recent key {i} missing");
     }
-    assert!(clam.device().stats().erases > 0, "partitioned layout must erase blocks");
+    assert!(clam.device().stats().erases > 0, "the log must erase blocks on a chip");
+}
+
+/// A slot that neither fills whole erase blocks nor divides one would
+/// erase a neighbour still in use, so a chip refuses it; media that
+/// overwrite in place take any slot.
+#[test]
+fn a_chip_refuses_slots_that_do_not_fit_its_erase_blocks() {
+    const CAP: u64 = 6 << 20;
+    for (kib, fits) in [(32u64, true), (48, false), (128, true), (192, false), (256, true)] {
+        let cfg = ClamConfig {
+            buffer_bytes_per_table: kib << 10,
+            buffer_bytes_total: 2 * (kib << 10),
+            ..ClamConfig::small_test(CAP, 2 << 20).unwrap()
+        };
+        let on_chip = Clam::new(FlashChip::new(CAP).unwrap(), cfg.clone());
+        assert_eq!(on_chip.is_ok(), fits, "{kib} KiB slot on a chip");
+        if !fits {
+            assert!(matches!(on_chip, Err(BufferHashError::InvalidConfig(_))));
+        }
+        assert!(Clam::new(Ssd::intel(CAP).unwrap(), cfg).is_ok(), "{kib} KiB slot on an SSD");
+    }
 }
 
 #[test]

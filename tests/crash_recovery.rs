@@ -19,8 +19,7 @@ use proptest::prelude::*;
 
 use clam::bufferhash::{
     hash_with_seed, scan_incarnation, Clam, ClamConfig, Entry, EvictionPolicy, FilterMode,
-    FlashLayoutMode, IncarnationIdentity, IncarnationLayout, LookupSource, MemoryProbe, SlotScan,
-    BASE_OP_OVERHEAD,
+    IncarnationIdentity, IncarnationLayout, LookupSource, MemoryProbe, SlotScan, BASE_OP_OVERHEAD,
 };
 use clam::flashsim::{CrashDevice, Device, DramDevice, FileDevice, FlashChip, MagneticDisk, Ssd};
 
@@ -32,7 +31,7 @@ type Op = (u64, u64, bool);
 /// and 4 incarnations per table, so a couple of thousand ops drive
 /// flushes, evictions and log wrap. `entry_size` scales with the byte
 /// dimensions so the flush cadence is identical at any scale.
-fn crash_config(layout: FlashLayoutMode, util: f64, scale: u64) -> ClamConfig {
+fn crash_config(util: f64, scale: u64) -> ClamConfig {
     let config = ClamConfig {
         flash_capacity: (32 << 10) * scale,
         dram_bytes: 1 << 20,
@@ -42,7 +41,6 @@ fn crash_config(layout: FlashLayoutMode, util: f64, scale: u64) -> ClamConfig {
         max_buffer_utilization: util,
         eviction: EvictionPolicy::Fifo,
         filter_mode: FilterMode::BitSliced,
-        layout,
         enable_buffering: true,
     };
     config.validate().expect("valid crash config");
@@ -127,14 +125,13 @@ fn trusted_scan<D: Device>(device: &mut D, config: &ClamConfig) -> TrustedScan {
 /// recovered state against the trusted scan of that image.
 fn check_crash_then_recover<D: Device>(
     victim: D,
-    layout: FlashLayoutMode,
     util: f64,
     scale: u64,
     ops: &[Op],
     budget: u64,
     torn_bytes: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let config = crash_config(layout, util, scale);
+    let config = crash_config(util, scale);
     let mut crash = CrashDevice::new(victim);
     crash.arm(budget);
     crash.set_torn_write_bytes(torn_bytes);
@@ -208,14 +205,8 @@ fn check_crash_then_recover<D: Device>(
 /// Measures how many data-effect operations the full workload performs on
 /// this backend (an unarmed twin run), so crash budgets can be sampled as
 /// a fraction of the real schedule.
-fn ops_to_complete<D: Device>(
-    twin: D,
-    layout: FlashLayoutMode,
-    util: f64,
-    scale: u64,
-    ops: &[Op],
-) -> u64 {
-    let config = crash_config(layout, util, scale);
+fn ops_to_complete<D: Device>(twin: D, util: f64, scale: u64, ops: &[Op]) -> u64 {
+    let config = crash_config(util, scale);
     let mut clam = Clam::new(CrashDevice::new(twin), config).unwrap();
     drive(&mut clam, ops);
     clam.device().crash_stats().ops_applied
@@ -230,9 +221,10 @@ proptest! {
     /// the image alone, and check every key the trusted scan says is
     /// durable comes back with exactly the value the youngest surviving
     /// incarnation stored — and that nothing the workload never wrote is
-    /// fabricated. The raw flash chip runs the partitioned layout at
-    /// `scale = 8` (each super table's partition is exactly one erase
-    /// block), exercising the erase-before-program wrap path under cuts.
+    /// fabricated. The raw flash chip runs the same log, erasing each
+    /// block before it is programmed, at `scale = 8` (four 32 KiB slots to
+    /// an erase block), exercising the erase-before-program wrap path and
+    /// sub-block slots under cuts.
     #[test]
     fn acknowledged_inserts_survive_crash(
         raw_ops in vec((0u64..600, any::<u64>(), 0u8..8), 500..2_400),
@@ -246,15 +238,15 @@ proptest! {
 
         let budget = |total: u64| ((total as f64) * frac) as u64;
 
-        let total = ops_to_complete(Ssd::intel(CAP).unwrap(), FlashLayoutMode::GlobalLog, 0.9, 1, &ops);
+        let total = ops_to_complete(Ssd::intel(CAP).unwrap(), 0.9, 1, &ops);
         check_crash_then_recover(
-            Ssd::intel(CAP).unwrap(), FlashLayoutMode::GlobalLog, 0.9, 1, &ops, budget(total), torn_bytes,
+            Ssd::intel(CAP).unwrap(), 0.9, 1, &ops, budget(total), torn_bytes,
         )?;
         // The raw chip's scale-8 buffers hold ~1.8k distinct keys per
         // table, so its crash workload is amplified: the generated ops
         // are re-keyed over a 16k-key space (enough distinct keys to
-        // flush each table past its 4-slot partition and wrap, erasing
-        // live blocks under the cut).
+        // flush past the 8-slot log and wrap, erasing live blocks under
+        // the cut).
         let chip_ops: Vec<Op> = (0..36_000usize)
             .map(|i| {
                 let (_, v, d) = raw_ops[i % raw_ops.len()];
@@ -262,22 +254,22 @@ proptest! {
             })
             .collect();
         let total = ops_to_complete(
-            FlashChip::new(CAP).unwrap(), FlashLayoutMode::PartitionPerTable, 0.9, 8, &chip_ops,
+            FlashChip::new(CAP).unwrap(), 0.9, 8, &chip_ops,
         );
         check_crash_then_recover(
-            FlashChip::new(CAP).unwrap(), FlashLayoutMode::PartitionPerTable, 0.9, 8,
+            FlashChip::new(CAP).unwrap(), 0.9, 8,
             &chip_ops, budget(total), torn_bytes,
         )?;
         let total = ops_to_complete(
-            MagneticDisk::new(CAP).unwrap(), FlashLayoutMode::GlobalLog, 0.9, 1, &ops,
+            MagneticDisk::new(CAP).unwrap(), 0.9, 1, &ops,
         );
         check_crash_then_recover(
-            MagneticDisk::new(CAP).unwrap(), FlashLayoutMode::GlobalLog, 0.9, 1,
+            MagneticDisk::new(CAP).unwrap(), 0.9, 1,
             &ops, budget(total), torn_bytes,
         )?;
-        let total = ops_to_complete(DramDevice::new(CAP).unwrap(), FlashLayoutMode::GlobalLog, 0.5, 1, &ops);
+        let total = ops_to_complete(DramDevice::new(CAP).unwrap(), 0.5, 1, &ops);
         check_crash_then_recover(
-            DramDevice::new(CAP).unwrap(), FlashLayoutMode::GlobalLog, 0.5, 1,
+            DramDevice::new(CAP).unwrap(), 0.5, 1,
             &ops, budget(total), torn_bytes,
         )?;
 
@@ -287,11 +279,11 @@ proptest! {
         let victim_path = dir.join(format!("clam-crash-victim-{}", std::process::id()));
         let total = ops_to_complete(
             FileDevice::create(&twin_path, CAP).unwrap(),
-            FlashLayoutMode::GlobalLog, 0.9, 1, &ops,
+            0.9, 1, &ops,
         );
         let outcome = check_crash_then_recover(
             FileDevice::create(&victim_path, CAP).unwrap(),
-            FlashLayoutMode::GlobalLog, 0.9, 1, &ops, budget(total), torn_bytes,
+            0.9, 1, &ops, budget(total), torn_bytes,
         );
         std::fs::remove_file(&twin_path).ok();
         std::fs::remove_file(&victim_path).ok();
@@ -318,7 +310,6 @@ fn single_table_config(util: f64) -> ClamConfig {
         max_buffer_utilization: util,
         eviction: EvictionPolicy::Fifo,
         filter_mode: FilterMode::BitSliced,
-        layout: FlashLayoutMode::GlobalLog,
         enable_buffering: true,
     };
     config.validate().expect("valid single-table config");
@@ -542,7 +533,7 @@ proptest! {
         chunks in vec((0u64..8, 0usize..4_000, vec(any::<u8>(), 1..300), any::<bool>()), 1..24),
         probes in vec(any::<u64>(), 1..16),
     ) {
-        let config = crash_config(FlashLayoutMode::GlobalLog, 0.5, 1);
+        let config = crash_config(0.5, 1);
         let mut device = DramDevice::new(32 << 10).unwrap();
         for (slot, pos, bytes, plant_magic) in &chunks {
             let mut soup = bytes.clone();
@@ -603,7 +594,7 @@ fn budget_reaching_offset<D: Device>(
 #[test]
 fn mid_flush_crash_during_log_wrap_discards_both_incarnations() {
     const CAP: u64 = 1 << 20;
-    let config = crash_config(FlashLayoutMode::GlobalLog, 0.9, 1);
+    let config = crash_config(0.9, 1);
     let ops: Vec<Op> = (0..3_600u64).map(|i| (hash_with_seed(i % 900, 0x77aa), i, false)).collect();
 
     // The budget that applies the wrap write (the 2nd write at offset 0),
@@ -651,28 +642,28 @@ fn mid_flush_crash_during_log_wrap_discards_both_incarnations() {
     assert!(recovered.lookup(probe).unwrap().value.is_some());
 }
 
-/// **Regression: a power cut on a raw flash chip's mid-block flush.** In
-/// the partitioned layout each super table's partition is one 128 KiB
-/// erase block of four 32 KiB slots, erased lazily when the partition
-/// wraps. A cut inside a mid-block incarnation write leaves that slot's
-/// pages half-programmed — and raw NAND cannot program them again without
-/// an erase, which would also wipe the live incarnation sharing the
-/// block. Recovery must step the partition's write pointer past the dirty
-/// slot so resumed flushes program clean pages, reclaiming the slot when
-/// the partition next wraps.
+/// **Regression: a power cut on a raw flash chip's mid-block flush.** The
+/// log has two 128 KiB erase blocks of four 32 KiB slots each, and a
+/// block is erased when the write pointer reaches its first slot. A cut
+/// inside a mid-block incarnation write leaves that slot's pages
+/// half-programmed — and raw NAND cannot program them again without an
+/// erase, which would also wipe the live incarnation sharing the block.
+/// Recovery must step the log's write pointer past the dirty slot so
+/// resumed flushes program clean pages, reclaiming the slot when the log
+/// next wraps.
 #[test]
 fn chip_recovers_past_a_mid_block_torn_write() {
-    let config = crash_config(FlashLayoutMode::PartitionPerTable, 0.9, 8);
+    let config = crash_config(0.9, 8);
     let cap = config.flash_capacity; // 256 KiB = 2 erase blocks
-                                     // All-distinct keys: each table's ~1.8k-entry buffer must fill twice
-                                     // to reach its second slot.
+                                     // All-distinct keys: the ~1.8k-entry buffers must fill twice for the
+                                     // log to reach its second slot.
     let ops: Vec<Op> = (0..9_000u64).map(|i| (hash_with_seed(i, 0xc41b), i, false)).collect();
 
     // Cut inside the first write to slot 1 (offset 32 KiB): mid-block,
     // with slot 0's incarnation live in the same erase block.
     let budget =
         budget_reaching_offset(|| FlashChip::new(cap).unwrap(), &config, &ops, 32 << 10, 1)
-            .expect("table 0 must reach its second flush")
+            .expect("the log must reach its second slot")
             - 1;
     let mut crash = CrashDevice::cut_after(FlashChip::new(cap).unwrap(), budget);
     crash.set_torn_write_bytes(2_048); // exactly one programmed flash page
@@ -688,14 +679,13 @@ fn chip_recovers_past_a_mid_block_torn_write() {
     assert_eq!(report.accepted, truth.accepted.len());
 
     // Resumed flushes must not program the dirty slot: drive enough
-    // distinct keys through every table to wrap both partitions (which
-    // erases and reclaims the torn slot) and verify the youngest data
-    // lands.
+    // distinct keys through every table to wrap the log (which erases and
+    // reclaims the torn slot) and verify the youngest data lands.
     for i in 0..20_000u64 {
         recovered.insert(hash_with_seed(i, 0xc41c), i).unwrap();
     }
     recovered.flush_all().unwrap();
-    assert!(recovered.stats().flushes >= 8, "both partitions wrapped");
+    assert!(recovered.stats().flushes >= 8, "the 8-slot log wrapped");
     let probe = hash_with_seed(19_999, 0xc41c);
     assert!(recovered.lookup(probe).unwrap().value.is_some());
 }
@@ -708,7 +698,7 @@ fn chip_recovers_past_a_mid_block_torn_write() {
 #[test]
 fn nothing_is_retired_after_a_refused_flush_or_a_recovery_until_the_next_flush() {
     const CAP: u64 = 1 << 20;
-    let config = crash_config(FlashLayoutMode::GlobalLog, 0.5, 1);
+    let config = crash_config(0.5, 1);
     let keys = |round: u64| (0..100u64).map(move |i| hash_with_seed(i, 0x4e71 + round));
     let retired = |clam: &mut Clam<CrashDevice<Ssd>>, round: u64| {
         keys(round).filter(|&k| clam.lookup(k).unwrap().source == LookupSource::Retired).count()

@@ -11,9 +11,7 @@
 //! described in EXPERIMENTS.md.
 
 use clam::bufferhash::analysis::FlashCostModel;
-use clam::bufferhash::{
-    hash_with_seed, Clam, ClamConfig, EvictionPolicy, FilterMode, FlashLayoutMode,
-};
+use clam::bufferhash::{hash_with_seed, Clam, ClamConfig, EvictionPolicy, FilterMode};
 use clam::flashsim::{CrashDevice, Device, Ssd};
 
 fn churn_config() -> ClamConfig {
@@ -26,7 +24,6 @@ fn churn_config() -> ClamConfig {
         max_buffer_utilization: 0.9,
         eviction: EvictionPolicy::Fifo,
         filter_mode: FilterMode::BitSliced,
-        layout: FlashLayoutMode::GlobalLog,
         enable_buffering: true,
     };
     config.validate().expect("valid churn config");

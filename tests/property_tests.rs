@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use clam::bufferhash::{
     lookup_in_page, parse_incarnation, table_of, BloomFilter, Clam, ClamConfig, CuckooBuffer,
-    Entry, EvictionPolicy, FilterMode, FlashLayoutMode, IncarnationIdentity, IncarnationLayout,
-    LookupOutcome, PageLookup,
+    Entry, EvictionPolicy, FilterMode, IncarnationIdentity, IncarnationLayout, LookupOutcome,
+    PageLookup,
 };
 use clam::flashsim::{
     CompletionRing, Device, DeviceError, DramDevice, FileDevice, FlashChip, IoRequest,
@@ -177,7 +177,6 @@ fn tiny_clam() -> Clam<Ssd> {
         max_buffer_utilization: 0.5,
         eviction: EvictionPolicy::Fifo,
         filter_mode: FilterMode::BitSliced,
-        layout: FlashLayoutMode::GlobalLog,
         enable_buffering: true,
     };
     config.validate().expect("valid tiny config");
@@ -245,7 +244,6 @@ fn tiny_clam_on<D: Device>(device: D, max_utilization: f64) -> Clam<D> {
         max_buffer_utilization: max_utilization,
         eviction: EvictionPolicy::Fifo,
         filter_mode: FilterMode::BitSliced,
-        layout: FlashLayoutMode::GlobalLog,
         enable_buffering: true,
     };
     config.validate().expect("valid tiny config");
@@ -354,12 +352,11 @@ proptest! {
 /// incarnations over an 8-slot log, so a few thousand inserts drive
 /// ordinary evictions, log wrap and forced (slot-reclaim) evictions.
 ///
-/// FTL, seek and byte-addressed media take 4 KiB slots on one global log.
-/// A raw chip cannot overwrite in place, so it takes the layout made for
-/// it: a circular partition per table with explicit erasure, each slot one
-/// whole 128 KiB erase block (a smaller slot's erase would wipe its
-/// neighbours), and buffers admitting few enough entries that the same op
-/// stream still wraps it.
+/// FTL, seek and byte-addressed media take 4 KiB slots. A raw chip cannot
+/// overwrite in place, so it runs the same log, erasing each block before
+/// it is programmed: each slot is one whole 128 KiB erase block (the model
+/// does not know erase blocks shared between slots), and buffers admit few
+/// enough entries that the same op stream still wraps it.
 fn churn_config(eviction: EvictionPolicy, util: f64, raw_chip: bool) -> ClamConfig {
     let slot: u64 = if raw_chip { 128 << 10 } else { 4 << 10 };
     let config = ClamConfig {
@@ -371,11 +368,6 @@ fn churn_config(eviction: EvictionPolicy, util: f64, raw_chip: bool) -> ClamConf
         max_buffer_utilization: if raw_chip { 0.05 } else { util },
         eviction,
         filter_mode: FilterMode::BitSliced,
-        layout: if raw_chip {
-            FlashLayoutMode::PartitionPerTable
-        } else {
-            FlashLayoutMode::GlobalLog
-        },
         enable_buffering: true,
     };
     config.validate().expect("valid churn config");

@@ -19,11 +19,9 @@
 //!   evicts the oldest — wholesale, or retaining what the policy says,
 //!   re-inserted into the emptied buffer, degrading to wholesale after `k`
 //!   cascaded rounds;
-//! * incarnations go to log slots in flush order; a slot whose previous
-//!   incarnation is still live is reclaimed by force-evicting it and
-//!   everything older in its table (GlobalLog: one circular log;
-//!   PartitionPerTable: a circular region per table, whole erase blocks
-//!   per slot);
+//! * incarnations go to the slots of one circular log in flush order; a
+//!   slot whose previous incarnation is still live is reclaimed by
+//!   force-evicting it and everything older in its table;
 //! * lookups answer from the delete list, then the buffer, then the
 //!   incarnations youngest first; deletes are lazy tombstones in DRAM,
 //!   pruned once no incarnation of the table holds the key;
@@ -42,8 +40,8 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use bufferhash::{
-    table_of, ClamConfig, Entry, EvictionPolicy, FlashLayoutMode, Key, LookupOutcome, LookupSource,
-    RetainDecision, Value, ENTRY_SIZE,
+    table_of, ClamConfig, Entry, EvictionPolicy, Key, LookupOutcome, LookupSource, RetainDecision,
+    Value, ENTRY_SIZE,
 };
 
 /// What a lookup must answer.
@@ -101,10 +99,8 @@ pub struct ClamModel {
     tables: Vec<Table>,
     /// Per log slot, the `(table, seq)` of the live incarnation it holds.
     log: Vec<Option<(usize, u64)>>,
-    /// Slots of one circular region: the whole log, or a table's share.
-    region: usize,
-    /// Next slot of each region, relative to its start.
-    cursors: Vec<usize>,
+    /// Next slot of the log.
+    cursor: usize,
     seq: u64,
     pub flushes: u64,
     /// Evictions a table made to stay within `k` (one TRIM each).
@@ -120,18 +116,13 @@ impl ClamModel {
         assert_eq!(config.entry_size, ENTRY_SIZE, "buffers are sized in {ENTRY_SIZE}-byte entries");
         let tables = config.num_super_tables();
         let slots = config.total_flash_slots() as usize;
-        let regions = match config.layout {
-            FlashLayoutMode::GlobalLog => 1,
-            FlashLayoutMode::PartitionPerTable => tables,
-        };
         ClamModel {
             policy: config.eviction,
             capacity: if config.enable_buffering { config.entries_per_incarnation() } else { 1 },
             k: config.incarnations_per_table(),
             tables: (0..tables).map(|_| Table::default()).collect(),
             log: vec![None; slots],
-            region: slots / regions,
-            cursors: vec![0; regions],
+            cursor: 0,
             seq: 0,
             flushes: 0,
             evictions: 0,
@@ -208,7 +199,7 @@ impl ClamModel {
 
     /// A restart from flash alone: incarnations survive (a table already
     /// holds its youngest `k`, and the log resumes after the newest one,
-    /// where the cursors already stand); buffers and tombstones do not.
+    /// where the cursor already stands); buffers and tombstones do not.
     pub fn recover(&mut self) {
         for table in &mut self.tables {
             table.buffer.clear();
@@ -242,9 +233,8 @@ impl ClamModel {
         let entries = std::mem::take(&mut self.tables[t].buffer);
         if !entries.is_empty() {
             self.seq += 1;
-            let region = if self.cursors.len() == 1 { 0 } else { t };
-            let slot = region * self.region + self.cursors[region];
-            self.cursors[region] = (self.cursors[region] + 1) % self.region;
+            let slot = self.cursor;
+            self.cursor = (slot + 1) % self.log.len();
             if let Some((owner, seq)) = self.log[slot].replace((t, self.seq)) {
                 // The log came round to a live incarnation: its table
                 // loses it and everything older.
