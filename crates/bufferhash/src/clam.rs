@@ -610,11 +610,6 @@ impl<D: Device> Clam<D> {
         Ok(outcome.expect("a run of one yields one outcome"))
     }
 
-    /// Alias for [`insert`](Self::insert); updates use the same lazy path.
-    pub fn update(&mut self, key: Key, value: Value) -> Result<InsertOutcome> {
-        self.insert(key, value)
-    }
-
     /// Inserts (or updates) a batch of key/value pairs in one call.
     ///
     /// Operations are applied in input order *per super table* (ops are
@@ -814,11 +809,6 @@ impl<D: Device> Clam<D> {
     fn memory_probe_cost(&self, table: &SuperTable, hit: Option<MemoryHit>) -> SimDuration {
         let stamp_words = if hit.is_some() { 0 } else { STAMP_PROBE_WORDS };
         self.mem_words_cost(BUFFER_PROBE_WORDS + table.filter_words_per_query() + stamp_words)
-    }
-
-    /// Returns `true` if `key` currently maps to a value.
-    pub fn contains(&mut self, key: Key) -> Result<bool> {
-        Ok(self.lookup(key)?.value.is_some())
     }
 
     /// Deletes `key` (lazily: flash copies are shadowed by the delete list

@@ -721,7 +721,8 @@ fn queued_lookup_batch_overlaps_probes_on_the_device_queue() {
     assert_eq!(stats.lookup_probe_requests, 4 * 64);
     assert!(stats.lookup_probes_overlapped > 0, "SSD lanes must overlap probes");
     let text = stats.to_string();
-    assert!(text.contains("queued lookups: 1 batches, 4 waves"), "{text}");
+    let queued = "lookup_batches_submitted: 1 | lookup_probe_waves: 4 | lookup_probe_requests: 256";
+    assert!(text.contains(queued), "{text}");
 }
 
 #[test]
@@ -891,8 +892,9 @@ fn flush_writes_ride_the_ring_and_fill_the_write_ledger() {
     let io = clam.device().stats();
     assert_eq!(io.requests_reaped, stats.flush_ring_reaps + stats.lookup_ring_reaps);
     assert!(io.ring_depth_high_water >= 1);
-    // The ledger renders in the Display summary.
-    assert!(stats.to_string().contains("write ring:"), "{stats}");
+    // The ledger renders in the Display summary, under the entry's name.
+    let reaps = format!("flush_ring_reaps: {}", stats.flush_ring_reaps);
+    assert!(stats.to_string().contains(&reaps), "{stats}");
     // No mixed traffic here: inserts never put a read on the ring
     // (SSD evictions trim, they do not read back).
     assert_eq!(stats.mixed_ring_depth_high_water, 0, "{stats}");

@@ -168,7 +168,8 @@ impl<D: Device> SharedClam<D> {
         out[0]
     }
 
-    /// Inserts (or updates) a key under the stripe's exclusive lock.
+    /// Inserts (or updates) a key under the stripe's exclusive lock;
+    /// updates are lazy, as in [`Clam::insert`].
     pub fn insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
         self.with(|c| c.insert(key, value))
     }
@@ -233,17 +234,6 @@ impl<D: Device> SharedClam<D> {
         Ok(())
     }
 
-    /// Updates a key (alias for [`insert`](Self::insert), like
-    /// [`Clam::update`]).
-    pub fn update(&self, key: Key, value: Value) -> Result<InsertOutcome> {
-        self.insert(key, value)
-    }
-
-    /// Returns `true` if `key` currently maps to a value.
-    pub fn contains(&self, key: Key) -> Result<bool> {
-        Ok(self.lookup(key)?.value.is_some())
-    }
-
     /// Flushes every non-empty buffer to flash under one lock acquisition
     /// (see [`Clam::flush_all`]). Returns the total simulated latency.
     pub fn flush_all(&self) -> Result<SimDuration> {
@@ -262,7 +252,7 @@ impl<D: Device> SharedClam<D> {
     /// regardless of which path served it).
     pub fn stats(&self) -> ClamStats {
         let mut total = self.inner.clam.read().stats().clone();
-        total.merge(&self.inner.fast_ledger.lock());
+        total.absorb(&self.inner.fast_ledger.lock());
         total
     }
 
@@ -340,7 +330,8 @@ impl<D: Device> StripedClam<D> {
         &self.stripes[self.stripe_index(key)]
     }
 
-    /// Inserts (or updates) a key on its stripe.
+    /// Inserts (or updates) a key on its stripe; updates are lazy, as in
+    /// [`Clam::insert`].
     pub fn insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
         self.stripe_of(key).insert(key, value)
     }
@@ -463,16 +454,6 @@ impl<D: Device> StripedClam<D> {
         Ok(max)
     }
 
-    /// Updates a key on its stripe (alias for [`insert`](Self::insert)).
-    pub fn update(&self, key: Key, value: Value) -> Result<InsertOutcome> {
-        self.stripe_of(key).update(key, value)
-    }
-
-    /// Returns `true` if `key` currently maps to a value.
-    pub fn contains(&self, key: Key) -> Result<bool> {
-        self.stripe_of(key).contains(key)
-    }
-
     /// Looks up a batch of keys, partitioned by stripe, with one lock
     /// acquisition per stripe-batch. The stripes run one after another on
     /// the caller's thread, as [`flush_all`](Self::flush_all)'s do, and are
@@ -515,11 +496,11 @@ impl<D: Device> StripedClam<D> {
     }
 
     /// Aggregated statistics across all stripes (every counter, recorder
-    /// and histogram merged; see [`ClamStats::merge`]).
+    /// and histogram merged; see [`ClamStats::absorb`]).
     pub fn stats(&self) -> ClamStats {
         let mut total = ClamStats::new();
         for stripe in &self.stripes {
-            total.merge(&stripe.stats());
+            total.absorb(&stripe.stats());
         }
         total
     }
@@ -928,24 +909,24 @@ mod tests {
     fn wrappers_expose_the_full_clam_surface() {
         let shared = SharedClam::new(clam());
         shared.insert(key(1), 1).unwrap();
-        shared.update(key(1), 2).unwrap();
-        assert!(shared.contains(key(1)).unwrap());
+        shared.insert(key(1), 2).unwrap();
+        assert_eq!(shared.lookup(key(1)).unwrap().value, Some(2));
         let flushed = shared.flush_all().unwrap();
         assert!(flushed > flashsim::SimDuration::ZERO);
         shared.idle(flashsim::SimDuration::from_millis(1));
         shared.delete(key(1)).unwrap();
-        assert!(!shared.contains(key(1)).unwrap());
+        assert_eq!(shared.lookup(key(1)).unwrap().value, None);
 
         let striped = StripedClam::new(vec![clam(), clam()]);
         for i in 0..500u64 {
-            striped.update(key(i), i).unwrap();
+            striped.insert(key(i), i).unwrap();
         }
-        assert!(striped.contains(key(7)).unwrap());
+        assert_eq!(striped.lookup(key(7)).unwrap().value, Some(7));
         let flushes_before = striped.stats().flushes;
         striped.flush_all().unwrap();
         assert!(striped.stats().flushes > flushes_before);
         striped.delete(key(7)).unwrap();
-        assert!(!striped.contains(key(7)).unwrap());
+        assert_eq!(striped.lookup(key(7)).unwrap().value, None);
         // Buffered entries survive the flush.
         assert_eq!(striped.lookup(key(8)).unwrap().value, Some(8));
     }

@@ -631,6 +631,16 @@ impl<D: Device + 'static> Engine<D> {
             worker.join().expect("batcher shard thread panicked");
         }
     }
+
+    /// Flushes every stripe's buffers to flash. A stripe whose flush
+    /// fails is counted in `shutdown_flush_errors`, and the others still
+    /// flush.
+    pub fn flush_stripes(&self) {
+        let store = &self.shared.store;
+        let stripes = (0..store.num_stripes()).filter_map(|i| store.stripe(i));
+        let failed = stripes.filter(|stripe| stripe.flush_all().is_err()).count();
+        self.shared.ledger().shutdown_flush_errors += failed as u64;
+    }
 }
 
 impl<D: Device + 'static> Shared<D> {

@@ -100,7 +100,8 @@ fn flush_stats_and_delete_execute_in_order() {
     let RespBody::Stats { fields, text } = stats_resp.body else { panic!("expected stats body") };
     assert_eq!(fields.flushes, 1);
     assert_eq!(fields.deletes, 1);
-    assert!(text.contains("served:") && text.contains("store:"), "{text}");
+    assert!(text.starts_with("inserts: 1 | lookups: 1 | deletes: 1 | flushes: 1 | "), "{text}");
+    assert!(text.contains("\nstore: inserts: 1 (mean "), "{text}");
     engine.shutdown();
 }
 

@@ -41,14 +41,15 @@
 //!
 //! A scalar counter carries one value, a list (`batch_histogram`,
 //! `shard_depths`) its elements. The entries are written from
-//! [`ServerStats`]' counter list; a decoder fills the names it knows and
-//! skips the rest, so a new counter needs no version.
+//! [`ServerStats`]' list, in declaration order; a decoder fills the names
+//! it knows and skips the rest, so a new counter needs no version.
 
 use std::fmt;
 
 use bufferhash::{Key, Value};
+use flashsim::Slot;
 
-use crate::stats::{ServerStats, Slot};
+use crate::stats::ServerStats;
 
 /// Frame magic: `"CLMD"` in ASCII.
 pub const MAGIC: u32 = 0x444D_4C43; // b"CLMD" read little-endian
@@ -371,9 +372,9 @@ pub fn encode_response(response: &Response, buf: &mut Vec<u8>) {
         }
         RespBody::Stats { fields, text } => {
             let mut fields = ServerStats::clone(fields);
-            let counters = fields.counters();
-            buf.extend_from_slice(&(counters.len() as u32).to_le_bytes());
-            for (name, _, slot) in &counters {
+            let entries = fields.entries();
+            buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            for (name, _, slot) in &entries {
                 buf.push(name.len() as u8);
                 buf.extend_from_slice(name.as_bytes());
                 buf.extend_from_slice(&(slot.values().len() as u32).to_le_bytes());
@@ -485,7 +486,7 @@ fn batch_count(mut p: &[u8], elem_size: usize) -> Result<usize, WireError> {
 /// build does not know; returns it with the text bytes that follow.
 fn decode_stats_entries(mut rest: &[u8]) -> Result<(ServerStats, &[u8]), WireError> {
     let mut fields = ServerStats::new();
-    let mut counters = fields.counters();
+    let mut list = fields.entries();
     let entries = u32_of(take(&mut rest, 4, "STATS frame shorter than its entry count")?);
     for _ in 0..entries {
         let name_len = take(&mut rest, 1, "STATS entry truncates its name length")?[0];
@@ -495,15 +496,15 @@ fn decode_stats_entries(mut rest: &[u8]) -> Result<(ServerStats, &[u8]), WireErr
         let count = u32_of(take(&mut rest, 4, "STATS entry truncates its value count")?);
         let values =
             take(&mut rest, count.saturating_mul(8), "STATS entry values overrun the payload")?;
-        if let Some((_, _, slot)) = counters.iter_mut().find(|(known, _, _)| *known == name) {
-            if matches!(slot, Slot::One(_)) && count != 1 {
+        if let Some((_, _, slot)) = list.iter_mut().find(|(known, _, _)| *known == name) {
+            if matches!(slot, Slot::Fixed(fixed) if fixed.len() != count) {
                 return Err(WireError::Corrupt("STATS scalar entry must carry exactly one value"));
             }
             let values: Vec<u64> = values.chunks_exact(8).map(|v| u64_at(v, 0)).collect();
-            slot.combine(&values, |_, v| v);
+            slot.set(&values);
         }
     }
-    drop(counters);
+    drop(list);
     Ok((fields, rest))
 }
 
@@ -652,6 +653,87 @@ mod tests {
             assert_eq!(consumed, buf.len());
             assert_eq!(decoded, req);
         }
+    }
+
+    /// The STATS entries of a fixed ledger, byte for byte: the 23 entries
+    /// every decoder since the named encoding knows, in their order, then
+    /// only entries appended after them, then the text. Appending is how
+    /// a counter joins the wire without a version.
+    #[test]
+    fn stats_entries_keep_their_names_order_and_values() {
+        let fields = ServerStats {
+            inserts: 1,
+            lookups: 2,
+            deletes: 3,
+            flushes: 4,
+            stats_calls: 5,
+            lookup_hits: 6,
+            lookup_misses: 7,
+            wire_errors: 8,
+            batches: 9,
+            batched_requests: 10,
+            group_commit_waits: 11,
+            batch_high_water: 12,
+            batch_histogram: vec![0, 13, 1],
+            insert_admissions: 14,
+            lookup_admissions: 15,
+            delete_admissions: 16,
+            segments: 17,
+            segment_conflicts: 18,
+            connections_opened: 19,
+            connections_closed: 20,
+            connections_stalled: 21,
+            bypass_hits: 22,
+            shard_depths: vec![4, 0, u64::MAX],
+            ..Default::default()
+        };
+        let pinned: [(&str, &[u64]); 23] = [
+            ("inserts", &[1]),
+            ("lookups", &[2]),
+            ("deletes", &[3]),
+            ("flushes", &[4]),
+            ("stats_calls", &[5]),
+            ("lookup_hits", &[6]),
+            ("lookup_misses", &[7]),
+            ("wire_errors", &[8]),
+            ("batches", &[9]),
+            ("batched_requests", &[10]),
+            ("group_commit_waits", &[11]),
+            ("batch_high_water", &[12]),
+            ("batch_histogram", &[0, 13, 1]),
+            ("insert_admissions", &[14]),
+            ("lookup_admissions", &[15]),
+            ("delete_admissions", &[16]),
+            ("segments", &[17]),
+            ("segment_conflicts", &[18]),
+            ("connections_opened", &[19]),
+            ("connections_closed", &[20]),
+            ("connections_stalled", &[21]),
+            ("bypass_hits", &[22]),
+            ("shard_depths", &[4, 0, u64::MAX]),
+        ];
+        let mut want = Vec::new();
+        for (name, values) in pinned {
+            want.push(name.len() as u8);
+            want.extend_from_slice(name.as_bytes());
+            want.extend_from_slice(&(values.len() as u32).to_le_bytes());
+            values.iter().for_each(|v| want.extend_from_slice(&v.to_le_bytes()));
+        }
+        let body = RespBody::Stats { fields: Box::new(fields), text: "text".to_string() };
+        let mut buf = Vec::new();
+        encode_response(&Response { id: 1, body }, &mut buf);
+        let payload = &buf[HEADER_LEN..];
+        let count = u32_of(&payload[..4]);
+        assert_eq!(&payload[4..4 + want.len()], &want[..], "the pinned entries' bytes");
+        let mut rest = &payload[4 + want.len()..];
+        for _ in pinned.len()..count {
+            let name_len = usize::from(rest[0]);
+            let name = std::str::from_utf8(&rest[1..1 + name_len]).unwrap();
+            assert!(pinned.iter().all(|(known, _)| *known != name), "{name} appears twice");
+            let values = u32_of(&rest[1 + name_len..5 + name_len]);
+            rest = &rest[5 + name_len + 8 * values..];
+        }
+        assert_eq!(rest, b"text");
     }
 
     #[test]

@@ -220,7 +220,9 @@ impl<D: Device + 'static> ClamdServer<D> {
     }
 
     /// Stops accepting, drains every queued request (their responses are
-    /// still delivered), closes all connections and joins every thread.
+    /// still delivered), flushes every stripe to flash, closes all
+    /// connections and joins every thread. Dropping the server does the
+    /// same.
     pub fn shutdown(&mut self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -233,9 +235,11 @@ impl<D: Device + 'static> ClamdServer<D> {
             handle.join().expect("accept thread panicked");
         }
         // Drain the batcher first so in-flight requests are written to
-        // their sockets, then close every connection, which ends its
+        // their sockets, flush every stripe so what was acknowledged
+        // survives a restart, then close every connection, which ends its
         // reader.
         self.engine.shutdown();
+        self.engine.flush_stripes();
         self.engine.unregister_all();
         let handles = std::mem::take(&mut *self.conn_threads.lock().expect("conn threads lock"));
         for handle in handles {

@@ -4,141 +4,89 @@
 //! group-commit gathers, ring admissions, wire errors — as opposed to
 //! [`ClamStats`](bufferhash::ClamStats), which counts what the *store*
 //! did underneath. A STATS request returns the whole ledger plus the
-//! rendered text of both, and the `Display` impl mirrors the
-//! pipe-separated ledger style used across the workspace, eliding
-//! segments that never fired.
+//! rendered text of both.
 //!
-//! Every field is declared once more, in the counter list
-//! (`ServerStats::counters`): its wire name and whether it is a sum, a
+//! The ledger is declared once with [`flashsim::ledger!`]: each entry's
+//! name is its wire name, and its kind says whether it is a sum, a
 //! high-water mark or a gauge. [`ServerStats::absorb`],
-//! [`ServerStats::delta`] and the STATS codec in [`crate::proto`] walk
-//! that list, so a new counter is a field, a list entry and its
-//! increment — never a wire version.
-
-use std::fmt;
+//! [`ServerStats::delta`], `Display` and the STATS codec in
+//! [`crate::proto`] walk that list, so a new counter is one declaration
+//! line and its increment — never a wire version.
 
 /// Maximum batch-size histogram index tracked explicitly; larger gathers
 /// accumulate in the final bucket (same cap policy as the CLAM's
 /// histograms).
 const HISTOGRAM_CAP: usize = 64;
 
-/// How a counter combines across ledgers ([`ServerStats::absorb`]) and
-/// across time ([`ServerStats::delta`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Kind {
-    /// Counts events: ledgers add, a window subtracts (element by
-    /// element for a histogram).
-    Sum,
-    /// A maximum: ledgers take the larger, a window keeps the later.
-    HighWater,
-    /// A snapshot: ledgers keep whichever side has one (an empty list
-    /// has none), a window keeps the later.
-    Gauge,
-}
-
-/// One counter's storage in the list: a scalar, or a list of elements.
-pub(crate) enum Slot<'a> {
-    One(&'a mut u64),
-    Many(&'a mut Vec<u64>),
-}
-
-impl Slot<'_> {
-    /// The counter's values: one for a scalar, the elements of a list.
-    pub(crate) fn values(&self) -> &[u64] {
-        match self {
-            Slot::One(v) => std::slice::from_ref(&**v),
-            Slot::Many(v) => v,
-        }
+flashsim::ledger! {
+    /// Counters for one `clamd` server instance.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ServerStats {
+        /// Insert operations acknowledged (batch frames count each op).
+        pub inserts: u64 => Sum,
+        /// Lookup operations answered (batch frames count each key).
+        pub lookups: u64 => Sum,
+        /// Delete operations applied.
+        pub deletes: u64 => Sum,
+        /// FLUSH barriers served.
+        pub flushes: u64 => Sum,
+        /// STATS requests served.
+        pub stats_calls: u64 => Sum,
+        /// Lookups that found a value.
+        pub lookup_hits: u64 => Sum,
+        /// Lookups that found nothing.
+        pub lookup_misses: u64 => Sum,
+        /// Connections dropped after a protocol violation.
+        pub wire_errors: u64 => Sum,
+        /// Group-commit gathers executed by the batcher thread.
+        pub batches: u64 => Sum,
+        /// Requests drained across all gathers.
+        pub batched_requests: u64 => Sum,
+        /// Gathers that lingered (waited out the group-commit window) for
+        /// concurrent arrivals instead of firing on a full queue.
+        pub group_commit_waits: u64 => Sum,
+        /// Largest gather, in requests.
+        pub batch_high_water: u64 => HighWater,
+        /// Histogram of gather sizes: `batch_histogram[n]` is the number of
+        /// gathers that drained exactly `n` requests (the final bucket
+        /// accumulates everything at or beyond its index).
+        pub batch_histogram: Vec<u64> => Sum,
+        /// Coalesced `insert_batch` ring admissions (one per segment that
+        /// holds inserts).
+        pub insert_admissions: u64 => Sum,
+        /// Coalesced `lookup_batch` ring admissions.
+        pub lookup_admissions: u64 => Sum,
+        /// Per-key delete admissions.
+        pub delete_admissions: u64 => Sum,
+        /// Conflict-free segments executed: runs of a gather in which no key
+        /// is both read and written, or both inserted and deleted, each
+        /// costing at most one `insert_batch` and one `lookup_batch`
+        /// admission plus its deletes.
+        pub segments: u64 => Sum,
+        /// Segments closed early because a request touched a key the segment
+        /// already held under another kind of operation.
+        pub segment_conflicts: u64 => Sum,
+        /// Connections accepted.
+        pub connections_opened: u64 => Sum,
+        /// Connections closed (cleanly or after an error).
+        pub connections_closed: u64 => Sum,
+        /// Connections closed because a delivery to them could not finish
+        /// within the stall limit: the client had stopped reading.
+        pub connections_stalled: u64 => Sum,
+        /// Scalar lookups answered on the batcher bypass: the shard's linger
+        /// queue was empty and the store's read fast path
+        /// resolved the key without a gather or a ring admission.
+        pub bypass_hits: u64 => Sum,
+        /// Most recent per-shard in-flight depth snapshot (queued plus
+        /// executing requests), refreshed by STATS requests and captured at
+        /// shutdown entry. Empty until the first snapshot.
+        pub shard_depths: Vec<u64> => Gauge,
+        /// Stripes whose flush failed at a clean shutdown (the others still flush).
+        pub shutdown_flush_errors: u64 => Sum,
     }
-
-    /// Folds `other` in element by element as `f(mine, theirs)`, growing
-    /// a list to fit (`|_, v| v` copies).
-    pub(crate) fn combine(&mut self, other: &[u64], f: impl Fn(u64, u64) -> u64) {
-        let mine = match self {
-            Slot::One(v) => std::slice::from_mut(&mut **v),
-            Slot::Many(v) => {
-                if v.len() < other.len() {
-                    v.resize(other.len(), 0);
-                }
-                v.as_mut_slice()
-            }
-        };
-        for (d, s) in mine.iter_mut().zip(other) {
-            *d = f(*d, *s);
-        }
-    }
-}
-
-/// Counters for one `clamd` server instance.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Insert operations acknowledged (batch frames count each op).
-    pub inserts: u64,
-    /// Lookup operations answered (batch frames count each key).
-    pub lookups: u64,
-    /// Delete operations applied.
-    pub deletes: u64,
-    /// FLUSH barriers served.
-    pub flushes: u64,
-    /// STATS requests served.
-    pub stats_calls: u64,
-    /// Lookups that found a value.
-    pub lookup_hits: u64,
-    /// Lookups that found nothing.
-    pub lookup_misses: u64,
-    /// Connections dropped after a protocol violation.
-    pub wire_errors: u64,
-    /// Group-commit gathers executed by the batcher thread.
-    pub batches: u64,
-    /// Requests drained across all gathers.
-    pub batched_requests: u64,
-    /// Gathers that lingered (waited out the group-commit window) for
-    /// concurrent arrivals instead of firing on a full queue.
-    pub group_commit_waits: u64,
-    /// Largest gather, in requests.
-    pub batch_high_water: u64,
-    /// Histogram of gather sizes: `batch_histogram[n]` is the number of
-    /// gathers that drained exactly `n` requests (the final bucket
-    /// accumulates everything at or beyond its index).
-    pub batch_histogram: Vec<u64>,
-    /// Coalesced `insert_batch` ring admissions (one per segment that
-    /// holds inserts).
-    pub insert_admissions: u64,
-    /// Coalesced `lookup_batch` ring admissions.
-    pub lookup_admissions: u64,
-    /// Per-key delete admissions.
-    pub delete_admissions: u64,
-    /// Conflict-free segments executed: runs of a gather in which no key
-    /// is both read and written, or both inserted and deleted, each
-    /// costing at most one `insert_batch` and one `lookup_batch`
-    /// admission plus its deletes.
-    pub segments: u64,
-    /// Segments closed early because a request touched a key the segment
-    /// already held under another kind of operation.
-    pub segment_conflicts: u64,
-    /// Connections accepted.
-    pub connections_opened: u64,
-    /// Connections closed (cleanly or after an error).
-    pub connections_closed: u64,
-    /// Connections closed because a delivery to them could not finish
-    /// within the stall limit: the client had stopped reading.
-    pub connections_stalled: u64,
-    /// Scalar lookups answered on the batcher bypass: the shard's linger
-    /// queue was empty and the store's read fast path
-    /// resolved the key without a gather or a ring admission.
-    pub bypass_hits: u64,
-    /// Most recent per-shard in-flight depth snapshot (queued plus
-    /// executing requests), refreshed by STATS requests and captured at
-    /// shutdown entry. Empty until the first snapshot.
-    pub shard_depths: Vec<u64>,
 }
 
 impl ServerStats {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one group-commit gather of `size` requests; `waited` marks
     /// gathers that lingered for concurrent arrivals before firing.
     pub fn record_batch(&mut self, size: usize, waited: bool) {
@@ -163,162 +111,12 @@ impl ServerStats {
             self.batched_requests as f64 / self.batches as f64
         }
     }
-
-    /// The counter list: every field with its wire name and [`Kind`].
-    /// The pattern names every field without `..`, so a field added
-    /// without an entry here does not compile.
-    pub(crate) fn counters(&mut self) -> Vec<(&'static str, Kind, Slot<'_>)> {
-        use Kind::{Gauge, HighWater, Sum};
-        use Slot::{Many, One};
-        let ServerStats {
-            inserts,
-            lookups,
-            deletes,
-            flushes,
-            stats_calls,
-            lookup_hits,
-            lookup_misses,
-            wire_errors,
-            batches,
-            batched_requests,
-            group_commit_waits,
-            batch_high_water,
-            batch_histogram,
-            insert_admissions,
-            lookup_admissions,
-            delete_admissions,
-            segments,
-            segment_conflicts,
-            connections_opened,
-            connections_closed,
-            connections_stalled,
-            bypass_hits,
-            shard_depths,
-        } = self;
-        vec![
-            ("inserts", Sum, One(inserts)),
-            ("lookups", Sum, One(lookups)),
-            ("deletes", Sum, One(deletes)),
-            ("flushes", Sum, One(flushes)),
-            ("stats_calls", Sum, One(stats_calls)),
-            ("lookup_hits", Sum, One(lookup_hits)),
-            ("lookup_misses", Sum, One(lookup_misses)),
-            ("wire_errors", Sum, One(wire_errors)),
-            ("batches", Sum, One(batches)),
-            ("batched_requests", Sum, One(batched_requests)),
-            ("group_commit_waits", Sum, One(group_commit_waits)),
-            ("batch_high_water", HighWater, One(batch_high_water)),
-            ("batch_histogram", Sum, Many(batch_histogram)),
-            ("insert_admissions", Sum, One(insert_admissions)),
-            ("lookup_admissions", Sum, One(lookup_admissions)),
-            ("delete_admissions", Sum, One(delete_admissions)),
-            ("segments", Sum, One(segments)),
-            ("segment_conflicts", Sum, One(segment_conflicts)),
-            ("connections_opened", Sum, One(connections_opened)),
-            ("connections_closed", Sum, One(connections_closed)),
-            ("connections_stalled", Sum, One(connections_stalled)),
-            ("bypass_hits", Sum, One(bypass_hits)),
-            ("shard_depths", Gauge, Many(shard_depths)),
-        ]
-    }
-
-    /// Folds another ledger into this one — used to merge the per-shard
-    /// gather ledgers into the STATS view. Counters sum (the batch-size
-    /// histogram bucket by bucket), the high-water mark takes the max,
-    /// and the `shard_depths` gauge keeps whichever side has a snapshot
-    /// (shard ledgers never carry one).
-    pub fn absorb(&mut self, other: &ServerStats) {
-        let mut other = other.clone();
-        for ((_, kind, mut mine), (_, _, theirs)) in
-            self.counters().into_iter().zip(other.counters())
-        {
-            match kind {
-                Kind::Sum => mine.combine(theirs.values(), |a, b| a + b),
-                Kind::HighWater => mine.combine(theirs.values(), u64::max),
-                Kind::Gauge if mine.values().is_empty() => mine.combine(theirs.values(), |_, v| v),
-                Kind::Gauge => {}
-            }
-        }
-    }
-
-    /// The ledger of the window between `earlier` and this later
-    /// snapshot: counters subtract (saturating; the histogram bucket by
-    /// bucket), high-water marks and gauges keep the later value.
-    pub fn delta(&self, earlier: &ServerStats) -> ServerStats {
-        let mut window = self.clone();
-        let mut earlier = earlier.clone();
-        for ((_, kind, mut later), (_, _, before)) in
-            window.counters().into_iter().zip(earlier.counters())
-        {
-            if kind == Kind::Sum {
-                later.combine(before.values(), u64::saturating_sub);
-            }
-        }
-        window
-    }
-}
-
-impl fmt::Display for ServerStats {
-    /// One-line operational summary in the workspace ledger style: served
-    /// op counts, group-commit shape, ring admissions, connection churn —
-    /// with untouched segments elided.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "served: {} inserts | {} lookups ({} hits / {} misses) | {} deletes | {} flushes | {} stats",
-            self.inserts, self.lookups, self.lookup_hits, self.lookup_misses, self.deletes,
-            self.flushes, self.stats_calls,
-        )?;
-        if self.batches > 0 {
-            write!(
-                f,
-                " | group commit: {} gathers, mean {:.1} reqs, hwm {}, {} lingered",
-                self.batches,
-                self.mean_batch(),
-                self.batch_high_water,
-                self.group_commit_waits
-            )?;
-        }
-        if self.insert_admissions + self.lookup_admissions + self.delete_admissions > 0 {
-            write!(
-                f,
-                " | admissions: {} insert, {} lookup, {} delete",
-                self.insert_admissions, self.lookup_admissions, self.delete_admissions
-            )?;
-        }
-        if self.segments > 0 {
-            write!(
-                f,
-                " | segments: {} ({} closed by a key conflict)",
-                self.segments, self.segment_conflicts
-            )?;
-        }
-        if self.bypass_hits > 0 {
-            write!(f, " | bypass: {} fast-path lookups", self.bypass_hits)?;
-        }
-        if !self.shard_depths.is_empty() {
-            write!(f, " | shard depths: {:?}", self.shard_depths)?;
-        }
-        if self.connections_opened > 0 {
-            write!(
-                f,
-                " | conns: {} opened / {} closed",
-                self.connections_opened, self.connections_closed
-            )?;
-            if self.connections_stalled > 0 {
-                write!(f, " ({} stalled)", self.connections_stalled)?;
-            }
-        }
-        if self.wire_errors > 0 {
-            write!(f, " | wire errors: {}", self.wire_errors)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim::Kind;
 
     #[test]
     fn batches_accumulate_histogram_and_high_water() {
@@ -341,7 +139,7 @@ mod tests {
     #[test]
     fn counter_names_are_unique_and_fit_their_length_byte() {
         let mut s = ServerStats::new();
-        let names: Vec<&str> = s.counters().iter().map(|(name, _, _)| *name).collect();
+        let names: Vec<&str> = s.entries().iter().map(|(name, _, _)| *name).collect();
         let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len(), "the decoder finds a counter by its name");
         assert!(names.iter().all(|name| name.len() <= usize::from(u8::MAX)), "{names:?}");
@@ -415,40 +213,79 @@ mod tests {
         let mut s = ServerStats::new();
         s.bypass_hits = 5;
         s.shard_depths = vec![0, 3];
-        let text = s.to_string();
-        assert!(text.contains("bypass: 5 fast-path lookups"), "{text}");
-        assert!(text.contains("shard depths: [0, 3]"), "{text}");
-        let quiet = ServerStats::new().to_string();
-        assert!(!quiet.contains("bypass:") && !quiet.contains("shard depths:"), "{quiet}");
+        assert_eq!(s.to_string(), "bypass_hits: 5 | shard_depths: [0, 3]");
     }
 
     #[test]
     fn display_elides_untouched_segments() {
-        let quiet = ServerStats::new().to_string();
-        assert!(quiet.starts_with("served:"), "{quiet}");
-        for absent in ["group commit:", "admissions:", "segments:", "conns:", "wire errors:"] {
-            assert!(!quiet.contains(absent), "unexpected {absent:?} in {quiet}");
-        }
+        assert_eq!(ServerStats::new().to_string(), "");
         let mut s = ServerStats::new();
         s.inserts = 100;
         s.record_batch(25, true);
-        s.record_batch(75, false);
         s.insert_admissions = 2;
-        s.segments = 3;
-        s.segment_conflicts = 1;
-        s.connections_opened = 3;
-        s.connections_closed = 3;
         s.wire_errors = 1;
-        let text = s.to_string();
-        for needle in [
-            "served: 100 inserts",
-            "group commit: 2 gathers, mean 50.0 reqs, hwm 75, 1 lingered",
-            "admissions: 2 insert, 0 lookup, 0 delete",
-            "segments: 3 (1 closed by a key conflict)",
-            "conns: 3 opened / 3 closed",
-            "wire errors: 1",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in {text}");
+        let mut histogram = vec![0; 26];
+        histogram[25] = 1;
+        assert_eq!(
+            s.to_string(),
+            format!(
+                "inserts: 100 | wire_errors: 1 | batches: 1 | batched_requests: 25 \
+                 | group_commit_waits: 1 | batch_high_water: 25 | batch_histogram: {histogram:?} \
+                 | insert_admissions: 2"
+            )
+        );
+    }
+
+    /// A ledger's list as plain data: each entry's name, kind and values.
+    type View = Vec<(&'static str, Kind, Vec<u64>)>;
+
+    fn view(mut ledger: ServerStats) -> View {
+        ledger
+            .entries()
+            .into_iter()
+            .map(|(name, kind, slot)| (name, kind, slot.values().to_vec()))
+            .collect()
+    }
+
+    /// Checks, entry by entry by its kind, that `sum` is `x` absorbing `y`
+    /// and `window` is `sum.delta(x)`.
+    fn check_by_kind(sum: View, x: View, y: View, window: View) {
+        for (((name, kind, sum), (_, _, x)), ((_, _, y), (_, _, window))) in
+            sum.into_iter().zip(x).zip(y.into_iter().zip(window))
+        {
+            let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
+            let each = |f: fn(u64, u64) -> u64| -> Vec<u64> {
+                (0..x.len().max(y.len())).map(|i| f(at(&x, i), at(&y, i))).collect()
+            };
+            let (want, want_window) = match kind {
+                Kind::Sum => (each(|a, b| a + b), each(|_, b| b)),
+                Kind::HighWater => (each(u64::max), sum.clone()),
+                Kind::Gauge => (if x.is_empty() { y.clone() } else { x.clone() }, sum.clone()),
+            };
+            assert_eq!(sum, want, "{name} absorbs as a {kind:?}");
+            assert_eq!(window, want_window, "{name} windows as a {kind:?}");
         }
+    }
+
+    #[test]
+    fn every_entry_absorbs_and_windows_by_its_kind() {
+        let filled = |seed: u64| {
+            let mut s = ServerStats::new();
+            for (i, (_, _, mut slot)) in (0..).zip(s.entries()) {
+                slot.set(&[(seed * 7 + i * 13) % 29 + 1, seed + i]);
+            }
+            s
+        };
+        let (a, b) = (filled(3), filled(50));
+        for (x, y) in [(&a, &b), (&b, &a), (&ServerStats::new(), &a)] {
+            let mut sum = x.clone();
+            sum.absorb(y);
+            let window = sum.delta(x);
+            check_by_kind(view(sum), view(x.clone()), view(y.clone()), view(window));
+        }
+        let entries = view(a);
+        let marks: Vec<_> =
+            entries.iter().filter(|e| e.1 != Kind::Sum).map(|e| (e.0, e.1)).collect();
+        assert_eq!(marks, [("batch_high_water", Kind::HighWater), ("shard_depths", Kind::Gauge)]);
     }
 }

@@ -80,7 +80,7 @@ pub use queue::{
 };
 pub use shared::SharedDevice;
 pub use ssd::Ssd;
-pub use stats::{IoStats, LatencyRecorder};
+pub use stats::{IoStats, Kind, LatencyRecorder, Slot};
 pub use store::SparseStore;
 pub use time::{SimClock, SimDuration};
 

@@ -1,9 +1,14 @@
-//! I/O statistics and latency recording.
+//! Ledgers, I/O statistics and latency recording.
 //!
-//! [`IoStats`] counts device-level operations; [`LatencyRecorder`] folds
-//! per-operation latency samples into a bounded-memory histogram and can
-//! report means, percentiles, CDFs and CCDFs — the building blocks for
-//! regenerating the paper's figures.
+//! A ledger — [`IoStats`] here, `ClamStats` in `bufferhash`, `ServerStats`
+//! in `clamd` — is declared once with [`ledger!`](crate::ledger), each
+//! entry's doc, name, type and [`Kind`]; merge, window, reset, `Display`
+//! and the `clamd` STATS codec walk that list. A new counter is one
+//! declaration line and its increment.
+//!
+//! [`LatencyRecorder`] folds per-operation latency samples into a
+//! bounded-memory histogram and can report means, percentiles, CDFs and
+//! CCDFs — the building blocks for regenerating the paper's figures.
 
 use std::fmt;
 
@@ -11,58 +16,277 @@ use serde::{Deserialize, Serialize};
 
 use crate::time::SimDuration;
 
-/// Counters describing the I/O a device has performed.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct IoStats {
-    /// Number of read commands.
-    pub reads: u64,
-    /// Number of write/program commands.
-    pub writes: u64,
-    /// Number of block erase commands (flash/SSD only).
-    pub erases: u64,
-    /// Number of TRIM commands.
-    pub trims: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Garbage-collection runs triggered (SSD only).
-    pub gc_runs: u64,
-    /// Valid pages relocated by garbage collection (SSD only).
-    pub gc_pages_copied: u64,
-    /// Requests admitted through
-    /// [`Device::submit_nowait`](crate::Device::submit_nowait). This and
-    /// the four queue counters below are written in one place, by the
-    /// [`CompletionRing`](crate::CompletionRing) the requests went through.
-    pub requests_submitted: u64,
-    /// Reaped requests that shared their time on the device queue with
-    /// lane-0 work (booked on a lane other than lane 0). This
-    /// counts *modeled* queue overlap: [`FileDevice`](crate::FileDevice)
-    /// runs every request on the submitting thread and books its measured
-    /// time on the lanes, as the simulated devices book theirs. Always
-    /// zero on serial devices.
-    pub requests_overlapped: u64,
-    /// Completions delivered through [`Device::reap`](crate::Device::reap).
-    pub requests_reaped: u64,
-    /// Highest in-flight depth (admitted minus reaped) any completion ring
-    /// registered with this device has reached. Merged with `max`, not
-    /// summed: it is a high-water mark, not a count.
-    pub ring_depth_high_water: u64,
-    /// Ring admissions whose start was delayed by a conflicting in-flight
-    /// range beyond lane availability (write-write and read-after-write
-    /// floors; read-read overlap never stalls).
-    pub ring_admission_stalls: u64,
-    /// Time spent in reads: simulated on the simulated devices; on
-    /// [`FileDevice`](crate::FileDevice) the wall clock around each
-    /// positioned read, taken on the thread that issued it.
-    pub read_time: SimDuration,
-    /// Time spent in writes, on the same clocks as `read_time` (simulated
-    /// time includes any GC charged to the write).
-    pub write_time: SimDuration,
-    /// Simulated time spent erasing blocks.
-    pub erase_time: SimDuration,
-    /// Simulated time spent in TRIM commands.
-    pub trim_time: SimDuration,
+/// How a ledger entry combines across ledgers (`absorb`) and across time
+/// (`delta`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Counts events: ledgers add, a window subtracts (element by element
+    /// for a list, sample by sample for a recorder).
+    Sum,
+    /// A maximum: ledgers take the larger, a window keeps the later.
+    HighWater,
+    /// A snapshot: ledgers keep whichever side has one (an empty list has
+    /// none), a window keeps the later.
+    Gauge,
+}
+
+/// One entry's storage, as a ledger's list hands it out.
+pub enum Slot<'a> {
+    /// A scalar (one element) or a fixed-length split.
+    Fixed(&'a mut [u64]),
+    /// A list that grows to fit: a histogram, a per-shard gauge.
+    Many(&'a mut Vec<u64>),
+    /// Accumulated time, in nanoseconds.
+    Time(&'a mut u64),
+    /// Latency samples.
+    Latency(&'a mut LatencyRecorder),
+}
+
+impl<'a> From<&'a mut u64> for Slot<'a> {
+    fn from(v: &'a mut u64) -> Self {
+        Slot::Fixed(std::slice::from_mut(v))
+    }
+}
+
+impl<'a, const N: usize> From<&'a mut [u64; N]> for Slot<'a> {
+    fn from(v: &'a mut [u64; N]) -> Self {
+        Slot::Fixed(v)
+    }
+}
+
+impl<'a> From<&'a mut Vec<u64>> for Slot<'a> {
+    fn from(v: &'a mut Vec<u64>) -> Self {
+        Slot::Many(v)
+    }
+}
+
+impl<'a> From<&'a mut SimDuration> for Slot<'a> {
+    fn from(v: &'a mut SimDuration) -> Self {
+        Slot::Time(&mut v.0)
+    }
+}
+
+impl<'a> From<&'a mut LatencyRecorder> for Slot<'a> {
+    fn from(v: &'a mut LatencyRecorder) -> Self {
+        Slot::Latency(v)
+    }
+}
+
+impl Slot<'_> {
+    /// The entry's values: a scalar's one, a list's elements, a time's
+    /// nanoseconds, a recorder's histogram bucket counts.
+    pub fn values(&self) -> &[u64] {
+        match self {
+            Slot::Fixed(v) => v,
+            Slot::Many(v) => v,
+            Slot::Time(v) => std::slice::from_ref(&**v),
+            Slot::Latency(r) => &r.buckets,
+        }
+    }
+
+    /// Replaces the entry's values (a fixed entry takes as many as it
+    /// holds, a recorder each bucket's count at the bucket's lowest value).
+    pub fn set(&mut self, values: &[u64]) {
+        match self {
+            Slot::Many(v) => **v = values.to_vec(),
+            Slot::Latency(r) => {
+                r.clear();
+                (0..).zip(values).for_each(|(b, &n)| r.record_n(SimDuration(bucket_span(b).0), n));
+            }
+            _ => self.combine(values, |_, v| v),
+        }
+    }
+
+    /// Folds `theirs`, the same entry of another ledger, in as `kind`
+    /// says. A recorder merges its samples.
+    pub fn absorb(&mut self, kind: Kind, theirs: &Slot<'_>) {
+        match (self, theirs) {
+            (Slot::Latency(mine), Slot::Latency(theirs)) => mine.merge(theirs),
+            (mine, theirs) => match kind {
+                Kind::Sum => mine.combine(theirs.values(), u64::saturating_add),
+                Kind::HighWater => mine.combine(theirs.values(), u64::max),
+                Kind::Gauge if mine.values().is_empty() => mine.combine(theirs.values(), |_, v| v),
+                Kind::Gauge => {}
+            },
+        }
+    }
+
+    /// Takes `earlier`, the same entry of an earlier snapshot, out of a
+    /// sum (saturating; a recorder's extremes stay the later snapshot's).
+    pub fn subtract(&mut self, earlier: &Slot<'_>) {
+        match (self, earlier) {
+            (Slot::Latency(later), Slot::Latency(earlier)) => take_out(later, earlier),
+            (later, earlier) => later.combine(earlier.values(), u64::saturating_sub),
+        }
+    }
+
+    /// Folds `other` in element by element as `f(mine, theirs)`, growing
+    /// a list to fit.
+    fn combine(&mut self, other: &[u64], f: impl Fn(u64, u64) -> u64) {
+        let mine = match self {
+            Slot::Fixed(v) => &mut **v,
+            Slot::Many(v) => {
+                if v.len() < other.len() {
+                    v.resize(other.len(), 0);
+                }
+                v.as_mut_slice()
+            }
+            Slot::Time(v) => std::slice::from_mut(&mut **v),
+            Slot::Latency(_) => unreachable!("a recorder folds its samples, not its values"),
+        };
+        for (d, s) in mine.iter_mut().zip(other) {
+            *d = f(*d, *s);
+        }
+    }
+}
+
+impl fmt::Display for Slot<'_> {
+    /// A scalar bare, a time as a duration, a recorder as count and mean.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Slot::Fixed([one]) => write!(f, "{one}"),
+            Slot::Time(ns) => write!(f, "{}", SimDuration(**ns)),
+            Slot::Latency(r) => write!(f, "{} (mean {})", r.len(), r.mean()),
+            list => write!(f, "{:?}", list.values()),
+        }
+    }
+}
+
+/// Declares a ledger, each entry once as `pub name: Type => Kind,` under
+/// its doc comment, where `Type` is `u64`, `[u64; N]`, `Vec<u64>`,
+/// [`SimDuration`] or [`LatencyRecorder`]. Attributes pass through (the
+/// derives must include `Clone` and `Default`). It emits the struct,
+/// `new`, the list (`entries`) and the `absorb`, `delta`, `reset` and
+/// `Display` that walk it.
+#[macro_export]
+macro_rules! ledger {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$doc:meta])* $fvis:vis $field:ident: $ty:ty => $kind:ident,)*
+        }
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$doc])* $fvis $field: $ty,)*
+        }
+
+        impl $name {
+            /// Creates an empty ledger.
+            pub fn new() -> Self {
+                Self::default()
+            }
+
+            /// The ledger's list: every entry's name, kind and storage,
+            /// in declaration order.
+            pub fn entries(&mut self) -> Vec<(&'static str, $crate::Kind, $crate::Slot<'_>)> {
+                vec![$((stringify!($field), $crate::Kind::$kind, (&mut self.$field).into()),)*]
+            }
+
+            /// Folds another ledger into this one, each entry as its kind
+            /// says: sums add (lists element by element), high-water
+            /// marks take the max, a gauge keeps whichever side has a
+            /// snapshot.
+            pub fn absorb(&mut self, other: &Self) {
+                let mut other = other.clone();
+                for ((_, kind, mut mine), (_, _, theirs)) in
+                    self.entries().into_iter().zip(other.entries())
+                {
+                    mine.absorb(kind, &theirs);
+                }
+            }
+
+            /// The ledger of the window between `earlier` and this later
+            /// snapshot: sums subtract, high-water marks and gauges keep
+            /// the later value.
+            pub fn delta(&self, earlier: &Self) -> Self {
+                let (mut window, mut earlier) = (self.clone(), earlier.clone());
+                for ((_, kind, mut later), (_, _, before)) in
+                    window.entries().into_iter().zip(earlier.entries())
+                {
+                    if kind == $crate::Kind::Sum {
+                        later.subtract(&before);
+                    }
+                }
+                window
+            }
+
+            /// Clears every entry.
+            pub fn reset(&mut self) {
+                *self = Self::default();
+            }
+        }
+
+        impl std::fmt::Display for $name {
+            /// Every entry that is not all zero, in list order, as
+            /// `name: value`, separated by ` | `.
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let mut sep = "";
+                for (name, _, slot) in self.clone().entries() {
+                    if slot.values().iter().any(|&v| v != 0) {
+                        write!(f, "{sep}{name}: {slot}")?;
+                        sep = " | ";
+                    }
+                }
+                Ok(())
+            }
+        }
+    };
+}
+
+ledger! {
+    /// Counters describing the I/O a device has performed.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct IoStats {
+        /// Number of read commands.
+        pub reads: u64 => Sum,
+        /// Number of write/program commands.
+        pub writes: u64 => Sum,
+        /// Number of block erase commands (flash/SSD only).
+        pub erases: u64 => Sum,
+        /// Number of TRIM commands.
+        pub trims: u64 => Sum,
+        /// Bytes read.
+        pub bytes_read: u64 => Sum,
+        /// Bytes written.
+        pub bytes_written: u64 => Sum,
+        /// Garbage-collection runs triggered (SSD only).
+        pub gc_runs: u64 => Sum,
+        /// Valid pages relocated by garbage collection (SSD only).
+        pub gc_pages_copied: u64 => Sum,
+        /// Requests admitted through
+        /// [`Device::submit_nowait`](crate::Device::submit_nowait). This and
+        /// the four queue counters below are written in one place, by the
+        /// [`CompletionRing`](crate::CompletionRing) the requests went through.
+        pub requests_submitted: u64 => Sum,
+        /// Reaped requests that shared their time on the device queue with
+        /// lane-0 work (booked on a lane other than lane 0). This
+        /// counts *modeled* queue overlap: [`FileDevice`](crate::FileDevice)
+        /// runs every request on the submitting thread and books its measured
+        /// time on the lanes, as the simulated devices book theirs. Always
+        /// zero on serial devices.
+        pub requests_overlapped: u64 => Sum,
+        /// Completions delivered through [`Device::reap`](crate::Device::reap).
+        pub requests_reaped: u64 => Sum,
+        /// Highest in-flight depth (admitted minus reaped) any completion ring
+        /// registered with this device has reached.
+        pub ring_depth_high_water: u64 => HighWater,
+        /// Ring admissions whose start was delayed by a conflicting in-flight
+        /// range beyond lane availability (write-write and read-after-write
+        /// floors; read-read overlap never stalls).
+        pub ring_admission_stalls: u64 => Sum,
+        /// Time spent in reads: simulated on the simulated devices; on
+        /// [`FileDevice`](crate::FileDevice) the wall clock around each
+        /// positioned read, taken on the thread that issued it.
+        pub read_time: SimDuration => Sum,
+        /// Time spent in writes, on the same clocks as `read_time` (simulated
+        /// time includes any GC charged to the write).
+        pub write_time: SimDuration => Sum,
+        /// Simulated time spent erasing blocks.
+        pub erase_time: SimDuration => Sum,
+        /// Simulated time spent in TRIM commands.
+        pub trim_time: SimDuration => Sum,
+    }
 }
 
 impl IoStats {
@@ -74,69 +298,6 @@ impl IoStats {
     /// Total number of I/O commands.
     pub fn total_ops(&self) -> u64 {
         self.reads + self.writes + self.erases + self.trims
-    }
-
-    /// Merges counters from another stats block into this one.
-    pub fn merge(&mut self, other: &IoStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.erases += other.erases;
-        self.trims += other.trims;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.gc_runs += other.gc_runs;
-        self.gc_pages_copied += other.gc_pages_copied;
-        self.requests_submitted += other.requests_submitted;
-        self.requests_overlapped += other.requests_overlapped;
-        self.requests_reaped += other.requests_reaped;
-        self.ring_depth_high_water = self.ring_depth_high_water.max(other.ring_depth_high_water);
-        self.ring_admission_stalls += other.ring_admission_stalls;
-        self.read_time += other.read_time;
-        self.write_time += other.write_time;
-        self.erase_time += other.erase_time;
-        self.trim_time += other.trim_time;
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&mut self) {
-        *self = IoStats::default();
-    }
-}
-
-impl fmt::Display for IoStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "reads: {} ({} B, {}) | writes: {} ({} B, {}) | erases: {} ({}) | trims: {} ({})",
-            self.reads,
-            self.bytes_read,
-            self.read_time,
-            self.writes,
-            self.bytes_written,
-            self.write_time,
-            self.erases,
-            self.erase_time,
-            self.trims,
-            self.trim_time,
-        )?;
-        if self.gc_runs > 0 || self.gc_pages_copied > 0 {
-            write!(f, " | gc: {} runs, {} pages copied", self.gc_runs, self.gc_pages_copied)?;
-        }
-        if self.requests_submitted > 0 {
-            write!(
-                f,
-                " | queue: {} reqs ({} overlapped)",
-                self.requests_submitted, self.requests_overlapped
-            )?;
-        }
-        if self.requests_reaped > 0 || self.ring_depth_high_water > 0 {
-            write!(
-                f,
-                " | ring: {} reaped, depth hwm {}, {} stalls",
-                self.requests_reaped, self.ring_depth_high_water, self.ring_admission_stalls
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -369,9 +530,109 @@ impl LatencyRecorder {
     }
 }
 
+/// Takes `earlier`'s samples out of `later`, a later snapshot of the
+/// same recorder: bucket counts, count and total subtract.
+fn take_out(later: &mut LatencyRecorder, earlier: &LatencyRecorder) {
+    for (mine, theirs) in later.buckets.iter_mut().zip(&earlier.buckets) {
+        *mine = mine.saturating_sub(*theirs);
+    }
+    later.count = later.count.saturating_sub(earlier.count);
+    later.total_ns = later.total_ns.saturating_sub(earlier.total_ns);
+    if later.count == 0 {
+        (later.min_ns, later.max_ns) = (0, 0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A ledger's list as plain data: each entry's name, kind and values.
+    type View = Vec<(&'static str, Kind, Vec<u64>)>;
+
+    fn view(mut ledger: IoStats) -> View {
+        ledger
+            .entries()
+            .into_iter()
+            .map(|(name, kind, slot)| (name, kind, slot.values().to_vec()))
+            .collect()
+    }
+
+    /// Checks, entry by entry by its kind, that `sum` is `x` absorbing `y`
+    /// and `window` is `sum.delta(x)`.
+    fn check_by_kind(sum: View, x: View, y: View, window: View) {
+        for (((name, kind, sum), (_, _, x)), ((_, _, y), (_, _, window))) in
+            sum.into_iter().zip(x).zip(y.into_iter().zip(window))
+        {
+            let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
+            let each = |f: fn(u64, u64) -> u64| -> Vec<u64> {
+                (0..x.len().max(y.len())).map(|i| f(at(&x, i), at(&y, i))).collect()
+            };
+            let (want, want_window) = match kind {
+                Kind::Sum => (each(|a, b| a + b), each(|_, b| b)),
+                Kind::HighWater => (each(u64::max), sum.clone()),
+                Kind::Gauge => (if x.is_empty() { y.clone() } else { x.clone() }, sum.clone()),
+            };
+            assert_eq!(sum, want, "{name} absorbs as a {kind:?}");
+            assert_eq!(window, want_window, "{name} windows as a {kind:?}");
+        }
+    }
+
+    #[test]
+    fn every_entry_absorbs_and_windows_by_its_kind() {
+        let filled = |seed: u64| {
+            let mut s = IoStats::new();
+            for (i, (_, _, mut slot)) in (0..).zip(s.entries()) {
+                slot.set(&[(seed * 7 + i * 13) % 29 + 1, seed + i]);
+            }
+            s
+        };
+        let (a, b) = (filled(3), filled(50));
+        for (x, y) in [(&a, &b), (&b, &a), (&IoStats::new(), &a)] {
+            let mut sum = x.clone();
+            sum.absorb(y);
+            let window = sum.delta(x);
+            check_by_kind(view(sum), view(x.clone()), view(y.clone()), view(window));
+        }
+        let entries = view(a);
+        let marks: Vec<_> =
+            entries.iter().filter(|e| e.1 != Kind::Sum).map(|e| (e.0, e.1)).collect();
+        assert_eq!(marks, [("ring_depth_high_water", Kind::HighWater)]);
+        let names: std::collections::HashSet<_> = entries.iter().map(|e| e.0).collect();
+        assert_eq!(names.len(), entries.len(), "a name finds one entry");
+        assert!(names.iter().all(|name| name.len() <= usize::from(u8::MAX)), "{names:?}");
+    }
+
+    #[test]
+    fn iostats_display_mentions_every_command_class() {
+        let mut s = IoStats {
+            reads: 1,
+            writes: 2,
+            erases: 3,
+            trims: 4,
+            gc_runs: 5,
+            requests_submitted: 7,
+            ring_depth_high_water: 4,
+            read_time: SimDuration::from_micros(2),
+            ..Default::default()
+        };
+        assert_eq!(
+            s.to_string(),
+            "reads: 1 | writes: 2 | erases: 3 | trims: 4 | gc_runs: 5 | requests_submitted: 7 \
+             | ring_depth_high_water: 4 | read_time: 2.00us"
+        );
+        s.reset();
+        assert_eq!(
+            (s.to_string(), s),
+            (String::new(), IoStats::default()),
+            "all zero prints nothing"
+        );
+        let mut lists = (vec![0, 2], [0u64, 0, 5], LatencyRecorder::new());
+        lists.2.record_n(SimDuration::from_micros(3), 2);
+        let text = [Slot::from(&mut lists.0), Slot::from(&mut lists.1), Slot::from(&mut lists.2)]
+            .map(|slot| slot.to_string());
+        assert_eq!(text, ["[0, 2]", "[0, 0, 5]", "2 (mean 3.00us)"]);
+    }
 
     #[test]
     fn iostats_counts_trims_and_queue_submissions() {
@@ -385,60 +646,10 @@ mod tests {
         assert_eq!(s.total_ops(), 2);
         assert_eq!(s.busy_time(), SimDuration::from_micros(10));
         let other = IoStats { trims: 1, requests_submitted: 4, ..Default::default() };
-        s.merge(&other);
+        s.absorb(&other);
         assert_eq!(s.trims, 3);
         assert_eq!(s.requests_submitted, 16);
         assert_eq!(s.requests_overlapped, 8);
-    }
-
-    #[test]
-    fn ring_counters_merge_and_display() {
-        let mut a = IoStats {
-            reads: 6,
-            requests_reaped: 5,
-            ring_depth_high_water: 12,
-            ring_admission_stalls: 2,
-            ..Default::default()
-        };
-        let b = IoStats {
-            reads: 3,
-            requests_reaped: 3,
-            ring_depth_high_water: 7,
-            ring_admission_stalls: 1,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.requests_reaped, 8, "reaps sum");
-        assert_eq!(a.ring_depth_high_water, 12, "high-water merges with max");
-        assert_eq!(a.ring_admission_stalls, 3, "stalls sum");
-        let text = a.to_string();
-        assert!(text.contains("ring: 8 reaped, depth hwm 12, 3 stalls"), "{text}");
-        // The segment is elided for devices that never served a ring.
-        let quiet = IoStats { reads: 1, ..Default::default() }.to_string();
-        assert!(!quiet.contains("ring:"), "{quiet}");
-        a.reset();
-        assert_eq!(a, IoStats::default());
-    }
-
-    #[test]
-    fn iostats_display_mentions_every_command_class() {
-        let s = IoStats {
-            reads: 1,
-            writes: 2,
-            erases: 3,
-            trims: 4,
-            gc_runs: 5,
-            requests_submitted: 7,
-            requests_overlapped: 2,
-            ..Default::default()
-        };
-        let text = s.to_string();
-        for needle in ["reads: 1", "writes: 2", "erases: 3", "trims: 4", "gc: 5", "queue: 7"] {
-            assert!(text.contains(needle), "missing {needle:?} in {text:?}");
-        }
-        // GC and queue segments are elided when untouched.
-        let quiet = IoStats { reads: 1, ..Default::default() }.to_string();
-        assert!(!quiet.contains("gc:") && !quiet.contains("queue:"));
     }
 
     #[test]
@@ -452,11 +663,27 @@ mod tests {
             erase_time: SimDuration::from_millis(3),
             ..Default::default()
         };
-        a.merge(&b);
+        a.absorb(&b);
         assert_eq!(a.total_ops(), 4);
         assert_eq!(a.busy_time(), SimDuration::from_millis(6));
         a.reset();
         assert_eq!(a, IoStats::default());
+    }
+
+    #[test]
+    fn a_recorder_window_keeps_the_samples_between_two_snapshots() {
+        let mut later = LatencyRecorder::new();
+        later.record(SimDuration::from_nanos(100));
+        let earlier = later.clone();
+        later.record_n(SimDuration::from_nanos(40), 3);
+        later.record(SimDuration::from_millis(1));
+        let mut window = later.clone();
+        Slot::from(&mut window).subtract(&Slot::from(&mut earlier.clone()));
+        assert_eq!((window.len(), window.total()), (4, SimDuration::from_nanos(1_000_120)));
+        let bounds = (SimDuration::from_nanos(40), SimDuration::from_millis(1));
+        assert_eq!((window.min(), window.max()), bounds, "the later snapshot's extremes");
+        Slot::from(&mut window).subtract(&Slot::from(&mut later));
+        assert!(window.is_empty() && window.max().is_zero());
     }
 
     #[test]

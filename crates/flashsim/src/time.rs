@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
-pub struct SimDuration(u64);
+pub struct SimDuration(pub(crate) u64);
 
 impl SimDuration {
     /// The zero duration.
