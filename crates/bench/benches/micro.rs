@@ -3,8 +3,8 @@
 //! CRC, filter registration: the per-flush budget of DESIGN.md "Write-path
 //! host cost"), the latency recorder, the simulated flash's byte store
 //! (DESIGN.md "The simulated medium's memory"), Rabin-Karp chunking and
-//! SHA-1, the stripe's shared-lock read fast path one key and eight keys
-//! at a time — and one real-I/O path, a ring read of a page-cache-hot
+//! SHA-1, a stripe's read path one key and eight keys at a time — and one
+//! real-I/O path, a ring read of a page-cache-hot
 //! `FileDevice` image (DESIGN.md "`FileDevice` runs where it is
 //! submitted").
 
@@ -329,13 +329,13 @@ fn bench_file_read(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-/// The read fast path `clamd`'s idle-shard bypass takes, on a stripe whose
-/// keys all sit in its buffers: eight scalar calls (eight `try_read`s and
-/// eight side-ledger locks) against one run of eight (one of each), as a
-/// socket read of eight lookups to one shard makes (DESIGN.md
-/// "Intra-stripe read concurrency").
-fn bench_fast_path(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fast_path");
+/// The read path `clamd`'s idle-shard bypass takes, on a stripe whose
+/// keys all sit in its buffers: eight scalar lookups (eight lock
+/// acquisitions, eight ring-pipeline calls) against one `lookup_batch` of
+/// eight (one of each), as a socket read of eight lookups to one shard
+/// makes (DESIGN.md "Intra-stripe read concurrency").
+fn bench_stripe_read(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stripe_read");
     let config = ClamConfig::small_test(4 << 20, 1 << 20).expect("config");
     let clam = Clam::new(Ssd::intel(4 << 20).expect("ssd"), config).expect("clam");
     let store = StripedClam::new(vec![clam]);
@@ -343,25 +343,22 @@ fn bench_fast_path(c: &mut Criterion) {
     for &key in &keys {
         store.insert(key, key).expect("insert");
     }
-    assert!(keys.iter().all(|&key| store.try_fast_lookup(key).is_some()), "buffer-resident");
+    let resident = keys.iter().all(|&key| store.lookup(key).expect("lookup").flash_reads == 0);
+    assert!(resident, "buffer-resident");
     let runs = keys.chunks(8).cycle();
-    group.bench_function("try_fast_lookup_x8", |b| {
+    group.bench_function("lookup_x8", |b| {
         let mut runs = runs.clone();
         b.iter(|| {
             let mut out = [None; 8];
             for (slot, &key) in out.iter_mut().zip(runs.next().expect("cycled")) {
-                *slot = store.try_fast_lookup(key);
+                *slot = store.lookup(key).ok();
             }
             black_box(out)
         })
     });
-    group.bench_function("try_fast_lookup_batch_8", |b| {
+    group.bench_function("lookup_batch_8", |b| {
         let mut runs = runs.clone();
-        b.iter(|| {
-            let mut out = [None; 8];
-            store.try_fast_lookup_batch(runs.next().expect("cycled"), &mut out);
-            black_box(out)
-        })
+        b.iter(|| black_box(store.lookup_batch(runs.next().expect("cycled")).expect("batch")))
     });
     group.finish();
 }
@@ -386,7 +383,7 @@ criterion_group!(
     bench_flush_kernel,
     bench_sparse_store,
     bench_file_read,
-    bench_fast_path,
+    bench_stripe_read,
     bench_content_pipeline
 );
 criterion_main!(benches);

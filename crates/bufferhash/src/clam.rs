@@ -34,11 +34,10 @@
 //! drains ride the same completion ring as the probes.
 //!
 //! A `Clam` takes **no locks**: its super tables, device, log allocator,
-//! ring state and statistics are plain fields, mutation needs
-//! `&mut self`, and the only `&self` operation that answers a request is
-//! the memory probe ([`Clam::probe_memory`]). Sharing one between threads
-//! is [`SharedClam`](crate::SharedClam)'s job (one reader-writer lock per
-//! stripe; DESIGN.md "Locks").
+//! ring state and statistics are plain fields, and every operation that
+//! answers a request needs `&mut self`. Sharing one between threads is
+//! [`SharedClam`](crate::SharedClam)'s job (one lock per stripe;
+//! DESIGN.md "Locks").
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -54,7 +53,7 @@ use crate::error::{BufferHashError, Result};
 use crate::eviction::{EvictionPolicy, RetainDecision};
 use crate::filters::AgeSet;
 use crate::incarnation::{
-    lookup_in_page, parse_incarnation, parse_page_header_checked, scan_incarnation,
+    lookup_in_page, page_identity, parse_incarnation, parse_page_header_checked, scan_incarnation,
     IncarnationIdentity, IncarnationLayout, PageLookup, SlotScan,
 };
 use crate::log::{LogAllocator, SlotOwner};
@@ -157,20 +156,6 @@ pub enum LookupSource {
     Deleted,
     /// Not found anywhere.
     Miss,
-}
-
-/// Verdict of a memory-only probe ([`Clam::probe_memory`]): either the key
-/// resolved entirely from DRAM state (delete list, buffer, the slot copy of
-/// the first live candidate incarnation, or Bloom filters proving no live
-/// flash candidate), or the `&mut self` flash pipeline must run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoryProbe {
-    /// The key resolved without touching flash; the outcome is exactly what
-    /// [`Clam::lookup`] would have produced (`flash_reads == 0`).
-    Resolved(LookupOutcome),
-    /// At least one live flash incarnation may hold the key, or the hit
-    /// owes an LRU re-insertion; only the exclusive pipeline can finish.
-    NeedsFlash,
 }
 
 /// Outcome of a queued batch lookup ([`Clam::lookup_batch`]).
@@ -327,10 +312,8 @@ pub(crate) fn fan_out(ops: usize, groups: usize) -> usize {
 ///
 /// Everything is a plain field: the super tables, the device and its
 /// completion ring, the log allocator, the flush sequence counter and the
-/// [`ClamStats`] ledger. Inserts, deletes and lookups that may touch
-/// flash need `&mut self`; a memory-only probe
-/// ([`probe_memory`](Self::probe_memory)) runs through `&self`. Because a
-/// flush chain runs on one `&mut self`, allocator grant order equals ring
+/// [`ClamStats`] ledger. Inserts, deletes and lookups need `&mut self`.
+/// Because a flush chain runs on one `&mut self`, allocator grant order equals ring
 /// admission order, which is the invariant the acknowledgment point rests
 /// on (admission order = data-effect order on the device; DESIGN.md
 /// "Crash consistency").
@@ -739,21 +722,8 @@ impl<D: Device> Clam<D> {
     /// assert_eq!(found.hits(), 2);
     /// ```
     pub fn lookup_batch(&mut self, keys: &[Key]) -> Result<BatchLookupOutcome> {
-        self.lookup_batch_amortized(keys, batch_dispatch(keys.len()))
-    }
-
-    /// Batched-lookup entry point for callers that amortize dispatch over a
-    /// *larger* batch than `keys` — the `SharedClam` fast/exclusive split
-    /// answers memory-resolved keys under the shared lock and sends only
-    /// the flash-bound remainder here, charging every key the full batch's
-    /// amortized dispatch so the accounting matches an all-exclusive call.
-    pub(crate) fn lookup_batch_amortized(
-        &mut self,
-        keys: &[Key],
-        dispatch: SimDuration,
-    ) -> Result<BatchLookupOutcome> {
         self.stats.batched_lookups += keys.len() as u64;
-        self.lookup_batch_ring(keys, dispatch)
+        self.lookup_batch_ring(keys, batch_dispatch(keys.len()))
     }
 
     /// Looks up `key`: a batch of one over the streaming ring pipeline, so
@@ -763,52 +733,6 @@ impl<D: Device> Clam<D> {
     pub fn lookup(&mut self, key: Key) -> Result<LookupOutcome> {
         let mut batch = self.lookup_batch_ring(std::slice::from_ref(&key), BASE_OP_OVERHEAD)?;
         Ok(batch.outcomes.pop().expect("one outcome per key"))
-    }
-
-    /// Probes `key` against DRAM state only — delete list, buffer, Bloom
-    /// filters and the slot copy of the first live candidate incarnation —
-    /// through `&self`, without mutating anything.
-    ///
-    /// Returns [`MemoryProbe::Resolved`] when the verdict is decidable from
-    /// memory alone (delete shadow, buffer hit, slot copy, or no live
-    /// candidate incarnation): the outcome carries the same value, source,
-    /// `flash_reads == 0` and per-op latency charge (`dispatch` + DRAM probe
-    /// words) that [`lookup`](Self::lookup) would report. Returns
-    /// [`MemoryProbe::NeedsFlash`] when the first live candidate must be
-    /// read from flash, in which case the caller must fall back to the
-    /// exclusive pipeline. The caller is responsible for recording
-    /// statistics for resolved probes (this method cannot: it holds no
-    /// `&mut`). Keys that owe an LRU re-insertion never resolve here: a
-    /// flash hit cannot, and a slot copy under a re-inserting policy is
-    /// declined the same way.
-    pub fn probe_memory(&self, key: Key, dispatch: SimDuration) -> MemoryProbe {
-        let table = &self.tables[self.table_of(key)];
-        let hit = table.memory_lookup(key);
-        let (value, source) = match hit {
-            Some(hit) => memory_verdict(hit),
-            None => {
-                // The pipeline's walk up to its first page read.
-                let mut ages = table.candidate_incarnations(key);
-                let first = ages.find(|&age| table.incarnation_at(age).is_some());
-                match first.map(|age| table.slot_copy(key, age)) {
-                    None => (None, LookupSource::Miss),
-                    Some(Some(value)) if !self.config.eviction.reinserts_on_use() => {
-                        (Some(value), LookupSource::Retired)
-                    }
-                    Some(_) => return MemoryProbe::NeedsFlash,
-                }
-            }
-        };
-        let latency = dispatch + self.memory_probe_cost(table, hit);
-        MemoryProbe::Resolved(LookupOutcome { value, latency, flash_reads: 0, source })
-    }
-
-    /// DRAM time of one key's memory phase: the buffer probe and the
-    /// filter query, as every lookup is charged, plus the stamp words for
-    /// a key the delete list and the live buffer did not settle.
-    fn memory_probe_cost(&self, table: &SuperTable, hit: Option<MemoryHit>) -> SimDuration {
-        let stamp_words = if hit.is_some() { 0 } else { STAMP_PROBE_WORDS };
-        self.mem_words_cost(BUFFER_PROBE_WORDS + table.filter_words_per_query() + stamp_words)
     }
 
     /// Deletes `key` (lazily: flash copies are shadowed by the delete list
@@ -860,14 +784,6 @@ impl<D: Device> Clam<D> {
     /// background work (SSD garbage collection).
     pub fn idle(&mut self, idle: SimDuration) {
         self.device.on_idle(idle);
-    }
-}
-
-/// The reply a memory hit stands for.
-fn memory_verdict(hit: MemoryHit) -> (Option<Value>, LookupSource) {
-    match hit {
-        MemoryHit::Deleted => (None, LookupSource::Deleted),
-        MemoryHit::Buffer(value) => (Some(value), LookupSource::Buffer),
     }
 }
 

@@ -8,22 +8,19 @@ impl<D: Device> Clam<D> {
     /// key it can without a page read (recording its stats) and returns a
     /// probe state machine for each key that must touch flash.
     fn plan_lookups(&mut self, keys: &[Key], dispatch: SimDuration) -> LookupPlan {
-        // Input positions grouped by super table, each table's keys in
-        // input order: one hash per key.
-        let positions: Vec<usize> = (0..keys.len()).collect();
-        let (order, starts) =
-            group_stable(&positions, self.tables.len(), |&slot| self.table_of(keys[slot]));
+        // Input positions by super table, each table's keys in input
+        // order: one hash per key, and one buffer however many tables
+        // there are.
+        let mut order: Vec<(usize, usize)> =
+            keys.iter().enumerate().map(|(slot, &key)| (self.table_of(key), slot)).collect();
+        order.sort_unstable();
         let mut plan = LookupPlan {
             out: vec![None; keys.len()],
             pending: Vec::new(),
             reinserts: Vec::new(),
             host_time: SimDuration::ZERO,
         };
-        let mut t = 0;
-        for (at, &slot) in order.iter().enumerate() {
-            while at >= starts[t + 1] {
-                t += 1;
-            }
+        for (t, slot) in order {
             let key = keys[slot];
             let table = &self.tables[t];
             let hit = table.memory_lookup(key);
@@ -34,7 +31,10 @@ impl<D: Device> Clam<D> {
             let latency = dispatch + self.memory_probe_cost(table, hit);
             plan.host_time += latency;
             if let Some(hit) = hit {
-                let (value, source) = memory_verdict(hit);
+                let (value, source) = match hit {
+                    MemoryHit::Deleted => (None, LookupSource::Deleted),
+                    MemoryHit::Buffer(value) => (Some(value), LookupSource::Buffer),
+                };
                 let outcome = LookupOutcome { value, latency, flash_reads: 0, source };
                 self.stats.record_lookup(&outcome);
                 plan.out[slot] = Some(outcome);
@@ -58,6 +58,14 @@ impl<D: Device> Clam<D> {
         plan
     }
 
+    /// DRAM time of one key's memory phase: the buffer probe and the
+    /// filter query, as every lookup is charged, plus the stamp words for
+    /// a key the delete list and the live buffer did not settle.
+    fn memory_probe_cost(&self, table: &SuperTable, hit: Option<MemoryHit>) -> SimDuration {
+        let stamp_words = if hit.is_some() { 0 } else { STAMP_PROBE_WORDS };
+        self.mem_words_cost(BUFFER_PROBE_WORDS + table.filter_words_per_query() + stamp_words)
+    }
+
     /// Flash offset of the page a probe state reads next.
     fn probe_offset(&self, state: &ProbeState) -> u64 {
         let meta = state.meta.expect("pending probes hold a candidate");
@@ -79,24 +87,40 @@ impl<D: Device> Clam<D> {
         state.flash_reads += 1;
         let slot = state.slot;
         let layout = self.layout;
-        let pending =
-            match lookup_in_page(page, state.key).map_err(|e| annotate_offset(e, offset))? {
-                PageLookup::Found(v) => {
-                    out[slot] =
-                        Some(self.resolve_probe(state, Some((v, LookupSource::Flash)), reinserts));
-                    None
-                }
-                PageLookup::Continue if state.hops_left > 1 => {
-                    state.page_idx = layout.next_page(state.page_idx);
-                    state.hops_left -= 1;
-                    Some(state)
-                }
-                // Absent, or the overflow chain exhausted without a verdict.
-                PageLookup::Absent | PageLookup::Continue => {
-                    self.stats.spurious_flash_reads += 1;
-                    self.walk(state, out, reinserts)
-                }
-            };
+        let lookup = lookup_in_page(page, state.key).map_err(|e| annotate_offset(e, offset))?;
+        // The page must be the one the probe meant to read: a misdirected
+        // or stale page would answer for another incarnation.
+        let meta = state.meta.expect("pending probes hold a candidate");
+        let want =
+            IncarnationIdentity { table: state.table as u16, seq: meta.seq, epoch: meta.epoch };
+        let (found, page_idx) = page_identity(page);
+        if (found, page_idx) != (want, state.page_idx as u32) {
+            self.stats.page_identity_mismatches += 1;
+            return Err(BufferHashError::CorruptIncarnation {
+                flash_offset: offset,
+                reason: format!(
+                    "page {page_idx} of {found:?} read for page {} of {want:?}",
+                    state.page_idx
+                ),
+            });
+        }
+        let pending = match lookup {
+            PageLookup::Found(v) => {
+                out[slot] =
+                    Some(self.resolve_probe(state, Some((v, LookupSource::Flash)), reinserts));
+                None
+            }
+            PageLookup::Continue if state.hops_left > 1 => {
+                state.page_idx = layout.next_page(state.page_idx);
+                state.hops_left -= 1;
+                Some(state)
+            }
+            // Absent, or the overflow chain exhausted without a verdict.
+            PageLookup::Absent | PageLookup::Continue => {
+                self.stats.spurious_flash_reads += 1;
+                self.walk(state, out, reinserts)
+            }
+        };
         Ok(pending.map(|state| {
             let next = self.probe_offset(&state);
             (state, next)

@@ -105,6 +105,7 @@ impl<D: Device> Clam<D> {
                         flash_offset: slot * slot_size,
                         entries: entries.len(),
                         seq: identity.seq,
+                        epoch: identity.epoch,
                     },
                     &keys,
                 );

@@ -1010,7 +1010,7 @@ fn a_slot_copy_ends_with_its_incarnation() {
 }
 
 #[test]
-fn a_retired_hit_under_lru_reinserts_and_the_fast_path_declines_it() {
+fn a_retired_hit_under_lru_reinserts_the_key() {
     let clam_with = |eviction| {
         let mut cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
         cfg.eviction = eviction;
@@ -1019,20 +1019,62 @@ fn a_retired_hit_under_lru_reinserts_and_the_fast_path_declines_it() {
         clam.flush_all().unwrap();
         clam
     };
-    // FIFO mutates nothing on a hit: the shared-lock probe answers it.
-    let fifo = clam_with(EvictionPolicy::Fifo);
-    let MemoryProbe::Resolved(out) = fifo.probe_memory(key(1), BASE_OP_OVERHEAD) else {
-        panic!("a retired hit resolves from memory under FIFO");
-    };
-    assert_eq!((out.value, out.source, out.flash_reads), (Some(10), LookupSource::Retired, 0));
+    // FIFO mutates nothing on a hit: the slot copy answers it every time.
+    let mut fifo = clam_with(EvictionPolicy::Fifo);
+    for _ in 0..2 {
+        let out = fifo.lookup(key(1)).unwrap();
+        assert_eq!((out.value, out.source, out.flash_reads), (Some(10), LookupSource::Retired, 0));
+    }
+    assert_eq!(fifo.stats().reinsertions, 0);
 
-    // LRU owes the key a re-insertion, which needs `&mut`: the probe
-    // declines, exactly as for a key it would have to read from flash.
+    // LRU owes the key a re-insertion, as it would after a flash hit.
     let mut lru = clam_with(EvictionPolicy::Lru);
-    assert_eq!(lru.probe_memory(key(1), BASE_OP_OVERHEAD), MemoryProbe::NeedsFlash);
     let out = lru.lookup(key(1)).unwrap();
     assert_eq!((out.value, out.source, out.flash_reads), (Some(10), LookupSource::Retired, 0));
     assert_eq!(lru.stats().reinsertions, 1, "the re-insertion a flash hit would have queued");
     assert_eq!(lru.lookup(key(1)).unwrap().source, LookupSource::Buffer);
     assert_eq!(lru.device().stats().reads, 0);
+}
+
+#[test]
+fn a_page_read_from_another_incarnations_slot_fails_the_lookup() {
+    // Two incarnations of one table: the older maps the shared keys to 1,
+    // the younger to 2 and also holds keys of its own.
+    let cfg = deterministic_probe_config();
+    let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg.clone()).unwrap();
+    let (shared, own): (Vec<Key>, Vec<Key>) =
+        ((0..50).map(key).collect(), (50..100).map(key).collect());
+    for &k in &shared {
+        clam.insert(k, 1).unwrap();
+    }
+    clam.flush_all().unwrap();
+    for &k in shared.iter().chain(&own) {
+        clam.insert(k, 2).unwrap();
+    }
+    clam.flush_all().unwrap();
+    // A recovered CLAM reads every hit from flash: no slot copy answers.
+    let (mut clam, _) = Clam::recover(clam.into_device(), cfg).unwrap();
+    let (young, old) =
+        (clam.tables[0].incarnation_at(0).unwrap(), clam.tables[0].incarnation_at(1).unwrap());
+    // The older incarnation's pages land in the younger one's slot.
+    let mut image = vec![0u8; clam.layout.total_bytes()];
+    clam.device_mut().read_at(old.flash_offset, &mut image).unwrap();
+    clam.device_mut().write_at(young.flash_offset, &image).unwrap();
+
+    let mut failed = 0;
+    for &k in shared.iter().chain(&own) {
+        match clam.lookup(k) {
+            Ok(found) => assert_eq!(found.value, Some(2), "key {k:#x}: {found:?}"),
+            Err(BufferHashError::CorruptIncarnation { flash_offset, .. }) => {
+                assert!((young.flash_offset..young.flash_offset + image.len() as u64)
+                    .contains(&flash_offset));
+                failed += 1;
+            }
+            Err(e) => panic!("key {k:#x}: {e}"),
+        }
+    }
+    assert_eq!(failed, shared.len() + own.len(), "every key's first read is the younger slot");
+    assert_eq!(clam.stats().page_identity_mismatches, failed as u64);
+    // A batch that reads the slot fails the same way.
+    assert!(matches!(clam.lookup_batch(&own), Err(BufferHashError::CorruptIncarnation { .. })));
 }

@@ -138,10 +138,10 @@ impl<D: Device> Clam<D> {
             let keys: Vec<Key> = entries.iter().map(|e| e.key).collect();
             let layout = self.layout;
             self.seq += 1;
-            let seq = self.seq;
+            let (seq, epoch) = (self.seq, self.epoch);
             let image = layout.serialize_identified(
                 &entries,
-                IncarnationIdentity { table: t as u16, seq, epoch: self.epoch },
+                IncarnationIdentity { table: t as u16, seq, epoch },
             )?;
             let alloc = self.allocator.allocate(t, seq);
             // Force-evict incarnations whose slots this write reclaims
@@ -180,10 +180,9 @@ impl<D: Device> Clam<D> {
                 self.ring_admit(requests)?;
             }
             let table = &mut self.tables[t];
-            table.register_incarnation(
-                IncarnationMeta { flash_offset: alloc.offset, entries: entries.len(), seq },
-                &keys,
-            );
+            let meta =
+                IncarnationMeta { flash_offset: alloc.offset, entries: entries.len(), seq, epoch };
+            table.register_incarnation(meta, &keys);
             table.prune_delete_list();
             self.stats.flushes += 1;
         }

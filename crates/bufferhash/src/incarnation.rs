@@ -30,7 +30,8 @@
 //! leaves pages whose identities disagree across the slot. The recovery
 //! scan ([`scan_incarnation`]) classifies a slot as empty, torn, or a valid
 //! incarnation; steady-state lookups skip the CRC (pages are verified once
-//! at recovery, not on every probe).
+//! at recovery, not on every probe) but check that a page's table, index,
+//! `seq` and `epoch` are the ones they meant to read (`page_identity`).
 
 use serde::{Deserialize, Serialize};
 
@@ -459,8 +460,9 @@ pub struct PageHeader {
 
 /// Parses and *verifies* one page header: magic, format version, entry
 /// count, and the CRC32 over the whole page. This is the recovery-scan
-/// strength check — steady-state lookups use the cheaper magic/count check,
-/// trusting pages that recovery (or the flush path) already validated.
+/// strength check — steady-state lookups use the cheaper magic/count check
+/// and compare the page's identity, trusting the contents of pages that
+/// recovery (or the flush path) already validated.
 pub fn parse_page_header_checked(page: &[u8]) -> Result<PageHeader> {
     let (count, flags) = parse_header(page)?;
     let version = u16::from_le_bytes(page[8..10].try_into().unwrap());
@@ -480,17 +482,21 @@ pub fn parse_page_header_checked(page: &[u8]) -> Result<PageHeader> {
             ),
         });
     }
-    Ok(PageHeader {
-        count,
-        flags,
-        version,
-        page_idx: u32::from_le_bytes(page[12..16].try_into().unwrap()),
-        identity: IncarnationIdentity {
-            table: u16::from_le_bytes(page[10..12].try_into().unwrap()),
-            seq: u64::from_le_bytes(page[16..24].try_into().unwrap()),
-            epoch: u32::from_le_bytes(page[24..28].try_into().unwrap()),
-        },
-    })
+    let (identity, page_idx) = page_identity(page);
+    Ok(PageHeader { count, flags, version, page_idx, identity })
+}
+
+/// The incarnation identity and page index a page's header claims,
+/// unverified: what a lookup probe compares with the incarnation it meant
+/// to read. The page must be at least a header long, as any page
+/// [`lookup_in_page`] accepted is.
+pub(crate) fn page_identity(page: &[u8]) -> (IncarnationIdentity, u32) {
+    let identity = IncarnationIdentity {
+        table: u16::from_le_bytes(page[10..12].try_into().unwrap()),
+        seq: u64::from_le_bytes(page[16..24].try_into().unwrap()),
+        epoch: u32::from_le_bytes(page[24..28].try_into().unwrap()),
+    };
+    (identity, u32::from_le_bytes(page[12..16].try_into().unwrap()))
 }
 
 /// Recovery classification of one log slot's bytes.

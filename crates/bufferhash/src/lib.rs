@@ -82,7 +82,7 @@ pub use bitslice::BitSlicedBloomSet;
 pub use bloom::BloomFilter;
 pub use clam::{
     table_of, BatchInsertOutcome, BatchLookupOutcome, Clam, InsertOutcome, LookupOutcome,
-    LookupSource, MemoryProbe, MemoryUsage, BASE_OP_OVERHEAD, BATCHED_OP_OVERHEAD,
+    LookupSource, MemoryUsage, BASE_OP_OVERHEAD, BATCHED_OP_OVERHEAD,
 };
 pub use config::{tuning, ClamConfig};
 pub use cuckoo::{BufferInsert, CuckooBuffer};

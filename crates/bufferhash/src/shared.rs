@@ -2,7 +2,7 @@
 //!
 //! The systems the paper targets (WAN optimizers, dedup servers, content
 //! directories) serve many connections at once. [`SharedClam`] wraps a
-//! [`Clam`] in a [`parking_lot::RwLock`] behind an [`Arc`] so worker
+//! [`Clam`] in a [`parking_lot::Mutex`] behind an [`Arc`] so worker
 //! threads can share one index, and [`StripedClam`] stripes the key space
 //! across several independent CLAMs (each typically on its own SSD, as
 //! §5.2 suggests) so operations on different stripes proceed in parallel.
@@ -32,38 +32,24 @@
 //!
 //! ## Locks
 //!
-//! One [`parking_lot::RwLock`] per stripe, and nothing under it: a
+//! One [`parking_lot::Mutex`] per stripe, and nothing under it: a
 //! [`Clam`] takes no locks of its own (DESIGN.md "Locks" has the
-//! measurement that settled this).
-//!
-//! * **Exclusive** — every mutation (inserts, deletes, insert batches,
-//!   `flush_all`, [`SharedClam::with`]) and every lookup whose verdict
-//!   needs flash takes the stripe's *write* lock for the whole call.
-//! * **Shared** — a memory probe of a run of keys
-//!   ([`SharedClam::try_fast_lookup`], a stripe's share of
-//!   [`StripedClam::try_fast_lookup_batch`], the fast pass of
-//!   [`SharedClam::lookup_batch`]; one implementation) is one `try_read`
-//!   → [`Clam::probe_memory`] per key → done (delete list, buffer,
-//!   filters and the first candidate's slot copy: the exclusive path's
-//!   walk up to its first page read). The guard is held across the whole run, so a reader can
-//!   never observe a half-applied write; `try_read` failing means a
-//!   writer holds or awaits the stripe, and the reader
-//!   falls back to the exclusive path, counting one
-//!   [`ClamStats::fast_read_conflicts`] for the run.
-//!
-//! Fast-path reads record their statistics in a side ledger (a leaf
-//! mutex, taken with no other lock held) merged into
-//! [`SharedClam::stats`].
+//! measurement that settled this). Every call on a stripe — inserts,
+//! deletes, lookups, `flush_all`, [`SharedClam::stats`],
+//! [`SharedClam::with`] — holds it for the whole call, so a reader can
+//! never observe a half-applied write, and a stripe has one read path:
+//! the ring pipeline of [`Clam::lookup_batch`], of which a scalar lookup
+//! is a batch of one. Stripes run in parallel; calls on one stripe take
+//! turns, as they would on the one SSD the paper gives each partition.
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use flashsim::{Device, SimDuration};
 
 use crate::clam::{
-    batch_dispatch, fan_out, BatchInsertOutcome, BatchLookupOutcome, Clam, InsertOutcome,
-    LookupOutcome, MemoryProbe,
+    fan_out, BatchInsertOutcome, BatchLookupOutcome, Clam, InsertOutcome, LookupOutcome,
 };
 use crate::config::ClamConfig;
 use crate::error::Result;
@@ -73,162 +59,55 @@ use crate::types::{group_stable, hash_with_seed, Key, Modulus, Value};
 
 /// A cloneable, thread-safe handle to a single CLAM.
 pub struct SharedClam<D: Device> {
-    inner: Arc<SharedInner<D>>,
-}
-
-/// Shared state behind one stripe: the CLAM under its reader-writer lock,
-/// and the side ledger where fast-path reads record their statistics
-/// (they hold the lock shared, so they cannot touch the CLAM's own ledger).
-struct SharedInner<D: Device> {
-    clam: RwLock<Clam<D>>,
-    fast_ledger: Mutex<ClamStats>,
+    clam: Arc<Mutex<Clam<D>>>,
 }
 
 impl<D: Device> Clone for SharedClam<D> {
     fn clone(&self) -> Self {
-        SharedClam { inner: Arc::clone(&self.inner) }
+        SharedClam { clam: Arc::clone(&self.clam) }
     }
 }
 
 impl<D: Device> SharedClam<D> {
     /// Wraps a CLAM for shared use.
     pub fn new(clam: Clam<D>) -> Self {
-        SharedClam {
-            inner: Arc::new(SharedInner {
-                clam: RwLock::new(clam),
-                fast_ledger: Mutex::new(ClamStats::new()),
-            }),
-        }
-    }
-
-    /// Recovers a CLAM from the flash contents of `device` (see
-    /// [`Clam::recover`]) and wraps it for shared use, returning the
-    /// recovery scan's report alongside the handle.
-    pub fn recover(device: D, config: ClamConfig) -> Result<(Self, RecoveryReport)> {
-        let (clam, report) = Clam::recover(device, config)?;
-        Ok((SharedClam::new(clam), report))
+        SharedClam { clam: Arc::new(Mutex::new(clam)) }
     }
 
     /// Runs `f` with exclusive access to the underlying CLAM: the stripe's
-    /// write lock, held for the whole of `f`. Every mutation and every
-    /// flash-probing lookup of this handle goes through here.
+    /// lock, held for the whole of `f`. Every call of this handle goes
+    /// through here.
     pub fn with<R>(&self, f: impl FnOnce(&mut Clam<D>) -> R) -> R {
-        f(&mut self.inner.clam.write())
+        f(&mut self.clam.lock())
     }
 
-    /// Counts one fast read that found a writer on the stripe.
-    fn note_conflict(&self) {
-        self.inner.fast_ledger.lock().fast_read_conflicts += 1;
-    }
-
-    /// The read fast path for a run of keys, `keys[pos]` for each `pos` of
-    /// `run`: one `try_read` of the stripe lock, never waited for, under
-    /// which every key is probed in memory and charged the run's amortized
-    /// dispatch (`batch_dispatch(n)`, the full per-op charge for a run of
-    /// one); then one side-ledger lock records every resolved outcome,
-    /// counted as batched iff `batched`. A key that resolves fills
-    /// `out[pos]` (`None` on entry); one that needs flash leaves it `None`.
-    /// A writer holding or awaiting the stripe declines the whole run:
-    /// `false`, with `out` untouched, counted as one
-    /// [`ClamStats::fast_read_conflicts`].
-    fn fast_probe(
-        &self,
-        keys: &[Key],
-        run: impl ExactSizeIterator<Item = usize> + Clone,
-        batched: bool,
-        out: &mut [Option<LookupOutcome>],
-    ) -> bool {
-        let dispatch = batch_dispatch(run.len());
-        let Some(clam) = self.inner.clam.try_read() else {
-            self.note_conflict();
-            return false;
-        };
-        for pos in run.clone() {
-            if let MemoryProbe::Resolved(outcome) = clam.probe_memory(keys[pos], dispatch) {
-                out[pos] = Some(outcome);
-            }
-        }
-        drop(clam);
-        let mut ledger = self.inner.fast_ledger.lock();
-        for outcome in run.filter_map(|pos| out[pos].as_ref()) {
-            record_fast_outcome(&mut ledger, outcome, batched);
-        }
-        true
-    }
-
-    /// Attempts to resolve `key` on the read fast path: the stripe lock
-    /// shared and never waited for, memory state only, charged one
-    /// per-op dispatch. Returns `None` — with the exclusive pipeline as the
-    /// caller's fallback — when the key needs a flash probe, or when a
-    /// writer holds or awaits the stripe (counted in
-    /// [`ClamStats::fast_read_conflicts`]).
-    pub fn try_fast_lookup(&self, key: Key) -> Option<LookupOutcome> {
-        let mut out = [None];
-        self.fast_probe(&[key], 0..1, false, &mut out);
-        out[0]
-    }
-
-    /// Inserts (or updates) a key under the stripe's exclusive lock;
-    /// updates are lazy, as in [`Clam::insert`].
+    /// Inserts (or updates) a key; updates are lazy, as in
+    /// [`Clam::insert`].
     pub fn insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
         self.with(|c| c.insert(key, value))
     }
 
-    /// Looks up a key: the fast path first (see
-    /// [`try_fast_lookup`](Self::try_fast_lookup)), the exclusive pipeline
-    /// when the key needs flash or a writer is on the stripe. Outcomes are
-    /// identical either way.
+    /// Looks up a key: a batch of one through the ring pipeline, charged
+    /// one per-op dispatch (see [`Clam::lookup`]).
     pub fn lookup(&self, key: Key) -> Result<LookupOutcome> {
-        if let Some(outcome) = self.try_fast_lookup(key) {
-            return Ok(outcome);
-        }
         self.with(|c| c.lookup(key))
     }
 
     /// Inserts a batch of key/value pairs through the batched CLAM
-    /// pipeline ([`Clam::insert_batch`]) under one exclusive acquisition.
+    /// pipeline ([`Clam::insert_batch`]) under one lock acquisition.
     pub fn insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
         self.with(|c| c.insert_batch(ops))
     }
 
-    /// Looks up a batch of keys through the streaming ring pipeline,
-    /// returning one outcome per key in input order plus the batch's
-    /// makespan-accounted latency (see [`Clam::lookup_batch`]).
-    ///
-    /// Memory-resolved keys are answered under one shared (`try_read`)
-    /// acquisition and only the flash-bound remainder takes the write
-    /// lock; every key is still charged the full batch's amortized
-    /// dispatch, so outcomes and per-op accounting match an all-locked
-    /// call exactly (the batch latency adds the fast keys' host time to
-    /// the locked remainder's makespan, just as the all-locked plan
-    /// would).
+    /// Looks up a batch of keys through the streaming ring pipeline under
+    /// one lock acquisition, returning one outcome per key in input order
+    /// plus the batch's makespan-accounted latency (see
+    /// [`Clam::lookup_batch`]).
     pub fn lookup_batch(&self, keys: &[Key]) -> Result<BatchLookupOutcome> {
-        let mut resolved = vec![None; keys.len()];
-        if !self.fast_probe(keys, 0..keys.len(), true, &mut resolved) {
-            // The conflict is counted once; the whole batch runs under the
-            // write lock.
-            return self.with(|c| c.lookup_batch(keys));
-        }
-        let fast_host_time: SimDuration = resolved.iter().flatten().map(|o| o.latency).sum();
-        let (rem_pos, rem_keys): (Vec<usize>, Vec<Key>) = (0..keys.len())
-            .filter(|&pos| resolved[pos].is_none())
-            .map(|pos| (pos, keys[pos]))
-            .unzip();
-        let mut batch = if rem_keys.is_empty() {
-            BatchLookupOutcome::default()
-        } else {
-            self.with(|c| c.lookup_batch_amortized(&rem_keys, batch_dispatch(keys.len())))?
-        };
-        let locked_outcomes = std::mem::take(&mut batch.outcomes);
-        for (outcome, &pos) in locked_outcomes.into_iter().zip(&rem_pos) {
-            resolved[pos] = Some(outcome);
-        }
-        batch.outcomes = resolved.into_iter().map(|o| o.expect("every key resolved")).collect();
-        batch.latency += fast_host_time;
-        Ok(batch)
+        self.with(|c| c.lookup_batch(keys))
     }
 
-    /// Deletes a key under the stripe's exclusive lock.
+    /// Deletes a key.
     pub fn delete(&self, key: Key) -> Result<()> {
         self.with(|c| c.delete(key))?;
         Ok(())
@@ -246,34 +125,18 @@ impl<D: Device> SharedClam<D> {
         self.with(|c| c.idle(idle))
     }
 
-    /// Snapshot of the operation statistics: the CLAM's own ledger merged
-    /// with the fast-path side ledger (so per-lookup invariants — one
-    /// latency sample and one read-histogram entry per lookup — hold
-    /// regardless of which path served it).
+    /// Snapshot of the operation statistics.
     pub fn stats(&self) -> ClamStats {
-        let mut total = self.inner.clam.read().stats().clone();
-        total.absorb(&self.inner.fast_ledger.lock());
-        total
+        self.with(|c| c.stats().clone())
     }
 
     /// Unwraps the sole handle back into the CLAM (for crash-simulation
     /// tests that keep only the device). Panics if other clones exist.
-    /// The fast-path side ledger is discarded.
     pub fn into_clam(self) -> Clam<D> {
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => inner.clam.into_inner(),
+        match Arc::try_unwrap(self.clam) {
+            Ok(clam) => clam.into_inner(),
             Err(_) => panic!("SharedClam::into_clam requires sole ownership"),
         }
-    }
-}
-
-/// Records one fast-path-resolved lookup into the side ledger: what the
-/// locked pipeline records for it, plus the fast-path counters.
-fn record_fast_outcome(ledger: &mut ClamStats, outcome: &LookupOutcome, batched: bool) {
-    ledger.record_lookup(outcome);
-    ledger.fast_lookups += 1;
-    if batched {
-        ledger.batched_lookups += 1;
     }
 }
 
@@ -467,19 +330,15 @@ impl<D: Device> StripedClam<D> {
     /// across stripes, while `waves` reports the deepest (slowest) stripe's
     /// probe depth, consistent with the max-over-stripes latency.
     pub fn lookup_batch(&self, keys: &[Key]) -> Result<BatchLookupOutcome> {
-        // Input positions grouped by stripe, and the keys in that order.
-        let positions: Vec<usize> = (0..keys.len()).collect();
-        let (positions, starts) =
-            group_stable(&positions, self.stripes.len(), |&pos| self.stripe_index(keys[pos]));
-        let grouped: Vec<Key> = positions.iter().map(|&pos| keys[pos]).collect();
+        // Input positions by stripe, in input order within each.
+        let mut order: Vec<(usize, usize)> =
+            keys.iter().enumerate().map(|(pos, &key)| (self.stripe_index(key), pos)).collect();
+        order.sort_unstable();
         let mut out: Vec<Option<LookupOutcome>> = vec![None; keys.len()];
         let mut total = BatchLookupOutcome::default();
-        for (idx, stripe) in self.stripes.iter().enumerate() {
-            let share = &grouped[starts[idx]..starts[idx + 1]];
-            if share.is_empty() {
-                continue;
-            }
-            let stripe_batch = stripe.lookup_batch(share)?;
+        for share in order.chunk_by(|a, b| a.0 == b.0) {
+            let share_keys: Vec<Key> = share.iter().map(|&(_, pos)| keys[pos]).collect();
+            let stripe_batch = self.stripes[share[0].0].lookup_batch(&share_keys)?;
             total.latency = total.latency.max(stripe_batch.latency);
             total.probe_latency = total.probe_latency.max(stripe_batch.probe_latency);
             total.waves = total.waves.max(stripe_batch.waves);
@@ -487,7 +346,7 @@ impl<D: Device> StripedClam<D> {
             total.reaps += stripe_batch.reaps;
             total.ring_depth_high_water =
                 total.ring_depth_high_water.max(stripe_batch.ring_depth_high_water);
-            for (outcome, &pos) in stripe_batch.into_iter().zip(&positions[starts[idx]..]) {
+            for (outcome, &(_, pos)) in stripe_batch.into_iter().zip(share) {
                 out[pos] = Some(outcome);
             }
         }
@@ -510,35 +369,12 @@ impl<D: Device> StripedClam<D> {
         self.stripes.get(i).cloned()
     }
 
-    /// Attempts to resolve `key` on its stripe's read fast path (see
-    /// [`SharedClam::try_fast_lookup`]); `None` means the caller must use
-    /// the locked path.
+    /// [`lookup`](Self::lookup), with the error dropped: the name and
+    /// signature of the read fast path this store had, kept only because
+    /// the repo benchmark (`benchmark/src/ladder.rs`) still calls it. Goes
+    /// when the benchmark stops calling it.
     pub fn try_fast_lookup(&self, key: Key) -> Option<LookupOutcome> {
-        self.stripe_of(key).try_fast_lookup(key)
-    }
-
-    /// Attempts to resolve a run of keys on the read fast path, grouped
-    /// by stripe: one shared `try_read` and one side-ledger lock per
-    /// stripe, each key charged its stripe's share of one amortized
-    /// dispatch, as [`lookup_batch`](Self::lookup_batch) charges a
-    /// memory-resolved key (and counted as batched, as it is there).
-    /// Fills `out` (one slot per key, all `None` on entry) in input order;
-    /// a slot left `None` means the caller must use the locked path for
-    /// that key — it needs flash, or a writer was on its stripe, which
-    /// declines that stripe's whole share and counts one
-    /// [`ClamStats::fast_read_conflicts`].
-    pub fn try_fast_lookup_batch(&self, keys: &[Key], out: &mut [Option<LookupOutcome>]) {
-        assert_eq!(keys.len(), out.len(), "one outcome slot per key");
-        // Positions by stripe, in input order within each: a run is a few
-        // keys, for which one sort costs less than `group_stable`'s
-        // counting pass and its three buffers.
-        let mut order: Vec<(usize, usize)> =
-            keys.iter().enumerate().map(|(pos, &key)| (self.stripe_index(key), pos)).collect();
-        order.sort_unstable();
-        for share in order.chunk_by(|a, b| a.0 == b.0) {
-            let run = share.iter().map(|&(_, pos)| pos);
-            self.stripes[share[0].0].fast_probe(keys, run, true, out);
-        }
+        self.lookup(key).ok()
     }
 }
 
@@ -960,170 +796,10 @@ mod tests {
         assert_eq!(recovered.stats().recoveries, 2);
     }
 
-    #[test]
-    fn fast_reads_resolve_buffered_keys_without_the_write_lock() {
-        let shared = SharedClam::new(clam());
-        shared.insert(key(1), 10).unwrap();
-        // Buffered key: resolves on the fast path, from DRAM, zero reads.
-        let outcome = shared.try_fast_lookup(key(1)).expect("buffered key resolves fast");
-        assert_eq!(outcome.value, Some(10));
-        assert_eq!(outcome.source, crate::clam::LookupSource::Buffer);
-        assert_eq!(outcome.flash_reads, 0);
-        // A key with no live candidate anywhere is a fast miss.
-        let miss = shared.try_fast_lookup(key(999_999)).expect("bloom-negative key is a fast miss");
-        assert_eq!(miss.value, None);
-        assert_eq!(miss.source, crate::clam::LookupSource::Miss);
-        let stats = shared.stats();
-        assert_eq!(stats.fast_lookups, 2);
-        assert_eq!(stats.lookup_hits, 1);
-        assert_eq!(stats.lookup_misses, 1);
-        // The per-lookup invariants hold across the merged ledgers.
-        assert_eq!(stats.flash_reads_histogram.iter().sum::<u64>(), stats.lookups.len() as u64);
-    }
-
-    #[test]
-    fn fast_reads_yield_to_writers_and_count_the_conflict() {
-        let shared = SharedClam::new(clam());
-        shared.insert(key(1), 1).unwrap();
-        let reader = shared.clone();
-        // While `with` holds the write lock `try_read` fails, so a
-        // concurrent fast read must fall back (and count the conflict).
-        shared.with(|_| {
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    assert!(reader.try_fast_lookup(key(1)).is_none());
-                });
-            });
-        });
-        let stats = shared.stats();
-        assert!(stats.fast_read_conflicts >= 1, "{stats}");
-        assert_eq!(shared.lookup(key(1)).unwrap().value, Some(1));
-    }
-
-    /// DRAM time of `key`'s memory probe alone, with no dispatch charged;
-    /// `None` when the key needs flash.
-    fn probe_cost(store: &StripedClam<Ssd>, key: Key) -> Option<SimDuration> {
-        let stripe = store.stripe(store.stripe_index(key)).unwrap();
-        match stripe.with(|c| c.probe_memory(key, SimDuration::ZERO)) {
-            MemoryProbe::Resolved(outcome) => Some(outcome.latency),
-            MemoryProbe::NeedsFlash => None,
-        }
-    }
-
-    #[test]
-    fn a_fast_run_answers_each_key_as_the_scalar_fast_path_does_at_the_run_charge() {
-        let striped = StripedClam::new(vec![clam(), clam()]);
-        let ops: Vec<(u64, u64)> = (0..20_000u64).map(|i| (key(i), i)).collect();
-        for chunk in ops.chunks(512) {
-            striped.insert_batch(chunk).unwrap();
-        }
-        striped.delete(key(19_999)).unwrap();
-        // Buffered, deleted, flushed (most need flash) and never-inserted
-        // keys, on both stripes.
-        let keys: Vec<Key> = [19_998, 19_999, 0, 1, 2, 3, 900_001, 900_002, 19_997, 900_003]
-            .into_iter()
-            .map(key)
-            .collect();
-        let mut run = vec![None; keys.len()];
-        striped.try_fast_lookup_batch(&keys, &mut run);
-        let share = |k: Key| {
-            keys.iter().filter(|&&o| striped.stripe_index(o) == striped.stripe_index(k)).count()
-        };
-        let (mut resolved, mut declined) = (0, 0);
-        for (&k, got) in keys.iter().zip(&run) {
-            let scalar = striped.try_fast_lookup(k);
-            assert_eq!(got.is_some(), scalar.is_some(), "key {k:#x}");
-            let (Some(got), Some(scalar)) = (got, scalar) else {
-                declined += 1;
-                assert_eq!(probe_cost(&striped, k), None, "only a flash-bound key is declined");
-                continue;
-            };
-            resolved += 1;
-            assert_eq!((got.value, got.source, got.flash_reads), (scalar.value, scalar.source, 0));
-            let probe = probe_cost(&striped, k).unwrap();
-            assert_eq!(got.latency, batch_dispatch(share(k)) + probe, "key {k:#x}");
-            // The scalar path still charges one per-op dispatch, so the
-            // callers that time it one key at a time measure what they did.
-            assert_eq!(scalar.latency, crate::clam::BASE_OP_OVERHEAD + probe, "key {k:#x}");
-        }
-        assert!(resolved >= 5 && declined > 0, "resolved {resolved}, declined {declined}");
-        let stats = striped.stats();
-        assert_eq!(stats.fast_lookups, 2 * resolved);
-        assert_eq!(stats.fast_read_conflicts, 0);
-    }
-
-    #[test]
-    fn a_writer_on_the_stripe_declines_the_whole_run_and_counts_once() {
-        for stripes in [1, 2] {
-            let striped = StripedClam::new((0..stripes).map(|_| clam()).collect());
-            let keys: Vec<Key> = (0..8).map(key).collect();
-            for &k in &keys {
-                striped.insert(k, 1).unwrap();
-            }
-            let on_0 = |k: &Key| striped.stripe_index(*k) == 0;
-            assert!(keys.iter().any(on_0) && (stripes == 1 || !keys.iter().all(on_0)));
-            // A writer on stripe 0: its share of the run is declined, any
-            // other stripe's resolves.
-            striped.stripe(0).unwrap().with(|_| {
-                thread::scope(|scope| {
-                    scope.spawn(|| {
-                        let mut run = vec![None; keys.len()];
-                        striped.try_fast_lookup_batch(&keys, &mut run);
-                        for (k, outcome) in keys.iter().zip(&run) {
-                            assert_eq!(outcome.is_none(), on_0(k), "{run:?}");
-                        }
-                    });
-                });
-            });
-            let stats = striped.stats();
-            let elsewhere = keys.iter().filter(|k| !on_0(k)).count() as u64;
-            assert_eq!((stats.fast_read_conflicts, stats.fast_lookups), (1, elsewhere), "{stats}");
-            // Unopposed, the same run resolves in full.
-            let mut run = vec![None; keys.len()];
-            striped.try_fast_lookup_batch(&keys, &mut run);
-            assert!(run.iter().all(|outcome| outcome.unwrap().value == Some(1)));
-            assert_eq!(striped.stats().fast_lookups, elsewhere + keys.len() as u64);
-        }
-    }
-
-    #[test]
-    fn fast_and_coarse_lookups_agree_after_flushes() {
-        // Same op sequence against twin stores; one is then read through
-        // `lookup_batch` (fast path, locked remainder), the other through
-        // the coarse route, every key under the stripe's exclusive lock:
-        // identical values, sources and flash-read counts, per key.
-        let fast = SharedClam::new(clam());
-        let coarse = SharedClam::new(clam());
-        let ops: Vec<(u64, u64)> = (0..20_000u64).map(|i| (key(i), i)).collect();
-        for chunk in ops.chunks(512) {
-            fast.insert_batch(chunk).unwrap();
-            coarse.insert_batch(chunk).unwrap();
-        }
-        for i in (0..20_000u64).step_by(501) {
-            fast.delete(key(i)).unwrap();
-            coarse.delete(key(i)).unwrap();
-        }
-        let keys: Vec<u64> =
-            (0..3_000u64).map(|i| if i % 3 == 0 { key(i) } else { key(800_000 + i) }).collect();
-        let f = fast.lookup_batch(&keys).unwrap();
-        let c = coarse.with(|clam| clam.lookup_batch(&keys)).unwrap();
-        assert_eq!(f.outcomes, c.outcomes);
-        assert_eq!((f.latency, f.probe_latency), (c.latency, c.probe_latency));
-        // Both ledgers saw every lookup, whichever path served it.
-        let (fs, cs) = (fast.stats(), coarse.stats());
-        assert_eq!(fs.lookups.len(), cs.lookups.len());
-        assert_eq!(fs.lookups.total(), cs.lookups.total());
-        assert_eq!(fs.lookup_hits, cs.lookup_hits);
-        assert_eq!(fs.lookup_misses, cs.lookup_misses);
-        assert_eq!(fs.batched_lookups, cs.batched_lookups);
-        assert!(fs.fast_lookups > 0, "the fast path must have served the memory-resolved keys");
-        assert_eq!(cs.fast_lookups, 0, "an exclusive section never uses the fast path");
-    }
-
-    /// The only concurrency a stripe has left: one writer against readers
-    /// on the shared-lock fast path and the exclusive fallback. Every key
-    /// must behave as an atomic register through buffer drains, incarnation
-    /// registrations, evictions and log wrap-around.
+    /// The concurrency a stripe has: one writer against readers calling
+    /// `lookup` and `lookup_batch`, all taking turns on the stripe's one
+    /// lock. Every key must behave as an atomic register through buffer
+    /// drains, incarnation registrations, evictions and log wrap-around.
     ///
     /// Round `v` writes value `v` to three kinds of key: *registers*,
     /// rewritten every round (versions must never go backwards); *fresh*
@@ -1173,6 +849,27 @@ mod tests {
         let stop = AtomicBool::new(false);
         let progress = [AtomicU64::new(0), AtomicU64::new(0)];
 
+        // What a read asked about: the fresh keys of a round, a register
+        // or a tombstone, each by its number.
+        #[derive(Clone, Copy)]
+        enum Target {
+            Fresh(u64),
+            Register(u64),
+            Tomb(u64),
+        }
+        // Half the reads go to fresh keys of an acknowledged round, the
+        // rest to registers and tombstones.
+        let target = |pick: u64, floor: u64| {
+            let fresh_round = floor.saturating_sub(pick / 2 % RECENT);
+            if pick.is_multiple_of(2) && fresh_round > 0 {
+                return (Target::Fresh(fresh_round), fresh(fresh_round, pick % FRESH));
+            }
+            match pick % (REGISTERS + TOMBS) {
+                i if i < REGISTERS => (Target::Register(i), key(i)),
+                i => (Target::Tomb(i - REGISTERS), tomb(i - REGISTERS)),
+            }
+        };
+
         let reader = |id: usize| {
             let (shared, intent, done, stop) = (shared.clone(), &intent, &done, &stop);
             let progress = &progress[id];
@@ -1181,68 +878,93 @@ mod tests {
                 // Per tombstone key: newest version seen, and whether it
                 // has since been seen deleted.
                 let mut last_tomb = vec![(0u64, false); TOMBS as usize];
-                let (mut fast, mut exclusive) = (0u64, 0u64);
+                let (mut scalar, mut batched) = (0u64, 0u64);
                 let (mut fresh_checked, mut fresh_discarded) = (0u64, 0u64);
-                let mut n = id as u64;
+                let (mut n, mut m) = (id as u64, id as u64);
                 while !stop.load(SeqCst) {
                     n += 1;
-                    let pick = n.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20;
                     let floor = done.load(SeqCst);
-                    // Half the reads go to fresh keys of an acknowledged
-                    // round, the rest to registers and tombstones.
-                    let fresh_round = floor.saturating_sub(pick / 2 % RECENT);
-                    let on_fresh = pick.is_multiple_of(2) && fresh_round > 0;
-                    let i = pick % (REGISTERS + TOMBS);
-                    let k = match (on_fresh, i < REGISTERS) {
-                        (true, _) => fresh(fresh_round, pick % FRESH),
-                        (false, true) => key(i),
-                        (false, false) => tomb(i - REGISTERS),
-                    };
-                    let got = if n.is_multiple_of(2) {
-                        let Some(outcome) = shared.try_fast_lookup(k) else { continue };
-                        fast += 1;
-                        outcome
+                    // Every other read is one `lookup_batch` of four keys,
+                    // all answered at one instant of the writer's.
+                    let keys = if n.is_multiple_of(2) { 4 } else { 1 };
+                    let picks: Vec<(Target, Key)> = (0..keys)
+                        .map(|_| {
+                            m += 1;
+                            target(m.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20, floor)
+                        })
+                        .collect();
+                    let got = if keys > 1 {
+                        batched += 1;
+                        let keys: Vec<Key> = picks.iter().map(|&(_, k)| k).collect();
+                        shared.lookup_batch(&keys).unwrap().outcomes
                     } else {
-                        exclusive += 1;
-                        shared.lookup(k).unwrap()
+                        scalar += 1;
+                        vec![shared.lookup(picks[0].1).unwrap()]
                     };
                     let ceiling = intent.load(SeqCst);
                     progress.fetch_add(1, SeqCst);
-                    if on_fresh {
-                        if ceiling - fresh_round > retained_rounds {
-                            fresh_discarded += 1;
-                            continue;
-                        }
-                        fresh_checked += 1;
-                        assert_eq!(
-                            got.value,
-                            Some(fresh_round),
-                            "fresh key of {fresh_round} read over {floor}..={ceiling}: {got:?}"
-                        );
-                    } else if i < REGISTERS {
-                        let Some(v) = got.value else {
-                            assert_eq!(floor, 0, "register {i} missing at {floor}: {got:?}");
-                            continue;
-                        };
-                        let seen = &mut last[i as usize];
-                        assert!(v >= *seen, "register {i} went backwards: {v} after {seen}");
-                        assert!(v >= floor, "register {i} reads {v}, {floor} was acknowledged");
-                        assert!(v <= ceiling, "register {i} reads {v}, writer is at {ceiling}");
-                        *seen = v;
-                    } else {
-                        let (seen, deleted) = &mut last_tomb[(i - REGISTERS) as usize];
-                        match got.value {
-                            Some(v) => {
-                                assert!(v <= ceiling, "tombstone {i} reads {v} of {ceiling}");
-                                assert!(v >= *seen, "tombstone {i} went backwards: {v} < {seen}");
-                                assert!(!*deleted || v > *seen, "deleted version {v} came back");
-                                (*seen, *deleted) = (v, false);
+                    for (&(target, _), got) in picks.iter().zip(got) {
+                        match target {
+                            Target::Fresh(fresh_round) => {
+                                if ceiling - fresh_round > retained_rounds {
+                                    fresh_discarded += 1;
+                                    continue;
+                                }
+                                fresh_checked += 1;
+                                assert_eq!(
+                                    got.value,
+                                    Some(fresh_round),
+                                    "fresh key of {fresh_round} read over {floor}..={ceiling}: {got:?}"
+                                );
                             }
-                            None => *deleted = *seen > 0,
+                            Target::Register(i) => {
+                                let Some(v) = got.value else {
+                                    assert_eq!(
+                                        floor, 0,
+                                        "register {i} missing at {floor}: {got:?}"
+                                    );
+                                    continue;
+                                };
+                                let seen = &mut last[i as usize];
+                                assert!(
+                                    v >= *seen,
+                                    "register {i} went backwards: {v} after {seen}"
+                                );
+                                assert!(
+                                    v >= floor,
+                                    "register {i} reads {v}, {floor} was acknowledged"
+                                );
+                                assert!(
+                                    v <= ceiling,
+                                    "register {i} reads {v}, writer is at {ceiling}"
+                                );
+                                *seen = v;
+                            }
+                            Target::Tomb(j) => {
+                                let (seen, deleted) = &mut last_tomb[j as usize];
+                                match got.value {
+                                    Some(v) => {
+                                        assert!(
+                                            v <= ceiling,
+                                            "tombstone {j} reads {v} of {ceiling}"
+                                        );
+                                        assert!(
+                                            v >= *seen,
+                                            "tombstone {j} went backwards: {v} < {seen}"
+                                        );
+                                        assert!(
+                                            !*deleted || v > *seen,
+                                            "deleted version {v} came back"
+                                        );
+                                        (*seen, *deleted) = (v, false);
+                                    }
+                                    None => *deleted = *seen > 0,
+                                }
+                            }
                         }
                     }
                 }
-                (fast, exclusive, fresh_checked, fresh_discarded)
+                (scalar, batched, fresh_checked, fresh_discarded)
             }
         };
 
@@ -1278,13 +1000,13 @@ mod tests {
 
         let (stats, trims) = (shared.stats(), shared.with(|c| c.device().stats().trims));
         assert!(stats.flushes > 64 && trims > 0, "the log must wrap and evict: {stats}");
-        for (fast, exclusive, checked, discarded) in counts {
-            assert!(fast > 0 && exclusive > 0, "both read paths must have run: {counts:?}");
+        for (scalar, batched, checked, discarded) in counts {
+            assert!(scalar > 0 && batched > 0, "both entry points must have run: {counts:?}");
             assert!(checked >= 3 * discarded, "three fresh reads in four must count: {counts:?}");
             assert!(checked > 0, "{counts:?}");
         }
         // Every buffer is drained every round, so fresh keys are read
-        // while they are retired, through both paths.
+        // while they are retired.
         assert!(
             stats.lookups_by_source[crate::clam::LookupSource::Retired as usize] > 0,
             "{stats}"

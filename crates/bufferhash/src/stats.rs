@@ -107,13 +107,12 @@ flashsim::ledger! {
         /// read and write traffic in one call (probe reads overlapping flush
         /// writes); zero when reads and writes never shared a ring.
         pub mixed_ring_depth_high_water: u64 => HighWater,
-        /// Lookups resolved on the read fast path
-        /// (`SharedClam::try_fast_lookup`): a memory probe under the stripe
-        /// lock held shared, without taking it exclusive.
+        /// Always zero: the shared-lock read fast path this counted is gone,
+        /// and every lookup runs the ring pipeline under the stripe's one
+        /// lock. Kept declared, with the entry below, because
+        /// `benchmark/src/run.rs:482-490` reads both by name.
         pub fast_lookups: u64 => Sum,
-        /// Fast-path attempts that found a writer holding or awaiting the
-        /// stripe lock (`try_read` failed) and fell back to the exclusive
-        /// pipeline.
+        /// Always zero; see [`fast_lookups`](Self::fast_lookups).
         pub fast_read_conflicts: u64 => Sum,
         /// Recovery scans performed (`Clam::recover` constructions).
         pub recoveries: u64 => Sum,
@@ -129,6 +128,10 @@ flashsim::ledger! {
         pub table_write_contended: u64 => Sum,
         /// Always zero; see [`table_write_acquisitions`](Self::table_write_acquisitions).
         pub table_lock_high_water: u64 => HighWater,
+        /// Lookup page reads whose header named another incarnation or page
+        /// than the probe meant to read; each failed its lookup with
+        /// `CorruptIncarnation`.
+        pub page_identity_mismatches: u64 => Sum,
     }
 }
 

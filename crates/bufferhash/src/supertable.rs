@@ -35,6 +35,9 @@ pub struct IncarnationMeta {
     pub entries: usize,
     /// Global flush sequence number (unique across the whole CLAM).
     pub seq: u64,
+    /// The CLAM lifetime that wrote it: with the table and `seq`, the
+    /// identity every page of it carries in its header.
+    pub epoch: u32,
 }
 
 /// A verdict [`SuperTable::memory_lookup`] reaches without the filters.
@@ -349,7 +352,7 @@ mod tests {
     }
 
     fn meta(seq: u64) -> IncarnationMeta {
-        IncarnationMeta { flash_offset: seq * 16 * 1024, entries: 10, seq }
+        IncarnationMeta { flash_offset: seq * 16 * 1024, entries: 10, seq, epoch: 1 }
     }
 
     #[test]

@@ -24,11 +24,11 @@
 //! its responses in request order, and a batch frame or FLUSH one
 //! response once its last shard part lands. The scalar `LOOKUP`s of one
 //! chunk with nothing staged for their shard ahead of them form that
-//! shard's bypass run; if the shard is idle, the run is answered on the
-//! store's read fast path in one call
-//! ([`StripedClam::try_fast_lookup_batch`]), and an earlier write of any
-//! of its keys would have kept the shard busy. The keys it declines queue
-//! ahead of the shard's other submissions from the chunk. A response goes
+//! shard's bypass run; if the shard is idle, the reader answers the run
+//! itself in one [`StripedClam::lookup_batch`], and an earlier write of
+//! any of its keys would have kept the shard busy. A run the shard was
+//! busy for, or whose store call failed, queues ahead of the shard's
+//! other submissions from the chunk. A response goes
 //! out only after its store call returned, and [`Clam::insert_batch`]
 //! returns only once the write ring is reaped. DESIGN.md ("Group-commit
 //! batcher") has the reasoning.
@@ -40,7 +40,6 @@
 //!
 //! [`StripedClam::insert_batch`]: bufferhash::StripedClam::insert_batch
 //! [`StripedClam::lookup_batch`]: bufferhash::StripedClam::lookup_batch
-//! [`StripedClam::try_fast_lookup_batch`]: bufferhash::StripedClam::try_fast_lookup_batch
 //! [`Clam::insert_batch`]: bufferhash::Clam::insert_batch
 
 mod conn;
@@ -55,7 +54,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bufferhash::{Key, LookupOutcome, RecoveryReport, StripedClam, Value};
+use bufferhash::{Key, RecoveryReport, StripedClam, Value};
 use flashsim::Device;
 
 pub(crate) use self::conn::STALL_LIMIT;
@@ -188,14 +187,14 @@ impl Pending {
 /// sequence number. A scalar lookup with nothing earlier in the chunk
 /// staged for its shard — no write its shard cannot see yet — joins the
 /// shard's bypass run instead, which is offered to `bypass` as one call
-/// that fills one outcome slot per key; what it leaves `None` is staged
-/// ahead of the shard's other submissions.
+/// that answers every key's value or declines the run (`None`); a
+/// declined run is staged ahead of the shard's other submissions.
 fn stage(
     conn: Option<Arc<ConnEntry>>,
     requests: impl ExactSizeIterator<Item = Request>,
     shards: usize,
     shard_of: impl Fn(Key) -> usize,
-    mut bypass: impl FnMut(usize, &[Key], &mut [Option<LookupOutcome>]),
+    mut bypass: impl FnMut(usize, &[Key]) -> Option<Vec<Option<Value>>>,
 ) -> Vec<Vec<Submission>> {
     // Unregistered connections have no delivery order to keep.
     let first_seq = conn.as_ref().map_or(0, |conn| {
@@ -277,28 +276,26 @@ fn stage(
             }
         }
     }
-    // Each shard's run is offered once; what it declines goes ahead of
-    // the shard's other submissions, all of which arrived after the run.
-    let mut outcomes = Vec::new();
+    // Each shard's run is offered once; a declined run goes ahead of the
+    // shard's other submissions, all of which arrived after it.
     let mut answered = Vec::new();
     for (shard, (queue, (tickets, keys))) in staged.iter_mut().zip(runs).enumerate() {
         if keys.is_empty() {
             continue;
         }
-        outcomes.clear();
-        outcomes.resize(keys.len(), None);
-        bypass(shard, &keys, &mut outcomes);
-        let mut declined = Vec::new();
-        for ((ticket, key), outcome) in tickets.into_iter().zip(keys).zip(&outcomes) {
-            match outcome {
-                Some(LookupOutcome { value, .. }) => {
-                    let (found, value) = (value.is_some(), value.unwrap_or(0));
-                    answered.push((ticket, RespBody::Value { found, value }));
-                }
-                None => declined.push(Submission::Lookup(LookupPart::Scalar { ticket, key })),
+        match bypass(shard, &keys) {
+            Some(values) => {
+                answered.extend(tickets.into_iter().zip(values).map(|(ticket, value)| {
+                    (ticket, RespBody::Value { found: value.is_some(), value: value.unwrap_or(0) })
+                }))
+            }
+            None => {
+                let declined = tickets.into_iter().zip(keys);
+                let declined = declined
+                    .map(|(ticket, key)| Submission::Lookup(LookupPart::Scalar { ticket, key }));
+                queue.splice(..0, declined);
             }
         }
-        queue.splice(..0, declined);
     }
     deliver(answered);
     staged
@@ -568,7 +565,7 @@ impl<D: Device + 'static> Engine<D> {
         let conn = shared.conns().get(&conn).cloned();
         // Same key, same stripe, same shard.
         let shard_of = |key| shared.store.stripe_index(key) % shared.shards.len();
-        let bypass = |shard, keys: &[Key], out: &mut [_]| shared.try_bypass(shard, keys, out);
+        let bypass = |shard, keys: &[Key]| shared.try_bypass(shard, keys);
         let staged = stage(conn, requests, shared.shards.len(), shard_of, bypass);
         for (shard, staged) in shared.shards.iter().zip(staged) {
             if !staged.is_empty() {
@@ -652,29 +649,25 @@ impl<D: Device + 'static> Shared<D> {
         self.stats.lock().expect("stats lock")
     }
 
-    /// Answers a shard's bypass run on the read fast path in one store
-    /// call iff the shard is idle, when every earlier write of its keys has
-    /// committed, filling `out` (one slot per key, left `None` where it
-    /// declines). A writer outside the shard's accounting — a direct store
-    /// user — holds the stripe exclusive for its whole mutation, so
-    /// `try_read` fails and the run's keys on that stripe queue, as a key
-    /// that needs flash does.
-    fn try_bypass(&self, shard: usize, keys: &[Key], out: &mut [Option<LookupOutcome>]) {
+    /// Answers a shard's bypass run on the reader's thread, in one
+    /// [`StripedClam::lookup_batch`] with no batcher lock held, iff the
+    /// shard is idle, when every earlier write of its keys has committed:
+    /// one value per key. A busy shard or a failed store call declines the
+    /// run (`None`), and it queues.
+    fn try_bypass(&self, shard: usize, keys: &[Key]) -> Option<Vec<Option<Value>>> {
         let shard = &self.shards[shard];
         if !shard.lock().idle() {
-            return;
+            return None;
         }
-        self.store.try_fast_lookup_batch(keys, out);
-        let answered = out.iter().flatten().count() as u64;
-        if answered > 0 {
-            let hits = out.iter().flatten().filter(|o| o.value.is_some()).count() as u64;
-            // Counted in place: `absorb` walks the whole ledger.
-            let stats = &mut shard.lock().stats;
-            stats.lookups += answered;
-            stats.lookup_hits += hits;
-            stats.lookup_misses += answered - hits;
-            stats.bypass_hits += answered;
-        }
+        let batch = self.store.lookup_batch(keys).ok()?;
+        let (answered, hits) = (keys.len() as u64, batch.hits() as u64);
+        // Counted in place: `absorb` walks the whole ledger.
+        let stats = &mut shard.lock().stats;
+        stats.lookups += answered;
+        stats.lookup_hits += hits;
+        stats.lookup_misses += answered - hits;
+        stats.bypass_hits += answered;
+        Some(batch.values())
     }
 
     /// The merged ledger a STATS request reports: process-wide counters

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use super::super::tests::{answer, del, ins, look};
+use super::super::tests::{del, ins, look};
 use super::super::{deliver, run_segment, stage, ConnEntry, SegmentStore, Sink};
 use super::*;
 use crate::proto::{Op, Request, RespBody, Response};
@@ -347,13 +347,9 @@ impl World {
             chunk.into_iter(),
             2,
             |key| key as usize,
-            |shard, keys, out| {
-                if cores[shard].idle() {
-                    let map = store.0.borrow();
-                    for (slot, key) in out.iter_mut().zip(keys) {
-                        *slot = answer(map.get(key).copied());
-                    }
-                }
+            |shard, keys| {
+                let map = store.0.borrow();
+                cores[shard].idle().then(|| keys.iter().map(|key| map.get(key).copied()).collect())
             },
         );
         for (core, staged) in self.cores.iter_mut().zip(staged) {

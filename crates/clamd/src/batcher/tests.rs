@@ -223,6 +223,28 @@ fn idle_shard_lookups_take_the_bypass() {
 }
 
 #[test]
+fn an_idle_shard_lookup_of_a_key_only_on_flash_is_answered_on_the_bypass() {
+    // A store recovered from its flash: no buffer or slot holds the key.
+    let cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
+    let mut clam = Clam::new(Ssd::intel(4 << 20).unwrap(), cfg.clone()).unwrap();
+    clam.insert(42, 4242).unwrap();
+    clam.flush_all().unwrap();
+    let (store, reports) = StripedClam::recover(vec![(clam.into_device(), cfg)]).unwrap();
+    let config = BatcherConfig { max_batch: 512, linger: Duration::from_micros(50), shards: 1 };
+    let engine = Engine::start(store, reports, config);
+    let rx = engine.register_conn(1);
+    engine.submit(1, Request { id: 0, op: Op::Lookup { key: 42 } });
+    let resp = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!(resp.body, RespBody::Value { found: true, value: 4242 });
+    let stats = engine.stats();
+    assert_eq!((stats.bypass_hits, stats.lookups), (1, 1), "{stats}");
+    assert_eq!((stats.batches, stats.segments, stats.lookup_admissions), (0, 0, 0), "{stats}");
+    let clam = engine.clam_stats();
+    assert_eq!(clam.lookups_by_source[LookupSource::Flash as usize], 1, "{clam}");
+    engine.shutdown();
+}
+
+#[test]
 fn shutdown_snapshot_reports_per_shard_depth() {
     // A long linger keeps the submissions queued (or in flight) when
     // shutdown entry takes its snapshot; the drain still answers all.
@@ -290,14 +312,6 @@ pub(super) fn look(key: Key) -> Submission {
 
 pub(super) fn del(key: Key) -> Submission {
     Submission::Delete(DeletePart { ticket: ticket(), key })
-}
-
-/// A fast-path answer carrying `value`, for a test's bypass to fill in;
-/// the batcher reads only the value.
-pub(super) fn answer(value: Option<Value>) -> Option<LookupOutcome> {
-    let latency = flashsim::SimDuration::ZERO;
-    let source = if value.is_some() { LookupSource::Buffer } else { LookupSource::Miss };
-    Some(LookupOutcome { value, latency, flash_reads: 0, source })
 }
 
 fn ins_slice(keys: &[Key]) -> Submission {
@@ -540,9 +554,9 @@ fn a_lookup_behind_a_staged_write_never_takes_the_bypass() {
         chunk(ops).into_iter(),
         2,
         |key| key as usize % 2,
-        |shard, keys, out| {
+        |shard, keys| {
             offered.push((shard, keys.to_vec()));
-            out.fill(answer(None));
+            Some(vec![None; keys.len()])
         },
     );
     assert_eq!(offered, [(1, vec![1, 3])], "one offer per shard run");
@@ -567,11 +581,7 @@ fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
         chunk(ops).into_iter(),
         2,
         |key| key as usize % 2,
-        |shard, _, out| {
-            if shard == 1 {
-                out.fill(answer(None));
-            }
-        },
+        |shard, keys| (shard == 1).then(|| vec![None; keys.len()]),
     );
     // The declined lookup of key 0 reads what was there before the
     // chunk's insert of it, so it queues ahead of that insert.
@@ -588,11 +598,11 @@ fn a_chunk_of_idle_shard_lookups_is_one_fast_path_run() {
     let pairs: Vec<(Key, Value)> = (1..=N).map(|key| (key, key * 10)).collect();
     engine.submit(1, Request { id: 0, op: Op::InsertBatch(pairs.clone()) });
     assert_eq!(bodies(&rx, 1), [RespBody::InsertedBatch { count: N as u32 }]);
-    // Each key's memory probe alone: its scalar fast-path charge less the
+    // Each key's memory probe alone: its scalar lookup's charge less the
     // per-op dispatch.
     let store = &engine.shared.store;
     let probes: Vec<flashsim::SimDuration> =
-        pairs.iter().map(|&(key, _)| store.try_fast_lookup(key).unwrap().latency).collect();
+        pairs.iter().map(|&(key, _)| store.lookup(key).unwrap().latency).collect();
     let probes = probes.into_iter().map(|charge| charge - BASE_OP_OVERHEAD);
     let before = engine.clam_stats().lookups.total();
 

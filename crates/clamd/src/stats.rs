@@ -73,9 +73,8 @@ flashsim::ledger! {
         /// Connections closed because a delivery to them could not finish
         /// within the stall limit: the client had stopped reading.
         pub connections_stalled: u64 => Sum,
-        /// Scalar lookups answered on the batcher bypass: the shard's linger
-        /// queue was empty and the store's read fast path
-        /// resolved the key without a gather or a ring admission.
+        /// Scalar lookups answered on the batcher bypass: the shard was idle,
+        /// so the reader looked the key up itself, without a gather.
         pub bypass_hits: u64 => Sum,
         /// Most recent per-shard in-flight depth snapshot (queued plus
         /// executing requests), refreshed by STATS requests and captured at

@@ -1,12 +1,12 @@
-//! Sharded group commit and the read fast path under the one stripe
+//! Sharded group commit and the batcher's bypass over the one stripe
 //! lock must be invisible except for speed: every outcome a client
 //! (or a store caller) observes has to be the one a small sequential
 //! model of CLAM semantics (`tests/support/clam_model.rs`) gives. Four
 //! angles:
 //!
 //! * store level — the same op sequence through a [`StripedClam`]'s public
-//!   entry points (shared-lock memory probes ahead of the exclusive path) and,
-//!   on a twin, with every call under its stripe's exclusive lock, over
+//!   entry points and, on a twin, with every call made on its stripe's
+//!   `Clam` through [`SharedClam::with`](bufferhash::SharedClam::with), over
 //!   **all five** flashsim backends: every insert outcome and every
 //!   lookup's value and source against the model, per-key flash reads,
 //!   ledgers and raw device traffic between the twins, then the state
@@ -131,8 +131,8 @@ impl StripedModel {
 }
 
 /// Drives the sampled op sequence through both stores — `fast` by its
-/// public entry points, `locked` with every call under the owning
-/// stripe's exclusive lock — and asserts every outcome matches the model,
+/// public entry points, `locked` with every call made on the owning
+/// stripe's `Clam` — and asserts every outcome matches the model,
 /// then audits the whole keyspace, the two stores' ledgers, the raw flash
 /// traffic on the backing devices, and what a recovery from flash reads.
 fn assert_stores_match_the_model<D: Device>(
@@ -211,14 +211,12 @@ fn assert_stores_match_the_model<D: Device>(
     // Full-keyspace audit: both stores hold exactly the model's map.
     let keys: Vec<u64> = (0..192).map(key).collect();
     audit(&model, &keys, "audit");
-    // The ledgers are the model's; only the fast store used the
-    // shared-lock fast path.
+    // The ledgers are the model's.
     let (fs, ls) = (fast.store.stats(), locked.store.stats());
     let (fio, lio) = (fast.device.with(|d| d.stats()), locked.device.with(|d| d.stats()));
     let (flushes, evictions, forced) = model.ledger();
     assert_eq!((fs.flushes, fio.trims, fs.forced_evictions), (flushes, evictions, forced));
     assert_eq!((ls.flushes, lio.trims, ls.forced_evictions), (flushes, evictions, forced));
-    assert_eq!(ls.fast_lookups, 0, "{label}: an exclusive section never takes the fast path");
     // Write-side identity between the twins: same coalesced write runs,
     // same cuckoo cascade shape, the same per-op latency totals
     // (simulated time is deterministic), and byte for byte the same
@@ -256,9 +254,9 @@ fn assert_stores_match_the_model<D: Device>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The store behind its read fast path, and the same
-    /// store driven the coarse way, every call under a stripe's exclusive
-    /// lock, are both the model's store — per outcome, per value, per
+    /// The store behind its public entry points, and the same store
+    /// driven the coarse way, every call made on a stripe's `Clam`, are
+    /// both the model's store — per outcome, per value, per
     /// source — and indistinguishable from each other per flash read, on
     /// every one of the five flashsim backends.
     #[test]
@@ -513,7 +511,7 @@ fn model_replies(model: &mut StripedModel) -> Vec<Vec<RespBody>> {
     replies
 }
 
-/// A four-shard server over the read fast path answers
+/// A four-shard server, its bypass included, answers
 /// every connection with exactly the model's replies — INSERT, LOOKUP,
 /// DELETE, batch frames and FLUSH, through evictions and slot reclaim —
 /// and what a reboot recovers from its flash is what the model says is
@@ -545,13 +543,14 @@ fn sharded_server_matches_the_model_over_tcp() {
         }
     }
     // The store evicted what the model evicted, on the tables' own
-    // account and by slot reclaim, and its lookups took the fast path.
+    // account and by slot reclaim, and looked up each key the server
+    // answered once, on the bypass or in a gather.
     let stats = server.clam_stats();
     let (flushes, evictions, forced) = model.ledger();
     assert!(evictions > 0 && forced > 0, "the scripts must wrap the logs: {stats}");
     assert_eq!((stats.flushes, stats.forced_evictions), (flushes, forced), "{stats}");
     assert_eq!(device.with(|d| d.stats()).trims, evictions);
-    assert!(stats.fast_lookups > 0, "{stats}");
+    assert_eq!(stats.lookups.len() as u64, server.stats().lookups, "{stats}");
 
     // Reboot: everything was flushed, so the model's durable set is what
     // the incarnations hold — tombstones lost, as DESIGN.md says.

@@ -41,9 +41,8 @@ use crate::time::SimDuration;
 /// times on its lanes. Only a forwarding wrapper overrides them.
 ///
 /// `Send + Sync` is required so higher layers can share devices across
-/// threads behind reader-writer locks (the `bufferhash` read fast path
-/// probes DRAM state under a shared borrow). All mutation goes through
-/// `&mut self`, so `Sync` costs implementors nothing.
+/// threads. All mutation goes through `&mut self`, so `Sync` costs
+/// implementors nothing.
 pub trait Device: Send + Sync {
     /// The parameter set this device was built from.
     fn profile(&self) -> &DeviceProfile;

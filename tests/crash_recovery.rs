@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 use clam::bufferhash::{
     hash_with_seed, scan_incarnation, Clam, ClamConfig, Entry, EvictionPolicy, FilterMode,
-    IncarnationIdentity, IncarnationLayout, LookupSource, MemoryProbe, SlotScan, BASE_OP_OVERHEAD,
+    IncarnationIdentity, IncarnationLayout, LookupSource, SlotScan,
 };
 use clam::flashsim::{CrashDevice, Device, DramDevice, FileDevice, FlashChip, MagneticDisk, Ssd};
 
@@ -718,8 +718,9 @@ fn nothing_is_retired_after_a_refused_flush_or_a_recovery_until_the_next_flush()
     clam.device_mut().arm(0);
     assert!(clam.flush_all().is_err());
     for k in keys(0).chain(keys(1)) {
-        // The device is dead, so ask the DRAM alone.
-        if let MemoryProbe::Resolved(found) = clam.probe_memory(k, BASE_OP_OVERHEAD) {
+        // The device is dead: a lookup that reaches it fails, so one that
+        // answers answered from DRAM.
+        if let Ok(found) = clam.lookup(k) {
             assert_ne!(found.source, LookupSource::Retired, "key {k:#x}: {found:?}");
         }
     }

@@ -1,5 +1,5 @@
 //! The DRAM half of a lookup (the sliced filter query, the candidate set it
-//! returns and the memory probe built on both) touches no heap when a super
+//! returns and a super table's memory phase built on both) touches no heap when a super
 //! table holds at most 64 incarnations: the candidates are one word, held
 //! by value. Counted with an allocator that tallies per thread, so the
 //! test harness's own threads do not disturb the count.
@@ -8,10 +8,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bufferhash::{
-    hash_with_seed, BitSlicedBloomSet, Clam, ClamConfig, FilterBank, FilterMode, IncarnationLayout,
-    IncarnationMeta, Key, MemoryProbe, SuperTable, BASE_OP_OVERHEAD,
+    hash_with_seed, BitSlicedBloomSet, BufferInsert, ClamConfig, FilterBank, FilterMode,
+    IncarnationLayout, IncarnationMeta, Key, SuperTable,
 };
-use flashsim::Ssd;
 
 struct CountingAllocator;
 
@@ -89,7 +88,7 @@ fn filter_queries_and_memory_probes_do_not_allocate_up_to_64_incarnations() {
     let mut table =
         SuperTable::new(0, 16 * 1024, 0.5, 16, FilterMode::BitSliced, 1 << 13, 6, layout);
     for seq in 0..16u64 {
-        let meta = IncarnationMeta { flash_offset: seq * 16 * 1024, entries: 50, seq };
+        let meta = IncarnationMeta { flash_offset: seq * 16 * 1024, entries: 50, seq, epoch: 1 };
         table.register_incarnation(meta, &keys(seq, 50));
     }
     let probes = probes(16);
@@ -105,27 +104,66 @@ fn filter_queries_and_memory_probes_do_not_allocate_up_to_64_incarnations() {
     assert!(live >= 16);
     assert_eq!(allocated, 0, "SuperTable::candidate_incarnations");
 
-    // The memory probe of a loaded CLAM at the benchmark's geometry
-    // (k = 16): keys on flash, in a buffer slot (live or a slot copy), and
-    // absent. Half the key range is inserted; the buffers' 32 768 slots
-    // answer for at most as many keys, so most others are on flash only.
+    // A lookup's memory phase on a loaded super table at the benchmark's
+    // geometry (k = 16): delete list and live buffer, then the candidate
+    // walk up to its first page read, each candidate's slot copy checked
+    // first. The flushes are the write path's table steps without a
+    // device. Keys on flash, in a buffer slot (live or a slot copy), and
+    // absent are probed.
     let cfg = ClamConfig::small_test(8 << 20, 1 << 20).unwrap();
-    let mut clam = Clam::new(Ssd::intel(8 << 20).unwrap(), cfg).unwrap();
-    for i in 0..150_000u64 {
-        clam.insert(hash_with_seed(i, 0x5eed), i).unwrap();
+    let bytes = cfg.buffer_bytes_per_table as usize;
+    let layout = IncarnationLayout::new(bytes, 4096).unwrap();
+    let k = cfg.incarnations_per_table();
+    assert_eq!(k, 16);
+    let mut table = SuperTable::new(
+        0,
+        bytes,
+        cfg.max_buffer_utilization,
+        k,
+        cfg.filter_mode,
+        cfg.bloom_bits_per_incarnation(),
+        cfg.bloom_hashes(),
+        layout,
+    );
+    let key = |i: u64| hash_with_seed(i, 0x5eed);
+    let mut seq = 0;
+    for i in 0..40_000u64 {
+        while table.buffer_insert(key(i), i) == BufferInsert::Full {
+            let drained: Vec<Key> = table.drain_buffer().iter().map(|e| e.key).collect();
+            if table.num_incarnations() == k {
+                table.drop_oldest_incarnation();
+            }
+            let meta = IncarnationMeta {
+                flash_offset: seq * bytes as u64,
+                entries: drained.len(),
+                seq,
+                epoch: 1,
+            };
+            table.register_incarnation(meta, &drained);
+            seq += 1;
+        }
     }
+    assert!(seq > k as u64, "the table must hold a full set of incarnations");
     let (mut resolved, mut needs_flash) = (0, 0);
     let allocated = allocations_in(|| {
-        for i in (0..300_000u64).step_by(7) {
-            match clam.probe_memory(hash_with_seed(i, 0x5eed), BASE_OP_OVERHEAD) {
-                MemoryProbe::Resolved(_) => resolved += 1,
-                MemoryProbe::NeedsFlash => needs_flash += 1,
+        for i in (0..80_000u64).step_by(3) {
+            let key = key(i);
+            if table.memory_lookup(key).is_some() {
+                resolved += 1;
+                continue;
+            }
+            let mut live = table
+                .candidate_incarnations(key)
+                .filter(|&age| table.incarnation_at(age).is_some());
+            match live.next().map(|age| table.slot_copy(key, age)) {
+                None | Some(Some(_)) => resolved += 1,
+                Some(None) => needs_flash += 1,
             }
         }
     });
     assert!(
-        resolved > 10_000 && needs_flash > 10_000,
+        resolved > 10_000 && needs_flash > 4_000,
         "{resolved} resolved, {needs_flash} to flash"
     );
-    assert_eq!(allocated, 0, "Clam::probe_memory");
+    assert_eq!(allocated, 0, "a lookup's memory phase");
 }
