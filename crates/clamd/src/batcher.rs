@@ -1,21 +1,22 @@
-//! The sharded group-commit batcher: per-stripe-shard gather threads
-//! that turn concurrent request arrivals into coalesced ring admissions.
+//! The sharded group-commit batcher: one gather thread per stripe that
+//! turns concurrent request arrivals into coalesced ring admissions.
 //!
-//! Requests route to a **shard** by their key's stripe
-//! (`stripe_index(key) % shards`), so a key always lands on the same
-//! shard and shards never contend on a stripe lock. A shard gathers its
-//! queue — lingering up to [`BatcherConfig::linger`] while it holds fewer
-//! than [`BatcherConfig::max_batch`] — and cuts the gather into
+//! A **shard** is a stripe's gather: shard `i` owns stripe `i`, and a
+//! request routes to the shard of its key's stripe
+//! ([`StripedClam::stripe_index`]), so a key always lands on the same
+//! shard and no two shards call one stripe. A shard gathers its queue —
+//! lingering up to [`BatcherConfig::linger`] while it holds fewer than
+//! [`BatcherConfig::max_batch`] — and cuts the gather into
 //! **conflict-free segments**, in which no key is under two kinds of
-//! operation; each runs as one [`StripedClam::insert_batch`], one
-//! [`StripedClam::lookup_batch`], then its deletes. FLUSH and STATS run
-//! between segments.
+//! operation; each runs as one [`SharedClam::insert_batch`], one
+//! [`SharedClam::lookup_batch`], then its deletes, on the shard's own
+//! stripe. FLUSH and STATS run between segments.
 //!
 //! **Core and shell.** Everything a shard decides lives in its
 //! `ShardCore` (`core`), which takes no lock, reads no clock and calls
 //! no store. A shard is that core in one `Mutex` beside one `Condvar`;
 //! its thread does what the core decides at `Instant::now()`, calls the
-//! store with the lock released, and takes it once per step to retire
+//! stripe with the lock released, and takes it once per step to retire
 //! the step before the step's responses go out.
 //!
 //! **Contract.** Each key is an atomic register: operations on a key take
@@ -25,10 +26,10 @@
 //! response once its last shard part lands. The scalar `LOOKUP`s of one
 //! chunk with nothing staged for their shard ahead of them form that
 //! shard's bypass run; if the shard is idle, the reader answers the run
-//! itself in one [`StripedClam::lookup_batch`], and an earlier write of
-//! any of its keys would have kept the shard busy. A run the shard was
-//! busy for, or whose store call failed, queues ahead of the shard's
-//! other submissions from the chunk. A response goes
+//! itself in one [`SharedClam::lookup_batch`] on the shard's stripe, and
+//! an earlier write of any of its keys would have kept the shard busy. A
+//! run the shard was busy for, or whose store call failed, queues ahead
+//! of the shard's other submissions from the chunk. A response goes
 //! out only after its store call returned, and [`Clam::insert_batch`]
 //! returns only once the write ring is reaped. DESIGN.md ("Group-commit
 //! batcher") has the reasoning.
@@ -38,8 +39,9 @@
 //! completes the next one in order, one write per delivery; an in-process
 //! caller ([`Engine::register_conn`]) gets them on a channel instead.
 //!
-//! [`StripedClam::insert_batch`]: bufferhash::StripedClam::insert_batch
-//! [`StripedClam::lookup_batch`]: bufferhash::StripedClam::lookup_batch
+//! [`StripedClam::stripe_index`]: bufferhash::StripedClam::stripe_index
+//! [`SharedClam::insert_batch`]: bufferhash::SharedClam::insert_batch
+//! [`SharedClam::lookup_batch`]: bufferhash::SharedClam::lookup_batch
 //! [`Clam::insert_batch`]: bufferhash::Clam::insert_batch
 
 mod conn;
@@ -54,7 +56,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bufferhash::{Key, RecoveryReport, StripedClam, Value};
+use bufferhash::{Key, RecoveryReport, SharedClam, StripedClam, Value};
 use flashsim::Device;
 
 pub(crate) use self::conn::STALL_LIMIT;
@@ -66,19 +68,20 @@ use crate::stats::ServerStats;
 /// Tuning knobs for the group-commit batcher.
 #[derive(Debug, Clone)]
 pub struct BatcherConfig {
-    /// Largest gather, in requests; a full queue fires immediately.
+    /// Largest gather, in requests; a full queue fires immediately. A
+    /// gather takes at least one request, so `0` gathers one at a time.
     pub max_batch: usize,
     /// How long a non-full gather lingers for concurrent arrivals.
     pub linger: Duration,
-    /// Number of batcher shards (gather threads). Clamped to
-    /// `[1, num_stripes]` at start; `1` reproduces the single-gather
-    /// baseline exactly.
+    /// Ignored: the engine runs one shard per stripe. Kept only because
+    /// the repo benchmark (`benchmark/src/store.rs`) still sets it; goes
+    /// when the benchmark stops setting it.
     pub shards: usize,
 }
 
 impl Default for BatcherConfig {
     fn default() -> Self {
-        BatcherConfig { max_batch: 512, linger: Duration::from_micros(100), shards: 1 }
+        BatcherConfig { max_batch: 512, linger: Duration::from_micros(100), shards: 0 }
     }
 }
 
@@ -301,25 +304,24 @@ fn stage(
     staged
 }
 
-/// The store calls a segment makes: the served store, or a test's map.
+/// The store calls a segment makes: the shard's stripe, or a test's map.
 trait SegmentStore {
     fn insert_batch(&self, pairs: &[(Key, Value)]) -> bufferhash::Result<()>;
     fn lookup_batch(&self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>>;
     fn delete(&self, key: Key) -> bufferhash::Result<()>;
 }
 
-impl<D: Device> SegmentStore for StripedClam<D> {
+impl<D: Device> SegmentStore for SharedClam<D> {
     fn insert_batch(&self, pairs: &[(Key, Value)]) -> bufferhash::Result<()> {
-        StripedClam::insert_batch(self, pairs).map(drop)
+        SharedClam::insert_batch(self, pairs).map(drop)
     }
 
     fn lookup_batch(&self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>> {
-        let batch = StripedClam::lookup_batch(self, keys)?;
-        Ok(batch.outcomes.iter().map(|outcome| outcome.value).collect())
+        Ok(SharedClam::lookup_batch(self, keys)?.values())
     }
 
     fn delete(&self, key: Key) -> bufferhash::Result<()> {
-        StripedClam::delete(self, key)
+        SharedClam::delete(self, key)
     }
 }
 
@@ -406,15 +408,19 @@ fn internal_error(message: String) -> RespBody {
     RespBody::Error { code: ErrorCode::Internal, message }
 }
 
-/// One batcher shard: its core, and the condvar its gather thread — the
-/// only waiter — sleeps on.
-#[derive(Default)]
-struct Shard {
+/// One batcher shard: its core, the condvar its gather thread — the
+/// only waiter — sleeps on, and the stripe it owns.
+struct Shard<D: Device> {
     core: Mutex<ShardCore>,
     wake: Condvar,
+    stripe: SharedClam<D>,
 }
 
-impl Shard {
+impl<D: Device> Shard<D> {
+    fn new(stripe: SharedClam<D>) -> Self {
+        Shard { core: Mutex::default(), wake: Condvar::new(), stripe }
+    }
+
     fn lock(&self) -> MutexGuard<'_, ShardCore> {
         self.core.lock().expect("shard core lock")
     }
@@ -422,10 +428,13 @@ impl Shard {
 
 /// State shared between connection threads and the shard gather threads.
 struct Shared<D: Device + 'static> {
+    /// The served store: it routes keys to stripes and merges their
+    /// ledgers; each shard calls its own stripe.
     store: StripedClam<D>,
     recovery: Vec<RecoveryReport>,
     config: BatcherConfig,
-    shards: Vec<Shard>,
+    /// Shard `i` owns stripe `i`.
+    shards: Vec<Shard<D>>,
     conns: Mutex<HashMap<u64, Arc<ConnEntry>>>,
     /// Process-wide counters and the shutdown-time depth snapshot; what
     /// requests count lives in the shard cores' ledgers.
@@ -445,25 +454,26 @@ impl<D: Device + 'static> Clone for Engine<D> {
 }
 
 impl<D: Device + 'static> Engine<D> {
-    /// Starts one gather thread per shard over `store`. `recovery`
-    /// carries the per-stripe reports when the store was recovered from
-    /// an existing flash image (empty for a fresh boot); STATS responses
-    /// include them.
+    /// Starts one shard, with its gather thread, per stripe of `store`.
+    /// `recovery` carries the per-stripe reports when the store was
+    /// recovered from an existing flash image (empty for a fresh boot);
+    /// STATS responses include them.
     pub fn start(
         store: StripedClam<D>,
         recovery: Vec<RecoveryReport>,
         config: BatcherConfig,
     ) -> Self {
-        let shards = config.shards.clamp(1, store.num_stripes());
+        let shards =
+            (0..store.num_stripes()).filter_map(|i| store.stripe(i)).map(Shard::new).collect();
         let shared = Arc::new(Shared {
             store,
             recovery,
             config,
-            shards: (0..shards).map(|_| Shard::default()).collect(),
+            shards,
             conns: Mutex::new(HashMap::new()),
             stats: Mutex::new(ServerStats::new()),
         });
-        let workers = (0..shards)
+        let workers = (0..shared.shards.len())
             .map(|i| {
                 let worker_shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -475,8 +485,7 @@ impl<D: Device + 'static> Engine<D> {
         Engine { shared, workers: Arc::new(Mutex::new(workers)) }
     }
 
-    /// Number of batcher shards actually running (the configured count
-    /// clamped to the stripe count).
+    /// Number of batcher shards running: one per stripe.
     pub fn num_shards(&self) -> usize {
         self.shared.shards.len()
     }
@@ -564,7 +573,7 @@ impl<D: Device + 'static> Engine<D> {
         let shared = &*self.shared;
         let conn = shared.conns().get(&conn).cloned();
         // Same key, same stripe, same shard.
-        let shard_of = |key| shared.store.stripe_index(key) % shared.shards.len();
+        let shard_of = |key| shared.store.stripe_index(key);
         let bypass = |shard, keys: &[Key]| shared.try_bypass(shard, keys);
         let staged = stage(conn, requests, shared.shards.len(), shard_of, bypass);
         for (shard, staged) in shared.shards.iter().zip(staged) {
@@ -633,9 +642,8 @@ impl<D: Device + 'static> Engine<D> {
     /// fails is counted in `shutdown_flush_errors`, and the others still
     /// flush.
     pub fn flush_stripes(&self) {
-        let store = &self.shared.store;
-        let stripes = (0..store.num_stripes()).filter_map(|i| store.stripe(i));
-        let failed = stripes.filter(|stripe| stripe.flush_all().is_err()).count();
+        let shards = self.shared.shards.iter();
+        let failed = shards.filter(|shard| shard.stripe.flush_all().is_err()).count();
         self.shared.ledger().shutdown_flush_errors += failed as u64;
     }
 }
@@ -650,16 +658,16 @@ impl<D: Device + 'static> Shared<D> {
     }
 
     /// Answers a shard's bypass run on the reader's thread, in one
-    /// [`StripedClam::lookup_batch`] with no batcher lock held, iff the
-    /// shard is idle, when every earlier write of its keys has committed:
-    /// one value per key. A busy shard or a failed store call declines the
-    /// run (`None`), and it queues.
+    /// [`SharedClam::lookup_batch`] on the shard's stripe with no batcher
+    /// lock held, iff the shard is idle, when every earlier write of its
+    /// keys has committed: one value per key. A busy shard or a failed
+    /// store call declines the run (`None`), and it queues.
     fn try_bypass(&self, shard: usize, keys: &[Key]) -> Option<Vec<Option<Value>>> {
         let shard = &self.shards[shard];
         if !shard.lock().idle() {
             return None;
         }
-        let batch = self.store.lookup_batch(keys).ok()?;
+        let batch = shard.stripe.lookup_batch(keys).ok()?;
         let (answered, hits) = (keys.len() as u64, batch.hits() as u64);
         // Counted in place: `absorb` walks the whole ledger.
         let stats = &mut shard.lock().stats;
@@ -687,29 +695,22 @@ impl<D: Device + 'static> Shared<D> {
         merged
     }
 
-    /// Executes one step of shard `idx`'s gather without the shard's lock,
-    /// then takes it once to retire the step, and only then answers. A
-    /// FLUSH counts once, by the part that completes it.
+    /// Executes one step of shard `idx`'s gather on its stripe without
+    /// the shard's lock, then takes it once to retire the step, and only
+    /// then answers. A FLUSH counts once, by the part that completes it.
     fn execute(&self, idx: usize, step: Step) {
         let shard = &self.shards[idx];
         let retired = step.submissions();
         match step {
             Step::Segment(segment) => {
                 let mut served = ServerStats::new();
-                let outbox = run_segment(&self.store, &segment, &mut served);
+                let outbox = run_segment(&shard.stripe, &segment, &mut served);
                 shard.lock().done(retired, &served);
                 deliver(outbox);
             }
             Step::Flush(assembly) => {
-                // Every stripe the shard owns, even after one fails; the
-                // other shards' parts flush the rest.
-                let stripes = (idx..self.store.num_stripes()).step_by(self.shards.len());
-                let mut error = None;
-                for stripe in stripes.filter_map(|stripe| self.store.stripe(stripe)) {
-                    if let Err(e) = stripe.flush_all() {
-                        error.get_or_insert(format!("flush failed: {e}"));
-                    }
-                }
+                // The other shards' parts flush the other stripes.
+                let error = shard.stripe.flush_all().err().map(|e| format!("flush failed: {e}"));
                 shard.lock().done(retired, &ServerStats::new());
                 if let Some(body) = assembly.land(std::iter::empty(), error) {
                     if matches!(body, RespBody::Flushed) {

@@ -238,8 +238,8 @@ impl ShardCore {
     /// see a non-empty queue sets a deadline `config.linger` away; the
     /// gather fires then, at once when `config.max_batch` are queued, or
     /// at once after [`close`](Self::close). It takes up to `max_batch`
-    /// submissions, counts them in flight, cuts them into steps and
-    /// records itself in the ledger.
+    /// submissions, and at least one, counts them in flight, cuts them
+    /// into steps and records itself in the ledger.
     pub(super) fn poll(&mut self, now: Instant, config: &BatcherConfig) -> Poll {
         if self.queue.is_empty() {
             return if self.closing { Poll::Exit } else { Poll::Sleep };
@@ -252,7 +252,7 @@ impl ShardCore {
             }
         }
         let waited = self.deadline.take().is_some();
-        let gathered = self.queue.len().min(config.max_batch);
+        let gathered = self.queue.len().min(config.max_batch.max(1));
         for submission in self.queue.drain(..gathered) {
             self.planner.push(submission);
         }

@@ -16,7 +16,7 @@ use crate::proto::{Op, Request, RespBody, Response};
 const LINGER: Duration = Duration::from_micros(100);
 
 fn config(max_batch: usize) -> BatcherConfig {
-    BatcherConfig { max_batch, linger: LINGER, shards: 1 }
+    BatcherConfig { max_batch, linger: LINGER, ..BatcherConfig::default() }
 }
 
 /// A poll's decision, a gather standing for its submission count.
@@ -89,7 +89,7 @@ fn a_gather_waited_iff_its_thread_slept_on_the_deadline() {
         (8, LINGER, 1, true, 0, t0, false),
     ];
     for (max_batch, linger, queued, close, arrivals, fired_at, waited) in cases {
-        let config = BatcherConfig { max_batch, linger, shards: 1 };
+        let config = BatcherConfig { max_batch, linger, ..BatcherConfig::default() };
         let mut core = ShardCore::default();
         core.push((0..queued).map(ins).collect());
         if close {
@@ -111,6 +111,19 @@ fn a_gather_waited_iff_its_thread_slept_on_the_deadline() {
     core.close();
     assert_eq!(decide(&mut core, later, &config), Decision::Run(1));
     assert_eq!(core.stats.group_commit_waits, 1);
+}
+
+#[test]
+fn a_gather_takes_at_least_one_submission() {
+    // A `max_batch` of 0 would otherwise gather nothing, poll after poll.
+    let config = config(0);
+    let t0 = Instant::now();
+    let mut core = ShardCore::default();
+    core.push(vec![ins(1), ins(2)]);
+    assert_eq!(decide(&mut core, t0, &config), Decision::Run(1));
+    core.done(1, &ServerStats::new());
+    assert_eq!(decide(&mut core, t0, &config), Decision::Run(1));
+    assert_eq!((core.stats.batches, core.stats.batch_high_water), (2, 1));
 }
 
 #[test]
@@ -274,7 +287,7 @@ impl World {
     fn new(driver: Driver) -> Self {
         World {
             driver,
-            config: BatcherConfig { max_batch: 2, linger: LINGER, shards: 2 },
+            config: config(2),
             now: Instant::now(),
             cores: Default::default(),
             running: Default::default(),

@@ -7,17 +7,27 @@ use super::*;
 use bufferhash::{Clam, ClamConfig, LookupSource};
 use flashsim::Ssd;
 
-fn engine_with(stripes: usize, shards: usize, linger: Duration) -> Engine<Ssd> {
+fn striped(stripes: usize) -> StripedClam<Ssd> {
     let clam = |_| {
         let cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
         Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap()
     };
-    let store = StripedClam::new((0..stripes).map(clam).collect());
-    Engine::start(store, Vec::new(), BatcherConfig { max_batch: 512, linger, shards })
+    StripedClam::new((0..stripes).map(clam).collect())
 }
 
+fn lingering(linger: Duration) -> BatcherConfig {
+    BatcherConfig { linger, ..BatcherConfig::default() }
+}
+
+/// An engine over `stripes` stripes: as many shards.
+fn engine_with(stripes: usize, linger: Duration) -> Engine<Ssd> {
+    Engine::start(striped(stripes), Vec::new(), lingering(linger))
+}
+
+/// One stripe, so one shard: a STATS reply follows every earlier request
+/// of its connection through the one gather thread.
 fn engine(linger: Duration) -> Engine<Ssd> {
-    engine_with(2, 1, linger)
+    engine_with(1, linger)
 }
 
 #[test]
@@ -138,7 +148,7 @@ fn unregistered_connections_drop_responses_quietly() {
 
 #[test]
 fn sharded_responses_stay_in_per_connection_order() {
-    let engine = engine_with(4, 4, Duration::from_micros(200));
+    let engine = engine_with(4, Duration::from_micros(200));
     assert_eq!(engine.num_shards(), 4);
     let rx = engine.register_conn(1);
     // Interleave writes and reads across every stripe; four shards
@@ -176,8 +186,56 @@ fn sharded_responses_stay_in_per_connection_order() {
 }
 
 #[test]
+fn the_default_engine_runs_one_shard_per_stripe() {
+    let engine = Engine::start(striped(4), Vec::new(), BatcherConfig::default());
+    assert_eq!(engine.num_shards(), 4);
+    let rx = engine.register_conn(1);
+    let ops = (0..64u64).flat_map(|i| {
+        [
+            Op::Insert { key: i + 1, value: i },
+            Op::Lookup { key: i / 2 + 1 },
+            Op::InsertBatch(vec![(1000 + i, i), (2000 + i, i)]),
+            Op::LookupBatch(vec![1000 + i, 3000 + i]),
+        ]
+    });
+    engine.submit_chunk(1, chunk(ops.collect()));
+    let replies = bodies(&rx, 4 * 64);
+    assert!(!replies.iter().any(|body| matches!(body, RespBody::Error { .. })), "{replies:?}");
+    // Shard i's ledger counts exactly what stripe i served.
+    let per_shard = engine.per_shard_stats();
+    assert_eq!(per_shard.len(), 4);
+    for (i, shard) in per_shard.iter().enumerate() {
+        let stripe = engine.shared.store.stripe(i).unwrap().stats();
+        assert!(shard.inserts > 0, "shard {i} served no insert");
+        assert_eq!(shard.inserts, stripe.inserts.len() as u64, "shard {i}");
+        assert_eq!(shard.lookups, stripe.lookups.len() as u64, "shard {i}");
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.inserts, stats.lookups), (3 * 64, 3 * 64), "{stats}");
+    engine.shutdown();
+}
+
+#[test]
+fn a_max_batch_of_zero_still_answers_every_request() {
+    let config = BatcherConfig { max_batch: 0, ..BatcherConfig::default() };
+    let engine = Engine::start(striped(2), Vec::new(), config);
+    let rx = engine.register_conn(1);
+    let ops = vec![
+        Op::Insert { key: 7, value: 70 },
+        Op::Insert { key: 8, value: 80 },
+        Op::Lookup { key: 7 },
+    ];
+    engine.submit_chunk(1, chunk(ops));
+    let found = RespBody::Value { found: true, value: 70 };
+    assert_eq!(bodies(&rx, 3), [RespBody::Inserted, RespBody::Inserted, found]);
+    engine.shutdown();
+    let stats = engine.stats();
+    assert_eq!((stats.batches, stats.batch_high_water), (3, 1), "{stats}");
+}
+
+#[test]
 fn batch_frames_split_across_shards_and_reassemble() {
-    let engine = engine_with(4, 4, Duration::from_micros(100));
+    let engine = engine_with(4, Duration::from_micros(100));
     let rx = engine.register_conn(3);
     let pairs: Vec<(Key, Value)> = (0..64u64).map(|i| (i * 7 + 1, i + 100)).collect();
     let keys: Vec<Key> = pairs.iter().map(|(k, _)| *k).chain([999_999_999]).collect();
@@ -205,7 +263,7 @@ fn batch_frames_split_across_shards_and_reassemble() {
 
 #[test]
 fn idle_shard_lookups_take_the_bypass() {
-    let engine = engine_with(2, 2, Duration::from_micros(50));
+    let engine = engine_with(2, Duration::from_micros(50));
     let rx = engine.register_conn(1);
     engine.submit(1, Request { id: 0, op: Op::Insert { key: 42, value: 4242 } });
     assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().body, RespBody::Inserted);
@@ -230,8 +288,7 @@ fn an_idle_shard_lookup_of_a_key_only_on_flash_is_answered_on_the_bypass() {
     clam.insert(42, 4242).unwrap();
     clam.flush_all().unwrap();
     let (store, reports) = StripedClam::recover(vec![(clam.into_device(), cfg)]).unwrap();
-    let config = BatcherConfig { max_batch: 512, linger: Duration::from_micros(50), shards: 1 };
-    let engine = Engine::start(store, reports, config);
+    let engine = Engine::start(store, reports, lingering(Duration::from_micros(50)));
     let rx = engine.register_conn(1);
     engine.submit(1, Request { id: 0, op: Op::Lookup { key: 42 } });
     let resp = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -248,7 +305,7 @@ fn an_idle_shard_lookup_of_a_key_only_on_flash_is_answered_on_the_bypass() {
 fn shutdown_snapshot_reports_per_shard_depth() {
     // A long linger keeps the submissions queued (or in flight) when
     // shutdown entry takes its snapshot; the drain still answers all.
-    let engine = engine_with(4, 4, Duration::from_millis(500));
+    let engine = engine_with(4, Duration::from_millis(500));
     let rx = engine.register_conn(1);
     for i in 0..64u64 {
         engine.submit(1, Request { id: i, op: Op::Insert { key: i + 1, value: i } });
@@ -275,7 +332,7 @@ fn flush_barrier_is_per_connection() {
     // The barrier is only promised per connection — conn 1's own
     // writes are flushed and its responses stay in order regardless
     // of where conn 2's traffic lands.
-    let engine = engine_with(4, 4, Duration::from_micros(100));
+    let engine = engine_with(4, Duration::from_micros(100));
     let rx1 = engine.register_conn(1);
     let rx2 = engine.register_conn(2);
     for i in 0..32u64 {
@@ -415,11 +472,11 @@ fn a_conflict_free_gather_is_one_segment() {
 
 // --- segments through the engine --------------------------------------
 
-/// One shard, and a linger long enough that a chunk is one gather:
-/// the chunk enters the queue under one lock, so the gather thread
-/// sees all of it or none of it.
+/// One stripe, so one shard, and a linger long enough that a chunk is
+/// one gather: the chunk enters the queue under one lock, so the gather
+/// thread sees all of it or none of it.
 fn one_gather_engine() -> Engine<Ssd> {
-    engine_with(2, 1, Duration::from_millis(20))
+    engine_with(1, Duration::from_millis(20))
 }
 
 fn bodies(rx: &mpsc::Receiver<Response>, n: usize) -> Vec<RespBody> {
@@ -593,7 +650,7 @@ fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
 fn a_chunk_of_idle_shard_lookups_is_one_fast_path_run() {
     use bufferhash::{BASE_OP_OVERHEAD, BATCHED_OP_OVERHEAD};
     const N: u64 = 12;
-    let engine = engine_with(1, 1, Duration::from_micros(50));
+    let engine = engine_with(1, Duration::from_micros(50));
     let rx = engine.register_conn(1);
     let pairs: Vec<(Key, Value)> = (1..=N).map(|key| (key, key * 10)).collect();
     engine.submit(1, Request { id: 0, op: Op::InsertBatch(pairs.clone()) });
@@ -619,9 +676,9 @@ fn a_chunk_of_idle_shard_lookups_is_one_fast_path_run() {
 }
 
 #[test]
-fn a_flush_that_fails_on_one_stripe_still_flushes_the_shards_other_stripes() {
+fn a_flush_that_fails_on_one_stripe_still_flushes_the_other_stripes() {
     use flashsim::CrashDevice;
-    // One shard over two stripes: stripe 0 has lost power, stripe 1 has not.
+    // Two stripes, so two shards: stripe 0 has lost power, stripe 1 has not.
     let cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
     let ssd = || Ssd::intel(4 << 20).unwrap();
     let store = StripedClam::new(vec![
@@ -630,8 +687,7 @@ fn a_flush_that_fails_on_one_stripe_still_flushes_the_shards_other_stripes() {
     ]);
     let key_on = |stripe| (1..).find(|&key| store.stripe_index(key) == stripe).unwrap();
     let (on_0, on_1) = (key_on(0), key_on(1));
-    let config = BatcherConfig { max_batch: 512, linger: Duration::from_micros(100), shards: 1 };
-    let engine = Engine::start(store, Vec::new(), config);
+    let engine = Engine::start(store, Vec::new(), lingering(Duration::from_micros(100)));
     let rx = engine.register_conn(1);
     engine.submit_chunk(
         1,
@@ -656,7 +712,7 @@ fn a_flush_that_fails_on_one_stripe_still_flushes_the_shards_other_stripes() {
 fn unregistering_mid_gather_drops_the_responses_and_frees_the_connection() {
     // The linger outlasts the test: the requests are still gathering
     // when the connection goes, and only shutdown cuts the linger.
-    let engine = engine_with(4, 4, Duration::from_secs(60));
+    let engine = engine_with(4, Duration::from_secs(60));
     let rx = engine.register_conn(1);
     let entry = engine.shared.conns.lock().unwrap().get(&1).cloned().unwrap();
     let ops = (0..64u64).map(|i| Op::Insert { key: i + 1, value: i }).chain([
@@ -685,8 +741,7 @@ fn a_failed_insert_batch_fails_only_its_segments_inserts() {
     let buffered = cfg.num_super_tables() * cfg.entries_per_incarnation();
     let device = CrashDevice::cut_after(Ssd::intel(4 << 20).unwrap(), 0);
     let store = StripedClam::new(vec![Clam::new(device, cfg).unwrap()]);
-    let config = BatcherConfig { max_batch: 512, linger: Duration::from_millis(20), shards: 1 };
-    let engine = Engine::start(store, Vec::new(), config);
+    let engine = Engine::start(store, Vec::new(), lingering(Duration::from_millis(20)));
     let rx = engine.register_conn(1);
     let overflow = (0..2 * buffered as u64).map(|i| (bufferhash::hash_with_seed(i, 9), i));
     engine.submit_chunk(

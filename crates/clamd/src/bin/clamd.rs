@@ -1,12 +1,13 @@
 //! The `clamd` server binary.
 //!
-//! Serves a striped CLAM over TCP with group-commit batching. By default
+//! Serves a striped CLAM over TCP with group-commit batching, one
+//! gather thread per stripe. By default
 //! the store is a fresh simulated Intel-class SSD; with `--flash-file`
 //! the store is file-backed, and an existing image is **recovered in
 //! place** (the per-stripe recovery reports print at startup).
 //!
 //! ```text
-//! clamd [--addr 127.0.0.1:7979] [--stripes 4] [--shards N]
+//! clamd [--addr 127.0.0.1:7979] [--stripes 4]
 //!       [--flash-bytes 67108864] [--dram-bytes 8388608]
 //!       [--flash-file PATH] [--queue-depth N]
 //!       [--linger-us 100] [--max-batch 512]
@@ -28,8 +29,7 @@ fn main() {
             "clamd: fingerprint-lookup service over a CLAM\n\
              \n\
              --addr ADDR         listen address (default 127.0.0.1:7979; port 0 = ephemeral)\n\
-             --stripes N         CLAM stripes over the device (default 4)\n\
-             --shards N          batcher shards / gather threads (default: stripes)\n\
+             --stripes N         CLAM stripes, one gather thread each (default 4)\n\
              --flash-bytes N     total flash capacity (default 64 MiB)\n\
              --dram-bytes N      total DRAM budget (default 8 MiB)\n\
              --flash-file PATH   file-backed store; existing images are recovered\n\
@@ -40,16 +40,15 @@ fn main() {
         );
         return;
     }
-    let stripes = parse(&args, "--stripes", 4);
     let config = ServerConfig {
         addr: flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7979".to_string()),
-        stripes,
+        stripes: parse(&args, "--stripes", 4),
         flash_bytes: parse(&args, "--flash-bytes", 64 << 20),
         dram_bytes: parse(&args, "--dram-bytes", 8 << 20),
         batcher: BatcherConfig {
             max_batch: parse(&args, "--max-batch", 512),
             linger: Duration::from_micros(parse(&args, "--linger-us", 100)),
-            shards: parse(&args, "--shards", stripes),
+            ..BatcherConfig::default()
         },
     };
 

@@ -9,27 +9,27 @@
 //! window. Unless `--addr` points at a running server, an in-process
 //! sim-backed server is spawned on an ephemeral loopback port.
 //!
-//! The in-process server can be sharded (`--shards`) and file-backed
-//! (`--flash-file`; an existing image is recovered in place before the
-//! run). `--connect HOST:PORT` (alias: `--addr`) skips the in-process
+//! The in-process server runs one batcher shard per stripe (`--stripes`)
+//! and can be file-backed (`--flash-file`; an existing image is
+//! recovered in place before the run). `--connect HOST:PORT` (alias: `--addr`) skips the in-process
 //! server entirely and drives an already-running `clamd` — start one
 //! `clamd` process and point several `clamd-loadgen --connect` processes
 //! at it for a multi-process load test.
 //!
 //! `--smoke` runs the CI loopback check instead: a deterministic
 //! preload / mixed-pipeline / verify sequence with **exact** count
-//! assertions against the server's ledger — once over the single-shard
-//! baseline, once over a four-shard batcher (whose per-shard ledgers
-//! must sum to the baseline's totals and whose read-heavy verify phase
-//! must take the batcher bypass; in both, the mixed phase's gathers must
-//! reach the store as conflict-free segments of at most two batched
-//! calls each).
+//! assertions against the server's ledger — once over a one-stripe
+//! store (one shard), once over four stripes (four shards, whose
+//! per-shard ledgers must sum to the one-stripe arm's totals and whose
+//! read-heavy verify phase must take the batcher bypass; in both, the
+//! mixed phase's gathers must reach the store as conflict-free segments
+//! of at most two batched calls each).
 //!
 //! ```text
 //! clamd-loadgen [--connect HOST:PORT] [--connections 4] [--ops 20000]
 //!               [--key-space 20000] [--zipf-s 0.99]
 //!               [--lookup-fraction 0.8] [--hit-fraction 0.5]
-//!               [--stripes 4] [--shards N] [--flash-bytes 67108864]
+//!               [--stripes 4] [--flash-bytes 67108864]
 //!               [--dram-bytes 8388608] [--flash-file PATH] [--queue-depth N]
 //!               [--multiples 0.5,0.9,1.5] [--seed N] [--smoke]
 //! ```
@@ -39,11 +39,10 @@ mod cli;
 use std::net::SocketAddr;
 
 use bench::{ms, print_cdf, print_header, print_row, TailSummary};
-use clamd::batcher::BatcherConfig;
 use clamd::client::ClamdClient;
 use clamd::loadgen::{self, key_for, value_for, LoadgenConfig};
 use clamd::proto::{Op, RespBody};
-use clamd::server::{ephemeral_sim_server_sharded, BootError, ClamdServer, ServerConfig};
+use clamd::server::{ephemeral_sim_server, BootError, ClamdServer, ServerConfig};
 use clamd::stats::ServerStats;
 use flashsim::{Device, LatencyRecorder, SimDuration};
 
@@ -91,16 +90,11 @@ fn sweep_main(args: &[String]) -> Result<(), BootError> {
     if let Some(addr) = flag_value(args, "--connect").or_else(|| flag_value(args, "--addr")) {
         return sweep(addr.parse()?, &config, &multiples);
     }
-    let stripes = parse(args, "--stripes", 4);
     let server_config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        stripes,
+        stripes: parse(args, "--stripes", 4),
         flash_bytes: parse(args, "--flash-bytes", 64u64 << 20),
         dram_bytes: parse(args, "--dram-bytes", 8u64 << 20),
-        batcher: BatcherConfig {
-            shards: parse(args, "--shards", stripes),
-            ..BatcherConfig::default()
-        },
+        ..ServerConfig::default()
     };
     match flag_value(args, "--flash-file") {
         Some(path) => {
@@ -213,42 +207,40 @@ const PER_CONN: u64 = 500;
 const SMOKE_MISS_BASE: u64 = 1 << 50;
 /// Key-id base for smoke-phase inserts.
 const SMOKE_INSERT_BASE: u64 = 1 << 51;
-/// Stripes both smoke arms run over (so `--shards 4` is not clamped).
-const SMOKE_STRIPES: usize = 4;
 
-/// The CI loopback smoke check: the full deterministic sequence over the
-/// single-shard baseline, then the same sequence over a four-shard
-/// batcher (per-shard ledgers must sum to the baseline's totals and the
+/// The CI loopback smoke check: the full deterministic sequence over a
+/// one-stripe store, then the same sequence over four stripes (their
+/// four shards' ledgers must sum to the one-stripe arm's totals and the
 /// serial verify phase must take the bypass).
 fn smoke() -> Result<(), BootError> {
-    let baseline = smoke_arm(1)?;
-    let sharded = smoke_arm(4)?;
+    let one = smoke_arm(1)?;
+    let four = smoke_arm(4)?;
 
     // Both arms served the identical op sequence, so the merged service
-    // counts must agree exactly — sharding changes who commits, not what.
-    assert_eq!(sharded.fields.inserts, baseline.fields.inserts, "arm insert totals");
-    assert_eq!(sharded.fields.lookups, baseline.fields.lookups, "arm lookup totals");
-    assert_eq!(sharded.fields.lookup_hits, baseline.fields.lookup_hits, "arm hit totals");
-    assert_eq!(sharded.fields.lookup_misses, baseline.fields.lookup_misses, "arm miss totals");
+    // counts must agree exactly — striping changes who commits, not what.
+    assert_eq!(four.fields.inserts, one.fields.inserts, "arm insert totals");
+    assert_eq!(four.fields.lookups, one.fields.lookups, "arm lookup totals");
+    assert_eq!(four.fields.lookup_hits, one.fields.lookup_hits, "arm hit totals");
+    assert_eq!(four.fields.lookup_misses, one.fields.lookup_misses, "arm miss totals");
 
-    // The sharded arm's per-shard gather ledgers must sum back to its
-    // merged totals (which equal the single-shard arm's).
-    assert_eq!(sharded.per_shard.len(), 4, "four shard ledgers");
-    let shard_inserts: u64 = sharded.per_shard.iter().map(|s| s.inserts).sum();
-    let shard_lookups: u64 = sharded.per_shard.iter().map(|s| s.lookups).sum();
-    assert_eq!(shard_inserts, baseline.fields.inserts, "shard insert ledgers sum to baseline");
-    assert_eq!(shard_lookups, baseline.fields.lookups, "shard lookup ledgers sum to baseline");
+    // The four-stripe arm's per-shard gather ledgers must sum back to its
+    // merged totals (which equal the one-stripe arm's).
+    assert_eq!(four.per_shard.len(), 4, "four shard ledgers");
+    let shard_inserts: u64 = four.per_shard.iter().map(|s| s.inserts).sum();
+    let shard_lookups: u64 = four.per_shard.iter().map(|s| s.lookups).sum();
+    assert_eq!(shard_inserts, one.fields.inserts, "shard insert ledgers sum to the one-stripe arm");
+    assert_eq!(shard_lookups, one.fields.lookups, "shard lookup ledgers sum to the one-stripe arm");
     assert!(
-        sharded.per_shard.iter().filter(|s| s.inserts > 0).count() > 1,
+        four.per_shard.iter().filter(|s| s.inserts > 0).count() > 1,
         "the key space must spread over more than one shard"
     );
 
     // The serial verify phase is read-heavy over an idle server: the
     // four-shard arm must have answered some of it on the bypass.
     assert!(
-        sharded.fields.bypass_hits > 0,
+        four.fields.bypass_hits > 0,
         "read-heavy phase should take the batcher bypass: {:?}",
-        sharded.fields
+        four.fields
     );
     Ok(())
 }
@@ -260,11 +252,11 @@ struct SmokeArm {
 }
 
 /// One full preload / mixed-pipeline / verify sequence against a fresh
-/// server with `shards` batcher shards. Every count asserted here is
-/// exact: the key-id ranges are disjoint by construction, so hits,
-/// misses and inserts are fully determined.
-fn smoke_arm(shards: usize) -> Result<SmokeArm, BootError> {
-    let server = ephemeral_sim_server_sharded(SMOKE_STRIPES, shards, 16 << 20, 4 << 20)?;
+/// server over `stripes` stripes, one batcher shard each. Every count
+/// asserted here is exact: the key-id ranges are disjoint by
+/// construction, so hits, misses and inserts are fully determined.
+fn smoke_arm(stripes: usize) -> Result<SmokeArm, BootError> {
+    let server = ephemeral_sim_server(stripes, 16 << 20, 4 << 20)?;
     let addr = server.local_addr();
 
     // Preload over the wire, in batch frames.
@@ -384,10 +376,10 @@ fn smoke_arm(shards: usize) -> Result<SmokeArm, BootError> {
     assert_eq!(tail.samples as u64, CONNS * PER_CONN * 3, "every pipelined op measured");
 
     println!(
-        "smoke [{} shard{}]: {} inserts, {} lookups ({} hits / {} misses), {} gathers \
+        "smoke [{} stripe{}]: {} inserts, {} lookups ({} hits / {} misses), {} gathers \
          (mean {:.1}), {} bypassed, tail {}",
-        shards,
-        if shards == 1 { "" } else { "s" },
+        stripes,
+        if stripes == 1 { "" } else { "s" },
         fields.inserts,
         fields.lookups,
         fields.lookup_hits,

@@ -7,10 +7,11 @@
 //! * [`proto`] — a versioned, length-prefixed binary wire protocol
 //!   (INSERT / LOOKUP / DELETE / FLUSH / STATS, plus batch frames) with
 //!   structured error codes and strict, panic-free decoding;
-//! * [`batcher`] — the sharded group-commit engine: arrivals from all
-//!   connections gather into per-stripe-shard [`StripedClam`] ring
-//!   admissions, acknowledged once their completion ring is reaped; each
-//!   shard's decisions are made by a core that takes no lock or clock;
+//! * [`batcher`] — the sharded group-commit engine, one shard per
+//!   stripe: arrivals from all connections gather into ring admissions
+//!   on their key's [`StripedClam`] stripe, acknowledged once its
+//!   completion ring is reaped; each shard's decisions are made by a
+//!   core that takes no lock or clock;
 //! * [`server`] — the TCP front: one reader thread per connection
 //!   feeding the shared batcher queue, its responses written by the
 //!   thread that completes them, plus boot paths for a fresh

@@ -6,12 +6,10 @@
 //! one hand-off. Its responses are written by the thread that completes
 //! the next one in order — a shard's gather thread, or the reader for its
 //! own bypass run. Requests from all connections funnel into the
-//! batcher's per-stripe shard queues ([`BatcherConfig::shards`]), so
-//! concurrent arrivals — whether pipelined on one connection or spread
-//! across many — coalesce into per-shard group-commit gathers that commit
-//! independent stripes concurrently. `shards: 1`
-//! ([`BatcherConfig::default`]) is the single-gather baseline; the `clamd`
-//! binary defaults to one shard per stripe.
+//! batcher's shard queues, one shard per stripe, so concurrent arrivals
+//! — whether pipelined on one connection or spread across many —
+//! coalesce into per-stripe group-commit gathers that commit independent
+//! stripes concurrently.
 //!
 //! Nothing polls: shutting a connection's socket down is what ends its
 //! reader, and [`ClamdServer::shutdown`] wakes the acceptor with one
@@ -34,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use bufferhash::{Clam, ClamConfig, ClamStats, RecoveryReport, StripedClam};
+use bufferhash::{BufferHashError, Clam, ClamConfig, ClamStats, RecoveryReport, StripedClam};
 use flashsim::{Device, FileDevice, SharedDevice, Ssd};
 
 use crate::batcher::{BatcherConfig, Engine};
@@ -72,8 +70,12 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Per-stripe CLAM configuration derived from the totals.
+    /// Per-stripe CLAM configuration derived from the totals; a store of
+    /// no stripes is an invalid configuration.
     fn stripe_config(&self) -> bufferhash::Result<ClamConfig> {
+        if self.stripes == 0 {
+            return Err(BufferHashError::InvalidConfig("a store needs at least one stripe".into()));
+        }
         ClamConfig::small_test(
             self.flash_bytes / self.stripes as u64,
             self.dram_bytes / self.stripes as u64,
@@ -104,12 +106,13 @@ pub fn boot_file(
     config: &ServerConfig,
     queue_depth: usize,
 ) -> Result<(StripedClam<SharedDevice<FileDevice>>, Vec<RecoveryReport>), BootError> {
+    // Checked before a missing image is created.
+    let stripe_config = config.stripe_config()?;
     if !path.exists() {
         let file = FileDevice::with_queue_depth(path, config.flash_bytes, queue_depth)?;
         return Ok((boot_fresh(SharedDevice::new(file), config)?, Vec::new()));
     }
     let device = SharedDevice::new(FileDevice::open_existing(path, queue_depth)?);
-    let stripe_config = config.stripe_config()?;
     let pairs = device
         .split(config.stripes)?
         .into_iter()
@@ -204,7 +207,7 @@ impl<D: Device + 'static> ClamdServer<D> {
         self.engine.per_shard_stats()
     }
 
-    /// Number of batcher shards actually running.
+    /// Number of batcher shards running: one per stripe.
     pub fn num_shards(&self) -> usize {
         self.engine.num_shards()
     }
@@ -334,30 +337,14 @@ fn read_loop<D: Device + 'static>(mut stream: TcpStream, conn: u64, engine: &Eng
 }
 
 /// Convenience constructor used by tests and the smoke harness: a fresh
-/// sim-backed server on an ephemeral loopback port.
+/// sim-backed server on an ephemeral loopback port, one batcher shard per
+/// stripe.
 pub fn ephemeral_sim_server(
     stripes: usize,
     flash_bytes: u64,
     dram_bytes: u64,
 ) -> Result<ClamdServer<SharedDevice<Ssd>>, BootError> {
-    ephemeral_sim_server_sharded(stripes, 1, flash_bytes, dram_bytes)
-}
-
-/// Like [`ephemeral_sim_server`] but with an explicit batcher shard
-/// count (clamped to `[1, stripes]` by the engine).
-pub fn ephemeral_sim_server_sharded(
-    stripes: usize,
-    shards: usize,
-    flash_bytes: u64,
-    dram_bytes: u64,
-) -> Result<ClamdServer<SharedDevice<Ssd>>, BootError> {
-    ClamdServer::start_sim(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        stripes,
-        flash_bytes,
-        dram_bytes,
-        batcher: BatcherConfig { shards, ..BatcherConfig::default() },
-    })
+    ClamdServer::start_sim(ServerConfig { stripes, flash_bytes, dram_bytes, ..Default::default() })
 }
 
 #[cfg(test)]
@@ -384,6 +371,18 @@ mod tests {
         let config = ServerConfig { stripes: 4, ..Default::default() };
         let stripe = config.stripe_config().unwrap();
         assert_eq!(stripe.flash_capacity, config.flash_bytes / 4);
+    }
+
+    #[test]
+    fn a_store_of_no_stripes_is_refused_at_boot() {
+        let config = ServerConfig { stripes: 0, ..Default::default() };
+        let refused = |e: BootError| e.to_string().contains("invalid configuration");
+        assert!(boot_sim(&config).is_err_and(refused));
+        assert!(ClamdServer::start_sim(config.clone()).is_err_and(refused));
+        let path = std::env::temp_dir().join(format!("clamd-no-stripes-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        assert!(boot_file(&path, &config, 1).is_err_and(refused));
+        assert!(!path.exists(), "a refused boot creates no image");
     }
 
     #[test]

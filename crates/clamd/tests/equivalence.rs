@@ -26,7 +26,7 @@ use bufferhash::{hash_with_seed, Clam, ClamConfig, Key, LookupSource, StripedCla
 use clamd::batcher::{BatcherConfig, Engine};
 use clamd::client::ClamdClient;
 use clamd::proto::{Op, Request, RespBody};
-use clamd::server::{ephemeral_sim_server_sharded, ClamdServer, ServerConfig};
+use clamd::server::{boot_sim, ephemeral_sim_server, ClamdServer, ServerConfig};
 use flashsim::{Device, DramDevice, FileDevice, FlashChip, MagneticDisk, SharedDevice, Ssd};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -306,19 +306,26 @@ proptest! {
 }
 
 /// Streams of `ops` from three connections, all over the same sixteen
-/// keys, through an engine whose gathers are long (linger and
-/// `max_batch` far above what the streams need), so same-key inserts,
-/// lookups, deletes and batch slices meet inside one gather as a matter
-/// of course. One thread submits every chunk, so the order requests
+/// keys, through an engine over `stripes` stripes (as many shards) whose
+/// gathers are long (linger and `max_batch` far above what the streams
+/// need), so same-key inserts, lookups, deletes and batch slices meet
+/// inside one gather as a matter of course. One thread submits every chunk, so the order requests
 /// reach a key's shard is the order they were submitted in, and a
 /// sequential map applied in that order says what every reply must be —
 /// each key an atomic register, however the gather was cut into
 /// segments. Replies must also come back in each connection's request
 /// order.
-fn assert_replies_match_the_register_model(shards: usize, seed: u64, ops: &[(u8, u64)]) {
+fn assert_replies_match_the_register_model(stripes: usize, seed: u64, ops: &[(u8, u64)]) {
     const CONNS: u64 = 3;
-    let store = striped(Ssd::intel(FLASH).unwrap()).store;
-    let config = BatcherConfig { max_batch: 4096, linger: Duration::from_millis(2), shards };
+    let store = boot_sim(&ServerConfig {
+        stripes,
+        flash_bytes: FLASH,
+        dram_bytes: DRAM,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let linger = Duration::from_millis(2);
+    let config = BatcherConfig { max_batch: 4096, linger, ..BatcherConfig::default() };
     let engine = Engine::start(store, Vec::new(), config);
     let inboxes: Vec<_> = (1..=CONNS).map(|conn| engine.register_conn(conn)).collect();
     let key = |raw: u64| hash_with_seed(raw % 16, seed);
@@ -376,7 +383,10 @@ fn assert_replies_match_the_register_model(shards: usize, seed: u64, ops: &[(u8,
         for (id, want) in expected.iter().enumerate() {
             let got = inbox.recv_timeout(Duration::from_secs(10)).unwrap();
             assert_eq!(got.id, id as u64, "conn {conn}: replies out of request order");
-            assert_eq!(&got.body, want, "conn {conn} request {id} ({shards} shards, seed {seed})");
+            assert_eq!(
+                &got.body, want,
+                "conn {conn} request {id} ({stripes} stripes, seed {seed})"
+            );
         }
     }
     engine.shutdown();
@@ -395,7 +405,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Whatever segments a gather is cut into, every key behaves as an
-    /// atomic register — with one gather thread and with one per stripe.
+    /// atomic register — over one stripe and its one gather thread, and
+    /// over four.
     #[test]
     fn every_reply_matches_a_sequential_per_key_register_model(
         seed in any::<u64>(),
@@ -525,7 +536,7 @@ fn sharded_server_matches_the_model_over_tcp() {
         stripes: STRIPES,
         flash_bytes: 8 << 20,
         dram_bytes: 4 << 20,
-        batcher: BatcherConfig { shards: STRIPES, ..BatcherConfig::default() },
+        batcher: BatcherConfig::default(),
     };
     let stripe = ClamConfig::small_test(2 << 20, 1 << 20).unwrap();
     let Striped { store, device, config: stripe } =
@@ -580,7 +591,7 @@ fn sharded_server_matches_the_model_over_tcp() {
 /// are not serialized behind the writer's stripe).
 #[test]
 fn insert_hammer_on_one_stripe_does_not_starve_reads_on_others() {
-    let server = ephemeral_sim_server_sharded(STRIPES, STRIPES, 32 << 20, 8 << 20).unwrap();
+    let server = ephemeral_sim_server(STRIPES, 32 << 20, 8 << 20).unwrap();
     let addr = server.local_addr();
     let stripe_of = |key: u64| (hash_with_seed(key, STRIPE_SEED) % STRIPES as u64) as usize;
 

@@ -9,9 +9,7 @@ use clamd::batcher::BatcherConfig;
 use clamd::client::ClamdClient;
 use clamd::loadgen::{key_for, value_for};
 use clamd::proto::{self, ErrorCode, Op, Request, RespBody};
-use clamd::server::{
-    boot_file, ephemeral_sim_server, ephemeral_sim_server_sharded, ClamdServer, ServerConfig,
-};
+use clamd::server::{boot_file, ephemeral_sim_server, ClamdServer, ServerConfig};
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -114,8 +112,8 @@ fn pipelined_requests_answer_in_order() {
 /// its kinds interleave.
 #[test]
 fn mixed_pipelined_gathers_cost_two_store_calls_per_segment() {
-    for shards in [1usize, 2] {
-        let server = ephemeral_sim_server_sharded(2, shards, 16 << 20, 4 << 20).unwrap();
+    for stripes in [1usize, 2] {
+        let server = ephemeral_sim_server(stripes, 16 << 20, 4 << 20).unwrap();
         let addr = server.local_addr();
         std::thread::scope(|scope| {
             for c in 0..4u64 {
@@ -180,7 +178,7 @@ fn mixed_pipelined_gathers_cost_two_store_calls_per_segment() {
 /// counters the old positional frame never carried.
 #[test]
 fn stats_over_tcp_carries_every_server_counter() {
-    let server = ephemeral_sim_server_sharded(2, 2, 16 << 20, 4 << 20).unwrap();
+    let server = ephemeral_sim_server(2, 16 << 20, 4 << 20).unwrap();
     let addr = server.local_addr();
     std::thread::scope(|scope| {
         for c in 0..3u64 {
