@@ -6,12 +6,10 @@
 //! accounts the simulated latency of every operation the way the paper's
 //! evaluation does (in-memory work plus any blocking flash I/O).
 //!
-//! Two operation pipelines are offered: per-op [`Clam::insert`] /
-//! [`Clam::lookup`], which charge the full dispatch overhead to every
-//! call, and the batched [`Clam::insert_batch`] / [`Clam::lookup_batch`],
-//! which sort a batch by super table, amortize the dispatch overhead over
-//! the batch, and coalesce flush-triggered incarnation writes that land on
-//! contiguous log slots into single sequential device writes.
+//! Every operation comes per-op ([`Clam::insert`], [`Clam::lookup`]),
+//! charged the full dispatch overhead, and batched
+//! ([`Clam::insert_batch`], [`Clam::lookup_batch`]), which groups a batch
+//! by super table and amortizes the dispatch overhead over it.
 //!
 //! The read path is **queued and streaming**: every lookup key runs a
 //! probe state machine (delete list and live buffer, then Bloom-guided
@@ -29,9 +27,15 @@
 //! ([`flashsim::CompletionRing::makespan`]).
 //! A per-op [`Clam::lookup`] is a batch of one over the same pipeline.
 //!
-//! There is **one write path** too: every insert and delete — scalar or
-//! batched — runs one per-table insert body whose flushes, evictions and
-//! drains ride the same completion ring as the probes.
+//! There is **one write path** too: every insert, scalar or batched, runs
+//! one per-table insert body and one flush loop, whose writes, evictions
+//! and drains ride the same completion ring as the probes. A batched
+//! insert, [`Clam::flush_all`] and LRU re-insertion run in the call's
+//! **write window**, which coalesces flush writes that land on contiguous
+//! log slots into single sequential device writes and drains the ring as
+//! it closes, even on failure. A per-op insert is not a batch of one: its
+//! flush chain is not coalesced, and it charges its own drain to itself
+//! where a batch books the drain to `ClamStats::deferred_flush_time`.
 //!
 //! A `Clam` takes **no locks**: its super tables, device, log allocator,
 //! ring state and statistics are plain fields, and every operation that
@@ -53,7 +57,7 @@ use crate::error::{BufferHashError, Result};
 use crate::eviction::{EvictionPolicy, RetainDecision};
 use crate::filters::AgeSet;
 use crate::incarnation::{
-    lookup_in_page, page_identity, parse_incarnation, parse_page_header_checked, scan_incarnation,
+    lookup_in_page, page_identity, parse_page_header_checked, scan_incarnation,
     IncarnationIdentity, IncarnationLayout, PageLookup, SlotScan,
 };
 use crate::log::{LogAllocator, SlotOwner};
@@ -61,6 +65,7 @@ use crate::recovery::RecoveryReport;
 use crate::stats::ClamStats;
 use crate::supertable::{IncarnationMeta, MemoryHit, SuperTable};
 use crate::types::{group_stable, hash_with_seed, Entry, Key, Modulus, Value};
+use ring::Call;
 
 /// Fixed in-memory overhead charged once per hash-table *call*: request
 /// dispatch, operation setup and stats bookkeeping on the host CPU. A
@@ -276,38 +281,6 @@ impl MemoryUsage {
 /// epoch found on flash, covering images written by earlier processes.
 static CLAM_EPOCH: AtomicU32 = AtomicU32::new(0);
 
-/// Inserts a spawned worker must carry before `StripedClam` fans an insert
-/// batch's stripes out over threads; below it [`fan_out`] keeps the batch
-/// on the caller's thread.
-///
-/// Measured on the 2-vCPU development host (DESIGN.md "Write-path host
-/// cost" has the table): an empty scoped thread costs 12 µs to spawn and
-/// join at the median and 40 µs at p99, and a batched insert 0.23 µs of
-/// host time with flushes amortized in, which alone would put break-even
-/// near 50 to 175 ops. In situ it is ten times that: loading 1.2M keys
-/// through two workers instead of one is twice as slow at 128 ops per
-/// worker, even at 512 to 1024, and a third faster from 2048 up, because a
-/// real worker wakes on another core with cold caches and the caller waits
-/// for the later of the two. The floor is twice the upper end of the
-/// measured crossover. A caller that batches less than this is after
-/// latency, which a spawn can only add to.
-pub(crate) const SPAWN_FLOOR_OPS: usize = 2048;
-
-/// How many threads a batch of `ops` inserts over `groups` independent
-/// stripes should run on: one per [`SPAWN_FLOOR_OPS`] inserts, never more
-/// than there are stripes or cores. Decided from the batch size alone;
-/// the core count is looked up only once a batch is big enough to split,
-/// and only once per process.
-pub(crate) fn fan_out(ops: usize, groups: usize) -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let wanted = (ops / SPAWN_FLOOR_OPS).min(groups);
-    if wanted <= 1 {
-        return 1;
-    }
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    wanted.min(cores)
-}
-
 /// A cheap and large CAM: BufferHash on DRAM plus a flash [`Device`].
 ///
 /// Everything is a plain field: the super tables, the device and its
@@ -333,30 +306,8 @@ pub struct Clam<D: Device> {
     stats: ClamStats,
     /// DRAM access cost model used for in-memory latency accounting.
     mem_cost: LinearCost,
-    /// The incarnation writes deferred for coalescing: the *current*
-    /// contiguous run, as its offset and bytes (a non-contiguous write
-    /// admits the finished run to the ring first, so flush traffic
-    /// streams).
-    pending_run: Option<(u64, Vec<u8>)>,
-    /// True while a batched insert is collecting flush writes for
-    /// coalescing.
-    coalesce_writes: bool,
-    /// The shared read/write completion ring of the current top-level call
-    /// (`None` between calls): lookup probes, flush writes, eviction reads
-    /// and trims all admit into it, so write traffic overlaps the tail of
-    /// probe traffic (and vice versa) on one device timeline.
-    ring: Option<CompletionRing>,
-    /// Ring makespan already charged to some caller; the next sync charges
-    /// only the growth beyond this horizon.
-    ring_horizon: SimDuration,
-    /// Ring `(reaps, admission stalls)` already attributed to the lookup
-    /// ledger; the write-ring ledger takes the deltas beyond these marks.
-    ring_read_marks: (u64, u64),
-    /// Whether the current ring carried write-path traffic (writes,
-    /// erases, trims) / read traffic, for the mixed-ring depth ledger.
-    ring_wrote: bool,
-    /// See [`ring_wrote`](Self::ring_wrote).
-    ring_read: bool,
+    /// The current top-level call's write window and ring; see [`Call`].
+    call: Call,
 }
 
 impl<D: Device> Clam<D> {
@@ -422,13 +373,7 @@ impl<D: Device> Clam<D> {
             seq: 0,
             stats: ClamStats::new(),
             mem_cost: LinearCost::new(0, 0.5),
-            pending_run: None,
-            coalesce_writes: false,
-            ring: None,
-            ring_horizon: SimDuration::ZERO,
-            ring_read_marks: (0, 0),
-            ring_wrote: false,
-            ring_read: false,
+            call: Call::default(),
         })
     }
 
@@ -553,8 +498,10 @@ impl<D: Device> Clam<D> {
                     meta.unwrap_or_else(|| panic!("table {t}: {entry:?} names no incarnation"));
                 let entries = on_flash.entry(meta.seq).or_insert_with(|| {
                     self.device.read_at(meta.flash_offset, &mut image).expect("incarnation read");
-                    let parsed = parse_incarnation(&image, &layout).expect("valid incarnation");
-                    parsed.into_iter().map(|e| (e.key, e.value)).collect()
+                    let SlotScan::Valid { entries, .. } = scan_incarnation(&image, &layout) else {
+                        panic!("table {t}: incarnation {meta:?} does not scan valid")
+                    };
+                    entries.into_iter().map(|e| (e.key, e.value)).collect()
                 });
                 assert_eq!(
                     entries.get(&entry.key),
@@ -636,32 +583,20 @@ impl<D: Device> Clam<D> {
         let dispatch = batch_dispatch(ops.len());
         self.stats.batched_inserts += ops.len() as u64;
         let coalesced_before = self.stats.coalesced_flush_writes;
-        self.coalesce_writes = true;
-        let mut failure = None;
-        for t in 0..self.tables.len() {
-            let run = &grouped[starts[t]..starts[t + 1]];
-            let inserted = self.insert_run(t, run, dispatch, |op| {
-                outcome.latency += op.latency;
-                outcome.flushed_ops += usize::from(op.flushed);
-                outcome.evictions += op.evictions;
-            });
-            if let Err(e) = inserted {
-                failure = Some(e);
-                break;
-            }
-        }
-        // Close the coalescing window and drain the write ring — even on
-        // failure, so the device stays consistent with the in-memory
-        // incarnation metadata. Finished coalesced runs were already
-        // *admitted* as they formed; this drain admits the final run and
-        // reaps the ring, and only its makespan is "deferred" time
-        // (charged to the batch, not to any triggering insert).
-        self.coalesce_writes = false;
-        let drained = self.drain_write_ring()?;
+        // Finished coalesced runs are admitted as they form; the window's
+        // drain admits the last one and reaps the ring, and only its
+        // makespan is "deferred" time (charged to the batch, not to any
+        // triggering insert).
+        let ((), drained) = self.write_window(|clam| {
+            (0..clam.tables.len()).try_for_each(|t| {
+                clam.insert_run(t, &grouped[starts[t]..starts[t + 1]], dispatch, |op| {
+                    outcome.latency += op.latency;
+                    outcome.flushed_ops += usize::from(op.flushed);
+                    outcome.evictions += op.evictions;
+                })
+            })
+        })?;
         self.stats.deferred_flush_time += drained;
-        if let Some(e) = failure {
-            return Err(e);
-        }
         outcome.latency += drained;
         outcome.coalesced_writes = (self.stats.coalesced_flush_writes - coalesced_before) as usize;
         Ok(outcome)
@@ -754,30 +689,16 @@ impl<D: Device> Clam<D> {
     /// the ring's lanes), so a whole-index flush costs the makespan of the
     /// ring schedule rather than the sum of blocking per-table writes.
     pub fn flush_all(&mut self) -> Result<SimDuration> {
-        let mut total = SimDuration::ZERO;
-        let was_coalescing = self.coalesce_writes;
-        self.coalesce_writes = true;
-        let mut failure = None;
-        for t in 0..self.tables.len() {
-            if self.tables[t].buffer_len() > 0 {
-                match self.flush_table(t, 0) {
-                    Ok(flush) => total += flush.latency,
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
+        let (flushed, drained) = self.write_window(|clam| {
+            let mut total = SimDuration::ZERO;
+            for t in 0..clam.tables.len() {
+                if clam.tables[t].buffer_len() > 0 {
+                    total += clam.flush_table(t, 0)?.latency;
                 }
             }
-        }
-        // Drain even on failure so the device matches the in-memory
-        // incarnation metadata registered so far.
-        self.coalesce_writes = was_coalescing;
-        let drained = self.drain_write_ring();
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        total += drained?;
-        Ok(total)
+            Ok(total)
+        })?;
+        Ok(flushed + drained)
     }
 
     /// Declares `idle` simulated time during which the device may perform
@@ -818,7 +739,7 @@ pub(crate) fn batch_dispatch(len: usize) -> SimDuration {
 }
 
 /// Result of one flush chain.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct FlushOutcome {
     latency: SimDuration,
     evictions: usize,

@@ -148,9 +148,7 @@ impl<D: Device> Clam<D> {
             // flushes (step 3) admit into the same ring, so their writes
             // overlap the tail of the probe traffic on the device timeline
             // instead of restarting the clock.
-            self.ensure_ring();
-            self.ring_read = true;
-            let mut ring = self.ring.take().expect("ring just ensured");
+            let mut ring = CompletionRing::for_queue(self.device.queue());
             // First probes enter through a bounded window, topped up as
             // reads reap: every admitted read parks a page buffer until it
             // is reaped, and a window of a few requests per lane already
@@ -236,13 +234,8 @@ impl<D: Device> Clam<D> {
                 }
             }
             if let Some(e) = failure {
-                // The reaps so far belong to the lookup ledger (recorded
-                // below on success, skipped here): mark them so closing
-                // the ring does not misattribute them to the flush side.
-                self.ring_read_marks = (ring.reaps(), ring.admission_stalls());
-                self.ring_horizon = ring.makespan();
-                self.ring = Some(ring);
-                self.finish_ring().ok();
+                // The loop reaped every read, so nothing is in flight and
+                // the call's ring state is still its default.
                 return Err(e);
             }
             batch.probe_latency = ring.makespan();
@@ -256,9 +249,13 @@ impl<D: Device> Clam<D> {
             // Everything reaped so far is on the lookup ledger, and the
             // probe makespan is charged to this batch: mark both so the
             // write side only ever accounts its own growth.
-            self.ring_read_marks = (ring.reaps(), ring.admission_stalls());
-            self.ring_horizon = ring.makespan();
-            self.ring = Some(ring);
+            self.call = Call {
+                read_marks: (ring.reaps(), ring.admission_stalls()),
+                horizon: ring.makespan(),
+                read: true,
+                ring: Some(ring),
+                ..Call::default()
+            };
         }
 
         // 3. LRU: re-insert items used from flash so they survive FIFO

@@ -591,6 +591,34 @@ fn single_op_batches_cost_the_same_as_per_op() {
     let batch = batched.lookup_batch(&[key(1)]).unwrap();
     assert_eq!(solo, batch[0].latency, "a batch of one must not cost more than a per-op lookup");
     assert_eq!(solo, batch.latency, "batch-of-one elapsed time equals the per-op charge");
+
+    // A flushing op: a third CLAM finds the key of table 0 that flushes,
+    // and both CLAMs are filled to one key short of it.
+    let mut probe = small_clam();
+    probe.insert(key(1), 1).unwrap();
+    let tables = probe.num_super_tables();
+    let mut fresh = (2..).map(key).filter(|&k| table_of(k, tables) == 0).zip(2u64..);
+    let mut fill = Vec::new();
+    let flushing = loop {
+        let (k, v) = fresh.next().unwrap();
+        if probe.insert(k, v).unwrap().flushed {
+            break (k, v);
+        }
+        fill.push((k, v));
+    };
+    fill.iter().for_each(|&(k, v)| assert!(!per_op.insert(k, v).unwrap().flushed));
+    assert_eq!(batched.insert_batch(&fill).unwrap().flushed_ops, 0);
+    let solo = per_op.insert(flushing.0, flushing.1).unwrap();
+    let batch = batched.insert_batch(&[flushing]).unwrap();
+    assert!(solo.flushed && batch.flushed_ops == 1);
+    assert_eq!(solo.latency, batch.latency, "a flushing batch of one costs a per-op insert");
+    // The per-op sample includes the op's own drain; the batch books it
+    // to `deferred_flush_time` instead.
+    assert_eq!(per_op.stats().inserts.max(), solo.latency);
+    assert_eq!(per_op.stats().deferred_flush_time, SimDuration::ZERO);
+    let deferred = batched.stats().deferred_flush_time;
+    assert!(deferred > SimDuration::ZERO);
+    assert_eq!(batched.stats().inserts.max() + deferred, batch.latency);
 }
 
 #[test]
@@ -633,19 +661,6 @@ fn update_based_eviction_works_under_batching() {
     // Recent keys must be readable.
     let recent = clam.lookup(key(79_999)).unwrap();
     assert_eq!(recent.value, Some(79_999));
-}
-
-#[test]
-fn fan_out_needs_a_floor_of_ops_per_worker() {
-    let floor = SPAWN_FLOOR_OPS;
-    assert_eq!(fan_out(0, 16), 1);
-    assert_eq!(fan_out(64, 16), 1);
-    assert_eq!(fan_out(2 * floor - 1, 16), 1);
-    assert_eq!(fan_out(usize::MAX, 1), 1, "one group never splits");
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    assert_eq!(fan_out(2 * floor, 16), 2.min(cores));
-    assert_eq!(fan_out(usize::MAX, 3), 3.min(cores));
-    assert!(fan_out(usize::MAX, usize::MAX) <= cores);
 }
 
 #[test]
@@ -1077,4 +1092,99 @@ fn a_page_read_from_another_incarnations_slot_fails_the_lookup() {
     assert_eq!(clam.stats().page_identity_mismatches, failed as u64);
     // A batch that reads the slot fails the same way.
     assert!(matches!(clam.lookup_batch(&own), Err(BufferHashError::CorruptIncarnation { .. })));
+}
+
+/// The eviction test's configuration: its policy retains only values of
+/// at least 2^62.
+fn retain_high_values_config() -> ClamConfig {
+    let mut cfg = ClamConfig::small_test(2 << 20, 1 << 20).unwrap();
+    cfg.eviction = EvictionPolicy::priority_threshold(1 << 62);
+    cfg
+}
+
+/// A CLAM that took `ops` (keys of table 0) from the front until table
+/// 0's incarnations are full, with the image of its oldest incarnation
+/// on the device handed to `alter`. Returns the CLAM, that incarnation
+/// and how many ops it took.
+fn clam_with_an_altered_oldest_incarnation(
+    ops: &[(Key, Value)],
+    alter: fn(&mut [u8], &mut Clam<Ssd>),
+) -> (Clam<Ssd>, IncarnationMeta, usize) {
+    let mut clam = Clam::new(Ssd::intel(2 << 20).unwrap(), retain_high_values_config()).unwrap();
+    let mut used = 0;
+    while clam.tables[0].num_incarnations() < clam.tables[0].max_incarnations() {
+        let (k, v) = ops[used];
+        clam.insert(k, v).unwrap();
+        used += 1;
+    }
+    let oldest = clam.tables[0].oldest_incarnation().unwrap();
+    let mut image = vec![0u8; clam.layout.total_bytes()];
+    clam.device_mut().read_at(oldest.flash_offset, &mut image).unwrap();
+    alter(&mut image, &mut clam);
+    clam.device_mut().write_at(oldest.flash_offset, &image).unwrap();
+    (clam, oldest, used)
+}
+
+/// Flips the top bit of one entry's value: the page CRC catches it, the
+/// magic and the entry count do not, and the flipped value would be
+/// retained.
+fn flip_a_value_bit(image: &mut [u8], clam: &mut Clam<Ssd>) {
+    let SlotScan::Valid { entries, .. } = scan_incarnation(image, &clam.layout) else {
+        panic!("the oldest incarnation scans valid before the flip")
+    };
+    let at = image.windows(ENTRY_SIZE).position(|w| w == entries[0].to_bytes()).unwrap();
+    image[at + ENTRY_SIZE - 1] ^= 0x80;
+}
+
+/// Replaces the image with the youngest incarnation's: every CRC holds,
+/// the identity does not.
+fn copy_the_youngest(image: &mut [u8], clam: &mut Clam<Ssd>) {
+    let youngest = clam.tables[0].incarnation_at(0).unwrap();
+    clam.device_mut().read_at(youngest.flash_offset, image).unwrap();
+}
+
+#[test]
+fn an_eviction_read_that_does_not_prove_its_page_fails_the_call_and_retains_nothing() {
+    let tables = retain_high_values_config().num_super_tables();
+    let ops: Vec<(Key, Value)> =
+        (0..).map(key).filter(|&k| table_of(k, tables) == 0).zip(1u64..).take(40_000).collect();
+    for (alter, batched) in [flip_a_value_bit, copy_the_youngest]
+        .into_iter()
+        .flat_map(|alter| [(alter, false), (alter, true)])
+    {
+        let (mut clam, oldest, used) = clam_with_an_altered_oldest_incarnation(&ops, alter);
+        let mut failure = None;
+        for chunk in ops[used..].chunks(if batched { 64 } else { 1 }) {
+            let result = if batched {
+                clam.insert_batch(chunk).map(|_| ())
+            } else {
+                clam.insert(chunk[0].0, chunk[0].1).map(|_| ())
+            };
+            if let Err(e) = result {
+                failure = Some(e);
+                break;
+            }
+        }
+        match failure {
+            Some(BufferHashError::CorruptIncarnation { flash_offset, .. }) => {
+                assert_eq!(flash_offset, oldest.flash_offset, "batched: {batched}")
+            }
+            other => panic!("batched: {batched}: the eviction ended in {other:?}"),
+        }
+        assert_eq!(clam.stats().reinsertions, 0, "batched: {batched}");
+        let evicted = clam.tables[0].oldest_incarnation().map(|m| m.seq);
+        assert!(evicted > Some(oldest.seq), "batched: {batched}: the slot is reclaimed");
+        // The failed call closed its ring: nothing in flight, nothing
+        // deferred, coalescing off.
+        let io = clam.device().stats();
+        assert_eq!(io.requests_reaped, io.requests_submitted, "batched: {batched}");
+        let call = &clam.call;
+        assert!(call.ring.is_none() && call.pending_run.is_none() && !call.coalescing);
+        // Every key was sent with one value: no lookup answers another.
+        for &(k, v) in &ops {
+            if let Ok(LookupOutcome { value: Some(found), .. }) = clam.lookup(k) {
+                assert_eq!(found, v, "batched: {batched}: key {k:#x}");
+            }
+        }
+    }
 }

@@ -1,6 +1,9 @@
 //! The write path under [`Clam::insert`] and [`Clam::insert_batch`]: the
-//! per-table insert body, and under it the flush, eviction and coalescing
-//! that ride the call's completion ring.
+//! per-table insert body, the one flush loop (`flush_until_stored`) and
+//! under it the flush, eviction and coalescing that ride the call's
+//! completion ring. [`Clam::write_window`] is the only code that turns
+//! coalescing on; `insert_batch`, `flush_all` and LRU re-insertion run
+//! inside it.
 
 use super::*;
 
@@ -46,58 +49,53 @@ impl<D: Device> Clam<D> {
         Ok(())
     }
 
-    /// Stores a key that found table `t`'s buffer full: runs the
-    /// flush-then-retry loop, then, outside a batch's coalescing window,
-    /// drains the ring before the op is acknowledged. `latency` is what
-    /// the op has been charged so far. Flush-side counters are recorded by
-    /// the flush chain itself.
+    /// Stores a key that found table `t`'s buffer full: runs the flush
+    /// loop, then, outside a write window, drains the ring before the op
+    /// is acknowledged. `latency` is what the op has been charged so far.
+    /// Flush-side counters are recorded by the flush chain itself.
     fn insert_after_flush(
         &mut self,
         t: usize,
         key: Key,
         value: Value,
-        mut latency: SimDuration,
+        latency: SimDuration,
     ) -> Result<InsertOutcome> {
-        let mut evictions = 0usize;
-        // `attempts` doubles as the cascade depth: when partial-discard
-        // eviction keeps retaining whole incarnations the policy degrades
-        // to full discard after `k` rounds (§7.4), guaranteeing
-        // termination.
-        let mut attempts = 0usize;
-        loop {
-            match self.flush_table(t, attempts) {
-                Ok(flush) => {
-                    latency += flush.latency;
-                    evictions += flush.evictions;
-                    attempts += 1;
-                }
-                Err(e) => {
-                    // Close the op's ring even on failure so in-flight
-                    // writes are reaped and the device stays usable.
-                    if !self.coalesce_writes {
-                        self.drain_write_ring().ok();
-                    }
-                    return Err(e);
-                }
-            }
+        let chain = self.flush_until_stored(t, key, value);
+        // A per-op call owns its ring: the flush chain's device time (its
+        // makespan, overlap-accounted) is charged to this insert, and the
+        // ring closes even on failure, so in-flight writes are reaped and
+        // the device stays usable. Inside a write window the ring stays
+        // open; the window's drain charges it.
+        let drained =
+            if self.call.coalescing { Ok(SimDuration::ZERO) } else { self.drain_write_ring() };
+        let chain = chain?;
+        // The acknowledgment point (DESIGN.md "Crash consistency"): a
+        // per-op insert is acked only once nothing of its flush chain
+        // remains deferred or in flight on the ring.
+        debug_assert!(
+            self.call.coalescing || (self.call.pending_run.is_none() && self.call.ring.is_none()),
+            "insert acked with flush writes still in flight"
+        );
+        let latency = latency + chain.latency + drained?;
+        Ok(InsertOutcome { latency, flushed: true, evictions: chain.evictions })
+    }
+
+    /// Flushes table `t` until its buffer takes `key`, which it has just
+    /// refused. The attempt count is the cascade depth: when
+    /// partial-discard eviction keeps retaining whole incarnations, the
+    /// policy degrades to full discard after `k` rounds (§7.4), which
+    /// guarantees termination.
+    fn flush_until_stored(&mut self, t: usize, key: Key, value: Value) -> Result<FlushOutcome> {
+        let mut chain = FlushOutcome::default();
+        for attempts in 0.. {
+            let flush = self.flush_table(t, attempts)?;
+            chain.latency += flush.latency;
+            chain.evictions += flush.evictions;
             if matches!(self.tables[t].buffer_insert(key, value), BufferInsert::Stored(_)) {
                 break;
             }
         }
-        // A per-op call owns its ring: the flush chain's device time (its
-        // makespan, overlap-accounted) is charged to this insert. Batched
-        // calls leave the ring open; the batch-end drain charges it.
-        if !self.coalesce_writes {
-            latency += self.drain_write_ring()?;
-            // The acknowledgment point (DESIGN.md "Crash consistency"): a
-            // per-op insert is acked only once nothing of its flush chain
-            // remains deferred or in flight on the ring.
-            debug_assert!(
-                self.pending_run.is_none() && self.ring.is_none(),
-                "insert acked with flush writes still in flight"
-            );
-        }
-        Ok(InsertOutcome { latency, flushed: true, evictions })
+        Ok(chain)
     }
 
     // ------------------------------------------------------------------
@@ -154,12 +152,13 @@ impl<D: Device> Clam<D> {
                     self.stats.forced_evictions += 1;
                 }
             }
-            if self.coalesce_writes && alloc.blocks_to_erase.is_empty() {
-                // Batched path (a write that erases nothing): coalesce
-                // into the current contiguous run. A non-contiguous slot
-                // admits the finished run to the ring first (see
-                // `push_coalesced_write`), so flush traffic streams out
-                // mid-batch instead of pooling behind the whole batch.
+            if self.call.coalescing && alloc.blocks_to_erase.is_empty() {
+                // Inside a write window (a write that erases nothing):
+                // coalesce into the current contiguous run. A
+                // non-contiguous slot admits the finished run to the ring
+                // first (see `push_coalesced_write`), so flush traffic
+                // streams out mid-batch instead of pooling behind the
+                // whole batch.
                 self.push_coalesced_write(alloc.offset, image)?;
             } else {
                 // Erase-before-program and write-after-write ordering both
@@ -169,7 +168,7 @@ impl<D: Device> Clam<D> {
                 // the deferred run, the erases and the incarnation write
                 // are admitted back to back without waiting; their device
                 // time is charged when the ring syncs (per-op end,
-                // eviction read, or batch-end drain).
+                // eviction read, or the write window's drain).
                 self.admit_pending_writes()?;
                 let mut requests: Vec<RingRequest> = alloc
                     .blocks_to_erase
@@ -208,7 +207,10 @@ impl<D: Device> Clam<D> {
 
     /// Evicts the oldest incarnation of table `t` under `policy` through
     /// the call's shared completion ring, returning the latency charged to
-    /// the eviction and any entries to retain (re-insert).
+    /// the eviction and any entries to retain (re-insert). A
+    /// partial-discard read that does not scan as that incarnation (CRC and
+    /// identity) still evicts it, then fails with
+    /// [`BufferHashError::CorruptIncarnation`] at its slot's offset.
     fn evict_oldest(
         &mut self,
         t: usize,
@@ -218,7 +220,7 @@ impl<D: Device> Clam<D> {
             return Ok((SimDuration::ZERO, Vec::new()));
         };
         let mut latency = SimDuration::ZERO;
-        let mut retained = Vec::new();
+        let mut retained = Ok(Vec::new());
 
         if policy.uses_partial_discard() {
             // The incarnation image may still sit in the deferred run or in
@@ -252,14 +254,31 @@ impl<D: Device> Clam<D> {
                 .expect("read completion checked");
             // Deciding staleness also probes the in-memory filters.
             latency += self.mem_words_cost(oldest.entries * 2);
-            let entries = parse_incarnation(&image, &layout)
-                .map_err(|e| annotate_offset(e, oldest.flash_offset))?;
-            let table = &self.tables[t];
-            retained.extend(
-                entries
-                    .into_iter()
-                    .filter(|e| table.retain_decision(e, policy) == RetainDecision::Retain),
-            );
+            // Retained entries go back into the buffer and from there to
+            // a fresh page under a fresh CRC, so the read must prove it is
+            // the incarnation being evicted, CRC and identity both.
+            // Anything else retains nothing: the slot is reclaimed as a
+            // full discard would (its TRIM is admitted already), and the
+            // call fails.
+            let want =
+                IncarnationIdentity { table: t as u16, seq: oldest.seq, epoch: oldest.epoch };
+            retained = match scan_incarnation(&image, &layout) {
+                SlotScan::Valid { identity, entries } if identity == want => {
+                    let table = &self.tables[t];
+                    Ok(entries
+                        .into_iter()
+                        .filter(|e| table.retain_decision(e, policy) == RetainDecision::Retain)
+                        .collect())
+                }
+                scan => Err(BufferHashError::CorruptIncarnation {
+                    flash_offset: oldest.flash_offset,
+                    reason: match scan {
+                        SlotScan::Valid { identity, .. } => format!("{want:?} holds {identity:?}"),
+                        SlotScan::Torn { reason } => format!("{want:?}: {reason}"),
+                        SlotScan::Empty => format!("{want:?}: the slot is empty"),
+                    },
+                }),
+            };
         } else {
             // Full discard reclaims the slot with a TRIM admitted to the
             // ring; it is floored behind any in-flight write of the same
@@ -275,7 +294,7 @@ impl<D: Device> Clam<D> {
         self.tables[t].drop_oldest_incarnation();
         self.tables[t].prune_delete_list();
         self.allocator.release(oldest.flash_offset, oldest.seq);
-        Ok((latency, retained))
+        retained.map(|kept| (latency, kept))
     }
 
     /// Queues one incarnation write for coalescing. The deferred set holds
@@ -285,14 +304,14 @@ impl<D: Device> Clam<D> {
     /// flush traffic streams out as it forms instead of pooling until the
     /// batch ends.
     fn push_coalesced_write(&mut self, offset: u64, image: Vec<u8>) -> Result<()> {
-        match &mut self.pending_run {
+        match &mut self.call.pending_run {
             Some((run_offset, run_image)) if offset == *run_offset + run_image.len() as u64 => {
                 run_image.extend_from_slice(&image);
                 self.stats.coalesced_flush_writes += 1;
             }
             _ => {
                 self.admit_pending_writes()?;
-                self.pending_run = Some((offset, image));
+                self.call.pending_run = Some((offset, image));
             }
         }
         Ok(())
@@ -301,7 +320,7 @@ impl<D: Device> Clam<D> {
     /// Admits the deferred coalesced run (if any) to the call's shared
     /// ring without waiting.
     fn admit_pending_writes(&mut self) -> Result<()> {
-        if let Some((offset, image)) = self.pending_run.take() {
+        if let Some((offset, image)) = self.call.pending_run.take() {
             self.ring_admit(vec![RingRequest::new(IoRequest::write(offset, image))])?;
         }
         Ok(())
@@ -310,56 +329,51 @@ impl<D: Device> Clam<D> {
     /// Flushes the write side of the current call: admits any deferred run
     /// and closes the shared ring, returning the device time charged to
     /// the caller (the ring's makespan growth since the last sync).
-    pub(super) fn drain_write_ring(&mut self) -> Result<SimDuration> {
+    fn drain_write_ring(&mut self) -> Result<SimDuration> {
         let admitted = self.admit_pending_writes();
         let finished = self.finish_ring();
         admitted?;
         finished
     }
 
-    /// Applies the LRU re-insertions collected by a lookup call. Flush
-    /// chains triggered here coalesce their incarnation writes and admit
-    /// them into the call's shared completion ring (the same ring the
-    /// probe reads ran on, so the writes overlap the probe tail) instead
-    /// of looping blocking per-table writes; the asynchronous re-insert
-    /// cost recorded in `ClamStats::async_reinsert_time` is the ring's
-    /// makespan growth — makespan-accounted like every other flush.
+    /// The call's write window, the only place that turns coalescing on:
+    /// runs `body` with flush writes coalescing into contiguous runs, then
+    /// admits the last run and closes the ring — even when `body` failed,
+    /// so the device matches the incarnation metadata registered so far
+    /// and nothing is left in flight. Returns `body`'s value and the
+    /// drained device time; `body`'s error comes first.
+    pub(super) fn write_window<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<(T, SimDuration)> {
+        self.call.coalescing = true;
+        let value = body(self);
+        // Closing the ring restores `Call::default()`: coalescing is off.
+        let drained = self.drain_write_ring();
+        Ok((value?, drained?))
+    }
+
+    /// Applies the LRU re-insertions collected by a lookup call in a write
+    /// window, so their flush chains coalesce and admit into the ring the
+    /// probe reads ran on (the writes overlap the probe tail). The
+    /// asynchronous re-insert cost recorded in
+    /// `ClamStats::async_reinsert_time` is the ring's makespan growth —
+    /// makespan-accounted like every other flush.
     pub(super) fn apply_reinserts(&mut self, reinserts: Vec<(usize, Key, Value)>) -> Result<()> {
         if reinserts.is_empty() {
             return Ok(());
         }
-        let was_coalescing = self.coalesce_writes;
-        self.coalesce_writes = true;
-        let mut cost = SimDuration::ZERO;
-        let mut failure = None;
-        'reinserts: for (t, key, value) in reinserts {
-            let mut attempts = 0usize;
-            loop {
-                match self.tables[t].buffer_insert(key, value) {
-                    BufferInsert::Stored(_) => break,
-                    BufferInsert::Full => match self.flush_table(t, attempts) {
-                        Ok(flush) => {
-                            cost += flush.latency;
-                            attempts += 1;
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break 'reinserts;
-                        }
-                    },
+        let (flushed, drained) = self.write_window(|clam| {
+            let mut cost = SimDuration::ZERO;
+            for (t, key, value) in reinserts {
+                if !matches!(clam.tables[t].buffer_insert(key, value), BufferInsert::Stored(_)) {
+                    cost += clam.flush_until_stored(t, key, value)?.latency;
                 }
+                clam.stats.reinsertions += 1;
             }
-            self.stats.reinsertions += 1;
-        }
-        // Drain even on failure so the device matches the incarnation
-        // metadata registered so far.
-        self.coalesce_writes = was_coalescing;
-        let drained = self.drain_write_ring();
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        cost += drained?;
-        self.stats.async_reinsert_time += cost;
+            Ok(cost)
+        })?;
+        self.stats.async_reinsert_time += flushed + drained;
         Ok(())
     }
 }

@@ -389,7 +389,7 @@ pub fn lookup_in_page(page: &[u8], key: Key) -> Result<PageLookup> {
 }
 
 /// Parses all entries from a serialized page: the wrap lap of
-/// [`IncarnationLayout::serialize_identified`] and [`parse_incarnation`].
+/// [`IncarnationLayout::serialize_identified`] and [`scan_incarnation`].
 fn parse_page_entries(page: &[u8]) -> Result<Vec<Entry>> {
     let (count, _) = parse_header(page)?;
     let mut out = Vec::with_capacity(count);
@@ -402,16 +402,6 @@ fn parse_page_entries(page: &[u8]) -> Result<Vec<Entry>> {
             }
         })?;
         out.push(e);
-    }
-    Ok(out)
-}
-
-/// Parses every entry of a whole serialized incarnation.
-pub fn parse_incarnation(bytes: &[u8], layout: &IncarnationLayout) -> Result<Vec<Entry>> {
-    let mut out = Vec::new();
-    for i in 0..layout.num_pages() {
-        let page = &bytes[i * layout.page_size..(i + 1) * layout.page_size];
-        out.extend(parse_page_entries(page)?);
     }
     Ok(out)
 }
@@ -676,12 +666,20 @@ mod tests {
         ));
     }
 
+    /// Every entry of a slot that scans valid.
+    fn valid_entries(image: &[u8], l: &IncarnationLayout) -> Vec<Entry> {
+        match scan_incarnation(image, l) {
+            SlotScan::Valid { entries, .. } => entries,
+            other => panic!("expected a valid incarnation, scanned {other:?}"),
+        }
+    }
+
     #[test]
-    fn parse_incarnation_recovers_all_entries() {
+    fn scan_incarnation_recovers_all_entries() {
         let l = layout();
         let entries = sample_entries(3000);
         let image = l.serialize_identified(&entries, IncarnationIdentity::default()).unwrap();
-        let mut recovered = parse_incarnation(&image, &l).unwrap();
+        let mut recovered = valid_entries(&image, &l);
         let mut expected = entries.clone();
         recovered.sort_unstable_by_key(|e| e.key);
         expected.sort_unstable_by_key(|e| e.key);
@@ -752,7 +750,7 @@ mod tests {
     fn empty_incarnation_serializes_and_parses() {
         let l = layout();
         let image = l.serialize_identified(&[], IncarnationIdentity::default()).unwrap();
-        assert_eq!(parse_incarnation(&image, &l).unwrap(), Vec::new());
+        assert_eq!(valid_entries(&image, &l), Vec::new());
     }
 
     fn identity() -> IncarnationIdentity {
@@ -994,7 +992,7 @@ mod tests {
                         "{heavy}/{extra}/{light}"
                     );
                     // And the chain is followable: every entry is found.
-                    let mut found = parse_incarnation(&image, &l).unwrap();
+                    let mut found = valid_entries(&image, &l);
                     found.sort_unstable_by_key(|e| e.key);
                     entries.sort_unstable_by_key(|e| e.key);
                     assert_eq!(found, entries);

@@ -90,9 +90,9 @@ pub use error::{BufferHashError, Result};
 pub use eviction::{EvictionPolicy, PriorityFn, RetainDecision};
 pub use filters::{AgeSet, FilterBank, FilterMode};
 pub use incarnation::{
-    crc32, lookup_in_page, page_crc, parse_incarnation, parse_page_header_checked,
-    scan_incarnation, IncarnationIdentity, IncarnationLayout, PageHeader, PageLookup, SlotScan,
-    INCARNATION_VERSION, PAGE_HEADER_SIZE,
+    crc32, lookup_in_page, page_crc, parse_page_header_checked, scan_incarnation,
+    IncarnationIdentity, IncarnationLayout, PageHeader, PageLookup, SlotScan, INCARNATION_VERSION,
+    PAGE_HEADER_SIZE,
 };
 pub use log::{LogAllocator, SlotAllocation, SlotOwner};
 pub use recovery::RecoveryReport;

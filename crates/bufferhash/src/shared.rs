@@ -48,14 +48,44 @@ use parking_lot::Mutex;
 
 use flashsim::{Device, SimDuration};
 
-use crate::clam::{
-    fan_out, BatchInsertOutcome, BatchLookupOutcome, Clam, InsertOutcome, LookupOutcome,
-};
+use crate::clam::{BatchInsertOutcome, BatchLookupOutcome, Clam, InsertOutcome, LookupOutcome};
 use crate::config::ClamConfig;
 use crate::error::Result;
 use crate::recovery::RecoveryReport;
 use crate::stats::ClamStats;
 use crate::types::{group_stable, hash_with_seed, Key, Modulus, Value};
+
+/// Inserts a spawned worker must carry before `StripedClam` fans an insert
+/// batch's stripes out over threads; below it [`fan_out`] keeps the batch
+/// on the caller's thread.
+///
+/// Measured on the 2-vCPU development host (DESIGN.md "Write-path host
+/// cost" has the table): an empty scoped thread costs 12 µs to spawn and
+/// join at the median and 40 µs at p99, and a batched insert 0.23 µs of
+/// host time with flushes amortized in, which alone would put break-even
+/// near 50 to 175 ops. In situ it is ten times that: loading 1.2M keys
+/// through two workers instead of one is twice as slow at 128 ops per
+/// worker, even at 512 to 1024, and a third faster from 2048 up, because a
+/// real worker wakes on another core with cold caches and the caller waits
+/// for the later of the two. The floor is twice the upper end of the
+/// measured crossover. A caller that batches less than this is after
+/// latency, which a spawn can only add to.
+const SPAWN_FLOOR_OPS: usize = 2048;
+
+/// How many threads a batch of `ops` inserts over `groups` independent
+/// stripes should run on: one per [`SPAWN_FLOOR_OPS`] inserts, never more
+/// than there are stripes or cores. Decided from the batch size alone;
+/// the core count is looked up only once a batch is big enough to split,
+/// and only once per process.
+fn fan_out(ops: usize, groups: usize) -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let wanted = (ops / SPAWN_FLOOR_OPS).min(groups);
+    if wanted <= 1 {
+        return 1;
+    }
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
+    wanted.min(cores)
+}
 
 /// A cloneable, thread-safe handle to a single CLAM.
 pub struct SharedClam<D: Device> {
@@ -381,7 +411,6 @@ impl<D: Device> StripedClam<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clam::SPAWN_FLOOR_OPS;
     use crate::config::ClamConfig;
     use flashsim::Ssd;
     use std::thread;
@@ -612,6 +641,19 @@ mod tests {
     fn tiny_clam() -> Clam<Ssd> {
         let cfg = ClamConfig::small_test(1 << 20, 256 << 10).unwrap();
         Clam::new(Ssd::intel(1 << 20).unwrap(), cfg).unwrap()
+    }
+
+    #[test]
+    fn fan_out_needs_a_floor_of_ops_per_worker() {
+        let floor = SPAWN_FLOOR_OPS;
+        assert_eq!(fan_out(0, 16), 1);
+        assert_eq!(fan_out(64, 16), 1);
+        assert_eq!(fan_out(2 * floor - 1, 16), 1);
+        assert_eq!(fan_out(usize::MAX, 1), 1, "one group never splits");
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(fan_out(2 * floor, 16), 2.min(cores));
+        assert_eq!(fan_out(usize::MAX, 3), 3.min(cores));
+        assert!(fan_out(usize::MAX, usize::MAX) <= cores);
     }
 
     /// Batch sizes on both sides of the spawn floor, cycled until `total`

@@ -10,16 +10,26 @@
 #   scripts/loc.sh bufferhash flashsim
 #   scripts/loc.sh --files [CRATE...]
 #                                  one line per file instead, largest
-#                                  first (the 800-line rule, and
-#                                  ROADMAP's "largest product files")
+#                                  first (ROADMAP's "largest product files")
+#   scripts/loc.sh --check LINES [CRATE...]
+#                                  exits non-zero, naming every file over
+#                                  LINES counted lines (CI holds the
+#                                  800-line rule with it)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-files=false
-if [ "${1:-}" = "--files" ]; then
-    files=true
+mode=totals
+case "${1:-}" in
+--files)
+    mode=files
     shift
-fi
+    ;;
+--check)
+    mode=check
+    limit=${2:?usage: scripts/loc.sh --check LINES [CRATE...]}
+    shift 2
+    ;;
+esac
 if [ "$#" -eq 0 ]; then
     set -- $(ls crates)
 fi
@@ -34,8 +44,19 @@ count() {
     done
 }
 
-if $files; then
+if [ "$mode" = files ]; then
     count "$@" | sort -k1,1nr -k2 | awk '{ printf "%6d %s\n", $1, $2 }'
+    exit 0
+fi
+
+if [ "$mode" = check ]; then
+    over=$(count "$@" | awk -v limit="$limit" '$1 > limit' | sort -k1,1nr -k2)
+    if [ -n "$over" ]; then
+        echo "files over $limit lines:" >&2
+        echo "$over" | awk '{ printf "%6d %s\n", $1, $2 }' >&2
+        exit 1
+    fi
+    echo "no file over $limit lines"
     exit 0
 fi
 

@@ -7,9 +7,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use clam::bufferhash::{
-    lookup_in_page, parse_incarnation, table_of, BloomFilter, Clam, ClamConfig, CuckooBuffer,
-    Entry, EvictionPolicy, FilterMode, IncarnationIdentity, IncarnationLayout, LookupOutcome,
-    PageLookup,
+    lookup_in_page, scan_incarnation, table_of, BloomFilter, Clam, ClamConfig, CuckooBuffer, Entry,
+    EvictionPolicy, FilterMode, IncarnationIdentity, IncarnationLayout, LookupOutcome, PageLookup,
+    SlotScan,
 };
 use clam::flashsim::{
     CompletionRing, Device, DeviceError, DramDevice, FileDevice, FlashChip, IoRequest,
@@ -142,8 +142,10 @@ proptest! {
         let layout = IncarnationLayout::new(32 * 1024, 2048).unwrap();
         prop_assume!(entries.len() <= layout.max_entries());
         let image = layout.serialize_identified(&entries, IncarnationIdentity::default()).unwrap();
-        // Full parse returns the same multiset.
-        let mut parsed = parse_incarnation(&image, &layout).unwrap();
+        // The full scan returns the same multiset.
+        let SlotScan::Valid { entries: mut parsed, .. } = scan_incarnation(&image, &layout) else {
+            panic!("a serialized incarnation scans valid");
+        };
         let mut expect = entries.clone();
         parsed.sort_unstable_by_key(|e| (e.key, e.value));
         expect.sort_unstable_by_key(|e| (e.key, e.value));
