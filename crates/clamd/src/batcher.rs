@@ -34,10 +34,15 @@
 //! returns only once the write ring is reaped. DESIGN.md ("Group-commit
 //! batcher") has the reasoning.
 //!
-//! **Delivery.** A connection's sequencer (`conn`) puts its responses
-//! back in request order and writes them to its socket on the thread that
-//! completes the next one in order, one write per delivery; an in-process
-//! caller ([`Engine::register_conn`]) gets them on a channel instead.
+//! **Delivery.** A connection's sequencer (`conn`) is the one place a
+//! response is built. Staging opens every request's response there, with
+//! its form and its number of shard parts, before any part reaches a
+//! shard; each part then answers into it — an ack, its lookup values or
+//! its error — under that connection's lock, which is the only lock a
+//! response takes. The thread whose answer completes the next response in
+//! order writes it, and whatever completed behind it, to the socket in one
+//! write; an in-process caller ([`Engine::register_conn`]) gets them on a
+//! channel instead.
 //!
 //! [`StripedClam::stripe_index`]: bufferhash::StripedClam::stripe_index
 //! [`SharedClam::insert_batch`]: bufferhash::SharedClam::insert_batch
@@ -47,10 +52,10 @@
 mod conn;
 mod core;
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -60,9 +65,10 @@ use bufferhash::{Key, RecoveryReport, SharedClam, StripedClam, Value};
 use flashsim::Device;
 
 pub(crate) use self::conn::STALL_LIMIT;
-use self::conn::{ConnEntry, Sink};
+use self::conn::{Answer, ConnEntry, Sink};
+use self::core::OneOrMany::{Many, One};
 use self::core::{DeletePart, InsertPart, LookupPart, Poll, Segment, ShardCore, Step, Submission};
-use crate::proto::{ErrorCode, Op, Request, RespBody, Response, WireError};
+use crate::proto::{Op, Request, RespBody, Response, WireError};
 use crate::stats::ServerStats;
 
 /// Tuning knobs for the group-commit batcher.
@@ -85,160 +91,83 @@ impl Default for BatcherConfig {
     }
 }
 
-/// Where one response goes: the connection as resolved when its chunk
-/// was submitted (`None`: not registered then, the response is dropped),
-/// its place in that connection's delivery order, and the request id to
-/// answer under.
+/// Where one part's answer goes: the connection as resolved when its
+/// chunk was submitted (a default, sinkless one if it was not registered
+/// then), and its response's place in that connection's order.
+#[derive(Clone)]
 struct Ticket {
-    conn: Option<Arc<ConnEntry>>,
+    conn: Arc<ConnEntry>,
     seq: u64,
-    id: u64,
 }
 
-/// Delivers responses — a segment's, a bypass run's or one — taking each
-/// connection's sequencer lock once for all of that connection's
-/// responses, in sequence order so that none parks behind another of the
-/// same call, and writing them to its socket in one write.
-fn deliver<T: Borrow<Ticket>>(mut outbox: Vec<(T, RespBody)>) {
-    let conn_of = |ticket: &Ticket| ticket.conn.as_ref().map(Arc::as_ptr);
-    outbox.sort_unstable_by_key(|(ticket, _)| (conn_of(ticket.borrow()), ticket.borrow().seq));
+/// Lands answers — a segment's, a bypass run's or one — taking each
+/// connection's sequencer lock once for all of that connection's answers,
+/// and writing the responses they complete to its socket in one write.
+fn deliver<'a>(mut outbox: Vec<(&'a Ticket, Answer<'a>)>) {
+    outbox.sort_unstable_by_key(|(ticket, _)| (Arc::as_ptr(&ticket.conn), ticket.seq));
     let mut outbox = outbox.into_iter().peekable();
-    while let Some((ticket, body)) = outbox.next() {
-        let ticket = ticket.borrow();
-        let Some(conn) = &ticket.conn else { continue };
-        let mut seq = conn.lock();
-        seq.deliver(ticket.seq, Response { id: ticket.id, body });
-        while let Some((next, body)) =
-            outbox.next_if(|(next, _)| conn_of(next.borrow()) == conn_of(ticket))
-        {
-            let next = next.borrow();
-            seq.deliver(next.seq, Response { id: next.id, body });
+    while let Some(&(first, _)) = outbox.peek() {
+        let mut seq = first.conn.lock();
+        let same_conn = |(next, _): &(&Ticket, _)| Arc::ptr_eq(&next.conn, &first.conn);
+        while let Some((ticket, answer)) = outbox.next_if(same_conn) {
+            seq.answer(ticket.seq, answer);
         }
         seq.flush();
     }
 }
 
-/// What remains of a multi-shard request (batch frame or FLUSH) — the
-/// response is built when the last shard part lands.
-struct Pending {
-    ticket: Ticket,
-    state: Mutex<AssemblyState>,
-}
-
-struct AssemblyState {
-    /// Shard parts still outstanding.
-    remaining: usize,
-    kind: AssemblyKind,
-    /// First error across parts wins; the response becomes an Error.
-    error: Option<String>,
-}
-
-enum AssemblyKind {
-    /// `INSERT_BATCH`: the acknowledged op count.
-    Insert { count: u32 },
-    /// `LOOKUP_BATCH`: one slot per requested key, in request order.
-    Lookup { slots: Vec<Option<(bool, Value)>> },
-    /// `FLUSH` barrier across every shard.
-    Flush,
-}
-
-impl Pending {
-    fn new(ticket: Ticket, parts: usize, kind: AssemblyKind) -> Arc<Self> {
-        let state = Mutex::new(AssemblyState { remaining: parts, kind, error: None });
-        Arc::new(Pending { ticket, state })
-    }
-
-    /// Counts one finished shard part, recording the lookup values it
-    /// `found` (request slot, outcome) or its error; returns the response
-    /// body when it was the last part (first recorded error wins).
-    fn land(
-        &self,
-        found: impl Iterator<Item = (usize, (bool, Value))>,
-        error: Option<String>,
-    ) -> Option<RespBody> {
-        let mut state = self.state.lock().expect("assembly lock");
-        if let Some(error) = error {
-            state.error.get_or_insert(error);
-        }
-        for (slot, value) in found {
-            match &mut state.kind {
-                AssemblyKind::Lookup { slots } if slot < slots.len() => slots[slot] = Some(value),
-                _ => {
-                    state.error.get_or_insert("lookup part landed outside its assembly".into());
-                }
-            }
-        }
-        state.remaining = state.remaining.saturating_sub(1);
-        if state.remaining > 0 {
-            return None;
-        }
-        Some(match state.error.take() {
-            Some(message) => internal_error(message),
-            None => match &state.kind {
-                AssemblyKind::Insert { count } => RespBody::InsertedBatch { count: *count },
-                AssemblyKind::Lookup { slots } => {
-                    RespBody::Values(slots.iter().map(|slot| slot.unwrap_or((false, 0))).collect())
-                }
-                AssemblyKind::Flush => RespBody::Flushed,
-            },
-        })
-    }
-}
-
 /// Splits one connection's chunk of requests into each shard's
-/// submissions, in request order, numbered from the connection's next
-/// sequence number. A scalar lookup with nothing earlier in the chunk
-/// staged for its shard — no write its shard cannot see yet — joins the
-/// shard's bypass run instead, which is offered to `bypass` as one call
-/// that answers every key's value or declines the run (`None`); a
-/// declined run is staged ahead of the shard's other submissions.
+/// submissions, in request order, opening each request's response in the
+/// connection's sequencer, with its form and its number of shard parts,
+/// before any part reaches a shard. A scalar lookup with nothing earlier
+/// in the chunk staged for its shard — no write its shard cannot see yet
+/// — joins the shard's bypass run instead, which is offered to `bypass`
+/// as one call that answers every key's value or declines the run
+/// (`None`); a declined run is staged ahead of the shard's other
+/// submissions.
 fn stage(
-    conn: Option<Arc<ConnEntry>>,
-    requests: impl ExactSizeIterator<Item = Request>,
+    conn: &Arc<ConnEntry>,
+    requests: impl Iterator<Item = Request>,
     shards: usize,
     shard_of: impl Fn(Key) -> usize,
     mut bypass: impl FnMut(usize, &[Key]) -> Option<Vec<Option<Value>>>,
 ) -> Vec<Vec<Submission>> {
-    // Unregistered connections have no delivery order to keep.
-    let first_seq = conn.as_ref().map_or(0, |conn| {
-        let mut seq = conn.lock();
-        let first = seq.next_submit;
-        seq.next_submit += requests.len() as u64;
-        first
-    });
     let mut staged: Vec<Vec<Submission>> = (0..shards).map(|_| Vec::new()).collect();
     // Each shard's bypass run: its tickets and its keys, in chunk order.
     let mut runs: Vec<(Vec<Ticket>, Vec<Key>)> = (0..shards).map(|_| Default::default()).collect();
-    for (seq, Request { id, op }) in (first_seq..).zip(requests) {
-        let ticket = Ticket { conn: conn.clone(), seq, id };
+    let mut seq = conn.lock();
+    for Request { id, op } in requests {
+        let mut open =
+            |form, parts| Ticket { conn: Arc::clone(conn), seq: seq.open(id, form, parts) };
         match op {
             Op::Insert { key, value } => {
-                let part = InsertPart::Scalar { ticket, pair: (key, value) };
+                let part =
+                    InsertPart { ticket: open(RespBody::Inserted, 1), pairs: One((key, value)) };
                 staged[shard_of(key)].push(Submission::Insert(part));
             }
             Op::Lookup { key } => {
+                let ticket = open(RespBody::Value { found: false, value: 0 }, 1);
                 let shard = shard_of(key);
                 if staged[shard].is_empty() {
                     runs[shard].0.push(ticket);
                     runs[shard].1.push(key);
                 } else {
-                    let part = LookupPart::Scalar { ticket, key };
-                    staged[shard].push(Submission::Lookup(part));
+                    staged[shard].push(Submission::Lookup(LookupPart::scalar(ticket, key)));
                 }
             }
             Op::Delete { key } => {
-                let part = DeletePart { ticket, key };
+                let part = DeletePart { ticket: open(RespBody::Deleted, 1), key };
                 staged[shard_of(key)].push(Submission::Delete(part));
             }
             Op::Flush => {
-                let assembly = Pending::new(ticket, shards, AssemblyKind::Flush);
+                let ticket = open(RespBody::Flushed, shards);
                 for queue in &mut staged {
-                    queue.push(Submission::Flush(Arc::clone(&assembly)));
+                    queue.push(Submission::Flush(ticket.clone()));
                 }
             }
-            Op::Stats => staged[0].push(Submission::Stats(ticket)),
-            Op::InsertBatch(pairs) if pairs.is_empty() => {
-                deliver(vec![(ticket, RespBody::InsertedBatch { count: 0 })]);
+            Op::Stats => {
+                let form = RespBody::Stats { fields: Box::default(), text: String::new() };
+                staged[0].push(Submission::Stats(open(form, 1)));
             }
             Op::InsertBatch(pairs) => {
                 let count = pairs.len() as u32;
@@ -246,17 +175,14 @@ fn stage(
                 for (key, value) in pairs {
                     groups[shard_of(key)].push((key, value));
                 }
-                let touched = groups.iter().filter(|group| !group.is_empty()).count();
-                let assembly = Pending::new(ticket, touched, AssemblyKind::Insert { count });
+                let parts = groups.iter().filter(|group| !group.is_empty()).count();
+                let ticket = open(RespBody::InsertedBatch { count }, parts);
                 for (queue, pairs) in staged.iter_mut().zip(groups) {
                     if !pairs.is_empty() {
-                        let assembly = Arc::clone(&assembly);
-                        queue.push(Submission::Insert(InsertPart::Slice { assembly, pairs }));
+                        let part = InsertPart { ticket: ticket.clone(), pairs: Many(pairs) };
+                        queue.push(Submission::Insert(part));
                     }
                 }
-            }
-            Op::LookupBatch(keys) if keys.is_empty() => {
-                deliver(vec![(ticket, RespBody::Values(Vec::new()))]);
             }
             Op::LookupBatch(keys) => {
                 let mut groups: Vec<(Vec<Key>, Vec<usize>)> =
@@ -266,19 +192,21 @@ fn stage(
                     group.0.push(key);
                     group.1.push(slot);
                 }
-                let touched = groups.iter().filter(|group| !group.0.is_empty()).count();
-                let kind = AssemblyKind::Lookup { slots: vec![None; keys.len()] };
-                let assembly = Pending::new(ticket, touched, kind);
+                let parts = groups.iter().filter(|group| !group.0.is_empty()).count();
+                let ticket = open(RespBody::Values(vec![(false, 0); keys.len()]), parts);
                 for (queue, (keys, slots)) in staged.iter_mut().zip(groups) {
                     if !keys.is_empty() {
-                        let assembly = Arc::clone(&assembly);
-                        let part = LookupPart::Slice { assembly, keys, slots };
+                        let ticket = ticket.clone();
+                        let part = LookupPart { ticket, keys: Many(keys), slots: Many(slots) };
                         queue.push(Submission::Lookup(part));
                     }
                 }
             }
         }
     }
+    // An empty batch frame opens complete: it goes out now if it is next.
+    seq.flush();
+    drop(seq);
     // Each shard's run is offered once; a declined run goes ahead of the
     // shard's other submissions, all of which arrived after it.
     let mut answered = Vec::new();
@@ -287,31 +215,30 @@ fn stage(
             continue;
         }
         match bypass(shard, &keys) {
-            Some(values) => {
-                answered.extend(tickets.into_iter().zip(values).map(|(ticket, value)| {
-                    (ticket, RespBody::Value { found: value.is_some(), value: value.unwrap_or(0) })
-                }))
-            }
+            Some(values) => answered.push((tickets, values)),
             None => {
                 let declined = tickets.into_iter().zip(keys);
                 let declined = declined
-                    .map(|(ticket, key)| Submission::Lookup(LookupPart::Scalar { ticket, key }));
+                    .map(|(ticket, key)| Submission::Lookup(LookupPart::scalar(ticket, key)));
                 queue.splice(..0, declined);
             }
         }
     }
-    deliver(answered);
+    let found = answered.iter().flat_map(|(tickets, values)| tickets.iter().zip(values.chunks(1)));
+    let found = found.map(|(ticket, values)| (ticket, Answer::Found { slots: &[0], values }));
+    deliver(found.collect());
     staged
 }
 
-/// The store calls a segment makes: the shard's stripe, or a test's map.
-trait SegmentStore {
+/// The store calls a step makes: the shard's stripe, or a test's map.
+trait StepStore {
     fn insert_batch(&self, pairs: &[(Key, Value)]) -> bufferhash::Result<()>;
     fn lookup_batch(&self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>>;
     fn delete(&self, key: Key) -> bufferhash::Result<()>;
+    fn flush_all(&self) -> bufferhash::Result<()>;
 }
 
-impl<D: Device> SegmentStore for SharedClam<D> {
+impl<D: Device> StepStore for SharedClam<D> {
     fn insert_batch(&self, pairs: &[(Key, Value)]) -> bufferhash::Result<()> {
         SharedClam::insert_batch(self, pairs).map(drop)
     }
@@ -323,89 +250,88 @@ impl<D: Device> SegmentStore for SharedClam<D> {
     fn delete(&self, key: Key) -> bufferhash::Result<()> {
         SharedClam::delete(self, key)
     }
+
+    fn flush_all(&self) -> bufferhash::Result<()> {
+        SharedClam::flush_all(self).map(drop)
+    }
 }
 
 /// Executes one segment — its inserts as one `insert_batch`, its lookups
-/// as one `lookup_batch`, then its deletes — counting what it served into
-/// `stats`, and returns its responses. A failed store call fails the
-/// requests of its own kind only.
-fn run_segment<'a>(
-    store: &impl SegmentStore,
-    segment: &'a Segment,
-    stats: &mut ServerStats,
-) -> Vec<(&'a Ticket, RespBody)> {
+/// as one `lookup_batch`, then its deletes — hands what it served to
+/// `retire`, and only then answers every part. A failed store call fails
+/// the parts of its own kind only.
+fn run_segment(store: &impl StepStore, segment: &Segment, retire: impl FnOnce(&ServerStats)) {
     let Segment { inserts, lookups, deletes } = segment;
-    let mut outbox = Vec::new();
-    stats.segments += 1;
+    let mut served = ServerStats::new();
+    served.segments += 1;
+    let mut inserted = Ok(());
     if !inserts.is_empty() {
         let pairs: Vec<(Key, Value)> =
-            inserts.iter().flat_map(InsertPart::pairs).copied().collect();
-        let error = store.insert_batch(&pairs).err().map(|e| format!("insert batch failed: {e}"));
-        if error.is_none() {
-            stats.inserts += pairs.len() as u64;
-            stats.insert_admissions += 1;
-        }
-        for part in inserts {
-            match part {
-                InsertPart::Scalar { ticket, .. } => {
-                    outbox.push((ticket, error.clone().map_or(RespBody::Inserted, internal_error)));
-                }
-                InsertPart::Slice { assembly, .. } => {
-                    let done = assembly.land(std::iter::empty(), error.clone());
-                    outbox.extend(done.map(|body| (&assembly.ticket, body)));
-                }
-            }
+            inserts.iter().flat_map(|part| part.pairs.iter()).copied().collect();
+        inserted = store.insert_batch(&pairs).map_err(|e| format!("insert batch failed: {e}"));
+        if inserted.is_ok() {
+            served.inserts += pairs.len() as u64;
+            served.insert_admissions += 1;
         }
     }
+    // One value per key, in key order — or none at all, with the error.
+    let mut found = Ok(Vec::new());
     if !lookups.is_empty() {
-        let keys: Vec<Key> = lookups.iter().flat_map(LookupPart::keys).copied().collect();
-        // One value per key, in key order — or none at all, with the error.
-        let (values, error) = match store.lookup_batch(&keys) {
-            Ok(values) if values.len() == keys.len() => (values, None),
-            Ok(_) => (Vec::new(), Some("lookup batch lost an outcome".to_string())),
-            Err(e) => (Vec::new(), Some(format!("lookup batch failed: {e}"))),
+        let keys: Vec<Key> = lookups.iter().flat_map(|part| part.keys.iter()).copied().collect();
+        found = match store.lookup_batch(&keys) {
+            Ok(values) if values.len() == keys.len() => Ok(values),
+            Ok(_) => Err("lookup batch lost an outcome".to_string()),
+            Err(e) => Err(format!("lookup batch failed: {e}")),
         };
-        if error.is_none() {
+        if let Ok(values) = &found {
             let hits = values.iter().filter(|value| value.is_some()).count() as u64;
-            stats.lookups += keys.len() as u64;
-            stats.lookup_hits += hits;
-            stats.lookup_misses += keys.len() as u64 - hits;
-            stats.lookup_admissions += 1;
-        }
-        let mut found = values.iter().map(|value| (value.is_some(), value.unwrap_or(0)));
-        for part in lookups {
-            match part {
-                LookupPart::Scalar { ticket, .. } => {
-                    let body = match found.next() {
-                        Some((found, value)) => RespBody::Value { found, value },
-                        None => internal_error(error.clone().unwrap_or_default()),
-                    };
-                    outbox.push((ticket, body));
-                }
-                LookupPart::Slice { assembly, keys, slots } => {
-                    let found = slots.iter().copied().zip(found.by_ref().take(keys.len()));
-                    let done = assembly.land(found, error.clone());
-                    outbox.extend(done.map(|body| (&assembly.ticket, body)));
-                }
-            }
+            served.lookups += keys.len() as u64;
+            served.lookup_hits += hits;
+            served.lookup_misses += keys.len() as u64 - hits;
+            served.lookup_admissions += 1;
         }
     }
-    for DeletePart { ticket, key } in deletes {
-        let body = match store.delete(*key) {
-            Ok(()) => {
-                stats.deletes += 1;
-                stats.delete_admissions += 1;
-                RespBody::Deleted
+    let deleted: Vec<Result<(), String>> = deletes
+        .iter()
+        .map(|part| store.delete(part.key).map_err(|e| format!("delete failed: {e}")))
+        .collect();
+    let removed = deleted.iter().filter(|done| done.is_ok()).count() as u64;
+    (served.deletes, served.delete_admissions) = (removed, removed);
+    retire(&served);
+    let mut outbox = Vec::with_capacity(inserts.len() + lookups.len() + deletes.len());
+    outbox.extend(inserts.iter().map(|part| (&part.ticket, Answer::from(&inserted))));
+    let mut at = 0;
+    for part in lookups {
+        let answer = match &found {
+            Ok(values) => {
+                Answer::Found { slots: &part.slots, values: &values[at..][..part.keys.len()] }
             }
-            Err(e) => internal_error(format!("delete failed: {e}")),
+            Err(message) => Answer::Failed(message),
         };
-        outbox.push((ticket, body));
+        at += part.keys.len();
+        outbox.push((&part.ticket, answer));
     }
-    outbox
+    outbox.extend(deletes.iter().zip(&deleted).map(|(part, done)| (&part.ticket, done.into())));
+    deliver(outbox);
 }
 
-fn internal_error(message: String) -> RespBody {
-    RespBody::Error { code: ErrorCode::Internal, message }
+/// Executes one shard's part of a FLUSH, its stripe's `flush_all`, hands
+/// the step to `retire`, then answers. The part that completes the FLUSH
+/// without error counts it in `flushes`, under the sequencer lock, before
+/// the response can go out.
+fn run_flush(
+    store: &impl StepStore,
+    ticket: &Ticket,
+    flushes: &AtomicU64,
+    retire: impl FnOnce(&ServerStats),
+) {
+    let flushed = store.flush_all().map_err(|e| format!("flush failed: {e}"));
+    retire(&ServerStats::new());
+    let mut seq = ticket.conn.lock();
+    if seq.answer(ticket.seq, Answer::from(&flushed)) {
+        flushes.fetch_add(1, Ordering::Relaxed);
+    }
+    seq.flush();
 }
 
 /// One batcher shard: its core, the condvar its gather thread — the
@@ -439,6 +365,9 @@ struct Shared<D: Device + 'static> {
     /// Process-wide counters and the shutdown-time depth snapshot; what
     /// requests count lives in the shard cores' ledgers.
     stats: Mutex<ServerStats>,
+    /// FLUSHes completed without error: counted by the part that completes
+    /// one, under its connection's sequencer lock and no other.
+    flushes: AtomicU64,
 }
 
 /// A cloneable handle to the batcher engine.
@@ -472,6 +401,7 @@ impl<D: Device + 'static> Engine<D> {
             shards,
             conns: Mutex::new(HashMap::new()),
             stats: Mutex::new(ServerStats::new()),
+            flushes: AtomicU64::new(0),
         });
         let workers = (0..shared.shards.len())
             .map(|i| {
@@ -571,11 +501,11 @@ impl<D: Device + 'static> Engine<D> {
             return;
         }
         let shared = &*self.shared;
-        let conn = shared.conns().get(&conn).cloned();
+        let conn = shared.conns().get(&conn).cloned().unwrap_or_default();
         // Same key, same stripe, same shard.
         let shard_of = |key| shared.store.stripe_index(key);
         let bypass = |shard, keys: &[Key]| shared.try_bypass(shard, keys);
-        let staged = stage(conn, requests, shared.shards.len(), shard_of, bypass);
+        let staged = stage(&conn, requests, shared.shards.len(), shard_of, bypass);
         for (shard, staged) in shared.shards.iter().zip(staged) {
             if !staged.is_empty() {
                 shard.lock().push(staged);
@@ -683,6 +613,7 @@ impl<D: Device + 'static> Shared<D> {
     /// snapshot unless shutdown already captured one.
     fn merged_stats(&self) -> ServerStats {
         let mut merged = self.ledger().clone();
+        merged.flushes += self.flushes.load(Ordering::Relaxed);
         let mut depths = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
             let core = shard.lock();
@@ -697,38 +628,25 @@ impl<D: Device + 'static> Shared<D> {
 
     /// Executes one step of shard `idx`'s gather on its stripe without
     /// the shard's lock, then takes it once to retire the step, and only
-    /// then answers. A FLUSH counts once, by the part that completes it.
+    /// then answers.
     fn execute(&self, idx: usize, step: Step) {
         let shard = &self.shards[idx];
         let retired = step.submissions();
+        let retire = |served: &ServerStats| shard.lock().done(retired, served);
         match step {
-            Step::Segment(segment) => {
-                let mut served = ServerStats::new();
-                let outbox = run_segment(&shard.stripe, &segment, &mut served);
-                shard.lock().done(retired, &served);
-                deliver(outbox);
-            }
-            Step::Flush(assembly) => {
-                // The other shards' parts flush the other stripes.
-                let error = shard.stripe.flush_all().err().map(|e| format!("flush failed: {e}"));
-                shard.lock().done(retired, &ServerStats::new());
-                if let Some(body) = assembly.land(std::iter::empty(), error) {
-                    if matches!(body, RespBody::Flushed) {
-                        self.ledger().flushes += 1;
-                    }
-                    deliver(vec![(&assembly.ticket, body)]);
-                }
-            }
+            Step::Segment(segment) => run_segment(&shard.stripe, &segment, retire),
+            // The other shards' parts flush the other stripes.
+            Step::Flush(ticket) => run_flush(&shard.stripe, &ticket, &self.flushes, retire),
             Step::Stats(ticket) => {
                 // Retired first: the depths it reports leave it out.
-                shard.lock().done(retired, &ServerStats::new());
+                retire(&ServerStats::new());
                 self.ledger().stats_calls += 1;
                 let fields = Box::new(self.merged_stats());
                 let mut text = format!("{fields}\nstore: {}", self.store.stats());
                 for (i, report) in self.recovery.iter().enumerate() {
                     text.push_str(&format!("\nstripe {i} recovery: {report}"));
                 }
-                deliver(vec![(ticket, RespBody::Stats { fields, text })]);
+                deliver(vec![(&ticket, Answer::Body(RespBody::Stats { fields, text }))]);
             }
         }
     }

@@ -1,14 +1,17 @@
-//! A connection's sequencer, which puts its responses back in request
-//! order, and the sink they go to: a served connection's socket, or an
-//! in-process caller's channel.
+//! A connection's sequencer, where each response is assembled from the
+//! answers of its shard parts and put back in request order, and the sink
+//! responses go to: a served connection's socket, or an in-process
+//! caller's channel.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::proto::{self, Response};
+use bufferhash::Value;
+
+use crate::proto::{self, ErrorCode, RespBody, Response};
 
 /// How long one delivery may take to reach a connection's socket before
 /// the connection is closed. The writer is a shard's gather thread (or a
@@ -26,18 +29,48 @@ pub(super) enum Sink {
     Channel(mpsc::Sender<Response>),
 }
 
+/// What one shard part of a request contributes to its response.
+pub(super) enum Answer<'a> {
+    /// The part's writes, or its stripe's flush, took effect.
+    Ack,
+    /// The outcome each of the part's keys found, and the response slot
+    /// each fills (a scalar lookup's is slot 0).
+    Found { slots: &'a [usize], values: &'a [Option<Value>] },
+    /// The part's store call failed.
+    Failed(&'a str),
+    /// The whole body, built where the request ran: STATS.
+    Body(RespBody),
+}
+
+impl<'a> From<&'a Result<(), String>> for Answer<'a> {
+    fn from(result: &'a Result<(), String>) -> Self {
+        result.as_ref().map_or_else(|message| Answer::Failed(message), |()| Answer::Ack)
+    }
+}
+
+/// A submitted request whose response has not gone out.
+struct Slot {
+    id: u64,
+    /// Shard parts that have not answered.
+    parts: usize,
+    /// The body as the request opened it, filled in by its parts; once a
+    /// part fails, the first failure's `Internal` error.
+    body: RespBody,
+}
+
 /// Per-connection response sequencer state.
 #[derive(Default)]
 pub(super) struct ConnSeq {
-    /// Where responses go; `None` once the connection is closed, after
-    /// which completions are dropped.
+    /// Where responses go; `None` once the connection is closed (or for a
+    /// connection that was never registered), after which responses are
+    /// dropped as they complete.
     sink: Option<Sink>,
-    /// Next sequence number to hand out at submit time.
-    pub(super) next_submit: u64,
-    /// Next sequence number the sink may be given.
+    /// The sequence number of `slots[0]`: the next response the sink is
+    /// owed.
     next_deliver: u64,
-    /// Completions that arrived ahead of their turn.
-    parked: BTreeMap<u64, Response>,
+    /// One slot per request submitted and not yet delivered, in request
+    /// order.
+    slots: VecDeque<Slot>,
     /// The sequence number of the connection's last response — its ERROR
     /// frame, or the answer to the request its client sent before
     /// half-closing: the connection closes once that is written.
@@ -49,34 +82,53 @@ pub(super) struct ConnSeq {
 }
 
 impl ConnSeq {
-    /// Delivers `response` as completion `seq`: given to the sink at once
-    /// if it is the connection's next expected response, together with
-    /// whatever parked behind it; parked until its turn otherwise. What a
-    /// socket is given waits for [`flush`](Self::flush).
-    pub(super) fn deliver(&mut self, seq: u64, response: Response) {
-        if seq != self.next_deliver {
-            if self.sink.is_some() {
-                self.parked.insert(seq, response);
+    /// Opens the response to the connection's next request, `id`: `form`
+    /// is its body before any part lands, and `parts` shard parts will
+    /// answer it. Returns its sequence number.
+    pub(super) fn open(&mut self, id: u64, form: RespBody, parts: usize) -> u64 {
+        self.slots.push_back(Slot { id, parts, body: form });
+        self.next_deliver + self.slots.len() as u64 - 1
+    }
+
+    /// Lands one part of response `seq`, merging what it contributes: the
+    /// first failure wins and makes the response an `Internal` error, as
+    /// does a value for a slot the response lacks. Returns whether this
+    /// was the last part and the response is no error. Nothing goes out
+    /// before [`flush`](Self::flush).
+    pub(super) fn answer(&mut self, seq: u64, answer: Answer<'_>) -> bool {
+        let at = usize::try_from(seq.wrapping_sub(self.next_deliver)).unwrap_or(usize::MAX);
+        // Every part of a response lands before it is delivered.
+        let Some(slot) = self.slots.get_mut(at) else { return false };
+        match answer {
+            Answer::Ack => {}
+            Answer::Found { slots, values } => {
+                for (&at, &value) in slots.iter().zip(values) {
+                    fill(&mut slot.body, at, value);
+                }
             }
-            return;
+            Answer::Failed(message) => fail(&mut slot.body, message),
+            Answer::Body(body) => slot.body = body,
         }
-        let mut next = Some(response);
-        while let Some(response) = next {
+        slot.parts = slot.parts.saturating_sub(1);
+        slot.parts == 0 && !matches!(slot.body, RespBody::Error { .. })
+    }
+
+    /// Gives the sink every response complete at the front, in request
+    /// order, and writes what a socket was given in one `write` (more only
+    /// if the socket takes it in parts); then closes the connection if the
+    /// write failed or its last response has gone out.
+    pub(super) fn flush(&mut self) {
+        let ready = self.slots.iter().take_while(|slot| slot.parts == 0).count();
+        self.next_deliver += ready as u64;
+        for Slot { id, body, .. } in self.slots.drain(..ready) {
+            let response = Response { id, body };
             match &mut self.sink {
                 Some(Sink::Socket { out, .. }) => proto::encode_response(&response, out),
                 // A dropped receiver just means the caller left first.
                 Some(Sink::Channel(tx)) => drop(tx.send(response)),
-                None => return,
+                None => {}
             }
-            self.next_deliver += 1;
-            next = self.parked.remove(&self.next_deliver);
         }
-    }
-
-    /// Writes what was delivered since the last flush in one `write` (more
-    /// only if the socket takes it in parts), then closes the connection
-    /// if the write failed or its last response has gone out.
-    pub(super) fn flush(&mut self) {
         if let Some(Sink::Socket { stream, out }) = &mut self.sink {
             if !out.is_empty() {
                 let written = write_within_limit(stream, out);
@@ -93,27 +145,41 @@ impl ConnSeq {
         }
     }
 
-    /// Numbers `response` as the connection's last and delivers it: once
-    /// the responses ahead of it and it have gone out, the connection
-    /// closes.
+    /// Opens `response` as the connection's last, complete, and delivers
+    /// it: once the responses ahead of it and it have gone out, the
+    /// connection closes.
     pub(super) fn finish(&mut self, response: Response) {
-        let seq = self.next_submit;
-        self.next_submit += 1;
-        self.last = Some(seq);
-        self.deliver(seq, response);
+        self.last = Some(self.open(response.id, response.body, 0));
         self.flush();
     }
 
-    /// Drops the sink and whatever was parked for it; requests still in
-    /// flight complete into nothing. A socket is shut down, which ends
-    /// its reader's blocking `read`.
+    /// Drops the sink; requests still in flight keep landing, and their
+    /// responses are dropped as they complete. A socket is shut down,
+    /// which ends its reader's blocking `read`.
     fn close(&mut self) {
         if let Some(Sink::Socket { stream, .. }) = &self.sink {
             drop(stream.shutdown(Shutdown::Both));
         }
         self.sink = None;
-        self.parked.clear();
         self.closed.notify_all();
+    }
+}
+
+/// Writes one lookup outcome into slot `at` of `body`.
+fn fill(body: &mut RespBody, at: usize, value: Option<Value>) {
+    let outcome = (value.is_some(), value.unwrap_or(0));
+    match body {
+        RespBody::Values(values) if at < values.len() => values[at] = outcome,
+        RespBody::Value { found, value } if at == 0 => (*found, *value) = outcome,
+        RespBody::Error { .. } => {}
+        _ => fail(body, "lookup part landed outside its response"),
+    }
+}
+
+/// Makes `body` an `Internal` error, unless a part failed it already.
+fn fail(body: &mut RespBody, message: &str) {
+    if !matches!(body, RespBody::Error { .. }) {
+        *body = RespBody::Error { code: ErrorCode::Internal, message: message.to_string() };
     }
 }
 
@@ -144,7 +210,11 @@ fn write_within_limit(stream: &mut TcpStream, mut bytes: &[u8]) -> io::Result<()
 }
 
 /// One registered connection. Requests in flight hold it directly, so
-/// nothing on the request path looks a connection up by id.
+/// nothing on the request path looks a connection up by id. A default
+/// entry has no sink: the requests of a connection that was not
+/// registered when they were submitted still assemble and count there,
+/// and their responses are dropped.
+#[derive(Default)]
 pub(super) struct ConnEntry {
     seq: Mutex<ConnSeq>,
 }
@@ -169,10 +239,9 @@ impl ConnEntry {
     /// closed.
     pub(super) fn await_last_response(&self) {
         let mut seq = self.lock();
-        if seq.next_deliver == seq.next_submit {
-            seq.close();
-        } else {
-            seq.last = Some(seq.next_submit - 1);
+        match seq.slots.len() as u64 {
+            0 => seq.close(),
+            waiting => seq.last = Some(seq.next_deliver + waiting - 1),
         }
         let closed = Arc::clone(&seq.closed);
         let open = closed.wait_while(seq, |seq| seq.sink.is_some());
@@ -196,6 +265,64 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     use super::*;
+
+    fn internal(message: &str) -> RespBody {
+        RespBody::Error { code: ErrorCode::Internal, message: message.to_string() }
+    }
+
+    /// Two multi-part requests whose parts land interleaved and out of
+    /// order go out in request order with their merged bodies; a failed
+    /// part wins its request; a closed connection's parts still land, so a
+    /// FLUSH on it is counted, but nothing is written or kept.
+    #[test]
+    fn parts_merge_into_their_responses_and_go_out_in_request_order() {
+        let (tx, rx) = mpsc::channel();
+        let entry = ConnEntry::new(Sink::Channel(tx));
+        let mut seq = entry.lock();
+        let lookups = seq.open(7, RespBody::Values(vec![(false, 0); 3]), 2);
+        let inserts = seq.open(8, RespBody::InsertedBatch { count: 4 }, 2);
+        let flush = seq.open(9, RespBody::Flushed, 3);
+        assert_eq!((lookups, inserts, flush), (0, 1, 2));
+        assert!(!seq.answer(inserts, Answer::Ack));
+        assert!(!seq.answer(lookups, Answer::Found { slots: &[2], values: &[Some(5)] }));
+        assert!(!seq.answer(flush, Answer::Failed("stripe 0 failed")));
+        assert!(seq.answer(inserts, Answer::Ack), "its last part, and no error");
+        seq.flush();
+        assert!(rx.try_recv().is_err(), "complete, but behind an incomplete response");
+        assert!(!seq.answer(flush, Answer::Failed("stripe 1 failed")));
+        let found = Answer::Found { slots: &[0, 1], values: &[None, Some(6)] };
+        assert!(seq.answer(lookups, found));
+        seq.flush();
+        let values = RespBody::Values(vec![(false, 0), (true, 6), (true, 5)]);
+        assert_eq!(rx.try_recv().unwrap(), Response { id: 7, body: values });
+        assert_eq!(
+            rx.try_recv().unwrap(),
+            Response { id: 8, body: RespBody::InsertedBatch { count: 4 } }
+        );
+        assert!(rx.try_recv().is_err(), "the FLUSH has a part out");
+        assert!(!seq.answer(flush, Answer::Ack), "the last part lands on an error");
+        seq.flush();
+        assert_eq!(rx.try_recv().unwrap(), Response { id: 9, body: internal("stripe 0 failed") });
+        assert!(seq.slots.is_empty());
+
+        // A value for a slot the response lacks fails it.
+        let lookup = seq.open(10, RespBody::Value { found: false, value: 0 }, 1);
+        assert!(!seq.answer(lookup, Answer::Found { slots: &[1], values: &[Some(1)] }));
+        seq.flush();
+        let outside = internal("lookup part landed outside its response");
+        assert_eq!(rx.try_recv().unwrap(), Response { id: 10, body: outside });
+
+        seq.close();
+        let flush = seq.open(11, RespBody::Flushed, 2);
+        let lookup = seq.open(12, RespBody::Value { found: false, value: 0 }, 1);
+        assert!(seq.answer(lookup, Answer::Found { slots: &[0], values: &[Some(3)] }));
+        assert!(!seq.answer(flush, Answer::Ack));
+        assert!(seq.answer(flush, Answer::Ack), "a closed connection still counts a FLUSH");
+        seq.flush();
+        assert!(seq.slots.is_empty(), "nothing of a closed connection is kept");
+        assert!(!seq.answer(flush, Answer::Ack), "a part of a delivered response finds nothing");
+        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+    }
 
     /// The limit bounds a delivery, not each `write`: a peer that drains a
     /// little now and then lets a call make progress before its own

@@ -3,43 +3,51 @@
 //! no store: the thread shell passes in the `Instant`s, and tests do too.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::ops::Deref;
 use std::time::Instant;
 
 use bufferhash::{Key, Value};
 
-use super::{BatcherConfig, Pending, Ticket};
+use super::{BatcherConfig, Ticket};
 use crate::stats::ServerStats;
 
-/// An insert waiting in a shard: a scalar frame, or one shard's slice of
-/// an `INSERT_BATCH`.
-pub(super) enum InsertPart {
-    Scalar { ticket: Ticket, pair: (Key, Value) },
-    Slice { assembly: Arc<Pending>, pairs: Vec<(Key, Value)> },
+/// A scalar frame's one item, or a batch frame's share of items for one
+/// shard: the one without a heap allocation.
+pub(super) enum OneOrMany<T> {
+    One(T),
+    Many(Vec<T>),
 }
 
-impl InsertPart {
-    pub(super) fn pairs(&self) -> &[(Key, Value)] {
+impl<T> Deref for OneOrMany<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
         match self {
-            InsertPart::Scalar { pair, .. } => std::slice::from_ref(pair),
-            InsertPart::Slice { pairs, .. } => pairs,
+            OneOrMany::One(one) => std::slice::from_ref(one),
+            OneOrMany::Many(many) => many,
         }
     }
 }
 
-/// A lookup waiting in a shard: a scalar frame, or one shard's slice of a
-/// `LOOKUP_BATCH` with the request slot each key answers.
-pub(super) enum LookupPart {
-    Scalar { ticket: Ticket, key: Key },
-    Slice { assembly: Arc<Pending>, keys: Vec<Key>, slots: Vec<usize> },
+/// An insert waiting in a shard: a scalar frame's pair, or one shard's
+/// share of an `INSERT_BATCH`.
+pub(super) struct InsertPart {
+    pub(super) ticket: Ticket,
+    pub(super) pairs: OneOrMany<(Key, Value)>,
+}
+
+/// A lookup waiting in a shard: a scalar frame's key, or one shard's
+/// share of a `LOOKUP_BATCH`, with the response slot each key answers.
+pub(super) struct LookupPart {
+    pub(super) ticket: Ticket,
+    pub(super) keys: OneOrMany<Key>,
+    pub(super) slots: OneOrMany<usize>,
 }
 
 impl LookupPart {
-    pub(super) fn keys(&self) -> &[Key] {
-        match self {
-            LookupPart::Scalar { key, .. } => std::slice::from_ref(key),
-            LookupPart::Slice { keys, .. } => keys,
-        }
+    /// A scalar `LOOKUP`: one key, answering slot 0.
+    pub(super) fn scalar(ticket: Ticket, key: Key) -> Self {
+        LookupPart { ticket, keys: OneOrMany::One(key), slots: OneOrMany::One(0) }
     }
 }
 
@@ -53,7 +61,8 @@ pub(super) enum Submission {
     Insert(InsertPart),
     Lookup(LookupPart),
     Delete(DeletePart),
-    Flush(Arc<Pending>),
+    /// This shard's part of a `FLUSH`.
+    Flush(Ticket),
     Stats(Ticket),
 }
 
@@ -92,7 +101,7 @@ impl Segment {
 /// What a gather executes, in order.
 pub(super) enum Step {
     Segment(Segment),
-    Flush(Arc<Pending>),
+    Flush(Ticket),
     Stats(Ticket),
 }
 
@@ -123,20 +132,20 @@ impl Planner {
     pub(super) fn push(&mut self, submission: Submission) {
         match submission {
             Submission::Insert(part) => {
-                self.admit(Kind::Insert, part.pairs().iter().map(|pair| pair.0));
+                self.admit(Kind::Insert, part.pairs.iter().map(|pair| pair.0));
                 self.open.inserts.push(part);
             }
             Submission::Lookup(part) => {
-                self.admit(Kind::Lookup, part.keys().iter().copied());
+                self.admit(Kind::Lookup, part.keys.iter().copied());
                 self.open.lookups.push(part);
             }
             Submission::Delete(part) => {
                 self.admit(Kind::Delete, std::iter::once(part.key));
                 self.open.deletes.push(part);
             }
-            Submission::Flush(assembly) => {
+            Submission::Flush(ticket) => {
                 self.close();
-                self.steps.push(Step::Flush(assembly));
+                self.steps.push(Step::Flush(ticket));
             }
             Submission::Stats(ticket) => {
                 self.close();
@@ -154,9 +163,9 @@ impl Planner {
         }
         if self.index.is_empty() {
             let Segment { inserts, lookups, deletes } = &self.open;
-            let inserted = inserts.iter().flat_map(|part| part.pairs()).map(|pair| pair.0);
+            let inserted = inserts.iter().flat_map(|part| part.pairs.iter()).map(|pair| pair.0);
             self.index.extend(inserted.map(|key| (key, Kind::Insert)));
-            let read = lookups.iter().flat_map(|part| part.keys()).copied();
+            let read = lookups.iter().flat_map(|part| part.keys.iter()).copied();
             self.index.extend(read.map(|key| (key, Kind::Lookup)));
             self.index.extend(deletes.iter().map(|part| (part.key, Kind::Delete)));
         }

@@ -1,17 +1,20 @@
 //! The shard core on synthetic instants (`batcher::core::tests`): the
 //! linger and gather policy decision by decision, then every short
 //! arrival script over two connections, two shards and two keys, with
-//! chunks of one and two requests.
+//! chunks of one and two requests and store calls that fail.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use bufferhash::BufferHashError;
+
 use super::super::tests::{del, ins, look};
-use super::super::{deliver, run_segment, stage, ConnEntry, SegmentStore, Sink};
+use super::super::{run_flush, run_segment, stage, ConnEntry, Sink, StepStore, Ticket};
 use super::*;
-use crate::proto::{Op, Request, RespBody, Response};
+use crate::proto::{ErrorCode, Op, Request, RespBody, Response};
 
 const LINGER: Duration = Duration::from_micros(100);
 
@@ -176,6 +179,8 @@ enum Req {
     Delete(Key),
     /// `LOOKUP_BATCH` of both keys: a part on each shard.
     LookupBoth,
+    /// `INSERT_BATCH` of both keys: a part on each shard.
+    InsertBoth,
     /// A part on each shard.
     Flush,
 }
@@ -184,7 +189,7 @@ enum Req {
 /// of two — a bypass run of two keys on one shard, a run ahead of a write
 /// of its key that the same chunk stages for the shard, and a lookup
 /// behind such a write, which must not be offered to the bypass.
-const ARRIVALS: [&[Req]; 11] = [
+const ARRIVALS: [&[Req]; 12] = [
     &[Req::Insert(0)],
     &[Req::Insert(1)],
     &[Req::Lookup(0)],
@@ -192,6 +197,7 @@ const ARRIVALS: [&[Req]; 11] = [
     &[Req::Delete(0)],
     &[Req::Delete(1)],
     &[Req::LookupBoth],
+    &[Req::InsertBoth],
     &[Req::Flush],
     &[Req::Lookup(0), Req::Lookup(0)],
     &[Req::Lookup(0), Req::Insert(0)],
@@ -207,6 +213,9 @@ enum Event {
     Fire(usize),
     /// The next step of shard `.0`'s gather returns from the store.
     Complete(usize),
+    /// The same, but the step's first store call takes effect and then
+    /// fails.
+    Fail(usize),
 }
 
 impl Event {
@@ -215,29 +224,48 @@ impl Event {
     fn length(self) -> usize {
         match self {
             Event::Arrive(_, reqs) => reqs.len(),
-            Event::Fire(_) | Event::Complete(_) => 1,
+            Event::Fire(_) | Event::Complete(_) | Event::Fail(_) => 1,
         }
     }
 }
 
-/// The sequential map a script's segments run against.
+/// The sequential map a script's steps run against. A call made while
+/// `fault` holds a tag takes effect, then fails with the tag: nothing is
+/// promised of a failed write's effect, so this one keeps the register
+/// the arrival model's.
 #[derive(Default)]
-struct MapStore(RefCell<HashMap<Key, Value>>);
+struct MapStore {
+    map: RefCell<HashMap<Key, Value>>,
+    fault: Cell<Option<String>>,
+}
 
-impl SegmentStore for MapStore {
+impl MapStore {
+    fn call<T>(&self, effect: impl FnOnce(&mut HashMap<Key, Value>) -> T) -> bufferhash::Result<T> {
+        let done = effect(&mut self.map.borrow_mut());
+        match self.fault.take() {
+            Some(tag) => Err(BufferHashError::InvalidConfig(tag)),
+            None => Ok(done),
+        }
+    }
+}
+
+impl StepStore for MapStore {
     fn insert_batch(&self, pairs: &[(Key, Value)]) -> bufferhash::Result<()> {
-        self.0.borrow_mut().extend(pairs.iter().copied());
-        Ok(())
+        self.call(|map| map.extend(pairs.iter().copied()))
     }
 
     fn lookup_batch(&self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>> {
-        let map = self.0.borrow();
-        Ok(keys.iter().map(|key| map.get(key).copied()).collect())
+        self.call(|map| keys.iter().map(|key| map.get(key).copied()).collect())
     }
 
     fn delete(&self, key: Key) -> bufferhash::Result<()> {
-        self.0.borrow_mut().remove(&key);
-        Ok(())
+        self.call(|map| {
+            map.remove(&key);
+        })
+    }
+
+    fn flush_all(&self) -> bufferhash::Result<()> {
+        self.call(|_| ())
     }
 }
 
@@ -277,10 +305,16 @@ struct World {
     /// the register a lookup is judged against when it arrives.
     model: [Option<Value>; 2],
     next_value: Value,
-    /// Per connection, the response each request must get, by id.
+    /// Per connection, the response each request must get, by id; a
+    /// request with a part in a failed store call is owed the `Internal`
+    /// error whose message ends with the first such call's fault tag.
     expected: [Vec<RespBody>; 2],
     /// Per connection, the responses received so far.
     received: [usize; 2],
+    /// Faults injected so far; a fault's tag is its number.
+    faults: u64,
+    /// FLUSHes counted as completed without error.
+    flushes: AtomicU64,
 }
 
 impl World {
@@ -297,6 +331,8 @@ impl World {
             next_value: 0,
             expected: Default::default(),
             received: [0; 2],
+            faults: 0,
+            flushes: AtomicU64::new(0),
         }
     }
 
@@ -313,7 +349,7 @@ impl World {
                     events.push(Event::Fire(shard));
                 }
             } else {
-                events.push(Event::Complete(shard));
+                events.extend([Event::Complete(shard), Event::Fail(shard)]);
             }
         }
         events
@@ -323,7 +359,8 @@ impl World {
         match event {
             Event::Arrive(conn, reqs) => self.arrive(conn, reqs),
             Event::Fire(shard) => self.gather(shard)?,
-            Event::Complete(shard) => self.complete(shard),
+            Event::Complete(shard) => self.complete(shard, false),
+            Event::Fail(shard) => self.complete(shard, true),
         }
         self.check()
     }
@@ -343,6 +380,14 @@ impl World {
                     self.model[key as usize] = None;
                     (Op::Delete { key }, RespBody::Deleted)
                 }
+                Req::InsertBoth => {
+                    let pairs = [0, 1].map(|key: Key| {
+                        self.next_value += 1;
+                        self.model[key as usize] = Some(self.next_value);
+                        (key, self.next_value)
+                    });
+                    (Op::InsertBatch(pairs.to_vec()), RespBody::InsertedBatch { count: 2 })
+                }
                 Req::LookupBoth => {
                     let values = self.model.map(|value| (value.is_some(), value.unwrap_or(0)));
                     (Op::LookupBatch(vec![0, 1]), RespBody::Values(values.to_vec()))
@@ -353,15 +398,14 @@ impl World {
             chunk.push(Request { id, op });
         }
         let (cores, store) = (&self.cores, &self.store);
-        let entry = Some(Arc::clone(&self.conns[conn].0));
         // An idle shard answers its whole run from the map.
         let staged = stage(
-            entry,
+            &self.conns[conn].0,
             chunk.into_iter(),
             2,
             |key| key as usize,
             |shard, keys| {
-                let map = store.0.borrow();
+                let map = store.map.borrow();
                 cores[shard].idle().then(|| keys.iter().map(|key| map.get(key).copied()).collect())
             },
         );
@@ -392,25 +436,52 @@ impl World {
     }
 
     /// Runs the next step of `shard`'s gather against the map, as
-    /// `Shared::execute` runs it against the store.
-    fn complete(&mut self, shard: usize) {
+    /// `Shared::execute` runs it against the store; with `fault`, its
+    /// first store call fails.
+    fn complete(&mut self, shard: usize, fault: bool) {
         let step = self.running[shard].pop_front().expect("a gathered step");
+        if fault {
+            self.inject(&step);
+        }
         let retired = if self.driver.retire_at_gather { 0 } else { step.submissions() };
-        match step {
-            Step::Segment(segment) => {
-                let mut served = ServerStats::new();
-                let outbox = run_segment(&self.store, &segment, &mut served);
-                self.cores[shard].done(retired, &served);
-                deliver(outbox);
-            }
-            Step::Flush(assembly) => {
-                self.cores[shard].done(retired, &ServerStats::new());
-                if let Some(body) = assembly.land(std::iter::empty(), None) {
-                    deliver(vec![(&assembly.ticket, body)]);
-                }
-            }
+        let core = &mut self.cores[shard];
+        let retire = |served: &ServerStats| core.done(retired, served);
+        match &step {
+            Step::Segment(segment) => run_segment(&self.store, segment, retire),
+            Step::Flush(ticket) => run_flush(&self.store, ticket, &self.flushes, retire),
             Step::Stats(_) => unreachable!("scripts send no STATS"),
         }
+    }
+
+    /// Arms a fault on the first store call `step` makes — its inserts',
+    /// else its lookups', else its first delete's, else its flush — and
+    /// owes every request with a part in that call the fault's error,
+    /// unless an earlier fault got there first.
+    fn inject(&mut self, step: &Step) {
+        self.faults += 1;
+        let tag = format!("fault {}", self.faults);
+        let failed: Vec<&Ticket> = match step {
+            Step::Segment(Segment { inserts, .. }) if !inserts.is_empty() => {
+                inserts.iter().map(|part| &part.ticket).collect()
+            }
+            Step::Segment(Segment { lookups, .. }) if !lookups.is_empty() => {
+                lookups.iter().map(|part| &part.ticket).collect()
+            }
+            Step::Segment(Segment { deletes, .. }) => {
+                deletes.iter().take(1).map(|part| &part.ticket).collect()
+            }
+            Step::Flush(ticket) => vec![ticket],
+            Step::Stats(_) => unreachable!("scripts send no STATS"),
+        };
+        for ticket in failed {
+            let conn = (0..2).find(|&conn| Arc::ptr_eq(&ticket.conn, &self.conns[conn].0));
+            // A script connection numbers its requests from 0, as their ids.
+            let owed = &mut self.expected[conn.expect("a script connection")][ticket.seq as usize];
+            if !matches!(owed, RespBody::Error { .. }) {
+                *owed = RespBody::Error { code: ErrorCode::Internal, message: tag.clone() };
+            }
+        }
+        self.store.fault.set(Some(tag));
     }
 
     /// Takes every response delivered so far and holds it to the
@@ -428,7 +499,14 @@ impl World {
                 let Some(answer) = self.expected[conn].get(due) else {
                     return Err(format!("connection {conn} got a response it never asked for"));
                 };
-                if response.body != *answer {
+                let kept = match (&response.body, answer) {
+                    (
+                        RespBody::Error { code: ErrorCode::Internal, message },
+                        RespBody::Error { message: fault, .. },
+                    ) => message.ends_with(&format!(": {fault}")),
+                    (body, answer) => body == answer,
+                };
+                if !kept {
                     return Err(format!(
                         "connection {conn} request {due} answered {:?}; the register says {answer:?}",
                         response.body
@@ -475,6 +553,11 @@ impl World {
                     "connection {conn} got {received} responses to {sent} requests"
                 ));
             }
+        }
+        let clean = self.expected.iter().flatten().filter(|owed| **owed == RespBody::Flushed);
+        let (clean, counted) = (clean.count() as u64, self.flushes.load(Ordering::Relaxed));
+        if counted != clean {
+            return Err(format!("{counted} FLUSHes counted; {clean} completed without error"));
         }
         Ok(())
     }

@@ -4,6 +4,7 @@
 
 use super::core::Planner;
 use super::*;
+use crate::proto::ErrorCode;
 use bufferhash::{Clam, ClamConfig, LookupSource};
 use flashsim::Ssd;
 
@@ -356,15 +357,15 @@ fn flush_barrier_is_per_connection() {
 // --- the segment planner alone ---------------------------------------
 
 fn ticket() -> Ticket {
-    Ticket { conn: None, seq: 0, id: 0 }
+    Ticket { conn: Arc::default(), seq: 0 }
 }
 
 pub(super) fn ins(key: Key) -> Submission {
-    Submission::Insert(InsertPart::Scalar { ticket: ticket(), pair: (key, 0) })
+    Submission::Insert(InsertPart { ticket: ticket(), pairs: One((key, 0)) })
 }
 
 pub(super) fn look(key: Key) -> Submission {
-    Submission::Lookup(LookupPart::Scalar { ticket: ticket(), key })
+    Submission::Lookup(LookupPart::scalar(ticket(), key))
 }
 
 pub(super) fn del(key: Key) -> Submission {
@@ -372,20 +373,17 @@ pub(super) fn del(key: Key) -> Submission {
 }
 
 fn ins_slice(keys: &[Key]) -> Submission {
-    let assembly = Pending::new(ticket(), 1, AssemblyKind::Insert { count: keys.len() as u32 });
     let pairs = keys.iter().map(|&key| (key, 0)).collect();
-    Submission::Insert(InsertPart::Slice { assembly, pairs })
+    Submission::Insert(InsertPart { ticket: ticket(), pairs: Many(pairs) })
 }
 
 fn look_slice(keys: &[Key]) -> Submission {
-    let kind = AssemblyKind::Lookup { slots: vec![None; keys.len()] };
-    let assembly = Pending::new(ticket(), 1, kind);
-    let slots = (0..keys.len()).collect();
-    Submission::Lookup(LookupPart::Slice { assembly, keys: keys.to_vec(), slots })
+    let slots = Many((0..keys.len()).collect());
+    Submission::Lookup(LookupPart { ticket: ticket(), keys: Many(keys.to_vec()), slots })
 }
 
 fn flush() -> Submission {
-    Submission::Flush(Pending::new(ticket(), 1, AssemblyKind::Flush))
+    Submission::Flush(ticket())
 }
 
 /// Plans one gather; each step as (inserted keys, looked-up keys,
@@ -397,8 +395,8 @@ fn plan(gather: Vec<Submission>) -> (Vec<Option<(Vec<Key>, Vec<Key>, Vec<Key>)>>
     let (steps, conflicts) = planner.finish();
     let shape = |step: Step| match step {
         Step::Segment(s) => Some((
-            s.inserts.iter().flat_map(|p| p.pairs()).map(|p| p.0).collect(),
-            s.lookups.iter().flat_map(|p| p.keys()).copied().collect(),
+            s.inserts.iter().flat_map(|p| p.pairs.iter()).map(|p| p.0).collect(),
+            s.lookups.iter().flat_map(|p| p.keys.iter()).copied().collect(),
             s.deletes.iter().map(|p| p.key).collect(),
         )),
         Step::Flush(_) | Step::Stats(_) => None,
@@ -575,14 +573,16 @@ fn a_conflict_free_mixed_gather_costs_two_batched_store_calls() {
     engine.shutdown();
 }
 
-/// A shard's staged queue as (kind, key, request id) per submission.
+/// A shard's staged queue as (kind, first key, sequence number) per
+/// submission; a chunk staged on a fresh connection numbers its requests
+/// from 0, as their ids.
 fn queued(queue: &[Submission]) -> Vec<(char, Key, u64)> {
     queue
         .iter()
         .map(|submission| match submission {
-            Submission::Insert(InsertPart::Scalar { ticket, pair }) => ('I', pair.0, ticket.id),
-            Submission::Lookup(LookupPart::Scalar { ticket, key }) => ('L', *key, ticket.id),
-            Submission::Delete(DeletePart { ticket, key }) => ('D', *key, ticket.id),
+            Submission::Insert(InsertPart { ticket, pairs }) => ('I', pairs[0].0, ticket.seq),
+            Submission::Lookup(LookupPart { ticket, keys, .. }) => ('L', keys[0], ticket.seq),
+            Submission::Delete(DeletePart { ticket, key }) => ('D', *key, ticket.seq),
             _ => ('?', 0, 0),
         })
         .collect()
@@ -607,7 +607,7 @@ fn a_lookup_behind_a_staged_write_never_takes_the_bypass() {
     ];
     let mut offered = Vec::new();
     let staged = stage(
-        None,
+        &Arc::default(),
         chunk(ops).into_iter(),
         2,
         |key| key as usize % 2,
@@ -634,7 +634,7 @@ fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
         Op::Insert { key: 1, value: 6 },
     ];
     let staged = stage(
-        None,
+        &Arc::default(),
         chunk(ops).into_iter(),
         2,
         |key| key as usize % 2,

@@ -33,7 +33,7 @@ fn main() {
              --flash-bytes N     total flash capacity (default 64 MiB)\n\
              --dram-bytes N      total DRAM budget (default 8 MiB)\n\
              --flash-file PATH   file-backed store; existing images are recovered\n\
-             --queue-depth N     file-device worker depth (default {})\n\
+             --queue-depth N     file-device completion-ring lanes (default {})\n\
              --linger-us N       group-commit linger window (default 100)\n\
              --max-batch N       largest group-commit gather (default 512)",
             flashsim::DEFAULT_FILE_QUEUE_DEPTH

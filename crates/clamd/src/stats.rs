@@ -28,7 +28,7 @@ flashsim::ledger! {
         pub lookups: u64 => Sum,
         /// Delete operations applied.
         pub deletes: u64 => Sum,
-        /// FLUSH barriers served.
+        /// FLUSH barriers served without error, each counted once.
         pub flushes: u64 => Sum,
         /// STATS requests served.
         pub stats_calls: u64 => Sum,
