@@ -300,9 +300,9 @@ fn bench_sparse_store(c: &mut Criterion) {
 }
 
 /// One 4 KiB ring read of an image the page cache holds, at the queue depth
-/// `clamd --flash-file` and the repo benchmark use: admission, the
-/// positioned read and the reap, as `Clam::lookup_batch` pays them per
-/// probe, all on the calling thread.
+/// `clamd --flash-file` and the repo benchmark use: the `submit` call, its
+/// positioned read and the ring's booking, as `Clam::lookup_batch` pays
+/// them per probe, all on the calling thread.
 fn bench_file_read(c: &mut Criterion) {
     const PAGE: usize = 4096;
     const PAGES: u64 = 2048;
@@ -320,8 +320,7 @@ fn bench_file_read(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 7919) % PAGES;
             let read = RingRequest::new(IoRequest::read(i * PAGE as u64, PAGE));
-            dev.submit_nowait(vec![read], &mut ring).expect("admit");
-            black_box(dev.reap(&mut ring, 1).expect("reap"))
+            black_box(dev.submit(vec![read], &mut ring).expect("submit"))
         })
     });
     group.finish();

@@ -3,11 +3,11 @@
 //! Companion to ROADMAP's "async / io_uring-style device backend", "drive
 //! lookups through the submission queue", "completion ring" and
 //! "ring-driven write path" items, in two parts, both on
-//! [`flashsim::FileDevice`] through `Device::submit_nowait` / `reap` — the
-//! only way to queue I/O:
+//! [`flashsim::FileDevice`] through `Device::submit` — the only way to
+//! queue I/O:
 //!
-//! 1. **Flush writes** — flush-sized writes are admitted to a
-//!    `FileDevice` ring at several queue depths. Each runs at admission
+//! 1. **Flush writes** — flush-sized writes are submitted to a
+//!    `FileDevice` ring at several queue depths. Each runs inside the call
 //!    on the submitting thread (a positioned write to the file) and the
 //!    ring books the measured per-write times on `depth` lanes; the
 //!    acceptance bar is throughput improving monotonically with depth and
@@ -93,17 +93,14 @@ fn flush_batch(scale: &Scale) -> Vec<IoRequest> {
         .collect()
 }
 
-/// Admits `requests` to a fresh ring on `device` in one call, drains it
-/// (every request must succeed) and returns the ring's makespan: the
-/// elapsed time of the stream on the device's queue lanes.
+/// Submits `requests` to a fresh ring on `device` in one call (every
+/// request must succeed) and returns the ring's makespan: the elapsed time
+/// of the stream on the device's queue lanes.
 fn ring_makespan<D: Device>(device: &mut D, requests: Vec<IoRequest>) -> SimDuration {
     let mut ring = CompletionRing::for_queue(device.queue());
     let requests = requests.into_iter().map(RingRequest::new).collect();
-    device.submit_nowait(requests, &mut ring).expect("submit_nowait");
-    while ring.in_flight() > 0 {
-        for completion in device.reap(&mut ring, 1).expect("reap") {
-            completion.result.expect("queued I/O failed");
-        }
+    for completion in device.submit(requests, &mut ring).expect("submit") {
+        completion.result.expect("queued I/O failed");
     }
     ring.makespan()
 }
@@ -153,7 +150,7 @@ fn file_device_sweep(scale: &Scale) -> bool {
 
     // "elapsed" is the ring's makespan (the measured per-request times
     // booked on `depth` queue lanes — the accounting the PASS bar gates
-    // on); "wall" is the host wall clock from admission to the last reap,
+    // on); "wall" is the host wall clock around the `submit` call,
     // shown for transparency (the writes run one after another on this
     // thread, so wall time cannot shrink with depth, which is exactly why
     // the queue model exists).

@@ -241,7 +241,7 @@ impl FlashCostModel {
     // Device-ring cost model
     // ------------------------------------------------------------------
     //
-    // The completion ring (`Device::submit_nowait` / `reap`) adds a second,
+    // The completion ring (`Device::submit`) adds a second,
     // orthogonal amortization axis: independent requests of one stream
     // overlap on up to `L` queue lanes (`L = min(depth, max_queue_depth)`,
     // 1 for serial media), so `n` equal-cost requests complete in
@@ -392,8 +392,8 @@ impl FlashCostModel {
 
     /// Predicted elapsed (makespan) time of a recovery scan
     /// ([`Clam::recover`](crate::Clam::recover)): `slots` slot reads of
-    /// `slot_bytes` each, admitted to the completion ring without waiting
-    /// at `queue_depth`. Each read spans `⌈slot_bytes / S_p⌉` pages, so
+    /// `slot_bytes` each, submitted to the completion ring in one call at
+    /// `queue_depth`. Each read spans `⌈slot_bytes / S_p⌉` pages, so
     ///
     ///   `M_recover(s, d) = c_slot · ⌈s / L⌉`,  `c_slot = read(⌈B/S_p⌉·S_p)`
     ///
@@ -615,14 +615,13 @@ mod tests {
     }
 
     /// Drives the mixed write-then-read stream through the SSD simulator's
-    /// ring (`submit_nowait`/`reap`, re-arming each probe chain from its
+    /// ring (`Device::submit`, re-arming each probe chain from its
     /// previous completion like the lookup pipeline does) and checks
     /// `mixed_ring_makespan` against the ring's actual makespan — **exact**
     /// at every depth with the lane count dividing the flush count.
     #[test]
     fn mixed_ring_makespan_matches_the_simulator_exactly() {
         use flashsim::{CompletionRing, Device, IoRequest, RingRequest, Ssd};
-        use std::collections::HashMap;
 
         let m = ssd();
         let buffer: usize = 32 << 10;
@@ -632,32 +631,25 @@ mod tests {
             let page = dev.profile().page_size as usize;
             let mut ring = CompletionRing::new(m.lanes_at_depth(depth));
             // Write phase: `flushes` incarnation-sized writes to disjoint
-            // log slots, admitted without waiting.
+            // log slots, in one submission.
             let writes: Vec<RingRequest> = (0..flushes)
                 .map(|i| {
                     RingRequest::new(IoRequest::write((i * buffer) as u64, vec![0xAA; buffer]))
                 })
                 .collect();
-            dev.submit_nowait(writes, &mut ring).unwrap();
-            dev.reap(&mut ring, 1).unwrap();
+            dev.submit(writes, &mut ring).unwrap();
             // Read phase: `keys` chains of `probes` page reads, each chain
-            // re-armed the moment its previous read reaps.
+            // re-armed from its previous read's completion, a wave a round.
             let read_base = (flushes * buffer) as u64;
-            let first: Vec<RingRequest> = (0..keys)
+            let mut wave: Vec<RingRequest> = (0..keys)
                 .map(|i| RingRequest::new(IoRequest::read(read_base + (i * page) as u64, page)))
                 .collect();
-            let tickets = dev.submit_nowait(first, &mut ring).unwrap();
-            let mut rounds: HashMap<u64, usize> = tickets.iter().map(|t| (t.id(), 1)).collect();
-            while ring.in_flight() > 0 {
-                for c in dev.reap(&mut ring, 1).unwrap() {
-                    let done = rounds.remove(&c.ticket.id()).unwrap();
-                    if done < probes {
-                        let next =
-                            RingRequest::after(IoRequest::read(read_base, page), c.completed_at);
-                        let t = dev.submit_nowait(vec![next], &mut ring).unwrap();
-                        rounds.insert(t[0].id(), done + 1);
-                    }
-                }
+            for _ in 0..probes {
+                let done = dev.submit(wave, &mut ring).unwrap();
+                wave = done
+                    .iter()
+                    .map(|c| RingRequest::after(IoRequest::read(read_base, page), c.completed_at))
+                    .collect();
             }
             assert_eq!(
                 ring.makespan(),

@@ -16,14 +16,13 @@
 //! candidate incarnations, each answered from the buffer slot it was
 //! flushed from while that slot still holds it, else by chained page
 //! hops), and [`Clam::lookup_batch`] drives those machines through the
-//! device's **completion ring** ([`Device::submit_nowait`] /
-//! [`Device::reap`](flashsim::Device::reap)): page reads are admitted
-//! without waiting, a bounded window of keys at a time (a few requests
-//! per queue lane, so a large batch parks a bounded number of page
-//! buffers), and the moment a read reaps, its key's *next* read is
-//! re-armed or the next waiting key takes its place — so independent
-//! keys' probe rounds interleave and the queue stays full. The batch's
-//! flash time is the ring **makespan**
+//! device's **completion ring** ([`Device::submit`]): page reads go out in
+//! waves, the first a bounded window of keys (a few requests per queue
+//! lane, so a large batch parks a bounded number of page buffers), and
+//! each completion re-arms its key's *next* read, causally floored at
+//! that completion, or hands its place to the next waiting key — so
+//! independent keys' probe rounds interleave on the queue's lanes. The
+//! batch's flash time is the ring **makespan**
 //! ([`flashsim::CompletionRing::makespan`]).
 //! A per-op [`Clam::lookup`] is a batch of one over the same pipeline.
 //!
@@ -46,9 +45,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use flashsim::queue::{IoTicket, RingCompletion};
 use flashsim::{
-    CompletionRing, Device, IoRequest, LinearCost, MediumKind, RingRequest, SimDuration,
+    CompletionRing, Device, IoRequest, LinearCost, MediumKind, RingCompletion, RingRequest,
+    SimDuration,
 };
 
 use crate::config::ClamConfig;
@@ -189,7 +188,8 @@ pub struct BatchLookupOutcome {
     pub waves: usize,
     /// Total flash page-read requests submitted across all rounds.
     pub probe_reads: usize,
-    /// Completions delivered through [`Device::reap`](flashsim::Device::reap).
+    /// Completions the probe reads returned: one per
+    /// [`probe_reads`](Self::probe_reads).
     pub reaps: usize,
     /// In-flight depth high-water mark of the completion ring: at most the
     /// probe window, however many keys the batch holds.
@@ -381,9 +381,8 @@ impl<D: Device> Clam<D> {
     /// recovery path after a crash or restart.
     ///
     /// The scan reads every incarnation slot through the completion ring
-    /// (admitted without waiting via
-    /// [`submit_nowait`](flashsim::Device::submit_nowait), overlapped per
-    /// the device queue, reaped as reads retire), then:
+    /// (one [`Device::submit`] call, overlapped per the device queue),
+    /// then:
     ///
     /// * rejects **torn** slots — any page failing the CRC32 / version /
     ///   identity checks of [`crate::scan_incarnation`] — which is how a
@@ -584,7 +583,7 @@ impl<D: Device> Clam<D> {
         self.stats.batched_inserts += ops.len() as u64;
         let coalesced_before = self.stats.coalesced_flush_writes;
         // Finished coalesced runs are admitted as they form; the window's
-        // drain admits the last one and reaps the ring, and only its
+        // drain submits the last one and syncs the ring, and only its
         // makespan is "deferred" time (charged to the batch, not to any
         // triggering insert).
         let ((), drained) = self.write_window(|clam| {
@@ -610,14 +609,13 @@ impl<D: Device> Clam<D> {
     /// filter bank are probed in one pass, and the per-call dispatch
     /// overhead is amortized across the batch. Every key that misses the
     /// in-memory state becomes a probe state machine whose page reads are
-    /// driven through the device's completion ring
-    /// ([`Device::submit_nowait`](flashsim::Device::submit_nowait) /
-    /// [`Device::reap`](flashsim::Device::reap)): first reads are
-    /// admitted through a window of a few requests per queue lane, each
-    /// key re-arms its next read the moment its previous one reaps, and a
-    /// key that resolves hands its place to the next waiting one, so
-    /// independent keys' probe rounds interleave, the device queue stays
-    /// full, and the ring never holds more page buffers than the window.
+    /// driven through the device's completion ring ([`Device::submit`], a
+    /// wave at a time): the first wave is a window of a few requests per
+    /// queue lane, each completion re-arms its key's next read in the next
+    /// wave, floored at that completion, and a key that resolves hands its
+    /// place to the next waiting one, so independent keys' probe rounds
+    /// interleave on the queue's lanes and no wave holds more page
+    /// buffers than the window.
     /// The batch is charged the ring **makespan**, not the summed
     /// per-read time.
     ///
@@ -717,7 +715,7 @@ pub fn table_of(key: Key, tables: usize) -> usize {
 const TABLE_SEED: u64 = 0x7a_b1e5;
 
 /// How many page reads one lookup batch keeps in flight on a ring of
-/// `lanes` lanes. Four requests a lane keep every lane fed between reaps
+/// `lanes` lanes. Four requests a lane keep every lane fed between waves
 /// (the floor of 16 keeps a short or serial queue's rounds that wide, and
 /// simulated results depend on it); beyond that a deeper ring only parks
 /// more 4 KiB page buffers without finishing sooner, so this is a

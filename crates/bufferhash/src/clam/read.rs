@@ -145,117 +145,83 @@ impl<D: Device> Clam<D> {
 
         if !pending.is_empty() {
             // The probes run on the call's *shared* ring: LRU re-insertion
-            // flushes (step 3) admit into the same ring, so their writes
+            // flushes (step 3) submit on the same ring, so their writes
             // overlap the tail of the probe traffic on the device timeline
             // instead of restarting the clock.
             let mut ring = CompletionRing::for_queue(self.device.queue());
-            // First probes enter through a bounded window, topped up as
-            // reads reap: every admitted read parks a page buffer until it
-            // is reaped, and a window of a few requests per lane already
-            // keeps every lane busy.
+            // Probes go out in waves. The first holds a bounded window of
+            // keys: every read in a wave parks a page buffer, and a window
+            // of a few requests per lane already keeps every lane busy.
             let window = probe_window(self.device.queue().ring_lanes());
             let mut waiting = pending.into_iter();
-            // Probe state of every in-flight read, keyed by ticket id.
-            let mut states: HashMap<u64, ProbeState> =
-                HashMap::with_capacity(window.min(waiting.len()));
-            // 1. Fill the window without waiting.
-            let mut requests = Vec::with_capacity(window.min(waiting.len()));
-            let mut admitted = Vec::with_capacity(requests.capacity());
+            // The probe state of each request of the wave, by its index.
+            let mut states: Vec<Option<ProbeState>> = Vec::with_capacity(window);
+            let mut requests = Vec::with_capacity(window);
             for state in waiting.by_ref().take(window) {
                 let offset = self.probe_offset(&state);
                 requests.push(RingRequest::new(IoRequest::read(offset, page_size)));
-                admitted.push(state);
+                states.push(Some(state));
             }
+            let mut stalls = 0;
 
-            // 2. Stream: the moment a read reaps, step its key's state
-            //    machine and re-arm the key's next read (causally floored
-            //    at the completion that produced it), so later rounds of
+            // 1. Submit the wave and sync: the ring holds it in flight
+            //    until its completions are in hand.
+            // 2. Step each key's state machine on its page, by completion
+            //    time, and re-arm the key's next read (causally floored at
+            //    the completion that produced it), so later rounds of
             //    fast keys overlap earlier rounds of slow ones; a key that
-            //    resolved hands its place in the window to the next
-            //    waiting key, floored the same way. On a per-request
-            //    failure, stop admitting but keep reaping until the ring
-            //    is empty before propagating: abandoning a ring with reads
-            //    still in flight would leave their completions parked in
-            //    the device forever.
-            let mut failure: Option<BufferHashError> = None;
-            loop {
-                if failure.is_none() && !requests.is_empty() {
-                    batch.probe_reads += requests.len();
-                    self.stats.lookup_probe_requests += requests.len() as u64;
-                    let tickets = self.device.submit_nowait(requests, &mut ring)?;
-                    for (ticket, state) in tickets.into_iter().zip(admitted) {
-                        states.insert(ticket.id(), state);
-                    }
-                }
-                if ring.in_flight() == 0 {
-                    break;
-                }
-                let completions = self.device.reap(&mut ring, 1)?;
-                requests = Vec::with_capacity(completions.len());
-                admitted = Vec::with_capacity(completions.len());
-                for completion in completions {
-                    let mut state = states
-                        .remove(&completion.ticket.id())
-                        .expect("one probe state per in-flight ticket");
-                    if failure.is_some() {
-                        continue; // draining: discard late completions
-                    }
+            //    resolved hands its place in the next wave to the next
+            //    waiting key, floored the same way. A failed read or a
+            //    misdirected page fails the call after its wave: nothing is
+            //    in flight then, and the call's ring state is still its
+            //    default.
+            while !requests.is_empty() {
+                batch.probe_reads += requests.len();
+                self.stats.lookup_probe_requests += requests.len() as u64;
+                let done = self.device.submit(requests, &mut ring)?;
+                ring.sync();
+                stalls += done.iter().filter(|c| c.stalled).count();
+                let mut wave = std::mem::take(&mut states);
+                requests = Vec::with_capacity(done.len());
+                for completion in done {
+                    let mut state =
+                        wave[completion.index].take().expect("one completion per request");
                     if completion.lane != 0 {
                         self.stats.lookup_probes_overlapped += 1;
                     }
                     let offset = self.probe_offset(&state);
-                    let page = match completion.result {
-                        Ok(page) => page,
-                        Err(e) => {
-                            failure = Some(e.into());
-                            continue;
-                        }
-                    };
+                    let page = completion.result?;
                     state.latency += completion.latency;
-                    let next = match self.step_probe(state, &page, offset, &mut out, &mut reinserts)
-                    {
-                        Ok(Some(rearmed)) => Some(rearmed),
-                        Ok(None) => waiting.next().map(|state| {
-                            let first = self.probe_offset(&state);
-                            (state, first)
-                        }),
-                        Err(e) => {
-                            failure = Some(e);
-                            None
-                        }
-                    };
+                    let next =
+                        match self.step_probe(state, &page, offset, &mut out, &mut reinserts)? {
+                            Some(rearmed) => Some(rearmed),
+                            None => waiting.next().map(|state| {
+                                let first = self.probe_offset(&state);
+                                (state, first)
+                            }),
+                        };
                     if let Some((state, offset)) = next {
                         requests.push(RingRequest::after(
                             IoRequest::read(offset, page_size),
                             completion.completed_at,
                         ));
-                        admitted.push(state);
+                        states.push(Some(state));
                     }
                 }
             }
-            if let Some(e) = failure {
-                // The loop reaped every read, so nothing is in flight and
-                // the call's ring state is still its default.
-                return Err(e);
-            }
             batch.probe_latency = ring.makespan();
-            batch.reaps = ring.reaps() as usize;
+            // Every request completes in its `submit` call.
+            batch.reaps = batch.probe_reads;
             batch.ring_depth_high_water = ring.depth_high_water();
             self.stats.lookup_batches_submitted += 1;
-            self.stats.lookup_ring_reaps += ring.reaps();
+            self.stats.lookup_ring_reaps += batch.reaps as u64;
             self.stats.lookup_ring_depth_high_water =
                 self.stats.lookup_ring_depth_high_water.max(ring.depth_high_water() as u64);
-            self.stats.lookup_ring_admission_stalls += ring.admission_stalls();
-            // Everything reaped so far is on the lookup ledger, and the
-            // probe makespan is charged to this batch: mark both so the
+            self.stats.lookup_ring_admission_stalls += stalls as u64;
+            // The probe makespan is charged to this batch: mark it so the
             // write side only ever accounts its own growth.
-            self.call = Call {
-                read_marks: (ring.reaps(), ring.admission_stalls()),
-                horizon: ring.makespan(),
-                read: true,
-                ring: Some(ring),
-                ..Call::default()
-            };
+            self.call =
+                Call { horizon: ring.makespan(), read: true, ring: Some(ring), ..Call::default() };
         }
 
         // 3. LRU: re-insert items used from flash so they survive FIFO
@@ -347,7 +313,7 @@ struct LookupPlan {
 /// Probe state machine for one key of a queued lookup batch: where the key
 /// sits in its Bloom-guided candidate walk (which incarnation, which page
 /// of the overflow chain) and the per-key accounting accumulated so far.
-/// Each page read that reaps advances it until a verdict is reached.
+/// Each page read that completes advances it until a verdict is reached.
 struct ProbeState {
     /// Position of the key in the caller's batch.
     slot: usize,

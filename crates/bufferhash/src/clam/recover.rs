@@ -9,26 +9,17 @@ impl<D: Device> Clam<D> {
         let slot_size = self.allocator.slot_size();
         let num_slots = self.allocator.num_slots();
 
-        // Ring-driven scan: every slot read admitted without waiting and
-        // reaped as it retires, so the scan costs the overlapped ring
-        // makespan, not the summed per-read time.
+        // Ring-driven scan: every slot read in one submission, so the scan
+        // costs the overlapped ring makespan, not the summed per-read time.
         let mut ring = CompletionRing::for_queue(self.device.queue());
         let requests: Vec<RingRequest> = (0..num_slots)
             .map(|slot| RingRequest::new(IoRequest::read(slot * slot_size, slot_size as usize)))
             .collect();
-        let tickets = self.device.submit_nowait(requests, &mut ring)?;
-        let mut completions = Vec::with_capacity(tickets.len());
-        while ring.in_flight() > 0 {
-            completions.extend(self.device.reap(&mut ring, 1)?);
-        }
+        let completions = self.device.submit(requests, &mut ring)?;
         let scan_makespan = ring.makespan();
-        let slot_of: HashMap<u64, usize> =
-            tickets.iter().enumerate().map(|(i, t)| (t.id(), i)).collect();
-        let mut images: Vec<Option<Vec<u8>>> = vec![None; num_slots as usize];
+        let mut images: Vec<Vec<u8>> = vec![Vec::new(); num_slots as usize];
         for completion in completions {
-            if let Some(&slot) = slot_of.get(&completion.ticket.id()) {
-                images[slot] = Some(completion.result?);
-            }
+            images[completion.index] = completion.result?;
         }
 
         let mut torn = 0usize;
@@ -37,10 +28,7 @@ impl<D: Device> Clam<D> {
         let mut valid: Vec<(u64, IncarnationIdentity, Vec<Entry>)> = Vec::new();
         let mut max_seq_seen = 0u64;
         let mut max_epoch_seen = 0u32;
-        for (slot, image) in images.iter().enumerate() {
-            let bytes = image.as_ref().ok_or_else(|| {
-                BufferHashError::InvalidConfig("recovery scan lost a slot read".into())
-            })?;
+        for (slot, bytes) in images.iter().enumerate() {
             // Harvest identity watermarks from every CRC-valid page, torn
             // slots included: a re-issued (epoch, seq) must never shadow
             // data that survived elsewhere.

@@ -25,9 +25,9 @@ pub(super) struct Call {
     /// Ring makespan already charged to some caller; the next sync charges
     /// only the growth beyond this horizon.
     pub(super) horizon: SimDuration,
-    /// Ring `(reaps, admission stalls)` already attributed to the lookup
-    /// ledger; the write-ring ledger takes the deltas beyond these marks.
-    pub(super) read_marks: (u64, u64),
+    /// The first write-path request since the last sync that failed, in
+    /// submission order; the sync surfaces it.
+    pub(super) failure: Option<BufferHashError>,
     /// Whether the ring carried write-path traffic (writes, erases, trims)
     /// / read traffic, for the mixed-ring depth ledger.
     pub(super) wrote: bool,
@@ -36,11 +36,12 @@ pub(super) struct Call {
 }
 
 impl<D: Device> Clam<D> {
-    /// Admits requests into the call's shared ring without waiting
-    /// ([`Device::submit_nowait`](flashsim::Device::submit_nowait)),
-    /// opening the ring, sized to the device's queue, if this is the
-    /// call's first admission.
-    pub(super) fn ring_admit(&mut self, requests: Vec<RingRequest>) -> Result<Vec<IoTicket>> {
+    /// Submits write-path requests on the call's shared ring, opening the
+    /// ring, sized to the device's queue, if this is the call's first
+    /// submission, and returns their completions. The write-ring ledger
+    /// counts them here; a failed request is kept for the next sync
+    /// ([`sync_ring`](Self::sync_ring)) to surface.
+    pub(super) fn ring_admit(&mut self, requests: Vec<RingRequest>) -> Result<Vec<RingCompletion>> {
         for r in &requests {
             if matches!(r.request, IoRequest::Read { .. }) {
                 self.call.read = true;
@@ -50,36 +51,29 @@ impl<D: Device> Clam<D> {
         }
         let ring =
             self.call.ring.get_or_insert_with(|| CompletionRing::for_queue(self.device.queue()));
-        Ok(self.device.submit_nowait(requests, ring)?)
+        let done = self.device.submit(requests, ring)?;
+        self.stats.flush_ring_reaps += done.len() as u64;
+        self.stats.write_ring_admission_stalls += done.iter().filter(|c| c.stalled).count() as u64;
+        if self.call.failure.is_none() {
+            let failed = done.iter().filter(|c| c.result.is_err()).min_by_key(|c| c.index);
+            self.call.failure = failed.and_then(|c| c.result.clone().err()).map(Into::into);
+        }
+        Ok(done)
     }
 
-    /// Reaps every in-flight request of the shared ring, records the
-    /// write-ring ledger (reaps and stalls beyond the lookup pipeline's
-    /// marks belong to the flush/eviction side), and returns the
-    /// completions in ticket order together with the ring's **makespan
-    /// growth** since the last charge, propagating the first per-request
-    /// failure. The ring stays open: later admissions land on the same
-    /// device timeline, which is what lets flush traffic overlap the tail
-    /// of earlier probe or write traffic instead of restarting the clock.
-    pub(super) fn sync_ring(&mut self) -> Result<(SimDuration, Vec<RingCompletion>)> {
+    /// The call's sync point: everything submitted since the last one has
+    /// finished, so it leaves the ring's in-flight count; records the
+    /// mixed-ring depth ledger and returns the ring's **makespan growth**
+    /// since the last charge. The first request that failed since the last
+    /// sync fails the call here. The ring stays open: later submissions
+    /// land on the same device timeline, which is what lets flush traffic
+    /// overlap the tail of earlier probe or write traffic instead of
+    /// restarting the clock.
+    pub(super) fn sync_ring(&mut self) -> Result<SimDuration> {
         let Some(ring) = self.call.ring.as_mut() else {
-            return Ok((SimDuration::ZERO, Vec::new()));
+            return Ok(SimDuration::ZERO);
         };
-        let mut completions: Vec<RingCompletion> = Vec::new();
-        let mut failure: Option<BufferHashError> = None;
-        while ring.in_flight() > 0 {
-            match self.device.reap(ring, 1) {
-                Ok(reaped) => completions.extend(reaped),
-                Err(e) => {
-                    failure = Some(e.into());
-                    break;
-                }
-            }
-        }
-        let (reaps_seen, stalls_seen) = self.call.read_marks;
-        self.stats.flush_ring_reaps += ring.reaps() - reaps_seen;
-        self.stats.write_ring_admission_stalls += ring.admission_stalls() - stalls_seen;
-        self.call.read_marks = (ring.reaps(), ring.admission_stalls());
+        ring.sync();
         if self.call.wrote && self.call.read {
             // The ring carried reads *and* writes this call: record how
             // deep the mixed stream stacked the lanes.
@@ -89,18 +83,14 @@ impl<D: Device> Clam<D> {
         let makespan = ring.makespan();
         let charged = makespan - self.call.horizon;
         self.call.horizon = makespan;
-        completions.sort_by_key(|c| c.ticket);
-        let failure = failure.or_else(|| {
-            completions.iter().find_map(|c| c.result.as_ref().err()).map(|e| e.clone().into())
-        });
-        if let Some(e) = failure {
+        if let Some(e) = self.call.failure.take() {
             // The request that failed may be the write of an incarnation
             // already registered: no slot copy may go on vouching for
             // bytes the device might not hold.
             self.tables.iter_mut().for_each(SuperTable::forget_slot_copies);
             return Err(e);
         }
-        Ok((charged, completions))
+        Ok(charged)
     }
 
     /// Closes the call's shared ring: syncs it, restores
@@ -109,6 +99,6 @@ impl<D: Device> Clam<D> {
     pub(super) fn finish_ring(&mut self) -> Result<SimDuration> {
         let synced = self.sync_ring();
         self.call = Call::default();
-        synced.map(|(charged, _)| charged)
+        synced
     }
 }

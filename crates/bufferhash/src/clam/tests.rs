@@ -654,10 +654,22 @@ fn update_based_eviction_works_under_batching() {
     // mid-batch) interleave with deferred batch writes.
     let ops: Vec<(Key, Value)> =
         (0..80_000u64).map(|i| if i % 5 < 2 { (key(i / 3), i) } else { (key(i), i) }).collect();
+    let mut deepest_reading_call = 0;
     for chunk in ops.chunks(256) {
+        let before = clam.device().stats();
         clam.insert_batch(chunk).unwrap();
+        let after = clam.device().stats();
+        if after.reads > before.reads {
+            let submitted = after.requests_submitted - before.requests_submitted;
+            deepest_reading_call = deepest_reading_call.max(submitted);
+        }
     }
     assert!(clam.stats().reinsertions > 0, "partial discard should retain entries");
+    // Each eviction read is a sync point of its call, and the flush
+    // write that follows it lands after that point, so the depth the
+    // mixed ring records stays below every reading call's total.
+    let mixed = clam.stats().mixed_ring_depth_high_water;
+    assert!(0 < mixed && mixed < deepest_reading_call, "{mixed} of {deepest_reading_call}");
     // Recent keys must be readable.
     let recent = clam.lookup(key(79_999)).unwrap();
     assert_eq!(recent.value, Some(79_999));

@@ -63,9 +63,9 @@ impl<D: Device> Clam<D> {
         let chain = self.flush_until_stored(t, key, value);
         // A per-op call owns its ring: the flush chain's device time (its
         // makespan, overlap-accounted) is charged to this insert, and the
-        // ring closes even on failure, so in-flight writes are reaped and
-        // the device stays usable. Inside a write window the ring stays
-        // open; the window's drain charges it.
+        // ring closes even on failure, so the next call starts from
+        // `Call::default()`. Inside a write window the ring stays open;
+        // the window's drain charges it.
         let drained =
             if self.call.coalescing { Ok(SimDuration::ZERO) } else { self.drain_write_ring() };
         let chain = chain?;
@@ -105,7 +105,7 @@ impl<D: Device> Clam<D> {
     /// One flush chain for table `t`: evict if the incarnation table is
     /// full, write the buffer out as a new incarnation, cascade on
     /// retained re-inserts. Writes are admitted to the call's shared
-    /// completion ring without waiting, so they overlap each other and any
+    /// completion ring, so on its clock they overlap each other and any
     /// probe traffic on the same ring.
     ///
     /// Runs on one `&mut self`, so the allocator grant and the ring
@@ -166,9 +166,9 @@ impl<D: Device> Clam<D> {
                 // admission order, and the ring's write-write conflict
                 // floors keep the reported timing consistent with it. So
                 // the deferred run, the erases and the incarnation write
-                // are admitted back to back without waiting; their device
-                // time is charged when the ring syncs (per-op end,
-                // eviction read, or the write window's drain).
+                // are admitted back to back; their device time is charged,
+                // and a failure among them surfaces, when the ring syncs
+                // (per-op end, eviction read, or the write window's drain).
                 self.admit_pending_writes()?;
                 let mut requests: Vec<RingRequest> = alloc
                     .blocks_to_erase
@@ -232,26 +232,24 @@ impl<D: Device> Clam<D> {
             // reason (write-write floor against the read's range).
             self.admit_pending_writes()?;
             let layout = self.layout;
-            let tickets = self.ring_admit(vec![
+            let done = self.ring_admit(vec![
                 RingRequest::new(IoRequest::read(oldest.flash_offset, layout.total_bytes())),
                 RingRequest::new(IoRequest::Trim {
                     offset: oldest.flash_offset,
                     len: layout.total_bytes() as u64,
                 }),
             ])?;
-            let read_ticket = tickets[0];
             // The retain scan needs the page bytes back, so this is a sync
             // point: everything in flight — including unrelated flush
-            // writes, which overlap the read on the ring's lanes — is
-            // reaped, and the ring's makespan growth is charged to the
-            // eviction.
-            let (sync_lat, completions) = self.sync_ring()?;
-            latency += sync_lat;
-            let image = completions
+            // writes, which overlap the read on the ring's lanes — has
+            // finished, a failure among it fails the call, and the ring's
+            // makespan growth is charged to the eviction.
+            latency += self.sync_ring()?;
+            let image = done
                 .into_iter()
-                .find(|c| c.ticket == read_ticket)
+                .find(|c| c.index == 0)
                 .and_then(|c| c.result.ok())
-                .expect("read completion checked");
+                .expect("a failed read fails the sync");
             // Deciding staleness also probes the in-memory filters.
             latency += self.mem_words_cost(oldest.entries * 2);
             // Retained entries go back into the buffer and from there to
@@ -318,7 +316,7 @@ impl<D: Device> Clam<D> {
     }
 
     /// Admits the deferred coalesced run (if any) to the call's shared
-    /// ring without waiting.
+    /// ring.
     fn admit_pending_writes(&mut self) -> Result<()> {
         if let Some((offset, image)) = self.call.pending_run.take() {
             self.ring_admit(vec![RingRequest::new(IoRequest::write(offset, image))])?;

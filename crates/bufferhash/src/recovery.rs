@@ -41,8 +41,8 @@ pub struct RecoveryReport {
     /// the largest `seq` on any checksum-valid page, torn slots included,
     /// so re-used sequence numbers can never shadow surviving data.
     pub seq_resumed: u64,
-    /// Simulated makespan of the ring-driven scan (all slot reads
-    /// admitted without waiting, overlapped per the device's queue).
+    /// Simulated makespan of the ring-driven scan (all slot reads in one
+    /// submission, overlapped per the device's queue).
     pub scan_makespan: SimDuration,
 }
 

@@ -83,8 +83,8 @@ flashsim::ledger! {
         /// device queue (completed on a lane other than 0) — the lookup-side
         /// view of `IoStats::requests_overlapped`. Always zero on serial media.
         pub lookup_probes_overlapped: u64 => Sum,
-        /// Completions the streaming ring pipeline collected through
-        /// `Device::reap`.
+        /// Completions the streaming ring pipeline's `Device::submit` calls
+        /// returned.
         pub lookup_ring_reaps: u64 => Sum,
         /// In-flight depth high-water mark over every completion ring the
         /// lookup pipeline drove.
@@ -94,8 +94,8 @@ flashsim::ledger! {
         /// for pure probe traffic; it counts contention against interleaved
         /// writes.
         pub lookup_ring_admission_stalls: u64 => Sum,
-        /// Completions the ring-driven write path (flush, eviction, drain)
-        /// collected through `Device::reap` — the flush-side counterpart of
+        /// Completions the ring-driven write path's (flush, eviction, drain)
+        /// `Device::submit` calls returned — the flush-side counterpart of
         /// `lookup_ring_reaps`.
         pub flush_ring_reaps: u64 => Sum,
         /// Write-side ring admissions whose start was delayed by a

@@ -31,7 +31,7 @@
 //! run the shard was busy for, or whose store call failed, queues ahead
 //! of the shard's other submissions from the chunk. A response goes
 //! out only after its store call returned, and [`Clam::insert_batch`]
-//! returns only once the write ring is reaped. DESIGN.md ("Group-commit
+//! returns only once the write ring is synced. DESIGN.md ("Group-commit
 //! batcher") has the reasoning.
 //!
 //! **Delivery.** A connection's sequencer (`conn`) is the one place a

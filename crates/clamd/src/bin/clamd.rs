@@ -10,12 +10,9 @@
 //! clamd [--addr 127.0.0.1:7979] [--stripes 4]
 //!       [--flash-bytes 67108864] [--dram-bytes 8388608]
 //!       [--flash-file PATH] [--queue-depth N]
-//!       [--linger-us 100] [--max-batch 512]
 //! ```
 
 mod cli;
-
-use std::time::Duration;
 
 use clamd::batcher::BatcherConfig;
 use clamd::server::{ClamdServer, ServerConfig};
@@ -33,9 +30,7 @@ fn main() {
              --flash-bytes N     total flash capacity (default 64 MiB)\n\
              --dram-bytes N      total DRAM budget (default 8 MiB)\n\
              --flash-file PATH   file-backed store; existing images are recovered\n\
-             --queue-depth N     file-device completion-ring lanes (default {})\n\
-             --linger-us N       group-commit linger window (default 100)\n\
-             --max-batch N       largest group-commit gather (default 512)",
+             --queue-depth N     file-device completion-ring lanes (default {})",
             flashsim::DEFAULT_FILE_QUEUE_DEPTH
         );
         return;
@@ -45,11 +40,7 @@ fn main() {
         stripes: parse(&args, "--stripes", 4),
         flash_bytes: parse(&args, "--flash-bytes", 64 << 20),
         dram_bytes: parse(&args, "--dram-bytes", 8 << 20),
-        batcher: BatcherConfig {
-            max_batch: parse(&args, "--max-batch", 512),
-            linger: Duration::from_micros(parse(&args, "--linger-us", 100)),
-            ..BatcherConfig::default()
-        },
+        batcher: BatcherConfig::default(),
     };
 
     match flag_value(&args, "--flash-file") {

@@ -143,7 +143,7 @@ impl ClamdClient {
     }
 
     /// Inserts one fingerprint; returns once the server has acknowledged
-    /// it (group-commit flush reaped).
+    /// it (group-commit flush synced).
     pub fn insert(&mut self, key: Key, value: Value) -> Result<()> {
         match self.call(Op::Insert { key, value })? {
             RespBody::Inserted => Ok(()),

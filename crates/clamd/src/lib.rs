@@ -10,7 +10,7 @@
 //! * [`batcher`] — the sharded group-commit engine, one shard per
 //!   stripe: arrivals from all connections gather into ring admissions
 //!   on their key's [`StripedClam`] stripe, acknowledged once its
-//!   completion ring is reaped; each shard's decisions are made by a
+//!   completion ring is synced; each shard's decisions are made by a
 //!   core that takes no lock or clock;
 //! * [`server`] — the TCP front: one reader thread per connection
 //!   feeding the shared batcher queue, its responses written by the

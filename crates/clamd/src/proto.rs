@@ -244,7 +244,7 @@ impl std::error::Error for WireError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RespBody {
     /// The insert is durable in the store's acknowledgment sense (its
-    /// group-commit flush writes, if any, were reaped before this was
+    /// group-commit flush writes, if any, were synced before this was
     /// sent).
     Inserted,
     /// Lookup result.

@@ -2,15 +2,15 @@
 //!
 //! [`CrashDevice`] wraps any inner backend and counts *data-effect
 //! operations* — the per-op reads, writes, erases and trims that the
-//! completion ring ([`Device::submit_nowait`] / [`Device::reap`]) funnels
-//! through in admission order. When an armed budget runs out the device
-//! "loses power": the fatal operation fails, optionally after applying a
-//! **torn prefix** of a fatal write (a page program interrupted
-//! mid-flight), and every subsequent operation fails too. Because the
-//! wrapper deliberately does **not** override the ring entry points, the
-//! provided engine drives its per-op methods in admission order — so a
-//! budget of `N` cuts the schedule exactly after the `N`-th applied
-//! request, wherever that lands inside a ring admission, mirroring how a
+//! completion ring ([`Device::submit`]) funnels through in submission
+//! order. When an armed budget runs out the device "loses power": the
+//! fatal operation fails, optionally after applying a **torn prefix** of a
+//! fatal write (a page program interrupted mid-flight), and every
+//! subsequent operation fails too. Because the wrapper deliberately does
+//! **not** override [`Device::submit`], the provided engine drives its
+//! per-op methods in submission order — so a budget of `N` cuts the
+//! schedule exactly after the `N`-th applied request, wherever that lands
+//! inside a `submit` call, mirroring how a
 //! real power cut slices an NVMe submission stream. The queue ledger
 //! still lands in the inner device's counters
 //! ([`Device::update_stats`] forwards), so an unarmed wrapper is
@@ -204,10 +204,9 @@ impl<D: Device> Device for CrashDevice<D> {
         self.inner.trim(offset, len)
     }
 
-    // `submit_nowait` and `reap` are deliberately left at the provided
-    // engine: it drives the per-op methods above in admission order, so
-    // the budget slices the ring schedule exactly at the N-th applied
-    // request.
+    // `submit` is deliberately left at the provided engine: it drives the
+    // per-op methods above in submission order, so the budget slices the
+    // ring schedule exactly at the N-th applied request.
 
     fn on_idle(&mut self, idle: SimDuration) {
         if !self.dead {
@@ -252,22 +251,22 @@ mod tests {
         assert_eq!(dev.name(), "DRAM");
 
         // The same ring script on a bare and a wrapped SSD: conflicting
-        // and overlapping requests, a trim, an unsupported erase, reaped
-        // in two rounds. Every counter agrees, the queue ledger included.
+        // and overlapping requests, a trim, an unsupported erase, in two
+        // calls with a sync point between them. Every counter agrees, the
+        // queue ledger included.
         fn script<D: Device>(mut dev: D) -> IoStats {
             let mut ring = CompletionRing::for_queue(dev.queue());
             let first = (0..12u64)
                 .map(|i| RingRequest::new(IoRequest::write(i % 8 * 4096, vec![i as u8; 4096])))
                 .chain([RingRequest::new(IoRequest::Erase { block: 0 })])
                 .collect();
-            dev.submit_nowait(first, &mut ring).unwrap();
-            assert_eq!(dev.reap(&mut ring, 1).unwrap().len(), 13);
+            assert_eq!(dev.submit(first, &mut ring).unwrap().len(), 13);
+            ring.sync();
             let second = (0..8u64)
                 .map(|i| RingRequest::new(IoRequest::read(i * 4096, 4096)))
                 .chain([RingRequest::new(IoRequest::Trim { offset: 0, len: 8192 })])
                 .collect();
-            dev.submit_nowait(second, &mut ring).unwrap();
-            assert_eq!(dev.reap(&mut ring, 1).unwrap().len(), 9);
+            assert_eq!(dev.submit(second, &mut ring).unwrap().len(), 9);
             dev.stats()
         }
         let bare = script(Ssd::intel(1 << 20).unwrap());
@@ -326,14 +325,13 @@ mod tests {
             RingRequest::new(IoRequest::write(32, vec![3u8; 16])),
             RingRequest::new(IoRequest::read(0, 16)),
         ];
-        dev.submit_nowait(requests, &mut ring).unwrap();
-        let done = dev.reap(&mut ring, 1).unwrap();
+        let mut done = dev.submit(requests, &mut ring).unwrap();
+        done.sort_by_key(|c| c.index);
         assert_eq!(done.len(), 4);
-        let by_ticket = |id: u64| done.iter().find(|c| c.ticket.id() == id).unwrap();
-        assert!(by_ticket(0).result.is_ok());
-        assert!(by_ticket(1).result.is_ok());
-        assert!(by_ticket(2).result.is_err(), "third admitted request hits the cut");
-        assert!(by_ticket(3).result.is_err(), "post-cut requests fail too");
+        assert!(done[0].result.is_ok());
+        assert!(done[1].result.is_ok());
+        assert!(done[2].result.is_err(), "third submitted request hits the cut");
+        assert!(done[3].result.is_err(), "post-cut requests fail too");
         assert!(dev.has_crashed());
     }
 }

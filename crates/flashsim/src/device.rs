@@ -6,22 +6,19 @@
 //! charge it to the triggering hash-table operation, or overlap it with
 //! other work).
 //!
-//! Queued I/O has one entry point, the completion ring of [`crate::queue`]:
-//! [`Device::submit_nowait`] admits [`RingRequest`]s into a caller-owned
-//! [`CompletionRing`], [`Device::reap`] collects their
-//! [`RingCompletion`]s, and the ring's lane clocks say how much of the
-//! stream the device's [`QueueCapabilities`] would have kept in flight at
-//! once. The per-op methods ([`read_at`](Device::read_at),
+//! Queued I/O has one entry point, [`Device::submit`]: it runs a batch of
+//! [`RingRequest`]s, books them on a caller-owned [`CompletionRing`] and
+//! returns their [`RingCompletion`]s, and the ring's lane clocks say how
+//! much of the stream the device's [`QueueCapabilities`] would have kept in
+//! flight at once. The per-op methods ([`read_at`](Device::read_at),
 //! [`write_at`](Device::write_at), [`erase_block`](Device::erase_block),
-//! [`trim`](Device::trim)) are what a backend implements and what the ring
+//! [`trim`](Device::trim)) are what a backend implements and what `submit`
 //! drives; callers use them directly for single blocking commands.
 
 use crate::error::Result;
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
-use crate::queue::{
-    CompletionRing, IoRequest, IoTicket, QueueCapabilities, RingCompletion, RingRequest,
-};
+use crate::queue::{CompletionRing, IoRequest, QueueCapabilities, RingCompletion, RingRequest};
 use crate::stats::IoStats;
 use crate::time::SimDuration;
 
@@ -34,11 +31,11 @@ use crate::time::SimDuration;
 /// A backend is a cost function over a byte store: it implements the four
 /// per-op methods and hands out its [`IoStats`]
 /// ([`stats`](Device::stats) / [`update_stats`](Device::update_stats)).
-/// The ring entry points are provided: they drive the per-op methods in
-/// admission order and let the [`CompletionRing`] model the queue, so no
+/// [`submit`](Device::submit) is provided: it drives the per-op methods in
+/// submission order and lets the [`CompletionRing`] model the queue, so no
 /// backend carries ring code of its own, [`FileDevice`](crate::FileDevice)
 /// included: its per-op methods time real I/O and the ring books those
-/// times on its lanes. Only a forwarding wrapper overrides them.
+/// times on its lanes. Only a forwarding wrapper overrides it.
 ///
 /// `Send + Sync` is required so higher layers can share devices across
 /// threads. All mutation goes through `&mut self`, so `Sync` costs
@@ -82,15 +79,17 @@ pub trait Device: Send + Sync {
         Ok(SimDuration::ZERO)
     }
 
-    /// Submits requests to the device queue **without waiting** for them,
-    /// admitting them into the caller-owned `ring` and returning one
-    /// [`IoTicket`] per request (in submission order). Completions are
-    /// collected later with [`reap`](Device::reap).
+    /// Runs `requests` on the device queue and returns one
+    /// [`RingCompletion`] per request, by completion time, ties in
+    /// submission order; [`RingCompletion::index`] is the request's
+    /// position in `requests`. Each request is booked on the caller-owned
+    /// `ring` and counts as in flight there until the caller's
+    /// [`CompletionRing::sync`].
     ///
-    /// **Admission order is data-effect order**: overlapping ranges apply
-    /// in the order they were admitted on every backend, and the ring's
-    /// conflict-aware admission reflects that in the reported timing, so a
-    /// ring stream is observationally equivalent (final bytes, per-ticket
+    /// **Submission order is data-effect order**: overlapping ranges apply
+    /// in the order they were submitted on every backend, and the ring's
+    /// conflict floors reflect that in the reported timing, so a ring
+    /// stream is observationally equivalent (final bytes, per-request
     /// results) to issuing the same operations sequentially. Per-request
     /// failures (out-of-bounds, dirty-page programs, unsupported erases)
     /// come back in [`RingCompletion::result`] and do not disturb the
@@ -100,56 +99,22 @@ pub trait Device: Send + Sync {
     /// read issued from an earlier read's data) never overlaps its own
     /// cause.
     ///
-    /// The provided engine runs each request synchronously through the
-    /// per-op methods and finishes it into the ring with the latency they
-    /// returned; the ring's lane free-at clocks and conflict floors model
-    /// how much of the stream a device with that queue depth would have
-    /// kept in flight — exact for the simulated backends, whose
-    /// "asynchrony" is entirely in that timing model, and the same model
-    /// over measured latencies for the file backend. It then writes the
-    /// queue ledger ([`CompletionRing::record_admission`]) through
+    /// The provided engine runs each request through the per-op methods
+    /// and books it with the latency they returned; the ring's lane
+    /// free-at clocks and conflict floors model how much of the stream a
+    /// device with that queue depth would have kept in flight — exact for
+    /// the simulated backends, whose "asynchrony" is entirely in that
+    /// timing model, and the same model over measured latencies for the
+    /// file backend. It then writes the call's queue ledger through
     /// [`update_stats`](Device::update_stats).
-    fn submit_nowait(
+    fn submit(
         &mut self,
         requests: Vec<RingRequest>,
         ring: &mut CompletionRing,
-    ) -> Result<Vec<IoTicket>> {
-        let mut tickets = Vec::with_capacity(requests.len());
-        for RingRequest { request, not_before } in requests {
-            let ticket = ring.admit(&request, not_before);
-            let done = match &request {
-                IoRequest::Read { offset, len } => {
-                    let mut buf = vec![0u8; *len];
-                    self.read_at(*offset, &mut buf).map(|latency| (latency, buf))
-                }
-                IoRequest::Write { offset, data } => self.write_at(*offset, data).map(quiet),
-                IoRequest::Erase { block } => self.erase_block(*block).map(quiet),
-                IoRequest::Trim { offset, len } => self.trim(*offset, *len).map(quiet),
-            };
-            match done {
-                Ok((latency, data)) => ring.finish(ticket, latency, Ok(data)),
-                Err(e) => ring.finish(ticket, SimDuration::ZERO, Err(e)),
-            }
-            tickets.push(ticket);
-        }
-        self.update_stats(&mut |stats| ring.record_admission(stats, tickets.len()));
-        Ok(tickets)
-    }
-
-    /// Waits until at least `min` completions of `ring` are ready (fewer
-    /// only if fewer are in flight) and returns **all** ready completions
-    /// in completion-time order. `min` is clamped to at least 1; calling
-    /// with nothing in flight returns an empty vector.
-    ///
-    /// The provided engine pairs with the provided
-    /// [`submit_nowait`](Device::submit_nowait), where every admitted
-    /// request has already finished: it drains the ring and writes the
-    /// queue ledger ([`CompletionRing::reap_recorded`]).
-    fn reap(&mut self, ring: &mut CompletionRing, min: usize) -> Result<Vec<RingCompletion>> {
-        let _ = min;
-        let mut out = Vec::new();
-        self.update_stats(&mut |stats| out = ring.reap_recorded(stats));
-        Ok(out)
+    ) -> Result<Vec<RingCompletion>> {
+        let done = ring.run(requests, |request| execute(self, request));
+        self.update_stats(&mut |stats| ring.record(stats, &done));
+        Ok(done)
     }
 
     /// Informs the device that the workload was idle for `idle` simulated
@@ -179,9 +144,22 @@ pub trait Device: Send + Sync {
     }
 }
 
-/// A non-read's completion payload: its latency and no bytes.
-fn quiet(latency: SimDuration) -> (SimDuration, Vec<u8>) {
-    (latency, Vec::new())
+/// Runs one ring request through `device`'s per-op methods: its latency,
+/// and the bytes read (none for the other commands).
+pub(crate) fn execute<D: Device + ?Sized>(
+    device: &mut D,
+    request: &IoRequest,
+) -> Result<(SimDuration, Vec<u8>)> {
+    let quiet = |latency| (latency, Vec::new());
+    match request {
+        IoRequest::Read { offset, len } => {
+            let mut buf = vec![0u8; *len];
+            device.read_at(*offset, &mut buf).map(|latency| (latency, buf))
+        }
+        IoRequest::Write { offset, data } => device.write_at(*offset, data).map(quiet),
+        IoRequest::Erase { block } => device.erase_block(*block).map(quiet),
+        IoRequest::Trim { offset, len } => device.trim(*offset, *len).map(quiet),
+    }
 }
 
 /// Blanket implementation so `Box<dyn Device>` is itself a `Device`, which
@@ -209,15 +187,12 @@ impl<D: Device + ?Sized> Device for Box<D> {
     fn trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
         (**self).trim(offset, len)
     }
-    fn submit_nowait(
+    fn submit(
         &mut self,
         requests: Vec<RingRequest>,
         ring: &mut CompletionRing,
-    ) -> Result<Vec<IoTicket>> {
-        (**self).submit_nowait(requests, ring)
-    }
-    fn reap(&mut self, ring: &mut CompletionRing, min: usize) -> Result<Vec<RingCompletion>> {
-        (**self).reap(ring, min)
+    ) -> Result<Vec<RingCompletion>> {
+        (**self).submit(requests, ring)
     }
     fn on_idle(&mut self, idle: SimDuration) {
         (**self).on_idle(idle)
@@ -239,20 +214,16 @@ pub(crate) mod tests {
     use crate::dram::DramDevice;
     use crate::error::DeviceError;
 
-    /// Admits `requests` into a fresh ring on `device` in one call, drains
-    /// it, and returns the ring with its completions in ticket order.
+    /// Submits `requests` to a fresh ring on `device` in one call and
+    /// returns the ring with the completions in submission order.
     pub(crate) fn run_on_ring<D: Device + ?Sized>(
         device: &mut D,
         requests: Vec<IoRequest>,
     ) -> (CompletionRing, Vec<RingCompletion>) {
         let mut ring = CompletionRing::for_queue(device.queue());
         let requests = requests.into_iter().map(RingRequest::new).collect();
-        device.submit_nowait(requests, &mut ring).unwrap();
-        let mut done = Vec::new();
-        while ring.in_flight() > 0 {
-            done.extend(device.reap(&mut ring, 1).unwrap());
-        }
-        done.sort_by_key(|c| c.ticket);
+        let mut done = device.submit(requests, &mut ring).unwrap();
+        done.sort_by_key(|c| c.index);
         (ring, done)
     }
 
@@ -345,19 +316,16 @@ pub(crate) mod tests {
             RingRequest::new(IoRequest::read(0, 64)),
             RingRequest::new(IoRequest::read(1 << 16, 1)), // out of bounds
         ];
-        let tickets = dev.submit_nowait(reqs, &mut ring).unwrap();
-        assert_eq!(tickets.iter().map(|t| t.id()).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(ring.in_flight(), 3);
-        let done = dev.reap(&mut ring, 1).unwrap();
-        assert_eq!(done.len(), 3, "default reap drains everything ready");
-        let by_ticket = |id: u64| done.iter().find(|c| c.ticket.id() == id).unwrap();
-        assert_eq!(by_ticket(1).result.as_ref().unwrap(), &vec![9u8; 64]);
-        assert!(matches!(by_ticket(2).result, Err(DeviceError::OutOfBounds { .. })));
+        let done = dev.submit(reqs, &mut ring).unwrap();
+        assert_eq!(done.len(), 3, "one completion per request, from the call itself");
+        let at = |index: usize| done.iter().find(|c| c.index == index).unwrap();
+        assert_eq!(at(1).result.as_ref().unwrap(), &vec![9u8; 64]);
+        assert!(matches!(at(2).result, Err(DeviceError::OutOfBounds { .. })));
         // The read of the just-written range is conflict-floored behind
         // the write: its start is the write's completion time.
-        assert_eq!(by_ticket(1).started_at, by_ticket(0).completed_at);
-        assert!(ring.makespan() >= by_ticket(1).completed_at);
-        assert_eq!(ring.in_flight(), 0);
+        assert_eq!(at(1).started_at, at(0).completed_at);
+        assert!(ring.makespan() >= at(1).completed_at);
+        assert!(done.windows(2).all(|w| w[0].completed_at <= w[1].completed_at));
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //!
 //! Like every other backend it is a cost function over a byte store: the
 //! per-op methods time one positioned `pread` / `pwrite` each, and the
-//! completion ring drives them through the provided
-//! [`Device::submit_nowait`] / [`Device::reap`]. A ring request therefore
-//! runs at admission, on the submitting thread, and the ring places its
-//! measured latency on the lanes of the device's queue depth
+//! provided [`Device::submit`] drives them. A ring request therefore runs
+//! inside the `submit` call, on the submitting thread, and the ring places
+//! its measured latency on the lanes of the device's queue depth
 //! (DESIGN.md "`FileDevice` runs where it is submitted"). No thread is
 //! started: with the file in the page cache of a 2-vCPU KVM guest a 4 KiB
 //! read measured about a microsecond and a 32 KiB write about ten, less
@@ -280,7 +279,7 @@ mod tests {
             // The stalls the chain surfaces reach the device's counters,
             // each once.
             let s = dev.stats();
-            assert_eq!(s.ring_admission_stalls, ring.admission_stalls());
+            assert_eq!(s.ring_admission_stalls, done.iter().filter(|c| c.stalled).count() as u64);
             assert!(s.ring_admission_stalls > 0);
         }
         std::fs::remove_file(&path).ok();
@@ -295,19 +294,12 @@ mod tests {
             let writes: Vec<RingRequest> = (0..8u64)
                 .map(|i| RingRequest::new(IoRequest::write(i * 4096, vec![i as u8; 4096])))
                 .collect();
-            let tickets = dev.submit_nowait(writes, &mut ring).unwrap();
-            assert_eq!(tickets.len(), 8);
-            assert_eq!(ring.in_flight(), 8);
-            let mut reaped = 0;
-            while ring.in_flight() > 0 {
-                let done = dev.reap(&mut ring, 1).unwrap();
-                assert!(!done.is_empty());
-                for c in &done {
-                    assert!(c.result.is_ok(), "{:?}", c.result);
-                }
-                reaped += done.len();
+            let done = dev.submit(writes, &mut ring).unwrap();
+            assert_eq!(done.len(), 8);
+            for c in &done {
+                assert!(c.result.is_ok(), "{:?}", c.result);
             }
-            assert_eq!(reaped, 8);
+            assert_eq!(ring.in_flight(), 8, "in flight until the caller syncs");
             assert!(ring.makespan() > SimDuration::ZERO);
             // Every write really landed.
             for i in 0..8u64 {
@@ -329,25 +321,15 @@ mod tests {
             let mut dev = FileDevice::with_queue_depth(&path, 1 << 20, 8).unwrap();
             let mut ring = CompletionRing::for_queue(dev.queue());
             // 16 writes to one page followed by a read: the read must see
-            // the last write even though everything was submitted without
-            // waiting.
+            // the last write.
             let mut reqs: Vec<RingRequest> = (0..16u64)
                 .map(|i| RingRequest::new(IoRequest::write(0, vec![i as u8; 4096])))
                 .collect();
             reqs.push(RingRequest::new(IoRequest::read(0, 4096)));
-            let tickets = dev.submit_nowait(reqs, &mut ring).unwrap();
-            let read_ticket = *tickets.last().unwrap();
-            let mut read_data = None;
-            while ring.in_flight() > 0 {
-                for c in dev.reap(&mut ring, 1).unwrap() {
-                    let data = c.result.unwrap();
-                    if c.ticket == read_ticket {
-                        read_data = Some(data);
-                    }
-                }
-            }
-            assert_eq!(read_data.unwrap()[0], 15, "read sees the last admitted write");
-            assert!(ring.admission_stalls() > 0, "conflict chain must stall admissions");
+            let done = dev.submit(reqs, &mut ring).unwrap();
+            let read = done.iter().find(|c| c.index == 16).unwrap();
+            assert_eq!(read.result.as_ref().unwrap()[0], 15, "read sees the last submitted write");
+            assert!(done.iter().any(|c| c.stalled), "conflict chain must stall admissions");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -357,33 +339,27 @@ mod tests {
         let path = temp_path("ring-errors");
         {
             let mut dev = FileDevice::with_queue_depth(&path, 8192, 2).unwrap();
-            let mut ring = CompletionRing::for_queue(dev.queue());
             let reqs = vec![
-                RingRequest::new(IoRequest::write(0, vec![7u8; 64])),
-                RingRequest::new(IoRequest::Erase { block: 0 }),
-                RingRequest::new(IoRequest::read(8192, 1)),
-                RingRequest::new(IoRequest::Trim { offset: 0, len: 64 }),
-                RingRequest::new(IoRequest::read(0, 64)),
+                IoRequest::write(0, vec![7u8; 64]),
+                IoRequest::Erase { block: 0 },
+                IoRequest::read(8192, 1),
+                IoRequest::Trim { offset: 0, len: 64 },
+                IoRequest::read(0, 64),
             ];
-            let tickets = dev.submit_nowait(reqs, &mut ring).unwrap();
-            let mut done = Vec::new();
-            while ring.in_flight() > 0 {
-                done.extend(dev.reap(&mut ring, 1).unwrap());
-            }
-            let result = |i: usize| &done.iter().find(|c| c.ticket == tickets[i]).unwrap().result;
-            assert!(result(0).is_ok());
-            assert!(matches!(result(1), Err(DeviceError::Unsupported(_))));
-            assert!(matches!(result(2), Err(DeviceError::OutOfBounds { .. })));
-            assert!(result(3).is_ok());
-            assert_eq!(result(4).as_ref().unwrap(), &vec![7u8; 64]);
+            let (_, done) = run_on_ring(&mut dev, reqs);
+            assert!(done[0].result.is_ok());
+            assert!(matches!(done[1].result, Err(DeviceError::Unsupported(_))));
+            assert!(matches!(done[2].result, Err(DeviceError::OutOfBounds { .. })));
+            assert!(done[3].result.is_ok());
+            assert_eq!(done[4].result.as_ref().unwrap(), &vec![7u8; 64]);
             assert_eq!(dev.stats().trims, 1);
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn hot_ring_reads_run_on_the_submitting_thread() {
-        let path = temp_path("ring-inline-hot");
+    fn two_rings_share_the_device_without_crosstalk() {
+        let path = temp_path("two-rings");
         {
             let mut dev = FileDevice::with_queue_depth(&path, 1 << 20, 4).unwrap();
             for i in 0..16u64 {
@@ -396,63 +372,34 @@ mod tests {
                     .map(|i| RingRequest::new(IoRequest::read(i * 4096, 4096)))
                     .collect::<Vec<_>>()
             };
-            let a = dev.submit_nowait(pages(0), &mut ring_a).unwrap();
-            let b = dev.submit_nowait(pages(8), &mut ring_b).unwrap();
-            // Finished at admission: both rings hold all their completions
-            // before anything is reaped.
-            assert_eq!((ring_a.ready_len(), ring_b.ready_len()), (8, 8));
-            // Reaped in the other order, each ring gets exactly its own.
-            for (ring, tickets, first_page) in [(&mut ring_b, &b, 8u8), (&mut ring_a, &a, 0u8)] {
-                let done = dev.reap(ring, 8).unwrap();
-                assert_eq!(done.len(), 8);
-                for c in done {
-                    let page = tickets.iter().position(|t| *t == c.ticket).unwrap() as u8;
-                    assert_eq!(c.result.unwrap(), vec![first_page + page + 1; 4096]);
+            for (ring, first_page) in [(&mut ring_a, 0u8), (&mut ring_b, 8u8)] {
+                let done = dev.submit(pages(first_page as u64), ring).unwrap();
+                // Each read returns its own page, whatever order the lanes
+                // retired them in.
+                for c in &done {
+                    assert_eq!(
+                        c.result.as_ref().unwrap(),
+                        &vec![first_page + c.index as u8 + 1; 4096]
+                    );
                 }
+                // A ring's clock is its caller's: B's first read does not
+                // queue behind A's.
+                assert!(done.iter().any(|c| c.started_at == SimDuration::ZERO));
             }
-            let s = dev.stats();
-            assert_eq!((s.reads, s.requests_reaped), (16, 16));
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn two_rings_share_the_device_without_crosstalk() {
-        let path = temp_path("two-rings");
-        {
-            let mut dev = FileDevice::with_queue_depth(&path, 1 << 20, 4).unwrap();
-            dev.write_at(0, &[1u8; 4096]).unwrap();
-            dev.write_at(4096, &[2u8; 4096]).unwrap();
-            let mut ring_a = CompletionRing::for_queue(dev.queue());
-            let mut ring_b = CompletionRing::for_queue(dev.queue());
-            dev.submit_nowait(vec![RingRequest::new(IoRequest::read(0, 4096))], &mut ring_a)
+            // Writes, too, book on the ring that carried them.
+            dev.submit(vec![RingRequest::new(IoRequest::write(0, vec![3u8; 4096]))], &mut ring_a)
                 .unwrap();
-            dev.submit_nowait(vec![RingRequest::new(IoRequest::read(4096, 4096))], &mut ring_b)
-                .unwrap();
-            // Each ring holds its own completions: reaping B first leaves
-            // A's result for A.
-            let b = dev.reap(&mut ring_b, 1).unwrap();
-            assert_eq!(b.len(), 1);
-            assert_eq!(b[0].result.as_ref().unwrap()[0], 2);
-            let a = dev.reap(&mut ring_a, 1).unwrap();
-            assert_eq!(a.len(), 1);
-            assert_eq!(a[0].result.as_ref().unwrap()[0], 1);
-            // Writes, too, finish into the ring that admitted them.
-            dev.submit_nowait(
-                vec![RingRequest::new(IoRequest::write(0, vec![3u8; 4096]))],
-                &mut ring_a,
-            )
-            .unwrap();
-            dev.submit_nowait(
+            dev.submit(
                 vec![RingRequest::new(IoRequest::write(4096, vec![4u8; 4096]))],
                 &mut ring_b,
             )
             .unwrap();
-            assert_eq!(dev.reap(&mut ring_b, 1).unwrap().len(), 1);
-            assert_eq!(dev.reap(&mut ring_a, 1).unwrap().len(), 1);
+            assert_eq!((ring_a.depth_high_water(), ring_b.depth_high_water()), (9, 9));
             let mut buf = [0u8; 8192];
             dev.read_at(0, &mut buf).unwrap();
             assert_eq!((buf[0], buf[4096]), (3, 4));
+            let s = dev.stats();
+            assert_eq!((s.reads, s.requests_reaped), (17, 18));
         }
         std::fs::remove_file(&path).ok();
     }

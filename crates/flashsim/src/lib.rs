@@ -18,15 +18,17 @@
 //! BufferHash code runs on any medium, and experiments are deterministic.
 //!
 //! Queued I/O has one engine, the **completion ring**
-//! ([`Device::submit_nowait`] / [`Device::reap`] over a caller-owned
-//! [`CompletionRing`], see [`queue`]): requests are admitted without
-//! waiting, tracked in flight with per-request completion timestamps, and
-//! reaped as they retire, so pipelines keep the queue full instead of
-//! draining it at every barrier. A backend is a cost function over a byte
-//! store — the four per-op methods, which also serve single blocking
-//! commands — plus its [`IoStats`]; the ring models the queue (lanes on
-//! SSD and DRAM and on the file, one at a time on the chip and the disk)
-//! and writes the queue counters; no backend brings ring code of its own.
+//! ([`Device::submit`] over a caller-owned [`CompletionRing`], see
+//! [`queue`]): one call runs a batch of requests and returns its
+//! completions, each booked on the queue's lanes with its start and
+//! completion timestamps, and the ring carries its lane clocks from call
+//! to call, so a pipeline that re-arms work from each completion keeps
+//! the modelled queue full instead of draining it at every barrier. A
+//! backend is a cost function over a byte store — the four per-op
+//! methods, which also serve single blocking commands — plus its
+//! [`IoStats`]; the ring models the queue (lanes on SSD and DRAM and on
+//! the file, one at a time on the chip and the disk) and writes the queue
+//! counters; no backend brings ring code of its own.
 //! [`SharedDevice`] lets several owners (e.g. index stripes) drive
 //! partitions of one device — and thus one ring timeline — concurrently.
 //!
@@ -75,8 +77,7 @@ pub use flash_chip::FlashChip;
 pub use geometry::Geometry;
 pub use profiles::{DeviceProfile, MediumKind};
 pub use queue::{
-    CompletionRing, IoRequest, IoTicket, OverlapModel, QueueCapabilities, RingCompletion,
-    RingRequest,
+    CompletionRing, IoRequest, OverlapModel, QueueCapabilities, RingCompletion, RingRequest,
 };
 pub use shared::SharedDevice;
 pub use ssd::Ssd;

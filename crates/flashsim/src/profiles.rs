@@ -51,7 +51,7 @@ pub struct DeviceProfile {
     pub over_provisioning: f64,
     /// Submission-queue shape: how many requests the device keeps in
     /// flight and whether they overlap in time (see
-    /// [`Device::submit_nowait`](crate::Device::submit_nowait)).
+    /// [`Device::submit`](crate::Device::submit)).
     pub queue: QueueCapabilities,
     /// Purchase cost of the device in US dollars (for ops/sec/$ analyses).
     pub dollar_cost: f64,

@@ -8,19 +8,19 @@
 //! * [`IoRequest`] — one read/write/erase/trim command;
 //! * [`QueueCapabilities`] / [`OverlapModel`] — how many requests a device
 //!   keeps in flight and whether they overlap in time;
-//! * [`CompletionRing`] / [`IoTicket`] / [`RingRequest`] /
-//!   [`RingCompletion`] — requests are admitted to a caller-owned ring
-//!   without waiting, tracked in flight with per-request completion
-//!   timestamps, and reaped as they retire
-//!   ([`Device::submit_nowait`](crate::Device::submit_nowait) /
-//!   [`Device::reap`](crate::Device::reap)).
+//! * [`CompletionRing`] / [`RingRequest`] / [`RingCompletion`] — a batch of
+//!   requests goes to the device in one
+//!   [`Device::submit`](crate::Device::submit) call, which runs them, books
+//!   them on the caller-owned ring's queue lanes and returns their
+//!   completions, each stamped with the device-clock times it started and
+//!   finished.
 //!
 //! ## Ordering and overlap guarantees
 //!
-//! **Admission order is data-effect order.** Every backend applies the
-//! data effects of a ring stream in the order the requests were admitted,
+//! **Submission order is data-effect order.** Every backend applies the
+//! data effects of a ring stream in the order the requests were submitted,
 //! so the stream is observationally equivalent (final device bytes,
-//! per-ticket results) to issuing the same operations one at a time
+//! per-request results) to issuing the same operations one at a time
 //! through the per-op methods. What the ring models is the *timing*: an
 //! overlapped queue runs independent requests on parallel lanes, a serial
 //! one retires them back to back, on every backend from the latency each
@@ -29,10 +29,9 @@
 //! win shows up in [`CompletionRing::makespan`], the latest completion
 //! timestamp instead of the sum over requests.
 //!
-//! The ring also writes the queue ledger of [`IoStats`] — the only place
-//! that does ([`CompletionRing::record_admission`],
-//! [`CompletionRing::reap_recorded`]); a backend contributes its per-op
-//! methods and its counters, nothing ring-shaped.
+//! The ring also writes the queue ledger of [`IoStats`], once per `submit`
+//! call and nowhere else; a backend contributes its per-op methods and its
+//! counters, nothing ring-shaped.
 
 use serde::{Deserialize, Serialize};
 
@@ -145,22 +144,7 @@ impl QueueCapabilities {
     }
 }
 
-/// Handle to one request admitted to a [`CompletionRing`].
-///
-/// Tickets are sequential per ring (the first admission is ticket 0), so
-/// callers can use [`id`](Self::id) as an index into per-request state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct IoTicket(u64);
-
-impl IoTicket {
-    /// The ticket's sequence number within its ring (0-based).
-    pub fn id(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One request for submit-without-wait admission
-/// ([`Device::submit_nowait`](crate::Device::submit_nowait)), carrying its
+/// One request for [`Device::submit`](crate::Device::submit), carrying its
 /// causal floor: the earliest device-clock time it may start.
 #[derive(Debug, Clone)]
 pub struct RingRequest {
@@ -186,12 +170,12 @@ impl RingRequest {
     }
 }
 
-/// Completion record for one ring request, delivered by
-/// [`Device::reap`](crate::Device::reap).
+/// Completion record for one ring request, returned by
+/// [`Device::submit`](crate::Device::submit).
 #[derive(Debug, Clone)]
 pub struct RingCompletion {
-    /// Ticket returned by the admission.
-    pub ticket: IoTicket,
+    /// Position of the request in the `submit` call that carried it.
+    pub index: usize,
     /// Queue lane the request was accounted on (lane 0 is the busiest
     /// timeline; requests on other lanes overlapped lane-0 work).
     pub lane: usize,
@@ -203,57 +187,46 @@ pub struct RingCompletion {
     /// Device-clock time at which the request finished. Feed this into
     /// [`RingRequest::after`] for work that depends on this completion.
     pub completed_at: SimDuration,
+    /// Whether a conflict floor delayed the start beyond lane
+    /// availability and the causal floor (an admission stall).
+    pub stalled: bool,
     /// The bytes read (empty for non-reads) or the per-request error.
     pub result: Result<Vec<u8>>,
 }
 
-/// One admitted-but-unfinished ring request: `(ticket, byte range,
-/// is_read, causal floor)`.
-type PendingAdmission = (IoTicket, Option<(u64, u64)>, bool, SimDuration);
-
-/// In-flight bookkeeping for submit-without-wait I/O: an io_uring-style
-/// completion ring owned by the *caller* and registered with a device call
-/// by call ([`Device::submit_nowait`](crate::Device::submit_nowait) admits
-/// into it, [`Device::reap`](crate::Device::reap) drains it).
+/// The queue model of one caller's stream of requests: an io_uring-style
+/// completion ring owned by the *caller* and handed to each
+/// [`Device::submit`](crate::Device::submit) call, which books every
+/// request of the call on it and returns their completions.
 ///
-/// The ring does the timing model shared by every backend: each finished
-/// request is placed on the earliest-free queue lane (free-at clocks, one
-/// lane per queue slot), subject to two floors — its
-/// [`RingRequest::not_before`] causal floor, and a **conflict floor** that
-/// keeps overlapping ranges in admission order (a request that conflicts
-/// with an earlier in-flight range starts no earlier than that range
-/// retires; read-read overlap is exempt, mirroring
-/// [`ranges_conflict`]). Data effects are applied by the device in
-/// admission order regardless, so the invariant *admission order =
-/// data-effect order* holds on every backend; the conflict floor makes the
-/// reported timing honest about it.
+/// The ring does the timing model shared by every backend: each request
+/// is placed on the earliest-free queue lane (free-at clocks, one lane per
+/// queue slot), subject to two floors — its [`RingRequest::not_before`]
+/// causal floor, and a **conflict floor** that keeps overlapping ranges in
+/// submission order (a request that conflicts with an earlier range
+/// starts no earlier than that range retires; read-read overlap is
+/// exempt, mirroring [`ranges_conflict`]). Data effects are applied by the
+/// device in submission order regardless, so the invariant *submission
+/// order = data-effect order* holds on every backend; the conflict floor
+/// makes the reported timing honest about it. Lanes and ranges carry over
+/// from one `submit` call to the next, so a caller's stream is one
+/// timeline however it is cut into calls.
 ///
-/// The ring also keeps the ledger the stats layers surface — in-flight
-/// depth high-water mark, reap count, and admission stalls (requests whose
-/// start was delayed by a conflict floor beyond lane availability) — and
-/// is the one writer of a device's queue counters:
-/// [`record_admission`](Self::record_admission) after a
-/// [`Device::submit_nowait`](crate::Device::submit_nowait),
-/// [`reap_recorded`](Self::reap_recorded) inside a
-/// [`Device::reap`](crate::Device::reap).
+/// The ring also models how deep the caller stacks the queue: a request
+/// counts as in flight from its submission until the caller's next
+/// [`sync`](Self::sync), the point where it waits for what it submitted,
+/// and [`depth_high_water`](Self::depth_high_water) is the most that were
+/// in flight at once.
 #[derive(Debug)]
 pub struct CompletionRing {
     /// Free-at clock per queue lane.
     lanes: Vec<SimDuration>,
-    /// Retired ranges that can still delay later conflicting admissions:
+    /// Booked ranges that can still delay later conflicting requests:
     /// `(start, end, is_read, completes_at)`.
     ranges: Vec<(u64, u64, bool, SimDuration)>,
-    /// Admitted but not yet finished.
-    pending: Vec<PendingAdmission>,
-    /// Finished but not yet reaped, sorted by `(completed_at, ticket)`.
-    ready: Vec<RingCompletion>,
-    next_ticket: u64,
-    reaped: u64,
+    /// Requests submitted since the last sync point.
     in_flight: usize,
     depth_high_water: usize,
-    admission_stalls: u64,
-    /// How many of `admission_stalls` a device's [`IoStats`] already holds.
-    stalls_recorded: u64,
     makespan: SimDuration,
 }
 
@@ -265,14 +238,8 @@ impl CompletionRing {
         CompletionRing {
             lanes: vec![SimDuration::ZERO; lanes.max(1)],
             ranges: Vec::new(),
-            pending: Vec::new(),
-            ready: Vec::new(),
-            next_ticket: 0,
-            reaped: 0,
             in_flight: 0,
             depth_high_water: 0,
-            admission_stalls: 0,
-            stalls_recorded: 0,
             makespan: SimDuration::ZERO,
         }
     }
@@ -283,33 +250,46 @@ impl CompletionRing {
         CompletionRing::new(queue.ring_lanes())
     }
 
-    /// Admits one request, registering its byte range and causal floor.
-    /// The request is *in flight* until the completion produced by
-    /// [`finish`](Self::finish) is reaped.
-    pub fn admit(&mut self, request: &IoRequest, not_before: SimDuration) -> IoTicket {
-        let ticket = IoTicket(self.next_ticket);
-        self.next_ticket += 1;
-        let is_read = matches!(request, IoRequest::Read { .. });
-        self.pending.push((ticket, request.byte_range(), is_read, not_before));
-        self.in_flight += 1;
+    /// The engine behind every [`Device::submit`](crate::Device::submit):
+    /// runs each request through `execute` in submission order (which may
+    /// rewrite the request first, as a partition translates its offsets),
+    /// books it, and returns the completions by completion time, ties in
+    /// submission order. A request `execute` refuses costs no time.
+    pub(crate) fn run(
+        &mut self,
+        requests: Vec<RingRequest>,
+        mut execute: impl FnMut(&mut IoRequest) -> Result<(SimDuration, Vec<u8>)>,
+    ) -> Vec<RingCompletion> {
+        let mut done: Vec<RingCompletion> = requests
+            .into_iter()
+            .enumerate()
+            .map(|(index, RingRequest { mut request, not_before })| {
+                let outcome = execute(&mut request);
+                self.book(index, &request, not_before, outcome)
+            })
+            .collect();
+        done.sort_by_key(|c| (c.completed_at, c.index));
+        self.in_flight += done.len();
         self.depth_high_water = self.depth_high_water.max(self.in_flight);
-        ticket
+        done
     }
 
-    /// Finishes an admitted request: schedules it on the earliest-free
-    /// lane no earlier than its causal and conflict floors, stamps its
-    /// completion time, and queues the completion for
-    /// [`reap`](Self::reap). Panics if the ticket was not admitted to this
-    /// ring (or already finished).
-    pub fn finish(&mut self, ticket: IoTicket, latency: SimDuration, result: Result<Vec<u8>>) {
-        let slot = self
-            .pending
-            .iter()
-            .position(|(t, ..)| *t == ticket)
-            .expect("finish of a ticket this ring admitted");
-        let (_, range, is_read, not_before) = self.pending.swap_remove(slot);
+    /// Schedules one executed request on the earliest-free lane no earlier
+    /// than its causal and conflict floors and stamps its completion.
+    fn book(
+        &mut self,
+        index: usize,
+        request: &IoRequest,
+        not_before: SimDuration,
+        outcome: Result<(SimDuration, Vec<u8>)>,
+    ) -> RingCompletion {
+        let (latency, result) = match outcome {
+            Ok((latency, data)) => (latency, Ok(data)),
+            Err(e) => (SimDuration::ZERO, Err(e)),
+        };
+        let is_read = matches!(request, IoRequest::Read { .. });
+        let range = request.byte_range().filter(|(start, end)| end > start);
         let conflict_floor = range
-            .filter(|(start, end)| end > start)
             .map(|(start, end)| {
                 self.ranges
                     .iter()
@@ -328,92 +308,57 @@ impl CompletionRing {
             .map(|(i, _)| i)
             .unwrap_or(0);
         let lane_free = self.lanes[lane];
-        if conflict_floor > lane_free.max(not_before) {
-            self.admission_stalls += 1;
-        }
+        let stalled = conflict_floor > lane_free.max(not_before);
         let started_at = lane_free.max(not_before).max(conflict_floor);
         let completed_at = started_at + latency;
         self.lanes[lane] = completed_at;
         self.makespan = self.makespan.max(completed_at);
-        if let Some((start, end)) = range {
-            if end > start && result.is_ok() {
-                self.ranges.push((start, end, is_read, completed_at));
-            }
+        if let Some((start, end)) = range.filter(|_| result.is_ok()) {
+            self.ranges.push((start, end, is_read, completed_at));
         }
         // Ranges that retire before every lane's free-at clock can no
-        // longer delay any future admission (a future start is at least
-        // the minimum free-at), so they are safe to prune.
+        // longer delay any future request (a future start is at least the
+        // minimum free-at), so they are safe to prune.
         let horizon =
             self.lanes.iter().copied().fold(SimDuration::from_nanos(u64::MAX), SimDuration::min);
         self.ranges.retain(|&(_, _, _, completes)| completes > horizon);
-        let completion = RingCompletion { ticket, lane, latency, started_at, completed_at, result };
-        let at =
-            self.ready.partition_point(|c| (c.completed_at, c.ticket) <= (completed_at, ticket));
-        self.ready.insert(at, completion);
+        RingCompletion { index, lane, latency, started_at, completed_at, stalled, result }
     }
 
-    /// Number of completions finished and waiting to be reaped.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
+    /// The queue ledger: records one `submit` call's completions in
+    /// `stats`, the device's counters. A completion on a lane other than
+    /// 0 shared its time with lane-0 work: it *overlapped*.
+    pub(crate) fn record(&self, stats: &mut IoStats, done: &[RingCompletion]) {
+        stats.requests_submitted += done.len() as u64;
+        stats.requests_reaped += done.len() as u64;
+        stats.requests_overlapped += done.iter().filter(|c| c.lane != 0).count() as u64;
+        stats.ring_admission_stalls += done.iter().filter(|c| c.stalled).count() as u64;
+        stats.ring_depth_high_water = stats.ring_depth_high_water.max(self.depth_high_water as u64);
     }
 
-    /// Pops up to `max` completions in completion-time order.
-    pub fn reap(&mut self, max: usize) -> Vec<RingCompletion> {
-        let n = max.min(self.ready.len());
-        let out: Vec<RingCompletion> = self.ready.drain(..n).collect();
-        self.reaped += out.len() as u64;
-        self.in_flight -= out.len();
-        out
+    /// The caller's sync point: it has everything it submitted, so nothing
+    /// is in flight any more. Lanes and ranges stay: the next request still
+    /// starts on the same timeline.
+    pub fn sync(&mut self) {
+        self.in_flight = 0;
     }
 
-    /// Requests admitted but not yet reaped.
+    /// Requests submitted since the last [`sync`](Self::sync). Kept for
+    /// `benchmark/ladder.rs` until ROADMAP item 8.
     pub fn in_flight(&self) -> usize {
         self.in_flight
     }
 
-    /// Highest in-flight depth (admitted minus reaped) observed so far.
+    /// Most requests in flight at once so far: submitted and not yet past
+    /// a [`sync`](Self::sync).
     pub fn depth_high_water(&self) -> usize {
         self.depth_high_water
     }
 
-    /// Completions delivered through [`reap`](Self::reap) so far.
-    pub fn reaps(&self) -> u64 {
-        self.reaped
-    }
-
-    /// Admissions whose start was delayed by a conflicting in-flight range
-    /// beyond lane availability.
-    pub fn admission_stalls(&self) -> u64 {
-        self.admission_stalls
-    }
-
-    /// Elapsed device-clock time of everything finished so far: the latest
+    /// Elapsed device-clock time of everything booked so far: the latest
     /// completion timestamp.
     pub fn makespan(&self) -> SimDuration {
         self.makespan
-    }
-
-    /// Ledger, admission half: records in `stats` that `admitted` requests
-    /// just entered this ring. Called once per
-    /// [`Device::submit_nowait`](crate::Device::submit_nowait), after the
-    /// admissions, by whichever device executed them. Every backend has
-    /// finished its requests by then, so their stalls are known and move
-    /// into `stats` here, each once.
-    pub fn record_admission(&mut self, stats: &mut IoStats, admitted: usize) {
-        stats.requests_submitted += admitted as u64;
-        stats.ring_depth_high_water = stats.ring_depth_high_water.max(self.depth_high_water as u64);
-        stats.ring_admission_stalls += self.admission_stalls - self.stalls_recorded;
-        self.stalls_recorded = self.admission_stalls;
-    }
-
-    /// Ledger, reap half: pops every ready completion (completion-time
-    /// order) and records the delivery in `stats`. A completion on a lane
-    /// other than 0 shared its time with lane-0 work: it *overlapped*.
-    pub fn reap_recorded(&mut self, stats: &mut IoStats) -> Vec<RingCompletion> {
-        let out = self.reap(usize::MAX);
-        stats.requests_reaped += out.len() as u64;
-        stats.requests_overlapped += out.iter().filter(|c| c.lane != 0).count() as u64;
-        out
     }
 }
 
@@ -430,6 +375,8 @@ pub fn ranges_conflict(a: (u64, u64, bool), b: (u64, u64, bool)) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::DramDevice;
+    use crate::Device;
 
     #[test]
     fn range_conflicts_respect_the_read_read_exemption() {
@@ -447,39 +394,46 @@ mod tests {
         assert_eq!(IoRequest::Erase { block: 0 }.byte_range(), None);
     }
 
-    /// Admits and finishes one disjoint read per latency (µs), in order.
-    fn ring_of(lanes: usize, micros: &[u64]) -> CompletionRing {
+    /// Books one disjoint read per latency (µs), in order, in one call.
+    fn ring_of(lanes: usize, micros: &[u64]) -> (CompletionRing, Vec<RingCompletion>) {
         let mut ring = CompletionRing::new(lanes);
-        for (i, &us) in micros.iter().enumerate() {
-            let t = ring.admit(&IoRequest::read(i as u64 * 4096, 4096), SimDuration::ZERO);
-            ring.finish(t, SimDuration::from_micros(us), Ok(Vec::new()));
-        }
-        ring
+        let done = ring.run(disjoint_reads(micros.len()), costs(micros));
+        (ring, done)
+    }
+
+    fn disjoint_reads(n: usize) -> Vec<RingRequest> {
+        (0..n as u64).map(|i| RingRequest::new(IoRequest::read(i * 4096, 4096))).collect()
+    }
+
+    /// An executor that charges the given latencies (µs) in turn.
+    fn costs(micros: &[u64]) -> impl FnMut(&mut IoRequest) -> Result<(SimDuration, Vec<u8>)> + '_ {
+        let mut next = micros.iter();
+        move |_| Ok((SimDuration::from_micros(*next.next().expect("a cost a request")), Vec::new()))
     }
 
     fn lanes_of(done: &[RingCompletion]) -> Vec<usize> {
-        let mut by_ticket: Vec<_> = done.iter().map(|c| (c.ticket, c.lane)).collect();
-        by_ticket.sort_unstable();
-        by_ticket.into_iter().map(|(_, lane)| lane).collect()
+        let mut by_index: Vec<_> = done.iter().map(|c| (c.index, c.lane)).collect();
+        by_index.sort_unstable();
+        by_index.into_iter().map(|(_, lane)| lane).collect()
     }
 
     #[test]
     fn scheduler_balances_equal_costs_round_robin() {
-        let mut ring = ring_of(4, &[10; 8]);
-        assert_eq!(lanes_of(&ring.reap(8)), vec![0, 1, 2, 3, 0, 1, 2, 3]);
+        let (ring, done) = ring_of(4, &[10; 8]);
+        assert_eq!(lanes_of(&done), vec![0, 1, 2, 3, 0, 1, 2, 3]);
         assert_eq!(ring.makespan(), SimDuration::from_micros(20));
     }
 
     #[test]
     fn scheduler_prefers_the_least_busy_lane() {
-        let mut ring = ring_of(2, &[100, 10, 10]);
-        assert_eq!(lanes_of(&ring.reap(3)), vec![0, 1, 1]);
+        let (ring, done) = ring_of(2, &[100, 10, 10]);
+        assert_eq!(lanes_of(&done), vec![0, 1, 1]);
         assert_eq!(ring.makespan(), SimDuration::from_micros(100));
     }
 
     #[test]
     fn serial_batches_sum() {
-        assert_eq!(ring_of(1, &[10, 20]).makespan(), SimDuration::from_micros(30));
+        assert_eq!(ring_of(1, &[10, 20]).0.makespan(), SimDuration::from_micros(30));
     }
 
     #[test]
@@ -487,21 +441,26 @@ mod tests {
         // The ledger, written here and nowhere else: lanes 0, 1, 0, 1 at
         // two lanes, so two of four completions overlapped lane-0 work.
         let mut stats = IoStats::default();
-        let mut ring = ring_of(2, &[10, 30, 25, 5]);
-        ring.record_admission(&mut stats, 4);
-        assert_eq!(ring.reap_recorded(&mut stats).len(), 4);
+        let (mut ring, done) = ring_of(2, &[10, 30, 25, 5]);
+        ring.record(&mut stats, &done);
         assert_eq!((stats.requests_submitted, stats.requests_reaped), (4, 4));
         assert_eq!(stats.requests_overlapped, 2);
         assert_eq!(stats.ring_depth_high_water, 4);
-        // A stall is recorded once, by the admission half.
-        for request in [IoRequest::write(0, vec![0; 8]), IoRequest::read(0, 8)] {
-            let t = ring.admit(&request, SimDuration::ZERO);
-            ring.finish(t, SimDuration::from_micros(1), Ok(Vec::new()));
-        }
-        ring.record_admission(&mut stats, 2);
-        ring.reap_recorded(&mut stats);
-        assert_eq!((stats.ring_admission_stalls, ring.admission_stalls()), (1, 1));
-        assert_eq!(ring_of(1, &[10]).reap_recorded(&mut stats)[0].lane, 0);
+        // A stall is recorded once, by the call that booked it.
+        ring.sync();
+        let done = ring.run(
+            vec![
+                RingRequest::new(IoRequest::write(0, vec![0; 8])),
+                RingRequest::new(IoRequest::read(0, 8)),
+            ],
+            costs(&[1, 1]),
+        );
+        ring.record(&mut stats, &done);
+        assert_eq!(stats.ring_admission_stalls, 1);
+        assert_eq!(done.iter().filter(|c| c.stalled).count(), 1);
+        let (one_lane, done) = ring_of(1, &[10]);
+        assert_eq!(done[0].lane, 0);
+        one_lane.record(&mut stats, &done);
         assert_eq!(
             stats.requests_overlapped, 3,
             "the stalled read sat on lane 1; one lane overlaps nothing"
@@ -515,33 +474,50 @@ mod tests {
         let deep_serial = QueueCapabilities { max_queue_depth: 8, overlap: OverlapModel::Serial };
         assert_eq!(deep_serial.ring_lanes(), 1);
         // A zero-lane ring also degrades instead of panicking.
-        let mut ring = CompletionRing::new(0);
-        let t = ring.admit(&IoRequest::read(0, 16), SimDuration::ZERO);
-        ring.finish(t, SimDuration::from_micros(5), Ok(Vec::new()));
-        assert_eq!(ring.reap(8).len(), 1);
+        let (ring, done) = ring_of(0, &[5]);
+        assert_eq!(done.len(), 1);
         assert_eq!(ring.makespan(), SimDuration::from_micros(5));
     }
 
     #[test]
     fn ring_overlaps_independent_requests_on_lanes() {
-        let mut ring = CompletionRing::new(2);
-        let c = SimDuration::from_micros(10);
-        let tickets: Vec<IoTicket> = (0..4u64)
-            .map(|i| ring.admit(&IoRequest::read(i * 4096, 4096), SimDuration::ZERO))
-            .collect();
-        for &t in &tickets {
-            ring.finish(t, c, Ok(Vec::new()));
-        }
+        let (mut ring, done) = ring_of(2, &[10; 4]);
         assert_eq!(ring.depth_high_water(), 4);
-        assert_eq!(ring.makespan(), c * 2, "4 equal reads on 2 lanes take 2 slots");
-        let done = ring.reap(usize::MAX);
+        assert_eq!(
+            ring.makespan(),
+            SimDuration::from_micros(20),
+            "4 equal reads on 2 lanes take 2 slots"
+        );
         assert_eq!(done.len(), 4);
-        // Completion-time order, FIFO within ties.
+        assert_eq!(ring.in_flight(), 4, "in flight until the caller's sync point");
+        ring.sync();
+        assert_eq!(ring.in_flight(), 0);
+    }
+
+    /// What the lookup pipeline and the depth ledger rest on: within a
+    /// call, completions come back by completion time, ties in submission
+    /// order; across several calls before a sync point, the depth
+    /// high-water counts every request since that sync.
+    #[test]
+    fn completions_come_back_by_completion_time_and_depth_spans_calls_until_a_sync() {
+        let (_, done) = ring_of(4, &[30, 10, 10, 20]);
+        let order: Vec<usize> = done.iter().map(|c| c.index).collect();
+        assert_eq!(order, vec![1, 2, 3, 0], "by completion time, the tie by index");
         assert!(done
             .windows(2)
-            .all(|w| { (w[0].completed_at, w[0].ticket) <= (w[1].completed_at, w[1].ticket) }));
-        assert_eq!(ring.in_flight(), 0);
-        assert_eq!(ring.reaps(), 4);
+            .all(|w| (w[0].completed_at, w[0].index) < (w[1].completed_at, w[1].index)));
+
+        let mut dev = DramDevice::new(1 << 20).unwrap();
+        let mut ring = CompletionRing::for_queue(dev.queue());
+        for n in [3, 4] {
+            assert_eq!(dev.submit(disjoint_reads(n), &mut ring).unwrap().len(), n);
+        }
+        assert_eq!((ring.in_flight(), ring.depth_high_water()), (7, 7));
+        ring.sync();
+        dev.submit(disjoint_reads(2), &mut ring).unwrap();
+        assert_eq!((ring.in_flight(), ring.depth_high_water()), (2, 7));
+        let s = dev.stats();
+        assert_eq!((s.requests_submitted, s.requests_reaped, s.ring_depth_high_water), (9, 9, 7));
     }
 
     #[test]
@@ -550,29 +526,28 @@ mod tests {
         // latencies have elapsed, idle lanes notwithstanding.
         let mut ring = CompletionRing::new(8);
         let c = SimDuration::from_micros(10);
-        let mut floor = SimDuration::ZERO;
+        let (mut floor, mut stalled) = (SimDuration::ZERO, false);
         for _ in 0..3 {
-            let t = ring.admit(&IoRequest::read(0, 4096), floor);
-            ring.finish(t, c, Ok(Vec::new()));
-            floor = ring.reap(1).pop().unwrap().completed_at;
+            let read = RingRequest::after(IoRequest::read(0, 4096), floor);
+            let done = ring.run(vec![read], costs(&[10])).remove(0);
+            (floor, stalled) = (done.completed_at, stalled || done.stalled);
         }
         assert_eq!(ring.makespan(), c * 3);
-        assert_eq!(ring.admission_stalls(), 0, "reads never conflict with reads");
+        assert!(!stalled, "reads never conflict with reads");
     }
 
     #[test]
     fn ring_conflict_floor_keeps_overlapping_ranges_in_order() {
         let mut ring = CompletionRing::new(4);
-        let c = SimDuration::from_micros(10);
-        let w1 = ring.admit(&IoRequest::write(0, vec![1u8; 4096]), SimDuration::ZERO);
-        ring.finish(w1, c, Ok(Vec::new()));
         // A read of the same range must start after the write retires,
         // even though three lanes are free.
-        let r = ring.admit(&IoRequest::read(0, 4096), SimDuration::ZERO);
-        ring.finish(r, c, Ok(Vec::new()));
-        let done = ring.reap(2);
+        let requests = vec![
+            RingRequest::new(IoRequest::write(0, vec![1u8; 4096])),
+            RingRequest::new(IoRequest::read(0, 4096)),
+        ];
+        let done = ring.run(requests, costs(&[10, 10]));
         assert_eq!(done[1].started_at, done[0].completed_at);
-        assert_eq!(ring.makespan(), c * 2);
-        assert_eq!(ring.admission_stalls(), 1);
+        assert_eq!(ring.makespan(), SimDuration::from_micros(20));
+        assert_eq!(done.iter().map(|c| c.stalled).collect::<Vec<_>>(), vec![false, true]);
     }
 }

@@ -20,18 +20,17 @@
 //! backend's I/O: a simulated device only computes under it, the file
 //! backend issues its positioned `pread` / `pwrite` under it (about a
 //! microsecond for a 4 KiB read the page cache answers, about ten for a
-//! 32 KiB write). A ring request finishes inside `submit_nowait`, so no
-//! handle ever waits in [`Device::reap`] for another's work.
+//! 32 KiB write). A [`Device::submit`] call holds the lock once for its
+//! whole batch and returns that batch's completions, so no handle ever
+//! waits for another's work beyond the other's call.
 
 use std::sync::{Arc, Mutex};
 
-use crate::device::Device;
+use crate::device::{execute, Device};
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
-use crate::queue::{
-    CompletionRing, IoRequest, IoTicket, QueueCapabilities, RingCompletion, RingRequest,
-};
+use crate::queue::{CompletionRing, IoRequest, QueueCapabilities, RingCompletion, RingRequest};
 use crate::stats::IoStats;
 use crate::time::SimDuration;
 
@@ -115,6 +114,24 @@ impl<D: Device> SharedDevice<D> {
         f(&mut self.inner.lock().expect("shared device lock"))
     }
 
+    /// [`Device::submit`], discarding the completions. Kept for
+    /// `benchmark/ladder.rs` until ROADMAP item 8.
+    pub fn submit_nowait(
+        &mut self,
+        requests: Vec<RingRequest>,
+        ring: &mut CompletionRing,
+    ) -> Result<()> {
+        self.submit(requests, ring).map(drop)
+    }
+
+    /// [`CompletionRing::sync`]: every request has finished inside its
+    /// `submit` call already. Kept for `benchmark/ladder.rs` until ROADMAP
+    /// item 8.
+    pub fn reap(&mut self, ring: &mut CompletionRing, _max: usize) -> Result<()> {
+        ring.sync();
+        Ok(())
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, D> {
         self.inner.lock().expect("shared device lock")
     }
@@ -193,41 +210,21 @@ impl<D: Device> Device for SharedDevice<D> {
         self.lock().trim(base + offset, len)
     }
 
-    fn submit_nowait(
+    fn submit(
         &mut self,
         requests: Vec<RingRequest>,
         ring: &mut CompletionRing,
-    ) -> Result<Vec<IoTicket>> {
-        // Window violations surface as per-request errors, like every
-        // backend reports an out-of-bounds request. One slot per request:
-        // `Err(ticket)` for a violation (completed through the ring
-        // immediately), `Ok(())` for a request *moved* into `forward` —
-        // payloads are never cloned.
-        let mut translated: Vec<std::result::Result<(), IoTicket>> =
-            Vec::with_capacity(requests.len());
-        let mut forward: Vec<RingRequest> = Vec::new();
-        for RingRequest { mut request, not_before } in requests {
-            if let Err(e) = self.translate(&mut request) {
-                let ticket = ring.admit(&request, not_before);
-                ring.finish(ticket, SimDuration::ZERO, Err(e));
-                translated.push(Err(ticket));
-            } else {
-                forward.push(RingRequest { request, not_before });
-                translated.push(Ok(()));
-            }
-        }
-        let mut inner = self.lock().submit_nowait(forward, ring)?.into_iter();
-        Ok(translated
-            .into_iter()
-            .map(|t| match t {
-                Ok(()) => inner.next().expect("one ticket per forwarded request"),
-                Err(ticket) => ticket,
-            })
-            .collect())
-    }
-
-    fn reap(&mut self, ring: &mut CompletionRing, min: usize) -> Result<Vec<RingCompletion>> {
-        self.lock().reap(ring, min)
+    ) -> Result<Vec<RingCompletion>> {
+        // One lock for the whole batch. A window violation fails its own
+        // request, as every backend reports an out-of-bounds request, and
+        // the ring books every other one at its device offset.
+        let mut device = self.lock();
+        let done = ring.run(requests, |request| {
+            self.translate(request)?;
+            execute(&mut *device, request)
+        });
+        device.update_stats(&mut |stats| ring.record(stats, &done));
+        Ok(done)
     }
 
     fn on_idle(&mut self, idle: SimDuration) {
@@ -299,10 +296,10 @@ mod tests {
         let shared = SharedDevice::new(Ssd::intel(8 << 20).unwrap());
         let mut a = shared.partition(0, 4 << 20).unwrap();
         let mut b = shared.partition(4 << 20, 4 << 20).unwrap();
-        // Both partitions admit into one ring: one device, one timeline.
+        // Both partitions submit on one ring: one device, one timeline.
         let mut ring = CompletionRing::for_queue(a.queue());
-        let tickets = a
-            .submit_nowait(
+        let ours = a
+            .submit(
                 vec![
                     RingRequest::new(IoRequest::write(0, vec![1u8; 4096])),
                     RingRequest::new(IoRequest::read(0, 4096)),
@@ -312,25 +309,36 @@ mod tests {
             )
             .unwrap();
         let theirs = b
-            .submit_nowait(vec![RingRequest::new(IoRequest::write(0, vec![2u8; 4096]))], &mut ring)
+            .submit(vec![RingRequest::new(IoRequest::write(0, vec![2u8; 4096]))], &mut ring)
             .unwrap();
-        assert_eq!(theirs[0].id(), 3, "tickets continue across partitions");
-        let done = b.reap(&mut ring, 1).unwrap();
-        assert_eq!(done.len(), 4);
-        let of = |t: IoTicket| done.iter().find(|c| c.ticket == t).unwrap();
-        assert_eq!(of(tickets[1]).result.as_ref().unwrap(), &vec![1u8; 4096]);
-        assert!(matches!(of(tickets[2]).result, Err(DeviceError::OutOfBounds { .. })));
+        let of = |index: usize| ours.iter().find(|c| c.index == index).unwrap();
+        assert_eq!(of(1).result.as_ref().unwrap(), &vec![1u8; 4096]);
+        assert!(matches!(of(2).result, Err(DeviceError::OutOfBounds { .. })));
         // `b`'s offset 0 is the device's 4 MiB: disjoint from `a`'s write,
         // so the two overlapped on the controller's lanes.
-        assert_ne!(of(theirs[0]).lane, of(tickets[0]).lane);
-        assert_eq!(of(theirs[0]).started_at, SimDuration::ZERO);
-        // One ledger, on the one device, whichever handle is asked. The
-        // window violation never reached the device.
+        assert_ne!(theirs[0].lane, of(0).lane);
+        assert_eq!(theirs[0].started_at, SimDuration::ZERO);
+        assert_eq!(ring.depth_high_water(), 4, "no sync between the two calls");
+        // One ledger, on the one device, whichever handle is asked; the
+        // window violation is one of the calls' requests like any other.
         let s = a.stats();
-        assert_eq!((s.requests_submitted, s.requests_reaped), (3, 4));
+        assert_eq!((s.requests_submitted, s.requests_reaped, s.ring_depth_high_water), (4, 4, 4));
+        assert_eq!(s.writes, 2, "the violation never reached the device");
         assert_eq!(s, b.stats());
         let mut buf = [0u8; 1];
         shared.with(|d| d.read_at(4 << 20, &mut buf).unwrap());
         assert_eq!(buf[0], 2);
+    }
+
+    #[test]
+    fn the_benchmark_shims_submit_and_sync() {
+        let mut dev = SharedDevice::new(DramDevice::new(1 << 20).unwrap());
+        let mut ring = CompletionRing::for_queue(dev.queue());
+        let reads = (0..3u64).map(|i| RingRequest::new(IoRequest::read(i * 4096, 4096))).collect();
+        dev.submit_nowait(reads, &mut ring).unwrap();
+        assert_eq!(ring.in_flight(), 3);
+        dev.reap(&mut ring, usize::MAX).unwrap();
+        assert_eq!(ring.in_flight(), 0);
+        assert_eq!(dev.stats().reads, 3);
     }
 }

@@ -254,22 +254,25 @@ ledger! {
         pub gc_runs: u64 => Sum,
         /// Valid pages relocated by garbage collection (SSD only).
         pub gc_pages_copied: u64 => Sum,
-        /// Requests admitted through
-        /// [`Device::submit_nowait`](crate::Device::submit_nowait). This and
-        /// the four queue counters below are written in one place, by the
+        /// Requests run through [`Device::submit`](crate::Device::submit).
+        /// This and the four queue counters below are written once per
+        /// `submit` call, from the completions of the
         /// [`CompletionRing`](crate::CompletionRing) the requests went through.
         pub requests_submitted: u64 => Sum,
-        /// Reaped requests that shared their time on the device queue with
+        /// Completed requests that shared their time on the device queue with
         /// lane-0 work (booked on a lane other than lane 0). This
         /// counts *modeled* queue overlap: [`FileDevice`](crate::FileDevice)
         /// runs every request on the submitting thread and books its measured
         /// time on the lanes, as the simulated devices book theirs. Always
         /// zero on serial devices.
         pub requests_overlapped: u64 => Sum,
-        /// Completions delivered through [`Device::reap`](crate::Device::reap).
+        /// Completions [`Device::submit`](crate::Device::submit) returned:
+        /// equal to `requests_submitted`, since every request completes in
+        /// the call that carried it.
         pub requests_reaped: u64 => Sum,
-        /// Highest in-flight depth (admitted minus reaped) any completion ring
-        /// registered with this device has reached.
+        /// Highest in-flight depth (requests submitted since the caller's last
+        /// [`CompletionRing::sync`](crate::CompletionRing::sync)) any
+        /// completion ring submitted to this device has reached.
         pub ring_depth_high_water: u64 => HighWater,
         /// Ring admissions whose start was delayed by a conflicting in-flight
         /// range beyond lane availability (write-write and read-after-write

@@ -22,11 +22,9 @@ fn a_file_device_runs_a_ring_round_without_starting_a_thread() {
             .map(|i| RingRequest::new(IoRequest::write(i * 4096, vec![i as u8; 4096])))
             .collect();
         requests.extend((0..8u64).map(|i| RingRequest::new(IoRequest::read(i * 4096, 4096))));
-        dev.submit_nowait(requests, &mut ring).unwrap();
-        assert_eq!(ring.ready_len(), 16, "every request finished at admission");
+        let done = dev.submit(requests, &mut ring).unwrap();
         assert_eq!(threads(), before, "nor does a ring round");
-        let done = dev.reap(&mut ring, 16).unwrap();
-        assert_eq!(done.len(), 16);
+        assert_eq!(done.len(), 16, "every request finished inside the call");
         assert!(done.iter().all(|c| c.result.is_ok()));
         assert!(done.iter().any(|c| c.lane != 0), "the queue depth still books lanes");
     }

@@ -679,39 +679,29 @@ fn issue_sequentially<D: Device>(
         .collect()
 }
 
-/// Admits `requests` to one ring on `device` in `slices` `submit_nowait`
-/// calls with a single `reap(ring, 1)` between them — so later slices are
-/// admitted while earlier requests may still be in flight — then drains
-/// the ring. Returns every request's outcome, in request order.
+/// Submits `requests` to one ring on `device` in `slices` `submit` calls
+/// without a sync between them — so the ring's conflict floors span calls
+/// — and returns every request's outcome, in request order.
 fn issue_on_ring<D: Device>(
     device: &mut D,
     requests: Vec<IoRequest>,
     slices: usize,
 ) -> Vec<Result<Vec<u8>, DeviceError>> {
     let mut ring = CompletionRing::for_queue(device.queue());
-    let total = requests.len();
-    let per_slice = total.div_ceil(slices);
+    let per_slice = requests.len().div_ceil(slices);
     let mut outcomes: Vec<Option<Result<Vec<u8>, DeviceError>>> =
-        (0..total).map(|_| None).collect();
-    let mut request_of: HashMap<u64, usize> = HashMap::new();
-    let mut requests = requests.into_iter().map(RingRequest::new);
-    let mut admitted = 0;
-    while admitted < total {
+        (0..requests.len()).map(|_| None).collect();
+    let mut requests = requests.into_iter().map(RingRequest::new).peekable();
+    let mut submitted = 0;
+    while requests.peek().is_some() {
         let slice: Vec<RingRequest> = requests.by_ref().take(per_slice).collect();
-        let tickets = device.submit_nowait(slice, &mut ring).unwrap();
-        request_of.extend(tickets.iter().map(|t| t.id()).zip(admitted..));
-        admitted += tickets.len();
-        loop {
-            for completion in device.reap(&mut ring, 1).unwrap() {
-                let index = request_of.remove(&completion.ticket.id()).expect("ticket reaped once");
-                outcomes[index] = Some(completion.result);
-            }
-            if admitted < total || ring.in_flight() == 0 {
-                break;
-            }
+        let len = slice.len();
+        for completion in device.submit(slice, &mut ring).unwrap() {
+            outcomes[submitted + completion.index] = Some(completion.result);
         }
+        submitted += len;
     }
-    outcomes.into_iter().map(|o| o.expect("every admitted request was reaped")).collect()
+    outcomes.into_iter().map(|o| o.expect("one completion per request")).collect()
 }
 
 /// Asserts that queueing `raw` on the ring leaves `ringed` in the same
