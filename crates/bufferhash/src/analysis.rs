@@ -198,8 +198,8 @@ impl FlashCostModel {
     // where `D` is the per-call dispatch overhead (`BASE_OP_OVERHEAD`),
     // `r` the residual per-op overhead inside a batch
     // (`BATCHED_OP_OVERHEAD`, with `r = 0` and `D` un-divided at `b = 1`),
-    // and the last term is `insert_amortized`. Flush-write coalescing
-    // shaves the fixed command cost of contiguous incarnation writes on
+    // and the last term is `insert_amortized`. Coalesced flush writes
+    // shave the fixed command cost of contiguous incarnation writes on
     // top of this; the model omits it, so it is conservative.
 
     /// End-to-end amortized per-insert cost when inserts arrive in batches

@@ -9,7 +9,9 @@
 //! Every operation comes per-op ([`Clam::insert`], [`Clam::lookup`]),
 //! charged the full dispatch overhead, and batched
 //! ([`Clam::insert_batch`], [`Clam::lookup_batch`]), which groups a batch
-//! by super table and amortizes the dispatch overhead over it.
+//! by super table and amortizes the dispatch overhead over it. A per-op
+//! call is the batch pipeline on one op (`batch_dispatch(1)` is the full
+//! overhead).
 //!
 //! The read path is **queued and streaming**: every lookup key runs a
 //! probe state machine (delete list and live buffer, then Bloom-guided
@@ -24,17 +26,17 @@
 //! independent keys' probe rounds interleave on the queue's lanes. The
 //! batch's flash time is the ring **makespan**
 //! ([`flashsim::CompletionRing::makespan`]).
-//! A per-op [`Clam::lookup`] is a batch of one over the same pipeline.
 //!
-//! There is **one write path** too: every insert, scalar or batched, runs
-//! one per-table insert body and one flush loop, whose writes, evictions
-//! and drains ride the same completion ring as the probes. A batched
-//! insert, [`Clam::flush_all`] and LRU re-insertion run in the call's
-//! **write window**, which coalesces flush writes that land on contiguous
-//! log slots into single sequential device writes and drains the ring as
-//! it closes, even on failure. A per-op insert is not a batch of one: its
-//! flush chain is not coalesced, and it charges its own drain to itself
-//! where a batch books the drain to `ClamStats::deferred_flush_time`.
+//! There is **one write path** too: every insert runs one per-table
+//! insert body and one flush loop, whose writes, evictions and drains
+//! ride the same completion ring as the probes. Every call that touches
+//! the device — an insert of one op or many, a lookup with its LRU
+//! re-insertions, [`Clam::flush_all`] — runs in one **write window**,
+//! which coalesces flush writes that land on contiguous log slots into
+//! single sequential device writes and drains the ring as it closes,
+//! even on failure. That close is where every acknowledged write ends;
+//! an insert call books its drain to `ClamStats::deferred_flush_time`
+//! and returns it in its latency.
 //!
 //! A `Clam` takes **no locks**: its super tables, device, log allocator,
 //! ring state and statistics are plain fields, and every operation that
@@ -102,7 +104,7 @@ pub struct InsertOutcome {
 /// Outcome of a batched insert ([`Clam::insert_batch`]).
 ///
 /// Latency is accounted at batch granularity: per-op dispatch overhead is
-/// amortized across the batch and flush writes deferred for coalescing are
+/// amortized across the batch and flush writes deferred to coalesce are
 /// charged to the batch as a whole, not to the op that triggered them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchInsertOutcome {
@@ -188,9 +190,6 @@ pub struct BatchLookupOutcome {
     pub waves: usize,
     /// Total flash page-read requests submitted across all rounds.
     pub probe_reads: usize,
-    /// Completions the probe reads returned: one per
-    /// [`probe_reads`](Self::probe_reads).
-    pub reaps: usize,
     /// In-flight depth high-water mark of the completion ring: at most the
     /// probe window, however many keys the batch holds.
     pub ring_depth_high_water: usize,
@@ -527,16 +526,22 @@ impl<D: Device> Clam<D> {
     // Public hash-table operations
     // ------------------------------------------------------------------
 
-    /// Inserts (or updates) `key` with `value`.
+    /// Inserts (or updates) `key` with `value`: the batch pipeline on one
+    /// op, so its latency is the op's charge plus the drain of its call's
+    /// write window (the device time of any flush it triggered), and the
+    /// drain is booked to `ClamStats::deferred_flush_time` as a batch's
+    /// is.
     ///
     /// Updates are lazy (§5.1.1): if an older value for the key is already
     /// on flash it is left there; lookups return the newest value because
     /// incarnations are examined youngest-first.
     pub fn insert(&mut self, key: Key, value: Value) -> Result<InsertOutcome> {
-        let t = self.table_of(key);
-        let mut outcome = None;
-        self.insert_run(t, &[(key, value)], BASE_OP_OVERHEAD, |op| outcome = Some(op))?;
-        Ok(outcome.expect("a run of one yields one outcome"))
+        let batch = self.insert_pipeline(&[(key, value)])?;
+        Ok(InsertOutcome {
+            latency: batch.latency,
+            flushed: batch.flushed_ops > 0,
+            evictions: batch.evictions,
+        })
     }
 
     /// Inserts (or updates) a batch of key/value pairs in one call.
@@ -572,6 +577,14 @@ impl<D: Device> Clam<D> {
     /// assert_eq!(clam.lookup(8).unwrap().value, Some(1));
     /// ```
     pub fn insert_batch(&mut self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
+        self.stats.batched_inserts += ops.len() as u64;
+        self.insert_pipeline(ops)
+    }
+
+    /// The insert pipeline behind [`insert`](Self::insert) and
+    /// [`insert_batch`](Self::insert_batch): one write window around one
+    /// insert run per super table that `ops` touch.
+    fn insert_pipeline(&mut self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
         let mut outcome = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
         if ops.is_empty() {
             return Ok(outcome);
@@ -580,15 +593,15 @@ impl<D: Device> Clam<D> {
         // within a run.
         let (grouped, starts) = group_stable(ops, self.tables.len(), |op| self.table_of(op.0));
         let dispatch = batch_dispatch(ops.len());
-        self.stats.batched_inserts += ops.len() as u64;
         let coalesced_before = self.stats.coalesced_flush_writes;
         // Finished coalesced runs are admitted as they form; the window's
         // drain submits the last one and syncs the ring, and only its
-        // makespan is "deferred" time (charged to the batch, not to any
+        // makespan is "deferred" time (charged to the call, not to any
         // triggering insert).
         let ((), drained) = self.write_window(|clam| {
-            (0..clam.tables.len()).try_for_each(|t| {
-                clam.insert_run(t, &grouped[starts[t]..starts[t + 1]], dispatch, |op| {
+            let mut runs = starts.windows(2).enumerate().filter(|(_, run)| run[0] < run[1]);
+            runs.try_for_each(|(t, run)| {
+                clam.insert_run(t, &grouped[run[0]..run[1]], dispatch, |op| {
                     outcome.latency += op.latency;
                     outcome.flushed_ops += usize::from(op.flushed);
                     outcome.evictions += op.evictions;
@@ -735,6 +748,10 @@ pub(crate) fn batch_dispatch(len: usize) -> SimDuration {
         BASE_OP_OVERHEAD / len as u64 + BATCHED_OP_OVERHEAD
     }
 }
+
+/// An LRU re-insertion a lookup queued: the key's super table, the key
+/// and the value an incarnation answered with.
+type Reinsert = (usize, Key, Value);
 
 /// Result of one flush chain.
 #[derive(Debug, Clone, Copy, Default)]

@@ -82,7 +82,7 @@ impl<D: Device> Clam<D> {
         page: &[u8],
         offset: u64,
         out: &mut [Option<LookupOutcome>],
-        reinserts: &mut Vec<(usize, Key, Value)>,
+        reinserts: &mut Vec<Reinsert>,
     ) -> Result<Option<(ProbeState, u64)>> {
         state.flash_reads += 1;
         let slot = state.slot;
@@ -129,26 +129,47 @@ impl<D: Device> Clam<D> {
 
     /// The streaming ring pipeline behind [`Clam::lookup`] and
     /// [`Clam::lookup_batch`]; `dispatch` is the fixed overhead charged to
-    /// each key (full for per-op calls, amortized for batched ones).
+    /// each key (full for a batch of one, amortized for a larger one).
+    ///
+    /// The call runs in one write window: the probes run on its ring, and
+    /// the LRU re-insertions of keys an incarnation answered admit their
+    /// flushes into the same ring, so their writes overlap the tail of the
+    /// probe traffic instead of restarting the clock. The paper performs
+    /// re-insertion asynchronously, so its cost — the flush chains and
+    /// the window's drain, the ring's growth past the probes — goes to
+    /// `ClamStats::async_reinsert_time`, not to the batch.
     pub(super) fn lookup_batch_ring(
         &mut self,
         keys: &[Key],
         dispatch: SimDuration,
     ) -> Result<BatchLookupOutcome> {
-        let mut batch = BatchLookupOutcome::default();
         if keys.is_empty() {
-            return Ok(batch);
+            return Ok(BatchLookupOutcome::default());
         }
+        let ((mut batch, reinserted), drained) = self.write_window(|clam| {
+            let (batch, reinserts) = clam.probe_batch(keys, dispatch)?;
+            Ok((batch, clam.apply_reinserts(reinserts)?))
+        })?;
+        self.stats.async_reinsert_time += reinserted + drained;
+        batch.waves = batch.outcomes.iter().map(|o| o.flash_reads).max().unwrap_or(0);
+        self.stats.lookup_probe_waves += batch.waves as u64;
+        Ok(batch)
+    }
+
+    /// Resolves `keys` in memory and streams the probes of the rest
+    /// through the call's ring, leaving it synced: the batch's outcomes
+    /// and latency, and the LRU re-insertions its hits queued.
+    fn probe_batch(
+        &mut self,
+        keys: &[Key],
+        dispatch: SimDuration,
+    ) -> Result<(BatchLookupOutcome, Vec<Reinsert>)> {
+        let mut batch = BatchLookupOutcome::default();
         let page_size = self.layout.page_size;
         let LookupPlan { mut out, pending, mut reinserts, host_time } =
             self.plan_lookups(keys, dispatch);
 
         if !pending.is_empty() {
-            // The probes run on the call's *shared* ring: LRU re-insertion
-            // flushes (step 3) submit on the same ring, so their writes
-            // overlap the tail of the probe traffic on the device timeline
-            // instead of restarting the clock.
-            let mut ring = CompletionRing::for_queue(self.device.queue());
             // Probes go out in waves. The first holds a bounded window of
             // keys: every read in a wave parks a page buffer, and a window
             // of a few requests per lane already keeps every lane busy.
@@ -165,7 +186,8 @@ impl<D: Device> Clam<D> {
             let mut stalls = 0;
 
             // 1. Submit the wave and sync: the ring holds it in flight
-            //    until its completions are in hand.
+            //    until its completions are in hand, and the sync charges
+            //    its makespan growth to the batch.
             // 2. Step each key's state machine on its page, by completion
             //    time, and re-arm the key's next read (causally floored at
             //    the completion that produced it), so later rounds of
@@ -173,13 +195,12 @@ impl<D: Device> Clam<D> {
             //    resolved hands its place in the next wave to the next
             //    waiting key, floored the same way. A failed read or a
             //    misdirected page fails the call after its wave: nothing is
-            //    in flight then, and the call's ring state is still its
-            //    default.
+            //    in flight then.
             while !requests.is_empty() {
                 batch.probe_reads += requests.len();
                 self.stats.lookup_probe_requests += requests.len() as u64;
-                let done = self.device.submit(requests, &mut ring)?;
-                ring.sync();
+                let done = self.ring_submit(requests)?;
+                batch.probe_latency += self.sync_ring()?;
                 stalls += done.iter().filter(|c| c.stalled).count();
                 let mut wave = std::mem::take(&mut states);
                 requests = Vec::with_capacity(done.len());
@@ -209,35 +230,19 @@ impl<D: Device> Clam<D> {
                     }
                 }
             }
-            batch.probe_latency = ring.makespan();
-            // Every request completes in its `submit` call.
-            batch.reaps = batch.probe_reads;
-            batch.ring_depth_high_water = ring.depth_high_water();
+            let depth = self.call.ring.as_ref().expect("the probes opened it").depth_high_water();
+            batch.ring_depth_high_water = depth;
             self.stats.lookup_batches_submitted += 1;
-            self.stats.lookup_ring_reaps += batch.reaps as u64;
+            // Every request completes in its `submit` call.
+            self.stats.lookup_ring_reaps += batch.probe_reads as u64;
             self.stats.lookup_ring_depth_high_water =
-                self.stats.lookup_ring_depth_high_water.max(ring.depth_high_water() as u64);
+                self.stats.lookup_ring_depth_high_water.max(depth as u64);
             self.stats.lookup_ring_admission_stalls += stalls as u64;
-            // The probe makespan is charged to this batch: mark it so the
-            // write side only ever accounts its own growth.
-            self.call =
-                Call { horizon: ring.makespan(), read: true, ring: Some(ring), ..Call::default() };
         }
-
-        // 3. LRU: re-insert items used from flash so they survive FIFO
-        //    eviction of old incarnations. The paper performs this
-        //    asynchronously, so its cost is not charged to the batch. The
-        //    re-insertion flushes admit into the same ring as the probes
-        //    (see above); `apply_reinserts` closes the ring when it has
-        //    work, and a reinsert-free call closes it right after.
-        self.apply_reinserts(reinserts)?;
-        self.finish_ring()?;
 
         batch.latency = host_time + batch.probe_latency;
         batch.outcomes = out.into_iter().map(|o| o.expect("every key resolved")).collect();
-        batch.waves = batch.outcomes.iter().map(|o| o.flash_reads).max().unwrap_or(0);
-        self.stats.lookup_probe_waves += batch.waves as u64;
-        Ok(batch)
+        Ok((batch, reinserts))
     }
 
     /// Walks a probe on to its next live candidate incarnation, resetting
@@ -251,7 +256,7 @@ impl<D: Device> Clam<D> {
         &mut self,
         mut state: ProbeState,
         out: &mut [Option<LookupOutcome>],
-        reinserts: &mut Vec<(usize, Key, Value)>,
+        reinserts: &mut Vec<Reinsert>,
     ) -> Option<ProbeState> {
         let table = &self.tables[state.table];
         let mut found = None;
@@ -278,7 +283,7 @@ impl<D: Device> Clam<D> {
         &mut self,
         state: ProbeState,
         found: Option<(Value, LookupSource)>,
-        reinserts: &mut Vec<(usize, Key, Value)>,
+        reinserts: &mut Vec<Reinsert>,
     ) -> LookupOutcome {
         let outcome = LookupOutcome {
             value: found.map(|(value, _)| value),
@@ -305,7 +310,7 @@ struct LookupPlan {
     /// State machines for keys that must probe flash.
     pending: Vec<ProbeState>,
     /// LRU re-insertions queued by keys that already resolved.
-    reinserts: Vec<(usize, Key, Value)>,
+    reinserts: Vec<Reinsert>,
     /// Dispatch plus DRAM probe time of the whole batch.
     host_time: SimDuration,
 }

@@ -3,16 +3,13 @@
 
 use super::*;
 
-/// The state of one top-level call: its write window and its shared
-/// completion ring. It is `Call::default()` between calls; closing the
-/// ring ([`Clam::finish_ring`]) restores that default.
+/// The state of one top-level call, which runs in one write window
+/// ([`Clam::write_window`]): its deferred flush writes and its shared
+/// completion ring. It is `Call::default()` between calls; the window's
+/// close ([`Clam::finish_ring`]) restores that default.
 #[derive(Default)]
 pub(super) struct Call {
-    /// True inside [`Clam::write_window`]: flush writes coalesce into
-    /// [`pending_run`](Self::pending_run) instead of entering the ring
-    /// one by one.
-    pub(super) coalescing: bool,
-    /// The incarnation writes deferred for coalescing: the *current*
+    /// The incarnation writes deferred to coalesce: the *current*
     /// contiguous run, as its offset and bytes (a non-contiguous write
     /// admits the finished run to the ring first, so flush traffic
     /// streams).
@@ -36,12 +33,13 @@ pub(super) struct Call {
 }
 
 impl<D: Device> Clam<D> {
-    /// Submits write-path requests on the call's shared ring, opening the
-    /// ring, sized to the device's queue, if this is the call's first
-    /// submission, and returns their completions. The write-ring ledger
-    /// counts them here; a failed request is kept for the next sync
-    /// ([`sync_ring`](Self::sync_ring)) to surface.
-    pub(super) fn ring_admit(&mut self, requests: Vec<RingRequest>) -> Result<Vec<RingCompletion>> {
+    /// Submits `requests` on the call's shared ring, opening the ring,
+    /// sized to the device's queue, if this is the call's first
+    /// submission, and returns their completions.
+    pub(super) fn ring_submit(
+        &mut self,
+        requests: Vec<RingRequest>,
+    ) -> Result<Vec<RingCompletion>> {
         for r in &requests {
             if matches!(r.request, IoRequest::Read { .. }) {
                 self.call.read = true;
@@ -51,7 +49,15 @@ impl<D: Device> Clam<D> {
         }
         let ring =
             self.call.ring.get_or_insert_with(|| CompletionRing::for_queue(self.device.queue()));
-        let done = self.device.submit(requests, ring)?;
+        Ok(self.device.submit(requests, ring)?)
+    }
+
+    /// Submits write-path requests on the call's shared ring
+    /// ([`ring_submit`](Self::ring_submit)). The write-ring ledger counts
+    /// them here; a failed request is kept for the next sync
+    /// ([`sync_ring`](Self::sync_ring)) to surface.
+    pub(super) fn ring_admit(&mut self, requests: Vec<RingRequest>) -> Result<Vec<RingCompletion>> {
+        let done = self.ring_submit(requests)?;
         self.stats.flush_ring_reaps += done.len() as u64;
         self.stats.write_ring_admission_stalls += done.iter().filter(|c| c.stalled).count() as u64;
         if self.call.failure.is_none() {
@@ -95,7 +101,7 @@ impl<D: Device> Clam<D> {
 
     /// Closes the call's shared ring: syncs it, restores
     /// `Call::default()`, and returns the final makespan growth (zero
-    /// when no ring was opened).
+    /// when no ring was opened). Only the write window's close calls it.
     pub(super) fn finish_ring(&mut self) -> Result<SimDuration> {
         let synced = self.sync_ring();
         self.call = Call::default();

@@ -1,9 +1,7 @@
-//! The write path under [`Clam::insert`] and [`Clam::insert_batch`]: the
-//! per-table insert body, the one flush loop (`flush_until_stored`) and
-//! under it the flush, eviction and coalescing that ride the call's
-//! completion ring. [`Clam::write_window`] is the only code that turns
-//! coalescing on; `insert_batch`, `flush_all` and LRU re-insertion run
-//! inside it.
+//! The write path under every [`Clam`] call: the write window each call
+//! runs in, the per-table insert body, the one flush loop
+//! (`flush_until_stored`) and under it the flush, eviction and coalesced
+//! writes that ride the call's completion ring.
 
 use super::*;
 
@@ -11,7 +9,8 @@ impl<D: Device> Clam<D> {
     /// The insert body: applies `run` — ops of table `t`, in order —
     /// records each op in the ledger and hands its outcome to `done`.
     /// `dispatch` is the fixed overhead charged to each op (full for a
-    /// per-op call, amortized for a batched one).
+    /// batch of one, amortized for a larger one). Runs inside the call's
+    /// write window, whose drain the caller books.
     ///
     /// The buffer is walked in runs: keys go in until the first one that
     /// finds the buffer full, which gets a flush chain. A full buffer
@@ -39,7 +38,13 @@ impl<D: Device> Clam<D> {
             (0..stored).for_each(|_| done(plain));
             rest = &rest[stored..];
             if let Some((&(key, value), later)) = rest.split_first() {
-                let op = self.insert_after_flush(t, key, value, latency)?;
+                // Flush-side counters are recorded by the flush chain.
+                let chain = self.flush_until_stored(t, key, value)?;
+                let op = InsertOutcome {
+                    latency: latency + chain.latency,
+                    flushed: true,
+                    evictions: chain.evictions,
+                };
                 self.stats.record_cascade(op.evictions.max(1));
                 self.stats.inserts.record(op.latency);
                 done(op);
@@ -47,37 +52,6 @@ impl<D: Device> Clam<D> {
             }
         }
         Ok(())
-    }
-
-    /// Stores a key that found table `t`'s buffer full: runs the flush
-    /// loop, then, outside a write window, drains the ring before the op
-    /// is acknowledged. `latency` is what the op has been charged so far.
-    /// Flush-side counters are recorded by the flush chain itself.
-    fn insert_after_flush(
-        &mut self,
-        t: usize,
-        key: Key,
-        value: Value,
-        latency: SimDuration,
-    ) -> Result<InsertOutcome> {
-        let chain = self.flush_until_stored(t, key, value);
-        // A per-op call owns its ring: the flush chain's device time (its
-        // makespan, overlap-accounted) is charged to this insert, and the
-        // ring closes even on failure, so the next call starts from
-        // `Call::default()`. Inside a write window the ring stays open;
-        // the window's drain charges it.
-        let drained =
-            if self.call.coalescing { Ok(SimDuration::ZERO) } else { self.drain_write_ring() };
-        let chain = chain?;
-        // The acknowledgment point (DESIGN.md "Crash consistency"): a
-        // per-op insert is acked only once nothing of its flush chain
-        // remains deferred or in flight on the ring.
-        debug_assert!(
-            self.call.coalescing || (self.call.pending_run.is_none() && self.call.ring.is_none()),
-            "insert acked with flush writes still in flight"
-        );
-        let latency = latency + chain.latency + drained?;
-        Ok(InsertOutcome { latency, flushed: true, evictions: chain.evictions })
     }
 
     /// Flushes table `t` until its buffer takes `key`, which it has just
@@ -152,23 +126,23 @@ impl<D: Device> Clam<D> {
                     self.stats.forced_evictions += 1;
                 }
             }
-            if self.call.coalescing && alloc.blocks_to_erase.is_empty() {
-                // Inside a write window (a write that erases nothing):
-                // coalesce into the current contiguous run. A
-                // non-contiguous slot admits the finished run to the ring
-                // first (see `push_coalesced_write`), so flush traffic
-                // streams out mid-batch instead of pooling behind the
-                // whole batch.
+            if alloc.blocks_to_erase.is_empty() {
+                // A write that erases nothing coalesces into the current
+                // contiguous run. A non-contiguous slot admits the
+                // finished run to the ring first (see
+                // `push_coalesced_write`), so flush traffic streams out
+                // mid-call instead of pooling behind the whole call.
                 self.push_coalesced_write(alloc.offset, image)?;
             } else {
-                // Erase-before-program and write-after-write ordering both
-                // rest on admission order: devices apply data effects in
-                // admission order, and the ring's write-write conflict
-                // floors keep the reported timing consistent with it. So
-                // the deferred run, the erases and the incarnation write
-                // are admitted back to back; their device time is charged,
-                // and a failure among them surfaces, when the ring syncs
-                // (per-op end, eviction read, or the write window's drain).
+                // This write erases. Erase-before-program and
+                // write-after-write ordering both rest on admission order:
+                // devices apply data effects in admission order, and the
+                // ring's write-write conflict floors keep the reported
+                // timing consistent with it. So the deferred run, the
+                // erases and the incarnation write are admitted back to
+                // back; their device time is charged, and a failure among
+                // them surfaces, when the ring syncs (an eviction read or
+                // the write window's close).
                 self.admit_pending_writes()?;
                 let mut requests: Vec<RingRequest> = alloc
                     .blocks_to_erase
@@ -295,12 +269,12 @@ impl<D: Device> Clam<D> {
         retained.map(|kept| (latency, kept))
     }
 
-    /// Queues one incarnation write for coalescing. The deferred set holds
-    /// a single contiguous run: a write extending the run merges into it
+    /// Queues one incarnation write to coalesce. The deferred set holds a
+    /// single contiguous run: a write extending the run merges into it
     /// (one device command for the whole run), while a non-contiguous
     /// write **admits the finished run to the ring first**, so deferred
     /// flush traffic streams out as it forms instead of pooling until the
-    /// batch ends.
+    /// call ends.
     fn push_coalesced_write(&mut self, offset: u64, image: Vec<u8>) -> Result<()> {
         match &mut self.call.pending_run {
             Some((run_offset, run_image)) if offset == *run_offset + run_image.len() as u64 => {
@@ -324,54 +298,39 @@ impl<D: Device> Clam<D> {
         Ok(())
     }
 
-    /// Flushes the write side of the current call: admits any deferred run
-    /// and closes the shared ring, returning the device time charged to
-    /// the caller (the ring's makespan growth since the last sync).
-    fn drain_write_ring(&mut self) -> Result<SimDuration> {
-        let admitted = self.admit_pending_writes();
-        let finished = self.finish_ring();
-        admitted?;
-        finished
-    }
-
-    /// The call's write window, the only place that turns coalescing on:
-    /// runs `body` with flush writes coalescing into contiguous runs, then
-    /// admits the last run and closes the ring — even when `body` failed,
-    /// so the device matches the incarnation metadata registered so far
-    /// and nothing is left in flight. Returns `body`'s value and the
-    /// drained device time; `body`'s error comes first.
+    /// The call's write window: every top-level call that touches the
+    /// device runs `body` in one. Flush writes coalesce into contiguous
+    /// runs as `body` goes; then the window admits the last run and
+    /// closes the call's ring, even when `body` failed, so the device
+    /// matches the incarnation metadata registered so far and nothing is
+    /// left deferred or in flight. That close is the acknowledgment point
+    /// of every write in the call (DESIGN.md "Safety spec: the
+    /// acknowledgment point"). Returns `body`'s value and the drained
+    /// device time (the ring's makespan growth since its last sync);
+    /// `body`'s error comes first.
     pub(super) fn write_window<T>(
         &mut self,
         body: impl FnOnce(&mut Self) -> Result<T>,
     ) -> Result<(T, SimDuration)> {
-        self.call.coalescing = true;
         let value = body(self);
-        // Closing the ring restores `Call::default()`: coalescing is off.
-        let drained = self.drain_write_ring();
+        let admitted = self.admit_pending_writes();
+        let drained = admitted.and(self.finish_ring());
         Ok((value?, drained?))
     }
 
-    /// Applies the LRU re-insertions collected by a lookup call in a write
-    /// window, so their flush chains coalesce and admit into the ring the
-    /// probe reads ran on (the writes overlap the probe tail). The
-    /// asynchronous re-insert cost recorded in
-    /// `ClamStats::async_reinsert_time` is the ring's makespan growth —
-    /// makespan-accounted like every other flush.
-    pub(super) fn apply_reinserts(&mut self, reinserts: Vec<(usize, Key, Value)>) -> Result<()> {
-        if reinserts.is_empty() {
-            return Ok(());
-        }
-        let (flushed, drained) = self.write_window(|clam| {
-            let mut cost = SimDuration::ZERO;
-            for (t, key, value) in reinserts {
-                if !matches!(clam.tables[t].buffer_insert(key, value), BufferInsert::Stored(_)) {
-                    cost += clam.flush_until_stored(t, key, value)?.latency;
-                }
-                clam.stats.reinsertions += 1;
+    /// Applies the LRU re-insertions a lookup call collected, inside its
+    /// write window: their flush chains admit into the ring the probe
+    /// reads ran on, so the writes overlap the probe tail. Returns the
+    /// flush chains' charge; the caller adds the window's drain and books
+    /// both to `ClamStats::async_reinsert_time`.
+    pub(super) fn apply_reinserts(&mut self, reinserts: Vec<Reinsert>) -> Result<SimDuration> {
+        let mut cost = SimDuration::ZERO;
+        for (t, key, value) in reinserts {
+            if !matches!(self.tables[t].buffer_insert(key, value), BufferInsert::Stored(_)) {
+                cost += self.flush_until_stored(t, key, value)?.latency;
             }
-            Ok(cost)
-        })?;
-        self.stats.async_reinsert_time += flushed + drained;
-        Ok(())
+            self.stats.reinsertions += 1;
+        }
+        Ok(cost)
     }
 }

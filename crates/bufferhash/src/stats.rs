@@ -53,20 +53,22 @@ flashsim::ledger! {
         /// Simulated latency spent in asynchronous LRU re-insertions (not
         /// charged to the triggering lookups).
         pub async_reinsert_time: SimDuration => Sum,
-        /// Inserts submitted through the batched pipeline
-        /// (`Clam::insert_batch`).
+        /// Inserts submitted through `Clam::insert_batch` (a per-op
+        /// `Clam::insert` runs the same pipeline and is not counted).
         pub batched_inserts: u64 => Sum,
         /// Lookups submitted through the batched pipeline
         /// (`Clam::lookup_batch`).
         pub batched_lookups: u64 => Sum,
-        /// Device write commands eliminated by batch flush coalescing
+        /// Device write commands eliminated by coalesced flush writes
         /// (contiguous incarnation writes merged into one sequential write).
         pub coalesced_flush_writes: u64 => Sum,
-        /// Simulated latency of incarnation writes deferred by batches and
-        /// drained at the *end* of the batch (charged to the batch as a whole,
-        /// not to any triggering insert). Drains forced mid-batch — before an
-        /// erase or a partial-discard eviction read — are charged to the op
-        /// that needed them, like a sequential flush, and are not counted here.
+        /// Simulated latency of incarnation writes an insert call (a batch,
+        /// or a per-op insert: the batch pipeline on one op) deferred and
+        /// drained as its write window closed: the ring's makespan growth
+        /// since its last sync, charged to the call as a whole and not to
+        /// any triggering insert, so `inserts` does not sample it. The sync
+        /// a partial-discard eviction read forces mid-call is charged to
+        /// the op that needed it instead, and is not counted here.
         pub deferred_flush_time: SimDuration => Sum,
         /// Lookup calls (batched or per-op) whose flash probes reached the
         /// device through the queued read pipeline (at least one probe read

@@ -77,12 +77,7 @@ fn sweep_main(args: &[String]) -> Result<(), BootError> {
         zipf_s: parse(args, "--zipf-s", 0.99),
         seed: parse(args, "--seed", 0x10ad),
     };
-    let multiples: Vec<f64> = flag_value(args, "--multiples")
-        .unwrap_or_else(|| "0.5,0.9,1.5".to_string())
-        .split(',')
-        .map(|s| s.trim().parse().expect("--multiples takes comma-separated floats"))
-        .collect();
-    assert!(multiples.len() >= 3, "a sweep needs at least 3 load levels to span saturation");
+    let Multiples(multiples) = parse(args, "--multiples", Multiples(vec![0.5, 0.9, 1.5]));
 
     // Either aim at a running server (multi-process client mode) or
     // spawn one in-process — sim-backed by default, file-backed (with
@@ -104,6 +99,23 @@ fn sweep_main(args: &[String]) -> Result<(), BootError> {
             sweep_spawned(&server, &config, &multiples)
         }
         None => sweep_spawned(&ClamdServer::start_sim(server_config)?, &config, &multiples),
+    }
+}
+
+/// The `--multiples` list: comma-separated load levels, at least three,
+/// so that a sweep spans saturation.
+struct Multiples(Vec<f64>);
+
+impl std::str::FromStr for Multiples {
+    type Err = ();
+
+    fn from_str(list: &str) -> Result<Self, ()> {
+        let levels: Vec<f64> =
+            list.split(',').map(|s| s.trim().parse()).collect::<Result<_, _>>().map_err(drop)?;
+        if levels.len() < 3 {
+            return Err(());
+        }
+        Ok(Multiples(levels))
     }
 }
 

@@ -58,8 +58,11 @@ pub const VERSION: u8 = 1;
 /// Fixed frame-header length in bytes.
 pub const HEADER_LEN: usize = 20;
 /// Largest payload a peer may send; larger length fields are rejected as
-/// [`WireError::Oversized`] before any allocation.
-pub const MAX_PAYLOAD: usize = 1 << 20;
+/// [`WireError::Oversized`] before any allocation. It is the largest batch
+/// frame: an `INSERT_BATCH` of [`MAX_BATCH_OPS`] pairs (a 4-byte count
+/// and 16 bytes a pair), so a batch of either kind up to the op limit is
+/// legal.
+pub const MAX_PAYLOAD: usize = 4 + 16 * MAX_BATCH_OPS;
 /// Largest operation count in one batch frame.
 pub const MAX_BATCH_OPS: usize = 64 * 1024;
 
@@ -826,6 +829,30 @@ mod tests {
         absurd[HEADER_LEN..HEADER_LEN + 4]
             .copy_from_slice(&((MAX_BATCH_OPS + 1) as u32).to_le_bytes());
         assert!(matches!(decode_request(&absurd), Err(WireError::TooManyOps(_))));
+    }
+
+    /// A batch of `MAX_BATCH_OPS` ops of either kind decodes; one op more
+    /// is refused, an insert batch by its payload length and a lookup
+    /// batch by its count.
+    #[test]
+    fn batches_up_to_the_op_limit_are_legal_and_one_op_more_is_not() {
+        let round_trip = |op: Op| {
+            let mut buf = Vec::new();
+            encode_request(&Request { id: 9, op }, &mut buf);
+            let decoded = decode_request(&buf).map(|frame| frame.map(|(r, used)| (r.op, used)));
+            (decoded, buf.len())
+        };
+        let pairs = |n: usize| (0..n as u64).map(|i| (i, !i)).collect::<Vec<_>>();
+        let keys = |n: usize| (0..n as u64).collect::<Vec<_>>();
+        for op in [Op::InsertBatch(pairs(MAX_BATCH_OPS)), Op::LookupBatch(keys(MAX_BATCH_OPS))] {
+            let (decoded, len) = round_trip(op.clone());
+            assert_eq!(decoded, Ok(Some((op, len))));
+        }
+        let over = MAX_BATCH_OPS + 1;
+        let (decoded, _) = round_trip(Op::InsertBatch(pairs(over)));
+        assert_eq!(decoded, Err(WireError::Oversized(4 + 16 * over)));
+        let (decoded, _) = round_trip(Op::LookupBatch(keys(over)));
+        assert_eq!(decoded, Err(WireError::TooManyOps(over)));
     }
 
     #[test]

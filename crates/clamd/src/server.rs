@@ -70,16 +70,30 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Per-stripe CLAM configuration derived from the totals; a store of
-    /// no stripes is an invalid configuration.
-    fn stripe_config(&self) -> bufferhash::Result<ClamConfig> {
+    /// Refuses a store of no stripes as an invalid configuration.
+    fn check_stripes(&self) -> bufferhash::Result<()> {
         if self.stripes == 0 {
             return Err(BufferHashError::InvalidConfig("a store needs at least one stripe".into()));
         }
-        ClamConfig::small_test(
-            self.flash_bytes / self.stripes as u64,
-            self.dram_bytes / self.stripes as u64,
-        )
+        Ok(())
+    }
+
+    /// `device` split into `stripes` partitions, each paired with its
+    /// stripe's CLAM configuration: the partition's whole capacity (the
+    /// split rounds every partition down to the erase block) and an equal
+    /// share of the DRAM budget. Creating a store and recovering it both
+    /// derive the layout here, so they agree.
+    fn stripe_partitions<D: Device>(
+        &self,
+        device: &SharedDevice<D>,
+    ) -> Result<Vec<(SharedDevice<D>, ClamConfig)>, BootError> {
+        self.check_stripes()?;
+        let dram = self.dram_bytes / self.stripes as u64;
+        let partitions = device.split(self.stripes)?.into_iter().map(|partition| {
+            let config = ClamConfig::small_test(partition.geometry().capacity, dram)?;
+            Ok((partition, config))
+        });
+        partitions.collect()
     }
 }
 
@@ -88,8 +102,7 @@ impl ServerConfig {
 pub type BootError = Box<dyn std::error::Error + Send + Sync>;
 
 /// Builds a fresh in-memory store: one simulated Intel-class SSD
-/// partitioned into `config.stripes` stripes sharing the device's
-/// completion ring.
+/// partitioned into `config.stripes` stripes that share the device.
 pub fn boot_sim(config: &ServerConfig) -> Result<StripedClam<SharedDevice<Ssd>>, BootError> {
     boot_fresh(SharedDevice::new(Ssd::intel(config.flash_bytes)?), config)
 }
@@ -107,18 +120,13 @@ pub fn boot_file(
     queue_depth: usize,
 ) -> Result<(StripedClam<SharedDevice<FileDevice>>, Vec<RecoveryReport>), BootError> {
     // Checked before a missing image is created.
-    let stripe_config = config.stripe_config()?;
+    config.check_stripes()?;
     if !path.exists() {
         let file = FileDevice::with_queue_depth(path, config.flash_bytes, queue_depth)?;
         return Ok((boot_fresh(SharedDevice::new(file), config)?, Vec::new()));
     }
     let device = SharedDevice::new(FileDevice::open_existing(path, queue_depth)?);
-    let pairs = device
-        .split(config.stripes)?
-        .into_iter()
-        .map(|partition| (partition, stripe_config.clone()))
-        .collect();
-    Ok(StripedClam::recover(pairs)?)
+    Ok(StripedClam::recover(config.stripe_partitions(&device)?)?)
 }
 
 /// An empty store over `device`, split into `config.stripes` stripes.
@@ -126,12 +134,9 @@ fn boot_fresh<D: Device>(
     device: SharedDevice<D>,
     config: &ServerConfig,
 ) -> Result<StripedClam<SharedDevice<D>>, BootError> {
-    let stripe_config = config.stripe_config()?;
-    let stripes = device
-        .split(config.stripes)?
-        .into_iter()
-        .map(|partition| Clam::new(partition, stripe_config.clone()));
-    Ok(StripedClam::new(stripes.collect::<bufferhash::Result<_>>()?))
+    let stripes = config.stripe_partitions(&device)?.into_iter();
+    let clams = stripes.map(|(partition, stripe)| Clam::new(partition, stripe));
+    Ok(StripedClam::new(clams.collect::<bufferhash::Result<_>>()?))
 }
 
 /// A running `clamd` server.
@@ -368,8 +373,22 @@ mod tests {
 
     #[test]
     fn config_derives_per_stripe_share() {
+        // Each stripe takes its whole partition, which the split rounds
+        // down to the erase block.
+        for stripes in 1..=6 {
+            let config = ServerConfig { stripes, ..Default::default() };
+            let device = SharedDevice::new(Ssd::intel(config.flash_bytes).unwrap());
+            let partitions = config.stripe_partitions(&device).unwrap();
+            assert_eq!(partitions.len(), stripes);
+            for (partition, stripe) in partitions {
+                assert_eq!(stripe.flash_capacity, partition.geometry().capacity);
+                assert_eq!(stripe.dram_bytes, config.dram_bytes / stripes as u64);
+            }
+        }
+        // Four stripes divide the default flash evenly.
         let config = ServerConfig { stripes: 4, ..Default::default() };
-        let stripe = config.stripe_config().unwrap();
+        let device = SharedDevice::new(Ssd::intel(config.flash_bytes).unwrap());
+        let (_, stripe) = &config.stripe_partitions(&device).unwrap()[0];
         assert_eq!(stripe.flash_capacity, config.flash_bytes / 4);
     }
 

@@ -405,6 +405,44 @@ fn a_clean_shutdown_keeps_every_acknowledged_insert() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Three stripes do not divide the default 64 MiB of flash into whole
+/// erase blocks, and every stripe takes its partition as the split rounds
+/// it: a sim store and a file store boot and serve, and the file image,
+/// shut down cleanly, reboots under the same flags with every
+/// acknowledged insert.
+#[test]
+fn three_stripes_boot_serve_and_reboot_with_every_acknowledged_insert() {
+    let config = ServerConfig { stripes: 3, ..ServerConfig::default() };
+    let sim = ClamdServer::start_sim(config.clone()).unwrap();
+    let mut client = ClamdClient::connect(sim.local_addr()).unwrap();
+    client.insert(key_for(1), value_for(1)).unwrap();
+    assert_eq!(client.lookup(key_for(1)).unwrap(), Some(value_for(1)));
+    drop(sim);
+
+    let path = temp_path("three-stripes-image");
+    let _ = std::fs::remove_file(&path);
+    let ops: Vec<(u64, u64)> = (1..=20_000u64).map(|id| (key_for(id), value_for(id))).collect();
+    {
+        let (store, reports) = boot_file(&path, &config, 4).unwrap();
+        assert!(reports.is_empty(), "a fresh image");
+        let mut server = ClamdServer::start(store, reports, config.clone()).unwrap();
+        let mut client = ClamdClient::connect(server.local_addr()).unwrap();
+        for chunk in ops.chunks(1_000) {
+            assert_eq!(client.insert_batch(chunk.to_vec()).unwrap(), 1_000);
+        }
+        server.shutdown();
+        assert_eq!(server.stats().shutdown_flush_errors, 0);
+    }
+    let (store, reports) = boot_file(&path, &config, 4).unwrap();
+    assert_eq!(reports.len(), 3, "one recovery report a stripe");
+    let keys: Vec<u64> = ops.iter().map(|&(key, _)| key).collect();
+    let found = store.lookup_batch(&keys).unwrap();
+    for (outcome, &(key, value)) in found.outcomes.iter().zip(&ops) {
+        assert_eq!(outcome.value, Some(value), "key {key:#x}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Sends `bytes` in one write, half-closes, and reads until the server
 /// ends the connection; returns every reply, in arrival order.
 fn replies_after_half_close(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<(u64, RespBody)> {

@@ -270,7 +270,7 @@ mod tests {
             dev.stats()
         }
         let bare = script(Ssd::intel(1 << 20).unwrap());
-        assert_eq!((bare.requests_submitted, bare.requests_reaped), (22, 22));
+        assert_eq!(bare.requests_submitted, 22);
         assert!(bare.requests_overlapped > 0 && bare.ring_admission_stalls > 0, "{bare}");
         assert_eq!(bare.ring_depth_high_water, 13);
         assert_eq!(script(CrashDevice::new(Ssd::intel(1 << 20).unwrap())), bare);

@@ -30,7 +30,8 @@
 //! the file, one at a time on the chip and the disk) and writes the queue
 //! counters; no backend brings ring code of its own.
 //! [`SharedDevice`] lets several owners (e.g. index stripes) drive
-//! partitions of one device — and thus one ring timeline — concurrently.
+//! partitions of one device concurrently: one lock, byte store and
+//! [`IoStats`], while each caller's requests run on its own ring.
 //!
 //! ## Example
 //!

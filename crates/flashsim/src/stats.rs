@@ -255,7 +255,7 @@ ledger! {
         /// Valid pages relocated by garbage collection (SSD only).
         pub gc_pages_copied: u64 => Sum,
         /// Requests run through [`Device::submit`](crate::Device::submit).
-        /// This and the four queue counters below are written once per
+        /// This and the three queue counters below are written once per
         /// `submit` call, from the completions of the
         /// [`CompletionRing`](crate::CompletionRing) the requests went through.
         pub requests_submitted: u64 => Sum,
@@ -266,10 +266,6 @@ ledger! {
         /// time on the lanes, as the simulated devices book theirs. Always
         /// zero on serial devices.
         pub requests_overlapped: u64 => Sum,
-        /// Completions [`Device::submit`](crate::Device::submit) returned:
-        /// equal to `requests_submitted`, since every request completes in
-        /// the call that carried it.
-        pub requests_reaped: u64 => Sum,
         /// Highest in-flight depth (requests submitted since the caller's last
         /// [`CompletionRing::sync`](crate::CompletionRing::sync)) any
         /// completion ring submitted to this device has reached.

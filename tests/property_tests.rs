@@ -7,13 +7,13 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use clam::bufferhash::{
-    lookup_in_page, scan_incarnation, table_of, BloomFilter, Clam, ClamConfig, CuckooBuffer, Entry,
-    EvictionPolicy, FilterMode, IncarnationIdentity, IncarnationLayout, LookupOutcome, PageLookup,
-    SlotScan,
+    lookup_in_page, parse_page_header_checked, scan_incarnation, table_of, BloomFilter, Clam,
+    ClamConfig, ClamStats, CuckooBuffer, Entry, EvictionPolicy, FilterMode, IncarnationIdentity,
+    IncarnationLayout, LookupOutcome, PageLookup, SlotScan,
 };
 use clam::flashsim::{
-    CompletionRing, Device, DeviceError, DramDevice, FileDevice, FlashChip, IoRequest,
-    MagneticDisk, RingRequest, SharedDevice, SparseStore, Ssd,
+    CompletionRing, Device, DeviceError, DramDevice, FileDevice, FlashChip, IoRequest, Kind,
+    MagneticDisk, RingRequest, SharedDevice, SimDuration, Slot, SparseStore, Ssd,
 };
 
 #[path = "support/clam_model.rs"]
@@ -602,6 +602,194 @@ proptest! {
     ) {
         check_against_model_on_every_backend(EvictionPolicy::UpdateBased, &raw)?;
         check_against_model_on_every_backend(EvictionPolicy::priority_threshold(1 << 63), &raw)?;
+    }
+}
+
+/// Twin CLAMs on fresh devices from `device`, driven through `steps`:
+/// every insert goes to one as a per-op `insert` and to the other as a
+/// one-op `insert_batch`, every other step to both alike. A per-op insert
+/// is the batch pipeline on one op, so nothing may tell the twins apart
+/// but `batched_inserts`: not a returned outcome, a stored value, a
+/// `ClamStats` or `IoStats` entry, nor a byte of either device. A device
+/// on the `wall_clock` measures its latencies on the host, so there the
+/// twins are held to everything but what is measured ([`agreed`]).
+/// Returns the per-op twin's ledger, for the caller to check what the run
+/// went through.
+fn check_insert_is_a_batch_of_one<D: Device>(
+    mut device: impl FnMut(&str) -> D,
+    wall_clock: bool,
+    config: ClamConfig,
+    universe: &[u64],
+    steps: &[Step],
+) -> Result<ClamStats, proptest::test_runner::TestCaseError> {
+    let mut per_op = Clam::new(device("per-op"), config.clone()).unwrap();
+    let mut batched = Clam::new(device("batched"), config).unwrap();
+    let name = per_op.device().name();
+    let time = |latency: SimDuration| if wall_clock { SimDuration::ZERO } else { latency };
+    let looked_up = |outcomes: &[LookupOutcome]| -> Vec<_> {
+        outcomes.iter().map(|o| (o.value, o.source, o.flash_reads, time(o.latency))).collect()
+    };
+    for (i, step) in steps.iter().enumerate() {
+        let ops = match step {
+            Step::Insert(key, value) => vec![(*key, *value)],
+            Step::InsertBatch(ops) => ops.clone(),
+            Step::Delete(key) => {
+                prop_assert_eq!(per_op.delete(*key).unwrap(), batched.delete(*key).unwrap());
+                Vec::new()
+            }
+            Step::Lookup(key) => {
+                let (a, b) = (per_op.lookup(*key).unwrap(), batched.lookup(*key).unwrap());
+                prop_assert!(looked_up(&[a]) == looked_up(&[b]), "lookup at step {i} on {name}");
+                Vec::new()
+            }
+            Step::LookupBatch(keys) => {
+                let (a, b) =
+                    (per_op.lookup_batch(keys).unwrap(), batched.lookup_batch(keys).unwrap());
+                prop_assert!(
+                    looked_up(&a.outcomes) == looked_up(&b.outcomes),
+                    "step {i} on {name}"
+                );
+                Vec::new()
+            }
+            Step::FlushAll => {
+                let (a, b) = (per_op.flush_all().unwrap(), batched.flush_all().unwrap());
+                prop_assert!(time(a) == time(b), "flush at step {i} on {name}");
+                Vec::new()
+            }
+        };
+        for (key, value) in ops {
+            let (a, b) = (
+                per_op.insert(key, value).unwrap(),
+                batched.insert_batch(&[(key, value)]).unwrap(),
+            );
+            prop_assert!(
+                (time(a.latency), usize::from(a.flushed), a.evictions)
+                    == (time(b.latency), b.flushed_ops, b.evictions),
+                "insert at step {i} on {name}: {a:?}, batch of one {b:?}"
+            );
+        }
+    }
+    let (a, b) = (per_op.lookup_batch(universe).unwrap(), batched.lookup_batch(universe).unwrap());
+    prop_assert!(looked_up(&a.outcomes) == looked_up(&b.outcomes), "stored values on {name}");
+    let (mut a, mut b) = (per_op.stats().clone(), batched.stats().clone());
+    prop_assert!(a.batched_inserts == 0 && b.batched_inserts > 0);
+    b.batched_inserts = 0;
+    if wall_clock {
+        prop_assert!(agreed(a.entries()) == agreed(b.entries()), "ClamStats on {name}");
+        let (mut a, mut b) = (per_op.device().stats(), batched.device().stats());
+        prop_assert!(agreed(a.entries()) == agreed(b.entries()), "IoStats on {name}");
+    } else {
+        let (a, b) = (format!("{a:?}"), format!("{b:?}"));
+        prop_assert!(a == b, "ClamStats on {name}:\n{a}\n{b}");
+        prop_assert_eq!(per_op.device().stats(), batched.device().stats());
+    }
+    let (a, b) = (image_without_epoch(&mut per_op), image_without_epoch(&mut batched));
+    prop_assert!(a == b, "device bytes on {name}");
+    Ok(per_op.stats().clone())
+}
+
+/// The ledger entries a wall-clock device cannot move: every count but
+/// the lane and stall counts the ring books from measured times, and no
+/// time or latency sample.
+fn agreed(entries: Vec<(&'static str, Kind, Slot<'_>)>) -> Vec<(&'static str, Vec<u64>)> {
+    entries
+        .into_iter()
+        .filter(|(name, _, slot)| {
+            matches!(slot, Slot::Fixed(_) | Slot::Many(_))
+                && !name.contains("overlapped")
+                && !name.contains("stalls")
+        })
+        .map(|(name, _, slot)| (name, slot.values().to_vec()))
+        .collect()
+}
+
+/// The bytes of `clam`'s device, with the two header fields that name
+/// its lifetime blanked in every page it wrote: the epoch and the CRC over
+/// it (header bytes 24..32). Every `Clam` lifetime stamps its own epoch,
+/// so twins differ there and nowhere else.
+fn image_without_epoch<D: Device>(clam: &mut Clam<D>) -> Vec<u8> {
+    let geometry = clam.device().geometry();
+    let mut bytes = vec![0u8; geometry.capacity as usize];
+    clam.device_mut().read_at(0, &mut bytes).unwrap();
+    let epoch = clam.epoch();
+    for page in bytes.chunks_exact_mut(geometry.page_size as usize) {
+        if parse_page_header_checked(page).is_ok_and(|h| h.identity.epoch == epoch) {
+            page[24..32].fill(0);
+        }
+    }
+    bytes
+}
+
+/// [`check_insert_is_a_batch_of_one`] on all five device backends, each
+/// run wrapping its log.
+fn check_insert_is_a_batch_of_one_on_every_backend(
+    eviction: EvictionPolicy,
+    raw: &[(u8, u64, u64)],
+) -> Result<Vec<ClamStats>, proptest::test_runner::TestCaseError> {
+    let (universe, steps) = churn_steps(raw);
+    const CAP: u64 = 1 << 20;
+    let config = |util| churn_config(eviction, util, false);
+    let file = |twin: &str| {
+        let path = std::env::temp_dir().join(format!("clam-twin-{twin}-{}", std::process::id()));
+        let device = FileDevice::create(&path, CAP).unwrap();
+        // The open device keeps the bytes; the name goes now.
+        std::fs::remove_file(&path).ok();
+        device
+    };
+    let ledgers = vec![
+        check_insert_is_a_batch_of_one(
+            |_| Ssd::intel(CAP).unwrap(),
+            false,
+            config(0.9),
+            &universe,
+            &steps,
+        )?,
+        check_insert_is_a_batch_of_one(
+            |_| MagneticDisk::new(CAP).unwrap(),
+            false,
+            config(0.9),
+            &universe,
+            &steps,
+        )?,
+        check_insert_is_a_batch_of_one(
+            |_| DramDevice::new(CAP).unwrap(),
+            false,
+            config(0.5),
+            &universe,
+            &steps,
+        )?,
+        check_insert_is_a_batch_of_one(
+            |_| FlashChip::new(CAP).unwrap(),
+            false,
+            churn_config(eviction, 0.9, true),
+            &universe,
+            &steps,
+        )?,
+        check_insert_is_a_batch_of_one(file, true, config(0.9), &universe, &steps)?,
+    ];
+    for stats in &ledgers {
+        // Eight slots: more flushes than that wrapped the log.
+        prop_assert!(stats.flushes > 8 && stats.forced_evictions > 0, "{stats}");
+    }
+    Ok(ledgers)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// A per-op insert and a one-op `insert_batch` are one pipeline: on
+    /// all five backends, under FIFO and update-based eviction, through
+    /// eviction cascades and log wrap, twin CLAMs fed the same ops one way
+    /// and the other end in the same outcomes, ledgers and device bytes.
+    #[test]
+    fn a_per_op_insert_is_a_batch_of_one_on_every_backend(
+        raw in vec((0u8..20, any::<u64>(), any::<u64>()), 300..900),
+    ) {
+        check_insert_is_a_batch_of_one_on_every_backend(EvictionPolicy::Fifo, &raw)?;
+        let ledgers = check_insert_is_a_batch_of_one_on_every_backend(EvictionPolicy::UpdateBased, &raw)?;
+        // Some chain evicted more than one incarnation: a cascade.
+        let cascades: u64 = ledgers.iter().flat_map(|s| s.cascade_histogram.iter().skip(2)).sum();
+        prop_assert!(cascades > 0, "no update-based run cascaded");
     }
 }
 
