@@ -117,24 +117,29 @@ impl<D: Device> Clam<D> {
                 (slot * slot_size) / block_size..=(slot * slot_size + slot_size - 1) / block_size
             };
             let live: HashSet<u64> = owners.iter().flat_map(|(s, _)| blocks_of(*s)).collect();
-            let mut scrubbed: HashSet<u64> = HashSet::new();
+            // Each candidate block is erased once; it counts as scrubbed
+            // only if the erase succeeded.
+            let mut scrubbed: HashMap<u64, bool> = HashMap::new();
             for &slot in &torn_slots {
                 for block in blocks_of(slot) {
                     let fully_managed = (block + 1) * block_size <= managed_end;
-                    if fully_managed && !live.contains(&block) && scrubbed.insert(block) {
-                        let _ = self.device.erase_block(block);
+                    if fully_managed && !live.contains(&block) {
+                        scrubbed
+                            .entry(block)
+                            .or_insert_with(|| self.device.erase_block(block).is_ok());
                     }
                 }
             }
             // A torn slot whose block shares accepted data cannot be
-            // scrubbed, and its half-programmed pages cannot be programmed
-            // again. Step the write pointer past such slots so resumed
-            // flushes land on clean pages — the log reclaims them when it
-            // next erases their block.
+            // scrubbed, nor can one whose block refused its erase, and
+            // its half-programmed pages cannot be programmed again. Step
+            // the write pointer past such slots so resumed flushes land on
+            // clean pages — the log reclaims them when it next erases
+            // their block.
             let dirty: Vec<u64> = torn_slots
                 .iter()
                 .copied()
-                .filter(|&slot| blocks_of(slot).any(|b| !scrubbed.contains(&b)))
+                .filter(|&slot| blocks_of(slot).any(|b| scrubbed.get(&b) != Some(&true)))
                 .collect();
             self.allocator.skip_dirty(&dirty);
         }

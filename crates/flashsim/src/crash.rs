@@ -1,9 +1,12 @@
 //! Crash injection: a [`Device`] wrapper that simulates a power cut.
 //!
 //! [`CrashDevice`] wraps any inner backend and counts *data-effect
-//! operations* — the per-op reads, writes, erases and trims that the
+//! operations*: the medium's reads, writes, erases and trims that the
 //! completion ring ([`Device::submit`]) funnels through in submission
-//! order. When an armed budget runs out the device "loses power": the
+//! order. Its commands are `charge` plus a forward, so the command rules
+//! (`device.rs`) turn an out-of-range or empty command away before it is
+//! charged, exactly as a medium never sees one. When an armed budget runs
+//! out the device "loses power": the
 //! fatal operation fails, optionally after applying a **torn prefix** of a
 //! fatal write (a page program interrupted mid-flight), and every
 //! subsequent operation fails too. Because the wrapper deliberately does
@@ -166,26 +169,27 @@ impl<D: Device> Device for CrashDevice<D> {
         self.inner.queue()
     }
 
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
+    fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         self.charge()?;
-        self.inner.read_at(offset, buf)
+        self.inner.medium_read(offset, buf)
     }
 
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
+    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
         let was_dead = self.dead;
         match self.charge() {
             Ok(()) => {
-                let latency = self.inner.write_at(offset, data)?;
+                let latency = self.inner.medium_write(offset, data)?;
                 self.applied_writes.push((offset, data.len() as u64));
                 Ok(latency)
             }
             Err(e) => {
                 // The cut landed on *this* write (the device was alive when
                 // the call started): apply the torn prefix the medium
-                // managed to program before the power vanished.
+                // managed to program before the power vanished, as a write
+                // of its own on the inner device.
                 if !was_dead && self.torn_write_bytes > 0 {
                     let torn = self.torn_write_bytes.min(data.len());
-                    if torn > 0 && self.inner.write_at(offset, &data[..torn]).is_ok() {
+                    if self.inner.write_at(offset, &data[..torn]).is_ok() {
                         self.stats.torn_write = Some((offset, torn as u64));
                     }
                 }
@@ -194,19 +198,20 @@ impl<D: Device> Device for CrashDevice<D> {
         }
     }
 
-    fn erase_block(&mut self, block: u64) -> Result<SimDuration> {
+    fn medium_erase(&mut self, block: u64) -> Result<SimDuration> {
         self.charge()?;
-        self.inner.erase_block(block)
+        self.inner.medium_erase(block)
     }
 
-    fn trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
+    fn medium_trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
         self.charge()?;
-        self.inner.trim(offset, len)
+        self.inner.medium_trim(offset, len)
     }
 
     // `submit` is deliberately left at the provided engine: it drives the
-    // per-op methods above in submission order, so the budget slices the
-    // ring schedule exactly at the N-th applied request.
+    // provided per-op methods, and so the commands above, in submission
+    // order, so the budget slices the ring schedule exactly at the N-th
+    // applied request.
 
     fn on_idle(&mut self, idle: SimDuration) {
         if !self.dead {

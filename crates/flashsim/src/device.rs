@@ -6,16 +6,33 @@
 //! charge it to the triggering hash-table operation, or overlap it with
 //! other work).
 //!
-//! Queued I/O has one entry point, [`Device::submit`]: it runs a batch of
-//! [`RingRequest`]s, books them on a caller-owned [`CompletionRing`] and
-//! returns their [`RingCompletion`]s, and the ring's lane clocks say how
-//! much of the stream the device's [`QueueCapabilities`] would have kept in
-//! flight at once. The per-op methods ([`read_at`](Device::read_at),
-//! [`write_at`](Device::write_at), [`erase_block`](Device::erase_block),
-//! [`trim`](Device::trim)) are what a backend implements and what `submit`
-//! drives; callers use them directly for single blocking commands.
+//! Queue rules live in one place, the ring: [`Device::submit`] runs a
+//! batch of [`RingRequest`]s, books them on a caller-owned
+//! [`CompletionRing`] and returns their [`RingCompletion`]s, and the ring's
+//! lane clocks say how much of the stream the device's
+//! [`QueueCapabilities`] would have kept in flight at once.
+//!
+//! Command rules live in one place too, here. The per-op commands
+//! ([`read_at`](Device::read_at), [`write_at`](Device::write_at),
+//! [`erase_block`](Device::erase_block), [`trim`](Device::trim)) are
+//! provided methods, the same on every device; `submit` drives them and
+//! callers use them directly for single blocking commands. Each one, in
+//! order:
+//!
+//! 1. checks its range against [`Device::geometry`]: a read, write or trim
+//!    past the end is [`DeviceError::OutOfBounds`], an erase of a block the
+//!    device does not have is [`DeviceError::InvalidBlock`];
+//! 2. treats a zero-length read, write or trim as a no-op: zero latency,
+//!    nothing counted, nothing stored;
+//! 3. runs the medium's command ([`medium_read`](Device::medium_read) and
+//!    its three siblings), which moves the bytes and prices the work;
+//! 4. books one count, the bytes and the returned latency in the device's
+//!    [`IoStats`] through [`Device::update_stats`].
+//!
+//! A command that fails at any step counts nothing. An erase in range is
+//! [`DeviceError::Unsupported`] on every medium but the raw flash chip.
 
-use crate::error::Result;
+use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
 use crate::queue::{CompletionRing, IoRequest, QueueCapabilities, RingCompletion, RingRequest};
@@ -24,18 +41,13 @@ use crate::time::SimDuration;
 
 /// A byte-addressed storage device with simulated latencies.
 ///
-/// Implementations model the medium's cost structure: page-granular I/O,
-/// sequential-vs-random asymmetry, erase-before-write for raw flash, FTL
-/// garbage collection for SSDs, and seek/rotation for disks.
-///
-/// A backend is a cost function over a byte store: it implements the four
-/// per-op methods and hands out its [`IoStats`]
-/// ([`stats`](Device::stats) / [`update_stats`](Device::update_stats)).
-/// [`submit`](Device::submit) is provided: it drives the per-op methods in
-/// submission order and lets the [`CompletionRing`] model the queue, so no
-/// backend carries ring code of its own, [`FileDevice`](crate::FileDevice)
-/// included: its per-op methods time real I/O and the ring books those
-/// times on its lanes. Only a forwarding wrapper overrides it.
+/// A backend is a cost function over a byte store: it implements the
+/// medium's commands, which see only in-range, non-empty requests, move
+/// bytes and return their price, and it hands out its [`IoStats`]. The
+/// per-op methods (the command rules above) and [`submit`](Device::submit),
+/// which drives them while the [`CompletionRing`] models the queue, are
+/// provided. A wrapper forwards the commands and its counters; only
+/// [`SharedDevice`](crate::SharedDevice) overrides `submit`.
 ///
 /// `Send + Sync` is required so higher layers can share devices across
 /// threads. All mutation goes through `&mut self`, so `Sync` costs
@@ -52,31 +64,90 @@ pub trait Device: Send + Sync {
         self.profile().queue
     }
 
-    /// Reads `buf.len()` bytes starting at byte `offset`.
-    ///
-    /// Returns the simulated time the read took. Reads smaller than a page
-    /// are charged a full page (paper design principle P2).
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration>;
+    /// The medium's read of `buf.len()` bytes at `offset`, in range and
+    /// non-empty: fills `buf` and returns the read's price. Reads smaller
+    /// than a page are charged a full page (paper design principle P2).
+    fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration>;
 
-    /// Writes `data` starting at byte `offset`.
-    ///
-    /// Returns the simulated time the write took, including any FTL
-    /// garbage-collection work it triggered (SSDs) or erase-block management
-    /// the model charges to the writer.
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration>;
+    /// The medium's write of `data` at `offset`, in range and non-empty:
+    /// stores it and returns the write's price, including any FTL
+    /// garbage-collection work it triggered (SSDs).
+    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration>;
 
-    /// Erases the erase block with index `block` (raw flash chips).
-    ///
-    /// Devices without caller-visible erasure (SSD, disk, DRAM) return
-    /// [`DeviceError::Unsupported`](crate::DeviceError::Unsupported) or treat
-    /// it as a hint, as documented by the implementation.
-    fn erase_block(&mut self, block: u64) -> Result<SimDuration>;
+    /// The medium's erase of erase block `block`, which exists. Only a raw
+    /// flash chip has caller-visible erasure; everything else refuses.
+    fn medium_erase(&mut self, _block: u64) -> Result<SimDuration> {
+        Err(DeviceError::Unsupported("erase_block on a medium without caller-visible erasure"))
+    }
+
+    /// The medium's TRIM of `[offset, offset + len)`, in range and
+    /// non-empty: the range is no longer live. SSD models use it to cheapen
+    /// future garbage collection; by default it is free and changes
+    /// nothing.
+    fn medium_trim(&mut self, _offset: u64, _len: u64) -> Result<SimDuration> {
+        Ok(SimDuration::ZERO)
+    }
+
+    /// Reads `buf.len()` bytes starting at byte `offset` under the command
+    /// rules (module docs) and returns the simulated time it took.
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
+        self.geometry().check_bounds(offset, buf.len())?;
+        if buf.is_empty() {
+            return Ok(SimDuration::ZERO);
+        }
+        let latency = self.medium_read(offset, buf)?;
+        let bytes = buf.len() as u64;
+        self.update_stats(&mut |s| {
+            s.reads += 1;
+            s.bytes_read += bytes;
+            s.read_time += latency;
+        });
+        Ok(latency)
+    }
+
+    /// Writes `data` starting at byte `offset` under the command rules and
+    /// returns the simulated time it took.
+    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
+        self.geometry().check_bounds(offset, data.len())?;
+        if data.is_empty() {
+            return Ok(SimDuration::ZERO);
+        }
+        let latency = self.medium_write(offset, data)?;
+        let bytes = data.len() as u64;
+        self.update_stats(&mut |s| {
+            s.writes += 1;
+            s.bytes_written += bytes;
+            s.write_time += latency;
+        });
+        Ok(latency)
+    }
+
+    /// Erases the erase block with index `block` under the command rules
+    /// and returns the simulated time it took.
+    fn erase_block(&mut self, block: u64) -> Result<SimDuration> {
+        self.geometry().check_block(block)?;
+        let latency = self.medium_erase(block)?;
+        self.update_stats(&mut |s| {
+            s.erases += 1;
+            s.erase_time += latency;
+        });
+        Ok(latency)
+    }
 
     /// Declares the byte range `[offset, offset + len)` as no longer live
-    /// (a TRIM hint). SSD models use it to cheapen future garbage
-    /// collection; other media count and ignore it.
-    fn trim(&mut self, _offset: u64, _len: u64) -> Result<SimDuration> {
-        Ok(SimDuration::ZERO)
+    /// (a TRIM hint) under the command rules and returns the simulated
+    /// time it took.
+    fn trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
+        self.geometry().check_bounds(offset, len as usize)?;
+        if len == 0 {
+            return Ok(SimDuration::ZERO);
+        }
+        let latency = self.medium_trim(offset, len)?;
+        self.update_stats(&mut |s| {
+            s.trims += 1;
+            s.trim_time += latency;
+        });
+        Ok(latency)
     }
 
     /// Runs `requests` on the device queue and returns one
@@ -99,7 +170,8 @@ pub trait Device: Send + Sync {
     /// read issued from an earlier read's data) never overlaps its own
     /// cause.
     ///
-    /// The provided engine runs each request through the per-op methods
+    /// The provided engine runs each request through the per-op methods,
+    /// so a ring request obeys the same command rules as a blocking call,
     /// and books it with the latency they returned; the ring's lane
     /// free-at clocks and conflict floors model how much of the stream a
     /// device with that queue depth would have kept in flight — exact for
@@ -126,11 +198,12 @@ pub trait Device: Send + Sync {
     /// Snapshot of the I/O counters.
     fn stats(&self) -> IoStats;
 
-    /// Runs `update` on the device's own counters. This is how the queue
-    /// ledger, written once in [`CompletionRing`], reaches the
-    /// [`IoStats`] of the backend that executed the requests through any
-    /// stack of wrappers: a backend passes its counters, a wrapper
-    /// forwards the call.
+    /// Runs `update` on the device's own counters. This is how the command
+    /// ledger, written once in the provided per-op methods, and the queue
+    /// ledger, written once in [`CompletionRing`], reach the [`IoStats`]
+    /// of the backend that executed the requests through any stack of
+    /// wrappers: a backend passes its counters, a wrapper forwards the
+    /// call.
     fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats));
 
     /// Resets the I/O counters.
@@ -175,17 +248,17 @@ impl<D: Device + ?Sized> Device for Box<D> {
     fn queue(&self) -> QueueCapabilities {
         (**self).queue()
     }
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
-        (**self).read_at(offset, buf)
+    fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
+        (**self).medium_read(offset, buf)
     }
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        (**self).write_at(offset, data)
+    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
+        (**self).medium_write(offset, data)
     }
-    fn erase_block(&mut self, block: u64) -> Result<SimDuration> {
-        (**self).erase_block(block)
+    fn medium_erase(&mut self, block: u64) -> Result<SimDuration> {
+        (**self).medium_erase(block)
     }
-    fn trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
-        (**self).trim(offset, len)
+    fn medium_trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
+        (**self).medium_trim(offset, len)
     }
     fn submit(
         &mut self,
@@ -277,8 +350,9 @@ pub(crate) mod tests {
         assert!(ring.makespan() < done[0].latency + done[1].latency);
     }
 
-    /// A minimal third-party device: the per-op methods and its counters
-    /// are all it implements; the ring works through the provided engine.
+    /// A minimal third-party device: the medium's read and write and its
+    /// counters are all it implements; the command rules and the ring work
+    /// through the provided methods.
     struct PerOpOnly {
         inner: DramDevice,
     }
@@ -290,14 +364,11 @@ pub(crate) mod tests {
         fn geometry(&self) -> Geometry {
             self.inner.geometry()
         }
-        fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
-            self.inner.read_at(offset, buf)
+        fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
+            self.inner.medium_read(offset, buf)
         }
-        fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-            self.inner.write_at(offset, data)
-        }
-        fn erase_block(&mut self, block: u64) -> Result<SimDuration> {
-            self.inner.erase_block(block)
+        fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
+            self.inner.medium_write(offset, data)
         }
         fn stats(&self) -> IoStats {
             self.inner.stats()

@@ -10,6 +10,7 @@
 //! The disk has one head, so its queue is serial: a ring stream is serviced
 //! in admission order, every request paying its own seek.
 
+use crate::cost::LinearCost;
 use crate::device::Device;
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
@@ -54,6 +55,16 @@ impl MagneticDisk {
         })
     }
 
+    /// Prices an access of `len` bytes at `offset` (positioning, then
+    /// whole sectors at `cost`) and leaves the head at its end.
+    fn transfer(&mut self, offset: u64, len: usize, cost: LinearCost) -> SimDuration {
+        let pages = self.geometry.pages_spanned(offset, len);
+        let lat = self.positioning_cost(offset)
+            + cost.cost(pages as usize * self.profile.page_size as usize);
+        self.head = Some(offset + len as u64);
+        lat
+    }
+
     /// Mechanical positioning cost for an access starting at `offset`.
     fn positioning_cost(&self, offset: u64) -> SimDuration {
         match self.head {
@@ -79,48 +90,18 @@ impl Device for MagneticDisk {
         self.geometry
     }
 
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, buf.len())?;
-        if buf.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
+    fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         self.store.read(offset, buf);
-        let pages = self.geometry.pages_spanned(offset, buf.len());
-        let bytes = pages as usize * self.profile.page_size as usize;
-        let lat = self.positioning_cost(offset) + self.profile.read_cost.cost(bytes);
-        self.head = Some(offset + buf.len() as u64);
-        self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
-        self.stats.read_time += lat;
-        Ok(lat)
+        Ok(self.transfer(offset, buf.len(), self.profile.read_cost))
     }
 
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, data.len())?;
-        if data.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
+    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
         self.store.write(offset, data);
-        let pages = self.geometry.pages_spanned(offset, data.len());
-        let bytes = pages as usize * self.profile.page_size as usize;
-        let lat = self.positioning_cost(offset) + self.profile.write_cost.cost(bytes);
-        self.head = Some(offset + data.len() as u64);
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        self.stats.write_time += lat;
-        Ok(lat)
+        Ok(self.transfer(offset, data.len(), self.profile.write_cost))
     }
 
-    fn erase_block(&mut self, _block: u64) -> Result<SimDuration> {
-        Err(DeviceError::Unsupported("erase_block on a magnetic disk"))
-    }
-
-    fn trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, len as usize)?;
-        // Disks have no mapping layer to exploit the hint.
-        self.stats.trims += 1;
-        Ok(SimDuration::ZERO)
-    }
+    // No erase, and no mapping layer to exploit a TRIM: it is counted and
+    // dropped.
 
     fn stats(&self) -> IoStats {
         self.stats.clone()

@@ -55,36 +55,17 @@ impl Device for DramDevice {
         self.geometry
     }
 
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, buf.len())?;
+    fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         self.store.read(offset, buf);
-        let lat = self.profile.read_cost.cost(buf.len());
-        self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
-        self.stats.read_time += lat;
-        Ok(lat)
+        Ok(self.profile.read_cost.cost(buf.len()))
     }
 
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, data.len())?;
+    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
         self.store.write(offset, data);
-        let lat = self.profile.write_cost.cost(data.len());
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        self.stats.write_time += lat;
-        Ok(lat)
+        Ok(self.profile.write_cost.cost(data.len()))
     }
 
-    fn erase_block(&mut self, _block: u64) -> Result<SimDuration> {
-        Err(DeviceError::Unsupported("erase_block on DRAM"))
-    }
-
-    fn trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, len as usize)?;
-        // DRAM has no liveness tracking; the hint is counted and dropped.
-        self.stats.trims += 1;
-        Ok(SimDuration::ZERO)
-    }
+    // No erase, and no liveness tracking: a TRIM is counted and dropped.
 
     fn stats(&self) -> IoStats {
         self.stats.clone()

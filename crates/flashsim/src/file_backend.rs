@@ -6,9 +6,12 @@
 //! storage (the paper's prototype ran on ext3 files over real SSDs); the
 //! simulated devices remain the default for reproducible experiments.
 //!
-//! Like every other backend it is a cost function over a byte store: the
-//! per-op methods time one positioned `pread` / `pwrite` each, and the
-//! provided [`Device::submit`] drives them. A ring request therefore runs
+//! Like every other backend it is a cost function over a byte store: its
+//! commands time one positioned `pread` / `pwrite` each, and nothing else.
+//! The command rules (bounds, empty commands, the I/O ledger; an erase is
+//! `Unsupported` and a TRIM is counted and dropped) are the provided
+//! per-op methods' (`device.rs`), and the provided [`Device::submit`]
+//! drives those, beside the ring's queue rules. A ring request therefore runs
 //! inside the `submit` call, on the submitting thread, and the ring places
 //! its measured latency on the lanes of the device's queue depth
 //! (DESIGN.md "`FileDevice` runs where it is submitted"). No thread is
@@ -129,38 +132,19 @@ impl Device for FileDevice {
         self.geometry
     }
 
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, buf.len())?;
+    fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         let start = Instant::now();
         self.file.read_exact_at(buf, offset)?;
-        let lat = elapsed(start);
-        self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
-        self.stats.read_time += lat;
-        Ok(lat)
+        Ok(elapsed(start))
     }
 
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, data.len())?;
+    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
         let start = Instant::now();
         self.file.write_all_at(data, offset)?;
-        let lat = elapsed(start);
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        self.stats.write_time += lat;
-        Ok(lat)
+        Ok(elapsed(start))
     }
 
-    fn erase_block(&mut self, _block: u64) -> Result<SimDuration> {
-        Err(DeviceError::Unsupported("erase_block on a file-backed device"))
-    }
-
-    fn trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, len as usize)?;
-        // No hole punching: the hint is counted and dropped.
-        self.stats.trims += 1;
-        Ok(SimDuration::ZERO)
-    }
+    // No erase, and no hole punching: a TRIM is counted and dropped.
 
     fn stats(&self) -> IoStats {
         self.stats.clone()

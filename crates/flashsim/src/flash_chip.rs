@@ -83,71 +83,40 @@ impl Device for FlashChip {
         self.geometry
     }
 
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, buf.len())?;
-        if buf.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
+    fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         self.store.read(offset, buf);
         // A read transfers whole pages; sub-page reads cost a full page (P2).
         let pages = self.geometry.pages_spanned(offset, buf.len());
-        let bytes = pages as usize * self.profile.page_size as usize;
-        let lat = self.profile.read_cost.cost(bytes);
-        self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
-        self.stats.read_time += lat;
-        Ok(lat)
+        Ok(self.profile.read_cost.cost(pages as usize * self.profile.page_size as usize))
     }
 
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, data.len())?;
-        if data.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
+    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
         let first = self.geometry.page_of(offset);
         let last = self.geometry.page_of(offset + data.len() as u64 - 1);
-        for page in first..=last {
-            if self.is_programmed(page) {
-                return Err(DeviceError::WriteToDirtyPage {
-                    page_offset: self.geometry.page_offset(page),
-                });
-            }
+        if let Some(page) = (first..=last).find(|&page| self.is_programmed(page)) {
+            return Err(DeviceError::WriteToDirtyPage {
+                page_offset: self.geometry.page_offset(page),
+            });
         }
         for page in first..=last {
             self.set_programmed(page, true);
         }
         self.store.write(offset, data);
         let pages = last - first + 1;
-        let bytes = pages as usize * self.profile.page_size as usize;
-        let lat = self.profile.write_cost.cost(bytes);
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        self.stats.write_time += lat;
-        Ok(lat)
+        Ok(self.profile.write_cost.cost(pages as usize * self.profile.page_size as usize))
     }
 
-    fn erase_block(&mut self, block: u64) -> Result<SimDuration> {
-        if block >= self.geometry.blocks() {
-            return Err(DeviceError::InvalidBlock { block, blocks: self.geometry.blocks() });
-        }
+    fn medium_erase(&mut self, block: u64) -> Result<SimDuration> {
         let start_page = block * self.geometry.pages_per_block() as u64;
         for page in start_page..start_page + self.geometry.pages_per_block() as u64 {
             self.set_programmed(page, false);
         }
         self.store.erase(self.geometry.block_offset(block), self.geometry.block_size as u64);
-        let lat = self.profile.erase_cost.cost(self.geometry.block_size as usize);
-        self.stats.erases += 1;
-        self.stats.erase_time += lat;
-        Ok(lat)
+        Ok(self.profile.erase_cost.cost(self.geometry.block_size as usize))
     }
 
-    fn trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, len as usize)?;
-        // A raw chip has no FTL to exploit the hint; count it and move on.
-        // (Erasure remains explicit via `erase_block`.)
-        self.stats.trims += 1;
-        Ok(SimDuration::ZERO)
-    }
+    // A raw chip has no FTL to exploit a TRIM: it is counted and dropped,
+    // and erasure stays explicit.
 
     fn stats(&self) -> IoStats {
         self.stats.clone()

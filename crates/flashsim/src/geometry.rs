@@ -84,13 +84,17 @@ impl Geometry {
 
     /// Validates that `[offset, offset + len)` lies within the device.
     pub fn check_bounds(&self, offset: u64, len: usize) -> Result<()> {
-        let end = offset.checked_add(len as u64).ok_or(DeviceError::OutOfBounds {
-            offset,
-            len,
-            capacity: self.capacity,
-        })?;
-        if end > self.capacity {
-            return Err(DeviceError::OutOfBounds { offset, len, capacity: self.capacity });
+        match offset.checked_add(len as u64) {
+            Some(end) if end <= self.capacity => Ok(()),
+            _ => Err(DeviceError::OutOfBounds { offset, len, capacity: self.capacity }),
+        }
+    }
+
+    /// Validates that erase block `block` exists on the device.
+    pub fn check_block(&self, block: u64) -> Result<()> {
+        let blocks = self.blocks();
+        if block >= blocks {
+            return Err(DeviceError::InvalidBlock { block, blocks });
         }
         Ok(())
     }
@@ -149,5 +153,7 @@ mod tests {
         assert!(g.check_bounds(1 << 20, 0).is_ok());
         assert!(g.check_bounds((1 << 20) - 1, 2).is_err());
         assert!(g.check_bounds(u64::MAX, 2).is_err());
+        assert!(g.check_block(7).is_ok());
+        assert_eq!(g.check_block(8), Err(DeviceError::InvalidBlock { block: 8, blocks: 8 }));
     }
 }

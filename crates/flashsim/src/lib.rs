@@ -24,11 +24,15 @@
 //! completion timestamps, and the ring carries its lane clocks from call
 //! to call, so a pipeline that re-arms work from each completion keeps
 //! the modelled queue full instead of draining it at every barrier. A
-//! backend is a cost function over a byte store — the four per-op
-//! methods, which also serve single blocking commands — plus its
-//! [`IoStats`]; the ring models the queue (lanes on SSD and DRAM and on
-//! the file, one at a time on the chip and the disk) and writes the queue
-//! counters; no backend brings ring code of its own.
+//! backend is a cost function over a byte store — its commands
+//! ([`Device::medium_read`] and its siblings), which move bytes and
+//! return their price — plus its [`IoStats`]. The rules around them live
+//! once, beside the ring, in the [`Device`] trait's provided per-op
+//! methods, which also serve single blocking commands: bounds, empty
+//! commands and the command counters. The ring models the queue (lanes
+//! on SSD and DRAM and on the file, one at a time on the chip and the
+//! disk) and writes the queue counters; no backend brings ring or
+//! command-rule code of its own.
 //! [`SharedDevice`] lets several owners (e.g. index stripes) drive
 //! partitions of one device concurrently: one lock, byte store and
 //! [`IoStats`], while each caller's requests run on its own ring.
@@ -84,7 +88,7 @@ pub use shared::SharedDevice;
 pub use ssd::Ssd;
 pub use stats::{IoStats, Kind, LatencyRecorder, Slot};
 pub use store::SparseStore;
-pub use time::{SimClock, SimDuration};
+pub use time::SimDuration;
 
 #[cfg(test)]
 mod tests {

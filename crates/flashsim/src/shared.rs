@@ -12,14 +12,16 @@
 //! opens one at time zero), so the partitions' requests contend for the
 //! device's lock, not for its modelled queue lanes.
 //!
-//! Partitions translate offsets (and erase-block indices) into the parent
-//! window; bounds are enforced by each partition's own [`Geometry`], so a
-//! stripe cannot reach outside its window. The underlying device's
-//! statistics are shared by all handles — they describe the *device*, not
-//! any one partition.
+//! A partition is one more [`Geometry`] under the command rules
+//! (`device.rs`): the provided per-op methods check a call against the
+//! window and count it, and the handle's commands add the window's base
+//! and forward to the device's commands; a ring request is checked and
+//! translated once, in `translate`. So a stripe cannot reach outside its
+//! window. The underlying device's statistics are shared by all handles —
+//! they describe the *device*, not any one partition.
 //!
-//! Calls lock the shared device for their duration, so interleaving
-//! between handles is at call granularity, and the lock covers every
+//! Commands lock the shared device for their duration, so interleaving
+//! between handles is at command granularity, and the lock covers every
 //! backend's I/O: a simulated device only computes under it, the file
 //! backend issues its positioned `pread` / `pwrite` under it (about a
 //! microsecond for a 4 KiB read the page cache answers, about ten for a
@@ -139,7 +141,17 @@ impl<D: Device> SharedDevice<D> {
         self.inner.lock().expect("shared device lock")
     }
 
-    /// Translates a window-relative request into device coordinates.
+    /// The first erase block of the window, in device blocks.
+    fn base_block(&self) -> u64 {
+        self.base / self.geometry.block_size as u64
+    }
+
+    /// Checks a window-relative ring request against the window and
+    /// translates it into device coordinates, for [`Device::submit`],
+    /// which runs the inner device's per-op methods under one lock. A
+    /// per-op call on the handle needs no second check: the provided
+    /// method checks it against the window's [`Geometry`] before the
+    /// command runs.
     fn translate(&self, request: &mut IoRequest) -> Result<()> {
         match request {
             IoRequest::Read { offset, len } => {
@@ -155,15 +167,8 @@ impl<D: Device> SharedDevice<D> {
                 *offset += self.base;
             }
             IoRequest::Erase { block } => {
-                let blocks = self.geometry.blocks();
-                if *block >= blocks {
-                    return Err(DeviceError::OutOfBounds {
-                        offset: *block * self.geometry.block_size as u64,
-                        len: self.geometry.block_size as usize,
-                        capacity: self.geometry.capacity,
-                    });
-                }
-                *block += self.base / self.geometry.block_size as u64;
+                self.geometry.check_block(*block)?;
+                *block += self.base_block();
             }
         }
         Ok(())
@@ -183,34 +188,24 @@ impl<D: Device> Device for SharedDevice<D> {
         self.profile.queue
     }
 
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, buf.len())?;
-        let base = self.base;
-        self.lock().read_at(base + offset, buf)
+    fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
+        let at = self.base + offset;
+        self.lock().medium_read(at, buf)
     }
 
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, data.len())?;
-        let base = self.base;
-        self.lock().write_at(base + offset, data)
+    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
+        let at = self.base + offset;
+        self.lock().medium_write(at, data)
     }
 
-    fn erase_block(&mut self, block: u64) -> Result<SimDuration> {
-        if block >= self.geometry.blocks() {
-            return Err(DeviceError::OutOfBounds {
-                offset: block * self.geometry.block_size as u64,
-                len: self.geometry.block_size as usize,
-                capacity: self.geometry.capacity,
-            });
-        }
-        let translated = block + self.base / self.geometry.block_size as u64;
-        self.lock().erase_block(translated)
+    fn medium_erase(&mut self, block: u64) -> Result<SimDuration> {
+        let at = self.base_block() + block;
+        self.lock().medium_erase(at)
     }
 
-    fn trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, len as usize)?;
-        let base = self.base;
-        self.lock().trim(base + offset, len)
+    fn medium_trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
+        let at = self.base + offset;
+        self.lock().medium_trim(at, len)
     }
 
     fn submit(

@@ -273,27 +273,14 @@ impl Device for Ssd {
         self.geometry
     }
 
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, buf.len())?;
-        if buf.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
+    fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         self.store.read(offset, buf);
         let pages = self.geometry.pages_spanned(offset, buf.len());
         let bytes = pages as usize * self.profile.page_size as usize;
-        let mut lat = self.profile.read_cost.cost(bytes);
-        lat += self.drain_pending();
-        self.stats.reads += 1;
-        self.stats.bytes_read += buf.len() as u64;
-        self.stats.read_time += lat;
-        Ok(lat)
+        Ok(self.profile.read_cost.cost(bytes) + self.drain_pending())
     }
 
-    fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, data.len())?;
-        if data.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
+    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
         self.store.write(offset, data);
         let first = self.geometry.page_of(offset);
         let last = self.geometry.page_of(offset + data.len() as u64 - 1);
@@ -305,25 +292,13 @@ impl Device for Ssd {
         let bytes = pages as usize * self.profile.page_size as usize;
         // The whole range is issued as one command: fixed cost once, then a
         // bandwidth term (this is what makes batched sequential writes cheap).
-        let mut lat = self.profile.write_cost.cost(bytes);
-        lat += gc_cost;
-        lat += self.drain_pending();
-        self.stats.writes += 1;
-        self.stats.bytes_written += data.len() as u64;
-        self.stats.write_time += lat;
-        Ok(lat)
+        Ok(self.profile.write_cost.cost(bytes) + gc_cost + self.drain_pending())
     }
 
-    fn erase_block(&mut self, _block: u64) -> Result<SimDuration> {
-        // The FTL hides physical erasure from the host.
-        Err(DeviceError::Unsupported("erase_block on an FTL-managed SSD"))
-    }
+    // The FTL hides physical erasure from the host, so the SSD keeps the
+    // default `medium_erase`, which refuses.
 
-    fn trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
-        self.geometry.check_bounds(offset, len as usize)?;
-        if len == 0 {
-            return Ok(SimDuration::ZERO);
-        }
+    fn medium_trim(&mut self, offset: u64, len: u64) -> Result<SimDuration> {
         let first = self.geometry.page_of(offset);
         let last = self.geometry.page_of(offset + len - 1);
         for lpn in first..=last {
@@ -337,10 +312,7 @@ impl Device for Ssd {
             }
         }
         // TRIM itself is nearly free.
-        let lat = SimDuration::from_micros(5);
-        self.stats.trims += 1;
-        self.stats.trim_time += lat;
-        Ok(lat)
+        Ok(SimDuration::from_micros(5))
     }
 
     fn on_idle(&mut self, idle: SimDuration) {

@@ -1,15 +1,14 @@
 //! Simulated time primitives.
 //!
 //! All latencies produced by the device models are expressed as
-//! [`SimDuration`] values (nanosecond resolution). Experiments accumulate
-//! them on a [`SimClock`] instead of using the wall clock, which makes every
-//! run deterministic and independent of the host machine.
+//! [`SimDuration`] values (nanosecond resolution). Callers sum them into
+//! their own simulated time (a latency account, a ring's lane clocks)
+//! instead of reading the wall clock, which makes every run deterministic
+//! and independent of the host machine.
 
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -175,61 +174,6 @@ impl fmt::Display for SimDuration {
     }
 }
 
-/// A shared, monotonically increasing simulated clock.
-///
-/// The clock is cheap to clone (internally an [`Arc`]) and safe to advance
-/// from multiple threads. Device models do not advance the clock themselves;
-/// the caller decides which returned latencies represent elapsed simulated
-/// time (e.g. blocking flash I/O) and advances the clock accordingly.
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    now_ns: Arc<AtomicU64>,
-}
-
-impl SimClock {
-    /// Creates a clock starting at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current simulated time since the start of the experiment.
-    pub fn now(&self) -> SimDuration {
-        SimDuration(self.now_ns.load(Ordering::Relaxed))
-    }
-
-    /// Advances the clock by `d` and returns the new time.
-    pub fn advance(&self, d: SimDuration) -> SimDuration {
-        let prev = self.now_ns.fetch_add(d.as_nanos(), Ordering::Relaxed);
-        SimDuration(prev + d.as_nanos())
-    }
-
-    /// Moves the clock forward to `t` if `t` is later than the current time.
-    ///
-    /// Returns the (possibly unchanged) current time.
-    pub fn advance_to(&self, t: SimDuration) -> SimDuration {
-        let mut cur = self.now_ns.load(Ordering::Relaxed);
-        loop {
-            if t.as_nanos() <= cur {
-                return SimDuration(cur);
-            }
-            match self.now_ns.compare_exchange_weak(
-                cur,
-                t.as_nanos(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return t,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Resets the clock back to zero (useful between experiment phases).
-    pub fn reset(&self) {
-        self.now_ns.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,29 +229,6 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(12)), "12.00us");
         assert_eq!(format!("{}", SimDuration::from_millis(12)), "12.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(2)), "2.000s");
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let clock = SimClock::new();
-        assert_eq!(clock.now(), SimDuration::ZERO);
-        clock.advance(SimDuration::from_millis(3));
-        assert_eq!(clock.now(), SimDuration::from_millis(3));
-        // advance_to earlier time is a no-op
-        clock.advance_to(SimDuration::from_millis(1));
-        assert_eq!(clock.now(), SimDuration::from_millis(3));
-        clock.advance_to(SimDuration::from_millis(10));
-        assert_eq!(clock.now(), SimDuration::from_millis(10));
-        clock.reset();
-        assert_eq!(clock.now(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn clock_clones_share_state() {
-        let a = SimClock::new();
-        let b = a.clone();
-        a.advance(SimDuration::from_secs(1));
-        assert_eq!(b.now(), SimDuration::from_secs(1));
     }
 
     #[test]

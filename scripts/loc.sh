@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Non-test lines of Rust per crate, the way ROADMAP counts them (item 10
-# holds the bufferhash + flashsim line target):
+# Non-test lines of Rust per crate, the way ROADMAP counts them (its
+# per-crate line counts and largest files, and CI's 800-line file rule):
 # for every file under crates/<crate>/src, the lines above its first
 # `#[cfg(test)]` at the start of a line (the file's `mod tests`; a file
 # without one counts whole, a file that is nothing but a test module —

@@ -21,7 +21,10 @@ use clam::bufferhash::{
     hash_with_seed, scan_incarnation, Clam, ClamConfig, Entry, EvictionPolicy, FilterMode,
     IncarnationIdentity, IncarnationLayout, LookupSource, SlotScan,
 };
-use clam::flashsim::{CrashDevice, Device, DramDevice, FileDevice, FlashChip, MagneticDisk, Ssd};
+use clam::flashsim::{
+    self, CrashDevice, Device, DeviceError, DeviceProfile, DramDevice, FileDevice, FlashChip,
+    Geometry, IoStats, MagneticDisk, SimDuration, Ssd,
+};
 
 /// One workload operation: `(key, value, delete?)`.
 type Op = (u64, u64, bool);
@@ -688,6 +691,87 @@ fn chip_recovers_past_a_mid_block_torn_write() {
     assert!(recovered.stats().flushes >= 8, "the 8-slot log wrapped");
     let probe = hash_with_seed(19_999, 0xc41c);
     assert!(recovered.lookup(probe).unwrap().value.is_some());
+}
+
+/// A raw chip with one worn-out erase block: every erase of `bad` fails,
+/// everything else reaches the chip.
+struct BadBlock {
+    chip: FlashChip,
+    bad: u64,
+    refused: u64,
+}
+
+impl Device for BadBlock {
+    fn profile(&self) -> &DeviceProfile {
+        self.chip.profile()
+    }
+    fn geometry(&self) -> Geometry {
+        self.chip.geometry()
+    }
+    fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> flashsim::Result<SimDuration> {
+        self.chip.medium_read(offset, buf)
+    }
+    fn medium_write(&mut self, offset: u64, data: &[u8]) -> flashsim::Result<SimDuration> {
+        self.chip.medium_write(offset, data)
+    }
+    fn medium_erase(&mut self, block: u64) -> flashsim::Result<SimDuration> {
+        if block == self.bad {
+            self.refused += 1;
+            return Err(DeviceError::Io("erase of a worn-out block".into()));
+        }
+        self.chip.medium_erase(block)
+    }
+    fn stats(&self) -> IoStats {
+        self.chip.stats()
+    }
+    fn update_stats(&mut self, update: &mut dyn FnMut(&mut IoStats)) {
+        self.chip.update_stats(update)
+    }
+}
+
+/// **Regression: a scrub erase that fails does not scrub.** A cut tears
+/// the first write to the second erase block (slot 4 of the 8-slot log),
+/// so recovery resumes the log on that slot, in a block holding no
+/// accepted data, and tries to scrub the block. Its erase fails. The torn
+/// slot must then be stepped past as dirty: resumed flushes program the
+/// block's clean slots behind it instead of the half-programmed one.
+/// Counting the block as scrubbed left the pointer on the torn slot, and
+/// the first resumed flush failed.
+#[test]
+fn a_failed_scrub_erase_leaves_the_torn_slot_dirty() {
+    let config = crash_config(0.9, 8);
+    let cap = config.flash_capacity; // 256 KiB = 2 erase blocks
+    let ops: Vec<Op> = (0..30_000u64).map(|i| (hash_with_seed(i, 0xbadb), i, false)).collect();
+    let budget =
+        budget_reaching_offset(|| FlashChip::new(cap).unwrap(), &config, &ops, 128 << 10, 1)
+            .expect("the log must reach its second block")
+            - 1;
+    let mut crash = CrashDevice::cut_after(FlashChip::new(cap).unwrap(), budget);
+    crash.set_torn_write_bytes(2_048);
+    let mut clam = Clam::new(crash, config.clone()).unwrap();
+    drive(&mut clam, &ops);
+    assert_eq!(clam.device().crash_stats().torn_write, Some((128 << 10, 2_048)));
+
+    let chip = clam.into_device().into_inner();
+    let (mut recovered, report) =
+        Clam::recover(BadBlock { chip, bad: 1, refused: 0 }, config).unwrap();
+    assert_eq!((report.torn, report.accepted), (1, 4));
+    assert_eq!(recovered.device().refused, 1, "recovery tried to scrub block 1");
+
+    // Three flushes fill slots 5 to 7, the rest of the bad block; the
+    // fourth would wrap onto block 0.
+    let flushes = recovered.stats().flushes;
+    let mut last = 0;
+    for i in 0..20_000u64 {
+        if recovered.stats().flushes >= flushes + 3 {
+            break;
+        }
+        last = hash_with_seed(i, 0xbadc);
+        recovered.insert(last, i).unwrap_or_else(|e| panic!("insert {i} failed: {e}"));
+    }
+    assert_eq!(recovered.stats().flushes, flushes + 3);
+    assert!(recovered.lookup(last).unwrap().value.is_some());
+    recovered.assert_slot_copies_match_flash();
 }
 
 /// A slot copy vouches for bytes on the device, so it must not outlive
