@@ -7,7 +7,7 @@
 //! the unit tests here and in `clam` check the queue-depth terms against
 //! the simulator, exactly.
 
-use flashsim::{DeviceProfile, MediumKind, OverlapModel, QueueCapabilities, SimDuration};
+use flashsim::{DeviceProfile, MediumKind, SimDuration};
 
 use crate::config::tuning;
 
@@ -28,9 +28,9 @@ pub struct FlashCostModel {
     /// `true` when an FTL hides erase/copy costs inside the write cost
     /// (SSDs): the `C2`/`C3` terms are then omitted (§6.1).
     pub ftl_managed: bool,
-    /// Submission-queue shape of the device (depth and overlap model),
-    /// driving the queue-depth-aware cost terms below.
-    pub queue: QueueCapabilities,
+    /// Queue depth of the device, driving the queue-depth-aware cost
+    /// terms below.
+    pub queue_depth: usize,
 }
 
 impl FlashCostModel {
@@ -43,7 +43,7 @@ impl FlashCostModel {
             page_size: profile.page_size as usize,
             block_size: profile.block_size as usize,
             ftl_managed: matches!(profile.kind, MediumKind::Ssd | MediumKind::Dram),
-            queue: profile.queue,
+            queue_depth: profile.queue_depth,
         }
     }
 
@@ -243,8 +243,9 @@ impl FlashCostModel {
     //
     // The completion ring (`Device::submit`) adds a second,
     // orthogonal amortization axis: independent requests of one stream
-    // overlap on up to `L` queue lanes (`L = min(depth, max_queue_depth)`,
-    // 1 for serial media), so `n` equal-cost requests complete in
+    // at depth `d` overlap on up to `L = min(d, D)` queue lanes of a
+    // device `D` deep (1 on a one-deep medium), so `n` equal-cost
+    // requests complete in
     //
     //   M(n, d) = c · ⌈n / L⌉
     //
@@ -260,15 +261,12 @@ impl FlashCostModel {
     // the simulator, exactly.
 
     /// Number of queue lanes a ring stream issued at `queue_depth` actually
-    /// gets: 1 on serial media, otherwise `queue_depth` capped by the
-    /// device's maximum depth.
+    /// gets: `queue_depth` capped by the device's depth, so 1 on a one-deep
+    /// medium.
     pub fn lanes_at_depth(&self, queue_depth: usize) -> usize {
-        match self.queue.overlap {
-            OverlapModel::Serial => 1,
-            // `.max(1)` twice: both a zero requested depth and a degenerate
-            // zero-depth profile degrade to serial instead of panicking.
-            OverlapModel::Overlapped => queue_depth.min(self.queue.max_queue_depth.max(1)).max(1),
-        }
+        // `.max(1)` twice: both a zero requested depth and a degenerate
+        // zero-depth profile degrade to serial instead of panicking.
+        queue_depth.min(self.queue_depth.max(1)).max(1)
     }
 
     /// Predicted elapsed (makespan) time of `requests` independent
@@ -295,7 +293,7 @@ impl FlashCostModel {
     /// use bufferhash::analysis::FlashCostModel;
     /// use flashsim::DeviceProfile;
     ///
-    /// // Intel-class SSD: overlapped queue, depth 8.
+    /// // Intel-class SSD: queue depth 8.
     /// let model = FlashCostModel::from_profile(&DeviceProfile::intel_x18m());
     /// // 60 miss-heavy lookups probing 4 incarnations each: 240 page
     /// // reads packed into ceil(240/8) = 30 slots, 240 at depth 1.
@@ -397,7 +395,8 @@ impl FlashCostModel {
     ///
     ///   `M_recover(s, d) = c_slot · ⌈s / L⌉`,  `c_slot = read(⌈B/S_p⌉·S_p)`
     ///
-    /// with `L = min(d, max_queue_depth)` lanes (1 on serial media).
+    /// with `L = min(d, D)` lanes on a device `D` deep (1 on a one-deep
+    /// medium).
     /// Matches the simulator **exactly** on idle devices (slot reads are
     /// equal-cost and page-aligned); a unit test checks the identity at
     /// depths 1, 2 and 8, and `tests/kick_the_tires.rs` on power-cut
@@ -523,7 +522,7 @@ mod tests {
 
     #[test]
     fn queue_model_overlaps_on_intel_and_not_on_serial_media() {
-        let m = ssd(); // Intel: overlapped, depth 8
+        let m = ssd(); // Intel: depth 8
         let c = SimDuration::from_micros(100);
         assert_eq!(m.lanes_at_depth(1), 1);
         assert_eq!(m.lanes_at_depth(4), 4);
@@ -539,7 +538,7 @@ mod tests {
 
         // A degenerate zero-depth profile degrades to serial, not a panic.
         let degenerate = FlashCostModel::from_profile(&DeviceProfile {
-            queue: flashsim::QueueCapabilities::overlapped(0),
+            queue_depth: 0,
             ..DeviceProfile::intel_x18m()
         });
         assert_eq!(degenerate.lanes_at_depth(4), 1);
@@ -547,7 +546,7 @@ mod tests {
 
     #[test]
     fn queued_lookup_model_scales_with_depth_and_probe_count() {
-        let m = ssd(); // overlapped, depth 8
+        let m = ssd(); // depth 8
         let c = m.page_read_cost();
         // 64 keys x 4 probes each: 256 page reads over the lanes.
         assert_eq!(m.lookup_ring_makespan(64, 4, 1), c * 256);
@@ -563,7 +562,7 @@ mod tests {
 
     #[test]
     fn ring_makespan_is_work_over_lanes_floored_by_the_chain() {
-        let m = ssd(); // overlapped, depth 8
+        let m = ssd(); // depth 8
         let c = m.page_read_cost();
         assert_eq!(m.lookup_ring_makespan(64, 4, 8), c * 32);
         // Lanes need not divide the keys: the chains pack the tail.
@@ -577,7 +576,7 @@ mod tests {
         assert_eq!(m.lookup_ring_makespan(64, 0, 8), SimDuration::ZERO);
         // A degenerate zero-depth profile degrades to serial, no panic.
         let degenerate = FlashCostModel::from_profile(&DeviceProfile {
-            queue: flashsim::QueueCapabilities::overlapped(0),
+            queue_depth: 0,
             ..DeviceProfile::intel_x18m()
         });
         assert_eq!(degenerate.lookup_ring_makespan(4, 2, 8), degenerate.page_read_cost() * 8);
@@ -585,7 +584,7 @@ mod tests {
 
     #[test]
     fn flush_and_mixed_ring_makespans_compose_the_phase_bounds() {
-        let m = ssd(); // overlapped, depth 8
+        let m = ssd(); // depth 8
         let w = m.insert_worst_case(32 << 10);
         // Single-write chains: flushes over lanes, rounded up.
         assert_eq!(m.flush_ring_makespan(16, 32 << 10, 8), w * 2);
@@ -608,7 +607,7 @@ mod tests {
         assert_eq!(m.mixed_ring_makespan(0, 0, 0, 32 << 10, 8), SimDuration::ZERO);
         // A degenerate zero-depth profile degrades to serial, no panic.
         let degenerate = FlashCostModel::from_profile(&DeviceProfile {
-            queue: flashsim::QueueCapabilities::overlapped(0),
+            queue_depth: 0,
             ..DeviceProfile::intel_x18m()
         });
         assert_eq!(degenerate.flush_ring_makespan(4, 32 << 10, 8), w * 4);
@@ -629,7 +628,7 @@ mod tests {
         for depth in [1usize, 2, 8] {
             let mut dev = Ssd::intel(64 << 20).unwrap();
             let page = dev.profile().page_size as usize;
-            let mut ring = CompletionRing::new(m.lanes_at_depth(depth));
+            let mut ring = CompletionRing::for_queue(m.lanes_at_depth(depth));
             // Write phase: `flushes` incarnation-sized writes to disjoint
             // log slots, in one submission.
             let writes: Vec<RingRequest> = (0..flushes)
@@ -661,22 +660,19 @@ mod tests {
 
     /// Runs real recovery scans ([`Clam::recover`]) and checks the
     /// reported ring makespan against `recovery_scan_makespan` — exact on
-    /// an overlapped SSD at queue depths 1, 2 and 8 (after a full
-    /// workload) and on a serial raw chip.
+    /// an SSD at queue depths 1, 2 and 8 (after a full workload) and on a
+    /// one-deep raw chip.
     #[test]
     fn recovery_scan_makespan_matches_the_simulator_exactly() {
         use crate::clam::Clam;
         use crate::config::ClamConfig;
         use crate::types::hash_with_seed;
-        use flashsim::{Device, FlashChip, QueueCapabilities, Ssd};
+        use flashsim::{Device, FlashChip, Ssd};
 
         // SSD: 8 MiB flash in 256 slots of 32 KiB.
         let cfg = ClamConfig::small_test(8 << 20, 2 << 20).unwrap();
         for depth in [1usize, 2, 8] {
-            let profile = DeviceProfile {
-                queue: QueueCapabilities::overlapped(depth),
-                ..DeviceProfile::intel_x18m()
-            };
+            let profile = DeviceProfile { queue_depth: depth, ..DeviceProfile::intel_x18m() };
             let ssd = Ssd::with_profile(8 << 20, profile.clone()).unwrap();
             let mut clam = Clam::new(ssd, cfg.clone()).unwrap();
             for i in 0..40_000u64 {
@@ -691,7 +687,7 @@ mod tests {
             );
         }
 
-        // Raw chip: serial queue, so the scan is the summed slot reads.
+        // Raw chip: one-deep queue, so the scan is the summed slot reads.
         let chip = FlashChip::new(1 << 20).unwrap();
         let m = FlashCostModel::from_profile(chip.profile());
         let cfg = ClamConfig::small_test(1 << 20, 256 << 10).unwrap();

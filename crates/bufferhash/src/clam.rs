@@ -438,7 +438,7 @@ impl<D: Device> Clam<D> {
         &self.device
     }
 
-    /// Mutable access to the underlying device (e.g. to declare idle time).
+    /// Mutable access to the underlying device.
     pub fn device_mut(&mut self) -> &mut D {
         &mut self.device
     }
@@ -711,12 +711,6 @@ impl<D: Device> Clam<D> {
         })?;
         Ok(flushed + drained)
     }
-
-    /// Declares `idle` simulated time during which the device may perform
-    /// background work (SSD garbage collection).
-    pub fn idle(&mut self, idle: SimDuration) {
-        self.device.on_idle(idle);
-    }
 }
 
 /// Super table responsible for `key` in a CLAM of `tables` super tables.
@@ -727,14 +721,15 @@ pub fn table_of(key: Key, tables: usize) -> usize {
 /// Seed of the hash that routes a key to its super table.
 const TABLE_SEED: u64 = 0x7a_b1e5;
 
-/// How many page reads one lookup batch keeps in flight on a ring of
-/// `lanes` lanes. Four requests a lane keep every lane fed between waves
-/// (the floor of 16 keeps a short or serial queue's rounds that wide, and
-/// simulated results depend on it); beyond that a deeper ring only parks
-/// more 4 KiB page buffers without finishing sooner, so this is a
-/// property of the queue's shape and not a tuning knob.
-pub(crate) fn probe_window(lanes: usize) -> usize {
-    (4 * lanes).max(16)
+/// How many page reads one lookup batch keeps in flight on a queue
+/// `depth` deep, a ring lane a slot. Four requests a lane keep every lane
+/// fed between waves (the floor of 16 keeps a short or one-deep queue's
+/// rounds that wide, and simulated results depend on it); beyond that a
+/// deeper ring only parks more 4 KiB page buffers without finishing
+/// sooner, so this is a property of the queue's depth and not a tuning
+/// knob.
+pub(crate) fn probe_window(depth: usize) -> usize {
+    (4 * depth).max(16)
 }
 
 /// Per-op dispatch overhead inside a batch of `len` ops. A batch of one

@@ -173,7 +173,7 @@ impl<D: Device> Clam<D> {
             // Probes go out in waves. The first holds a bounded window of
             // keys: every read in a wave parks a page buffer, and a window
             // of a few requests per lane already keeps every lane busy.
-            let window = probe_window(self.device.queue().ring_lanes());
+            let window = probe_window(self.device.queue());
             let mut waiting = pending.into_iter();
             // The probe state of each request of the wave, by its index.
             let mut states: Vec<Option<ProbeState>> = Vec::with_capacity(window);

@@ -724,7 +724,7 @@ fn deterministic_probe_clam(device: Ssd, rounds: usize) -> Clam<Ssd> {
 
 #[test]
 fn queued_lookup_batch_overlaps_probes_on_the_device_queue() {
-    // Intel-class SSD: overlapped queue, depth 8. 64 absent keys with
+    // Intel-class SSD: queue depth 8. 64 absent keys with
     // filters disabled probe 4 incarnations each — 4 waves of 64 reads.
     let mut clam = deterministic_probe_clam(Ssd::intel(8 << 20).unwrap(), 4);
     clam.reset_stats();
@@ -757,16 +757,13 @@ fn queued_lookup_batch_overlaps_probes_on_the_device_queue() {
 #[test]
 fn queued_lookup_batch_matches_the_cost_model_exactly() {
     use crate::analysis::FlashCostModel;
-    use flashsim::{DeviceProfile, QueueCapabilities};
+    use flashsim::DeviceProfile;
     const ROUNDS: usize = 4;
     // 48 divides evenly into every swept lane count; 42 leaves a tail
     // at depth 8.
     for keys_n in [48usize, 42] {
         for depth in [1usize, 2, 8] {
-            let profile = DeviceProfile {
-                queue: QueueCapabilities::overlapped(depth),
-                ..DeviceProfile::intel_x18m()
-            };
+            let profile = DeviceProfile { queue_depth: depth, ..DeviceProfile::intel_x18m() };
             let build = || {
                 deterministic_probe_clam(
                     Ssd::with_profile(8 << 20, profile.clone()).unwrap(),
@@ -821,8 +818,8 @@ fn lookup_batches_hold_at_most_a_window_of_reads_in_flight() {
     use flashsim::{DeviceProfile, FileDevice};
     const ROUNDS: usize = 2;
     let profile = DeviceProfile::intel_x18m();
-    let lanes = profile.queue.ring_lanes();
-    let window = probe_window(lanes);
+    let depth = profile.queue_depth;
+    let window = probe_window(depth);
     let keys_n = 10 * window + 7;
 
     // Simulated SSD: ten windows of flash-resident keys finish in the
@@ -839,7 +836,7 @@ fn lookup_batches_hold_at_most_a_window_of_reads_in_flight() {
     assert_eq!(clam.stats().lookup_ring_depth_high_water, window as u64);
     assert_eq!(
         batch.probe_latency,
-        FlashCostModel::from_profile(&profile).lookup_ring_makespan(keys_n, ROUNDS, lanes)
+        FlashCostModel::from_profile(&profile).lookup_ring_makespan(keys_n, ROUNDS, depth)
     );
 
     // Real positioned I/O: latencies are measured, so only the depth
@@ -847,7 +844,7 @@ fn lookup_batches_hold_at_most_a_window_of_reads_in_flight() {
     let path = std::env::temp_dir().join(format!("clam-window-{}.img", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let file = FileDevice::with_queue_depth(&path, 8 << 20, 4).unwrap();
-    let file_window = probe_window(file.queue().ring_lanes());
+    let file_window = probe_window(file.queue());
     let keys_n = 10 * file_window + 7;
     let (mut clam, keys) = windowed_probe_clam(file, keys_n as u64, ROUNDS);
     let per_key: Vec<Option<Value>> = keys.iter().map(|&k| clam.lookup(k).unwrap().value).collect();

@@ -149,12 +149,6 @@ impl<D: Device> SharedClam<D> {
         self.with(|c| c.flush_all())
     }
 
-    /// Declares `idle` simulated time to the underlying device (see
-    /// [`Clam::idle`]).
-    pub fn idle(&self, idle: SimDuration) {
-        self.with(|c| c.idle(idle))
-    }
-
     /// Snapshot of the operation statistics.
     pub fn stats(&self) -> ClamStats {
         self.with(|c| c.stats().clone())
@@ -787,7 +781,6 @@ mod tests {
         assert_eq!(shared.lookup(key(1)).unwrap().value, Some(2));
         let flushed = shared.flush_all().unwrap();
         assert!(flushed > flashsim::SimDuration::ZERO);
-        shared.idle(flashsim::SimDuration::from_millis(1));
         shared.delete(key(1)).unwrap();
         assert_eq!(shared.lookup(key(1)).unwrap().value, None);
 

@@ -37,6 +37,8 @@
 mod cli;
 
 use std::net::SocketAddr;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 
 use bench::{ms, print_cdf, print_header, print_row, TailSummary};
 use clamd::client::ClamdClient;
@@ -68,11 +70,11 @@ fn main() {
 
 fn sweep_main(args: &[String]) -> Result<(), BootError> {
     let config = LoadgenConfig {
-        connections: parse(args, "--connections", 4),
+        connections: parse(args, "--connections", NonZeroUsize::new(4).unwrap()).get(),
         ops: parse(args, "--ops", 20_000),
         rate: f64::INFINITY,
-        lookup_fraction: parse(args, "--lookup-fraction", 0.8),
-        hit_fraction: parse(args, "--hit-fraction", 0.5),
+        lookup_fraction: parse(args, "--lookup-fraction", Fraction(0.8)).0,
+        hit_fraction: parse(args, "--hit-fraction", Fraction(0.5)).0,
         key_space: parse(args, "--key-space", 20_000),
         zipf_s: parse(args, "--zipf-s", 0.99),
         seed: parse(args, "--seed", 0x10ad),
@@ -103,19 +105,32 @@ fn sweep_main(args: &[String]) -> Result<(), BootError> {
 }
 
 /// The `--multiples` list: comma-separated load levels, at least three,
-/// so that a sweep spans saturation.
+/// so that a sweep spans saturation, each finite and above zero (a level
+/// of zero offers no load: its requests after the first never fall due).
 struct Multiples(Vec<f64>);
 
-impl std::str::FromStr for Multiples {
+impl FromStr for Multiples {
     type Err = ();
 
     fn from_str(list: &str) -> Result<Self, ()> {
         let levels: Vec<f64> =
             list.split(',').map(|s| s.trim().parse()).collect::<Result<_, _>>().map_err(drop)?;
-        if levels.len() < 3 {
+        if levels.len() < 3 || !levels.iter().all(|level| level.is_finite() && *level > 0.0) {
             return Err(());
         }
         Ok(Multiples(levels))
+    }
+}
+
+/// A `--lookup-fraction` or `--hit-fraction`: a share in [0, 1].
+struct Fraction(f64);
+
+impl FromStr for Fraction {
+    type Err = ();
+
+    fn from_str(raw: &str) -> Result<Self, ()> {
+        let share: f64 = raw.parse().map_err(drop)?;
+        (0.0..=1.0).contains(&share).then_some(Fraction(share)).ok_or(())
     }
 }
 

@@ -26,7 +26,6 @@ use crate::device::Device;
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
-use crate::queue::QueueCapabilities;
 use crate::stats::IoStats;
 use crate::time::SimDuration;
 
@@ -165,10 +164,6 @@ impl<D: Device> Device for CrashDevice<D> {
         self.inner.geometry()
     }
 
-    fn queue(&self) -> QueueCapabilities {
-        self.inner.queue()
-    }
-
     fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         self.charge()?;
         self.inner.medium_read(offset, buf)
@@ -212,12 +207,6 @@ impl<D: Device> Device for CrashDevice<D> {
     // provided per-op methods, and so the commands above, in submission
     // order, so the budget slices the ring schedule exactly at the N-th
     // applied request.
-
-    fn on_idle(&mut self, idle: SimDuration) {
-        if !self.dead {
-            self.inner.on_idle(idle);
-        }
-    }
 
     fn stats(&self) -> IoStats {
         self.inner.stats()

@@ -9,8 +9,8 @@
 //! Queue rules live in one place, the ring: [`Device::submit`] runs a
 //! batch of [`RingRequest`]s, books them on a caller-owned
 //! [`CompletionRing`] and returns their [`RingCompletion`]s, and the ring's
-//! lane clocks say how much of the stream the device's
-//! [`QueueCapabilities`] would have kept in flight at once.
+//! lane clocks say how much of the stream a queue [`Device::queue`]
+//! requests deep would have kept in flight at once.
 //!
 //! Command rules live in one place too, here. The per-op commands
 //! ([`read_at`](Device::read_at), [`write_at`](Device::write_at),
@@ -35,18 +35,20 @@
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
-use crate::queue::{CompletionRing, IoRequest, QueueCapabilities, RingCompletion, RingRequest};
+use crate::queue::{CompletionRing, IoRequest, RingCompletion, RingRequest};
 use crate::stats::IoStats;
 use crate::time::SimDuration;
 
 /// A byte-addressed storage device with simulated latencies.
 ///
-/// A backend is a cost function over a byte store: it implements the
+/// A device is its profile's queue depth and the cost of its commands. A
+/// backend is a cost function over a byte store: it implements the
 /// medium's commands, which see only in-range, non-empty requests, move
 /// bytes and return their price, and it hands out its [`IoStats`]. The
-/// per-op methods (the command rules above) and [`submit`](Device::submit),
-/// which drives them while the [`CompletionRing`] models the queue, are
-/// provided. A wrapper forwards the commands and its counters; only
+/// per-op methods (the command rules above), [`queue`](Device::queue) and
+/// [`submit`](Device::submit), which drives the commands while the
+/// [`CompletionRing`] models the queue, are provided. A wrapper forwards
+/// its profile, the commands and its counters; only
 /// [`SharedDevice`](crate::SharedDevice) overrides `submit`.
 ///
 /// `Send + Sync` is required so higher layers can share devices across
@@ -59,9 +61,10 @@ pub trait Device: Send + Sync {
     /// Capacity and page/block layout.
     fn geometry(&self) -> Geometry;
 
-    /// The device's submission-queue shape (depth and overlap model).
-    fn queue(&self) -> QueueCapabilities {
-        self.profile().queue
+    /// The device's queue depth, from its profile: how many requests a
+    /// [`CompletionRing`] for it keeps in flight at once.
+    fn queue(&self) -> usize {
+        self.profile().queue_depth
     }
 
     /// The medium's read of `buf.len()` bytes at `offset`, in range and
@@ -189,12 +192,6 @@ pub trait Device: Send + Sync {
         Ok(done)
     }
 
-    /// Informs the device that the workload was idle for `idle` simulated
-    /// time. SSD models use this to run background garbage collection for
-    /// free, mirroring how real SSDs recover their clean-block pool during
-    /// quiet periods.
-    fn on_idle(&mut self, _idle: SimDuration) {}
-
     /// Snapshot of the I/O counters.
     fn stats(&self) -> IoStats;
 
@@ -245,9 +242,6 @@ impl<D: Device + ?Sized> Device for Box<D> {
     fn geometry(&self) -> Geometry {
         (**self).geometry()
     }
-    fn queue(&self) -> QueueCapabilities {
-        (**self).queue()
-    }
     fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         (**self).medium_read(offset, buf)
     }
@@ -266,9 +260,6 @@ impl<D: Device + ?Sized> Device for Box<D> {
         ring: &mut CompletionRing,
     ) -> Result<Vec<RingCompletion>> {
         (**self).submit(requests, ring)
-    }
-    fn on_idle(&mut self, idle: SimDuration) {
-        (**self).on_idle(idle)
     }
     fn stats(&self) -> IoStats {
         (**self).stats()

@@ -38,7 +38,6 @@ use crate::device::Device;
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::{DeviceProfile, MediumKind};
-use crate::queue::QueueCapabilities;
 use crate::stats::IoStats;
 use crate::time::SimDuration;
 
@@ -110,7 +109,7 @@ impl FileDevice {
             kind: MediumKind::Ssd,
             page_size: page,
             block_size: page,
-            queue: QueueCapabilities::overlapped(queue_depth),
+            queue_depth,
             ..DeviceProfile::intel_x18m()
         };
         let geometry = Geometry::new(capacity, page, page)?;

@@ -29,9 +29,10 @@
 //! return their price — plus its [`IoStats`]. The rules around them live
 //! once, beside the ring, in the [`Device`] trait's provided per-op
 //! methods, which also serve single blocking commands: bounds, empty
-//! commands and the command counters. The ring models the queue (lanes
-//! on SSD and DRAM and on the file, one at a time on the chip and the
-//! disk) and writes the queue counters; no backend brings ring or
+//! commands and the command counters. The ring models the queue, a lane
+//! for each of the [`Device::queue`] requests its profile keeps in flight
+//! (eight on the Intel SSD, one on the Transcend SSD, the chip and the
+//! disk), and writes the queue counters; no backend brings ring or
 //! command-rule code of its own.
 //! [`SharedDevice`] lets several owners (e.g. index stripes) drive
 //! partitions of one device concurrently: one lock, byte store and
@@ -81,9 +82,7 @@ pub use file_backend::{FileDevice, DEFAULT_FILE_QUEUE_DEPTH};
 pub use flash_chip::FlashChip;
 pub use geometry::Geometry;
 pub use profiles::{DeviceProfile, MediumKind};
-pub use queue::{
-    CompletionRing, IoRequest, OverlapModel, QueueCapabilities, RingCompletion, RingRequest,
-};
+pub use queue::{CompletionRing, IoRequest, RingCompletion, RingRequest};
 pub use shared::SharedDevice;
 pub use ssd::Ssd;
 pub use stats::{IoStats, Kind, LatencyRecorder, Slot};

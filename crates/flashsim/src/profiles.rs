@@ -11,7 +11,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cost::LinearCost;
-use crate::queue::QueueCapabilities;
 
 /// The kind of medium a profile describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,14 +48,12 @@ pub struct DeviceProfile {
     pub rotation_ns: u64,
     /// Fraction of physical capacity reserved as over-provisioning (SSD).
     pub over_provisioning: f64,
-    /// Submission-queue shape: how many requests the device keeps in
-    /// flight and whether they overlap in time (see
+    /// Queue depth: how many requests the device keeps in flight at once,
+    /// each on a lane of its own (1 = one at a time; see
     /// [`Device::submit`](crate::Device::submit)).
-    pub queue: QueueCapabilities,
+    pub queue_depth: usize,
     /// Purchase cost of the device in US dollars (for ops/sec/$ analyses).
     pub dollar_cost: f64,
-    /// Typical power draw in watts (for energy discussions).
-    pub power_watts: f64,
 }
 
 impl DeviceProfile {
@@ -77,9 +74,8 @@ impl DeviceProfile {
             rotation_ns: 0,
             over_provisioning: 0.08,
             // NCQ-class queueing: the controller overlaps several commands.
-            queue: QueueCapabilities::overlapped(8),
+            queue_depth: 8,
             dollar_cost: 390.0,
-            power_watts: 0.9,
         }
     }
 
@@ -98,9 +94,8 @@ impl DeviceProfile {
             rotation_ns: 0,
             over_provisioning: 0.04,
             // Early JMicron-class controller: one command at a time.
-            queue: QueueCapabilities::serial(),
+            queue_depth: 1,
             dollar_cost: 85.0,
-            power_watts: 0.7,
         }
     }
 
@@ -119,9 +114,8 @@ impl DeviceProfile {
             rotation_ns: 0,
             over_provisioning: 0.0,
             // A single chip has one plane in this model: strictly serial.
-            queue: QueueCapabilities::serial(),
+            queue_depth: 1,
             dollar_cost: 60.0,
-            power_watts: 0.3,
         }
     }
 
@@ -140,9 +134,8 @@ impl DeviceProfile {
             rotation_ns: 4_170_000,
             over_provisioning: 0.0,
             // One actuator: one request at a time.
-            queue: QueueCapabilities::serial(),
+            queue_depth: 1,
             dollar_cost: 70.0,
-            power_watts: 8.0,
         }
     }
 
@@ -160,10 +153,9 @@ impl DeviceProfile {
             rotation_ns: 0,
             over_provisioning: 0.0,
             // Channel/bank parallelism absorbs a few concurrent accesses.
-            queue: QueueCapabilities::overlapped(4),
+            queue_depth: 4,
             // ~$25/GB-class pricing at the paper's time; per 4 GB module.
             dollar_cost: 100.0,
-            power_watts: 4.0,
         }
     }
 
@@ -180,15 +172,18 @@ impl DeviceProfile {
             seek_ns: 0,
             rotation_ns: 0,
             over_provisioning: 0.0,
-            queue: QueueCapabilities::overlapped(16),
+            queue_depth: 16,
             dollar_cost: 120_000.0,
-            power_watts: 650.0,
         }
     }
+}
 
-    /// All built-in profiles, useful for sweeps and documentation tables.
-    pub fn all() -> Vec<DeviceProfile> {
-        vec![
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn all() -> [DeviceProfile; 6] {
+        [
             DeviceProfile::intel_x18m(),
             DeviceProfile::transcend_ts32g(),
             DeviceProfile::flash_chip(),
@@ -197,15 +192,10 @@ impl DeviceProfile {
             DeviceProfile::ramsan_dram_ssd(),
         ]
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn profiles_have_distinct_names() {
-        let all = DeviceProfile::all();
+        let all = all();
         let mut names: Vec<_> = all.iter().map(|p| p.name).collect();
         names.sort_unstable();
         names.dedup();
@@ -237,20 +227,18 @@ mod tests {
 
     #[test]
     fn block_sizes_are_multiples_of_page_sizes() {
-        for p in DeviceProfile::all() {
+        for p in all() {
             assert_eq!(p.block_size % p.page_size, 0, "{}", p.name);
         }
     }
 
     #[test]
     fn queue_shapes_match_the_medium() {
-        use crate::queue::OverlapModel;
-        assert_eq!(DeviceProfile::intel_x18m().queue.overlap, OverlapModel::Overlapped);
-        assert_eq!(DeviceProfile::transcend_ts32g().queue.max_queue_depth, 1);
-        assert_eq!(DeviceProfile::flash_chip().queue.overlap, OverlapModel::Serial);
-        // One head: the disk never overlaps transfers.
-        assert_eq!(DeviceProfile::hitachi_7k80().queue, QueueCapabilities::serial());
-        assert_eq!(DeviceProfile::dram().queue.overlap, OverlapModel::Overlapped);
+        let depths: Vec<usize> = all().iter().map(|p| p.queue_depth).collect();
+        // NCQ on the Intel drive; one command at a time on the early
+        // controller, the single-plane chip and the one-actuator disk;
+        // bank parallelism in DRAM and the RamSan appliance.
+        assert_eq!(depths, vec![8, 1, 1, 1, 4, 16]);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! time. This module is the one engine for that style of access:
 //!
 //! * [`IoRequest`] — one read/write/erase/trim command;
-//! * [`QueueCapabilities`] / [`OverlapModel`] — how many requests a device
-//!   keeps in flight and whether they overlap in time;
 //! * [`CompletionRing`] / [`RingRequest`] / [`RingCompletion`] — a batch of
 //!   requests goes to the device in one
 //!   [`Device::submit`](crate::Device::submit) call, which runs them, books
@@ -21,10 +19,11 @@
 //! data effects of a ring stream in the order the requests were submitted,
 //! so the stream is observationally equivalent (final device bytes,
 //! per-request results) to issuing the same operations one at a time
-//! through the per-op methods. What the ring models is the *timing*: an
-//! overlapped queue runs independent requests on parallel lanes, a serial
-//! one retires them back to back, on every backend from the latency each
-//! request reported (measured, on the file backend). Per-request
+//! through the per-op methods. What the ring models is the *timing*: a
+//! queue `d` deep ([`Device::queue`](crate::Device::queue)) runs
+//! independent requests on `d` parallel lanes, so a one-deep queue retires
+//! them back to back, on every backend from the latency each request
+//! reported (measured, on the file backend). Per-request
 //! [`RingCompletion::latency`] values are unchanged by overlapping; the
 //! win shows up in [`CompletionRing::makespan`], the latest completion
 //! timestamp instead of the sum over requests.
@@ -32,8 +31,6 @@
 //! The ring also writes the queue ledger of [`IoStats`], once per `submit`
 //! call and nowhere else; a backend contributes its per-op methods and its
 //! counters, nothing ring-shaped.
-
-use serde::{Deserialize, Serialize};
 
 use crate::error::Result;
 use crate::stats::IoStats;
@@ -94,52 +91,6 @@ impl IoRequest {
             IoRequest::Write { offset, data } => Some((*offset, *offset + data.len() as u64)),
             IoRequest::Trim { offset, len } => Some((*offset, *offset + *len)),
             IoRequest::Erase { .. } => None,
-        }
-    }
-}
-
-/// How concurrent requests in a queue share the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum OverlapModel {
-    /// One request at a time: elapsed time is the sum of the per-request
-    /// latencies.
-    Serial,
-    /// Up to [`QueueCapabilities::max_queue_depth`] requests proceed
-    /// concurrently on independent lanes; elapsed time is the makespan of
-    /// the lane schedule.
-    Overlapped,
-}
-
-/// A device's submission-queue shape: how deep its queue is and whether
-/// queued requests overlap in time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QueueCapabilities {
-    /// Queue depth: how many requests the device keeps in flight at once
-    /// (the lane count for [`OverlapModel::Overlapped`]).
-    pub max_queue_depth: usize,
-    /// Whether queued requests overlap in time.
-    pub overlap: OverlapModel,
-}
-
-impl QueueCapabilities {
-    /// A strictly serial device with no useful queue (depth 1).
-    pub const fn serial() -> Self {
-        QueueCapabilities { max_queue_depth: 1, overlap: OverlapModel::Serial }
-    }
-
-    /// A device that overlaps up to `depth` requests.
-    pub const fn overlapped(depth: usize) -> Self {
-        QueueCapabilities { max_queue_depth: depth, overlap: OverlapModel::Overlapped }
-    }
-
-    /// Number of lanes a [`CompletionRing`] on this queue accounts overlap
-    /// with: 1 for serial devices, otherwise the full queue depth (the ring
-    /// serves a stream of admissions, so there is no batch size to cap by).
-    /// Never zero — a degenerate zero-depth profile degrades to serial.
-    pub fn ring_lanes(&self) -> usize {
-        match self.overlap {
-            OverlapModel::Serial => 1,
-            OverlapModel::Overlapped => self.max_queue_depth.max(1),
         }
     }
 }
@@ -231,23 +182,18 @@ pub struct CompletionRing {
 }
 
 impl CompletionRing {
-    /// Creates a ring that accounts overlap on `lanes` queue lanes (at
-    /// least one; a zero or serial queue degrades to a single lane rather
-    /// than panicking).
-    pub fn new(lanes: usize) -> Self {
+    /// Creates a ring for a queue `depth` requests deep, typically
+    /// [`Device::queue`](crate::Device::queue): one lane per queue slot,
+    /// and at least one, so a zero depth degrades to a serial queue
+    /// rather than panicking.
+    pub fn for_queue(depth: usize) -> Self {
         CompletionRing {
-            lanes: vec![SimDuration::ZERO; lanes.max(1)],
+            lanes: vec![SimDuration::ZERO; depth.max(1)],
             ranges: Vec::new(),
             in_flight: 0,
             depth_high_water: 0,
             makespan: SimDuration::ZERO,
         }
-    }
-
-    /// Creates a ring sized for a device's queue shape
-    /// ([`QueueCapabilities::ring_lanes`]).
-    pub fn for_queue(queue: QueueCapabilities) -> Self {
-        CompletionRing::new(queue.ring_lanes())
     }
 
     /// The engine behind every [`Device::submit`](crate::Device::submit):
@@ -394,8 +340,8 @@ mod tests {
     }
 
     /// Books one disjoint read per latency (µs), in order, in one call.
-    fn ring_of(lanes: usize, micros: &[u64]) -> (CompletionRing, Vec<RingCompletion>) {
-        let mut ring = CompletionRing::new(lanes);
+    fn ring_of(depth: usize, micros: &[u64]) -> (CompletionRing, Vec<RingCompletion>) {
+        let mut ring = CompletionRing::for_queue(depth);
         let done = ring.run(disjoint_reads(micros.len()), costs(micros));
         (ring, done)
     }
@@ -467,15 +413,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_lanes_degrade_to_serial_without_panicking() {
-        assert_eq!(QueueCapabilities::overlapped(8).ring_lanes(), 8);
-        assert_eq!(QueueCapabilities::overlapped(0).ring_lanes(), 1);
-        let deep_serial = QueueCapabilities { max_queue_depth: 8, overlap: OverlapModel::Serial };
-        assert_eq!(deep_serial.ring_lanes(), 1);
-        // A zero-lane ring also degrades instead of panicking.
-        let (ring, done) = ring_of(0, &[5]);
-        assert_eq!(done.len(), 1);
-        assert_eq!(ring.makespan(), SimDuration::from_micros(5));
+    fn a_zero_depth_ring_degrades_to_one_lane_without_panicking() {
+        // A zero-depth ring books on one lane instead of panicking.
+        let (ring, done) = ring_of(0, &[5, 5]);
+        assert_eq!(lanes_of(&done), vec![0, 0]);
+        assert_eq!(ring.makespan(), SimDuration::from_micros(10));
     }
 
     #[test]
@@ -523,7 +465,7 @@ mod tests {
     fn ring_respects_causal_floors() {
         // A chain of 3 reads on an 8-lane ring cannot finish before 3
         // latencies have elapsed, idle lanes notwithstanding.
-        let mut ring = CompletionRing::new(8);
+        let mut ring = CompletionRing::for_queue(8);
         let c = SimDuration::from_micros(10);
         let (mut floor, mut stalled) = (SimDuration::ZERO, false);
         for _ in 0..3 {
@@ -537,7 +479,7 @@ mod tests {
 
     #[test]
     fn ring_conflict_floor_keeps_overlapping_ranges_in_order() {
-        let mut ring = CompletionRing::new(4);
+        let mut ring = CompletionRing::for_queue(4);
         // A read of the same range must start after the write retires,
         // even though three lanes are free.
         let requests = vec![

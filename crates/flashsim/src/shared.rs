@@ -35,7 +35,7 @@ use crate::device::{execute, Device};
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
-use crate::queue::{CompletionRing, IoRequest, QueueCapabilities, RingCompletion, RingRequest};
+use crate::queue::{CompletionRing, IoRequest, RingCompletion, RingRequest};
 use crate::stats::IoStats;
 use crate::time::SimDuration;
 
@@ -184,10 +184,6 @@ impl<D: Device> Device for SharedDevice<D> {
         self.geometry
     }
 
-    fn queue(&self) -> QueueCapabilities {
-        self.profile.queue
-    }
-
     fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         let at = self.base + offset;
         self.lock().medium_read(at, buf)
@@ -223,10 +219,6 @@ impl<D: Device> Device for SharedDevice<D> {
         });
         device.update_stats(&mut |stats| ring.record(stats, &done));
         Ok(done)
-    }
-
-    fn on_idle(&mut self, idle: SimDuration) {
-        self.lock().on_idle(idle)
     }
 
     fn stats(&self) -> IoStats {

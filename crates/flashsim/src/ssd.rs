@@ -6,14 +6,11 @@
 //! * sequential writes are cheap; small random writes gradually fragment the
 //!   physical blocks, so garbage collection must relocate many valid pages
 //!   and write latency degrades sharply under sustained random-write load
-//!   (the reason Berkeley-DB performs poorly even on an Intel SSD, §7.2.2);
-//! * idle time lets background garbage collection replenish the clean-block
-//!   pool, so bursty/light write loads stay fast.
+//!   (the reason Berkeley-DB performs poorly even on an Intel SSD, §7.2.2).
 //!
 //! The FTL is page-mapped with greedy victim selection (fewest valid pages
-//! first). Garbage-collection work triggered by a write is charged to that
-//! write; in a serial workload later reads also queue behind unfinished
-//! background work via the `pending_busy` mechanism.
+//! first). Garbage collection runs when a write finds the clean-block pool
+//! low, and its work is charged to that write.
 
 use std::collections::VecDeque;
 
@@ -48,9 +45,6 @@ pub struct Ssd {
     block_is_free: Vec<bool>,
     /// Block currently being filled and the next page index within it.
     open_block: Option<(u64, u32)>,
-    /// GC work (latency) that has been incurred but not yet attributed to a
-    /// foreground operation; the next I/O pays it down.
-    pending_busy: SimDuration,
 
     phys_blocks: u64,
     pages_per_block: u32,
@@ -92,7 +86,6 @@ impl Ssd {
             free_blocks: (0..phys_blocks).collect(),
             block_is_free: vec![true; phys_blocks as usize],
             open_block: None,
-            pending_busy: SimDuration::ZERO,
             phys_blocks,
             pages_per_block,
             gc_low_watermark,
@@ -128,15 +121,8 @@ impl Ssd {
             lpn = (lpn + stride) % logical_pages;
             let _ = self.map_write(lpn, true);
         }
-        // Preconditioning is free: discard any timing effects.
-        self.pending_busy = SimDuration::ZERO;
+        // Preconditioning is free: discard the counts it made.
         self.stats.reset();
-    }
-
-    /// Number of blocks currently in the free pool (visible for tests and
-    /// diagnostics).
-    pub fn free_block_count(&self) -> usize {
-        self.free_blocks.len() + usize::from(self.open_block.is_some())
     }
 
     fn phys_page_offset(&self, phys_page: u64) -> (u64, u32) {
@@ -256,12 +242,6 @@ impl Ssd {
         self.block_valid[block as usize] += 1;
         Ok(gc_cost)
     }
-
-    /// Takes and clears any pending background-work latency; the caller adds
-    /// it to the current operation.
-    fn drain_pending(&mut self) -> SimDuration {
-        std::mem::take(&mut self.pending_busy)
-    }
 }
 
 impl Device for Ssd {
@@ -277,7 +257,7 @@ impl Device for Ssd {
         self.store.read(offset, buf);
         let pages = self.geometry.pages_spanned(offset, buf.len());
         let bytes = pages as usize * self.profile.page_size as usize;
-        Ok(self.profile.read_cost.cost(bytes) + self.drain_pending())
+        Ok(self.profile.read_cost.cost(bytes))
     }
 
     fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
@@ -292,7 +272,7 @@ impl Device for Ssd {
         let bytes = pages as usize * self.profile.page_size as usize;
         // The whole range is issued as one command: fixed cost once, then a
         // bandwidth term (this is what makes batched sequential writes cheap).
-        Ok(self.profile.write_cost.cost(bytes) + gc_cost + self.drain_pending())
+        Ok(self.profile.write_cost.cost(bytes) + gc_cost)
     }
 
     // The FTL hides physical erasure from the host, so the SSD keeps the
@@ -313,28 +293,6 @@ impl Device for Ssd {
         }
         // TRIM itself is nearly free.
         Ok(SimDuration::from_micros(5))
-    }
-
-    fn on_idle(&mut self, idle: SimDuration) {
-        // Idle time first absorbs any pending busy work...
-        let absorbed = self.pending_busy.min(idle);
-        self.pending_busy = self.pending_busy - absorbed;
-        let mut budget = idle - absorbed;
-        // ...then funds background garbage collection.
-        while budget > SimDuration::ZERO && (self.free_blocks.len() as u64) < self.gc_high_watermark
-        {
-            let Some(victim) = self.pick_victim() else { break };
-            match self.collect_block(victim) {
-                Ok(cost) => {
-                    self.stats.gc_runs += 1;
-                    if cost >= budget {
-                        break;
-                    }
-                    budget = budget - cost;
-                }
-                Err(_) => break,
-            }
-        }
     }
 
     fn stats(&self) -> IoStats {
@@ -460,22 +418,6 @@ mod tests {
     fn erase_block_is_not_exposed() {
         let mut ssd = small_ssd();
         assert!(matches!(ssd.erase_block(0), Err(DeviceError::Unsupported(_))));
-    }
-
-    #[test]
-    fn idle_time_absorbs_pending_work() {
-        let mut ssd = Ssd::intel(4 << 20).unwrap();
-        ssd.precondition(1.0);
-        // Generate some fragmentation.
-        let pages = ssd.geometry().pages();
-        let mut lpn = 3u64;
-        for _ in 0..pages * 2 {
-            lpn = (lpn * 2_654_435_761) % pages;
-            ssd.write_at(lpn * 4096, &[1u8; 4096]).unwrap();
-        }
-        // A long idle period lets background GC refill the free pool.
-        ssd.on_idle(SimDuration::from_secs(5));
-        assert!(ssd.free_block_count() >= 2);
     }
 
     #[test]

@@ -9,14 +9,17 @@
 //!   nothing;
 //! - one read and one write each book one count, their bytes and exactly
 //!   the latency they returned;
-//! - an erase in range is `Unsupported` on every medium but the raw chip.
+//! - an erase in range is `Unsupported` on every medium but the raw chip;
+//! - the device's queue is as deep as its medium's profile says, and a
+//!   ring built from that depth books that many disjoint reads at once.
 
 use flashsim::{
-    CrashDevice, Device, DeviceError, DramDevice, FileDevice, FlashChip, IoStats, MagneticDisk,
-    SharedDevice, SimDuration, Ssd,
+    CompletionRing, CrashDevice, Device, DeviceError, DramDevice, FileDevice, FlashChip, IoRequest,
+    IoStats, MagneticDisk, RingRequest, SharedDevice, SimDuration, Ssd, DEFAULT_FILE_QUEUE_DEPTH,
 };
 
-fn check_contract(dev: &mut dyn Device, erases: bool) {
+/// Runs the script on `dev`, whose medium's profile is `depth` deep.
+fn check_contract(dev: &mut dyn Device, erases: bool, depth: usize) {
     let name = dev.name();
     let geometry = dev.geometry();
     let (cap, blocks) = (geometry.capacity, geometry.blocks());
@@ -60,26 +63,35 @@ fn check_contract(dev: &mut dyn Device, erases: bool) {
         assert!(matches!(erase, Err(DeviceError::Unsupported(_))), "{name}: {erase:?}");
         assert_eq!(s.total_ops(), 2, "{name}: a refused erase counts nothing");
     }
+
+    assert_eq!(dev.queue(), depth, "{name}: the medium's queue depth");
+    let mut ring = CompletionRing::for_queue(dev.queue());
+    let reads = (0..2 * depth as u64).map(|i| RingRequest::new(IoRequest::read(i * 4096, 512)));
+    let mut done = dev.submit(reads.collect(), &mut ring).unwrap();
+    done.sort_by_key(|c| c.index);
+    let mut lanes: Vec<usize> = done[..depth].iter().map(|c| c.lane).collect();
+    lanes.sort_unstable();
+    assert_eq!(lanes, (0..depth).collect::<Vec<_>>(), "{name}: one lane a queue slot");
 }
 
 #[test]
 fn dram() {
-    check_contract(&mut DramDevice::new(1 << 20).unwrap(), false);
+    check_contract(&mut DramDevice::new(1 << 20).unwrap(), false, 4);
 }
 
 #[test]
 fn magnetic_disk() {
-    check_contract(&mut MagneticDisk::new(1 << 20).unwrap(), false);
+    check_contract(&mut MagneticDisk::new(1 << 20).unwrap(), false, 1);
 }
 
 #[test]
 fn flash_chip() {
-    check_contract(&mut FlashChip::new(1 << 20).unwrap(), true);
+    check_contract(&mut FlashChip::new(1 << 20).unwrap(), true, 1);
 }
 
 #[test]
 fn ssd() {
-    check_contract(&mut Ssd::intel(8 << 20).unwrap(), false);
+    check_contract(&mut Ssd::intel(8 << 20).unwrap(), false, 8);
 }
 
 #[test]
@@ -87,7 +99,7 @@ fn file_device() {
     let path =
         std::env::temp_dir().join(format!("flashsim-command-contract-{}", std::process::id()));
     let mut dev = FileDevice::create(&path, 1 << 20).unwrap();
-    check_contract(&mut dev, false);
+    check_contract(&mut dev, false, DEFAULT_FILE_QUEUE_DEPTH);
     drop(dev);
     std::fs::remove_file(&path).ok();
 }
@@ -98,21 +110,21 @@ fn shared_device_partition() {
     // the device, out of range on the handle.
     let shared = SharedDevice::new(Ssd::intel(8 << 20).unwrap());
     let mut partition = shared.partition(2 << 20, 2 << 20).unwrap();
-    check_contract(&mut partition, false);
+    check_contract(&mut partition, false, 8);
     assert_eq!(shared.stats(), partition.stats(), "one device, one ledger");
 }
 
 #[test]
 fn unarmed_crash_device() {
     let mut dev = CrashDevice::new(DramDevice::new(1 << 20).unwrap());
-    check_contract(&mut dev, false);
+    check_contract(&mut dev, false, 4);
     // Only the commands that reached the medium were charged: the write,
-    // the read and the in-range erase.
-    assert_eq!(dev.crash_stats().ops_applied, 3);
+    // the read, the in-range erase and the ring's eight reads.
+    assert_eq!(dev.crash_stats().ops_applied, 3 + 8);
 }
 
 #[test]
 fn boxed_device() {
-    let mut dev: Box<dyn Device> = Box::new(MagneticDisk::new(1 << 20).unwrap());
-    check_contract(&mut dev, false);
+    let mut dev: Box<dyn Device> = Box::new(Ssd::intel(8 << 20).unwrap());
+    check_contract(&mut dev, false, 8);
 }

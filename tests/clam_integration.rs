@@ -4,7 +4,7 @@
 use clam::bufferhash::{
     hash_with_seed, BufferHashError, Clam, ClamConfig, EvictionPolicy, LookupSource,
 };
-use clam::flashsim::{Device, FlashChip, MagneticDisk, SimDuration, Ssd};
+use clam::flashsim::{Device, FlashChip, MagneticDisk, Ssd};
 
 fn key(i: u64) -> u64 {
     hash_with_seed(i, 0x1e57)
@@ -166,16 +166,4 @@ fn lookup_sources_are_reported_accurately() {
     clam.delete(key(1)).unwrap();
     assert_eq!(clam.lookup(key(1)).unwrap().source, LookupSource::Deleted);
     assert_eq!(clam.lookup(key(999_999_999)).unwrap().source, LookupSource::Miss);
-}
-
-#[test]
-fn idle_time_is_forwarded_to_the_device() {
-    let cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
-    let mut clam = Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap();
-    for i in 0..50_000u64 {
-        clam.insert(key(i), i).unwrap();
-    }
-    // Just exercises the pass-through; must not panic or change results.
-    clam.idle(SimDuration::from_secs(1));
-    assert_eq!(clam.lookup(key(49_999)).unwrap().value, Some(49_999));
 }

@@ -50,7 +50,7 @@ fn kick_the_tires() {
     println!("workload: {} inserts = {} device ops on the Intel SSD profile", ops.len(), total);
 
     let model = FlashCostModel::from_profile(Ssd::intel(CAP).unwrap().profile());
-    let depth = Ssd::intel(CAP).unwrap().profile().queue.max_queue_depth;
+    let depth = Ssd::intel(CAP).unwrap().queue();
 
     for percent in [10u64, 40, 70, 95, 100] {
         let budget = total * percent / 100;
