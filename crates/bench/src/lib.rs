@@ -31,7 +31,7 @@
 
 use baseline::{BdbConfig, BdbHashIndex};
 use bufferhash::{hash_with_seed, Clam, ClamConfig, FilterMode};
-use flashsim::{Device, LatencyRecorder, MagneticDisk, SimDuration, Ssd};
+use flashsim::{Clock, Device, InUnits, LatencyRecorder, MagneticDisk, Sim, SimDuration, Ssd};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -324,48 +324,39 @@ pub fn print_header(cells: &[&str], widths: &[usize]) {
     println!("{}", "-".repeat(total));
 }
 
-/// Formats a simulated duration in milliseconds with three decimals.
-pub fn ms(d: SimDuration) -> String {
-    format!("{:.3}", d.as_millis_f64())
+/// Formats a duration, on either clock, in milliseconds with three
+/// decimals.
+pub fn ms<C: Clock>(d: C) -> String {
+    format!("{:.3}", d.nanos() as f64 / 1e6)
 }
 
-/// Head-and-tail quantile summary of a latency distribution: the numbers
-/// a serving system reports per load level (p50 for the common case,
-/// p99/p999 for the tail, max for the worst observed straggler).
+/// Head-and-tail quantile summary of a latency distribution on clock `C`:
+/// the numbers a serving system reports per load level (p50 for the
+/// common case, p99/p999 for the tail, max for the worst observed
+/// straggler).
 ///
-/// Shared by the figure binaries (fig6/fig7 latency CDFs) and the `clamd`
-/// load generator, so simulated and client-observed wall-clock latencies
-/// are summarized identically. Wall-clock users store nanoseconds in the
-/// recorder via [`SimDuration::from_nanos`].
+/// Shared by the figure binaries (fig6/fig7 latency CDFs, on [`Sim`]) and
+/// the `clamd` load generator (on [`Host`](flashsim::Host)), so the two
+/// are summarized identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TailSummary {
+pub struct TailSummary<C: Clock = Sim> {
     /// Number of samples summarized.
     pub samples: usize,
     /// Median.
-    pub p50: SimDuration,
+    pub p50: C,
     /// 90th percentile.
-    pub p90: SimDuration,
+    pub p90: C,
     /// 99th percentile.
-    pub p99: SimDuration,
+    pub p99: C,
     /// 99.9th percentile.
-    pub p999: SimDuration,
+    pub p999: C,
     /// Largest sample.
-    pub max: SimDuration,
+    pub max: C,
 }
 
-impl TailSummary {
+impl<C: Clock> TailSummary<C> {
     /// Summarizes a recorder (all zeros when it is empty).
-    pub fn from_recorder(recorder: &LatencyRecorder) -> Self {
-        if recorder.is_empty() {
-            return TailSummary {
-                samples: 0,
-                p50: SimDuration::ZERO,
-                p90: SimDuration::ZERO,
-                p99: SimDuration::ZERO,
-                p999: SimDuration::ZERO,
-                max: SimDuration::ZERO,
-            };
-        }
+    pub fn from_recorder(recorder: &LatencyRecorder<C>) -> Self {
         TailSummary {
             samples: recorder.len(),
             p50: recorder.quantile(0.50),
@@ -380,31 +371,36 @@ impl TailSummary {
     /// at least as large as the median. A degenerate recorder (empty, or
     /// all-zero measurements from a too-coarse clock) fails this.
     pub fn is_nondegenerate(&self) -> bool {
-        self.samples > 0 && self.p99 > SimDuration::ZERO && self.p99 >= self.p50
+        self.samples > 0 && self.p99 > C::default() && self.p99 >= self.p50
     }
 }
 
-impl std::fmt::Display for TailSummary {
+impl<C: Clock> std::fmt::Display for TailSummary<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "p50 {} | p90 {} | p99 {} | p999 {} | max {} ({} samples)",
-            self.p50, self.p90, self.p99, self.p999, self.max, self.samples
+            InUnits(self.p50),
+            InUnits(self.p90),
+            InUnits(self.p99),
+            InUnits(self.p999),
+            InUnits(self.max),
+            self.samples
         )
     }
 }
 
 /// Prints a CDF as `latency_ms fraction` pairs at log-spaced points.
-pub fn print_cdf(label: &str, recorder: &LatencyRecorder, points: usize) {
+pub fn print_cdf<C: Clock>(label: &str, recorder: &LatencyRecorder<C>, points: usize) {
     println!("# CDF: {label} ({} samples)", recorder.len());
     if recorder.is_empty() {
         return;
     }
-    let lo = recorder.min().max(SimDuration::from_nanos(100));
+    let lo = recorder.min().max(C::from_nanos(100));
     let hi = recorder.max();
     let pts = LatencyRecorder::log_spaced_points(lo, hi, points);
     for (p, f) in recorder.cdf(&pts) {
-        println!("{:>12.4}  {:.4}", p.as_millis_f64(), f);
+        println!("{:>12.4}  {:.4}", p.nanos() as f64 / 1e6, f);
     }
 }
 
@@ -451,7 +447,7 @@ mod tests {
         let text = tail.to_string();
         assert!(text.contains("p999") && text.contains("1000 samples"), "{text}");
         // Empty and all-zero recorders are degenerate, not panics.
-        assert!(!TailSummary::from_recorder(&LatencyRecorder::new()).is_nondegenerate());
+        assert!(!TailSummary::from_recorder(&LatencyRecorder::<Sim>::new()).is_nondegenerate());
         let mut zeros = LatencyRecorder::new();
         zeros.record(SimDuration::ZERO);
         assert!(!TailSummary::from_recorder(&zeros).is_nondegenerate());

@@ -3,9 +3,8 @@
 
 use std::path::Path;
 
-use bufferhash::{RecoveryReport, StripedClam};
-use clamd::server::{boot_file, BootError, ServerConfig};
-use flashsim::{FileDevice, SharedDevice};
+use bufferhash::RecoveryReport;
+use clamd::server::{boot_image, BootError, FileStore, ServerConfig};
 
 /// The word after flag `name`, if it was given.
 pub fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -24,17 +23,22 @@ pub fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T
     }
 }
 
-/// Boots the store at `path` with `--queue-depth` ([`boot_file`]: an
-/// existing image is recovered in place) and prints, after `prefix`,
-/// each stripe's recovery report or that the store is fresh.
+/// Boots the store at `path` with `--queue-depth` ([`boot_image`]: an
+/// existing image is recovered in place) and prints, after `prefix`, the
+/// layout it adopted, then each stripe's recovery report or that the
+/// store is fresh.
 pub fn boot_flash_file(
     args: &[String],
     path: &Path,
     config: &ServerConfig,
     prefix: &str,
-) -> Result<(StripedClam<SharedDevice<FileDevice>>, Vec<RecoveryReport>), BootError> {
+) -> Result<(FileStore, Vec<RecoveryReport>), BootError> {
     let queue_depth = parse(args, "--queue-depth", flashsim::DEFAULT_FILE_QUEUE_DEPTH);
-    let (store, reports) = boot_file(path, config, queue_depth)?;
+    let (store, reports, superblock) = boot_image(path, config, queue_depth)?;
+    match superblock {
+        Some(layout) => println!("{prefix}image layout: {layout}"),
+        None => println!("{prefix}image has no superblock; layout derived from the flags"),
+    }
     // A recovered image has one report per stripe, a fresh one none.
     if reports.is_empty() {
         println!("{prefix}created fresh store at {}", path.display());

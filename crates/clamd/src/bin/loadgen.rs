@@ -37,16 +37,14 @@
 mod cli;
 
 use std::net::SocketAddr;
-use std::num::NonZeroUsize;
-use std::str::FromStr;
 
 use bench::{ms, print_cdf, print_header, print_row, TailSummary};
 use clamd::client::ClamdClient;
-use clamd::loadgen::{self, key_for, value_for, LoadgenConfig};
+use clamd::loadgen::{self, key_for, value_for, LoadgenConfig, Multiples};
 use clamd::proto::{Op, RespBody};
 use clamd::server::{ephemeral_sim_server, BootError, ClamdServer, ServerConfig};
 use clamd::stats::ServerStats;
-use flashsim::{Device, LatencyRecorder, SimDuration};
+use flashsim::{Device, Host, LatencyRecorder};
 
 use cli::{flag_value, parse};
 
@@ -69,17 +67,19 @@ fn main() {
 }
 
 fn sweep_main(args: &[String]) -> Result<(), BootError> {
+    let default = LoadgenConfig::default();
     let config = LoadgenConfig {
-        connections: parse(args, "--connections", NonZeroUsize::new(4).unwrap()).get(),
-        ops: parse(args, "--ops", 20_000),
-        rate: f64::INFINITY,
-        lookup_fraction: parse(args, "--lookup-fraction", Fraction(0.8)).0,
-        hit_fraction: parse(args, "--hit-fraction", Fraction(0.5)).0,
-        key_space: parse(args, "--key-space", 20_000),
-        zipf_s: parse(args, "--zipf-s", 0.99),
-        seed: parse(args, "--seed", 0x10ad),
+        connections: parse(args, "--connections", default.connections),
+        ops: parse(args, "--ops", default.ops),
+        lookup_fraction: parse(args, "--lookup-fraction", default.lookup_fraction),
+        hit_fraction: parse(args, "--hit-fraction", default.hit_fraction),
+        key_space: parse(args, "--key-space", default.key_space),
+        zipf_s: parse(args, "--zipf-s", default.zipf_s),
+        seed: parse(args, "--seed", default.seed),
+        ..default
     };
-    let Multiples(multiples) = parse(args, "--multiples", Multiples(vec![0.5, 0.9, 1.5]));
+    let levels = Multiples::new(vec![0.5, 0.9, 1.5]).expect("three positive levels");
+    let multiples = parse(args, "--multiples", levels);
 
     // Either aim at a running server (multi-process client mode) or
     // spawn one in-process — sim-backed by default, file-backed (with
@@ -104,41 +104,11 @@ fn sweep_main(args: &[String]) -> Result<(), BootError> {
     }
 }
 
-/// The `--multiples` list: comma-separated load levels, at least three,
-/// so that a sweep spans saturation, each finite and above zero (a level
-/// of zero offers no load: its requests after the first never fall due).
-struct Multiples(Vec<f64>);
-
-impl FromStr for Multiples {
-    type Err = ();
-
-    fn from_str(list: &str) -> Result<Self, ()> {
-        let levels: Vec<f64> =
-            list.split(',').map(|s| s.trim().parse()).collect::<Result<_, _>>().map_err(drop)?;
-        if levels.len() < 3 || !levels.iter().all(|level| level.is_finite() && *level > 0.0) {
-            return Err(());
-        }
-        Ok(Multiples(levels))
-    }
-}
-
-/// A `--lookup-fraction` or `--hit-fraction`: a share in [0, 1].
-struct Fraction(f64);
-
-impl FromStr for Fraction {
-    type Err = ();
-
-    fn from_str(raw: &str) -> Result<Self, ()> {
-        let share: f64 = raw.parse().map_err(drop)?;
-        (0.0..=1.0).contains(&share).then_some(Fraction(share)).ok_or(())
-    }
-}
-
 /// Runs the sweep against an in-process server.
 fn sweep_spawned<D: Device + 'static>(
     server: &ClamdServer<D>,
     config: &LoadgenConfig,
-    multiples: &[f64],
+    multiples: &Multiples,
 ) -> Result<(), BootError> {
     println!(
         "spawned in-process clamd on {} ({} batcher shards)",
@@ -148,14 +118,14 @@ fn sweep_spawned<D: Device + 'static>(
     sweep(server.local_addr(), config, multiples)
 }
 
-fn sweep(addr: SocketAddr, config: &LoadgenConfig, multiples: &[f64]) -> Result<(), BootError> {
+fn sweep(addr: SocketAddr, config: &LoadgenConfig, multiples: &Multiples) -> Result<(), BootError> {
     println!(
         "preloading {} keys ({} connections, zipf s={}, {:.0}% lookups / {:.0}% hits)…",
         config.key_space,
         config.connections,
         config.zipf_s,
-        config.lookup_fraction * 100.0,
-        config.hit_fraction * 100.0
+        config.lookup_fraction.get() * 100.0,
+        config.hit_fraction.get() * 100.0
     );
     let preloaded = loadgen::preload(addr, config.key_space)?;
     assert_eq!(preloaded, config.key_space, "every preload insert must be acknowledged");
@@ -293,11 +263,11 @@ fn smoke_arm(stripes: usize) -> Result<SmokeArm, BootError> {
     // Mixed pipelined phase: each connection interleaves guaranteed hits,
     // guaranteed misses and fresh inserts, pipelined in chunks so group
     // commit sees concurrent arrivals from all connections.
-    let mut recorder = LatencyRecorder::new();
-    let tallies: Vec<Result<LatencyRecorder, BootError>> = std::thread::scope(|scope| {
+    let mut recorder = LatencyRecorder::<Host>::new();
+    let tallies: Vec<Result<LatencyRecorder<Host>, BootError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CONNS)
             .map(|c| {
-                scope.spawn(move || -> Result<LatencyRecorder, BootError> {
+                scope.spawn(move || -> Result<LatencyRecorder<Host>, BootError> {
                     let mut client = ClamdClient::connect(addr)?;
                     let mut recorder = LatencyRecorder::new();
                     let mut pending: Vec<std::time::Instant> = Vec::new();
@@ -323,8 +293,7 @@ fn smoke_arm(stripes: usize) -> Result<SmokeArm, BootError> {
                         };
                         for sent in pending.drain(..drain) {
                             let response = client.recv()?;
-                            recorder
-                                .record(SimDuration::from_nanos(sent.elapsed().as_nanos() as u64));
+                            recorder.record(sent.elapsed());
                             if let RespBody::Error { code, message } = response.body {
                                 return Err(format!("server error {code:?}: {message}").into());
                             }

@@ -17,7 +17,7 @@
 //!   thread that completes them, plus boot paths for a fresh
 //!   simulated SSD ([`boot_sim`]) and a file-backed image that is
 //!   **recovered in place** with per-stripe [`RecoveryReport`]s
-//!   ([`boot_file`]);
+//!   ([`boot_file`]), its layout kept in a [`superblock`] at its head;
 //! * [`client`] — a blocking client with pipelining;
 //! * [`loadgen`] — an open-loop load generator (Zipfian or uniform key
 //!   popularity, exact hit/miss mix) that measures sustained throughput
@@ -35,10 +35,11 @@ pub mod loadgen;
 pub mod proto;
 pub mod server;
 pub mod stats;
+pub mod superblock;
 
 pub use batcher::{BatcherConfig, Engine};
 pub use client::{ClamdClient, ClientError};
-pub use loadgen::{LoadReport, LoadgenConfig, SweepLevel};
+pub use loadgen::{Fraction, LoadReport, LoadgenConfig, Multiples, Rate, SweepLevel};
 pub use proto::{ErrorCode, Op, Request, RespBody, Response, WireError};
-pub use server::{boot_file, boot_sim, ClamdServer, ServerConfig};
+pub use server::{boot_file, boot_image, boot_sim, ClamdServer, ServerConfig};
 pub use stats::ServerStats;

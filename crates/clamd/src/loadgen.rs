@@ -23,11 +23,13 @@
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use bench::TailSummary;
 use bufferhash::{mix64, Key, Value};
-use flashsim::{LatencyRecorder, SimDuration};
+use flashsim::{Host, LatencyRecorder};
 use rand::distributions::Zipf;
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -52,20 +54,95 @@ pub fn value_for(id: u64) -> Value {
     id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC1A4
 }
 
+/// An offered arrival rate: a positive, finite number of ops/s, or a
+/// closed-loop flood (used to calibrate the saturation point).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rate(f64);
+
+impl Rate {
+    /// The closed-loop flood: every request due at once.
+    pub const FLOOD: Rate = Rate(f64::INFINITY);
+
+    /// `ops_per_sec` as an open-loop rate, or `None` unless it is
+    /// positive and finite (at a rate of 0 no request after the first
+    /// would ever fall due).
+    pub fn per_sec(ops_per_sec: f64) -> Option<Rate> {
+        (ops_per_sec.is_finite() && ops_per_sec > 0.0).then_some(Rate(ops_per_sec))
+    }
+
+    /// Ops/s offered; infinite for the flood.
+    pub fn get(self) -> f64 {
+        self.0
+    }
+}
+
+/// A share in [0, 1].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fraction(f64);
+
+impl Fraction {
+    /// `share` if it lies in [0, 1].
+    pub fn new(share: f64) -> Option<Fraction> {
+        (0.0..=1.0).contains(&share).then_some(Fraction(share))
+    }
+
+    /// The share.
+    pub fn get(self) -> f64 {
+        self.0
+    }
+}
+
+impl FromStr for Fraction {
+    type Err = ();
+
+    fn from_str(raw: &str) -> std::result::Result<Self, ()> {
+        Fraction::new(raw.parse().map_err(drop)?).ok_or(())
+    }
+}
+
+/// A sweep's load levels, as multiples of the calibrated capacity: at
+/// least three, so that a sweep spans saturation, each finite and above
+/// zero (a level of zero offers no load).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Multiples(Vec<f64>);
+
+impl Multiples {
+    /// `levels` if they make a sweep.
+    pub fn new(levels: Vec<f64>) -> Option<Multiples> {
+        let valid = levels.len() >= 3 && levels.iter().all(|l| l.is_finite() && *l > 0.0);
+        valid.then_some(Multiples(levels))
+    }
+
+    /// The levels, in sweep order.
+    pub fn levels(&self) -> &[f64] {
+        &self.0
+    }
+}
+
+impl FromStr for Multiples {
+    type Err = ();
+
+    /// A comma-separated list.
+    fn from_str(list: &str) -> std::result::Result<Self, ()> {
+        let levels =
+            list.split(',').map(|s| s.trim().parse()).collect::<std::result::Result<_, _>>();
+        Multiples::new(levels.map_err(drop)?).ok_or(())
+    }
+}
+
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
     /// Concurrent client connections.
-    pub connections: usize,
+    pub connections: NonZeroUsize,
     /// Total operations per run.
     pub ops: usize,
-    /// Offered arrival rate in ops/s; `f64::INFINITY` runs a closed-loop
-    /// flood (used to calibrate the saturation point).
-    pub rate: f64,
+    /// Offered arrival rate.
+    pub rate: Rate,
     /// Fraction of operations that are lookups (the rest are inserts).
-    pub lookup_fraction: f64,
+    pub lookup_fraction: Fraction,
     /// Fraction of lookups aimed at preloaded keys (exact hits).
-    pub hit_fraction: f64,
+    pub hit_fraction: Fraction,
     /// Number of preloaded key ids (`1..=key_space`) hits draw from.
     pub key_space: u64,
     /// Zipf exponent for hit-key popularity; `0.0` means uniform.
@@ -77,11 +154,11 @@ pub struct LoadgenConfig {
 impl Default for LoadgenConfig {
     fn default() -> Self {
         LoadgenConfig {
-            connections: 4,
+            connections: NonZeroUsize::new(4).expect("4 is not zero"),
             ops: 20_000,
-            rate: f64::INFINITY,
-            lookup_fraction: 0.8,
-            hit_fraction: 0.5,
+            rate: Rate::FLOOD,
+            lookup_fraction: Fraction(0.8),
+            hit_fraction: Fraction(0.5),
             key_space: 20_000,
             zipf_s: 0.99,
             seed: 0x10ad,
@@ -110,9 +187,9 @@ pub struct LoadReport {
     pub errors: usize,
     /// Client-observed latency distribution (from scheduled arrival for
     /// open-loop runs, from send for flood runs).
-    pub latencies: LatencyRecorder,
+    pub latencies: LatencyRecorder<Host>,
     /// Tail summary of `latencies`.
-    pub tail: TailSummary,
+    pub tail: TailSummary<Host>,
 }
 
 /// One operation of a precomputed run schedule.
@@ -127,13 +204,13 @@ fn plan(config: &LoadgenConfig) -> Vec<Vec<DueOp>> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let zipf = (config.zipf_s > 0.0 && config.key_space > 0)
         .then(|| Zipf::new(config.key_space, config.zipf_s));
-    let mut plans: Vec<Vec<DueOp>> = (0..config.connections).map(|_| Vec::new()).collect();
-    let interval_ns = if config.rate.is_finite() { 1e9 / config.rate } else { 0.0 };
+    let mut plans: Vec<Vec<DueOp>> = (0..config.connections.get()).map(|_| Vec::new()).collect();
+    let interval_ns = 1e9 / config.rate.get();
     let mut miss_seq = 0u64;
     for i in 0..config.ops {
         let due_ns = (i as f64 * interval_ns) as u64;
-        let op = if rng.gen_bool(config.lookup_fraction) {
-            let id = if config.key_space > 0 && rng.gen_bool(config.hit_fraction) {
+        let op = if rng.gen_bool(config.lookup_fraction.get()) {
+            let id = if config.key_space > 0 && rng.gen_bool(config.hit_fraction.get()) {
                 match &zipf {
                     Some(z) => z.sample(&mut rng),
                     None => rng.gen_range(1..=config.key_space),
@@ -159,7 +236,7 @@ struct ConnTally {
     misses: usize,
     inserts: usize,
     errors: usize,
-    latencies: LatencyRecorder,
+    latencies: LatencyRecorder<Host>,
 }
 
 impl ConnTally {
@@ -201,8 +278,8 @@ fn run_open_loop_conn(addr: SocketAddr, ops: Vec<DueOp>, start: Instant) -> Resu
     let mut tally = ConnTally::default();
     let drained = due.iter().try_for_each(|&due_ns| -> Result<()> {
         let response = reader.recv()?;
-        let waited = (start.elapsed().as_nanos() as u64).saturating_sub(due_ns);
-        tally.latencies.record(SimDuration::from_nanos(waited));
+        let due = start + Duration::from_nanos(due_ns);
+        tally.latencies.record(Instant::now().saturating_duration_since(due));
         tally.absorb(&response.body);
         Ok(())
     });
@@ -229,7 +306,7 @@ fn run_flood_conn(addr: SocketAddr, ops: Vec<DueOp>) -> Result<ConnTally> {
         }
         let response = client.recv()?;
         let sent_at = send_times.pop_front().expect("a response implies a send");
-        tally.latencies.record(SimDuration::from_nanos(sent_at.elapsed().as_nanos() as u64));
+        tally.latencies.record(sent_at.elapsed());
         tally.absorb(&response.body);
         done += 1;
     }
@@ -238,7 +315,6 @@ fn run_flood_conn(addr: SocketAddr, ops: Vec<DueOp>) -> Result<ConnTally> {
 
 /// Runs one load level against a server and reports what the clients saw.
 pub fn run(addr: SocketAddr, config: &LoadgenConfig) -> Result<LoadReport> {
-    assert!(config.connections > 0, "need at least one connection");
     let plans = plan(config);
     let started = Instant::now();
     let tallies: Vec<Result<ConnTally>> = std::thread::scope(|scope| {
@@ -246,7 +322,7 @@ pub fn run(addr: SocketAddr, config: &LoadgenConfig) -> Result<LoadReport> {
             .into_iter()
             .map(|ops| {
                 scope.spawn(move || {
-                    if config.rate.is_finite() {
+                    if config.rate != Rate::FLOOD {
                         run_open_loop_conn(addr, ops, started)
                     } else {
                         run_flood_conn(addr, ops)
@@ -269,7 +345,7 @@ pub fn run(addr: SocketAddr, config: &LoadgenConfig) -> Result<LoadReport> {
     let completed = merged.latencies.len();
     let tail = TailSummary::from_recorder(&merged.latencies);
     Ok(LoadReport {
-        offered: config.rate,
+        offered: config.rate.get(),
         achieved: completed as f64 / wall.as_secs_f64().max(1e-9),
         completed,
         hits: merged.hits,
@@ -308,26 +384,25 @@ pub struct SweepLevel {
 
 /// Calibrates the saturation throughput with a closed-loop flood, then
 /// sweeps open-loop arrival rates at the given multiples of it (e.g.
-/// `[0.5, 0.9, 1.5]` spans under-load through past-saturation). Returns
-/// the flood report plus one [`SweepLevel`] per multiple.
+/// `0.5,0.9,1.5` spans under-load through past-saturation). Returns the
+/// flood report plus one [`SweepLevel`] per multiple.
 pub fn sweep(
     addr: SocketAddr,
     config: &LoadgenConfig,
-    multiples: &[f64],
+    multiples: &Multiples,
 ) -> Result<(LoadReport, Vec<SweepLevel>)> {
-    let flood = run(addr, &LoadgenConfig { rate: f64::INFINITY, ..config.clone() })?;
+    let flood = run(addr, &LoadgenConfig { rate: Rate::FLOOD, ..config.clone() })?;
     let capacity = flood.achieved;
     let mut control = ClamdClient::connect(addr)?;
-    let mut levels = Vec::with_capacity(multiples.len());
-    for (i, multiple) in multiples.iter().enumerate() {
+    let mut levels = Vec::with_capacity(multiples.levels().len());
+    for (i, multiple) in multiples.levels().iter().enumerate() {
         let before = control.stats()?.0;
+        // A level whose rate is no positive finite number (no op ran, or
+        // the product overflowed) runs as the flood.
+        let rate = Rate::per_sec(capacity * multiple).unwrap_or(Rate::FLOOD);
         let report = run(
             addr,
-            &LoadgenConfig {
-                rate: capacity * multiple,
-                seed: config.seed.wrapping_add(1 + i as u64),
-                ..config.clone()
-            },
+            &LoadgenConfig { rate, seed: config.seed.wrapping_add(1 + i as u64), ..config.clone() },
         )?;
         let after = control.stats()?.0;
         levels.push(SweepLevel { report, server: after.delta(&before) });
@@ -341,8 +416,12 @@ mod tests {
 
     #[test]
     fn plans_are_deterministic_and_paced() {
-        let config =
-            LoadgenConfig { connections: 3, ops: 999, rate: 1_000_000.0, ..Default::default() };
+        let config = LoadgenConfig {
+            connections: NonZeroUsize::new(3).unwrap(),
+            ops: 999,
+            rate: Rate::per_sec(1_000_000.0).unwrap(),
+            ..Default::default()
+        };
         let a = plan(&config);
         let b = plan(&config);
         assert_eq!(a.len(), 3);
@@ -362,18 +441,17 @@ mod tests {
             }
         }
         // Flood plans are all due immediately.
-        let flood = plan(&LoadgenConfig { rate: f64::INFINITY, ops: 10, ..config });
+        let flood = plan(&LoadgenConfig { rate: Rate::FLOOD, ops: 10, ..config });
         assert!(flood.iter().flatten().all(|p| p.due_ns == 0));
     }
 
     #[test]
     fn planned_mix_respects_fractions_and_ranges() {
         let config = LoadgenConfig {
-            connections: 1,
+            connections: NonZeroUsize::MIN,
             ops: 10_000,
-            rate: f64::INFINITY,
-            lookup_fraction: 0.75,
-            hit_fraction: 0.4,
+            lookup_fraction: Fraction(0.75),
+            hit_fraction: Fraction(0.4),
             key_space: 500,
             zipf_s: 0.0,
             ..Default::default()
@@ -414,13 +492,29 @@ mod tests {
     }
 
     #[test]
+    fn a_rate_of_zero_a_zero_multiple_and_a_share_above_one_are_refused() {
+        for rate in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            assert_eq!(Rate::per_sec(rate), None, "{rate}");
+        }
+        assert_eq!(Rate::per_sec(2.5).map(Rate::get), Some(2.5));
+        for list in ["0,1,2", "0.5,-1,2", "0.5,inf,2", "0.5,NaN,2", "1,2", "a,b,c"] {
+            assert_eq!(list.parse::<Multiples>(), Err(()), "{list}");
+        }
+        assert_eq!("0.5, 0.9,1.5".parse::<Multiples>().unwrap().levels(), [0.5, 0.9, 1.5]);
+        for share in [1.5, -0.1, f64::NAN] {
+            assert_eq!(Fraction::new(share), None, "{share}");
+        }
+        assert_eq!("1.5".parse::<Fraction>(), Err(()));
+        assert_eq!("1".parse::<Fraction>().map(Fraction::get), Ok(1.0));
+    }
+
+    #[test]
     fn zipf_plans_skew_toward_low_ids() {
         let config = LoadgenConfig {
-            connections: 1,
+            connections: NonZeroUsize::MIN,
             ops: 20_000,
-            rate: f64::INFINITY,
-            lookup_fraction: 1.0,
-            hit_fraction: 1.0,
+            lookup_fraction: Fraction(1.0),
+            hit_fraction: Fraction(1.0),
             key_space: 10_000,
             zipf_s: 1.1,
             ..Default::default()

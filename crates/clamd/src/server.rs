@@ -38,6 +38,7 @@ use flashsim::{Device, FileDevice, SharedDevice, Ssd};
 use crate::batcher::{BatcherConfig, Engine};
 use crate::proto;
 use crate::stats::ServerStats;
+use crate::superblock::{Superblock, SUPERBLOCK_BYTES};
 
 /// Read chunk size for connection readers.
 const READ_CHUNK: usize = 64 * 1024;
@@ -83,7 +84,7 @@ impl ServerConfig {
     /// split rounds every partition down to the erase block) and an equal
     /// share of the DRAM budget. Creating a store and recovering it both
     /// derive the layout here, so they agree.
-    fn stripe_partitions<D: Device>(
+    pub(crate) fn stripe_partitions<D: Device>(
         &self,
         device: &SharedDevice<D>,
     ) -> Result<Vec<(SharedDevice<D>, ClamConfig)>, BootError> {
@@ -104,38 +105,73 @@ pub type BootError = Box<dyn std::error::Error + Send + Sync>;
 /// Builds a fresh in-memory store: one simulated Intel-class SSD
 /// partitioned into `config.stripes` stripes that share the device.
 pub fn boot_sim(config: &ServerConfig) -> Result<StripedClam<SharedDevice<Ssd>>, BootError> {
-    boot_fresh(SharedDevice::new(Ssd::intel(config.flash_bytes)?), config)
+    let device = SharedDevice::new(Ssd::intel(config.flash_bytes)?);
+    boot_fresh(config.stripe_partitions(&device)?)
 }
 
-/// Builds (or recovers) a file-backed store at `path`.
-///
-/// When `path` already exists the file is opened in place, partitioned
-/// into stripes, and every stripe is **recovered** from its flash
-/// contents ([`StripedClam::recover`]); the per-stripe
-/// [`RecoveryReport`]s come back alongside the store. A missing file is
-/// created at `config.flash_bytes` and booted empty, with no reports.
+/// A store over a file-backed image.
+pub type FileStore = StripedClam<SharedDevice<FileDevice>>;
+
+/// Builds (or recovers) a file-backed store at `path`: [`boot_image`]
+/// without the layout.
 pub fn boot_file(
     path: &std::path::Path,
     config: &ServerConfig,
     queue_depth: usize,
-) -> Result<(StripedClam<SharedDevice<FileDevice>>, Vec<RecoveryReport>), BootError> {
+) -> Result<(FileStore, Vec<RecoveryReport>), BootError> {
+    boot_image(path, config, queue_depth).map(|(store, reports, _)| (store, reports))
+}
+
+/// Builds (or recovers) a file-backed store at `path`, and returns the
+/// image's layout with it.
+///
+/// A missing file is created: a [`Superblock`] page recording the layout,
+/// then `config.flash_bytes` of stripes, booted empty with no reports.
+/// An existing file is opened in place and its superblock read before any
+/// slot: the stripes are built in the windows it records, and a
+/// configuration whose `stripes`, `flash_bytes` or `dram_bytes` differ is
+/// refused without a byte read or written beyond it. Then every stripe is
+/// **recovered** from its flash contents ([`StripedClam::recover`]); the
+/// per-stripe [`RecoveryReport`]s come back alongside the store. A file
+/// without a superblock (made before they existed) has no layout to
+/// return: its stripes are derived from `config`.
+pub fn boot_image(
+    path: &std::path::Path,
+    config: &ServerConfig,
+    queue_depth: usize,
+) -> Result<(FileStore, Vec<RecoveryReport>, Option<Superblock>), BootError> {
     // Checked before a missing image is created.
     config.check_stripes()?;
     if !path.exists() {
-        let file = FileDevice::with_queue_depth(path, config.flash_bytes, queue_depth)?;
-        return Ok((boot_fresh(SharedDevice::new(file), config)?, Vec::new()));
+        let image_bytes = config.flash_bytes.checked_add(SUPERBLOCK_BYTES).ok_or_else(|| {
+            BufferHashError::InvalidConfig(format!("{} bytes of flash", config.flash_bytes))
+        })?;
+        let mut device =
+            SharedDevice::new(FileDevice::with_queue_depth(path, image_bytes, queue_depth)?);
+        let data = device.geometry().capacity - SUPERBLOCK_BYTES;
+        let stripes = config.stripe_partitions(&device.partition(SUPERBLOCK_BYTES, data)?)?;
+        let superblock = Superblock::describe(config, SUPERBLOCK_BYTES, &stripes);
+        let store = boot_fresh(stripes)?;
+        device.write_at(0, &superblock.encode())?;
+        return Ok((store, Vec::new(), Some(superblock)));
     }
-    let device = SharedDevice::new(FileDevice::open_existing(path, queue_depth)?);
-    Ok(StripedClam::recover(config.stripe_partitions(&device)?)?)
+    let mut device = SharedDevice::new(FileDevice::open_existing(path, queue_depth)?);
+    let mut page = vec![0u8; SUPERBLOCK_BYTES as usize];
+    device.read_at(0, &mut page)?;
+    let superblock = Superblock::decode(&page)?;
+    let stripes = match &superblock {
+        Some(superblock) => superblock.stripes(&device, config)?,
+        None => config.stripe_partitions(&device)?,
+    };
+    let (store, reports) = StripedClam::recover(stripes)?;
+    Ok((store, reports, superblock))
 }
 
-/// An empty store over `device`, split into `config.stripes` stripes.
+/// An empty store over `stripes`.
 fn boot_fresh<D: Device>(
-    device: SharedDevice<D>,
-    config: &ServerConfig,
+    stripes: Vec<(SharedDevice<D>, ClamConfig)>,
 ) -> Result<StripedClam<SharedDevice<D>>, BootError> {
-    let stripes = config.stripe_partitions(&device)?.into_iter();
-    let clams = stripes.map(|(partition, stripe)| Clam::new(partition, stripe));
+    let clams = stripes.into_iter().map(|(partition, stripe)| Clam::new(partition, stripe));
     Ok(StripedClam::new(clams.collect::<bufferhash::Result<_>>()?))
 }
 
@@ -402,6 +438,53 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert!(boot_file(&path, &config, 1).is_err_and(refused));
         assert!(!path.exists(), "a refused boot creates no image");
+    }
+
+    fn temp_image(name: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("clamd-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    #[test]
+    fn a_flipped_superblock_byte_is_refused_by_its_crc_and_the_image_kept() {
+        let path = temp_image("flipped-superblock");
+        let config = ServerConfig { stripes: 2, flash_bytes: 16 << 20, ..Default::default() };
+        let (store, _, superblock) = boot_image(&path, &config, 1).unwrap();
+        assert!(superblock.is_some(), "a fresh image gets a superblock");
+        store.insert(7, 70).unwrap();
+        store.flush_all().unwrap();
+        drop(store);
+        let mut image = std::fs::read(&path).unwrap();
+        assert_eq!(image.len() as u64, (16 << 20) + SUPERBLOCK_BYTES);
+        image[20] ^= 1; // a bit of the recorded flash size
+        std::fs::write(&path, &image).unwrap();
+        let refused = boot_file(&path, &config, 1).err().expect("a bad superblock boots nothing");
+        assert!(refused.to_string().contains("fails its CRC"), "{refused}");
+        assert!(
+            std::fs::read(&path).unwrap() == image,
+            "a refused boot leaves the image as it was"
+        );
+        image[20] ^= 1;
+        std::fs::write(&path, &image).unwrap();
+        let (store, reports) = boot_file(&path, &config, 1).unwrap();
+        assert_eq!((reports.len(), store.lookup(7).unwrap().value), (2, Some(70)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_image_without_a_superblock_boots_from_the_flags() {
+        let path = temp_image("no-superblock");
+        let config = ServerConfig { stripes: 2, flash_bytes: 16 << 20, ..Default::default() };
+        let device = SharedDevice::new(FileDevice::with_queue_depth(&path, 16 << 20, 1).unwrap());
+        let store = boot_fresh(config.stripe_partitions(&device).unwrap()).unwrap();
+        store.insert_batch(&(1..=5_000).map(|k| (k, k + 1)).collect::<Vec<_>>()).unwrap();
+        store.flush_all().unwrap();
+        drop((store, device));
+        let (store, reports, superblock) = boot_image(&path, &config, 1).unwrap();
+        assert_eq!((reports.len(), superblock), (2, None));
+        assert!((1..=5_000).all(|k| store.lookup(k).unwrap().value == Some(k + 1)));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

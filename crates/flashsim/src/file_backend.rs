@@ -1,13 +1,15 @@
 //! Real-file storage backend.
 //!
 //! [`FileDevice`] stores bytes in an actual file on the host filesystem and
-//! reports *measured wall-clock* latencies instead of simulated ones. It
+//! charges what each command *measured* instead of a modelled cost. It
 //! exists so the data-structure layers can also be exercised against real
 //! storage (the paper's prototype ran on ext3 files over real SSDs); the
 //! simulated devices remain the default for reproducible experiments.
 //!
 //! Like every other backend it is a cost function over a byte store: its
 //! commands time one positioned `pread` / `pwrite` each, and nothing else.
+//! Those two are the only place a host-clock time enters the simulated
+//! clock.
 //! The command rules (bounds, empty commands, the I/O ledger; an erase is
 //! `Unsupported` and a TRIM is counted and dropped) are the provided
 //! per-op methods' (`device.rs`), and the provided [`Device::submit`]
@@ -44,7 +46,7 @@ use crate::time::SimDuration;
 /// Default queue depth (ring lanes) for [`FileDevice::create`].
 pub const DEFAULT_FILE_QUEUE_DEPTH: usize = 8;
 
-/// A device backed by a real file, reporting wall-clock latencies.
+/// A device backed by a real file, charging measured latencies.
 #[derive(Debug)]
 pub struct FileDevice {
     profile: DeviceProfile,
@@ -117,11 +119,6 @@ impl FileDevice {
     }
 }
 
-/// Wall-clock time since `start`, on the device's latency scale.
-fn elapsed(start: Instant) -> SimDuration {
-    SimDuration::from_nanos(start.elapsed().as_nanos() as u64)
-}
-
 impl Device for FileDevice {
     fn profile(&self) -> &DeviceProfile {
         &self.profile
@@ -134,13 +131,13 @@ impl Device for FileDevice {
     fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         let start = Instant::now();
         self.file.read_exact_at(buf, offset)?;
-        Ok(elapsed(start))
+        Ok(SimDuration::from_measured(start.elapsed()))
     }
 
     fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
         let start = Instant::now();
         self.file.write_all_at(data, offset)?;
-        Ok(elapsed(start))
+        Ok(SimDuration::from_measured(start.elapsed()))
     }
 
     // No erase, and no hole punching: a TRIM is counted and dropped.

@@ -9,7 +9,8 @@
 //!   TS32GSSD25 class drives);
 //! * [`MagneticDisk`] — a rotating disk with seek/rotation costs;
 //! * [`DramDevice`] — DRAM;
-//! * [`FileDevice`] — a real-file backend reporting wall-clock latencies;
+//! * [`FileDevice`] — a real-file backend that books its measured I/O
+//!   times on the simulated clock;
 //! * [`CrashDevice`] — a crash-injection wrapper that cuts the power on any
 //!   inner backend at an arbitrary point in the request schedule.
 //!
@@ -87,7 +88,7 @@ pub use shared::SharedDevice;
 pub use ssd::Ssd;
 pub use stats::{IoStats, Kind, LatencyRecorder, Slot};
 pub use store::SparseStore;
-pub use time::SimDuration;
+pub use time::{Clock, Host, InUnits, Sim, SimDuration};
 
 #[cfg(test)]
 mod tests {

@@ -11,10 +11,11 @@
 //! CCDFs — the building blocks for regenerating the paper's figures.
 
 use std::fmt;
+use std::marker::PhantomData;
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::SimDuration;
+use crate::time::{Clock, Sim, SimDuration};
 
 /// How a ledger entry combines across ledgers (`absorb`) and across time
 /// (`delta`).
@@ -274,16 +275,13 @@ ledger! {
         /// range beyond lane availability (write-write and read-after-write
         /// floors; read-read overlap never stalls).
         pub ring_admission_stalls: u64 => Sum,
-        /// Time spent in reads: simulated on the simulated devices; on
-        /// [`FileDevice`](crate::FileDevice) the wall clock around each
-        /// positioned read, taken on the thread that issued it.
+        /// Time spent in reads.
         pub read_time: SimDuration => Sum,
-        /// Time spent in writes, on the same clocks as `read_time` (simulated
-        /// time includes any GC charged to the write).
+        /// Time spent in writes, including any GC charged to the write.
         pub write_time: SimDuration => Sum,
-        /// Simulated time spent erasing blocks.
+        /// Time spent erasing blocks.
         pub erase_time: SimDuration => Sum,
-        /// Simulated time spent in TRIM commands.
+        /// Time spent in TRIM commands.
         pub trim_time: SimDuration => Sum,
     }
 }
@@ -326,7 +324,10 @@ fn bucket_span(bucket: usize) -> (u64, u64) {
     ((SUB_BUCKETS + (bucket & (SUB_BUCKETS - 1))) << shift, 1 << shift)
 }
 
-/// Collects latency samples for one class of operation.
+/// Collects latency samples for one class of operation, on clock `C`:
+/// [`Sim`] (the default, every ledger's) or [`Host`](crate::Host). Both
+/// share this one histogram; only the sample type differs, so a sample
+/// on one clock cannot be recorded as one on the other.
 ///
 /// Samples land in a log-linear histogram (nanoseconds, 128 linear
 /// buckets per power of two), so memory is bounded by the *range* of the
@@ -338,7 +339,7 @@ fn bucket_span(bucket: usize) -> (u64, u64) {
 /// extremes). The histogram grows lazily to the largest bucket seen, so an
 /// empty recorder owns no heap memory.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct LatencyRecorder {
+pub struct LatencyRecorder<C: Clock = Sim> {
     /// Sample count per bucket; see [`bucket_of`].
     buckets: Vec<u64>,
     count: u64,
@@ -346,9 +347,10 @@ pub struct LatencyRecorder {
     /// Exact extremes; zero while `count == 0`.
     min_ns: u64,
     max_ns: u64,
+    clock: PhantomData<C>,
 }
 
-impl LatencyRecorder {
+impl<C: Clock> LatencyRecorder<C> {
     /// Creates an empty recorder.
     pub fn new() -> Self {
         Self::default()
@@ -364,17 +366,17 @@ impl LatencyRecorder {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, d: SimDuration) {
+    pub fn record(&mut self, d: C) {
         self.record_n(d, 1);
     }
 
     /// Records `n` samples of `d`: the ledger `n` calls of
     /// [`record`](Self::record) leave, in one step.
-    pub fn record_n(&mut self, d: SimDuration, n: u64) {
+    pub fn record_n(&mut self, d: C, n: u64) {
         if n == 0 {
             return;
         }
-        let ns = d.as_nanos();
+        let ns = d.nanos();
         let bucket = bucket_of(ns);
         if bucket >= self.buckets.len() {
             self.grow_to(bucket + 1);
@@ -401,31 +403,31 @@ impl LatencyRecorder {
     }
 
     /// Sum of all samples.
-    pub fn total(&self) -> SimDuration {
-        SimDuration::from_nanos(self.total_ns)
+    pub fn total(&self) -> C {
+        C::from_nanos(self.total_ns)
     }
 
     /// Arithmetic mean of the samples (zero if empty).
-    pub fn mean(&self) -> SimDuration {
-        SimDuration::from_nanos(self.total_ns.checked_div(self.count).unwrap_or(0))
+    pub fn mean(&self) -> C {
+        C::from_nanos(self.total_ns.checked_div(self.count).unwrap_or(0))
     }
 
     /// Maximum sample (zero if empty).
-    pub fn max(&self) -> SimDuration {
-        SimDuration::from_nanos(self.max_ns)
+    pub fn max(&self) -> C {
+        C::from_nanos(self.max_ns)
     }
 
     /// Minimum sample (zero if empty).
-    pub fn min(&self) -> SimDuration {
-        SimDuration::from_nanos(self.min_ns)
+    pub fn min(&self) -> C {
+        C::from_nanos(self.min_ns)
     }
 
     /// The `q`-th quantile (`q` in `[0, 1]`), using nearest-rank: exact at
     /// `q = 0`, `q = 1` and for samples below 256 ns, otherwise the
     /// midpoint of the bucket holding that rank (under 1 % off).
-    pub fn quantile(&self, q: f64) -> SimDuration {
+    pub fn quantile(&self, q: f64) -> C {
         if self.count == 0 {
-            return SimDuration::ZERO;
+            return C::default();
         }
         let q = q.clamp(0.0, 1.0);
         let rank = ((self.count as f64 - 1.0) * q).round() as u64;
@@ -441,14 +443,14 @@ impl LatencyRecorder {
             if seen > rank {
                 let (low, width) = bucket_span(bucket);
                 let mid = low + (width - 1) / 2;
-                return SimDuration::from_nanos(mid.clamp(self.min_ns, self.max_ns));
+                return C::from_nanos(mid.clamp(self.min_ns, self.max_ns));
             }
         }
         self.max()
     }
 
     /// Median latency.
-    pub fn median(&self) -> SimDuration {
+    pub fn median(&self) -> C {
         self.quantile(0.5)
     }
 
@@ -467,43 +469,43 @@ impl LatencyRecorder {
     }
 
     /// Fraction of samples that are `<= threshold` (to bucket resolution).
-    pub fn fraction_at_most(&self, threshold: SimDuration) -> f64 {
+    pub fn fraction_at_most(&self, threshold: C) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
-        self.count_at_most(threshold.as_nanos()) as f64 / self.count as f64
+        self.count_at_most(threshold.nanos()) as f64 / self.count as f64
     }
 
     /// Empirical CDF evaluated at `points.len()` thresholds; returns
     /// `(threshold, fraction <= threshold)` pairs (to bucket resolution).
-    pub fn cdf(&self, points: &[SimDuration]) -> Vec<(SimDuration, f64)> {
+    pub fn cdf(&self, points: &[C]) -> Vec<(C, f64)> {
         points.iter().map(|&p| (p, self.fraction_at_most(p))).collect()
     }
 
     /// Complementary CDF (fraction of samples strictly greater than each
     /// threshold), used for Figure 8(a).
-    pub fn ccdf(&self, points: &[SimDuration]) -> Vec<(SimDuration, f64)> {
+    pub fn ccdf(&self, points: &[C]) -> Vec<(C, f64)> {
         self.cdf(points).into_iter().map(|(p, f)| (p, 1.0 - f)).collect()
     }
 
     /// Logarithmically spaced thresholds between `lo` and `hi`, convenient
     /// for CDF plots that span several orders of magnitude.
-    pub fn log_spaced_points(lo: SimDuration, hi: SimDuration, n: usize) -> Vec<SimDuration> {
-        if n == 0 || lo.is_zero() || hi <= lo {
+    pub fn log_spaced_points(lo: C, hi: C, n: usize) -> Vec<C> {
+        if n == 0 || lo == C::default() || hi <= lo {
             return Vec::new();
         }
-        let lo_f = lo.as_nanos() as f64;
-        let hi_f = hi.as_nanos() as f64;
+        let lo_f = lo.nanos() as f64;
+        let hi_f = hi.nanos() as f64;
         (0..n)
             .map(|i| {
                 let t = i as f64 / (n - 1).max(1) as f64;
-                SimDuration::from_nanos((lo_f * (hi_f / lo_f).powf(t)).round() as u64)
+                C::from_nanos((lo_f * (hi_f / lo_f).powf(t)).round() as u64)
             })
             .collect()
     }
 
     /// Merges another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
+    pub fn merge(&mut self, other: &Self) {
         if other.count == 0 {
             return;
         }
@@ -545,6 +547,7 @@ fn take_out(later: &mut LatencyRecorder, earlier: &LatencyRecorder) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Host;
 
     /// A ledger's list as plain data: each entry's name, kind and values.
     type View = Vec<(&'static str, Kind, Vec<u64>)>;
@@ -845,7 +848,7 @@ mod tests {
     #[test]
     fn memory_is_bounded_by_the_range_not_the_count() {
         // An empty recorder owns nothing (`ClamStats::new()` stays free).
-        assert_eq!(LatencyRecorder::new().buckets.capacity(), 0);
+        assert_eq!(LatencyRecorder::<Sim>::new().buckets.capacity(), 0);
         let mut r = LatencyRecorder::new();
         let samples = wide_samples(10_000);
         for i in 0..10_000_000usize {
@@ -877,7 +880,7 @@ mod tests {
 
     #[test]
     fn recorder_empty_behaviour() {
-        let r = LatencyRecorder::new();
+        let r = LatencyRecorder::<Sim>::new();
         assert!(r.is_empty());
         assert_eq!(r.mean(), SimDuration::ZERO);
         assert_eq!(r.median(), SimDuration::ZERO);
@@ -899,6 +902,20 @@ mod tests {
     }
 
     #[test]
+    fn host_and_sim_recorders_agree_on_the_same_nanoseconds() {
+        let (mut sim, mut host) = (LatencyRecorder::<Sim>::new(), LatencyRecorder::<Host>::new());
+        for ns in wide_samples(5_000) {
+            sim.record(SimDuration::from_nanos(ns));
+            host.record(std::time::Duration::from_nanos(ns));
+        }
+        assert_eq!(host.len(), sim.len());
+        assert_eq!(host.mean().nanos(), sim.mean().nanos());
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(host.quantile(q).nanos(), sim.quantile(q).nanos(), "q={q}");
+        }
+    }
+
+    #[test]
     fn recorder_merge_and_clear() {
         let mut a = LatencyRecorder::new();
         a.record(SimDuration::from_millis(1));
@@ -911,3 +928,27 @@ mod tests {
         assert!(a.is_empty());
     }
 }
+
+/// A [`LatencyRecorder`] takes samples on its own clock only:
+///
+/// ```compile_fail
+/// use flashsim::{LatencyRecorder, Sim};
+/// let mut simulated = LatencyRecorder::<Sim>::new();
+/// simulated.record(std::time::Duration::from_micros(3)); // a host time
+/// ```
+///
+/// ```compile_fail
+/// use flashsim::{Host, LatencyRecorder, SimDuration};
+/// let mut measured = LatencyRecorder::<Host>::new();
+/// measured.record(SimDuration::from_micros(3)); // a simulated time
+/// ```
+///
+/// and the same lines on the matching clock compile:
+///
+/// ```
+/// use flashsim::{Host, LatencyRecorder, Sim, SimDuration};
+/// LatencyRecorder::<Sim>::new().record(SimDuration::from_micros(3));
+/// LatencyRecorder::<Host>::new().record(std::time::Duration::from_micros(3));
+/// ```
+#[cfg(doctest)]
+pub struct RecordersKeepTheirClock;

@@ -1,22 +1,75 @@
-//! Simulated time primitives.
+//! Simulated time primitives, and the two clocks a duration can be on.
 //!
 //! All latencies produced by the device models are expressed as
 //! [`SimDuration`] values (nanosecond resolution). Callers sum them into
 //! their own simulated time (a latency account, a ring's lane clocks)
 //! instead of reading the wall clock, which makes every run deterministic
-//! and independent of the host machine.
+//! and independent of the host machine. What the host measures stays a
+//! [`std::time::Duration`]; [`Clock`] names the two.
 
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-/// A span of simulated time with nanosecond resolution.
-///
-/// `SimDuration` is deliberately separate from [`std::time::Duration`] so
-/// that simulated latencies cannot be accidentally mixed with wall-clock
-/// measurements.
+/// The clock a duration is on, named by the duration's type: [`Sim`] for
+/// what the device models charge, [`Host`] for what the host measured. A
+/// duration on one does not type-check as one on the other.
+pub trait Clock: Copy + Ord + Default + fmt::Debug {
+    /// `ns` nanoseconds on this clock.
+    fn from_nanos(ns: u64) -> Self;
+    /// Whole nanoseconds, saturating at `u64::MAX`.
+    fn nanos(self) -> u64;
+}
+
+/// The simulated clock.
+pub type Sim = SimDuration;
+
+/// The host's wall clock.
+pub type Host = Duration;
+
+impl Clock for SimDuration {
+    fn from_nanos(ns: u64) -> Self {
+        SimDuration(ns)
+    }
+
+    fn nanos(self) -> u64 {
+        self.0
+    }
+}
+
+impl Clock for Duration {
+    fn from_nanos(ns: u64) -> Self {
+        Duration::from_nanos(ns)
+    }
+
+    fn nanos(self) -> u64 {
+        u64::try_from(self.as_nanos()).unwrap_or(u64::MAX)
+    }
+}
+
+/// A duration on either clock, displayed in the unit that fits: `12ns`,
+/// `12.00us`, `12.000ms`, `2.000s`.
+pub struct InUnits<C>(pub C);
+
+impl<C: Clock> fmt::Display for InUnits<C> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ns = self.0.nanos();
+        if ns < 1_000 {
+            write!(f, "{ns}ns")
+        } else if ns < 1_000_000 {
+            write!(f, "{:.2}us", ns as f64 / 1e3)
+        } else if ns < 1_000_000_000 {
+            write!(f, "{:.3}ms", ns as f64 / 1e6)
+        } else {
+            write!(f, "{:.3}s", ns as f64 / 1e9)
+        }
+    }
+}
+
+/// A span of simulated time with nanosecond resolution: the [`Sim`] clock.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -29,6 +82,12 @@ impl SimDuration {
     /// Creates a duration from raw nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
+    }
+
+    /// A time the host measured, booked on the simulated clock: the one
+    /// call where the two clocks meet (a real file's `pread` / `pwrite`).
+    pub fn from_measured(measured: Duration) -> Self {
+        SimDuration(measured.nanos())
     }
 
     /// Creates a duration from microseconds.
@@ -162,15 +221,7 @@ impl Sum for SimDuration {
 
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 < 1_000 {
-            write!(f, "{}ns", self.0)
-        } else if self.0 < 1_000_000 {
-            write!(f, "{:.2}us", self.as_micros_f64())
-        } else if self.0 < 1_000_000_000 {
-            write!(f, "{:.3}ms", self.as_millis_f64())
-        } else {
-            write!(f, "{:.3}s", self.as_secs_f64())
-        }
+        InUnits(*self).fmt(f)
     }
 }
 
