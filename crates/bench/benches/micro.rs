@@ -328,11 +328,11 @@ fn bench_file_read(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-/// The read path `clamd`'s idle-shard bypass takes, on a stripe whose
-/// keys all sit in its buffers: eight scalar lookups (eight lock
-/// acquisitions, eight ring-pipeline calls) against one `lookup_batch` of
-/// eight (one of each), as a socket read of eight lookups to one shard
-/// makes (DESIGN.md "Intra-stripe read concurrency").
+/// The read path of the lookups that lead an idle `clamd` shard, on a
+/// stripe whose keys all sit in its buffers: eight scalar lookups (eight
+/// lock acquisitions, eight ring-pipeline calls) against one
+/// `lookup_batch` of eight (one of each), as a socket read of eight
+/// lookups to one shard makes (DESIGN.md "The batcher").
 fn bench_stripe_read(c: &mut Criterion) {
     let mut group = c.benchmark_group("stripe_read");
     let config = ClamConfig::small_test(4 << 20, 1 << 20).expect("config");

@@ -17,22 +17,21 @@
 //! no store. A shard is that core in one `Mutex` beside one `Condvar`;
 //! its thread does what the core decides at `Instant::now()`, calls the
 //! stripe with the lock released, and takes it once per step to retire
-//! the step before the step's responses go out.
+//! the step before the step's responses go out. A reader serves a run
+//! that leads an idle shard the same way, on its own thread.
 //!
 //! **Contract.** Each key is an atomic register: operations on a key take
 //! effect in the order they arrived at its shard, whichever connections
 //! sent them; across keys the order is unspecified. Each connection gets
 //! its responses in request order, and a batch frame or FLUSH one
-//! response once its last shard part lands. The scalar `LOOKUP`s of one
-//! chunk with nothing staged for their shard ahead of them form that
-//! shard's bypass run; if the shard is idle, the reader answers the run
-//! itself in one [`SharedClam::lookup_batch`] on the shard's stripe, and
-//! an earlier write of any of its keys would have kept the shard busy. A
-//! run the shard was busy for, or whose store call failed, queues ahead
-//! of the shard's other submissions from the chunk. A response goes
-//! out only after its store call returned, and [`Clam::insert_batch`]
-//! returns only once the write ring is synced. DESIGN.md ("Group-commit
-//! batcher") has the reasoning.
+//! response once its last shard part lands. The scalar `LOOKUP`s at the
+//! front of a chunk's share for an idle shard lead it: the reader answers
+//! them itself in one [`SharedClam::lookup_batch`] on the shard's stripe,
+//! and an earlier write of any of their keys would have kept the shard
+//! busy. The rest of the chunk queues once that call returns; a chunk
+//! that does not lead queues whole. A response goes out only after its
+//! store call returned, and [`Clam::insert_batch`] returns only once the
+//! write ring is synced. DESIGN.md ("The batcher") has the reasoning.
 //!
 //! **Delivery.** A connection's sequencer (`conn`) is the one place a
 //! response is built. Staging opens every request's response there, with
@@ -57,7 +56,7 @@ use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -100,7 +99,7 @@ struct Ticket {
     seq: u64,
 }
 
-/// Lands answers — a segment's, a bypass run's or one — taking each
+/// Lands answers — a segment's or one — taking each
 /// connection's sequencer lock once for all of that connection's answers,
 /// and writing the responses they complete to its socket in one write.
 fn deliver<'a>(mut outbox: Vec<(&'a Ticket, Answer<'a>)>) {
@@ -119,22 +118,14 @@ fn deliver<'a>(mut outbox: Vec<(&'a Ticket, Answer<'a>)>) {
 /// Splits one connection's chunk of requests into each shard's
 /// submissions, in request order, opening each request's response in the
 /// connection's sequencer, with its form and its number of shard parts,
-/// before any part reaches a shard. A scalar lookup with nothing earlier
-/// in the chunk staged for its shard — no write its shard cannot see yet
-/// — joins the shard's bypass run instead, which is offered to `bypass`
-/// as one call that answers every key's value or declines the run
-/// (`None`); a declined run is staged ahead of the shard's other
-/// submissions.
+/// before any part reaches a shard.
 fn stage(
     conn: &Arc<ConnEntry>,
     requests: impl Iterator<Item = Request>,
     shards: usize,
     shard_of: impl Fn(Key) -> usize,
-    mut bypass: impl FnMut(usize, &[Key]) -> Option<Vec<Option<Value>>>,
 ) -> Vec<Vec<Submission>> {
     let mut staged: Vec<Vec<Submission>> = (0..shards).map(|_| Vec::new()).collect();
-    // Each shard's bypass run: its tickets and its keys, in chunk order.
-    let mut runs: Vec<(Vec<Ticket>, Vec<Key>)> = (0..shards).map(|_| Default::default()).collect();
     let mut seq = conn.lock();
     for Request { id, op } in requests {
         let mut open =
@@ -147,13 +138,7 @@ fn stage(
             }
             Op::Lookup { key } => {
                 let ticket = open(RespBody::Value { found: false, value: 0 }, 1);
-                let shard = shard_of(key);
-                if staged[shard].is_empty() {
-                    runs[shard].0.push(ticket);
-                    runs[shard].1.push(key);
-                } else {
-                    staged[shard].push(Submission::Lookup(LookupPart::scalar(ticket, key)));
-                }
+                staged[shard_of(key)].push(Submission::Lookup(LookupPart::scalar(ticket, key)));
             }
             Op::Delete { key } => {
                 let part = DeletePart { ticket: open(RespBody::Deleted, 1), key };
@@ -206,27 +191,6 @@ fn stage(
     }
     // An empty batch frame opens complete: it goes out now if it is next.
     seq.flush();
-    drop(seq);
-    // Each shard's run is offered once; a declined run goes ahead of the
-    // shard's other submissions, all of which arrived after it.
-    let mut answered = Vec::new();
-    for (shard, (queue, (tickets, keys))) in staged.iter_mut().zip(runs).enumerate() {
-        if keys.is_empty() {
-            continue;
-        }
-        match bypass(shard, &keys) {
-            Some(values) => answered.push((tickets, values)),
-            None => {
-                let declined = tickets.into_iter().zip(keys);
-                let declined = declined
-                    .map(|(ticket, key)| Submission::Lookup(LookupPart::scalar(ticket, key)));
-                queue.splice(..0, declined);
-            }
-        }
-    }
-    let found = answered.iter().flat_map(|(tickets, values)| tickets.iter().zip(values.chunks(1)));
-    let found = found.map(|(ticket, values)| (ticket, Answer::Found { slots: &[0], values }));
-    deliver(found.collect());
     staged
 }
 
@@ -348,7 +312,7 @@ impl<D: Device> Shard<D> {
     }
 
     fn lock(&self) -> MutexGuard<'_, ShardCore> {
-        self.core.lock().expect("shard core lock")
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -476,21 +440,19 @@ impl<D: Device + 'static> Engine<D> {
         }
     }
 
-    /// Routes one decoded request to its shard(s) for group commit — or
-    /// answers an idle-shard scalar lookup on the bypass immediately. A
-    /// chunk of one: see [`submit_chunk`](Self::submit_chunk).
+    /// Routes one decoded request to its shard(s) for group commit, or
+    /// serves it at once if it leads an idle shard. A chunk of one: see
+    /// [`submit_chunk`](Self::submit_chunk).
     pub fn submit(&self, conn: u64, request: Request) {
         self.submit_chunk(conn, [request]);
     }
 
     /// Routes a run of decoded requests from one connection — every
-    /// frame one socket read returned — to their shards in one hand-off:
-    /// the connection is resolved once, the chunk takes one range of
-    /// sequence numbers, and each touched shard's core is locked and its
-    /// gather thread notified once. Requests keep their order within
-    /// each shard. A scalar lookup takes the bypass only if its shard is
-    /// idle *and* nothing earlier in the chunk is staged for that shard;
-    /// such lookups are offered to the store as one run per shard.
+    /// frame one socket read returned — to their shards in one hand-off,
+    /// in order within each shard, under one range of sequence numbers.
+    /// Each touched shard's core decides whether the chunk leads it
+    /// (`ShardCore::lead`); a run that leads is served here, with no lock
+    /// held.
     pub fn submit_chunk<I>(&self, conn: u64, requests: I)
     where
         I: IntoIterator<Item = Request>,
@@ -504,13 +466,25 @@ impl<D: Device + 'static> Engine<D> {
         let conn = shared.conns().get(&conn).cloned().unwrap_or_default();
         // Same key, same stripe, same shard.
         let shard_of = |key| shared.store.stripe_index(key);
-        let bypass = |shard, keys: &[Key]| shared.try_bypass(shard, keys);
-        let staged = stage(&conn, requests, shared.shards.len(), shard_of, bypass);
-        for (shard, staged) in shared.shards.iter().zip(staged) {
-            if !staged.is_empty() {
-                shard.lock().push(staged);
+        let staged = stage(&conn, requests, shared.shards.len(), shard_of);
+        let mut held = Vec::new();
+        for (shard, staged) in shared.shards.iter().zip(staged).filter(|(_, s)| !s.is_empty()) {
+            let led = shard.lock().lead(staged);
+            let Some((run, rest)) = led else {
                 shard.wake.notify_one();
+                continue;
+            };
+            if !run.lookups.is_empty() {
+                run_segment(&shard.stripe, &run, |served| shard.lock().count_led(served));
             }
+            held.push((shard, rest));
+        }
+        // Idle shards' shares queue once every led run is answered: queued
+        // as each run returned, they cut the share of lookups that led on
+        // `serve-read-resident` from 0.675 to 0.653.
+        for (shard, rest) in held.into_iter().filter(|(_, rest)| !rest.is_empty()) {
+            shard.lock().push(rest);
+            shard.wake.notify_one();
         }
     }
 
@@ -553,7 +527,7 @@ impl<D: Device + 'static> Engine<D> {
     /// submitted request still gets its response. Each shard's depth as
     /// it is closed goes into the ledger's `shard_depths` gauge.
     pub fn shutdown(&self) {
-        let mut workers = self.workers.lock().expect("workers lock");
+        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
         if workers.is_empty() {
             return;
         }
@@ -580,32 +554,11 @@ impl<D: Device + 'static> Engine<D> {
 
 impl<D: Device + 'static> Shared<D> {
     fn conns(&self) -> MutexGuard<'_, HashMap<u64, Arc<ConnEntry>>> {
-        self.conns.lock().expect("conns lock")
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn ledger(&self) -> MutexGuard<'_, ServerStats> {
-        self.stats.lock().expect("stats lock")
-    }
-
-    /// Answers a shard's bypass run on the reader's thread, in one
-    /// [`SharedClam::lookup_batch`] on the shard's stripe with no batcher
-    /// lock held, iff the shard is idle, when every earlier write of its
-    /// keys has committed: one value per key. A busy shard or a failed
-    /// store call declines the run (`None`), and it queues.
-    fn try_bypass(&self, shard: usize, keys: &[Key]) -> Option<Vec<Option<Value>>> {
-        let shard = &self.shards[shard];
-        if !shard.lock().idle() {
-            return None;
-        }
-        let batch = shard.stripe.lookup_batch(keys).ok()?;
-        let (answered, hits) = (keys.len() as u64, batch.hits() as u64);
-        // Counted in place: `absorb` walks the whole ledger.
-        let stats = &mut shard.lock().stats;
-        stats.lookups += answered;
-        stats.lookup_hits += hits;
-        stats.lookup_misses += answered - hits;
-        stats.bypass_hits += answered;
-        Some(batch.values())
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The merged ledger a STATS request reports: process-wide counters
@@ -659,10 +612,10 @@ fn shard_loop<D: Device + 'static>(shared: &Shared<D>, idx: usize) {
     let mut core = shard.lock();
     loop {
         core = match core.poll(Instant::now(), &shared.config) {
-            Poll::Sleep => shard.wake.wait(core).expect("shard core lock"),
+            Poll::Sleep => shard.wake.wait(core).unwrap_or_else(PoisonError::into_inner),
             Poll::SleepUntil(deadline) => {
                 let linger = deadline.saturating_duration_since(Instant::now());
-                shard.wake.wait_timeout(core, linger).expect("shard core lock").0
+                shard.wake.wait_timeout(core, linger).unwrap_or_else(PoisonError::into_inner).0
             }
             Poll::Run(steps) => {
                 drop(core);

@@ -229,7 +229,7 @@ impl ConnEntry {
     /// blocking system call, a socket write bounded by [`STALL_LIMIT`];
     /// no other lock is taken under it.
     pub(super) fn lock(&self) -> MutexGuard<'_, ConnSeq> {
-        self.seq.lock().expect("conn seq lock")
+        self.seq.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The connection's requests have ended: the one submitted last

@@ -1,6 +1,6 @@
-//! A batcher shard's decisions — queue, linger, gathers, retirement and
-//! ledger — in a plain struct that takes no lock, reads no clock and calls
-//! no store: the thread shell passes in the `Instant`s, and tests do too.
+//! A batcher shard's decisions — lead, queue, linger, gathers, retirement
+//! and ledger — in a plain struct that takes no lock, reads no clock and
+//! calls no store: the thread shell passes in the `Instant`s, as tests do.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Deref;
@@ -192,6 +192,9 @@ impl Planner {
     }
 }
 
+/// An idle shard's share of a chunk: the run that leads it, and the rest.
+pub(super) type Led = (Segment, Vec<Submission>);
+
 /// What a shard's thread does next.
 pub(super) enum Poll {
     /// Nothing is queued: wait for an arrival.
@@ -225,6 +228,36 @@ impl ShardCore {
     /// Queues a chunk's submissions for this shard, in arrival order.
     pub(super) fn push(&mut self, staged: Vec<Submission>) {
         self.queue.extend(staged);
+    }
+
+    /// Takes a chunk's submissions for this shard. A busy shard queues them
+    /// now, and nothing leads. On an idle shard, where every write that
+    /// arrived has landed, the scalar lookups at the chunk's front (maybe
+    /// none) lead: they come back as a segment for the caller to serve,
+    /// with the rest, for the caller to [`push`](Self::push) after.
+    pub(super) fn lead(&mut self, mut staged: Vec<Submission>) -> Option<Led> {
+        if !self.idle() {
+            self.push(staged);
+            return None;
+        }
+        let scalar = |s: &&Submission| {
+            matches!(s, Submission::Lookup(LookupPart { keys: OneOrMany::One(_), .. }))
+        };
+        let led = staged.iter().take_while(scalar).count();
+        let run = staged.drain(..led).filter_map(|submission| match submission {
+            Submission::Lookup(part) => Some(part),
+            _ => None,
+        });
+        Some((Segment { lookups: run.collect(), ..Segment::default() }, staged))
+    }
+
+    /// Counts a led run whose store call returned, `served` what its
+    /// segment counts, as bypass hits: no segment, admission or gather.
+    pub(super) fn count_led(&mut self, served: &ServerStats) {
+        self.stats.lookups += served.lookups;
+        self.stats.lookup_hits += served.lookup_hits;
+        self.stats.lookup_misses += served.lookup_misses;
+        self.stats.bypass_hits += served.lookups;
     }
 
     /// Nothing queued or unretired: every write that arrived has landed.

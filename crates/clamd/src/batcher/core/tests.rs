@@ -31,6 +31,13 @@ enum Decision {
     Exit,
 }
 
+impl ShardCore {
+    /// The queue, front first.
+    pub(in crate::batcher) fn queued(&self) -> impl Iterator<Item = &Submission> {
+        self.queue.iter()
+    }
+}
+
 fn decide(core: &mut ShardCore, now: Instant, config: &BatcherConfig) -> Decision {
     match core.poll(now, config) {
         Poll::Sleep => Decision::Sleep,
@@ -186,9 +193,9 @@ enum Req {
 }
 
 /// What a connection's socket read may deliver: one request, or a chunk
-/// of two — a bypass run of two keys on one shard, a run ahead of a write
-/// of its key that the same chunk stages for the shard, and a lookup
-/// behind such a write, which must not be offered to the bypass.
+/// of two — a run of two lookups on one shard, a run ahead of a write of
+/// its key that the same chunk stages for the shard, and a lookup behind
+/// such a write, which must not lead.
 const ARRIVALS: [&[Req]; 12] = [
     &[Req::Insert(0)],
     &[Req::Insert(1)],
@@ -278,17 +285,47 @@ fn value_body(value: Option<Value>) -> RespBody {
     RespBody::Value { found: value.is_some(), value: value.unwrap_or(0) }
 }
 
-/// How a script is driven: as the shell drives the core, or with the
-/// bug the checks must catch — each gather retired as it fires rather
-/// than step by step after its store calls — with or without the
-/// in-flight invariant, so the contract checks are seen to catch it too.
+/// Who decides whether an arrival leads its shard: the core, or a
+/// mutant of its rule.
+type Lead = fn(&mut ShardCore, Vec<Submission>) -> Option<Led>;
+
+/// How a script is driven: as the shell drives the core, or with a bug
+/// the checks must catch — each gather retired as it fires rather than
+/// step by step after its store calls, with or without the in-flight
+/// invariant, so the contract checks are seen to catch it too; or a lead
+/// rule other than the core's.
 #[derive(Clone, Copy)]
 struct Driver {
     retire_at_gather: bool,
     check_idle: bool,
+    lead: Lead,
 }
 
-const SHELL: Driver = Driver { retire_at_gather: false, check_idle: true };
+const SHELL: Driver = Driver { retire_at_gather: false, check_idle: true, lead: ShardCore::lead };
+
+/// A mutant lead rule: the core's, on a shard taken to be idle whatever
+/// it holds.
+fn lead_when_busy(core: &mut ShardCore, staged: Vec<Submission>) -> Option<Led> {
+    let queued = std::mem::take(&mut core.queue);
+    let in_flight = std::mem::replace(&mut core.in_flight, 0);
+    let led = core.lead(staged);
+    (core.queue, core.in_flight) = (queued, in_flight);
+    led
+}
+
+/// A mutant lead rule: on an idle shard every scalar lookup of the chunk
+/// leads, those behind a write of the chunk included.
+fn lead_every_lookup(core: &mut ShardCore, staged: Vec<Submission>) -> Option<Led> {
+    let scalar = |s: &Submission| {
+        matches!(s, Submission::Lookup(LookupPart { keys: OneOrMany::One(_), .. }))
+    };
+    if !core.idle() {
+        return core.lead(staged);
+    }
+    let (lookups, rest): (Vec<_>, Vec<_>) = staged.into_iter().partition(scalar);
+    let (run, _) = core.lead(lookups)?;
+    Some((run, rest))
+}
 
 /// Two shard cores, two connections and a map, driven one event at a
 /// time the way the thread shell drives them, single-threaded.
@@ -397,22 +434,19 @@ impl World {
             self.expected[conn].push(answer);
             chunk.push(Request { id, op });
         }
-        let (cores, store) = (&self.cores, &self.store);
-        // An idle shard answers its whole run from the map.
-        let staged = stage(
-            &self.conns[conn].0,
-            chunk.into_iter(),
-            2,
-            |key| key as usize,
-            |shard, keys| {
-                let map = store.map.borrow();
-                cores[shard].idle().then(|| keys.iter().map(|key| map.get(key).copied()).collect())
-            },
-        );
-        for (core, staged) in self.cores.iter_mut().zip(staged) {
-            if !staged.is_empty() {
-                core.push(staged);
+        // As `Engine::submit_chunk` hands each shard its share.
+        let staged = stage(&self.conns[conn].0, chunk.into_iter(), 2, |key| key as usize);
+        let mut held = Vec::new();
+        for (shard, staged) in staged.into_iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+            let core = &mut self.cores[shard];
+            let Some((run, rest)) = (self.driver.lead)(core, staged) else { continue };
+            if !run.lookups.is_empty() {
+                run_segment(&self.store, &run, |served| core.count_led(served));
             }
+            held.push((shard, rest));
+        }
+        for (shard, rest) in held {
+            self.cores[shard].push(rest);
         }
     }
 
@@ -601,7 +635,7 @@ fn every_short_arrival_script_keeps_the_contract() {
 #[test]
 fn retiring_a_gather_as_it_fires_is_caught() {
     for check_idle in [true, false] {
-        let driver = Driver { retire_at_gather: true, check_idle };
+        let driver = Driver { retire_at_gather: true, check_idle, ..SHELL };
         let Err((script, failure)) = explore(driver, &mut Vec::new(), 4) else {
             panic!("no script caught early retirement (idle check: {check_idle})");
         };
@@ -609,4 +643,37 @@ fn retiring_a_gather_as_it_fires_is_caught() {
         let caught_by = if check_idle { "idle with" } else { "the register says" };
         assert!(failure.contains(caught_by), "{failure}");
     }
+}
+
+#[test]
+fn leading_a_busy_shard_or_from_behind_a_write_is_caught() {
+    for (lead, what) in
+        [(lead_when_busy as Lead, "a busy shard"), (lead_every_lookup, "a lookup behind a write")]
+    {
+        let Err((script, failure)) = explore(Driver { lead, ..SHELL }, &mut Vec::new(), 3) else {
+            panic!("no script caught {what} leading");
+        };
+        println!("caught {what} leading: {failure}\nscript: {script:?}");
+        assert!(failure.contains("the register says"), "{failure}");
+    }
+}
+
+#[test]
+fn a_failed_led_run_answers_its_lookups_with_the_error() {
+    let mut world = World::new(SHELL);
+    world.store.fault.set(Some("fault 1".to_string()));
+    world.arrive(0, &[Req::Lookup(0), Req::Lookup(0), Req::Insert(0)]);
+    let bodies: Vec<RespBody> = world.conns[0].1.try_iter().map(|response| response.body).collect();
+    assert_eq!(bodies.len(), 2, "the insert queued behind the run: {bodies:?}");
+    for body in &bodies {
+        let RespBody::Error { code: ErrorCode::Internal, message } = body else {
+            panic!("{body:?}")
+        };
+        assert!(
+            message.ends_with("lookup batch failed: invalid configuration: fault 1"),
+            "{message}"
+        );
+    }
+    let core = &world.cores[0];
+    assert_eq!((core.depth(), core.stats.lookups, core.stats.bypass_hits), (1, 0, 0));
 }

@@ -354,6 +354,26 @@ fn flush_barrier_is_per_connection() {
     engine.shutdown();
 }
 
+#[test]
+fn a_panic_under_a_core_or_the_conns_lock_leaves_other_connections_served() {
+    for poisoned in ["shard core", "conns"] {
+        let engine = engine(Duration::from_micros(50));
+        let shared = Arc::clone(&engine.shared);
+        let panicked = std::thread::spawn(move || {
+            let _core = (poisoned == "shard core").then(|| shared.shards[0].lock());
+            let _conns = (poisoned == "conns").then(|| shared.conns());
+            panic!("a thread panicked holding the {poisoned} lock");
+        });
+        assert!(panicked.join().is_err());
+        let rx = engine.register_conn(2);
+        engine.submit(2, Request { id: 0, op: Op::Insert { key: 9, value: 90 } });
+        assert_eq!(bodies(&rx, 1), [RespBody::Inserted], "{poisoned}");
+        engine.submit(2, Request { id: 1, op: Op::Lookup { key: 9 } });
+        assert_eq!(bodies(&rx, 1), [RespBody::Value { found: true, value: 90 }], "{poisoned}");
+        engine.shutdown();
+    }
+}
+
 // --- the segment planner alone ---------------------------------------
 
 fn ticket() -> Ticket {
@@ -573,12 +593,11 @@ fn a_conflict_free_mixed_gather_costs_two_batched_store_calls() {
     engine.shutdown();
 }
 
-/// A shard's staged queue as (kind, first key, sequence number) per
-/// submission; a chunk staged on a fresh connection numbers its requests
-/// from 0, as their ids.
-fn queued(queue: &[Submission]) -> Vec<(char, Key, u64)> {
+/// A shard's queue as (kind, first key, sequence number) per submission;
+/// a chunk staged on a fresh connection numbers its requests from 0, as
+/// their ids.
+fn queued<'a>(queue: impl Iterator<Item = &'a Submission>) -> Vec<(char, Key, u64)> {
     queue
-        .iter()
         .map(|submission| match submission {
             Submission::Insert(InsertPart { ticket, pairs }) => ('I', pairs[0].0, ticket.seq),
             Submission::Lookup(LookupPart { ticket, keys, .. }) => ('L', keys[0], ticket.seq),
@@ -588,43 +607,57 @@ fn queued(queue: &[Submission]) -> Vec<(char, Key, u64)> {
         .collect()
 }
 
+/// Stages `ops` on a fresh connection over two shard cores, key k on
+/// shard k % 2, and hands each core its share as `Engine::submit_chunk`
+/// does, leaving the runs that lead unserved; returns each shard's led
+/// keys and then its queue.
+#[allow(clippy::type_complexity)]
+fn lead_and_queue(
+    ops: Vec<Op>,
+    cores: &mut [ShardCore; 2],
+) -> [(Vec<Key>, Vec<(char, Key, u64)>); 2] {
+    let staged = stage(&Arc::default(), chunk(ops).into_iter(), 2, |key| key as usize % 2);
+    let mut led = [Vec::new(), Vec::new()];
+    for ((core, staged), led) in cores.iter_mut().zip(staged).zip(&mut led) {
+        if let Some((run, rest)) = core.lead(staged) {
+            led.extend(run.lookups.iter().flat_map(|part| part.keys.iter()));
+            core.push(rest);
+        }
+    }
+    let [core_0, core_1] = cores;
+    let [led_0, led_1] = led;
+    [(led_0, queued(core_0.queued())), (led_1, queued(core_1.queued()))]
+}
+
 #[test]
 fn a_lookup_behind_a_staged_write_never_takes_the_bypass() {
-    // Both shards idle: the bypass answers every run it is offered.
-    // Key k lives on shard k % 2.
+    // Both shards idle: a chunk's share leads from its front.
     let ops = vec![
-        // Nothing staged for shard 1: the start of its run.
+        // Nothing staged for shard 1 ahead of it: the start of its run.
         Op::Lookup { key: 1 },
         Op::Insert { key: 0, value: 5 },
         // Behind the insert of its key, which the shard cannot see yet:
-        // on the bypass it would miss.
+        // leading, it would miss.
         Op::Lookup { key: 0 },
-        // Still nothing staged for shard 1: the same run.
+        // Still nothing but lookups ahead of it on shard 1: the same run.
         Op::Lookup { key: 3 },
         Op::Delete { key: 3 },
-        // Behind a write to another key of its shard: still never offered.
+        // Behind a write to another key of its shard: it never leads.
         Op::Lookup { key: 1 },
     ];
-    let mut offered = Vec::new();
-    let staged = stage(
-        &Arc::default(),
-        chunk(ops).into_iter(),
-        2,
-        |key| key as usize % 2,
-        |shard, keys| {
-            offered.push((shard, keys.to_vec()));
-            Some(vec![None; keys.len()])
-        },
-    );
-    assert_eq!(offered, [(1, vec![1, 3])], "one offer per shard run");
-    assert_eq!(queued(&staged[0]), [('I', 0, 1), ('L', 0, 2)]);
-    assert_eq!(queued(&staged[1]), [('D', 3, 4), ('L', 1, 5)]);
+    let [shard_0, shard_1] = lead_and_queue(ops, &mut Default::default());
+    assert_eq!((shard_0.0, shard_1.0), (vec![], vec![1, 3]), "one run per shard");
+    assert_eq!(shard_0.1, [('I', 0, 1), ('L', 0, 2)]);
+    assert_eq!(shard_1.1, [('D', 3, 4), ('L', 1, 5)]);
 }
 
 #[test]
 fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
-    // Key k lives on shard k % 2. Shard 0's run is declined, as on a
-    // busy shard; shard 1's is answered.
+    // Shard 0 is busy, a gather in flight; shard 1 is idle.
+    let mut cores: [ShardCore; 2] = Default::default();
+    cores[0].push(vec![ins(8)]);
+    let config = BatcherConfig { max_batch: 1, ..BatcherConfig::default() };
+    assert!(matches!(cores[0].poll(Instant::now(), &config), core::Poll::Run(_)));
     let ops = vec![
         Op::Lookup { key: 0 },
         Op::Lookup { key: 1 },
@@ -633,17 +666,12 @@ fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
         Op::Lookup { key: 3 },
         Op::Insert { key: 1, value: 6 },
     ];
-    let staged = stage(
-        &Arc::default(),
-        chunk(ops).into_iter(),
-        2,
-        |key| key as usize % 2,
-        |shard, keys| (shard == 1).then(|| vec![None; keys.len()]),
-    );
-    // The declined lookup of key 0 reads what was there before the
-    // chunk's insert of it, so it queues ahead of that insert.
-    assert_eq!(queued(&staged[0]), [('L', 0, 0), ('I', 0, 2), ('L', 2, 3)]);
-    assert_eq!(queued(&staged[1]), [('I', 1, 5)]);
+    let [shard_0, shard_1] = lead_and_queue(ops, &mut cores);
+    // The lookup of key 0 reads what was there before the chunk's insert
+    // of it, so on the busy shard it queues ahead of that insert.
+    assert_eq!((shard_0.0, shard_1.0), (vec![], vec![1, 3]));
+    assert_eq!(shard_0.1, [('L', 0, 0), ('I', 0, 2), ('L', 2, 3)]);
+    assert_eq!(shard_1.1, [('I', 1, 5)]);
 }
 
 #[test]

@@ -5,11 +5,11 @@
 //! `read`, decodes frames and submits every frame one read returned in
 //! one hand-off. Its responses are written by the thread that completes
 //! the next one in order — a shard's gather thread, or the reader for its
-//! own bypass run. Requests from all connections funnel into the
-//! batcher's shard queues, one shard per stripe, so concurrent arrivals
-//! — whether pipelined on one connection or spread across many —
-//! coalesce into per-stripe group-commit gathers that commit independent
-//! stripes concurrently.
+//! own lookups that led an idle shard. Requests from all connections
+//! funnel into the batcher's shard queues, one shard per stripe, so
+//! concurrent arrivals — whether pipelined on one connection or spread
+//! across many — coalesce into per-stripe group-commit gathers that commit
+//! independent stripes concurrently.
 //!
 //! Nothing polls: shutting a connection's socket down is what ends its
 //! reader, and [`ClamdServer::shutdown`] wakes the acceptor with one
@@ -29,7 +29,7 @@
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use bufferhash::{BufferHashError, Clam, ClamConfig, ClamStats, RecoveryReport, StripedClam};
@@ -127,6 +127,8 @@ pub fn boot_file(
 ///
 /// A missing file is created: a [`Superblock`] page recording the layout,
 /// then `config.flash_bytes` of stripes, booted empty with no reports.
+/// Each stripe gets a file handle, a device lock and an `IoStats` of its
+/// own on its window, so stripes overlap their I/O.
 /// An existing file is opened in place and its superblock read before any
 /// slot: the stripes are built in the windows it records, and a
 /// configuration whose `stripes`, `flash_bytes` or `dram_bytes` differ is
@@ -151,7 +153,7 @@ pub fn boot_image(
         let data = device.geometry().capacity - SUPERBLOCK_BYTES;
         let stripes = config.stripe_partitions(&device.partition(SUPERBLOCK_BYTES, data)?)?;
         let superblock = Superblock::describe(config, SUPERBLOCK_BYTES, &stripes);
-        let store = boot_fresh(stripes)?;
+        let store = boot_fresh(detached(stripes)?)?;
         device.write_at(0, &superblock.encode())?;
         return Ok((store, Vec::new(), Some(superblock)));
     }
@@ -163,8 +165,17 @@ pub fn boot_image(
         Some(superblock) => superblock.stripes(&device, config)?,
         None => config.stripe_partitions(&device)?,
     };
-    let (store, reports) = StripedClam::recover(stripes)?;
+    let (store, reports) = StripedClam::recover(detached(stripes)?)?;
     Ok((store, reports, superblock))
+}
+
+/// A file image's stripes, each in its window.
+type FileStripes = Vec<(SharedDevice<FileDevice>, ClamConfig)>;
+
+/// Each stripe on a file handle and a device lock of its own
+/// ([`SharedDevice::detach`]), so no stripe's I/O waits on another's.
+fn detached(stripes: FileStripes) -> Result<FileStripes, BootError> {
+    stripes.into_iter().map(|(partition, config)| Ok((partition.detach()?, config))).collect()
 }
 
 /// An empty store over `stripes`.
@@ -285,7 +296,8 @@ impl<D: Device + 'static> ClamdServer<D> {
         self.engine.shutdown();
         self.engine.flush_stripes();
         self.engine.unregister_all();
-        let handles = std::mem::take(&mut *self.conn_threads.lock().expect("conn threads lock"));
+        let handles =
+            std::mem::take(&mut *self.conn_threads.lock().unwrap_or_else(PoisonError::into_inner));
         for handle in handles {
             handle.join().expect("connection thread panicked");
         }
@@ -323,7 +335,7 @@ fn spawn_connection<D: Device + 'static>(
         })
         .expect("spawn connection thread");
 
-    let mut threads = conn_threads.lock().expect("conn threads lock");
+    let mut threads = conn_threads.lock().unwrap_or_else(PoisonError::into_inner);
     // Join the threads of connections that have closed, so the list holds
     // the live connections' threads and not every one since start.
     let (done, live): (Vec<_>, Vec<_>) = threads.drain(..).partition(|h| h.is_finished());
@@ -484,6 +496,45 @@ mod tests {
         let (store, reports, superblock) = boot_image(&path, &config, 1).unwrap();
         assert_eq!((reports.len(), superblock), (2, None));
         assert!((1..=5_000).all(|k| store.lookup(k).unwrap().value == Some(k + 1)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Each stripe of a file image has a device lock of its own: a lookup
+    /// that reads stripe 1's flash completes while stripe 0's lock is held.
+    #[test]
+    fn a_file_stripe_reads_while_another_holds_its_device_lock() {
+        let path = temp_image("stripe-locks");
+        let config = ServerConfig { stripes: 2, flash_bytes: 16 << 20, ..Default::default() };
+        let (store, _) = boot_file(&path, &config, 1).unwrap();
+        let key = (1..).find(|&key| store.stripe_index(key) == 1).unwrap();
+        store.insert(key, 7).unwrap();
+        store.flush_all().unwrap();
+        drop(store);
+        // Rebooted, the key is on flash alone.
+        let (store, _) = boot_file(&path, &config, 1).unwrap();
+        let stripe_0 = store.stripe(0).unwrap();
+        let (locked, held) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let (answer, answered) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                stripe_0.with(|clam| {
+                    clam.device().with(|_| {
+                        locked.send(()).unwrap();
+                        let _ = released.recv();
+                    })
+                })
+            });
+            held.recv().unwrap();
+            let store = &store;
+            scope.spawn(move || drop(answer.send(store.lookup(key).map(|found| found.value))));
+            let found = answered.recv_timeout(Duration::from_secs(5));
+            release.send(()).unwrap();
+            let found = found.expect("stripe 1's lookup waited for stripe 0's device lock");
+            assert_eq!(found.unwrap(), Some(7));
+        });
+        let source = &store.stats().lookups_by_source;
+        assert_eq!(source[bufferhash::LookupSource::Flash as usize], 1, "read from flash");
         let _ = std::fs::remove_file(&path);
     }
 

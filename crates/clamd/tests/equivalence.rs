@@ -1,5 +1,5 @@
-//! Sharded group commit and the batcher's bypass over the one stripe
-//! lock must be invisible except for speed: every outcome a client
+//! Sharded group commit and the lookups that lead an idle shard over the
+//! one stripe lock must be invisible except for speed: every outcome a client
 //! (or a store caller) observes has to be the one a small sequential
 //! model of CLAM semantics (`tests/support/clam_model.rs`) gives. Four
 //! angles:
@@ -522,7 +522,7 @@ fn model_replies(model: &mut StripedModel) -> Vec<Vec<RespBody>> {
     replies
 }
 
-/// A four-shard server, its bypass included, answers
+/// A four-shard server, its led lookups included, answers
 /// every connection with exactly the model's replies — INSERT, LOOKUP,
 /// DELETE, batch frames and FLUSH, through evictions and slot reclaim —
 /// and what a reboot recovers from its flash is what the model says is

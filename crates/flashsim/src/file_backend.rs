@@ -1,32 +1,20 @@
 //! Real-file storage backend.
 //!
-//! [`FileDevice`] stores bytes in an actual file on the host filesystem and
-//! charges what each command *measured* instead of a modelled cost. It
-//! exists so the data-structure layers can also be exercised against real
-//! storage (the paper's prototype ran on ext3 files over real SSDs); the
-//! simulated devices remain the default for reproducible experiments.
+//! [`FileDevice`] stores bytes in a file on the host filesystem, or in a
+//! window of one ([`FileDevice::window`]), and charges what each command
+//! *measured* instead of a modelled cost, so the data-structure layers also
+//! run against real storage (the paper's prototype ran on ext3 files over
+//! real SSDs). Its commands time one positioned `pread` / `pwrite` each:
+//! the only place a host-clock time enters the simulated clock. The
+//! command rules are the provided per-op methods' (`device.rs`): an erase
+//! is `Unsupported`, and a TRIM is counted and dropped.
 //!
-//! Like every other backend it is a cost function over a byte store: its
-//! commands time one positioned `pread` / `pwrite` each, and nothing else.
-//! Those two are the only place a host-clock time enters the simulated
-//! clock.
-//! The command rules (bounds, empty commands, the I/O ledger; an erase is
-//! `Unsupported` and a TRIM is counted and dropped) are the provided
-//! per-op methods' (`device.rs`), and the provided [`Device::submit`]
-//! drives those, beside the ring's queue rules. A ring request therefore runs
-//! inside the `submit` call, on the submitting thread, and the ring places
-//! its measured latency on the lanes of the device's queue depth
-//! (DESIGN.md "`FileDevice` runs where it is submitted"). No thread is
-//! started: with the file in the page cache of a 2-vCPU KVM guest a 4 KiB
-//! read measured about a microsecond and a 32 KiB write about ten, less
-//! than the 3.5 to 50 µs a hand-off to a worker thread measured there.
-//!
-//! Lanes model the **device queue**, exactly as the simulated backends do:
-//! requests do not overlap physically, but the completion accounting
-//! reflects what a device with that queue depth would retire from the
-//! measured per-request latencies. That is the metric the
-//! `io_queue_depth` harness sweeps (it reports host wall time alongside
-//! for transparency).
+//! A ring request runs inside its `submit` call, on the submitting thread,
+//! and no thread is started (DESIGN.md "`FileDevice` runs where it is
+//! submitted"). The ring places each measured latency on the lanes of the
+//! device's queue depth, as the simulated backends do, though requests do
+//! not overlap physically: `io_queue_depth` prints host wall time beside
+//! the modelled makespan.
 
 use std::fs::{File, OpenOptions};
 // Positioned I/O (pread/pwrite-style) needs no seek state, so one handle
@@ -46,12 +34,15 @@ use crate::time::SimDuration;
 /// Default queue depth (ring lanes) for [`FileDevice::create`].
 pub const DEFAULT_FILE_QUEUE_DEPTH: usize = 8;
 
-/// A device backed by a real file, charging measured latencies.
+/// A device backed by a real file, or a window of one, charging measured
+/// latencies.
 #[derive(Debug)]
 pub struct FileDevice {
     profile: DeviceProfile,
     geometry: Geometry,
     file: File,
+    /// Byte offset of the device's window within the file.
+    base: u64,
     stats: IoStats,
 }
 
@@ -115,7 +106,17 @@ impl FileDevice {
             ..DeviceProfile::intel_x18m()
         };
         let geometry = Geometry::new(capacity, page, page)?;
-        Ok(FileDevice { profile, geometry, file, stats: IoStats::default() })
+        Ok(FileDevice { profile, geometry, file, base: 0, stats: IoStats::default() })
+    }
+
+    /// A device of its own on the window `[base, base + len)` of this
+    /// one: its own file descriptor, ledger and geometry, and no state
+    /// shared with this device but the file's bytes.
+    pub fn window(&self, base: u64, len: u64) -> Result<Self> {
+        self.geometry.check_bounds(base, len as usize)?;
+        let geometry = Geometry::new(len, self.geometry.page_size, self.geometry.block_size)?;
+        let (profile, base, stats) = (self.profile.clone(), self.base + base, IoStats::default());
+        Ok(FileDevice { profile, geometry, file: self.file.try_clone()?, base, stats })
     }
 }
 
@@ -130,13 +131,13 @@ impl Device for FileDevice {
 
     fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         let start = Instant::now();
-        self.file.read_exact_at(buf, offset)?;
+        self.file.read_exact_at(buf, self.base + offset)?;
         Ok(SimDuration::from_measured(start.elapsed()))
     }
 
     fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
         let start = Instant::now();
-        self.file.write_all_at(data, offset)?;
+        self.file.write_all_at(data, self.base + offset)?;
         Ok(SimDuration::from_measured(start.elapsed()))
     }
 

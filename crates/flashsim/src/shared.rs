@@ -1,38 +1,27 @@
 //! Sharing one physical device between several owners.
 //!
-//! [`SharedDevice`] is a cloneable handle to a single underlying
-//! [`Device`], optionally restricted to a byte window ("partition") of it.
-//! It exists so higher layers that own one device per index — e.g.
-//! `StripedClam`, which gives every stripe its own `Clam<D>` — can instead
-//! stripe over **one** physical device: each stripe gets a partition, and
-//! all of their traffic goes through the one device's lock, byte store,
-//! FTL state and [`IoStats`](crate::IoStats). They do not share a lane
-//! timeline: every caller books its requests on a
-//! [`CompletionRing`](crate::CompletionRing) of its own (a `Clam` call
-//! opens one at time zero), so the partitions' requests contend for the
-//! device's lock, not for its modelled queue lanes.
+//! [`SharedDevice`] is a cloneable handle to one underlying [`Device`]
+//! behind one lock, optionally restricted to a byte window ("partition")
+//! of it, so layers that own one device per index, such as `StripedClam`'s
+//! stripes, can stripe over one simulated device. Every handle shares its
+//! byte store, FTL state and [`IoStats`](crate::IoStats), but each caller
+//! books its requests on a [`CompletionRing`](crate::CompletionRing) of its
+//! own: partitions contend for the lock, not for modelled queue lanes.
 //!
 //! A partition is one more [`Geometry`] under the command rules
 //! (`device.rs`): the provided per-op methods check a call against the
-//! window and count it, and the handle's commands add the window's base
-//! and forward to the device's commands; a ring request is checked and
-//! translated once, in `translate`. So a stripe cannot reach outside its
-//! window. The underlying device's statistics are shared by all handles —
-//! they describe the *device*, not any one partition.
-//!
-//! Commands lock the shared device for their duration, so interleaving
-//! between handles is at command granularity, and the lock covers every
-//! backend's I/O: a simulated device only computes under it, the file
-//! backend issues its positioned `pread` / `pwrite` under it (about a
-//! microsecond for a 4 KiB read the page cache answers, about ten for a
-//! 32 KiB write). A [`Device::submit`] call holds the lock once for its
-//! whole batch and returns that batch's completions, so no handle ever
-//! waits for another's work beyond the other's call.
+//! window, and a ring request is checked and translated once, in
+//! `translate`, so a stripe cannot reach outside its window. A command
+//! holds the lock for its duration, a [`Device::submit`] call once for its
+//! whole batch. A file image's stripes share no lock: each is
+//! [detached](SharedDevice::detach) onto a [`FileDevice`] window of its
+//! own, with its own lock, file descriptor and ledger.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::device::{execute, Device};
 use crate::error::{DeviceError, Result};
+use crate::file_backend::FileDevice;
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
 use crate::queue::{CompletionRing, IoRequest, RingCompletion, RingRequest};
@@ -116,7 +105,7 @@ impl<D: Device> SharedDevice<D> {
     /// Runs `f` with exclusive access to the underlying device (offsets
     /// un-translated — this is the whole device, not the window).
     pub fn with<R>(&self, f: impl FnOnce(&mut D) -> R) -> R {
-        f(&mut self.inner.lock().expect("shared device lock"))
+        f(&mut self.lock())
     }
 
     /// [`Device::submit`], discarding the completions. Kept for
@@ -138,7 +127,7 @@ impl<D: Device> SharedDevice<D> {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, D> {
-        self.inner.lock().expect("shared device lock")
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The first erase block of the window, in device blocks.
@@ -172,6 +161,15 @@ impl<D: Device> SharedDevice<D> {
             }
         }
         Ok(())
+    }
+}
+
+impl SharedDevice<FileDevice> {
+    /// This handle's window as a device of its own
+    /// ([`FileDevice::window`]) behind a lock of its own, so its I/O never
+    /// waits on another window's.
+    pub fn detach(&self) -> Result<SharedDevice<FileDevice>> {
+        self.with(|file| file.window(self.base, self.geometry.capacity)).map(SharedDevice::new)
     }
 }
 
@@ -318,6 +316,19 @@ mod tests {
         let mut buf = [0u8; 1];
         shared.with(|d| d.read_at(4 << 20, &mut buf).unwrap());
         assert_eq!(buf[0], 2);
+    }
+
+    #[test]
+    fn a_panic_inside_with_leaves_another_partition_working() {
+        let shared = SharedDevice::new(DramDevice::new(1 << 20).unwrap());
+        let mut parts = shared.split(2).unwrap();
+        parts[1].write_at(0, b"kept").unwrap();
+        let held = shared.clone();
+        let panicked = std::thread::spawn(move || held.with(|_| panic!("a command panicked")));
+        assert!(panicked.join().is_err());
+        let mut buf = [0u8; 4];
+        parts[1].read_at(0, &mut buf).unwrap();
+        assert_eq!(&buf, b"kept");
     }
 
     #[test]
