@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the in-memory hot paths: cuckoo buffer,
 //! Bloom filters, bit-sliced filters, the flush kernel (drain, serialize,
-//! CRC, filter registration: the per-flush budget of DESIGN.md "Write-path
-//! host cost"), the latency recorder, the simulated flash's byte store
+//! CRC, filter registration: the per-flush budget of DESIGN.md "The flush
+//! kernel"), the latency recorder, the simulated flash's byte store
 //! (DESIGN.md "The simulated medium's memory"), Rabin-Karp chunking and
 //! SHA-1, a stripe's read path one key and eight keys at a time — and one
 //! real-I/O path, a ring read of a page-cache-hot

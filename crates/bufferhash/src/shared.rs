@@ -22,8 +22,8 @@
 //! the [`flashsim` submission queues](flashsim::queue) use below it. On
 //! the host they run on the caller's thread, one after another, unless an
 //! insert batch is large enough that every spawned worker would carry
-//! enough inserts to pay for its spawn (2048; DESIGN.md "Write-path host
-//! cost"); then the stripes are dealt out over scoped threads, never more
+//! enough inserts to pay for its spawn (2048; DESIGN.md "Stripes and
+//! threads"); then the stripes are dealt out over scoped threads, never more
 //! than cores. Lookup batches and `flush_all` never split.
 //! [`StripedClam::lookup_batch`] composes both levels of overlap on the
 //! simulated clock: stripes are independent, and within each stripe the
@@ -59,11 +59,11 @@ use crate::types::{group_stable, hash_with_seed, Key, Modulus, Value};
 /// batch's stripes out over threads; below it [`fan_out`] keeps the batch
 /// on the caller's thread.
 ///
-/// Measured on the 2-vCPU development host (DESIGN.md "Write-path host
-/// cost" has the table): an empty scoped thread costs 12 µs to spawn and
-/// join at the median and 40 µs at p99, and a batched insert 0.23 µs of
-/// host time with flushes amortized in, which alone would put break-even
-/// near 50 to 175 ops. In situ it is ten times that: loading 1.2M keys
+/// Measured on the 2-vCPU development host (`BENCH_pr27.json`
+/// `spawn_floor` has the runs; DESIGN.md "Stripes and threads"): an empty
+/// scoped thread costs 12 µs to spawn and join at the median and 40 µs at
+/// p99, and a batched insert 0.23 µs of host time with flushes amortized
+/// in, which alone would put break-even near 50 to 175 ops. In situ it is ten times that: loading 1.2M keys
 /// through two workers instead of one is twice as slow at 128 ops per
 /// worker, even at 512 to 1024, and a third faster from 2048 up, because a
 /// real worker wakes on another core with cold caches and the caller waits
@@ -330,7 +330,7 @@ impl<D: Device> StripedClam<D> {
     /// Flushes every stripe's buffers (see [`Clam::flush_all`]), one
     /// stripe after another on the caller's thread; returns the
     /// max-over-stripes latency. Two threads were no faster than one at
-    /// any fill, empty buffers to full (DESIGN.md "Write-path host cost").
+    /// any fill, empty buffers to full (DESIGN.md "Stripes and threads").
     pub fn flush_all(&self) -> Result<SimDuration> {
         // Every stripe is flushed even if an earlier one failed.
         let results: Vec<_> = self.stripes.iter().map(|stripe| stripe.flush_all()).collect();

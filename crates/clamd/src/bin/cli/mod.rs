@@ -12,11 +12,15 @@ pub fn flag_value(args: &[String], name: &str) -> Option<String> {
 }
 
 /// Flag `name` parsed, or `default` without it; a value that does not
-/// parse exits with status 2.
-pub fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+/// parse exits with status 2, naming the rule it broke.
+pub fn parse<T>(args: &[String], name: &str, default: T) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     match flag_value(args, name) {
-        Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("{}: invalid value {raw:?} for {name}", env!("CARGO_BIN_NAME"));
+        Some(raw) => raw.parse().unwrap_or_else(|rule| {
+            eprintln!("{}: invalid value {raw:?} for {name}: {rule}", env!("CARGO_BIN_NAME"));
             std::process::exit(2);
         }),
         None => default,

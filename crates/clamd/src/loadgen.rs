@@ -76,14 +76,20 @@ impl Rate {
     }
 }
 
+// The rules `Fraction` and `Multiples` refuse a value by, as their errors
+// name them.
+const SHARE_RULE: &str = "a share is a number within [0, 1]";
+const THREE_LEVELS_RULE: &str = "a sweep needs at least three levels, comma-separated";
+const POSITIVE_LEVEL_RULE: &str = "each level is a positive finite number";
+
 /// A share in [0, 1].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fraction(f64);
 
 impl Fraction {
-    /// `share` if it lies in [0, 1].
-    pub fn new(share: f64) -> Option<Fraction> {
-        (0.0..=1.0).contains(&share).then_some(Fraction(share))
+    /// `share` if it lies in [0, 1], or the rule it breaks.
+    pub fn new(share: f64) -> std::result::Result<Fraction, &'static str> {
+        (0.0..=1.0).contains(&share).then_some(Fraction(share)).ok_or(SHARE_RULE)
     }
 
     /// The share.
@@ -93,10 +99,10 @@ impl Fraction {
 }
 
 impl FromStr for Fraction {
-    type Err = ();
+    type Err = &'static str;
 
-    fn from_str(raw: &str) -> std::result::Result<Self, ()> {
-        Fraction::new(raw.parse().map_err(drop)?).ok_or(())
+    fn from_str(raw: &str) -> std::result::Result<Self, &'static str> {
+        Fraction::new(raw.parse().map_err(|_| SHARE_RULE)?)
     }
 }
 
@@ -107,10 +113,15 @@ impl FromStr for Fraction {
 pub struct Multiples(Vec<f64>);
 
 impl Multiples {
-    /// `levels` if they make a sweep.
-    pub fn new(levels: Vec<f64>) -> Option<Multiples> {
-        let valid = levels.len() >= 3 && levels.iter().all(|l| l.is_finite() && *l > 0.0);
-        valid.then_some(Multiples(levels))
+    /// `levels` if they make a sweep, or the rule they break.
+    pub fn new(levels: Vec<f64>) -> std::result::Result<Multiples, &'static str> {
+        if levels.len() < 3 {
+            Err(THREE_LEVELS_RULE)
+        } else if !levels.iter().all(|l| l.is_finite() && *l > 0.0) {
+            Err(POSITIVE_LEVEL_RULE)
+        } else {
+            Ok(Multiples(levels))
+        }
     }
 
     /// The levels, in sweep order.
@@ -120,13 +131,12 @@ impl Multiples {
 }
 
 impl FromStr for Multiples {
-    type Err = ();
+    type Err = &'static str;
 
     /// A comma-separated list.
-    fn from_str(list: &str) -> std::result::Result<Self, ()> {
-        let levels =
-            list.split(',').map(|s| s.trim().parse()).collect::<std::result::Result<_, _>>();
-        Multiples::new(levels.map_err(drop)?).ok_or(())
+    fn from_str(list: &str) -> std::result::Result<Self, &'static str> {
+        let levels = list.split(',').map(|s| s.trim().parse().map_err(|_| POSITIVE_LEVEL_RULE));
+        Multiples::new(levels.collect::<std::result::Result<_, _>>()?)
     }
 }
 
@@ -497,14 +507,15 @@ mod tests {
             assert_eq!(Rate::per_sec(rate), None, "{rate}");
         }
         assert_eq!(Rate::per_sec(2.5).map(Rate::get), Some(2.5));
-        for list in ["0,1,2", "0.5,-1,2", "0.5,inf,2", "0.5,NaN,2", "1,2", "a,b,c"] {
-            assert_eq!(list.parse::<Multiples>(), Err(()), "{list}");
+        for list in ["0,1,2", "0.5,-1,2", "0.5,inf,2", "0.5,NaN,2", "a,b,c"] {
+            assert_eq!(list.parse::<Multiples>(), Err(POSITIVE_LEVEL_RULE), "{list}");
         }
+        assert_eq!("1,2".parse::<Multiples>(), Err(THREE_LEVELS_RULE));
         assert_eq!("0.5, 0.9,1.5".parse::<Multiples>().unwrap().levels(), [0.5, 0.9, 1.5]);
         for share in [1.5, -0.1, f64::NAN] {
-            assert_eq!(Fraction::new(share), None, "{share}");
+            assert_eq!(Fraction::new(share), Err(SHARE_RULE), "{share}");
         }
-        assert_eq!("1.5".parse::<Fraction>(), Err(()));
+        assert_eq!("1.5".parse::<Fraction>(), Err(SHARE_RULE));
         assert_eq!("1".parse::<Fraction>().map(Fraction::get), Ok(1.0));
     }
 

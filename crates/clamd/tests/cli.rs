@@ -32,11 +32,13 @@ fn loadgen(flag: &str, value: &str) -> (Option<i32>, String) {
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
-fn assert_refused(flag: &str, value: &str) {
+/// Runs `flag value`, checks it is refused, and returns the refusal.
+fn assert_refused(flag: &str, value: &str) -> String {
     let (code, stderr) = loadgen(flag, value);
     assert_eq!(code, Some(2), "{flag} {value:?}: {stderr}");
     assert!(stderr.contains("invalid value") && stderr.contains(flag), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+    stderr
 }
 
 #[test]
@@ -47,6 +49,9 @@ fn a_bad_multiples_list_is_an_invalid_value_not_a_panic() {
     for list in ["1,2", "a,b,c", "0.5,x,1.5", "", "0,1,2", "-1,1,2", "0.5,inf,2", "0.5,NaN,2"] {
         assert_refused("--multiples", list);
     }
+    // The refusal names the rule the list broke.
+    assert!(assert_refused("--multiples", "1,2").contains("at least three levels"));
+    assert!(assert_refused("--multiples", "0,1,2").contains("positive"));
 }
 
 #[test]
@@ -56,5 +61,6 @@ fn no_connections_or_a_share_outside_zero_to_one_is_an_invalid_value() {
         for share in ["1.5", "-0.1", "NaN"] {
             assert_refused(flag, share);
         }
+        assert!(assert_refused(flag, "1.5").contains("[0, 1]"));
     }
 }
