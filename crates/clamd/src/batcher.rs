@@ -1,24 +1,29 @@
-//! The sharded group-commit batcher: one gather thread per stripe that
-//! turns concurrent request arrivals into coalesced ring admissions.
+//! The sharded group-commit batcher: a queue per stripe whose gathers
+//! the connection readers run themselves, turning concurrent request
+//! arrivals into coalesced ring admissions.
 //!
-//! A **shard** is a stripe's gather: shard `i` owns stripe `i`, and a
+//! A **shard** is a stripe's queue: shard `i` owns stripe `i`, and a
 //! request routes to the shard of its key's stripe
 //! ([`StripedClam::stripe_index`]), so a key always lands on the same
-//! shard and no two shards call one stripe. A shard gathers its queue —
-//! lingering up to [`BatcherConfig::linger`] while it holds fewer than
-//! [`BatcherConfig::max_batch`] — and cuts the gather into
-//! **conflict-free segments**, in which no key is under two kinds of
-//! operation; each runs as one [`SharedClam::insert_batch`], one
-//! [`SharedClam::lookup_batch`], then its deletes, on the shard's own
-//! stripe. FLUSH and STATS run between segments.
+//! shard and no two shards call one stripe. A gather takes what is queued,
+//! up to [`BatcherConfig::max_batch`], and cuts it into **conflict-free
+//! segments**, in which no key is under two kinds of operation; each runs
+//! as one [`SharedClam::insert_batch`], one [`SharedClam::lookup_batch`],
+//! then its deletes, on the shard's own stripe. FLUSH and STATS run
+//! between segments.
+//!
+//! **Leaders.** No thread belongs to a shard. The reader whose push finds
+//! a shard unled takes the lead (flat combining): it runs gathers until
+//! the poll that finds the queue empty gives the lead up. A reader that
+//! pushes while another leads returns at once; the leader's next gather
+//! takes its share. Nothing waits for company.
 //!
 //! **Core and shell.** Everything a shard decides lives in its
-//! `ShardCore` (`core`), which takes no lock, reads no clock and calls
-//! no store. A shard is that core in one `Mutex` beside one `Condvar`;
-//! its thread does what the core decides at `Instant::now()`, calls the
-//! stripe with the lock released, and takes it once per step to retire
-//! the step before the step's responses go out. A reader serves a run
-//! that leads an idle shard the same way, on its own thread.
+//! `ShardCore` (`core`), which takes no lock and calls no store. A shard
+//! is that core in one `Mutex` beside one `Condvar`, which only shutdown
+//! waits on. Its leader calls the stripe with the lock released and takes
+//! it once per step to retire the step before its responses go out; a
+//! reader serves a run that leads an idle shard the same way.
 //!
 //! **Contract.** Each key is an atomic register: operations on a key take
 //! effect in the order they arrived at its shard, whichever connections
@@ -51,14 +56,12 @@
 mod conn;
 mod core;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use bufferhash::{Key, RecoveryReport, SharedClam, StripedClam, Value};
 use flashsim::Device;
@@ -66,18 +69,16 @@ use flashsim::Device;
 pub(crate) use self::conn::STALL_LIMIT;
 use self::conn::{Answer, ConnEntry, Sink};
 use self::core::OneOrMany::{Many, One};
-use self::core::{DeletePart, InsertPart, LookupPart, Poll, Segment, ShardCore, Step, Submission};
+use self::core::{DeletePart, InsertPart, LookupPart, Segment, ShardCore, Step, Submission};
 use crate::proto::{Op, Request, RespBody, Response, WireError};
 use crate::stats::ServerStats;
 
 /// Tuning knobs for the group-commit batcher.
 #[derive(Debug, Clone)]
 pub struct BatcherConfig {
-    /// Largest gather, in requests; a full queue fires immediately. A
-    /// gather takes at least one request, so `0` gathers one at a time.
+    /// Largest gather, in requests. A gather takes at least one request,
+    /// so `0` gathers one at a time.
     pub max_batch: usize,
-    /// How long a non-full gather lingers for concurrent arrivals.
-    pub linger: Duration,
     /// Ignored: the engine runs one shard per stripe. Kept only because
     /// the repo benchmark (`benchmark/src/store.rs`) still sets it; goes
     /// when the benchmark stops setting it.
@@ -86,7 +87,7 @@ pub struct BatcherConfig {
 
 impl Default for BatcherConfig {
     fn default() -> Self {
-        BatcherConfig { max_batch: 512, linger: Duration::from_micros(100), shards: 0 }
+        BatcherConfig { max_batch: 512, shards: 0 }
     }
 }
 
@@ -298,33 +299,48 @@ fn run_flush(
     seq.flush();
 }
 
-/// One batcher shard: its core, the condvar its gather thread — the
-/// only waiter — sleeps on, and the stripe it owns.
-struct Shard<D: Device> {
+/// One batcher shard: its core, the condvar shutdown waits on for the
+/// lead to be given up, and the store it calls: its stripe, or a test's.
+struct Shard<S> {
     core: Mutex<ShardCore>,
-    wake: Condvar,
-    stripe: SharedClam<D>,
+    unled: Condvar,
+    stripe: S,
 }
 
-impl<D: Device> Shard<D> {
-    fn new(stripe: SharedClam<D>) -> Self {
-        Shard { core: Mutex::default(), wake: Condvar::new(), stripe }
-    }
-
+impl<S> Shard<S> {
     fn lock(&self) -> MutexGuard<'_, ShardCore> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// State shared between connection threads and the shard gather threads.
-struct Shared<D: Device + 'static> {
+/// The steps of its gather a shard's leader has not finished. Dropped as
+/// a step's panic unwinds the leader, it retires the gather, gives up the
+/// lead and answers every unanswered part `Internal`: the shard runs on.
+struct Leader<'a, S> {
+    shard: &'a Shard<S>,
+    steps: VecDeque<Step>,
+}
+
+impl<S> Drop for Leader<'_, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.shard.lock().abandon();
+            self.shard.unled.notify_all();
+            let failed = |ticket| (ticket, Answer::Failed("the shard's gather panicked"));
+            deliver(self.steps.iter().flat_map(Step::tickets).map(failed).collect());
+        }
+    }
+}
+
+/// State the connection readers share; any of them may lead a shard.
+struct Shared<D: Device + 'static, S = SharedClam<D>> {
     /// The served store: it routes keys to stripes and merges their
     /// ledgers; each shard calls its own stripe.
     store: StripedClam<D>,
     recovery: Vec<RecoveryReport>,
     config: BatcherConfig,
     /// Shard `i` owns stripe `i`.
-    shards: Vec<Shard<D>>,
+    shards: Vec<Shard<S>>,
     conns: Mutex<HashMap<u64, Arc<ConnEntry>>>,
     /// Process-wide counters and the shutdown-time depth snapshot; what
     /// requests count lives in the shard cores' ledgers.
@@ -337,17 +353,16 @@ struct Shared<D: Device + 'static> {
 /// A cloneable handle to the batcher engine.
 pub struct Engine<D: Device + 'static> {
     shared: Arc<Shared<D>>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl<D: Device + 'static> Clone for Engine<D> {
     fn clone(&self) -> Self {
-        Engine { shared: Arc::clone(&self.shared), workers: Arc::clone(&self.workers) }
+        Engine { shared: Arc::clone(&self.shared) }
     }
 }
 
 impl<D: Device + 'static> Engine<D> {
-    /// Starts one shard, with its gather thread, per stripe of `store`.
+    /// Starts one shard per stripe of `store`; no thread is started.
     /// `recovery` carries the per-stripe reports when the store was
     /// recovered from an existing flash image (empty for a fresh boot);
     /// STATS responses include them.
@@ -356,30 +371,11 @@ impl<D: Device + 'static> Engine<D> {
         recovery: Vec<RecoveryReport>,
         config: BatcherConfig,
     ) -> Self {
-        let shards =
-            (0..store.num_stripes()).filter_map(|i| store.stripe(i)).map(Shard::new).collect();
-        let shared = Arc::new(Shared {
-            store,
-            recovery,
-            config,
-            shards,
-            conns: Mutex::new(HashMap::new()),
-            stats: Mutex::new(ServerStats::new()),
-            flushes: AtomicU64::new(0),
-        });
-        let workers = (0..shared.shards.len())
-            .map(|i| {
-                let worker_shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("clamd-batcher-{i}"))
-                    .spawn(move || shard_loop(&worker_shared, i))
-                    .expect("spawn batcher shard thread")
-            })
-            .collect();
-        Engine { shared, workers: Arc::new(Mutex::new(workers)) }
+        let stripes = (0..store.num_stripes()).filter_map(|i| store.stripe(i)).collect();
+        Engine { shared: Arc::new(Shared { recovery, ..Shared::new(store, config, stripes) }) }
     }
 
-    /// Number of batcher shards running: one per stripe.
+    /// Number of batcher shards: one per stripe.
     pub fn num_shards(&self) -> usize {
         self.shared.shards.len()
     }
@@ -389,7 +385,7 @@ impl<D: Device + 'static> Engine<D> {
     /// shard finishes first.
     pub fn register_conn(&self, conn: u64) -> mpsc::Receiver<Response> {
         let (tx, rx) = mpsc::channel();
-        self.register(conn, Sink::Channel(tx));
+        self.shared.register(conn, Sink::Channel(tx));
         rx
     }
 
@@ -398,13 +394,8 @@ impl<D: Device + 'static> Engine<D> {
     /// finish within [`STALL_LIMIT`] closes the connection.
     pub(crate) fn register_socket(&self, conn: u64, stream: TcpStream) -> io::Result<()> {
         stream.set_write_timeout(Some(STALL_LIMIT))?;
-        self.register(conn, Sink::Socket { stream, out: Vec::new() });
+        self.shared.register(conn, Sink::Socket { stream, out: Vec::new() });
         Ok(())
-    }
-
-    fn register(&self, conn: u64, sink: Sink) {
-        self.shared.conns().insert(conn, ConnEntry::new(sink));
-        self.shared.ledger().connections_opened += 1;
     }
 
     /// Unregisters a connection and closes it — a socket is shut down,
@@ -440,9 +431,8 @@ impl<D: Device + 'static> Engine<D> {
         }
     }
 
-    /// Routes one decoded request to its shard(s) for group commit, or
-    /// serves it at once if it leads an idle shard. A chunk of one: see
-    /// [`submit_chunk`](Self::submit_chunk).
+    /// Routes one decoded request to its shard(s) for group commit. A
+    /// chunk of one: see [`submit_chunk`](Self::submit_chunk).
     pub fn submit(&self, conn: u64, request: Request) {
         self.submit_chunk(conn, [request]);
     }
@@ -452,40 +442,14 @@ impl<D: Device + 'static> Engine<D> {
     /// in order within each shard, under one range of sequence numbers.
     /// Each touched shard's core decides whether the chunk leads it
     /// (`ShardCore::lead`); a run that leads is served here, with no lock
-    /// held.
+    /// held. A share queued on a shard that no thread leads makes this
+    /// thread its leader, which runs the shard's gathers before returning.
     pub fn submit_chunk<I>(&self, conn: u64, requests: I)
     where
         I: IntoIterator<Item = Request>,
         I::IntoIter: ExactSizeIterator,
     {
-        let requests = requests.into_iter();
-        if requests.len() == 0 {
-            return;
-        }
-        let shared = &*self.shared;
-        let conn = shared.conns().get(&conn).cloned().unwrap_or_default();
-        // Same key, same stripe, same shard.
-        let shard_of = |key| shared.store.stripe_index(key);
-        let staged = stage(&conn, requests, shared.shards.len(), shard_of);
-        let mut held = Vec::new();
-        for (shard, staged) in shared.shards.iter().zip(staged).filter(|(_, s)| !s.is_empty()) {
-            let led = shard.lock().lead(staged);
-            let Some((run, rest)) = led else {
-                shard.wake.notify_one();
-                continue;
-            };
-            if !run.lookups.is_empty() {
-                run_segment(&shard.stripe, &run, |served| shard.lock().count_led(served));
-            }
-            held.push((shard, rest));
-        }
-        // Idle shards' shares queue once every led run is answered: queued
-        // as each run returned, they cut the share of lookups that led on
-        // `serve-read-resident` from 0.675 to 0.653.
-        for (shard, rest) in held.into_iter().filter(|(_, rest)| !rest.is_empty()) {
-            shard.lock().push(rest);
-            shard.wake.notify_one();
-        }
+        self.shared.submit_chunk(conn, requests.into_iter());
     }
 
     /// Answers a protocol violation on `conn`: counts it, and sends the
@@ -523,23 +487,13 @@ impl<D: Device + 'static> Engine<D> {
         &self.shared.recovery
     }
 
-    /// Stops the batcher once every shard has drained its queue, so every
-    /// submitted request still gets its response. Each shard's depth as
-    /// it is closed goes into the ledger's `shard_depths` gauge.
+    /// Returns once every shard has drained its queue, so every submitted
+    /// request has its response: it waits for each shard's leader to give
+    /// up the lead, then runs what a leader that panicked left queued.
+    /// Each shard's depth as shutdown finds it goes into the ledger's
+    /// `shard_depths` gauge.
     pub fn shutdown(&self) {
-        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-        if workers.is_empty() {
-            return;
-        }
-        let depths = self.shared.shards.iter().map(|shard| {
-            let depth = shard.lock().close();
-            shard.wake.notify_one();
-            depth
-        });
-        self.shared.ledger().shard_depths = depths.collect();
-        for worker in workers.drain(..) {
-            worker.join().expect("batcher shard thread panicked");
-        }
+        self.shared.shutdown();
     }
 
     /// Flushes every stripe's buffers to flash. A stripe whose flush
@@ -552,13 +506,103 @@ impl<D: Device + 'static> Engine<D> {
     }
 }
 
-impl<D: Device + 'static> Shared<D> {
+impl<D: Device + 'static, S: StepStore> Shared<D, S> {
+    /// Shard `i` calls `stripes[i]`; `store` routes keys. No reports.
+    fn new(store: StripedClam<D>, config: BatcherConfig, stripes: Vec<S>) -> Self {
+        let shard = |stripe| Shard { core: Mutex::default(), unled: Condvar::new(), stripe };
+        Shared {
+            store,
+            recovery: Vec::new(),
+            config,
+            shards: stripes.into_iter().map(shard).collect(),
+            conns: Mutex::new(HashMap::new()),
+            stats: Mutex::new(ServerStats::new()),
+            flushes: AtomicU64::new(0),
+        }
+    }
+
     fn conns(&self) -> MutexGuard<'_, HashMap<u64, Arc<ConnEntry>>> {
         self.conns.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn ledger(&self) -> MutexGuard<'_, ServerStats> {
         self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn register(&self, conn: u64, sink: Sink) {
+        self.conns().insert(conn, ConnEntry::new(sink));
+        self.ledger().connections_opened += 1;
+    }
+
+    /// [`Engine::submit_chunk`].
+    fn submit_chunk(&self, conn: u64, requests: impl ExactSizeIterator<Item = Request>) {
+        if requests.len() == 0 {
+            return;
+        }
+        let conn = self.conns().get(&conn).cloned().unwrap_or_default();
+        // Same key, same stripe, same shard.
+        let staged = stage(&conn, requests, self.shards.len(), |key| self.store.stripe_index(key));
+        let mut held = Vec::new();
+        for (shard, staged) in self.shards.iter().zip(staged).filter(|(_, s)| !s.is_empty()) {
+            let led = shard.lock().lead(staged);
+            let Some((run, rest)) = led else { continue };
+            if !run.lookups.is_empty() {
+                run_segment(&shard.stripe, &run, |served| shard.lock().count_led(served));
+            }
+            held.push((shard, rest));
+        }
+        // Idle shards' shares queue once every led run is answered: queued
+        // as each run returned, they cut the share of lookups that led on
+        // `serve-read-resident` from 0.675 to 0.653.
+        for (shard, rest) in held.into_iter().filter(|(_, rest)| !rest.is_empty()) {
+            if shard.lock().push(rest) {
+                self.lead(shard);
+            }
+        }
+    }
+
+    /// Runs `shard`'s gathers as its leader, each step with no lock held,
+    /// until the poll that finds the queue empty gives up the lead. What
+    /// arrived while a gather ran is the next gather.
+    fn lead(&self, shard: &Shard<S>) {
+        let mut leader = Leader { shard, steps: VecDeque::new() };
+        loop {
+            let mut core = shard.lock();
+            match core.poll(self.config.max_batch) {
+                Some(steps) => leader.steps = steps.into(),
+                None if core.closing => return shard.unled.notify_all(),
+                None => return,
+            }
+            drop(core);
+            while let Some(step) = leader.steps.front() {
+                self.execute(shard, step);
+                leader.steps.pop_front();
+            }
+        }
+    }
+
+    /// Executes one step of `shard`'s gather on its stripe without the
+    /// shard's lock, then takes it once to retire the step, and only then
+    /// answers.
+    fn execute(&self, shard: &Shard<S>, step: &Step) {
+        let retired = step.submissions();
+        let retire = |served: &ServerStats| shard.lock().done(retired, served);
+        match step {
+            Step::Segment(segment) => run_segment(&shard.stripe, segment, retire),
+            // The other shards' parts flush the other stripes.
+            Step::Flush(ticket) => run_flush(&shard.stripe, ticket, &self.flushes, retire),
+            Step::Stats(ticket) => {
+                // Retired first: the depths it reports leave it out.
+                retire(&ServerStats::new());
+                self.ledger().stats_calls += 1;
+                let fields = Box::new(self.merged_stats());
+                let mut text = format!("{fields}\nstore: {}", self.store.stats());
+                for (i, report) in self.recovery.iter().enumerate() {
+                    text.push_str(&format!("\nstripe {i} recovery: {report}"));
+                }
+                deliver(vec![(ticket, Answer::Body(RespBody::Stats { fields, text }))]);
+            }
+        }
     }
 
     /// The merged ledger a STATS request reports: process-wide counters
@@ -579,53 +623,15 @@ impl<D: Device + 'static> Shared<D> {
         merged
     }
 
-    /// Executes one step of shard `idx`'s gather on its stripe without
-    /// the shard's lock, then takes it once to retire the step, and only
-    /// then answers.
-    fn execute(&self, idx: usize, step: Step) {
-        let shard = &self.shards[idx];
-        let retired = step.submissions();
-        let retire = |served: &ServerStats| shard.lock().done(retired, served);
-        match step {
-            Step::Segment(segment) => run_segment(&shard.stripe, &segment, retire),
-            // The other shards' parts flush the other stripes.
-            Step::Flush(ticket) => run_flush(&shard.stripe, &ticket, &self.flushes, retire),
-            Step::Stats(ticket) => {
-                // Retired first: the depths it reports leave it out.
-                retire(&ServerStats::new());
-                self.ledger().stats_calls += 1;
-                let fields = Box::new(self.merged_stats());
-                let mut text = format!("{fields}\nstore: {}", self.store.stats());
-                for (i, report) in self.recovery.iter().enumerate() {
-                    text.push_str(&format!("\nstripe {i} recovery: {report}"));
-                }
-                deliver(vec![(&ticket, Answer::Body(RespBody::Stats { fields, text }))]);
-            }
+    /// [`Engine::shutdown`].
+    fn shutdown(&self) {
+        let depths = self.shards.iter().map(|shard| shard.lock().close());
+        self.ledger().shard_depths = depths.collect();
+        for shard in &self.shards {
+            let unled = shard.unled.wait_while(shard.lock(), |core| core.leading);
+            unled.unwrap_or_else(PoisonError::into_inner).push(Vec::new());
+            self.lead(shard);
         }
-    }
-}
-
-/// A shard's gather thread: does what the core decides at the current
-/// instant until it says to exit.
-fn shard_loop<D: Device + 'static>(shared: &Shared<D>, idx: usize) {
-    let shard = &shared.shards[idx];
-    let mut core = shard.lock();
-    loop {
-        core = match core.poll(Instant::now(), &shared.config) {
-            Poll::Sleep => shard.wake.wait(core).unwrap_or_else(PoisonError::into_inner),
-            Poll::SleepUntil(deadline) => {
-                let linger = deadline.saturating_duration_since(Instant::now());
-                shard.wake.wait_timeout(core, linger).unwrap_or_else(PoisonError::into_inner).0
-            }
-            Poll::Run(steps) => {
-                drop(core);
-                for step in steps {
-                    shared.execute(idx, step);
-                }
-                shard.lock()
-            }
-            Poll::Exit => return,
-        };
     }
 }
 

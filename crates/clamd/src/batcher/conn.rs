@@ -14,10 +14,10 @@ use bufferhash::Value;
 use crate::proto::{self, ErrorCode, RespBody, Response};
 
 /// How long one delivery may take to reach a connection's socket before
-/// the connection is closed. The writer is a shard's gather thread (or a
-/// reader), which other connections wait on, so a client that leaves a
-/// whole socket buffer unread may stall them this long and no longer. A
-/// reading client drains its buffer in microseconds.
+/// the connection is closed. The writer is a reader leading a shard,
+/// which other connections wait on, so a client that leaves a whole
+/// socket buffer unread may stall them this long and no longer. A reading
+/// client drains its buffer in microseconds.
 pub(crate) const STALL_LIMIT: Duration = Duration::from_millis(50);
 
 /// Where a connection's responses go.

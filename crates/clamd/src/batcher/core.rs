@@ -1,14 +1,13 @@
-//! A batcher shard's decisions — lead, queue, linger, gathers, retirement
-//! and ledger — in a plain struct that takes no lock, reads no clock and
-//! calls no store: the thread shell passes in the `Instant`s, as tests do.
+//! A batcher shard's decisions — which thread leads it, queue, gathers,
+//! retirement and ledger — in a plain struct that takes no lock and calls
+//! no store: the shell's leader loop does what it decides.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Deref;
-use std::time::Instant;
 
 use bufferhash::{Key, Value};
 
-use super::{BatcherConfig, Ticket};
+use super::Ticket;
 use crate::stats::ServerStats;
 
 /// A scalar frame's one item, or a batch frame's share of items for one
@@ -108,10 +107,21 @@ pub(super) enum Step {
 impl Step {
     /// How many queued submissions the step carries: what it retires.
     pub(super) fn submissions(&self) -> usize {
-        match self {
-            Step::Segment(s) => s.inserts.len() + s.lookups.len() + s.deletes.len(),
-            Step::Flush(_) | Step::Stats(_) => 1,
-        }
+        self.tickets().count()
+    }
+
+    /// The ticket of every part the step answers, one per submission.
+    pub(super) fn tickets(&self) -> impl Iterator<Item = &Ticket> {
+        let (segment, ticket) = match self {
+            Step::Segment(segment) => (Some(segment), None),
+            Step::Flush(ticket) | Step::Stats(ticket) => (None, Some(ticket)),
+        };
+        let parts = segment.into_iter().flat_map(|Segment { inserts, lookups, deletes }| {
+            let inserts = inserts.iter().map(|part| &part.ticket);
+            let lookups = lookups.iter().map(|part| &part.ticket);
+            inserts.chain(lookups).chain(deletes.iter().map(|part| &part.ticket))
+        });
+        parts.chain(ticket)
     }
 }
 
@@ -195,48 +205,43 @@ impl Planner {
 /// An idle shard's share of a chunk: the run that leads it, and the rest.
 pub(super) type Led = (Segment, Vec<Submission>);
 
-/// What a shard's thread does next.
-pub(super) enum Poll {
-    /// Nothing is queued: wait for an arrival.
-    Sleep,
-    /// A gather lingers: wait for an arrival or this instant.
-    SleepUntil(Instant),
-    /// A gather fired: execute its steps in order, reporting each through
-    /// [`ShardCore::done`] before its responses go out.
-    Run(Vec<Step>),
-    /// Closing, and the queue is drained.
-    Exit,
-}
-
 /// One batcher shard's state and every decision made on it.
 #[derive(Default)]
 pub(super) struct ShardCore {
     queue: VecDeque<Submission>,
     /// Submissions gathered and not yet retired by [`done`](Self::done).
     in_flight: usize,
-    /// Set by shutdown: drain the queue without lingering, then exit.
-    closing: bool,
-    /// When the lingering gather fires; set only while the thread sleeps
-    /// on it, so a gather that finds it set waited.
-    deadline: Option<Instant>,
+    /// A thread leads the shard: taken by the push that finds it clear,
+    /// given up by the poll that finds the queue empty, so nothing stays
+    /// queued without a leader. The shell reads it; only the core writes.
+    pub(super) leading: bool,
+    /// Set by shutdown, which then waits for the lead to be given up: from
+    /// then on the thread that gives it up wakes shutdown.
+    pub(super) closing: bool,
     planner: Planner,
     /// The shard's ledger.
     pub(super) stats: ServerStats,
 }
 
 impl ShardCore {
-    /// Queues a chunk's submissions for this shard, in arrival order.
-    pub(super) fn push(&mut self, staged: Vec<Submission>) {
+    /// Queues a chunk's submissions for this shard, in arrival order, and
+    /// returns whether the caller takes the lead: no thread led the shard.
+    pub(super) fn push(&mut self, staged: Vec<Submission>) -> bool {
         self.queue.extend(staged);
+        !std::mem::replace(&mut self.leading, true)
     }
 
     /// Takes a chunk's submissions for this shard. A busy shard queues them
     /// now, and nothing leads. On an idle shard, where every write that
     /// arrived has landed, the scalar lookups at the chunk's front (maybe
     /// none) lead: they come back as a segment for the caller to serve,
-    /// with the rest, for the caller to [`push`](Self::push) after.
+    /// with the rest, for the caller to [`push`](Self::push) after, as all
+    /// of a busy shard's share does when its leader panicked.
     pub(super) fn lead(&mut self, mut staged: Vec<Submission>) -> Option<Led> {
         if !self.idle() {
+            if !self.leading {
+                return Some((Segment::default(), staged));
+            }
             self.push(staged);
             return None;
         }
@@ -276,33 +281,25 @@ impl ShardCore {
         self.depth()
     }
 
-    /// Decides what the shard's thread does at `now`. The first poll to
-    /// see a non-empty queue sets a deadline `config.linger` away; the
-    /// gather fires then, at once when `config.max_batch` are queued, or
-    /// at once after [`close`](Self::close). It takes up to `max_batch`
-    /// submissions, and at least one, counts them in flight, cuts them
-    /// into steps and records itself in the ledger.
-    pub(super) fn poll(&mut self, now: Instant, config: &BatcherConfig) -> Poll {
+    /// The leader's next gather: up to `max_batch` submissions, and at
+    /// least one, counted in flight, cut into steps and recorded in the
+    /// ledger. A poll that finds the queue empty gives up the lead instead
+    /// and returns `None`: in the same lock acquisition, so a push lands
+    /// either before it, and is gathered, or after, and takes the lead.
+    pub(super) fn poll(&mut self, max_batch: usize) -> Option<Vec<Step>> {
         if self.queue.is_empty() {
-            return if self.closing { Poll::Exit } else { Poll::Sleep };
+            self.leading = false;
+            return None;
         }
-        if !self.closing && self.queue.len() < config.max_batch {
-            let deadline = self.deadline.unwrap_or(now + config.linger);
-            if now < deadline {
-                self.deadline = Some(deadline);
-                return Poll::SleepUntil(deadline);
-            }
-        }
-        let waited = self.deadline.take().is_some();
-        let gathered = self.queue.len().min(config.max_batch.max(1));
+        let gathered = self.queue.len().min(max_batch.max(1));
         for submission in self.queue.drain(..gathered) {
             self.planner.push(submission);
         }
         let (steps, conflicts) = self.planner.finish();
         self.in_flight += gathered;
-        self.stats.record_batch(gathered, waited);
+        self.stats.record_batch(gathered);
         self.stats.segment_conflicts += conflicts;
-        Poll::Run(steps)
+        Some(steps)
     }
 
     /// Retires `retired` gathered submissions whose store calls have
@@ -313,6 +310,12 @@ impl ShardCore {
         self.in_flight =
             self.in_flight.checked_sub(retired).expect("retired more than was gathered");
         self.stats.absorb(delta);
+    }
+
+    /// The leader's gather panicked: retires it, the only one in flight,
+    /// and gives up the lead, for the next push or shutdown to take.
+    pub(super) fn abandon(&mut self) {
+        (self.in_flight, self.leading) = (0, false);
     }
 }
 

@@ -1,13 +1,13 @@
-//! The shard core on synthetic instants (`batcher::core::tests`): the
-//! linger and gather policy decision by decision, then every short
-//! arrival script over two connections, two shards and two keys, with
-//! chunks of one and two requests and store calls that fail.
+//! The shard core alone (`batcher::core::tests`): the lead and gather
+//! policy decision by decision, then every short arrival script over two
+//! connections, two shards and two keys, with chunks of one and two
+//! requests, leaders that poll between any two events, and store calls
+//! that fail.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
 
 use bufferhash::BufferHashError;
 
@@ -16,21 +16,6 @@ use super::super::{run_flush, run_segment, stage, ConnEntry, Sink, StepStore, Ti
 use super::*;
 use crate::proto::{ErrorCode, Op, Request, RespBody, Response};
 
-const LINGER: Duration = Duration::from_micros(100);
-
-fn config(max_batch: usize) -> BatcherConfig {
-    BatcherConfig { max_batch, linger: LINGER, ..BatcherConfig::default() }
-}
-
-/// A poll's decision, a gather standing for its submission count.
-#[derive(Debug, PartialEq)]
-enum Decision {
-    Sleep,
-    SleepUntil(Instant),
-    Run(usize),
-    Exit,
-}
-
 impl ShardCore {
     /// The queue, front first.
     pub(in crate::batcher) fn queued(&self) -> impl Iterator<Item = &Submission> {
@@ -38,142 +23,96 @@ impl ShardCore {
     }
 }
 
-fn decide(core: &mut ShardCore, now: Instant, config: &BatcherConfig) -> Decision {
-    match core.poll(now, config) {
-        Poll::Sleep => Decision::Sleep,
-        Poll::SleepUntil(deadline) => Decision::SleepUntil(deadline),
-        Poll::Run(steps) => Decision::Run(steps.iter().map(Step::submissions).sum()),
-        Poll::Exit => Decision::Exit,
-    }
+/// The leader's next poll: its gather's submission count, or `None`
+/// where the poll gave up the lead.
+fn gather(core: &mut ShardCore, max_batch: usize) -> Option<usize> {
+    core.poll(max_batch).map(|steps| steps.iter().map(Step::submissions).sum())
 }
 
 #[test]
-fn the_linger_deadline_runs_from_first_sight_of_a_non_empty_queue() {
-    let config = config(8);
-    let t0 = Instant::now();
+fn the_poll_that_finds_the_queue_empty_gives_up_the_lead() {
     let mut core = ShardCore::default();
-    assert_eq!(decide(&mut core, t0, &config), Decision::Sleep);
-    core.push(vec![ins(1)]);
-    // The thread first sees the arrival a while later; the linger runs
-    // from then.
-    let seen = t0 + Duration::from_micros(30);
-    assert_eq!(decide(&mut core, seen, &config), Decision::SleepUntil(seen + LINGER));
-    // Later arrivals and early wake-ups do not move the deadline.
-    core.push(vec![look(2)]);
-    assert_eq!(decide(&mut core, seen + LINGER / 2, &config), Decision::SleepUntil(seen + LINGER));
-    assert_eq!(decide(&mut core, seen + LINGER, &config), Decision::Run(2));
-    // The next arrival starts a linger of its own.
+    assert!(core.push(vec![ins(1)]), "an unled shard's pusher leads it");
+    assert!(!core.push(vec![look(2)]), "a led shard's pusher leaves it to its leader");
+    assert_eq!(gather(&mut core, 8), Some(2));
+    // What arrives while a gather runs is the next gather.
+    assert!(!core.push(vec![del(3)]));
     core.done(2, &ServerStats::new());
-    core.push(vec![del(3)]);
-    let later = seen + 3 * LINGER;
-    assert_eq!(decide(&mut core, later, &config), Decision::SleepUntil(later + LINGER));
-    assert_eq!(core.stats.batches, 1);
+    assert!(core.leading, "only a poll gives the lead up");
+    assert_eq!(gather(&mut core, 8), Some(1));
+    core.done(1, &ServerStats::new());
+    assert_eq!(gather(&mut core, 8), None);
+    assert!(!core.leading);
+    assert!(core.push(vec![ins(4)]), "the next pusher leads again");
+    assert_eq!((core.stats.batches, core.stats.group_commit_waits), (2, 0));
 }
 
 #[test]
 fn a_full_queue_fires_at_max_batch_without_waiting() {
-    let config = config(2);
-    let t0 = Instant::now();
     let mut core = ShardCore::default();
     core.push(vec![ins(1), ins(2), ins(3)]);
-    assert_eq!(decide(&mut core, t0, &config), Decision::Run(2));
-    // One left, under max_batch: it lingers until a second arrives.
-    assert_eq!(decide(&mut core, t0, &config), Decision::SleepUntil(t0 + LINGER));
-    core.push(vec![ins(4)]);
-    assert_eq!(decide(&mut core, t0 + LINGER / 4, &config), Decision::Run(2));
+    assert_eq!(gather(&mut core, 2), Some(2));
+    // One left, under max_batch: it fires as soon as the leader polls.
+    assert_eq!(gather(&mut core, 2), Some(1));
+    core.push(vec![ins(4), ins(5)]);
+    assert_eq!(gather(&mut core, 2), Some(2));
     let stats = &core.stats;
-    assert_eq!((stats.batches, stats.batched_requests, stats.batch_histogram[2]), (2, 4, 2));
-}
-
-#[test]
-fn a_gather_waited_iff_its_thread_slept_on_the_deadline() {
-    let t0 = Instant::now();
-    let later = t0 + LINGER / 2;
-    // (max_batch, linger, queued at first sight, close before firing, arrivals
-    // while lingering, fired at, waited)
-    let cases = [
-        (8, LINGER, 1, false, 0, t0 + LINGER, true),
-        (2, LINGER, 2, false, 0, t0, false),
-        (2, LINGER, 1, false, 1, later, true),
-        (8, Duration::ZERO, 1, false, 0, t0, false),
-        (8, LINGER, 1, true, 0, t0, false),
-    ];
-    for (max_batch, linger, queued, close, arrivals, fired_at, waited) in cases {
-        let config = BatcherConfig { max_batch, linger, ..BatcherConfig::default() };
-        let mut core = ShardCore::default();
-        core.push((0..queued).map(ins).collect());
-        if close {
-            core.close();
-        }
-        if fired_at > t0 {
-            assert_eq!(decide(&mut core, t0, &config), Decision::SleepUntil(t0 + linger));
-        }
-        core.push((0..arrivals).map(ins).collect());
-        let gathered = (queued + arrivals) as usize;
-        assert_eq!(decide(&mut core, fired_at, &config), Decision::Run(gathered));
-        assert_eq!(core.stats.group_commit_waits, u64::from(waited), "{max_batch} {queued}");
-    }
-    // Closing in the middle of a linger fires at once; the gather waited.
-    let config = config(8);
-    let mut core = ShardCore::default();
-    core.push(vec![ins(1)]);
-    assert_eq!(decide(&mut core, t0, &config), Decision::SleepUntil(t0 + LINGER));
-    core.close();
-    assert_eq!(decide(&mut core, later, &config), Decision::Run(1));
-    assert_eq!(core.stats.group_commit_waits, 1);
+    assert_eq!((stats.batches, stats.batched_requests, stats.batch_histogram[2]), (3, 5, 2));
 }
 
 #[test]
 fn a_gather_takes_at_least_one_submission() {
     // A `max_batch` of 0 would otherwise gather nothing, poll after poll.
-    let config = config(0);
-    let t0 = Instant::now();
     let mut core = ShardCore::default();
     core.push(vec![ins(1), ins(2)]);
-    assert_eq!(decide(&mut core, t0, &config), Decision::Run(1));
+    assert_eq!(gather(&mut core, 0), Some(1));
     core.done(1, &ServerStats::new());
-    assert_eq!(decide(&mut core, t0, &config), Decision::Run(1));
+    assert_eq!(gather(&mut core, 0), Some(1));
     assert_eq!((core.stats.batches, core.stats.batch_high_water), (2, 1));
 }
 
 #[test]
 fn closing_drains_the_queue_without_lingering_then_exits() {
-    let config = config(2);
-    let t0 = Instant::now();
     let mut core = ShardCore::default();
     core.push((1..=5).map(ins).collect());
     assert_eq!(core.close(), 5, "close reports the depth it found");
     for gathered in [2, 2, 1] {
-        assert_eq!(decide(&mut core, t0, &config), Decision::Run(gathered));
+        assert_eq!(gather(&mut core, 2), Some(gathered));
         core.done(gathered, &ServerStats::new());
     }
-    assert_eq!(decide(&mut core, t0, &config), Decision::Exit);
-    // An idle core exits as soon as it is closed.
-    let mut idle = ShardCore::default();
-    assert_eq!(decide(&mut idle, t0, &config), Decision::Sleep);
-    idle.close();
-    assert_eq!(decide(&mut idle, t0, &config), Decision::Exit);
+    // The leader exits: the drained shard is unled, and shutdown, which
+    // waits for that, is woken.
+    assert_eq!(gather(&mut core, 2), None);
+    assert!(core.closing && !core.leading);
 }
 
 #[test]
 fn depth_is_queued_plus_in_flight_and_idle_needs_both_empty() {
-    let config = config(2);
-    let t0 = Instant::now();
     let mut core = ShardCore::default();
     assert!(core.idle());
     core.push(vec![ins(1), look(2), del(3)]);
     assert_eq!((core.depth(), core.idle()), (3, false));
-    assert_eq!(decide(&mut core, t0, &config), Decision::Run(2));
+    assert_eq!(gather(&mut core, 2), Some(2));
     assert_eq!((core.depth(), core.idle()), (3, false), "two in flight, one queued");
     let mut served = ServerStats::new();
     served.lookups = 1;
     core.done(2, &served);
     assert_eq!((core.depth(), core.idle(), core.stats.lookups), (1, false, 1));
-    assert_eq!(decide(&mut core, t0 + LINGER, &config), Decision::SleepUntil(t0 + 2 * LINGER));
-    assert_eq!(decide(&mut core, t0 + 2 * LINGER, &config), Decision::Run(1));
+    assert_eq!(gather(&mut core, 2), Some(1));
     assert_eq!((core.depth(), core.idle()), (1, false), "in flight alone keeps it busy");
     core.done(1, &ServerStats::new());
     assert_eq!((core.depth(), core.idle()), (0, true));
+}
+
+#[test]
+fn an_abandoned_gather_is_retired_and_leaves_its_shard_to_the_next_pusher() {
+    let mut core = ShardCore::default();
+    core.push(vec![ins(1), ins(2), ins(3)]);
+    assert_eq!(gather(&mut core, 2), Some(2));
+    core.abandon();
+    assert_eq!((core.depth(), core.leading), (1, false), "one queued, and no leader");
+    assert!(core.push(vec![ins(4)]), "the next pusher leads what is queued");
+    assert_eq!(gather(&mut core, 8), Some(2));
 }
 
 // --- every short arrival script ---------------------------------------
@@ -215,26 +154,39 @@ const ARRIVALS: [&[Req]; 12] = [
 enum Event {
     /// Connection `.0` sends a chunk of requests.
     Arrive(usize, &'static [Req]),
-    /// Shard `.0`'s gather fires: at once on a full queue, else at its
-    /// linger deadline.
-    Fire(usize),
+    /// Shard `.0`'s leader polls: it gathers, or, on an empty queue, gives
+    /// up the lead.
+    Poll(usize),
     /// The next step of shard `.0`'s gather returns from the store.
     Complete(usize),
     /// The same, but the step's first store call takes effect and then
     /// fails.
     Fail(usize),
+    /// A mutant's second lock acquisition: shard `.0`'s leader gives up
+    /// the lead after a poll found the queue empty.
+    Release(usize),
+    /// A mutant's second lock acquisition: connection `.0`'s reader
+    /// pushes the next share it staged, leading by what it saw before.
+    Push(usize),
 }
 
 impl Event {
     /// What the event spends of a script's length: one per request it
-    /// sends, one per firing or completion.
-    fn length(self) -> usize {
+    /// sends, one per gather or completion. A poll that gives up the lead
+    /// and a mutant's second lock acquisition are free: a push comes
+    /// before each.
+    fn length(self, world: &World) -> usize {
         match self {
             Event::Arrive(_, reqs) => reqs.len(),
-            Event::Fire(_) | Event::Complete(_) | Event::Fail(_) => 1,
+            Event::Poll(shard) => usize::from(world.cores[shard].depth() > 0),
+            Event::Complete(_) | Event::Fail(_) => 1,
+            Event::Release(_) | Event::Push(_) => 0,
         }
     }
 }
+
+/// The largest gather a script's leaders take.
+const MAX_BATCH: usize = 2;
 
 /// The sequential map a script's steps run against. A call made while
 /// `fault` holds a tag takes effect, then fails with the tag: nothing is
@@ -292,16 +244,27 @@ type Lead = fn(&mut ShardCore, Vec<Submission>) -> Option<Led>;
 /// How a script is driven: as the shell drives the core, or with a bug
 /// the checks must catch — each gather retired as it fires rather than
 /// step by step after its store calls, with or without the in-flight
-/// invariant, so the contract checks are seen to catch it too; or a lead
-/// rule other than the core's.
+/// invariant, so the contract checks are seen to catch it too; a lead
+/// rule other than the core's; a leader that gives up the lead in a lock
+/// acquisition of its own after the poll that found the queue empty; or
+/// a reader that reads whether a shard is led in one lock acquisition and
+/// pushes its share in another.
 #[derive(Clone, Copy)]
 struct Driver {
     retire_at_gather: bool,
     check_idle: bool,
     lead: Lead,
+    release_apart: bool,
+    push_apart: bool,
 }
 
-const SHELL: Driver = Driver { retire_at_gather: false, check_idle: true, lead: ShardCore::lead };
+const SHELL: Driver = Driver {
+    retire_at_gather: false,
+    check_idle: true,
+    lead: ShardCore::lead,
+    release_apart: false,
+    push_apart: false,
+};
 
 /// A mutant lead rule: the core's, on a shard taken to be idle whatever
 /// it holds.
@@ -328,14 +291,20 @@ fn lead_every_lookup(core: &mut ShardCore, staged: Vec<Submission>) -> Option<Le
 }
 
 /// Two shard cores, two connections and a map, driven one event at a
-/// time the way the thread shell drives them, single-threaded.
+/// time the way the shell's readers and leaders drive them,
+/// single-threaded: a shard's leader is whichever reader took the lead,
+/// and its polls interleave with everything else.
 struct World {
     driver: Driver,
-    config: BatcherConfig,
-    now: Instant,
     cores: [ShardCore; 2],
     /// Each shard's gathered steps that have not returned, in order.
     running: [VecDeque<Step>; 2],
+    /// Under `release_apart`, each shard whose leader's poll found the
+    /// queue empty and that has not given up the lead yet.
+    releasing: [bool; 2],
+    /// Under `push_apart`, each connection's staged shares not yet pushed:
+    /// the shard, the share and whether the reader saw the shard unled.
+    pushing: [VecDeque<(usize, Vec<Submission>, bool)>; 2],
     store: MapStore,
     conns: [(Arc<ConnEntry>, mpsc::Receiver<Response>); 2],
     /// Each key's value once every write that has arrived took effect:
@@ -358,10 +327,10 @@ impl World {
     fn new(driver: Driver) -> Self {
         World {
             driver,
-            config: config(2),
-            now: Instant::now(),
             cores: Default::default(),
             running: Default::default(),
+            releasing: [false; 2],
+            pushing: Default::default(),
             store: MapStore::default(),
             conns: [connection(), connection()],
             model: [None; 2],
@@ -376,28 +345,48 @@ impl World {
     fn enabled(&self) -> Vec<Event> {
         // The connections are interchangeable, so connection 1 speaks
         // only once connection 0 has: each script is run once, not twice.
-        let conns = if self.expected[0].is_empty() { 1 } else { 2 };
+        // A reader sends its next chunk once it has pushed the last, and,
+        // so that requests reach their shards in the order they arrive in,
+        // nothing arrives while a push is pending.
+        let pushing = self.pushing.iter().any(|shares| !shares.is_empty());
+        let conns = if pushing {
+            0
+        } else if self.expected[0].is_empty() {
+            1
+        } else {
+            2
+        };
         let mut events: Vec<Event> =
             (0..conns).flat_map(|conn| ARRIVALS.map(|reqs| Event::Arrive(conn, reqs))).collect();
         for shard in 0..2 {
-            if self.running[shard].is_empty() {
-                // Nothing in flight, so the depth is what is queued.
-                if self.cores[shard].depth() > 0 {
-                    events.push(Event::Fire(shard));
-                }
-            } else {
+            if self.releasing[shard] {
+                events.push(Event::Release(shard));
+            } else if !self.running[shard].is_empty() {
                 events.extend([Event::Complete(shard), Event::Fail(shard)]);
+            } else if self.cores[shard].leading {
+                events.push(Event::Poll(shard));
             }
         }
+        events.extend((0..2).filter(|&conn| !self.pushing[conn].is_empty()).map(Event::Push));
         events
     }
 
     fn apply(&mut self, event: Event) -> Result<(), String> {
         match event {
             Event::Arrive(conn, reqs) => self.arrive(conn, reqs),
-            Event::Fire(shard) => self.gather(shard)?,
+            Event::Poll(shard) => self.poll(shard),
             Event::Complete(shard) => self.complete(shard, false),
             Event::Fail(shard) => self.complete(shard, true),
+            Event::Release(shard) => {
+                self.releasing[shard] = false;
+                self.cores[shard].leading = false;
+            }
+            Event::Push(conn) => {
+                let (shard, share, unled) = self.pushing[conn].pop_front().expect("a share");
+                let core = &mut self.cores[shard];
+                core.queue.extend(share);
+                core.leading |= unled;
+            }
         }
         self.check()
     }
@@ -434,7 +423,8 @@ impl World {
             self.expected[conn].push(answer);
             chunk.push(Request { id, op });
         }
-        // As `Engine::submit_chunk` hands each shard its share.
+        // As `Shared::submit_chunk` hands each shard its share; a shard
+        // it comes to lead polls as events of its own.
         let staged = stage(&self.conns[conn].0, chunk.into_iter(), 2, |key| key as usize);
         let mut held = Vec::new();
         for (shard, staged) in staged.into_iter().enumerate().filter(|(_, s)| !s.is_empty()) {
@@ -445,28 +435,29 @@ impl World {
             }
             held.push((shard, rest));
         }
-        for (shard, rest) in held {
-            self.cores[shard].push(rest);
+        for (shard, rest) in held.into_iter().filter(|(_, rest)| !rest.is_empty()) {
+            if self.driver.push_apart {
+                let unled = !self.cores[shard].leading;
+                self.pushing[conn].push_back((shard, rest, unled));
+            } else {
+                self.cores[shard].push(rest);
+            }
         }
     }
 
-    /// Polls `shard` until its gather fires, jumping the clock to the
-    /// linger deadline if there is one.
-    fn gather(&mut self, shard: usize) -> Result<(), String> {
-        let mut poll = self.cores[shard].poll(self.now, &self.config);
-        if let Poll::SleepUntil(deadline) = poll {
-            self.now = deadline;
-            poll = self.cores[shard].poll(self.now, &self.config);
+    /// `shard`'s leader polls: its gather's steps start running, or, on
+    /// an empty queue, it gives up the lead.
+    fn poll(&mut self, shard: usize) {
+        if self.driver.release_apart && self.cores[shard].depth() == 0 {
+            self.releasing[shard] = true;
+            return;
         }
-        let Poll::Run(steps) = poll else {
-            return Err(format!("shard {shard} did not gather its queue"));
-        };
+        let Some(steps) = self.cores[shard].poll(MAX_BATCH) else { return };
         if self.driver.retire_at_gather {
             let gathered = steps.iter().map(Step::submissions).sum();
             self.cores[shard].done(gathered, &ServerStats::new());
         }
         self.running[shard].extend(steps);
-        Ok(())
     }
 
     /// Runs the next step of `shard`'s gather against the map, as
@@ -558,26 +549,36 @@ impl World {
         Ok(())
     }
 
-    /// Shuts both shards down and runs them dry; then every request must
-    /// have had its one response.
+    /// Lets every reader push what it staged and every leader run until it
+    /// gives up the lead; then no shard may hold a request without a
+    /// leader, and every request must have had its one response.
     fn quiesce(&mut self) -> Result<(), String> {
+        for conn in 0..2 {
+            while !self.pushing[conn].is_empty() {
+                self.apply(Event::Push(conn))?;
+            }
+        }
         for shard in 0..2 {
-            self.cores[shard].close();
-            loop {
-                while !self.running[shard].is_empty() {
-                    self.apply(Event::Complete(shard))?;
-                }
-                if self.cores[shard].depth() == 0 {
+            // A leader that never gives up the lead fails, not hangs.
+            for polled in 0.. {
+                if !self.cores[shard].leading {
                     break;
                 }
-                let at = self.now;
-                self.gather(shard)?;
-                if self.now != at {
-                    return Err(format!("closing shard {shard} lingered"));
+                if polled == 64 {
+                    return Err(format!("shard {shard}'s leader never gave up the lead"));
                 }
+                let event = if self.releasing[shard] {
+                    Event::Release(shard)
+                } else if !self.running[shard].is_empty() {
+                    Event::Complete(shard)
+                } else {
+                    Event::Poll(shard)
+                };
+                self.apply(event)?;
             }
-            if !matches!(self.cores[shard].poll(self.now, &self.config), Poll::Exit) {
-                return Err(format!("drained closing shard {shard} did not exit"));
+            let stranded = self.cores[shard].depth();
+            if stranded > 0 {
+                return Err(format!("shard {shard} holds {stranded} queued without a leader"));
             }
         }
         for conn in 0..2 {
@@ -610,12 +611,13 @@ fn explore(
     for (i, &event) in script.iter().enumerate() {
         world.apply(event).map_err(|failure| (script[..=i].to_vec(), failure))?;
     }
-    let enabled = world.enabled();
-    world.quiesce().map_err(|failure| (script.clone(), format!("after shutdown: {failure}")))?;
+    let enabled: Vec<(Event, usize)> =
+        world.enabled().into_iter().map(|event| (event, event.length(&world))).collect();
+    world.quiesce().map_err(|failure| (script.clone(), format!("after the drain: {failure}")))?;
     let mut scripts = 1;
-    for event in enabled.into_iter().filter(|event| event.length() <= more) {
+    for (event, length) in enabled.into_iter().filter(|&(_, length)| length <= more) {
         script.push(event);
-        scripts += explore(driver, script, more - event.length())?;
+        scripts += explore(driver, script, more - length)?;
         script.pop();
     }
     Ok(scripts)
@@ -623,7 +625,7 @@ fn explore(
 
 #[test]
 fn every_short_arrival_script_keeps_the_contract() {
-    // Requests, firings and completions a script may hold (a chunk of two
+    // Requests, gathers and completions a script may hold (a chunk of two
     // counts two): debug builds run the shorter bound.
     let length = if cfg!(debug_assertions) { 4 } else { 5 };
     match explore(SHELL, &mut Vec::new(), length) {
@@ -655,6 +657,21 @@ fn leading_a_busy_shard_or_from_behind_a_write_is_caught() {
         };
         println!("caught {what} leading: {failure}\nscript: {script:?}");
         assert!(failure.contains("the register says"), "{failure}");
+    }
+}
+
+#[test]
+fn a_lead_given_up_apart_from_its_poll_or_skipped_by_a_pusher_is_caught() {
+    let apart = [
+        (Driver { release_apart: true, ..SHELL }, "a lead given up apart from its empty poll"),
+        (Driver { push_apart: true, ..SHELL }, "a push apart from its look at the lead"),
+    ];
+    for (driver, what) in apart {
+        let Err((script, failure)) = explore(driver, &mut Vec::new(), 4) else {
+            panic!("no script caught {what}");
+        };
+        println!("caught {what}: {failure}\nscript: {script:?}");
+        assert!(failure.contains("queued without a leader"), "{failure}");
     }
 }
 

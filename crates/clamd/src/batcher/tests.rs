@@ -1,6 +1,9 @@
-//! Unit tests of the batcher (`batcher::tests`): the engine end to end on
-//! its threads, the segment planner, and the chunk router. The shard
-//! core's decisions are tested on synthetic instants in `core::tests`.
+//! Unit tests of the batcher (`batcher::tests`): the engine end to end,
+//! the segment planner, and the chunk router. The shard core's decisions
+//! are tested alone in `core::tests`.
+
+use std::sync::atomic::AtomicBool;
+use std::time::Duration;
 
 use super::core::Planner;
 use super::*;
@@ -16,28 +19,40 @@ fn striped(stripes: usize) -> StripedClam<Ssd> {
     StripedClam::new((0..stripes).map(clam).collect())
 }
 
-fn lingering(linger: Duration) -> BatcherConfig {
-    BatcherConfig { linger, ..BatcherConfig::default() }
-}
-
 /// An engine over `stripes` stripes: as many shards.
-fn engine_with(stripes: usize, linger: Duration) -> Engine<Ssd> {
-    Engine::start(striped(stripes), Vec::new(), lingering(linger))
+fn engine_with(stripes: usize) -> Engine<Ssd> {
+    Engine::start(striped(stripes), Vec::new(), BatcherConfig::default())
 }
 
 /// One stripe, so one shard: a STATS reply follows every earlier request
-/// of its connection through the one gather thread.
-fn engine(linger: Duration) -> Engine<Ssd> {
-    engine_with(1, linger)
+/// of its connection through the one queue.
+fn engine() -> Engine<Ssd> {
+    engine_with(1)
+}
+
+/// Takes the lead of every shard, as a leader busy with a gather holds
+/// it: what is submitted meanwhile queues behind it.
+fn hold_the_leads(engine: &Engine<Ssd>) {
+    for shard in &engine.shared.shards {
+        assert!(shard.lock().push(Vec::new()), "a shard was already led");
+    }
+}
+
+/// Runs every held shard's queue as its leader, which gives the lead up.
+fn run_the_leads(engine: &Engine<Ssd>) {
+    for shard in &engine.shared.shards {
+        engine.shared.lead(shard);
+    }
 }
 
 #[test]
 fn responses_preserve_per_connection_order() {
-    let engine = engine(Duration::from_micros(200));
+    let engine = engine();
     let rx = engine.register_conn(1);
-    for i in 0..100u64 {
-        engine.submit(1, Request { id: i, op: Op::Insert { key: i + 1, value: i * 2 } });
-    }
+    // One read's worth of inserts, then lookups one at a time.
+    let inserts =
+        (0..100u64).map(|i| Request { id: i, op: Op::Insert { key: i + 1, value: i * 2 } });
+    engine.submit_chunk(1, inserts.collect::<Vec<_>>());
     for i in 0..100u64 {
         engine.submit(1, Request { id: 100 + i, op: Op::Lookup { key: i + 1 } });
     }
@@ -64,7 +79,7 @@ fn responses_preserve_per_connection_order() {
 
 #[test]
 fn batch_frames_flatten_and_split_back() {
-    let engine = engine(Duration::from_micros(100));
+    let engine = engine();
     let rx = engine.register_conn(7);
     engine.submit(7, Request { id: 1, op: Op::InsertBatch(vec![(1, 10), (2, 20), (3, 30)]) });
     engine.submit(7, Request { id: 2, op: Op::Insert { key: 4, value: 40 } });
@@ -93,7 +108,7 @@ fn batch_frames_flatten_and_split_back() {
 
 #[test]
 fn flush_stats_and_delete_execute_in_order() {
-    let engine = engine(Duration::from_micros(100));
+    let engine = engine();
     let rx = engine.register_conn(1);
     engine.submit(1, Request { id: 1, op: Op::Insert { key: 5, value: 50 } });
     engine.submit(1, Request { id: 2, op: Op::Flush });
@@ -118,7 +133,7 @@ fn flush_stats_and_delete_execute_in_order() {
 
 #[test]
 fn shutdown_drains_pending_requests() {
-    let engine = engine(Duration::from_millis(10));
+    let engine = engine();
     let rx = engine.register_conn(1);
     for i in 0..64u64 {
         engine.submit(1, Request { id: i, op: Op::Insert { key: i + 1, value: i } });
@@ -133,7 +148,7 @@ fn shutdown_drains_pending_requests() {
 
 #[test]
 fn unregistered_connections_drop_responses_quietly() {
-    let engine = engine(Duration::from_micros(100));
+    let engine = engine();
     let rx = engine.register_conn(1);
     engine.unregister_conn(1);
     engine.submit(1, Request { id: 1, op: Op::Flush });
@@ -149,7 +164,7 @@ fn unregistered_connections_drop_responses_quietly() {
 
 #[test]
 fn sharded_responses_stay_in_per_connection_order() {
-    let engine = engine_with(4, Duration::from_micros(200));
+    let engine = engine_with(4);
     assert_eq!(engine.num_shards(), 4);
     let rx = engine.register_conn(1);
     // Interleave writes and reads across every stripe; four shards
@@ -236,7 +251,7 @@ fn a_max_batch_of_zero_still_answers_every_request() {
 
 #[test]
 fn batch_frames_split_across_shards_and_reassemble() {
-    let engine = engine_with(4, Duration::from_micros(100));
+    let engine = engine_with(4);
     let rx = engine.register_conn(3);
     let pairs: Vec<(Key, Value)> = (0..64u64).map(|i| (i * 7 + 1, i + 100)).collect();
     let keys: Vec<Key> = pairs.iter().map(|(k, _)| *k).chain([999_999_999]).collect();
@@ -264,7 +279,7 @@ fn batch_frames_split_across_shards_and_reassemble() {
 
 #[test]
 fn idle_shard_lookups_take_the_bypass() {
-    let engine = engine_with(2, Duration::from_micros(50));
+    let engine = engine_with(2);
     let rx = engine.register_conn(1);
     engine.submit(1, Request { id: 0, op: Op::Insert { key: 42, value: 4242 } });
     assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().body, RespBody::Inserted);
@@ -289,7 +304,7 @@ fn an_idle_shard_lookup_of_a_key_only_on_flash_is_answered_on_the_bypass() {
     clam.insert(42, 4242).unwrap();
     clam.flush_all().unwrap();
     let (store, reports) = StripedClam::recover(vec![(clam.into_device(), cfg)]).unwrap();
-    let engine = Engine::start(store, reports, lingering(Duration::from_micros(50)));
+    let engine = Engine::start(store, reports, BatcherConfig::default());
     let rx = engine.register_conn(1);
     engine.submit(1, Request { id: 0, op: Op::Lookup { key: 42 } });
     let resp = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -304,14 +319,23 @@ fn an_idle_shard_lookup_of_a_key_only_on_flash_is_answered_on_the_bypass() {
 
 #[test]
 fn shutdown_snapshot_reports_per_shard_depth() {
-    // A long linger keeps the submissions queued (or in flight) when
-    // shutdown entry takes its snapshot; the drain still answers all.
-    let engine = engine_with(4, Duration::from_millis(500));
+    // Busy leaders keep the submissions queued when shutdown takes its
+    // snapshot; shutdown waits for them, and they still answer all.
+    let engine = engine_with(4);
     let rx = engine.register_conn(1);
+    hold_the_leads(&engine);
     for i in 0..64u64 {
         engine.submit(1, Request { id: i, op: Op::Insert { key: i + 1, value: i } });
     }
-    engine.shutdown();
+    let closing = engine.clone();
+    let shutdown = std::thread::spawn(move || closing.shutdown());
+    while engine.shared.ledger().shard_depths.is_empty() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(!shutdown.is_finished(), "shutdown returned while the shards were led");
+    run_the_leads(&engine);
+    shutdown.join().unwrap();
     for i in 0..64u64 {
         let resp = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(resp.id, i);
@@ -333,7 +357,7 @@ fn flush_barrier_is_per_connection() {
     // The barrier is only promised per connection — conn 1's own
     // writes are flushed and its responses stay in order regardless
     // of where conn 2's traffic lands.
-    let engine = engine_with(4, Duration::from_micros(100));
+    let engine = engine_with(4);
     let rx1 = engine.register_conn(1);
     let rx2 = engine.register_conn(2);
     for i in 0..32u64 {
@@ -357,7 +381,7 @@ fn flush_barrier_is_per_connection() {
 #[test]
 fn a_panic_under_a_core_or_the_conns_lock_leaves_other_connections_served() {
     for poisoned in ["shard core", "conns"] {
-        let engine = engine(Duration::from_micros(50));
+        let engine = engine();
         let shared = Arc::clone(&engine.shared);
         let panicked = std::thread::spawn(move || {
             let _core = (poisoned == "shard core").then(|| shared.shards[0].lock());
@@ -372,6 +396,90 @@ fn a_panic_under_a_core_or_the_conns_lock_leaves_other_connections_served() {
         assert_eq!(bodies(&rx, 1), [RespBody::Value { found: true, value: 90 }], "{poisoned}");
         engine.shutdown();
     }
+}
+
+/// A stripe whose `insert_batch` panics, while armed, on a batch that
+/// holds `key`, and is the stripe otherwise.
+struct PanickingStripe {
+    stripe: SharedClam<Ssd>,
+    key: Key,
+    armed: AtomicBool,
+}
+
+impl StepStore for PanickingStripe {
+    fn insert_batch(&self, pairs: &[(Key, Value)]) -> bufferhash::Result<()> {
+        let holds_key = pairs.iter().any(|&(key, _)| key == self.key);
+        if holds_key && self.armed.swap(false, Ordering::Relaxed) {
+            panic!("an insert of key {} panicked", self.key);
+        }
+        StepStore::insert_batch(&self.stripe, pairs)
+    }
+
+    fn lookup_batch(&self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>> {
+        StepStore::lookup_batch(&self.stripe, keys)
+    }
+
+    fn delete(&self, key: Key) -> bufferhash::Result<()> {
+        StepStore::delete(&self.stripe, key)
+    }
+
+    fn flush_all(&self) -> bufferhash::Result<()> {
+        StepStore::flush_all(&self.stripe)
+    }
+}
+
+#[test]
+fn a_gather_that_panics_answers_internal_and_its_shard_runs_on() {
+    let store = striped(2);
+    // Two keys of shard 0, and gathers of one, so that the second insert
+    // is still queued when the first one's gather panics.
+    let keys: Vec<Key> = (1..).filter(|&key| store.stripe_index(key) == 0).take(2).collect();
+    let (armed, queued) = (keys[0], keys[1]);
+    let stripe = |i| PanickingStripe {
+        stripe: store.stripe(i).unwrap(),
+        key: armed,
+        armed: AtomicBool::new(false),
+    };
+    let stripes = (0..2).map(stripe).collect();
+    let config = BatcherConfig { max_batch: 1, ..BatcherConfig::default() };
+    let shared = Arc::new(Shared::new(store, config, stripes));
+    let inbox = |conn| {
+        let (tx, rx) = mpsc::channel();
+        shared.register(conn, Sink::Channel(tx));
+        rx
+    };
+    let (rx1, rx2) = (inbox(1), inbox(2));
+    let insert_both = |value| {
+        shared.shards[0].stripe.armed.store(true, Ordering::Relaxed);
+        let ops = vec![Op::Insert { key: armed, value }, Op::Insert { key: queued, value }];
+        let leader = Arc::clone(&shared);
+        // The panic unwinds the thread that led the shard, as a reader.
+        let led = std::thread::spawn(move || leader.submit_chunk(1, chunk(ops).into_iter()));
+        assert!(led.join().is_err(), "the armed insert did not panic");
+        let RespBody::Error { code, message } = &bodies(&rx1, 1)[0] else { panic!("an answer") };
+        assert_eq!((*code, message.as_str()), (ErrorCode::Internal, "the shard's gather panicked"));
+        assert!(rx1.try_recv().is_err(), "the second insert ran without a leader");
+    };
+    let found = |value| RespBody::Value { found: true, value };
+
+    // A later arrival on the shard leads it, and runs what was queued.
+    insert_both(1);
+    shared.submit_chunk(2, chunk(vec![Op::Lookup { key: queued }]).into_iter());
+    assert_eq!(bodies(&rx1, 1), [RespBody::Inserted]);
+    assert_eq!(bodies(&rx2, 1), [found(1)]);
+    // So does shutdown, and returns.
+    insert_both(2);
+    shared.shutdown();
+    assert_eq!(shared.ledger().shard_depths, [1, 0]);
+    assert_eq!(bodies(&rx1, 1), [RespBody::Inserted]);
+    // Both connections are still served on the shard.
+    let ops = vec![Op::Insert { key: armed, value: 3 }, Op::Lookup { key: queued }];
+    shared.submit_chunk(2, chunk(ops).into_iter());
+    assert_eq!(bodies(&rx2, 2), [RespBody::Inserted, found(2)]);
+    shared.submit_chunk(1, chunk(vec![Op::Lookup { key: armed }]).into_iter());
+    assert_eq!(bodies(&rx1, 1), [found(3)]);
+    let stats = shared.merged_stats();
+    assert_eq!((stats.inserts, stats.lookups), (3, 3), "{stats}");
 }
 
 // --- the segment planner alone ---------------------------------------
@@ -490,11 +598,11 @@ fn a_conflict_free_gather_is_one_segment() {
 
 // --- segments through the engine --------------------------------------
 
-/// One stripe, so one shard, and a linger long enough that a chunk is
-/// one gather: the chunk enters the queue under one lock, so the gather
-/// thread sees all of it or none of it.
+/// One stripe, so one shard: a chunk that does not start with a lookup
+/// enters the idle shard's queue under one lock and is its leader's first
+/// gather.
 fn one_gather_engine() -> Engine<Ssd> {
-    engine_with(1, Duration::from_millis(20))
+    engine_with(1)
 }
 
 fn bodies(rx: &mpsc::Receiver<Response>, n: usize) -> Vec<RespBody> {
@@ -656,8 +764,7 @@ fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
     // Shard 0 is busy, a gather in flight; shard 1 is idle.
     let mut cores: [ShardCore; 2] = Default::default();
     cores[0].push(vec![ins(8)]);
-    let config = BatcherConfig { max_batch: 1, ..BatcherConfig::default() };
-    assert!(matches!(cores[0].poll(Instant::now(), &config), core::Poll::Run(_)));
+    assert!(cores[0].poll(1).is_some());
     let ops = vec![
         Op::Lookup { key: 0 },
         Op::Lookup { key: 1 },
@@ -678,7 +785,7 @@ fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
 fn a_chunk_of_idle_shard_lookups_is_one_fast_path_run() {
     use bufferhash::{BASE_OP_OVERHEAD, BATCHED_OP_OVERHEAD};
     const N: u64 = 12;
-    let engine = engine_with(1, Duration::from_micros(50));
+    let engine = engine_with(1);
     let rx = engine.register_conn(1);
     let pairs: Vec<(Key, Value)> = (1..=N).map(|key| (key, key * 10)).collect();
     engine.submit(1, Request { id: 0, op: Op::InsertBatch(pairs.clone()) });
@@ -715,7 +822,7 @@ fn a_flush_that_fails_on_one_stripe_still_flushes_the_other_stripes() {
     ]);
     let key_on = |stripe| (1..).find(|&key| store.stripe_index(key) == stripe).unwrap();
     let (on_0, on_1) = (key_on(0), key_on(1));
-    let engine = Engine::start(store, Vec::new(), lingering(Duration::from_micros(100)));
+    let engine = Engine::start(store, Vec::new(), BatcherConfig::default());
     let rx = engine.register_conn(1);
     engine.submit_chunk(
         1,
@@ -738,10 +845,11 @@ fn a_flush_that_fails_on_one_stripe_still_flushes_the_other_stripes() {
 
 #[test]
 fn unregistering_mid_gather_drops_the_responses_and_frees_the_connection() {
-    // The linger outlasts the test: the requests are still gathering
-    // when the connection goes, and only shutdown cuts the linger.
-    let engine = engine_with(4, Duration::from_secs(60));
+    // Busy leaders keep the requests queued when the connection goes, and
+    // run them after.
+    let engine = engine_with(4);
     let rx = engine.register_conn(1);
+    hold_the_leads(&engine);
     let entry = engine.shared.conns.lock().unwrap().get(&1).cloned().unwrap();
     let ops = (0..64u64).map(|i| Op::Insert { key: i + 1, value: i }).chain([
         Op::Flush,
@@ -752,6 +860,7 @@ fn unregistering_mid_gather_drops_the_responses_and_frees_the_connection() {
     assert!(Arc::strong_count(&entry) > 2, "requests in flight hold the connection");
     engine.unregister_conn(1);
     assert!(matches!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)));
+    run_the_leads(&engine);
     engine.shutdown();
     // Every request executed, nothing was delivered, nothing leaked.
     let stats = engine.stats();
@@ -769,7 +878,7 @@ fn a_failed_insert_batch_fails_only_its_segments_inserts() {
     let buffered = cfg.num_super_tables() * cfg.entries_per_incarnation();
     let device = CrashDevice::cut_after(Ssd::intel(4 << 20).unwrap(), 0);
     let store = StripedClam::new(vec![Clam::new(device, cfg).unwrap()]);
-    let engine = Engine::start(store, Vec::new(), lingering(Duration::from_millis(20)));
+    let engine = Engine::start(store, Vec::new(), BatcherConfig::default());
     let rx = engine.register_conn(1);
     let overflow = (0..2 * buffered as u64).map(|i| (bufferhash::hash_with_seed(i, 9), i));
     engine.submit_chunk(

@@ -1,7 +1,7 @@
 //! The `clamd` server binary.
 //!
 //! Serves a striped CLAM over TCP with group-commit batching, one
-//! gather thread per stripe. By default
+//! shard queue per stripe. By default
 //! the store is a fresh simulated Intel-class SSD; with `--flash-file`
 //! the store is file-backed, and an existing image is **recovered in
 //! place** (the per-stripe recovery reports print at startup).
@@ -26,7 +26,7 @@ fn main() {
             "clamd: fingerprint-lookup service over a CLAM\n\
              \n\
              --addr ADDR         listen address (default 127.0.0.1:7979; port 0 = ephemeral)\n\
-             --stripes N         CLAM stripes, one gather thread each (default 4)\n\
+             --stripes N         CLAM stripes, one shard queue each (default 4)\n\
              --flash-bytes N     total flash capacity (default 64 MiB)\n\
              --dram-bytes N      total DRAM budget (default 8 MiB)\n\
              --flash-file PATH   file-backed store; existing images are recovered\n\

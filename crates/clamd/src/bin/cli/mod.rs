@@ -19,12 +19,15 @@ where
     T::Err: std::fmt::Display,
 {
     match flag_value(args, name) {
-        Some(raw) => raw.parse().unwrap_or_else(|rule| {
-            eprintln!("{}: invalid value {raw:?} for {name}: {rule}", env!("CARGO_BIN_NAME"));
-            std::process::exit(2);
-        }),
+        Some(raw) => raw.parse().unwrap_or_else(|rule| refuse(name, &raw, rule)),
         None => default,
     }
+}
+
+/// Exits with status 2: `raw` is no value for flag `name`, by `rule`.
+pub fn refuse(name: &str, raw: &str, rule: impl std::fmt::Display) -> ! {
+    eprintln!("{}: invalid value {raw:?} for {name}: {rule}", env!("CARGO_BIN_NAME"));
+    std::process::exit(2);
 }
 
 /// Boots the store at `path` with `--queue-depth` ([`boot_image`]: an

@@ -37,6 +37,7 @@
 mod cli;
 
 use std::net::SocketAddr;
+use std::num::NonZeroUsize;
 
 use bench::{ms, print_cdf, print_header, print_row, TailSummary};
 use clamd::client::ClamdClient;
@@ -69,7 +70,8 @@ fn main() {
 fn sweep_main(args: &[String]) -> Result<(), BootError> {
     let default = LoadgenConfig::default();
     let config = LoadgenConfig {
-        connections: parse(args, "--connections", default.connections),
+        connections: NonZeroUsize::new(parse(args, "--connections", default.connections.get()))
+            .unwrap_or_else(|| cli::refuse("--connections", "0", "at least one connection")),
         ops: parse(args, "--ops", default.ops),
         lookup_fraction: parse(args, "--lookup-fraction", default.lookup_fraction),
         hit_fraction: parse(args, "--hit-fraction", default.hit_fraction),
@@ -136,18 +138,9 @@ fn sweep(addr: SocketAddr, config: &LoadgenConfig, multiples: &Multiples) -> Res
         flood.achieved, flood.completed
     );
 
-    let widths = [12usize, 12, 12, 11, 11, 11, 11, 12];
+    let widths = [12usize, 12, 12, 11, 11, 11, 11];
     print_header(
-        &[
-            "offered/s",
-            "achieved/s",
-            "completed",
-            "p50 ms",
-            "p99 ms",
-            "p999 ms",
-            "mean batch",
-            "lingered",
-        ],
+        &["offered/s", "achieved/s", "completed", "p50 ms", "p99 ms", "p999 ms", "mean batch"],
         &widths,
     );
     for level in &levels {
@@ -161,7 +154,6 @@ fn sweep(addr: SocketAddr, config: &LoadgenConfig, multiples: &Multiples) -> Res
                 ms(r.tail.p99),
                 ms(r.tail.p999),
                 format!("{:.1}", level.server.mean_batch()),
-                format!("{}", level.server.group_commit_waits),
             ],
             &widths,
         );

@@ -3,13 +3,12 @@
 //!
 //! Each accepted connection gets one thread, its **reader**: it blocks in
 //! `read`, decodes frames and submits every frame one read returned in
-//! one hand-off. Its responses are written by the thread that completes
-//! the next one in order — a shard's gather thread, or the reader for its
-//! own lookups that led an idle shard. Requests from all connections
-//! funnel into the batcher's shard queues, one shard per stripe, so
-//! concurrent arrivals — whether pipelined on one connection or spread
-//! across many — coalesce into per-stripe group-commit gathers that commit
-//! independent stripes concurrently.
+//! one hand-off into the batcher's shard queues, one shard per stripe; the
+//! reader that queues onto a shard no thread leads runs its gathers. So
+//! concurrent arrivals — pipelined on one connection or spread across
+//! many — coalesce into per-stripe group-commit gathers that commit
+//! independent stripes concurrently, and the thread that completes a
+//! connection's next response in order writes it.
 //!
 //! Nothing polls: shutting a connection's socket down is what ends its
 //! reader, and [`ClamdServer::shutdown`] wakes the acceptor with one

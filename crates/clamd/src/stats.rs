@@ -38,12 +38,12 @@ flashsim::ledger! {
         pub lookup_misses: u64 => Sum,
         /// Connections dropped after a protocol violation.
         pub wire_errors: u64 => Sum,
-        /// Group-commit gathers executed by the batcher thread.
+        /// Group-commit gathers executed by the shards' leaders.
         pub batches: u64 => Sum,
         /// Requests drained across all gathers.
         pub batched_requests: u64 => Sum,
-        /// Gathers that lingered (waited out the group-commit window) for
-        /// concurrent arrivals instead of firing on a full queue.
+        /// Always 0: no gather waits for concurrent arrivals. Kept because
+        /// the repo benchmark reads it, until ROADMAP item 8.
         pub group_commit_waits: u64 => Sum,
         /// Largest gather, in requests.
         pub batch_high_water: u64 => HighWater,
@@ -86,15 +86,11 @@ flashsim::ledger! {
 }
 
 impl ServerStats {
-    /// Records one group-commit gather of `size` requests; `waited` marks
-    /// gathers that lingered for concurrent arrivals before firing.
-    pub fn record_batch(&mut self, size: usize, waited: bool) {
+    /// Records one group-commit gather of `size` requests.
+    pub fn record_batch(&mut self, size: usize) {
         self.batches += 1;
         self.batched_requests += size as u64;
         self.batch_high_water = self.batch_high_water.max(size as u64);
-        if waited {
-            self.group_commit_waits += 1;
-        }
         let idx = size.min(HISTOGRAM_CAP);
         if self.batch_histogram.len() <= idx {
             self.batch_histogram.resize(idx + 1, 0);
@@ -120,14 +116,14 @@ mod tests {
     #[test]
     fn batches_accumulate_histogram_and_high_water() {
         let mut s = ServerStats::new();
-        s.record_batch(1, false);
-        s.record_batch(1, false);
-        s.record_batch(8, true);
-        s.record_batch(1000, true);
+        s.record_batch(1);
+        s.record_batch(1);
+        s.record_batch(8);
+        s.record_batch(1000);
         assert_eq!(s.batches, 4);
         assert_eq!(s.batched_requests, 1010);
         assert_eq!(s.batch_high_water, 1000);
-        assert_eq!(s.group_commit_waits, 2);
+        assert_eq!(s.group_commit_waits, 0);
         assert_eq!(s.batch_histogram[1], 2);
         assert_eq!(s.batch_histogram[8], 1);
         assert_eq!(*s.batch_histogram.last().unwrap(), 1, "cap bucket");
@@ -148,14 +144,15 @@ mod tests {
     fn delta_subtracts_counters_and_keeps_the_later_gauges() {
         let mut early = ServerStats::new();
         early.lookups = 10;
-        early.record_batch(4, false);
-        early.record_batch(2, false);
+        early.record_batch(4);
+        early.record_batch(2);
         early.shard_depths = vec![9, 9];
         let mut late = early.clone();
         late.lookups = 110;
         late.segments = 3;
-        late.record_batch(4, true);
-        late.record_batch(40, false);
+        late.record_batch(4);
+        late.group_commit_waits += 1;
+        late.record_batch(40);
         late.shard_depths = vec![0, 3];
         let d = late.delta(&early);
         assert_eq!((d.lookups, d.segments), (100, 3), "counters subtract");
@@ -176,7 +173,8 @@ mod tests {
         total.inserts = 10;
         total.flushes = 1;
         total.connections_opened = 2;
-        total.record_batch(4, true);
+        total.record_batch(4);
+        total.group_commit_waits = 1;
         let mut shard = ServerStats::new();
         shard.inserts = 5;
         shard.lookups = 7;
@@ -186,7 +184,7 @@ mod tests {
         shard.insert_admissions = 1;
         shard.segments = 3;
         shard.segment_conflicts = 2;
-        shard.record_batch(8, false);
+        shard.record_batch(8);
         total.segments = 1;
         total.absorb(&shard);
         assert_eq!((total.segments, total.segment_conflicts), (4, 2));
@@ -220,7 +218,8 @@ mod tests {
         assert_eq!(ServerStats::new().to_string(), "");
         let mut s = ServerStats::new();
         s.inserts = 100;
-        s.record_batch(25, true);
+        s.record_batch(25);
+        s.group_commit_waits = 1;
         s.insert_admissions = 2;
         s.wire_errors = 1;
         let mut histogram = vec![0; 26];

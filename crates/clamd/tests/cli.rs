@@ -56,7 +56,9 @@ fn a_bad_multiples_list_is_an_invalid_value_not_a_panic() {
 
 #[test]
 fn no_connections_or_a_share_outside_zero_to_one_is_an_invalid_value() {
-    assert_refused("--connections", "0");
+    // The refusal names the rule, not the parser's wording.
+    let refusal = assert_refused("--connections", "0");
+    assert!(refusal.contains("at least one connection"), "{refusal}");
     for flag in ["--lookup-fraction", "--hit-fraction"] {
         for share in ["1.5", "-0.1", "NaN"] {
             assert_refused(flag, share);

@@ -306,10 +306,11 @@ proptest! {
 }
 
 /// Streams of `ops` from three connections, all over the same sixteen
-/// keys, through an engine over `stripes` stripes (as many shards) whose
-/// gathers are long (linger and `max_batch` far above what the streams
-/// need), so same-key inserts, lookups, deletes and batch slices meet
-/// inside one gather as a matter of course. One thread submits every chunk, so the order requests
+/// keys, through an engine over `stripes` stripes (as many shards), in
+/// chunks of up to 48 requests: a chunk's share is one gather (`max_batch`
+/// far above it), so same-key inserts, lookups, deletes and batch slices
+/// meet inside one gather as a matter of course. One thread submits every
+/// chunk, so the order requests
 /// reach a key's shard is the order they were submitted in, and a
 /// sequential map applied in that order says what every reply must be —
 /// each key an atomic register, however the gather was cut into
@@ -324,8 +325,7 @@ fn assert_replies_match_the_register_model(stripes: usize, seed: u64, ops: &[(u8
         ..ServerConfig::default()
     })
     .unwrap();
-    let linger = Duration::from_millis(2);
-    let config = BatcherConfig { max_batch: 4096, linger, ..BatcherConfig::default() };
+    let config = BatcherConfig { max_batch: 4096, ..BatcherConfig::default() };
     let engine = Engine::start(store, Vec::new(), config);
     let inboxes: Vec<_> = (1..=CONNS).map(|conn| engine.register_conn(conn)).collect();
     let key = |raw: u64| hash_with_seed(raw % 16, seed);
@@ -336,9 +336,9 @@ fn assert_replies_match_the_register_model(stripes: usize, seed: u64, ops: &[(u8
     let mut flushes = 0;
     let mut rest = ops;
     while let Some(&(_, first)) = rest.first() {
-        // A chunk of one to six requests from one connection.
+        // A chunk of one to 48 requests from one connection.
         let conn = first % CONNS;
-        let (chunk, later) = rest.split_at((1 + first as usize / 3 % 6).min(rest.len()));
+        let (chunk, later) = rest.split_at((1 + first as usize / 3 % 48).min(rest.len()));
         rest = later;
         let mut requests = Vec::new();
         for &(kind, raw) in chunk {
@@ -405,7 +405,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Whatever segments a gather is cut into, every key behaves as an
-    /// atomic register — over one stripe and its one gather thread, and
+    /// atomic register — over one stripe and its one queue, and
     /// over four.
     #[test]
     fn every_reply_matches_a_sequential_per_key_register_model(

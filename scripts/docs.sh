@@ -10,15 +10,19 @@
 #                 path.rs[:LINE]  some source file's path ends in
 #                                 `path.rs`, and one of them has at least
 #                                 LINE lines;
-#                 A::b            `A` (the segment before the last,
-#                                 generics and a trailing call dropped)
-#                                 and `b` are each the name of something
-#                                 the sources define: a fn, const, static,
-#                                 type, struct, enum, trait, module, field
-#                                 or variant, or a crate, source file or
-#                                 source directory. Paths into std, core
-#                                 or alloc are not checked. A test is
-#                                 named `module::test_name`.
+#                 A::b            `b` is defined in what `A` (the
+#                                 segment before the last, generics and a
+#                                 trailing call dropped) names: where `A`
+#                                 is a source file's stem, a directory (a
+#                                 crate's, or a module's) or an inline
+#                                 `mod`, in that file or the files under
+#                                 it; where `A` is a type, in a file that
+#                                 defines or implements it. Defined means
+#                                 a fn, const, static, type, struct, enum,
+#                                 trait, module, field or variant of that
+#                                 name. Paths into std, core or alloc are
+#                                 not checked. A test is named
+#                                 `module::test_name`.
 #   length      DESIGN.md has at most 900 lines (the 800-line rule for
 #               product files, for the design); the line past the limit
 #               is named.
@@ -54,21 +58,20 @@ trap 'rm -rf "$work"' EXIT
 
 find "${roots[@]}" -name '*.rs' -not -path '*/target/*' | sort > "$work/files"
 ident='[A-Za-z_][A-Za-z0-9_]*'
-# Every name the sources define, one a line.
-{
-    xargs grep -hoE "\b(fn|const|static|type|struct|enum|trait|mod|union)\s+$ident" < "$work/files" |
-        awk '{ print $2 }'
-    # A field or a variant: the first word of a line, before `:`, `,`,
-    # `(`, `{` or `=>` (a `ledger!` entry reads `pub name: Type => Kind,`).
-    xargs grep -hoE "^\s*(pub(\([a-z]+\))?\s+)?$ident\s*(:[^:]|,|\(|\{|=>)" < "$work/files" |
-        sed -E "s/^\s*(pub(\([a-z]+\))?\s+)?($ident).*/\3/"
-    sed -E 's#.*/##; s#\.rs$##' "$work/files"
-    tr '/' '\n' < "$work/files"
-    ls crates
-} | sort -u > "$work/defs"
 
-defined() {
-    grep -qxF "$1" "$work/defs"
+# The files a container `A` names: `A.rs`, the files under a directory
+# `A`, a file with an inline `mod A`, and a file that defines or
+# implements a type `A`.
+container_files() {
+    grep -E "(^|/)$1(\.rs|/)" "$work/files" || true
+    xargs grep -lE "\bmod\s+$1\s*\{|\b(struct|enum|trait|type|union)\s+$1\b|^\s*impl(<.*>)?\s+$1\b|^\s*impl\b.*\bfor\s+$1\b" < "$work/files" || true
+}
+
+# Whether one of the files on stdin defines `$1`: an item of that name,
+# or a field or a variant, the first word of a line before `:`, `,`, `(`,
+# `{` or `=>` (a `ledger!` entry reads `pub name: Type => Kind,`).
+defines() {
+    [ -n "$(xargs -r grep -lE "\b(fn|const|static|type|struct|enum|trait|mod|union)\s+$1\b|^\s*(pub(\([a-z]+\))?\s+)?$1\s*(:[^:]|,|\(|\{|=>)")" ]
 }
 
 # A `path.rs` resolves when a source path ends in it, and, with a line,
@@ -94,7 +97,7 @@ item_resolves() {
     esac
     local item=${ref##*::} rest=${ref%::*}
     local container=${rest##*::}
-    defined "$container" && defined "$item"
+    container_files "$container" | sort -u | defines "$item"
 }
 
 unresolved=0
