@@ -22,21 +22,21 @@
 //! `ShardCore` (`core`), which takes no lock and calls no store. A shard
 //! is that core in one `Mutex` beside one `Condvar`, which only shutdown
 //! waits on. Its leader calls the stripe with the lock released and takes
-//! it once per step to retire the step before its responses go out; a
-//! reader serves a run that leads an idle shard the same way.
+//! it once per step to retire the step before its responses go out. Only
+//! a shard's leader calls its stripe. A step that panics is caught by its
+//! leader, which answers the gather's unanswered parts `Internal` and runs
+//! on.
 //!
 //! **Contract.** Each key is an atomic register: operations on a key take
 //! effect in the order they arrived at its shard, whichever connections
 //! sent them; across keys the order is unspecified. Each connection gets
 //! its responses in request order, and a batch frame or FLUSH one
-//! response once its last shard part lands. The scalar `LOOKUP`s at the
-//! front of a chunk's share for an idle shard lead it: the reader answers
-//! them itself in one [`SharedClam::lookup_batch`] on the shard's stripe,
-//! and an earlier write of any of their keys would have kept the shard
-//! busy. The rest of the chunk queues once that call returns; a chunk
-//! that does not lead queues whole. A response goes out only after its
-//! store call returned, and [`Clam::insert_batch`] returns only once the
-//! write ring is synced. DESIGN.md ("The batcher") has the reasoning.
+//! response once its last shard part lands. A chunk's share for a shard
+//! queues whole, in request order, and every request is answered by the
+//! gather that takes it; a share pushed onto an unled shard is gathered
+//! in the same call. A response goes out only after its store call
+//! returned, and [`Clam::insert_batch`] returns only once the write ring
+//! is synced. DESIGN.md ("The batcher") has the reasoning.
 //!
 //! **Delivery.** A connection's sequencer (`conn`) is the one place a
 //! response is built. Staging opens every request's response there, with
@@ -56,9 +56,10 @@
 mod conn;
 mod core;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -313,25 +314,6 @@ impl<S> Shard<S> {
     }
 }
 
-/// The steps of its gather a shard's leader has not finished. Dropped as
-/// a step's panic unwinds the leader, it retires the gather, gives up the
-/// lead and answers every unanswered part `Internal`: the shard runs on.
-struct Leader<'a, S> {
-    shard: &'a Shard<S>,
-    steps: VecDeque<Step>,
-}
-
-impl<S> Drop for Leader<'_, S> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.shard.lock().abandon();
-            self.shard.unled.notify_all();
-            let failed = |ticket| (ticket, Answer::Failed("the shard's gather panicked"));
-            deliver(self.steps.iter().flat_map(Step::tickets).map(failed).collect());
-        }
-    }
-}
-
 /// State the connection readers share; any of them may lead a shard.
 struct Shared<D: Device + 'static, S = SharedClam<D>> {
     /// The served store: it routes keys to stripes and merges their
@@ -440,10 +422,9 @@ impl<D: Device + 'static> Engine<D> {
     /// Routes a run of decoded requests from one connection — every
     /// frame one socket read returned — to their shards in one hand-off,
     /// in order within each shard, under one range of sequence numbers.
-    /// Each touched shard's core decides whether the chunk leads it
-    /// (`ShardCore::lead`); a run that leads is served here, with no lock
-    /// held. A share queued on a shard that no thread leads makes this
-    /// thread its leader, which runs the shard's gathers before returning.
+    /// Each touched shard's share queues whole; a share queued on a shard
+    /// that no thread leads makes this thread its leader, which runs the
+    /// shard's gathers before returning.
     pub fn submit_chunk<I>(&self, conn: u64, requests: I)
     where
         I: IntoIterator<Item = Request>,
@@ -489,7 +470,7 @@ impl<D: Device + 'static> Engine<D> {
 
     /// Returns once every shard has drained its queue, so every submitted
     /// request has its response: it waits for each shard's leader to give
-    /// up the lead, then runs what a leader that panicked left queued.
+    /// up the lead, which a leader does only on an empty queue.
     /// Each shard's depth as shutdown finds it goes into the ledger's
     /// `shard_depths` gauge.
     pub fn shutdown(&self) {
@@ -542,20 +523,8 @@ impl<D: Device + 'static, S: StepStore> Shared<D, S> {
         let conn = self.conns().get(&conn).cloned().unwrap_or_default();
         // Same key, same stripe, same shard.
         let staged = stage(&conn, requests, self.shards.len(), |key| self.store.stripe_index(key));
-        let mut held = Vec::new();
         for (shard, staged) in self.shards.iter().zip(staged).filter(|(_, s)| !s.is_empty()) {
-            let led = shard.lock().lead(staged);
-            let Some((run, rest)) = led else { continue };
-            if !run.lookups.is_empty() {
-                run_segment(&shard.stripe, &run, |served| shard.lock().count_led(served));
-            }
-            held.push((shard, rest));
-        }
-        // Idle shards' shares queue once every led run is answered: queued
-        // as each run returned, they cut the share of lookups that led on
-        // `serve-read-resident` from 0.675 to 0.653.
-        for (shard, rest) in held.into_iter().filter(|(_, rest)| !rest.is_empty()) {
-            if shard.lock().push(rest) {
+            if shard.lock().push(staged) {
                 self.lead(shard);
             }
         }
@@ -563,20 +532,26 @@ impl<D: Device + 'static, S: StepStore> Shared<D, S> {
 
     /// Runs `shard`'s gathers as its leader, each step with no lock held,
     /// until the poll that finds the queue empty gives up the lead. What
-    /// arrived while a gather ran is the next gather.
+    /// arrived while a gather ran is the next gather. A step that panics
+    /// is caught here: its gather is retired, every part it and the steps
+    /// after it hold is answered `Internal`, and the leader polls on.
     fn lead(&self, shard: &Shard<S>) {
-        let mut leader = Leader { shard, steps: VecDeque::new() };
         loop {
             let mut core = shard.lock();
-            match core.poll(self.config.max_batch) {
-                Some(steps) => leader.steps = steps.into(),
-                None if core.closing => return shard.unled.notify_all(),
-                None => return,
-            }
+            let Some(steps) = core.poll(self.config.max_batch) else {
+                if core.closing {
+                    shard.unled.notify_all();
+                }
+                return;
+            };
             drop(core);
-            while let Some(step) = leader.steps.front() {
-                self.execute(shard, step);
-                leader.steps.pop_front();
+            let panicked = steps.iter().position(|step| {
+                catch_unwind(AssertUnwindSafe(|| self.execute(shard, step))).is_err()
+            });
+            if let Some(at) = panicked {
+                shard.lock().abandon();
+                let failed = |ticket| (ticket, Answer::Failed("the shard's gather panicked"));
+                deliver(steps[at..].iter().flat_map(Step::tickets).map(failed).collect());
             }
         }
     }
@@ -628,9 +603,7 @@ impl<D: Device + 'static, S: StepStore> Shared<D, S> {
         let depths = self.shards.iter().map(|shard| shard.lock().close());
         self.ledger().shard_depths = depths.collect();
         for shard in &self.shards {
-            let unled = shard.unled.wait_while(shard.lock(), |core| core.leading);
-            unled.unwrap_or_else(PoisonError::into_inner).push(Vec::new());
-            self.lead(shard);
+            drop(shard.unled.wait_while(shard.lock(), |core| core.leading));
         }
     }
 }

@@ -202,9 +202,6 @@ impl Planner {
     }
 }
 
-/// An idle shard's share of a chunk: the run that leads it, and the rest.
-pub(super) type Led = (Segment, Vec<Submission>);
-
 /// One batcher shard's state and every decision made on it.
 #[derive(Default)]
 pub(super) struct ShardCore {
@@ -225,49 +222,13 @@ pub(super) struct ShardCore {
 
 impl ShardCore {
     /// Queues a chunk's submissions for this shard, in arrival order, and
-    /// returns whether the caller takes the lead: no thread led the shard.
+    /// returns whether the caller takes the lead (counted in `leads`): no
+    /// thread led the shard.
     pub(super) fn push(&mut self, staged: Vec<Submission>) -> bool {
         self.queue.extend(staged);
-        !std::mem::replace(&mut self.leading, true)
-    }
-
-    /// Takes a chunk's submissions for this shard. A busy shard queues them
-    /// now, and nothing leads. On an idle shard, where every write that
-    /// arrived has landed, the scalar lookups at the chunk's front (maybe
-    /// none) lead: they come back as a segment for the caller to serve,
-    /// with the rest, for the caller to [`push`](Self::push) after, as all
-    /// of a busy shard's share does when its leader panicked.
-    pub(super) fn lead(&mut self, mut staged: Vec<Submission>) -> Option<Led> {
-        if !self.idle() {
-            if !self.leading {
-                return Some((Segment::default(), staged));
-            }
-            self.push(staged);
-            return None;
-        }
-        let scalar = |s: &&Submission| {
-            matches!(s, Submission::Lookup(LookupPart { keys: OneOrMany::One(_), .. }))
-        };
-        let led = staged.iter().take_while(scalar).count();
-        let run = staged.drain(..led).filter_map(|submission| match submission {
-            Submission::Lookup(part) => Some(part),
-            _ => None,
-        });
-        Some((Segment { lookups: run.collect(), ..Segment::default() }, staged))
-    }
-
-    /// Counts a led run whose store call returned, `served` what its
-    /// segment counts, as bypass hits: no segment, admission or gather.
-    pub(super) fn count_led(&mut self, served: &ServerStats) {
-        self.stats.lookups += served.lookups;
-        self.stats.lookup_hits += served.lookup_hits;
-        self.stats.lookup_misses += served.lookup_misses;
-        self.stats.bypass_hits += served.lookups;
-    }
-
-    /// Nothing queued or unretired: every write that arrived has landed.
-    pub(super) fn idle(&self) -> bool {
-        self.queue.is_empty() && self.in_flight == 0
+        let takes_lead = !std::mem::replace(&mut self.leading, true);
+        self.stats.leads += u64::from(takes_lead);
+        takes_lead
     }
 
     /// Submissions queued plus gathered and not yet retired.
@@ -304,18 +265,18 @@ impl ShardCore {
 
     /// Retires `retired` gathered submissions whose store calls have
     /// returned and absorbs the counters they produced. Called before
-    /// their responses go out, so a client holding an ack finds the shard
-    /// idle.
+    /// their responses go out, so the depth a client reads once it holds
+    /// an ack leaves them out.
     pub(super) fn done(&mut self, retired: usize, delta: &ServerStats) {
         self.in_flight =
             self.in_flight.checked_sub(retired).expect("retired more than was gathered");
         self.stats.absorb(delta);
     }
 
-    /// The leader's gather panicked: retires it, the only one in flight,
-    /// and gives up the lead, for the next push or shutdown to take.
+    /// The leader's gather panicked: retires it, the only one in flight.
+    /// The leader keeps the lead and polls on.
     pub(super) fn abandon(&mut self) {
-        (self.in_flight, self.leading) = (0, false);
+        self.in_flight = 0;
     }
 }
 

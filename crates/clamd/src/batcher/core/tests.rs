@@ -89,30 +89,34 @@ fn closing_drains_the_queue_without_lingering_then_exits() {
 #[test]
 fn depth_is_queued_plus_in_flight_and_idle_needs_both_empty() {
     let mut core = ShardCore::default();
-    assert!(core.idle());
+    assert_eq!(core.depth(), 0);
     core.push(vec![ins(1), look(2), del(3)]);
-    assert_eq!((core.depth(), core.idle()), (3, false));
+    assert_eq!(core.depth(), 3);
     assert_eq!(gather(&mut core, 2), Some(2));
-    assert_eq!((core.depth(), core.idle()), (3, false), "two in flight, one queued");
+    assert_eq!(core.depth(), 3, "two in flight, one queued");
     let mut served = ServerStats::new();
     served.lookups = 1;
     core.done(2, &served);
-    assert_eq!((core.depth(), core.idle(), core.stats.lookups), (1, false, 1));
+    assert_eq!((core.depth(), core.stats.lookups), (1, 1));
     assert_eq!(gather(&mut core, 2), Some(1));
-    assert_eq!((core.depth(), core.idle()), (1, false), "in flight alone keeps it busy");
+    assert_eq!(core.depth(), 1, "in flight alone keeps it busy");
     core.done(1, &ServerStats::new());
-    assert_eq!((core.depth(), core.idle()), (0, true));
+    assert_eq!(core.depth(), 0);
 }
 
 #[test]
-fn an_abandoned_gather_is_retired_and_leaves_its_shard_to_the_next_pusher() {
+fn an_abandoned_gather_is_retired_and_its_leader_polls_on() {
     let mut core = ShardCore::default();
     core.push(vec![ins(1), ins(2), ins(3)]);
     assert_eq!(gather(&mut core, 2), Some(2));
     core.abandon();
-    assert_eq!((core.depth(), core.leading), (1, false), "one queued, and no leader");
-    assert!(core.push(vec![ins(4)]), "the next pusher leads what is queued");
+    assert_eq!((core.depth(), core.leading), (1, true), "one queued, and still led");
+    assert!(!core.push(vec![ins(4)]), "a pusher leaves it to the leader");
     assert_eq!(gather(&mut core, 8), Some(2));
+    core.done(2, &ServerStats::new());
+    assert_eq!(gather(&mut core, 8), None);
+    assert!(core.push(vec![ins(5)]), "the drained shard's next pusher leads it");
+    assert_eq!(core.stats.leads, 2);
 }
 
 // --- every short arrival script ---------------------------------------
@@ -132,9 +136,8 @@ enum Req {
 }
 
 /// What a connection's socket read may deliver: one request, or a chunk
-/// of two — a run of two lookups on one shard, a run ahead of a write of
-/// its key that the same chunk stages for the shard, and a lookup behind
-/// such a write, which must not lead.
+/// of two on one shard — two lookups, a lookup ahead of a write of its
+/// key, and a lookup behind one, which must read the write.
 const ARRIVALS: [&[Req]; 12] = [
     &[Req::Insert(0)],
     &[Req::Insert(1)],
@@ -237,58 +240,20 @@ fn value_body(value: Option<Value>) -> RespBody {
     RespBody::Value { found: value.is_some(), value: value.unwrap_or(0) }
 }
 
-/// Who decides whether an arrival leads its shard: the core, or a
-/// mutant of its rule.
-type Lead = fn(&mut ShardCore, Vec<Submission>) -> Option<Led>;
-
 /// How a script is driven: as the shell drives the core, or with a bug
 /// the checks must catch — each gather retired as it fires rather than
-/// step by step after its store calls, with or without the in-flight
-/// invariant, so the contract checks are seen to catch it too; a lead
-/// rule other than the core's; a leader that gives up the lead in a lock
-/// acquisition of its own after the poll that found the queue empty; or
-/// a reader that reads whether a shard is led in one lock acquisition and
-/// pushes its share in another.
+/// step by step after its store calls; a leader that gives up the lead in
+/// a lock acquisition of its own after the poll that found the queue
+/// empty; or a reader that reads whether a shard is led in one lock
+/// acquisition and pushes its share in another.
 #[derive(Clone, Copy)]
 struct Driver {
     retire_at_gather: bool,
-    check_idle: bool,
-    lead: Lead,
     release_apart: bool,
     push_apart: bool,
 }
 
-const SHELL: Driver = Driver {
-    retire_at_gather: false,
-    check_idle: true,
-    lead: ShardCore::lead,
-    release_apart: false,
-    push_apart: false,
-};
-
-/// A mutant lead rule: the core's, on a shard taken to be idle whatever
-/// it holds.
-fn lead_when_busy(core: &mut ShardCore, staged: Vec<Submission>) -> Option<Led> {
-    let queued = std::mem::take(&mut core.queue);
-    let in_flight = std::mem::replace(&mut core.in_flight, 0);
-    let led = core.lead(staged);
-    (core.queue, core.in_flight) = (queued, in_flight);
-    led
-}
-
-/// A mutant lead rule: on an idle shard every scalar lookup of the chunk
-/// leads, those behind a write of the chunk included.
-fn lead_every_lookup(core: &mut ShardCore, staged: Vec<Submission>) -> Option<Led> {
-    let scalar = |s: &Submission| {
-        matches!(s, Submission::Lookup(LookupPart { keys: OneOrMany::One(_), .. }))
-    };
-    if !core.idle() {
-        return core.lead(staged);
-    }
-    let (lookups, rest): (Vec<_>, Vec<_>) = staged.into_iter().partition(scalar);
-    let (run, _) = core.lead(lookups)?;
-    Some((run, rest))
-}
+const SHELL: Driver = Driver { retire_at_gather: false, release_apart: false, push_apart: false };
 
 /// Two shard cores, two connections and a map, driven one event at a
 /// time the way the shell's readers and leaders drive them,
@@ -423,24 +388,15 @@ impl World {
             self.expected[conn].push(answer);
             chunk.push(Request { id, op });
         }
-        // As `Shared::submit_chunk` hands each shard its share; a shard
+        // As `Shared::submit_chunk` pushes each shard its share; a shard
         // it comes to lead polls as events of its own.
         let staged = stage(&self.conns[conn].0, chunk.into_iter(), 2, |key| key as usize);
-        let mut held = Vec::new();
-        for (shard, staged) in staged.into_iter().enumerate().filter(|(_, s)| !s.is_empty()) {
-            let core = &mut self.cores[shard];
-            let Some((run, rest)) = (self.driver.lead)(core, staged) else { continue };
-            if !run.lookups.is_empty() {
-                run_segment(&self.store, &run, |served| core.count_led(served));
-            }
-            held.push((shard, rest));
-        }
-        for (shard, rest) in held.into_iter().filter(|(_, rest)| !rest.is_empty()) {
+        for (shard, share) in staged.into_iter().enumerate().filter(|(_, s)| !s.is_empty()) {
             if self.driver.push_apart {
                 let unled = !self.cores[shard].leading;
-                self.pushing[conn].push_back((shard, rest, unled));
+                self.pushing[conn].push_back((shard, share, unled));
             } else {
-                self.cores[shard].push(rest);
+                self.cores[shard].push(share);
             }
         }
     }
@@ -510,7 +466,8 @@ impl World {
     }
 
     /// Takes every response delivered so far and holds it to the
-    /// contract, then checks the in-flight invariant.
+    /// contract, then checks the in-flight invariant: a shard's depth
+    /// counts every gathered step that has not returned.
     fn check(&mut self) -> Result<(), String> {
         for conn in 0..2 {
             while let Ok(response) = self.conns[conn].1.try_recv() {
@@ -542,7 +499,7 @@ impl World {
         }
         for shard in 0..2 {
             let unretired: usize = self.running[shard].iter().map(Step::submissions).sum();
-            if self.driver.check_idle && unretired > 0 && self.cores[shard].idle() {
+            if unretired > 0 && self.cores[shard].depth() == 0 {
                 return Err(format!("shard {shard} idle with {unretired} gathered unretired"));
             }
         }
@@ -636,28 +593,12 @@ fn every_short_arrival_script_keeps_the_contract() {
 
 #[test]
 fn retiring_a_gather_as_it_fires_is_caught() {
-    for check_idle in [true, false] {
-        let driver = Driver { retire_at_gather: true, check_idle, ..SHELL };
-        let Err((script, failure)) = explore(driver, &mut Vec::new(), 4) else {
-            panic!("no script caught early retirement (idle check: {check_idle})");
-        };
-        println!("caught: {failure}\nscript: {script:?}");
-        let caught_by = if check_idle { "idle with" } else { "the register says" };
-        assert!(failure.contains(caught_by), "{failure}");
-    }
-}
-
-#[test]
-fn leading_a_busy_shard_or_from_behind_a_write_is_caught() {
-    for (lead, what) in
-        [(lead_when_busy as Lead, "a busy shard"), (lead_every_lookup, "a lookup behind a write")]
-    {
-        let Err((script, failure)) = explore(Driver { lead, ..SHELL }, &mut Vec::new(), 3) else {
-            panic!("no script caught {what} leading");
-        };
-        println!("caught {what} leading: {failure}\nscript: {script:?}");
-        assert!(failure.contains("the register says"), "{failure}");
-    }
+    let driver = Driver { retire_at_gather: true, ..SHELL };
+    let Err((script, failure)) = explore(driver, &mut Vec::new(), 4) else {
+        panic!("no script caught early retirement");
+    };
+    println!("caught: {failure}\nscript: {script:?}");
+    assert!(failure.contains("idle with"), "{failure}");
 }
 
 #[test]
@@ -673,24 +614,4 @@ fn a_lead_given_up_apart_from_its_poll_or_skipped_by_a_pusher_is_caught() {
         println!("caught {what}: {failure}\nscript: {script:?}");
         assert!(failure.contains("queued without a leader"), "{failure}");
     }
-}
-
-#[test]
-fn a_failed_led_run_answers_its_lookups_with_the_error() {
-    let mut world = World::new(SHELL);
-    world.store.fault.set(Some("fault 1".to_string()));
-    world.arrive(0, &[Req::Lookup(0), Req::Lookup(0), Req::Insert(0)]);
-    let bodies: Vec<RespBody> = world.conns[0].1.try_iter().map(|response| response.body).collect();
-    assert_eq!(bodies.len(), 2, "the insert queued behind the run: {bodies:?}");
-    for body in &bodies {
-        let RespBody::Error { code: ErrorCode::Internal, message } = body else {
-            panic!("{body:?}")
-        };
-        assert!(
-            message.ends_with("lookup batch failed: invalid configuration: fault 1"),
-            "{message}"
-        );
-    }
-    let core = &world.cores[0];
-    assert_eq!((core.depth(), core.stats.lookups, core.stats.bypass_hits), (1, 0, 0));
 }

@@ -277,22 +277,25 @@ fn batch_frames_split_across_shards_and_reassemble() {
     engine.shutdown();
 }
 
+/// The bypass is leading an idle shard: a lookup's own push finds it
+/// unled, and its reader gathers it at once.
 #[test]
 fn idle_shard_lookups_take_the_bypass() {
     let engine = engine_with(2);
     let rx = engine.register_conn(1);
     engine.submit(1, Request { id: 0, op: Op::Insert { key: 42, value: 4242 } });
     assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().body, RespBody::Inserted);
-    // The insert was retired before its ack went out, so the shard is
-    // idle by the time the ack arrives and every lookup bypasses.
+    // Each lookup after the acknowledged insert reads it, and leads its
+    // shard, which its gather leaves drained.
     for id in 1..=3u64 {
         engine.submit(1, Request { id, op: Op::Lookup { key: 42 } });
         let resp = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(resp.body, RespBody::Value { found: true, value: 4242 });
-        assert_eq!(engine.stats().bypass_hits, id);
+        let stats = engine.stats();
+        assert_eq!((stats.leads, stats.batches, stats.lookup_admissions), (1 + id, 1 + id, id));
     }
     let stats = engine.stats();
-    assert_eq!((stats.batches, stats.lookups, stats.lookup_admissions), (1, 3, 0), "{stats}");
+    assert_eq!((stats.lookups, stats.bypass_hits, stats.shard_depths), (3, 0, vec![0, 0]));
     engine.shutdown();
 }
 
@@ -310,8 +313,8 @@ fn an_idle_shard_lookup_of_a_key_only_on_flash_is_answered_on_the_bypass() {
     let resp = rx.recv_timeout(Duration::from_secs(5)).unwrap();
     assert_eq!(resp.body, RespBody::Value { found: true, value: 4242 });
     let stats = engine.stats();
-    assert_eq!((stats.bypass_hits, stats.lookups), (1, 1), "{stats}");
-    assert_eq!((stats.batches, stats.segments, stats.lookup_admissions), (0, 0, 0), "{stats}");
+    assert_eq!((stats.leads, stats.lookups, stats.bypass_hits), (1, 1, 0), "{stats}");
+    assert_eq!((stats.batches, stats.segments, stats.lookup_admissions), (1, 1, 1), "{stats}");
     let clam = engine.clam_stats();
     assert_eq!(clam.lookups_by_source[LookupSource::Flash as usize], 1, "{clam}");
     engine.shutdown();
@@ -449,29 +452,29 @@ fn a_gather_that_panics_answers_internal_and_its_shard_runs_on() {
         rx
     };
     let (rx1, rx2) = (inbox(1), inbox(2));
+    let found = |value| RespBody::Value { found: true, value };
     let insert_both = |value| {
         shared.shards[0].stripe.armed.store(true, Ordering::Relaxed);
         let ops = vec![Op::Insert { key: armed, value }, Op::Insert { key: queued, value }];
         let leader = Arc::clone(&shared);
-        // The panic unwinds the thread that led the shard, as a reader.
+        // The leader catches the panic and runs on: its reader returns,
+        // and the insert queued behind the panicked gather is answered.
         let led = std::thread::spawn(move || leader.submit_chunk(1, chunk(ops).into_iter()));
-        assert!(led.join().is_err(), "the armed insert did not panic");
-        let RespBody::Error { code, message } = &bodies(&rx1, 1)[0] else { panic!("an answer") };
+        assert!(led.join().is_ok(), "the panic unwound the reader that led");
+        let replies = bodies(&rx1, 2);
+        let RespBody::Error { code, message } = &replies[0] else { panic!("{replies:?}") };
         assert_eq!((*code, message.as_str()), (ErrorCode::Internal, "the shard's gather panicked"));
-        assert!(rx1.try_recv().is_err(), "the second insert ran without a leader");
+        assert_eq!(replies[1], RespBody::Inserted);
+        assert_eq!(shared.shards[0].lock().depth(), 0, "the panicked gather was retired");
     };
-    let found = |value| RespBody::Value { found: true, value };
 
-    // A later arrival on the shard leads it, and runs what was queued.
     insert_both(1);
     shared.submit_chunk(2, chunk(vec![Op::Lookup { key: queued }]).into_iter());
-    assert_eq!(bodies(&rx1, 1), [RespBody::Inserted]);
     assert_eq!(bodies(&rx2, 1), [found(1)]);
-    // So does shutdown, and returns.
+    // Shutdown finds every shard drained and unled, and returns.
     insert_both(2);
     shared.shutdown();
-    assert_eq!(shared.ledger().shard_depths, [1, 0]);
-    assert_eq!(bodies(&rx1, 1), [RespBody::Inserted]);
+    assert_eq!(shared.ledger().shard_depths, [0, 0]);
     // Both connections are still served on the shard.
     let ops = vec![Op::Insert { key: armed, value: 3 }, Op::Lookup { key: queued }];
     shared.submit_chunk(2, chunk(ops).into_iter());
@@ -598,9 +601,8 @@ fn a_conflict_free_gather_is_one_segment() {
 
 // --- segments through the engine --------------------------------------
 
-/// One stripe, so one shard: a chunk that does not start with a lookup
-/// enters the idle shard's queue under one lock and is its leader's first
-/// gather.
+/// One stripe, so one shard: a chunk enters the idle shard's queue under
+/// one lock and is its leader's first gather.
 fn one_gather_engine() -> Engine<Ssd> {
     engine_with(1)
 }
@@ -715,53 +717,10 @@ fn queued<'a>(queue: impl Iterator<Item = &'a Submission>) -> Vec<(char, Key, u6
         .collect()
 }
 
-/// Stages `ops` on a fresh connection over two shard cores, key k on
-/// shard k % 2, and hands each core its share as `Engine::submit_chunk`
-/// does, leaving the runs that lead unserved; returns each shard's led
-/// keys and then its queue.
-#[allow(clippy::type_complexity)]
-fn lead_and_queue(
-    ops: Vec<Op>,
-    cores: &mut [ShardCore; 2],
-) -> [(Vec<Key>, Vec<(char, Key, u64)>); 2] {
-    let staged = stage(&Arc::default(), chunk(ops).into_iter(), 2, |key| key as usize % 2);
-    let mut led = [Vec::new(), Vec::new()];
-    for ((core, staged), led) in cores.iter_mut().zip(staged).zip(&mut led) {
-        if let Some((run, rest)) = core.lead(staged) {
-            led.extend(run.lookups.iter().flat_map(|part| part.keys.iter()));
-            core.push(rest);
-        }
-    }
-    let [core_0, core_1] = cores;
-    let [led_0, led_1] = led;
-    [(led_0, queued(core_0.queued())), (led_1, queued(core_1.queued()))]
-}
-
 #[test]
-fn a_lookup_behind_a_staged_write_never_takes_the_bypass() {
-    // Both shards idle: a chunk's share leads from its front.
-    let ops = vec![
-        // Nothing staged for shard 1 ahead of it: the start of its run.
-        Op::Lookup { key: 1 },
-        Op::Insert { key: 0, value: 5 },
-        // Behind the insert of its key, which the shard cannot see yet:
-        // leading, it would miss.
-        Op::Lookup { key: 0 },
-        // Still nothing but lookups ahead of it on shard 1: the same run.
-        Op::Lookup { key: 3 },
-        Op::Delete { key: 3 },
-        // Behind a write to another key of its shard: it never leads.
-        Op::Lookup { key: 1 },
-    ];
-    let [shard_0, shard_1] = lead_and_queue(ops, &mut Default::default());
-    assert_eq!((shard_0.0, shard_1.0), (vec![], vec![1, 3]), "one run per shard");
-    assert_eq!(shard_0.1, [('I', 0, 1), ('L', 0, 2)]);
-    assert_eq!(shard_1.1, [('D', 3, 4), ('L', 1, 5)]);
-}
-
-#[test]
-fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
-    // Shard 0 is busy, a gather in flight; shard 1 is idle.
+fn a_chunks_share_queues_whole_in_request_order() {
+    // Shard 0 is busy, a gather in flight; shard 1 is idle. Key k lives on
+    // shard k % 2.
     let mut cores: [ShardCore; 2] = Default::default();
     cores[0].push(vec![ins(8)]);
     assert!(cores[0].poll(1).is_some());
@@ -769,16 +728,22 @@ fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
         Op::Lookup { key: 0 },
         Op::Lookup { key: 1 },
         Op::Insert { key: 0, value: 5 },
-        Op::Lookup { key: 2 },
+        // Behind the insert of its key: it must read it.
+        Op::Lookup { key: 0 },
         Op::Lookup { key: 3 },
+        Op::Delete { key: 3 },
+        // Behind a write to another key of its shard.
+        Op::Lookup { key: 1 },
         Op::Insert { key: 1, value: 6 },
     ];
-    let [shard_0, shard_1] = lead_and_queue(ops, &mut cores);
+    let staged = stage(&Arc::default(), chunk(ops).into_iter(), 2, |key| key as usize % 2);
+    let leads: Vec<bool> = cores.iter_mut().zip(staged).map(|(core, s)| core.push(s)).collect();
+    assert_eq!(leads, [false, true], "the busy shard is led; the idle one's pusher leads it");
+    let [shard_0, shard_1] = cores.each_ref().map(|core| queued(core.queued()));
     // The lookup of key 0 reads what was there before the chunk's insert
-    // of it, so on the busy shard it queues ahead of that insert.
-    assert_eq!((shard_0.0, shard_1.0), (vec![], vec![1, 3]));
-    assert_eq!(shard_0.1, [('L', 0, 0), ('I', 0, 2), ('L', 2, 3)]);
-    assert_eq!(shard_1.1, [('I', 1, 5)]);
+    // of it, so it queues ahead of that insert.
+    assert_eq!(shard_0, [('L', 0, 0), ('I', 0, 2), ('L', 0, 3)]);
+    assert_eq!(shard_1, [('L', 1, 1), ('L', 3, 4), ('D', 3, 5), ('L', 1, 6), ('I', 1, 7)]);
 }
 
 #[test]
@@ -802,7 +767,8 @@ fn a_chunk_of_idle_shard_lookups_is_one_fast_path_run() {
     let found = pairs.iter().map(|&(_, value)| RespBody::Value { found: true, value });
     assert_eq!(bodies(&rx, N as usize), found.collect::<Vec<_>>());
     let stats = engine.stats();
-    assert_eq!((stats.bypass_hits, stats.lookups, stats.lookup_admissions), (N, N, 0), "{stats}");
+    let (batches, admissions) = (stats.batches - 1, stats.lookup_admissions);
+    assert_eq!((batches, admissions, stats.lookups, stats.bypass_hits), (1, 1, N, 0), "{stats}");
     // One store call: every key pays the run's amortized dispatch.
     let dispatch = BASE_OP_OVERHEAD / N + BATCHED_OP_OVERHEAD;
     let charged = engine.clam_stats().lookups.total() - before;

@@ -20,8 +20,8 @@
 //! preload / mixed-pipeline / verify sequence with **exact** count
 //! assertions against the server's ledger — once over a one-stripe
 //! store (one shard), once over four stripes (four shards, whose
-//! per-shard ledgers must sum to the one-stripe arm's totals and whose
-//! read-heavy verify phase must take the batcher bypass; in both, the
+//! per-shard ledgers must sum to the one-stripe arm's totals); in both,
+//! every lookup is gathered, each lead runs at least one gather, and the
 //! mixed phase's gathers must reach the store as conflict-free segments
 //! of at most two batched calls each).
 //!
@@ -171,9 +171,11 @@ fn sweep(addr: SocketAddr, config: &LoadgenConfig, multiples: &Multiples) -> Res
             level.report.errors
         );
         println!(
-            "  server window: {} gathers (hwm {}), {} insert + {} lookup admissions\n",
+            "  server window: {} gathers (hwm {}, {:.2} per lead), {} insert + {} lookup \
+             admissions\n",
             level.server.batches,
             level.server.batch_high_water,
+            level.server.gathers_per_lead(),
             level.server.insert_admissions,
             level.server.lookup_admissions
         );
@@ -199,8 +201,7 @@ const SMOKE_INSERT_BASE: u64 = 1 << 51;
 
 /// The CI loopback smoke check: the full deterministic sequence over a
 /// one-stripe store, then the same sequence over four stripes (their
-/// four shards' ledgers must sum to the one-stripe arm's totals and the
-/// serial verify phase must take the bypass).
+/// four shards' ledgers must sum to the one-stripe arm's totals).
 fn smoke() -> Result<(), BootError> {
     let one = smoke_arm(1)?;
     let four = smoke_arm(4)?;
@@ -222,14 +223,6 @@ fn smoke() -> Result<(), BootError> {
     assert!(
         four.per_shard.iter().filter(|s| s.inserts > 0).count() > 1,
         "the key space must spread over more than one shard"
-    );
-
-    // The serial verify phase is read-heavy over an idle server: the
-    // four-shard arm must have answered some of it on the bypass.
-    assert!(
-        four.fields.bypass_hits > 0,
-        "read-heavy phase should take the batcher bypass: {:?}",
-        four.fields
     );
     Ok(())
 }
@@ -353,6 +346,9 @@ fn smoke_arm(stripes: usize) -> Result<SmokeArm, BootError> {
     assert_eq!(fields.lookup_misses, expected_misses, "ledger misses\n{text}");
     assert_eq!(fields.wire_errors, 0, "ledger wire errors\n{text}");
     assert!(fields.batches > 0, "group commit must have gathered\n{text}");
+    // Every lookup queues and is gathered; a lead runs at least one gather.
+    assert_eq!(fields.bypass_hits, 0, "no lookup skips the queue\n{text}");
+    assert!(0 < fields.leads && fields.leads <= fields.batches, "leads and gathers\n{text}");
     assert!(
         fields.insert_admissions < fields.inserts,
         "inserts must coalesce into fewer ring admissions\n{text}"
@@ -365,7 +361,7 @@ fn smoke_arm(stripes: usize) -> Result<SmokeArm, BootError> {
 
     println!(
         "smoke [{} stripe{}]: {} inserts, {} lookups ({} hits / {} misses), {} gathers \
-         (mean {:.1}), {} bypassed, tail {}",
+         (mean {:.1}), {:.2} gathers per lead, tail {}",
         stripes,
         if stripes == 1 { "" } else { "s" },
         fields.inserts,
@@ -374,7 +370,7 @@ fn smoke_arm(stripes: usize) -> Result<SmokeArm, BootError> {
         fields.lookup_misses,
         fields.batches,
         fields.mean_batch(),
-        fields.bypass_hits,
+        fields.gathers_per_lead(),
         tail
     );
     let per_shard = server.per_shard_stats();

@@ -73,8 +73,8 @@ flashsim::ledger! {
         /// Connections closed because a delivery to them could not finish
         /// within the stall limit: the client had stopped reading.
         pub connections_stalled: u64 => Sum,
-        /// Scalar lookups that led an idle shard, past its queue: the reader
-        /// looked the key up itself, without a gather.
+        /// Always 0: every lookup queues and is gathered. Kept because the
+        /// repo benchmark reads it, until ROADMAP item 8.
         pub bypass_hits: u64 => Sum,
         /// Most recent per-shard in-flight depth snapshot (queued plus
         /// executing requests), refreshed by STATS requests and captured at
@@ -82,6 +82,9 @@ flashsim::ledger! {
         pub shard_depths: Vec<u64> => Gauge,
         /// Stripes whose flush failed at a clean shutdown (the others still flush).
         pub shutdown_flush_errors: u64 => Sum,
+        /// Leads taken: pushes that found their shard unled, whose reader
+        /// then ran its gathers until a poll found the queue empty.
+        pub leads: u64 => Sum,
     }
 }
 
@@ -100,11 +103,20 @@ impl ServerStats {
 
     /// Mean requests per gather.
     pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_requests as f64 / self.batches as f64
-        }
+        ratio(self.batched_requests, self.batches)
+    }
+
+    /// Mean gathers a leader ran before a poll found its queue empty.
+    pub fn gathers_per_lead(&self) -> f64 {
+        ratio(self.batches, self.leads)
+    }
+}
+
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 

@@ -555,7 +555,7 @@ fn sharded_server_matches_the_model_over_tcp() {
     }
     // The store evicted what the model evicted, on the tables' own
     // account and by slot reclaim, and looked up each key the server
-    // answered once, on the bypass or in a gather.
+    // answered once, in a gather.
     let stats = server.clam_stats();
     let (flushes, evictions, forced) = model.ledger();
     assert!(evictions > 0 && forced > 0, "the scripts must wrap the logs: {stats}");
