@@ -717,15 +717,28 @@ fn queued<'a>(queue: impl Iterator<Item = &'a Submission>) -> Vec<(char, Key, u6
         .collect()
 }
 
+/// Stages `ops` on a fresh connection over two shard cores, key k on
+/// shard k % 2, and pushes each core its share as `Shared::submit_chunk`
+/// does, leaving the shards unserved; returns whether each push took the
+/// lead and then each shard's queue.
+#[allow(clippy::type_complexity)]
+fn push_and_queue(
+    ops: Vec<Op>,
+    cores: &mut [ShardCore; 2],
+) -> ([bool; 2], [Vec<(char, Key, u64)>; 2]) {
+    let staged = stage(&Arc::default(), chunk(ops).into_iter(), 2, |key| key as usize % 2);
+    let mut leads = [false; 2];
+    for ((core, staged), lead) in cores.iter_mut().zip(staged).zip(&mut leads) {
+        *lead = core.push(staged);
+    }
+    (leads, cores.each_ref().map(|core| queued(core.queued())))
+}
+
 #[test]
-fn a_chunks_share_queues_whole_in_request_order() {
-    // Shard 0 is busy, a gather in flight; shard 1 is idle. Key k lives on
-    // shard k % 2.
-    let mut cores: [ShardCore; 2] = Default::default();
-    cores[0].push(vec![ins(8)]);
-    assert!(cores[0].poll(1).is_some());
+fn a_lookup_behind_a_staged_write_never_takes_the_bypass() {
+    // Both shards idle: each pusher leads its shard, and every lookup
+    // queues with the share, none answered ahead of it.
     let ops = vec![
-        Op::Lookup { key: 0 },
         Op::Lookup { key: 1 },
         Op::Insert { key: 0, value: 5 },
         // Behind the insert of its key: it must read it.
@@ -734,16 +747,33 @@ fn a_chunks_share_queues_whole_in_request_order() {
         Op::Delete { key: 3 },
         // Behind a write to another key of its shard.
         Op::Lookup { key: 1 },
+    ];
+    let (leads, [shard_0, shard_1]) = push_and_queue(ops, &mut Default::default());
+    assert_eq!(leads, [true, true], "an idle shard's pusher leads it");
+    assert_eq!(shard_0, [('I', 0, 1), ('L', 0, 2)]);
+    assert_eq!(shard_1, [('L', 1, 0), ('L', 3, 3), ('D', 3, 4), ('L', 1, 5)]);
+}
+
+#[test]
+fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
+    // Shard 0 is busy, a gather in flight; shard 1 is idle.
+    let mut cores: [ShardCore; 2] = Default::default();
+    cores[0].push(vec![ins(8)]);
+    assert!(cores[0].poll(1).is_some());
+    let ops = vec![
+        Op::Lookup { key: 0 },
+        Op::Lookup { key: 1 },
+        Op::Insert { key: 0, value: 5 },
+        Op::Lookup { key: 2 },
+        Op::Lookup { key: 3 },
         Op::Insert { key: 1, value: 6 },
     ];
-    let staged = stage(&Arc::default(), chunk(ops).into_iter(), 2, |key| key as usize % 2);
-    let leads: Vec<bool> = cores.iter_mut().zip(staged).map(|(core, s)| core.push(s)).collect();
+    let (leads, [shard_0, shard_1]) = push_and_queue(ops, &mut cores);
     assert_eq!(leads, [false, true], "the busy shard is led; the idle one's pusher leads it");
-    let [shard_0, shard_1] = cores.each_ref().map(|core| queued(core.queued()));
     // The lookup of key 0 reads what was there before the chunk's insert
-    // of it, so it queues ahead of that insert.
-    assert_eq!(shard_0, [('L', 0, 0), ('I', 0, 2), ('L', 0, 3)]);
-    assert_eq!(shard_1, [('L', 1, 1), ('L', 3, 4), ('D', 3, 5), ('L', 1, 6), ('I', 1, 7)]);
+    // of it, so on the busy shard it queues ahead of that insert.
+    assert_eq!(shard_0, [('L', 0, 0), ('I', 0, 2), ('L', 2, 3)]);
+    assert_eq!(shard_1, [('L', 1, 1), ('L', 3, 4), ('I', 1, 5)]);
 }
 
 #[test]
