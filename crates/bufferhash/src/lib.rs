@@ -96,7 +96,7 @@ pub use incarnation::{
 };
 pub use log::{LogAllocator, SlotAllocation, SlotOwner};
 pub use recovery::RecoveryReport;
-pub use shared::{SharedClam, StripedClam};
+pub use shared::{SharedClam, StripeRouter, StripedClam};
 pub use stats::ClamStats;
 pub use supertable::{IncarnationMeta, MemoryHit, SuperTable};
 pub use types::{hash_with_seed, mix64, Entry, Key, Value, ENTRY_SIZE};

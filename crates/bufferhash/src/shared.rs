@@ -164,13 +164,29 @@ impl<D: Device> SharedClam<D> {
     }
 }
 
+/// Which of `n` stripes owns a key: one pure function of the key and `n`,
+/// which [`StripedClam::stripe_index`] and `clamd`'s shards share.
+#[derive(Debug, Clone, Copy)]
+pub struct StripeRouter(Modulus);
+
+impl StripeRouter {
+    /// Routes over `stripes` stripes (at least one).
+    pub fn new(stripes: usize) -> Self {
+        StripeRouter(Modulus::new(stripes))
+    }
+
+    /// The stripe owning `key`.
+    pub fn stripe_of(&self, key: Key) -> usize {
+        self.0.reduce(hash_with_seed(key, 0x57_e19e))
+    }
+}
+
 /// A CLAM striped over several devices: stripe `i` holds the keys that hash
 /// to it, so lookups and inserts for different stripes contend on different
 /// locks (and, conceptually, different SSDs).
 pub struct StripedClam<D: Device> {
     stripes: Vec<SharedClam<D>>,
-    /// `stripes.len()`, to route keys without dividing.
-    stripe_modulus: Modulus,
+    router: StripeRouter,
 }
 
 impl<D: Device> StripedClam<D> {
@@ -180,8 +196,8 @@ impl<D: Device> StripedClam<D> {
     /// by panicking early because it is a static misconfiguration.
     pub fn new(stripes: Vec<Clam<D>>) -> Self {
         assert!(!stripes.is_empty(), "StripedClam needs at least one stripe");
-        let stripe_modulus = Modulus::new(stripes.len());
-        StripedClam { stripes: stripes.into_iter().map(SharedClam::new).collect(), stripe_modulus }
+        let router = StripeRouter::new(stripes.len());
+        StripedClam { stripes: stripes.into_iter().map(SharedClam::new).collect(), router }
     }
 
     /// Recovers every stripe from its device's flash contents (see
@@ -206,11 +222,9 @@ impl<D: Device> StripedClam<D> {
         self.stripes.len()
     }
 
-    /// Stripe owning `key`. Routing is deterministic and public so upper
-    /// layers (the `clamd` sharded batcher) can key their own partitioning
-    /// off the same function — same key, same stripe, same shard.
+    /// Stripe owning `key`, by the store's [`StripeRouter`].
     pub fn stripe_index(&self, key: Key) -> usize {
-        self.stripe_modulus.reduce(hash_with_seed(key, 0x57_e19e))
+        self.router.stripe_of(key)
     }
 
     fn stripe_of(&self, key: Key) -> &SharedClam<D> {
@@ -392,6 +406,12 @@ impl<D: Device> StripedClam<D> {
         self.stripes.get(i).cloned()
     }
 
+    /// Every stripe's CLAM, in order, for an owner that calls each without
+    /// a lock. Panics if a [`stripe`](Self::stripe) handle is still alive.
+    pub fn into_stripes(self) -> Vec<Clam<D>> {
+        self.stripes.into_iter().map(SharedClam::into_clam).collect()
+    }
+
     /// [`lookup`](Self::lookup), with the error dropped: the name and
     /// signature of the read fast path this store had, kept only because
     /// the repo benchmark (`benchmark/src/ladder.rs`) still calls it. Goes
@@ -436,6 +456,33 @@ mod tests {
         }
         assert_eq!(shared.stats().inserts.len(), 20_000);
         assert!(shared.stats().lookup_hits >= 20_000);
+    }
+
+    #[test]
+    fn into_stripes_hands_back_each_stripe_where_the_router_puts_its_keys() {
+        let store = StripedClam::new((0..3).map(|_| clam()).collect());
+        let router = StripeRouter::new(3);
+        assert!((0..1000).map(key).all(|k| router.stripe_of(k) == store.stripe_index(k)));
+        let keys: Vec<Key> = (0..30).map(key).collect();
+        for &k in &keys {
+            store.insert(k, k ^ 1).unwrap();
+        }
+        let mut stripes = store.into_stripes();
+        assert_eq!(stripes.len(), 3);
+        for &k in &keys {
+            for (i, stripe) in stripes.iter_mut().enumerate() {
+                let held = (router.stripe_of(k) == i).then_some(k ^ 1);
+                assert_eq!(stripe.lookup(k).unwrap().value, held, "key {k} on stripe {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sole ownership")]
+    fn into_stripes_refuses_while_a_stripe_handle_lives() {
+        let store = StripedClam::new(vec![clam()]);
+        let _handle = store.stripe(0);
+        store.into_stripes();
     }
 
     #[test]

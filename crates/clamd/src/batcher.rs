@@ -1,57 +1,31 @@
-//! The sharded group-commit batcher: a queue per stripe whose gathers
-//! the connection readers run themselves, turning concurrent request
-//! arrivals into coalesced ring admissions.
+//! The sharded group-commit batcher: one queue per stripe, whose gathers
+//! the connection readers run themselves, turning concurrent arrivals into
+//! coalesced ring admissions. DESIGN.md ("The batcher") has the reasoning.
 //!
-//! A **shard** is a stripe's queue: shard `i` owns stripe `i`, and a
-//! request routes to the shard of its key's stripe
-//! ([`StripedClam::stripe_index`]), so a key always lands on the same
-//! shard and no two shards call one stripe. A gather takes what is queued,
-//! up to [`BatcherConfig::max_batch`], and cuts it into **conflict-free
-//! segments**, in which no key is under two kinds of operation; each runs
-//! as one [`SharedClam::insert_batch`], one [`SharedClam::lookup_batch`],
-//! then its deletes, on the shard's own stripe. FLUSH and STATS run
-//! between segments.
+//! A **shard** owns a stripe, and a request routes to the shard of its
+//! key's stripe ([`StripeRouter`]). A gather takes up to
+//! [`BatcherConfig::max_batch`] queued requests and cuts them into
+//! **conflict-free segments**, no key under two kinds of operation; each
+//! runs as one [`Clam::insert_batch`], one [`Clam::lookup_batch`], then its
+//! deletes. FLUSH and STATS run between segments.
 //!
-//! **Leaders.** No thread belongs to a shard. The reader whose push finds
-//! a shard unled takes the lead (flat combining): it runs gathers until
-//! the poll that finds the queue empty gives the lead up. A reader that
-//! pushes while another leads returns at once; the leader's next gather
-//! takes its share. Nothing waits for company.
+//! **The lead is the stripe.** No thread belongs to a shard, and no lock
+//! guards a stripe. The shard's core (`core`), which decides and takes no
+//! lock, sits in one `Mutex` with the stripe while the shard is unled. The
+//! push that finds the stripe there hands it to its reader, who leads (flat
+//! combining): it runs gathers on the stripe, locking the core once a step
+//! to retire it, until the poll that finds the queue empty takes the stripe
+//! home. Polls wake the shard's `Condvar` for shutdown and for stats
+//! readers, to whom a poll lends a copy of the stripe's ledger. A step that
+//! panics is caught, and its gather's parts are answered `Internal`.
 //!
-//! **Core and shell.** Everything a shard decides lives in its
-//! `ShardCore` (`core`), which takes no lock and calls no store. A shard
-//! is that core in one `Mutex` beside one `Condvar`, which only shutdown
-//! waits on. Its leader calls the stripe with the lock released and takes
-//! it once per step to retire the step before its responses go out. Only
-//! a shard's leader calls its stripe. A step that panics is caught by its
-//! leader, which answers the gather's unanswered parts `Internal` and runs
-//! on.
-//!
-//! **Contract.** Each key is an atomic register: operations on a key take
-//! effect in the order they arrived at its shard, whichever connections
-//! sent them; across keys the order is unspecified. Each connection gets
-//! its responses in request order, and a batch frame or FLUSH one
-//! response once its last shard part lands. A chunk's share for a shard
-//! queues whole, in request order, and every request is answered by the
-//! gather that takes it; a share pushed onto an unled shard is gathered
-//! in the same call. A response goes out only after its store call
-//! returned, and [`Clam::insert_batch`] returns only once the write ring
-//! is synced. DESIGN.md ("The batcher") has the reasoning.
-//!
-//! **Delivery.** A connection's sequencer (`conn`) is the one place a
-//! response is built. Staging opens every request's response there, with
-//! its form and its number of shard parts, before any part reaches a
-//! shard; each part then answers into it — an ack, its lookup values or
-//! its error — under that connection's lock, which is the only lock a
-//! response takes. The thread whose answer completes the next response in
-//! order writes it, and whatever completed behind it, to the socket in one
-//! write; an in-process caller ([`Engine::register_conn`]) gets them on a
-//! channel instead.
-//!
-//! [`StripedClam::stripe_index`]: bufferhash::StripedClam::stripe_index
-//! [`SharedClam::insert_batch`]: bufferhash::SharedClam::insert_batch
-//! [`SharedClam::lookup_batch`]: bufferhash::SharedClam::lookup_batch
-//! [`Clam::insert_batch`]: bufferhash::Clam::insert_batch
+//! **Contract.** Each key is an atomic register, in its shard's arrival
+//! order. A chunk's share for a shard queues whole, in request order.
+//! Each connection gets its responses in request order, a batch frame or
+//! FLUSH one response once its last shard part lands, assembled in its
+//! sequencer (`conn`) and written by the thread that completes them. A
+//! response goes out only after its store call returned, and
+//! [`Clam::insert_batch`] returns only once the write ring is synced.
 
 mod conn;
 mod core;
@@ -64,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use bufferhash::{Key, RecoveryReport, SharedClam, StripedClam, Value};
+use bufferhash::{Clam, ClamStats, Key, RecoveryReport, StripeRouter, StripedClam, Value};
 use flashsim::Device;
 
 pub(crate) use self::conn::STALL_LIMIT;
@@ -196,29 +170,35 @@ fn stage(
     staged
 }
 
-/// The store calls a step makes: the shard's stripe, or a test's map.
+/// The calls a step makes, and the ledger stats readers read: the
+/// shard's stripe, or a test's map.
 trait StepStore {
-    fn insert_batch(&self, pairs: &[(Key, Value)]) -> bufferhash::Result<()>;
-    fn lookup_batch(&self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>>;
-    fn delete(&self, key: Key) -> bufferhash::Result<()>;
-    fn flush_all(&self) -> bufferhash::Result<()>;
+    fn insert_batch(&mut self, pairs: &[(Key, Value)]) -> bufferhash::Result<()>;
+    fn lookup_batch(&mut self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>>;
+    fn delete(&mut self, key: Key) -> bufferhash::Result<()>;
+    fn flush_all(&mut self) -> bufferhash::Result<()>;
+    fn stats(&self) -> &ClamStats;
 }
 
-impl<D: Device> StepStore for SharedClam<D> {
-    fn insert_batch(&self, pairs: &[(Key, Value)]) -> bufferhash::Result<()> {
-        SharedClam::insert_batch(self, pairs).map(drop)
+impl<D: Device> StepStore for Clam<D> {
+    fn insert_batch(&mut self, pairs: &[(Key, Value)]) -> bufferhash::Result<()> {
+        Clam::insert_batch(self, pairs).map(drop)
     }
 
-    fn lookup_batch(&self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>> {
-        Ok(SharedClam::lookup_batch(self, keys)?.values())
+    fn lookup_batch(&mut self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>> {
+        Ok(Clam::lookup_batch(self, keys)?.values())
     }
 
-    fn delete(&self, key: Key) -> bufferhash::Result<()> {
-        SharedClam::delete(self, key)
+    fn delete(&mut self, key: Key) -> bufferhash::Result<()> {
+        Clam::delete(self, key).map(drop)
     }
 
-    fn flush_all(&self) -> bufferhash::Result<()> {
-        SharedClam::flush_all(self).map(drop)
+    fn flush_all(&mut self) -> bufferhash::Result<()> {
+        Clam::flush_all(self).map(drop)
+    }
+
+    fn stats(&self) -> &ClamStats {
+        Clam::stats(self)
     }
 }
 
@@ -226,7 +206,7 @@ impl<D: Device> StepStore for SharedClam<D> {
 /// as one `lookup_batch`, then its deletes — hands what it served to
 /// `retire`, and only then answers every part. A failed store call fails
 /// the parts of its own kind only.
-fn run_segment(store: &impl StepStore, segment: &Segment, retire: impl FnOnce(&ServerStats)) {
+fn run_segment(store: &mut impl StepStore, segment: &Segment, retire: impl FnOnce(&ServerStats)) {
     let Segment { inserts, lookups, deletes } = segment;
     let mut served = ServerStats::new();
     served.segments += 1;
@@ -286,7 +266,7 @@ fn run_segment(store: &impl StepStore, segment: &Segment, retire: impl FnOnce(&S
 /// without error counts it in `flushes`, under the sequencer lock, before
 /// the response can go out.
 fn run_flush(
-    store: &impl StepStore,
+    store: &mut impl StepStore,
     ticket: &Ticket,
     flushes: &AtomicU64,
     retire: impl FnOnce(&ServerStats),
@@ -300,28 +280,25 @@ fn run_flush(
     seq.flush();
 }
 
-/// One batcher shard: its core, the condvar shutdown waits on for the
-/// lead to be given up, and the store it calls: its stripe, or a test's.
+/// One batcher shard: its core, with its stripe while no thread leads it,
+/// and the condvar the leader's polls wake for shutdown and stats readers.
 struct Shard<S> {
-    core: Mutex<ShardCore>,
-    unled: Condvar,
-    stripe: S,
+    core: Mutex<ShardCore<S>>,
+    polled: Condvar,
 }
 
 impl<S> Shard<S> {
-    fn lock(&self) -> MutexGuard<'_, ShardCore> {
+    fn lock(&self) -> MutexGuard<'_, ShardCore<S>> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// State the connection readers share; any of them may lead a shard.
-struct Shared<D: Device + 'static, S = SharedClam<D>> {
-    /// The served store: it routes keys to stripes and merges their
-    /// ledgers; each shard calls its own stripe.
-    store: StripedClam<D>,
+struct Shared<S> {
+    /// Routes a key to its stripe's shard: shard `i` owns stripe `i`.
+    router: StripeRouter,
     recovery: Vec<RecoveryReport>,
     config: BatcherConfig,
-    /// Shard `i` owns stripe `i`.
     shards: Vec<Shard<S>>,
     conns: Mutex<HashMap<u64, Arc<ConnEntry>>>,
     /// Process-wide counters and the shutdown-time depth snapshot; what
@@ -334,7 +311,7 @@ struct Shared<D: Device + 'static, S = SharedClam<D>> {
 
 /// A cloneable handle to the batcher engine.
 pub struct Engine<D: Device + 'static> {
-    shared: Arc<Shared<D>>,
+    shared: Arc<Shared<Clam<D>>>,
 }
 
 impl<D: Device + 'static> Clone for Engine<D> {
@@ -344,17 +321,18 @@ impl<D: Device + 'static> Clone for Engine<D> {
 }
 
 impl<D: Device + 'static> Engine<D> {
-    /// Starts one shard per stripe of `store`; no thread is started.
-    /// `recovery` carries the per-stripe reports when the store was
-    /// recovered from an existing flash image (empty for a fresh boot);
-    /// STATS responses include them.
+    /// Starts one shard per stripe of `store`, each owning its stripe's
+    /// CLAM (a live [`StripedClam::stripe`] handle panics); no thread is
+    /// started. `recovery` carries the per-stripe reports when the store
+    /// was recovered from an existing flash image (empty for a fresh
+    /// boot); STATS responses include them.
     pub fn start(
         store: StripedClam<D>,
         recovery: Vec<RecoveryReport>,
         config: BatcherConfig,
     ) -> Self {
-        let stripes = (0..store.num_stripes()).filter_map(|i| store.stripe(i)).collect();
-        Engine { shared: Arc::new(Shared { recovery, ..Shared::new(store, config, stripes) }) }
+        let shared = Shared { recovery, ..Shared::new(config, store.into_stripes()) };
+        Engine { shared: Arc::new(shared) }
     }
 
     /// Number of batcher shards: one per stripe.
@@ -446,6 +424,11 @@ impl<D: Device + 'static> Engine<D> {
         }
     }
 
+    /// Counts a failed `accept` in the ledger.
+    pub(crate) fn count_accept_error(&self) {
+        self.shared.ledger().accept_errors += 1;
+    }
+
     /// Snapshot of the server ledger: the process-wide counters with
     /// every shard's gather ledger folded in.
     pub fn stats(&self) -> ServerStats {
@@ -459,8 +442,8 @@ impl<D: Device + 'static> Engine<D> {
     }
 
     /// Aggregated store statistics across all stripes.
-    pub fn clam_stats(&self) -> bufferhash::ClamStats {
-        self.shared.store.stats()
+    pub fn clam_stats(&self) -> ClamStats {
+        self.shared.clam_stats(None)
     }
 
     /// Per-stripe recovery reports from boot (empty for a fresh image).
@@ -477,22 +460,28 @@ impl<D: Device + 'static> Engine<D> {
         self.shared.shutdown();
     }
 
-    /// Flushes every stripe's buffers to flash. A stripe whose flush
-    /// fails is counted in `shutdown_flush_errors`, and the others still
-    /// flush.
+    /// Flushes every stripe's buffers to flash, each once it is home: call
+    /// it after [`shutdown`](Self::shutdown), whose closing shards' polls
+    /// wake the wait. A stripe whose flush fails is counted in
+    /// `shutdown_flush_errors`, and the others still flush.
     pub fn flush_stripes(&self) {
-        let shards = self.shared.shards.iter();
-        let failed = shards.filter(|shard| shard.stripe.flush_all().is_err()).count();
-        self.shared.ledger().shutdown_flush_errors += failed as u64;
+        let failed = self.shared.shards.iter().filter(|shard| {
+            let home = shard.polled.wait_while(shard.lock(), |core| core.home.is_none());
+            let mut core = home.unwrap_or_else(PoisonError::into_inner);
+            core.home.as_mut().is_some_and(|stripe| stripe.flush_all().is_err())
+        });
+        self.shared.ledger().shutdown_flush_errors += failed.count() as u64;
     }
 }
 
-impl<D: Device + 'static, S: StepStore> Shared<D, S> {
-    /// Shard `i` calls `stripes[i]`; `store` routes keys. No reports.
-    fn new(store: StripedClam<D>, config: BatcherConfig, stripes: Vec<S>) -> Self {
-        let shard = |stripe| Shard { core: Mutex::default(), unled: Condvar::new(), stripe };
+impl<S: StepStore> Shared<S> {
+    /// Shard `i` owns `stripes[i]`, keys routed as a [`StripedClam`] of as
+    /// many stripes routes them. No reports.
+    fn new(config: BatcherConfig, stripes: Vec<S>) -> Self {
+        let shard =
+            |stripe| Shard { core: Mutex::new(ShardCore::new(stripe)), polled: Condvar::new() };
         Shared {
-            store,
+            router: StripeRouter::new(stripes.len()),
             recovery: Vec::new(),
             config,
             shards: stripes.into_iter().map(shard).collect(),
@@ -522,31 +511,34 @@ impl<D: Device + 'static, S: StepStore> Shared<D, S> {
         }
         let conn = self.conns().get(&conn).cloned().unwrap_or_default();
         // Same key, same stripe, same shard.
-        let staged = stage(&conn, requests, self.shards.len(), |key| self.store.stripe_index(key));
+        let staged = stage(&conn, requests, self.shards.len(), |key| self.router.stripe_of(key));
         for (shard, staged) in self.shards.iter().zip(staged).filter(|(_, s)| !s.is_empty()) {
-            if shard.lock().push(staged) {
-                self.lead(shard);
+            let taken = shard.lock().push(staged);
+            if let Some(stripe) = taken {
+                self.lead(shard, stripe);
             }
         }
     }
 
-    /// Runs `shard`'s gathers as its leader, each step with no lock held,
-    /// until the poll that finds the queue empty gives up the lead. What
-    /// arrived while a gather ran is the next gather. A step that panics
-    /// is caught here: its gather is retired, every part it and the steps
-    /// after it hold is answered `Internal`, and the leader polls on.
-    fn lead(&self, shard: &Shard<S>) {
+    /// Runs `shard`'s gathers on `stripe` as its leader, each step with no
+    /// lock held, until the poll that finds the queue empty takes the
+    /// stripe home; a poll wakes whoever waits on it. What arrived while a
+    /// gather ran is the next gather. A step that panics is caught here:
+    /// its gather is retired, every part it and the steps after it hold is
+    /// answered `Internal`, and the leader polls on.
+    fn lead(&self, shard: &Shard<S>, mut stripe: S) {
         loop {
             let mut core = shard.lock();
-            let Some(steps) = core.poll(self.config.max_batch) else {
-                if core.closing {
-                    shard.unled.notify_all();
-                }
-                return;
-            };
+            let awaited = core.awaited();
+            let polled = core.poll(stripe, self.config.max_batch);
+            if awaited {
+                shard.polled.notify_all();
+            }
+            let Some((held, steps)) = polled else { return };
             drop(core);
+            stripe = held;
             let panicked = steps.iter().position(|step| {
-                catch_unwind(AssertUnwindSafe(|| self.execute(shard, step))).is_err()
+                catch_unwind(AssertUnwindSafe(|| self.execute(shard, &mut stripe, step))).is_err()
             });
             if let Some(at) = panicked {
                 shard.lock().abandon();
@@ -556,22 +548,23 @@ impl<D: Device + 'static, S: StepStore> Shared<D, S> {
         }
     }
 
-    /// Executes one step of `shard`'s gather on its stripe without the
-    /// shard's lock, then takes it once to retire the step, and only then
-    /// answers.
-    fn execute(&self, shard: &Shard<S>, step: &Step) {
+    /// Executes one step of `shard`'s gather on the leader's `stripe`
+    /// without the shard's lock, then takes it once to retire the step,
+    /// and only then answers.
+    fn execute(&self, shard: &Shard<S>, stripe: &mut S, step: &Step) {
         let retired = step.submissions();
         let retire = |served: &ServerStats| shard.lock().done(retired, served);
         match step {
-            Step::Segment(segment) => run_segment(&shard.stripe, segment, retire),
+            Step::Segment(segment) => run_segment(stripe, segment, retire),
             // The other shards' parts flush the other stripes.
-            Step::Flush(ticket) => run_flush(&shard.stripe, ticket, &self.flushes, retire),
+            Step::Flush(ticket) => run_flush(stripe, ticket, &self.flushes, retire),
             Step::Stats(ticket) => {
                 // Retired first: the depths it reports leave it out.
                 retire(&ServerStats::new());
                 self.ledger().stats_calls += 1;
                 let fields = Box::new(self.merged_stats());
-                let mut text = format!("{fields}\nstore: {}", self.store.stats());
+                let store = self.clam_stats(Some((shard, stripe)));
+                let mut text = format!("{fields}\nstore: {store}");
                 for (i, report) in self.recovery.iter().enumerate() {
                     text.push_str(&format!("\nstripe {i} recovery: {report}"));
                 }
@@ -598,12 +591,31 @@ impl<D: Device + 'static, S: StepStore> Shared<D, S> {
         merged
     }
 
+    /// Every stripe's ledger merged: read at home, or else asked of the
+    /// leader, whose next poll lends a copy. `held`, a leader's own shard,
+    /// is read from the stripe in its hand: its own poll would never come.
+    fn clam_stats(&self, held: Option<(&Shard<S>, &S)>) -> ClamStats {
+        let mut total = ClamStats::new();
+        for shard in &self.shards {
+            if let Some((_, stripe)) = held.filter(|(own, _)| std::ptr::eq(*own, shard)) {
+                total.absorb(stripe.stats());
+                continue;
+            }
+            let mut core = shard.lock();
+            core.ask_stats();
+            let lent = shard.polled.wait_while(core, |core| core.stripe_stats().is_none());
+            core = lent.unwrap_or_else(PoisonError::into_inner);
+            total.absorb(core.stripe_stats().expect("answered"));
+        }
+        total
+    }
+
     /// [`Engine::shutdown`].
     fn shutdown(&self) {
         let depths = self.shards.iter().map(|shard| shard.lock().close());
         self.ledger().shard_depths = depths.collect();
         for shard in &self.shards {
-            drop(shard.unled.wait_while(shard.lock(), |core| core.leading));
+            drop(shard.polled.wait_while(shard.lock(), |core| core.home.is_none()));
         }
     }
 }

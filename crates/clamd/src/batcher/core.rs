@@ -1,13 +1,13 @@
-//! A batcher shard's decisions — which thread leads it, queue, gathers,
-//! retirement and ledger — in a plain struct that takes no lock and calls
-//! no store: the shell's leader loop does what it decides.
+//! A batcher shard's decisions — who holds its stripe and so leads, queue,
+//! gathers, retirement, ledger, stats asks — in a plain struct that takes
+//! no lock and makes no store call: the shell's leader loop acts on them.
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Deref;
 
-use bufferhash::{Key, Value};
+use bufferhash::{ClamStats, Key, Value};
 
-use super::Ticket;
+use super::{StepStore, Ticket};
 use crate::stats::ServerStats;
 
 /// A scalar frame's one item, or a batch frame's share of items for one
@@ -202,33 +202,48 @@ impl Planner {
     }
 }
 
-/// One batcher shard's state and every decision made on it.
-#[derive(Default)]
-pub(super) struct ShardCore {
+/// One batcher shard's state and every decision made on it, and its
+/// stripe while no thread leads it.
+pub(super) struct ShardCore<S> {
     queue: VecDeque<Submission>,
     /// Submissions gathered and not yet retired by [`done`](Self::done).
     in_flight: usize,
-    /// A thread leads the shard: taken by the push that finds it clear,
-    /// given up by the poll that finds the queue empty, so nothing stays
-    /// queued without a leader. The shell reads it; only the core writes.
-    pub(super) leading: bool,
-    /// Set by shutdown, which then waits for the lead to be given up: from
-    /// then on the thread that gives it up wakes shutdown.
+    /// The stripe while no thread leads the shard: a shard is led exactly
+    /// when its stripe is away ([`push`](Self::push), [`poll`](Self::poll)).
+    pub(super) home: Option<S>,
+    /// Set by shutdown, which then waits for the stripe to come home.
     pub(super) closing: bool,
+    /// Whether a stats reader waits for the leader's next poll, and the
+    /// copy of the stripe's ledger that poll lent, dropped by the next ask.
+    asked: bool,
+    lent: Option<ClamStats>,
     planner: Planner,
     /// The shard's ledger.
     pub(super) stats: ServerStats,
 }
 
-impl ShardCore {
+impl<S: StepStore> ShardCore<S> {
+    /// An unled shard with `stripe` home.
+    pub(super) fn new(stripe: S) -> Self {
+        ShardCore {
+            queue: VecDeque::new(),
+            in_flight: 0,
+            home: Some(stripe),
+            closing: false,
+            asked: false,
+            lent: None,
+            planner: Planner::default(),
+            stats: ServerStats::new(),
+        }
+    }
+
     /// Queues a chunk's submissions for this shard, in arrival order, and
-    /// returns whether the caller takes the lead (counted in `leads`): no
-    /// thread led the shard.
-    pub(super) fn push(&mut self, staged: Vec<Submission>) -> bool {
+    /// hands the caller the stripe if it was home: it leads (`leads`).
+    pub(super) fn push(&mut self, staged: Vec<Submission>) -> Option<S> {
         self.queue.extend(staged);
-        let takes_lead = !std::mem::replace(&mut self.leading, true);
-        self.stats.leads += u64::from(takes_lead);
-        takes_lead
+        let stripe = self.home.take();
+        self.stats.leads += u64::from(stripe.is_some());
+        stripe
     }
 
     /// Submissions queued plus gathered and not yet retired.
@@ -242,14 +257,25 @@ impl ShardCore {
         self.depth()
     }
 
-    /// The leader's next gather: up to `max_batch` submissions, and at
-    /// least one, counted in flight, cut into steps and recorded in the
-    /// ledger. A poll that finds the queue empty gives up the lead instead
-    /// and returns `None`: in the same lock acquisition, so a push lands
-    /// either before it, and is gathered, or after, and takes the lead.
-    pub(super) fn poll(&mut self, max_batch: usize) -> Option<Vec<Step>> {
+    /// Whether shutdown or a stats reader waits for the leader's next poll.
+    pub(super) fn awaited(&self) -> bool {
+        self.closing || self.asked
+    }
+
+    /// The leader's next gather, on `stripe`: up to `max_batch`
+    /// submissions, and at least one, counted in flight, cut into steps
+    /// and recorded in the ledger, with the stripe handed back. A poll that
+    /// finds the queue empty takes the stripe home instead and returns
+    /// `None`: in the same lock acquisition, so a push lands either before
+    /// it, and is gathered, or after, and takes the lead. A poll asked for
+    /// stats first lends a copy of the stripe's ledger, even on its way
+    /// home: a reader it wakes may find the stripe away again.
+    pub(super) fn poll(&mut self, stripe: S, max_batch: usize) -> Option<(S, Vec<Step>)> {
+        if std::mem::take(&mut self.asked) {
+            self.lent = Some(stripe.stats().clone());
+        }
         if self.queue.is_empty() {
-            self.leading = false;
+            self.home = Some(stripe);
             return None;
         }
         let gathered = self.queue.len().min(max_batch.max(1));
@@ -260,7 +286,22 @@ impl ShardCore {
         self.in_flight += gathered;
         self.stats.record_batch(gathered);
         self.stats.segment_conflicts += conflicts;
-        Some(steps)
+        Some((stripe, steps))
+    }
+
+    /// A stats reader's ask, if the stripe is away: a copy lent before it
+    /// is dropped, and the leader's next poll lends a fresh one.
+    pub(super) fn ask_stats(&mut self) {
+        if self.home.is_none() {
+            self.asked = true;
+            self.lent = None;
+        }
+    }
+
+    /// The stripe's ledger as a reader that asked may read it: at home, or
+    /// lent by a poll since the last ask; `None` until then.
+    pub(super) fn stripe_stats(&self) -> Option<&ClamStats> {
+        self.home.as_ref().map(StepStore::stats).or(self.lent.as_ref())
     }
 
     /// Retires `retired` gathered submissions whose store calls have

@@ -4,119 +4,178 @@
 //! requests, leaders that poll between any two events, and store calls
 //! that fail.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
-use bufferhash::BufferHashError;
-
-use super::super::tests::{del, ins, look};
-use super::super::{run_flush, run_segment, stage, ConnEntry, Sink, StepStore, Ticket};
+use super::super::tests::{del, ins, look, MapStore};
+use super::super::{run_flush, run_segment, stage, ConnEntry, Sink, Ticket};
 use super::*;
 use crate::proto::{ErrorCode, Op, Request, RespBody, Response};
 
-impl ShardCore {
+impl<S> ShardCore<S> {
     /// The queue, front first.
     pub(in crate::batcher) fn queued(&self) -> impl Iterator<Item = &Submission> {
         self.queue.iter()
     }
 }
 
-/// The leader's next poll: its gather's submission count, or `None`
-/// where the poll gave up the lead.
-fn gather(core: &mut ShardCore, max_batch: usize) -> Option<usize> {
-    core.poll(max_batch).map(|steps| steps.iter().map(Step::submissions).sum())
+/// A shard core and its leader's hand, driven as the shell drives them:
+/// the stripe is in exactly one of the two.
+struct Shard {
+    core: ShardCore<MapStore>,
+    hand: Option<MapStore>,
+}
+
+impl Shard {
+    fn new() -> Self {
+        Shard { core: ShardCore::new(MapStore::default()), hand: None }
+    }
+
+    /// Pushes a share; returns whether its pusher took the stripe, and
+    /// with it the lead.
+    fn push(&mut self, staged: Vec<Submission>) -> bool {
+        let taken = self.core.push(staged);
+        let leads = taken.is_some();
+        if leads {
+            assert!(self.hand.is_none(), "a second leader");
+            self.hand = taken;
+        }
+        leads
+    }
+
+    /// The leader's next poll: its gather's submission count, or `None`
+    /// where the poll took the stripe home.
+    fn gather(&mut self, max_batch: usize) -> Option<usize> {
+        let stripe = self.hand.take().expect("only the leader polls");
+        let (stripe, steps) = self.core.poll(stripe, max_batch)?;
+        self.hand = Some(stripe);
+        Some(steps.iter().map(Step::submissions).sum())
+    }
+
+    /// Whether a leader holds the stripe, checking it is in one place.
+    fn led(&self) -> bool {
+        assert_ne!(self.hand.is_some(), self.core.home.is_some(), "one stripe, one place");
+        self.hand.is_some()
+    }
 }
 
 #[test]
 fn the_poll_that_finds_the_queue_empty_gives_up_the_lead() {
-    let mut core = ShardCore::default();
-    assert!(core.push(vec![ins(1)]), "an unled shard's pusher leads it");
-    assert!(!core.push(vec![look(2)]), "a led shard's pusher leaves it to its leader");
-    assert_eq!(gather(&mut core, 8), Some(2));
+    let mut shard = Shard::new();
+    assert!(shard.push(vec![ins(1)]), "an unled shard's pusher takes its stripe");
+    assert!(!shard.push(vec![look(2)]), "a led shard's pusher leaves it to its leader");
+    assert_eq!(shard.gather(8), Some(2));
     // What arrives while a gather runs is the next gather.
-    assert!(!core.push(vec![del(3)]));
-    core.done(2, &ServerStats::new());
-    assert!(core.leading, "only a poll gives the lead up");
-    assert_eq!(gather(&mut core, 8), Some(1));
-    core.done(1, &ServerStats::new());
-    assert_eq!(gather(&mut core, 8), None);
-    assert!(!core.leading);
-    assert!(core.push(vec![ins(4)]), "the next pusher leads again");
-    assert_eq!((core.stats.batches, core.stats.group_commit_waits), (2, 0));
+    assert!(!shard.push(vec![del(3)]));
+    shard.core.done(2, &ServerStats::new());
+    assert!(shard.led(), "only a poll takes the stripe home");
+    assert_eq!(shard.gather(8), Some(1));
+    shard.core.done(1, &ServerStats::new());
+    assert_eq!(shard.gather(8), None);
+    assert!(!shard.led());
+    assert!(shard.push(vec![ins(4)]), "the next pusher leads again");
+    assert_eq!((shard.core.stats.batches, shard.core.stats.group_commit_waits), (2, 0));
 }
 
 #[test]
 fn a_full_queue_fires_at_max_batch_without_waiting() {
-    let mut core = ShardCore::default();
-    core.push(vec![ins(1), ins(2), ins(3)]);
-    assert_eq!(gather(&mut core, 2), Some(2));
+    let mut shard = Shard::new();
+    shard.push(vec![ins(1), ins(2), ins(3)]);
+    assert_eq!(shard.gather(2), Some(2));
     // One left, under max_batch: it fires as soon as the leader polls.
-    assert_eq!(gather(&mut core, 2), Some(1));
-    core.push(vec![ins(4), ins(5)]);
-    assert_eq!(gather(&mut core, 2), Some(2));
-    let stats = &core.stats;
+    assert_eq!(shard.gather(2), Some(1));
+    shard.push(vec![ins(4), ins(5)]);
+    assert_eq!(shard.gather(2), Some(2));
+    let stats = &shard.core.stats;
     assert_eq!((stats.batches, stats.batched_requests, stats.batch_histogram[2]), (3, 5, 2));
 }
 
 #[test]
 fn a_gather_takes_at_least_one_submission() {
     // A `max_batch` of 0 would otherwise gather nothing, poll after poll.
-    let mut core = ShardCore::default();
-    core.push(vec![ins(1), ins(2)]);
-    assert_eq!(gather(&mut core, 0), Some(1));
-    core.done(1, &ServerStats::new());
-    assert_eq!(gather(&mut core, 0), Some(1));
-    assert_eq!((core.stats.batches, core.stats.batch_high_water), (2, 1));
+    let mut shard = Shard::new();
+    shard.push(vec![ins(1), ins(2)]);
+    assert_eq!(shard.gather(0), Some(1));
+    shard.core.done(1, &ServerStats::new());
+    assert_eq!(shard.gather(0), Some(1));
+    assert_eq!((shard.core.stats.batches, shard.core.stats.batch_high_water), (2, 1));
 }
 
 #[test]
 fn closing_drains_the_queue_without_lingering_then_exits() {
-    let mut core = ShardCore::default();
-    core.push((1..=5).map(ins).collect());
-    assert_eq!(core.close(), 5, "close reports the depth it found");
+    let mut shard = Shard::new();
+    shard.push((1..=5).map(ins).collect());
+    assert_eq!(shard.core.close(), 5, "close reports the depth it found");
     for gathered in [2, 2, 1] {
-        assert_eq!(gather(&mut core, 2), Some(gathered));
-        core.done(gathered, &ServerStats::new());
+        assert!(shard.core.awaited(), "every poll of a closing shard wakes shutdown");
+        assert_eq!(shard.gather(2), Some(gathered));
+        shard.core.done(gathered, &ServerStats::new());
     }
-    // The leader exits: the drained shard is unled, and shutdown, which
-    // waits for that, is woken.
-    assert_eq!(gather(&mut core, 2), None);
-    assert!(core.closing && !core.leading);
+    // The leader exits: the drained shard's stripe is home, and shutdown,
+    // which waits for that, is woken.
+    assert_eq!(shard.gather(2), None);
+    assert!(shard.core.closing && !shard.led());
 }
 
 #[test]
 fn depth_is_queued_plus_in_flight_and_idle_needs_both_empty() {
-    let mut core = ShardCore::default();
-    assert_eq!(core.depth(), 0);
-    core.push(vec![ins(1), look(2), del(3)]);
-    assert_eq!(core.depth(), 3);
-    assert_eq!(gather(&mut core, 2), Some(2));
-    assert_eq!(core.depth(), 3, "two in flight, one queued");
+    let mut shard = Shard::new();
+    assert_eq!(shard.core.depth(), 0);
+    shard.push(vec![ins(1), look(2), del(3)]);
+    assert_eq!(shard.core.depth(), 3);
+    assert_eq!(shard.gather(2), Some(2));
+    assert_eq!(shard.core.depth(), 3, "two in flight, one queued");
     let mut served = ServerStats::new();
     served.lookups = 1;
-    core.done(2, &served);
-    assert_eq!((core.depth(), core.stats.lookups), (1, 1));
-    assert_eq!(gather(&mut core, 2), Some(1));
-    assert_eq!(core.depth(), 1, "in flight alone keeps it busy");
-    core.done(1, &ServerStats::new());
-    assert_eq!(core.depth(), 0);
+    shard.core.done(2, &served);
+    assert_eq!((shard.core.depth(), shard.core.stats.lookups), (1, 1));
+    assert_eq!(shard.gather(2), Some(1));
+    assert_eq!(shard.core.depth(), 1, "in flight alone keeps it busy");
+    shard.core.done(1, &ServerStats::new());
+    assert_eq!(shard.core.depth(), 0);
 }
 
 #[test]
 fn an_abandoned_gather_is_retired_and_its_leader_polls_on() {
-    let mut core = ShardCore::default();
-    core.push(vec![ins(1), ins(2), ins(3)]);
-    assert_eq!(gather(&mut core, 2), Some(2));
-    core.abandon();
-    assert_eq!((core.depth(), core.leading), (1, true), "one queued, and still led");
-    assert!(!core.push(vec![ins(4)]), "a pusher leaves it to the leader");
-    assert_eq!(gather(&mut core, 8), Some(2));
-    core.done(2, &ServerStats::new());
-    assert_eq!(gather(&mut core, 8), None);
-    assert!(core.push(vec![ins(5)]), "the drained shard's next pusher leads it");
-    assert_eq!(core.stats.leads, 2);
+    let mut shard = Shard::new();
+    shard.push(vec![ins(1), ins(2), ins(3)]);
+    assert_eq!(shard.gather(2), Some(2));
+    shard.core.abandon();
+    assert_eq!((shard.core.depth(), shard.led()), (1, true), "one queued, and still led");
+    assert!(!shard.push(vec![ins(4)]), "a pusher leaves it to the leader");
+    assert_eq!(shard.gather(8), Some(2));
+    shard.core.done(2, &ServerStats::new());
+    assert_eq!(shard.gather(8), None);
+    assert!(shard.push(vec![ins(5)]), "the drained shard's next pusher leads it");
+    assert_eq!(shard.core.stats.leads, 2);
+}
+
+#[test]
+fn a_stats_ask_is_read_at_home_or_answered_by_the_leaders_next_poll() {
+    let mut shard = Shard::new();
+    // Home: read in place, nothing asked of anyone.
+    shard.core.ask_stats();
+    assert!(shard.core.stripe_stats().is_some() && !shard.core.awaited());
+    shard.push(vec![ins(1), ins(2)]);
+    assert_eq!(shard.gather(1), Some(1));
+    assert!(shard.core.lent.is_none(), "a poll nobody asked of lends nothing");
+    // Away: the ask waits for the leader's next poll, which lends a copy
+    // and keeps the stripe.
+    shard.core.ask_stats();
+    assert!(shard.core.stripe_stats().is_none() && shard.core.awaited());
+    shard.hand.as_mut().unwrap().stats.inserts.record(flashsim::SimDuration::ZERO);
+    assert_eq!(shard.gather(1), Some(1));
+    let lent = shard.core.stripe_stats().expect("the poll answered the ask");
+    assert_eq!(lent.inserts.len(), 1, "the copy is the stripe's ledger as the poll found it");
+    assert!(!shard.core.awaited() && shard.led());
+    // A later ask drops that copy, and the poll that takes the stripe home
+    // lends one too: a reader it wakes may find the stripe away again.
+    shard.core.ask_stats();
+    assert!(shard.core.stripe_stats().is_none());
+    shard.hand.as_mut().unwrap().stats.inserts.record(flashsim::SimDuration::ZERO);
+    assert_eq!(shard.gather(1), None);
+    assert!(shard.push(vec![ins(3)]));
+    assert_eq!(shard.core.stripe_stats().map(|lent| lent.inserts.len()), Some(2));
 }
 
 // --- every short arrival script ---------------------------------------
@@ -157,26 +216,27 @@ const ARRIVALS: [&[Req]; 12] = [
 enum Event {
     /// Connection `.0` sends a chunk of requests.
     Arrive(usize, &'static [Req]),
-    /// Shard `.0`'s leader polls: it gathers, or, on an empty queue, gives
-    /// up the lead.
+    /// Shard `.0`'s leader polls: it gathers, or, on an empty queue, takes
+    /// the stripe home.
     Poll(usize),
     /// The next step of shard `.0`'s gather returns from the store.
     Complete(usize),
     /// The same, but the step's first store call takes effect and then
     /// fails.
     Fail(usize),
-    /// A mutant's second lock acquisition: shard `.0`'s leader gives up
-    /// the lead after a poll found the queue empty.
+    /// A mutant's second lock acquisition: shard `.0`'s leader takes the
+    /// stripe home after a poll found the queue empty.
     Release(usize),
     /// A mutant's second lock acquisition: connection `.0`'s reader
-    /// pushes the next share it staged, leading by what it saw before.
+    /// pushes the next share it staged, and takes the stripe if it saw it
+    /// home before.
     Push(usize),
 }
 
 impl Event {
     /// What the event spends of a script's length: one per request it
-    /// sends, one per gather or completion. A poll that gives up the lead
-    /// and a mutant's second lock acquisition are free: a push comes
+    /// sends, one per gather or completion. A poll that takes the stripe
+    /// home and a mutant's second lock acquisition are free: a push comes
     /// before each.
     fn length(self, world: &World) -> usize {
         match self {
@@ -191,46 +251,6 @@ impl Event {
 /// The largest gather a script's leaders take.
 const MAX_BATCH: usize = 2;
 
-/// The sequential map a script's steps run against. A call made while
-/// `fault` holds a tag takes effect, then fails with the tag: nothing is
-/// promised of a failed write's effect, so this one keeps the register
-/// the arrival model's.
-#[derive(Default)]
-struct MapStore {
-    map: RefCell<HashMap<Key, Value>>,
-    fault: Cell<Option<String>>,
-}
-
-impl MapStore {
-    fn call<T>(&self, effect: impl FnOnce(&mut HashMap<Key, Value>) -> T) -> bufferhash::Result<T> {
-        let done = effect(&mut self.map.borrow_mut());
-        match self.fault.take() {
-            Some(tag) => Err(BufferHashError::InvalidConfig(tag)),
-            None => Ok(done),
-        }
-    }
-}
-
-impl StepStore for MapStore {
-    fn insert_batch(&self, pairs: &[(Key, Value)]) -> bufferhash::Result<()> {
-        self.call(|map| map.extend(pairs.iter().copied()))
-    }
-
-    fn lookup_batch(&self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>> {
-        self.call(|map| keys.iter().map(|key| map.get(key).copied()).collect())
-    }
-
-    fn delete(&self, key: Key) -> bufferhash::Result<()> {
-        self.call(|map| {
-            map.remove(&key);
-        })
-    }
-
-    fn flush_all(&self) -> bufferhash::Result<()> {
-        self.call(|_| ())
-    }
-}
-
 fn connection() -> (Arc<ConnEntry>, mpsc::Receiver<Response>) {
     let (tx, rx) = mpsc::channel();
     (ConnEntry::new(Sink::Channel(tx)), rx)
@@ -242,9 +262,9 @@ fn value_body(value: Option<Value>) -> RespBody {
 
 /// How a script is driven: as the shell drives the core, or with a bug
 /// the checks must catch — each gather retired as it fires rather than
-/// step by step after its store calls; a leader that gives up the lead in
-/// a lock acquisition of its own after the poll that found the queue
-/// empty; or a reader that reads whether a shard is led in one lock
+/// step by step after its store calls; a leader that takes the stripe home
+/// in a lock acquisition of its own after the poll that found the queue
+/// empty; or a reader that looks for the stripe at home in one lock
 /// acquisition and pushes its share in another.
 #[derive(Clone, Copy)]
 struct Driver {
@@ -255,22 +275,23 @@ struct Driver {
 
 const SHELL: Driver = Driver { retire_at_gather: false, release_apart: false, push_apart: false };
 
-/// Two shard cores, two connections and a map, driven one event at a
-/// time the way the shell's readers and leaders drive them,
-/// single-threaded: a shard's leader is whichever reader took the lead,
-/// and its polls interleave with everything else.
+/// Two shard cores, each with its own map for a stripe, two connections,
+/// driven one event at a time the way the shell's readers and leaders
+/// drive them, single-threaded: a shard's leader is whichever reader took
+/// its stripe, and its polls interleave with everything else.
 struct World {
     driver: Driver,
-    cores: [ShardCore; 2],
+    cores: [ShardCore<MapStore>; 2],
+    /// Each shard's stripe while a leader holds it.
+    held: [Option<MapStore>; 2],
     /// Each shard's gathered steps that have not returned, in order.
     running: [VecDeque<Step>; 2],
     /// Under `release_apart`, each shard whose leader's poll found the
-    /// queue empty and that has not given up the lead yet.
+    /// queue empty and that has not taken the stripe home yet.
     releasing: [bool; 2],
     /// Under `push_apart`, each connection's staged shares not yet pushed:
-    /// the shard, the share and whether the reader saw the shard unled.
+    /// the shard, the share and whether the reader saw the stripe home.
     pushing: [VecDeque<(usize, Vec<Submission>, bool)>; 2],
-    store: MapStore,
     conns: [(Arc<ConnEntry>, mpsc::Receiver<Response>); 2],
     /// Each key's value once every write that has arrived took effect:
     /// the register a lookup is judged against when it arrives.
@@ -292,11 +313,11 @@ impl World {
     fn new(driver: Driver) -> Self {
         World {
             driver,
-            cores: Default::default(),
+            cores: [(); 2].map(|_| ShardCore::new(MapStore::default())),
+            held: Default::default(),
             running: Default::default(),
             releasing: [false; 2],
             pushing: Default::default(),
-            store: MapStore::default(),
             conns: [connection(), connection()],
             model: [None; 2],
             next_value: 0,
@@ -328,7 +349,7 @@ impl World {
                 events.push(Event::Release(shard));
             } else if !self.running[shard].is_empty() {
                 events.extend([Event::Complete(shard), Event::Fail(shard)]);
-            } else if self.cores[shard].leading {
+            } else if self.held[shard].is_some() {
                 events.push(Event::Poll(shard));
             }
         }
@@ -344,13 +365,15 @@ impl World {
             Event::Fail(shard) => self.complete(shard, true),
             Event::Release(shard) => {
                 self.releasing[shard] = false;
-                self.cores[shard].leading = false;
+                self.cores[shard].home = self.held[shard].take();
             }
             Event::Push(conn) => {
                 let (shard, share, unled) = self.pushing[conn].pop_front().expect("a share");
                 let core = &mut self.cores[shard];
                 core.queue.extend(share);
-                core.leading |= unled;
+                if unled && core.home.is_some() {
+                    self.held[shard] = core.home.take();
+                }
             }
         }
         self.check()
@@ -393,22 +416,24 @@ impl World {
         let staged = stage(&self.conns[conn].0, chunk.into_iter(), 2, |key| key as usize);
         for (shard, share) in staged.into_iter().enumerate().filter(|(_, s)| !s.is_empty()) {
             if self.driver.push_apart {
-                let unled = !self.cores[shard].leading;
+                let unled = self.cores[shard].home.is_some();
                 self.pushing[conn].push_back((shard, share, unled));
-            } else {
-                self.cores[shard].push(share);
+            } else if let Some(stripe) = self.cores[shard].push(share) {
+                self.held[shard] = Some(stripe);
             }
         }
     }
 
     /// `shard`'s leader polls: its gather's steps start running, or, on
-    /// an empty queue, it gives up the lead.
+    /// an empty queue, it takes the stripe home.
     fn poll(&mut self, shard: usize) {
         if self.driver.release_apart && self.cores[shard].depth() == 0 {
             self.releasing[shard] = true;
             return;
         }
-        let Some(steps) = self.cores[shard].poll(MAX_BATCH) else { return };
+        let stripe = self.held[shard].take().expect("only the leader polls");
+        let Some((stripe, steps)) = self.cores[shard].poll(stripe, MAX_BATCH) else { return };
+        self.held[shard] = Some(stripe);
         if self.driver.retire_at_gather {
             let gathered = steps.iter().map(Step::submissions).sum();
             self.cores[shard].done(gathered, &ServerStats::new());
@@ -416,20 +441,21 @@ impl World {
         self.running[shard].extend(steps);
     }
 
-    /// Runs the next step of `shard`'s gather against the map, as
-    /// `Shared::execute` runs it against the store; with `fault`, its
-    /// first store call fails.
+    /// Runs the next step of `shard`'s gather against the map its leader
+    /// holds, as `Shared::execute` runs it against the stripe; with
+    /// `fault`, its first store call fails.
     fn complete(&mut self, shard: usize, fault: bool) {
         let step = self.running[shard].pop_front().expect("a gathered step");
         if fault {
-            self.inject(&step);
+            self.inject(shard, &step);
         }
         let retired = if self.driver.retire_at_gather { 0 } else { step.submissions() };
         let core = &mut self.cores[shard];
         let retire = |served: &ServerStats| core.done(retired, served);
+        let store = self.held[shard].as_mut().expect("a leader runs its gather");
         match &step {
-            Step::Segment(segment) => run_segment(&self.store, segment, retire),
-            Step::Flush(ticket) => run_flush(&self.store, ticket, &self.flushes, retire),
+            Step::Segment(segment) => run_segment(store, segment, retire),
+            Step::Flush(ticket) => run_flush(store, ticket, &self.flushes, retire),
             Step::Stats(_) => unreachable!("scripts send no STATS"),
         }
     }
@@ -438,7 +464,7 @@ impl World {
     /// else its lookups', else its first delete's, else its flush — and
     /// owes every request with a part in that call the fault's error,
     /// unless an earlier fault got there first.
-    fn inject(&mut self, step: &Step) {
+    fn inject(&mut self, shard: usize, step: &Step) {
         self.faults += 1;
         let tag = format!("fault {}", self.faults);
         let failed: Vec<&Ticket> = match step {
@@ -462,12 +488,13 @@ impl World {
                 *owed = RespBody::Error { code: ErrorCode::Internal, message: tag.clone() };
             }
         }
-        self.store.fault.set(Some(tag));
+        self.held[shard].as_mut().expect("a leader runs its gather").fault = Some(tag);
     }
 
     /// Takes every response delivered so far and holds it to the
-    /// contract, then checks the in-flight invariant: a shard's depth
-    /// counts every gathered step that has not returned.
+    /// contract, then checks that each shard's stripe is in one place,
+    /// home or in its one leader's hand, and the in-flight invariant: a
+    /// shard's depth counts every gathered step that has not returned.
     fn check(&mut self) -> Result<(), String> {
         for conn in 0..2 {
             while let Ok(response) = self.conns[conn].1.try_recv() {
@@ -498,6 +525,11 @@ impl World {
             }
         }
         for shard in 0..2 {
+            match (self.cores[shard].home.is_some(), self.held[shard].is_some()) {
+                (true, false) | (false, true) => {}
+                (true, true) => return Err(format!("shard {shard}'s stripe is home and led")),
+                (false, false) => return Err(format!("shard {shard}'s stripe is lost")),
+            }
             let unretired: usize = self.running[shard].iter().map(Step::submissions).sum();
             if unretired > 0 && self.cores[shard].depth() == 0 {
                 return Err(format!("shard {shard} idle with {unretired} gathered unretired"));
@@ -507,7 +539,7 @@ impl World {
     }
 
     /// Lets every reader push what it staged and every leader run until it
-    /// gives up the lead; then no shard may hold a request without a
+    /// takes the stripe home; then no shard may hold a request without a
     /// leader, and every request must have had its one response.
     fn quiesce(&mut self) -> Result<(), String> {
         for conn in 0..2 {
@@ -516,13 +548,13 @@ impl World {
             }
         }
         for shard in 0..2 {
-            // A leader that never gives up the lead fails, not hangs.
+            // A leader that never takes the stripe home fails, not hangs.
             for polled in 0.. {
-                if !self.cores[shard].leading {
+                if self.held[shard].is_none() {
                     break;
                 }
                 if polled == 64 {
-                    return Err(format!("shard {shard}'s leader never gave up the lead"));
+                    return Err(format!("shard {shard}'s leader never took the stripe home"));
                 }
                 let event = if self.releasing[shard] {
                     Event::Release(shard)
@@ -604,8 +636,8 @@ fn retiring_a_gather_as_it_fires_is_caught() {
 #[test]
 fn a_lead_given_up_apart_from_its_poll_or_skipped_by_a_pusher_is_caught() {
     let apart = [
-        (Driver { release_apart: true, ..SHELL }, "a lead given up apart from its empty poll"),
-        (Driver { push_apart: true, ..SHELL }, "a push apart from its look at the lead"),
+        (Driver { release_apart: true, ..SHELL }, "a stripe taken home apart from its empty poll"),
+        (Driver { push_apart: true, ..SHELL }, "a push apart from its look for the stripe"),
     ];
     for (driver, what) in apart {
         let Err((script, failure)) = explore(driver, &mut Vec::new(), 4) else {

@@ -2,21 +2,22 @@
 //! the segment planner, and the chunk router. The shard core's decisions
 //! are tested alone in `core::tests`.
 
-use std::sync::atomic::AtomicBool;
+use std::collections::HashMap;
 use std::time::Duration;
 
 use super::core::Planner;
 use super::*;
 use crate::proto::ErrorCode;
-use bufferhash::{Clam, ClamConfig, LookupSource};
-use flashsim::Ssd;
+use bufferhash::{BufferHashError, ClamConfig, LookupSource};
+use flashsim::{SharedDevice, Ssd};
+
+fn clam() -> Clam<Ssd> {
+    let cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
+    Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap()
+}
 
 fn striped(stripes: usize) -> StripedClam<Ssd> {
-    let clam = |_| {
-        let cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
-        Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap()
-    };
-    StripedClam::new((0..stripes).map(clam).collect())
+    StripedClam::new((0..stripes).map(|_| clam()).collect())
 }
 
 /// An engine over `stripes` stripes: as many shards.
@@ -30,18 +31,67 @@ fn engine() -> Engine<Ssd> {
     engine_with(1)
 }
 
-/// Takes the lead of every shard, as a leader busy with a gather holds
-/// it: what is submitted meanwhile queues behind it.
-fn hold_the_leads(engine: &Engine<Ssd>) {
-    for shard in &engine.shared.shards {
-        assert!(shard.lock().push(Vec::new()), "a shard was already led");
+/// Takes every shard's stripe, and with it the lead, as a leader busy with
+/// a gather holds it: what is submitted meanwhile queues behind it.
+fn hold_the_leads(engine: &Engine<Ssd>) -> Vec<Clam<Ssd>> {
+    let take = |shard: &Shard<_>| shard.lock().push(Vec::new()).expect("a shard was already led");
+    engine.shared.shards.iter().map(take).collect()
+}
+
+/// Runs every held shard's queue as its leader, on the stripe taken from
+/// it, which its last poll takes home.
+fn run_the_leads(engine: &Engine<Ssd>, stripes: Vec<Clam<Ssd>>) {
+    for (shard, stripe) in engine.shared.shards.iter().zip(stripes) {
+        engine.shared.lead(shard, stripe);
     }
 }
 
-/// Runs every held shard's queue as its leader, which gives the lead up.
-fn run_the_leads(engine: &Engine<Ssd>) {
-    for shard in &engine.shared.shards {
-        engine.shared.lead(shard);
+/// The sequential map a test's steps run against. A call made while
+/// `fault` holds a tag takes effect, then fails with the tag: nothing is
+/// promised of a failed write's effect, so this one keeps the register
+/// the arrival model's.
+#[derive(Default)]
+pub(super) struct MapStore {
+    map: HashMap<Key, Value>,
+    pub(super) fault: Option<String>,
+    /// Its ledger: a map's calls record nothing.
+    pub(super) stats: ClamStats,
+}
+
+impl MapStore {
+    fn call<T>(
+        &mut self,
+        effect: impl FnOnce(&mut HashMap<Key, Value>) -> T,
+    ) -> bufferhash::Result<T> {
+        let done = effect(&mut self.map);
+        match self.fault.take() {
+            Some(tag) => Err(BufferHashError::InvalidConfig(tag)),
+            None => Ok(done),
+        }
+    }
+}
+
+impl StepStore for MapStore {
+    fn insert_batch(&mut self, pairs: &[(Key, Value)]) -> bufferhash::Result<()> {
+        self.call(|map| map.extend(pairs.iter().copied()))
+    }
+
+    fn lookup_batch(&mut self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>> {
+        self.call(|map| keys.iter().map(|key| map.get(key).copied()).collect())
+    }
+
+    fn delete(&mut self, key: Key) -> bufferhash::Result<()> {
+        self.call(|map| {
+            map.remove(&key);
+        })
+    }
+
+    fn flush_all(&mut self) -> bufferhash::Result<()> {
+        self.call(|_| ())
+    }
+
+    fn stats(&self) -> &ClamStats {
+        &self.stats
     }
 }
 
@@ -214,20 +264,34 @@ fn the_default_engine_runs_one_shard_per_stripe() {
             Op::LookupBatch(vec![1000 + i, 3000 + i]),
         ]
     });
-    engine.submit_chunk(1, chunk(ops.collect()));
+    let ops: Vec<Op> = ops.collect();
+    // A twin store takes the same operations a key at a time.
+    let twin = striped(4);
+    for op in &ops {
+        match op {
+            Op::Insert { key, value } => drop(twin.insert(*key, *value).unwrap()),
+            Op::InsertBatch(pairs) => drop(twin.insert_batch(pairs).unwrap()),
+            Op::Lookup { key } => drop(twin.lookup(*key).unwrap()),
+            Op::LookupBatch(keys) => drop(twin.lookup_batch(keys).unwrap()),
+            _ => unreachable!(),
+        }
+    }
+    engine.submit_chunk(1, chunk(ops));
     let replies = bodies(&rx, 4 * 64);
     assert!(!replies.iter().any(|body| matches!(body, RespBody::Error { .. })), "{replies:?}");
     // Shard i's ledger counts exactly what stripe i served.
     let per_shard = engine.per_shard_stats();
     assert_eq!(per_shard.len(), 4);
     for (i, shard) in per_shard.iter().enumerate() {
-        let stripe = engine.shared.store.stripe(i).unwrap().stats();
+        let stripe = twin.stripe(i).unwrap().stats();
         assert!(shard.inserts > 0, "shard {i} served no insert");
         assert_eq!(shard.inserts, stripe.inserts.len() as u64, "shard {i}");
         assert_eq!(shard.lookups, stripe.lookups.len() as u64, "shard {i}");
     }
     let stats = engine.stats();
     assert_eq!((stats.inserts, stats.lookups), (3 * 64, 3 * 64), "{stats}");
+    let clam = engine.clam_stats();
+    assert_eq!((clam.inserts.len(), clam.lookups.len()), (3 * 64, 3 * 64), "{clam}");
     engine.shutdown();
 }
 
@@ -326,7 +390,7 @@ fn shutdown_snapshot_reports_per_shard_depth() {
     // snapshot; shutdown waits for them, and they still answer all.
     let engine = engine_with(4);
     let rx = engine.register_conn(1);
-    hold_the_leads(&engine);
+    let stripes = hold_the_leads(&engine);
     for i in 0..64u64 {
         engine.submit(1, Request { id: i, op: Op::Insert { key: i + 1, value: i } });
     }
@@ -337,7 +401,7 @@ fn shutdown_snapshot_reports_per_shard_depth() {
     }
     std::thread::sleep(Duration::from_millis(20));
     assert!(!shutdown.is_finished(), "shutdown returned while the shards were led");
-    run_the_leads(&engine);
+    run_the_leads(&engine, stripes);
     shutdown.join().unwrap();
     for i in 0..64u64 {
         let resp = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -401,60 +465,76 @@ fn a_panic_under_a_core_or_the_conns_lock_leaves_other_connections_served() {
     }
 }
 
-/// A stripe whose `insert_batch` panics, while armed, on a batch that
-/// holds `key`, and is the stripe otherwise.
-struct PanickingStripe {
-    stripe: SharedClam<Ssd>,
-    key: Key,
-    armed: AtomicBool,
+/// A stripe whose next `insert_batch`, once a hook is set, runs the hook
+/// first, which may panic or block; the stripe otherwise.
+struct HookedStripe {
+    stripe: Clam<Ssd>,
+    hook: Option<Box<dyn FnOnce() + Send>>,
 }
 
-impl StepStore for PanickingStripe {
-    fn insert_batch(&self, pairs: &[(Key, Value)]) -> bufferhash::Result<()> {
-        let holds_key = pairs.iter().any(|&(key, _)| key == self.key);
-        if holds_key && self.armed.swap(false, Ordering::Relaxed) {
-            panic!("an insert of key {} panicked", self.key);
+impl HookedStripe {
+    fn new() -> Self {
+        HookedStripe { stripe: clam(), hook: None }
+    }
+}
+
+impl StepStore for HookedStripe {
+    fn insert_batch(&mut self, pairs: &[(Key, Value)]) -> bufferhash::Result<()> {
+        if let Some(hook) = self.hook.take() {
+            hook();
         }
-        StepStore::insert_batch(&self.stripe, pairs)
+        StepStore::insert_batch(&mut self.stripe, pairs)
     }
 
-    fn lookup_batch(&self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>> {
-        StepStore::lookup_batch(&self.stripe, keys)
+    fn lookup_batch(&mut self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>> {
+        StepStore::lookup_batch(&mut self.stripe, keys)
     }
 
-    fn delete(&self, key: Key) -> bufferhash::Result<()> {
-        StepStore::delete(&self.stripe, key)
+    fn delete(&mut self, key: Key) -> bufferhash::Result<()> {
+        StepStore::delete(&mut self.stripe, key)
     }
 
-    fn flush_all(&self) -> bufferhash::Result<()> {
-        StepStore::flush_all(&self.stripe)
+    fn flush_all(&mut self) -> bufferhash::Result<()> {
+        StepStore::flush_all(&mut self.stripe)
     }
+
+    fn stats(&self) -> &ClamStats {
+        self.stripe.stats()
+    }
+}
+
+/// Sets the hook of `shard`'s stripe, which is home between leads.
+fn hook(shared: &Shared<HookedStripe>, shard: usize, hook: impl FnOnce() + Send + 'static) {
+    shared.shards[shard].lock().home.as_mut().expect("home").hook = Some(Box::new(hook));
+}
+
+/// Registers an in-process connection on `shared`, as
+/// [`Engine::register_conn`] does.
+fn inbox<S: StepStore>(shared: &Shared<S>, conn: u64) -> mpsc::Receiver<Response> {
+    let (tx, rx) = mpsc::channel();
+    shared.register(conn, Sink::Channel(tx));
+    rx
+}
+
+/// The first `n` keys that route to `shard` of `shards`.
+fn keys_on(shard: usize, shards: usize, n: usize) -> Vec<Key> {
+    let router = StripeRouter::new(shards);
+    (1..).filter(|&key| router.stripe_of(key) == shard).take(n).collect()
 }
 
 #[test]
 fn a_gather_that_panics_answers_internal_and_its_shard_runs_on() {
-    let store = striped(2);
     // Two keys of shard 0, and gathers of one, so that the second insert
     // is still queued when the first one's gather panics.
-    let keys: Vec<Key> = (1..).filter(|&key| store.stripe_index(key) == 0).take(2).collect();
+    let keys = keys_on(0, 2, 2);
     let (armed, queued) = (keys[0], keys[1]);
-    let stripe = |i| PanickingStripe {
-        stripe: store.stripe(i).unwrap(),
-        key: armed,
-        armed: AtomicBool::new(false),
-    };
-    let stripes = (0..2).map(stripe).collect();
     let config = BatcherConfig { max_batch: 1, ..BatcherConfig::default() };
-    let shared = Arc::new(Shared::new(store, config, stripes));
-    let inbox = |conn| {
-        let (tx, rx) = mpsc::channel();
-        shared.register(conn, Sink::Channel(tx));
-        rx
-    };
-    let (rx1, rx2) = (inbox(1), inbox(2));
+    let shared = Arc::new(Shared::new(config, vec![HookedStripe::new(), HookedStripe::new()]));
+    let (rx1, rx2) = (inbox(&shared, 1), inbox(&shared, 2));
     let found = |value| RespBody::Value { found: true, value };
     let insert_both = |value| {
-        shared.shards[0].stripe.armed.store(true, Ordering::Relaxed);
+        // Shard 0's next insert is the armed key's.
+        hook(&shared, 0, move || panic!("an insert of key {armed} panicked"));
         let ops = vec![Op::Insert { key: armed, value }, Op::Insert { key: queued, value }];
         let leader = Arc::clone(&shared);
         // The leader catches the panic and runs on: its reader returns,
@@ -483,6 +563,66 @@ fn a_gather_that_panics_answers_internal_and_its_shard_runs_on() {
     assert_eq!(bodies(&rx1, 1), [found(3)]);
     let stats = shared.merged_stats();
     assert_eq!((stats.inserts, stats.lookups), (3, 3), "{stats}");
+}
+
+#[test]
+fn stats_stay_exact_while_another_shard_is_led() {
+    let stripes = vec![HookedStripe::new(), HookedStripe::new()];
+    let shared = Arc::new(Shared::new(BatcherConfig::default(), stripes));
+    let rx = inbox(&shared, 1);
+    let submit = |conn, ops| {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || shared.submit_chunk(conn, chunk(ops).into_iter()))
+    };
+    let (on_0, on_1) = (keys_on(0, 2, 4), keys_on(1, 2, 5));
+    let pairs = on_0.iter().chain(&on_1[..4]).map(|&key| (key, key)).collect();
+    submit(1, vec![Op::InsertBatch(pairs)]).join().unwrap();
+    assert_eq!(bodies(&rx, 1), [RespBody::InsertedBatch { count: 8 }]);
+    // Shard 1's next leader blocks inside its insert, holding the stripe.
+    let (entered, has_entered) = mpsc::channel();
+    let (open, gate) = mpsc::channel();
+    hook(&shared, 1, move || {
+        entered.send(()).unwrap();
+        gate.recv().unwrap();
+    });
+    let blocked = submit(2, vec![Op::Insert { key: on_1[4], value: 0 }]);
+    has_entered.recv_timeout(Duration::from_secs(5)).unwrap();
+    // A STATS, whose reader leads shard 0, and an in-process reader both
+    // ask shard 1's leader for its ledger.
+    let stats = submit(1, vec![Op::Stats]);
+    let reader = {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || shared.clam_stats(None))
+    };
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(rx.try_recv().is_err(), "STATS answered before shard 1's leader polled");
+    assert!(!reader.is_finished(), "clam_stats returned before shard 1's leader polled");
+    open.send(()).unwrap();
+    // Both count the eight acknowledged inserts, and the held one, which
+    // returned before the poll that lent the ledger.
+    let RespBody::Stats { text, .. } = bodies(&rx, 1).remove(0) else { panic!("not STATS") };
+    assert!(text.contains("\nstore: inserts: 9 (mean "), "{text}");
+    assert_eq!(reader.join().unwrap().inserts.len(), 9);
+    for thread in [blocked, stats] {
+        thread.join().unwrap();
+    }
+    shared.shutdown();
+}
+
+#[test]
+fn a_stats_step_reads_its_own_stripe_from_the_leaders_hand() {
+    // One shard: the reader that submits leads it, and runs the STATS on
+    // the stripe in its hand. Asking its own poll would never be answered.
+    let engine = engine();
+    let rx = engine.register_conn(1);
+    let submitter = engine.clone();
+    let ops = vec![Op::Insert { key: 1, value: 10 }, Op::Stats];
+    std::thread::spawn(move || submitter.submit_chunk(1, chunk(ops)));
+    let replies = bodies(&rx, 2);
+    assert_eq!(replies[0], RespBody::Inserted);
+    let RespBody::Stats { text, .. } = &replies[1] else { panic!("{:?}", replies[1]) };
+    assert!(text.contains("\nstore: inserts: 1 (mean "), "{text}");
+    engine.shutdown();
 }
 
 // --- the segment planner alone ---------------------------------------
@@ -717,6 +857,11 @@ fn queued<'a>(queue: impl Iterator<Item = &'a Submission>) -> Vec<(char, Key, u6
         .collect()
 }
 
+/// Two unled shard cores, each with a map home.
+fn map_cores() -> [ShardCore<MapStore>; 2] {
+    [(); 2].map(|_| ShardCore::new(MapStore::default()))
+}
+
 /// Stages `ops` on a fresh connection over two shard cores, key k on
 /// shard k % 2, and pushes each core its share as `Shared::submit_chunk`
 /// does, leaving the shards unserved; returns whether each push took the
@@ -724,12 +869,12 @@ fn queued<'a>(queue: impl Iterator<Item = &'a Submission>) -> Vec<(char, Key, u6
 #[allow(clippy::type_complexity)]
 fn push_and_queue(
     ops: Vec<Op>,
-    cores: &mut [ShardCore; 2],
+    cores: &mut [ShardCore<MapStore>; 2],
 ) -> ([bool; 2], [Vec<(char, Key, u64)>; 2]) {
     let staged = stage(&Arc::default(), chunk(ops).into_iter(), 2, |key| key as usize % 2);
     let mut leads = [false; 2];
     for ((core, staged), lead) in cores.iter_mut().zip(staged).zip(&mut leads) {
-        *lead = core.push(staged);
+        *lead = core.push(staged).is_some();
     }
     (leads, cores.each_ref().map(|core| queued(core.queued())))
 }
@@ -748,7 +893,7 @@ fn a_lookup_behind_a_staged_write_never_takes_the_bypass() {
         // Behind a write to another key of its shard.
         Op::Lookup { key: 1 },
     ];
-    let (leads, [shard_0, shard_1]) = push_and_queue(ops, &mut Default::default());
+    let (leads, [shard_0, shard_1]) = push_and_queue(ops, &mut map_cores());
     assert_eq!(leads, [true, true], "an idle shard's pusher leads it");
     assert_eq!(shard_0, [('I', 0, 1), ('L', 0, 2)]);
     assert_eq!(shard_1, [('L', 1, 0), ('L', 3, 3), ('D', 3, 4), ('L', 1, 5)]);
@@ -757,9 +902,9 @@ fn a_lookup_behind_a_staged_write_never_takes_the_bypass() {
 #[test]
 fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
     // Shard 0 is busy, a gather in flight; shard 1 is idle.
-    let mut cores: [ShardCore; 2] = Default::default();
-    cores[0].push(vec![ins(8)]);
-    assert!(cores[0].poll(1).is_some());
+    let mut cores = map_cores();
+    let stripe = cores[0].push(vec![ins(8)]).expect("shard 0's stripe");
+    assert!(cores[0].poll(stripe, 1).is_some());
     let ops = vec![
         Op::Lookup { key: 0 },
         Op::Lookup { key: 1 },
@@ -777,7 +922,7 @@ fn a_declined_run_queues_ahead_of_the_writes_that_follow_it() {
 }
 
 #[test]
-fn a_chunk_of_idle_shard_lookups_is_one_fast_path_run() {
+fn a_chunk_of_lookups_is_one_store_call() {
     use bufferhash::{BASE_OP_OVERHEAD, BATCHED_OP_OVERHEAD};
     const N: u64 = 12;
     let engine = engine_with(1);
@@ -785,9 +930,10 @@ fn a_chunk_of_idle_shard_lookups_is_one_fast_path_run() {
     let pairs: Vec<(Key, Value)> = (1..=N).map(|key| (key, key * 10)).collect();
     engine.submit(1, Request { id: 0, op: Op::InsertBatch(pairs.clone()) });
     assert_eq!(bodies(&rx, 1), [RespBody::InsertedBatch { count: N as u32 }]);
-    // Each key's memory probe alone: its scalar lookup's charge less the
-    // per-op dispatch.
-    let store = &engine.shared.store;
+    // Each key's memory probe alone, on a twin that took the same batch:
+    // its scalar lookup's charge less the per-op dispatch.
+    let store = striped(1);
+    store.insert_batch(&pairs).unwrap();
     let probes: Vec<flashsim::SimDuration> =
         pairs.iter().map(|&(key, _)| store.lookup(key).unwrap().latency).collect();
     let probes = probes.into_iter().map(|charge| charge - BASE_OP_OVERHEAD);
@@ -809,12 +955,14 @@ fn a_chunk_of_idle_shard_lookups_is_one_fast_path_run() {
 #[test]
 fn a_flush_that_fails_on_one_stripe_still_flushes_the_other_stripes() {
     use flashsim::CrashDevice;
-    // Two stripes, so two shards: stripe 0 has lost power, stripe 1 has not.
+    // Two stripes, so two shards: stripe 0 has lost power, stripe 1 has
+    // not, and the test keeps a handle on stripe 1's device.
     let cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
     let ssd = || Ssd::intel(4 << 20).unwrap();
+    let device_1 = SharedDevice::new(CrashDevice::new(ssd()));
     let store = StripedClam::new(vec![
-        Clam::new(CrashDevice::cut_after(ssd(), 0), cfg.clone()).unwrap(),
-        Clam::new(CrashDevice::new(ssd()), cfg).unwrap(),
+        Clam::new(SharedDevice::new(CrashDevice::cut_after(ssd(), 0)), cfg.clone()).unwrap(),
+        Clam::new(device_1.clone(), cfg).unwrap(),
     ]);
     let key_on = |stripe| (1..).find(|&key| store.stripe_index(key) == stripe).unwrap();
     let (on_0, on_1) = (key_on(0), key_on(1));
@@ -833,8 +981,8 @@ fn a_flush_that_fails_on_one_stripe_still_flushes_the_other_stripes() {
     let RespBody::Error { code, message } = &replies[2] else { panic!("{:?}", replies[2]) };
     assert_eq!(*code, ErrorCode::Internal);
     assert!(message.contains("flush failed"), "{message}");
-    let stripe_1 = engine.shared.store.stripe(1).unwrap().stats();
-    assert!(stripe_1.flushes > 0, "stripe 0's failure left stripe 1 in DRAM: {stripe_1}");
+    let written = device_1.stats().writes;
+    assert!(written > 0, "stripe 0's failure left stripe 1 in DRAM");
     assert_eq!(engine.stats().flushes, 0, "a failed FLUSH is not counted");
     engine.shutdown();
 }
@@ -845,7 +993,7 @@ fn unregistering_mid_gather_drops_the_responses_and_frees_the_connection() {
     // run them after.
     let engine = engine_with(4);
     let rx = engine.register_conn(1);
-    hold_the_leads(&engine);
+    let stripes = hold_the_leads(&engine);
     let entry = engine.shared.conns.lock().unwrap().get(&1).cloned().unwrap();
     let ops = (0..64u64).map(|i| Op::Insert { key: i + 1, value: i }).chain([
         Op::Flush,
@@ -856,7 +1004,7 @@ fn unregistering_mid_gather_drops_the_responses_and_frees_the_connection() {
     assert!(Arc::strong_count(&entry) > 2, "requests in flight hold the connection");
     engine.unregister_conn(1);
     assert!(matches!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)));
-    run_the_leads(&engine);
+    run_the_leads(&engine, stripes);
     engine.shutdown();
     // Every request executed, nothing was delivered, nothing leaked.
     let stats = engine.stats();

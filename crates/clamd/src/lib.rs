@@ -8,10 +8,10 @@
 //!   (INSERT / LOOKUP / DELETE / FLUSH / STATS, plus batch frames) with
 //!   structured error codes and strict, panic-free decoding;
 //! * [`batcher`] — the sharded group-commit engine, one shard per
-//!   stripe: arrivals from all connections gather into ring admissions
-//!   on their key's [`StripedClam`] stripe, acknowledged once its
-//!   completion ring is synced; each shard's decisions are made by a
-//!   core that takes no lock or clock;
+//!   [`StripedClam`] stripe, whose `Clam` it owns: arrivals from all
+//!   connections gather into ring admissions on their key's stripe,
+//!   acknowledged once its completion ring is synced; each shard's
+//!   decisions are made by a core that takes no lock or clock;
 //! * [`server`] — the TCP front: one reader thread per connection
 //!   feeding the shared batcher queue, its responses written by the
 //!   thread that completes them, plus boot paths for a fresh

@@ -30,6 +30,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use bufferhash::{BufferHashError, Clam, ClamConfig, ClamStats, RecoveryReport, StripedClam};
 use flashsim::{Device, FileDevice, SharedDevice, Ssd};
@@ -228,7 +229,12 @@ impl<D: Device + 'static> ClamdServer<D> {
                     if accept_shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = stream else { break };
+                    let Ok(stream) = stream else {
+                        // Say, no descriptor free: accept again after a pause.
+                        accept_engine.count_accept_error();
+                        std::thread::sleep(Duration::from_millis(10));
+                        continue;
+                    };
                     spawn_connection(stream, conn, &accept_engine, &accept_conns);
                 }
             })
@@ -313,6 +319,7 @@ impl<D: Device + 'static> Drop for ClamdServer<D> {
 /// the connection's reader. When its reading ends — the client
 /// half-closed or left, or the connection was closed — the reader waits
 /// for the responses still in flight to be written, then unregisters it.
+/// A connection whose reader cannot be spawned is closed.
 fn spawn_connection<D: Device + 'static>(
     stream: TcpStream,
     conn: u64,
@@ -324,15 +331,13 @@ fn spawn_connection<D: Device + 'static>(
     if registered.is_err() {
         return;
     }
-    let engine = engine.clone();
-    let reader = std::thread::Builder::new()
-        .name(format!("clamd-conn-{conn}"))
-        .spawn(move || {
-            read_loop(stream, conn, &engine);
-            engine.await_last_response(conn);
-            engine.unregister_conn(conn);
-        })
-        .expect("spawn connection thread");
+    let reader_engine = engine.clone();
+    let spawned = std::thread::Builder::new().name(format!("clamd-conn-{conn}")).spawn(move || {
+        read_loop(stream, conn, &reader_engine);
+        reader_engine.await_last_response(conn);
+        reader_engine.unregister_conn(conn);
+    });
+    let Ok(reader) = spawned else { return engine.unregister_conn(conn) };
 
     let mut threads = conn_threads.lock().unwrap_or_else(PoisonError::into_inner);
     // Join the threads of connections that have closed, so the list holds

@@ -82,9 +82,12 @@ flashsim::ledger! {
         pub shard_depths: Vec<u64> => Gauge,
         /// Stripes whose flush failed at a clean shutdown (the others still flush).
         pub shutdown_flush_errors: u64 => Sum,
-        /// Leads taken: pushes that found their shard unled, whose reader
+        /// Leads taken: pushes that found their shard 's stripe home, whose reader
         /// then ran its gathers until a poll found the queue empty.
         pub leads: u64 => Sum,
+        /// Failed `accept` calls (say, out of file descriptors): each is
+        /// followed by a pause, and the listener accepts again.
+        pub accept_errors: u64 => Sum,
     }
 }
 

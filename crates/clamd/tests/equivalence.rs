@@ -1,5 +1,5 @@
-//! Sharded group commit and the lookups that lead an idle shard over the
-//! one stripe lock must be invisible except for speed: every outcome a client
+//! Sharded group commit, with each stripe owned by whichever reader leads
+//! its shard, must be invisible except for speed: every outcome a client
 //! (or a store caller) observes has to be the one a small sequential
 //! model of CLAM semantics (`tests/support/clam_model.rs`) gives. Four
 //! angles:
