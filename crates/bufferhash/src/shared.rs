@@ -5,7 +5,8 @@
 //! [`Clam`] in a [`parking_lot::Mutex`] behind an [`Arc`] so worker
 //! threads can share one index, and [`StripedClam`] stripes the key space
 //! across several independent CLAMs (each typically on its own SSD, as
-//! §5.2 suggests) so operations on different stripes proceed in parallel.
+//! §5.2 suggests), each behind its own lock, so callers on different
+//! threads that touch different stripes proceed in parallel.
 //!
 //! The per-op methods ([`StripedClam::insert`], [`StripedClam::lookup`],
 //! …) pay one call per operation. High-throughput callers should prefer
@@ -20,11 +21,9 @@
 //! [`StripedClam::insert_batch`] reports the batch latency as the *maximum
 //! over stripes* rather than the sum — the same max-over-lanes accounting
 //! the [`flashsim` submission queues](flashsim::queue) use below it. On
-//! the host they run on the caller's thread, one after another, unless an
-//! insert batch is large enough that every spawned worker would carry
-//! enough inserts to pay for its spawn (2048; DESIGN.md "Stripes and
-//! threads"); then the stripes are dealt out over scoped threads, never more
-//! than cores. Lookup batches and `flush_all` never split.
+//! the host every call runs its stripes on the caller's thread, one after
+//! another in stripe order, and starts no thread (DESIGN.md "Stripes and
+//! threads").
 //! [`StripedClam::lookup_batch`] composes both levels of overlap on the
 //! simulated clock: stripes are independent, and within each stripe the
 //! queued probe pipeline ([`Clam::lookup_batch`]) overlaps flash page
@@ -39,8 +38,9 @@
 //! [`SharedClam::with`] — holds it for the whole call, so a reader can
 //! never observe a half-applied write, and a stripe has one read path:
 //! the ring pipeline of [`Clam::lookup_batch`], of which a scalar lookup
-//! is a batch of one. Stripes run in parallel; calls on one stripe take
-//! turns, as they would on the one SSD the paper gives each partition.
+//! is a batch of one. Callers on different threads run different
+//! stripes in parallel; calls on one stripe take turns, as they would on
+//! the one SSD the paper gives each partition.
 
 use std::sync::Arc;
 
@@ -54,38 +54,6 @@ use crate::error::Result;
 use crate::recovery::RecoveryReport;
 use crate::stats::ClamStats;
 use crate::types::{group_stable, hash_with_seed, Key, Modulus, Value};
-
-/// Inserts a spawned worker must carry before `StripedClam` fans an insert
-/// batch's stripes out over threads; below it [`fan_out`] keeps the batch
-/// on the caller's thread.
-///
-/// Measured on the 2-vCPU development host (`BENCH_pr27.json`
-/// `spawn_floor` has the runs; DESIGN.md "Stripes and threads"): an empty
-/// scoped thread costs 12 µs to spawn and join at the median and 40 µs at
-/// p99, and a batched insert 0.23 µs of host time with flushes amortized
-/// in, which alone would put break-even near 50 to 175 ops. In situ it is ten times that: loading 1.2M keys
-/// through two workers instead of one is twice as slow at 128 ops per
-/// worker, even at 512 to 1024, and a third faster from 2048 up, because a
-/// real worker wakes on another core with cold caches and the caller waits
-/// for the later of the two. The floor is twice the upper end of the
-/// measured crossover. A caller that batches less than this is after
-/// latency, which a spawn can only add to.
-const SPAWN_FLOOR_OPS: usize = 2048;
-
-/// How many threads a batch of `ops` inserts over `groups` independent
-/// stripes should run on: one per [`SPAWN_FLOOR_OPS`] inserts, never more
-/// than there are stripes or cores. Decided from the batch size alone;
-/// the core count is looked up only once a batch is big enough to split,
-/// and only once per process.
-fn fan_out(ops: usize, groups: usize) -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let wanted = (ops / SPAWN_FLOOR_OPS).min(groups);
-    if wanted <= 1 {
-        return 1;
-    }
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    wanted.min(cores)
-}
 
 /// A cloneable, thread-safe handle to a single CLAM.
 pub struct SharedClam<D: Device> {
@@ -257,12 +225,10 @@ impl<D: Device> StripedClam<D> {
     /// overlaps: the reported latency is the **maximum over stripes** (the
     /// batch is done when the slowest stripe is), while the event counters
     /// (`flushed_ops`, `evictions`, `coalesced_writes`) sum across stripes.
-    /// On the host the stripes run one after another on the caller's
-    /// thread unless the batch is large enough that each spawned worker
-    /// carries at least 2048 operations; only then are they dealt out
-    /// over scoped threads (never more than cores or busy stripes).
-    /// Stripes share no state, so dispatch order cannot change any
-    /// outcome.
+    /// On the host the busy stripes run one after another, in stripe
+    /// order, on the caller's thread, as [`lookup_batch`](Self::lookup_batch)'s
+    /// and [`flush_all`](Self::flush_all)'s do. Every busy stripe runs even
+    /// if an earlier one failed; the first failure is returned.
     ///
     /// ```
     /// use bufferhash::{Clam, ClamConfig, StripedClam};
@@ -281,11 +247,10 @@ impl<D: Device> StripedClam<D> {
     /// ```
     pub fn insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
         let (grouped, starts) = self.partition(ops);
-        let busy: Vec<usize> =
-            (0..self.stripes.len()).filter(|&idx| starts[idx + 1] > starts[idx]).collect();
-        let results = self.dispatch_stripes(&busy, ops.len(), |idx| {
-            self.stripes[idx].insert_batch(&grouped[starts[idx]..starts[idx + 1]])
-        });
+        let results: Vec<_> = (0..self.stripes.len())
+            .filter(|&idx| starts[idx + 1] > starts[idx])
+            .map(|idx| self.stripes[idx].insert_batch(&grouped[starts[idx]..starts[idx + 1]]))
+            .collect();
         let mut total = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
         for result in results {
             let out = result?;
@@ -295,42 +260,6 @@ impl<D: Device> StripedClam<D> {
             total.coalesced_writes += out.coalesced_writes;
         }
         Ok(total)
-    }
-
-    /// Runs `job(stripe)` for every stripe in `busy` (ascending) and
-    /// returns the results in that order: one after another on the
-    /// caller's thread unless a batch of `ops` inserts is large enough that
-    /// every further worker would carry enough of them to pay for its spawn
-    /// ([`fan_out`]); then the stripes are dealt out over that many
-    /// workers, of which the caller's thread is the first.
-    fn dispatch_stripes<F>(
-        &self,
-        busy: &[usize],
-        ops: usize,
-        job: F,
-    ) -> Vec<Result<BatchInsertOutcome>>
-    where
-        F: Fn(usize) -> Result<BatchInsertOutcome> + Sync,
-    {
-        let workers = fan_out(ops, self.stripes.len());
-        if workers <= 1 {
-            return busy.iter().map(|&idx| job(idx)).collect();
-        }
-        let mut shares = busy.chunks(busy.len().div_ceil(workers).max(1));
-        let mine = shares.next().unwrap_or_default();
-        std::thread::scope(|scope| {
-            let job = &job;
-            let handles: Vec<_> = shares
-                .map(|share| {
-                    scope.spawn(move || share.iter().map(|&idx| job(idx)).collect::<Vec<_>>())
-                })
-                .collect();
-            let mut results: Vec<_> = mine.iter().map(|&idx| job(idx)).collect();
-            for handle in handles {
-                results.extend(handle.join().expect("stripe worker panicked"));
-            }
-            results
-        })
     }
 
     /// Groups `ops` by owning stripe, preserving input order within each
@@ -343,8 +272,7 @@ impl<D: Device> StripedClam<D> {
 
     /// Flushes every stripe's buffers (see [`Clam::flush_all`]), one
     /// stripe after another on the caller's thread; returns the
-    /// max-over-stripes latency. Two threads were no faster than one at
-    /// any fill, empty buffers to full (DESIGN.md "Stripes and threads").
+    /// max-over-stripes latency.
     pub fn flush_all(&self) -> Result<SimDuration> {
         // Every stripe is flushed even if an earlier one failed.
         let results: Vec<_> = self.stripes.iter().map(|stripe| stripe.flush_all()).collect();
@@ -426,6 +354,7 @@ mod tests {
     use super::*;
     use crate::config::ClamConfig;
     use flashsim::Ssd;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
     use std::thread;
 
     fn clam() -> Clam<Ssd> {
@@ -680,24 +609,9 @@ mod tests {
         Clam::new(Ssd::intel(1 << 20).unwrap(), cfg).unwrap()
     }
 
-    #[test]
-    fn fan_out_needs_a_floor_of_ops_per_worker() {
-        let floor = SPAWN_FLOOR_OPS;
-        assert_eq!(fan_out(0, 16), 1);
-        assert_eq!(fan_out(64, 16), 1);
-        assert_eq!(fan_out(2 * floor - 1, 16), 1);
-        assert_eq!(fan_out(usize::MAX, 1), 1, "one group never splits");
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        assert_eq!(fan_out(2 * floor, 16), 2.min(cores));
-        assert_eq!(fan_out(usize::MAX, 3), 3.min(cores));
-        assert!(fan_out(usize::MAX, usize::MAX) <= cores);
-    }
-
-    /// Batch sizes on both sides of the spawn floor, cycled until `total`
-    /// ops are out.
-    fn batches_around_the_floor(total: usize) -> Vec<Vec<(u64, u64)>> {
-        let floor = SPAWN_FLOOR_OPS;
-        let sizes = [1, 2, 64, floor - 1, floor, 4 * floor];
+    /// Batches of 1 to 8 192 ops, cycled until `total` ops are out.
+    fn batches_of_every_size(total: usize) -> Vec<Vec<(u64, u64)>> {
+        let sizes = [1, 2, 64, 777, 2500, 8192];
         let mut next = 0u64;
         let mut batches = Vec::new();
         for size in sizes.into_iter().cycle() {
@@ -716,18 +630,83 @@ mod tests {
             .collect()
     }
 
+    /// An SSD that counts the commands run on a thread other than `home`.
+    struct Witnessed {
+        ssd: Ssd,
+        home: thread::ThreadId,
+        away: Arc<AtomicUsize>,
+    }
+
+    impl Witnessed {
+        fn witness(&self) {
+            if thread::current().id() != self.home {
+                self.away.fetch_add(1, Relaxed);
+            }
+        }
+    }
+
+    impl Device for Witnessed {
+        fn profile(&self) -> &flashsim::DeviceProfile {
+            self.ssd.profile()
+        }
+        fn geometry(&self) -> flashsim::Geometry {
+            self.ssd.geometry()
+        }
+        fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> flashsim::Result<SimDuration> {
+            self.witness();
+            self.ssd.medium_read(offset, buf)
+        }
+        fn medium_write(&mut self, offset: u64, data: &[u8]) -> flashsim::Result<SimDuration> {
+            self.witness();
+            self.ssd.medium_write(offset, data)
+        }
+        fn medium_trim(&mut self, offset: u64, len: u64) -> flashsim::Result<SimDuration> {
+            self.witness();
+            self.ssd.medium_trim(offset, len)
+        }
+        fn stats(&self) -> flashsim::IoStats {
+            self.ssd.stats()
+        }
+        fn update_stats(&mut self, update: &mut dyn FnMut(&mut flashsim::IoStats)) {
+            self.ssd.update_stats(update)
+        }
+    }
+
     #[test]
-    fn parallel_dispatch_matches_the_serial_path() {
-        // The serial path: each stripe handed its share directly, one
-        // after another, on a twin store.
+    fn a_striped_batch_runs_every_stripe_on_the_callers_thread() {
+        let away = Arc::new(AtomicUsize::new(0));
+        let stripe = |_| {
+            let home = thread::current().id();
+            let ssd = Witnessed { ssd: Ssd::intel(1 << 20).unwrap(), home, away: away.clone() };
+            Clam::new(ssd, ClamConfig::small_test(1 << 20, 256 << 10).unwrap()).unwrap()
+        };
+        let store = StripedClam::new((0..4).map(stripe).collect());
+        let ops: Vec<(u64, u64)> = (0..60_000u64).map(|i| (key(i), i)).collect();
+        for batch in ops.chunks(8192) {
+            store.insert_batch(batch).unwrap();
+        }
+        store.flush_all().unwrap();
+        let keys: Vec<Key> = ops.iter().step_by(7).map(|op| op.0).collect();
+        assert!(store.lookup_batch(&keys).unwrap().outcomes.iter().all(|o| o.value.is_some()));
+        for i in 0..store.num_stripes() {
+            let io = store.stripe(i).unwrap().with(|c| c.device().stats());
+            assert!(io.writes > 0 && io.reads > 0, "stripe {i} flushed and read: {io:?}");
+        }
+        assert_eq!(away.load(Relaxed), 0, "commands off the caller");
+    }
+
+    #[test]
+    fn a_striped_batch_equals_its_per_stripe_calls() {
+        // Each stripe handed its share directly, one after another, on a
+        // twin store.
         let stripes = || vec![tiny_clam(), tiny_clam(), tiny_clam()];
-        let (parallel, by_hand) = (StripedClam::new(stripes()), StripedClam::new(stripes()));
-        let batches = batches_around_the_floor(160_000);
+        let (striped, by_hand) = (StripedClam::new(stripes()), StripedClam::new(stripes()));
+        let batches = batches_of_every_size(160_000);
         let mut max_total = SimDuration::ZERO;
         let mut sum_total = SimDuration::ZERO;
         let mut evictions = 0;
         for batch in &batches {
-            let p = parallel.insert_batch(batch).unwrap();
+            let p = striped.insert_batch(batch).unwrap();
             let per_stripe: Vec<BatchInsertOutcome> = (0..by_hand.num_stripes())
                 .map(|idx| {
                     let share: Vec<(u64, u64)> = batch
@@ -738,9 +717,8 @@ mod tests {
                     by_hand.stripe(idx).unwrap().insert_batch(&share).unwrap()
                 })
                 .collect();
-            // The batch latency is the maximum over the stripes, whether
-            // the dispatch ran inline (below the floor) or fanned out
-            // (above it); the events sum.
+            // The batch latency is the maximum over the stripes; the
+            // events sum.
             let n = batch.len();
             let sum = |f: fn(&BatchInsertOutcome) -> usize| per_stripe.iter().map(f).sum::<usize>();
             assert_eq!(p.ops, n);
@@ -759,7 +737,7 @@ mod tests {
         );
         // Identical end state: same counters, same device traffic to the
         // last byte and nanosecond, same lookups.
-        let (ps, hs) = (parallel.stats(), by_hand.stats());
+        let (ps, hs) = (striped.stats(), by_hand.stats());
         assert_eq!(ps.flushes, hs.flushes);
         assert_eq!(ps.forced_evictions, hs.forced_evictions);
         assert_eq!(ps.coalesced_flush_writes, hs.coalesced_flush_writes);
@@ -767,11 +745,11 @@ mod tests {
         assert_eq!(ps.inserts.len(), hs.inserts.len());
         assert_eq!(ps.inserts.total(), hs.inserts.total());
         assert_eq!(ps.deferred_flush_time, hs.deferred_flush_time);
-        assert_eq!(io_stats(&parallel), io_stats(&by_hand));
+        assert_eq!(io_stats(&striped), io_stats(&by_hand));
         let total = batches.iter().map(Vec::len).sum::<usize>() as u64;
         for i in (0..total).step_by(271) {
             assert_eq!(
-                parallel.lookup(key(i)).unwrap().value,
+                striped.lookup(key(i)).unwrap().value,
                 by_hand.lookup(key(i)).unwrap().value,
                 "key {i}"
             );

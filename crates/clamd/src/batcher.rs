@@ -171,7 +171,7 @@ fn stage(
 }
 
 /// The calls a step makes, and the ledger stats readers read: the
-/// shard's stripe, or a test's map.
+/// shard's [`Stripe`], or a test's map.
 trait StepStore {
     fn insert_batch(&mut self, pairs: &[(Key, Value)]) -> bufferhash::Result<()>;
     fn lookup_batch(&mut self, keys: &[Key]) -> bufferhash::Result<Vec<Option<Value>>>;
@@ -180,7 +180,11 @@ trait StepStore {
     fn stats(&self) -> &ClamStats;
 }
 
-impl<D: Device> StepStore for Clam<D> {
+/// A shard's stripe, boxed once in [`Engine::start`], so the lead's every
+/// hand-over (`ShardCore::push`, `ShardCore::poll`) moves a pointer.
+type Stripe<D> = Box<Clam<D>>;
+
+impl<D: Device> StepStore for Stripe<D> {
     fn insert_batch(&mut self, pairs: &[(Key, Value)]) -> bufferhash::Result<()> {
         Clam::insert_batch(self, pairs).map(drop)
     }
@@ -311,7 +315,7 @@ struct Shared<S> {
 
 /// A cloneable handle to the batcher engine.
 pub struct Engine<D: Device + 'static> {
-    shared: Arc<Shared<Clam<D>>>,
+    shared: Arc<Shared<Stripe<D>>>,
 }
 
 impl<D: Device + 'static> Clone for Engine<D> {
@@ -331,7 +335,8 @@ impl<D: Device + 'static> Engine<D> {
         recovery: Vec<RecoveryReport>,
         config: BatcherConfig,
     ) -> Self {
-        let shared = Shared { recovery, ..Shared::new(config, store.into_stripes()) };
+        let stripes = store.into_stripes().into_iter().map(Box::new).collect();
+        let shared = Shared { recovery, ..Shared::new(config, stripes) };
         Engine { shared: Arc::new(shared) }
     }
 
@@ -427,6 +432,11 @@ impl<D: Device + 'static> Engine<D> {
     /// Counts a failed `accept` in the ledger.
     pub(crate) fn count_accept_error(&self) {
         self.shared.ledger().accept_errors += 1;
+    }
+
+    /// Counts a server thread found panicked when joined.
+    pub(crate) fn count_thread_panic(&self) {
+        self.shared.ledger().thread_panics += 1;
     }
 
     /// Snapshot of the server ledger: the process-wide counters with

@@ -33,14 +33,14 @@ fn engine() -> Engine<Ssd> {
 
 /// Takes every shard's stripe, and with it the lead, as a leader busy with
 /// a gather holds it: what is submitted meanwhile queues behind it.
-fn hold_the_leads(engine: &Engine<Ssd>) -> Vec<Clam<Ssd>> {
+fn hold_the_leads(engine: &Engine<Ssd>) -> Vec<Stripe<Ssd>> {
     let take = |shard: &Shard<_>| shard.lock().push(Vec::new()).expect("a shard was already led");
     engine.shared.shards.iter().map(take).collect()
 }
 
 /// Runs every held shard's queue as its leader, on the stripe taken from
 /// it, which its last poll takes home.
-fn run_the_leads(engine: &Engine<Ssd>, stripes: Vec<Clam<Ssd>>) {
+fn run_the_leads(engine: &Engine<Ssd>, stripes: Vec<Stripe<Ssd>>) {
     for (shard, stripe) in engine.shared.shards.iter().zip(stripes) {
         engine.shared.lead(shard, stripe);
     }
@@ -93,6 +93,21 @@ impl StepStore for MapStore {
     fn stats(&self) -> &ClamStats {
         &self.stats
     }
+}
+
+/// The size of what `shared`'s shards hold their stripes as.
+fn held_stripe_bytes<S>(_: &Shared<S>) -> usize {
+    std::mem::size_of::<S>()
+}
+
+#[test]
+fn a_lead_moves_a_pointer_to_its_stripe_not_the_stripe() {
+    // `push` hands the stripe out and `poll` takes and returns it on every
+    // gather: a boxed stripe moves 8 bytes, a `Clam` a kilobyte.
+    let store = crate::server::boot_sim(&crate::server::ServerConfig::default()).unwrap();
+    let engine = Engine::start(store, Vec::new(), BatcherConfig::default());
+    assert!(std::mem::size_of::<Clam<SharedDevice<Ssd>>>() > 512);
+    assert_eq!(held_stripe_bytes(&engine.shared), std::mem::size_of::<usize>());
 }
 
 #[test]
@@ -468,13 +483,13 @@ fn a_panic_under_a_core_or_the_conns_lock_leaves_other_connections_served() {
 /// A stripe whose next `insert_batch`, once a hook is set, runs the hook
 /// first, which may panic or block; the stripe otherwise.
 struct HookedStripe {
-    stripe: Clam<Ssd>,
+    stripe: Stripe<Ssd>,
     hook: Option<Box<dyn FnOnce() + Send>>,
 }
 
 impl HookedStripe {
     fn new() -> Self {
-        HookedStripe { stripe: clam(), hook: None }
+        HookedStripe { stripe: Box::new(clam()), hook: None }
     }
 }
 

@@ -205,7 +205,8 @@ impl ClamdServer<SharedDevice<Ssd>> {
 
 impl<D: Device + 'static> ClamdServer<D> {
     /// Starts serving `store` on `config.addr`. `recovery` carries the
-    /// boot-time recovery reports (empty for a fresh store).
+    /// boot-time recovery reports (empty for a fresh store). A bind, or an
+    /// accept thread the OS refuses, is returned as the error.
     pub fn start(
         store: StripedClam<D>,
         recovery: Vec<RecoveryReport>,
@@ -220,9 +221,8 @@ impl<D: Device + 'static> ClamdServer<D> {
         let accept_engine = engine.clone();
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_conns = Arc::clone(&conn_threads);
-        let accept_thread = std::thread::Builder::new()
-            .name("clamd-accept".to_string())
-            .spawn(move || {
+        let accept_thread =
+            std::thread::Builder::new().name("clamd-accept".to_string()).spawn(move || {
                 for (conn, stream) in (1..).zip(listener.incoming()) {
                     // The connection that wakes the acceptor for shutdown
                     // is not served.
@@ -237,8 +237,7 @@ impl<D: Device + 'static> ClamdServer<D> {
                     };
                     spawn_connection(stream, conn, &accept_engine, &accept_conns);
                 }
-            })
-            .expect("spawn accept thread");
+            })?;
 
         Ok(ClamdServer {
             engine,
@@ -281,8 +280,8 @@ impl<D: Device + 'static> ClamdServer<D> {
 
     /// Stops accepting, drains every queued request (their responses are
     /// still delivered), flushes every stripe to flash, closes all
-    /// connections and joins every thread. Dropping the server does the
-    /// same.
+    /// connections and joins every thread, counting one that panicked in
+    /// [`ServerStats::thread_panics`]. Dropping the server does the same.
     pub fn shutdown(&mut self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -292,7 +291,7 @@ impl<D: Device + 'static> ClamdServer<D> {
             // address wakes it to see the flag. If it has already exited,
             // nothing listens and the connect fails harmlessly.
             drop(TcpStream::connect(self.local_addr));
-            handle.join().expect("accept thread panicked");
+            join_counting_panics(handle, &self.engine);
         }
         // Drain the batcher first so in-flight requests are written to
         // their sockets, flush every stripe so what was acknowledged
@@ -304,7 +303,7 @@ impl<D: Device + 'static> ClamdServer<D> {
         let handles =
             std::mem::take(&mut *self.conn_threads.lock().unwrap_or_else(PoisonError::into_inner));
         for handle in handles {
-            handle.join().expect("connection thread panicked");
+            join_counting_panics(handle, &self.engine);
         }
     }
 }
@@ -345,9 +344,17 @@ fn spawn_connection<D: Device + 'static>(
     let (done, live): (Vec<_>, Vec<_>) = threads.drain(..).partition(|h| h.is_finished());
     *threads = live;
     for handle in done {
-        handle.join().expect("connection thread panicked");
+        join_counting_panics(handle, engine);
     }
     threads.push(reader);
+}
+
+/// Joins a server thread; one that panicked is counted
+/// ([`ServerStats::thread_panics`]) and its panic goes no further.
+fn join_counting_panics<D: Device + 'static>(handle: JoinHandle<()>, engine: &Engine<D>) {
+    if handle.join().is_err() {
+        engine.count_thread_panic();
+    }
 }
 
 /// Decodes frames off one connection and submits them for group commit,
@@ -421,6 +428,36 @@ mod tests {
         server.shutdown();
         // Idempotent.
         server.shutdown();
+    }
+
+    /// A thread of the server's that panics, as a reader would, once
+    /// finished.
+    fn panicked_thread() -> JoinHandle<()> {
+        let handle = std::thread::spawn(|| panic!("a server thread panics"));
+        while !handle.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        handle
+    }
+
+    #[test]
+    fn a_panicked_thread_is_counted_and_shutdown_still_returns() {
+        let mut server = ephemeral_sim_server(1, 16 << 20, 4 << 20).unwrap();
+        let threads = Arc::clone(&server.conn_threads);
+        let push = |handle| threads.lock().unwrap().push(handle);
+        // Reaped when the next connection's reader is registered.
+        push(panicked_thread());
+        let mut client = ClamdClient::connect(server.local_addr()).unwrap();
+        client.insert(1, 10).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().thread_panics == 0 {
+            assert!(Instant::now() < deadline, "the reaped panic was never counted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Joined at shutdown.
+        push(panicked_thread());
+        server.shutdown();
+        assert_eq!(server.stats().thread_panics, 2);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!
 //! The ledger is declared once with [`flashsim::ledger!`]: each entry's
 //! name is its wire name, and its kind says whether it is a sum, a
-//! high-water mark or a gauge. [`ServerStats::absorb`],
-//! [`ServerStats::delta`], `Display` and the STATS codec in
-//! [`crate::proto`] walk that list, so a new counter is one declaration
-//! line and its increment — never a wire version.
+//! high-water mark or a gauge. [`ServerStats::delta`], `Display` and the
+//! STATS codec in [`crate::proto`] walk that list, and
+//! [`ServerStats::absorb`] folds each entry by it in place, so a new
+//! counter is one declaration line and its increment — never a wire
+//! version.
 
 /// Maximum batch-size histogram index tracked explicitly; larger gathers
 /// accumulate in the final bucket (same cap policy as the CLAM's
@@ -88,6 +89,10 @@ flashsim::ledger! {
         /// Failed `accept` calls (say, out of file descriptors): each is
         /// followed by a pause, and the listener accepts again.
         pub accept_errors: u64 => Sum,
+        /// Server threads (the acceptor, a connection's reader) found
+        /// panicked when joined, at shutdown or when a finished reader is
+        /// reaped.
+        pub thread_panics: u64 => Sum,
     }
 }
 

@@ -86,7 +86,7 @@ pub use profiles::{DeviceProfile, MediumKind};
 pub use queue::{CompletionRing, IoRequest, RingCompletion, RingRequest};
 pub use shared::SharedDevice;
 pub use ssd::Ssd;
-pub use stats::{IoStats, Kind, LatencyRecorder, Slot};
+pub use stats::{Absorb, IoStats, Kind, LatencyRecorder, Slot};
 pub use store::SparseStore;
 pub use time::{Clock, Host, InUnits, Sim, SimDuration};
 

@@ -2,9 +2,10 @@
 //!
 //! A ledger — [`IoStats`] here, `ClamStats` in `bufferhash`, `ServerStats`
 //! in `clamd` — is declared once with [`ledger!`](crate::ledger), each
-//! entry's doc, name, type and [`Kind`]; merge, window, reset, `Display`
-//! and the `clamd` STATS codec walk that list. A new counter is one
-//! declaration line and its increment.
+//! entry's doc, name, type and [`Kind`]; window, reset, `Display` and the
+//! `clamd` STATS codec walk that list, and a merge folds each entry in
+//! place ([`Absorb`]). A new counter is one declaration line and its
+//! increment.
 //!
 //! [`LatencyRecorder`] folds per-operation latency samples into a
 //! bounded-memory histogram and can report means, percentiles, CDFs and
@@ -98,17 +99,14 @@ impl Slot<'_> {
         }
     }
 
-    /// Folds `theirs`, the same entry of another ledger, in as `kind`
-    /// says. A recorder merges its samples.
-    pub fn absorb(&mut self, kind: Kind, theirs: &Slot<'_>) {
-        match (self, theirs) {
-            (Slot::Latency(mine), Slot::Latency(theirs)) => mine.merge(theirs),
-            (mine, theirs) => match kind {
-                Kind::Sum => mine.combine(theirs.values(), u64::saturating_add),
-                Kind::HighWater => mine.combine(theirs.values(), u64::max),
-                Kind::Gauge if mine.values().is_empty() => mine.combine(theirs.values(), |_, v| v),
-                Kind::Gauge => {}
-            },
+    /// Folds `theirs`, the values of the same entry of another ledger, in
+    /// as `kind` says (not a recorder's: [`Absorb::absorb`] merges those).
+    fn fold(&mut self, kind: Kind, theirs: &[u64]) {
+        match kind {
+            Kind::Sum => self.combine(theirs, u64::saturating_add),
+            Kind::HighWater => self.combine(theirs, u64::max),
+            Kind::Gauge if self.values().is_empty() => self.combine(theirs, |_, v| v),
+            Kind::Gauge => {}
         }
     }
 
@@ -141,6 +139,46 @@ impl Slot<'_> {
     }
 }
 
+/// A ledger entry's type, folded in place: merging two ledgers whose
+/// lists and recorders have the same lengths allocates nothing.
+pub trait Absorb {
+    /// Folds `theirs`, the same entry of another ledger, in as `kind`
+    /// says: sums add (lists element by element, growing to fit),
+    /// high-water marks take the max, a gauge keeps whichever side has a
+    /// snapshot. A recorder merges its samples.
+    fn absorb(&mut self, kind: Kind, theirs: &Self);
+}
+
+impl Absorb for u64 {
+    fn absorb(&mut self, kind: Kind, theirs: &Self) {
+        Slot::from(self).fold(kind, std::slice::from_ref(theirs));
+    }
+}
+
+impl<const N: usize> Absorb for [u64; N] {
+    fn absorb(&mut self, kind: Kind, theirs: &Self) {
+        Slot::from(self).fold(kind, theirs);
+    }
+}
+
+impl Absorb for Vec<u64> {
+    fn absorb(&mut self, kind: Kind, theirs: &Self) {
+        Slot::from(self).fold(kind, theirs);
+    }
+}
+
+impl Absorb for SimDuration {
+    fn absorb(&mut self, kind: Kind, theirs: &Self) {
+        Slot::from(self).fold(kind, std::slice::from_ref(&theirs.0));
+    }
+}
+
+impl Absorb for LatencyRecorder {
+    fn absorb(&mut self, _: Kind, theirs: &Self) {
+        self.merge(theirs);
+    }
+}
+
 impl fmt::Display for Slot<'_> {
     /// A scalar bare, a time as a duration, a recorder as count and mean.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -157,8 +195,8 @@ impl fmt::Display for Slot<'_> {
 /// its doc comment, where `Type` is `u64`, `[u64; N]`, `Vec<u64>`,
 /// [`SimDuration`] or [`LatencyRecorder`]. Attributes pass through (the
 /// derives must include `Clone` and `Default`). It emits the struct,
-/// `new`, the list (`entries`) and the `absorb`, `delta`, `reset` and
-/// `Display` that walk it.
+/// `new`, the list (`entries`), the `delta`, `reset` and `Display` that
+/// walk it, and an `absorb` that folds each field in place ([`Absorb`]).
 #[macro_export]
 macro_rules! ledger {
     (
@@ -189,12 +227,7 @@ macro_rules! ledger {
             /// marks take the max, a gauge keeps whichever side has a
             /// snapshot.
             pub fn absorb(&mut self, other: &Self) {
-                let mut other = other.clone();
-                for ((_, kind, mut mine), (_, _, theirs)) in
-                    self.entries().into_iter().zip(other.entries())
-                {
-                    mine.absorb(kind, &theirs);
-                }
+                $($crate::Absorb::absorb(&mut self.$field, $crate::Kind::$kind, &other.$field);)*
             }
 
             /// The ledger of the window between `earlier` and this later

@@ -1,16 +1,19 @@
 //! The DRAM half of a lookup (the sliced filter query, the candidate set it
 //! returns and a super table's memory phase built on both) touches no heap when a super
 //! table holds at most 64 incarnations: the candidates are one word, held
-//! by value. Counted with an allocator that tallies per thread, so the
-//! test harness's own threads do not disturb the count.
+//! by value. Nor does folding a same-shaped ledger into another, which a
+//! server does once per step it retires. Counted with an allocator that
+//! tallies per thread, so the test harness's own threads do not disturb
+//! the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bufferhash::{
-    hash_with_seed, BitSlicedBloomSet, BufferInsert, ClamConfig, FilterBank, FilterMode,
-    IncarnationLayout, IncarnationMeta, Key, SuperTable,
+    hash_with_seed, BitSlicedBloomSet, BufferInsert, Clam, ClamConfig, FilterBank, FilterMode,
+    IncarnationLayout, IncarnationMeta, Key, SuperTable, Value,
 };
+use flashsim::{Device, Ssd};
 
 struct CountingAllocator;
 
@@ -166,4 +169,32 @@ fn filter_queries_and_memory_probes_do_not_allocate_up_to_64_incarnations() {
         "{resolved} resolved, {needs_flash} to flash"
     );
     assert_eq!(allocated, 0, "a lookup's memory phase");
+}
+
+#[test]
+fn absorbing_a_same_shaped_ledger_delta_does_not_allocate() {
+    let cfg = ClamConfig::small_test(4 << 20, 1 << 20).unwrap();
+    let mut clam = Clam::new(Ssd::intel(4 << 20).unwrap(), cfg).unwrap();
+    // Inserts that flush and evict, and lookups that read flash.
+    let mut run = |from: u64| {
+        let pairs: Vec<(Key, Value)> =
+            (from..from + 30_000).map(|i| (hash_with_seed(i, 0xa11), i)).collect();
+        clam.insert_batch(&pairs).unwrap();
+        let keys: Vec<Key> = pairs.iter().step_by(7).map(|p| p.0).collect();
+        clam.lookup_batch(&keys).unwrap();
+        (clam.stats().clone(), clam.device().stats())
+    };
+    let (clam_before, io_before) = run(0);
+    let (clam_after, io_after) = run(30_000);
+    let (clam_delta, io_delta) = (clam_after.delta(&clam_before), io_after.delta(&io_before));
+    assert!(clam_delta.flushes > 0 && !clam_delta.inserts.is_empty() && io_delta.reads > 0);
+    let (mut clam_total, mut io_total) = (clam_after.clone(), io_after.clone());
+    let allocated = allocations_in(|| {
+        clam_total.absorb(&clam_delta);
+        io_total.absorb(&io_delta);
+    });
+    assert_eq!(allocated, 0, "absorbing a ledger delta");
+    assert_eq!(clam_total.flushes, clam_after.flushes + clam_delta.flushes);
+    assert_eq!(clam_total.inserts.len(), clam_after.inserts.len() + clam_delta.inserts.len());
+    assert_eq!(io_total.reads, io_after.reads + io_delta.reads);
 }
