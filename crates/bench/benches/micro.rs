@@ -287,6 +287,20 @@ fn bench_sparse_store(c: &mut Criterion) {
             black_box(store.resident_pages())
         })
     });
+    // A coalesced flush run: 16 images as one multi-buffer command, the
+    // list a medium's `medium_write` hands its store.
+    const RUN: u64 = 16;
+    let runs: [Vec<&[u8]>; 2] =
+        [0, 1].map(|s| (0..RUN).map(|i| images[((i + s) % 2) as usize].as_slice()).collect());
+    group.bench_function("write_16_image_run", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let (slot, lap) = (i % (IMAGES / RUN), i / (IMAGES / RUN));
+            store.write_list(slot * RUN * image_bytes, &runs[(lap % 2) as usize]);
+            black_box(store.resident_pages())
+        })
+    });
     let mut page = vec![0u8; PAGE];
     group.bench_function("read_4k_page", |b| {
         let mut i = 0u64;

@@ -87,7 +87,6 @@ impl<D: Device> Clam<D> {
             // and the incarnation queue come out youngest-first, exactly
             // as steady-state flushes build them.
             for (slot, identity, entries) in list.iter().rev() {
-                let keys: Vec<Key> = entries.iter().map(|e| e.key).collect();
                 self.tables[t].register_incarnation(
                     IncarnationMeta {
                         flash_offset: slot * slot_size,
@@ -95,7 +94,7 @@ impl<D: Device> Clam<D> {
                         seq: identity.seq,
                         epoch: identity.epoch,
                     },
-                    &keys,
+                    entries.iter().map(|e| e.key),
                 );
                 owners.push((*slot, SlotOwner { table: t, seq: identity.seq }));
                 accepted += 1;

@@ -10,10 +10,11 @@ use super::*;
 #[derive(Default)]
 pub(super) struct Call {
     /// The incarnation writes deferred to coalesce: the *current*
-    /// contiguous run, as its offset and bytes (a non-contiguous write
-    /// admits the finished run to the ring first, so flush traffic
-    /// streams).
-    pub(super) pending_run: Option<(u64, Vec<u8>)>,
+    /// contiguous run, as its offset and its incarnation images in log
+    /// order, admitted as one write command whose buffers they are (a
+    /// non-contiguous write admits the finished run to the ring first, so
+    /// flush traffic streams).
+    pub(super) pending_run: Option<(u64, Vec<Vec<u8>>)>,
     /// The shared read/write completion ring (`None` until the call's
     /// first admission): lookup probes, flush writes, eviction reads and
     /// trims all admit into it, so write traffic overlaps the tail of

@@ -107,7 +107,6 @@ impl<D: Device> Clam<D> {
         // Write the buffer out as a new incarnation.
         let entries = self.tables[t].drain_buffer();
         if !entries.is_empty() {
-            let keys: Vec<Key> = entries.iter().map(|e| e.key).collect();
             let layout = self.layout;
             self.seq += 1;
             let (seq, epoch) = (self.seq, self.epoch);
@@ -155,7 +154,7 @@ impl<D: Device> Clam<D> {
             let table = &mut self.tables[t];
             let meta =
                 IncarnationMeta { flash_offset: alloc.offset, entries: entries.len(), seq, epoch };
-            table.register_incarnation(meta, &keys);
+            table.register_incarnation(meta, entries.iter().map(|e| e.key));
             table.prune_delete_list();
             self.stats.flushes += 1;
         }
@@ -270,30 +269,32 @@ impl<D: Device> Clam<D> {
     }
 
     /// Queues one incarnation write to coalesce. The deferred set holds a
-    /// single contiguous run: a write extending the run merges into it
-    /// (one device command for the whole run), while a non-contiguous
-    /// write **admits the finished run to the ring first**, so deferred
-    /// flush traffic streams out as it forms instead of pooling until the
-    /// call ends.
+    /// single contiguous run: a write extending the run joins it as one
+    /// more buffer of the run's one device command (the image is moved,
+    /// not copied), while a non-contiguous write **admits the finished run
+    /// to the ring first**, so deferred flush traffic streams out as it
+    /// forms instead of pooling until the call ends.
     fn push_coalesced_write(&mut self, offset: u64, image: Vec<u8>) -> Result<()> {
         match &mut self.call.pending_run {
-            Some((run_offset, run_image)) if offset == *run_offset + run_image.len() as u64 => {
-                run_image.extend_from_slice(&image);
+            Some((run_offset, images))
+                if offset == *run_offset + images.iter().map(Vec::len).sum::<usize>() as u64 =>
+            {
+                images.push(image);
                 self.stats.coalesced_flush_writes += 1;
             }
             _ => {
                 self.admit_pending_writes()?;
-                self.call.pending_run = Some((offset, image));
+                self.call.pending_run = Some((offset, vec![image]));
             }
         }
         Ok(())
     }
 
     /// Admits the deferred coalesced run (if any) to the call's shared
-    /// ring.
+    /// ring: one write command whose buffers are the run's images.
     fn admit_pending_writes(&mut self) -> Result<()> {
-        if let Some((offset, image)) = self.call.pending_run.take() {
-            self.ring_admit(vec![RingRequest::new(IoRequest::write(offset, image))])?;
+        if let Some((offset, images)) = self.call.pending_run.take() {
+            self.ring_admit(vec![RingRequest::new(IoRequest::write_list(offset, images))])?;
         }
         Ok(())
     }

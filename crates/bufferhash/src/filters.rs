@@ -155,13 +155,13 @@ impl FilterBank {
     /// Registers a new youngest incarnation containing `keys`.
     ///
     /// The caller must have evicted first if the bank is at capacity.
-    pub fn push_newest(&mut self, keys: &[Key]) {
+    pub fn push_newest(&mut self, keys: impl IntoIterator<Item = Key>) {
         match self {
-            FilterBank::BitSliced(s) => s.push_incarnation(keys.iter().copied()),
+            FilterBank::BitSliced(s) => s.push_incarnation(keys),
             FilterBank::Plain { filters, bits_per_filter, num_hashes, capacity } => {
                 assert!(filters.len() < *capacity, "push into a full FilterBank");
                 let mut f = BloomFilter::new(*bits_per_filter, *num_hashes);
-                for &k in keys {
+                for k in keys {
                     f.insert(k);
                 }
                 filters.push_front(f);
@@ -237,7 +237,7 @@ mod tests {
     fn check_semantics(mode: FilterMode) {
         let mut bank = FilterBank::new(mode, 4, 1 << 13, 5);
         for inc in 0..4u64 {
-            bank.push_newest(&keys(inc, 80));
+            bank.push_newest(keys(inc, 80));
         }
         assert_eq!(bank.len(), 4);
         // Keys of the youngest incarnation must be reported at age 0.
@@ -269,9 +269,9 @@ mod tests {
     #[test]
     fn disabled_returns_every_incarnation() {
         let mut bank = FilterBank::new(FilterMode::Disabled, 8, 0, 0);
-        bank.push_newest(&keys(0, 10));
-        bank.push_newest(&keys(1, 10));
-        bank.push_newest(&keys(2, 10));
+        bank.push_newest(keys(0, 10));
+        bank.push_newest(keys(1, 10));
+        bank.push_newest(keys(2, 10));
         assert_eq!(bank.query(123_456).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(bank.words_per_query(), 0);
         assert_eq!(bank.memory_bytes(), 0);
@@ -299,8 +299,8 @@ mod tests {
                     // Few enough keys that misses are common, enough that
                     // false positives (which must agree too) occur.
                     let batch = keys(step, 20 + hash_with_seed(step, 7) % 60);
-                    sliced.push_newest(&batch);
-                    plain.push_newest(&batch);
+                    sliced.push_newest(batch.iter().copied());
+                    plain.push_newest(batch.iter().copied());
                 }
                 assert_eq!(sliced.len(), plain.len());
                 for probe in 0..30u64 {
@@ -328,7 +328,7 @@ mod tests {
     fn disabled_bank_names_every_age_past_one_word() {
         let mut bank = FilterBank::new(FilterMode::Disabled, 130, 0, 0);
         for inc in 0..130 {
-            bank.push_newest(&keys(inc, 1));
+            bank.push_newest(keys(inc, 1));
         }
         assert_eq!(bank.query(7).collect::<Vec<_>>(), (0..130).collect::<Vec<_>>());
     }
@@ -338,8 +338,8 @@ mod tests {
         let mut sliced = FilterBank::new(FilterMode::BitSliced, 16, 1 << 13, 7);
         let mut plain = FilterBank::new(FilterMode::PerIncarnation, 16, 1 << 13, 7);
         for inc in 0..16u64 {
-            sliced.push_newest(&keys(inc, 50));
-            plain.push_newest(&keys(inc, 50));
+            sliced.push_newest(keys(inc, 50));
+            plain.push_newest(keys(inc, 50));
         }
         assert!(
             sliced.words_per_query() < plain.words_per_query(),
@@ -354,7 +354,7 @@ mod tests {
         for mode in [FilterMode::BitSliced, FilterMode::PerIncarnation] {
             let mut bank = FilterBank::new(mode, 8, 1 << 14, 6);
             for inc in 0..8u64 {
-                bank.push_newest(&keys(inc, 200));
+                bank.push_newest(keys(inc, 200));
             }
             let spurious: usize =
                 (0..10_000u64).map(|i| bank.query(hash_with_seed(i, 0xbad)).len()).sum();

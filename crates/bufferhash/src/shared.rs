@@ -656,9 +656,9 @@ mod tests {
             self.witness();
             self.ssd.medium_read(offset, buf)
         }
-        fn medium_write(&mut self, offset: u64, data: &[u8]) -> flashsim::Result<SimDuration> {
+        fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> flashsim::Result<SimDuration> {
             self.witness();
-            self.ssd.medium_write(offset, data)
+            self.ssd.medium_write(offset, bufs)
         }
         fn medium_trim(&mut self, offset: u64, len: u64) -> flashsim::Result<SimDuration> {
             self.witness();

@@ -232,7 +232,11 @@ impl SuperTable {
     ///
     /// The caller must have made room first (`num_incarnations() <
     /// max_incarnations()`).
-    pub fn register_incarnation(&mut self, meta: IncarnationMeta, keys: &[Key]) {
+    pub fn register_incarnation(
+        &mut self,
+        meta: IncarnationMeta,
+        keys: impl IntoIterator<Item = Key>,
+    ) {
         assert!(
             self.incarnations.len() < self.max_incarnations,
             "register_incarnation on a full incarnation table"
@@ -386,7 +390,7 @@ mod tests {
     #[test]
     fn delete_of_buffered_key_with_flash_copies_shadows_them() {
         let mut t = table();
-        t.register_incarnation(meta(0), &[7]);
+        t.register_incarnation(meta(0), [7]);
         t.buffer_insert(7, 70);
         assert!(t.delete(7));
         // The flash copy must remain shadowed.
@@ -399,7 +403,7 @@ mod tests {
         let mut t = table();
         for seq in 0..4u64 {
             let keys: Vec<Key> = (0..10).map(|i| hash_with_seed(i, seq + 1)).collect();
-            t.register_incarnation(meta(seq), &keys);
+            t.register_incarnation(meta(seq), keys.iter().copied());
         }
         assert_eq!(t.num_incarnations(), 4);
         // Youngest (seq 3) is age 0; oldest (seq 0) is age 3.
@@ -415,7 +419,7 @@ mod tests {
         let mut t = table();
         for seq in 0..4u64 {
             let keys: Vec<Key> = (0..10).map(|i| hash_with_seed(i, seq + 1)).collect();
-            t.register_incarnation(meta(seq), &keys);
+            t.register_incarnation(meta(seq), keys.iter().copied());
         }
         let dropped = t.drop_oldest_incarnation().unwrap();
         assert_eq!(dropped.seq, 0);
@@ -429,7 +433,7 @@ mod tests {
     fn force_evict_drops_everything_up_to_seq() {
         let mut t = table();
         for seq in 0..4u64 {
-            t.register_incarnation(meta(seq), &[seq]);
+            t.register_incarnation(meta(seq), [seq]);
         }
         let dropped = t.force_evict_up_to(1);
         assert_eq!(dropped.len(), 2);
@@ -448,7 +452,7 @@ mod tests {
             let drained: Vec<Key> = t.drain_buffer().iter().map(|e| e.key).collect();
             let ages = 0..=t.num_incarnations();
             assert!(keys(seq).all(|k| ages.clone().all(|age| t.slot_copy(k, age).is_none())));
-            t.register_incarnation(meta(seq), &drained);
+            t.register_incarnation(meta(seq), drained.iter().copied());
         }
         // Ages 0, 1, 2 hold seqs 2, 1, 0: a key answers at its own age.
         for seq in 0..3u64 {
@@ -487,7 +491,7 @@ mod tests {
         for seq in 0..256u64 {
             t.buffer_insert(seq, seq);
             let drained: Vec<Key> = t.drain_buffer().iter().map(|e| e.key).collect();
-            t.register_incarnation(meta(seq), &drained);
+            t.register_incarnation(meta(seq), drained.iter().copied());
         }
         assert_eq!(t.slot_copy(255, 0), Some(255));
         assert_eq!(t.slot_copy(0, 255), None, "its stamps were cleared for reuse");
@@ -507,9 +511,9 @@ mod tests {
         let mut t = table();
         // Oldest incarnation (about to be evicted) holds keys 100..110.
         let old_keys: Vec<Key> = (100..110).collect();
-        t.register_incarnation(meta(0), &old_keys);
+        t.register_incarnation(meta(0), old_keys.iter().copied());
         // A younger incarnation holds key 100 (so 100 was updated).
-        t.register_incarnation(meta(1), &[100]);
+        t.register_incarnation(meta(1), [100]);
         // Key 101 is in the buffer (updated), key 102 is deleted.
         t.buffer_insert(101, 1);
         t.delete(102);
@@ -543,7 +547,7 @@ mod tests {
     #[test]
     fn prune_delete_list_drops_unreachable_keys() {
         let mut t = table();
-        t.register_incarnation(meta(0), &[42]);
+        t.register_incarnation(meta(0), [42]);
         t.delete(42);
         t.delete(43); // never on flash
         assert_eq!(t.delete_list_len(), 2);
@@ -561,7 +565,7 @@ mod tests {
     fn memory_accounting_is_positive_and_grows_with_filters() {
         let mut t = table();
         let before = t.memory_bytes();
-        t.register_incarnation(meta(0), &[1, 2, 3]);
+        t.register_incarnation(meta(0), [1, 2, 3]);
         assert!(t.memory_bytes() >= before);
         assert!(t.memory_bytes() > 0);
     }
@@ -571,7 +575,7 @@ mod tests {
     fn registering_beyond_capacity_panics() {
         let mut t = table();
         for seq in 0..5u64 {
-            t.register_incarnation(meta(seq), &[seq]);
+            t.register_incarnation(meta(seq), [seq]);
         }
     }
 }

@@ -22,7 +22,7 @@
 //! After the cut, [`CrashDevice::into_inner`] surrenders the inner device —
 //! the flash image as the next boot would find it — for a recovery scan.
 
-use crate::device::Device;
+use crate::device::{list_len, Device};
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
@@ -169,22 +169,32 @@ impl<D: Device> Device for CrashDevice<D> {
         self.inner.medium_read(offset, buf)
     }
 
-    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
+    fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> Result<SimDuration> {
         let was_dead = self.dead;
         match self.charge() {
             Ok(()) => {
-                let latency = self.inner.medium_write(offset, data)?;
-                self.applied_writes.push((offset, data.len() as u64));
+                let latency = self.inner.medium_write(offset, bufs)?;
+                self.applied_writes.push((offset, list_len(bufs) as u64));
                 Ok(latency)
             }
             Err(e) => {
                 // The cut landed on *this* write (the device was alive when
                 // the call started): apply the torn prefix the medium
                 // managed to program before the power vanished, as a write
-                // of its own on the inner device.
+                // of its own on the inner device. The prefix is of the
+                // list's concatenation, so it may end inside any buffer.
                 if !was_dead && self.torn_write_bytes > 0 {
-                    let torn = self.torn_write_bytes.min(data.len());
-                    if self.inner.write_at(offset, &data[..torn]).is_ok() {
+                    let torn = self.torn_write_bytes.min(list_len(bufs));
+                    let mut left = torn;
+                    let prefix: Vec<&[u8]> = bufs
+                        .iter()
+                        .map(|buf| {
+                            let n = left.min(buf.len());
+                            left -= n;
+                            &buf[..n]
+                        })
+                        .collect();
+                    if self.inner.write_list_at(offset, &prefix).is_ok() {
                         self.stats.torn_write = Some((offset, torn as u64));
                     }
                 }

@@ -13,7 +13,8 @@
 //! requests deep would have kept in flight at once.
 //!
 //! Command rules live in one place too, here. The per-op commands
-//! ([`read_at`](Device::read_at), [`write_at`](Device::write_at),
+//! ([`read_at`](Device::read_at), [`write_at`](Device::write_at) and
+//! [`write_list_at`](Device::write_list_at),
 //! [`erase_block`](Device::erase_block), [`trim`](Device::trim)) are
 //! provided methods, the same on every device; `submit` drives them and
 //! callers use them directly for single blocking commands. Each one, in
@@ -72,10 +73,19 @@ pub trait Device: Send + Sync {
     /// than a page are charged a full page (paper design principle P2).
     fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration>;
 
-    /// The medium's write of `data` at `offset`, in range and non-empty:
-    /// stores it and returns the write's price, including any FTL
-    /// garbage-collection work it triggered (SSDs).
-    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration>;
+    /// The medium's write of the list `bufs` at `offset`, in range and
+    /// non-empty: stores the buffers in order at consecutive offsets and
+    /// returns the write's price, including any FTL garbage-collection
+    /// work it triggered (SSDs).
+    ///
+    /// **The list contract.** A list is one command over its
+    /// concatenation, `[offset, offset + total)`: the medium stores exactly
+    /// the bytes a write of the concatenated buffer would, and prices the
+    /// whole range once, as it prices one contiguous buffer. How the bytes
+    /// are cut into buffers changes nothing a caller can observe but the
+    /// copy it saves. "Non-empty" is the total; a buffer in the list may
+    /// be empty.
+    fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> Result<SimDuration>;
 
     /// The medium's erase of erase block `block`, which exists. Only a raw
     /// flash chip has caller-visible erasure; everything else refuses.
@@ -109,14 +119,25 @@ pub trait Device: Send + Sync {
     }
 
     /// Writes `data` starting at byte `offset` under the command rules and
-    /// returns the simulated time it took.
+    /// returns the simulated time it took: a list of one buffer
+    /// ([`write_list_at`](Device::write_list_at)).
     fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        self.geometry().check_bounds(offset, data.len())?;
-        if data.is_empty() {
+        self.write_list_at(offset, &[data])
+    }
+
+    /// Writes the buffers `bufs` in order at consecutive offsets from byte
+    /// `offset`, as one command over their concatenation (the list
+    /// contract of [`medium_write`](Device::medium_write)), under the
+    /// command rules, and returns the simulated time it took: one count
+    /// and the list's total bytes in the ledger.
+    fn write_list_at(&mut self, offset: u64, bufs: &[&[u8]]) -> Result<SimDuration> {
+        let len = list_len(bufs);
+        self.geometry().check_bounds(offset, len)?;
+        if len == 0 {
             return Ok(SimDuration::ZERO);
         }
-        let latency = self.medium_write(offset, data)?;
-        let bytes = data.len() as u64;
+        let latency = self.medium_write(offset, bufs)?;
+        let bytes = len as u64;
         self.update_stats(&mut |s| {
             s.writes += 1;
             s.bytes_written += bytes;
@@ -226,10 +247,18 @@ pub(crate) fn execute<D: Device + ?Sized>(
             let mut buf = vec![0u8; *len];
             device.read_at(*offset, &mut buf).map(|latency| (latency, buf))
         }
-        IoRequest::Write { offset, data } => device.write_at(*offset, data).map(quiet),
+        IoRequest::Write { offset, bufs } => {
+            let bufs: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
+            device.write_list_at(*offset, &bufs).map(quiet)
+        }
         IoRequest::Erase { block } => device.erase_block(*block).map(quiet),
         IoRequest::Trim { offset, len } => device.trim(*offset, *len).map(quiet),
     }
+}
+
+/// The total length of a write list: the bytes of its concatenation.
+pub(crate) fn list_len(bufs: &[&[u8]]) -> usize {
+    bufs.iter().map(|buf| buf.len()).sum()
 }
 
 /// Blanket implementation so `Box<dyn Device>` is itself a `Device`, which
@@ -245,8 +274,8 @@ impl<D: Device + ?Sized> Device for Box<D> {
     fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
         (**self).medium_read(offset, buf)
     }
-    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        (**self).medium_write(offset, data)
+    fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> Result<SimDuration> {
+        (**self).medium_write(offset, bufs)
     }
     fn medium_erase(&mut self, block: u64) -> Result<SimDuration> {
         (**self).medium_erase(block)
@@ -358,8 +387,8 @@ pub(crate) mod tests {
         fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> Result<SimDuration> {
             self.inner.medium_read(offset, buf)
         }
-        fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-            self.inner.medium_write(offset, data)
+        fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> Result<SimDuration> {
+            self.inner.medium_write(offset, bufs)
         }
         fn stats(&self) -> IoStats {
             self.inner.stats()

@@ -95,9 +95,9 @@ impl Device for MagneticDisk {
         Ok(self.transfer(offset, buf.len(), self.profile.read_cost))
     }
 
-    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        self.store.write(offset, data);
-        Ok(self.transfer(offset, data.len(), self.profile.write_cost))
+    fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> Result<SimDuration> {
+        let len = self.store.write_list(offset, bufs);
+        Ok(self.transfer(offset, len, self.profile.write_cost))
     }
 
     // No erase, and no mapping layer to exploit a TRIM: it is counted and

@@ -60,9 +60,9 @@ impl Device for DramDevice {
         Ok(self.profile.read_cost.cost(buf.len()))
     }
 
-    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        self.store.write(offset, data);
-        Ok(self.profile.write_cost.cost(data.len()))
+    fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> Result<SimDuration> {
+        let len = self.store.write_list(offset, bufs);
+        Ok(self.profile.write_cost.cost(len))
     }
 
     // No erase, and no liveness tracking: a TRIM is counted and dropped.

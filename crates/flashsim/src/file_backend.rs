@@ -4,7 +4,8 @@
 //! window of one ([`FileDevice::window`]), and charges what each command
 //! *measured* instead of a modelled cost, so the data-structure layers also
 //! run against real storage (the paper's prototype ran on ext3 files over
-//! real SSDs). Its commands time one positioned `pread` / `pwrite` each:
+//! real SSDs). Its commands time one positioned `pread` each, or one
+//! `pwrite` a buffer of a write's list, timed together as one command:
 //! the only place a host-clock time enters the simulated clock. The
 //! command rules are the provided per-op methods' (`device.rs`): an erase
 //! is `Unsupported`, and a TRIM is counted and dropped.
@@ -135,9 +136,15 @@ impl Device for FileDevice {
         Ok(SimDuration::from_measured(start.elapsed()))
     }
 
-    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
+    /// One positioned write a buffer, at consecutive offsets, timed
+    /// together as the one command they are.
+    fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> Result<SimDuration> {
         let start = Instant::now();
-        self.file.write_all_at(data, self.base + offset)?;
+        let mut at = self.base + offset;
+        for buf in bufs {
+            self.file.write_all_at(buf, at)?;
+            at += buf.len() as u64;
+        }
         Ok(SimDuration::from_measured(start.elapsed()))
     }
 

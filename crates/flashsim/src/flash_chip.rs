@@ -9,7 +9,7 @@
 //! BufferHash's "one partition per super table, written circularly" layout
 //! (§5.2) is designed directly against this interface.
 
-use crate::device::Device;
+use crate::device::{list_len, Device};
 use crate::error::{DeviceError, Result};
 use crate::geometry::Geometry;
 use crate::profiles::DeviceProfile;
@@ -90,9 +90,9 @@ impl Device for FlashChip {
         Ok(self.profile.read_cost.cost(pages as usize * self.profile.page_size as usize))
     }
 
-    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
+    fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> Result<SimDuration> {
         let first = self.geometry.page_of(offset);
-        let last = self.geometry.page_of(offset + data.len() as u64 - 1);
+        let last = self.geometry.page_of(offset + list_len(bufs) as u64 - 1);
         if let Some(page) = (first..=last).find(|&page| self.is_programmed(page)) {
             return Err(DeviceError::WriteToDirtyPage {
                 page_offset: self.geometry.page_offset(page),
@@ -101,7 +101,7 @@ impl Device for FlashChip {
         for page in first..=last {
             self.set_programmed(page, true);
         }
-        self.store.write(offset, data);
+        self.store.write_list(offset, bufs);
         let pages = last - first + 1;
         Ok(self.profile.write_cost.cost(pages as usize * self.profile.page_size as usize))
     }

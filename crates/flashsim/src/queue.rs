@@ -50,12 +50,14 @@ pub enum IoRequest {
         /// Number of bytes to read.
         len: usize,
     },
-    /// Write `data` starting at byte `offset`.
+    /// Write `bufs` in order at consecutive offsets from byte `offset`:
+    /// one command over their concatenation
+    /// ([`Device::write_list_at`](crate::Device::write_list_at)).
     Write {
         /// Byte offset of the first byte to write.
         offset: u64,
-        /// Bytes to write.
-        data: Vec<u8>,
+        /// The buffers to write, in order.
+        bufs: Vec<Vec<u8>>,
     },
     /// Erase the erase block with index `block` (raw flash chips).
     Erase {
@@ -77,9 +79,15 @@ impl IoRequest {
         IoRequest::Read { offset, len }
     }
 
-    /// Convenience constructor for a write request.
+    /// Convenience constructor for a write of one buffer.
     pub fn write(offset: u64, data: Vec<u8>) -> Self {
-        IoRequest::Write { offset, data }
+        IoRequest::Write { offset, bufs: vec![data] }
+    }
+
+    /// Convenience constructor for a write of `bufs`, in order, as one
+    /// command.
+    pub fn write_list(offset: u64, bufs: Vec<Vec<u8>>) -> Self {
+        IoRequest::Write { offset, bufs }
     }
 
     /// The byte range this request touches, if it addresses bytes directly
@@ -88,7 +96,9 @@ impl IoRequest {
     pub fn byte_range(&self) -> Option<(u64, u64)> {
         match self {
             IoRequest::Read { offset, len } => Some((*offset, *offset + *len as u64)),
-            IoRequest::Write { offset, data } => Some((*offset, *offset + data.len() as u64)),
+            IoRequest::Write { offset, bufs } => {
+                Some((*offset, *offset + bufs.iter().map(Vec::len).sum::<usize>() as u64))
+            }
             IoRequest::Trim { offset, len } => Some((*offset, *offset + *len)),
             IoRequest::Erase { .. } => None,
         }
@@ -335,6 +345,8 @@ mod tests {
     fn byte_ranges_cover_addressed_requests() {
         assert_eq!(IoRequest::read(10, 5).byte_range(), Some((10, 15)));
         assert_eq!(IoRequest::write(0, vec![1, 2]).byte_range(), Some((0, 2)));
+        let list = IoRequest::write_list(8, vec![vec![1; 3], vec![], vec![2; 4]]);
+        assert_eq!(list.byte_range(), Some((8, 15)), "a list covers its concatenation");
         assert_eq!(IoRequest::Trim { offset: 4, len: 4 }.byte_range(), Some((4, 8)));
         assert_eq!(IoRequest::Erase { block: 0 }.byte_range(), None);
     }

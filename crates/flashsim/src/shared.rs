@@ -147,8 +147,8 @@ impl<D: Device> SharedDevice<D> {
                 self.geometry.check_bounds(*offset, *len)?;
                 *offset += self.base;
             }
-            IoRequest::Write { offset, data } => {
-                self.geometry.check_bounds(*offset, data.len())?;
+            IoRequest::Write { offset, bufs } => {
+                self.geometry.check_bounds(*offset, bufs.iter().map(Vec::len).sum())?;
                 *offset += self.base;
             }
             IoRequest::Trim { offset, len } => {
@@ -187,9 +187,9 @@ impl<D: Device> Device for SharedDevice<D> {
         self.lock().medium_read(at, buf)
     }
 
-    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
+    fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> Result<SimDuration> {
         let at = self.base + offset;
-        self.lock().medium_write(at, data)
+        self.lock().medium_write(at, bufs)
     }
 
     fn medium_erase(&mut self, block: u64) -> Result<SimDuration> {

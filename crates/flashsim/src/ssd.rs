@@ -260,10 +260,10 @@ impl Device for Ssd {
         Ok(self.profile.read_cost.cost(bytes))
     }
 
-    fn medium_write(&mut self, offset: u64, data: &[u8]) -> Result<SimDuration> {
-        self.store.write(offset, data);
+    fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> Result<SimDuration> {
+        let len = self.store.write_list(offset, bufs);
         let first = self.geometry.page_of(offset);
-        let last = self.geometry.page_of(offset + data.len() as u64 - 1);
+        let last = self.geometry.page_of(offset + len as u64 - 1);
         let mut gc_cost = SimDuration::ZERO;
         for lpn in first..=last {
             gc_cost += self.map_write(lpn, false)?;

@@ -130,6 +130,16 @@ impl SparseStore {
         }
     }
 
+    /// Writes `bufs` in order at consecutive offsets from `offset`, as
+    /// [`write`](Self::write) of their concatenation, and returns its
+    /// length.
+    pub fn write_list(&mut self, offset: u64, bufs: &[&[u8]]) -> usize {
+        bufs.iter().fold(0, |at, buf| {
+            self.write(offset + at as u64, buf);
+            at + buf.len()
+        })
+    }
+
     /// Zeroes `[offset, offset+len)`, releasing the backing pages it covers
     /// whole.
     pub fn erase(&mut self, offset: u64, len: u64) {

@@ -711,8 +711,8 @@ impl Device for BadBlock {
     fn medium_read(&mut self, offset: u64, buf: &mut [u8]) -> flashsim::Result<SimDuration> {
         self.chip.medium_read(offset, buf)
     }
-    fn medium_write(&mut self, offset: u64, data: &[u8]) -> flashsim::Result<SimDuration> {
-        self.chip.medium_write(offset, data)
+    fn medium_write(&mut self, offset: u64, bufs: &[&[u8]]) -> flashsim::Result<SimDuration> {
+        self.chip.medium_write(offset, bufs)
     }
     fn medium_erase(&mut self, block: u64) -> flashsim::Result<SimDuration> {
         if block == self.bad {

@@ -66,7 +66,7 @@ fn filter_queries_and_memory_probes_do_not_allocate_up_to_64_incarnations() {
         let mut bank = FilterBank::new(FilterMode::BitSliced, slots as usize, 4096, 7);
         for inc in 0..slots {
             set.push_incarnation(keys(inc, 50));
-            bank.push_newest(&keys(inc, 50));
+            bank.push_newest(keys(inc, 50));
         }
         let probes = probes(slots);
         let mut found = 0;
@@ -92,7 +92,7 @@ fn filter_queries_and_memory_probes_do_not_allocate_up_to_64_incarnations() {
         SuperTable::new(0, 16 * 1024, 0.5, 16, FilterMode::BitSliced, 1 << 13, 6, layout);
     for seq in 0..16u64 {
         let meta = IncarnationMeta { flash_offset: seq * 16 * 1024, entries: 50, seq, epoch: 1 };
-        table.register_incarnation(meta, &keys(seq, 50));
+        table.register_incarnation(meta, keys(seq, 50));
     }
     let probes = probes(16);
     let mut live = 0;
@@ -142,7 +142,7 @@ fn filter_queries_and_memory_probes_do_not_allocate_up_to_64_incarnations() {
                 seq,
                 epoch: 1,
             };
-            table.register_incarnation(meta, &drained);
+            table.register_incarnation(meta, drained.iter().copied());
             seq += 1;
         }
     }

@@ -831,14 +831,21 @@ proptest! {
 /// the two devices need independent instances). Three requests in four
 /// land in one hot 64 KiB region, so a case of twenty has a dozen
 /// overlapping pairs for the ordering rules to get wrong; the rest roam
-/// the device and a little beyond its end.
+/// the device and a little beyond its end. Half the writes are lists of
+/// two buffers.
 fn build_requests(raw: &[(u8, u64, usize, u8)], capacity: u64) -> Vec<IoRequest> {
     raw.iter()
         .map(|&(kind, anywhere, len, fill)| {
             let offset = if kind / 4 % 4 == 0 { anywhere } else { anywhere % (64 << 10) };
             match kind % 4 {
                 0 => IoRequest::Read { offset, len },
-                1 => IoRequest::Write { offset, data: vec![fill; len] },
+                // An odd fill writes a list of two buffers, which the
+                // sequential side issues as their concatenation.
+                1 if fill % 2 == 1 => IoRequest::write_list(
+                    offset,
+                    vec![vec![fill; len / 3], vec![fill.wrapping_add(1); len - len / 3]],
+                ),
+                1 => IoRequest::write(offset, vec![fill; len]),
                 2 => IoRequest::Trim { offset, len: len as u64 },
                 _ => IoRequest::Erase { block: anywhere % (capacity / (128 * 1024) + 4) },
             }
@@ -860,7 +867,9 @@ fn issue_sequentially<D: Device>(
                 let mut buf = vec![0u8; *len];
                 device.read_at(*offset, &mut buf).map(|_| buf)
             }
-            IoRequest::Write { offset, data } => device.write_at(*offset, data).map(|_| Vec::new()),
+            IoRequest::Write { offset, bufs } => {
+                device.write_at(*offset, &bufs.concat()).map(|_| Vec::new())
+            }
             IoRequest::Erase { block } => device.erase_block(*block).map(|_| Vec::new()),
             IoRequest::Trim { offset, len } => device.trim(*offset, *len).map(|_| Vec::new()),
         })
