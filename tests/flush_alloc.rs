@@ -4,14 +4,14 @@
 //! buffer would ask for the whole run at once (16 images, 512 KiB, when
 //! every table of a 16-table store flushes in one call). Measured with an
 //! allocator that records, per thread, the largest request made, on a
-//! `FileDevice`, whose bytes live in a file: a simulated medium's own byte
-//! store would add its 256 KiB slab chunks to the count.
+//! `FileDevice`, whose bytes live in a file, and on an `Ssd`, whose byte
+//! store takes a 32 KiB slab chunk at a time, no more than one image.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bufferhash::{hash_with_seed, table_of, Clam, ClamConfig, IncarnationLayout};
-use flashsim::{Device, FileDevice};
+use flashsim::{Device, FileDevice, Ssd};
 
 struct LargestRequest;
 
@@ -51,14 +51,22 @@ fn largest_request_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 #[test]
 fn a_coalesced_flush_run_requests_no_more_than_one_image_at_a_time() {
+    let path = std::env::temp_dir().join(format!("clam-flush-alloc-{}", std::process::id()));
+    flush_one_run(FileDevice::create(&path, 8 << 20).unwrap());
+    std::fs::remove_file(&path).ok();
+    flush_one_run(Ssd::intel(8 << 20).unwrap());
+}
+
+/// Flushes all 16 tables of a store on `device` as one coalesced run, and
+/// checks the largest heap request the call makes.
+fn flush_one_run(device: impl Device) {
     let cfg = ClamConfig::small_test(8 << 20, 1 << 20).unwrap();
     let tables = cfg.num_super_tables();
     assert_eq!(tables, 16, "a stripe's geometry");
     let image =
         IncarnationLayout::new(cfg.buffer_bytes_per_table as usize, 4096).unwrap().total_bytes();
     let full = cfg.entries_per_incarnation();
-    let path = std::env::temp_dir().join(format!("clam-flush-alloc-{}", std::process::id()));
-    let mut clam = Clam::new(FileDevice::create(&path, 8 << 20).unwrap(), cfg).unwrap();
+    let mut clam = Clam::new(device, cfg).unwrap();
 
     // Fill every table's buffer to the brim without a flush, then hand
     // each table one more key in a single call: every table flushes in
@@ -87,11 +95,10 @@ fn a_coalesced_flush_run_requests_no_more_than_one_image_at_a_time() {
     assert_eq!(clam.device().stats().writes - writes_before, 1, "one device command");
     assert!(
         largest <= image,
-        "largest heap request {largest} bytes, one incarnation image is {image}"
+        "{}: largest heap request {largest} bytes, one incarnation image is {image}",
+        clam.device().profile().name
     );
     for (key, value) in fill.concat().into_iter().chain(last) {
         assert_eq!(clam.lookup(key).unwrap().value, Some(value));
     }
-    drop(clam);
-    std::fs::remove_file(&path).ok();
 }

@@ -42,11 +42,13 @@ proptest! {
     /// The sparse store against a flat byte array, at the backing page
     /// sizes of the flash chip, the SSD and the DRAM and disk models. Half
     /// the ops are whole-page writes whose written prefixes shrink and grow
-    /// within a 256-byte size class and across classes; the rest are
-    /// writes anywhere (straddling pages), all-zero writes and erases,
-    /// which release pages. After every op the whole store and the op's
-    /// own range read back as the array does, and exactly the pages that
-    /// hold a non-zero byte are resident.
+    /// within a size class and across classes; the rest are writes
+    /// anywhere (straddling pages), all-zero writes and erases, which
+    /// release pages. After every op the whole store and the op's own range
+    /// read back as the array does, exactly the pages that hold a non-zero
+    /// byte are resident, and the slabs hold at most the resident pages'
+    /// prefixes rounded up to their classes, plus one partly filled chunk
+    /// and one spare chunk for every class a page has held.
     #[test]
     fn sparse_store_matches_a_flat_oracle_at_every_backend_page_size(
         page_pick in 0usize..3,
@@ -56,6 +58,9 @@ proptest! {
         let page = [2_048, 4_096, 65_536][page_pick];
         let mut store = SparseStore::new(page);
         let mut oracle = vec![0u8; PAGES * page];
+        let class_bytes = |len: usize| len.next_multiple_of(SparseStore::GRAIN).min(page);
+        let chunk_bytes = |slot: usize| (SparseStore::CHUNK / slot).max(1) * slot;
+        let mut classes = std::collections::BTreeSet::new();
         for (kind, pos, grains, extra, len) in ops {
             let (offset, len) = if kind < 4 {
                 ((pos as usize % PAGES) * page, page)
@@ -91,8 +96,16 @@ proptest! {
             let mut window = vec![0xEE; len];
             store.read(offset as u64, &mut window);
             prop_assert!(window[..] == oracle[range]);
-            let written = oracle.chunks(page).filter(|p| p.iter().any(|&b| b != 0)).count();
-            prop_assert_eq!(store.resident_pages(), written);
+            let prefixes: Vec<usize> = oracle
+                .chunks(page)
+                .map(|p| p.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1))
+                .filter(|&len| len > 0)
+                .collect();
+            prop_assert_eq!(store.resident_pages(), prefixes.len());
+            classes.extend(prefixes.iter().map(|&len| class_bytes(len)));
+            let live: usize = prefixes.iter().map(|&len| class_bytes(len)).sum();
+            let bound = live + classes.iter().map(|&slot| 2 * chunk_bytes(slot)).sum::<usize>();
+            prop_assert!(store.resident_bytes() <= bound, "{} slab bytes over the bound {}", store.resident_bytes(), bound);
         }
     }
 
