@@ -277,6 +277,7 @@ mod tests {
         store.read(1 << 30, &mut buf);
         assert!(buf.iter().all(|&b| b == 0));
         assert_eq!(store.resident_pages(), 0);
+        assert_eq!(store.resident_bytes(), 0, "no chunk before the first write");
     }
 
     #[test]
