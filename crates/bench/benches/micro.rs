@@ -13,7 +13,7 @@ use std::hint::black_box;
 
 use bufferhash::{
     crc32, page_crc, BitSlicedBloomSet, BloomFilter, Clam, ClamConfig, CuckooBuffer, Entry,
-    IncarnationIdentity, IncarnationLayout, StripedClam, ENTRY_SIZE, PAGE_HEADER_SIZE,
+    IncarnationIdentity, IncarnationLayout, ENTRY_SIZE, PAGE_HEADER_SIZE,
 };
 use flashsim::{
     CompletionRing, Device, FileDevice, IoRequest, LatencyRecorder, RingRequest, SimDuration,
@@ -342,21 +342,20 @@ fn bench_file_read(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-/// The read path of the lookups that lead an idle `clamd` shard, on a
-/// stripe whose keys all sit in its buffers: eight scalar lookups (eight
-/// lock acquisitions, eight ring-pipeline calls) against one
-/// `lookup_batch` of eight (one of each), as a socket read of eight
+/// The read path of the lookups that lead an idle `clamd` shard, on an
+/// owned one-stripe `Clam` whose keys all sit in its buffers, as a
+/// shard's leader calls it: eight scalar lookups (eight ring-pipeline
+/// calls) against one `lookup_batch` of eight, as a socket read of eight
 /// lookups to one shard makes (DESIGN.md "The batcher").
 fn bench_stripe_read(c: &mut Criterion) {
     let mut group = c.benchmark_group("stripe_read");
     let config = ClamConfig::small_test(4 << 20, 1 << 20).expect("config");
-    let clam = Clam::new(Ssd::intel(4 << 20).expect("ssd"), config).expect("clam");
-    let store = StripedClam::new(vec![clam]);
+    let mut clam = Clam::new(Ssd::intel(4 << 20).expect("ssd"), config).expect("clam");
     let keys: Vec<u64> = (0..1024u64).map(|i| bufferhash::hash_with_seed(i, 3)).collect();
     for &key in &keys {
-        store.insert(key, key).expect("insert");
+        clam.insert(key, key).expect("insert");
     }
-    let resident = keys.iter().all(|&key| store.lookup(key).expect("lookup").flash_reads == 0);
+    let resident = keys.iter().all(|&key| clam.lookup(key).expect("lookup").flash_reads == 0);
     assert!(resident, "buffer-resident");
     let runs = keys.chunks(8).cycle();
     group.bench_function("lookup_x8", |b| {
@@ -364,14 +363,14 @@ fn bench_stripe_read(c: &mut Criterion) {
         b.iter(|| {
             let mut out = [None; 8];
             for (slot, &key) in out.iter_mut().zip(runs.next().expect("cycled")) {
-                *slot = store.lookup(key).ok();
+                *slot = clam.lookup(key).ok();
             }
             black_box(out)
         })
     });
     group.bench_function("lookup_batch_8", |b| {
         let mut runs = runs.clone();
-        b.iter(|| black_box(store.lookup_batch(runs.next().expect("cycled")).expect("batch")))
+        b.iter(|| black_box(clam.lookup_batch(runs.next().expect("cycled")).expect("batch")))
     });
     group.finish();
 }

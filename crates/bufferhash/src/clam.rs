@@ -40,9 +40,9 @@
 //!
 //! A `Clam` takes **no locks**: its super tables, device, log allocator,
 //! ring state and statistics are plain fields, and every operation that
-//! answers a request needs `&mut self`. Sharing one between threads is
-//! [`SharedClam`](crate::SharedClam)'s job (one lock per stripe;
-//! DESIGN.md "Locks").
+//! answers a request needs `&mut self`. A stripe has one caller at a
+//! time: `clamd` hands each stripe's `Clam` to whichever reader leads its
+//! shard (DESIGN.md "Locks").
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};

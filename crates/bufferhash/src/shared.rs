@@ -1,29 +1,28 @@
-//! Thread-safe CLAM wrappers.
+//! A CLAM striped over several devices, and the lock its `&self` calls
+//! take.
 //!
-//! The systems the paper targets (WAN optimizers, dedup servers, content
-//! directories) serve many connections at once. [`SharedClam`] wraps a
-//! [`Clam`] in a [`parking_lot::Mutex`] behind an [`Arc`] so worker
-//! threads can share one index, and [`StripedClam`] stripes the key space
-//! across several independent CLAMs (each typically on its own SSD, as
-//! §5.2 suggests), each behind its own lock, so callers on different
-//! threads that touch different stripes proceed in parallel.
+//! [`StripedClam`] stripes the key space across independent CLAMs (each
+//! typically on its own SSD, as §5.2 suggests), routed by
+//! [`StripeRouter`]. An owner that runs each stripe itself, as `clamd`'s
+//! shards do, takes them out with [`StripedClam::into_stripes`] and calls
+//! every [`Clam`] with no lock. Until then each stripe sits in a
+//! [`SharedClam`], whose one lock the store's `&self` entry points and
+//! the repo benchmark's stripe handles take; nothing else does.
 //!
 //! The per-op methods ([`StripedClam::insert`], [`StripedClam::lookup`],
-//! …) pay one call per operation. High-throughput callers should prefer
-//! the batched path ([`SharedClam::insert_batch`],
-//! [`StripedClam::insert_batch`], [`StripedClam::lookup_batch`]): a batch
-//! is partitioned by stripe and each stripe's sub-batch runs as one call
-//! of the underlying [`Clam`] pipeline (amortized dispatch overhead plus
-//! coalesced flush writes).
+//! …) pay one call per operation. The batched path
+//! ([`StripedClam::insert_batch`], [`StripedClam::lookup_batch`])
+//! partitions a batch by stripe and runs each stripe's sub-batch as one
+//! call of the underlying [`Clam`] pipeline (amortized dispatch overhead
+//! plus coalesced flush writes).
 //!
 //! Stripe sub-batches are **accounted as concurrent**: each stripe models
-//! an independent device (one SSD per stripe, §5.2), so
-//! [`StripedClam::insert_batch`] reports the batch latency as the *maximum
-//! over stripes* rather than the sum — the same max-over-lanes accounting
-//! the [`flashsim` submission queues](flashsim::queue) use below it. On
-//! the host every call runs its stripes on the caller's thread, one after
-//! another in stripe order, and starts no thread (DESIGN.md "Stripes and
-//! threads").
+//! an independent device (one SSD per stripe, §5.2), so a batch reports
+//! its latency as the *maximum over stripes* rather than the sum — the
+//! same max-over-lanes accounting the [`flashsim` submission
+//! queues](flashsim::queue) use below it. On the host every call runs its
+//! stripes on the caller's thread, one after another in stripe order, and
+//! starts no thread (DESIGN.md "Stripes and threads").
 //! [`StripedClam::lookup_batch`] composes both levels of overlap on the
 //! simulated clock: stripes are independent, and within each stripe the
 //! queued probe pipeline ([`Clam::lookup_batch`]) overlaps flash page
@@ -32,15 +31,11 @@
 //! ## Locks
 //!
 //! One [`parking_lot::Mutex`] per stripe, and nothing under it: a
-//! [`Clam`] takes no locks of its own (DESIGN.md "Locks" has the
-//! measurement that settled this). Every call on a stripe — inserts,
-//! deletes, lookups, `flush_all`, [`SharedClam::stats`],
-//! [`SharedClam::with`] — holds it for the whole call, so a reader can
-//! never observe a half-applied write, and a stripe has one read path:
-//! the ring pipeline of [`Clam::lookup_batch`], of which a scalar lookup
-//! is a batch of one. Callers on different threads run different
-//! stripes in parallel; calls on one stripe take turns, as they would on
-//! the one SSD the paper gives each partition.
+//! [`Clam`] takes no locks of its own (DESIGN.md "Locks"). Every
+//! [`SharedClam::with`] holds it for the whole call, so a reader can
+//! never observe a half-applied write. Callers on different threads run
+//! different stripes in parallel; calls on one stripe take turns, as they
+//! would on the one SSD the paper gives each partition.
 
 use std::sync::Arc;
 
@@ -55,7 +50,8 @@ use crate::recovery::RecoveryReport;
 use crate::stats::ClamStats;
 use crate::types::{group_stable, hash_with_seed, Key, Modulus, Value};
 
-/// A cloneable, thread-safe handle to a single CLAM.
+/// A cloneable handle to one stripe's lock: the [`Clam`] a
+/// [`StripedClam`] holds until [`StripedClam::into_stripes`].
 pub struct SharedClam<D: Device> {
     clam: Arc<Mutex<Clam<D>>>,
 }
@@ -73,57 +69,13 @@ impl<D: Device> SharedClam<D> {
     }
 
     /// Runs `f` with exclusive access to the underlying CLAM: the stripe's
-    /// lock, held for the whole of `f`. Every call of this handle goes
-    /// through here.
+    /// lock, held for the whole of `f`.
     pub fn with<R>(&self, f: impl FnOnce(&mut Clam<D>) -> R) -> R {
         f(&mut self.clam.lock())
     }
 
-    /// Inserts (or updates) a key; updates are lazy, as in
-    /// [`Clam::insert`].
-    pub fn insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
-        self.with(|c| c.insert(key, value))
-    }
-
-    /// Looks up a key: a batch of one through the ring pipeline, charged
-    /// one per-op dispatch (see [`Clam::lookup`]).
-    pub fn lookup(&self, key: Key) -> Result<LookupOutcome> {
-        self.with(|c| c.lookup(key))
-    }
-
-    /// Inserts a batch of key/value pairs through the batched CLAM
-    /// pipeline ([`Clam::insert_batch`]) under one lock acquisition.
-    pub fn insert_batch(&self, ops: &[(Key, Value)]) -> Result<BatchInsertOutcome> {
-        self.with(|c| c.insert_batch(ops))
-    }
-
-    /// Looks up a batch of keys through the streaming ring pipeline under
-    /// one lock acquisition, returning one outcome per key in input order
-    /// plus the batch's makespan-accounted latency (see
-    /// [`Clam::lookup_batch`]).
-    pub fn lookup_batch(&self, keys: &[Key]) -> Result<BatchLookupOutcome> {
-        self.with(|c| c.lookup_batch(keys))
-    }
-
-    /// Deletes a key.
-    pub fn delete(&self, key: Key) -> Result<()> {
-        self.with(|c| c.delete(key))?;
-        Ok(())
-    }
-
-    /// Flushes every non-empty buffer to flash under one lock acquisition
-    /// (see [`Clam::flush_all`]). Returns the total simulated latency.
-    pub fn flush_all(&self) -> Result<SimDuration> {
-        self.with(|c| c.flush_all())
-    }
-
-    /// Snapshot of the operation statistics.
-    pub fn stats(&self) -> ClamStats {
-        self.with(|c| c.stats().clone())
-    }
-
-    /// Unwraps the sole handle back into the CLAM (for crash-simulation
-    /// tests that keep only the device). Panics if other clones exist.
+    /// Unwraps the sole handle back into the CLAM. Panics if other clones
+    /// exist.
     pub fn into_clam(self) -> Clam<D> {
         match Arc::try_unwrap(self.clam) {
             Ok(clam) => clam.into_inner(),
@@ -202,17 +154,17 @@ impl<D: Device> StripedClam<D> {
     /// Inserts (or updates) a key on its stripe; updates are lazy, as in
     /// [`Clam::insert`].
     pub fn insert(&self, key: Key, value: Value) -> Result<InsertOutcome> {
-        self.stripe_of(key).insert(key, value)
+        self.stripe_of(key).with(|c| c.insert(key, value))
     }
 
     /// Looks up a key on its stripe.
     pub fn lookup(&self, key: Key) -> Result<LookupOutcome> {
-        self.stripe_of(key).lookup(key)
+        self.stripe_of(key).with(|c| c.lookup(key))
     }
 
     /// Deletes a key on its stripe.
     pub fn delete(&self, key: Key) -> Result<()> {
-        self.stripe_of(key).delete(key)
+        self.stripe_of(key).with(|c| c.delete(key)).map(drop)
     }
 
     /// Inserts a batch of key/value pairs, partitioned by stripe, the
@@ -249,7 +201,9 @@ impl<D: Device> StripedClam<D> {
         let (grouped, starts) = self.partition(ops);
         let results: Vec<_> = (0..self.stripes.len())
             .filter(|&idx| starts[idx + 1] > starts[idx])
-            .map(|idx| self.stripes[idx].insert_batch(&grouped[starts[idx]..starts[idx + 1]]))
+            .map(|idx| {
+                self.stripes[idx].with(|c| c.insert_batch(&grouped[starts[idx]..starts[idx + 1]]))
+            })
             .collect();
         let mut total = BatchInsertOutcome { ops: ops.len(), ..Default::default() };
         for result in results {
@@ -275,7 +229,8 @@ impl<D: Device> StripedClam<D> {
     /// max-over-stripes latency.
     pub fn flush_all(&self) -> Result<SimDuration> {
         // Every stripe is flushed even if an earlier one failed.
-        let results: Vec<_> = self.stripes.iter().map(|stripe| stripe.flush_all()).collect();
+        let results: Vec<_> =
+            self.stripes.iter().map(|stripe| stripe.with(Clam::flush_all)).collect();
         let mut max = SimDuration::ZERO;
         for latency in results {
             max = max.max(latency?);
@@ -304,7 +259,7 @@ impl<D: Device> StripedClam<D> {
         let mut total = BatchLookupOutcome::default();
         for share in order.chunk_by(|a, b| a.0 == b.0) {
             let share_keys: Vec<Key> = share.iter().map(|&(_, pos)| keys[pos]).collect();
-            let stripe_batch = self.stripes[share[0].0].lookup_batch(&share_keys)?;
+            let stripe_batch = self.stripes[share[0].0].with(|c| c.lookup_batch(&share_keys))?;
             total.latency = total.latency.max(stripe_batch.latency);
             total.probe_latency = total.probe_latency.max(stripe_batch.probe_latency);
             total.waves = total.waves.max(stripe_batch.waves);
@@ -324,12 +279,14 @@ impl<D: Device> StripedClam<D> {
     pub fn stats(&self) -> ClamStats {
         let mut total = ClamStats::new();
         for stripe in &self.stripes {
-            total.absorb(&stripe.stats());
+            stripe.with(|c| total.absorb(c.stats()));
         }
         total
     }
 
-    /// A cloneable handle to stripe `i` (for per-thread pinning).
+    /// A handle to stripe `i`'s lock, which the repo benchmark's ladder
+    /// (`benchmark/src/ladder.rs`) takes; an owner that runs its stripes
+    /// takes them with [`into_stripes`](Self::into_stripes) instead.
     pub fn stripe(&self, i: usize) -> Option<SharedClam<D>> {
         self.stripes.get(i).cloned()
     }
@@ -375,16 +332,16 @@ mod tests {
             handles.push(thread::spawn(move || {
                 for i in 0..5_000u64 {
                     let k = key(t * 1_000_000 + i);
-                    handle.insert(k, i).unwrap();
-                    assert_eq!(handle.lookup(k).unwrap().value, Some(i));
+                    handle.with(|c| c.insert(k, i)).unwrap();
+                    assert_eq!(handle.with(|c| c.lookup(k)).unwrap().value, Some(i));
                 }
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(shared.stats().inserts.len(), 20_000);
-        assert!(shared.stats().lookup_hits >= 20_000);
+        assert_eq!(shared.with(|c| c.stats().inserts.len()), 20_000);
+        assert!(shared.with(|c| c.stats().lookup_hits) >= 20_000);
     }
 
     #[test]
@@ -417,7 +374,7 @@ mod tests {
     #[test]
     fn shared_clam_with_gives_exclusive_access() {
         let shared = SharedClam::new(clam());
-        shared.insert(key(1), 1).unwrap();
+        shared.with(|c| c.insert(key(1), 1)).unwrap();
         let flushes = shared.with(|c| {
             c.flush_all().unwrap();
             c.stats().flushes
@@ -441,7 +398,7 @@ mod tests {
         let stats = striped.stats();
         assert_eq!(stats.inserts.len(), 10_000);
         for s in 0..3 {
-            let stripe_inserts = striped.stripe(s).unwrap().stats().inserts.len();
+            let stripe_inserts = striped.stripe(s).unwrap().with(|c| c.stats().inserts.len());
             assert!(
                 stripe_inserts > 1_000,
                 "stripe {s} got only {stripe_inserts} inserts; routing is unbalanced"
@@ -473,15 +430,15 @@ mod tests {
     fn shared_clam_batch_round_trips() {
         let shared = SharedClam::new(clam());
         let ops: Vec<(u64, u64)> = (0..5_000u64).map(|i| (key(i), i * 2)).collect();
-        let out = shared.insert_batch(&ops).unwrap();
+        let out = shared.with(|c| c.insert_batch(&ops)).unwrap();
         assert_eq!(out.ops, 5_000);
         let keys: Vec<u64> = ops.iter().map(|(k, _)| *k).collect();
-        let found = shared.lookup_batch(&keys).unwrap();
+        let found = shared.with(|c| c.lookup_batch(&keys)).unwrap();
         for (i, outcome) in found.outcomes.iter().enumerate() {
             assert_eq!(outcome.value, Some(i as u64 * 2), "key {i}");
         }
-        assert_eq!(shared.stats().batched_inserts, 5_000);
-        assert_eq!(shared.stats().batched_lookups, 5_000);
+        assert_eq!(shared.with(|c| c.stats().batched_inserts), 5_000);
+        assert_eq!(shared.with(|c| c.stats().batched_lookups), 5_000);
     }
 
     #[test]
@@ -506,7 +463,7 @@ mod tests {
         let histogram_total: u64 = stats.flash_reads_histogram.iter().sum();
         assert_eq!(histogram_total, stats.lookups.len() as u64);
         for s in 0..3 {
-            assert!(striped.stripe(s).unwrap().stats().batched_inserts > 1_000);
+            assert!(striped.stripe(s).unwrap().with(|c| c.stats().batched_inserts) > 1_000);
         }
     }
 
@@ -714,7 +671,7 @@ mod tests {
                         .copied()
                         .filter(|op| by_hand.stripe_index(op.0) == idx)
                         .collect();
-                    by_hand.stripe(idx).unwrap().insert_batch(&share).unwrap()
+                    by_hand.stripe(idx).unwrap().with(|c| c.insert_batch(&share)).unwrap()
                 })
                 .collect();
             // The batch latency is the maximum over the stripes; the
@@ -782,7 +739,7 @@ mod tests {
                     .enumerate()
                     .filter(|&(_, k)| by_hand.stripe_index(k) == idx)
                     .unzip();
-                let out = by_hand.stripe(idx).unwrap().lookup_batch(&share).unwrap();
+                let out = by_hand.stripe(idx).unwrap().with(|c| c.lookup_batch(&share)).unwrap();
                 slowest = slowest.max(out.latency);
                 for (pos, outcome) in at.into_iter().zip(out) {
                     expected[pos] = Some(outcome);
@@ -800,15 +757,6 @@ mod tests {
 
     #[test]
     fn wrappers_expose_the_full_clam_surface() {
-        let shared = SharedClam::new(clam());
-        shared.insert(key(1), 1).unwrap();
-        shared.insert(key(1), 2).unwrap();
-        assert_eq!(shared.lookup(key(1)).unwrap().value, Some(2));
-        let flushed = shared.flush_all().unwrap();
-        assert!(flushed > flashsim::SimDuration::ZERO);
-        shared.delete(key(1)).unwrap();
-        assert_eq!(shared.lookup(key(1)).unwrap().value, None);
-
         let striped = StripedClam::new(vec![clam(), clam()]);
         for i in 0..500u64 {
             striped.insert(key(i), i).unwrap();
@@ -952,10 +900,10 @@ mod tests {
                     let got = if keys > 1 {
                         batched += 1;
                         let keys: Vec<Key> = picks.iter().map(|&(_, k)| k).collect();
-                        shared.lookup_batch(&keys).unwrap().outcomes
+                        shared.with(|c| c.lookup_batch(&keys)).unwrap().outcomes
                     } else {
                         scalar += 1;
-                        vec![shared.lookup(picks[0].1).unwrap()]
+                        vec![shared.with(|c| c.lookup(picks[0].1)).unwrap()]
                     };
                     let ceiling = intent.load(SeqCst);
                     progress.fetch_add(1, SeqCst);
@@ -1036,13 +984,13 @@ mod tests {
                     .map(|k| (k, round))
                     .collect();
                 let t = tomb(round % TOMBS);
-                shared.insert(t, round).unwrap();
+                shared.with(|c| c.insert(t, round)).unwrap();
                 for chunk in ops.chunks(64) {
-                    shared.insert_batch(chunk).unwrap();
+                    shared.with(|c| c.insert_batch(chunk)).unwrap();
                 }
-                shared.delete(t).unwrap();
+                shared.with(|c| c.delete(t)).unwrap();
                 if round.is_multiple_of(3) {
-                    shared.flush_all().unwrap();
+                    shared.with(Clam::flush_all).unwrap();
                 }
                 done.store(round, SeqCst);
                 let read_enough = progress.iter().all(|p| p.load(SeqCst) >= 2_000);
@@ -1054,7 +1002,7 @@ mod tests {
             readers.map(|r| r.join().expect("a reader's register check failed"))
         });
 
-        let (stats, trims) = (shared.stats(), shared.with(|c| c.device().stats().trims));
+        let (stats, trims) = shared.with(|c| (c.stats().clone(), c.device().stats().trims));
         assert!(stats.flushes > 64 && trims > 0, "the log must wrap and evict: {stats}");
         for (scalar, batched, checked, discarded) in counts {
             assert!(scalar > 0 && batched > 0, "both entry points must have run: {counts:?}");

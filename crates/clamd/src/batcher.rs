@@ -3,8 +3,8 @@
 //! coalesced ring admissions. DESIGN.md ("The batcher") has the reasoning.
 //!
 //! A **shard** owns a stripe, and a request routes to the shard of its
-//! key's stripe ([`StripeRouter`]). A gather takes up to
-//! [`BatcherConfig::max_batch`] queued requests and cuts them into
+//! key's stripe ([`StripeRouter`]). A gather takes up to `MAX_BATCH`
+//! (512) queued requests and cuts them into
 //! **conflict-free segments**, no key under two kinds of operation; each
 //! runs as one [`Clam::insert_batch`], one [`Clam::lookup_batch`], then its
 //! deletes. FLUSH and STATS run between segments.
@@ -48,22 +48,17 @@ use self::core::{DeletePart, InsertPart, LookupPart, Segment, ShardCore, Step, S
 use crate::proto::{Op, Request, RespBody, Response, WireError};
 use crate::stats::ServerStats;
 
-/// Tuning knobs for the group-commit batcher.
-#[derive(Debug, Clone)]
-pub struct BatcherConfig {
-    /// Largest gather, in requests. A gather takes at least one request,
-    /// so `0` gathers one at a time.
-    pub max_batch: usize,
-    /// Ignored: the engine runs one shard per stripe. Kept only because
-    /// the repo benchmark (`benchmark/src/store.rs`) still sets it; goes
-    /// when the benchmark stops setting it.
-    pub shards: usize,
-}
+/// The largest gather, in requests: far above what served traffic
+/// gathers, so the queue, not this bound, shapes a gather.
+const MAX_BATCH: usize = 512;
 
-impl Default for BatcherConfig {
-    fn default() -> Self {
-        BatcherConfig { max_batch: 512, shards: 0 }
-    }
+/// What the group-commit batcher is told: nothing it reads. Kept only
+/// because the repo benchmark (`benchmark/src/store.rs`) still builds one;
+/// goes when the benchmark stops.
+#[derive(Debug, Clone, Default)]
+pub struct BatcherConfig {
+    /// Ignored: the engine runs one shard per stripe.
+    pub shards: usize,
 }
 
 /// Where one part's answer goes: the connection as resolved when its
@@ -302,7 +297,9 @@ struct Shared<S> {
     /// Routes a key to its stripe's shard: shard `i` owns stripe `i`.
     router: StripeRouter,
     recovery: Vec<RecoveryReport>,
-    config: BatcherConfig,
+    /// The largest gather: [`MAX_BATCH`], or one for a test whose
+    /// requests must each be a gather of their own.
+    max_batch: usize,
     shards: Vec<Shard<S>>,
     conns: Mutex<HashMap<u64, Arc<ConnEntry>>>,
     /// Process-wide counters and the shutdown-time depth snapshot; what
@@ -329,14 +326,11 @@ impl<D: Device + 'static> Engine<D> {
     /// CLAM (a live [`StripedClam::stripe`] handle panics); no thread is
     /// started. `recovery` carries the per-stripe reports when the store
     /// was recovered from an existing flash image (empty for a fresh
-    /// boot); STATS responses include them.
-    pub fn start(
-        store: StripedClam<D>,
-        recovery: Vec<RecoveryReport>,
-        config: BatcherConfig,
-    ) -> Self {
+    /// boot); STATS responses include them. The engine reads nothing of
+    /// the [`BatcherConfig`].
+    pub fn start(store: StripedClam<D>, recovery: Vec<RecoveryReport>, _: BatcherConfig) -> Self {
         let stripes = store.into_stripes().into_iter().map(Box::new).collect();
-        let shared = Shared { recovery, ..Shared::new(config, stripes) };
+        let shared = Shared { recovery, ..Shared::new(stripes) };
         Engine { shared: Arc::new(shared) }
     }
 
@@ -487,13 +481,13 @@ impl<D: Device + 'static> Engine<D> {
 impl<S: StepStore> Shared<S> {
     /// Shard `i` owns `stripes[i]`, keys routed as a [`StripedClam`] of as
     /// many stripes routes them. No reports.
-    fn new(config: BatcherConfig, stripes: Vec<S>) -> Self {
+    fn new(stripes: Vec<S>) -> Self {
         let shard =
             |stripe| Shard { core: Mutex::new(ShardCore::new(stripe)), polled: Condvar::new() };
         Shared {
             router: StripeRouter::new(stripes.len()),
             recovery: Vec::new(),
-            config,
+            max_batch: MAX_BATCH,
             shards: stripes.into_iter().map(shard).collect(),
             conns: Mutex::new(HashMap::new()),
             stats: Mutex::new(ServerStats::new()),
@@ -540,7 +534,7 @@ impl<S: StepStore> Shared<S> {
         loop {
             let mut core = shard.lock();
             let awaited = core.awaited();
-            let polled = core.poll(stripe, self.config.max_batch);
+            let polled = core.poll(stripe, self.max_batch);
             if awaited {
                 shard.polled.notify_all();
             }

@@ -280,14 +280,34 @@ fn the_default_engine_runs_one_shard_per_stripe() {
         ]
     });
     let ops: Vec<Op> = ops.collect();
-    // A twin store takes the same operations a key at a time.
-    let twin = striped(4);
+    // A twin's owned stripes take the same operations, each on the
+    // stripe its keys route to.
+    let mut twin = striped(4).into_stripes();
+    let router = StripeRouter::new(4);
     for op in &ops {
         match op {
-            Op::Insert { key, value } => drop(twin.insert(*key, *value).unwrap()),
-            Op::InsertBatch(pairs) => drop(twin.insert_batch(pairs).unwrap()),
-            Op::Lookup { key } => drop(twin.lookup(*key).unwrap()),
-            Op::LookupBatch(keys) => drop(twin.lookup_batch(keys).unwrap()),
+            Op::Insert { key, value } => {
+                twin[router.stripe_of(*key)].insert(*key, *value).unwrap();
+            }
+            Op::Lookup { key } => drop(twin[router.stripe_of(*key)].lookup(*key).unwrap()),
+            Op::InsertBatch(pairs) => {
+                for (i, stripe) in twin.iter_mut().enumerate() {
+                    let share: Vec<_> =
+                        pairs.iter().copied().filter(|p| router.stripe_of(p.0) == i).collect();
+                    if !share.is_empty() {
+                        stripe.insert_batch(&share).unwrap();
+                    }
+                }
+            }
+            Op::LookupBatch(keys) => {
+                for (i, stripe) in twin.iter_mut().enumerate() {
+                    let share: Vec<_> =
+                        keys.iter().copied().filter(|&k| router.stripe_of(k) == i).collect();
+                    if !share.is_empty() {
+                        drop(stripe.lookup_batch(&share).unwrap());
+                    }
+                }
+            }
             _ => unreachable!(),
         }
     }
@@ -298,7 +318,7 @@ fn the_default_engine_runs_one_shard_per_stripe() {
     let per_shard = engine.per_shard_stats();
     assert_eq!(per_shard.len(), 4);
     for (i, shard) in per_shard.iter().enumerate() {
-        let stripe = twin.stripe(i).unwrap().stats();
+        let stripe = twin[i].stats();
         assert!(shard.inserts > 0, "shard {i} served no insert");
         assert_eq!(shard.inserts, stripe.inserts.len() as u64, "shard {i}");
         assert_eq!(shard.lookups, stripe.lookups.len() as u64, "shard {i}");
@@ -308,24 +328,6 @@ fn the_default_engine_runs_one_shard_per_stripe() {
     let clam = engine.clam_stats();
     assert_eq!((clam.inserts.len(), clam.lookups.len()), (3 * 64, 3 * 64), "{clam}");
     engine.shutdown();
-}
-
-#[test]
-fn a_max_batch_of_zero_still_answers_every_request() {
-    let config = BatcherConfig { max_batch: 0, ..BatcherConfig::default() };
-    let engine = Engine::start(striped(2), Vec::new(), config);
-    let rx = engine.register_conn(1);
-    let ops = vec![
-        Op::Insert { key: 7, value: 70 },
-        Op::Insert { key: 8, value: 80 },
-        Op::Lookup { key: 7 },
-    ];
-    engine.submit_chunk(1, chunk(ops));
-    let found = RespBody::Value { found: true, value: 70 };
-    assert_eq!(bodies(&rx, 3), [RespBody::Inserted, RespBody::Inserted, found]);
-    engine.shutdown();
-    let stats = engine.stats();
-    assert_eq!((stats.batches, stats.batch_high_water), (3, 1), "{stats}");
 }
 
 #[test]
@@ -543,8 +545,8 @@ fn a_gather_that_panics_answers_internal_and_its_shard_runs_on() {
     // is still queued when the first one's gather panics.
     let keys = keys_on(0, 2, 2);
     let (armed, queued) = (keys[0], keys[1]);
-    let config = BatcherConfig { max_batch: 1, ..BatcherConfig::default() };
-    let shared = Arc::new(Shared::new(config, vec![HookedStripe::new(), HookedStripe::new()]));
+    let stripes = vec![HookedStripe::new(), HookedStripe::new()];
+    let shared = Arc::new(Shared { max_batch: 1, ..Shared::new(stripes) });
     let (rx1, rx2) = (inbox(&shared, 1), inbox(&shared, 2));
     let found = |value| RespBody::Value { found: true, value };
     let insert_both = |value| {
@@ -583,7 +585,7 @@ fn a_gather_that_panics_answers_internal_and_its_shard_runs_on() {
 #[test]
 fn stats_stay_exact_while_another_shard_is_led() {
     let stripes = vec![HookedStripe::new(), HookedStripe::new()];
-    let shared = Arc::new(Shared::new(BatcherConfig::default(), stripes));
+    let shared = Arc::new(Shared::new(stripes));
     let rx = inbox(&shared, 1);
     let submit = |conn, ops| {
         let shared = Arc::clone(&shared);

@@ -17,10 +17,12 @@ mod cli;
 use clamd::batcher::BatcherConfig;
 use clamd::server::{ClamdServer, ServerConfig};
 
-use cli::{flag_value, parse};
+use cli::{check_flags, flag_value, parse};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let valued = "--addr --stripes --flash-bytes --dram-bytes --flash-file --queue-depth";
+    check_flags(&args, valued, "--help -h");
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "clamd: fingerprint-lookup service over a CLAM\n\

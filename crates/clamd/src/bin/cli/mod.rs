@@ -6,6 +6,26 @@ use std::path::Path;
 use bufferhash::RecoveryReport;
 use clamd::server::{boot_image, BootError, FileStore, ServerConfig};
 
+/// Exits with status 2, naming the flag, unless every argument is a flag
+/// of `valued` followed by its value or a flag of `bare` (each list
+/// space-separated): an unknown flag would otherwise boot with a default
+/// in its place.
+pub fn check_flags(args: &[String], valued: &str, bare: &str) {
+    let listed = |list: &str, flag: &str| list.split_whitespace().any(|known| known == flag);
+    let mut words = args.iter();
+    while let Some(flag) = words.next() {
+        let refused = match (listed(valued, flag), listed(bare, flag)) {
+            (false, false) => "unknown flag",
+            (true, _) if words.next().is_none_or(|value| value.starts_with("--")) => {
+                "missing value for"
+            }
+            _ => continue,
+        };
+        eprintln!("{}: {refused} {flag}", env!("CARGO_BIN_NAME"));
+        std::process::exit(2);
+    }
+}
+
 /// The word after flag `name`, if it was given.
 pub fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())

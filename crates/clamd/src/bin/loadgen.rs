@@ -6,12 +6,12 @@
 //! rates at several multiples of it (under-load through past-saturation)
 //! and report, per level, the sustained throughput, the client-observed
 //! p50/p99/p999 latency and the server's group-commit shape over that
-//! window. Unless `--addr` points at a running server, an in-process
+//! window. Unless `--connect` points at a running server, an in-process
 //! sim-backed server is spawned on an ephemeral loopback port.
 //!
 //! The in-process server runs one batcher shard per stripe (`--stripes`)
 //! and can be file-backed (`--flash-file`; an existing image is
-//! recovered in place before the run). `--connect HOST:PORT` (alias: `--addr`) skips the in-process
+//! recovered in place before the run). `--connect HOST:PORT` skips the in-process
 //! server entirely and drives an already-running `clamd` — start one
 //! `clamd` process and point several `clamd-loadgen --connect` processes
 //! at it for a multi-process load test.
@@ -47,10 +47,16 @@ use clamd::server::{ephemeral_sim_server, BootError, ClamdServer, ServerConfig};
 use clamd::stats::ServerStats;
 use flashsim::{Device, Host, LatencyRecorder};
 
-use cli::{flag_value, parse};
+use cli::{check_flags, flag_value, parse};
+
+/// The flags that take a value.
+const VALUED: &str = "--connect --connections --ops --key-space --zipf-s --lookup-fraction \
+                      --hit-fraction --stripes --flash-bytes --dram-bytes --flash-file \
+                      --queue-depth --multiples --seed";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args, VALUED, "--smoke");
     if args.iter().any(|a| a == "--smoke") {
         match smoke() {
             Ok(()) => println!("SMOKE PASS"),
@@ -86,7 +92,7 @@ fn sweep_main(args: &[String]) -> Result<(), BootError> {
     // Either aim at a running server (multi-process client mode) or
     // spawn one in-process — sim-backed by default, file-backed (with
     // in-place recovery of an existing image) under --flash-file.
-    if let Some(addr) = flag_value(args, "--connect").or_else(|| flag_value(args, "--addr")) {
+    if let Some(addr) = flag_value(args, "--connect") {
         return sweep(addr.parse()?, &config, &multiples);
     }
     let server_config = ServerConfig {

@@ -231,7 +231,9 @@ fn plan(config: &LoadgenConfig) -> Vec<Vec<DueOp>> {
             };
             Op::Lookup { key: key_for(id) }
         } else {
-            let id = INSERT_ID_BASE + config.seed.wrapping_mul(1 << 22) + i as u64;
+            // Inside the insert range, `INSERT_ID_BASE..`, at any seed.
+            let offset = config.seed.wrapping_mul(1 << 22).wrapping_add(i as u64);
+            let id = INSERT_ID_BASE + offset % (u64::MAX - INSERT_ID_BASE);
             Op::Insert { key: key_for(id), value: value_for(id) }
         };
         plans[i % config.connections].push(DueOp { op, due_ns });
@@ -499,6 +501,29 @@ mod tests {
             assert!(!preloaded.contains(&key_for(INSERT_ID_BASE + i)));
         }
         assert_ne!(value_for(1), value_for(2));
+    }
+
+    #[test]
+    fn insert_ids_stay_in_their_range_at_any_seed() {
+        let key = |p: &DueOp| match p.op {
+            Op::Insert { key, .. } => key,
+            ref other => panic!("unexpected planned op {other:?}"),
+        };
+        // (2^42 - 1) * 2^22 wraps to 2^64 - 2^22, past the last id.
+        for seed in [(1 << 42) - 1, u64::MAX] {
+            let config = LoadgenConfig {
+                ops: 100,
+                lookup_fraction: Fraction(0.0),
+                seed,
+                ..Default::default()
+            };
+            let inserts: std::collections::HashSet<Key> =
+                plan(&config).iter().flatten().map(key).collect();
+            assert_eq!(inserts.len(), 100, "seed {seed}");
+            let hits = (1..=config.key_space).map(key_for);
+            let misses = (1..=100).map(|n| key_for(MISS_ID_BASE + n));
+            assert!(hits.chain(misses).all(|key| !inserts.contains(&key)), "seed {seed}");
+        }
     }
 
     #[test]

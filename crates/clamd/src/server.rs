@@ -551,30 +551,30 @@ mod tests {
         store.insert(key, 7).unwrap();
         store.flush_all().unwrap();
         drop(store);
-        // Rebooted, the key is on flash alone.
+        // Rebooted, the key is on flash alone. The stripes are owned, as
+        // a server's shards own them.
         let (store, _) = boot_file(&path, &config, 1).unwrap();
-        let stripe_0 = store.stripe(0).unwrap();
+        let [stripe_0, stripe_1] = &mut store.into_stripes()[..] else { panic!("two stripes") };
         let (locked, held) = std::sync::mpsc::channel();
         let (release, released) = std::sync::mpsc::channel::<()>();
         let (answer, answered) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
+            let device_0 = stripe_0.device();
             scope.spawn(move || {
-                stripe_0.with(|clam| {
-                    clam.device().with(|_| {
-                        locked.send(()).unwrap();
-                        let _ = released.recv();
-                    })
+                device_0.with(|_| {
+                    locked.send(()).unwrap();
+                    let _ = released.recv();
                 })
             });
             held.recv().unwrap();
-            let store = &store;
-            scope.spawn(move || drop(answer.send(store.lookup(key).map(|found| found.value))));
+            let read = &mut *stripe_1;
+            scope.spawn(move || drop(answer.send(read.lookup(key).map(|found| found.value))));
             let found = answered.recv_timeout(Duration::from_secs(5));
             release.send(()).unwrap();
             let found = found.expect("stripe 1's lookup waited for stripe 0's device lock");
             assert_eq!(found.unwrap(), Some(7));
         });
-        let source = &store.stats().lookups_by_source;
+        let source = &stripe_1.stats().lookups_by_source;
         assert_eq!(source[bufferhash::LookupSource::Flash as usize], 1, "read from flash");
         let _ = std::fs::remove_file(&path);
     }

@@ -1,8 +1,9 @@
 //! The binaries as processes. Their flag handling: a value that does not
 //! parse, or that the run could not honour, is refused with `invalid
 //! value` and exit status 2 before anything boots, never a panic or a
-//! hang. And `clamd` under a file-descriptor limit: running out for a
-//! moment does not stop it accepting.
+//! hang; so is a flag they do not know, or one with no value. And `clamd`
+//! under a file-descriptor limit: running out for a moment does not stop
+//! it accepting.
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
@@ -14,28 +15,72 @@ use clamd::ClamdClient;
 /// How long a refusal may take; a run still going after it is killed.
 const DEADLINE: Duration = Duration::from_secs(30);
 
-/// Runs `clamd-loadgen` on a small sweep with `flag value`; returns its
-/// exit code and stderr. A child still running at [`DEADLINE`] is killed
-/// and fails the test rather than hanging it.
-fn loadgen(flag: &str, value: &str) -> (Option<i32>, String) {
-    let args = ["--ops", "64", "--key-space", "64", flag, value];
-    let mut child = Command::new(env!("CARGO_BIN_EXE_clamd-loadgen"))
-        .args(args)
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
+/// Runs binary `bin` with `args`; returns its exit code and stderr. A
+/// child still running at [`DEADLINE`] is killed and fails the test
+/// rather than hanging it.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let mut child =
+        Command::new(bin).args(args).stdout(Stdio::null()).stderr(Stdio::piped()).spawn().unwrap();
     let started = Instant::now();
     while child.try_wait().unwrap().is_none() {
         if started.elapsed() > DEADLINE {
             child.kill().unwrap();
             child.wait().unwrap();
-            panic!("clamd-loadgen {args:?} still running after {DEADLINE:?}");
+            panic!("{bin} {args:?} still running after {DEADLINE:?}");
         }
         std::thread::sleep(Duration::from_millis(20));
     }
     let out = child.wait_with_output().unwrap();
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// Runs `clamd-loadgen` on a small sweep with `flag value`.
+fn loadgen(flag: &str, value: &str) -> (Option<i32>, String) {
+    run(env!("CARGO_BIN_EXE_clamd-loadgen"), &["--ops", "64", "--key-space", "64", flag, value])
+}
+
+/// Runs `args` on `bin`, checks they are refused, and that the refusal
+/// names `flag` as `what`.
+fn assert_flag_refused(bin: &str, args: &[&str], what: &str, flag: &str) {
+    let (code, stderr) = run(bin, args);
+    assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(&format!("{what} {flag}")), "{args:?}: {stderr}");
+}
+
+#[test]
+fn an_unknown_flag_is_refused_by_name() {
+    // `--stripe` for `--stripes`: at a default in its place, `clamd` would
+    // serve four stripes, not the one asked for.
+    let clamd = env!("CARGO_BIN_EXE_clamd");
+    let args = ["--addr", "127.0.0.1:0", "--stripe", "1"];
+    assert_flag_refused(clamd, &args, "unknown flag", "--stripe");
+    let loadgen = env!("CARGO_BIN_EXE_clamd-loadgen");
+    assert_flag_refused(
+        loadgen,
+        &["--ops", "64", "--connection", "2"],
+        "unknown flag",
+        "--connection",
+    );
+}
+
+#[test]
+fn a_flag_with_no_value_is_refused_by_name() {
+    let clamd = env!("CARGO_BIN_EXE_clamd");
+    let args = ["--addr", "127.0.0.1:0", "--stripes", "1", "--flash-bytes"];
+    assert_flag_refused(clamd, &args, "missing value for", "--flash-bytes");
+    let loadgen = env!("CARGO_BIN_EXE_clamd-loadgen");
+    assert_flag_refused(loadgen, &["--key-space", "64", "--ops"], "missing value for", "--ops");
+    // A flag where the value should be is no value either.
+    let args = ["--connect", "--ops", "64"];
+    assert_flag_refused(loadgen, &args, "missing value for", "--connect");
+}
+
+#[test]
+fn loadgen_takes_connect_not_addr() {
+    // `--addr` is where `clamd` listens; to `clamd-loadgen` it is no flag.
+    let loadgen = env!("CARGO_BIN_EXE_clamd-loadgen");
+    let args = ["--ops", "64", "--addr", "127.0.0.1:1"];
+    assert_flag_refused(loadgen, &args, "unknown flag", "--addr");
 }
 
 /// Runs `flag value`, checks it is refused, and returns the refusal.

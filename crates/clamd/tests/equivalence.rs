@@ -5,8 +5,8 @@
 //! angles:
 //!
 //! * store level — the same op sequence through a [`StripedClam`]'s public
-//!   entry points and, on a twin, with every call made on its stripe's
-//!   `Clam` through [`SharedClam::with`](bufferhash::SharedClam::with), over
+//!   entry points and, on a twin, through its stripes as `clamd` owns
+//!   them ([`StripedClam::into_stripes`], routed by [`StripeRouter`]), over
 //!   **all five** flashsim backends: every insert outcome and every
 //!   lookup's value and source against the model, per-key flash reads,
 //!   ledgers and raw device traffic between the twins, then the state
@@ -22,7 +22,10 @@
 
 use std::time::{Duration, Instant};
 
-use bufferhash::{hash_with_seed, Clam, ClamConfig, Key, LookupSource, StripedClam, Value};
+use bufferhash::{
+    hash_with_seed, Clam, ClamConfig, ClamStats, Key, LookupSource, StripeRouter, StripedClam,
+    Value,
+};
 use clamd::batcher::{BatcherConfig, Engine};
 use clamd::client::ClamdClient;
 use clamd::proto::{Op, Request, RespBody};
@@ -38,9 +41,11 @@ use clam_model::{ClamModel, Expected, Inserted};
 const STRIPES: usize = 4;
 const FLASH: u64 = 8 << 20;
 const DRAM: u64 = 2 << 20;
-/// Seed of [`StripedClam::stripe_index`]'s routing hash; the starvation
-/// test uses it to aim keys at specific stripes.
-const STRIPE_SEED: u64 = 0x57_e19e;
+
+/// The stripe that owns `key`, as the store and `clamd`'s shards route it.
+fn stripe_of(key: Key) -> usize {
+    StripeRouter::new(STRIPES).stripe_of(key)
+}
 
 /// A striped store, a handle on the device under it (to audit its I/O
 /// ledger and to recover from), and the per-stripe configuration.
@@ -81,18 +86,14 @@ impl StripedModel {
         StripedModel((0..STRIPES).map(|_| ClamModel::new(config)).collect())
     }
 
-    fn stripe_of(key: Key) -> usize {
-        (hash_with_seed(key, STRIPE_SEED) % STRIPES as u64) as usize
-    }
-
     fn insert(&mut self, key: Key, value: Value) -> Inserted {
-        self.0[Self::stripe_of(key)].insert(key, value)
+        self.0[stripe_of(key)].insert(key, value)
     }
 
     /// Each stripe's share of a batch, input order kept.
     fn shares(ops: &[(Key, Value)]) -> Vec<Vec<(Key, Value)>> {
         (0..STRIPES)
-            .map(|idx| ops.iter().copied().filter(|op| Self::stripe_of(op.0) == idx).collect())
+            .map(|idx| ops.iter().copied().filter(|op| stripe_of(op.0) == idx).collect())
             .collect()
     }
 
@@ -107,11 +108,11 @@ impl StripedModel {
     }
 
     fn delete(&mut self, key: Key) {
-        self.0[Self::stripe_of(key)].delete(key)
+        self.0[stripe_of(key)].delete(key)
     }
 
     fn lookup(&self, key: Key) -> Expected {
-        self.0[Self::stripe_of(key)].lookup(key)
+        self.0[stripe_of(key)].lookup(key)
     }
 
     fn flush_all(&mut self) {
@@ -130,30 +131,32 @@ impl StripedModel {
     }
 }
 
-/// Drives the sampled op sequence through both stores — `fast` by its
-/// public entry points, `locked` with every call made on the owning
-/// stripe's `Clam` — and asserts every outcome matches the model,
-/// then audits the whole keyspace, the two stores' ledgers, the raw flash
-/// traffic on the backing devices, and what a recovery from flash reads.
+/// Drives the sampled op sequence through a store's public entry points
+/// and through its twin's stripes, owned as `clamd` owns them, every call
+/// made on the `Clam` the router names; asserts every outcome matches the
+/// model, then audits the whole keyspace, the two sides' ledgers, the raw
+/// flash traffic on the backing devices, and what a recovery from flash
+/// reads.
 fn assert_stores_match_the_model<D: Device>(
-    fast: Striped<D>,
-    locked: Striped<D>,
+    store: Striped<D>,
+    twin: Striped<D>,
     ops: &[(u8, u64)],
     seed: u64,
     label: &str,
 ) {
-    let mut model = StripedModel::new(&fast.config);
-    let stripe_of = |key: Key| locked.store.stripe(locked.store.stripe_index(key)).unwrap();
+    let mut model = StripedModel::new(&store.config);
+    let mut owned = twin.store.into_stripes();
     let key = |raw: u64| hash_with_seed(raw % 192, seed);
-    // One batched lookup on each store: both against the model, and
-    // against each other where the model has no say (flash reads).
-    let audit = |model: &StripedModel, keys: &[Key], what: &str| {
-        let f = fast.store.lookup_batch(keys).unwrap();
+    // One batched lookup on the store, a lookup per key on the owned
+    // stripes: both against the model, and against each other where the
+    // model has no say (flash reads).
+    let audit = |model: &StripedModel, owned: &mut [Clam<_>], keys: &[Key], what: &str| {
+        let f = store.store.lookup_batch(keys).unwrap();
         for (j, (fo, &k)) in f.outcomes.iter().zip(keys).enumerate() {
-            let lo = stripe_of(k).with(|c| c.lookup(k)).unwrap();
+            let lo = owned[stripe_of(k)].lookup(k).unwrap();
             let want = model.lookup(k);
-            assert!(want.admits(fo), "{label}: {what} slot {j}, fast: {fo:?}, model {want:?}");
-            assert!(want.admits(&lo), "{label}: {what} slot {j}, locked: {lo:?}, model {want:?}");
+            assert!(want.admits(fo), "{label}: {what} slot {j}, store: {fo:?}, model {want:?}");
+            assert!(want.admits(&lo), "{label}: {what} slot {j}, owned: {lo:?}, model {want:?}");
             assert_eq!(
                 (fo.source, fo.flash_reads),
                 (lo.source, lo.flash_reads),
@@ -162,58 +165,60 @@ fn assert_stores_match_the_model<D: Device>(
         }
     };
     for (i, &(kind, raw)) in ops.iter().enumerate() {
+        let k = key(raw);
         match kind % 10 {
             0..=2 => {
-                let want = model.insert(key(raw), raw);
-                let f = fast.store.insert(key(raw), raw).unwrap();
-                let l = stripe_of(key(raw)).with(|c| c.insert(key(raw), raw)).unwrap();
+                let want = model.insert(k, raw);
+                let f = store.store.insert(k, raw).unwrap();
+                let l = owned[stripe_of(k)].insert(k, raw).unwrap();
                 assert_eq!((usize::from(f.flushed), f.evictions), (want.flushed, want.evictions));
                 assert_eq!(f, l, "{label}: op {i}");
             }
             3 => {
-                model.delete(key(raw));
-                fast.store.delete(key(raw)).unwrap();
-                stripe_of(key(raw)).with(|c| c.delete(key(raw))).unwrap();
+                model.delete(k);
+                store.store.delete(k).unwrap();
+                owned[stripe_of(k)].delete(k).unwrap();
             }
             4 => {
                 let pairs: Vec<(u64, u64)> =
                     (0..32).map(|j| (key(raw.wrapping_add(j)), raw ^ j)).collect();
                 let want = model.insert_batch(&pairs);
-                let f = fast.store.insert_batch(&pairs).unwrap();
+                let f = store.store.insert_batch(&pairs).unwrap();
                 assert_eq!((f.flushed_ops, f.evictions), (want.flushed, want.evictions));
                 let mut flushed = 0;
-                for (idx, share) in StripedModel::shares(&pairs).iter().enumerate() {
-                    let stripe = locked.store.stripe(idx).unwrap();
-                    flushed += stripe.with(|c| c.insert_batch(share)).unwrap().flushed_ops;
+                for (stripe, share) in owned.iter_mut().zip(StripedModel::shares(&pairs)) {
+                    flushed += stripe.insert_batch(&share).unwrap().flushed_ops;
                 }
                 assert_eq!(flushed, want.flushed, "{label}: op {i}");
             }
             5 => {
                 let keys: Vec<u64> = (0..24).map(|j| key(raw.wrapping_add(j * 3))).collect();
-                audit(&model, &keys, &format!("op {i} batch"));
+                audit(&model, &mut owned, &keys, &format!("op {i} batch"));
             }
             6 => {
                 model.flush_all();
-                fast.store.flush_all().unwrap();
-                for idx in 0..STRIPES {
-                    locked.store.stripe(idx).unwrap().with(|c| c.flush_all()).unwrap();
+                store.store.flush_all().unwrap();
+                for stripe in &mut owned {
+                    stripe.flush_all().unwrap();
                 }
             }
             _ => {
-                let f = fast.store.lookup(key(raw)).unwrap();
-                let l = stripe_of(key(raw)).with(|c| c.lookup(key(raw))).unwrap();
-                let want = model.lookup(key(raw));
+                let f = store.store.lookup(k).unwrap();
+                let l = owned[stripe_of(k)].lookup(k).unwrap();
+                let want = model.lookup(k);
                 assert!(want.admits(&f), "{label}: op {i}: {f:?}, model {want:?}");
                 assert_eq!((f.value, f.source, f.flash_reads), (l.value, l.source, l.flash_reads));
             }
         }
     }
-    // Full-keyspace audit: both stores hold exactly the model's map.
+    // Full-keyspace audit: both sides hold exactly the model's map.
     let keys: Vec<u64> = (0..192).map(key).collect();
-    audit(&model, &keys, "audit");
+    audit(&model, &mut owned, &keys, "audit");
     // The ledgers are the model's.
-    let (fs, ls) = (fast.store.stats(), locked.store.stats());
-    let (fio, lio) = (fast.device.with(|d| d.stats()), locked.device.with(|d| d.stats()));
+    let fs = store.store.stats();
+    let mut ls = ClamStats::new();
+    owned.iter().for_each(|stripe| ls.absorb(stripe.stats()));
+    let (fio, lio) = (store.device.with(|d| d.stats()), twin.device.with(|d| d.stats()));
     let (flushes, evictions, forced) = model.ledger();
     assert_eq!((fs.flushes, fio.trims, fs.forced_evictions), (flushes, evictions, forced));
     assert_eq!((ls.flushes, lio.trims, ls.forced_evictions), (flushes, evictions, forced));
@@ -233,10 +238,10 @@ fn assert_stores_match_the_model<D: Device>(
     assert_eq!(fio.bytes_read, lio.bytes_read, "{label}: flash bytes read");
     // What survives a restart: flush, drop every byte of DRAM, recover
     // each stripe from its partition, and read the whole keyspace back.
-    fast.store.flush_all().unwrap();
+    store.store.flush_all().unwrap();
     model.flush_all();
     model.recover();
-    let Striped { store, device, config } = fast;
+    let Striped { store, device, config } = store;
     drop(store);
     let partitions = device.split(STRIPES).unwrap();
     let (recovered, reports) =
@@ -254,13 +259,12 @@ fn assert_stores_match_the_model<D: Device>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The store behind its public entry points, and the same store
-    /// driven the coarse way, every call made on a stripe's `Clam`, are
-    /// both the model's store — per outcome, per value, per
-    /// source — and indistinguishable from each other per flash read, on
-    /// every one of the five flashsim backends.
+    /// The store behind its public entry points, and its twin's stripes
+    /// owned and called one by one, are both the model's store — per
+    /// outcome, per value, per source — and indistinguishable from each
+    /// other per flash read, on every one of the five flashsim backends.
     #[test]
-    fn fast_and_coarse_stores_agree_on_every_backend(
+    fn store_calls_and_owned_stripe_calls_agree_on_every_backend(
         seed in any::<u64>(),
         ops in vec((0u8..10, any::<u64>()), 150..300),
     ) {
@@ -307,8 +311,8 @@ proptest! {
 
 /// Streams of `ops` from three connections, all over the same sixteen
 /// keys, through an engine over `stripes` stripes (as many shards), in
-/// chunks of up to 48 requests: a chunk's share is one gather (`max_batch`
-/// far above it), so same-key inserts, lookups, deletes and batch slices
+/// chunks of up to 48 requests: a chunk's share is one gather (the
+/// batcher's 512-request bound far above it), so same-key inserts, lookups, deletes and batch slices
 /// meet inside one gather as a matter of course. One thread submits every
 /// chunk, so the order requests
 /// reach a key's shard is the order they were submitted in, and a
@@ -325,8 +329,7 @@ fn assert_replies_match_the_register_model(stripes: usize, seed: u64, ops: &[(u8
         ..ServerConfig::default()
     })
     .unwrap();
-    let config = BatcherConfig { max_batch: 4096, ..BatcherConfig::default() };
-    let engine = Engine::start(store, Vec::new(), config);
+    let engine = Engine::start(store, Vec::new(), BatcherConfig::default());
     let inboxes: Vec<_> = (1..=CONNS).map(|conn| engine.register_conn(conn)).collect();
     let key = |raw: u64| hash_with_seed(raw % 16, seed);
     let found = |value: Option<&u64>| (value.is_some(), value.copied().unwrap_or(0));
@@ -593,7 +596,6 @@ fn sharded_server_matches_the_model_over_tcp() {
 fn insert_hammer_on_one_stripe_does_not_starve_reads_on_others() {
     let server = ephemeral_sim_server(STRIPES, 32 << 20, 8 << 20).unwrap();
     let addr = server.local_addr();
-    let stripe_of = |key: u64| (hash_with_seed(key, STRIPE_SEED) % STRIPES as u64) as usize;
 
     // Preload read targets on stripes 1..4 only.
     let read_keys: Vec<u64> = (0..).filter(|&k| stripe_of(k) != 0).take(2_000).collect();
